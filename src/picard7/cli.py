@@ -28,7 +28,6 @@ class Config:
     max_reduce_iters: int = 1000
     precision_bits: int = 128
     closure_cap: int = 10000
-    word_search_len: int = 12
     height_bound: int = 20
 
     def __post_init__(self):
@@ -63,11 +62,16 @@ def _elt_json(g: GroupElt):
     return {"matrix": mat_to_json(g.mat), "word": word_str(g.word) if g.word else None}
 
 
-def cmd_ford_reduce(args, cfg):
-    v = vec_from_json(args.point)
-    if ProjPoint(v).sq_norm_sign() >= 0:
+def _interior_point(text) -> ProjPoint:
+    """The --point argument as a ProjPoint, which must be negative (inside the ball)."""
+    p = ProjPoint(vec_from_json(text))
+    if p.sq_norm_sign() >= 0:
         raise ValueError("reduction needs an interior point (negative square norm)")
-    g, y = reduce_to_domain(ProjPoint(v), max_iters=cfg.max_reduce_iters)
+    return p
+
+
+def cmd_ford_reduce(args, cfg):
+    g, y = reduce_to_domain(_interior_point(args.point), max_iters=cfg.max_reduce_iters)
     return {
         "element": _elt_json(g),
         "point": _point_json(y),
@@ -139,8 +143,7 @@ def cmd_torsion_enumerate(args, cfg):
 
 
 def cmd_torsion_stabilizer(args, cfg):
-    v = vec_from_json(args.point)
-    _, y = reduce_to_domain(ProjPoint(v), max_iters=cfg.max_reduce_iters)
+    _, y = reduce_to_domain(_interior_point(args.point), max_iters=cfg.max_reduce_iters)
     graph = build_cycle_graph([y])
     st = stabilizer(y, graph, cap=cfg.closure_cap)
     return {
@@ -186,12 +189,7 @@ def cmd_presentation_verify(args, cfg):
     cov = presentation.coverage_report()
     return {
         "relators": presentation.verify_relators(),
-        "rows": {
-            "rows": [
-                {k: v for k, v in r.items()} for r in presentation.verify_table_rows()["rows"]
-            ],
-            "all_pass": presentation.verify_table_rows()["all_pass"],
-        },
+        "rows": presentation.verify_table_rows(),
         "coverage": {
             "n_classes": cov["n_classes"],
             "all_covered": cov["all_covered"],

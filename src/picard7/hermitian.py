@@ -181,40 +181,13 @@ def is_in_gamma(m: Mat) -> bool:
     return (m.conj_transpose() * J * m) == J
 
 
-def rank(m: Mat) -> int:
-    """Rank over the coefficient field (exact Gaussian elimination)."""
-    rows = [list(r) for r in m.rows]
-    rk = 0
-    for col in range(3):
-        piv = None
-        for i in range(rk, 3):
-            if not rows[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        inv = scalar(1) / rows[rk][col]
-        rows[rk] = [x * inv for x in rows[rk]]
-        for i in range(3):
-            if i != rk and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rk])]
-        rk += 1
-    return rk
-
-
-def kernel_vector(m: Mat):
-    """A nonzero kernel vector of a rank-2 matrix (exact), or None if rank is 3."""
+def _kernel_basis(m: Mat):
+    """Basis of ker(m) over the coefficient field (exact Gauss-Jordan elimination)."""
     rows = [list(r) for r in m.rows]
     pivots = []
-    rk = 0
     for col in range(3):
-        piv = None
-        for i in range(rk, 3):
-            if not rows[i][col].is_zero():
-                piv = i
-                break
+        rk = len(pivots)
+        piv = next((i for i in range(rk, 3) if not rows[i][col].is_zero()), None)
         if piv is None:
             continue
         rows[rk], rows[piv] = rows[piv], rows[rk]
@@ -225,53 +198,33 @@ def kernel_vector(m: Mat):
                 f = rows[i][col]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[rk])]
         pivots.append(col)
-        rk += 1
-    if rk == 3:
-        return None
-    free = [c for c in range(3) if c not in pivots][0]
-    v = [scalar(0)] * 3
-    v[free] = scalar(1)
-    for r, col in zip(range(rk), pivots):
-        v[col] = -rows[r][free]
-    return tuple(v)
-
-
-def eigenspace_basis(m: Mat, lam):
-    """Basis of ker(M - lam*I) (list of vectors, exact)."""
-    shifted = Mat(
-        [
-            [m.rows[i][j] - (scalar(lam) if i == j else scalar(0)) for j in range(3)]
-            for i in range(3)
-        ]
-    )
-    rows = [list(r) for r in shifted.rows]
-    pivots = []
-    rk = 0
-    for col in range(3):
-        piv = None
-        for i in range(rk, 3):
-            if not rows[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        inv = scalar(1) / rows[rk][col]
-        rows[rk] = [x * inv for x in rows[rk]]
-        for i in range(3):
-            if i != rk and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rk])]
-        pivots.append(col)
-        rk += 1
     basis = []
     for free in (c for c in range(3) if c not in pivots):
         v = [scalar(0)] * 3
         v[free] = scalar(1)
-        for r, col in zip(range(rk), pivots):
+        for r, col in enumerate(pivots):
             v[col] = -rows[r][free]
         basis.append(tuple(v))
     return basis
+
+
+def rank(m: Mat) -> int:
+    """Rank over the coefficient field (exact)."""
+    return 3 - len(_kernel_basis(m))
+
+
+def kernel_vector(m: Mat):
+    """A nonzero kernel vector (exact), or None if the rank is 3."""
+    basis = _kernel_basis(m)
+    return basis[0] if basis else None
+
+
+def eigenspace_basis(m: Mat, lam):
+    """Basis of ker(M - lam*I) (list of vectors, exact)."""
+    lam = scalar(lam)
+    return _kernel_basis(
+        Mat([[x - lam if i == j else x for j, x in enumerate(r)] for i, r in enumerate(m.rows)])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +625,17 @@ def vec_to_json(v):
 
 
 def vec_from_json(data):
+    """A K^3 vector from a JSON list of 3 entries, each a K-number literal or an int."""
     if isinstance(data, str):
         data = json.loads(data)
-    return tuple(parse_knum(x) if isinstance(x, str) else KNum.coerce(x) for x in data)
+    if not isinstance(data, list) or len(data) != 3:
+        raise ValueError("a point is a JSON list of 3 entries")
+    out = []
+    for x in data:
+        if isinstance(x, str):
+            out.append(parse_knum(x))
+        elif isinstance(x, int) and not isinstance(x, bool):
+            out.append(KNum(x))
+        else:
+            raise ValueError(f"bad point entry {x!r}: expected a string literal or an int")
+    return tuple(out)

@@ -308,11 +308,9 @@ def verify_mirror_L(orbit_search_len: int = 4) -> dict:
         "preserves": {name: preserves_mirror(g, ctx) for name, g in gens.items()},
         "restriction_orders": {name: restriction_order(g, ctx) for name, g in gens.items()},
     }
+    norm2 = search_orthogonal_mirrors(ctx, 2, 5)
     report["search"] = {
-        "norm2_height5": [
-            ProjPoint(MIRROR_L_POLARS[k]) in search_orthogonal_mirrors(ctx, 2, 5)
-            for k in (1, 2, 3)
-        ],
+        "norm2_height5": [ProjPoint(MIRROR_L_POLARS[k]) in norm2 for k in (1, 2, 3)],
         "norm1_height5": ProjPoint(MIRROR_L_POLARS[4]) in search_orthogonal_mirrors(ctx, 1, 5),
     }
     sc = lambda g: acts_trivially_on_mirror(g, ctx)

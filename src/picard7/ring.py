@@ -1,21 +1,22 @@
-"""Exact arithmetic in K = Q(i*sqrt(7)) and small algebraic extensions of it.
+"""Exact arithmetic in K = Q(i*sqrt(7)) and in the two cyclotomic fields K(zeta_3), K(zeta_7).
 
 Elements of K are stored in the tau-basis, tau = (1+i*sqrt(7))/2, so that
 the ring of integers O_7 = Z[tau] is exactly the set of elements with
 integer coordinates.  tau satisfies tau^2 = tau - 2, conj(tau) = 1 - tau,
 and i*sqrt(7) = 2*tau - 1.
 
-Algebraic numbers of small degree over K (eigenvalues of elliptic group
-elements and coordinates of their fixed points) are handled by AlgNum,
-an element of K[x]/(m(x)) together with a complex interval enclosure of
-the chosen root of m.
+The eigenvalues of elliptic group elements and the coordinates of their
+fixed points lie in K, K(zeta_3) or K(zeta_7), zeta_n = exp(2*pi*i/n).
+An element of one of the two extension fields is an AlgNum: a polynomial
+in zeta_n over K, reduced modulo the hard-coded minimal polynomial of
+zeta_n over K.  Its complex enclosures come from interval trigonometry
+at zeta_n, so every enclosure is certified.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import gcd as _int_gcd
 
 from mpmath import iv as _iv
 
@@ -248,7 +249,10 @@ def parse_knum(s: str) -> KNum:
         if m.group("tau2") is not None:
             b += sign
         else:
-            coef = Fraction(m.group("coef"))
+            try:
+                coef = Fraction(m.group("coef"))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in K-number literal {s!r}") from None
             if m.group("tau1"):
                 b += sign * coef
             else:
@@ -411,21 +415,6 @@ def poly_eval(p, x):
     return out
 
 
-def poly_conj(p):
-    return [c.conj() for c in p]
-
-
-def cyclotomic_poly(n: int):
-    """The n-th cyclotomic polynomial, as a K[x] coefficient list."""
-    # (x^n - 1) / prod_{d|n, d<n} Phi_d
-    num = [KNum(-1)] + [ZERO] * (n - 1) + [ONE]
-    for d in range(1, n):
-        if n % d == 0:
-            num, rem = poly_divmod(num, cyclotomic_poly(d))
-            assert not rem
-    return num
-
-
 # ---------------------------------------------------------------------------
 # complex interval helpers (rectangles of mpmath.iv intervals)
 # ---------------------------------------------------------------------------
@@ -451,192 +440,39 @@ def c_mul(x, y):
 
 
 # ---------------------------------------------------------------------------
-# towers K(lambda)
+# the cyclotomic fields K(zeta_3) and K(zeta_7)
 # ---------------------------------------------------------------------------
 
 
 class Tower:
-    """The field K(lambda) for lambda a root of a monic polynomial over K.
+    """The field K(zeta) for zeta = exp(2*pi*i/n), n = 3 or 7.
 
-    For roots of unity, construct with `Tower.root_of_unity(k, n)`, which
-    pins lambda = exp(2*pi*i*k/n) and gets certified enclosures from
-    interval trigonometry.  Generic towers fall back on a high-precision
-    numeric root with an inflated enclosure (the exact-zero test never
-    depends on the enclosure).
+    These are the only extensions of K the package works in, and each is
+    built once, as the module constants behind `zeta3_tower()` and
+    `zeta7_tower()`.  `minpoly` is the monic minimal polynomial of zeta
+    over K (coefficients low degree first).  The enclosure of zeta comes
+    from interval trigonometry, so it is certified at every precision.
     """
 
-    _cache = {}
-
-    def __init__(self, minpoly, key, root_angle=None, approx_root=None):
-        minpoly = tuple(minpoly)
-        assert len(minpoly) >= 3 and minpoly[-1].is_one(), "minpoly must be monic, degree >= 2"
-        self.minpoly = minpoly
-        self.degree = len(minpoly) - 1
-        self.key = key
-        self.root_angle = root_angle  # (k, n) meaning lambda = exp(2 pi i k/n)
-        self._approx_root = approx_root
-        self._conj_coeffs = None
+    def __init__(self, n: int, minpoly):
+        self.n = n
+        self.minpoly = tuple(minpoly)
+        self.degree = len(self.minpoly) - 1
+        self.key = ("zeta", 1, n)
+        # |zeta| = 1, so conj(zeta) = zeta^-1 = zeta^(n-1)
+        self.conj_gen = (AlgNum.gen(self) ** (n - 1)).coeffs
 
     def __repr__(self):
         return f"Tower({self.key})"
 
-    def __eq__(self, other):
-        return isinstance(other, Tower) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    @staticmethod
-    def root_of_unity(k: int, n: int) -> "Tower":
-        """K(zeta) for zeta = exp(2*pi*i*k/n); minpoly computed over K."""
-        g = _int_gcd(k, n)
-        k, n = k // g, n // g
-        key = ("zeta", k, n)
-        if key in Tower._cache:
-            return Tower._cache[key]
-        phi = cyclotomic_poly(n)
-        # factor out the K-irreducible factor vanishing at zeta: since the
-        # needed degrees are <= 3, locate it by gcd refinement against the
-        # numeric root.
-        minpoly = _k_factor_at_root(phi, k, n)
-        tower = Tower(minpoly, key, root_angle=(k, n))
-        Tower._cache[key] = tower
-        return tower
-
-    @staticmethod
-    def from_minpoly(minpoly, approx_root) -> "Tower":
-        """Generic tower with a floating approximation of the chosen root."""
-        minpoly = tuple(minpoly)
-        key = ("poly", minpoly, complex(approx_root))
-        if key in Tower._cache:
-            return Tower._cache[key]
-        tower = Tower(minpoly, key, approx_root=complex(approx_root))
-        Tower._cache[key] = tower
-        return tower
-
-    # -- enclosures ---------------------------------------------------
-
     def gen_enclosure(self):
-        """Complex interval enclosure of lambda at the current iv precision."""
-        if self.root_angle is not None:
-            k, n = self.root_angle
-            angle = 2 * _iv.pi * k / n
-            return (_iv.cos(angle), _iv.sin(angle))
-        return self._generic_enclosure()
-
-    def _generic_enclosure(self):
-        import mpmath
-
-        prec = _iv.prec
-        with mpmath.workprec(prec + 30):
-            coeffs = []
-            for c in reversed(self.minpoly):
-                coeffs.append(mpmath.mpc(mpmath.mpf(c.re.numerator) / c.re.denominator,
-                                         (mpmath.mpf(c.im_sqrt7.numerator) / c.im_sqrt7.denominator)
-                                         * mpmath.sqrt(7)))
-            roots, err = mpmath.polyroots(coeffs, maxsteps=200, error=True)
-            root = min(roots, key=lambda r: abs(r - self._approx_root))
-            rad = mpmath.mpf(2) ** (10 - prec) + 4 * err
-            re = _iv.mpf([root.real - rad, root.real + rad])
-            im = _iv.mpf([root.imag - rad, root.imag + rad])
-        return (re, im)
-
-    # -- conjugation --------------------------------------------------
-
-    def conj_gen(self):
-        """Coefficients (AlgNum form) of conj(lambda) in this tower."""
-        if self._conj_coeffs is not None:
-            return self._conj_coeffs
-        mbar = poly_conj(self.minpoly)
-        # try lambda^-1 (true for roots of unity), then lambda itself (real root)
-        inv = AlgNum(self, _unit_coeffs(self)).inverse_of_gen()
-        if _poly_eval_alg(mbar, inv).is_zero():
-            self._conj_coeffs = inv.coeffs
-        else:
-            lam = AlgNum.gen(self)
-            if _poly_eval_alg(mbar, lam).is_zero():
-                self._conj_coeffs = lam.coeffs
-            else:
-                raise ValueError("tower is not closed under complex conjugation")
-        return self._conj_coeffs
-
-
-def _unit_coeffs(tower):
-    return tuple([ONE] + [ZERO] * (tower.degree - 1))
-
-
-def _k_factor_at_root(phi, k, n):
-    """Irreducible K[x] factor of the cyclotomic Phi_n vanishing at exp(2 pi i k/n)."""
-    import mpmath
-
-    # gcd of Phi_n with its conj-reflections cannot help directly; instead
-    # try all monic divisors obtained from gcds with x^d - c style probes is
-    # overkill: the only case where Phi_n splits over K is 7 | n (then into
-    # two conjugate factors of half degree).  Detect numerically which factor
-    # vanishes at the chosen root.
-    deg = len(phi) - 1
-    candidates = [phi]
-    if n % 7 == 0:
-        half = _split_cyclotomic_over_k(phi)
-        if half is not None:
-            candidates = half
-    if len(candidates) == 1:
-        return tuple(candidates[0])
-    with mpmath.workprec(200):
-        z = mpmath.exp(2j * mpmath.pi * k / n)
-        best = min(candidates, key=lambda p: abs(_poly_eval_numeric(p, z)))
-        # sanity: the other factor must be clearly nonzero at z
-        vals = sorted(abs(_poly_eval_numeric(p, z)) for p in candidates)
-        assert vals[0] < mpmath.mpf(2) ** -100 < vals[1]
-    return tuple(best)
-
-
-def _poly_eval_numeric(p, z):
-    import mpmath
-
-    out = mpmath.mpc(0)
-    for c in reversed(p):
-        cval = mpmath.mpc(mpmath.mpf(c.re.numerator) / c.re.denominator,
-                          (mpmath.mpf(c.im_sqrt7.numerator) / c.im_sqrt7.denominator)
-                          * mpmath.sqrt(7))
-        out = out * z + cval
-    return out
-
-
-def _split_cyclotomic_over_k(phi):
-    """Try to split a cyclotomic polynomial into two conjugate K[x] factors.
-
-    Looks for a monic factor g with conj(g) as cofactor, g * conj(g) = phi,
-    by solving for g with undetermined coefficients over small search;
-    works for the cases needed here (Phi_7, Phi_14).
-    """
-    deg = len(phi) - 1
-    if deg % 2 != 0:
-        return None
-    h = deg // 2
-    # candidate factors of Phi_n over K have coefficients in O_7 with small
-    # height; search boxes of tau-coordinates in [-2, 2].
-    from itertools import product as _product
-
-    rng = range(-2, 3)
-    # g = x^h + c_{h-1} x^{h-1} + ... + c_0, with c_0 * conj(c_0) = phi[0] norm..
-    for coeffs in _product(_product(rng, rng), repeat=h):
-        g = [KNum(a, b) for (a, b) in coeffs] + [ONE]
-        prod = poly_mul(g, poly_conj(g))
-        if len(prod) == len(phi) and all((x - y).is_zero() for x, y in zip(prod, phi)):
-            return [g, poly_conj(g)]
-    return None
-
-
-def _poly_eval_alg(p, x: "AlgNum") -> "AlgNum":
-    out = AlgNum.lift(x.tower, ZERO)
-    for c in reversed(p):
-        out = out * x + AlgNum.lift(x.tower, c)
-    return out
+        """Complex interval enclosure of zeta at the current iv precision."""
+        angle = 2 * _iv.pi / self.n
+        return (_iv.cos(angle), _iv.sin(angle))
 
 
 class AlgNum:
-    """An element of K(lambda), stored as a polynomial in lambda over K.
+    """An element of K(zeta), stored as a polynomial in zeta over K.
 
     Equality with zero is exact (the representation is zero); inequalities
     on real elements use interval refinement with precision doubling.
@@ -666,7 +502,7 @@ class AlgNum:
         if isinstance(other, (int, Fraction, KNum)):
             return AlgNum.lift(self.tower, KNum.coerce(other))
         if isinstance(other, AlgNum):
-            if other.tower is not self.tower and other.tower != self.tower:
+            if other.tower is not self.tower:
                 raise ValueError("AlgNum tower mismatch")
             return other
         return None
@@ -756,7 +592,7 @@ class AlgNum:
 
     def inverse(self) -> "AlgNum":
         if self.is_zero():
-            raise ZeroDivisionError("division by zero in K(lambda)")
+            raise ZeroDivisionError("division by zero in K(zeta)")
         # extended Euclid in K[x] against the (irreducible) minimal polynomial
         a = list(self.tower.minpoly)
         b = poly_trim(list(self.coeffs))
@@ -770,11 +606,8 @@ class AlgNum:
         _, rem = poly_divmod([c * inv_lead for c in s0], list(self.tower.minpoly))
         return AlgNum(self.tower, rem)
 
-    def inverse_of_gen(self) -> "AlgNum":
-        return AlgNum.gen(self.tower).inverse()
-
     def conj(self) -> "AlgNum":
-        cg = AlgNum(self.tower, self.tower.conj_gen())
+        cg = AlgNum(self.tower, self.tower.conj_gen)
         out = AlgNum.lift(self.tower, ZERO)
         for c in reversed(self.coeffs):
             out = out * cg + AlgNum.lift(self.tower, c.conj())
@@ -864,10 +697,19 @@ def alg_floor(x) -> int:
     return scalar(x).floor_real()
 
 
-# canonical towers used across the package
+# Phi_3 = x^2 + x + 1 is irreducible over K.  Phi_7 splits over K into two
+# conjugate cubics; the one kept has the roots zeta, zeta^2, zeta^4 of
+# zeta = exp(2*pi*i/7).  Their elementary symmetric functions are the
+# quadratic Gauss sum zeta + zeta^2 + zeta^4 = tau - 1, its conjugate
+# zeta^3 + zeta^5 + zeta^6 = -tau, and zeta^7 = 1, which gives
+# x^3 + (1 - tau) x^2 - tau x - 1.
+_ZETA3 = Tower(3, (ONE, ONE, ONE))
+_ZETA7 = Tower(7, (-ONE, -TAU, ONE - TAU, ONE))
+
+
 def zeta3_tower() -> Tower:
-    return Tower.root_of_unity(1, 3)
+    return _ZETA3
 
 
 def zeta7_tower() -> Tower:
-    return Tower.root_of_unity(1, 7)
+    return _ZETA7

@@ -49,6 +49,25 @@ def test_ford_reduce_rejects_boundary(capsys):
     assert json.loads(out)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("command", [["ford", "reduce"], ["torsion", "stabilizer"]])
+@pytest.mark.parametrize(
+    "point",
+    [
+        "null",
+        '["1/0","0","1"]',
+        '[1.5,"0","1"]',
+        '[true,"0","1"]',
+        '["-1","0"]',
+        '{"a": 1}',
+        '["1","0","1"]',
+    ],
+)
+def test_bad_point_is_a_value_error(capsys, command, point):
+    code, out = run(capsys, command + ["--point", point])
+    assert code == 1
+    assert json.loads(out)["error"] == "ValueError"
+
+
 def test_ford_spheres(capsys):
     code, out = run(capsys, ["ford", "spheres", "--point", '["-1+1*tau","0","1"]'])
     assert code == 0

@@ -11,16 +11,16 @@ from picard7.ring import (
     ONE,
     TAU,
     TAU_BAR,
-    Tower,
     ZERO,
     alg_floor,
-    cyclotomic_poly,
+    c_add,
+    c_mul,
     format_knum,
+    knum_interval,
     o_divmod,
     o_gcd,
     o_gcd_many,
     parse_knum,
-    poly_divmod,
     poly_eval,
     poly_mul,
     real_cmp,
@@ -97,6 +97,8 @@ def test_parse_format_roundtrip():
         parse_knum("")
     with pytest.raises(ValueError):
         parse_knum("2+x")
+    with pytest.raises(ValueError):
+        parse_knum("1/0+tau")
 
 
 def test_euclidean_division():
@@ -129,18 +131,33 @@ def test_sign_canonicalization():
     assert KNum(0, 2).is_sign_positive()
 
 
-def test_cyclotomic_polys():
-    assert [c.rat() for c in cyclotomic_poly(1)] == [-1, 1]
-    assert [c.rat() for c in cyclotomic_poly(2)] == [1, 1]
-    assert [c.rat() for c in cyclotomic_poly(3)] == [1, 1, 1]
-    assert [c.rat() for c in cyclotomic_poly(7)] == [1] * 7
-    # Phi_7 splits over K into two conjugate cubics
-    phi = cyclotomic_poly(7)
+def _interval_at_zeta7(p, prec):
+    """Certified enclosure (re, im) of p(exp(2*pi*i/7)) for p in K[x]."""
+    old = mpmath.iv.prec
+    mpmath.iv.prec = prec
+    try:
+        angle = 2 * mpmath.iv.pi / 7
+        z = (mpmath.iv.cos(angle), mpmath.iv.sin(angle))
+        out = knum_interval(p[-1])
+        for c in reversed(p[:-1]):
+            out = c_add(c_mul(out, z), knum_interval(c))
+        return out
+    finally:
+        mpmath.iv.prec = old
+
+
+def test_zeta7_minpoly():
     m = list(zeta7_tower().minpoly)
+    assert m == [KNum(-1), -TAU, 1 - TAU, ONE]
     mbar = [c.conj() for c in m]
-    assert poly_mul(m, mbar) == phi
-    q, rem = poly_divmod(phi, m)
-    assert not rem
+    # m * conj(m) is the 7th cyclotomic polynomial
+    assert poly_mul(m, mbar) == [ONE] * 7
+    # m, not its conjugate, vanishes at exp(2*pi*i/7)
+    re, im = _interval_at_zeta7(m, 128)
+    assert 0 in re and 0 in im
+    re, im = _interval_at_zeta7(mbar, 128)
+    assert 0 not in re or 0 not in im
+    assert list(zeta3_tower().minpoly) == [ONE] * 3
 
 
 def test_zeta3_arithmetic():
@@ -177,24 +194,24 @@ def test_real_sign_and_floor():
     assert c.real_sign() == 1
     assert c.floor_real() == 1
     assert (c * c * c).floor_real() == 1  # ~1.938
+    assert alg_floor(c * c) == 1  # ~1.555
     assert (-c).real_sign() == -1
     assert (c - c).real_sign() == 0
+    # c is a root of x^3 + x^2 - 2x - 1, so c^3 + c^2 - 2c lies in K
+    assert (c * c * c + c * c - 2 * c - 1).is_zero()
+    assert alg_floor(c * c * c + c * c - 2 * c) == 1
+    assert alg_floor(c * c * c + c * c - 2 * c - Fraction(1, 2)) == 0
+    # mixed KNum/AlgNum comparisons, in both argument orders
+    assert real_cmp(c, KNum(1)) == 1
+    assert real_cmp(c, KNum(2)) == -1
+    assert real_cmp(KNum(1), c) == -1
+    assert real_cmp(KNum(2), c) == 1
     # cross-check against a 200-bit numeric oracle
     with mpmath.workprec(200):
         val = 2 * mpmath.cos(2 * mpmath.pi / 7)
         assert int(mpmath.floor(val)) == 1
+        assert int(mpmath.floor(val ** 2)) == 1
         assert int(mpmath.floor(val ** 3)) == 1
-
-
-def test_generic_tower_sqrt7():
-    tw = Tower.from_minpoly([KNum(-7), ZERO, ONE], 2.6457513)
-    s = AlgNum.gen(tw)
-    assert s.is_real()
-    assert (s * s - 7).is_zero()
-    assert s.floor_real() == 2
-    assert alg_floor(s * s) == 7
-    assert real_cmp(s, KNum(2)) == 1
-    assert real_cmp(s, KNum(3)) == -1
 
 
 def test_refinement_stability():
