@@ -214,6 +214,24 @@ def test_real_sign_and_floor():
         assert int(mpmath.floor(val ** 3)) == 1
 
 
+def test_generic_tower_sqrt7():
+    # sqrt(-7) of K is the quadratic Gauss sum of zeta_7
+    w = AlgNum.gen(zeta7_tower())
+    g = w + w ** 2 + w ** 4 - w ** 3 - w ** 5 - w ** 6
+    assert (g - ISQRT7).is_zero()
+    assert (g * g + 7).is_zero()
+    # sqrt(7) * sqrt(3) = -sqrt(-7) * sqrt(-3) is real in K(zeta_3)
+    z = AlgNum.gen(zeta3_tower())
+    s = -(ISQRT7 * (2 * z + 1))  # sqrt(21) ~ 4.583
+    assert s.is_real()
+    assert (s * s - 21).is_zero()
+    assert s.floor_real() == 4
+    assert alg_floor(s * s) == 21
+    assert real_cmp(s, KNum(4)) == 1
+    assert real_cmp(s, KNum(5)) == -1
+    assert real_cmp(KNum(5), s) == 1
+
+
 def test_refinement_stability():
     # comparisons resolved at the default precision do not flip when the
     # enclosure precision is raised
