@@ -28,7 +28,6 @@ class Config:
     max_reduce_iters: int = 1000
     precision_bits: int = 128
     closure_cap: int = 10000
-    height_bound: int = 20
 
     def __post_init__(self):
         for f in fields(self):
@@ -175,8 +174,7 @@ def cmd_mirror_search(args, cfg):
         if args.which == "R"
         else mirror.MirrorContext.mirror_of_shifted_half_turn()
     )
-    height = args.height if args.height is not None else cfg.height_bound
-    res = mirror.search_orthogonal_mirrors(ctx, args.norm, height)
+    res = mirror.search_orthogonal_mirrors(ctx, args.norm, args.height)
     return {
         "count": len(res),
         "polars": [vec_to_json(p.coords) for p in res],
@@ -252,7 +250,7 @@ def build_parser():
     ms = mir.add_parser("search")
     ms.add_argument("--which", choices=("R", "L"), default="L")
     ms.add_argument("--norm", type=int, choices=(1, 2), required=True)
-    ms.add_argument("--height", type=int, default=None)
+    ms.add_argument("--height", type=int, default=20)
     ms.set_defaults(func=cmd_mirror_search)
 
     pres = sub.add_parser("presentation").add_subparsers(dest="sub", required=True)

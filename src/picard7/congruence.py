@@ -2,9 +2,9 @@
 
 from functools import lru_cache
 
-from picard7.hermitian import GroupElt, Mat
+from picard7.hermitian import GroupElt
 from picard7.heisenberg import R, T1, TV
-from picard7.torsion import ClosureError, enumerate_torsion, projective_order
+from picard7.torsion import ClosureError, enumerate_torsion
 
 
 class ResidueMap:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .ring import AlgNum, ISQRT7, KNum, ONE, TAU, TAU_BAR, ZERO, real_cmp, scalar
+from .ring import ISQRT7, KNum, TAU, TAU_BAR, ZERO, real_cmp, scalar
 from .hermitian import (
     GroupElt,
     HoroPoint,
@@ -27,8 +27,6 @@ from .heisenberg import (
     HeisPt,
     Prism,
     reduce_to_prism,
-    tau_coordinates,
-    s_coordinate,
 )
 
 

@@ -6,10 +6,16 @@ z -> -z.  Every such element has the unique normal form
 T_1^m Ttau^n R^eps T_v^l with T_1 = T(1, sqrt(7)), Ttau = T(tau, 0) and
 T_v = T(0, 2 sqrt(7)) = [Ttau, T_1].
 
+Products, inverses and the action on boundary and horospherical
+coordinates come from the Heisenberg group law in closed form; matrices
+are only an output form (`CuspElt.to_matrix`).
+
 The prism P = D x [0, 2 sqrt(7)], D = hull{0, 1, tau}, is a fundamental
 domain for this action on the boundary minus q_inf.  Boundary coordinates
 are (z, t) with t = s*sqrt(7), s rational for K-rational points; as
-everywhere we carry ti = i*t instead of t.
+everywhere we carry ti = i*t instead of t.  Coordinates may be KNum or
+AlgNum: the two mix through Python's arithmetic operators, so every
+formula below serves both.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from .ring import AlgNum, ISQRT7, KNum, ONE, TAU, ZERO, scalar
-from .hermitian import GroupElt, HoroPoint, Mat, horo_coords, lift
+from .ring import ISQRT7, KNum, TAU, ZERO, scalar
+from .hermitian import GroupElt, HoroPoint, Mat
 
 
 def translation_matrix(w, ti) -> Mat:
@@ -89,7 +95,8 @@ class CuspElt:
     __slots__ = ("m", "n", "eps", "l")
 
     def __init__(self, m=0, n=0, eps=0, l=0):
-        assert eps in (0, 1)
+        if eps not in (0, 1):
+            raise ValueError("eps must be 0 or 1")
         object.__setattr__(self, "m", int(m))
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "eps", int(eps))
@@ -143,34 +150,26 @@ class CuspElt:
         return tuple(out)
 
     @staticmethod
-    def from_matrix(g: GroupElt) -> "CuspElt":
-        """Decompose an element stabilizing q_inf into normal form."""
-        mat = g.mat
-        if not g.fixes_q_inf():
-            raise ValueError("element does not stabilize the point at infinity")
-        if not mat.rows[2][2].is_one():
-            mat = -mat
-        assert mat.rows[2][2].is_one() and mat.rows[0][0].is_one()
-        d = mat.rows[1][1]
-        eps = 0 if d.is_one() else 1
-        w = mat.rows[1][2]
-        assert w.is_integral()
+    def _from_translation(w: KNum, s0, eps: int) -> "CuspElt":
+        """The normal form of T(w, s0*sqrt(7)) R^eps."""
+        if not w.is_integral():
+            raise ValueError("cusp element outside the integral lattice")
         m, n = int(w.a), int(w.b)
-        # entry (1,3) is (-|w|^2 + i t0)/2 with i t0 = s0 * (2 tau - 1)
-        s0 = mat.rows[0][2].b  # = s0 (tau-coordinate of the entry)
         two_l = s0 - (m - m * n)
-        assert two_l % 2 == 0, "cusp element outside the integral lattice"
-        c = CuspElt(m, n, eps, two_l // 2)
-        assert c.to_matrix() == g, "normal-form round trip failed"
-        return c
+        if two_l % 2:
+            raise ValueError("cusp element outside the integral lattice")
+        return CuspElt(m, n, eps, two_l // 2)
 
     def inverse(self) -> "CuspElt":
-        return CuspElt.from_matrix(self.to_matrix().inverse())
+        # (T(w, t0) R^eps)^-1 = R^eps T(-w, -t0) = T(-sigma w, -t0) R^eps
+        sign = -1 if self.eps else 1
+        return CuspElt._from_translation(-sign * self.w, -self.s0, self.eps)
 
     def __mul__(self, other):
         if not isinstance(other, CuspElt):
             return NotImplemented
-        return CuspElt.from_matrix(self.to_matrix() * other.to_matrix())
+        t = self.act_heis(HeisPt(other.w, other.s0))
+        return CuspElt._from_translation(t.z, t.s, self.eps ^ other.eps)
 
     # -- boundary action ----------------------------------------------
 
@@ -179,7 +178,11 @@ class CuspElt:
         return heis_mul(HeisPt(self.w, self.s0), HeisPt(p.z * sign, p.s))
 
     def act_horo(self, h: HoroPoint) -> HoroPoint:
-        return horo_coords(self.to_matrix().apply(lift(h)))
+        """(z, ti, u) -> (w + sigma z, ti + i t0 + w conj(sigma z) - conj(w) sigma z, u)."""
+        w = self.w
+        z = -h.z if self.eps else h.z
+        ti = h.ti + ISQRT7 * self.s0 + w * z.conj() - w.conj() * z
+        return HoroPoint(w + z, ti, h.u)
 
     def order(self):
         """Projective order: 1, 2, or None for infinite."""
@@ -202,25 +205,14 @@ R = CuspElt(eps=1)
 
 
 def tau_coordinates(z):
-    """Real scalars (a, b) with z = a + b*tau; exact for KNum and AlgNum."""
-    if isinstance(z, KNum):
-        return KNum(z.a), KNum(z.b)
-    # b = (z - conj z)/(2 tau - 1), a = z - b*tau
-    isq = AlgNum.lift(z.tower, ISQRT7)
-    b = (z - z.conj()) / isq
-    a = z - b * AlgNum.lift(z.tower, TAU)
-    assert a.is_real() and b.is_real()
-    return a, b
+    """Real scalars (a, b) with z = a + b*tau, exact: b = (z - conj z)/(i sqrt(7))."""
+    b = (z - z.conj()) / ISQRT7
+    return z - b * TAU, b
 
 
 def s_coordinate(ti):
     """The real scalar s with t = s*sqrt(7), from ti = i*t."""
-    if isinstance(ti, KNum):
-        assert 2 * ti.a + ti.b == 0
-        return KNum(ti.b / 2)
-    s = ti / AlgNum.lift(ti.tower, ISQRT7)
-    assert s.is_real()
-    return s
+    return ti / ISQRT7
 
 
 class Prism:
@@ -237,13 +229,12 @@ class Prism:
     def membership(z, ti):
         a, b = tau_coordinates(z)
         s = s_coordinate(ti)
-        one = scalar(1) if isinstance(a, KNum) else AlgNum.lift(a.tower, ONE)
         checks = {
             "a=0": a.real_sign(),
             "b=0": b.real_sign(),
-            "a+b=1": (one - a - b).real_sign(),
+            "a+b=1": (1 - a - b).real_sign(),
             "s=0": s.real_sign(),
-            "s=2": (2 - s).real_sign() if isinstance(s, KNum) else (one + one - s).real_sign(),
+            "s=2": (2 - s).real_sign(),
         }
         if any(v < 0 for v in checks.values()):
             return "outside", ()
@@ -273,23 +264,21 @@ def reduce_to_prism(point):
             h = step.act_horo(h)
             total = step * total
             a, b = tau_coordinates(h.z)
-        one = scalar(1) if isinstance(a, KNum) else AlgNum.lift(a.tower, ONE)
-        if (one - a - b).real_sign() < 0:
+        if (1 - a - b).real_sign() < 0:
             step = T1 * TTAU * R  # z -> 1 + tau - z
             h = step.act_horo(h)
             total = step * total
             continue
         break
     else:
-        raise AssertionError("prism reduction did not stabilize")
-    s = s_coordinate(h.ti)
-    half = s / 2 if isinstance(s, KNum) else s / AlgNum.lift(s.tower, KNum(2))
-    lshift = half.floor_real()
+        raise ArithmeticError("prism reduction did not stabilize")
+    lshift = (s_coordinate(h.ti) / 2).floor_real()
     if lshift:
         step = CuspElt(l=-lshift)
         h = step.act_horo(h)
         total = step * total
-    assert Prism.contains(h.z, h.ti)
+    if not Prism.contains(h.z, h.ti):
+        raise ArithmeticError("prism reduction left the prism")
     return total, (HeisPt.from_horo(h) if is_heis else h)
 
 
@@ -341,6 +330,14 @@ def polygon_vertices(constraints):
 _TRI = [((-1, 0), Fraction(0)), ((0, -1), Fraction(0)), ((1, 1), Fraction(1))]
 
 
+def _overlap_constraints(m, n, sign):
+    """Constraints on (a, b) for z = a + b*tau in D with m + n*tau + sign*z in D."""
+    cons = list(_TRI)
+    for (c1, c2), d in _TRI:
+        cons.append(((c1 * sign, c2 * sign), d - Fraction(c1 * m + c2 * n)))
+    return cons
+
+
 def _cross_coeffs(w: KNum):
     """Affine-linear coefficients (c0, ca, cb) of 2 Im(w conj(z))/sqrt(7) in z = a + b*tau."""
     f = lambda z: 2 * (w * z.conj()).im_sqrt7
@@ -361,12 +358,7 @@ def enumerate_cusp_overlaps():
         for n in range(-2, 3):
             for eps in (0, 1):
                 sign = -1 if eps else 1
-                # image constraints on (a, b): a' = m + sign*a, b' = n + sign*b in D
-                cons2 = list(_TRI)
-                for (c1, c2), d in _TRI:
-                    cons2.append(
-                        ((c1 * sign, c2 * sign), d - Fraction(c1 * m + c2 * n))
-                    )
+                cons2 = _overlap_constraints(m, n, sign)
                 if not fm_feasible(cons2, 2):
                     continue
                 verts = polygon_vertices(cons2)
@@ -398,10 +390,7 @@ def enumerate_cusp_overlaps():
 def overlap_witness(c: CuspElt):
     """An exact point of c(P) in P (barycenter of overlap vertices), or None."""
     sign = -1 if c.eps else 1
-    cons2 = list(_TRI)
-    for (c1, c2), d in _TRI:
-        cons2.append(((c1 * sign, c2 * sign), d - Fraction(c1 * c.m + c2 * c.n)))
-    verts = polygon_vertices(cons2)
+    verts = polygon_vertices(_overlap_constraints(c.m, c.n, sign))
     if not verts:
         return None
     ax = sum(v[0] for v in verts) / len(verts)

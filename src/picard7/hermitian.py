@@ -25,14 +25,9 @@ from .ring import (
     format_knum,
     o_gcd_many,
     parse_knum,
-    real_cmp,
     scalar,
     sign_normalize,
 )
-
-
-def conj_sc(x):
-    return scalar(x).conj()
 
 
 def herm_inner(v, w):
@@ -71,10 +66,6 @@ class Mat:
     def diag(a, b, c) -> "Mat":
         return Mat([[a, 0, 0], [0, b, 0], [0, 0, c]])
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
@@ -112,9 +103,6 @@ class Mat:
     def scale(self, c):
         c = scalar(c)
         return Mat([[x * c for x in r] for r in self.rows])
-
-    def transpose(self) -> "Mat":
-        return Mat([[self.rows[j][i] for j in range(3)] for i in range(3)])
 
     def conj_transpose(self) -> "Mat":
         return Mat([[self.rows[j][i].conj() for j in range(3)] for i in range(3)])
@@ -311,9 +299,6 @@ class ProjPoint:
     def is_null(self) -> bool:
         return self.sq_norm_sign() == 0
 
-    def is_negative(self) -> bool:
-        return self.sq_norm_sign() < 0
-
     def apply(self, m: Mat) -> "ProjPoint":
         return ProjPoint(m.apply(self.coords))
 
@@ -473,10 +458,6 @@ class GroupElt:
             n >>= 1
         return out
 
-    def conjugate_by(self, g: "GroupElt") -> "GroupElt":
-        """g * self * g^-1."""
-        return g * self * g.inverse()
-
     def first_column(self):
         return tuple(self.mat.rows[i][0] for i in range(3))
 
@@ -579,9 +560,8 @@ def horo_coords(v) -> HoroPoint:
     z = v2 / v3
     w = (v1 / v3) * 2 + z.abs2()
     # w = it - u: ti is the anti-Hermitian part, u = -Re(w)
-    two = scalar(2) if isinstance(w, KNum) else AlgNum.lift(w.tower, KNum(2))
-    ti = (w - w.conj()) / two
-    u = -(w + w.conj()) / two
+    ti = (w - w.conj()) / 2
+    u = -(w + w.conj()) / 2
     if u.real_sign() < 0:
         raise ValueError("vector has positive square norm")
     return HoroPoint(z, ti, u)
@@ -589,10 +569,8 @@ def horo_coords(v) -> HoroPoint:
 
 def lift(h: HoroPoint):
     """Homogeneous lift ((-|z|^2 + it - u)/2, z, 1)."""
-    z, ti, u = h.z, h.ti, h.u
-    two = scalar(2) if isinstance(z, KNum) else AlgNum.lift(z.tower, KNum(2))
-    one = scalar(1) if isinstance(z, KNum) else AlgNum.lift(z.tower, ONE)
-    return ((-(z.abs2()) + ti - u) / two, z, one)
+    z = h.z
+    return ((-(z.abs2()) + h.ti - h.u) / 2, z, ONE)
 
 
 def dist_invariant(p: ProjPoint, q: ProjPoint):

@@ -3,7 +3,7 @@
 from functools import lru_cache
 from itertools import permutations
 
-from picard7.ring import AlgNum, ISQRT7, KNum, TAU, TAU_BAR
+from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR
 from picard7.hermitian import (
     GroupElt,
     Mat,
@@ -16,7 +16,6 @@ from picard7.hermitian import (
 from picard7.heisenberg import R, T1, TTAU, TV
 from picard7.ford import GENERATORS, reduce_to_domain
 from picard7.torsion import (
-    _apply_elt,
     build_cycle_graph,
     classify_elliptic,
     make_reflection,
@@ -128,11 +127,7 @@ def _point_stabilizer_lines(pt: ProjPoint):
 
 
 def _on_mirror(pt: ProjPoint, ctx) -> bool:
-    polar = ctx.polar.coords
-    if not pt.rational:
-        tw = pt.coords[0].tower
-        polar = tuple(AlgNum.lift(tw, x) for x in polar)
-    return herm_inner(pt.coords, polar).is_zero()
+    return herm_inner(pt.coords, ctx.polar.coords).is_zero()
 
 
 @lru_cache(maxsize=1)
@@ -214,6 +209,8 @@ def search_orthogonal_mirrors(ctx, norm: int, height: int):
     Candidates are integral combinations of the context basis with tau-basis
     coefficients bounded by the height.
     """
+    if height < 1:
+        raise ValueError("height must be at least 1")
     b1, b2 = ctx.basis
     found = {}
     rng = range(-height, height + 1)
@@ -278,7 +275,7 @@ def cusp_orbit_search(target: ProjPoint, alphabet, max_len: int = 5):
         for p in frontier:
             d = seen[p]
             for g in alphabet:
-                q = _apply_elt(g, p)
+                q = p.apply(g.mat)
                 if q == target:
                     return g * d
                 if q not in seen:

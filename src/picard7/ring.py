@@ -278,11 +278,6 @@ def format_knum(x: KNum) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _nearest_int(x: Fraction) -> int:
-    fl = x.__floor__()
-    return fl if x - fl <= Fraction(1, 2) else fl + 1
-
-
 def o_divmod(x: KNum, y: KNum):
     """Euclidean division in O_7: x = q*y + r with N(r) < N(y)."""
     if y.is_zero():
@@ -685,10 +680,6 @@ def scalar(x):
 
 def real_cmp(x, y) -> int:
     """Exact comparison of two real scalars (KNum or AlgNum, mixed allowed)."""
-    if isinstance(x, AlgNum) and isinstance(y, KNum):
-        y = AlgNum.lift(x.tower, y)
-    if isinstance(y, AlgNum) and isinstance(x, KNum):
-        x = AlgNum.lift(y.tower, x)
     return (x - y).real_sign()
 
 

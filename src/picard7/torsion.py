@@ -12,7 +12,6 @@ maps, so that conjugacy and stabilizers reduce to finite group computations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .ring import (
@@ -20,10 +19,8 @@ from .ring import (
     KNum,
     ONE,
     poly_deriv,
-    poly_divmod,
     poly_eval,
     poly_gcd,
-    scalar,
     zeta3_tower,
     zeta7_tower,
 )
@@ -81,17 +78,6 @@ def _mat_key(m: Mat):
 
 def _elt_key(g: GroupElt):
     return _mat_key(g.mat)
-
-
-def _lift_mat(tw, m: Mat) -> Mat:
-    return Mat([[AlgNum.lift(tw, x) for x in row] for row in m.rows])
-
-
-def _apply_elt(g: GroupElt, p: ProjPoint) -> ProjPoint:
-    if p.rational:
-        return ProjPoint(g.apply(p.coords))
-    tw = p.coords[0].tower
-    return ProjPoint(_lift_mat(tw, g.mat).apply(p.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +179,8 @@ def classify_elliptic(g: GroupElt, n: int):
         units = [z6**k for k in range(6)]
     else:
         raise ValueError(f"unsupported eigenvalue field for matrix order {m}")
-    lifted = _lift_mat(tw, mat)
     for lam in units:
-        for v in eigenspace_basis(lifted, lam):
+        for v in eigenspace_basis(mat, lam):
             if sq_norm(v).real_sign() < 0:
                 return "isolated", ProjPoint(v), None
     raise ValueError("no negative eigenvector found for an elliptic element")
@@ -276,7 +261,7 @@ def _orbit_ball(start: ProjPoint, depth: int):
         for p in frontier:
             d = seen[p]
             for g in gens:
-                q = _apply_elt(g, p)
+                q = p.apply(g.mat)
                 if q not in seen:
                     seen[q] = g * d
                     new.append(q)
@@ -392,7 +377,7 @@ def build_cycle_graph(points, extra_loops=None) -> CycleGraph:
             g = alpha.to_matrix() * GENERATORS[j]
             labels.append(g.inverse())
         for g in labels:
-            img = _apply_elt(g, p)
+            img = p.apply(g.mat)
             c, q = _shift_into_prism(img)
             full = c.to_matrix() * g
             k = graph.add_vertex(q)
@@ -481,21 +466,17 @@ class FiniteGroup:
         self.one_line_orbits = self._orbit_sizes([p for p, n in polars.items() if n == 1])
 
     def _orbit_sizes(self, points):
-        remaining = list(points)
+        remaining = set(points)
         sizes = []
-        while remaining:
-            orbit = {remaining[0]}
-            frontier = [remaining[0]]
-            while frontier:
-                p = frontier.pop()
-                for g in self.elements:
-                    q = _apply_elt(g, p)
-                    if q not in orbit:
-                        orbit.add(q)
-                        frontier.append(q)
-            assert orbit <= set(remaining)
+        for p in points:
+            if p not in remaining:
+                continue
+            # the elements form a group, so the orbit is one sweep over them
+            orbit = {p.apply(g.mat) for g in self.elements}
+            if not orbit <= remaining:
+                raise ArithmeticError("reflection polars are not closed under the group")
             sizes.append(len(orbit))
-            remaining = [p for p in remaining if p not in orbit]
+            remaining -= orbit
         return sorted(sizes)
 
     def __contains__(self, g: GroupElt):

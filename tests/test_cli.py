@@ -15,8 +15,6 @@ def test_config_validation():
     cfg = Config()
     assert cfg.max_reduce_iters == 1000 and cfg.closure_cap == 10000
     assert Config(precision_bits=10 ** 6).precision_bits == 4096
-    with pytest.raises(ValueError):
-        Config(height_bound=0)
 
 
 def test_cusp_torsion(capsys):
@@ -90,6 +88,13 @@ def test_mirror_search(capsys):
     assert code == 0
     data = json.loads(out)
     assert ["1", "1", "1-1*tau"] in data["polars"]
+
+
+@pytest.mark.parametrize("height", ["0", "-1"])
+def test_mirror_search_bad_height(capsys, height):
+    code, out = run(capsys, ["mirror", "search", "--norm", "2", "--height", height])
+    assert code == 1
+    assert json.loads(out)["error"] == "ValueError"
 
 
 def test_congruence_check(capsys):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from picard7.ring import AlgNum, KNum, TAU, zeta3_tower
-from picard7.hermitian import GroupElt, HoroPoint, Mat, is_in_gamma
+from picard7.ring import AlgNum, ISQRT7, KNum, TAU, zeta3_tower, zeta7_tower
+from picard7.hermitian import HoroPoint, Mat, horo_coords, is_in_gamma, lift
 from picard7.heisenberg import (
     CuspElt,
     HeisPt,
@@ -16,13 +16,13 @@ from picard7.heisenberg import (
     TV,
     cusp_torsion_classes,
     cusp_torsion_report,
-    _TRI,
     enumerate_cusp_overlaps,
     fm_feasible,
     polygon_vertices,
     heis_inv,
     heis_mul,
     overlap_witness,
+    _overlap_constraints,
     reduce_to_prism,
     s_coordinate,
     tau_coordinates,
@@ -42,11 +42,12 @@ def test_generator_matrices():
         g = c.to_matrix()
         assert is_in_gamma(g.mat)
         assert g.fixes_q_inf()
-        assert CuspElt.from_matrix(g) == c
     assert R.to_matrix().mat == Mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
     assert IDENTITY.to_matrix().is_identity()
-    # T_1 = T(1, sqrt(7))
-    assert T1.to_matrix().mat == translation_matrix(KNum(1), KNum(-1, 2))
+    # T_1 = T(1, sqrt(7)), Ttau = T(tau, 0), T_v = T(0, 2 sqrt(7))
+    assert T1.to_matrix().mat == translation_matrix(KNum(1), ISQRT7)
+    assert TTAU.to_matrix().mat == translation_matrix(TAU, KNum(0))
+    assert TV.to_matrix().mat == translation_matrix(KNum(0), 2 * ISQRT7)
 
 
 def test_vertical_is_commutator():
@@ -64,7 +65,7 @@ def test_heis_group_law():
     # R conjugation flips the translation part, keeps the vertical part
     for _ in range(20):
         c = CuspElt(rng.randint(-3, 3), rng.randint(-3, 3), 0, rng.randint(-3, 3))
-        conj = CuspElt.from_matrix(R.to_matrix() * c.to_matrix() * R.to_matrix())
+        conj = R * c * R
         assert conj.w == -c.w
         assert conj.s0 == c.s0
         assert conj.eps == 0
@@ -74,11 +75,63 @@ def test_normal_form_roundtrip():
     rng = random.Random(9)
     for _ in range(80):
         c = CuspElt(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(0, 1), rng.randint(-4, 4))
-        assert CuspElt.from_matrix(c.to_matrix()) == c
         assert (c * c.inverse()) == IDENTITY
+        assert (c.inverse() * c) == IDENTITY
     # the normal form of a product matches the matrix product
     a, b = CuspElt(1, 2, 1, 0), CuspElt(-1, 0, 1, 3)
     assert (a * b).to_matrix() == a.to_matrix() * b.to_matrix()
+
+
+def rand_cusp(rng, k=4):
+    return CuspElt(rng.randint(-k, k), rng.randint(-k, k), rng.randint(0, 1), rng.randint(-k, k))
+
+
+def test_closed_form_matches_matrices():
+    # products and inverses by the group law agree with the matrix route
+    rng = random.Random(17)
+    for _ in range(200):
+        a, b = rand_cusp(rng), rand_cusp(rng)
+        assert (a * b).to_matrix() == a.to_matrix() * b.to_matrix()
+        assert a.inverse().to_matrix() == a.to_matrix().inverse()
+
+
+def _tower_point(rng, tw):
+    h = HoroPoint.from_zsu(
+        KNum(Fraction(rng.randint(-9, 9), 4), Fraction(rng.randint(-9, 9), 4)),
+        Fraction(rng.randint(-9, 9), 4),
+        Fraction(rng.randint(0, 9), 4),
+    )
+    if tw is None:
+        return h
+    g = AlgNum.gen(tw)
+    # shift by a real, an imaginary and a positive real element of the field
+    real = g + g.conj()
+    return HoroPoint(h.z + real, h.ti + g - g.conj(), h.u + real * real)
+
+
+@pytest.mark.parametrize("field", ["K", "zeta3", "zeta7"])
+def test_act_horo_matches_matrices(field):
+    tw = {"K": None, "zeta3": zeta3_tower(), "zeta7": zeta7_tower()}[field]
+    rng = random.Random(23)
+    for _ in range(10):
+        c, h = rand_cusp(rng, 2), _tower_point(rng, tw)
+        got = c.act_horo(h)
+        want = horo_coords(c.to_matrix().mat.apply(lift(h)))
+        assert got == want
+        assert [type(x) for x in (got.z, got.ti, got.u)] == [type(x) for x in (h.z, h.ti, h.u)]
+
+
+def test_outside_lattice_raises():
+    # w must be integral, and s0 - (m - m n) even
+    with pytest.raises(ValueError):
+        CuspElt._from_translation(KNum(Fraction(1, 2)), Fraction(0), 0)
+    with pytest.raises(ValueError):
+        CuspElt._from_translation(KNum(1), Fraction(0), 0)
+    with pytest.raises(ValueError):
+        CuspElt._from_translation(KNum(0), Fraction(1, 2), 1)
+    assert CuspElt._from_translation(KNum(1), Fraction(1), 0) == T1
+    with pytest.raises(ValueError):
+        CuspElt(eps=2)
 
 
 def test_cusp_action_consistency():
@@ -158,10 +211,7 @@ def test_cusp_overlaps():
         assert overlap_witness(c) is not None
     # the torsion subset is exactly the five conjugates/products of R
     torsion = {c for c in ov if c.order() == 2}
-    expected = {
-        CuspElt.from_matrix(g.to_matrix())
-        for g in (R, T1 * R * T1.inverse(), TTAU * R * TTAU.inverse(), TTAU * R, T1 * TTAU * R)
-    }
+    expected = {R, T1 * R * T1.inverse(), TTAU * R * TTAU.inverse(), TTAU * R, T1 * TTAU * R}
     assert torsion == expected
     assert len(torsion) == 5
 
@@ -173,10 +223,7 @@ def test_cusp_overlaps_translate_range():
     for c in enumerate_cusp_overlaps():
         j, k = c.m - c.eps, c.n - c.eps
         sign = -1 if c.eps else 1
-        cons = list(_TRI)
-        for (c1, c2), d in _TRI:
-            cons.append(((c1 * sign, c2 * sign), d - Fraction(c1 * c.m + c2 * c.n)))
-        degenerate = len(set(polygon_vertices(cons))) <= 2
+        degenerate = len(set(polygon_vertices(_overlap_constraints(c.m, c.n, sign)))) <= 2
         rest = (CuspElt(m=j) * CuspElt(n=k) * (flip if c.eps else IDENTITY)).inverse() * c
         assert (rest.m, rest.n, rest.eps) == (0, 0, 0)
         if not degenerate:
