@@ -6,7 +6,6 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from picard7 import ring
 from picard7.ring import PrecisionError
 from picard7.hermitian import (
     GroupElt,
@@ -26,14 +25,12 @@ ENV_PREFIX = "PICARD7_"
 @dataclass
 class Config:
     max_reduce_iters: int = 1000
-    precision_bits: int = 128
     closure_cap: int = 10000
 
     def __post_init__(self):
         for f in fields(self):
             if getattr(self, f.name) <= 0:
                 raise ValueError("%s must be positive" % f.name)
-        self.precision_bits = min(self.precision_bits, ring.MAX_PREC)
 
 
 def config_from(args) -> Config:
@@ -44,9 +41,7 @@ def config_from(args) -> Config:
             values[f.name] = getattr(args, f.name)
         elif env is not None:
             values[f.name] = int(env)
-    cfg = Config(**values)
-    ring.DEFAULT_PREC = cfg.precision_bits
-    return cfg
+    return Config(**values)
 
 
 def _point_json(p: ProjPoint):

@@ -22,7 +22,8 @@ class ResidueMap:
         else:
             raise ValueError("unknown ideal tag: %r" % (ideal,))
         self.ideal = ideal
-        assert (self.tau * self.tau - self.tau + 2) % self.p == 0
+        if (self.tau * self.tau - self.tau + 2) % self.p:
+            raise ArithmeticError("tau does not reduce to a root of x^2 - x + 2")
 
     def scalar(self, x) -> int:
         if x.a.denominator != 1 or x.b.denominator != 1:

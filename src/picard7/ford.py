@@ -111,7 +111,8 @@ class IsomSphere:
         if a31.is_zero():
             raise ValueError("element stabilizes the point at infinity")
         h = horo_coords(elt.first_column())
-        assert h.u.is_zero()
+        if not h.u.is_zero():
+            raise ArithmeticError("isometric sphere center is not on the boundary")
         object.__setattr__(self, "elt", elt)
         object.__setattr__(self, "center", HeisPt.from_horo(h))
         object.__setattr__(self, "a31norm", int(a31.norm()))
@@ -181,20 +182,24 @@ _SQRT_DEN = 2**16
 def sqrt_ub(q: Fraction) -> Fraction:
     """A rational upper bound for sqrt(q), q >= 0."""
     q = Fraction(q)
-    assert q >= 0
+    if q < 0:
+        raise ArithmeticError("square root of a negative number")
     n = isqrt((q * _SQRT_DEN * _SQRT_DEN).__ceil__()) + 1
     ub = Fraction(n, _SQRT_DEN)
-    assert ub * ub >= q
+    if ub * ub < q:
+        raise ArithmeticError("sqrt_ub is below the square root")
     return ub
 
 
 def sqrt_lb(q: Fraction) -> Fraction:
     """A rational lower bound for sqrt(q), q >= 0."""
     q = Fraction(q)
-    assert q >= 0
+    if q < 0:
+        raise ArithmeticError("square root of a negative number")
     n = isqrt((q * _SQRT_DEN * _SQRT_DEN).__floor__())
     lb = Fraction(n, _SQRT_DEN)
-    assert lb * lb <= q
+    if lb * lb > q:
+        raise ArithmeticError("sqrt_lb is above the square root")
     return lb
 
 
@@ -273,7 +278,8 @@ def enumerate_cone_translates(j: int):
                 lmax = ((2 + halfwidth_s - s0) / 2).__floor__()
                 for l in range(lmin, lmax + 1):
                     out.append(CuspElt(m, n, eps, l))
-    assert not hit_box_edge, "candidate box too small"
+    if hit_box_edge:
+        raise ArithmeticError("candidate box too small")
     out = sorted(out, key=CuspElt.sort_key)
     _E_CACHE[j] = out
     return out
@@ -350,7 +356,8 @@ def reduce_to_domain(x, max_iters: int = DEFAULT_MAX_ITERS):
     """
     as_proj = isinstance(x, ProjPoint)
     v = x.coords if as_proj else lift(x)
-    assert herm_inner(v, v).real_sign() < 0, "reduction needs an interior point"
+    if herm_inner(v, v).real_sign() >= 0:
+        raise ValueError("reduction needs an interior point")
     total = GroupElt.identity()
     for _ in range(max_iters):
         h = horo_coords(v)
@@ -377,7 +384,8 @@ def reduce_to_domain(x, max_iters: int = DEFAULT_MAX_ITERS):
         gi = g.inverse()
         v = gi.apply(v)
         # the Ford quantity strictly decreases at each step
-        assert real_cmp(scalar(v[2]).abs2(), own) < 0
+        if real_cmp(scalar(v[2]).abs2(), own) >= 0:
+            raise ArithmeticError("the Ford quantity did not decrease")
         total = gi * total
     raise ReductionError(f"no Omega representative found in {max_iters} steps")
 

@@ -75,7 +75,8 @@ class HeisPt:
 
     @staticmethod
     def from_horo(h: HoroPoint) -> "HeisPt":
-        assert h.is_rational()
+        if not h.is_rational():
+            raise ValueError("a Heisenberg point needs K coordinates")
         return HeisPt(h.z, h.s)
 
 
@@ -362,7 +363,8 @@ def enumerate_cusp_overlaps():
                 if not fm_feasible(cons2, 2):
                     continue
                 verts = polygon_vertices(cons2)
-                assert verts
+                if not verts:
+                    raise ArithmeticError("feasible overlap triangle has no vertices")
                 # s' = s + base + 2l + sign * cross(a, b)
                 w = KNum(m, n)
                 base = Fraction(m - m * n)

@@ -52,7 +52,8 @@ class Mat:
 
     def __init__(self, rows):
         rows = tuple(tuple(scalar(x) for x in r) for r in rows)
-        assert len(rows) == 3 and all(len(r) == 3 for r in rows)
+        if len(rows) != 3 or any(len(r) != 3 for r in rows):
+            raise ValueError("a matrix needs 3 rows of 3 entries")
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, *args):
@@ -231,7 +232,8 @@ def primitive_rep(v):
     w = tuple(x * den for x in v)
     g = o_gcd_many(w)
     w = tuple(x / g for x in w)
-    assert all(x.is_integral() for x in w)
+    if not all(x.is_integral() for x in w):
+        raise ArithmeticError("dividing by the O_7 gcd left a non-integral entry")
     lead = next(x for x in w if not x.is_zero())
     s = sign_normalize(lead)
     return tuple(x * s for x in w)
@@ -504,8 +506,10 @@ class HoroPoint:
 
     def __init__(self, z, ti, u):
         z, ti, u = scalar(z), scalar(ti), scalar(u)
-        assert (ti + ti.conj()).is_zero(), "ti must be purely imaginary"
-        assert u.is_real()
+        if not (ti + ti.conj()).is_zero():
+            raise ValueError("ti must be purely imaginary")
+        if not u.is_real():
+            raise ValueError("u must be real")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "ti", ti)
         object.__setattr__(self, "u", u)

@@ -85,7 +85,8 @@ def restriction(g, ctx):
         x = (w[i] * b2[j] - w[j] * b2[i]) / det
         y = (b1[i] * w[j] - b1[j] * w[i]) / det
         for k in range(3):
-            assert (w[k] - x * b1[k] - y * b2[k]).is_zero()
+            if not (w[k] - x * b1[k] - y * b2[k]).is_zero():
+                raise ArithmeticError("the matrix does not preserve the mirror")
         cols.append((x, y))
     return tuple(cols)
 

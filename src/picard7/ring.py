@@ -7,14 +7,17 @@ and i*sqrt(7) = 2*tau - 1.
 
 The eigenvalues of elliptic group elements and the coordinates of their
 fixed points lie in K, K(zeta_3) or K(zeta_7), zeta_n = exp(2*pi*i/n).
-An element of one of the two extension fields is an AlgNum: a polynomial
-in zeta_n over K, reduced modulo the hard-coded minimal polynomial of
-zeta_n over K.  Its complex enclosures come from interval trigonometry
-at zeta_n, so every enclosure is certified.
+An element of one of the two extension fields is an AlgNum: its K-coefficients
+in the power basis 1, zeta_n, ..., zeta_n^(d-1), d the degree of the
+hard-coded minimal polynomial of zeta_n over K.  Products, complex conjugates
+and inverses fold powers of zeta_n back into that basis through one table of
+zeta_n^k, k < n (see Tower).  Complex enclosures come from interval
+trigonometry at zeta_n, so every enclosure is certified.
 """
 
 from __future__ import annotations
 
+import math
 import re as _re
 from fractions import Fraction
 
@@ -293,7 +296,8 @@ def o_divmod(x: KNum, y: KNum):
             if best is None or key < best[0]:
                 best = (key, q, r)
     _, q, r = best
-    assert r.norm() < y.norm(), "O_7 Euclidean step failed"
+    if not r.norm() < y.norm():
+        raise ArithmeticError("O_7 Euclidean step failed")
     return q, r
 
 
@@ -322,92 +326,6 @@ def o_gcd_many(xs) -> KNum:
     if acc is None:
         raise ValueError("gcd undefined for all-zero input")
     return acc * sign_normalize(acc)
-
-
-# ---------------------------------------------------------------------------
-# polynomials over K (coefficient lists, low degree first)
-# ---------------------------------------------------------------------------
-
-
-def poly_trim(p):
-    p = list(p)
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        c = ZERO
-        if i < len(p):
-            c = c + p[i]
-        if i < len(q):
-            c = c + q[i]
-        out.append(c)
-    return poly_trim(out)
-
-
-def poly_neg(p):
-    return [-c for c in p]
-
-
-def poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, ci in enumerate(p):
-        if ci.is_zero():
-            continue
-        for j, cj in enumerate(q):
-            out[i + j] = out[i + j] + ci * cj
-    return poly_trim(out)
-
-
-def poly_divmod(p, q):
-    p = poly_trim(p)
-    q = poly_trim(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [ZERO] * max(0, len(p) - len(q) + 1)
-    rem = list(p)
-    lead = q[-1]
-    while len(rem) >= len(q):
-        c = rem[-1] / lead
-        k = len(rem) - len(q)
-        quot[k] = c
-        for i, qc in enumerate(q):
-            rem[k + i] = rem[k + i] - c * qc
-        rem = poly_trim(rem)
-        if not rem:
-            break
-    return poly_trim(quot), rem
-
-
-def poly_gcd(p, q):
-    """Monic gcd in K[x]."""
-    p, q = poly_trim(p), poly_trim(q)
-    while q:
-        _, r = poly_divmod(p, q)
-        p, q = q, r
-    if p:
-        lead = p[-1]
-        p = [c / lead for c in p]
-    return p
-
-
-def poly_deriv(p):
-    return poly_trim([c * i for i, c in enumerate(p)][1:])
-
-
-def poly_eval(p, x):
-    out = None
-    for c in reversed(p):
-        out = c if out is None else out * x + c
-    if out is None:
-        return ZERO
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -445,20 +363,56 @@ class Tower:
     These are the only extensions of K the package works in, and each is
     built once, as the module constants behind `zeta3_tower()` and
     `zeta7_tower()`.  `minpoly` is the monic minimal polynomial of zeta
-    over K (coefficients low degree first).  The enclosure of zeta comes
-    from interval trigonometry, so it is certified at every precision.
+    over K (coefficients low degree first), of degree d.  Elements are
+    stored in the power basis 1, zeta, ..., zeta^(d-1), and all of their
+    arithmetic reads one table: `powers[k]` is zeta^k in that basis for
+    k = 0 .. n-1, built by multiplying by zeta and reducing with the
+    minimal polynomial.  As zeta^n = 1, every sum c_0 + c_1 zeta^g +
+    c_2 zeta^(2g) + ... folds back into the basis through the table (`fold`):
+
+    - a product is the convolution of the two coefficient lists;
+    - the complex conjugate of sum c_i zeta^i is sum conj(c_i) zeta^(-i);
+    - the Galois conjugates over K are sum c_i zeta^(g*i) for the
+      exponents g in `galois` (zeta^g is another root of the minimal
+      polynomial), and the inverse of x is their product divided by the
+      norm x * product, which lies in K.
+
+    The enclosure of zeta comes from interval trigonometry, so it is
+    certified at every precision.
     """
 
     def __init__(self, n: int, minpoly):
         self.n = n
         self.minpoly = tuple(minpoly)
-        self.degree = len(self.minpoly) - 1
+        self.degree = d = len(self.minpoly) - 1
         self.key = ("zeta", 1, n)
-        # |zeta| = 1, so conj(zeta) = zeta^-1 = zeta^(n-1)
-        self.conj_gen = (AlgNum.gen(self) ** (n - 1)).coeffs
+        powers = [tuple(ONE if i == k else ZERO for i in range(d)) for k in range(d)]
+        while len(powers) < n:
+            # zeta * zeta^(k-1), with zeta^d = -(m_0 + m_1 zeta + ... + m_(d-1) zeta^(d-1))
+            prev = powers[-1]
+            shifted = (ZERO,) + prev[:-1]
+            powers.append(tuple(s - prev[-1] * m for s, m in zip(shifted, self.minpoly)))
+        self.powers = tuple(powers)
+        self.galois = tuple(g for g in range(2, n) if self.fold(self.minpoly, g).is_zero())
 
     def __repr__(self):
         return f"Tower({self.key})"
+
+    def fold(self, coeffs, g: int = 1) -> "AlgNum":
+        """The element sum_k coeffs[k] * zeta^(g*k), for K-coefficients coeffs[k]."""
+        n, d = self.n, self.degree
+        out = [ZERO] * d
+        for k, c in enumerate(coeffs):
+            if c.is_zero():
+                continue
+            k = g * k % n
+            if k < d:
+                out[k] = out[k] + c
+                continue
+            for i, p in enumerate(self.powers[k]):
+                if not p.is_zero():
+                    out[i] = out[i] + c * p
+        return AlgNum(self, out)
 
     def gen_enclosure(self):
         """Complex interval enclosure of zeta at the current iv precision."""
@@ -467,7 +421,7 @@ class Tower:
 
 
 class AlgNum:
-    """An element of K(zeta), stored as a polynomial in zeta over K.
+    """An element of K(zeta), stored by its coefficients in the power basis of zeta.
 
     Equality with zero is exact (the representation is zero); inequalities
     on real elements use interval refinement with precision doubling.
@@ -477,7 +431,8 @@ class AlgNum:
 
     def __init__(self, tower: Tower, coeffs):
         coeffs = list(coeffs)
-        assert len(coeffs) <= tower.degree
+        if len(coeffs) > tower.degree:
+            raise ValueError(f"{len(coeffs)} coefficients for a field of degree {tower.degree}")
         coeffs += [ZERO] * (tower.degree - len(coeffs))
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -535,6 +490,8 @@ class AlgNum:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction, KNum)):
+            return AlgNum(self.tower, (self.coeffs[0] + other,) + self.coeffs[1:])
         o = self._match(other)
         if o is None:
             return NotImplemented
@@ -555,16 +512,24 @@ class AlgNum:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, KNum)):
+            return AlgNum(self.tower, [c * other for c in self.coeffs])
         o = self._match(other)
         if o is None:
             return NotImplemented
-        prod = poly_mul(list(self.coeffs), list(o.coeffs))
-        _, rem = poly_divmod(prod, list(self.tower.minpoly))
-        return AlgNum(self.tower, rem)
+        slots = [ZERO] * (2 * self.tower.degree - 1)
+        for i, x in enumerate(self.coeffs):
+            if x.is_zero():
+                continue
+            for j, y in enumerate(o.coeffs):
+                slots[i + j] = slots[i + j] + x * y
+        return self.tower.fold(slots)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction, KNum)):
+            return AlgNum(self.tower, [c / other for c in self.coeffs])
         o = self._match(other)
         if o is None:
             return NotImplemented
@@ -588,25 +553,12 @@ class AlgNum:
     def inverse(self) -> "AlgNum":
         if self.is_zero():
             raise ZeroDivisionError("division by zero in K(zeta)")
-        # extended Euclid in K[x] against the (irreducible) minimal polynomial
-        a = list(self.tower.minpoly)
-        b = poly_trim(list(self.coeffs))
-        s0, s1 = [], [ONE]
-        while b:
-            q, r = poly_divmod(a, b)
-            a, b = b, r
-            s0, s1 = s1, poly_add(s0, poly_neg(poly_mul(q, s1)))
-        assert len(a) == 1, "minimal polynomial not irreducible over K"
-        inv_lead = ONE / a[0]
-        _, rem = poly_divmod([c * inv_lead for c in s0], list(self.tower.minpoly))
-        return AlgNum(self.tower, rem)
+        # the other Galois conjugates; their product with self is the norm, in K
+        adj = math.prod(self.tower.fold(self.coeffs, g) for g in self.tower.galois)
+        return adj / (self * adj).k_part()
 
     def conj(self) -> "AlgNum":
-        cg = AlgNum(self.tower, self.tower.conj_gen)
-        out = AlgNum.lift(self.tower, ZERO)
-        for c in reversed(self.coeffs):
-            out = out * cg + AlgNum.lift(self.tower, c.conj())
-        return out
+        return self.tower.fold([c.conj() for c in self.coeffs], -1)
 
     def abs2(self) -> "AlgNum":
         return self * self.conj()
@@ -652,8 +604,6 @@ class AlgNum:
             raise ValueError(f"{self!r} is not real")
         if self.in_k():
             return self.k_part().floor_real()
-        import math
-
         prec = DEFAULT_PREC
         while prec <= MAX_PREC:
             re, _ = self.enclosure(prec)

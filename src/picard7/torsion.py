@@ -18,9 +18,6 @@ from .ring import (
     AlgNum,
     KNum,
     ONE,
-    poly_deriv,
-    poly_eval,
-    poly_gcd,
     zeta3_tower,
     zeta7_tower,
 )
@@ -105,13 +102,20 @@ def make_reflection(v) -> GroupElt:
 
 
 def _repeated_eigenvalue(mat: Mat):
-    """The repeated K-eigenvalue of mat, or None when the charpoly is squarefree."""
-    p = mat.charpoly()
-    g = poly_gcd(p, poly_deriv(p))
-    if len(g) == 1:
+    """The repeated K-eigenvalue of mat, or None when the charpoly is squarefree.
+
+    The monic cubic x^3 + a x^2 + b x + c has a repeated root iff its
+    discriminant vanishes.  For (x - l)^2 (x - m), a^2 - 3b = (l - m)^2 and
+    9c - ab = 2 l (l - m)^2, which gives the double root l; a^2 - 3b = 0
+    means a triple root.
+    """
+    c, b, a, _ = mat.charpoly()
+    if not (18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c).is_zero():
         return None
-    assert len(g) == 2, "finite-order element cannot be a non-scalar with triple eigenvalue"
-    return -g[0] / g[1]
+    gap = a * a - 3 * b
+    if gap.is_zero():
+        raise ArithmeticError("triple eigenvalue: a finite-order element with one is scalar")
+    return (9 * c - a * b) / (2 * gap)
 
 
 def reflection_polar(g: GroupElt):
@@ -147,18 +151,17 @@ def classify_elliptic(g: GroupElt, n: int):
         # is the isolated fixed point
         mu = -mat.charpoly()[0] / (lam * lam)
         v = eigenspace_basis(mat, mu)[0]
-        assert sq_norm(v).real_sign() < 0
+        if sq_norm(v).real_sign() >= 0:
+            raise ArithmeticError("simple eigenvector of an elliptic element is not negative")
         p = ProjPoint(v)
         return "isolated", p, int(sq_norm(p.coords).rat())
     # squarefree characteristic polynomial; K contains only the roots of
     # unity +/-1, so any K-rational eigenvector belongs to one of those
-    p = mat.charpoly()
     for lam in (ONE, -ONE):
-        if poly_eval(p, lam).is_zero():
-            for v in eigenspace_basis(mat, lam):
-                if sq_norm(v).real_sign() < 0:
-                    pt = ProjPoint(v)
-                    return "isolated", pt, int(sq_norm(pt.coords).rat())
+        for v in eigenspace_basis(mat, lam):
+            if sq_norm(v).real_sign() < 0:
+                pt = ProjPoint(v)
+                return "isolated", pt, int(sq_norm(pt.coords).rat())
     # fixed point outside K^3: eigenvalues are roots of unity of the
     # matrix order, found in the relevant cyclotomic tower
     m = n
@@ -226,7 +229,8 @@ def enumerate_tjk(j: int, k: int):
                     if abs(m) == _TJK_M or abs(n) == _TJK_N or abs(l) == _TJK_L:
                         hit_edge = True
                     out.append(alpha)
-    assert not hit_edge, "T_jk candidate box too small"
+    if hit_edge:
+        raise ArithmeticError("T_jk candidate box too small")
     out = sorted(out, key=CuspElt.sort_key)
     _TJK_CACHE[(j, k)] = out
     return out
@@ -373,7 +377,8 @@ def build_cycle_graph(points, extra_loops=None) -> CycleGraph:
         p = graph.vertices[i]
         labels = []
         for alpha, j, flag in spheres_containing(p):
-            assert flag == "boundary", "graph vertices must lie in Omega"
+            if flag != "boundary":
+                raise ArithmeticError("graph vertices must lie in Omega")
             g = alpha.to_matrix() * GENERATORS[j]
             labels.append(g.inverse())
         for g in labels:
@@ -446,7 +451,8 @@ class FiniteGroup:
         self.scalar_order = sum(1 for m in elems if m.is_scalar())
         self.elements = frozenset(GroupElt(m, check=False) for m in elems)
         self.projective_order = len(self.elements)
-        assert self.linear_order == self.projective_order * self.scalar_order
+        if self.linear_order != self.projective_order * self.scalar_order:
+            raise ArithmeticError("scalar matrices do not split the closure evenly")
         self._analyze_reflections()
 
     def _analyze_reflections(self):

@@ -24,6 +24,12 @@ def unused_imports(path: Path):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def asserts(path: Path):
+    """Line numbers of `assert` statements, which `python -O` strips."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert))
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"ring.py", "hermitian.py", "heisenberg.py", "cli.py"}
 
@@ -31,3 +37,8 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_asserts(path):
+    assert asserts(path) == []

@@ -21,8 +21,6 @@ from picard7.ring import (
     o_gcd,
     o_gcd_many,
     parse_knum,
-    poly_eval,
-    poly_mul,
     real_cmp,
     zeta3_tower,
     zeta7_tower,
@@ -151,13 +149,19 @@ def test_zeta7_minpoly():
     assert m == [KNum(-1), -TAU, 1 - TAU, ONE]
     mbar = [c.conj() for c in m]
     # m * conj(m) is the 7th cyclotomic polynomial
-    assert poly_mul(m, mbar) == [ONE] * 7
+    prod = [ZERO] * 7
+    for i, a in enumerate(m):
+        for j, b in enumerate(mbar):
+            prod[i + j] += a * b
+    assert prod == [ONE] * 7
     # m, not its conjugate, vanishes at exp(2*pi*i/7)
     re, im = _interval_at_zeta7(m, 128)
     assert 0 in re and 0 in im
     re, im = _interval_at_zeta7(mbar, 128)
     assert 0 not in re or 0 not in im
     assert list(zeta3_tower().minpoly) == [ONE] * 3
+    # the other roots of the minimal polynomials: zeta^2 and zeta^4
+    assert zeta3_tower().galois == (2,) and zeta7_tower().galois == (2, 4)
 
 
 def test_zeta3_arithmetic():
@@ -180,10 +184,37 @@ def test_zeta7_arithmetic():
     z = AlgNum.gen(tw)
     assert (z ** 7).is_one()
     assert not (z ** 3).is_one()
-    assert poly_eval([AlgNum.lift(tw, c) for c in tw.minpoly], z).is_zero()
+    assert sum(c * z**i for i, c in enumerate(tw.minpoly)).is_zero()
     assert (z.conj() * z).is_one()
     inv = z.inverse()
     assert (inv * z).is_one()
+
+
+def rand_algnum(rng, tw):
+    return AlgNum(tw, [rand_knum(rng, rng.randint(1, 4)) for _ in range(tw.degree)])
+
+
+@pytest.mark.parametrize("tw", [zeta3_tower(), zeta7_tower()], ids=["zeta3", "zeta7"])
+def test_algnum_field_properties_random(tw):
+    rng = random.Random(tw.n)
+    for _ in range(40):
+        x, y, z = (rand_algnum(rng, tw) for _ in range(3))
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert (x / 2) * 2 == x
+        assert (x * Fraction(1, 3)) * 3 == x
+        if not x.is_zero():
+            assert (x * x.inverse()).is_one()
+            assert (y / x) * x == y
+        # conj is an involutive ring automorphism
+        assert x.conj().conj() == x
+        assert (x + y).conj() == x.conj() + y.conj()
+        assert (x * y).conj() == x.conj() * y.conj()
+        assert (x * TAU).conj() == x.conj() * TAU_BAR
+        # the certified enclosure of conj(x) meets the complex conjugate of x's
+        re, im = x.enclosure()
+        cre, cim = x.conj().enclosure()
+        assert 0 in cre - re and 0 in cim + im
 
 
 def test_real_sign_and_floor():

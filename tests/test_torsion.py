@@ -19,6 +19,7 @@ from picard7.torsion import (
     reflection_conjugacy,
     reflection_polar,
     stabilizer,
+    _repeated_eigenvalue,
 )
 
 V1 = ProjPoint((-TAU_BAR, KNum(0), KNum(1)))
@@ -47,6 +48,16 @@ def test_infinite_order_sweep():
         for _ in range(126):
             assert not p.is_identity()
             p = p * g
+
+
+def test_repeated_eigenvalue():
+    assert _repeated_eigenvalue(R.to_matrix().mat) == 1
+    assert _repeated_eigenvalue(GENERATORS[1].mat) == -1
+    assert _repeated_eigenvalue(GENERATORS[4].mat) is None  # order 7
+    assert _repeated_eigenvalue(Mat([[2, 1, 0], [0, 2, 0], [5, 0, 3]])) == 2
+    assert _repeated_eigenvalue(Mat([[2, 0, 0], [1, 3, 0], [0, 4, 3]])) == 3
+    with pytest.raises(ArithmeticError):
+        _repeated_eigenvalue(GroupElt.identity().mat)
 
 
 def test_make_reflection():
