@@ -22,6 +22,15 @@ from picard7.torsion import ClosureError, build_cycle_graph, enumerate_torsion, 
 ENV_PREFIX = "PICARD7_"
 
 
+class UsageError(Exception):
+    """A malformed command line (argparse's error, which would exit 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
 @dataclass
 class Config:
     max_reduce_iters: int = 1000
@@ -215,7 +224,7 @@ def cmd_report_all(args, cfg):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="picard7", description=__doc__)
+    p = _Parser(prog="picard7", description=__doc__)
     for f in fields(Config):
         p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=int, default=None)
     sub = p.add_subparsers(dest="command", required=True)
@@ -261,17 +270,25 @@ def build_parser():
     return p
 
 
+def _error(name, e, code) -> int:
+    print(json.dumps({"error": name, "message": str(e)}, sort_keys=True))
+    return code
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Exit codes: 0 success, 1 bad input, 2 resource limit, 3 failed soundness check."""
     try:
+        args = build_parser().parse_args(argv)
         cfg = config_from(args)
         out = args.func(args, cfg)
+    except UsageError as e:
+        return _error("UsageError", e, 1)
     except (PrecisionError, ClosureError, ReductionError) as e:
-        print(json.dumps({"error": type(e).__name__, "message": str(e)}, sort_keys=True))
-        return 2
+        return _error(type(e).__name__, e, 2)
     except ValueError as e:
-        print(json.dumps({"error": "ValueError", "message": str(e)}, sort_keys=True))
-        return 1
+        return _error("ValueError", e, 1)
+    except ArithmeticError as e:
+        return _error(type(e).__name__, e, 3)
     print(json.dumps(out, sort_keys=True, indent=2))
     return 0
 

@@ -4,7 +4,7 @@ from functools import lru_cache
 
 from picard7.hermitian import GroupElt
 from picard7.heisenberg import R, T1, TV
-from picard7.torsion import ClosureError, enumerate_torsion
+from picard7.torsion import enumerate_torsion, orbit_walk
 
 
 class ResidueMap:
@@ -58,22 +58,10 @@ class FpMatGroup:
     def __init__(self, gens, rm: ResidueMap, cap: int = 100000):
         self.rm = rm
         self.gens = [rm(g) if not isinstance(g, tuple) else g for g in gens]
-        elements = {rm.identity()}
-        frontier = list(elements)
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in self.gens:
-                    y = rm.mul(x, g)
-                    if y not in elements:
-                        if len(elements) >= cap:
-                            raise ClosureError("group closure exceeded cap")
-                        elements.add(y)
-                        new.append(y)
-            frontier = new
-        self.elements = frozenset(elements)
-        self.order = len(elements)
-        self.scalars = sorted(x for x in elements if rm.is_scalar(x))
+        walk = orbit_walk([rm.identity()], self.gens, rm.mul, cap=cap)
+        self.elements = frozenset(x for x, _, _ in walk)
+        self.order = len(self.elements)
+        self.scalars = sorted(x for x in self.elements if rm.is_scalar(x))
         self.projective_order = self.order // len(self.scalars)
 
     def center(self):

@@ -10,6 +10,7 @@ r^4 = 4 / N(a31) is carried only for the candidate enumeration estimates.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 from .ring import ISQRT7, KNum, TAU, TAU_BAR, ZERO, real_cmp, scalar
@@ -239,10 +240,10 @@ def dist2_to_triangle(p: KNum) -> Fraction:
 # candidate cusp translates: the sets E_j
 # ---------------------------------------------------------------------------
 
-_E_CACHE = {}
 _MN_BOX = 5
 
 
+@cache
 def enumerate_cone_translates(j: int):
     """Finite superset of {alpha in the cusp group : alpha(I(A_j)) meets C_P}.
 
@@ -251,8 +252,6 @@ def enumerate_cone_translates(j: int):
     t-window of the translated sphere meets [0, 2 sqrt(7)] (conservative
     rational bounds).
     """
-    if j in _E_CACHE:
-        return _E_CACHE[j]
     sph = sphere_of(j)
     c = sph.center
     r4 = sph.r4
@@ -280,22 +279,14 @@ def enumerate_cone_translates(j: int):
                     out.append(CuspElt(m, n, eps, l))
     if hit_box_edge:
         raise ArithmeticError("candidate box too small")
-    out = sorted(out, key=CuspElt.sort_key)
-    _E_CACHE[j] = out
-    return out
+    return sorted(out, key=CuspElt.sort_key)
 
 
-_CAND_CACHE = {}
-
-
+@cache
 def candidate_spheres(j: int):
     """Cached (alpha, alpha(A_j(inf))) pairs over the translate superset of j."""
-    if j not in _CAND_CACHE:
-        col = GENERATORS[j].first_column()
-        _CAND_CACHE[j] = [
-            (alpha, alpha.to_matrix().apply(col)) for alpha in enumerate_cone_translates(j)
-        ]
-    return _CAND_CACHE[j]
+    col = GENERATORS[j].first_column()
+    return [(alpha, alpha.to_matrix().apply(col)) for alpha in enumerate_cone_translates(j)]
 
 
 def spheres_containing(x):

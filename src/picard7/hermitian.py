@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 
 from .ring import (
     AlgNum,
@@ -228,7 +229,7 @@ def primitive_rep(v):
         raise ValueError("zero vector has no projective class")
     den = 1
     for x in v:
-        den = _lcm(den, _lcm(x.a.denominator, x.b.denominator))
+        den = lcm(den, x.a.denominator, x.b.denominator)
     w = tuple(x * den for x in v)
     g = o_gcd_many(w)
     w = tuple(x / g for x in w)
@@ -237,12 +238,6 @@ def primitive_rep(v):
     lead = next(x for x in w if not x.is_zero())
     s = sign_normalize(lead)
     return tuple(x * s for x in w)
-
-
-def _lcm(a, b):
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 class ProjPoint:
@@ -277,12 +272,6 @@ class ProjPoint:
         if not isinstance(other, ProjPoint):
             return NotImplemented
         if self.rational != other.rational:
-            return False
-        if self.rational:
-            return self.coords == other.coords
-        if self.coords[0].tower != other.coords[0].tower:
-            # distinct nontrivial towers: compare only if both sides are
-            # secretly K-rational (handled above), otherwise treat as distinct
             return False
         return self.coords == other.coords
 
@@ -479,15 +468,22 @@ def _invert_letter(x):
 
 
 def word_str(word) -> str:
-    """Pretty form of a word: tuple of (name, exponent) pairs."""
+    """Freely reduced form of a word, a tuple of (name, exponent) pairs.
+
+    Adjacent letters of one name merge by adding exponents, and zero
+    exponents drop; relations such as R^2 = 1 are not applied.
+    """
     if word is None:
         return "?"
-    if not word:
-        return "1"
-    parts = []
+    reduced = []
     for name, e in word:
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+        if reduced and reduced[-1][0] == name:
+            e += reduced.pop()[1]
+        if e:
+            reduced.append((name, e))
+    if not reduced:
+        return "1"
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in reduced)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Two-generator presentation of the group and its torsion word tables."""
 
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR
 from picard7.hermitian import GroupElt, Mat, ProjPoint, is_in_gamma, sq_norm
@@ -209,17 +209,16 @@ def verify_table_rows() -> dict:
     return {"rows": out, "all_pass": all(r["row_ok"] for r in out)}
 
 
-_GRAPH_CACHE = {}
+@cache
+def _pair_graph(fixed: ProjPoint, y: ProjPoint):
+    return build_cycle_graph([fixed, y])
 
 
 def _component_witness(cls, g, n, pt):
     """delta, k with delta g delta^-1 = cls.rep^k, via the shared cycle graph."""
     shift, y = reduce_to_domain(pt)
     moved = shift * g * shift.inverse()
-    key = (cls.fixed, y)
-    if key not in _GRAPH_CACHE:
-        _GRAPH_CACHE[key] = build_cycle_graph([cls.fixed, y])
-    graph = _GRAPH_CACHE[key]
+    graph = _pair_graph(cls.fixed, y)
     ic = graph.index_of(cls.fixed)
     iy = graph.index_of(y)
     for comp in graph.components():

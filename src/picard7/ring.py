@@ -460,12 +460,18 @@ class AlgNum:
     # -- structure ----------------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, AlgNum) and other.tower is not self.tower:
+            # the two fields meet in K
+            return self.in_k() and other.in_k() and self.coeffs[0] == other.coeffs[0]
         o = self._match(other)
         if o is None:
             return NotImplemented
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        # an element of K equals its KNum, so it must hash like it
+        if self.in_k():
+            return hash(self.coeffs[0])
         return hash((self.tower.key, self.coeffs))
 
     def __repr__(self):

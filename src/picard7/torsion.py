@@ -12,7 +12,8 @@ maps, so that conjugacy and stabilizers reduce to finite group computations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
+from math import gcd
 
 from .ring import (
     AlgNum,
@@ -193,10 +194,10 @@ def classify_elliptic(g: GroupElt, n: int):
 # candidate sweeps: the sets T_jk
 # ---------------------------------------------------------------------------
 
-_TJK_CACHE = {}
 _TJK_M, _TJK_N, _TJK_L = 8, 5, 8
 
 
+@cache
 def enumerate_tjk(j: int, k: int):
     """Finite superset of {alpha cusp : alpha(I(A_j)) meets I(A_k)}.
 
@@ -206,8 +207,6 @@ def enumerate_tjk(j: int, k: int):
     """
     if INVERSE_PAIRS[j] != k:
         raise ValueError("T_jk is only enumerated for inverse pairs")
-    if (j, k) in _TJK_CACHE:
-        return _TJK_CACHE[(j, k)]
     sj, sk = sphere_of(j), sphere_of(k)
     rsum = sqrt_ub(sqrt_ub(sj.r4)) + sqrt_ub(sqrt_ub(sk.r4))
     bound = rsum**4
@@ -231,9 +230,61 @@ def enumerate_tjk(j: int, k: int):
                     out.append(alpha)
     if hit_edge:
         raise ArithmeticError("T_jk candidate box too small")
-    out = sorted(out, key=CuspElt.sort_key)
-    _TJK_CACHE[(j, k)] = out
-    return out
+    return sorted(out, key=CuspElt.sort_key)
+
+
+# ---------------------------------------------------------------------------
+# orbits: one breadth-first walk with back-pointers
+# ---------------------------------------------------------------------------
+
+
+class ClosureError(Exception):
+    """Raised when an orbit or group closure exceeds its cap."""
+
+
+def orbit_walk(starts, letters, act, depth=None, cap=None):
+    """Breadth-first orbit of the starts under act(node, letter).
+
+    Yields (node, parent, letter) the first time each node is reached: the
+    starts first, with parent None, then act(parent, letter) level by level,
+    in the order of the parents and then of the letters.  The pairs form a
+    Schreier tree (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, ch. 4).  depth bounds the word length; reaching more than cap
+    nodes raises ClosureError.
+    """
+    frontier = list(dict.fromkeys(starts))
+    seen = set(frontier)
+    for s in frontier:
+        yield s, None, None
+    level = 0
+    while frontier and (depth is None or level < depth):
+        new = []
+        for p in frontier:
+            for g in letters:
+                q = act(p, g)
+                if q not in seen:
+                    if cap is not None and len(seen) >= cap:
+                        raise ClosureError(f"orbit walk exceeded cap {cap}")
+                    seen.add(q)
+                    new.append(q)
+                    yield q, p, g
+        frontier = new
+        level += 1
+
+
+def walk_element(tree, node) -> GroupElt:
+    """The element carrying its start to node in a tree {node: (parent, letter)}.
+
+    Each step of the walk put its letter on the left, so the product reads
+    the path from node back to the start: the last letter is leftmost, in
+    the matrix and in the word.
+    """
+    g = GroupElt.identity()
+    parent, letter = tree[node]
+    while parent is not None:
+        g = g * letter
+        parent, letter = tree[parent]
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -256,28 +307,18 @@ def _search_alphabet():
 
 
 def _orbit_ball(start: ProjPoint, depth: int):
-    """{point: transporting element} for words of length <= depth."""
-    gens = _search_alphabet()
-    seen = {start: GroupElt.identity()}
-    frontier = [start]
-    for _ in range(depth):
-        new = []
-        for p in frontier:
-            d = seen[p]
-            for g in gens:
-                q = p.apply(g.mat)
-                if q not in seen:
-                    seen[q] = g * d
-                    new.append(q)
-        frontier = new
-    return seen
+    """Schreier tree {point: (parent, letter)} of the words of length <= depth."""
+    walk = orbit_walk([start], _search_alphabet(), lambda p, g: p.apply(g.mat), depth)
+    return {q: (p, g) for q, p, g in walk}
 
 
 def reflection_conjugacy(g1: GroupElt, g2: GroupElt, max_len: int = 8):
     """An exact conjugator with delta g1 delta^-1 = g2, or None.
 
     Conjugating a reflection transports its polar vector, so the search is a
-    meet-in-the-middle orbit walk on the two polar points.
+    meet-in-the-middle orbit walk on the two polar points.  None is a proof
+    of non-conjugacy only when the order or polar-norm test rejects the pair;
+    a None from the bounded search proves nothing, so it only merges classes.
     """
     r1, r2 = reflection_polar(g1), reflection_polar(g2)
     if r1 is None or r2 is None:
@@ -287,9 +328,8 @@ def reflection_conjugacy(g1: GroupElt, g2: GroupElt, max_len: int = 8):
     half = (max_len + 1) // 2
     fwd = _orbit_ball(r1[0], half)
     bwd = _orbit_ball(r2[0], max_len - half)
-    meet = [p for p in fwd if p in bwd]
-    for p in sorted(meet, key=_vec_key):
-        delta = bwd[p].inverse() * fwd[p]
+    for p in sorted((p for p in fwd if p in bwd), key=_vec_key):
+        delta = walk_element(bwd, p).inverse() * walk_element(fwd, p)
         if delta * g1 * delta.inverse() == g2:
             return delta
     return None
@@ -298,10 +338,6 @@ def reflection_conjugacy(g1: GroupElt, g2: GroupElt, max_len: int = 8):
 # ---------------------------------------------------------------------------
 # cycle graph of isolated fixed points in Omega
 # ---------------------------------------------------------------------------
-
-
-class ClosureError(Exception):
-    """Raised when a group closure exceeds its cap."""
 
 
 @dataclass(frozen=True)
@@ -317,19 +353,16 @@ class CycleGraph:
     def __init__(self):
         self.vertices: list[ProjPoint] = []
         self.edges: list[Edge] = []
+        self._index: dict[ProjPoint, int] = {}
 
     def index_of(self, p: ProjPoint):
-        for i, v in enumerate(self.vertices):
-            if v == p:
-                return i
-        return None
+        return self._index.get(p)
 
     def add_vertex(self, p: ProjPoint) -> int:
-        i = self.index_of(p)
-        if i is None:
+        if p not in self._index:
+            self._index[p] = len(self.vertices)
             self.vertices.append(p)
-            i = len(self.vertices) - 1
-        return i
+        return self._index[p]
 
     def components(self):
         parent = list(range(len(self.vertices)))
@@ -433,23 +466,11 @@ class FiniteGroup:
         # the linear group is the preimage in U(J, O_7) of the projective
         # stabilizer, so it is closed under sign
         mats = sorted({m for g in gens for m in (g.mat, -g.mat)}, key=_mat_key)
-        elems = {Mat.identity(), -Mat.identity()}
-        frontier = list(elems)
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in mats:
-                    prod = a * g
-                    if prod not in elems:
-                        if len(elems) >= cap:
-                            raise ClosureError(f"group closure exceeded cap {cap}")
-                        elems.add(prod)
-                        new.append(prod)
-            frontier = new
-        self.matrices = frozenset(elems)
-        self.linear_order = len(elems)
-        self.scalar_order = sum(1 for m in elems if m.is_scalar())
-        self.elements = frozenset(GroupElt(m, check=False) for m in elems)
+        walk = orbit_walk((Mat.identity(), -Mat.identity()), mats, Mat.__mul__, cap=cap)
+        self.matrices = frozenset(a for a, _, _ in walk)
+        self.linear_order = len(self.matrices)
+        self.scalar_order = sum(1 for m in self.matrices if m.is_scalar())
+        self.elements = frozenset(GroupElt(m, check=False) for m in self.matrices)
         self.projective_order = len(self.elements)
         if self.linear_order != self.projective_order * self.scalar_order:
             raise ArithmeticError("scalar matrices do not split the closure evenly")
@@ -572,13 +593,9 @@ class TorsionClass:
         return word_str(self.rep.word)
 
 
-_REDUCE_CACHE = {}
-
-
+@cache
 def _reduced_fixed_point(fixed: ProjPoint):
-    if fixed not in _REDUCE_CACHE:
-        _REDUCE_CACHE[fixed] = reduce_to_domain(fixed)
-    return _REDUCE_CACHE[fixed]
+    return reduce_to_domain(fixed)
 
 
 def _torsion_candidates():
@@ -611,11 +628,7 @@ def dedup_isolated(cands):
     for g, n, fixed in cands:
         shift, y = _reduced_fixed_point(fixed)
         moved = shift * g * shift.inverse()
-        for v in at_vertex:
-            if v == y:
-                y = v
-                break
-        else:
+        if y not in at_vertex:
             at_vertex[y] = []
             order.append(y)
         if (moved, n) not in at_vertex[y]:
@@ -674,7 +687,7 @@ def _power_conjugate_witness(rep: GroupElt, g: GroupElt, n: int, stab: FiniteGro
     powers = []
     p = rep
     for k in range(1, n + 1):
-        if _gcd(k, n) == 1:
+        if gcd(k, n) == 1:
             powers.append((k, p))
         p = p * rep
     for s in sorted(stab.elements, key=_elt_key):
@@ -683,12 +696,6 @@ def _power_conjugate_witness(rep: GroupElt, g: GroupElt, n: int, stab: FiniteGro
             if s * p * si == g:
                 return s, k
     return None
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @lru_cache(maxsize=1)

@@ -121,3 +121,27 @@ def test_parser_covers_all_subcommands():
     ):
         args = p.parse_args(argv)
         assert callable(args.func)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["ford", "reduce"], ["--closure-cap", "x", "cusp", "overlaps"]],
+    ids=["no-command", "missing-point", "bad-int"],
+)
+def test_usage_error_is_json_exit_1(capsys, argv):
+    # argparse would print plain text and exit 2, the resource-limit code
+    code, out = run(capsys, argv)
+    assert code == 1
+    assert json.loads(out)["error"] == "UsageError"
+
+
+def test_failed_soundness_check_exits_3(capsys, monkeypatch):
+    import picard7.cli as cli
+
+    def broken(args, cfg):
+        raise ArithmeticError("candidate box too small")
+
+    monkeypatch.setattr(cli, "cmd_cusp_overlaps", broken)
+    code, out = run(capsys, ["cusp", "overlaps"])
+    assert code == 3
+    assert json.loads(out) == {"error": "ArithmeticError", "message": "candidate box too small"}

@@ -4,7 +4,8 @@ from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR
 from picard7.hermitian import GroupElt, ProjPoint, herm_inner, sq_norm
 from picard7.heisenberg import R, T1, TTAU, TV
 from picard7.ford import GENERATORS
-from picard7.torsion import make_reflection, projective_order
+from picard7.torsion import _search_alphabet, make_reflection, projective_order
+from picard7.congruence import FpMatGroup, ResidueMap
 from picard7.mirror import (
     MIRROR_L_POLARS,
     MirrorContext,
@@ -139,6 +140,23 @@ def test_verify_mirror_L():
     assert rep["cusps_gamma_equivalent"]
     assert not rep["cusps_stab_equivalent"]
     assert rep["all_pass"]
+
+
+def test_mirror_L_cusp_certificate():
+    # mod <tau> (O_7/<tau> = F_2) the stabilizer keeps q_inf = (1, 0, 0) fixed,
+    # while the cusp of s2 reduces to (1, 1, 1); Gamma's generators reach it
+    rm = ResidueMap("tau")
+
+    def first_columns(gens):
+        return {tuple(row[0] for row in x) for x in FpMatGroup(gens, rm).elements}
+
+    cusp = tuple(rm.scalar(x) for x in S2_FIXED)
+    assert cusp == (1, 1, 1)
+    stab = list(mirror_l_generators().values()) + [(TTAU * R).to_matrix()]
+    assert first_columns(stab) == {(1, 0, 0)}
+    assert cusp in first_columns(_search_alphabet())
+    rep = verify_mirror_L()
+    assert rep["cusps_gamma_equivalent"] and not rep["cusps_stab_equivalent"]
 
 
 def test_cusp_orbit_search_identity():

@@ -1,8 +1,10 @@
 import pytest
 
 from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR
-from picard7.hermitian import GroupElt, Mat, ProjPoint, is_in_gamma, sq_norm
-from picard7.heisenberg import R, TTAU
+from picard7.hermitian import GroupElt, Mat, ProjPoint, is_in_gamma, mat_from_json, sq_norm
+from picard7.heisenberg import R, T1, TTAU, TV
+from picard7.ford import GENERATORS
+from picard7.cli import _class_json, _elt_json
 from picard7.torsion import classify_elliptic, enumerate_torsion, projective_order
 from picard7.presentation import (
     A_MAT,
@@ -101,3 +103,26 @@ def test_coverage_powers_nontrivial():
     by_order = {classes[i].proj_order: k for i, k in powers.items()}
     assert by_order[6] in (1, 5)
     assert by_order[7] in (1, 2, 3, 4, 5, 6)
+
+
+def _evaluate(word: str) -> GroupElt:
+    """A printed word, multiplied out letter by letter."""
+    letters = {"A%d" % j: g for j, g in GENERATORS.items()}
+    letters.update({name: c.to_matrix() for name, c in (("T1", T1), ("Ttau", TTAU), ("Tv", TV), ("R", R))})
+    g = GroupElt.identity()
+    for token in word.split("*"):
+        name, _, e = token.partition("^")
+        g = g * letters[name] ** int(e or 1)
+    return g
+
+
+def test_printed_words_evaluate_to_their_matrices():
+    printed = [_class_json(i, c) for i, c in enumerate(enumerate_torsion())]
+    printed += [_elt_json(m["delta"]) for m in coverage_report()["matches"].values()]
+    words = [(p["word"], p["matrix"]) for p in printed if p["word"] is not None]
+    assert len(words) > 12
+    for word, matrix in words:
+        names = [token.partition("^")[0] for token in word.split("*")]
+        assert all(a != b for a, b in zip(names, names[1:])), word
+        # equality of group elements is up to sign
+        assert _evaluate(word) == GroupElt(mat_from_json(matrix), check=False), word

@@ -195,6 +195,18 @@ def rand_algnum(rng, tw):
 
 
 @pytest.mark.parametrize("tw", [zeta3_tower(), zeta7_tower()], ids=["zeta3", "zeta7"])
+def test_algnum_in_k_hashes_like_knum(tw):
+    for x in (ZERO, ONE, TAU_BAR, KNum(Fraction(-2, 3), 5)):
+        assert AlgNum.lift(tw, x) == x
+        assert len({AlgNum.lift(tw, x), x}) == 1
+    assert len({AlgNum.gen(tw), AlgNum.gen(tw) * 1, ONE}) == 2
+    # the other field: equal exactly in K, and never an error
+    other = zeta7_tower() if tw is zeta3_tower() else zeta3_tower()
+    assert len({AlgNum.lift(tw, TAU), AlgNum.lift(other, TAU)}) == 1
+    assert AlgNum.gen(tw) != AlgNum.gen(other)
+
+
+@pytest.mark.parametrize("tw", [zeta3_tower(), zeta7_tower()], ids=["zeta3", "zeta7"])
 def test_algnum_field_properties_random(tw):
     rng = random.Random(tw.n)
     for _ in range(40):

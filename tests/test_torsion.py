@@ -15,11 +15,15 @@ from picard7.torsion import (
     enumerate_tjk,
     enumerate_torsion,
     make_reflection,
+    orbit_walk,
     projective_order,
     reflection_conjugacy,
     reflection_polar,
     stabilizer,
+    walk_element,
+    _orbit_ball,
     _repeated_eigenvalue,
+    _search_alphabet,
 )
 
 V1 = ProjPoint((-TAU_BAR, KNum(0), KNum(1)))
@@ -128,6 +132,43 @@ def test_tjk_superset_against_larger_box(j, k):
                     if d4.rat() <= bound:
                         brute.add(alpha)
     assert brute == set(enumerate_tjk(j, k))
+
+
+def test_orbit_walk_order_depth_and_cap():
+    step = lambda x, g: x + g
+    assert list(orbit_walk([0, 0, 5], [1], step, depth=2)) == [
+        (0, None, None), (5, None, None), (1, 0, 1), (6, 5, 1), (2, 1, 1), (7, 6, 1),
+    ]
+    assert [x for x, _, _ in orbit_walk([0], [1, -1], step, depth=1)] == [0, 1, -1]
+    assert len(list(orbit_walk([0], [1], step, cap=5, depth=4))) == 5
+    with pytest.raises(ClosureError):
+        list(orbit_walk([0], [1], step, cap=5))
+
+
+def _reference_ball(start, depth):
+    """The ball as it was built before the Schreier tree: one product per point."""
+    seen = {start: GroupElt.identity()}
+    frontier = [start]
+    for _ in range(depth):
+        new = []
+        for p in frontier:
+            for g in _search_alphabet():
+                q = p.apply(g.mat)
+                if q not in seen:
+                    seen[q] = g * seen[p]
+                    new.append(q)
+        frontier = new
+    return seen
+
+
+def test_orbit_ball_rebuilds_the_stored_products():
+    start = reflection_polar(GENERATORS[1])[0]
+    ball, ref = _orbit_ball(start, 2), _reference_ball(start, 2)
+    assert list(ball) == list(ref)
+    for q, g in ref.items():
+        w = walk_element(ball, q)
+        assert w.mat == g.mat and w.word == g.word
+        assert q.apply(w.inverse().mat) == start
 
 
 def test_reflection_conjugacy_known_pairs():
