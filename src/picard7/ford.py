@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from math import isqrt, lcm
 
 from .ring import ISQRT7, KNum, TAU, TAU_BAR, ZERO, real_cmp, scalar
 from .hermitian import (
@@ -99,7 +99,7 @@ def generator_depths() -> dict:
     """Depth of each pairing matrix, read off its first column."""
     from .hermitian import depth
 
-    return {j: int(depth(ProjPoint(g.first_column()))) for j, g in GENERATORS.items()}
+    return {j: depth(ProjPoint(g.first_column())) for j, g in GENERATORS.items()}
 
 
 class IsomSphere:
@@ -116,8 +116,8 @@ class IsomSphere:
             raise ArithmeticError("isometric sphere center is not on the boundary")
         object.__setattr__(self, "elt", elt)
         object.__setattr__(self, "center", HeisPt.from_horo(h))
-        object.__setattr__(self, "a31norm", int(a31.norm()))
-        object.__setattr__(self, "r4", Fraction(4, int(a31.norm())))
+        object.__setattr__(self, "a31norm", a31.norm())
+        object.__setattr__(self, "r4", Fraction(4, a31.norm()))
 
     def __setattr__(self, *args):
         raise AttributeError("IsomSphere is immutable")
@@ -289,6 +289,36 @@ def candidate_spheres(j: int):
     return [(alpha, alpha.to_matrix().apply(col)) for alpha in enumerate_cone_translates(j)]
 
 
+def _sweep_vector(v):
+    """v prepared for a Ford sweep.
+
+    Each test of a sweep compares N(<v, col>) with N(v3), and both are
+    homogeneous of degree 2 in v.  So a vector in K^3 is scaled once by the
+    positive integer lcm of its denominators: then every Ford quantity of
+    the sweep is an int, computed and compared in int arithmetic only, and
+    all of them carry the same factor.  A vector with a coordinate in a
+    cyclotomic field keeps AlgNum quantities, compared by certified sign.
+    """
+    v = tuple(scalar(c) for c in v)
+    if all(isinstance(c, KNum) for c in v):
+        den = lcm(*(c.d for c in v))
+        if den != 1:
+            v = tuple(c * den for c in v)
+    return v
+
+
+def _quantity(x):
+    """|x|^2: a rational for x in K (an int for x in O_7), else a real AlgNum."""
+    return x.norm() if isinstance(x, KNum) else x.abs2()
+
+
+def _cmp(x, y) -> int:
+    """Exact sign of x - y for two Ford quantities of one sweep."""
+    if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
+        return (x > y) - (x < y)
+    return real_cmp(x, y)
+
+
 def spheres_containing(x):
     """All translated spheres alpha(I(A_j)) whose closed Cygan ball contains x.
 
@@ -303,15 +333,15 @@ def spheres_containing(x):
         h = x
     shift, h_red = reduce_to_prism(h)
     shift_inv = shift.inverse()
-    v = tuple(scalar(c) for c in lift(h_red))
-    own = v[2].abs2()
+    v = _sweep_vector(lift(h_red))
+    own = _quantity(v[2])
     # a translated sphere depends only on its center and radius (the coset
     # of alpha*A_j modulo right cusp multiplication), so dedup on those
     found = {}
     for j in sorted(GENERATORS):
         sph = sphere_of(j)
         for alpha, col in candidate_spheres(j):
-            sign = real_cmp(herm_inner(v, col).abs2(), own)
+            sign = _cmp(_quantity(herm_inner(v, col)), own)
             if sign > 0:
                 continue
             center = alpha.act_heis(sph.center)
@@ -355,17 +385,18 @@ def reduce_to_domain(x, max_iters: int = DEFAULT_MAX_ITERS):
         shift, h = reduce_to_prism(h)
         v = lift(h)
         total = shift.to_matrix() * total
-        own = scalar(v[2]).abs2()
+        vs = _sweep_vector(v)
+        own = _quantity(vs[2])
         best = None
         for j in sorted(GENERATORS):
             for alpha, col in candidate_spheres(j):
-                other = herm_inner(v, col).abs2()
-                if real_cmp(other, own) >= 0:
+                other = _quantity(herm_inner(vs, col))
+                if _cmp(other, own) >= 0:
                     continue
                 if best is not None:
                     # the violation ratio own/other is largest when `other`
                     # is smallest (own is fixed within this sweep)
-                    cmp = real_cmp(best[0], other)
+                    cmp = _cmp(best[0], other)
                     if cmp < 0 or (cmp == 0 and (j, alpha.sort_key()) >= best[1]):
                         continue
                 best = (other, (j, alpha.sort_key()), alpha)
@@ -373,9 +404,11 @@ def reduce_to_domain(x, max_iters: int = DEFAULT_MAX_ITERS):
             return total, (ProjPoint(v) if as_proj else horo_coords(v))
         g = best[2].to_matrix() * GENERATORS[best[1][0]]
         gi = g.inverse()
-        v = gi.apply(v)
+        # gi maps the scaled vector to a multiple of the new point by the same
+        # factor, so its Ford quantity compares with `own`
+        v = gi.apply(vs)
         # the Ford quantity strictly decreases at each step
-        if real_cmp(scalar(v[2]).abs2(), own) >= 0:
+        if _cmp(_quantity(v[2]), own) >= 0:
             raise ArithmeticError("the Ford quantity did not decrease")
         total = gi * total
     raise ReductionError(f"no Omega representative found in {max_iters} steps")
@@ -387,10 +420,10 @@ def in_omega(x) -> bool:
     h = horo_coords(v)
     if not Prism.contains(h.z, h.ti):
         return False
-    v = tuple(scalar(c) for c in v)
-    own = v[2].abs2()
+    v = _sweep_vector(v)
+    own = _quantity(v[2])
     for j in sorted(GENERATORS):
         for _, col in candidate_spheres(j):
-            if real_cmp(herm_inner(v, col).abs2(), own) < 0:
+            if _cmp(_quantity(herm_inner(v, col)), own) < 0:
                 return False
     return True

@@ -24,18 +24,41 @@ from .ring import (
     ISQRT7,
     TAU,
     format_knum,
+    knum_from_ints,
     o_gcd_many,
     parse_knum,
     scalar,
-    sign_normalize,
 )
 
 
 def herm_inner(v, w):
     """<v,w> = w* J v = conj(w1) v3 + conj(w2) v2 + conj(w3) v1."""
+    v1, v2, v3 = v
+    w1, w2, w3 = w
+    if type(v1) is type(v2) is type(v3) is type(w1) is type(w2) is type(w3) is KNum:
+        return _herm_inner_k(v1, v2, v3, w1, w2, w3)
     v1, v2, v3 = (scalar(x) for x in v)
     w1, w2, w3 = (scalar(x) for x in w)
     return w1.conj() * v3 + w2.conj() * v2 + w3.conj() * v1
+
+
+def _herm_inner_k(v1, v2, v3, w1, w2, w3) -> KNum:
+    """herm_inner on K^3, on the ints of the KNum triples.
+
+    conj(a + b t) (c + e t) = ((a + b) c + 2 b e) + (a e - b c) t, over the
+    product of the two denominators.
+    """
+    a, b, c, e = w1.na, w1.nb, v3.na, v3.nb
+    x1, y1, d1 = (a + b) * c + 2 * b * e, a * e - b * c, w1.d * v3.d
+    a, b, c, e = w2.na, w2.nb, v2.na, v2.nb
+    x2, y2, d2 = (a + b) * c + 2 * b * e, a * e - b * c, w2.d * v2.d
+    a, b, c, e = w3.na, w3.nb, v1.na, v1.nb
+    x3, y3, d3 = (a + b) * c + 2 * b * e, a * e - b * c, w3.d * v1.d
+    if d1 == d2 == d3:
+        return knum_from_ints(x1 + x2 + x3, y1 + y2 + y3, d1)
+    d = lcm(d1, d2, d3)
+    s1, s2, s3 = d // d1, d // d2, d // d3
+    return knum_from_ints(x1 * s1 + x2 * s2 + x3 * s3, y1 * s1 + y2 * s2 + y3 * s3, d)
 
 
 def sq_norm(v):
@@ -227,17 +250,18 @@ def primitive_rep(v):
     v = tuple(KNum.coerce(x) for x in v)
     if all(x.is_zero() for x in v):
         raise ValueError("zero vector has no projective class")
-    den = 1
-    for x in v:
-        den = lcm(den, x.a.denominator, x.b.denominator)
+    # the common denominator of (a + b tau)/d entries in normal form is lcm(d)
+    den = lcm(*(x.d for x in v))
     w = tuple(x * den for x in v)
     g = o_gcd_many(w)
-    w = tuple(x / g for x in w)
-    if not all(x.is_integral() for x in w):
-        raise ArithmeticError("dividing by the O_7 gcd left a non-integral entry")
+    if not g.is_one():
+        w = tuple(x / g for x in w)
+        if not all(x.is_integral() for x in w):
+            raise ArithmeticError("dividing by the O_7 gcd left a non-integral entry")
     lead = next(x for x in w if not x.is_zero())
-    s = sign_normalize(lead)
-    return tuple(x * s for x in w)
+    if lead.is_sign_positive():
+        return w
+    return tuple(-x for x in w)
 
 
 class ProjPoint:
@@ -294,7 +318,7 @@ class ProjPoint:
         return ProjPoint(m.apply(self.coords))
 
 
-def depth(p: ProjPoint) -> Fraction:
+def depth(p: ProjPoint) -> int:
     """Depth |v3|^2 of a K-rational null point (undefined at q_inf)."""
     if not p.rational:
         raise ValueError("depth is defined for K-rational points only")
@@ -355,10 +379,10 @@ def depth_witness(d: int, box: int = 6):
         key=lambda x: (x.norm(), x.a, x.b),
     )
     for v3 in elements_of_norm(d):
-        t0, t1 = int(v3.trace()), int((TAU * v3).trace())
+        t0, t1 = v3.trace(), (TAU * v3).trace()
         g, x, y = _ext_gcd(t0, t1)
         for v2 in mids:
-            n2 = int(v2.norm())
+            n2 = v2.norm()
             if n2 % g:
                 continue
             q = -n2 // g

@@ -8,6 +8,7 @@ from picard7.hermitian import (
     GroupElt,
     Mat,
     ProjPoint,
+    elements_of_norm,
     herm_inner,
     is_in_gamma,
     primitive_rep,
@@ -57,6 +58,8 @@ class MirrorContext:
         g11, g12, g22 = sq_norm(b1), herm_inner(b2, b1), sq_norm(b2)
         if (g11 * g22 - g12 * g12.conj()).real_sign() >= 0:
             raise ValueError("form does not restrict with signature (1,1)")
+        # the Gram form of the basis: <b1, b1>, <b2, b1>, <b2, b2>
+        self.gram = (g11, g12, g22)
 
     @classmethod
     def mirror_of_half_turn(cls):
@@ -211,23 +214,36 @@ def verify_mirror_R() -> dict:
 def search_orthogonal_mirrors(ctx, norm: int, height: int):
     """All primitive polar vectors of the given norm orthogonal to the mirror.
 
-    Candidates are integral combinations of the context basis with tau-basis
-    coefficients bounded by the height.
+    Candidates are integral combinations v = al*b1 + be*b2 of the context
+    basis with tau-basis coefficients bounded by the height.  A candidate
+    reaches the gcd only if it passes a necessary condition: v = g*p with p
+    primitive and g in O_7 gives <v, v> = norm * N(g), and by the Gram form
+    <v, v> = N(al) g11 + N(be) g22 + Tr(be conj(al) g12).  The zero vector
+    has <v, v> = 0 and never passes.
     """
     if height < 1:
         raise ValueError("height must be at least 1")
     b1, b2 = ctx.basis
+    g11, g12, g22 = ctx.gram
+    g11, g22 = int(g11.rat()), int(g22.rat())
+    is_norm = {}
     found = {}
     rng = range(-height, height + 1)
     for a1 in rng:
         for c1 in rng:
             al = KNum(a1, c1)
+            q1, cross = al.norm() * g11, al.conj() * g12
             for a2 in rng:
                 for c2 in rng:
                     be = KNum(a2, c2)
-                    v = tuple(al * b1[k] + be * b2[k] for k in range(3))
-                    if all(x.is_zero() for x in v):
+                    q = q1 + be.norm() * g22 + (be * cross).trace()
+                    if q <= 0 or q % norm:
                         continue
+                    if q not in is_norm:
+                        is_norm[q] = bool(elements_of_norm(q // norm))
+                    if not is_norm[q]:
+                        continue
+                    v = tuple(al * b1[k] + be * b2[k] for k in range(3))
                     p = primitive_rep(v)
                     if sq_norm(p) == KNum(norm):
                         found[p] = ProjPoint(p)

@@ -5,6 +5,13 @@ the ring of integers O_7 = Z[tau] is exactly the set of elements with
 integer coordinates.  tau satisfies tau^2 = tau - 2, conj(tau) = 1 - tau,
 and i*sqrt(7) = 2*tau - 1.
 
+A KNum is three Python ints (a, b, d) for (a + b*tau)/d in normal form
+(d > 0, gcd(a, b, d) = 1), so O_7 is the set of elements with d = 1 and its
+arithmetic, the norm and Euclid's algorithm (o_divmod, o_gcd) run on ints
+alone.  Fractions appear only at the edges: the constructor accepts them,
+`.a`, `.b`, `re`, `im_sqrt7` and `rat()` return them, and parsing,
+formatting and interval enclosures go through them.
+
 The eigenvalues of elliptic group elements and the coordinates of their
 fixed points lie in K, K(zeta_3) or K(zeta_7), zeta_n = exp(2*pi*i/n).
 An element of one of the two extension fields is an AlgNum: its K-coefficients
@@ -20,6 +27,7 @@ from __future__ import annotations
 import math
 import re as _re
 from fractions import Fraction
+from math import gcd, lcm
 
 from mpmath import iv as _iv
 
@@ -39,13 +47,32 @@ MAX_PREC = 4096
 
 
 class KNum:
-    """An element a + b*tau of K = Q(i*sqrt(7)), with a, b rational."""
+    """An element (a + b*tau)/d of K = Q(i*sqrt(7)), stored as three Python ints.
 
-    __slots__ = ("a", "b")
+    The stored triple is in normal form: d > 0 and gcd(a, b, d) = 1, so two
+    elements are equal exactly when their triples are, and an element of
+    O_7 has d = 1.  Arithmetic works on the ints; a result with d = 1 skips
+    the gcd.  The constructor KNum(a, b) still takes ints or Fractions for
+    the two tau-coordinates, and `.a`, `.b` return them as Fractions: those
+    serve the edges (parsing, formatting, sort keys, JSON, residue maps).
+    Equality, hashing and repr agree with the pair (a/d, b/d) of Fractions.
+    """
+
+    __slots__ = ("na", "nb", "d")
 
     def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        if type(a) is int and type(b) is int:
+            _set_na(self, a)
+            _set_nb(self, b)
+            _set_d(self, 1)
+            return
+        fa, fb = Fraction(a), Fraction(b)
+        # the two fractions are reduced, so scaling both to the lcm of their
+        # denominators gives a triple in normal form
+        d = lcm(fa.denominator, fb.denominator)
+        _set_na(self, fa.numerator * (d // fa.denominator))
+        _set_nb(self, fb.numerator * (d // fb.denominator))
+        _set_d(self, d)
 
     def __setattr__(self, *args):
         raise AttributeError("KNum is immutable")
@@ -62,14 +89,30 @@ class KNum:
 
     # -- structure ----------------------------------------------------
 
+    @property
+    def a(self) -> Fraction:
+        """The rational coordinate of 1."""
+        return Fraction(self.na, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        """The rational coordinate of tau."""
+        return Fraction(self.nb, self.d)
+
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = KNum(other)
-        if not isinstance(other, KNum):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
+        if isinstance(other, KNum):
+            return self.na == other.na and self.nb == other.nb and self.d == other.d
+        if isinstance(other, int):
+            return self.nb == 0 and self.d == 1 and self.na == other
+        if isinstance(other, Fraction):
+            return self.nb == 0 and self.na == other.numerator and self.d == other.denominator
+        return NotImplemented
 
     def __hash__(self):
+        # hash((a, b)) of the two Fraction coordinates; an int hashes like
+        # the Fraction of the same value
+        if self.d == 1:
+            return hash((self.na, self.nb))
         return hash((self.a, self.b))
 
     def __repr__(self):
@@ -79,66 +122,96 @@ class KNum:
         return format_knum(self)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.na == 0 and self.nb == 0
 
     def is_one(self) -> bool:
-        return self.a == 1 and self.b == 0
+        return self.na == 1 and self.nb == 0 and self.d == 1
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.nb == 0
 
     def is_real(self) -> bool:
         # Im(a + b*tau) = b*sqrt(7)/2
-        return self.b == 0
+        return self.nb == 0
 
     def is_integral(self) -> bool:
-        return self.a.denominator == 1 and self.b.denominator == 1
+        return self.d == 1
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return KNum(self.a + other, self.b)
         if isinstance(other, KNum):
-            return KNum(self.a + other.a, self.b + other.b)
+            d, e = self.d, other.d
+            if d == e:
+                return knum_from_ints(self.na + other.na, self.nb + other.nb, d)
+            return knum_from_ints(self.na * e + other.na * d, self.nb * e + other.nb * d, d * e)
+        if isinstance(other, int):
+            # gcd(a + c*d, b, d) = gcd(a, b, d) = 1
+            return _knum(self.na + other * self.d, self.nb, self.d)
+        if isinstance(other, Fraction):
+            p, q = other.numerator, other.denominator
+            return knum_from_ints(self.na * q + p * self.d, self.nb * q, self.d * q)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return KNum(-self.a, -self.b)
+        return _knum(-self.na, -self.nb, self.d)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, KNum)):
-            return self + (-KNum.coerce(other))
+        if isinstance(other, KNum):
+            d, e = self.d, other.d
+            if d == e:
+                return knum_from_ints(self.na - other.na, self.nb - other.nb, d)
+            return knum_from_ints(self.na * e - other.na * d, self.nb * e - other.nb * d, d * e)
+        if isinstance(other, (int, Fraction)):
+            return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
-        return KNum.coerce(other) + (-self)
+        if isinstance(other, (int, Fraction)):
+            return -self + other
+        return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return KNum(self.a * other, self.b * other)
         if isinstance(other, KNum):
-            # (a+b t)(c+d t) with t^2 = t - 2
-            a, b, c, d = self.a, self.b, other.a, other.b
-            return KNum(a * c - 2 * b * d, a * d + b * c + b * d)
+            # (a + b t)(c + e t) with t^2 = t - 2
+            a, b, c, e = self.na, self.nb, other.na, other.nb
+            be = b * e
+            return knum_from_ints(a * c - 2 * be, a * e + b * c + be, self.d * other.d)
+        if isinstance(other, int):
+            return knum_from_ints(self.na * other, self.nb * other, self.d)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return knum_from_ints(self.na * p, self.nb * p, self.d * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return KNum(self.a / other, self.b / other)
         if isinstance(other, KNum):
-            n = other.norm()
+            # x / y = x * conj(y) / N(y), and N(y) = n / f^2 for y = (c + e t)/f
+            c, e, f = other.na, other.nb, other.d
+            n = c * c + c * e + 2 * e * e
             if n == 0:
                 raise ZeroDivisionError("division by zero in K")
-            return self * other.conj() * Fraction(1, 1) / n
+            a, b = self.na, self.nb
+            p, q = c + e, -e  # conj(c + e t) = (c + e) - e t
+            bq = b * q
+            return knum_from_ints((a * p - 2 * bq) * f, (a * q + b * p + bq) * f, self.d * n)
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                raise ZeroDivisionError("division by zero in K")
+            p, q = other.numerator, other.denominator
+            if p < 0:
+                p, q = -p, -q
+            return knum_from_ints(self.na * q, self.nb * q, self.d * p)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        return KNum.coerce(other) / self
+        if isinstance(other, (int, Fraction)):
+            return KNum.coerce(other) / self
+        return NotImplemented
 
     def __pow__(self, n: int):
         if n < 0:
@@ -154,47 +227,55 @@ class KNum:
 
     def conj(self) -> "KNum":
         """Complex conjugate: conj(a + b*tau) = (a+b) - b*tau."""
-        return KNum(self.a + self.b, -self.b)
+        return _knum(self.na + self.nb, -self.nb, self.d)
 
-    def norm(self) -> Fraction:
-        """Field norm x * conj(x) = a^2 + a*b + 2*b^2 (a nonnegative rational)."""
-        return self.a * self.a + self.a * self.b + 2 * self.b * self.b
+    def norm(self):
+        """Field norm x * conj(x) = a^2 + a*b + 2*b^2, a nonnegative rational
+        (an int when x is integral)."""
+        a, b, d = self.na, self.nb, self.d
+        n = a * a + a * b + 2 * b * b
+        return n if d == 1 else Fraction(n, d * d)
 
-    def trace(self) -> Fraction:
-        return 2 * self.a + self.b
+    def trace(self):
+        """x + conj(x) = 2a + b, a rational (an int when x is integral)."""
+        t = 2 * self.na + self.nb
+        return t if self.d == 1 else Fraction(t, self.d)
 
     def abs2(self) -> "KNum":
         """|x|^2 as a KNum (real, rational)."""
-        return KNum(self.norm(), 0)
+        a, b, d = self.na, self.nb, self.d
+        n = a * a + a * b + 2 * b * b
+        return knum_from_ints(n, 0, d * d)
 
     # -- real-element helpers (generic scalar protocol) ---------------
 
     def rat(self) -> Fraction:
-        if self.b != 0:
+        if self.nb != 0:
             raise ValueError(f"{self} is not rational")
         return self.a
 
     def real_sign(self) -> int:
-        if self.b != 0:
+        if self.nb != 0:
             raise ValueError(f"{self} is not real")
-        return (self.a > 0) - (self.a < 0)
+        a = self.na
+        return (a > 0) - (a < 0)
 
     def floor_real(self) -> int:
-        if self.b != 0:
+        if self.nb != 0:
             raise ValueError(f"{self} is not real")
-        return self.a.__floor__()
+        return self.na // self.d
 
     # -- real/imaginary decomposition ---------------------------------
 
     @property
     def re(self) -> Fraction:
         """Real part, a rational."""
-        return self.a + self.b / 2
+        return Fraction(2 * self.na + self.nb, 2 * self.d)
 
     @property
     def im_sqrt7(self) -> Fraction:
         """Imaginary part as a multiple of sqrt(7): Im(x) = im_sqrt7 * sqrt(7)."""
-        return self.b / 2
+        return Fraction(self.nb, 2 * self.d)
 
     # -- canonical sign -----------------------------------------------
 
@@ -204,7 +285,34 @@ class KNum:
 
     def is_sign_positive(self) -> bool:
         """True if self > 0 in the lexicographic (a, b) order (self must be nonzero)."""
-        return self.sign_key() > (0, 0)
+        # d > 0, so (a/d, b/d) and (a, b) have the same signs
+        return self.na > 0 or (self.na == 0 and self.nb > 0)
+
+
+# KNum.__setattr__ refuses every write, so new triples go in through the
+# slot descriptors, bound once here
+_new_knum = object.__new__
+_set_na = KNum.na.__set__
+_set_nb = KNum.nb.__set__
+_set_d = KNum.d.__set__
+
+
+def _knum(a: int, b: int, d: int) -> KNum:
+    """The KNum (a + b*tau)/d for a triple already in normal form."""
+    x = _new_knum(KNum)
+    _set_na(x, a)
+    _set_nb(x, b)
+    _set_d(x, d)
+    return x
+
+
+def knum_from_ints(a: int, b: int, d: int = 1) -> KNum:
+    """The KNum (a + b*tau)/d for ints with d > 0, brought to normal form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _knum(a, b, d)
 
 
 ZERO = KNum(0)
@@ -212,13 +320,6 @@ ONE = KNum(1)
 TAU = KNum(0, 1)
 TAU_BAR = TAU.conj()
 ISQRT7 = KNum(-1, 2)  # i*sqrt(7) = 2*tau - 1
-
-
-def sign_normalize(x: KNum) -> int:
-    """Return +1 or -1 so that sign * x is canonical (positive in ring order)."""
-    if x.is_zero():
-        raise ValueError("cannot sign-normalize zero")
-    return 1 if x.is_sign_positive() else -1
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +369,14 @@ def parse_knum(s: str) -> KNum:
 
 
 def format_knum(x: KNum) -> str:
-    if x.b == 0:
-        return str(x.a)
-    if x.a == 0:
-        return f"{x.b}*tau"
-    bs = f"+{x.b}*tau" if x.b > 0 else f"{x.b}*tau"
-    return f"{x.a}{bs}"
+    # an int prints like the Fraction of the same value
+    a, b = (x.na, x.nb) if x.d == 1 else (x.a, x.b)
+    if b == 0:
+        return str(a)
+    if a == 0:
+        return f"{b}*tau"
+    bs = f"+{b}*tau" if b > 0 else f"{b}*tau"
+    return f"{a}{bs}"
 
 
 # ---------------------------------------------------------------------------
@@ -281,24 +384,58 @@ def format_knum(x: KNum) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _divmod_ints(a: int, b: int, c: int, e: int):
+    """Euclidean division of a + b*tau by c + e*tau != 0 in O_7, on ints.
+
+    The quotient is the corner of the unit square below x/y that leaves the
+    remainder of least norm; the first such corner in the order (0, 0),
+    (0, 1), (1, 0), (1, 1) wins.  Returns (q, r) as int pairs.
+    """
+    n = c * c + c * e + 2 * e * e
+    # x * conj(y) = s + t*tau, and x / y = (s + t*tau) / n
+    f, g = c + e, -e
+    bg = b * g
+    s, t = a * f - 2 * bg, a * g + b * f + bg
+    fa, fb = s // n, t // n
+    best = None
+    for qa in (fa, fa + 1):
+        for qb in (fb, fb + 1):
+            qe = qb * e
+            ra = a - (qa * c - 2 * qe)
+            rb = b - (qa * e + qb * c + qe)
+            key = ra * ra + ra * rb + 2 * rb * rb
+            if best is None or key < best[0]:
+                best = (key, qa, qb, ra, rb)
+    key, qa, qb, ra, rb = best
+    if not key < n:
+        raise ArithmeticError("O_7 Euclidean step failed")
+    return (qa, qb), (ra, rb)
+
+
 def o_divmod(x: KNum, y: KNum):
     """Euclidean division in O_7: x = q*y + r with N(r) < N(y)."""
     if y.is_zero():
         raise ZeroDivisionError("division by zero in O_7")
-    q0 = x / y
-    best = None
-    fa, fb = q0.a.__floor__(), q0.b.__floor__()
-    for da in (0, 1):
-        for db in (0, 1):
-            q = KNum(fa + da, fb + db)
-            r = x - q * y
-            key = r.norm()
-            if best is None or key < best[0]:
-                best = (key, q, r)
-    _, q, r = best
-    if not r.norm() < y.norm():
-        raise ArithmeticError("O_7 Euclidean step failed")
-    return q, r
+    # scaling x and y by a common denominator D keeps x/y and scales N(r) by D^2
+    den = lcm(x.d, y.d)
+    sx, sy = den // x.d, den // y.d
+    (qa, qb), (ra, rb) = _divmod_ints(x.na * sx, x.nb * sx, y.na * sy, y.nb * sy)
+    return _knum(qa, qb, 1), knum_from_ints(ra, rb, den)
+
+
+def _gcd_ints(a: int, b: int, c: int, e: int):
+    """A generator of the ideal <a + b*tau, c + e*tau> of O_7, not sign-normalized."""
+    while c or e:
+        _, (ra, rb) = _divmod_ints(a, b, c, e)
+        a, b, c, e = c, e, ra, rb
+    return a, b
+
+
+def _sign_normalized(a: int, b: int) -> KNum:
+    """The one of +/-(a + b*tau) that is positive in the lexicographic (a, b) order."""
+    if a < 0 or (a == 0 and b < 0):
+        a, b = -a, -b
+    return _knum(a, b, 1)
 
 
 def o_gcd(x: KNum, y: KNum) -> KNum:
@@ -307,25 +444,27 @@ def o_gcd(x: KNum, y: KNum) -> KNum:
         raise ValueError("o_gcd requires integral arguments")
     if x.is_zero() and y.is_zero():
         raise ValueError("gcd undefined for (0, 0)")
-    while not y.is_zero():
-        _, r = o_divmod(x, y)
-        x, y = y, r
-    return x * sign_normalize(x)
+    return _sign_normalized(*_gcd_ints(x.na, x.nb, y.na, y.nb))
 
 
 def o_gcd_many(xs) -> KNum:
-    """gcd of an iterable of O_7 elements (not all zero)."""
+    """gcd of an iterable of O_7 elements (not all zero), sign-normalized."""
     acc = None
     for x in xs:
         x = KNum.coerce(x)
         if x.is_zero():
             continue
-        acc = x if acc is None else o_gcd(acc, x)
-        if acc.norm() == 1:
-            break
+        if acc is None:
+            if not x.is_integral():
+                raise ValueError("o_gcd requires integral arguments")
+            acc = _sign_normalized(x.na, x.nb)
+        else:
+            acc = o_gcd(acc, x)
+        if acc.is_one():
+            break  # the unit ideal
     if acc is None:
         raise ValueError("gcd undefined for all-zero input")
-    return acc * sign_normalize(acc)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +525,7 @@ class Tower:
         self.minpoly = tuple(minpoly)
         self.degree = d = len(self.minpoly) - 1
         self.key = ("zeta", 1, n)
+        self._enclosures = {}
         powers = [tuple(ONE if i == k else ZERO for i in range(d)) for k in range(d)]
         while len(powers) < n:
             # zeta * zeta^(k-1), with zeta^d = -(m_0 + m_1 zeta + ... + m_(d-1) zeta^(d-1))
@@ -415,9 +555,17 @@ class Tower:
         return AlgNum(self, out)
 
     def gen_enclosure(self):
-        """Complex interval enclosure of zeta at the current iv precision."""
-        angle = 2 * _iv.pi / self.n
-        return (_iv.cos(angle), _iv.sin(angle))
+        """Complex interval enclosure of zeta at the current iv precision.
+
+        Computed once per precision: intervals are immutable, so the cached
+        pair is the certified enclosure a fresh computation would give.
+        """
+        prec = _iv.prec
+        enc = self._enclosures.get(prec)
+        if enc is None:
+            angle = 2 * _iv.pi / self.n
+            enc = self._enclosures[prec] = (_iv.cos(angle), _iv.sin(angle))
+        return enc
 
 
 class AlgNum:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -145,3 +146,35 @@ def test_failed_soundness_check_exits_3(capsys, monkeypatch):
     code, out = run(capsys, ["cusp", "overlaps"])
     assert code == 3
     assert json.loads(out) == {"error": "ArithmeticError", "message": "candidate box too small"}
+
+
+# sha256 of the stdout of these commands, taken before KNum moved from pairs
+# of Fractions to (a, b, d) ints; a change of representation must leave every
+# printed byte as it was
+GOLDEN = [
+    pytest.param(["cusp", "torsion"],
+                 "93dc2f9b75a6832a23e1ef8d85ea4cfe840159e4c73d99c85d924c84c59a3f3c",
+                 id="cusp-torsion"),
+    pytest.param(["mirror", "verify", "--which", "R"],
+                 "5decd91c1b9f359454a00fb458489731854d1813fa88849ea58c238d59b01ccc",
+                 id="mirror-verify-R"),
+    pytest.param(["mirror", "search", "--which", "L", "--norm", "2", "--height", "2"],
+                 "ea5a12b06b3fe5e49a3e8c45bfe36d71e1c3b0acfa13ddd3bbf3503af9dcf950",
+                 id="mirror-search-L"),
+    pytest.param(["ford", "reduce", "--point", '["42+12*tau", "27-19*tau", "10-25*tau"]'],
+                 "f2e703d6836811ee05a874ac3d9e13a5850b8385178986672e07bfdcf2289783",
+                 id="ford-reduce-1"),
+    pytest.param(["ford", "reduce", "--point", '["-7-2*tau", "-2-1*tau", "-11+16*tau"]'],
+                 "341cbe1ae830eda804921323616be8fe0cce7ba24c611d55a8b3c54cbae5a8f5",
+                 id="ford-reduce-2"),
+    pytest.param(["ford", "reduce", "--point", '["346-118*tau", "60-267*tau", "-251-110*tau"]'],
+                 "313548a10db8e0b0a4da3212c4a6b10301af515f83fd361c47b98d014c26311c",
+                 id="ford-reduce-3"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN)
+def test_golden_output(capsys, argv, digest):
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,11 +1,14 @@
+from itertools import product
+
 import pytest
 
 from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR
-from picard7.hermitian import GroupElt, ProjPoint, herm_inner, sq_norm
+from picard7.hermitian import GroupElt, ProjPoint, herm_inner, primitive_rep, sq_norm
 from picard7.heisenberg import R, T1, TTAU, TV
 from picard7.ford import GENERATORS
 from picard7.torsion import _search_alphabet, make_reflection, projective_order
 from picard7.congruence import FpMatGroup, ResidueMap
+from picard7 import mirror
 from picard7.mirror import (
     MIRROR_L_POLARS,
     MirrorContext,
@@ -94,6 +97,48 @@ def test_search_orthogonal_mirrors():
         assert sq_norm(p.coords) == KNum(1)
     # results are primitive and deduplicated projectively
     assert len(set(small)) == len(small)
+
+
+def _unfiltered_search(ctx, norm, height):
+    """search_orthogonal_mirrors without its Gram-form pre-filter.
+
+    Returns the candidates whose primitive representative has the norm, and
+    the polars they give.
+    """
+    b1, b2 = ctx.basis
+    rng = range(-height, height + 1)
+    kept, polars = set(), set()
+    for a1, c1, a2, c2 in product(rng, rng, rng, rng):
+        al, be = KNum(a1, c1), KNum(a2, c2)
+        v = tuple(al * b1[k] + be * b2[k] for k in range(3))
+        if any(not x.is_zero() for x in v):
+            p = primitive_rep(v)
+            if sq_norm(p) == KNum(norm):
+                kept.add(v)
+                polars.add(ProjPoint(p))
+    return kept, polars
+
+
+@pytest.mark.parametrize("norm", [1, 2])
+@pytest.mark.parametrize("height", [1, 2])
+def test_search_prefilter_keeps_every_polar(monkeypatch, norm, height):
+    for ctx in (CTX_L, CTX_R):
+        reached = []
+
+        def recording(v):
+            reached.append(v)
+            return primitive_rep(v)
+
+        monkeypatch.setattr(mirror, "primitive_rep", recording)
+        found = search_orthogonal_mirrors(ctx, norm, height)
+        monkeypatch.undo()
+        kept, polars = _unfiltered_search(ctx, norm, height)
+        assert len(set(found)) == len(found) and set(found) == polars
+        # every candidate the norm test would accept reaches the gcd, and
+        # the filter skips the others before it
+        assert kept <= set(reached)
+        assert len(reached) < (2 * height + 1) ** 4 - 1
+    assert search_orthogonal_mirrors(CTX_L, norm, height)
 
 
 def test_mirror_l_generators():

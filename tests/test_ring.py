@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -295,3 +296,125 @@ def test_knum_floor_and_rat():
         TAU.rat()
     with pytest.raises(ValueError):
         TAU.real_sign()
+
+
+# ---------------------------------------------------------------------------
+# KNum against a reference on pairs of Fractions
+# ---------------------------------------------------------------------------
+
+
+def _ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    return (a * c - 2 * b * d, a * d + b * c + b * d)
+
+
+def _ref_conj(x):
+    return (x[0] + x[1], -x[1])
+
+
+def _ref_norm(x):
+    a, b = x
+    return a * a + a * b + 2 * b * b
+
+
+def _ref_div(x, y):
+    n = _ref_norm(y)
+    a, b = _ref_mul(x, _ref_conj(y))
+    return (a / n, b / n)
+
+
+def _ref_pow(x, k):
+    if k < 0:
+        return _ref_pow(_ref_div((Fraction(1), Fraction(0)), x), -k)
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = _ref_mul(out, x)
+    return out
+
+
+def _ref_str(x):
+    a, b = x
+    if b == 0:
+        return str(a)
+    if a == 0:
+        return f"{b}*tau"
+    return f"{a}{'+' if b > 0 else ''}{b}*tau"
+
+
+def _check_knum(x, ref):
+    """x equals the Fraction pair ref, is in normal form, and hashes and prints like it."""
+    a, b = Fraction(ref[0]), Fraction(ref[1])
+    assert isinstance(x.a, Fraction) and isinstance(x.b, Fraction)
+    assert (x.a, x.b) == (a, b)
+    assert all(type(n) is int for n in (x.na, x.nb, x.d))
+    assert x.d > 0 and math.gcd(x.na, x.nb, x.d) == 1
+    assert x == KNum(a, b)
+    assert hash(x) == hash((a, b))
+    assert repr(x) == f"KNum({a!r}, {b!r})"
+    assert str(x) == _ref_str((a, b))
+
+
+def test_knum_matches_fraction_pairs():
+    rng = random.Random(20260)
+    dens = (1, 1, 2, 3, 4, 6, 8, 9)
+    for _ in range(300):
+        x = rand_knum(rng, rng.choice(dens))
+        y = rand_knum(rng, rng.choice(dens))
+        c = rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+        px, py, pc = (x.a, x.b), (y.a, y.b), (Fraction(c), Fraction(0))
+        _check_knum(x, px)
+        _check_knum(x + y, (px[0] + py[0], px[1] + py[1]))
+        _check_knum(x - y, (px[0] - py[0], px[1] - py[1]))
+        _check_knum(x + c, (px[0] + c, px[1]))
+        _check_knum(c - x, (c - px[0], -px[1]))
+        _check_knum(-x, (-px[0], -px[1]))
+        _check_knum(x * y, _ref_mul(px, py))
+        _check_knum(c * x, _ref_mul(pc, px))
+        _check_knum(x.conj(), _ref_conj(px))
+        _check_knum(x.abs2(), (_ref_norm(px), 0))
+        assert x.norm() == _ref_norm(px) and x.trace() == 2 * px[0] + px[1]
+        if not y.is_zero():
+            _check_knum(x / y, _ref_div(px, py))
+        if c != 0:
+            _check_knum(x / c, (px[0] / c, px[1] / c))
+        if not x.is_zero():
+            _check_knum(c / x, _ref_div(pc, px))
+            assert x.is_sign_positive() == (px > (0, 0))
+        for k in range(0 if x.is_zero() else -2, 4):
+            _check_knum(x ** k, _ref_pow(px, k))
+        assert x.sign_key() == px
+        # the real-element helpers, on the rational x.a
+        r = KNum(px[0])
+        assert r.real_sign() == (px[0] > 0) - (px[0] < 0)
+        assert r.floor_real() == math.floor(px[0]) and r.rat() == px[0]
+        assert r == px[0] and (px[0].denominator != 1 or r == int(px[0]))
+        if px[1] != 0:
+            with pytest.raises(ValueError):
+                x.real_sign()
+            with pytest.raises(ValueError):
+                x.floor_real()
+
+
+def test_euclid_on_random_pairs():
+    rng = random.Random(1307)
+    for _ in range(300):
+        x = KNum(rng.randint(-400, 400), rng.randint(-400, 400))
+        y = KNum(rng.randint(-60, 60), rng.randint(-60, 60))
+        if y.is_zero():
+            continue
+        q, r = o_divmod(x, y)
+        assert q.is_integral() and r.is_integral()
+        assert x == q * y + r and r.norm() < y.norm()
+        # a non-integral pair divides in the same way
+        den = rng.randint(2, 9)
+        q2, r2 = o_divmod(x / den, y)
+        assert q2.is_integral() and x / den == q2 * y + r2 and r2.norm() < y.norm()
+        # the gcd divides both, and every common factor divides the gcd
+        h = KNum(rng.randint(-6, 6), rng.randint(-6, 6))
+        if h.is_zero():
+            continue
+        g = o_gcd(h * x, h * y)
+        assert g.is_sign_positive()
+        assert (h * x / g).is_integral() and (h * y / g).is_integral()
+        assert (g / h).is_integral()
+        assert o_gcd_many([h * x, KNum(0), h * y]) == g
