@@ -5,6 +5,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
+from functools import cache
 
 from picard7.ring import PrecisionError
 from picard7.hermitian import (
@@ -223,6 +224,21 @@ def cmd_report_all(args, cfg):
     }
 
 
+def _command(name):
+    """The subcommand function `name`, looked up in this module when it runs.
+
+    The parser is built once per process; the lookup at run time keeps a
+    cmd_* function that was replaced after that (a test double, a tracer)
+    in effect.
+    """
+
+    def run(args, cfg):
+        return globals()[name](args, cfg)
+
+    return run
+
+
+@cache
 def build_parser():
     p = _Parser(prog="picard7", description=__doc__)
     for f in fields(Config):
@@ -232,41 +248,41 @@ def build_parser():
     ford = sub.add_parser("ford").add_subparsers(dest="sub", required=True)
     fr = ford.add_parser("reduce")
     fr.add_argument("--point", required=True, help="JSON vector, e.g. '[\"-1\",\"0\",\"1\"]'")
-    fr.set_defaults(func=cmd_ford_reduce)
+    fr.set_defaults(func=_command("cmd_ford_reduce"))
     fs = ford.add_parser("spheres")
     fs.add_argument("--point", required=True)
-    fs.set_defaults(func=cmd_ford_spheres)
+    fs.set_defaults(func=_command("cmd_ford_spheres"))
 
     cusp = sub.add_parser("cusp").add_subparsers(dest="sub", required=True)
-    cusp.add_parser("overlaps").set_defaults(func=cmd_cusp_overlaps)
-    cusp.add_parser("torsion").set_defaults(func=cmd_cusp_torsion)
+    cusp.add_parser("overlaps").set_defaults(func=_command("cmd_cusp_overlaps"))
+    cusp.add_parser("torsion").set_defaults(func=_command("cmd_cusp_torsion"))
 
     tor = sub.add_parser("torsion").add_subparsers(dest="sub", required=True)
-    tor.add_parser("enumerate").set_defaults(func=cmd_torsion_enumerate)
+    tor.add_parser("enumerate").set_defaults(func=_command("cmd_torsion_enumerate"))
     ts = tor.add_parser("stabilizer")
     ts.add_argument("--point", required=True)
-    ts.set_defaults(func=cmd_torsion_stabilizer)
+    ts.set_defaults(func=_command("cmd_torsion_stabilizer"))
 
     mir = sub.add_parser("mirror").add_subparsers(dest="sub", required=True)
     mv = mir.add_parser("verify")
     mv.add_argument("--which", choices=("R", "L"), required=True)
-    mv.set_defaults(func=cmd_mirror_verify)
+    mv.set_defaults(func=_command("cmd_mirror_verify"))
     ms = mir.add_parser("search")
     ms.add_argument("--which", choices=("R", "L"), default="L")
     ms.add_argument("--norm", type=int, choices=(1, 2), required=True)
     ms.add_argument("--height", type=int, default=20)
-    ms.set_defaults(func=cmd_mirror_search)
+    ms.set_defaults(func=_command("cmd_mirror_search"))
 
     pres = sub.add_parser("presentation").add_subparsers(dest="sub", required=True)
-    pres.add_parser("verify").set_defaults(func=cmd_presentation_verify)
+    pres.add_parser("verify").set_defaults(func=_command("cmd_presentation_verify"))
 
     con = sub.add_parser("congruence").add_subparsers(dest="sub", required=True)
     cc = con.add_parser("check")
     cc.add_argument("--ideal", choices=("isqrt7", "tau"), required=True)
-    cc.set_defaults(func=cmd_congruence_check)
+    cc.set_defaults(func=_command("cmd_congruence_check"))
 
     rep = sub.add_parser("report").add_subparsers(dest="sub", required=True)
-    rep.add_parser("all").set_defaults(func=cmd_report_all)
+    rep.add_parser("all").set_defaults(func=_command("cmd_report_all"))
     return p
 
 

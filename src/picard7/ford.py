@@ -65,7 +65,7 @@ def _build_generators():
     a12 = _g([[-4, 0, ISQRT7 * 3], [0, 1, 0], [ISQRT7, 0, 5]], "A12")
 
     def inv(g, name):
-        return GroupElt(g.mat.inverse(), word=((name, 1),), check=False)
+        return GroupElt(g.inverse().mat, word=((name, 1),), check=False)
 
     table = {
         1: a1,
@@ -82,7 +82,7 @@ def _build_generators():
         13: inv(a12, "A13"),
         14: inv(a9, "A14"),
     }
-    table[5] = GroupElt(table[4].mat.inverse(), word=(("A5", 1),), check=False)
+    table[5] = inv(table[4], "A5")
     return table
 
 
@@ -263,7 +263,8 @@ def enumerate_cone_translates(j: int):
         for n in range(-_MN_BOX, _MN_BOX + 1):
             for eps in (0, 1):
                 shifted = CuspElt(m, n, eps, 0).act_heis(c)
-                if dist2_to_triangle(shifted.z) * dist2_to_triangle(shifted.z) > r4:
+                dist2 = dist2_to_triangle(shifted.z)
+                if dist2 * dist2 > r4:
                     continue
                 if abs(m) == _MN_BOX or abs(n) == _MN_BOX:
                     hit_box_edge = True

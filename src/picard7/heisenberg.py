@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .ring import ISQRT7, KNum, TAU, ZERO, scalar
@@ -348,11 +349,13 @@ def _cross_coeffs(w: KNum):
     return c0, ca, cb
 
 
+@cache
 def enumerate_cusp_overlaps():
     """All cusp elements gamma with gamma(P) meeting P, by exact feasibility.
 
     The vertical range of each candidate is derived from the exact extrema
-    of the t-shift over the overlap polygon, never hardcoded.
+    of the t-shift over the overlap polygon, never hardcoded.  The result
+    never changes, so it is derived once per process and shared as a tuple.
     """
     out = []
     for m in range(-2, 3):
@@ -386,7 +389,7 @@ def enumerate_cusp_overlaps():
                     cons3.append(((sa, sb, 1), Fraction(2) - sh0))
                     if fm_feasible(cons3, 3):
                         out.append(CuspElt(m, n, eps, l))
-    return sorted(out, key=CuspElt.sort_key)
+    return tuple(sorted(out, key=CuspElt.sort_key))
 
 
 def overlap_witness(c: CuspElt):

@@ -61,6 +61,28 @@ def _herm_inner_k(v1, v2, v3, w1, w2, w3) -> KNum:
     return knum_from_ints(x1 * s1 + x2 * s2 + x3 * s3, y1 * s1 + y2 * s2 + y3 * s3, d)
 
 
+def _dot_k(x1, x2, x3, y1, y2, y3) -> KNum:
+    """x1 y1 + x2 y2 + x3 y3 for KNum entries, on the ints of their triples.
+
+    (a + b t)(c + e t) = (a c - 2 b e) + (a e + b c + b e) t, over the
+    product of the two denominators.
+    """
+    a, b, c, e = x1.na, x1.nb, y1.na, y1.nb
+    be = b * e
+    p1, q1, d1 = a * c - 2 * be, a * e + b * c + be, x1.d * y1.d
+    a, b, c, e = x2.na, x2.nb, y2.na, y2.nb
+    be = b * e
+    p2, q2, d2 = a * c - 2 * be, a * e + b * c + be, x2.d * y2.d
+    a, b, c, e = x3.na, x3.nb, y3.na, y3.nb
+    be = b * e
+    p3, q3, d3 = a * c - 2 * be, a * e + b * c + be, x3.d * y3.d
+    if d1 == d2 == d3:
+        return knum_from_ints(p1 + p2 + p3, q1 + q2 + q3, d1)
+    d = lcm(d1, d2, d3)
+    s1, s2, s3 = d // d1, d // d2, d // d3
+    return knum_from_ints(p1 * s1 + p2 * s2 + p3 * s3, q1 * s1 + q2 * s2 + q3 * s3, d)
+
+
 def sq_norm(v):
     """<v,v>, a real scalar."""
     return herm_inner(v, v)
@@ -70,15 +92,28 @@ Q_INF = (ONE, ZERO, ZERO)
 
 
 class Mat:
-    """A 3x3 matrix over K (or an AlgNum tower), immutable."""
+    """A 3x3 matrix over K (or an AlgNum tower), immutable.
 
-    __slots__ = ("rows",)
+    `over_k` is True when every entry is a KNum; products and `apply` then
+    run on the ints of the KNum triples (`_dot_k`).
+    """
+
+    __slots__ = ("rows", "over_k")
 
     def __init__(self, rows):
         rows = tuple(tuple(scalar(x) for x in r) for r in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("a matrix needs 3 rows of 3 entries")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "over_k", all(type(x) is KNum for r in rows for x in r))
+
+    @staticmethod
+    def _of_k(rows) -> "Mat":
+        """The matrix of a 3-tuple of 3-tuples of KNums, taken as they are."""
+        m = object.__new__(Mat)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "over_k", True)
+        return m
 
     def __setattr__(self, *args):
         raise AttributeError("Mat is immutable")
@@ -104,6 +139,9 @@ class Mat:
 
     def __mul__(self, other):
         if isinstance(other, Mat):
+            if self.over_k and other.over_k:
+                cols = tuple(zip(*other.rows))
+                return Mat._of_k(tuple(tuple(_dot_k(*r, *c) for c in cols) for r in self.rows))
             return Mat(
                 [
                     [
@@ -120,7 +158,10 @@ class Mat:
 
     def apply(self, v):
         """Matrix times column vector."""
-        v = tuple(scalar(x) for x in v)
+        v1, v2, v3 = v
+        if self.over_k and type(v1) is type(v2) is type(v3) is KNum:
+            return tuple(_dot_k(*r, v1, v2, v3) for r in self.rows)
+        v = (scalar(v1), scalar(v2), scalar(v3))
         return tuple(
             sum((self.rows[i][k] * v[k] for k in range(3)), start=scalar(0)) for i in range(3)
         )
@@ -456,10 +497,16 @@ class GroupElt:
         return GroupElt(self.mat * other.mat, word=word, check=False)
 
     def inverse(self) -> "GroupElt":
+        """The inverse J M* J: M lies in U(J), so M* J M = J and J^-1 = J.
+
+        Its (i, j) entry is conj(M[2-j][2-i]): no determinant, no division.
+        """
         word = None
         if self.word is not None:
             word = tuple(_invert_letter(x) for x in reversed(self.word))
-        return GroupElt(self.mat.inverse(), word=word, check=False)
+        r = self.mat.rows
+        mat = Mat([[r[2 - j][2 - i].conj() for j in range(3)] for i in range(3)])
+        return GroupElt(mat, word=word, check=False)
 
     def __pow__(self, n: int):
         if n < 0:

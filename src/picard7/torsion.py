@@ -400,6 +400,7 @@ def build_cycle_graph(points, extra_loops=None) -> CycleGraph:
     graph = CycleGraph()
     queue = [graph.add_vertex(p if isinstance(p, ProjPoint) else ProjPoint(p)) for p in points]
     overlaps = [c for c in enumerate_cusp_overlaps() if c != CuspElt()]
+    overlap_mats = {}  # CuspElt -> its GroupElt, built at the first vertex it keeps in P
     seen_edges = set()
     done = set()
     while queue:
@@ -432,7 +433,9 @@ def build_cycle_graph(points, extra_loops=None) -> CycleGraph:
                 continue
             q = ProjPoint(lift(hq))
             k = graph.add_vertex(q)
-            g = c.to_matrix()
+            g = overlap_mats.get(c)
+            if g is None:
+                g = overlap_mats[c] = c.to_matrix()
             key = (i, k, g.mat)
             if key not in seen_edges:
                 seen_edges.add(key)

@@ -148,9 +148,16 @@ def test_failed_soundness_check_exits_3(capsys, monkeypatch):
     assert json.loads(out) == {"error": "ArithmeticError", "message": "candidate box too small"}
 
 
-# sha256 of the stdout of these commands, taken before KNum moved from pairs
-# of Fractions to (a, b, d) ints; a change of representation must leave every
-# printed byte as it was
+# the stabilizer of this point has two 1-lines and two 2-lines
+STABILIZER_GOLDEN = (
+    ["torsion", "stabilizer", "--point", '["-1+1*tau","0","1"]'],
+    "436212708d21f9006c36bcee8777ad25737a6593e69b61618ab7d2f1878cd1bc",
+)
+
+# sha256 of the stdout of these commands; a change of representation or a
+# cache must leave every printed byte as it was.  The first six were taken
+# before KNum moved from pairs of Fractions to (a, b, d) ints, the last three
+# before the cusp overlaps were cached and matrix products moved to ints.
 GOLDEN = [
     pytest.param(["cusp", "torsion"],
                  "93dc2f9b75a6832a23e1ef8d85ea4cfe840159e4c73d99c85d924c84c59a3f3c",
@@ -170,6 +177,14 @@ GOLDEN = [
     pytest.param(["ford", "reduce", "--point", '["346-118*tau", "60-267*tau", "-251-110*tau"]'],
                  "313548a10db8e0b0a4da3212c4a6b10301af515f83fd361c47b98d014c26311c",
                  id="ford-reduce-3"),
+    pytest.param(["cusp", "overlaps"],
+                 "a7e7f0595b137d2ae130cdcb27132c9a7f0be9d79a3ce2b7c62fb59616cb1a8a",
+                 id="cusp-overlaps"),
+    pytest.param(*STABILIZER_GOLDEN, id="torsion-stabilizer-2-lines"),
+    # a row of the order-2 table with one 1-line and one 2-line
+    pytest.param(["torsion", "stabilizer", "--point", '["-1","0","1"]'],
+                 "de450833322a6f213843f0c1de959ce320eddf9f235010c0a7b872d8642a88d5",
+                 id="torsion-stabilizer-1-line"),
 ]
 
 
@@ -178,3 +193,14 @@ def test_golden_output(capsys, argv, digest):
     code, out = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_stabilizer_output_does_not_depend_on_cache_state(capsys):
+    # the second call finds the cusp overlaps, the candidate tables and the
+    # parser already built, and must print the same bytes
+    argv, digest = STABILIZER_GOLDEN
+    for _ in range(2):
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert build_parser() is build_parser()

@@ -216,6 +216,14 @@ def test_cusp_overlaps():
     assert len(torsion) == 5
 
 
+def test_cusp_overlaps_are_derived_once():
+    ov = enumerate_cusp_overlaps()
+    assert isinstance(ov, tuple) and len(ov) == 34
+    assert enumerate_cusp_overlaps() is ov
+    # the cached result is the exact derivation, run afresh
+    assert ov == enumerate_cusp_overlaps.__wrapped__()
+
+
 def test_cusp_overlaps_translate_range():
     # cross-check the translation parts in the alternate normal form
     # T1^j Ttau^k (T1 Ttau R)^eps Tv^l: -1 <= j, k, j+k <= 1 and -1 <= l <= 1

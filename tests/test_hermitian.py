@@ -74,6 +74,77 @@ def test_matrix_algebra():
     assert (c0, c1, c2, c3) == (KNum(-1), KNum(-1), KNum(1), KNum(1))
 
 
+def _generic_product(a, b):
+    """Entries of a * b by the generic path: KNum products summed from 0."""
+    return [
+        [sum((a.rows[i][k] * b.rows[k][j] for k in range(3)), start=KNum(0)) for j in range(3)]
+        for i in range(3)
+    ]
+
+
+def _rand_k(rng):
+    # denominators up to 6, so most entries are not integral
+    return KNum(Fraction(rng.randint(-20, 20), rng.randint(1, 6)),
+                Fraction(rng.randint(-20, 20), rng.randint(1, 6)))
+
+
+def test_int_matrix_kernel_matches_generic_path():
+    rng = random.Random(11)
+    for _ in range(200):
+        a = Mat([[_rand_k(rng) for _ in range(3)] for _ in range(3)])
+        b = Mat([[_rand_k(rng) for _ in range(3)] for _ in range(3)])
+        v = tuple(_rand_k(rng) for _ in range(3))
+        assert a.over_k and b.over_k
+        prod = a * b
+        assert prod.over_k
+        assert [list(r) for r in prod.rows] == _generic_product(a, b)
+        assert a.apply(v) == tuple(
+            sum((a.rows[i][k] * v[k] for k in range(3)), start=KNum(0)) for i in range(3)
+        )
+
+
+def test_tower_matrices_take_the_generic_path(monkeypatch):
+    import picard7.hermitian as hermitian
+
+    def no_int_kernel(*args):
+        raise AssertionError("the int kernel ran on a tower matrix")
+
+    tw = zeta3_tower()
+    z = AlgNum.gen(tw)
+    m = Mat([[z, 1, 0], [0, z * z, TAU], [KNum(Fraction(1, 2)), 0, z + 1]])
+    assert not m.over_k
+    want = _generic_product(m, A2)
+    monkeypatch.setattr(hermitian, "_dot_k", no_int_kernel)
+    assert [list(r) for r in (m * A2).rows] == want
+    assert [list(r) for r in (A2 * m).rows] == _generic_product(A2, m)
+    v = (z, KNum(1), TAU)
+    assert m.apply(v) == tuple(sum((m.rows[i][k] * v[k] for k in range(3)), start=KNum(0))
+                               for i in range(3))
+    # a tower vector under a K matrix also takes the generic path
+    assert A2.apply(v) == tuple(sum((A2.rows[i][k] * v[k] for k in range(3)), start=KNum(0))
+                                for i in range(3))
+
+
+def test_group_inverse_is_j_conj_transpose_j():
+    from picard7.ford import GENERATORS
+    from picard7.heisenberg import R, T1, TTAU, TV
+
+    letters = list(GENERATORS.values()) + [c.to_matrix() for c in (T1, TTAU, TV, R)]
+    rng = random.Random(12)
+    words = []
+    for _ in range(40):
+        g = GroupElt.identity()
+        for _ in range(rng.randint(1, 5)):
+            g = g * rng.choice(letters)
+        words.append(g)
+    for g in letters + words:
+        inv = g.inverse()
+        assert inv.mat == GroupElt(g.mat.inverse(), check=False).mat
+        assert (g * inv).mat == Mat.identity() and (inv * g).mat == Mat.identity()
+        assert is_in_gamma(inv.mat)
+        assert inv.word == tuple((name, -e) for name, e in reversed(g.word))
+
+
 def test_rank_and_kernel():
     m = Mat([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     assert rank(m) == 2

@@ -224,6 +224,26 @@ def test_v1_cycle_graph_and_stabilizer():
     assert GENERATORS[6] in stab.elements
 
 
+def test_second_cycle_graph_runs_no_feasibility_test(monkeypatch):
+    import picard7.heisenberg as heisenberg
+
+    first = build_cycle_graph([V1])
+    calls = []
+    exact = heisenberg.fm_feasible
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(heisenberg, "fm_feasible", counted)
+    assert heisenberg.enumerate_cusp_overlaps.__wrapped__()  # the counter sees a derivation
+    assert calls
+    calls.clear()
+    second = build_cycle_graph([V1])
+    assert calls == []
+    assert second.vertices == first.vertices and second.edges == first.edges
+
+
 def _classes_by(kind, order=None):
     return [
         c for c in enumerate_torsion()
