@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
 
-from .ring import ISQRT7, KNum, TAU, TAU_BAR, ZERO, real_cmp, scalar
+from .ring import ISQRT7, KNum, ONE, TAU, TAU_BAR, ZERO, real_cmp, scalar
 from .hermitian import (
     GroupElt,
     HoroPoint,
@@ -208,32 +208,42 @@ def sqrt_lb(q: Fraction) -> Fraction:
 # distance from a point to the triangle D (squared, exact)
 # ---------------------------------------------------------------------------
 
-_D_VERTS = (KNum(0), KNum(1), TAU)
+# the edges [v0, v1] of D as int pairs in the tau-basis, with N(v1 - v0) (1 or 2)
+_D_EDGES = tuple(
+    ((v0.na, v0.nb), (v1.na - v0.na, v1.nb - v0.nb), (v1 - v0).norm())
+    for v0, v1 in ((ZERO, ONE), (ZERO, TAU), (ONE, TAU))
+)
 
 
-def _seg_dist2(p: KNum, v0: KNum, v1: KNum) -> Fraction:
-    """Squared Euclidean distance from p to the segment [v0, v1], rational."""
-    d = v1 - v0
-    w = p - v0
-    denom = d.norm()
-    t = (w * d.conj()).re / denom  # projection parameter, rational
-    if t <= 0:
-        return w.norm()
-    if t >= 1:
-        return (p - v1).norm()
-    return w.norm() - t * t * denom
+def _norm_ints(a: int, b: int) -> int:
+    return a * a + a * b + 2 * b * b
 
 
 def dist2_to_triangle(p: KNum) -> Fraction:
-    """Squared distance from p to D = hull{0, 1, tau} (0 if inside)."""
-    a, b = Fraction(p.a), Fraction(p.b)
-    if a >= 0 and b >= 0 and a + b <= 1:
+    """Squared distance from p to D = hull{0, 1, tau} (0 if inside), exact.
+
+    It runs on the ints of P = den*p = a + b*tau.  For an edge v0 + t*e,
+    0 <= t <= 1, and W = P - den*v0, the foot of the perpendicular is at
+    t = q / (4 den N(e)) with q = 4 Re(W conj(e)) an int, and the squared
+    distance is N(W)/den^2 for t <= 0, N(W - den*e)/den^2 for t >= 1, and
+    N(W)/den^2 - q^2/(16 den^2 N(e)) between.  As N(e) divides 2, every
+    case is an int over 32 den^2.
+    """
+    a, b, den = p.na, p.nb, p.d
+    if a >= 0 and b >= 0 and a + b <= den:
         return Fraction(0)
-    return min(
-        _seg_dist2(p, _D_VERTS[0], _D_VERTS[1]),
-        _seg_dist2(p, _D_VERTS[0], _D_VERTS[2]),
-        _seg_dist2(p, _D_VERTS[1], _D_VERTS[2]),
-    )
+    nums = []
+    for (x0, y0), (ea, eb), ne in _D_EDGES:
+        wa, wb = a - den * x0, b - den * y0
+        # 4 Re(u conj(v)) = (2x + y)(2s + t) + 7 y t for u = x + y tau, v = s + t tau
+        q = (2 * wa + wb) * (2 * ea + eb) + 7 * wb * eb
+        if q <= 0:
+            nums.append(32 * _norm_ints(wa, wb))
+        elif q >= 4 * den * ne:
+            nums.append(32 * _norm_ints(wa - den * ea, wb - den * eb))
+        else:
+            nums.append(32 * _norm_ints(wa, wb) - 2 * q * q // ne)
+    return Fraction(min(nums), 32 * den * den)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,19 @@ The eigenvalues of elliptic group elements and the coordinates of their
 fixed points lie in K, K(zeta_3) or K(zeta_7), zeta_n = exp(2*pi*i/n).
 An element of one of the two extension fields is an AlgNum: its K-coefficients
 in the power basis 1, zeta_n, ..., zeta_n^(d-1), d the degree of the
-hard-coded minimal polynomial of zeta_n over K.  Products, complex conjugates
-and inverses fold powers of zeta_n back into that basis through one table of
-zeta_n^k, k < n (see Tower).  Complex enclosures come from interval
-trigonometry at zeta_n, so every enclosure is certified.
+hard-coded minimal polynomial of zeta_n over K.  Each field object carries
+its own arithmetic, and AlgNum hands every product, conjugate, inverse, sign
+and floor to it:
+
+- K(zeta_3) = Q(sqrt(-7), sqrt(-3)) is biquadratic (Zeta3Tower).  Its
+  products, conjugates and inverses are closed formulas in the two
+  K-coefficients, and its real elements lie in Q(sqrt(21)), so their signs
+  and floors are decided exactly on the KNum ints, with no intervals.
+- K(zeta_7) takes the generic path (Tower): powers of zeta_7 fold back into
+  the basis through one table of zeta_7^k, k < 7, and as its real subfield
+  is cubic, signs and floors use certified interval refinement.  Complex
+  enclosures come from interval trigonometry at zeta_n, so every enclosure
+  is certified, and PrecisionError can only come from this field.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from __future__ import annotations
 import math
 import re as _re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from mpmath import iv as _iv
 
@@ -55,7 +64,9 @@ class KNum:
     the gcd.  The constructor KNum(a, b) still takes ints or Fractions for
     the two tau-coordinates, and `.a`, `.b` return them as Fractions: those
     serve the edges (parsing, formatting, sort keys, JSON, residue maps).
-    Equality, hashing and repr agree with the pair (a/d, b/d) of Fractions.
+    Equality and repr agree with the pair (a/d, b/d) of Fractions, and so
+    does the hash, except that a rational hashes like its int or Fraction
+    value, which it equals.
     """
 
     __slots__ = ("na", "nb", "d")
@@ -109,8 +120,11 @@ class KNum:
         return NotImplemented
 
     def __hash__(self):
-        # hash((a, b)) of the two Fraction coordinates; an int hashes like
-        # the Fraction of the same value
+        # a rational equals its int or Fraction, so it hashes like it (an
+        # int hashes like the Fraction of the same value); otherwise
+        # hash((a, b)) of the two Fraction coordinates
+        if self.nb == 0:
+            return hash(self.na) if self.d == 1 else hash(Fraction(self.na, self.d))
         if self.d == 1:
             return hash((self.na, self.nb))
         return hash((self.a, self.b))
@@ -503,8 +517,10 @@ class Tower:
     built once, as the module constants behind `zeta3_tower()` and
     `zeta7_tower()`.  `minpoly` is the monic minimal polynomial of zeta
     over K (coefficients low degree first), of degree d.  Elements are
-    stored in the power basis 1, zeta, ..., zeta^(d-1), and all of their
-    arithmetic reads one table: `powers[k]` is zeta^k in that basis for
+    stored in the power basis 1, zeta, ..., zeta^(d-1).
+
+    This class is the generic path, and K(zeta_7) takes it: all of the
+    arithmetic reads one table, `powers[k]` being zeta^k in the basis for
     k = 0 .. n-1, built by multiplying by zeta and reducing with the
     minimal polynomial.  As zeta^n = 1, every sum c_0 + c_1 zeta^g +
     c_2 zeta^(2g) + ... folds back into the basis through the table (`fold`):
@@ -516,8 +532,11 @@ class Tower:
       polynomial), and the inverse of x is their product divided by the
       norm x * product, which lies in K.
 
-    The enclosure of zeta comes from interval trigonometry, so it is
-    certified at every precision.
+    The real subfield of K(zeta_7) is cubic, so signs and floors of its
+    real elements use certified interval refinement: the enclosure of zeta
+    comes from interval trigonometry, and the precision doubles up to
+    MAX_PREC until the answer is certain.  K(zeta_3) overrides the
+    arithmetic with closed forms and decides signs exactly (Zeta3Tower).
     """
 
     def __init__(self, n: int, minpoly):
@@ -567,12 +586,162 @@ class Tower:
             enc = self._enclosures[prec] = (_iv.cos(angle), _iv.sin(angle))
         return enc
 
+    # -- arithmetic of AlgNums in this field ---------------------------
+
+    def mul(self, x: "AlgNum", y: "AlgNum") -> "AlgNum":
+        slots = [ZERO] * (2 * self.degree - 1)
+        for i, c in enumerate(x.coeffs):
+            if c.is_zero():
+                continue
+            for j, e in enumerate(y.coeffs):
+                slots[i + j] = slots[i + j] + c * e
+        return self.fold(slots)
+
+    def conj(self, x: "AlgNum") -> "AlgNum":
+        return self.fold([c.conj() for c in x.coeffs], -1)
+
+    def inverse(self, x: "AlgNum") -> "AlgNum":
+        # the other Galois conjugates; their product with x is the norm, in K
+        adj = math.prod(self.fold(x.coeffs, g) for g in self.galois)
+        return adj / self.mul(x, adj).k_part()
+
+    def is_real(self, x: "AlgNum") -> bool:
+        return (x - self.conj(x)).is_zero()
+
+    def real_sign(self, x: "AlgNum") -> int:
+        if x.is_zero():
+            return 0
+        if not self.is_real(x):
+            raise ValueError(f"{x!r} is not real")
+        prec = DEFAULT_PREC
+        while prec <= MAX_PREC:
+            re, _ = x.enclosure(prec)
+            if re > 0:
+                return 1
+            if re < 0:
+                return -1
+            prec *= 2
+        raise PrecisionError("sign of nonzero real did not resolve", x.enclosure(MAX_PREC))
+
+    def floor_real(self, x: "AlgNum") -> int:
+        if not self.is_real(x):
+            raise ValueError(f"{x!r} is not real")
+        if x.in_k():
+            return x.k_part().floor_real()
+        prec = DEFAULT_PREC
+        while prec <= MAX_PREC:
+            re, _ = x.enclosure(prec)
+            lo = math.floor(float(re.a))
+            hi = math.floor(float(re.b))
+            if lo == hi:
+                return lo
+            if hi == lo + 1:
+                # boundary candidate hi: decide x - hi exactly (it is in K iff
+                # the element is rational, which was excluded; so refine)
+                if (x - hi).is_zero():
+                    return hi
+            prec *= 2
+        raise PrecisionError("floor did not resolve", x.enclosure(MAX_PREC))
+
+
+class Zeta3Tower(Tower):
+    """K(zeta_3) = Q(sqrt(-7), sqrt(-3)), with closed-form arithmetic on the KNum ints.
+
+    zeta = zeta_3 satisfies zeta^2 = -1 - zeta and conj(zeta) = zeta^2, so
+    for x = c0 + c1*zeta and y = e0 + e1*zeta:
+
+    - x*y = (c0 e0 - c1 e1) + (c0 e1 + c1 e0 - c1 e1) zeta;
+    - conj(x) = (conj(c0) - conj(c1)) - conj(c1) zeta;
+    - the Galois conjugate of x (zeta -> zeta^2) is (c0 - c1) - c1 zeta, and
+      x times it is the norm c0^2 - c0 c1 + c1^2, in K.
+
+    The field is biquadratic, and its real elements form Q(sqrt(21)).  With
+    c_k = (a_k + b_k tau)/d_k, Re(x) = Re(c0) - Re(c1)/2 - sqrt(3)/2 Im(c1)
+    and Im(x) = Im(c0) - Im(c1)/2 + sqrt(3)/2 Re(c1), a rational multiple of
+    sqrt(7) plus one of sqrt(3).  So x is real iff Re(c1) = 0 and
+    Im(c0) = Im(c1)/2, that is 2 a1 + b1 = 0 and 2 b0 d1 = b1 d0.  A real x
+    is then P/(2 d0) + Q sqrt(21)/(4 d1) with P = 2 a0 + b0 and Q = -b1, so
+    its sign and floor are decided on ints: no intervals, no precision loop,
+    no PrecisionError.  The generic path on the same field, a plain
+    Tower(3, minpoly), is the tests' reference.
+    """
+
+    def __init__(self):
+        super().__init__(3, (ONE, ONE, ONE))
+
+    def mul(self, x: "AlgNum", y: "AlgNum") -> "AlgNum":
+        (c0, c1), (e0, e1) = x.coeffs, y.coeffs
+        a0, b0, d0 = c0.na, c0.nb, c0.d
+        a1, b1, d1 = c1.na, c1.nb, c1.d
+        g0, h0, f0 = e0.na, e0.nb, e0.d
+        g1, h1, f1 = e1.na, e1.nb, e1.d
+        # the four products c_i e_j as int pairs over d_i f_j, with tau^2 = tau - 2
+        t = b0 * h0
+        p00a, p00b = a0 * g0 - 2 * t, a0 * h0 + b0 * g0 + t
+        t = b0 * h1
+        p01a, p01b = a0 * g1 - 2 * t, a0 * h1 + b0 * g1 + t
+        t = b1 * h0
+        p10a, p10b = a1 * g0 - 2 * t, a1 * h0 + b1 * g0 + t
+        t = b1 * h1
+        p11a, p11b = a1 * g1 - 2 * t, a1 * h1 + b1 * g1 + t
+        # everything over den = d0 d1 f0 f1
+        s00, s01, s10, s11 = d1 * f1, d1 * f0, d0 * f1, d0 * f0
+        den = s00 * s11
+        return _alg(self, (
+            knum_from_ints(p00a * s00 - p11a * s11, p00b * s00 - p11b * s11, den),
+            knum_from_ints(p01a * s01 + p10a * s10 - p11a * s11,
+                           p01b * s01 + p10b * s10 - p11b * s11, den),
+        ))
+
+    def conj(self, x: "AlgNum") -> "AlgNum":
+        c0, c1 = x.coeffs
+        c1bar = c1.conj()
+        return _alg(self, (c0.conj() - c1bar, -c1bar))
+
+    def inverse(self, x: "AlgNum") -> "AlgNum":
+        c0, c1 = x.coeffs
+        g = c0 - c1
+        norm = c0 * g + c1 * c1
+        return _alg(self, (g / norm, -c1 / norm))
+
+    def is_real(self, x: "AlgNum") -> bool:
+        c0, c1 = x.coeffs
+        return 2 * c1.na + c1.nb == 0 and 2 * c0.nb * c1.d == c1.nb * c0.d
+
+    def _sqrt21_parts(self, x: "AlgNum"):
+        """(P, Q, d0, d1) with x = P/(2 d0) + Q sqrt(21)/(4 d1); raises if x is not real."""
+        if not self.is_real(x):
+            raise ValueError(f"{x!r} is not real")
+        c0, c1 = x.coeffs
+        return 2 * c0.na + c0.nb, -c1.nb, c0.d, c1.d
+
+    def real_sign(self, x: "AlgNum") -> int:
+        p, q, d0, d1 = self._sqrt21_parts(x)
+        sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+        if sp == sq or sq == 0:
+            return sp
+        if sp == 0:
+            return sq
+        # opposite signs: compare |P|/(2 d0) with |Q| sqrt(21)/(4 d1), squared;
+        # they are never equal, as sqrt(21) is irrational
+        return sp if 4 * d1 * d1 * p * p > 21 * d0 * d0 * q * q else sq
+
+    def floor_real(self, x: "AlgNum") -> int:
+        p, q, d0, d1 = self._sqrt21_parts(x)
+        # 8 d0 d1 x = 4 d1 P + y with y = 2 d0 Q sqrt(21), and for an int N and
+        # M > 0, floor((N + y)/M) = floor((N + floor(y))/M).  y is irrational
+        # unless Q = 0, so floor(-sqrt(S)) = -isqrt(S) - 1 for Q < 0.
+        r = isqrt(21 * (2 * d0 * q) ** 2)
+        return (4 * d1 * p + (r if q >= 0 else -r - 1)) // (8 * d0 * d1)
+
 
 class AlgNum:
     """An element of K(zeta), stored by its coefficients in the power basis of zeta.
 
-    Equality with zero is exact (the representation is zero); inequalities
-    on real elements use interval refinement with precision doubling.
+    Products, conjugates, inverses, realness, signs and floors are the
+    field's (see Tower and Zeta3Tower).  Equality with zero is exact (the
+    representation is zero); the sign of a real element is exact on ints in
+    K(zeta_3) and certified by interval refinement in K(zeta_7).
     """
 
     __slots__ = ("tower", "coeffs")
@@ -582,8 +751,8 @@ class AlgNum:
         if len(coeffs) > tower.degree:
             raise ValueError(f"{len(coeffs)} coefficients for a field of degree {tower.degree}")
         coeffs += [ZERO] * (tower.degree - len(coeffs))
-        object.__setattr__(self, "tower", tower)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        _set_tower(self, tower)
+        _set_coeffs(self, tuple(coeffs))
 
     def __setattr__(self, *args):
         raise AttributeError("AlgNum is immutable")
@@ -671,13 +840,7 @@ class AlgNum:
         o = self._match(other)
         if o is None:
             return NotImplemented
-        slots = [ZERO] * (2 * self.tower.degree - 1)
-        for i, x in enumerate(self.coeffs):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(o.coeffs):
-                slots[i + j] = slots[i + j] + x * y
-        return self.tower.fold(slots)
+        return self.tower.mul(self, o)
 
     __rmul__ = __mul__
 
@@ -707,17 +870,15 @@ class AlgNum:
     def inverse(self) -> "AlgNum":
         if self.is_zero():
             raise ZeroDivisionError("division by zero in K(zeta)")
-        # the other Galois conjugates; their product with self is the norm, in K
-        adj = math.prod(self.tower.fold(self.coeffs, g) for g in self.tower.galois)
-        return adj / (self * adj).k_part()
+        return self.tower.inverse(self)
 
     def conj(self) -> "AlgNum":
-        return self.tower.fold([c.conj() for c in self.coeffs], -1)
+        return self.tower.conj(self)
 
     def abs2(self) -> "AlgNum":
         return self * self.conj()
 
-    # -- certified numerics -------------------------------------------
+    # -- signs and certified numerics ---------------------------------
 
     def enclosure(self, prec: int = DEFAULT_PREC):
         """Complex interval (re, im) containing the value, at `prec` bits."""
@@ -734,45 +895,28 @@ class AlgNum:
             _iv.prec = old
 
     def is_real(self) -> bool:
-        return (self - self.conj()).is_zero()
+        return self.tower.is_real(self)
 
     def real_sign(self) -> int:
-        """Exact sign of a real element (-1, 0, +1)."""
-        if self.is_zero():
-            return 0
-        if not self.is_real():
-            raise ValueError(f"{self!r} is not real")
-        prec = DEFAULT_PREC
-        while prec <= MAX_PREC:
-            re, _ = self.enclosure(prec)
-            if re > 0:
-                return 1
-            if re < 0:
-                return -1
-            prec *= 2
-        raise PrecisionError("sign of nonzero real did not resolve", self.enclosure(MAX_PREC))
+        """Exact sign of a real element (-1, 0, +1); raises ValueError if it is not real."""
+        return self.tower.real_sign(self)
 
     def floor_real(self) -> int:
-        """Floor of a real element."""
-        if not self.is_real():
-            raise ValueError(f"{self!r} is not real")
-        if self.in_k():
-            return self.k_part().floor_real()
-        prec = DEFAULT_PREC
-        while prec <= MAX_PREC:
-            re, _ = self.enclosure(prec)
-            lo = math.floor(float(re.a))
-            hi = math.floor(float(re.b))
-            if lo == hi:
-                return lo
-            if hi == lo + 1:
-                # boundary candidate hi: decide x - hi exactly (it is in K iff
-                # the element is rational, which was excluded; so refine)
-                diff = self - hi
-                if diff.is_zero():
-                    return hi
-            prec *= 2
-        raise PrecisionError("floor did not resolve", self.enclosure(MAX_PREC))
+        """Floor of a real element; raises ValueError if it is not real."""
+        return self.tower.floor_real(self)
+
+
+# AlgNum.__setattr__ refuses every write, as KNum's does
+_set_tower = AlgNum.tower.__set__
+_set_coeffs = AlgNum.coeffs.__set__
+
+
+def _alg(tower: Tower, coeffs: tuple) -> AlgNum:
+    """The AlgNum with a full tuple of KNum coefficients, unchecked."""
+    x = object.__new__(AlgNum)
+    _set_tower(x, tower)
+    _set_coeffs(x, coeffs)
+    return x
 
 
 def scalar(x):
@@ -798,7 +942,7 @@ def alg_floor(x) -> int:
 # quadratic Gauss sum zeta + zeta^2 + zeta^4 = tau - 1, its conjugate
 # zeta^3 + zeta^5 + zeta^6 = -tau, and zeta^7 = 1, which gives
 # x^3 + (1 - tau) x^2 - tau x - 1.
-_ZETA3 = Tower(3, (ONE, ONE, ONE))
+_ZETA3 = Zeta3Tower()
 _ZETA7 = Tower(7, (-ONE, -TAU, ONE - TAU, ONE))
 
 

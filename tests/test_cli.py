@@ -195,6 +195,45 @@ def test_golden_output(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_zeta3_points_never_use_intervals(capsys, monkeypatch):
+    # mirror verify R and the classification of c = ab (order 6) work in
+    # K(zeta_3), whose signs are decided on ints: with every interval
+    # enclosure refused they print the same bytes and give c's table row
+    from picard7 import mirror
+    from picard7.ford import reduce_to_domain
+    from picard7.presentation import abcd
+    from picard7.ring import AlgNum, Zeta3Tower
+    from picard7.torsion import build_cycle_graph, classify_elliptic, stabilizer
+
+    def refused(self, prec=None):
+        raise RuntimeError("interval enclosure requested")
+
+    signs = []
+    exact_sign = Zeta3Tower.real_sign
+
+    def counted(self, x):
+        signs.append(x)
+        return exact_sign(self, x)
+
+    monkeypatch.setattr(AlgNum, "enclosure", refused)
+    monkeypatch.setattr(Zeta3Tower, "real_sign", counted)
+    mirror.verify_mirror_R.cache_clear()
+    argv, digest = next(p.values for p in GOLDEN if p.id == "mirror-verify-R")
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert signs
+    del signs[:]
+    c = abcd()["c"]
+    kind, pt, _ = classify_elliptic(c, 6)
+    assert kind == "isolated" and not pt.rational
+    _, y = reduce_to_domain(pt)
+    st = stabilizer(y, build_cycle_graph([y]))
+    row = (st.linear_order, st.projective_order, st.one_lines, st.two_lines, list(st.two_line_orbits))
+    assert row == (12, 6, 1, 0, [])
+    assert signs
+
+
 def test_stabilizer_output_does_not_depend_on_cache_state(capsys):
     # the second call finds the cusp overlaps, the candidate tables and the
     # parser already built, and must print the same bytes

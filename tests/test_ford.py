@@ -113,6 +113,49 @@ def test_dist2_to_triangle():
     assert dist2_to_triangle(TAU * 2) == TAU.norm()
 
 
+def _ref_dist2_to_triangle(p: KNum) -> Fraction:
+    """Squared distance to hull{0, 1, tau}, edge by edge in Fractions."""
+    a, b = p.a, p.b
+    if a >= 0 and b >= 0 and a + b <= 1:
+        return Fraction(0)
+    out = []
+    for v0, v1 in ((KNum(0), KNum(1)), (KNum(0), TAU), (KNum(1), TAU)):
+        d, w = v1 - v0, p - v0
+        t = (w * d.conj()).re / d.norm()
+        if t <= 0:
+            out.append(Fraction(w.norm()))
+        elif t >= 1:
+            out.append(Fraction((p - v1).norm()))
+        else:
+            out.append(w.norm() - t * t * d.norm())
+    return min(out)
+
+
+def test_dist2_to_triangle_matches_fraction_reference():
+    rng = random.Random(2105)
+    points = [KNum(Fraction(x, den), Fraction(y, den))
+              for den in (1, 2, 3, 4, 6) for x in range(-2 * den, 3 * den) for y in range(-2 * den, 3 * den)]
+    points += [KNum(Fraction(rng.randint(-99, 99), rng.randint(1, 40)),
+                    Fraction(rng.randint(-99, 99), rng.randint(1, 40))) for _ in range(2000)]
+    for p in points:
+        d2 = dist2_to_triangle(p)
+        assert type(d2) is Fraction and d2 == _ref_dist2_to_triangle(p)
+
+
+def test_cone_translates_keep_every_survivor():
+    # every (m, n, eps) in the box whose translated disk meets D is kept
+    for j in GENERATORS:
+        sph = sphere_of(j)
+        want = set()
+        for m in range(-5, 6):
+            for n in range(-5, 6):
+                for eps in (0, 1):
+                    z = CuspElt(m, n, eps, 0).act_heis(sph.center).z
+                    if _ref_dist2_to_triangle(z) ** 2 <= sph.r4:
+                        want.add((m, n, eps))
+        assert {(a.m, a.n, a.eps) for a in enumerate_cone_translates(j)} == want
+
+
 def test_ford_side_examples():
     # high above the cusp every inequality is strict
     top = lift(HoroPoint.from_zsu(0, 0, 100))

@@ -30,6 +30,18 @@ def asserts(path: Path):
     return sorted(n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert))
 
 
+def imported_packages(path: Path):
+    """Top-level names of the packages a module imports (absolute imports only)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"ring.py", "hermitian.py", "heisenberg.py", "cli.py"}
 
@@ -42,3 +54,8 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_asserts(path):
     assert asserts(path) == []
+
+
+def test_only_ring_uses_intervals():
+    # the interval code stays behind one module
+    assert [p.name for p in MODULES if "mpmath" in imported_packages(p)] == ["ring.py"]

@@ -12,6 +12,7 @@ from picard7.ring import (
     ONE,
     TAU,
     TAU_BAR,
+    Tower,
     ZERO,
     alg_floor,
     c_add,
@@ -349,9 +350,23 @@ def _check_knum(x, ref):
     assert all(type(n) is int for n in (x.na, x.nb, x.d))
     assert x.d > 0 and math.gcd(x.na, x.nb, x.d) == 1
     assert x == KNum(a, b)
-    assert hash(x) == hash((a, b))
+    # a rational hashes like its value, which it equals
+    assert hash(x) == (hash(a) if b == 0 else hash((a, b)))
     assert repr(x) == f"KNum({a!r}, {b!r})"
     assert str(x) == _ref_str((a, b))
+
+
+def test_rational_knum_hashes_like_its_value():
+    assert len({KNum(1), 1}) == 1
+    assert len({KNum(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert len({KNum(0), 0, Fraction(0), ZERO}) == 1
+    assert hash(KNum(-3)) == hash(-3)
+    assert hash(KNum(Fraction(-5, 6))) == hash(Fraction(-5, 6))
+    assert {KNum(2): "two"}[2] == "two"
+    assert len({AlgNum.lift(zeta3_tower(), Fraction(1, 2)), Fraction(1, 2)}) == 1
+    # the rest keep the hash of the pair of coordinates
+    assert hash(KNum(Fraction(1, 2), 3)) == hash((Fraction(1, 2), Fraction(3)))
+    assert len({TAU, KNum(0, 1), 1}) == 2
 
 
 def test_knum_matches_fraction_pairs():
@@ -418,3 +433,94 @@ def test_euclid_on_random_pairs():
         assert (h * x / g).is_integral() and (h * y / g).is_integral()
         assert (g / h).is_integral()
         assert o_gcd_many([h * x, KNum(0), h * y]) == g
+
+
+# ---------------------------------------------------------------------------
+# K(zeta_3) closed forms against the generic path and certified intervals
+# ---------------------------------------------------------------------------
+
+# the same field on the generic powers-table path: the reference
+_ZETA3_GENERIC = Tower(3, zeta3_tower().minpoly)
+# sqrt(21) = -sqrt(-7) sqrt(-3), with sqrt(-3) = 2 zeta_3 + 1
+_SQRT21 = -(ISQRT7 * (2 * AlgNum.gen(zeta3_tower()) + 1))
+
+
+def _generic(x):
+    return AlgNum(_ZETA3_GENERIC, x.coeffs)
+
+
+def _rand_zeta3(rng):
+    return AlgNum(zeta3_tower(), [rand_knum(rng, rng.randint(2, 9)) for _ in range(2)])
+
+
+def _check_sign_and_floor(x):
+    """real_sign and floor_real of a real x agree with a 4096-bit enclosure."""
+    re, _ = x.enclosure(4096)
+    sign, floor = x.real_sign(), x.floor_real()
+    if sign == 0:
+        assert x.is_zero()
+    else:
+        assert (re > 0) if sign > 0 else (re < 0)
+    if x.in_k():
+        assert floor == x.k_part().floor_real()
+    else:
+        # x is irrational, so the enclosure lies strictly inside (floor, floor + 1)
+        assert re.a > floor and re.b < floor + 1
+
+
+def test_zeta3_closed_forms_match_generic_path():
+    tw = zeta3_tower()
+    rng = random.Random(2103)
+    for _ in range(300):
+        x, y = _rand_zeta3(rng), _rand_zeta3(rng)
+        assert x.tower is tw and _generic(x).tower is _ZETA3_GENERIC
+        assert (x * y).coeffs == (_generic(x) * _generic(y)).coeffs
+        assert x.conj().coeffs == _generic(x).conj().coeffs
+        assert x.inverse().coeffs == _generic(x).inverse().coeffs
+        for v in (x, x + x.conj(), x - x.conj(), x * x.conj()):
+            assert v.is_real() == _generic(v).is_real()
+    z = AlgNum.gen(tw)
+    for x in (z, z * z, 1 + z, ISQRT7 * z, _SQRT21):
+        assert x.inverse().coeffs == _generic(x).inverse().coeffs
+        assert x.conj().coeffs == _generic(x).conj().coeffs
+
+
+def test_zeta3_signs_and_floors_are_exact():
+    rng = random.Random(2104)
+    reals = []
+    for _ in range(150):
+        x = _rand_zeta3(rng)
+        reals += [x + x.conj(), x * x.conj(), -(x * x.conj())]
+        r = Fraction(rng.randint(-400, 400), rng.randint(1, 9))
+        s = Fraction(rng.randint(-90, 90), rng.randint(1, 9))
+        reals.append(r + s * _SQRT21)
+        # not real: both raise
+        if not x.is_real():
+            with pytest.raises(ValueError):
+                x.real_sign()
+            with pytest.raises(ValueError):
+                x.floor_real()
+    # near cancellation: 55^2 = 3025 = 21 * 12^2 + 1, and its square, the
+    # Pell unit (55 + 12 sqrt(21))^2 = 6049 + 1320 sqrt(21)
+    small = [55 - 12 * _SQRT21, 6049 - 1320 * _SQRT21]
+    assert (small[0] * (55 + 12 * _SQRT21)).is_one()
+    assert (small[0] * small[0] - small[1]).is_zero()
+    for e in small:
+        for k in (0, 1, -1, 7):
+            for scale in (1, Fraction(1, 3), Fraction(7, 5)):
+                reals += [k + e * scale, k - e * scale]
+    reals += [AlgNum.lift(zeta3_tower(), ZERO), AlgNum.lift(zeta3_tower(), Fraction(-7, 3))]
+    for x in reals:
+        assert x.is_real()
+        _check_sign_and_floor(x)
+    assert [e.real_sign() for e in small] == [1, 1]
+    assert [(-e).real_sign() for e in small] == [-1, -1]
+    assert [e.floor_real() for e in small] == [0, 0]
+    assert [(-e).floor_real() for e in small] == [-1, -1]
+    assert (1 - small[1]).floor_real() == 0 and (1 + small[1]).floor_real() == 1
+    assert AlgNum.lift(zeta3_tower(), ZERO).real_sign() == 0
+    for x in (AlgNum.gen(zeta3_tower()), AlgNum.lift(zeta3_tower(), ISQRT7)):
+        with pytest.raises(ValueError):
+            x.real_sign()
+        with pytest.raises(ValueError):
+            x.floor_real()
