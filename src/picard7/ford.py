@@ -25,7 +25,6 @@ from .hermitian import (
 )
 from .heisenberg import (
     CuspElt,
-    HeisPt,
     Prism,
     reduce_to_prism,
 )
@@ -103,7 +102,10 @@ def generator_depths() -> dict:
 
 
 class IsomSphere:
-    """The isometric sphere of g: Cygan sphere about g(inf) with r^4 = 4/N(a31)."""
+    """The isometric sphere of g: Cygan sphere about g(inf) with r^4 = 4/N(a31).
+
+    The center g(inf) is a K-rational HoroPoint on the boundary (u = 0).
+    """
 
     __slots__ = ("elt", "center", "a31norm", "r4")
 
@@ -115,7 +117,7 @@ class IsomSphere:
         if not h.u.is_zero():
             raise ArithmeticError("isometric sphere center is not on the boundary")
         object.__setattr__(self, "elt", elt)
-        object.__setattr__(self, "center", HeisPt.from_horo(h))
+        object.__setattr__(self, "center", h)
         object.__setattr__(self, "a31norm", a31.norm())
         object.__setattr__(self, "r4", Fraction(4, a31.norm()))
 
@@ -126,8 +128,12 @@ class IsomSphere:
         return f"IsomSphere(center={self.center!r}, r4={self.r4})"
 
 
+#: the isometric sphere of each pairing matrix, built once (IsomSphere is immutable)
+SPHERES = {j: IsomSphere(g) for j, g in GENERATORS.items()}
+
+
 def sphere_of(j: int) -> IsomSphere:
-    return IsomSphere(GENERATORS[j])
+    return SPHERES[j]
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +175,7 @@ def ford_side(x, g: GroupElt) -> str:
 def sphere_membership(h: HoroPoint, sph: IsomSphere) -> str:
     """Same trichotomy as ford_side, via horospherical coordinates:
     compares the extended Cygan distance to the center against the radius."""
-    d4 = cygan_dist4(h, sph.center.to_horo())
+    d4 = cygan_dist4(h, sph.center)
     return _side_from_sign(real_cmp(d4, sph.r4))
 
 
@@ -272,7 +278,7 @@ def enumerate_cone_translates(j: int):
     for m in range(-_MN_BOX, _MN_BOX + 1):
         for n in range(-_MN_BOX, _MN_BOX + 1):
             for eps in (0, 1):
-                shifted = CuspElt(m, n, eps, 0).act_heis(c)
+                shifted = CuspElt(m, n, eps, 0).act_horo(c)
                 dist2 = dist2_to_triangle(shifted.z)
                 if dist2 * dist2 > r4:
                     continue
@@ -355,7 +361,7 @@ def spheres_containing(x):
             sign = _cmp(_quantity(herm_inner(v, col)), own)
             if sign > 0:
                 continue
-            center = alpha.act_heis(sph.center)
+            center = alpha.act_horo(sph.center)
             key = (sph.r4, center)
             entry = (j, alpha.sort_key())
             if key not in found or entry < found[key][:2]:

@@ -6,8 +6,11 @@ z -> -z.  Every such element has the unique normal form
 T_1^m Ttau^n R^eps T_v^l with T_1 = T(1, sqrt(7)), Ttau = T(tau, 0) and
 T_v = T(0, 2 sqrt(7)) = [Ttau, T_1].
 
-Products, inverses and the action on boundary and horospherical
-coordinates come from the Heisenberg group law in closed form; matrices
+Products and inverses are closed formulas on the four ints (m, n, eps, l)
+of the normal form, read off the Heisenberg group law
+(z, t)*(z', t') = (z + z', t + t' + 2 Im(z conj z')).  The action on
+points is `CuspElt.act_horo` on horospherical coordinates; a boundary
+point is a `HoroPoint` with u = 0, so there is one point type.  Matrices
 are only an output form (`CuspElt.to_matrix`).
 
 The prism P = D x [0, 2 sqrt(7)], D = hull{0, 1, tau}, is a fundamental
@@ -25,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .ring import ISQRT7, KNum, TAU, ZERO, scalar
+from .ring import ISQRT7, KNum, TAU, scalar
 from .hermitian import GroupElt, HoroPoint, Mat
 
 
@@ -42,53 +45,6 @@ def translation_matrix(w, ti) -> Mat:
 
 
 R_MAT = Mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
-
-
-class HeisPt:
-    """A K-rational boundary point (z, t) with t = s*sqrt(7), s rational."""
-
-    __slots__ = ("z", "s")
-
-    def __init__(self, z, s):
-        object.__setattr__(self, "z", KNum.coerce(z))
-        object.__setattr__(self, "s", Fraction(s))
-
-    def __setattr__(self, *args):
-        raise AttributeError("HeisPt is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, HeisPt):
-            return NotImplemented
-        return self.z == other.z and self.s == other.s
-
-    def __hash__(self):
-        return hash((self.z, self.s))
-
-    def __repr__(self):
-        return f"HeisPt({self.z}, {self.s}*sqrt7)"
-
-    @property
-    def ti(self) -> KNum:
-        return ISQRT7 * self.s
-
-    def to_horo(self) -> HoroPoint:
-        return HoroPoint(self.z, self.ti, ZERO)
-
-    @staticmethod
-    def from_horo(h: HoroPoint) -> "HeisPt":
-        if not h.is_rational():
-            raise ValueError("a Heisenberg point needs K coordinates")
-        return HeisPt(h.z, h.s)
-
-
-def heis_mul(p: HeisPt, q: HeisPt) -> HeisPt:
-    """Group law (z,t)*(z',t') = (z+z', t+t'+2 Im(z conj(z')))."""
-    cross = 2 * (p.z * q.z.conj()).im_sqrt7
-    return HeisPt(p.z + q.z, p.s + q.s + cross)
-
-
-def heis_inv(p: HeisPt) -> HeisPt:
-    return HeisPt(-p.z, -p.s)
 
 
 class CuspElt:
@@ -129,9 +85,9 @@ class CuspElt:
         return KNum(self.m, self.n)
 
     @property
-    def s0(self) -> Fraction:
+    def s0(self) -> int:
         """t0 as a multiple of sqrt(7)."""
-        return Fraction(self.m - self.m * self.n + 2 * self.l)
+        return self.m - self.m * self.n + 2 * self.l
 
     def to_matrix(self) -> GroupElt:
         m = translation_matrix(self.w, ISQRT7 * self.s0)
@@ -152,11 +108,8 @@ class CuspElt:
         return tuple(out)
 
     @staticmethod
-    def _from_translation(w: KNum, s0, eps: int) -> "CuspElt":
-        """The normal form of T(w, s0*sqrt(7)) R^eps."""
-        if not w.is_integral():
-            raise ValueError("cusp element outside the integral lattice")
-        m, n = int(w.a), int(w.b)
+    def _from_translation(m: int, n: int, s0: int, eps: int) -> "CuspElt":
+        """The normal form of T(m + n tau, s0*sqrt(7)) R^eps."""
         two_l = s0 - (m - m * n)
         if two_l % 2:
             raise ValueError("cusp element outside the integral lattice")
@@ -165,19 +118,21 @@ class CuspElt:
     def inverse(self) -> "CuspElt":
         # (T(w, t0) R^eps)^-1 = R^eps T(-w, -t0) = T(-sigma w, -t0) R^eps
         sign = -1 if self.eps else 1
-        return CuspElt._from_translation(-sign * self.w, -self.s0, self.eps)
+        return CuspElt._from_translation(-sign * self.m, -sign * self.n, -self.s0, self.eps)
 
     def __mul__(self, other):
+        # T(w, t0) R^eps T(w', t0') R^eps' = T(w + sigma w', t0 + t0'
+        # + 2 Im(w conj(sigma w'))) R^(eps + eps'), and for w = m + n tau,
+        # w' = m' + n' tau: 2 Im(w conj w') = (n m' - m n') sqrt(7)
         if not isinstance(other, CuspElt):
             return NotImplemented
-        t = self.act_heis(HeisPt(other.w, other.s0))
-        return CuspElt._from_translation(t.z, t.s, self.eps ^ other.eps)
+        sign = -1 if self.eps else 1
+        m, n = sign * other.m, sign * other.n
+        return CuspElt._from_translation(
+            self.m + m, self.n + n, self.s0 + other.s0 + self.n * m - self.m * n, self.eps ^ other.eps
+        )
 
     # -- boundary action ----------------------------------------------
-
-    def act_heis(self, p: HeisPt) -> HeisPt:
-        sign = -1 if self.eps else 1
-        return heis_mul(HeisPt(self.w, self.s0), HeisPt(p.z * sign, p.s))
 
     def act_horo(self, h: HoroPoint) -> HoroPoint:
         """(z, ti, u) -> (w + sigma z, ti + i t0 + w conj(sigma z) - conj(w) sigma z, u)."""
@@ -248,15 +203,12 @@ class Prism:
         return Prism.membership(z, ti)[0] != "outside"
 
 
-def reduce_to_prism(point):
-    """Cusp element gamma and image with gamma(point)'s (z, t) in P.
+def reduce_to_prism(h: HoroPoint):
+    """Cusp element gamma and image with gamma(h)'s (z, t) in P.
 
-    Accepts a HeisPt or a HoroPoint (the latter may have algebraic
-    coordinates); returns (CuspElt, reduced point of the same kind).
+    h may have algebraic coordinates; returns (CuspElt, reduced HoroPoint).
     Ties at facets resolve toward the closed lower faces a, b, s >= 0.
     """
-    is_heis = isinstance(point, HeisPt)
-    h = point.to_horo() if is_heis else point
     total = IDENTITY
     for _ in range(4):
         a, b = tau_coordinates(h.z)
@@ -281,7 +233,7 @@ def reduce_to_prism(point):
         total = step * total
     if not Prism.contains(h.z, h.ti):
         raise ArithmeticError("prism reduction left the prism")
-    return total, (HeisPt.from_horo(h) if is_heis else h)
+    return total, h
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +360,8 @@ def overlap_witness(c: CuspElt):
     if lo > hi:
         return None
     s = (lo + hi) / 2
-    p = HeisPt(KNum(ax, bx), s)
-    q = c.act_heis(p)
+    p = HoroPoint.from_zsu(KNum(ax, bx), s)
+    q = c.act_horo(p)
     if not (Prism.contains(p.z, p.ti) and Prism.contains(q.z, q.ti)):
         return None
     return p

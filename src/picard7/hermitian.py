@@ -604,9 +604,6 @@ class HoroPoint:
             u = u.k_part()
         return u.rat()
 
-    def is_rational(self) -> bool:
-        return isinstance(self.z, KNum) and isinstance(self.ti, KNum) and isinstance(self.u, KNum)
-
     def __eq__(self, other):
         if not isinstance(other, HoroPoint):
             return NotImplemented

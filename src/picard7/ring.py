@@ -765,13 +765,16 @@ class AlgNum:
     def lift(tower: Tower, x) -> "AlgNum":
         return AlgNum(tower, [KNum.coerce(x)])
 
+    # Each operation tests for AlgNum first and Fraction last: Fraction is an
+    # abstract base class, so an isinstance test against it is an ABCMeta call.
+
     def _match(self, other):
-        if isinstance(other, (int, Fraction, KNum)):
-            return AlgNum.lift(self.tower, KNum.coerce(other))
         if isinstance(other, AlgNum):
             if other.tower is not self.tower:
                 raise ValueError("AlgNum tower mismatch")
             return other
+        if isinstance(other, (int, KNum, Fraction)):
+            return AlgNum.lift(self.tower, KNum.coerce(other))
         return None
 
     # -- structure ----------------------------------------------------
@@ -813,12 +816,12 @@ class AlgNum:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, KNum)):
+        if isinstance(other, AlgNum):
+            o = self._match(other).coeffs
+            return AlgNum(self.tower, [x + y for x, y in zip(self.coeffs, o)])
+        if isinstance(other, (int, KNum, Fraction)):
             return AlgNum(self.tower, (self.coeffs[0] + other,) + self.coeffs[1:])
-        o = self._match(other)
-        if o is None:
-            return NotImplemented
-        return AlgNum(self.tower, [x + y for x, y in zip(self.coeffs, o.coeffs)])
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -835,22 +838,20 @@ class AlgNum:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, KNum)):
+        if isinstance(other, AlgNum):
+            return self.tower.mul(self, self._match(other))
+        if isinstance(other, (int, KNum, Fraction)):
             return AlgNum(self.tower, [c * other for c in self.coeffs])
-        o = self._match(other)
-        if o is None:
-            return NotImplemented
-        return self.tower.mul(self, o)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, KNum)):
+        if isinstance(other, AlgNum):
+            return self * self._match(other).inverse()
+        if isinstance(other, (int, KNum, Fraction)):
             return AlgNum(self.tower, [c / other for c in self.coeffs])
-        o = self._match(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self.inverse() * other

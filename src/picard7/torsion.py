@@ -210,19 +210,19 @@ def enumerate_tjk(j: int, k: int):
     sj, sk = sphere_of(j), sphere_of(k)
     rsum = sqrt_ub(sqrt_ub(sj.r4)) + sqrt_ub(sqrt_ub(sk.r4))
     bound = rsum**4
-    ck = sk.center.to_horo()
+    ck = sk.center
     out = []
     hit_edge = False
     for m in range(-_TJK_M, _TJK_M + 1):
         for n in range(-_TJK_N, _TJK_N + 1):
             for eps in (0, 1):
-                planar = CuspElt(m, n, eps, 0).act_heis(sj.center)
+                planar = CuspElt(m, n, eps, 0).act_horo(sj.center)
                 dz2 = (planar.z - ck.z).abs2().rat()
                 if dz2 * dz2 > bound:
                     continue
                 for l in range(-_TJK_L, _TJK_L + 1):
                     alpha = CuspElt(m, n, eps, l)
-                    d4 = cygan_dist4(alpha.act_heis(sj.center).to_horo(), ck)
+                    d4 = cygan_dist4(alpha.act_horo(sj.center), ck)
                     if d4.rat() > bound:
                         continue
                     if abs(m) == _TJK_M or abs(n) == _TJK_N or abs(l) == _TJK_L:

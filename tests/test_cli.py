@@ -156,8 +156,9 @@ STABILIZER_GOLDEN = (
 
 # sha256 of the stdout of these commands; a change of representation or a
 # cache must leave every printed byte as it was.  The first six were taken
-# before KNum moved from pairs of Fractions to (a, b, d) ints, the last three
-# before the cusp overlaps were cached and matrix products moved to ints.
+# before KNum moved from pairs of Fractions to (a, b, d) ints, the next three
+# before the cusp overlaps were cached and matrix products moved to ints, and
+# the last before the boundary-point types were merged.
 GOLDEN = [
     pytest.param(["cusp", "torsion"],
                  "93dc2f9b75a6832a23e1ef8d85ea4cfe840159e4c73d99c85d924c84c59a3f3c",
@@ -185,6 +186,10 @@ GOLDEN = [
     pytest.param(["torsion", "stabilizer", "--point", '["-1","0","1"]'],
                  "de450833322a6f213843f0c1de959ce320eddf9f235010c0a7b872d8642a88d5",
                  id="torsion-stabilizer-1-line"),
+    # the merge of translated spheres rests on the key (r^4, centre)
+    pytest.param(["ford", "spheres", "--point", '["42+12*tau", "27-19*tau", "10-25*tau"]'],
+                 "10d9f563e6165260c6236836dd155c3156620de4be9bfa8abb411b56f65462be",
+                 id="ford-spheres"),
 ]
 
 

@@ -14,7 +14,7 @@ from picard7.hermitian import (
     is_in_gamma,
     lift,
 )
-from picard7.heisenberg import CuspElt, HeisPt, R, T1, TTAU, TV
+from picard7.heisenberg import CuspElt, R, T1, TTAU, TV
 from picard7.ford import (
     GENERATORS,
     INVERSE_PAIRS,
@@ -68,9 +68,10 @@ def test_generator_table():
 def test_sphere_data():
     s6 = sphere_of(6)
     assert s6.a31norm == 4 and s6.r4 == 1
-    assert s6.center == HeisPt(0, 1)
+    assert sphere_of(6) is s6  # built once, shared
+    assert s6.center == HoroPoint.from_zsu(0, 1)
     s1 = sphere_of(1)
-    assert s1.r4 == 4 and s1.center == HeisPt(0, 0)
+    assert s1.r4 == 4 and s1.center == HoroPoint.from_zsu(0, 0)
     with pytest.raises(ValueError):
         IsomSphere(T1.to_matrix())
 
@@ -150,7 +151,7 @@ def test_cone_translates_keep_every_survivor():
         for m in range(-5, 6):
             for n in range(-5, 6):
                 for eps in (0, 1):
-                    z = CuspElt(m, n, eps, 0).act_heis(sph.center).z
+                    z = CuspElt(m, n, eps, 0).act_horo(sph.center).z
                     if _ref_dist2_to_triangle(z) ** 2 <= sph.r4:
                         want.add((m, n, eps))
         assert {(a.m, a.n, a.eps) for a in enumerate_cone_translates(j)} == want
@@ -192,7 +193,7 @@ def test_cone_translates():
         assert ej
         sph = sphere_of(j)
         for alpha in ej:
-            moved = alpha.act_heis(sph.center)
+            moved = alpha.act_horo(sph.center)
             d2 = dist2_to_triangle(moved.z)
             assert d2 * d2 <= sph.r4  # defining z-filter
 

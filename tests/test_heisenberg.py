@@ -7,7 +7,6 @@ from picard7.ring import AlgNum, ISQRT7, KNum, TAU, zeta3_tower, zeta7_tower
 from picard7.hermitian import HoroPoint, Mat, horo_coords, is_in_gamma, lift
 from picard7.heisenberg import (
     CuspElt,
-    HeisPt,
     IDENTITY,
     Prism,
     R,
@@ -19,8 +18,6 @@ from picard7.heisenberg import (
     enumerate_cusp_overlaps,
     fm_feasible,
     polygon_vertices,
-    heis_inv,
-    heis_mul,
     overlap_witness,
     _overlap_constraints,
     reduce_to_prism,
@@ -30,11 +27,17 @@ from picard7.heisenberg import (
 )
 
 
-def rand_pt(rng):
-    return HeisPt(
-        KNum(Fraction(rng.randint(-12, 12), 4), Fraction(rng.randint(-12, 12), 4)),
-        Fraction(rng.randint(-12, 12), 4),
+def rand_pt(rng, den=4, u=0):
+    """A random K-rational point (z, s*sqrt(7), u) with denominators den."""
+    return HoroPoint.from_zsu(
+        KNum(Fraction(rng.randint(-12, 12), den), Fraction(rng.randint(-12, 12), den)),
+        Fraction(rng.randint(-12, 12), den),
+        Fraction(u, den),
     )
+
+
+def rand_cusp(rng, k=4):
+    return CuspElt(rng.randint(-k, k), rng.randint(-k, k), rng.randint(0, 1), rng.randint(-k, k))
 
 
 def test_generator_matrices():
@@ -55,13 +58,21 @@ def test_vertical_is_commutator():
 
 
 def test_heis_group_law():
-    assert heis_mul(HeisPt(0, 0), HeisPt(TAU, Fraction(1, 2))) == HeisPt(TAU, Fraction(1, 2))
-    assert heis_mul(HeisPt(1, 1), HeisPt(1, 1)) == HeisPt(2, 2)
+    h = HoroPoint.from_zsu(TAU, Fraction(1, 2))
+    assert IDENTITY.act_horo(h) == h
+    # (1, sqrt 7) * (1, sqrt 7) = (2, 2 sqrt 7): on points and on elements
+    assert T1.act_horo(HoroPoint.from_zsu(1, 1)) == HoroPoint.from_zsu(2, 2)
+    assert T1 * T1 == CuspElt(m=2)
     rng = random.Random(5)
     for _ in range(60):
-        p, q, r = rand_pt(rng), rand_pt(rng), rand_pt(rng)
-        assert heis_mul(heis_mul(p, q), r) == heis_mul(p, heis_mul(q, r))
-        assert heis_mul(p, heis_inv(p)) == HeisPt(0, 0)
+        a, b, c = rand_cusp(rng), rand_cusp(rng), rand_cusp(rng)
+        assert (a * b) * c == a * (b * c)
+        assert a * a.inverse() == IDENTITY
+        # the action law on points off the lattice, on and above the boundary
+        den = rng.choice((3, 4))
+        for p in (rand_pt(rng, den), rand_pt(rng, den, rng.randint(1, 12))):
+            assert (a * b).act_horo(p) == a.act_horo(b.act_horo(p))
+            assert a.inverse().act_horo(a.act_horo(p)) == p
     # R conjugation flips the translation part, keeps the vertical part
     for _ in range(20):
         c = CuspElt(rng.randint(-3, 3), rng.randint(-3, 3), 0, rng.randint(-3, 3))
@@ -80,10 +91,6 @@ def test_normal_form_roundtrip():
     # the normal form of a product matches the matrix product
     a, b = CuspElt(1, 2, 1, 0), CuspElt(-1, 0, 1, 3)
     assert (a * b).to_matrix() == a.to_matrix() * b.to_matrix()
-
-
-def rand_cusp(rng, k=4):
-    return CuspElt(rng.randint(-k, k), rng.randint(-k, k), rng.randint(0, 1), rng.randint(-k, k))
 
 
 def test_closed_form_matches_matrices():
@@ -122,14 +129,12 @@ def test_act_horo_matches_matrices(field):
 
 
 def test_outside_lattice_raises():
-    # w must be integral, and s0 - (m - m n) even
+    # s0 - (m - m n) must be even
     with pytest.raises(ValueError):
-        CuspElt._from_translation(KNum(Fraction(1, 2)), Fraction(0), 0)
+        CuspElt._from_translation(1, 0, 0, 0)
     with pytest.raises(ValueError):
-        CuspElt._from_translation(KNum(1), Fraction(0), 0)
-    with pytest.raises(ValueError):
-        CuspElt._from_translation(KNum(0), Fraction(1, 2), 1)
-    assert CuspElt._from_translation(KNum(1), Fraction(1), 0) == T1
+        CuspElt._from_translation(0, 0, 1, 1)
+    assert CuspElt._from_translation(1, 0, 1, 0) == T1
     with pytest.raises(ValueError):
         CuspElt(eps=2)
 
@@ -139,32 +144,31 @@ def test_cusp_action_consistency():
     for _ in range(40):
         c = CuspElt(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(0, 1), rng.randint(-2, 2))
         p = rand_pt(rng)
-        via_heis = c.act_heis(p)
-        via_mat = HeisPt.from_horo(c.act_horo(p.to_horo()))
-        assert via_heis == via_mat
+        via_mat = horo_coords(c.to_matrix().mat.apply(lift(p)))
+        assert c.act_horo(p) == via_mat
 
 
 def test_prism_membership():
     assert Prism.membership(TAU / 2, KNum(0)) == ("boundary", ("a=0", "s=0"))
-    assert Prism.membership(KNum(Fraction(1, 4), Fraction(1, 4)), HeisPt(0, 1).ti)[0] == "interior"
-    assert Prism.membership(TAU, HeisPt(0, Fraction(9, 7)).ti) == ("boundary", ("a=0", "a+b=1"))
+    assert Prism.membership(KNum(Fraction(1, 4), Fraction(1, 4)), HoroPoint.from_zsu(0, 1).ti)[0] == "interior"
+    assert Prism.membership(TAU, HoroPoint.from_zsu(0, Fraction(9, 7)).ti) == ("boundary", ("a=0", "a+b=1"))
     assert Prism.membership(KNum(2), KNum(0))[0] == "outside"
-    assert Prism.membership(KNum(0), HeisPt(0, -1).ti)[0] == "outside"
-    state, facets = Prism.membership(KNum(0), HeisPt(0, 2).ti)
+    assert Prism.membership(KNum(0), HoroPoint.from_zsu(0, -1).ti)[0] == "outside"
+    state, facets = Prism.membership(KNum(0), HoroPoint.from_zsu(0, 2).ti)
     assert state == "boundary" and "s=2" in facets
 
 
 def test_reduce_examples():
-    c, p = reduce_to_prism(HeisPt(KNum(2, 3), 5))
+    c, p = reduce_to_prism(HoroPoint.from_zsu(KNum(2, 3), 5))
     assert Prism.contains(p.z, p.ti)
-    assert c.act_heis(HeisPt(KNum(2, 3), 5)) == p
+    assert c.act_horo(HoroPoint.from_zsu(KNum(2, 3), 5)) == p
 
-    c, p = reduce_to_prism(HeisPt(TAU / 2, Fraction(1, 2)))
-    assert c == IDENTITY and p == HeisPt(TAU / 2, Fraction(1, 2))
+    c, p = reduce_to_prism(HoroPoint.from_zsu(TAU / 2, Fraction(1, 2)))
+    assert c == IDENTITY and p == HoroPoint.from_zsu(TAU / 2, Fraction(1, 2))
 
-    c, p = reduce_to_prism(HeisPt(KNum(-1), -1))
+    c, p = reduce_to_prism(HoroPoint.from_zsu(KNum(-1), -1))
     assert Prism.contains(p.z, p.ti)
-    assert c.act_heis(HeisPt(KNum(-1), -1)) == p
+    assert c.act_horo(HoroPoint.from_zsu(KNum(-1), -1)) == p
 
 
 def test_reduce_random_roundtrip():
@@ -173,7 +177,7 @@ def test_reduce_random_roundtrip():
         q = rand_pt(rng)
         c, p = reduce_to_prism(q)
         assert Prism.contains(p.z, p.ti)
-        assert c.act_heis(q) == p
+        assert c.act_horo(q) == p
         # idempotence on the reduced representative
         c2, p2 = reduce_to_prism(p)
         assert p2 == p

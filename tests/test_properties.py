@@ -6,13 +6,11 @@ from picard7.ring import KNum, TAU
 from picard7.hermitian import GroupElt, HoroPoint, ProjPoint, lift
 from picard7.heisenberg import (
     CuspElt,
-    HeisPt,
+    IDENTITY,
     R,
     T1,
     TTAU,
     TV,
-    heis_inv,
-    heis_mul,
 )
 from picard7.ford import (
     GENERATORS,
@@ -31,10 +29,6 @@ def rand_knum(rng, span=6, den=3):
     )
 
 
-def rand_heis(rng):
-    return HeisPt(rand_knum(rng), Fraction(rng.randint(-12, 12), 4))
-
-
 def rand_horo(rng, umax=6):
     return HoroPoint.from_zsu(
         rand_knum(rng), Fraction(rng.randint(-12, 12), 4), Fraction(rng.randint(0, umax), 3)
@@ -47,12 +41,21 @@ def rand_cusp(rng):
 
 def test_heisenberg_group_law_axioms():
     rng = random.Random(5)
-    e = HeisPt(0, 0)
+    e = IDENTITY
     for _ in range(200):
-        p, q, r = rand_heis(rng), rand_heis(rng), rand_heis(rng)
-        assert heis_mul(heis_mul(p, q), r) == heis_mul(p, heis_mul(q, r))
-        assert heis_mul(e, p) == p == heis_mul(p, e)
-        assert heis_mul(p, heis_inv(p)) == e == heis_mul(heis_inv(p), p)
+        a, b, c = rand_cusp(rng), rand_cusp(rng), rand_cusp(rng)
+        assert (a * b) * c == a * (b * c)
+        assert e * a == a == a * e
+        assert a * a.inverse() == e == a.inverse() * a
+        # the action law on K-rational points with denominators 3 and 4,
+        # on the boundary (u = 0) and above it (u > 0)
+        for den in (3, 4):
+            z = KNum(Fraction(rng.randint(-12, 12), den), Fraction(rng.randint(-12, 12), den))
+            s = Fraction(rng.randint(-12, 12), den)
+            for u in (0, Fraction(rng.randint(1, 12), den)):
+                h = HoroPoint.from_zsu(z, s, u)
+                assert (a * b).act_horo(h) == a.act_horo(b.act_horo(h))
+                assert a.inverse().act_horo(a.act_horo(h)) == h
 
 
 def test_cygan_left_invariance():

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -206,6 +207,10 @@ def test_algnum_in_k_hashes_like_knum(tw):
     other = zeta7_tower() if tw is zeta3_tower() else zeta3_tower()
     assert len({AlgNum.lift(tw, TAU), AlgNum.lift(other, TAU)}) == 1
     assert AlgNum.gen(tw) != AlgNum.gen(other)
+    # arithmetic across the two fields is refused
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(ValueError, match="tower mismatch"):
+            op(AlgNum.gen(tw), AlgNum.gen(other))
 
 
 @pytest.mark.parametrize("tw", [zeta3_tower(), zeta7_tower()], ids=["zeta3", "zeta7"])
