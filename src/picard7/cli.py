@@ -7,7 +7,6 @@ import sys
 from dataclasses import dataclass, fields
 from functools import cache
 
-from picard7.ring import PrecisionError
 from picard7.hermitian import (
     GroupElt,
     ProjPoint,
@@ -299,7 +298,7 @@ def main(argv=None) -> int:
         out = args.func(args, cfg)
     except UsageError as e:
         return _error("UsageError", e, 1)
-    except (PrecisionError, ClosureError, ReductionError) as e:
+    except (ClosureError, ReductionError) as e:
         return _error(type(e).__name__, e, 2)
     except ValueError as e:
         return _error("ValueError", e, 1)

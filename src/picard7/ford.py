@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
 
-from .ring import ISQRT7, KNum, ONE, TAU, TAU_BAR, ZERO, real_cmp, scalar
+from .ring import ISQRT7, AlgNum, KNum, ONE, TAU, TAU_BAR, ZERO, real_cmp, scalar
 from .hermitian import (
     GroupElt,
     HoroPoint,
@@ -278,15 +278,19 @@ def enumerate_cone_translates(j: int):
     for m in range(-_MN_BOX, _MN_BOX + 1):
         for n in range(-_MN_BOX, _MN_BOX + 1):
             for eps in (0, 1):
-                shifted = CuspElt(m, n, eps, 0).act_horo(c)
-                dist2 = dist2_to_triangle(shifted.z)
+                alpha = CuspElt(m, n, eps, 0)
+                # the translated center's z = w + sigma z_c comes first: most
+                # translates fail the disk test, and need no full action
+                z = alpha.w + (-c.z if eps else c.z)
+                dist2 = dist2_to_triangle(z)
                 if dist2 * dist2 > r4:
                     continue
                 if abs(m) == _MN_BOX or abs(n) == _MN_BOX:
                     hit_box_edge = True
+                shifted = alpha.act_horo(c)
                 # |t - d'| <= r^2 + 2 r |z| with z over the disk; bound |z| by
                 # |c'| + r where c' is the translated center
-                zmax = sqrt_ub(Fraction(shifted.z.norm())) + r_ub
+                zmax = sqrt_ub(Fraction(z.norm())) + r_ub
                 halfwidth_s = (r2_ub + 2 * r_ub * zmax) / sqrt_lb(Fraction(7))
                 # d' = (s0 + 2 l) sqrt(7): need s0 + 2l in [-hw, 2 + hw]
                 s0 = shifted.s
@@ -314,7 +318,7 @@ def _sweep_vector(v):
     positive integer lcm of its denominators: then every Ford quantity of
     the sweep is an int, computed and compared in int arithmetic only, and
     all of them carry the same factor.  A vector with a coordinate in a
-    cyclotomic field keeps AlgNum quantities, compared by certified sign.
+    cyclotomic field keeps AlgNum quantities, compared by exact sign.
     """
     v = tuple(scalar(c) for c in v)
     if all(isinstance(c, KNum) for c in v):
@@ -331,9 +335,10 @@ def _quantity(x):
 
 def _cmp(x, y) -> int:
     """Exact sign of x - y for two Ford quantities of one sweep."""
-    if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
-        return (x > y) - (x < y)
-    return real_cmp(x, y)
+    # AlgNum is a plain class, so these tests cost no ABCMeta call
+    if isinstance(x, AlgNum) or isinstance(y, AlgNum):
+        return real_cmp(x, y)
+    return (x > y) - (x < y)
 
 
 def spheres_containing(x):

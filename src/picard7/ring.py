@@ -9,8 +9,8 @@ A KNum is three Python ints (a, b, d) for (a + b*tau)/d in normal form
 (d > 0, gcd(a, b, d) = 1), so O_7 is the set of elements with d = 1 and its
 arithmetic, the norm and Euclid's algorithm (o_divmod, o_gcd) run on ints
 alone.  Fractions appear only at the edges: the constructor accepts them,
-`.a`, `.b`, `re`, `im_sqrt7` and `rat()` return them, and parsing,
-formatting and interval enclosures go through them.
+`.a`, `.b`, `re`, `im_sqrt7` and `rat()` return them, and parsing and
+formatting go through them.
 
 The eigenvalues of elliptic group elements and the coordinates of their
 fixed points lie in K, K(zeta_3) or K(zeta_7), zeta_n = exp(2*pi*i/n).
@@ -23,12 +23,15 @@ and floor to it:
 - K(zeta_3) = Q(sqrt(-7), sqrt(-3)) is biquadratic (Zeta3Tower).  Its
   products, conjugates and inverses are closed formulas in the two
   K-coefficients, and its real elements lie in Q(sqrt(21)), so their signs
-  and floors are decided exactly on the KNum ints, with no intervals.
-- K(zeta_7) takes the generic path (Tower): powers of zeta_7 fold back into
-  the basis through one table of zeta_7^k, k < 7, and as its real subfield
-  is cubic, signs and floors use certified interval refinement.  Complex
-  enclosures come from interval trigonometry at zeta_n, so every enclosure
-  is certified, and PrecisionError can only come from this field.
+  and floors are decided exactly on the KNum ints.
+- K(zeta_7) = Q(zeta_7) (Zeta7Tower) takes the generic arithmetic of Tower:
+  powers of zeta_7 fold back into the basis through one table of zeta_7^k,
+  k < 7.  Its real subfield is the cubic field Q(eta_1), eta_k =
+  zeta_7^k + zeta_7^-k, and a real element is an int combination of
+  eta_1, eta_2, eta_3 over one denominator, so its sign and floor are
+  decided on ints against a dyadic bracket of eta_1.
+
+No field uses floating point or interval libraries: every sign is exact.
 """
 
 from __future__ import annotations
@@ -36,23 +39,8 @@ from __future__ import annotations
 import math
 import re as _re
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm
-
-from mpmath import iv as _iv
-
-
-class PrecisionError(Exception):
-    """Raised when a certified comparison cannot be resolved within the precision cap."""
-
-    def __init__(self, message, enclosure=None):
-        super().__init__(message)
-        self.enclosure = enclosure
-
-
-#: default starting precision (bits) for interval refinement
-DEFAULT_PREC = 128
-#: hard cap on interval precision (bits)
-MAX_PREC = 4096
 
 
 class KNum:
@@ -115,7 +103,7 @@ class KNum:
             return self.na == other.na and self.nb == other.nb and self.d == other.d
         if isinstance(other, int):
             return self.nb == 0 and self.d == 1 and self.na == other
-        if isinstance(other, Fraction):
+        if type(other) is Fraction:
             return self.nb == 0 and self.na == other.numerator and self.d == other.denominator
         return NotImplemented
 
@@ -141,9 +129,6 @@ class KNum:
     def is_one(self) -> bool:
         return self.na == 1 and self.nb == 0 and self.d == 1
 
-    def is_rational(self) -> bool:
-        return self.nb == 0
-
     def is_real(self) -> bool:
         # Im(a + b*tau) = b*sqrt(7)/2
         return self.nb == 0
@@ -152,6 +137,10 @@ class KNum:
         return self.d == 1
 
     # -- arithmetic ---------------------------------------------------
+
+    # A Fraction operand is tested by its exact type: Fraction is an abstract
+    # base class, so an isinstance test against it is an ABCMeta call, paid
+    # by every AlgNum operand on its way to NotImplemented.
 
     def __add__(self, other):
         if isinstance(other, KNum):
@@ -162,7 +151,7 @@ class KNum:
         if isinstance(other, int):
             # gcd(a + c*d, b, d) = gcd(a, b, d) = 1
             return _knum(self.na + other * self.d, self.nb, self.d)
-        if isinstance(other, Fraction):
+        if type(other) is Fraction:
             p, q = other.numerator, other.denominator
             return knum_from_ints(self.na * q + p * self.d, self.nb * q, self.d * q)
         return NotImplemented
@@ -178,7 +167,7 @@ class KNum:
             if d == e:
                 return knum_from_ints(self.na - other.na, self.nb - other.nb, d)
             return knum_from_ints(self.na * e - other.na * d, self.nb * e - other.nb * d, d * e)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or type(other) is Fraction:
             return self + (-other)
         return NotImplemented
 
@@ -195,7 +184,7 @@ class KNum:
             return knum_from_ints(a * c - 2 * be, a * e + b * c + be, self.d * other.d)
         if isinstance(other, int):
             return knum_from_ints(self.na * other, self.nb * other, self.d)
-        if isinstance(other, Fraction):
+        if type(other) is Fraction:
             p = other.numerator
             return knum_from_ints(self.na * p, self.nb * p, self.d * other.denominator)
         return NotImplemented
@@ -213,7 +202,7 @@ class KNum:
             p, q = c + e, -e  # conj(c + e t) = (c + e) - e t
             bq = b * q
             return knum_from_ints((a * p - 2 * bq) * f, (a * q + b * p + bq) * f, self.d * n)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or type(other) is Fraction:
             if other == 0:
                 raise ZeroDivisionError("division by zero in K")
             p, q = other.numerator, other.denominator
@@ -482,45 +471,21 @@ def o_gcd_many(xs) -> KNum:
 
 
 # ---------------------------------------------------------------------------
-# complex interval helpers (rectangles of mpmath.iv intervals)
-# ---------------------------------------------------------------------------
-
-
-def _iv_fraction(x: Fraction):
-    return _iv.mpf(x.numerator) / _iv.mpf(x.denominator)
-
-
-def knum_interval(x: KNum):
-    """Rectangular complex enclosure (re, im) of x at the current iv precision."""
-    re = _iv_fraction(x.re)
-    im = _iv_fraction(x.im_sqrt7) * _iv.sqrt(7)
-    return (re, im)
-
-
-def c_add(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def c_mul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-# ---------------------------------------------------------------------------
 # the cyclotomic fields K(zeta_3) and K(zeta_7)
 # ---------------------------------------------------------------------------
 
 
 class Tower:
-    """The field K(zeta) for zeta = exp(2*pi*i/n), n = 3 or 7.
+    """The field K(zeta) for zeta = exp(2*pi*i/n), n = 3 or 7, on the generic path.
 
-    These are the only extensions of K the package works in, and each is
-    built once, as the module constants behind `zeta3_tower()` and
+    The package works in these two extensions of K only, each built once as
+    a subclass (Zeta3Tower, Zeta7Tower) behind `zeta3_tower()` and
     `zeta7_tower()`.  `minpoly` is the monic minimal polynomial of zeta
     over K (coefficients low degree first), of degree d.  Elements are
     stored in the power basis 1, zeta, ..., zeta^(d-1).
 
-    This class is the generic path, and K(zeta_7) takes it: all of the
-    arithmetic reads one table, `powers[k]` being zeta^k in the basis for
+    This class holds the generic arithmetic, which K(zeta_7) uses: it
+    reads one table, `powers[k]` being zeta^k in the basis for
     k = 0 .. n-1, built by multiplying by zeta and reducing with the
     minimal polynomial.  As zeta^n = 1, every sum c_0 + c_1 zeta^g +
     c_2 zeta^(2g) + ... folds back into the basis through the table (`fold`):
@@ -532,11 +497,9 @@ class Tower:
       polynomial), and the inverse of x is their product divided by the
       norm x * product, which lies in K.
 
-    The real subfield of K(zeta_7) is cubic, so signs and floors of its
-    real elements use certified interval refinement: the enclosure of zeta
-    comes from interval trigonometry, and the precision doubles up to
-    MAX_PREC until the answer is certain.  K(zeta_3) overrides the
-    arithmetic with closed forms and decides signs exactly (Zeta3Tower).
+    Signs and floors of real elements are each subclass's own exact int
+    tests.  K(zeta_3) also overrides the arithmetic with closed forms, and
+    a plain Tower(3, minpoly) is the tests' reference for them.
     """
 
     def __init__(self, n: int, minpoly):
@@ -544,7 +507,6 @@ class Tower:
         self.minpoly = tuple(minpoly)
         self.degree = d = len(self.minpoly) - 1
         self.key = ("zeta", 1, n)
-        self._enclosures = {}
         powers = [tuple(ONE if i == k else ZERO for i in range(d)) for k in range(d)]
         while len(powers) < n:
             # zeta * zeta^(k-1), with zeta^d = -(m_0 + m_1 zeta + ... + m_(d-1) zeta^(d-1))
@@ -573,19 +535,6 @@ class Tower:
                     out[i] = out[i] + c * p
         return AlgNum(self, out)
 
-    def gen_enclosure(self):
-        """Complex interval enclosure of zeta at the current iv precision.
-
-        Computed once per precision: intervals are immutable, so the cached
-        pair is the certified enclosure a fresh computation would give.
-        """
-        prec = _iv.prec
-        enc = self._enclosures.get(prec)
-        if enc is None:
-            angle = 2 * _iv.pi / self.n
-            enc = self._enclosures[prec] = (_iv.cos(angle), _iv.sin(angle))
-        return enc
-
     # -- arithmetic of AlgNums in this field ---------------------------
 
     def mul(self, x: "AlgNum", y: "AlgNum") -> "AlgNum":
@@ -608,41 +557,6 @@ class Tower:
     def is_real(self, x: "AlgNum") -> bool:
         return (x - self.conj(x)).is_zero()
 
-    def real_sign(self, x: "AlgNum") -> int:
-        if x.is_zero():
-            return 0
-        if not self.is_real(x):
-            raise ValueError(f"{x!r} is not real")
-        prec = DEFAULT_PREC
-        while prec <= MAX_PREC:
-            re, _ = x.enclosure(prec)
-            if re > 0:
-                return 1
-            if re < 0:
-                return -1
-            prec *= 2
-        raise PrecisionError("sign of nonzero real did not resolve", x.enclosure(MAX_PREC))
-
-    def floor_real(self, x: "AlgNum") -> int:
-        if not self.is_real(x):
-            raise ValueError(f"{x!r} is not real")
-        if x.in_k():
-            return x.k_part().floor_real()
-        prec = DEFAULT_PREC
-        while prec <= MAX_PREC:
-            re, _ = x.enclosure(prec)
-            lo = math.floor(float(re.a))
-            hi = math.floor(float(re.b))
-            if lo == hi:
-                return lo
-            if hi == lo + 1:
-                # boundary candidate hi: decide x - hi exactly (it is in K iff
-                # the element is rational, which was excluded; so refine)
-                if (x - hi).is_zero():
-                    return hi
-            prec *= 2
-        raise PrecisionError("floor did not resolve", x.enclosure(MAX_PREC))
-
 
 class Zeta3Tower(Tower):
     """K(zeta_3) = Q(sqrt(-7), sqrt(-3)), with closed-form arithmetic on the KNum ints.
@@ -661,12 +575,13 @@ class Zeta3Tower(Tower):
     sqrt(7) plus one of sqrt(3).  So x is real iff Re(c1) = 0 and
     Im(c0) = Im(c1)/2, that is 2 a1 + b1 = 0 and 2 b0 d1 = b1 d0.  A real x
     is then P/(2 d0) + Q sqrt(21)/(4 d1) with P = 2 a0 + b0 and Q = -b1, so
-    its sign and floor are decided on ints: no intervals, no precision loop,
-    no PrecisionError.  The generic path on the same field, a plain
-    Tower(3, minpoly), is the tests' reference.
+    its sign and floor are decided on ints, with no precision loop.  The
+    generic path on the same field, a plain Tower(3, minpoly), is the
+    tests' reference.
     """
 
     def __init__(self):
+        # Phi_3 = x^2 + x + 1 is irreducible over K
         super().__init__(3, (ONE, ONE, ONE))
 
     def mul(self, x: "AlgNum", y: "AlgNum") -> "AlgNum":
@@ -735,13 +650,102 @@ class Zeta3Tower(Tower):
         return (4 * d1 * p + (r if q >= 0 else -r - 1)) // (8 * d0 * d1)
 
 
+#: bits of the first dyadic bracket of eta_1 that Zeta7Tower tries
+_ETA_START_BITS = 64
+
+
+@cache
+def _eta_brackets(p: int):
+    """Ints (lo_k, hi_k) with lo_k < 2^p eta_k < hi_k, for k = 1, 2, 3.
+
+    eta_1 = 2 cos(2 pi/7) is the one root of x^3 + x^2 - 2x - 1 in (1, 2),
+    bisected on the grid 2^-p (it is irrational, so never on the grid);
+    eta_2 = eta_1^2 - 2 and eta_3 = -1 - eta_1 - eta_2, rounded outward.
+    """
+    s = 1 << p
+    lo, hi = s, 2 * s
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if mid * mid * mid + mid * mid * s - 2 * mid * s * s - s * s * s < 0:
+            lo = mid
+        else:
+            hi = mid
+    lo2 = (lo * lo >> p) - 2 * s
+    hi2 = -(-hi * hi >> p) - 2 * s
+    return (lo, hi), (lo2, hi2), (-s - hi - hi2, -s - lo - lo2)
+
+
+class Zeta7Tower(Tower):
+    """K(zeta_7) = Q(zeta_7): the generic arithmetic, and exact signs and floors.
+
+    For the sign test, x = c0 + c1 zeta + c2 zeta^2 is rewritten over Q.
+    With c_j = (A_j + B_j tau)/D over a common denominator D and the Gauss
+    sum tau = 1 + zeta + zeta^2 + zeta^4, D x = sum f_k zeta^k, k mod 7, and
+    as 1 = -(zeta + ... + zeta^6), D x = sum e_k zeta^k with e_k = f_k - f_0
+    over k = 1 .. 6, a basis of Q(zeta) over Q (Washington, GTM 83, ch. 2).
+    So x is real iff e_k = e_(7-k), and then D x = e1 eta_1 + e2 eta_2 +
+    e3 eta_3 with eta_k = zeta^k + zeta^-k.  As the eta_k sum to -1, x is
+    the rational -e1/D if e1 = e2 = e3, and irrational otherwise: then a
+    fine enough bracket decides its sign and floor, and needs no cap.
+    """
+
+    def __init__(self):
+        # Phi_7 splits over K into two conjugate cubics; the one kept has the
+        # roots zeta, zeta^2, zeta^4 of zeta = exp(2*pi*i/7).  Their
+        # elementary symmetric functions are the quadratic Gauss sum
+        # zeta + zeta^2 + zeta^4 = tau - 1, its conjugate
+        # zeta^3 + zeta^5 + zeta^6 = -tau, and zeta^7 = 1, which gives
+        # x^3 + (1 - tau) x^2 - tau x - 1.
+        super().__init__(7, (-ONE, -TAU, ONE - TAU, ONE))
+
+    def _eta_coords(self, x: "AlgNum"):
+        """(e1, e2, e3, D) with x = (e1 eta_1 + e2 eta_2 + e3 eta_3)/D; raises if x is not real."""
+        den = lcm(*(c.d for c in x.coeffs))
+        (a0, b0), (a1, b1), (a2, b2) = ((c.na * (den // c.d), c.nb * (den // c.d)) for c in x.coeffs)
+        # with a_j, b_j for A_j, B_j: f0 = a0 + b0, f1 = b0 + a1 + b1,
+        # f2 = b0 + b1 + a2 + b2, f3 = b1 + b2, f4 = b0 + b2, f5 = b1, f6 = b2,
+        # so e_k = e_(7-k) for k = 1, 2, 3 are the three equations below
+        if a1 + b1 + b0 != b2 or a2 + b2 + b0 != 0 or b1 != b0:
+            raise ValueError(f"{x!r} is not real")
+        return a1 + b1 - a0, b1 + a2 + b2 - a0, b1 + b2 - a0 - b0, den
+
+    def enclosure(self, x: "AlgNum", p: int):
+        """Fractions lo <= x <= hi for a real x, about 2^-p apart; lo = hi = x for a rational x."""
+        e1, e2, e3, den = self._eta_coords(x)
+        if e1 == e2 == e3:
+            v = Fraction(-e1, den)
+            return v, v
+        lo = hi = 0
+        for e, (l, h) in zip((e1, e2, e3), _eta_brackets(p)):
+            lo, hi = (lo + e * l, hi + e * h) if e >= 0 else (lo + e * h, hi + e * l)
+        return Fraction(lo, den << p), Fraction(hi, den << p)
+
+    def _decisive_enclosure(self, x: "AlgNum", decides):
+        """x.enclosure(p) at p = 64, 128, 256, ... until decides(lo, hi)."""
+        p = _ETA_START_BITS
+        lo, hi = x.enclosure(p)
+        while not decides(lo, hi):
+            p *= 2
+            lo, hi = x.enclosure(p)
+        return lo, hi
+
+    def real_sign(self, x: "AlgNum") -> int:
+        lo, hi = self._decisive_enclosure(x, lambda lo, hi: lo > 0 or hi < 0 or lo == hi)
+        return (lo > 0) - (hi < 0)
+
+    def floor_real(self, x: "AlgNum") -> int:
+        lo, _ = self._decisive_enclosure(x, lambda lo, hi: math.floor(lo) == math.floor(hi))
+        return math.floor(lo)
+
+
 class AlgNum:
     """An element of K(zeta), stored by its coefficients in the power basis of zeta.
 
     Products, conjugates, inverses, realness, signs and floors are the
-    field's (see Tower and Zeta3Tower).  Equality with zero is exact (the
-    representation is zero); the sign of a real element is exact on ints in
-    K(zeta_3) and certified by interval refinement in K(zeta_7).
+    field's (see Tower, Zeta3Tower and Zeta7Tower).  Equality with zero is
+    exact (the representation is zero), and so is the sign of a real
+    element: an int test in Q(sqrt(21)) for K(zeta_3), and in K(zeta_7) an
+    int test against a dyadic bracket refined until it decides.
     """
 
     __slots__ = ("tower", "coeffs")
@@ -879,21 +883,11 @@ class AlgNum:
     def abs2(self) -> "AlgNum":
         return self * self.conj()
 
-    # -- signs and certified numerics ---------------------------------
+    # -- signs and floors ---------------------------------------------
 
-    def enclosure(self, prec: int = DEFAULT_PREC):
-        """Complex interval (re, im) containing the value, at `prec` bits."""
-        old = _iv.prec
-        _iv.prec = prec
-        try:
-            lam = self.tower.gen_enclosure()
-            out = None
-            for c in reversed(self.coeffs):
-                cv = knum_interval(c)
-                out = cv if out is None else c_add(c_mul(out, lam), cv)
-            return out
-        finally:
-            _iv.prec = old
+    def enclosure(self, prec: int):
+        """Rational bracket (lo, hi) of a real element of K(zeta_7), about 2^-prec wide."""
+        return self.tower.enclosure(self, prec)
 
     def is_real(self) -> bool:
         return self.tower.is_real(self)
@@ -937,14 +931,8 @@ def alg_floor(x) -> int:
     return scalar(x).floor_real()
 
 
-# Phi_3 = x^2 + x + 1 is irreducible over K.  Phi_7 splits over K into two
-# conjugate cubics; the one kept has the roots zeta, zeta^2, zeta^4 of
-# zeta = exp(2*pi*i/7).  Their elementary symmetric functions are the
-# quadratic Gauss sum zeta + zeta^2 + zeta^4 = tau - 1, its conjugate
-# zeta^3 + zeta^5 + zeta^6 = -tau, and zeta^7 = 1, which gives
-# x^3 + (1 - tau) x^2 - tau x - 1.
 _ZETA3 = Zeta3Tower()
-_ZETA7 = Tower(7, (-ONE, -TAU, ONE - TAU, ONE))
+_ZETA7 = Zeta7Tower()
 
 
 def zeta3_tower() -> Tower:

@@ -248,3 +248,48 @@ def test_stabilizer_output_does_not_depend_on_cache_state(capsys):
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert build_parser() is build_parser()
+
+
+def test_mixed_operations_pay_no_abc_checks(capsys, monkeypatch):
+    # KNum's operators and the Ford comparison test for a Fraction by exact
+    # type, so an AlgNum operand reaches NotImplemented (or the exact sign)
+    # without an ABCMeta.__instancecheck__ call; watched here through a
+    # K(zeta_7) comparison and two stabilizer queries, one on a K(zeta_7)
+    # fixed point
+    import sys
+    from abc import ABCMeta
+    from fractions import Fraction
+
+    from picard7 import ford
+    from picard7.ford import GENERATORS, reduce_to_domain
+    from picard7.heisenberg import R, T1
+    from picard7.ring import AlgNum, KNum, real_cmp, zeta7_tower
+    from picard7.torsion import build_cycle_graph, classify_elliptic, stabilizer
+
+    watched = {f.__code__ for f in (KNum.__add__, KNum.__sub__, KNum.__mul__,
+                                    KNum.__truediv__, ford._cmp)}
+    callers = []
+    instancecheck = ABCMeta.__instancecheck__
+
+    def recorded(cls, instance):
+        callers.append(sys._getframe(1).f_code)
+        return instancecheck(cls, instance)
+
+    monkeypatch.setattr(ABCMeta, "__instancecheck__", recorded)
+    z = AlgNum.gen(zeta7_tower())
+    eta = z + z.conj()  # 2 cos(2 pi/7) ~ 1.247
+    # the wrapper sees the calls it should
+    assert not isinstance(eta, Fraction)
+    assert callers and callers[-1] is sys._getframe().f_code
+    del callers[:]
+    assert [real_cmp(KNum(1), eta), real_cmp(eta, KNum(2)), real_cmp(KNum(5, 0) / 4, eta)] == [-1, -1, 1]
+    assert (KNum(3) * eta - eta * 3).is_zero() and ((KNum(1) + eta) / 2).is_real()
+    argv, digest = STABILIZER_GOLDEN
+    code, out = run(capsys, argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    g7 = GENERATORS[1] * R.to_matrix() * T1.to_matrix()
+    kind, pt, _ = classify_elliptic(g7, 7)
+    assert kind == "isolated" and not pt.rational
+    _, y = reduce_to_domain(pt)
+    assert stabilizer(y, build_cycle_graph([y])).linear_order % 7 == 0
+    assert [c.co_name for c in callers if c in watched] == []

@@ -1,6 +1,7 @@
 """Static hygiene checks on the package source (stdlib `ast`, no imports of picard7)."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,8 @@ def test_no_asserts(path):
     assert asserts(path) == []
 
 
-def test_only_ring_uses_intervals():
-    # the interval code stays behind one module
-    assert [p.name for p in MODULES if "mpmath" in imported_packages(p)] == ["ring.py"]
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_only_stdlib_and_picard7(path):
+    # the package has no runtime dependency
+    allowed = set(sys.stdlib_module_names) | {"picard7"}
+    assert sorted(imported_packages(path) - allowed) == []

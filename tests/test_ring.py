@@ -16,10 +16,7 @@ from picard7.ring import (
     Tower,
     ZERO,
     alg_floor,
-    c_add,
-    c_mul,
     format_knum,
-    knum_interval,
     o_divmod,
     o_gcd,
     o_gcd_many,
@@ -132,17 +129,52 @@ def test_sign_canonicalization():
     assert KNum(0, 2).is_sign_positive()
 
 
-def _interval_at_zeta7(p, prec):
-    """Certified enclosure (re, im) of p(exp(2*pi*i/7)) for p in K[x]."""
+# ---------------------------------------------------------------------------
+# an independent reference: certified mpmath interval evaluation at
+# zeta_n = exp(2*pi*i/n), as complex rectangles (re, im)
+# ---------------------------------------------------------------------------
+
+
+def _iv_knum(x: KNum):
+    iv = mpmath.iv
+    re = iv.mpf(x.re.numerator) / x.re.denominator
+    im = iv.mpf(x.im_sqrt7.numerator) / x.im_sqrt7.denominator * iv.sqrt(7)
+    return re, im
+
+
+def _iv_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _iv_at_zeta(p, n, prec):
+    """Certified enclosure (re, im) of p(exp(2*pi*i/n)) for p in K[x], at prec bits."""
     old = mpmath.iv.prec
     mpmath.iv.prec = prec
     try:
-        angle = 2 * mpmath.iv.pi / 7
+        angle = 2 * mpmath.iv.pi / n
         z = (mpmath.iv.cos(angle), mpmath.iv.sin(angle))
-        out = knum_interval(p[-1])
+        out = _iv_knum(p[-1])
         for c in reversed(p[:-1]):
-            out = c_add(c_mul(out, z), knum_interval(c))
+            re, im = _iv_mul(out, z)
+            cre, cim = _iv_knum(c)
+            out = (re + cre, im + cim)
         return out
+    finally:
+        mpmath.iv.prec = old
+
+
+def _iv_value(x: AlgNum, prec=128):
+    """Certified enclosure (re, im) of an AlgNum, at prec bits."""
+    return _iv_at_zeta(x.coeffs, x.tower.n, prec)
+
+
+def _strictly_between(lo: Fraction, re, hi: Fraction, prec=4096) -> bool:
+    """lo < every point of the interval re < hi, certified at prec bits."""
+    old = mpmath.iv.prec
+    mpmath.iv.prec = prec
+    try:
+        return bool(mpmath.iv.mpf(lo.numerator) / lo.denominator < re
+                    and re < mpmath.iv.mpf(hi.numerator) / hi.denominator)
     finally:
         mpmath.iv.prec = old
 
@@ -158,9 +190,9 @@ def test_zeta7_minpoly():
             prod[i + j] += a * b
     assert prod == [ONE] * 7
     # m, not its conjugate, vanishes at exp(2*pi*i/7)
-    re, im = _interval_at_zeta7(m, 128)
+    re, im = _iv_at_zeta(m, 7, 128)
     assert 0 in re and 0 in im
-    re, im = _interval_at_zeta7(mbar, 128)
+    re, im = _iv_at_zeta(mbar, 7, 128)
     assert 0 not in re or 0 not in im
     assert list(zeta3_tower().minpoly) == [ONE] * 3
     # the other roots of the minimal polynomials: zeta^2 and zeta^4
@@ -231,8 +263,8 @@ def test_algnum_field_properties_random(tw):
         assert (x * y).conj() == x.conj() * y.conj()
         assert (x * TAU).conj() == x.conj() * TAU_BAR
         # the certified enclosure of conj(x) meets the complex conjugate of x's
-        re, im = x.enclosure()
-        cre, cim = x.conj().enclosure()
+        re, im = _iv_value(x)
+        cre, cim = _iv_value(x.conj())
         assert 0 in cre - re and 0 in cim + im
 
 
@@ -283,15 +315,22 @@ def test_generic_tower_sqrt7():
 
 
 def test_refinement_stability():
-    # comparisons resolved at the default precision do not flip when the
-    # enclosure precision is raised
-    tw = zeta7_tower()
-    z = AlgNum.gen(tw)
-    x = z + z.conj()
-    s128 = x.enclosure(128)
-    s1024 = x.enclosure(1024)
-    assert s1024[0].a >= s128[0].a and s1024[0].b <= s128[0].b
-    assert x.real_sign() == 1
+    # the K(zeta_7) brackets are Fractions about 2^-p wide that contain the
+    # value, nest as the precision is raised, and give the same sign at
+    # every precision; a rational is its own exact bracket
+    eta1, eta2, eta3 = _etas()
+    for x in (eta1, eta2, eta3, eta1 * eta2 - Fraction(1, 7) * eta3):
+        re, _ = _iv_value(x, 2048)
+        outer = None
+        for p in (64, 128, 1024):
+            lo, hi = x.enclosure(p)
+            assert type(lo) is Fraction and type(hi) is Fraction
+            assert _strictly_between(lo, re, hi) and hi - lo < Fraction(100, 2 ** p)
+            assert outer is None or (outer[0] <= lo and hi <= outer[1])
+            outer = lo, hi
+    assert eta1.real_sign() == 1
+    q = (eta1 + eta2 + eta3) * Fraction(2, 3)
+    assert q.enclosure(64) == (Fraction(-2, 3), Fraction(-2, 3))
 
 
 def test_knum_floor_and_rat():
@@ -441,7 +480,8 @@ def test_euclid_on_random_pairs():
 
 
 # ---------------------------------------------------------------------------
-# K(zeta_3) closed forms against the generic path and certified intervals
+# K(zeta_3) closed forms against the generic path, and the signs and floors
+# of both fields against certified mpmath intervals
 # ---------------------------------------------------------------------------
 
 # the same field on the generic powers-table path: the reference
@@ -460,7 +500,7 @@ def _rand_zeta3(rng):
 
 def _check_sign_and_floor(x):
     """real_sign and floor_real of a real x agree with a 4096-bit enclosure."""
-    re, _ = x.enclosure(4096)
+    re, _ = _iv_value(x, 4096)
     sign, floor = x.real_sign(), x.floor_real()
     if sign == 0:
         assert x.is_zero()
@@ -470,7 +510,7 @@ def _check_sign_and_floor(x):
         assert floor == x.k_part().floor_real()
     else:
         # x is irrational, so the enclosure lies strictly inside (floor, floor + 1)
-        assert re.a > floor and re.b < floor + 1
+        assert _strictly_between(Fraction(floor), re, Fraction(floor + 1))
 
 
 def test_zeta3_closed_forms_match_generic_path():
@@ -525,6 +565,66 @@ def test_zeta3_signs_and_floors_are_exact():
     assert (1 - small[1]).floor_real() == 0 and (1 + small[1]).floor_real() == 1
     assert AlgNum.lift(zeta3_tower(), ZERO).real_sign() == 0
     for x in (AlgNum.gen(zeta3_tower()), AlgNum.lift(zeta3_tower(), ISQRT7)):
+        with pytest.raises(ValueError):
+            x.real_sign()
+        with pytest.raises(ValueError):
+            x.floor_real()
+
+
+# ---------------------------------------------------------------------------
+# K(zeta_7) signs and floors on ints
+# ---------------------------------------------------------------------------
+
+
+def _etas():
+    z = AlgNum.gen(zeta7_tower())
+    return [z ** k + z.conj() ** k for k in (1, 2, 3)]
+
+
+def test_zeta7_floor_of_large_unit_power():
+    # v = eta_3/eta_2 ~ 4.0489 is a unit whose other conjugates lie inside
+    # (-1, 1), so v^30 ~ 1660226402802450520.99999... sits just below an
+    # integer, far beyond the 53 bits of a float
+    _, eta2, eta3 = _etas()
+    v = eta3 / eta2
+    assert (v * (eta2 / eta3)).is_one()
+    x = v ** 30
+    assert x.floor_real() == 1660226402802450520
+    assert (x - 1660226402802450521).real_sign() == -1
+    assert (x - 1660226402802450520).real_sign() == 1
+    _check_sign_and_floor(x)
+
+
+def test_zeta7_signs_and_floors_are_exact():
+    tw = zeta7_tower()
+    rng = random.Random(2107)
+    eta1, eta2, eta3 = _etas()
+    assert (eta1 + eta2 + eta3 + 1).is_zero()
+    reals = []
+    for _ in range(100):
+        x = rand_algnum(rng, tw)
+        reals += [x + x.conj(), x * x.conj(), -(x * x.conj())]
+        c = [Fraction(rng.randint(-400, 400), rng.randint(1, 9)) for _ in range(4)]
+        reals.append(c[0] + c[1] * eta1 + c[2] * eta2 + c[3] * eta3)
+        # not real: both raise
+        if not x.is_real():
+            with pytest.raises(ValueError):
+                x.real_sign()
+            with pytest.raises(ValueError):
+                x.floor_real()
+    # near cancellation: the unit v and its powers, just off their floors
+    v = eta3 / eta2
+    for k in range(1, 25):
+        w = v ** k
+        n = math.floor(_iv_value(w, 512)[0].a)
+        reals += [w - n, w - n - 1, 1 / w, -1 / w, (w - n) * Fraction(1, 3)]
+    # rationals written in the eta_k, and zero
+    for q in (Fraction(5, 3), Fraction(-7, 2), 0):
+        reals.append(q * (1 - eta1 - eta2 - eta3) / 2)
+    for x in reals:
+        assert x.is_real()
+        _check_sign_and_floor(x)
+    for x in (AlgNum.gen(tw), AlgNum.lift(tw, ISQRT7), eta1 * ISQRT7):
         with pytest.raises(ValueError):
             x.real_sign()
         with pytest.raises(ValueError):
