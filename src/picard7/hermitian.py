@@ -92,27 +92,27 @@ Q_INF = (ONE, ZERO, ZERO)
 
 
 class Mat:
-    """A 3x3 matrix over K (or an AlgNum tower), immutable.
+    """A 3x3 matrix over K, immutable.
 
-    `over_k` is True when every entry is a KNum; products and `apply` then
-    run on the ints of the KNum triples (`_dot_k`).
+    Every entry is a KNum: the constructor coerces ints and Fractions and
+    refuses anything else.  Products, and `apply` to a vector in K^3, run
+    on the ints of the KNum triples (`_dot_k`); `apply` moves a vector with
+    coordinates in K(zeta_3) or K(zeta_7) through the field's operators.
     """
 
-    __slots__ = ("rows", "over_k")
+    __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(scalar(x) for x in r) for r in rows)
+        rows = tuple(tuple(KNum.coerce(x) for x in r) for r in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("a matrix needs 3 rows of 3 entries")
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "over_k", all(type(x) is KNum for r in rows for x in r))
 
     @staticmethod
     def _of_k(rows) -> "Mat":
         """The matrix of a 3-tuple of 3-tuples of KNums, taken as they are."""
         m = object.__new__(Mat)
         object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "over_k", True)
         return m
 
     def __setattr__(self, *args):
@@ -139,18 +139,8 @@ class Mat:
 
     def __mul__(self, other):
         if isinstance(other, Mat):
-            if self.over_k and other.over_k:
-                cols = tuple(zip(*other.rows))
-                return Mat._of_k(tuple(tuple(_dot_k(*r, *c) for c in cols) for r in self.rows))
-            return Mat(
-                [
-                    [
-                        sum((self.rows[i][k] * other.rows[k][j] for k in range(3)), start=scalar(0))
-                        for j in range(3)
-                    ]
-                    for i in range(3)
-                ]
-            )
+            cols = tuple(zip(*other.rows))
+            return Mat._of_k(tuple(tuple(_dot_k(*r, *c) for c in cols) for r in self.rows))
         return NotImplemented
 
     def __neg__(self):
@@ -159,15 +149,13 @@ class Mat:
     def apply(self, v):
         """Matrix times column vector."""
         v1, v2, v3 = v
-        if self.over_k and type(v1) is type(v2) is type(v3) is KNum:
+        if type(v1) is type(v2) is type(v3) is KNum:
             return tuple(_dot_k(*r, v1, v2, v3) for r in self.rows)
         v = (scalar(v1), scalar(v2), scalar(v3))
-        return tuple(
-            sum((self.rows[i][k] * v[k] for k in range(3)), start=scalar(0)) for i in range(3)
-        )
+        return tuple(sum((x * y for x, y in zip(r, v)), start=ZERO) for r in self.rows)
 
     def scale(self, c):
-        c = scalar(c)
+        c = KNum.coerce(c)
         return Mat([[x * c for x in r] for r in self.rows])
 
     def conj_transpose(self) -> "Mat":
@@ -197,9 +185,9 @@ class Mat:
 
     def inverse(self) -> "Mat":
         d = self.det()
-        if scalar(d).is_zero():
+        if d.is_zero():
             raise ZeroDivisionError("singular matrix")
-        return self.adjugate().scale(scalar(1) / d)
+        return self.adjugate().scale(ONE / d)
 
     def charpoly(self):
         """Coefficients of det(x*I - M), low degree first: [c0, c1, c2, 1]."""
@@ -211,7 +199,7 @@ class Mat:
             + (r[0][0] * r[2][2] - r[0][2] * r[2][0])
             + (r[0][0] * r[1][1] - r[0][1] * r[1][0])
         )
-        return [-d, m2, -t, scalar(1)]
+        return [-d, m2, -t, ONE]
 
     def is_scalar(self) -> bool:
         r = self.rows
@@ -219,7 +207,7 @@ class Mat:
         return off and (r[0][0] - r[1][1]).is_zero() and (r[0][0] - r[2][2]).is_zero()
 
     def is_identity(self) -> bool:
-        return self.is_scalar() and scalar(self.rows[0][0]).is_one()
+        return self.is_scalar() and self.rows[0][0].is_one()
 
     def is_pm_identity(self) -> bool:
         return self.is_scalar() and (self.rows[0][0].is_one() or (-self.rows[0][0]).is_one())
@@ -230,14 +218,17 @@ J = Mat([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
 def is_in_gamma(m: Mat) -> bool:
     """Membership in U(J, O_7): M* J M = J with all entries integral."""
-    if not all(isinstance(x, KNum) and x.is_integral() for r in m.rows for x in r):
+    if not all(x.is_integral() for r in m.rows for x in r):
         return False
     return (m.conj_transpose() * J * m) == J
 
 
-def _kernel_basis(m: Mat):
-    """Basis of ker(m) over the coefficient field (exact Gauss-Jordan elimination)."""
-    rows = [list(r) for r in m.rows]
+def _kernel_basis(rows):
+    """Basis of the kernel of a 3x3 matrix given by its rows (exact Gauss-Jordan elimination).
+
+    The entries are KNums or AlgNums of one field, mixed.
+    """
+    rows = [list(r) for r in rows]
     pivots = []
     for col in range(3):
         rk = len(pivots)
@@ -245,7 +236,7 @@ def _kernel_basis(m: Mat):
         if piv is None:
             continue
         rows[rk], rows[piv] = rows[piv], rows[rk]
-        inv = scalar(1) / rows[rk][col]
+        inv = ONE / rows[rk][col]
         rows[rk] = [x * inv for x in rows[rk]]
         for i in range(3):
             if i != rk and not rows[i][col].is_zero():
@@ -254,30 +245,19 @@ def _kernel_basis(m: Mat):
         pivots.append(col)
     basis = []
     for free in (c for c in range(3) if c not in pivots):
-        v = [scalar(0)] * 3
-        v[free] = scalar(1)
+        v = [ZERO] * 3
+        v[free] = ONE
         for r, col in enumerate(pivots):
             v[col] = -rows[r][free]
         basis.append(tuple(v))
     return basis
 
 
-def rank(m: Mat) -> int:
-    """Rank over the coefficient field (exact)."""
-    return 3 - len(_kernel_basis(m))
-
-
-def kernel_vector(m: Mat):
-    """A nonzero kernel vector (exact), or None if the rank is 3."""
-    basis = _kernel_basis(m)
-    return basis[0] if basis else None
-
-
 def eigenspace_basis(m: Mat, lam):
-    """Basis of ker(M - lam*I) (list of vectors, exact)."""
+    """Basis of ker(M - lam*I) (list of vectors, exact); lam is in K or in a cyclotomic field."""
     lam = scalar(lam)
     return _kernel_basis(
-        Mat([[x - lam if i == j else x for j, x in enumerate(r)] for i, r in enumerate(m.rows)])
+        [[x - lam if i == j else x for j, x in enumerate(r)] for i, r in enumerate(m.rows)]
     )
 
 

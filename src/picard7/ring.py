@@ -16,17 +16,18 @@ The eigenvalues of elliptic group elements and the coordinates of their
 fixed points lie in K, K(zeta_3) or K(zeta_7), zeta_n = exp(2*pi*i/n).
 An element of one of the two extension fields is an AlgNum: its K-coefficients
 in the power basis 1, zeta_n, ..., zeta_n^(d-1), d the degree of the
-hard-coded minimal polynomial of zeta_n over K.  Each field object carries
-its own arithmetic, and AlgNum hands every product, conjugate, inverse, sign
-and floor to it:
+minimal polynomial of zeta_n over K.  The two fields are two concrete
+classes, each with its own arithmetic on ints, and AlgNum hands every
+product, conjugate, inverse, sign and floor to its field:
 
 - K(zeta_3) = Q(sqrt(-7), sqrt(-3)) is biquadratic (Zeta3Tower).  Its
   products, conjugates and inverses are closed formulas in the two
   K-coefficients, and its real elements lie in Q(sqrt(21)), so their signs
   and floors are decided exactly on the KNum ints.
-- K(zeta_7) = Q(zeta_7) (Zeta7Tower) takes the generic arithmetic of Tower:
-  powers of zeta_7 fold back into the basis through one table of zeta_7^k,
-  k < 7.  Its real subfield is the cubic field Q(eta_1), eta_k =
+- K(zeta_7) = Q(zeta_7) (Zeta7Tower) computes on the seven int
+  coordinates of an element over Q in zeta_7^k, k mod 7: a product is a
+  cyclic convolution, conj and the other automorphisms permute the
+  coordinates.  Its real subfield is the cubic field Q(eta_1), eta_k =
   zeta_7^k + zeta_7^-k, and a real element is an int combination of
   eta_1, eta_2, eta_3 over one denominator, so its sign and floor are
   decided on ints against a dyadic bracket of eta_1.
@@ -41,6 +42,7 @@ import re as _re
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm
+from operator import mul
 
 
 class KNum:
@@ -332,7 +334,7 @@ ISQRT7 = KNum(-1, 2)  # i*sqrt(7) = 2*tau - 1
 _TERM_RE = _re.compile(
     r"""\s*(?P<sign>[+-]?)\s*
         (?:
-          (?P<coef>\d+(?:/\d+)?)\s*(?P<star>\*?)\s*(?P<tau1>tau)?
+          (?P<coef>\d+(?:/\d+)?)(?:\s*\*?\s*(?P<tau1>tau))?
           | (?P<tau2>tau)
         )\s*""",
     _re.VERBOSE,
@@ -340,17 +342,20 @@ _TERM_RE = _re.compile(
 
 
 def parse_knum(s: str) -> KNum:
-    """Parse "a+b*tau" (exact rationals; 'tau' may carry no coefficient)."""
+    """Parse "a+b*tau" (exact rationals; 'tau' may carry no coefficient).
+
+    Every term after the first needs its sign, and '*' may only join a
+    coefficient to tau, so "1 2", "tau tau" and "1*" are refused.
+    """
     pos = 0
     a = Fraction(0)
     b = Fraction(0)
     s = s.strip()
     if not s:
         raise ValueError("empty K-number literal")
-    seen = False
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
-        if not m or m.end() == pos:
+        if not m or (pos and not m.group("sign")):
             raise ValueError(f"bad K-number literal {s!r} at position {pos}")
         sign = -1 if m.group("sign") == "-" else 1
         if m.group("tau2") is not None:
@@ -365,9 +370,6 @@ def parse_knum(s: str) -> KNum:
             else:
                 a += sign * coef
         pos = m.end()
-        seen = True
-    if not seen:
-        raise ValueError(f"bad K-number literal {s!r}")
     return KNum(a, b)
 
 
@@ -475,94 +477,13 @@ def o_gcd_many(xs) -> KNum:
 # ---------------------------------------------------------------------------
 
 
-class Tower:
-    """The field K(zeta) for zeta = exp(2*pi*i/n), n = 3 or 7, on the generic path.
-
-    The package works in these two extensions of K only, each built once as
-    a subclass (Zeta3Tower, Zeta7Tower) behind `zeta3_tower()` and
-    `zeta7_tower()`.  `minpoly` is the monic minimal polynomial of zeta
-    over K (coefficients low degree first), of degree d.  Elements are
-    stored in the power basis 1, zeta, ..., zeta^(d-1).
-
-    This class holds the generic arithmetic, which K(zeta_7) uses: it
-    reads one table, `powers[k]` being zeta^k in the basis for
-    k = 0 .. n-1, built by multiplying by zeta and reducing with the
-    minimal polynomial.  As zeta^n = 1, every sum c_0 + c_1 zeta^g +
-    c_2 zeta^(2g) + ... folds back into the basis through the table (`fold`):
-
-    - a product is the convolution of the two coefficient lists;
-    - the complex conjugate of sum c_i zeta^i is sum conj(c_i) zeta^(-i);
-    - the Galois conjugates over K are sum c_i zeta^(g*i) for the
-      exponents g in `galois` (zeta^g is another root of the minimal
-      polynomial), and the inverse of x is their product divided by the
-      norm x * product, which lies in K.
-
-    Signs and floors of real elements are each subclass's own exact int
-    tests.  K(zeta_3) also overrides the arithmetic with closed forms, and
-    a plain Tower(3, minpoly) is the tests' reference for them.
-    """
-
-    def __init__(self, n: int, minpoly):
-        self.n = n
-        self.minpoly = tuple(minpoly)
-        self.degree = d = len(self.minpoly) - 1
-        self.key = ("zeta", 1, n)
-        powers = [tuple(ONE if i == k else ZERO for i in range(d)) for k in range(d)]
-        while len(powers) < n:
-            # zeta * zeta^(k-1), with zeta^d = -(m_0 + m_1 zeta + ... + m_(d-1) zeta^(d-1))
-            prev = powers[-1]
-            shifted = (ZERO,) + prev[:-1]
-            powers.append(tuple(s - prev[-1] * m for s, m in zip(shifted, self.minpoly)))
-        self.powers = tuple(powers)
-        self.galois = tuple(g for g in range(2, n) if self.fold(self.minpoly, g).is_zero())
-
-    def __repr__(self):
-        return f"Tower({self.key})"
-
-    def fold(self, coeffs, g: int = 1) -> "AlgNum":
-        """The element sum_k coeffs[k] * zeta^(g*k), for K-coefficients coeffs[k]."""
-        n, d = self.n, self.degree
-        out = [ZERO] * d
-        for k, c in enumerate(coeffs):
-            if c.is_zero():
-                continue
-            k = g * k % n
-            if k < d:
-                out[k] = out[k] + c
-                continue
-            for i, p in enumerate(self.powers[k]):
-                if not p.is_zero():
-                    out[i] = out[i] + c * p
-        return AlgNum(self, out)
-
-    # -- arithmetic of AlgNums in this field ---------------------------
-
-    def mul(self, x: "AlgNum", y: "AlgNum") -> "AlgNum":
-        slots = [ZERO] * (2 * self.degree - 1)
-        for i, c in enumerate(x.coeffs):
-            if c.is_zero():
-                continue
-            for j, e in enumerate(y.coeffs):
-                slots[i + j] = slots[i + j] + c * e
-        return self.fold(slots)
-
-    def conj(self, x: "AlgNum") -> "AlgNum":
-        return self.fold([c.conj() for c in x.coeffs], -1)
-
-    def inverse(self, x: "AlgNum") -> "AlgNum":
-        # the other Galois conjugates; their product with x is the norm, in K
-        adj = math.prod(self.fold(x.coeffs, g) for g in self.galois)
-        return adj / self.mul(x, adj).k_part()
-
-    def is_real(self, x: "AlgNum") -> bool:
-        return (x - self.conj(x)).is_zero()
-
-
-class Zeta3Tower(Tower):
+class Zeta3Tower:
     """K(zeta_3) = Q(sqrt(-7), sqrt(-3)), with closed-form arithmetic on the KNum ints.
 
-    zeta = zeta_3 satisfies zeta^2 = -1 - zeta and conj(zeta) = zeta^2, so
-    for x = c0 + c1*zeta and y = e0 + e1*zeta:
+    An element is c0 + c1*zeta, zeta = zeta_3, with K-coefficients c0, c1:
+    zeta has the minimal polynomial x^2 + x + 1 over K (`minpoly`, low
+    degree first).  zeta^2 = -1 - zeta and conj(zeta) = zeta^2, so for
+    x = c0 + c1*zeta and y = e0 + e1*zeta:
 
     - x*y = (c0 e0 - c1 e1) + (c0 e1 + c1 e0 - c1 e1) zeta;
     - conj(x) = (conj(c0) - conj(c1)) - conj(c1) zeta;
@@ -575,14 +496,14 @@ class Zeta3Tower(Tower):
     sqrt(7) plus one of sqrt(3).  So x is real iff Re(c1) = 0 and
     Im(c0) = Im(c1)/2, that is 2 a1 + b1 = 0 and 2 b0 d1 = b1 d0.  A real x
     is then P/(2 d0) + Q sqrt(21)/(4 d1) with P = 2 a0 + b0 and Q = -b1, so
-    its sign and floor are decided on ints, with no precision loop.  The
-    generic path on the same field, a plain Tower(3, minpoly), is the
-    tests' reference.
+    its sign and floor are decided on ints, with no precision loop.
     """
 
-    def __init__(self):
-        # Phi_3 = x^2 + x + 1 is irreducible over K
-        super().__init__(3, (ONE, ONE, ONE))
+    n = 3
+    degree = 2
+    key = ("zeta", 1, 3)
+    # Phi_3 = x^2 + x + 1 is irreducible over K
+    minpoly = (ONE, ONE, ONE)
 
     def mul(self, x: "AlgNum", y: "AlgNum") -> "AlgNum":
         (c0, c1), (e0, e1) = x.coeffs, y.coeffs
@@ -675,39 +596,109 @@ def _eta_brackets(p: int):
     return (lo, hi), (lo2, hi2), (-s - hi - hi2, -s - lo - lo2)
 
 
-class Zeta7Tower(Tower):
-    """K(zeta_7) = Q(zeta_7): the generic arithmetic, and exact signs and floors.
+def _zeta7_ints(x: "AlgNum"):
+    """(f, D): seven ints f_k and an int D > 0 with D x = sum f_k zeta_7^k, k = 0 .. 6.
 
-    For the sign test, x = c0 + c1 zeta + c2 zeta^2 is rewritten over Q.
-    With c_j = (A_j + B_j tau)/D over a common denominator D and the Gauss
-    sum tau = 1 + zeta + zeta^2 + zeta^4, D x = sum f_k zeta^k, k mod 7, and
-    as 1 = -(zeta + ... + zeta^6), D x = sum e_k zeta^k with e_k = f_k - f_0
-    over k = 1 .. 6, a basis of Q(zeta) over Q (Washington, GTM 83, ch. 2).
-    So x is real iff e_k = e_(7-k), and then D x = e1 eta_1 + e2 eta_2 +
-    e3 eta_3 with eta_k = zeta^k + zeta^-k.  As the eta_k sum to -1, x is
-    the rational -e1/D if e1 = e2 = e3, and irrational otherwise: then a
-    fine enough bracket decides its sign and floor, and needs no cap.
+    With the K-coefficients of x over their common denominator D, c_j =
+    (a_j + b_j tau)/D, and tau = 1 + zeta + zeta^2 + zeta^4, the term
+    c_j zeta^j spreads over zeta^j, zeta^(j+1), zeta^(j+2), zeta^(j+4).
+    """
+    c0, c1, c2 = x.coeffs
+    den = c0.d
+    if c1.d == den and c2.d == den:
+        a0, b0, a1, b1, a2, b2 = c0.na, c0.nb, c1.na, c1.nb, c2.na, c2.nb
+    else:
+        den = lcm(den, c1.d, c2.d)
+        s0, s1, s2 = den // c0.d, den // c1.d, den // c2.d
+        a0, b0, a1, b1 = c0.na * s0, c0.nb * s0, c1.na * s1, c1.nb * s1
+        a2, b2 = c2.na * s2, c2.nb * s2
+    return (a0 + b0, b0 + a1 + b1, b0 + b1 + a2 + b2, b1 + b2, b0 + b2, b1, b2), den
+
+
+def _zeta7_from_ints(tower: "Zeta7Tower", f, den: int) -> "AlgNum":
+    """The AlgNum (sum f_k zeta_7^k)/den for seven ints f_k and an int den > 0.
+
+    The f_k are _zeta7_ints of some element plus c (1 + zeta + ... + zeta^6),
+    which is zero, and the three equations for f_3, f_5, f_6 give c first.
+    """
+    f0, f1, f2, f3, f4, f5, f6 = f
+    c = f5 + f6 - f3
+    b1, b2 = f5 - c, f6 - c
+    b0 = f4 - c - b2
+    a0 = f0 - c - b0
+    a1 = f1 - c - b0 - b1
+    a2 = f2 - c - b0 - b1 - b2
+    return _alg(tower, (knum_from_ints(a0, b0, den), knum_from_ints(a1, b1, den),
+                        knum_from_ints(a2, b2, den)))
+
+
+def _cyclic_mul(f, g):
+    """The ints h_k of (sum f_k zeta^k)(sum g_k zeta^k) = sum h_k zeta^k, as zeta^7 = 1."""
+    r = tuple(reversed(g)) * 2
+    return [sum(map(mul, f, r[6 - k:13 - k])) for k in range(7)]
+
+
+class Zeta7Tower:
+    """K(zeta_7) = Q(zeta_7), with its arithmetic and its signs and floors on ints.
+
+    An element is c0 + c1 zeta + c2 zeta^2, zeta = zeta_7, with
+    K-coefficients c_j; zeta has degree 3 over K (`minpoly`).  Every
+    operation rewrites x over Q first (`_zeta7_ints`): D x = sum f_k zeta^k,
+    k mod 7, for ints f_k and D.  These f_k are unique up to adding one int
+    to all seven, as 1 + zeta + ... + zeta^6 = 0, and zeta, ..., zeta^6 is a
+    basis of Q(zeta) over Q (Washington, GTM 83, ch. 2).  Then
+
+    - a product is the cyclic convolution of the f_k mod 7;
+    - conj maps f_k to f_(-k), and x is real iff f_k = f_(7-k);
+    - the other automorphisms of Q(zeta) map f_k to f_(gk), g = 2 .. 6, and
+      the product adj of these five images of D x gives h = D x adj, the
+      norm of D x: a positive int n = h_0 - h_1 (h_k = h_1 for k > 0).
+      So 1/x = D adj/n.
+
+    A real x has D x = e1 eta_1 + e2 eta_2 + e3 eta_3 with e_k = f_k - f_0
+    and eta_k = zeta^k + zeta^-k.  As the eta_k sum to -1, x is the
+    rational -e1/D if e1 = e2 = e3, and irrational otherwise: then a fine
+    enough bracket decides its sign and floor, and needs no cap.
     """
 
-    def __init__(self):
-        # Phi_7 splits over K into two conjugate cubics; the one kept has the
-        # roots zeta, zeta^2, zeta^4 of zeta = exp(2*pi*i/7).  Their
-        # elementary symmetric functions are the quadratic Gauss sum
-        # zeta + zeta^2 + zeta^4 = tau - 1, its conjugate
-        # zeta^3 + zeta^5 + zeta^6 = -tau, and zeta^7 = 1, which gives
-        # x^3 + (1 - tau) x^2 - tau x - 1.
-        super().__init__(7, (-ONE, -TAU, ONE - TAU, ONE))
+    n = 7
+    degree = 3
+    key = ("zeta", 1, 7)
+    # Phi_7 splits over K into two conjugate cubics; the one kept has the
+    # roots zeta, zeta^2, zeta^4 of zeta = exp(2*pi*i/7).  Their
+    # elementary symmetric functions are the quadratic Gauss sum
+    # zeta + zeta^2 + zeta^4 = tau - 1, its conjugate
+    # zeta^3 + zeta^5 + zeta^6 = -tau, and zeta^7 = 1, which gives
+    # x^3 + (1 - tau) x^2 - tau x - 1.
+    minpoly = (-ONE, -TAU, ONE - TAU, ONE)
+
+    def mul(self, x: "AlgNum", y: "AlgNum") -> "AlgNum":
+        f, d = _zeta7_ints(x)
+        g, e = _zeta7_ints(y)
+        return _zeta7_from_ints(self, _cyclic_mul(f, g), d * e)
+
+    def conj(self, x: "AlgNum") -> "AlgNum":
+        (f0, f1, f2, f3, f4, f5, f6), d = _zeta7_ints(x)
+        return _zeta7_from_ints(self, (f0, f6, f5, f4, f3, f2, f1), d)
+
+    def inverse(self, x: "AlgNum") -> "AlgNum":
+        f, d = _zeta7_ints(x)
+        adj = [f[2 * k % 7] for k in range(7)]
+        for g in range(3, 7):
+            adj = _cyclic_mul(adj, [f[g * k % 7] for k in range(7)])
+        h = _cyclic_mul(f, adj)
+        return _zeta7_from_ints(self, [d * a for a in adj], h[0] - h[1])
+
+    def is_real(self, x: "AlgNum") -> bool:
+        f, _ = _zeta7_ints(x)
+        return f[1] == f[6] and f[2] == f[5] and f[3] == f[4]
 
     def _eta_coords(self, x: "AlgNum"):
         """(e1, e2, e3, D) with x = (e1 eta_1 + e2 eta_2 + e3 eta_3)/D; raises if x is not real."""
-        den = lcm(*(c.d for c in x.coeffs))
-        (a0, b0), (a1, b1), (a2, b2) = ((c.na * (den // c.d), c.nb * (den // c.d)) for c in x.coeffs)
-        # with a_j, b_j for A_j, B_j: f0 = a0 + b0, f1 = b0 + a1 + b1,
-        # f2 = b0 + b1 + a2 + b2, f3 = b1 + b2, f4 = b0 + b2, f5 = b1, f6 = b2,
-        # so e_k = e_(7-k) for k = 1, 2, 3 are the three equations below
-        if a1 + b1 + b0 != b2 or a2 + b2 + b0 != 0 or b1 != b0:
+        f, den = _zeta7_ints(x)
+        if f[1] != f[6] or f[2] != f[5] or f[3] != f[4]:
             raise ValueError(f"{x!r} is not real")
-        return a1 + b1 - a0, b1 + a2 + b2 - a0, b1 + b2 - a0 - b0, den
+        return f[1] - f[0], f[2] - f[0], f[3] - f[0], den
 
     def enclosure(self, x: "AlgNum", p: int):
         """Fractions lo <= x <= hi for a real x, about 2^-p apart; lo = hi = x for a rational x."""
@@ -742,7 +733,7 @@ class AlgNum:
     """An element of K(zeta), stored by its coefficients in the power basis of zeta.
 
     Products, conjugates, inverses, realness, signs and floors are the
-    field's (see Tower, Zeta3Tower and Zeta7Tower).  Equality with zero is
+    field's (see Zeta3Tower and Zeta7Tower).  Equality with zero is
     exact (the representation is zero), and so is the sign of a real
     element: an int test in Q(sqrt(21)) for K(zeta_3), and in K(zeta_7) an
     int test against a dyadic bracket refined until it decides.
@@ -750,7 +741,7 @@ class AlgNum:
 
     __slots__ = ("tower", "coeffs")
 
-    def __init__(self, tower: Tower, coeffs):
+    def __init__(self, tower: Zeta3Tower | Zeta7Tower, coeffs):
         coeffs = list(coeffs)
         if len(coeffs) > tower.degree:
             raise ValueError(f"{len(coeffs)} coefficients for a field of degree {tower.degree}")
@@ -762,11 +753,11 @@ class AlgNum:
         raise AttributeError("AlgNum is immutable")
 
     @staticmethod
-    def gen(tower: Tower) -> "AlgNum":
+    def gen(tower: Zeta3Tower | Zeta7Tower) -> "AlgNum":
         return AlgNum(tower, [ZERO, ONE])
 
     @staticmethod
-    def lift(tower: Tower, x) -> "AlgNum":
+    def lift(tower: Zeta3Tower | Zeta7Tower, x) -> "AlgNum":
         return AlgNum(tower, [KNum.coerce(x)])
 
     # Each operation tests for AlgNum first and Fraction last: Fraction is an
@@ -906,7 +897,7 @@ _set_tower = AlgNum.tower.__set__
 _set_coeffs = AlgNum.coeffs.__set__
 
 
-def _alg(tower: Tower, coeffs: tuple) -> AlgNum:
+def _alg(tower: Zeta3Tower | Zeta7Tower, coeffs: tuple) -> AlgNum:
     """The AlgNum with a full tuple of KNum coefficients, unchecked."""
     x = object.__new__(AlgNum)
     _set_tower(x, tower)
@@ -935,9 +926,9 @@ _ZETA3 = Zeta3Tower()
 _ZETA7 = Zeta7Tower()
 
 
-def zeta3_tower() -> Tower:
+def zeta3_tower() -> Zeta3Tower:
     return _ZETA3
 
 
-def zeta7_tower() -> Tower:
+def zeta7_tower() -> Zeta7Tower:
     return _ZETA7

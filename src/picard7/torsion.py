@@ -687,15 +687,15 @@ def dedup_isolated(cands):
 
 def _power_conjugate_witness(rep: GroupElt, g: GroupElt, n: int, stab: FiniteGroup):
     """s, k with s rep^k s^-1 = g (k coprime to n, s in the stabilizer), or None."""
-    powers = []
+    coprime = []
     p = rep
     for k in range(1, n + 1):
         if gcd(k, n) == 1:
-            powers.append((k, p))
+            coprime.append((k, p))
         p = p * rep
     for s in sorted(stab.elements, key=_elt_key):
         si = s.inverse()
-        for k, p in powers:
+        for k, p in coprime:
             if s * p * si == g:
                 return s, k
     return None

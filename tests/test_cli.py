@@ -66,6 +66,14 @@ def test_bad_point_is_a_value_error(capsys, command, point):
     assert json.loads(out)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("literal", ["1 2", "tau tau", "1*"])
+def test_malformed_literal_is_a_value_error(capsys, literal):
+    code, out = run(capsys, ["ford", "reduce", "--point", json.dumps([literal, "0", "1"])])
+    assert code == 1
+    err = json.loads(out)
+    assert err["error"] == "ValueError" and repr(literal) in err["message"]
+
+
 def test_ford_spheres(capsys):
     code, out = run(capsys, ["ford", "spheres", "--point", '["-1+1*tau","0","1"]'])
     assert code == 0

@@ -7,7 +7,6 @@ from picard7.ring import AlgNum, KNum, TAU, TAU_BAR, zeta3_tower
 from picard7.hermitian import (
     GroupElt,
     HoroPoint,
-    Mat,
     ProjPoint,
     eigenspace_basis,
     horo_coords,
@@ -42,9 +41,7 @@ def order6_fixture():
     t1, ttau, r = T1.to_matrix(), TTAU.to_matrix(), R.to_matrix()
     inner = (t1 * r) * (t1 * a1) ** 2 * t1.inverse() * r * t1 * a1 * t1.inverse()
     n = (ttau * r) * inner * (r * ttau.inverse())
-    tw = zeta3_tower()
-    nt = Mat([[AlgNum.lift(tw, x) for x in row] for row in n.mat.rows])
-    fixed = ProjPoint(eigenspace_basis(nt, 1 + AlgNum.gen(tw))[0])
+    fixed = ProjPoint(eigenspace_basis(n.mat, 1 + AlgNum.gen(zeta3_tower()))[0])
     return n, fixed
 
 
@@ -260,10 +257,8 @@ def test_order6_point_on_five_spheres():
         (6, CuspElt(n=1)),
     }
     # the conjugated element fixes the reduced point
-    tw = y.coords[0].tower
     conj = g * GroupElt(n.mat, check=False) * g.inverse()
-    mt = Mat([[AlgNum.lift(tw, x) for x in row] for row in conj.mat.rows])
-    assert ProjPoint(mt.apply(y.coords)) == y
+    assert ProjPoint(conj.mat.apply(y.coords)) == y
 
 
 def test_sphere_inversion_identity():
@@ -273,11 +268,9 @@ def test_sphere_inversion_identity():
     assert ford_side(img, a6.inverse()) == "boundary"
     _, fixed = order6_fixture()
     a2 = GENERATORS[2]
-    tw = fixed.coords[0].tower
     # the Omega representative of the fixed point lies on I(A2)
     _, y = reduce_to_domain(fixed)
-    a2t = Mat([[AlgNum.lift(tw, x) for x in row] for row in a2.mat.inverse().rows])
-    assert ford_side(tuple(a2t.apply(y.coords)), GENERATORS[3]) == "boundary"
+    assert ford_side(tuple(a2.mat.inverse().apply(y.coords)), GENERATORS[3]) == "boundary"
 
 
 def test_reduce_identity_case():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from picard7.ring import AlgNum, ISQRT7, KNum, TAU, TAU_BAR, zeta3_tower
+from picard7.ring import AlgNum, ISQRT7, KNum, TAU, TAU_BAR, ZERO, zeta3_tower
 from picard7.hermitian import (
     GroupElt,
     HoroPoint,
@@ -16,12 +16,10 @@ from picard7.hermitian import (
     herm_inner,
     horo_coords,
     is_in_gamma,
-    kernel_vector,
     lift,
     mat_from_json,
     mat_to_json,
     primitive_rep,
-    rank,
     sq_norm,
 )
 
@@ -94,35 +92,34 @@ def test_int_matrix_kernel_matches_generic_path():
         a = Mat([[_rand_k(rng) for _ in range(3)] for _ in range(3)])
         b = Mat([[_rand_k(rng) for _ in range(3)] for _ in range(3)])
         v = tuple(_rand_k(rng) for _ in range(3))
-        assert a.over_k and b.over_k
         prod = a * b
-        assert prod.over_k
         assert [list(r) for r in prod.rows] == _generic_product(a, b)
         assert a.apply(v) == tuple(
             sum((a.rows[i][k] * v[k] for k in range(3)), start=KNum(0)) for i in range(3)
         )
 
 
-def test_tower_matrices_take_the_generic_path(monkeypatch):
+def test_mat_refuses_algnum_entries():
+    z = AlgNum.gen(zeta3_tower())
+    with pytest.raises(TypeError, match="cannot coerce"):
+        Mat([[z, 1, 0], [0, z * z, TAU], [KNum(Fraction(1, 2)), 0, z + 1]])
+    # an AlgNum that lies in K is refused too: a matrix holds KNums only
+    with pytest.raises(TypeError, match="cannot coerce"):
+        Mat.identity().scale(AlgNum.lift(zeta3_tower(), 2))
+
+
+def test_tower_vectors_take_the_generic_path(monkeypatch):
     import picard7.hermitian as hermitian
 
     def no_int_kernel(*args):
-        raise AssertionError("the int kernel ran on a tower matrix")
+        raise AssertionError("the int kernel ran on a tower vector")
 
-    tw = zeta3_tower()
-    z = AlgNum.gen(tw)
-    m = Mat([[z, 1, 0], [0, z * z, TAU], [KNum(Fraction(1, 2)), 0, z + 1]])
-    assert not m.over_k
-    want = _generic_product(m, A2)
+    z = AlgNum.gen(zeta3_tower())
     monkeypatch.setattr(hermitian, "_dot_k", no_int_kernel)
-    assert [list(r) for r in (m * A2).rows] == want
-    assert [list(r) for r in (A2 * m).rows] == _generic_product(A2, m)
-    v = (z, KNum(1), TAU)
-    assert m.apply(v) == tuple(sum((m.rows[i][k] * v[k] for k in range(3)), start=KNum(0))
-                               for i in range(3))
-    # a tower vector under a K matrix also takes the generic path
-    assert A2.apply(v) == tuple(sum((A2.rows[i][k] * v[k] for k in range(3)), start=KNum(0))
-                                for i in range(3))
+    for v in ((z, KNum(1), TAU), (z * z, z + 1, KNum(Fraction(1, 2)))):
+        for m in (A2, A6):
+            assert m.apply(v) == tuple(sum((m.rows[i][k] * v[k] for k in range(3)), start=KNum(0))
+                                       for i in range(3))
 
 
 def test_group_inverse_is_j_conj_transpose_j():
@@ -147,12 +144,11 @@ def test_group_inverse_is_j_conj_transpose_j():
 
 def test_rank_and_kernel():
     m = Mat([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
-    assert rank(m) == 2
-    v = kernel_vector(m)
-    assert v is not None
+    kernel = eigenspace_basis(m, ZERO)
+    assert len(kernel) == 1  # rank 2
+    v = kernel[0]
     assert all(x.is_zero() for x in m.apply(v))
-    assert rank(A2) == 3
-    assert kernel_vector(A2) is None
+    assert eigenspace_basis(A2, ZERO) == []  # rank 3
 
 
 def test_eigenspaces():

@@ -13,7 +13,6 @@ from picard7.ring import (
     ONE,
     TAU,
     TAU_BAR,
-    Tower,
     ZERO,
     alg_floor,
     format_knum,
@@ -97,6 +96,13 @@ def test_parse_format_roundtrip():
         parse_knum("2+x")
     with pytest.raises(ValueError):
         parse_knum("1/0+tau")
+
+
+@pytest.mark.parametrize("text", ["1 2", "tau tau", "1*", "1 tau tau", "1**tau", "+"])
+def test_parse_refuses_juxtaposed_terms_and_dangling_star(text):
+    # every term after the first needs its sign, and '*' only joins a coefficient to tau
+    with pytest.raises(ValueError, match="bad K-number literal"):
+        parse_knum(text)
 
 
 def test_euclidean_division():
@@ -196,7 +202,7 @@ def test_zeta7_minpoly():
     assert 0 not in re or 0 not in im
     assert list(zeta3_tower().minpoly) == [ONE] * 3
     # the other roots of the minimal polynomials: zeta^2 and zeta^4
-    assert zeta3_tower().galois == (2,) and zeta7_tower().galois == (2, 4)
+    assert _GENERIC["zeta3"].galois == (2,) and _GENERIC["zeta7"].galois == (2, 4)
 
 
 def test_zeta3_arithmetic():
@@ -480,18 +486,75 @@ def test_euclid_on_random_pairs():
 
 
 # ---------------------------------------------------------------------------
-# K(zeta_3) closed forms against the generic path, and the signs and floors
+# both fields against a generic powers-table path, and the signs and floors
 # of both fields against certified mpmath intervals
 # ---------------------------------------------------------------------------
 
-# the same field on the generic powers-table path: the reference
-_ZETA3_GENERIC = Tower(3, zeta3_tower().minpoly)
+
+class Tower:
+    """The field K(zeta), zeta = exp(2*pi*i/n), on a generic path: the reference.
+
+    `minpoly` is the monic minimal polynomial of zeta over K (low degree
+    first), of degree d, and elements are AlgNums over the power basis
+    1, zeta, ..., zeta^(d-1).  One table, `powers[k]` = zeta^k in the basis
+    for k < n, folds every sum c_0 + c_1 zeta^g + c_2 zeta^(2g) + ... back
+    into the basis (`fold`), as zeta^n = 1:
+
+    - a product is the convolution of the two coefficient lists;
+    - the complex conjugate of sum c_i zeta^i is sum conj(c_i) zeta^(-i);
+    - the Galois conjugates over K are sum c_i zeta^(g*i) for the exponents
+      g in `galois` (zeta^g is another root of the minimal polynomial), and
+      the inverse of x is their product divided by the norm x * product,
+      which lies in K.
+    """
+
+    def __init__(self, n: int, minpoly):
+        self.n = n
+        self.minpoly = tuple(minpoly)
+        self.degree = d = len(self.minpoly) - 1
+        self.key = ("generic", n)
+        powers = [tuple(ONE if i == k else ZERO for i in range(d)) for k in range(d)]
+        while len(powers) < n:
+            # zeta * zeta^(k-1), with zeta^d = -(m_0 + m_1 zeta + ... + m_(d-1) zeta^(d-1))
+            prev = powers[-1]
+            shifted = (ZERO,) + prev[:-1]
+            powers.append(tuple(s - prev[-1] * m for s, m in zip(shifted, self.minpoly)))
+        self.powers = tuple(powers)
+        self.galois = tuple(g for g in range(2, n) if self.fold(self.minpoly, g).is_zero())
+
+    def fold(self, coeffs, g: int = 1) -> AlgNum:
+        """The element sum_k coeffs[k] * zeta^(g*k), for K-coefficients coeffs[k]."""
+        out = [ZERO] * self.degree
+        for k, c in enumerate(coeffs):
+            for i, p in enumerate(self.powers[g * k % self.n]):
+                out[i] = out[i] + c * p
+        return AlgNum(self, out)
+
+    def mul(self, x: AlgNum, y: AlgNum) -> AlgNum:
+        slots = [ZERO] * (2 * self.degree - 1)
+        for i, c in enumerate(x.coeffs):
+            for j, e in enumerate(y.coeffs):
+                slots[i + j] = slots[i + j] + c * e
+        return self.fold(slots)
+
+    def conj(self, x: AlgNum) -> AlgNum:
+        return self.fold([c.conj() for c in x.coeffs], -1)
+
+    def inverse(self, x: AlgNum) -> AlgNum:
+        adj = math.prod(self.fold(x.coeffs, g) for g in self.galois)
+        return adj / self.mul(x, adj).k_part()
+
+    def is_real(self, x: AlgNum) -> bool:
+        return (x - self.conj(x)).is_zero()
+
+
+# each field on the generic path, by the test id of the field
+_GENERIC = {
+    "zeta3": Tower(3, zeta3_tower().minpoly),
+    "zeta7": Tower(7, zeta7_tower().minpoly),
+}
 # sqrt(21) = -sqrt(-7) sqrt(-3), with sqrt(-3) = 2 zeta_3 + 1
 _SQRT21 = -(ISQRT7 * (2 * AlgNum.gen(zeta3_tower()) + 1))
-
-
-def _generic(x):
-    return AlgNum(_ZETA3_GENERIC, x.coeffs)
 
 
 def _rand_zeta3(rng):
@@ -513,21 +576,28 @@ def _check_sign_and_floor(x):
         assert _strictly_between(Fraction(floor), re, Fraction(floor + 1))
 
 
-def test_zeta3_closed_forms_match_generic_path():
-    tw = zeta3_tower()
-    rng = random.Random(2103)
+@pytest.mark.parametrize("tw", [zeta3_tower(), zeta7_tower()], ids=["zeta3", "zeta7"])
+def test_closed_forms_match_generic_path(tw):
+    ref = _GENERIC[f"zeta{tw.n}"]
+
+    def generic(x):
+        return AlgNum(ref, x.coeffs)
+
+    rng = random.Random(2100 + tw.n)
     for _ in range(300):
-        x, y = _rand_zeta3(rng), _rand_zeta3(rng)
-        assert x.tower is tw and _generic(x).tower is _ZETA3_GENERIC
-        assert (x * y).coeffs == (_generic(x) * _generic(y)).coeffs
-        assert x.conj().coeffs == _generic(x).conj().coeffs
-        assert x.inverse().coeffs == _generic(x).inverse().coeffs
+        x, y = (AlgNum(tw, [rand_knum(rng, rng.randint(2, 9)) for _ in range(tw.degree)])
+                for _ in range(2))
+        assert x.tower is tw and generic(x).tower is ref
+        assert (x * y).coeffs == (generic(x) * generic(y)).coeffs
+        assert x.conj().coeffs == generic(x).conj().coeffs
+        assert x.inverse().coeffs == generic(x).inverse().coeffs
         for v in (x, x + x.conj(), x - x.conj(), x * x.conj()):
-            assert v.is_real() == _generic(v).is_real()
+            assert v.is_real() == generic(v).is_real()
     z = AlgNum.gen(tw)
-    for x in (z, z * z, 1 + z, ISQRT7 * z, _SQRT21):
-        assert x.inverse().coeffs == _generic(x).inverse().coeffs
-        assert x.conj().coeffs == _generic(x).conj().coeffs
+    special = [z, z * z, 1 + z, ISQRT7 * z] + ([_SQRT21] if tw.n == 3 else [z + z.conj()])
+    for x in special:
+        assert x.inverse().coeffs == generic(x).inverse().coeffs
+        assert x.conj().coeffs == generic(x).conj().coeffs
 
 
 def test_zeta3_signs_and_floors_are_exact():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from picard7.ring import AlgNum, ISQRT7, KNum, TAU, TAU_BAR
+from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR
 from picard7.hermitian import GroupElt, Mat, ProjPoint, sq_norm
 from picard7.heisenberg import CuspElt, R, T1, TTAU, TV
 from picard7.ford import GENERATORS, cygan_dist4, sphere_of, sqrt_ub
@@ -27,11 +27,6 @@ from picard7.torsion import (
 )
 
 V1 = ProjPoint((-TAU_BAR, KNum(0), KNum(1)))
-
-
-def _lift_point_mat(p: ProjPoint, m: Mat) -> Mat:
-    tw = p.coords[0].tower
-    return Mat([[AlgNum.lift(tw, x) for x in row] for row in m.rows])
 
 
 def test_projective_order():
@@ -103,8 +98,7 @@ def test_classify_isolated_algebraic():
     assert kind == "isolated" and norm is None
     assert not pt.rational
     assert sq_norm(pt.coords).real_sign() < 0
-    lifted = _lift_point_mat(pt, g7.mat)
-    assert ProjPoint(lifted.apply(pt.coords)) == pt
+    assert ProjPoint(g7.mat.apply(pt.coords)) == pt
 
 
 def test_tjk_basics():
@@ -292,8 +286,7 @@ def test_isolated_reps_fix_their_points():
         if c.fixed.rational:
             assert c.fixed.apply(c.rep.mat) == c.fixed
         else:
-            lifted = _lift_point_mat(c.fixed, c.rep.mat)
-            assert ProjPoint(lifted.apply(c.fixed.coords)) == c.fixed
+            assert ProjPoint(c.rep.mat.apply(c.fixed.coords)) == c.fixed
 
 
 def test_stabilizer_linear_orders():
