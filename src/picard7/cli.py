@@ -2,9 +2,7 @@
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, fields
 from functools import cache
 
 from picard7.hermitian import (
@@ -19,9 +17,6 @@ from picard7.heisenberg import cusp_torsion_classes, enumerate_cusp_overlaps
 from picard7.ford import ReductionError, in_omega, reduce_to_domain, spheres_containing
 from picard7.torsion import ClosureError, build_cycle_graph, enumerate_torsion, stabilizer
 
-ENV_PREFIX = "PICARD7_"
-
-
 class UsageError(Exception):
     """A malformed command line (argparse's error, which would exit 2)."""
 
@@ -29,28 +24,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass
-class Config:
-    max_reduce_iters: int = 1000
-    closure_cap: int = 10000
-
-    def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError("%s must be positive" % f.name)
-
-
-def config_from(args) -> Config:
-    values = {}
-    for f in fields(Config):
-        env = os.environ.get(ENV_PREFIX + f.name.upper())
-        if getattr(args, f.name, None) is not None:
-            values[f.name] = getattr(args, f.name)
-        elif env is not None:
-            values[f.name] = int(env)
-    return Config(**values)
 
 
 def _point_json(p: ProjPoint):
@@ -73,8 +46,8 @@ def _interior_point(text) -> ProjPoint:
     return p
 
 
-def cmd_ford_reduce(args, cfg):
-    g, y = reduce_to_domain(_interior_point(args.point), max_iters=cfg.max_reduce_iters)
+def cmd_ford_reduce(args):
+    g, y = reduce_to_domain(_interior_point(args.point))
     return {
         "element": _elt_json(g),
         "point": _point_json(y),
@@ -83,7 +56,7 @@ def cmd_ford_reduce(args, cfg):
     }
 
 
-def cmd_ford_spheres(args, cfg):
+def cmd_ford_spheres(args):
     v = vec_from_json(args.point)
     res = spheres_containing(ProjPoint(v))
     return {
@@ -95,7 +68,7 @@ def cmd_ford_spheres(args, cfg):
     }
 
 
-def cmd_cusp_overlaps(args, cfg):
+def cmd_cusp_overlaps(args):
     ov = sorted(enumerate_cusp_overlaps(), key=lambda c: c.sort_key())
     return {
         "count": len(ov),
@@ -105,7 +78,7 @@ def cmd_cusp_overlaps(args, cfg):
     }
 
 
-def cmd_cusp_torsion(args, cfg):
+def cmd_cusp_torsion(args):
     ov = sorted(enumerate_cusp_overlaps(), key=lambda c: c.sort_key())
     torsion = [c for c in ov if c.order() == 2]
     classes = cusp_torsion_classes()
@@ -137,7 +110,7 @@ def _class_json(i, cls):
     }
 
 
-def cmd_torsion_enumerate(args, cfg):
+def cmd_torsion_enumerate(args):
     classes = enumerate_torsion()
     return {
         "count": len(classes),
@@ -145,10 +118,10 @@ def cmd_torsion_enumerate(args, cfg):
     }
 
 
-def cmd_torsion_stabilizer(args, cfg):
-    _, y = reduce_to_domain(_interior_point(args.point), max_iters=cfg.max_reduce_iters)
+def cmd_torsion_stabilizer(args):
+    _, y = reduce_to_domain(_interior_point(args.point))
     graph = build_cycle_graph([y])
-    st = stabilizer(y, graph, cap=cfg.closure_cap)
+    st = stabilizer(y, graph)
     return {
         "point": _point_json(y),
         "linear_order": st.linear_order,
@@ -160,7 +133,7 @@ def cmd_torsion_stabilizer(args, cfg):
     }
 
 
-def cmd_mirror_verify(args, cfg):
+def cmd_mirror_verify(args):
     from picard7 import mirror
 
     if args.which == "R":
@@ -170,7 +143,7 @@ def cmd_mirror_verify(args, cfg):
     return rep
 
 
-def cmd_mirror_search(args, cfg):
+def cmd_mirror_search(args):
     from picard7 import mirror
 
     ctx = (
@@ -185,7 +158,7 @@ def cmd_mirror_search(args, cfg):
     }
 
 
-def cmd_presentation_verify(args, cfg):
+def cmd_presentation_verify(args):
     from picard7 import presentation
 
     cov = presentation.coverage_report()
@@ -203,23 +176,23 @@ def cmd_presentation_verify(args, cfg):
     }
 
 
-def cmd_congruence_check(args, cfg):
+def cmd_congruence_check(args):
     from picard7 import congruence
 
     return congruence.torsion_free_certificate(args.ideal)
 
 
-def cmd_report_all(args, cfg):
+def cmd_report_all(args):
     from types import SimpleNamespace
 
     return {
-        "torsion": cmd_torsion_enumerate(args, cfg),
-        "cusp": cmd_cusp_torsion(args, cfg),
-        "mirror_R": cmd_mirror_verify(SimpleNamespace(which="R"), cfg),
-        "mirror_L": cmd_mirror_verify(SimpleNamespace(which="L"), cfg),
-        "presentation": cmd_presentation_verify(args, cfg),
-        "congruence_isqrt7": cmd_congruence_check(SimpleNamespace(ideal="isqrt7"), cfg),
-        "congruence_tau": cmd_congruence_check(SimpleNamespace(ideal="tau"), cfg),
+        "torsion": cmd_torsion_enumerate(args),
+        "cusp": cmd_cusp_torsion(args),
+        "mirror_R": cmd_mirror_verify(SimpleNamespace(which="R")),
+        "mirror_L": cmd_mirror_verify(SimpleNamespace(which="L")),
+        "presentation": cmd_presentation_verify(args),
+        "congruence_isqrt7": cmd_congruence_check(SimpleNamespace(ideal="isqrt7")),
+        "congruence_tau": cmd_congruence_check(SimpleNamespace(ideal="tau")),
     }
 
 
@@ -231,8 +204,8 @@ def _command(name):
     in effect.
     """
 
-    def run(args, cfg):
-        return globals()[name](args, cfg)
+    def run(args):
+        return globals()[name](args)
 
     return run
 
@@ -240,8 +213,6 @@ def _command(name):
 @cache
 def build_parser():
     p = _Parser(prog="picard7", description=__doc__)
-    for f in fields(Config):
-        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=int, default=None)
     sub = p.add_subparsers(dest="command", required=True)
 
     ford = sub.add_parser("ford").add_subparsers(dest="sub", required=True)
@@ -294,8 +265,7 @@ def main(argv=None) -> int:
     """Exit codes: 0 success, 1 bad input, 2 resource limit, 3 failed soundness check."""
     try:
         args = build_parser().parse_args(argv)
-        cfg = config_from(args)
-        out = args.func(args, cfg)
+        out = args.func(args)
     except UsageError as e:
         return _error("UsageError", e, 1)
     except (ClosureError, ReductionError) as e:

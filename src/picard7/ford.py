@@ -259,7 +259,6 @@ def dist2_to_triangle(p: KNum) -> Fraction:
 _MN_BOX = 5
 
 
-@cache
 def enumerate_cone_translates(j: int):
     """Finite superset of {alpha in the cusp group : alpha(I(A_j)) meets C_P}.
 
@@ -341,6 +340,19 @@ def _cmp(x, y) -> int:
     return (x > y) - (x < y)
 
 
+def _sweep(v, own):
+    """(sign, quantity, j, alpha) for each candidate column alpha(A_j(inf))
+    with N(<v, col>) <= own, where v is a prepared vector (_sweep_vector)
+    and own its N(v3); sign is the exact sign of the comparison.  The
+    columns come in (j, alpha.sort_key()) order."""
+    for j in sorted(GENERATORS):
+        for alpha, col in candidate_spheres(j):
+            other = _quantity(herm_inner(v, col))
+            sign = _cmp(other, own)
+            if sign <= 0:
+                yield sign, other, j, alpha
+
+
 def spheres_containing(x):
     """All translated spheres alpha(I(A_j)) whose closed Cygan ball contains x.
 
@@ -356,24 +368,16 @@ def spheres_containing(x):
     shift, h_red = reduce_to_prism(h)
     shift_inv = shift.inverse()
     v = _sweep_vector(lift(h_red))
-    own = _quantity(v[2])
     # a translated sphere depends only on its center and radius (the coset
-    # of alpha*A_j modulo right cusp multiplication), so dedup on those
+    # of alpha*A_j modulo right cusp multiplication), so dedup on those,
+    # keeping the first (j, alpha) of the sweep
     found = {}
-    for j in sorted(GENERATORS):
+    for sign, _, j, alpha in _sweep(v, _quantity(v[2])):
         sph = sphere_of(j)
-        for alpha, col in candidate_spheres(j):
-            sign = _cmp(_quantity(herm_inner(v, col)), own)
-            if sign > 0:
-                continue
-            center = alpha.act_horo(sph.center)
-            key = (sph.r4, center)
-            entry = (j, alpha.sort_key())
-            if key not in found or entry < found[key][:2]:
-                found[key] = (j, alpha.sort_key(), alpha, sign)
+        found.setdefault((sph.r4, alpha.act_horo(sph.center)), (j, alpha, sign))
     return [
         (shift_inv * alpha, j, "boundary" if sign == 0 else "interior")
-        for (j, _, alpha, sign) in sorted(found.values())
+        for j, alpha, sign in found.values()
     ]
 
 
@@ -409,22 +413,15 @@ def reduce_to_domain(x, max_iters: int = DEFAULT_MAX_ITERS):
         total = shift.to_matrix() * total
         vs = _sweep_vector(v)
         own = _quantity(vs[2])
+        # the violation ratio own/other is largest when `other` is smallest
+        # (own is fixed within this sweep); the sweep's order breaks ties
         best = None
-        for j in sorted(GENERATORS):
-            for alpha, col in candidate_spheres(j):
-                other = _quantity(herm_inner(vs, col))
-                if _cmp(other, own) >= 0:
-                    continue
-                if best is not None:
-                    # the violation ratio own/other is largest when `other`
-                    # is smallest (own is fixed within this sweep)
-                    cmp = _cmp(best[0], other)
-                    if cmp < 0 or (cmp == 0 and (j, alpha.sort_key()) >= best[1]):
-                        continue
-                best = (other, (j, alpha.sort_key()), alpha)
+        for sign, other, j, alpha in _sweep(vs, own):
+            if sign < 0 and (best is None or _cmp(other, best[0]) < 0):
+                best = (other, j, alpha)
         if best is None:
             return total, (ProjPoint(v) if as_proj else horo_coords(v))
-        g = best[2].to_matrix() * GENERATORS[best[1][0]]
+        g = best[2].to_matrix() * GENERATORS[best[1]]
         gi = g.inverse()
         # gi maps the scaled vector to a multiple of the new point by the same
         # factor, so its Ford quantity compares with `own`
@@ -443,9 +440,4 @@ def in_omega(x) -> bool:
     if not Prism.contains(h.z, h.ti):
         return False
     v = _sweep_vector(v)
-    own = _quantity(v[2])
-    for j in sorted(GENERATORS):
-        for _, col in candidate_spheres(j):
-            if _cmp(_quantity(herm_inner(v, col)), own) < 0:
-                return False
-    return True
+    return all(sign == 0 for sign, _, _, _ in _sweep(v, _quantity(v[2])))

@@ -122,10 +122,6 @@ class Mat:
     def identity() -> "Mat":
         return Mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
-    @staticmethod
-    def diag(a, b, c) -> "Mat":
-        return Mat([[a, 0, 0], [0, b, 0], [0, 0, c]])
-
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
@@ -577,13 +573,6 @@ class HoroPoint:
             ti = ti.k_part()
         return ti.b / 2
 
-    @property
-    def u_rat(self) -> Fraction:
-        u = self.u
-        if isinstance(u, AlgNum):
-            u = u.k_part()
-        return u.rat()
-
     def __eq__(self, other):
         if not isinstance(other, HoroPoint):
             return NotImplemented
@@ -619,16 +608,6 @@ def lift(h: HoroPoint):
     """Homogeneous lift ((-|z|^2 + it - u)/2, z, 1)."""
     z = h.z
     return ((-(z.abs2()) + h.ti - h.u) / 2, z, ONE)
-
-
-def dist_invariant(p: ProjPoint, q: ProjPoint):
-    """cosh^2(d/2) = |<v,w>|^2 / (<v,v> <w,w>), exact (negative points only)."""
-    nv = p.sq_norm()
-    nw = q.sq_norm()
-    if nv.real_sign() >= 0 or nw.real_sign() >= 0:
-        raise ValueError("dist_invariant requires negative points")
-    inner = herm_inner(p.coords, q.coords)
-    return inner.abs2() / (nv * nw)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Two-generator presentation of the group and its torsion word tables."""
 
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR
 from picard7.hermitian import GroupElt, Mat, ProjPoint, is_in_gamma, sq_norm
@@ -209,16 +209,18 @@ def verify_table_rows() -> dict:
     return {"rows": out, "all_pass": all(r["row_ok"] for r in out)}
 
 
-@cache
-def _pair_graph(fixed: ProjPoint, y: ProjPoint):
-    return build_cycle_graph([fixed, y])
+def _component_witness(cls, g, n, pt, graphs):
+    """delta, k with delta g delta^-1 = cls.rep^k, via the shared cycle graph.
 
-
-def _component_witness(cls, g, n, pt):
-    """delta, k with delta g delta^-1 = cls.rep^k, via the shared cycle graph."""
+    graphs holds the cycle graphs this coverage run has built, by
+    (class fixed point, reduced point).
+    """
     shift, y = reduce_to_domain(pt)
     moved = shift * g * shift.inverse()
-    graph = _pair_graph(cls.fixed, y)
+    key = (cls.fixed, y)
+    if key not in graphs:
+        graphs[key] = build_cycle_graph([cls.fixed, y])
+    graph = graphs[key]
     ic = graph.index_of(cls.fixed)
     iy = graph.index_of(y)
     for comp in graph.components():
@@ -250,6 +252,7 @@ def coverage_report() -> dict:
     classes = enumerate_torsion()
     rows = torsion_word_rows()
     matches = {}
+    graphs = {}
     for idx, cls in enumerate(classes):
         for row in rows:
             g, n = row["elt"], row["order"]
@@ -266,7 +269,7 @@ def coverage_report() -> dict:
             else:
                 if kind != "isolated":
                     continue
-                wit = _component_witness(cls, g, n, pt)
+                wit = _component_witness(cls, g, n, pt, graphs)
                 if wit is not None:
                     delta, k = wit
                     matches[idx] = {"word": row["word"], "delta": delta, "power": k}

@@ -284,10 +284,6 @@ class KNum:
 
     # -- canonical sign -----------------------------------------------
 
-    def sign_key(self):
-        """Lexicographic key on (a, b); total order used for sign canonicalization."""
-        return (self.a, self.b)
-
     def is_sign_positive(self) -> bool:
         """True if self > 0 in the lexicographic (a, b) order (self must be nonzero)."""
         # d > 0, so (a/d, b/d) and (a, b) have the same signs
@@ -915,11 +911,6 @@ def scalar(x):
 def real_cmp(x, y) -> int:
     """Exact comparison of two real scalars (KNum or AlgNum, mixed allowed)."""
     return (x - y).real_sign()
-
-
-def alg_floor(x) -> int:
-    """Floor of a real scalar (KNum or AlgNum)."""
-    return scalar(x).floor_real()
 
 
 _ZETA3 = Zeta3Tower()

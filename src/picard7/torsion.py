@@ -12,7 +12,7 @@ maps, so that conjugacy and stabilizers reduce to finite group computations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import gcd
 
 from .ring import (
@@ -197,7 +197,6 @@ def classify_elliptic(g: GroupElt, n: int):
 _TJK_M, _TJK_N, _TJK_L = 8, 5, 8
 
 
-@cache
 def enumerate_tjk(j: int, k: int):
     """Finite superset of {alpha cusp : alpha(I(A_j)) meets I(A_k)}.
 
@@ -546,7 +545,7 @@ def _spanning_transports(graph: CycleGraph, base: int):
     return transports
 
 
-def stabilizer(point, graph: CycleGraph, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+def stabilizer(point, graph: CycleGraph) -> FiniteGroup:
     """Stabilizer of a graph vertex: image of the graph's fundamental group.
 
     Generators: for every edge u -> w in the vertex's component, the composite
@@ -564,7 +563,7 @@ def stabilizer(point, graph: CycleGraph, cap: int = DEFAULT_CLOSURE_CAP) -> Fini
         g = transports[e.dst].inverse() * e.label * transports[e.src]
         if not g.is_identity():
             gens.append(g)
-    return FiniteGroup(gens, cap=cap)
+    return FiniteGroup(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -596,11 +595,6 @@ class TorsionClass:
         return word_str(self.rep.word)
 
 
-@cache
-def _reduced_fixed_point(fixed: ProjPoint):
-    return reduce_to_domain(fixed)
-
-
 def _torsion_candidates():
     """All finite-order gamma = alpha A_j over the T_jk sweeps, plus cusp torsion."""
     found = {}
@@ -628,8 +622,11 @@ def dedup_isolated(cands):
     """
     at_vertex = {}  # vertex ProjPoint -> list of (element fixing it, order)
     order = []
+    reduced = {}  # fixed point -> (shift, point in Omega); candidates share fixed points
     for g, n, fixed in cands:
-        shift, y = _reduced_fixed_point(fixed)
+        if fixed not in reduced:
+            reduced[fixed] = reduce_to_domain(fixed)
+        shift, y = reduced[fixed]
         moved = shift * g * shift.inverse()
         if y not in at_vertex:
             at_vertex[y] = []

@@ -3,18 +3,15 @@ import json
 
 import pytest
 
-from picard7.cli import Config, build_parser, main
+from picard7.cli import build_parser, main
+from picard7.ford import ReductionError
+from picard7.torsion import ClosureError
 
 
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
-
-
-def test_config_validation():
-    cfg = Config()
-    assert cfg.max_reduce_iters == 1000 and cfg.closure_cap == 10000
 
 
 def test_cusp_torsion(capsys):
@@ -113,11 +110,6 @@ def test_congruence_check(capsys):
     assert data["torsion_free"] is False
 
 
-def test_bad_config_flag(capsys):
-    code, out = run(capsys, ["--max-reduce-iters", "0", "cusp", "overlaps"])
-    assert code == 1
-
-
 def test_parser_covers_all_subcommands():
     p = build_parser()
     for argv in (
@@ -132,10 +124,22 @@ def test_parser_covers_all_subcommands():
         assert callable(args.func)
 
 
+def test_parser_has_no_global_options():
+    # the computation has no tunable input: the limits are fixed constants
+    top = [a.option_strings for a in build_parser()._actions if a.option_strings]
+    assert top == [["-h", "--help"]]
+
+
 @pytest.mark.parametrize(
     "argv",
-    [[], ["ford", "reduce"], ["--closure-cap", "x", "cusp", "overlaps"]],
-    ids=["no-command", "missing-point", "bad-int"],
+    [
+        [],
+        ["ford", "reduce"],
+        ["mirror", "search", "--norm", "2", "--height", "x"],
+        ["--closure-cap", "5", "cusp", "overlaps"],
+        ["--max-reduce-iters", "5", "cusp", "overlaps"],
+    ],
+    ids=["no-command", "missing-point", "bad-int", "no-closure-cap", "no-max-reduce-iters"],
 )
 def test_usage_error_is_json_exit_1(capsys, argv):
     # argparse would print plain text and exit 2, the resource-limit code
@@ -147,13 +151,27 @@ def test_usage_error_is_json_exit_1(capsys, argv):
 def test_failed_soundness_check_exits_3(capsys, monkeypatch):
     import picard7.cli as cli
 
-    def broken(args, cfg):
+    def broken(args):
         raise ArithmeticError("candidate box too small")
 
     monkeypatch.setattr(cli, "cmd_cusp_overlaps", broken)
     code, out = run(capsys, ["cusp", "overlaps"])
     assert code == 3
     assert json.loads(out) == {"error": "ArithmeticError", "message": "candidate box too small"}
+
+
+@pytest.mark.parametrize("error", [ClosureError, ReductionError], ids=lambda e: e.__name__)
+def test_resource_limit_exits_2(capsys, monkeypatch, error):
+    import picard7.cli as cli
+
+    def limited(args):
+        raise error("limit reached")
+
+    monkeypatch.setattr(cli, "cmd_cusp_overlaps", limited)
+    code, out = run(capsys, ["cusp", "overlaps"])
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"error": error.__name__, "message": "limit reached"}
 
 
 # the stabilizer of this point has two 1-lines and two 2-lines

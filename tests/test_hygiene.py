@@ -43,6 +43,17 @@ def imported_packages(path: Path):
     return names
 
 
+def environment_reads(path: Path):
+    """Line numbers of reads of the process environment (os.environ, getenv)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name in ("environ", "getenv", "environb", "getenvb"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"ring.py", "hermitian.py", "heisenberg.py", "cli.py"}
 
@@ -62,3 +73,9 @@ def test_imports_only_stdlib_and_picard7(path):
     # the package has no runtime dependency
     allowed = set(sys.stdlib_module_names) | {"picard7"}
     assert sorted(imported_packages(path) - allowed) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    # the computation is fixed: no environment variable reaches it
+    assert environment_reads(path) == []
