@@ -237,29 +237,8 @@ def reduce_to_prism(h: HoroPoint):
 
 
 # ---------------------------------------------------------------------------
-# exact linear feasibility (Fourier-Motzkin over Q)
+# cusp elements overlapping the prism
 # ---------------------------------------------------------------------------
-
-
-def fm_feasible(constraints, nvars):
-    """Feasibility of {sum c_i x_i <= d}: exact Fourier-Motzkin elimination."""
-    cons = [([Fraction(c) for c in cs], Fraction(d)) for cs, d in constraints]
-    for var in range(nvars - 1, -1, -1):
-        lower, upper, rest = [], [], []
-        for cs, d in cons:
-            c = cs[var]
-            if c > 0:
-                upper.append(([x / c for x in cs[:var]], d / c))
-            elif c < 0:
-                lower.append(([x / -c for x in cs[:var]], d / -c))
-            else:
-                rest.append((cs[:var], d))
-        for lo_cs, lo_d in lower:
-            for up_cs, up_d in upper:
-                # -x <= lo_d - lo_cs . y  and  x <= up_d - up_cs . y
-                rest.append(([l + u for l, u in zip(lo_cs, up_cs)], lo_d + up_d))
-        cons = rest
-    return all(d >= 0 for _, d in cons)
 
 
 def polygon_vertices(constraints):
@@ -275,10 +254,6 @@ def polygon_vertices(constraints):
             verts.append((x, y))
     return verts
 
-
-# ---------------------------------------------------------------------------
-# cusp elements overlapping the prism
-# ---------------------------------------------------------------------------
 
 # triangle D in (a, b): a >= 0, b >= 0, a + b <= 1
 _TRI = [((-1, 0), Fraction(0)), ((0, -1), Fraction(0)), ((1, 1), Fraction(1))]
@@ -303,45 +278,41 @@ def _cross_coeffs(w: KNum):
 
 @cache
 def enumerate_cusp_overlaps():
-    """All cusp elements gamma with gamma(P) meeting P, by exact feasibility.
+    """All cusp elements gamma with gamma(P) meeting P, in closed form.
 
-    The vertical range of each candidate is derived from the exact extrema
-    of the t-shift over the overlap polygon, never hardcoded.  The result
-    never changes, so it is derived once per process and shared as a tuple.
+    D is the base triangle of P, sigma = (-1)^eps the sign of z in the
+    cusp map and w = m + n*tau its planar part.  The t-shift is affine on the
+    overlap polygon, so its range lies between its values at the polygon's
+    vertices, which gives the exact vertical range of each planar part.
+    The result never changes, so it is derived once per process and shared
+    as a tuple, in normal-form order.
     """
     out = []
     for m in range(-2, 3):
         for n in range(-2, 3):
             for eps in (0, 1):
-                sign = -1 if eps else 1
-                cons2 = _overlap_constraints(m, n, sign)
-                if not fm_feasible(cons2, 2):
+                # D meets w + sigma D iff w lies in D - sigma D: the hexagon
+                # for a translation, 2D for a half-turn
+                if eps:
+                    meets = m >= 0 and n >= 0 and m + n <= 2
+                else:
+                    meets = max(abs(m), abs(n), abs(m + n)) <= 1
+                if not meets:
                     continue
-                verts = polygon_vertices(cons2)
+                sign = -1 if eps else 1
+                verts = polygon_vertices(_overlap_constraints(m, n, sign))
                 if not verts:
-                    raise ArithmeticError("feasible overlap triangle has no vertices")
+                    raise ArithmeticError("overlap polygon of a meeting translate has no vertices")
                 # s' = s + base + 2l + sign * cross(a, b)
-                w = KNum(m, n)
                 base = Fraction(m - m * n)
-                c0, ca, cb = _cross_coeffs(w)
+                c0, ca, cb = _cross_coeffs(KNum(m, n))
                 shifts = [base + sign * (c0 + ca * x + cb * y) for x, y in verts]
-                # s, s' in [0,2] requires s' - s = shift + 2l in [-2, 2]
-                lo = min(-2 - sh for sh in shifts)
-                hi = max(2 - sh for sh in shifts)
-                lmin = math.ceil(lo / 2)
-                lmax = math.floor(hi / 2)
-                for l in range(lmin, lmax + 1):
-                    # full feasibility in (a, b, s)
-                    cons3 = [((ca_, cb_, 0), d) for (ca_, cb_), d in cons2]
-                    cons3 += [((0, 0, -1), Fraction(0)), ((0, 0, 1), Fraction(2))]
-                    sh0 = base + 2 * l + sign * c0
-                    sa, sb = sign * ca, sign * cb
-                    # 0 <= s' <= 2 with s' = s + sh0 + sa*a + sb*b
-                    cons3.append(((-sa, -sb, -1), Fraction(sh0)))
-                    cons3.append(((sa, sb, 1), Fraction(2) - sh0))
-                    if fm_feasible(cons3, 3):
-                        out.append(CuspElt(m, n, eps, l))
-    return tuple(sorted(out, key=CuspElt.sort_key))
+                # s and s' both lie in [0, 2] for some s iff shift + 2l lies in
+                # [-2, 2], and over the polygon the shift spans [min, max]
+                lmin = math.ceil((-2 - max(shifts)) / 2)
+                lmax = math.floor((2 - min(shifts)) / 2)
+                out.extend(CuspElt(m, n, eps, l) for l in range(lmin, lmax + 1))
+    return tuple(out)
 
 
 def overlap_witness(c: CuspElt):

@@ -380,17 +380,22 @@ def _ext_gcd(a: int, b: int):
     return old_r, old_x, old_y
 
 
-def depth_witness(d: int, box: int = 6):
+#: radius of the box of middle coordinates searched by depth_witness
+DEPTH_WITNESS_BOX = 6
+
+
+def depth_witness(d: int):
     """A primitive integral null vector whose third coordinate has norm d.
 
     For a fixed third coordinate the trace pairing with integral first
     coordinates realizes exactly the multiples of g = gcd(tr v3, tr tau*v3),
     so a middle coordinate v2 completes to a null vector iff g divides N(v2);
     the first coordinate then comes from the extended Euclidean algorithm.
-    Middle coordinates run over a box of the given radius.  A returned point
-    is an exact certificate that depth d occurs; None means no certificate
-    was found within the box.
+    Middle coordinates run over a box of radius DEPTH_WITNESS_BOX.  A
+    returned point is an exact certificate that depth d occurs; None means
+    no certificate was found within the box.
     """
+    box = DEPTH_WITNESS_BOX
     mids = sorted(
         (KNum(a, b) for a in range(-box, box + 1) for b in range(-box, box + 1)),
         key=lambda x: (x.norm(), x.a, x.b),
@@ -416,9 +421,9 @@ def depth_witness(d: int, box: int = 6):
     return None
 
 
-def realizable_depths(max_depth: int, box: int = 6):
+def realizable_depths(max_depth: int):
     """Depths up to max_depth certified by a primitive-null-vector witness."""
-    return [d for d in range(1, max_depth + 1) if depth_witness(d, box) is not None]
+    return [d for d in range(1, max_depth + 1) if depth_witness(d) is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -108,12 +108,16 @@ def acts_trivially_on_mirror(g, ctx) -> bool:
     return restriction_is_scalar(restriction(g, ctx))
 
 
-def restriction_order(g, ctx, cap: int = 24):
-    """Smallest k >= 1 with g^k scalar on the mirror, or None up to cap."""
+#: largest power tried by restriction_order
+RESTRICTION_ORDER_CAP = 24
+
+
+def restriction_order(g, ctx):
+    """Smallest k >= 1 with g^k scalar on the mirror, or None up to the cap."""
     m = g.mat if isinstance(g, GroupElt) else g
     base = restriction(m, ctx)
     cur = base
-    for k in range(1, cap + 1):
+    for k in range(1, RESTRICTION_ORDER_CAP + 1):
         if restriction_is_scalar(cur):
             return k
         cur = _rest_mul(cur, base)

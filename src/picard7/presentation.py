@@ -221,24 +221,17 @@ def _component_witness(cls, g, n, pt, graphs):
     if key not in graphs:
         graphs[key] = build_cycle_graph([cls.fixed, y])
     graph = graphs[key]
-    ic = graph.index_of(cls.fixed)
-    iy = graph.index_of(y)
-    for comp in graph.components():
-        if ic in comp and iy in comp:
-            break
-    else:
+    # cls.fixed is vertex 0, so the transports carry it to every vertex
+    # of its component
+    tg = _spanning_transports(graph, 0).get(graph.index_of(y))
+    if tg is None:
         return None
-    base = comp[0]
-    transports = _spanning_transports(graph, base)
-    stab = stabilizer(graph.vertices[base], graph)
-    tc, tg = transports[ic], transports[iy]
-    moved_cls = tc.inverse() * cls.rep * tc
-    moved_g = tg.inverse() * moved * tg
-    wit = _power_conjugate_witness(moved_cls, moved_g, n, stab)
+    stab = stabilizer(cls.fixed, graph)
+    wit = _power_conjugate_witness(cls.rep, tg.inverse() * moved * tg, n, stab)
     if wit is None:
         return None
     s, k = wit
-    delta = tc * s.inverse() * tg.inverse() * shift
+    delta = s.inverse() * tg.inverse() * shift
     return delta, k
 
 

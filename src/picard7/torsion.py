@@ -311,7 +311,11 @@ def _orbit_ball(start: ProjPoint, depth: int):
     return {q: (p, g) for q, p, g in walk}
 
 
-def reflection_conjugacy(g1: GroupElt, g2: GroupElt, max_len: int = 8):
+#: total word length of the meet-in-the-middle conjugator search
+CONJUGACY_SEARCH_LEN = 8
+
+
+def reflection_conjugacy(g1: GroupElt, g2: GroupElt):
     """An exact conjugator with delta g1 delta^-1 = g2, or None.
 
     Conjugating a reflection transports its polar vector, so the search is a
@@ -324,9 +328,9 @@ def reflection_conjugacy(g1: GroupElt, g2: GroupElt, max_len: int = 8):
         raise ValueError("both elements must be complex reflections")
     if projective_order(g1) != projective_order(g2) or r1[1] != r2[1]:
         return None
-    half = (max_len + 1) // 2
+    half = (CONJUGACY_SEARCH_LEN + 1) // 2
     fwd = _orbit_ball(r1[0], half)
-    bwd = _orbit_ball(r2[0], max_len - half)
+    bwd = _orbit_ball(r2[0], CONJUGACY_SEARCH_LEN - half)
     for p in sorted((p for p in fwd if p in bwd), key=_vec_key):
         delta = walk_element(bwd, p).inverse() * walk_element(fwd, p)
         if delta * g1 * delta.inverse() == g2:
@@ -363,24 +367,6 @@ class CycleGraph:
             self.vertices.append(p)
         return self._index[p]
 
-    def components(self):
-        parent = list(range(len(self.vertices)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.edges:
-            a, b = find(e.src), find(e.dst)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-        comps = {}
-        for i in range(len(self.vertices)):
-            comps.setdefault(find(i), []).append(i)
-        return [comps[r] for r in sorted(comps)]
-
 
 def _shift_into_prism(p: ProjPoint):
     """Cusp element c and c(p) with prism-reduced boundary coordinates."""
@@ -389,68 +375,43 @@ def _shift_into_prism(p: ProjPoint):
     return c, ProjPoint(lift(hr))
 
 
-def build_cycle_graph(points, extra_loops=None) -> CycleGraph:
+def build_cycle_graph(points) -> CycleGraph:
     """Graph on the Omega-orbit closure of the given points.
 
     Edges: for every Ford sphere through a vertex, the side-pairing map
     (composed with the cusp shift bringing the image back to the prism);
-    and every cusp overlap keeping the vertex inside the prism.
+    and every cusp overlap keeping the vertex inside the prism.  Vertices
+    are expanded in index order, which is the order they are found in.
     """
     graph = CycleGraph()
-    queue = [graph.add_vertex(p if isinstance(p, ProjPoint) else ProjPoint(p)) for p in points]
+    for p in points:
+        graph.add_vertex(p if isinstance(p, ProjPoint) else ProjPoint(p))
     overlaps = [c for c in enumerate_cusp_overlaps() if c != CuspElt()]
     overlap_mats = {}  # CuspElt -> its GroupElt, built at the first vertex it keeps in P
     seen_edges = set()
-    done = set()
-    while queue:
-        i = queue.pop(0)
-        if i in done:
-            continue
-        done.add(i)
+    i = 0
+    while i < len(graph.vertices):
         p = graph.vertices[i]
-        labels = []
+        moves = []  # (element, image of p under it)
         for alpha, j, flag in spheres_containing(p):
             if flag != "boundary":
                 raise ArithmeticError("graph vertices must lie in Omega")
-            g = alpha.to_matrix() * GENERATORS[j]
-            labels.append(g.inverse())
-        for g in labels:
-            img = p.apply(g.mat)
-            c, q = _shift_into_prism(img)
-            full = c.to_matrix() * g
-            k = graph.add_vertex(q)
-            key = (i, k, full.mat)
-            if key not in seen_edges:
-                seen_edges.add(key)
-                graph.edges.append(Edge(i, k, full))
-            if k not in done:
-                queue.append(k)
+            g = (alpha.to_matrix() * GENERATORS[j]).inverse()
+            c, q = _shift_into_prism(p.apply(g.mat))
+            moves.append((c.to_matrix() * g, q))
         h = horo_coords(p.coords)
         for c in overlaps:
             hq = c.act_horo(h)
-            if not Prism.contains(hq.z, hq.ti):
-                continue
-            q = ProjPoint(lift(hq))
+            if Prism.contains(hq.z, hq.ti):
+                if c not in overlap_mats:
+                    overlap_mats[c] = c.to_matrix()
+                moves.append((overlap_mats[c], ProjPoint(lift(hq))))
+        for g, q in moves:
             k = graph.add_vertex(q)
-            g = overlap_mats.get(c)
-            if g is None:
-                g = overlap_mats[c] = c.to_matrix()
-            key = (i, k, g.mat)
-            if key not in seen_edges:
-                seen_edges.add(key)
+            if (i, k, g.mat) not in seen_edges:
+                seen_edges.add((i, k, g.mat))
                 graph.edges.append(Edge(i, k, g))
-            if k not in done:
-                queue.append(k)
-    if extra_loops:
-        for p, elts in extra_loops.items():
-            i = graph.index_of(p if isinstance(p, ProjPoint) else ProjPoint(p))
-            if i is None:
-                continue
-            for g in elts:
-                key = (i, i, g.mat)
-                if key not in seen_edges:
-                    seen_edges.add(key)
-                    graph.edges.append(Edge(i, i, g))
+        i += 1
     return graph
 
 
@@ -466,8 +427,8 @@ class FiniteGroup:
 
     def __init__(self, gens, cap: int = DEFAULT_CLOSURE_CAP):
         # the linear group is the preimage in U(J, O_7) of the projective
-        # stabilizer, so it is closed under sign
-        mats = sorted({m for g in gens for m in (g.mat, -g.mat)}, key=_mat_key)
+        # stabilizer: the walk starts from both signs, so it is closed under sign
+        mats = sorted({g.mat for g in gens}, key=_mat_key)
         walk = orbit_walk((Mat.identity(), -Mat.identity()), mats, Mat.__mul__, cap=cap)
         self.matrices = frozenset(a for a, _, _ in walk)
         self.linear_order = len(self.matrices)
@@ -618,36 +579,36 @@ def dedup_isolated(cands):
     Builds the cycle graph on the reduced fixed points; candidates of equal
     order whose points lie in one component merge only when an exact witness
     conjugates one into a power of the other inside the common stabilizer.
-    Returns (classes, graph, {base vertex index: FiniteGroup}).
+    Each component is based at its lowest vertex.
     """
     at_vertex = {}  # vertex ProjPoint -> list of (element fixing it, order)
-    order = []
     reduced = {}  # fixed point -> (shift, point in Omega); candidates share fixed points
     for g, n, fixed in cands:
         if fixed not in reduced:
             reduced[fixed] = reduce_to_domain(fixed)
         shift, y = reduced[fixed]
         moved = shift * g * shift.inverse()
-        if y not in at_vertex:
-            at_vertex[y] = []
-            order.append(y)
-        if (moved, n) not in at_vertex[y]:
-            at_vertex[y].append((moved, n))
-    graph = build_cycle_graph(order, extra_loops={v: [g for g, _ in at_vertex[v]] for v in order})
+        elts = at_vertex.setdefault(y, [])
+        if (moved, n) not in elts:
+            elts.append((moved, n))
+    graph = build_cycle_graph(list(at_vertex))
     classes = []
-    stabs = {}
-    for comp in graph.components():
-        base = comp[0]
+    covered = set()
+    for base in range(len(graph.vertices)):
+        if base in covered:
+            continue
         transports = _spanning_transports(graph, base)
+        covered.update(transports)
         stab = stabilizer(graph.vertices[base], graph)
-        stabs[base] = stab
         # everything fixing a vertex of this component, moved to the base
         carried = []
-        for i in comp:
-            v = graph.vertices[i]
-            for g, n in at_vertex.get(v, []):
-                t = transports[i]
-                carried.append((t.inverse() * g * t, n))
+        for i in sorted(transports):
+            t = transports[i]
+            for g, n in at_vertex.get(graph.vertices[i], ()):
+                moved = t.inverse() * g * t
+                if moved not in stab:
+                    raise ArithmeticError("a candidate lies outside the stabilizer of its fixed point")
+                carried.append((moved, n))
         merged = []  # (rep, order, members)
         for g, n in carried:
             placed = False
@@ -679,7 +640,7 @@ def dedup_isolated(cands):
                 )
             )
     classes.sort(key=lambda c: (c.proj_order, c.fp_norm is None, -(c.fp_norm or 0)))
-    return classes, graph, stabs
+    return classes
 
 
 def _power_conjugate_witness(rep: GroupElt, g: GroupElt, n: int, stab: FiniteGroup):
@@ -731,5 +692,4 @@ def enumerate_torsion():
                 )
             )
     refl_classes.sort(key=lambda c: (c.proj_order, c.polar_norm))
-    iso_classes, _, _ = dedup_isolated(isolated)
-    return refl_classes + iso_classes
+    return refl_classes + dedup_isolated(isolated)

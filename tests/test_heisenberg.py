@@ -16,9 +16,9 @@ from picard7.heisenberg import (
     cusp_torsion_classes,
     cusp_torsion_report,
     enumerate_cusp_overlaps,
-    fm_feasible,
     polygon_vertices,
     overlap_witness,
+    _cross_coeffs,
     _overlap_constraints,
     reduce_to_prism,
     s_coordinate,
@@ -196,6 +196,53 @@ def test_reduce_algebraic_point():
     assert c.act_horo(shifted) == red
     # the reduced point is the original one (it was interior to P)
     assert (red.z - hl.z).is_zero() and (red.ti - hl.ti).is_zero()
+
+
+def fm_feasible(constraints, nvars):
+    """Feasibility of {sum c_i x_i <= d}: exact Fourier-Motzkin elimination."""
+    cons = [([Fraction(c) for c in cs], Fraction(d)) for cs, d in constraints]
+    for var in range(nvars - 1, -1, -1):
+        lower, upper, rest = [], [], []
+        for cs, d in cons:
+            c = cs[var]
+            if c > 0:
+                upper.append(([x / c for x in cs[:var]], d / c))
+            elif c < 0:
+                lower.append(([x / -c for x in cs[:var]], d / -c))
+            else:
+                rest.append((cs[:var], d))
+        for lo_cs, lo_d in lower:
+            for up_cs, up_d in upper:
+                # -x <= lo_d - lo_cs . y  and  x <= up_d - up_cs . y
+                rest.append(([l + u for l, u in zip(lo_cs, up_cs)], lo_d + up_d))
+        cons = rest
+    return all(d >= 0 for _, d in cons)
+
+
+def fm_cusp_overlaps():
+    """Reference derivation of the cusp overlaps: a 3-D feasibility test in
+    (a, b, s) for every (m, n, eps, l) in a box wider than any overlap."""
+    out = []
+    for m in range(-3, 4):
+        for n in range(-3, 4):
+            for eps in (0, 1):
+                sign = -1 if eps else 1
+                cons2 = _overlap_constraints(m, n, sign)
+                c0, ca, cb = _cross_coeffs(KNum(m, n))
+                for l in range(-4, 5):
+                    # s in [0, 2] and s' = s + sh0 + sa*a + sb*b in [0, 2]
+                    sh0 = m - m * n + 2 * l + sign * c0
+                    sa, sb = sign * ca, sign * cb
+                    cons3 = [((c1, c2, 0), d) for (c1, c2), d in cons2]
+                    cons3 += [((0, 0, -1), 0), ((0, 0, 1), 2)]
+                    cons3 += [((-sa, -sb, -1), sh0), ((sa, sb, 1), 2 - sh0)]
+                    if fm_feasible(cons3, 3):
+                        out.append(CuspElt(m, n, eps, l))
+    return tuple(out)
+
+
+def test_cusp_overlaps_match_feasibility_reference():
+    assert enumerate_cusp_overlaps() == fm_cusp_overlaps()
 
 
 def test_fm_feasible():

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "picard7"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "picard7"
+BENCH = ROOT / "perfbench"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -54,6 +56,44 @@ def environment_reads(path: Path):
     return sorted(lines)
 
 
+def bound_names(body):
+    """Names a module or class body binds, with "Class.attr" for its classes."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        if isinstance(node, ast.ClassDef):
+            names |= {node.name + "." + n for n in bound_names(node.body)}
+    return names
+
+
+def benchmark_references():
+    """(module, name) pairs that perfbench reaches in picard7.
+
+    The tracer's TARGETS list, and every `from picard7.<m> import ...` (or
+    `from picard7 import <m>`) in the worker and the input builder.
+    """
+    refs = []
+    tree = ast.parse((BENCH / "layers.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
+            refs += ast.literal_eval(node.value)
+    for name in ("worker.py", "inputs.py"):
+        for node in ast.walk(ast.parse((BENCH / name).read_text())):
+            if not isinstance(node, ast.ImportFrom) or node.level or not node.module:
+                continue
+            if node.module == "picard7":
+                refs += [(alias.name, None) for alias in node.names]
+            elif node.module.startswith("picard7."):
+                refs += [(node.module.split(".", 1)[1], alias.name) for alias in node.names]
+    return refs
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"ring.py", "hermitian.py", "heisenberg.py", "cli.py"}
 
@@ -79,3 +119,18 @@ def test_imports_only_stdlib_and_picard7(path):
 def test_no_environment_reads(path):
     # the computation is fixed: no environment variable reaches it
     assert environment_reads(path) == []
+
+
+def test_benchmark_names_resolve():
+    # a name the benchmark traces or imports must survive every refactor,
+    # or `perfbench/run.py --trace 1` breaks without a test noticing
+    refs = benchmark_references()
+    assert ("torsion", "build_cycle_graph") in refs and ("ring", "AlgNum.conj") in refs
+    missing = []
+    for module, name in refs:
+        path = SRC / (module + ".py")
+        if not path.exists():
+            missing.append((module, name))
+        elif name is not None and name not in bound_names(ast.parse(path.read_text()).body):
+            missing.append((module, name))
+    assert missing == []

@@ -203,8 +203,7 @@ def test_v1_cycle_graph_and_stabilizer():
     # the component is the triangle v1, v2 = TtauR(v1), v3 = T1R(v1); v3 lies
     # on the top face s = 2, so its Tv-translate on the bottom face shows up
     # as a fourth vertex of the closed prism
-    assert len(graph.components()) == 1
-    pts = {graph.vertices[i] for i in graph.components()[0]}
+    pts = set(graph.vertices)
     v2 = ProjPoint((TTAU * R).to_matrix().apply(V1.coords))
     v3 = ProjPoint((T1 * R).to_matrix().apply(V1.coords))
     v3b = ProjPoint(TV.inverse().to_matrix().apply(v3.coords))
@@ -223,13 +222,13 @@ def test_second_cycle_graph_runs_no_feasibility_test(monkeypatch):
 
     first = build_cycle_graph([V1])
     calls = []
-    exact = heisenberg.fm_feasible
+    exact = heisenberg.polygon_vertices
 
     def counted(*args):
         calls.append(args)
         return exact(*args)
 
-    monkeypatch.setattr(heisenberg, "fm_feasible", counted)
+    monkeypatch.setattr(heisenberg, "polygon_vertices", counted)
     assert heisenberg.enumerate_cusp_overlaps.__wrapped__()  # the counter sees a derivation
     assert calls
     calls.clear()
@@ -298,14 +297,16 @@ def test_stabilizer_linear_orders():
 
 def test_order6_vertex_five_loops():
     c6 = _classes_by("isolated", 6)[0]
-    graph = build_cycle_graph([c6.fixed], extra_loops={c6.fixed: [c6.rep]})
+    graph = build_cycle_graph([c6.fixed])
     assert len(graph.vertices) == 1
     # five Ford side-pairing loops; the element itself coincides with one of
-    # the side-pairing composites, so it adds no sixth edge
+    # the side-pairing composites
     assert len(graph.edges) == 5
     assert all(e.src == e.dst == 0 for e in graph.edges)
+    assert c6.rep in {e.label for e in graph.edges}
     stab = stabilizer(c6.fixed, graph)
     assert (stab.linear_order, stab.projective_order) == (12, 6)
+    assert c6.rep in stab
     assert [n for _, n in stab.reflections] == [1]
     # the order-3 class with algebraic fixed point shares this vertex
     c3 = next(c for c in _classes_by("isolated", 3) if c.fp_norm is None)
@@ -325,7 +326,7 @@ def test_dedup_merges_conjugate_copies():
     delta = (T1 * TTAU).to_matrix() * GENERATORS[6]
     g2 = delta * g * delta.inverse()
     fp2 = ProjPoint(delta.apply(fp.coords))
-    classes, graph, _ = dedup_isolated([(g, 2, fp), (g2, 2, fp2)])
+    classes = dedup_isolated([(g, 2, fp), (g2, 2, fp2)])
     assert len(classes) == 1
 
 
@@ -335,9 +336,19 @@ def test_dedup_merges_powers():
     t1m, rm = T1.to_matrix(), R.to_matrix()
     g4 = GENERATORS[1] * t1m.inverse() * rm * t1m
     _, fp, _ = classify_elliptic(g4, 4)
-    classes, _, _ = dedup_isolated([(g4, 4, fp), (g4.inverse(), 4, fp)])
+    classes = dedup_isolated([(g4, 4, fp), (g4.inverse(), 4, fp)])
     assert len(classes) == 1
     assert len(classes[0].members) == 2
+
+
+def test_dedup_refuses_a_candidate_that_does_not_fix_its_point():
+    # A1 R fixes (-1, 0, 1), not the fixed point of A6: carried to the
+    # cycle graph it lies outside the stabilizer, which is a failed
+    # soundness check and not a closure running past its cap
+    g = GENERATORS[1] * R.to_matrix()
+    _, fp, _ = classify_elliptic(GENERATORS[6], projective_order(GENERATORS[6]))
+    with pytest.raises(ArithmeticError):
+        dedup_isolated([(g, 2, fp)])
 
 
 def test_order3_norm3_classes_stay_distinct():
