@@ -13,7 +13,21 @@ from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
 
-from .ring import ISQRT7, AlgNum, KNum, ONE, TAU, TAU_BAR, ZERO, real_cmp, scalar
+from .ring import (
+    ISQRT7,
+    AlgNum,
+    KNum,
+    ONE,
+    TAU,
+    TAU_BAR,
+    ZERO,
+    eta_sign,
+    real_cmp,
+    scalar,
+    sqrt21_sign,
+    zeta7_autocorr,
+    zeta7_ints,
+)
 from .hermitian import (
     GroupElt,
     HoroPoint,
@@ -87,10 +101,12 @@ def _build_generators():
 
 GENERATORS = _build_generators()
 
-#: indices j, k with A_j A_k = +/- Id (used to pair candidate sets)
+#: indices j, k with A_j A_k = +/- Id (used to pair candidate sets), found
+#: by comparing with each inverse: the freed row tuples of the products
+#: would stay in the interpreter's tuple free list and raise peak memory
 INVERSE_PAIRS = {
-    j: next(k for k in GENERATORS if (GENERATORS[j] * GENERATORS[k]).is_identity())
-    for j in GENERATORS
+    j: next(k for k, h in GENERATORS.items() if h == gi)
+    for j, gi in ((j, g.inverse()) for j, g in GENERATORS.items())
 }
 
 
@@ -304,53 +320,175 @@ def enumerate_cone_translates(j: int):
 
 @cache
 def candidate_spheres(j: int):
-    """Cached (alpha, alpha(A_j(inf))) pairs over the translate superset of j."""
-    col = GENERATORS[j].first_column()
-    return [(alpha, alpha.to_matrix().apply(col)) for alpha in enumerate_cone_translates(j)]
+    """Cached (alpha, col) pairs over the translate superset of j.
+
+    col is the column alpha(A_j(inf)) as six ints (a1, b1, a2, b2, a3, b3),
+    its entries col_k = a_k + b_k tau in O_7.
+    """
+    first = GENERATORS[j].first_column()
+    out = []
+    for alpha in enumerate_cone_translates(j):
+        col = alpha.to_matrix().apply(first)
+        if any(c.d != 1 for c in col):
+            raise ArithmeticError("a candidate column is not integral")
+        out.append((alpha, tuple(x for c in col for x in (c.na, c.nb))))
+    return out
+
+
+def _int_pair(c: KNum):
+    if c.d != 1:
+        raise ArithmeticError("a Ford sweep coordinate is not integral")
+    return c.na, c.nb
+
+
+def _forms(v):
+    """Two 6-tuples X, Y of ints with <v, col> = X.col + (Y.col) tau for v in O_7^3.
+
+    <v, col> = sum_k conj(col_k) v_(4-k), and conj(a + b tau)(c + e tau)
+    = a c + b (c + 2 e) + (a e - b c) tau.
+    """
+    (c1, e1), (c2, e2), (c3, e3) = v
+    return ((c3, c3 + 2 * e3, c2, c2 + 2 * e2, c1, c1 + 2 * e1),
+            (e3, -c3, e2, -c2, e1, -c1))
+
+
+# One sweep kernel per field: (quantity, cmp, sweep).  quantity(x) is |x|^2
+# of an integral coordinate x, up to one positive factor, in an exact int
+# form; cmp(p, q) is the exact sign of the difference of two quantities;
+# sweep(v, own) yields (sign, quantity, j, alpha) for each candidate column
+# of an integral v with |<v, col>|^2 <= own, in (j, alpha.sort_key())
+# order, comparing on ints only.
+
+
+def _k_cmp(p, q) -> int:
+    return (p > q) - (p < q)
+
+
+def _k_sweep(v, own):
+    """v in O_7^3: the quantity is the int N(<v, col>)."""
+    (x1, x2, x3, x4, x5, x6), (y1, y2, y3, y4, y5, y6) = _forms([_int_pair(c) for c in v])
+    for j in sorted(GENERATORS):
+        for alpha, (a1, b1, a2, b2, a3, b3) in candidate_spheres(j):
+            x = a1 * x1 + b1 * x2 + a2 * x3 + b2 * x4 + a3 * x5 + b3 * x6
+            y = a1 * y1 + b1 * y2 + a2 * y3 + b2 * y4 + a3 * y5 + b3 * y6
+            q = x * x + x * y + 2 * y * y
+            if q <= own:
+                yield (-1 if q < own else 0), q, j, alpha
+
+
+def _zeta3_quantity(x0, y0, x1, y1):
+    """(m, n) with 2|X0 + X1 zeta_3|^2 = m + n sqrt(21), X_i = x_i + y_i tau.
+
+    With conj(X0) X1 = p + q tau, 2|X0 + X1 zeta_3|^2 = 2 N(X0) + 2 N(X1)
+    - (2 p + q) - q sqrt(21).
+    """
+    p = x0 * x1 + y0 * (x1 + 2 * y1)
+    q = x0 * y1 - y0 * x1
+    return 2 * (x0 * x0 + x0 * y0 + 2 * y0 * y0 + x1 * x1 + x1 * y1 + 2 * y1 * y1) - 2 * p - q, -q
+
+
+def _zeta3_quantity_of(x: AlgNum):
+    c0, c1 = x.coeffs
+    return _zeta3_quantity(*_int_pair(c0), *_int_pair(c1))
+
+
+def _zeta3_cmp(p, q) -> int:
+    return sqrt21_sign(p[0] - q[0], p[1] - q[1])
+
+
+def _zeta3_sweep(v, own):
+    """v = v0 + v1 zeta_3 with v0, v1 in O_7^3: <v, col> = X0 + X1 zeta_3,
+    and the quantity is the int pair (m, n) of 2|X0 + X1 zeta_3|^2."""
+    (x1, x2, x3, x4, x5, x6), (y1, y2, y3, y4, y5, y6) = _forms([_int_pair(c.coeffs[0]) for c in v])
+    (z1, z2, z3, z4, z5, z6), (w1, w2, w3, w4, w5, w6) = _forms([_int_pair(c.coeffs[1]) for c in v])
+    m0, n0 = own
+    for j in sorted(GENERATORS):
+        for alpha, (a1, b1, a2, b2, a3, b3) in candidate_spheres(j):
+            m, n = _zeta3_quantity(
+                a1 * x1 + b1 * x2 + a2 * x3 + b2 * x4 + a3 * x5 + b3 * x6,
+                a1 * y1 + b1 * y2 + a2 * y3 + b2 * y4 + a3 * y5 + b3 * y6,
+                a1 * z1 + b1 * z2 + a2 * z3 + b2 * z4 + a3 * z5 + b3 * z6,
+                a1 * w1 + b1 * w2 + a2 * w3 + b2 * w4 + a3 * w5 + b3 * w6,
+            )
+            sign = sqrt21_sign(m - m0, n - n0)
+            if sign <= 0:
+                yield sign, (m, n), j, alpha
+
+
+def _zeta7_coords(x: AlgNum):
+    f, den = zeta7_ints(x)
+    if den != 1:
+        raise ArithmeticError("a Ford sweep coordinate is not integral")
+    return f
+
+
+def _zeta7_quantity_of(x: AlgNum):
+    return zeta7_autocorr(_zeta7_coords(x))
+
+
+def _zeta7_cmp(p, q) -> int:
+    # sum_m d_m zeta^m = d_0 + sum_k d_k eta_k = sum_k (d_k - d_0) eta_k,
+    # as the eta_k sum to -1
+    d0 = p[0] - q[0]
+    return eta_sign(p[1] - q[1] - d0, p[2] - q[2] - d0, p[3] - q[3] - d0)
+
+
+def _zeta7_sweep(v, own):
+    """v in O_K(zeta_7)^3, each coordinate seven ints F: the quantity is the
+    autocorrelation (h_0, .., h_3) of <v, col>, |x|^2 = sum_m h_m zeta_7^m."""
+    # conj(a + b tau) F = a F + b G with G = conj(tau) F, and conj(tau) =
+    # 1 + zeta^3 + zeta^5 + zeta^6; one row of ints (F_m, G_m of v3, v2,
+    # v1) per power of zeta, as col_k pairs with v_(4-k)
+    rows = []
+    for m in range(7):
+        row = []
+        for f in map(_zeta7_coords, reversed(v)):
+            row += (f[m], f[m] + f[m - 3] + f[m - 5] + f[m - 6])
+        rows.append(row)
+    o0, o1, o2, o3 = own
+    for j in sorted(GENERATORS):
+        for alpha, (a1, b1, a2, b2, a3, b3) in candidate_spheres(j):
+            h = zeta7_autocorr([a1 * f3 + b1 * g3 + a2 * f2 + b2 * g2 + a3 * f1 + b3 * g1
+                                for f3, g3, f2, g2, f1, g1 in rows])
+            d0 = h[0] - o0
+            sign = eta_sign(h[1] - o1 - d0, h[2] - o2 - d0, h[3] - o3 - d0)
+            if sign <= 0:
+                yield sign, h, j, alpha
+
+
+#: the sweep kernel of each field, by n for K(zeta_n), 1 for K
+_KERNELS = {
+    1: (KNum.norm, _k_cmp, _k_sweep),
+    3: (_zeta3_quantity_of, _zeta3_cmp, _zeta3_sweep),
+    7: (_zeta7_quantity_of, _zeta7_cmp, _zeta7_sweep),
+}
 
 
 def _sweep_vector(v):
-    """v prepared for a Ford sweep.
+    """(vs, own, kernel): v prepared for a Ford sweep.
 
     Each test of a sweep compares N(<v, col>) with N(v3), and both are
-    homogeneous of degree 2 in v.  So a vector in K^3 is scaled once by the
-    positive integer lcm of its denominators: then every Ford quantity of
-    the sweep is an int, computed and compared in int arithmetic only, and
-    all of them carry the same factor.  A vector with a coordinate in a
-    cyclotomic field keeps AlgNum quantities, compared by exact sign.
+    homogeneous of degree 2 in v.  So v is scaled once by the positive int
+    lcm of the denominators of its K-coefficients: that changes no sign,
+    order or tie, and every quantity of the sweep is an int form of the
+    kernel of v's field.  own is the quantity of the scaled v3.
     """
-    v = tuple(scalar(c) for c in v)
-    if all(isinstance(c, KNum) for c in v):
+    v = [scalar(c) for c in v]
+    n = 1
+    for c in v:
+        if isinstance(c, AlgNum):
+            if n != 1 and c.tower.n != n:
+                raise ValueError("a vector with coordinates in two fields")
+            tower, n = c.tower, c.tower.n
+    if n == 1:
         den = lcm(*(c.d for c in v))
-        if den != 1:
-            v = tuple(c * den for c in v)
-    return v
-
-
-def _quantity(x):
-    """|x|^2: a rational for x in K (an int for x in O_7), else a real AlgNum."""
-    return x.norm() if isinstance(x, KNum) else x.abs2()
-
-
-def _cmp(x, y) -> int:
-    """Exact sign of x - y for two Ford quantities of one sweep."""
-    # AlgNum is a plain class, so these tests cost no ABCMeta call
-    if isinstance(x, AlgNum) or isinstance(y, AlgNum):
-        return real_cmp(x, y)
-    return (x > y) - (x < y)
-
-
-def _sweep(v, own):
-    """(sign, quantity, j, alpha) for each candidate column alpha(A_j(inf))
-    with N(<v, col>) <= own, where v is a prepared vector (_sweep_vector)
-    and own its N(v3); sign is the exact sign of the comparison.  The
-    columns come in (j, alpha.sort_key()) order."""
-    for j in sorted(GENERATORS):
-        for alpha, col in candidate_spheres(j):
-            other = _quantity(herm_inner(v, col))
-            sign = _cmp(other, own)
-            if sign <= 0:
-                yield sign, other, j, alpha
+    else:
+        v = [c if isinstance(c, AlgNum) else AlgNum.lift(tower, c) for c in v]
+        den = lcm(*(k.d for c in v for k in c.coeffs))
+    if den != 1:
+        v = [c * den for c in v]
+    kernel = _KERNELS[n]
+    return v, kernel[0](v[2]), kernel
 
 
 def spheres_containing(x):
@@ -367,12 +505,12 @@ def spheres_containing(x):
         h = x
     shift, h_red = reduce_to_prism(h)
     shift_inv = shift.inverse()
-    v = _sweep_vector(lift(h_red))
+    vs, own, (_, _, sweep) = _sweep_vector(lift(h_red))
     # a translated sphere depends only on its center and radius (the coset
     # of alpha*A_j modulo right cusp multiplication), so dedup on those,
     # keeping the first (j, alpha) of the sweep
     found = {}
-    for sign, _, j, alpha in _sweep(v, _quantity(v[2])):
+    for sign, _, j, alpha in sweep(vs, own):
         sph = sphere_of(j)
         found.setdefault((sph.r4, alpha.act_horo(sph.center)), (j, alpha, sign))
     return [
@@ -411,13 +549,12 @@ def reduce_to_domain(x, max_iters: int = DEFAULT_MAX_ITERS):
         shift, h = reduce_to_prism(h)
         v = lift(h)
         total = shift.to_matrix() * total
-        vs = _sweep_vector(v)
-        own = _quantity(vs[2])
+        vs, own, (quantity, cmp, sweep) = _sweep_vector(v)
         # the violation ratio own/other is largest when `other` is smallest
         # (own is fixed within this sweep); the sweep's order breaks ties
         best = None
-        for sign, other, j, alpha in _sweep(vs, own):
-            if sign < 0 and (best is None or _cmp(other, best[0]) < 0):
+        for sign, other, j, alpha in sweep(vs, own):
+            if sign < 0 and (best is None or cmp(other, best[0]) < 0):
                 best = (other, j, alpha)
         if best is None:
             return total, (ProjPoint(v) if as_proj else horo_coords(v))
@@ -427,7 +564,7 @@ def reduce_to_domain(x, max_iters: int = DEFAULT_MAX_ITERS):
         # factor, so its Ford quantity compares with `own`
         v = gi.apply(vs)
         # the Ford quantity strictly decreases at each step
-        if _cmp(_quantity(v[2]), own) >= 0:
+        if cmp(quantity(v[2]), own) >= 0:
             raise ArithmeticError("the Ford quantity did not decrease")
         total = gi * total
     raise ReductionError(f"no Omega representative found in {max_iters} steps")
@@ -439,5 +576,5 @@ def in_omega(x) -> bool:
     h = horo_coords(v)
     if not Prism.contains(h.z, h.ti):
         return False
-    v = _sweep_vector(v)
-    return all(sign == 0 for sign, _, _, _ in _sweep(v, _quantity(v[2])))
+    vs, own, (_, _, sweep) = _sweep_vector(v)
+    return all(sign == 0 for sign, _, _, _ in sweep(vs, own))

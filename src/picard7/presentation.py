@@ -9,12 +9,12 @@ from picard7.ford import GENERATORS, reduce_to_domain
 from picard7.torsion import (
     _power_conjugate_witness,
     _spanning_transports,
+    _stabilizer_from,
     build_cycle_graph,
     classify_elliptic,
     enumerate_torsion,
     projective_order,
     reflection_conjugacy,
-    stabilizer,
 )
 
 A_MAT = Mat(
@@ -223,10 +223,11 @@ def _component_witness(cls, g, n, pt, graphs):
     graph = graphs[key]
     # cls.fixed is vertex 0, so the transports carry it to every vertex
     # of its component
-    tg = _spanning_transports(graph, 0).get(graph.index_of(y))
+    transports = _spanning_transports(graph, 0)
+    tg = transports.get(graph.index_of(y))
     if tg is None:
         return None
-    stab = stabilizer(cls.fixed, graph)
+    stab = _stabilizer_from(graph, transports)
     wit = _power_conjugate_witness(cls.rep, tg.inverse() * moved * tg, n, stab)
     if wit is None:
         return None

@@ -18,7 +18,7 @@ An element of one of the two extension fields is an AlgNum: its K-coefficients
 in the power basis 1, zeta_n, ..., zeta_n^(d-1), d the degree of the
 minimal polynomial of zeta_n over K.  The two fields are two concrete
 classes, each with its own arithmetic on ints, and AlgNum hands every
-product, conjugate, inverse, sign and floor to its field:
+product, conjugate, |x|^2, inverse, sign and floor to its field:
 
 - K(zeta_3) = Q(sqrt(-7), sqrt(-3)) is biquadratic (Zeta3Tower).  Its
   products, conjugates and inverses are closed formulas in the two
@@ -473,6 +473,18 @@ def o_gcd_many(xs) -> KNum:
 # ---------------------------------------------------------------------------
 
 
+def sqrt21_sign(m: int, n: int) -> int:
+    """Exact sign of m + n sqrt(21) for ints m, n."""
+    sm, sn = (m > 0) - (m < 0), (n > 0) - (n < 0)
+    if sm == sn or sn == 0:
+        return sm
+    if sm == 0:
+        return sn
+    # opposite signs: compare m^2 with 21 n^2; they are never equal, as
+    # sqrt(21) is irrational
+    return sm if m * m > 21 * n * n else sn
+
+
 class Zeta3Tower:
     """K(zeta_3) = Q(sqrt(-7), sqrt(-3)), with closed-form arithmetic on the KNum ints.
 
@@ -484,7 +496,8 @@ class Zeta3Tower:
     - x*y = (c0 e0 - c1 e1) + (c0 e1 + c1 e0 - c1 e1) zeta;
     - conj(x) = (conj(c0) - conj(c1)) - conj(c1) zeta;
     - the Galois conjugate of x (zeta -> zeta^2) is (c0 - c1) - c1 zeta, and
-      x times it is the norm c0^2 - c0 c1 + c1^2, in K.
+      x times it is the norm c0^2 - c0 c1 + c1^2, in K;
+    - |x|^2 = N(c0) + N(c1) - conj(w) + (w - conj(w)) zeta, w = conj(c0) c1.
 
     The field is biquadratic, and its real elements form Q(sqrt(21)).  With
     c_k = (a_k + b_k tau)/d_k, Re(x) = Re(c0) - Re(c1)/2 - sqrt(3)/2 Im(c1)
@@ -530,6 +543,22 @@ class Zeta3Tower:
         c1bar = c1.conj()
         return _alg(self, (c0.conj() - c1bar, -c1bar))
 
+    def abs2(self, x: "AlgNum") -> "AlgNum":
+        # |c0 + c1 zeta|^2 = N(c0) + N(c1) + w zeta + conj(w) conj(zeta) with
+        # w = conj(c0) c1 = (p + q tau)/(d0 d1), and conj(zeta) = -1 - zeta,
+        # so it is N(c0) + N(c1) - conj(w) + (w - conj(w)) zeta, where
+        # w - conj(w) = q (2 tau - 1)/(d0 d1)
+        c0, c1 = x.coeffs
+        a0, b0, d0 = c0.na, c0.nb, c0.d
+        a1, b1, d1 = c1.na, c1.nb, c1.d
+        p, q = a0 * a1 + b0 * (a1 + 2 * b1), a0 * b1 - b0 * a1
+        n0, n1 = a0 * a0 + a0 * b0 + 2 * b0 * b0, a1 * a1 + a1 * b1 + 2 * b1 * b1
+        dd = d0 * d1
+        return _alg(self, (
+            knum_from_ints(n0 * d1 * d1 + n1 * d0 * d0 - (p + q) * dd, q * dd, dd * dd),
+            knum_from_ints(-q, 2 * q, dd),
+        ))
+
     def inverse(self, x: "AlgNum") -> "AlgNum":
         c0, c1 = x.coeffs
         g = c0 - c1
@@ -549,14 +578,8 @@ class Zeta3Tower:
 
     def real_sign(self, x: "AlgNum") -> int:
         p, q, d0, d1 = self._sqrt21_parts(x)
-        sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
-        if sp == sq or sq == 0:
-            return sp
-        if sp == 0:
-            return sq
-        # opposite signs: compare |P|/(2 d0) with |Q| sqrt(21)/(4 d1), squared;
-        # they are never equal, as sqrt(21) is irrational
-        return sp if 4 * d1 * d1 * p * p > 21 * d0 * d0 * q * q else sq
+        # 4 d0 d1 x = 2 d1 P + d0 Q sqrt(21)
+        return sqrt21_sign(2 * d1 * p, d0 * q)
 
     def floor_real(self, x: "AlgNum") -> int:
         p, q, d0, d1 = self._sqrt21_parts(x)
@@ -567,7 +590,7 @@ class Zeta3Tower:
         return (4 * d1 * p + (r if q >= 0 else -r - 1)) // (8 * d0 * d1)
 
 
-#: bits of the first dyadic bracket of eta_1 that Zeta7Tower tries
+#: bits of the first dyadic bracket of eta_1 that eta_sign and Zeta7Tower.floor_real try
 _ETA_START_BITS = 64
 
 
@@ -592,7 +615,32 @@ def _eta_brackets(p: int):
     return (lo, hi), (lo2, hi2), (-s - hi - hi2, -s - lo - lo2)
 
 
-def _zeta7_ints(x: "AlgNum"):
+def eta_sign(e1: int, e2: int, e3: int) -> int:
+    """Exact sign of e1 eta_1 + e2 eta_2 + e3 eta_3 for ints e_k.
+
+    As the eta_k sum to -1, the value is -e1 when e1 = e2 = e3, and
+    irrational otherwise: then the brackets of _eta_brackets at 64, 128,
+    256, ... bits decide its sign, with no cap.
+    """
+    if e1 == e2 == e3:
+        return (e1 < 0) - (e1 > 0)
+    p = _ETA_START_BITS
+    while True:
+        (l1, h1), (l2, h2), (l3, h3) = _eta_brackets(p)
+        if e1 < 0:
+            l1, h1 = h1, l1
+        if e2 < 0:
+            l2, h2 = h2, l2
+        if e3 < 0:
+            l3, h3 = h3, l3
+        if e1 * l1 + e2 * l2 + e3 * l3 > 0:
+            return 1
+        if e1 * h1 + e2 * h2 + e3 * h3 < 0:
+            return -1
+        p *= 2
+
+
+def zeta7_ints(x: "AlgNum"):
     """(f, D): seven ints f_k and an int D > 0 with D x = sum f_k zeta_7^k, k = 0 .. 6.
 
     With the K-coefficients of x over their common denominator D, c_j =
@@ -614,7 +662,7 @@ def _zeta7_ints(x: "AlgNum"):
 def _zeta7_from_ints(tower: "Zeta7Tower", f, den: int) -> "AlgNum":
     """The AlgNum (sum f_k zeta_7^k)/den for seven ints f_k and an int den > 0.
 
-    The f_k are _zeta7_ints of some element plus c (1 + zeta + ... + zeta^6),
+    The f_k are zeta7_ints of some element plus c (1 + zeta + ... + zeta^6),
     which is zero, and the three equations for f_3, f_5, f_6 give c first.
     """
     f0, f1, f2, f3, f4, f5, f6 = f
@@ -628,6 +676,20 @@ def _zeta7_from_ints(tower: "Zeta7Tower", f, den: int) -> "AlgNum":
                         knum_from_ints(a2, b2, den)))
 
 
+def zeta7_autocorr(f):
+    """(h_0, h_1, h_2, h_3), h_m = sum_i f_i f_(i-m) (indices mod 7).
+
+    |sum f_k zeta^k|^2 = sum h_m zeta^m for ints f_k, and h_(7-m) = h_m.
+    """
+    f0, f1, f2, f3, f4, f5, f6 = f
+    return (
+        f0 * f0 + f1 * f1 + f2 * f2 + f3 * f3 + f4 * f4 + f5 * f5 + f6 * f6,
+        f0 * f6 + f1 * f0 + f2 * f1 + f3 * f2 + f4 * f3 + f5 * f4 + f6 * f5,
+        f0 * f5 + f1 * f6 + f2 * f0 + f3 * f1 + f4 * f2 + f5 * f3 + f6 * f4,
+        f0 * f4 + f1 * f5 + f2 * f6 + f3 * f0 + f4 * f1 + f5 * f2 + f6 * f3,
+    )
+
+
 def _cyclic_mul(f, g):
     """The ints h_k of (sum f_k zeta^k)(sum g_k zeta^k) = sum h_k zeta^k, as zeta^7 = 1."""
     r = tuple(reversed(g)) * 2
@@ -639,13 +701,15 @@ class Zeta7Tower:
 
     An element is c0 + c1 zeta + c2 zeta^2, zeta = zeta_7, with
     K-coefficients c_j; zeta has degree 3 over K (`minpoly`).  Every
-    operation rewrites x over Q first (`_zeta7_ints`): D x = sum f_k zeta^k,
+    operation rewrites x over Q first (`zeta7_ints`): D x = sum f_k zeta^k,
     k mod 7, for ints f_k and D.  These f_k are unique up to adding one int
     to all seven, as 1 + zeta + ... + zeta^6 = 0, and zeta, ..., zeta^6 is a
     basis of Q(zeta) over Q (Washington, GTM 83, ch. 2).  Then
 
     - a product is the cyclic convolution of the f_k mod 7;
     - conj maps f_k to f_(-k), and x is real iff f_k = f_(7-k);
+    - |D x|^2 = sum h_m zeta^m with the autocorrelation h_m = sum_i f_i
+      f_(i-m) (zeta7_autocorr);
     - the other automorphisms of Q(zeta) map f_k to f_(gk), g = 2 .. 6, and
       the product adj of these five images of D x gives h = D x adj, the
       norm of D x: a positive int n = h_0 - h_1 (h_k = h_1 for k > 0).
@@ -669,16 +733,21 @@ class Zeta7Tower:
     minpoly = (-ONE, -TAU, ONE - TAU, ONE)
 
     def mul(self, x: "AlgNum", y: "AlgNum") -> "AlgNum":
-        f, d = _zeta7_ints(x)
-        g, e = _zeta7_ints(y)
+        f, d = zeta7_ints(x)
+        g, e = zeta7_ints(y)
         return _zeta7_from_ints(self, _cyclic_mul(f, g), d * e)
 
     def conj(self, x: "AlgNum") -> "AlgNum":
-        (f0, f1, f2, f3, f4, f5, f6), d = _zeta7_ints(x)
+        (f0, f1, f2, f3, f4, f5, f6), d = zeta7_ints(x)
         return _zeta7_from_ints(self, (f0, f6, f5, f4, f3, f2, f1), d)
 
+    def abs2(self, x: "AlgNum") -> "AlgNum":
+        f, d = zeta7_ints(x)
+        h0, h1, h2, h3 = zeta7_autocorr(f)
+        return _zeta7_from_ints(self, (h0, h1, h2, h3, h3, h2, h1), d * d)
+
     def inverse(self, x: "AlgNum") -> "AlgNum":
-        f, d = _zeta7_ints(x)
+        f, d = zeta7_ints(x)
         adj = [f[2 * k % 7] for k in range(7)]
         for g in range(3, 7):
             adj = _cyclic_mul(adj, [f[g * k % 7] for k in range(7)])
@@ -686,12 +755,12 @@ class Zeta7Tower:
         return _zeta7_from_ints(self, [d * a for a in adj], h[0] - h[1])
 
     def is_real(self, x: "AlgNum") -> bool:
-        f, _ = _zeta7_ints(x)
+        f, _ = zeta7_ints(x)
         return f[1] == f[6] and f[2] == f[5] and f[3] == f[4]
 
     def _eta_coords(self, x: "AlgNum"):
         """(e1, e2, e3, D) with x = (e1 eta_1 + e2 eta_2 + e3 eta_3)/D; raises if x is not real."""
-        f, den = _zeta7_ints(x)
+        f, den = zeta7_ints(x)
         if f[1] != f[6] or f[2] != f[5] or f[3] != f[4]:
             raise ValueError(f"{x!r} is not real")
         return f[1] - f[0], f[2] - f[0], f[3] - f[0], den
@@ -707,29 +776,25 @@ class Zeta7Tower:
             lo, hi = (lo + e * l, hi + e * h) if e >= 0 else (lo + e * h, hi + e * l)
         return Fraction(lo, den << p), Fraction(hi, den << p)
 
-    def _decisive_enclosure(self, x: "AlgNum", decides):
-        """x.enclosure(p) at p = 64, 128, 256, ... until decides(lo, hi)."""
-        p = _ETA_START_BITS
-        lo, hi = x.enclosure(p)
-        while not decides(lo, hi):
-            p *= 2
-            lo, hi = x.enclosure(p)
-        return lo, hi
-
     def real_sign(self, x: "AlgNum") -> int:
-        lo, hi = self._decisive_enclosure(x, lambda lo, hi: lo > 0 or hi < 0 or lo == hi)
-        return (lo > 0) - (hi < 0)
+        e1, e2, e3, _ = self._eta_coords(x)
+        return eta_sign(e1, e2, e3)
 
     def floor_real(self, x: "AlgNum") -> int:
-        lo, _ = self._decisive_enclosure(x, lambda lo, hi: math.floor(lo) == math.floor(hi))
+        """The floor from x.enclosure(p) at p = 64, 128, 256, ... once both ends agree."""
+        p = _ETA_START_BITS
+        lo, hi = x.enclosure(p)
+        while math.floor(lo) != math.floor(hi):
+            p *= 2
+            lo, hi = x.enclosure(p)
         return math.floor(lo)
 
 
 class AlgNum:
     """An element of K(zeta), stored by its coefficients in the power basis of zeta.
 
-    Products, conjugates, inverses, realness, signs and floors are the
-    field's (see Zeta3Tower and Zeta7Tower).  Equality with zero is
+    Products, conjugates, |x|^2, inverses, realness, signs and floors are
+    the field's (see Zeta3Tower and Zeta7Tower).  Equality with zero is
     exact (the representation is zero), and so is the sign of a real
     element: an int test in Q(sqrt(21)) for K(zeta_3), and in K(zeta_7) an
     int test against a dyadic bracket refined until it decides.
@@ -868,7 +933,7 @@ class AlgNum:
         return self.tower.conj(self)
 
     def abs2(self) -> "AlgNum":
-        return self * self.conj()
+        return self.tower.abs2(self)
 
     # -- signs and floors ---------------------------------------------
 

@@ -516,7 +516,12 @@ def stabilizer(point, graph: CycleGraph) -> FiniteGroup:
     base = graph.index_of(p)
     if base is None:
         raise ValueError("point is not a vertex of the graph")
-    transports = _spanning_transports(graph, base)
+    return _stabilizer_from(graph, _spanning_transports(graph, base))
+
+
+def _stabilizer_from(graph: CycleGraph, transports) -> FiniteGroup:
+    """The stabilizer of the vertex the transports start from, for a caller
+    that holds them already (see stabilizer and _spanning_transports)."""
     gens = []
     for e in graph.edges:
         if e.src not in transports:
@@ -599,7 +604,7 @@ def dedup_isolated(cands):
             continue
         transports = _spanning_transports(graph, base)
         covered.update(transports)
-        stab = stabilizer(graph.vertices[base], graph)
+        stab = _stabilizer_from(graph, transports)
         # everything fixing a vertex of this component, moved to the base
         carried = []
         for i in sorted(transports):

@@ -277,10 +277,10 @@ def test_stabilizer_output_does_not_depend_on_cache_state(capsys):
 
 
 def test_mixed_operations_pay_no_abc_checks(capsys, monkeypatch):
-    # KNum's operators and the Ford comparison test for a Fraction by exact
-    # type, so an AlgNum operand reaches NotImplemented (or the exact sign)
-    # without an ABCMeta.__instancecheck__ call; watched here through a
-    # K(zeta_7) comparison and two stabilizer queries, one on a K(zeta_7)
+    # KNum's operators test for a Fraction by exact type, so an AlgNum
+    # operand reaches NotImplemented without an ABCMeta.__instancecheck__
+    # call, and the Ford sweep kernels compare on ints; watched here through
+    # a K(zeta_7) comparison and two stabilizer queries, one on a K(zeta_7)
     # fixed point
     import sys
     from abc import ABCMeta
@@ -292,8 +292,8 @@ def test_mixed_operations_pay_no_abc_checks(capsys, monkeypatch):
     from picard7.ring import AlgNum, KNum, real_cmp, zeta7_tower
     from picard7.torsion import build_cycle_graph, classify_elliptic, stabilizer
 
-    watched = {f.__code__ for f in (KNum.__add__, KNum.__sub__, KNum.__mul__,
-                                    KNum.__truediv__, ford._cmp)}
+    watched = {f.__code__ for f in (KNum.__add__, KNum.__sub__, KNum.__mul__, KNum.__truediv__,
+                                    ford._k_cmp, ford._zeta3_cmp, ford._zeta7_cmp)}
     callers = []
     instancecheck = ABCMeta.__instancecheck__
 

@@ -1,24 +1,38 @@
+import functools
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from picard7.ring import AlgNum, KNum, TAU, TAU_BAR, zeta3_tower
+from picard7.ring import (
+    AlgNum,
+    KNum,
+    TAU,
+    TAU_BAR,
+    eta_sign,
+    real_cmp,
+    sqrt21_sign,
+    zeta3_tower,
+    zeta7_tower,
+)
 from picard7.hermitian import (
     GroupElt,
     HoroPoint,
     ProjPoint,
     eigenspace_basis,
+    herm_inner,
     horo_coords,
     is_in_gamma,
     lift,
 )
-from picard7.heisenberg import CuspElt, R, T1, TTAU, TV
+from picard7.heisenberg import CuspElt, Prism, R, T1, TTAU, TV, reduce_to_prism
 from picard7.ford import (
     GENERATORS,
     INVERSE_PAIRS,
     IsomSphere,
     ReductionError,
+    _sweep_vector,
     cygan_dist4,
     dist2_to_triangle,
     enumerate_cone_translates,
@@ -31,6 +45,8 @@ from picard7.ford import (
     sqrt_lb,
     sqrt_ub,
 )
+from picard7.presentation import abcd
+from picard7.torsion import classify_elliptic
 
 V1 = (-TAU_BAR, KNum(0), KNum(1))
 
@@ -316,3 +332,121 @@ def test_generator_depths():
     g = GENERATORS[1] * GENERATORS[3]
     col = ProjPoint(g.first_column())
     assert col.sq_norm_sign() == 0 and depth(col) == 8
+
+
+# ---------------------------------------------------------------------------
+# the int sweep kernels against the generic path (herm_inner, abs2, real_cmp)
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _candidates():
+    """(j, alpha, alpha A_j) for every candidate column, in sweep order."""
+    return [(j, alpha, alpha.to_matrix() * GENERATORS[j])
+            for j in sorted(GENERATORS) for alpha in enumerate_cone_translates(j)]
+
+
+def _ref_reduce(x):
+    """reduce_to_domain on the generic path: among the violated Ford
+    inequalities the smallest |<v, col>|^2 wins, the first in sweep order
+    on a tie."""
+    as_proj = isinstance(x, ProjPoint)
+    v = x.coords if as_proj else lift(x)
+    total = GroupElt.identity()
+    while True:
+        shift, h = reduce_to_prism(horo_coords(v))
+        v = lift(h)
+        total = shift.to_matrix() * total
+        own = v[2].abs2()
+        best = None
+        for _, _, g in _candidates():
+            other = herm_inner(v, g.first_column()).abs2()
+            if real_cmp(other, own) < 0 and (best is None or real_cmp(other, best[0]) < 0):
+                best = (other, g)
+        if best is None:
+            return total, (ProjPoint(v) if as_proj else horo_coords(v))
+        gi = best[1].inverse()
+        v = gi.apply(v)
+        total = gi * total
+
+
+def _ref_in_omega(x):
+    v = x.coords if isinstance(x, ProjPoint) else lift(x)
+    h = horo_coords(v)
+    return Prism.contains(h.z, h.ti) and all(ford_side(v, g) != "outside" for _, _, g in _candidates())
+
+
+def _ref_spheres_containing(x):
+    shift, h = reduce_to_prism(horo_coords(x.coords) if isinstance(x, ProjPoint) else x)
+    v = lift(h)
+    found = {}
+    for j, alpha, g in _candidates():
+        side = ford_side(v, g)
+        if side != "inside":
+            sph = sphere_of(j)
+            found.setdefault((sph.r4, alpha.act_horo(sph.center)), (j, alpha, side))
+    return [(shift.inverse() * alpha, j, "boundary" if side == "boundary" else "interior")
+            for j, alpha, side in found.values()]
+
+
+def _field_points():
+    """A fixed point in K (V1), in K(zeta_3) (of c = ab) and in K(zeta_7) (of a)."""
+    gens = abcd()
+    _, c_fixed, _ = classify_elliptic(gens["c"], 6)
+    _, a_fixed, _ = classify_elliptic(gens["a"], 7)
+    return {"K": ProjPoint(V1), "zeta3": c_fixed, "zeta7": a_fixed}
+
+
+@pytest.mark.parametrize("field", ["K", "zeta3", "zeta7"])
+def test_sweep_kernels_match_generic_path(field):
+    # random orbit images of one point per field: every kernel sign equals
+    # ford_side against alpha A_j over all candidate columns, in sweep
+    # order, and reduction, Omega membership and the spheres through a
+    # point agree with the generic path
+    rng = random.Random({"K": 41, "zeta3": 43, "zeta7": 47}[field])
+    x0 = _field_points()[field]
+    letters = [GENERATORS[j] for j in sorted(GENERATORS)]
+    letters += [c.to_matrix() for c in (T1, TTAU, TV, R)]
+    _, y0 = reduce_to_domain(x0)
+    points = [x0, y0]
+    for _ in range(2):
+        w = GroupElt.identity()
+        for _ in range(rng.randint(1, 3)):
+            w = rng.choice(letters) * w
+        points.append(y0.apply(w.mat))
+    for x in points:
+        vs, own, (_, _, sweep) = _sweep_vector(x.coords)
+        got = [(j, alpha, sign) for sign, _, j, alpha in sweep(vs, own)]
+        want = []
+        for j, alpha, g in _candidates():
+            side = ford_side(x, g)
+            if side != "inside":
+                want.append((j, alpha, 0 if side == "boundary" else -1))
+        assert got == want
+        assert reduce_to_domain(x) == _ref_reduce(x)
+        assert in_omega(x) == _ref_in_omega(x)
+        assert spheres_containing(x) == _ref_spheres_containing(x)
+    assert in_omega(y0) and any(flag == "boundary" for _, _, flag in spheres_containing(y0))
+
+
+def test_sign_helpers_match_mpmath():
+    # sqrt21_sign and eta_sign against a 100-digit evaluation, on seeded
+    # random ints, on zero, on e1 = e2 = e3, and on the tiny eta_2^60,
+    # whose sign the first 64-bit bracket cannot decide
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    rng = random.Random(53)
+    pairs = [(0, 0), (5, 0), (-5, 0), (0, 3), (0, -3), (458, -100), (-459, 100)]
+    pairs += [(rng.randint(-10**6, 10**6), rng.randint(-10**5, 10**5)) for _ in range(500)]
+    z = AlgNum.gen(zeta7_tower())
+    tiny = (z ** 2 + z ** 5) ** 60
+    triples = [(0, 0, 0), (4, 4, 4), (-4, -4, -4), zeta7_tower()._eta_coords(tiny)[:3]]
+    triples += [tuple(rng.randint(-10**4, 10**4) for _ in range(3)) for _ in range(500)]
+    with mpmath.workdps(100):
+        for m, n in pairs:
+            assert sqrt21_sign(m, n) == sign(m + n * mpmath.sqrt(21)), (m, n)
+        etas = [2 * mpmath.cos(2 * mpmath.pi * k / 7) for k in (1, 2, 3)]
+        for e in triples:
+            assert eta_sign(*e) == sign(sum(c * eta for c, eta in zip(e, etas))), e
+        assert abs(sum(c * eta for c, eta in zip(triples[3], etas))) < mpmath.mpf(2) ** -60
