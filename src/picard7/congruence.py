@@ -26,9 +26,9 @@ class ResidueMap:
             raise ArithmeticError("tau does not reduce to a root of x^2 - x + 2")
 
     def scalar(self, x) -> int:
-        if x.a.denominator != 1 or x.b.denominator != 1:
+        if x.d != 1:
             raise ValueError("entry is not integral")
-        return (int(x.a) + int(x.b) * self.tau) % self.p
+        return (x.na + x.nb * self.tau) % self.p
 
     def __call__(self, m):
         if isinstance(m, GroupElt):
@@ -86,9 +86,6 @@ class FpMatGroup:
             y = rm.mul(y, x)
             k += 1
         return k
-
-    def __contains__(self, x):
-        return x in self.elements
 
 
 @lru_cache(maxsize=4)

@@ -22,7 +22,6 @@ from .ring import (
     TAU_BAR,
     ZERO,
     eta_sign,
-    real_cmp,
     scalar,
     sqrt21_sign,
     zeta7_autocorr,
@@ -123,7 +122,7 @@ class IsomSphere:
     The center g(inf) is a K-rational HoroPoint on the boundary (u = 0).
     """
 
-    __slots__ = ("elt", "center", "a31norm", "r4")
+    __slots__ = ("center", "r4")
 
     def __init__(self, elt: GroupElt):
         a31 = elt.mat.rows[2][0]
@@ -132,9 +131,7 @@ class IsomSphere:
         h = horo_coords(elt.first_column())
         if not h.u.is_zero():
             raise ArithmeticError("isometric sphere center is not on the boundary")
-        object.__setattr__(self, "elt", elt)
         object.__setattr__(self, "center", h)
-        object.__setattr__(self, "a31norm", a31.norm())
         object.__setattr__(self, "r4", Fraction(4, a31.norm()))
 
     def __setattr__(self, *args):
@@ -148,12 +145,8 @@ class IsomSphere:
 SPHERES = {j: IsomSphere(g) for j, g in GENERATORS.items()}
 
 
-def sphere_of(j: int) -> IsomSphere:
-    return SPHERES[j]
-
-
 # ---------------------------------------------------------------------------
-# Cygan distance and sphere / Ford side tests
+# Cygan distance
 # ---------------------------------------------------------------------------
 
 
@@ -168,31 +161,6 @@ def cygan_dist4(p: HoroPoint, q: HoroPoint):
     cross = p.z * q.z.conj()
     qq = p.ti - q.ti + cross - cross.conj()
     return first * first + qq.abs2()
-
-
-def _side_from_sign(sign: int) -> str:
-    return "inside" if sign > 0 else ("boundary" if sign == 0 else "outside")
-
-
-def ford_side(x, g: GroupElt) -> str:
-    """Side of x w.r.t. the Ford inequality for g: N(<x,q_inf>) vs N(<x, g q_inf>).
-
-    "inside" means the strict Ford inequality holds (x outside the open
-    Cygan ball of g); x is a lifted vector or a ProjPoint.
-    """
-    if g.fixes_q_inf():
-        raise ValueError("Ford side undefined for cusp elements")
-    v = x.coords if isinstance(x, ProjPoint) else tuple(scalar(c) for c in x)
-    own = v[2].abs2()
-    other = herm_inner(v, g.first_column()).abs2()
-    return _side_from_sign(real_cmp(other, own))
-
-
-def sphere_membership(h: HoroPoint, sph: IsomSphere) -> str:
-    """Same trichotomy as ford_side, via horospherical coordinates:
-    compares the extended Cygan distance to the center against the radius."""
-    d4 = cygan_dist4(h, sph.center)
-    return _side_from_sign(real_cmp(d4, sph.r4))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +251,7 @@ def enumerate_cone_translates(j: int):
     t-window of the translated sphere meets [0, 2 sqrt(7)] (conservative
     rational bounds).
     """
-    sph = sphere_of(j)
+    sph = SPHERES[j]
     c = sph.center
     r4 = sph.r4
     r2_ub = sqrt_ub(r4)
@@ -511,7 +479,7 @@ def spheres_containing(x):
     # keeping the first (j, alpha) of the sweep
     found = {}
     for sign, _, j, alpha in sweep(vs, own):
-        sph = sphere_of(j)
+        sph = SPHERES[j]
         found.setdefault((sph.r4, alpha.act_horo(sph.center)), (j, alpha, sign))
     return [
         (shift_inv * alpha, j, "boundary" if sign == 0 else "interior")

@@ -315,48 +315,9 @@ def enumerate_cusp_overlaps():
     return tuple(out)
 
 
-def overlap_witness(c: CuspElt):
-    """An exact point of c(P) in P (barycenter of overlap vertices), or None."""
-    sign = -1 if c.eps else 1
-    verts = polygon_vertices(_overlap_constraints(c.m, c.n, sign))
-    if not verts:
-        return None
-    ax = sum(v[0] for v in verts) / len(verts)
-    bx = sum(v[1] for v in verts) / len(verts)
-    c0, ca, cb = _cross_coeffs(c.w)
-    shift = c.s0 + sign * (c0 + ca * ax + cb * bx)
-    # pick s in [0,2] with s + shift in [0,2]
-    lo = max(Fraction(0), -shift)
-    hi = min(Fraction(2), 2 - shift)
-    if lo > hi:
-        return None
-    s = (lo + hi) / 2
-    p = HoroPoint.from_zsu(KNum(ax, bx), s)
-    q = c.act_horo(p)
-    if not (Prism.contains(p.z, p.ti) and Prism.contains(q.z, q.ti)):
-        return None
-    return p
-
-
 # ---------------------------------------------------------------------------
 # cusp torsion
 # ---------------------------------------------------------------------------
-
-
-def cusp_torsion_report():
-    """Order of T(w, t0) R for each coset family w in {0, 1, tau, 1+tau}, l-sweep.
-
-    (T(w, t0) R)^2 = T(0, 2 t0), so the element is an involution exactly when
-    t0 = 0.  Exactly three of the four families contain torsion: the family
-    of T_1 R has t0 an odd multiple of sqrt(7) for every vertical correction.
-    """
-    report = {}
-    for name, (m, n) in (("R", (0, 0)), ("T1*R", (1, 0)), ("Ttau*R", (0, 1)), ("T1*Ttau*R", (1, 1))):
-        orders = {}
-        for l in range(-2, 3):
-            orders[l] = CuspElt(m, n, 1, l).order()
-        report[name] = orders
-    return report
 
 
 def cusp_torsion_classes():

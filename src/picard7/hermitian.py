@@ -21,7 +21,6 @@ from .ring import (
     KNum,
     ONE,
     ZERO,
-    ISQRT7,
     TAU,
     format_knum,
     knum_from_ints,
@@ -150,10 +149,6 @@ class Mat:
         v = (scalar(v1), scalar(v2), scalar(v3))
         return tuple(sum((x * y for x, y in zip(r, v)), start=ZERO) for r in self.rows)
 
-    def scale(self, c):
-        c = KNum.coerce(c)
-        return Mat([[x * c for x in r] for r in self.rows])
-
     def conj_transpose(self) -> "Mat":
         return Mat([[self.rows[j][i].conj() for j in range(3)] for i in range(3)])
 
@@ -167,23 +162,6 @@ class Mat:
             - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
             + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
         )
-
-    def adjugate(self) -> "Mat":
-        r = self.rows
-
-        def c(i, j):
-            rows = [r[k] for k in range(3) if k != i]
-            cols = [(rows[0][l], rows[1][l]) for l in range(3) if l != j]
-            minor = cols[0][0] * cols[1][1] - cols[1][0] * cols[0][1]
-            return minor if (i + j) % 2 == 0 else -minor
-
-        return Mat([[c(j, i) for j in range(3)] for i in range(3)])
-
-    def inverse(self) -> "Mat":
-        d = self.det()
-        if d.is_zero():
-            raise ZeroDivisionError("singular matrix")
-        return self.adjugate().scale(ONE / d)
 
     def charpoly(self):
         """Coefficients of det(x*I - M), low degree first: [c0, c1, c2, 1]."""
@@ -507,9 +485,6 @@ class GroupElt:
     def is_identity(self) -> bool:
         return self.mat.is_pm_identity()
 
-    def fixes_q_inf(self) -> bool:
-        return self.mat.rows[1][0].is_zero() and self.mat.rows[2][0].is_zero()
-
     def apply(self, v):
         return self.mat.apply(v)
 
@@ -565,11 +540,6 @@ class HoroPoint:
     def __setattr__(self, *args):
         raise AttributeError("HoroPoint is immutable")
 
-    @staticmethod
-    def from_zsu(z, s, u=0) -> "HoroPoint":
-        """K-rational constructor with t = s*sqrt(7)."""
-        return HoroPoint(KNum.coerce(z), ISQRT7 * Fraction(s), KNum(Fraction(u)))
-
     @property
     def s(self) -> Fraction:
         """t as a multiple of sqrt(7) (K-rational points only)."""
@@ -598,7 +568,10 @@ def horo_coords(v) -> HoroPoint:
     """Horospherical coordinates of a vector with <v,v> <= 0 and v3 != 0."""
     v1, v2, v3 = (scalar(x) for x in v)
     if v3.is_zero():
-        raise ValueError("point at infinity has no horospherical coordinates")
+        # <v, v> = |v2|^2 here, so only v2 = 0 leaves a null point: q_inf
+        if v2.is_zero():
+            raise ValueError("point at infinity has no horospherical coordinates")
+        raise ValueError("vector has positive square norm")
     z = v2 / v3
     w = (v1 / v3) * 2 + z.abs2()
     # w = it - u: ti is the anti-Hermitian part, u = -Re(w)

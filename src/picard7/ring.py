@@ -7,10 +7,10 @@ and i*sqrt(7) = 2*tau - 1.
 
 A KNum is three Python ints (a, b, d) for (a + b*tau)/d in normal form
 (d > 0, gcd(a, b, d) = 1), so O_7 is the set of elements with d = 1 and its
-arithmetic, the norm and Euclid's algorithm (o_divmod, o_gcd) run on ints
-alone.  Fractions appear only at the edges: the constructor accepts them,
-`.a`, `.b`, `re`, `im_sqrt7` and `rat()` return them, and parsing and
-formatting go through them.
+arithmetic, the norm and Euclid's algorithm (o_gcd) run on ints alone.
+Fractions appear only at the edges: the constructor accepts them, `.a`,
+`.b`, `im_sqrt7` and `rat()` return them, and parsing and formatting go
+through them.
 
 The eigenvalues of elliptic group elements and the coordinates of their
 fixed points lie in K, K(zeta_3) or K(zeta_7), zeta_n = exp(2*pi*i/n).
@@ -270,12 +270,7 @@ class KNum:
             raise ValueError(f"{self} is not real")
         return self.na // self.d
 
-    # -- real/imaginary decomposition ---------------------------------
-
-    @property
-    def re(self) -> Fraction:
-        """Real part, a rational."""
-        return Fraction(2 * self.na + self.nb, 2 * self.d)
+    # -- imaginary part -----------------------------------------------
 
     @property
     def im_sqrt7(self) -> Fraction:
@@ -411,17 +406,6 @@ def _divmod_ints(a: int, b: int, c: int, e: int):
     if not key < n:
         raise ArithmeticError("O_7 Euclidean step failed")
     return (qa, qb), (ra, rb)
-
-
-def o_divmod(x: KNum, y: KNum):
-    """Euclidean division in O_7: x = q*y + r with N(r) < N(y)."""
-    if y.is_zero():
-        raise ZeroDivisionError("division by zero in O_7")
-    # scaling x and y by a common denominator D keeps x/y and scales N(r) by D^2
-    den = lcm(x.d, y.d)
-    sx, sy = den // x.d, den // y.d
-    (qa, qb), (ra, rb) = _divmod_ints(x.na * sx, x.nb * sx, y.na * sy, y.nb * sy)
-    return _knum(qa, qb, 1), knum_from_ints(ra, rb, den)
 
 
 def _gcd_ints(a: int, b: int, c: int, e: int):
@@ -971,11 +955,6 @@ def scalar(x):
     if isinstance(x, (KNum, AlgNum)):
         return x
     return KNum.coerce(x)
-
-
-def real_cmp(x, y) -> int:
-    """Exact comparison of two real scalars (KNum or AlgNum, mixed allowed)."""
-    return (x - y).real_sign()
 
 
 _ZETA3 = Zeta3Tower()

@@ -47,9 +47,9 @@ from .heisenberg import (
 from .ford import (
     GENERATORS,
     INVERSE_PAIRS,
+    SPHERES,
     cygan_dist4,
     reduce_to_domain,
-    sphere_of,
     spheres_containing,
     sqrt_ub,
 )
@@ -206,7 +206,7 @@ def enumerate_tjk(j: int, k: int):
     """
     if INVERSE_PAIRS[j] != k:
         raise ValueError("T_jk is only enumerated for inverse pairs")
-    sj, sk = sphere_of(j), sphere_of(k)
+    sj, sk = SPHERES[j], SPHERES[k]
     rsum = sqrt_ub(sqrt_ub(sj.r4)) + sqrt_ub(sqrt_ub(sk.r4))
     bound = rsum**4
     ck = sk.center

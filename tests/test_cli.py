@@ -63,6 +63,44 @@ def test_bad_point_is_a_value_error(capsys, command, point):
     assert json.loads(out)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize(
+    "point,message",
+    [
+        ('["0","0","0"]', "zero vector has no projective class"),
+        ('["1","0","0"]', "point at infinity has no horospherical coordinates"),
+        # v3 = 0 gives <v, v> = N(v2), so this point is positive, not q_inf
+        ('["0","1","0"]', "vector has positive square norm"),
+    ],
+)
+def test_ford_spheres_point_with_v3_zero(capsys, point, message):
+    code, out = run(capsys, ["ford", "spheres", "--point", point])
+    assert code == 1
+    assert json.loads(out) == {"error": "ValueError", "message": message}
+
+
+def test_point_entries_may_be_json_ints(capsys):
+    code, out = run(capsys, ["ford", "reduce", "--point", "[-1,0,1]"])
+    assert code == 0
+    assert out == run(capsys, ["ford", "reduce", "--point", '["-1","0","1"]'])[1]
+
+
+@pytest.fixture
+def small_cone_box(monkeypatch):
+    """Shrink the Ford candidate box below completeness, with cold sphere caches."""
+    from picard7 import ford
+
+    monkeypatch.setattr(ford, "_MN_BOX", 1)
+    ford.candidate_spheres.cache_clear()
+    yield
+    ford.candidate_spheres.cache_clear()
+
+
+def test_too_small_candidate_box_exits_3(capsys, small_cone_box):
+    code, out = run(capsys, ["ford", "reduce", "--point", '["-1","0","1"]'])
+    assert code == 3
+    assert json.loads(out) == {"error": "ArithmeticError", "message": "candidate box too small"}
+
+
 @pytest.mark.parametrize("literal", ["1 2", "tau tau", "1*"])
 def test_malformed_literal_is_a_value_error(capsys, literal):
     code, out = run(capsys, ["ford", "reduce", "--point", json.dumps([literal, "0", "1"])])
@@ -289,8 +327,9 @@ def test_mixed_operations_pay_no_abc_checks(capsys, monkeypatch):
     from picard7 import ford
     from picard7.ford import GENERATORS, reduce_to_domain
     from picard7.heisenberg import R, T1
-    from picard7.ring import AlgNum, KNum, real_cmp, zeta7_tower
+    from picard7.ring import AlgNum, KNum, zeta7_tower
     from picard7.torsion import build_cycle_graph, classify_elliptic, stabilizer
+    from reference import real_cmp
 
     watched = {f.__code__ for f in (KNum.__add__, KNum.__sub__, KNum.__mul__, KNum.__truediv__,
                                     ford._k_cmp, ford._zeta3_cmp, ford._zeta7_cmp)}

@@ -11,14 +11,12 @@ from picard7.ring import (
     TAU,
     TAU_BAR,
     eta_sign,
-    real_cmp,
     sqrt21_sign,
     zeta3_tower,
     zeta7_tower,
 )
 from picard7.hermitian import (
     GroupElt,
-    HoroPoint,
     ProjPoint,
     eigenspace_basis,
     herm_inner,
@@ -30,23 +28,22 @@ from picard7.heisenberg import CuspElt, Prism, R, T1, TTAU, TV, reduce_to_prism
 from picard7.ford import (
     GENERATORS,
     INVERSE_PAIRS,
+    SPHERES,
     IsomSphere,
     ReductionError,
     _sweep_vector,
     cygan_dist4,
     dist2_to_triangle,
     enumerate_cone_translates,
-    ford_side,
     in_omega,
     reduce_to_domain,
-    sphere_membership,
-    sphere_of,
     spheres_containing,
     sqrt_lb,
     sqrt_ub,
 )
 from picard7.presentation import abcd
 from picard7.torsion import classify_elliptic
+from reference import fixes_q_inf, ford_side, from_zsu, real_cmp, sphere_membership
 
 V1 = (-TAU_BAR, KNum(0), KNum(1))
 
@@ -75,36 +72,35 @@ def test_generator_table():
     # table closed under inversion
     for j, k in INVERSE_PAIRS.items():
         assert (GENERATORS[j] * GENERATORS[k]).is_identity()
-    assert sorted({IsomSphere(g).a31norm for g in GENERATORS.values()}) == [1, 2, 4, 7]
+    assert sorted({4 / IsomSphere(g).r4 for g in GENERATORS.values()}) == [1, 2, 4, 7]
 
 
 def test_sphere_data():
-    s6 = sphere_of(6)
-    assert s6.a31norm == 4 and s6.r4 == 1
-    assert sphere_of(6) is s6  # built once, shared
-    assert s6.center == HoroPoint.from_zsu(0, 1)
-    s1 = sphere_of(1)
-    assert s1.r4 == 4 and s1.center == HoroPoint.from_zsu(0, 0)
+    s6 = SPHERES[6]
+    assert s6.r4 == 1
+    assert s6.center == from_zsu(0, 1)
+    s1 = SPHERES[1]
+    assert s1.r4 == 4 and s1.center == from_zsu(0, 0)
     with pytest.raises(ValueError):
         IsomSphere(T1.to_matrix())
 
 
 def test_cygan_examples():
-    o = HoroPoint.from_zsu(0, 0, 0)
+    o = from_zsu(0, 0, 0)
     assert cygan_dist4(o, o) == KNum(0)
-    assert cygan_dist4(o, HoroPoint.from_zsu(0, 2, 0)) == KNum(28)
-    assert cygan_dist4(o, HoroPoint.from_zsu(1, 0, 0)) == KNum(1)
+    assert cygan_dist4(o, from_zsu(0, 2, 0)) == KNum(28)
+    assert cygan_dist4(o, from_zsu(1, 0, 0)) == KNum(1)
 
 
 def test_cygan_left_invariance():
     rng = random.Random(17)
     for _ in range(25):
-        p = HoroPoint.from_zsu(
+        p = from_zsu(
             KNum(Fraction(rng.randint(-8, 8), 3), Fraction(rng.randint(-8, 8), 3)),
             Fraction(rng.randint(-8, 8), 2),
             Fraction(rng.randint(0, 6), 2),
         )
-        q = HoroPoint.from_zsu(
+        q = from_zsu(
             KNum(Fraction(rng.randint(-8, 8), 3), Fraction(rng.randint(-8, 8), 3)),
             Fraction(rng.randint(-8, 8), 2),
             Fraction(rng.randint(0, 6), 2),
@@ -135,7 +131,8 @@ def _ref_dist2_to_triangle(p: KNum) -> Fraction:
     out = []
     for v0, v1 in ((KNum(0), KNum(1)), (KNum(0), TAU), (KNum(1), TAU)):
         d, w = v1 - v0, p - v0
-        t = (w * d.conj()).re / d.norm()
+        x = w * d.conj()
+        t = (x.a + x.b / 2) / d.norm()
         if t <= 0:
             out.append(Fraction(w.norm()))
         elif t >= 1:
@@ -159,7 +156,7 @@ def test_dist2_to_triangle_matches_fraction_reference():
 def test_cone_translates_keep_every_survivor():
     # every (m, n, eps) in the box whose translated disk meets D is kept
     for j in GENERATORS:
-        sph = sphere_of(j)
+        sph = SPHERES[j]
         want = set()
         for m in range(-5, 6):
             for n in range(-5, 6):
@@ -172,7 +169,7 @@ def test_cone_translates_keep_every_survivor():
 
 def _ref_cone_translates(j):
     """The translate superset of j with the full cusp action on every (m, n, eps)."""
-    sph = sphere_of(j)
+    sph = SPHERES[j]
     r2_ub = sqrt_ub(sph.r4)
     r_ub = sqrt_ub(r2_ub)
     out = []
@@ -198,9 +195,20 @@ def test_cone_translates_match_full_action_reference():
         assert enumerate_cone_translates(j) == _ref_cone_translates(j)
 
 
+def test_cone_translates_refuse_a_too_small_box(monkeypatch):
+    # the box is the completeness argument of every sweep: a survivor on its
+    # edge means the box may miss translates, and enumeration must refuse
+    import picard7.ford as ford
+
+    monkeypatch.setattr(ford, "_MN_BOX", 1)
+    for j in GENERATORS:
+        with pytest.raises(ArithmeticError, match="^candidate box too small$"):
+            enumerate_cone_translates(j)
+
+
 def test_ford_side_examples():
     # high above the cusp every inequality is strict
-    top = lift(HoroPoint.from_zsu(0, 0, 100))
+    top = lift(from_zsu(0, 0, 100))
     for j, g in GENERATORS.items():
         assert ford_side(top, g) == "inside"
     # the fixed point (-conj(tau), 0, 1) is on I(A6) and on T1(I(A1))
@@ -214,16 +222,16 @@ def test_ford_side_examples():
 def test_ford_side_matches_sphere_membership():
     rng = random.Random(23)
     for _ in range(25):
-        h = HoroPoint.from_zsu(
+        h = from_zsu(
             KNum(Fraction(rng.randint(-4, 4), 3), Fraction(rng.randint(-4, 4), 3)),
             Fraction(rng.randint(-6, 6), 2),
             Fraction(rng.randint(0, 8), 3),
         )
         v = lift(h)
         for j in (1, 2, 6, 9):
-            assert ford_side(v, GENERATORS[j]) == sphere_membership(h, sphere_of(j))
+            assert ford_side(v, GENERATORS[j]) == sphere_membership(h, SPHERES[j])
     h1 = horo_coords(V1)
-    assert sphere_membership(h1, sphere_of(6)) == "boundary"
+    assert sphere_membership(h1, SPHERES[6]) == "boundary"
 
 
 def test_cone_translates():
@@ -232,7 +240,7 @@ def test_cone_translates():
     for j in GENERATORS:
         ej = enumerate_cone_translates(j)
         assert ej
-        sph = sphere_of(j)
+        sph = SPHERES[j]
         for alpha in ej:
             moved = alpha.act_horo(sph.center)
             d2 = dist2_to_triangle(moved.z)
@@ -252,7 +260,7 @@ def test_spheres_containing_v1():
 
 
 def test_spheres_containing_far_point():
-    assert spheres_containing(HoroPoint.from_zsu(0, 0, 50)) == []
+    assert spheres_containing(from_zsu(0, 0, 50)) == []
 
 
 def test_order6_point_on_five_spheres():
@@ -286,20 +294,20 @@ def test_sphere_inversion_identity():
     a2 = GENERATORS[2]
     # the Omega representative of the fixed point lies on I(A2)
     _, y = reduce_to_domain(fixed)
-    assert ford_side(tuple(a2.mat.inverse().apply(y.coords)), GENERATORS[3]) == "boundary"
+    assert ford_side(a2.inverse().apply(y.coords), GENERATORS[3]) == "boundary"
 
 
 def test_reduce_identity_case():
-    h = HoroPoint.from_zsu(TAU / 2, 1, 5)
+    h = from_zsu(TAU / 2, 1, 5)
     assert in_omega(h)
     g, y = reduce_to_domain(h)
     assert y == h
-    assert g.fixes_q_inf()
+    assert fixes_q_inf(g)
 
 
 def test_reduce_random_roundtrip():
     rng = random.Random(31)
-    base = HoroPoint.from_zsu(TAU / 2, 1, 5)
+    base = from_zsu(TAU / 2, 1, 5)
     _, center = reduce_to_domain(base)
     v0 = lift(center)
     letters = [GENERATORS[2], GENERATORS[6], T1.to_matrix(), R.to_matrix(), GENERATORS[1]]
@@ -383,7 +391,7 @@ def _ref_spheres_containing(x):
     for j, alpha, g in _candidates():
         side = ford_side(v, g)
         if side != "inside":
-            sph = sphere_of(j)
+            sph = SPHERES[j]
             found.setdefault((sph.r4, alpha.act_horo(sph.center)), (j, alpha, side))
     return [(shift.inverse() * alpha, j, "boundary" if side == "boundary" else "interior")
             for j, alpha, side in found.values()]

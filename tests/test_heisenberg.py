@@ -14,10 +14,8 @@ from picard7.heisenberg import (
     TTAU,
     TV,
     cusp_torsion_classes,
-    cusp_torsion_report,
     enumerate_cusp_overlaps,
     polygon_vertices,
-    overlap_witness,
     _cross_coeffs,
     _overlap_constraints,
     reduce_to_prism,
@@ -25,11 +23,12 @@ from picard7.heisenberg import (
     tau_coordinates,
     translation_matrix,
 )
+from reference import fixes_q_inf, from_zsu, overlap_witness
 
 
 def rand_pt(rng, den=4, u=0):
     """A random K-rational point (z, s*sqrt(7), u) with denominators den."""
-    return HoroPoint.from_zsu(
+    return from_zsu(
         KNum(Fraction(rng.randint(-12, 12), den), Fraction(rng.randint(-12, 12), den)),
         Fraction(rng.randint(-12, 12), den),
         Fraction(u, den),
@@ -44,7 +43,7 @@ def test_generator_matrices():
     for c in (T1, TTAU, TV, R):
         g = c.to_matrix()
         assert is_in_gamma(g.mat)
-        assert g.fixes_q_inf()
+        assert fixes_q_inf(g)
     assert R.to_matrix().mat == Mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
     assert IDENTITY.to_matrix().is_identity()
     # T_1 = T(1, sqrt(7)), Ttau = T(tau, 0), T_v = T(0, 2 sqrt(7))
@@ -58,10 +57,10 @@ def test_vertical_is_commutator():
 
 
 def test_heis_group_law():
-    h = HoroPoint.from_zsu(TAU, Fraction(1, 2))
+    h = from_zsu(TAU, Fraction(1, 2))
     assert IDENTITY.act_horo(h) == h
     # (1, sqrt 7) * (1, sqrt 7) = (2, 2 sqrt 7): on points and on elements
-    assert T1.act_horo(HoroPoint.from_zsu(1, 1)) == HoroPoint.from_zsu(2, 2)
+    assert T1.act_horo(from_zsu(1, 1)) == from_zsu(2, 2)
     assert T1 * T1 == CuspElt(m=2)
     rng = random.Random(5)
     for _ in range(60):
@@ -103,7 +102,7 @@ def test_closed_form_matches_matrices():
 
 
 def _tower_point(rng, tw):
-    h = HoroPoint.from_zsu(
+    h = from_zsu(
         KNum(Fraction(rng.randint(-9, 9), 4), Fraction(rng.randint(-9, 9), 4)),
         Fraction(rng.randint(-9, 9), 4),
         Fraction(rng.randint(0, 9), 4),
@@ -150,25 +149,25 @@ def test_cusp_action_consistency():
 
 def test_prism_membership():
     assert Prism.membership(TAU / 2, KNum(0)) == ("boundary", ("a=0", "s=0"))
-    assert Prism.membership(KNum(Fraction(1, 4), Fraction(1, 4)), HoroPoint.from_zsu(0, 1).ti)[0] == "interior"
-    assert Prism.membership(TAU, HoroPoint.from_zsu(0, Fraction(9, 7)).ti) == ("boundary", ("a=0", "a+b=1"))
+    assert Prism.membership(KNum(Fraction(1, 4), Fraction(1, 4)), from_zsu(0, 1).ti)[0] == "interior"
+    assert Prism.membership(TAU, from_zsu(0, Fraction(9, 7)).ti) == ("boundary", ("a=0", "a+b=1"))
     assert Prism.membership(KNum(2), KNum(0))[0] == "outside"
-    assert Prism.membership(KNum(0), HoroPoint.from_zsu(0, -1).ti)[0] == "outside"
-    state, facets = Prism.membership(KNum(0), HoroPoint.from_zsu(0, 2).ti)
+    assert Prism.membership(KNum(0), from_zsu(0, -1).ti)[0] == "outside"
+    state, facets = Prism.membership(KNum(0), from_zsu(0, 2).ti)
     assert state == "boundary" and "s=2" in facets
 
 
 def test_reduce_examples():
-    c, p = reduce_to_prism(HoroPoint.from_zsu(KNum(2, 3), 5))
+    c, p = reduce_to_prism(from_zsu(KNum(2, 3), 5))
     assert Prism.contains(p.z, p.ti)
-    assert c.act_horo(HoroPoint.from_zsu(KNum(2, 3), 5)) == p
+    assert c.act_horo(from_zsu(KNum(2, 3), 5)) == p
 
-    c, p = reduce_to_prism(HoroPoint.from_zsu(TAU / 2, Fraction(1, 2)))
-    assert c == IDENTITY and p == HoroPoint.from_zsu(TAU / 2, Fraction(1, 2))
+    c, p = reduce_to_prism(from_zsu(TAU / 2, Fraction(1, 2)))
+    assert c == IDENTITY and p == from_zsu(TAU / 2, Fraction(1, 2))
 
-    c, p = reduce_to_prism(HoroPoint.from_zsu(KNum(-1), -1))
+    c, p = reduce_to_prism(from_zsu(KNum(-1), -1))
     assert Prism.contains(p.z, p.ti)
-    assert c.act_horo(HoroPoint.from_zsu(KNum(-1), -1)) == p
+    assert c.act_horo(from_zsu(KNum(-1), -1)) == p
 
 
 def test_reduce_random_roundtrip():
@@ -186,7 +185,7 @@ def test_reduce_random_roundtrip():
 def test_reduce_algebraic_point():
     # interior point with coordinates in K(zeta3), shifted out of the prism
     tw = zeta3_tower()
-    h = HoroPoint.from_zsu(TAU / 2, Fraction(1, 2), 1)
+    h = from_zsu(TAU / 2, Fraction(1, 2), 1)
     hl = HoroPoint(
         AlgNum.lift(tw, h.z), AlgNum.lift(tw, h.ti), AlgNum.lift(tw, KNum(1))
     )
@@ -293,13 +292,16 @@ def test_cusp_overlaps_translate_range():
 
 
 def test_cusp_torsion():
-    report = cusp_torsion_report()
-    assert report["R"][0] == 2
-    assert report["Ttau*R"][0] == 2
-    assert report["T1*Ttau*R"][0] == 2
+    # the order of T(w, t0) R for w in {0, 1, tau, 1 + tau}, over vertical corrections
+    orders = {
+        (m, n): {l: CuspElt(m, n, 1, l).order() for l in range(-2, 3)}
+        for m, n in ((0, 0), (1, 0), (0, 1), (1, 1))
+    }
+    # R, Ttau R and T1 Ttau R are involutions
+    assert orders[0, 0][0] == orders[0, 1][0] == orders[1, 1][0] == 2
     # the T1 R family contains no torsion at all: its square is a nonzero
     # vertical translation for every vertical correction
-    assert all(v is None for v in report["T1*R"].values())
+    assert all(v is None for v in orders[1, 0].values())
     sq = (T1 * R) * (T1 * R)
     assert sq == TV
 

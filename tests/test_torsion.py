@@ -5,7 +5,7 @@ import pytest
 from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR
 from picard7.hermitian import GroupElt, Mat, ProjPoint, sq_norm
 from picard7.heisenberg import CuspElt, R, T1, TTAU, TV
-from picard7.ford import GENERATORS, cygan_dist4, sphere_of, sqrt_ub
+from picard7.ford import GENERATORS, INVERSE_PAIRS, SPHERES, cygan_dist4, sqrt_ub
 from picard7.torsion import (
     ClosureError,
     FiniteGroup,
@@ -109,10 +109,20 @@ def test_tjk_basics():
         enumerate_tjk(1, 2)
 
 
+def test_tjk_refuses_a_too_small_box(monkeypatch):
+    import picard7.torsion as torsion
+
+    monkeypatch.setattr(torsion, "_TJK_M", 2)
+    monkeypatch.setattr(torsion, "_TJK_N", 2)
+    monkeypatch.setattr(torsion, "_TJK_L", 2)
+    with pytest.raises(ArithmeticError, match="^T_jk candidate box too small$"):
+        enumerate_tjk(1, INVERSE_PAIRS[1])
+
+
 @pytest.mark.parametrize("j,k", [(1, 1), (9, 14)])
 def test_tjk_superset_against_larger_box(j, k):
     # the distance filter over an enlarged box finds nothing new
-    sj, sk = sphere_of(j), sphere_of(k)
+    sj, sk = SPHERES[j], SPHERES[k]
     rsum = sqrt_ub(sqrt_ub(sj.r4)) + sqrt_ub(sqrt_ub(sk.r4))
     bound = rsum**4
     ck = sk.center
