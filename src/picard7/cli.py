@@ -71,7 +71,7 @@ def cmd_ford_spheres(args):
 
 
 def cmd_cusp_overlaps(args):
-    ov = sorted(enumerate_cusp_overlaps(), key=lambda c: c.sort_key())
+    ov = enumerate_cusp_overlaps()
     return {
         "count": len(ov),
         "overlaps": [
@@ -81,7 +81,7 @@ def cmd_cusp_overlaps(args):
 
 
 def cmd_cusp_torsion(args):
-    ov = sorted(enumerate_cusp_overlaps(), key=lambda c: c.sort_key())
+    ov = enumerate_cusp_overlaps()
     torsion = [c for c in ov if c.order() == 2]
     classes = cusp_torsion_classes()
     return {

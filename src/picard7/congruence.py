@@ -2,7 +2,7 @@
 
 from functools import lru_cache
 
-from picard7.hermitian import GroupElt
+from picard7.hermitian import Mat
 from picard7.heisenberg import R, T1, TV
 from picard7.torsion import enumerate_torsion, orbit_walk
 
@@ -30,9 +30,7 @@ class ResidueMap:
             raise ValueError("entry is not integral")
         return (x.na + x.nb * self.tau) % self.p
 
-    def __call__(self, m):
-        if isinstance(m, GroupElt):
-            m = m.mat
+    def __call__(self, m: Mat):
         return tuple(tuple(self.scalar(x) for x in row) for row in m.rows)
 
     def identity(self):
@@ -53,11 +51,11 @@ class ResidueMap:
 
 
 class FpMatGroup:
-    """Closure of a generating set of matrices over a prime field."""
+    """Closure of the reductions of a generating set of integral matrices over a prime field."""
 
     def __init__(self, gens, rm: ResidueMap, cap: int = 100000):
         self.rm = rm
-        self.gens = [rm(g) if not isinstance(g, tuple) else g for g in gens]
+        self.gens = [rm(m) for m in gens]
         walk = orbit_walk([rm.identity()], self.gens, rm.mul, cap=cap)
         self.elements = frozenset(x for x, _, _ in walk)
         self.order = len(self.elements)
@@ -114,7 +112,7 @@ def torsion_free_certificate(ideal: str, classes=None) -> dict:
         classes = enumerate_torsion()
     rows = []
     for cls in classes:
-        img = rm(cls.rep)
+        img = rm(cls.rep.mat)
         neg = rm(-cls.rep.mat)
         row = {
             "word": cls.word,
@@ -129,10 +127,10 @@ def torsion_free_certificate(ideal: str, classes=None) -> dict:
     tv = TV.to_matrix()
     # every vertical translation reduces trivially mod isqrt7, so the image
     # order of tv can be 1; the four products are still checked separately
-    cusp = {"tv_image_order": grp.element_order(rm(tv)), "products_nontrivial": []}
+    cusp = {"tv_image_order": grp.element_order(rm(tv.mat)), "products_nontrivial": []}
     g = t1r
     for k in range(max(4, cusp["tv_image_order"])):
-        cusp["products_nontrivial"].append(not rm.is_scalar(rm(g)))
+        cusp["products_nontrivial"].append(not rm.is_scalar(rm(g.mat)))
         g = g * tv
     report = {
         "ideal": ideal,

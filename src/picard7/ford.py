@@ -22,7 +22,6 @@ from .ring import (
     TAU_BAR,
     ZERO,
     eta_sign,
-    scalar,
     sqrt21_sign,
     zeta7_autocorr,
     zeta7_ints,
@@ -441,7 +440,6 @@ def _sweep_vector(v):
     order or tie, and every quantity of the sweep is an int form of the
     kernel of v's field.  own is the quantity of the scaled v3.
     """
-    v = [scalar(c) for c in v]
     n = 1
     for c in v:
         if isinstance(c, AlgNum):
@@ -459,19 +457,15 @@ def _sweep_vector(v):
     return v, kernel[0](v[2]), kernel
 
 
-def spheres_containing(x):
+def spheres_containing(x: ProjPoint):
     """All translated spheres alpha(I(A_j)) whose closed Cygan ball contains x.
 
-    x is a HoroPoint or ProjPoint (negative or null, not q_inf).  Returns a
-    list of (alpha: CuspElt, j, flag) with flag "boundary" or "interior"
-    (of the ball), valid for x itself (the internal prism reduction is
-    undone in the reported alpha).
+    x is a ProjPoint (negative or null, not q_inf).  Returns a list of
+    (alpha: CuspElt, j, flag) with flag "boundary" or "interior" (of the
+    ball), valid for x itself (the internal prism reduction is undone in the
+    reported alpha).
     """
-    if isinstance(x, ProjPoint):
-        h = horo_coords(x.coords)
-    else:
-        h = x
-    shift, h_red = reduce_to_prism(h)
+    shift, h_red = reduce_to_prism(horo_coords(x.coords))
     shift_inv = shift.inverse()
     vs, own, (_, _, sweep) = _sweep_vector(lift(h_red))
     # a translated sphere depends only on its center and radius (the coset
@@ -499,16 +493,14 @@ class ReductionError(Exception):
 DEFAULT_MAX_ITERS = 1000
 
 
-def reduce_to_domain(x, max_iters: int = DEFAULT_MAX_ITERS):
+def reduce_to_domain(x: ProjPoint, max_iters: int = DEFAULT_MAX_ITERS):
     """Group element g and point g(x) in Omega (Ford domain cap cone over P).
 
-    x is a negative ProjPoint or an interior HoroPoint; the return type
-    matches.  Deterministic: among violated Ford inequalities, the one
-    maximizing the exact violation ratio wins, ties broken by (j, cusp
-    normal form).
+    x is a negative ProjPoint, and so is g(x).  Deterministic: among
+    violated Ford inequalities, the one maximizing the exact violation ratio
+    wins, ties broken by (j, cusp normal form).
     """
-    as_proj = isinstance(x, ProjPoint)
-    v = x.coords if as_proj else lift(x)
+    v = x.coords
     if herm_inner(v, v).real_sign() >= 0:
         raise ValueError("reduction needs an interior point")
     total = GroupElt.identity()
@@ -525,7 +517,7 @@ def reduce_to_domain(x, max_iters: int = DEFAULT_MAX_ITERS):
             if sign < 0 and (best is None or cmp(other, best[0]) < 0):
                 best = (other, j, alpha)
         if best is None:
-            return total, (ProjPoint(v) if as_proj else horo_coords(v))
+            return total, ProjPoint(v)
         g = best[2].to_matrix() * GENERATORS[best[1]]
         gi = g.inverse()
         # gi maps the scaled vector to a multiple of the new point by the same
@@ -538,11 +530,10 @@ def reduce_to_domain(x, max_iters: int = DEFAULT_MAX_ITERS):
     raise ReductionError(f"no Omega representative found in {max_iters} steps")
 
 
-def in_omega(x) -> bool:
+def in_omega(x: ProjPoint) -> bool:
     """Exact membership of a point in Omega (closed)."""
-    v = x.coords if isinstance(x, ProjPoint) else lift(x)
-    h = horo_coords(v)
+    h = horo_coords(x.coords)
     if not Prism.contains(h.z, h.ti):
         return False
-    vs, own, (_, _, sweep) = _sweep_vector(v)
+    vs, own, (_, _, sweep) = _sweep_vector(x.coords)
     return all(sign == 0 for sign, _, _, _ in sweep(vs, own))

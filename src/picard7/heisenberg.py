@@ -28,20 +28,13 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .ring import ISQRT7, KNum, TAU, scalar
+from .ring import ISQRT7, KNum, TAU
 from .hermitian import GroupElt, HoroPoint, Mat
 
 
 def translation_matrix(w, ti) -> Mat:
-    """The Heisenberg translation T(w, t) as a matrix (ti = i*t)."""
-    w, ti = scalar(w), scalar(ti)
-    return Mat(
-        [
-            [scalar(1), -w.conj(), (-(w.abs2()) + ti) / 2],
-            [scalar(0), scalar(1), w],
-            [scalar(0), scalar(0), scalar(1)],
-        ]
-    )
+    """The Heisenberg translation T(w, t) as a matrix (ti = i*t), for w, ti in K."""
+    return Mat([[1, -w.conj(), (-(w.abs2()) + ti) / 2], [0, 1, w], [0, 0, 1]])
 
 
 R_MAT = Mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]])

@@ -26,7 +26,6 @@ from .ring import (
     knum_from_ints,
     o_gcd_many,
     parse_knum,
-    scalar,
 )
 
 
@@ -36,8 +35,6 @@ def herm_inner(v, w):
     w1, w2, w3 = w
     if type(v1) is type(v2) is type(v3) is type(w1) is type(w2) is type(w3) is KNum:
         return _herm_inner_k(v1, v2, v3, w1, w2, w3)
-    v1, v2, v3 = (scalar(x) for x in v)
-    w1, w2, w3 = (scalar(x) for x in w)
     return w1.conj() * v3 + w2.conj() * v2 + w3.conj() * v1
 
 
@@ -146,7 +143,6 @@ class Mat:
         v1, v2, v3 = v
         if type(v1) is type(v2) is type(v3) is KNum:
             return tuple(_dot_k(*r, v1, v2, v3) for r in self.rows)
-        v = (scalar(v1), scalar(v2), scalar(v3))
         return tuple(sum((x * y for x, y in zip(r, v)), start=ZERO) for r in self.rows)
 
     def conj_transpose(self) -> "Mat":
@@ -229,7 +225,6 @@ def _kernel_basis(rows):
 
 def eigenspace_basis(m: Mat, lam):
     """Basis of ker(M - lam*I) (list of vectors, exact); lam is in K or in a cyclotomic field."""
-    lam = scalar(lam)
     return _kernel_basis(
         [[x - lam if i == j else x for j, x in enumerate(r)] for i, r in enumerate(m.rows)]
     )
@@ -241,8 +236,7 @@ def eigenspace_basis(m: Mat, lam):
 
 
 def primitive_rep(v):
-    """Canonical primitive O_7^3 representative of a K-rational projective point."""
-    v = tuple(KNum.coerce(x) for x in v)
+    """Canonical primitive O_7^3 representative of a K-rational projective point (KNum entries)."""
     if all(x.is_zero() for x in v):
         raise ValueError("zero vector has no projective class")
     # the common denominator of (a + b tau)/d entries in normal form is lcm(d)
@@ -266,7 +260,6 @@ class ProjPoint:
     __slots__ = ("coords", "rational")
 
     def __init__(self, v):
-        v = tuple(scalar(x) for x in v)
         if all(isinstance(x, KNum) for x in v):
             coords = primitive_rep(v)
             rational = True
@@ -340,7 +333,7 @@ def elements_of_norm(n: int):
         for t in sorted({s, -s}):
             if (t - b) % 2 == 0:
                 out.append(KNum((t - b) // 2, b))
-    return sorted(out, key=lambda x: (x.a, x.b))
+    return sorted(out, key=lambda x: (x.na, x.nb))
 
 
 def _ext_gcd(a: int, b: int):
@@ -528,7 +521,6 @@ class HoroPoint:
     __slots__ = ("z", "ti", "u")
 
     def __init__(self, z, ti, u):
-        z, ti, u = scalar(z), scalar(ti), scalar(u)
         if not (ti + ti.conj()).is_zero():
             raise ValueError("ti must be purely imaginary")
         if not u.is_real():
@@ -543,10 +535,7 @@ class HoroPoint:
     @property
     def s(self) -> Fraction:
         """t as a multiple of sqrt(7) (K-rational points only)."""
-        ti = self.ti
-        if isinstance(ti, AlgNum):
-            ti = ti.k_part()
-        return ti.b / 2
+        return self.ti.b / 2
 
     def __eq__(self, other):
         if not isinstance(other, HoroPoint):
@@ -566,7 +555,7 @@ class HoroPoint:
 
 def horo_coords(v) -> HoroPoint:
     """Horospherical coordinates of a vector with <v,v> <= 0 and v3 != 0."""
-    v1, v2, v3 = (scalar(x) for x in v)
+    v1, v2, v3 = v
     if v3.is_zero():
         # <v, v> = |v2|^2 here, so only v2 = 0 leaves a null point: q_inf
         if v2.is_zero():
@@ -604,7 +593,7 @@ def mat_from_json(data) -> Mat:
 
 
 def vec_to_json(v):
-    return [format_knum(KNum.coerce(x) if not isinstance(x, KNum) else x) for x in v]
+    return [format_knum(x) for x in v]
 
 
 def vec_from_json(data):

@@ -72,23 +72,21 @@ class MirrorContext:
         return cls((KNum(1), -TAU, KNum(0)))
 
 
-def preserves_mirror(g, ctx) -> bool:
+def preserves_mirror(g: GroupElt, ctx) -> bool:
     """True iff the polar vector is an eigenvector of g (so g maps L to L)."""
-    m = g.mat if isinstance(g, GroupElt) else g
-    return ProjPoint(m.apply(ctx.polar.coords)) == ctx.polar
+    return ctx.polar.apply(g.mat) == ctx.polar
 
 
-def restriction(g, ctx):
+def restriction(g: GroupElt, ctx):
     """The 2x2 matrix of g on the mirror, as columns in the context basis."""
-    m = g.mat if isinstance(g, GroupElt) else g
-    if not preserves_mirror(m, ctx):
+    if not preserves_mirror(g, ctx):
         raise ValueError("element does not preserve the mirror")
     b1, b2 = ctx.basis
     i, j = ctx._solve_ij
     det = b1[i] * b2[j] - b1[j] * b2[i]
     cols = []
     for b in ctx.basis:
-        w = m.apply(b)
+        w = g.mat.apply(b)
         x = (w[i] * b2[j] - w[j] * b2[i]) / det
         y = (b1[i] * w[j] - b1[j] * w[i]) / det
         for k in range(3):
@@ -103,7 +101,7 @@ def restriction_is_scalar(cols) -> bool:
     return c.is_zero() and b.is_zero() and (a - d).is_zero()
 
 
-def acts_trivially_on_mirror(g, ctx) -> bool:
+def acts_trivially_on_mirror(g: GroupElt, ctx) -> bool:
     """True iff g restricts to a scalar on the mirror."""
     return restriction_is_scalar(restriction(g, ctx))
 
@@ -112,10 +110,9 @@ def acts_trivially_on_mirror(g, ctx) -> bool:
 RESTRICTION_ORDER_CAP = 24
 
 
-def restriction_order(g, ctx):
+def restriction_order(g: GroupElt, ctx):
     """Smallest k >= 1 with g^k scalar on the mirror, or None up to the cap."""
-    m = g.mat if isinstance(g, GroupElt) else g
-    base = restriction(m, ctx)
+    base = restriction(g, ctx)
     cur = base
     for k in range(1, RESTRICTION_ORDER_CAP + 1):
         if restriction_is_scalar(cur):
@@ -251,7 +248,8 @@ def search_orthogonal_mirrors(ctx, norm: int, height: int):
                     p = primitive_rep(v)
                     if sq_norm(p) == KNum(norm):
                         found[p] = ProjPoint(p)
-    return sorted(found.values(), key=lambda q: tuple((x.a, x.b) for x in q.coords))
+    # primitive reps are integral, so (na, nb) orders their entries as (a, b)
+    return sorted(found.values(), key=lambda q: tuple((x.na, x.nb) for x in q.coords))
 
 
 # polar vectors of the four reflections pairing sides of the mirror-L domain
@@ -356,7 +354,7 @@ def verify_mirror_L() -> dict:
     # so lam = +/-1 and the equation survives reduction mod <tau>: the residue
     # of S2_FIXED would be the first column of an element of the image group.
     rm = ResidueMap("tau")
-    image = FpMatGroup(list(gens.values()) + [(TTAU * R).to_matrix()], rm)
+    image = FpMatGroup([g.mat for g in gens.values()] + [(TTAU * R).to_matrix().mat], rm)
     cusp = tuple(rm.scalar(x) for x in S2_FIXED)
     report["cusps_stab_equivalent"] = any(tuple(r[0] for r in x) == cusp for x in image.elements)
     report["all_pass"] = (

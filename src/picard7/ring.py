@@ -436,7 +436,6 @@ def o_gcd_many(xs) -> KNum:
     """gcd of an iterable of O_7 elements (not all zero), sign-normalized."""
     acc = None
     for x in xs:
-        x = KNum.coerce(x)
         if x.is_zero():
             continue
         if acc is None:
@@ -814,7 +813,7 @@ class AlgNum:
                 raise ValueError("AlgNum tower mismatch")
             return other
         if isinstance(other, (int, KNum, Fraction)):
-            return AlgNum.lift(self.tower, KNum.coerce(other))
+            return AlgNum.lift(self.tower, other)
         return None
 
     # -- structure ----------------------------------------------------
@@ -840,9 +839,6 @@ class AlgNum:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
-
-    def is_one(self) -> bool:
-        return self.coeffs[0].is_one() and all(c.is_zero() for c in self.coeffs[1:])
 
     def k_part(self) -> KNum:
         """The element as a KNum; raises if it is not in K."""
@@ -948,13 +944,6 @@ def _alg(tower: Zeta3Tower | Zeta7Tower, coeffs: tuple) -> AlgNum:
     _set_tower(x, tower)
     _set_coeffs(x, coeffs)
     return x
-
-
-def scalar(x):
-    """Coerce ints/Fractions to KNum; pass KNum/AlgNum through."""
-    if isinstance(x, (KNum, AlgNum)):
-        return x
-    return KNum.coerce(x)
 
 
 _ZETA3 = Zeta3Tower()

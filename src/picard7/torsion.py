@@ -11,8 +11,8 @@ maps, so that conjugacy and stabilizers reduce to finite group computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from collections import namedtuple
+from functools import cache, lru_cache
 from math import gcd
 
 from .ring import (
@@ -71,7 +71,8 @@ def projective_order(g: GroupElt):
 
 
 def _mat_key(m: Mat):
-    return tuple((x.a, x.b) for row in m.rows for x in row)
+    # the entries of a matrix in Gamma are integral, so (na, nb) orders them as (a, b)
+    return tuple((x.na, x.nb) for row in m.rows for x in row)
 
 
 def _elt_key(g: GroupElt):
@@ -84,8 +85,8 @@ def _elt_key(g: GroupElt):
 
 
 def make_reflection(v) -> GroupElt:
-    """The complex reflection R_v(x) = x - 2 <x,v>/<v,v> v, for <v,v> in {1,2}."""
-    v = primitive_rep(v.coords if isinstance(v, ProjPoint) else v)
+    """The complex reflection R_v(x) = x - 2 <x,v>/<v,v> v, for v in K^3 with <v,v> in {1,2}."""
+    v = primitive_rep(v)
     nv = sq_norm(v).rat()
     if nv not in (1, 2):
         raise ValueError("polar norm not integral for this form")
@@ -305,8 +306,12 @@ def _search_alphabet():
     )
 
 
+@cache
 def _orbit_ball(start: ProjPoint, depth: int):
-    """Schreier tree {point: (parent, letter)} of the words of length <= depth."""
+    """Schreier tree {point: (parent, letter)} of the words of length <= depth.
+
+    Built once per (start, depth): callers only read it, and the torsion
+    enumeration and the coverage report search from the same polars."""
     walk = orbit_walk([start], _search_alphabet(), lambda p, g: p.apply(g.mat), depth)
     return {q: (p, g) for q, p, g in walk}
 
@@ -343,11 +348,8 @@ def reflection_conjugacy(g1: GroupElt, g2: GroupElt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    dst: int
-    label: GroupElt
+#: a side-pairing edge of the cycle graph: label maps vertex src to vertex dst
+Edge = namedtuple("Edge", "src dst label")
 
 
 class CycleGraph:
@@ -385,7 +387,7 @@ def build_cycle_graph(points) -> CycleGraph:
     """
     graph = CycleGraph()
     for p in points:
-        graph.add_vertex(p if isinstance(p, ProjPoint) else ProjPoint(p))
+        graph.add_vertex(p)
     overlaps = [c for c in enumerate_cusp_overlaps() if c != CuspElt()]
     overlap_mats = {}  # CuspElt -> its GroupElt, built at the first vertex it keeps in P
     seen_edges = set()
@@ -480,8 +482,9 @@ class FiniteGroup:
 
 
 def _vec_key(p: ProjPoint):
+    # a rational point's coordinates are its primitive integral rep
     if p.rational:
-        return tuple((x.a, x.b) for x in p.coords)
+        return tuple((x.na, x.nb) for x in p.coords)
     return ()
 
 
@@ -506,14 +509,13 @@ def _spanning_transports(graph: CycleGraph, base: int):
     return transports
 
 
-def stabilizer(point, graph: CycleGraph) -> FiniteGroup:
+def stabilizer(point: ProjPoint, graph: CycleGraph) -> FiniteGroup:
     """Stabilizer of a graph vertex: image of the graph's fundamental group.
 
     Generators: for every edge u -> w in the vertex's component, the composite
     t_w^-1 * label * t_u, where t is a spanning-tree transport from the vertex.
     """
-    p = point if isinstance(point, ProjPoint) else ProjPoint(point)
-    base = graph.index_of(p)
+    base = graph.index_of(point)
     if base is None:
         raise ValueError("point is not a vertex of the graph")
     return _stabilizer_from(graph, _spanning_transports(graph, base))
@@ -537,24 +539,26 @@ def _stabilizer_from(graph: CycleGraph, transports) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TorsionClass:
     """A conjugacy class of torsion elements (reflections exactly; isolated
     classes up to powers, i.e. one class per fixed point orbit and order)."""
 
-    rep: GroupElt
-    proj_order: int
-    kind: str  # "reflection" | "isolated"
-    polar: ProjPoint = None
-    polar_norm: int = None
-    fixed: ProjPoint = None
-    fp_norm: int = None
-    stab_order: int = None
-    stab_linear_order: int = None
-    one_lines: int = None
-    two_lines: int = None
-    two_line_orbits: list = None
-    members: list = field(default_factory=list)
+    def __init__(self, rep: GroupElt, proj_order: int, kind: str, polar=None, polar_norm=None,
+                 fixed=None, fp_norm=None, stab_order=None, stab_linear_order=None,
+                 one_lines=None, two_lines=None, two_line_orbits=None, members=None):
+        self.rep = rep
+        self.proj_order = proj_order
+        self.kind = kind  # "reflection" | "isolated"
+        self.polar = polar
+        self.polar_norm = polar_norm
+        self.fixed = fixed
+        self.fp_norm = fp_norm
+        self.stab_order = stab_order
+        self.stab_linear_order = stab_linear_order
+        self.one_lines = one_lines
+        self.two_lines = two_lines
+        self.two_line_orbits = two_line_orbits
+        self.members = [] if members is None else members
 
     @property
     def word(self):

@@ -11,7 +11,7 @@ from math import lcm
 from picard7.ford import cygan_dist4
 from picard7.heisenberg import Prism, _cross_coeffs, _overlap_constraints, polygon_vertices
 from picard7.hermitian import HoroPoint, ProjPoint, herm_inner
-from picard7.ring import ISQRT7, KNum, _divmod_ints, knum_from_ints, scalar
+from picard7.ring import ISQRT7, KNum, _divmod_ints, knum_from_ints
 
 
 def real_cmp(x, y) -> int:
@@ -52,7 +52,7 @@ def ford_side(x, g) -> str:
     """
     if fixes_q_inf(g):
         raise ValueError("Ford side undefined for cusp elements")
-    v = x.coords if isinstance(x, ProjPoint) else tuple(scalar(c) for c in x)
+    v = x.coords if isinstance(x, ProjPoint) else x
     own = v[2].abs2()
     other = herm_inner(v, g.first_column()).abs2()
     return _side_from_sign(real_cmp(other, own))

@@ -260,7 +260,7 @@ def test_spheres_containing_v1():
 
 
 def test_spheres_containing_far_point():
-    assert spheres_containing(from_zsu(0, 0, 50)) == []
+    assert spheres_containing(ProjPoint(lift(from_zsu(0, 0, 50)))) == []
 
 
 def test_order6_point_on_five_spheres():
@@ -299,17 +299,18 @@ def test_sphere_inversion_identity():
 
 def test_reduce_identity_case():
     h = from_zsu(TAU / 2, 1, 5)
-    assert in_omega(h)
-    g, y = reduce_to_domain(h)
-    assert y == h
+    x = ProjPoint(lift(h))
+    assert in_omega(x)
+    g, y = reduce_to_domain(x)
+    assert horo_coords(y.coords) == h
     assert fixes_q_inf(g)
 
 
 def test_reduce_random_roundtrip():
     rng = random.Random(31)
-    base = from_zsu(TAU / 2, 1, 5)
+    base = ProjPoint(lift(from_zsu(TAU / 2, 1, 5)))
     _, center = reduce_to_domain(base)
-    v0 = lift(center)
+    v0 = lift(horo_coords(center.coords))
     letters = [GENERATORS[2], GENERATORS[6], T1.to_matrix(), R.to_matrix(), GENERATORS[1]]
     for _ in range(6):
         word = [rng.choice(letters) for _ in range(rng.randint(1, 4))]

@@ -1,6 +1,8 @@
-"""Static hygiene checks on the package source (stdlib `ast`, no imports of picard7)."""
+"""Static hygiene checks on the package source (stdlib `ast`; picard7 is imported
+only in a child interpreter)."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,6 +72,25 @@ def bound_names(body):
         if isinstance(node, ast.ClassDef):
             names |= {node.name + "." + n for n in bound_names(node.body)}
     return names
+
+
+def coerce_callers(path: Path):
+    """Where a module calls KNum.coerce: qualified function names, or "<module>"."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>" else where + "." + child.name)
+                continue
+            func = getattr(child, "func", None)
+            if (isinstance(child, ast.Call) and isinstance(func, ast.Attribute)
+                    and func.attr == "coerce" and getattr(func.value, "id", None) == "KNum"):
+                found.add(where)
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return found
 
 
 def benchmark_references():
@@ -184,3 +205,22 @@ def test_every_src_function_has_a_caller():
             if qualname.rsplit(".", 1)[-1] not in used and key not in bench and key not in UNCALLED_ALLOWED:
                 uncalled.append((path.name, line, qualname))
     assert uncalled == []
+
+
+def test_interior_takes_one_type():
+    # ints and Fractions become KNums at the edges only: the matrix
+    # constructor (which serves int literals) and the JSON reader
+    callers = {(p.stem, name) for p in MODULES if p.name != "ring.py" for name in coerce_callers(p)}
+    assert callers <= {("hermitian", "Mat.__init__"), ("hermitian", "mat_from_json")}
+    assert "scalar" not in bound_names(ast.parse((SRC / "ring.py").read_text()).body)
+
+
+def test_cli_import_loads_no_code_generators():
+    # dataclasses pulls in inspect, ast, dis and tokenize, which a process
+    # that cannot cache bytecode compiles from source at every start
+    code = (
+        "import sys; sys.path.insert(0, %r); import picard7.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))" % str(SRC.parent)
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

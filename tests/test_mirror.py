@@ -198,8 +198,8 @@ def test_mirror_L_cusp_certificate():
     cusp = tuple(rm.scalar(x) for x in S2_FIXED)
     assert cusp == (1, 1, 1)
     stab = list(mirror_l_generators().values()) + [(TTAU * R).to_matrix()]
-    assert first_columns(stab) == {(1, 0, 0)}
-    assert cusp in first_columns(_search_alphabet())
+    assert first_columns([g.mat for g in stab]) == {(1, 0, 0)}
+    assert cusp in first_columns([g.mat for g in _search_alphabet()])
     rep = verify_mirror_L()
     assert rep["cusps_gamma_equivalent"] and not rep["cusps_stab_equivalent"]
 

@@ -201,6 +201,27 @@ def test_reflection_conjugacy_known_pairs():
         reflection_conjugacy(rm, t1m * i)  # second argument not a reflection
 
 
+def test_reflection_conjugacy_builds_each_ball_once(monkeypatch):
+    import picard7.torsion as torsion
+
+    walks = []
+    exact = torsion.orbit_walk
+
+    def counted(starts, *args):
+        walks.append(tuple(starts))
+        return exact(starts, *args)
+
+    monkeypatch.setattr(torsion, "orbit_walk", counted)
+    _orbit_ball.cache_clear()
+    a, b = (TTAU * R).to_matrix(), GENERATORS[1]
+    first = reflection_conjugacy(a, b)
+    assert first is not None and reflection_conjugacy(a, b) == first
+    # one walk from each polar; the second call reads the same two balls
+    assert sorted(walks, key=repr) == sorted(
+        [(reflection_polar(a)[0],), (reflection_polar(b)[0],)], key=repr
+    )
+
+
 def test_finite_group_closure():
     fg = FiniteGroup([R.to_matrix()])
     assert (fg.linear_order, fg.projective_order, fg.scalar_order) == (4, 2, 2)
