@@ -1,6 +1,6 @@
 """Reduction maps to matrix groups over prime fields and torsion certificates."""
 
-from functools import lru_cache
+from functools import cache
 
 from picard7.hermitian import Mat
 from picard7.heisenberg import R, T1, TV
@@ -86,7 +86,7 @@ class FpMatGroup:
         return k
 
 
-@lru_cache(maxsize=4)
+@cache
 def image_group(ideal: str) -> FpMatGroup:
     """The image of the lattice generators under reduction.
 

@@ -9,6 +9,7 @@ r^4 = 4 / N(a31) is carried only for the candidate enumeration estimates.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
@@ -115,29 +116,22 @@ def generator_depths() -> dict:
     return {j: depth(ProjPoint(g.first_column())) for j, g in GENERATORS.items()}
 
 
-class IsomSphere:
+class IsomSphere(namedtuple("IsomSphere", "center r4")):
     """The isometric sphere of g: Cygan sphere about g(inf) with r^4 = 4/N(a31).
 
     The center g(inf) is a K-rational HoroPoint on the boundary (u = 0).
     """
 
-    __slots__ = ("center", "r4")
+    __slots__ = ()
 
-    def __init__(self, elt: GroupElt):
+    def __new__(cls, elt: GroupElt):
         a31 = elt.mat.rows[2][0]
         if a31.is_zero():
             raise ValueError("element stabilizes the point at infinity")
         h = horo_coords(elt.first_column())
         if not h.u.is_zero():
             raise ArithmeticError("isometric sphere center is not on the boundary")
-        object.__setattr__(self, "center", h)
-        object.__setattr__(self, "r4", Fraction(4, a31.norm()))
-
-    def __setattr__(self, *args):
-        raise AttributeError("IsomSphere is immutable")
-
-    def __repr__(self):
-        return f"IsomSphere(center={self.center!r}, r4={self.r4})"
+        return tuple.__new__(cls, (h, Fraction(4, a31.norm())))
 
 
 #: the isometric sphere of each pairing matrix, built once (IsomSphere is immutable)
@@ -282,7 +276,7 @@ def enumerate_cone_translates(j: int):
                     out.append(CuspElt(m, n, eps, l))
     if hit_box_edge:
         raise ArithmeticError("candidate box too small")
-    return sorted(out, key=CuspElt.sort_key)
+    return sorted(out)
 
 
 @cache
@@ -323,8 +317,8 @@ def _forms(v):
 # of an integral coordinate x, up to one positive factor, in an exact int
 # form; cmp(p, q) is the exact sign of the difference of two quantities;
 # sweep(v, own) yields (sign, quantity, j, alpha) for each candidate column
-# of an integral v with |<v, col>|^2 <= own, in (j, alpha.sort_key())
-# order, comparing on ints only.
+# of an integral v with |<v, col>|^2 <= own, in (j, alpha) order,
+# comparing on ints only.
 
 
 def _k_cmp(p, q) -> int:

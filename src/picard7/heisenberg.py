@@ -6,12 +6,12 @@ z -> -z.  Every such element has the unique normal form
 T_1^m Ttau^n R^eps T_v^l with T_1 = T(1, sqrt(7)), Ttau = T(tau, 0) and
 T_v = T(0, 2 sqrt(7)) = [Ttau, T_1].
 
-Products and inverses are closed formulas on the four ints (m, n, eps, l)
-of the normal form, read off the Heisenberg group law
-(z, t)*(z', t') = (z + z', t + t' + 2 Im(z conj z')).  The action on
-points is `CuspElt.act_horo` on horospherical coordinates; a boundary
-point is a `HoroPoint` with u = 0, so there is one point type.  Matrices
-are only an output form (`CuspElt.to_matrix`).
+`CuspElt` is a named tuple of the four ints (m, n, eps, l) of the normal
+form.  Products and inverses are closed formulas on them, read off the
+Heisenberg group law (z, t)*(z', t') = (z + z', t + t' + 2 Im(z conj z')).
+The action on points is `CuspElt.act_horo` on horospherical coordinates; a
+boundary point is a `HoroPoint` with u = 0, so there is one point type.
+Matrices are only an output form (`CuspElt.to_matrix`).
 
 The prism P = D x [0, 2 sqrt(7)], D = hull{0, 1, tau}, is a fundamental
 domain for this action on the boundary minus q_inf.  Boundary coordinates
@@ -24,6 +24,7 @@ formula below serves both.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -40,35 +41,19 @@ def translation_matrix(w, ti) -> Mat:
 R_MAT = Mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
 
 
-class CuspElt:
-    """Normal form T_1^m Ttau^n R^eps T_v^l of a cusp-stabilizer element."""
+class CuspElt(namedtuple("CuspElt", "m n eps l", defaults=(0, 0, 0, 0))):
+    """Normal form T_1^m Ttau^n R^eps T_v^l of a cusp-stabilizer element.
 
-    __slots__ = ("m", "n", "eps", "l")
+    A named tuple of the four ints: equality, hashing, the repr and the
+    order (m, n, eps, l) are the tuple's.
+    """
 
-    def __init__(self, m=0, n=0, eps=0, l=0):
+    __slots__ = ()
+
+    def __new__(cls, m=0, n=0, eps=0, l=0):
         if eps not in (0, 1):
             raise ValueError("eps must be 0 or 1")
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "eps", int(eps))
-        object.__setattr__(self, "l", int(l))
-
-    def __setattr__(self, *args):
-        raise AttributeError("CuspElt is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, CuspElt):
-            return NotImplemented
-        return (self.m, self.n, self.eps, self.l) == (other.m, other.n, other.eps, other.l)
-
-    def __hash__(self):
-        return hash((self.m, self.n, self.eps, self.l))
-
-    def __repr__(self):
-        return f"CuspElt(m={self.m}, n={self.n}, eps={self.eps}, l={self.l})"
-
-    def sort_key(self):
-        return (self.m, self.n, self.eps, self.l)
+        return tuple.__new__(cls, (m, n, eps, l))
 
     # -- translation part ---------------------------------------------
 

@@ -13,6 +13,7 @@ ti = s*(2*tau-1) with t = s*sqrt(7), s rational).
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -87,8 +88,9 @@ def sq_norm(v):
 Q_INF = (ONE, ZERO, ZERO)
 
 
-class Mat:
-    """A 3x3 matrix over K, immutable.
+class Mat(namedtuple("Mat", "rows")):
+    """A 3x3 matrix over K, a named tuple of its rows: immutability,
+    equality and hashing are the tuple's.
 
     Every entry is a KNum: the constructor coerces ints and Fractions and
     refuses anything else.  Products, and `apply` to a vector in K^3, run
@@ -96,35 +98,22 @@ class Mat:
     coordinates in K(zeta_3) or K(zeta_7) through the field's operators.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ()
 
-    def __init__(self, rows):
+    def __new__(cls, rows):
         rows = tuple(tuple(KNum.coerce(x) for x in r) for r in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("a matrix needs 3 rows of 3 entries")
-        object.__setattr__(self, "rows", rows)
+        return tuple.__new__(cls, (rows,))
 
     @staticmethod
     def _of_k(rows) -> "Mat":
         """The matrix of a 3-tuple of 3-tuples of KNums, taken as they are."""
-        m = object.__new__(Mat)
-        object.__setattr__(m, "rows", rows)
-        return m
-
-    def __setattr__(self, *args):
-        raise AttributeError("Mat is immutable")
+        return tuple.__new__(Mat, (rows,))
 
     @staticmethod
     def identity() -> "Mat":
         return Mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         return "Mat(" + ", ".join(str(list(map(str, r))) for r in self.rows) + ")"
@@ -136,7 +125,7 @@ class Mat:
         return NotImplemented
 
     def __neg__(self):
-        return Mat([[-x for x in r] for r in self.rows])
+        return Mat._of_k(tuple(tuple(-x for x in r) for r in self.rows))
 
     def apply(self, v):
         """Matrix times column vector."""
@@ -146,7 +135,7 @@ class Mat:
         return tuple(sum((x * y for x, y in zip(r, v)), start=ZERO) for r in self.rows)
 
     def conj_transpose(self) -> "Mat":
-        return Mat([[self.rows[j][i].conj() for j in range(3)] for i in range(3)])
+        return Mat._of_k(tuple(tuple(x.conj() for x in c) for c in zip(*self.rows)))
 
     def trace(self):
         return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
@@ -253,42 +242,22 @@ def primitive_rep(v):
     return tuple(-x for x in w)
 
 
-class ProjPoint:
+class ProjPoint(namedtuple("ProjPoint", "coords rational")):
     """A point of P^2(C): canonical primitive integral rep when K-rational,
     else a normalized tuple of AlgNum coordinates."""
 
-    __slots__ = ("coords", "rational")
+    __slots__ = ()
 
-    def __init__(self, v):
+    def __new__(cls, v):
         if all(isinstance(x, KNum) for x in v):
-            coords = primitive_rep(v)
-            rational = True
-        else:
-            tower = next(x.tower for x in v if isinstance(x, AlgNum))
-            v = tuple(x if isinstance(x, AlgNum) else AlgNum.lift(tower, x) for x in v)
-            if all(x.in_k() for x in v):
-                coords = primitive_rep(tuple(x.k_part() for x in v))
-                rational = True
-            else:
-                lead = next(x for x in v if not x.is_zero())
-                inv = lead.inverse()
-                coords = tuple(x * inv for x in v)
-                rational = False
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "rational", rational)
-
-    def __setattr__(self, *args):
-        raise AttributeError("ProjPoint is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        if self.rational != other.rational:
-            return False
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
+            return tuple.__new__(cls, (primitive_rep(v), True))
+        tower = next(x.tower for x in v if isinstance(x, AlgNum))
+        v = tuple(x if isinstance(x, AlgNum) else AlgNum.lift(tower, x) for x in v)
+        if all(x.in_k() for x in v):
+            return tuple.__new__(cls, (primitive_rep(tuple(x.k_part() for x in v)), True))
+        lead = next(x for x in v if not x.is_zero())
+        inv = lead.inverse()
+        return tuple.__new__(cls, (tuple(x * inv for x in v), False))
 
     def __repr__(self):
         return f"ProjPoint({', '.join(str(c) for c in self.coords)})"
@@ -457,7 +426,7 @@ class GroupElt:
         if self.word is not None:
             word = tuple(_invert_letter(x) for x in reversed(self.word))
         r = self.mat.rows
-        mat = Mat([[r[2 - j][2 - i].conj() for j in range(3)] for i in range(3)])
+        mat = Mat._of_k(tuple(tuple(r[2 - j][2 - i].conj() for j in range(3)) for i in range(3)))
         return GroupElt(mat, word=word, check=False)
 
     def __pow__(self, n: int):
@@ -511,46 +480,26 @@ def word_str(word) -> str:
 # ---------------------------------------------------------------------------
 
 
-class HoroPoint:
+class HoroPoint(namedtuple("HoroPoint", "z ti u")):
     """Horospherical coordinates (z, t, u) with ti = i*t stored exactly.
 
     For K-rational points z and ti are KNum (ti = s*(2 tau - 1), t = s*sqrt(7))
     and u is a KNum rational; otherwise they are AlgNum in a common tower.
     """
 
-    __slots__ = ("z", "ti", "u")
+    __slots__ = ()
 
-    def __init__(self, z, ti, u):
+    def __new__(cls, z, ti, u):
         if not (ti + ti.conj()).is_zero():
             raise ValueError("ti must be purely imaginary")
         if not u.is_real():
             raise ValueError("u must be real")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "ti", ti)
-        object.__setattr__(self, "u", u)
-
-    def __setattr__(self, *args):
-        raise AttributeError("HoroPoint is immutable")
+        return tuple.__new__(cls, (z, ti, u))
 
     @property
     def s(self) -> Fraction:
         """t as a multiple of sqrt(7) (K-rational points only)."""
         return self.ti.b / 2
-
-    def __eq__(self, other):
-        if not isinstance(other, HoroPoint):
-            return NotImplemented
-        return (
-            (self.z - other.z).is_zero()
-            and (self.ti - other.ti).is_zero()
-            and (self.u - other.u).is_zero()
-        )
-
-    def __hash__(self):
-        return hash((self.z, self.ti, self.u))
-
-    def __repr__(self):
-        return f"HoroPoint(z={self.z}, ti={self.ti}, u={self.u})"
 
 
 def horo_coords(v) -> HoroPoint:

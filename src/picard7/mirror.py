@@ -1,6 +1,6 @@
 """Verification suites for the two reflection-mirror stabilizers."""
 
-from functools import lru_cache
+from functools import cache
 from itertools import permutations
 
 from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR
@@ -139,7 +139,7 @@ def _on_mirror(pt: ProjPoint, ctx) -> bool:
     return herm_inner(pt.coords, ctx.polar.coords).is_zero()
 
 
-@lru_cache(maxsize=1)
+@cache
 def verify_mirror_R() -> dict:
     """Check the cusp half-turn mirror-stabilizer presentation and orbit data."""
     ctx = MirrorContext.mirror_of_half_turn()
@@ -169,7 +169,7 @@ def verify_mirror_R() -> dict:
     orbits = {}
     # common fixed point of iota and rho: perp of both polars
     p1 = ProjPoint((KNum(1), KNum(0), KNum(-1)))
-    ok1 = ProjPoint(iota.mat.apply(p1.coords)) == p1 and ProjPoint(rho.mat.apply(p1.coords)) == p1
+    ok1 = p1.apply(iota.mat) == p1 and p1.apply(rho.mat) == p1
     one, two = _point_stabilizer_lines(p1)
     orbits["common_point_of_iota_rho"] = {
         "fixed_by_both": ok1,
@@ -297,7 +297,7 @@ def cusp_orbit_search(target: ProjPoint, alphabet, max_len: int = 5):
     return None
 
 
-@lru_cache(maxsize=1)
+@cache
 def verify_mirror_L() -> dict:
     """Check the mirror-L stabilizer generators, relators and parabolic data."""
     ctx = MirrorContext.mirror_of_shifted_half_turn()
@@ -341,7 +341,7 @@ def verify_mirror_L() -> dict:
     ]
     fixed = ProjPoint(S2_FIXED)
     report["s2_parabolic"] = {
-        "fixes_point": ProjPoint(S2_MAT.apply(S2_FIXED)) == fixed,
+        "fixes_point": fixed.apply(S2_MAT) == fixed,
         "point_is_null": sq_norm(S2_FIXED).is_zero(),
         "infinite_projective_order": projective_order(s2) is None,
     }

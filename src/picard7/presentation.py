@@ -1,6 +1,6 @@
 """Two-generator presentation of the group and its torsion word tables."""
 
-from functools import lru_cache
+from functools import cache
 
 from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR
 from picard7.hermitian import GroupElt, Mat, ProjPoint, is_in_gamma, sq_norm
@@ -38,7 +38,7 @@ def ab_matrices():
     return GroupElt(A_MAT), GroupElt(B_MAT)
 
 
-@lru_cache(maxsize=1)
+@cache
 def abcd():
     """Generators a, b and the products c = ab, d = ba."""
     a, b = ab_matrices()
@@ -91,7 +91,7 @@ ORDER2_ROW_MATS = {
 }
 
 
-@lru_cache(maxsize=1)
+@cache
 def torsion_word_rows():
     """One row per torsion word: order, element, fixed-point data, other form."""
     g = abcd()
@@ -197,7 +197,8 @@ def verify_table_rows() -> dict:
         }
         if row["fixed"] is not None:
             v = row["fixed"]
-            rec["fixed_ok"] = ProjPoint(g.mat.apply(v)) == ProjPoint(v)
+            p = ProjPoint(v)
+            rec["fixed_ok"] = p.apply(g.mat) == p
             rec["norm_ok"] = sq_norm(v) == KNum(row["norm"])
         else:
             # the fixed point should not have coordinates in the base field
@@ -236,7 +237,7 @@ def _component_witness(cls, g, n, pt, graphs):
     return delta, k
 
 
-@lru_cache(maxsize=1)
+@cache
 def coverage_report() -> dict:
     """Match every torsion class to a power of some word-table element.
 

@@ -12,7 +12,7 @@ maps, so that conjugacy and stabilizers reduce to finite group computations.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache, lru_cache
+from functools import cache
 from math import gcd
 
 from .ring import (
@@ -230,7 +230,7 @@ def enumerate_tjk(j: int, k: int):
                     out.append(alpha)
     if hit_edge:
         raise ArithmeticError("T_jk candidate box too small")
-    return sorted(out, key=CuspElt.sort_key)
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +668,7 @@ def _power_conjugate_witness(rep: GroupElt, g: GroupElt, n: int, stab: FiniteGro
     return None
 
 
-@lru_cache(maxsize=1)
+@cache
 def enumerate_torsion():
     """All torsion classes: reflections first, then isolated classes.
 

@@ -221,8 +221,9 @@ STABILIZER_GOLDEN = (
 # sha256 of the stdout of these commands; a change of representation or a
 # cache must leave every printed byte as it was.  The first six were taken
 # before KNum moved from pairs of Fractions to (a, b, d) ints, the next three
-# before the cusp overlaps were cached and matrix products moved to ints, and
-# the last before the boundary-point types were merged.
+# before the cusp overlaps were cached and matrix products moved to ints, the
+# next before the boundary-point types were merged, and the last before the
+# value records became named tuples.
 GOLDEN = [
     pytest.param(["cusp", "torsion"],
                  "93dc2f9b75a6832a23e1ef8d85ea4cfe840159e4c73d99c85d924c84c59a3f3c",
@@ -254,6 +255,10 @@ GOLDEN = [
     pytest.param(["ford", "spheres", "--point", '["42+12*tau", "27-19*tau", "10-25*tau"]'],
                  "10d9f563e6165260c6236836dd155c3156620de4be9bfa8abb411b56f65462be",
                  id="ford-spheres"),
+    # the whole pipeline: every point type's representation reaches this JSON
+    pytest.param(["report", "all"],
+                 "7ac02892cc70fcd3196b7630f37bfe888d6d2365d20d34f4718f999a9c7de0cd",
+                 id="report-all"),
 ]
 
 

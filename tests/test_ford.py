@@ -185,7 +185,7 @@ def _ref_cone_translates(j):
                 lmin = ((-hw - shifted.s) / 2).__ceil__()
                 lmax = ((2 + hw - shifted.s) / 2).__floor__()
                 out += [CuspElt(m, n, eps, l) for l in range(lmin, lmax + 1)]
-    return sorted(out, key=CuspElt.sort_key)
+    return sorted(out)
 
 
 def test_cone_translates_match_full_action_reference():

@@ -211,8 +211,21 @@ def test_interior_takes_one_type():
     # ints and Fractions become KNums at the edges only: the matrix
     # constructor (which serves int literals) and the JSON reader
     callers = {(p.stem, name) for p in MODULES if p.name != "ring.py" for name in coerce_callers(p)}
-    assert callers <= {("hermitian", "Mat.__init__"), ("hermitian", "mat_from_json")}
+    assert callers <= {("hermitian", "Mat.__new__"), ("hermitian", "mat_from_json")}
     assert "scalar" not in bound_names(ast.parse((SRC / "ring.py").read_text()).body)
+
+
+def test_only_numbers_and_group_elements_hand_roll_immutability():
+    # a record whose equality is field equality is a named tuple; KNum,
+    # AlgNum and GroupElt are not, because their equality is not the tuple's
+    classes = [
+        node.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "__setattr__" for f in node.body)
+    ]
+    assert "KNum" in classes and set(classes) <= {"AlgNum", "GroupElt", "KNum"}
 
 
 def test_cli_import_loads_no_code_generators():
