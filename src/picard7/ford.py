@@ -157,34 +157,29 @@ def cygan_dist4(p: HoroPoint, q: HoroPoint):
 
 
 # ---------------------------------------------------------------------------
-# conservative rational square-root bounds
+# conservative square-root bounds, as ints over 2^16
 # ---------------------------------------------------------------------------
 
 _SQRT_DEN = 2**16
 
 
+def _sqrt_ints(num: int, den: int):
+    """Ints (lb, ub) with lb/2^16 <= sqrt(num/den) <= ub/2^16, num >= 0, den > 0."""
+    if num < 0:
+        raise ArithmeticError("square root of a negative number")
+    scaled = num * _SQRT_DEN * _SQRT_DEN
+    lb = isqrt(scaled // den)
+    ub = isqrt(-(-scaled // den)) + 1
+    if lb * lb * den > scaled:
+        raise ArithmeticError("sqrt_lb is above the square root")
+    if ub * ub * den < scaled:
+        raise ArithmeticError("sqrt_ub is below the square root")
+    return lb, ub
+
+
 def sqrt_ub(q: Fraction) -> Fraction:
     """A rational upper bound for sqrt(q), q >= 0."""
-    q = Fraction(q)
-    if q < 0:
-        raise ArithmeticError("square root of a negative number")
-    n = isqrt((q * _SQRT_DEN * _SQRT_DEN).__ceil__()) + 1
-    ub = Fraction(n, _SQRT_DEN)
-    if ub * ub < q:
-        raise ArithmeticError("sqrt_ub is below the square root")
-    return ub
-
-
-def sqrt_lb(q: Fraction) -> Fraction:
-    """A rational lower bound for sqrt(q), q >= 0."""
-    q = Fraction(q)
-    if q < 0:
-        raise ArithmeticError("square root of a negative number")
-    n = isqrt((q * _SQRT_DEN * _SQRT_DEN).__floor__())
-    lb = Fraction(n, _SQRT_DEN)
-    if lb * lb > q:
-        raise ArithmeticError("sqrt_lb is above the square root")
-    return lb
+    return Fraction(_sqrt_ints(q.numerator, q.denominator)[1], _SQRT_DEN)
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +197,17 @@ def _norm_ints(a: int, b: int) -> int:
     return a * a + a * b + 2 * b * b
 
 
-def dist2_to_triangle(p: KNum) -> Fraction:
-    """Squared distance from p to D = hull{0, 1, tau} (0 if inside), exact.
+def _dist2_num(a: int, b: int, den: int) -> int:
+    """32 den^2 times the squared distance from (a + b tau)/den to D = hull{0, 1, tau}.
 
-    It runs on the ints of P = den*p = a + b*tau.  For an edge v0 + t*e,
-    0 <= t <= 1, and W = P - den*v0, the foot of the perpendicular is at
-    t = q / (4 den N(e)) with q = 4 Re(W conj(e)) an int, and the squared
-    distance is N(W)/den^2 for t <= 0, N(W - den*e)/den^2 for t >= 1, and
-    N(W)/den^2 - q^2/(16 den^2 N(e)) between.  As N(e) divides 2, every
-    case is an int over 32 den^2.
+    For an edge v0 + t*e, 0 <= t <= 1, and W = a + b tau - den*v0, the foot
+    of the perpendicular is at t = q / (4 den N(e)) with q = 4 Re(W conj(e))
+    an int, and den^2 times the squared distance is N(W) for t <= 0,
+    N(W - den*e) for t >= 1, and N(W) - q^2/(16 N(e)) between.  As N(e)
+    divides 2, every case is an int over 32.  It is 0 inside D.
     """
-    a, b, den = p.na, p.nb, p.d
     if a >= 0 and b >= 0 and a + b <= den:
-        return Fraction(0)
+        return 0
     nums = []
     for (x0, y0), (ea, eb), ne in _D_EDGES:
         wa, wb = a - den * x0, b - den * y0
@@ -226,7 +219,7 @@ def dist2_to_triangle(p: KNum) -> Fraction:
             nums.append(32 * _norm_ints(wa - den * ea, wb - den * eb))
         else:
             nums.append(32 * _norm_ints(wa, wb) - 2 * q * q // ne)
-    return Fraction(min(nums), 32 * den * den)
+    return min(nums)
 
 
 # ---------------------------------------------------------------------------
@@ -239,44 +232,64 @@ _MN_BOX = 5
 def enumerate_cone_translates(j: int):
     """Finite superset of {alpha in the cusp group : alpha(I(A_j)) meets C_P}.
 
-    A translate survives when (a) the disk of radius r about the translated
-    center meets the triangle D (exact squared-distance test), and (b) the
-    t-window of the translated sphere meets [0, 2 sqrt(7)] (conservative
-    rational bounds).
+    A translate alpha = (m, n, eps, l) survives when (a) the disk of radius
+    r about the translated center meets the triangle D, and (b) the t-window
+    of the translated sphere meets [0, 2 sqrt(7)].  Both run on ints.  With
+    sigma = (-1)^eps and the center's z = (za + zb tau)/zd, the translated
+    z is ((m zd + sigma za) + (n zd + sigma zb) tau)/zd, and (a) is
+    dist2^2 <= r^4 = 4/N(a31) with dist2 an int over 32 zd^2.  In (b), the
+    translated center's s is s_c + (m - mn) + sigma (n za - m zb)/zd, and
+    the window's half-width is bounded through square-root bounds over
+    2^16 that check themselves; l runs over the floor-division range.
+    The result is in tuple order (m, n, eps, l), the order of the loops.
     """
     sph = SPHERES[j]
     c = sph.center
-    r4 = sph.r4
-    r2_ub = sqrt_ub(r4)
-    r_ub = sqrt_ub(r2_ub)
+    za, zb, zd = c.z.na, c.z.nb, c.z.d
+    # s_c = sn/sd, as ti = i t = s_c (2 tau - 1)
+    sn, sd = c.ti.nb, 2 * c.ti.d
+    rn, rd = sph.r4.numerator, sph.r4.denominator
+    # the disk test dist2^2 <= r^4 is num^2 rd <= disk with dist2 = num/(32 zd^2)
+    disk = rn * (32 * zd * zd) ** 2
+    # r^2 <= r2/2^16 and r <= r1/2^16; sqrt(7) >= hd/2^32
+    r2 = _sqrt_ints(rn, rd)[1]
+    r1 = _sqrt_ints(r2, _SQRT_DEN)[1]
+    hd = _SQRT_DEN * _sqrt_ints(7, 1)[0]
+    # the translated center's s is sn2/sd2, and l is a quotient over lden
+    sd2 = sd * zd
+    lden = 2 * hd * sd2
     out = []
     hit_box_edge = False
     for m in range(-_MN_BOX, _MN_BOX + 1):
         for n in range(-_MN_BOX, _MN_BOX + 1):
             for eps in (0, 1):
-                alpha = CuspElt(m, n, eps, 0)
-                # the translated center's z = w + sigma z_c comes first: most
-                # translates fail the disk test, and need no full action
-                z = alpha.w + (-c.z if eps else c.z)
-                dist2 = dist2_to_triangle(z)
-                if dist2 * dist2 > r4:
+                sigma = -1 if eps else 1
+                a, b = m * zd + sigma * za, n * zd + sigma * zb
+                num = _dist2_num(a, b, zd)
+                if num * num * rd > disk:
                     continue
                 if abs(m) == _MN_BOX or abs(n) == _MN_BOX:
                     hit_box_edge = True
-                shifted = alpha.act_horo(c)
                 # |t - d'| <= r^2 + 2 r |z| with z over the disk; bound |z| by
-                # |c'| + r where c' is the translated center
-                zmax = sqrt_ub(Fraction(z.norm())) + r_ub
-                halfwidth_s = (r2_ub + 2 * r_ub * zmax) / sqrt_lb(Fraction(7))
-                # d' = (s0 + 2 l) sqrt(7): need s0 + 2l in [-hw, 2 + hw]
-                s0 = shifted.s
-                lmin = ((-halfwidth_s - s0) / 2).__ceil__()
-                lmax = ((2 + halfwidth_s - s0) / 2).__floor__()
+                # |c'| + r where c' is the translated center: the half-width
+                # in s is hn/hd
+                zub = _sqrt_ints(_norm_ints(a, b), zd * zd)[1]
+                hn = r2 * _SQRT_DEN + 2 * r1 * (zub + r1)
+                # d' = (s' + 2 l) sqrt(7) with s' = sn2/sd2: need s' + 2l in
+                # [-hn/hd, 2 + hn/hd]
+                sn2 = sn * zd + ((m - m * n) * zd + sigma * (n * za - m * zb)) * sd
+                lmin = -((hn * sd2 + sn2 * hd) // lden)
+                lmax = (2 * hd * sd2 + hn * sd2 - sn2 * hd) // lden
                 for l in range(lmin, lmax + 1):
                     out.append(CuspElt(m, n, eps, l))
     if hit_box_edge:
         raise ArithmeticError("candidate box too small")
-    return sorted(out)
+    return out
+
+
+def _mul_ints(a: int, b: int, c: int, e: int):
+    """(a + b tau)(c + e tau) as an int pair, with tau^2 = tau - 2."""
+    return a * c - 2 * b * e, a * e + b * c + b * e
 
 
 @cache
@@ -284,15 +297,27 @@ def candidate_spheres(j: int):
     """Cached (alpha, col) pairs over the translate superset of j.
 
     col is the column alpha(A_j(inf)) as six ints (a1, b1, a2, b2, a3, b3),
-    its entries col_k = a_k + b_k tau in O_7.
+    its entries col_k = a_k + b_k tau in O_7.  It is in closed form: for
+    alpha = T(w, t0) R^eps with w = m + n tau, sigma = (-1)^eps and
+    t0 = s0 sqrt(7), s0 = m - mn + 2l, and the first column (v1, v2, v3)
+    of A_j, col = (v1 - sigma conj(w) v2 + c v3, sigma v2 + w v3, v3) with
+    c = (-N(w) + i sqrt(7) s0)/2 = (-N(w) - s0)/2 + s0 tau.  c is integral,
+    as N(w) + s0 = m(m + 1) + 2(n^2 + l) is even.
     """
-    first = GENERATORS[j].first_column()
+    (p1, q1), (p2, q2), (p3, q3) = map(_int_pair, GENERATORS[j].first_column())
     out = []
     for alpha in enumerate_cone_translates(j):
-        col = alpha.to_matrix().apply(first)
-        if any(c.d != 1 for c in col):
+        m, n, eps, l = alpha
+        s0 = m - m * n + 2 * l
+        nw_s0 = _norm_ints(m, n) + s0
+        if nw_s0 % 2:
             raise ArithmeticError("a candidate column is not integral")
-        out.append((alpha, tuple(x for c in col for x in (c.na, c.nb))))
+        x2, y2 = (-p2, -q2) if eps else (p2, q2)
+        # conj(w) = (m + n) - n tau
+        ca, cb = _mul_ints(m + n, -n, x2, y2)
+        da, db = _mul_ints(-(nw_s0 // 2), s0, p3, q3)
+        wa, wb = _mul_ints(m, n, p3, q3)
+        out.append((alpha, (p1 - ca + da, q1 - cb + db, x2 + wa, y2 + wb, p3, q3)))
     return out
 
 

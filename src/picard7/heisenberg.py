@@ -23,9 +23,7 @@ formula below serves both.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
@@ -219,39 +217,29 @@ def reduce_to_prism(h: HoroPoint):
 # ---------------------------------------------------------------------------
 
 
-def polygon_vertices(constraints):
-    """Vertices of a 2D polytope {c . x <= d} (exact; assumes boundedness)."""
+# triangle D in (a, b) as int constraints c . (a, b) <= d: a >= 0, b >= 0, a + b <= 1
+_TRI = (((-1, 0), 0), ((0, -1), 0), ((1, 1), 1))
+
+
+def _overlap_vertices(m: int, n: int, sign: int):
+    """Vertices of the polygon of z = a + b*tau in D with m + n*tau + sign*z in D.
+
+    Every constraint normal lies in {+-(1, 0), +-(0, 1), +-(1, 1)}, and any
+    two that are not parallel have det +-1, so each vertex is an int point.
+    """
+    cons = _TRI + tuple(((c1 * sign, c2 * sign), d - c1 * m - c2 * n) for (c1, c2), d in _TRI)
     verts = []
-    for (c1, d1), (c2, d2) in combinations(constraints, 2):
+    for (c1, d1), (c2, d2) in combinations(cons, 2):
         det = c1[0] * c2[1] - c1[1] * c2[0]
         if det == 0:
             continue
-        x = (d1 * c2[1] - d2 * c1[1]) / det
-        y = (c1[0] * d2 - c2[0] * d1) / det
-        if all(c[0] * x + c[1] * y <= d for c, d in constraints):
+        x, rx = divmod(d1 * c2[1] - d2 * c1[1], det)
+        y, ry = divmod(c1[0] * d2 - c2[0] * d1, det)
+        if rx or ry:
+            raise ArithmeticError("an overlap polygon vertex is not an int point")
+        if all(c[0] * x + c[1] * y <= d for c, d in cons):
             verts.append((x, y))
     return verts
-
-
-# triangle D in (a, b): a >= 0, b >= 0, a + b <= 1
-_TRI = [((-1, 0), Fraction(0)), ((0, -1), Fraction(0)), ((1, 1), Fraction(1))]
-
-
-def _overlap_constraints(m, n, sign):
-    """Constraints on (a, b) for z = a + b*tau in D with m + n*tau + sign*z in D."""
-    cons = list(_TRI)
-    for (c1, c2), d in _TRI:
-        cons.append(((c1 * sign, c2 * sign), d - Fraction(c1 * m + c2 * n)))
-    return cons
-
-
-def _cross_coeffs(w: KNum):
-    """Affine-linear coefficients (c0, ca, cb) of 2 Im(w conj(z))/sqrt(7) in z = a + b*tau."""
-    f = lambda z: 2 * (w * z.conj()).im_sqrt7
-    c0 = f(KNum(0))
-    ca = f(KNum(1)) - c0
-    cb = f(TAU) - c0
-    return c0, ca, cb
 
 
 @cache
@@ -278,17 +266,16 @@ def enumerate_cusp_overlaps():
                 if not meets:
                     continue
                 sign = -1 if eps else 1
-                verts = polygon_vertices(_overlap_constraints(m, n, sign))
+                verts = _overlap_vertices(m, n, sign)
                 if not verts:
                     raise ArithmeticError("overlap polygon of a meeting translate has no vertices")
-                # s' = s + base + 2l + sign * cross(a, b)
-                base = Fraction(m - m * n)
-                c0, ca, cb = _cross_coeffs(KNum(m, n))
-                shifts = [base + sign * (c0 + ca * x + cb * y) for x, y in verts]
+                # s' = s + (m - mn) + 2l + sign * 2 Im(w conj z)/sqrt(7), and
+                # 2 Im(w conj z)/sqrt(7) = n a - m b at z = a + b*tau
+                shifts = [m - m * n + sign * (n * x - m * y) for x, y in verts]
                 # s and s' both lie in [0, 2] for some s iff shift + 2l lies in
                 # [-2, 2], and over the polygon the shift spans [min, max]
-                lmin = math.ceil((-2 - max(shifts)) / 2)
-                lmax = math.floor((2 - min(shifts)) / 2)
+                lmin = -((2 + max(shifts)) // 2)
+                lmax = (2 - min(shifts)) // 2
                 out.extend(CuspElt(m, n, eps, l) for l in range(lmin, lmax + 1))
     return tuple(out)
 

@@ -9,8 +9,7 @@ A KNum is three Python ints (a, b, d) for (a + b*tau)/d in normal form
 (d > 0, gcd(a, b, d) = 1), so O_7 is the set of elements with d = 1 and its
 arithmetic, the norm and Euclid's algorithm (o_gcd) run on ints alone.
 Fractions appear only at the edges: the constructor accepts them, `.a`,
-`.b`, `im_sqrt7` and `rat()` return them, and parsing and formatting go
-through them.
+`.b` and `rat()` return them, and parsing and formatting go through them.
 
 The eigenvalues of elliptic group elements and the coordinates of their
 fixed points lie in K, K(zeta_3) or K(zeta_7), zeta_n = exp(2*pi*i/n).
@@ -269,13 +268,6 @@ class KNum:
         if self.nb != 0:
             raise ValueError(f"{self} is not real")
         return self.na // self.d
-
-    # -- imaginary part -----------------------------------------------
-
-    @property
-    def im_sqrt7(self) -> Fraction:
-        """Imaginary part as a multiple of sqrt(7): Im(x) = im_sqrt7 * sqrt(7)."""
-        return Fraction(self.nb, 2 * self.d)
 
     # -- canonical sign -----------------------------------------------
 

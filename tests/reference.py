@@ -6,12 +6,13 @@ them.  This module holds no tests.
 """
 
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import isqrt, lcm
 
-from picard7.ford import cygan_dist4
-from picard7.heisenberg import Prism, _cross_coeffs, _overlap_constraints, polygon_vertices
+from picard7.ford import _SQRT_DEN, cygan_dist4
+from picard7.heisenberg import Prism
 from picard7.hermitian import HoroPoint, ProjPoint, herm_inner
-from picard7.ring import ISQRT7, KNum, _divmod_ints, knum_from_ints
+from picard7.ring import ISQRT7, TAU, KNum, _divmod_ints, knum_from_ints
 
 
 def real_cmp(x, y) -> int:
@@ -38,6 +39,73 @@ def o_divmod(x: KNum, y: KNum):
     sx, sy = den // x.d, den // y.d
     (qa, qb), (ra, rb) = _divmod_ints(x.na * sx, x.nb * sx, y.na * sy, y.nb * sy)
     return KNum(qa, qb), knum_from_ints(ra, rb, den)
+
+
+def sqrt_lb(q: Fraction) -> Fraction:
+    """A rational lower bound for sqrt(q) over 2^16, q >= 0."""
+    q = Fraction(q)
+    if q < 0:
+        raise ArithmeticError("square root of a negative number")
+    n = isqrt((q * _SQRT_DEN * _SQRT_DEN).__floor__())
+    lb = Fraction(n, _SQRT_DEN)
+    if lb * lb > q:
+        raise ArithmeticError("sqrt_lb is above the square root")
+    return lb
+
+
+def dist2_to_triangle(p: KNum) -> Fraction:
+    """Squared distance from p to D = hull{0, 1, tau}, edge by edge in Fractions."""
+    a, b = p.a, p.b
+    if a >= 0 and b >= 0 and a + b <= 1:
+        return Fraction(0)
+    out = []
+    for v0, v1 in ((KNum(0), KNum(1)), (KNum(0), TAU), (KNum(1), TAU)):
+        d, w = v1 - v0, p - v0
+        x = w * d.conj()
+        t = (x.a + x.b / 2) / d.norm()
+        if t <= 0:
+            out.append(Fraction(w.norm()))
+        elif t >= 1:
+            out.append(Fraction((p - v1).norm()))
+        else:
+            out.append(w.norm() - t * t * d.norm())
+    return min(out)
+
+
+def polygon_vertices(constraints):
+    """Vertices of a 2D polytope {c . x <= d} (exact; assumes boundedness)."""
+    verts = []
+    for (c1, d1), (c2, d2) in combinations(constraints, 2):
+        det = c1[0] * c2[1] - c1[1] * c2[0]
+        if det == 0:
+            continue
+        x = (d1 * c2[1] - d2 * c1[1]) / det
+        y = (c1[0] * d2 - c2[0] * d1) / det
+        if all(c[0] * x + c[1] * y <= d for c, d in constraints):
+            verts.append((x, y))
+    return verts
+
+
+# triangle D in (a, b): a >= 0, b >= 0, a + b <= 1
+_TRI = [((-1, 0), Fraction(0)), ((0, -1), Fraction(0)), ((1, 1), Fraction(1))]
+
+
+def _overlap_constraints(m, n, sign):
+    """Constraints on (a, b) for z = a + b*tau in D with m + n*tau + sign*z in D."""
+    cons = list(_TRI)
+    for (c1, c2), d in _TRI:
+        cons.append(((c1 * sign, c2 * sign), d - Fraction(c1 * m + c2 * n)))
+    return cons
+
+
+def _cross_coeffs(w: KNum):
+    """Affine-linear coefficients (c0, ca, cb) of 2 Im(w conj(z))/sqrt(7) in z = a + b*tau."""
+    # Im(x) = (x.b / 2) sqrt(7) for x = x.a + x.b tau
+    f = lambda z: (w * z.conj()).b
+    c0 = f(KNum(0))
+    ca = f(KNum(1)) - c0
+    cb = f(TAU) - c0
+    return c0, ca, cb
 
 
 def _side_from_sign(sign: int) -> str:

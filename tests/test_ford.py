@@ -31,19 +31,29 @@ from picard7.ford import (
     SPHERES,
     IsomSphere,
     ReductionError,
+    _SQRT_DEN,
+    _dist2_num,
+    _sqrt_ints,
     _sweep_vector,
+    candidate_spheres,
     cygan_dist4,
-    dist2_to_triangle,
     enumerate_cone_translates,
     in_omega,
     reduce_to_domain,
     spheres_containing,
-    sqrt_lb,
     sqrt_ub,
 )
 from picard7.presentation import abcd
 from picard7.torsion import classify_elliptic
-from reference import fixes_q_inf, ford_side, from_zsu, real_cmp, sphere_membership
+from reference import (
+    dist2_to_triangle,
+    fixes_q_inf,
+    ford_side,
+    from_zsu,
+    real_cmp,
+    sphere_membership,
+    sqrt_lb,
+)
 
 V1 = (-TAU_BAR, KNum(0), KNum(1))
 
@@ -111,35 +121,27 @@ def test_cygan_left_invariance():
 
 
 def test_sqrt_bounds():
-    for q in (Fraction(2), Fraction(7), Fraction(1, 3), Fraction(0)):
+    for q in (Fraction(2), Fraction(7), Fraction(1, 3), Fraction(0), Fraction(4, 7), Fraction(10**9, 3)):
         assert sqrt_lb(q) ** 2 <= q <= sqrt_ub(q) ** 2
         assert sqrt_ub(q) - sqrt_lb(q) < Fraction(1, 1000)
+        # the int bounds are the numerators of the Fraction ones, for any
+        # representation num/den of q
+        for k in (1, 3):
+            assert _sqrt_ints(k * q.numerator, k * q.denominator) == (
+                sqrt_lb(q) * _SQRT_DEN, sqrt_ub(q) * _SQRT_DEN)
+    with pytest.raises(ArithmeticError, match="negative"):
+        _sqrt_ints(-1, 1)
+
+
+def _dist2(p: KNum) -> Fraction:
+    return Fraction(_dist2_num(p.na, p.nb, p.d), 32 * p.d * p.d)
 
 
 def test_dist2_to_triangle():
-    assert dist2_to_triangle(KNum(Fraction(1, 4), Fraction(1, 4))) == 0
-    assert dist2_to_triangle(KNum(2)) == 1
-    assert dist2_to_triangle(KNum(-1)) == 1
-    assert dist2_to_triangle(TAU * 2) == TAU.norm()
-
-
-def _ref_dist2_to_triangle(p: KNum) -> Fraction:
-    """Squared distance to hull{0, 1, tau}, edge by edge in Fractions."""
-    a, b = p.a, p.b
-    if a >= 0 and b >= 0 and a + b <= 1:
-        return Fraction(0)
-    out = []
-    for v0, v1 in ((KNum(0), KNum(1)), (KNum(0), TAU), (KNum(1), TAU)):
-        d, w = v1 - v0, p - v0
-        x = w * d.conj()
-        t = (x.a + x.b / 2) / d.norm()
-        if t <= 0:
-            out.append(Fraction(w.norm()))
-        elif t >= 1:
-            out.append(Fraction((p - v1).norm()))
-        else:
-            out.append(w.norm() - t * t * d.norm())
-    return min(out)
+    assert _dist2(KNum(Fraction(1, 4), Fraction(1, 4))) == 0
+    assert _dist2(KNum(2)) == 1
+    assert _dist2(KNum(-1)) == 1
+    assert _dist2(TAU * 2) == TAU.norm()
 
 
 def test_dist2_to_triangle_matches_fraction_reference():
@@ -149,8 +151,10 @@ def test_dist2_to_triangle_matches_fraction_reference():
     points += [KNum(Fraction(rng.randint(-99, 99), rng.randint(1, 40)),
                     Fraction(rng.randint(-99, 99), rng.randint(1, 40))) for _ in range(2000)]
     for p in points:
-        d2 = dist2_to_triangle(p)
-        assert type(d2) is Fraction and d2 == _ref_dist2_to_triangle(p)
+        assert _dist2(p) == dist2_to_triangle(p)
+        # the cone translates pass a triple that need not be reduced
+        k = rng.randint(2, 9)
+        assert _dist2_num(k * p.na, k * p.nb, k * p.d) == k * k * _dist2_num(p.na, p.nb, p.d)
 
 
 def test_cone_translates_keep_every_survivor():
@@ -162,7 +166,7 @@ def test_cone_translates_keep_every_survivor():
             for n in range(-5, 6):
                 for eps in (0, 1):
                     z = CuspElt(m, n, eps, 0).act_horo(sph.center).z
-                    if _ref_dist2_to_triangle(z) ** 2 <= sph.r4:
+                    if dist2_to_triangle(z) ** 2 <= sph.r4:
                         want.add((m, n, eps))
         assert {(a.m, a.n, a.eps) for a in enumerate_cone_translates(j)} == want
 
@@ -177,7 +181,7 @@ def _ref_cone_translates(j):
         for n in range(-5, 6):
             for eps in (0, 1):
                 shifted = CuspElt(m, n, eps, 0).act_horo(sph.center)
-                if _ref_dist2_to_triangle(shifted.z) ** 2 > sph.r4:
+                if dist2_to_triangle(shifted.z) ** 2 > sph.r4:
                     continue
                 assert abs(m) < 5 and abs(n) < 5
                 zmax = sqrt_ub(Fraction(shifted.z.norm())) + r_ub
@@ -193,6 +197,22 @@ def test_cone_translates_match_full_action_reference():
     # same survivors, in the same order, in all 14 tables
     for j in GENERATORS:
         assert enumerate_cone_translates(j) == _ref_cone_translates(j)
+
+
+def test_candidate_columns_match_matrix_reference():
+    # the closed-form columns are the matrix products alpha(A_j(inf)), over
+    # the reference translates, in the same (j, alpha) order
+    total = 0
+    for j in sorted(GENERATORS):
+        first = GENERATORS[j].first_column()
+        want = []
+        for alpha in _ref_cone_translates(j):
+            col = alpha.to_matrix().apply(first)
+            assert all(c.d == 1 for c in col)
+            want.append((alpha, tuple(x for c in col for x in (c.na, c.nb))))
+        assert candidate_spheres(j) == want
+        total += len(want)
+    assert total == 548
 
 
 def test_cone_translates_refuse_a_too_small_box(monkeypatch):

@@ -15,15 +15,20 @@ from picard7.heisenberg import (
     TV,
     cusp_torsion_classes,
     enumerate_cusp_overlaps,
-    polygon_vertices,
-    _cross_coeffs,
-    _overlap_constraints,
+    _overlap_vertices,
     reduce_to_prism,
     s_coordinate,
     tau_coordinates,
     translation_matrix,
 )
-from reference import fixes_q_inf, from_zsu, overlap_witness
+from reference import (
+    _cross_coeffs,
+    _overlap_constraints,
+    fixes_q_inf,
+    from_zsu,
+    overlap_witness,
+    polygon_vertices,
+)
 
 
 def rand_pt(rng, den=4, u=0):
@@ -242,6 +247,29 @@ def fm_cusp_overlaps():
 
 def test_cusp_overlaps_match_feasibility_reference():
     assert enumerate_cusp_overlaps() == fm_cusp_overlaps()
+
+
+def test_overlap_vertices_match_fraction_reference():
+    # the int vertices and the t-shift n a - m b at them are the Fraction
+    # derivation's, in the same order
+    for m in range(-3, 4):
+        for n in range(-3, 4):
+            for sign in (1, -1):
+                verts = _overlap_vertices(m, n, sign)
+                assert all(type(x) is int and type(y) is int for x, y in verts)
+                assert verts == polygon_vertices(_overlap_constraints(m, n, sign))
+                c0, ca, cb = _cross_coeffs(KNum(m, n))
+                assert [n * x - m * y for x, y in verts] == [c0 + ca * x + cb * y for x, y in verts]
+
+
+def test_overlap_vertices_refuse_a_fractional_vertex(monkeypatch):
+    # with a normal outside {+-(1, 0), +-(0, 1), +-(1, 1)} a vertex can be
+    # fractional, and the int derivation must refuse it
+    import picard7.heisenberg as heisenberg
+
+    monkeypatch.setattr(heisenberg, "_TRI", (((-1, 0), 0), ((0, -1), 0), ((2, 1), 1)))
+    with pytest.raises(ArithmeticError, match="not an int point"):
+        _overlap_vertices(0, 0, 1)
 
 
 def test_fm_feasible():

@@ -253,13 +253,13 @@ def test_second_cycle_graph_runs_no_feasibility_test(monkeypatch):
 
     first = build_cycle_graph([V1])
     calls = []
-    exact = heisenberg.polygon_vertices
+    exact = heisenberg._overlap_vertices
 
     def counted(*args):
         calls.append(args)
         return exact(*args)
 
-    monkeypatch.setattr(heisenberg, "polygon_vertices", counted)
+    monkeypatch.setattr(heisenberg, "_overlap_vertices", counted)
     assert heisenberg.enumerate_cusp_overlaps.__wrapped__()  # the counter sees a derivation
     assert calls
     calls.clear()
