@@ -29,7 +29,6 @@ from .ring import (
 )
 from .hermitian import (
     GroupElt,
-    HoroPoint,
     Mat,
     ProjPoint,
     herm_inner,
@@ -139,24 +138,6 @@ SPHERES = {j: IsomSphere(g) for j, g in GENERATORS.items()}
 
 
 # ---------------------------------------------------------------------------
-# Cygan distance
-# ---------------------------------------------------------------------------
-
-
-def cygan_dist4(p: HoroPoint, q: HoroPoint):
-    """Fourth power of the extended Cygan distance, exact."""
-    dz = p.z - q.z
-    du = p.u - q.u
-    if du.real_sign() < 0:
-        du = -du
-    first = dz.abs2() + du
-    # i*(t - t' + 2 Im(z conj(z'))) = ti - ti' + z conj(z') - conj(z) z'
-    cross = p.z * q.z.conj()
-    qq = p.ti - q.ti + cross - cross.conj()
-    return first * first + qq.abs2()
-
-
-# ---------------------------------------------------------------------------
 # conservative square-root bounds, as ints over 2^16
 # ---------------------------------------------------------------------------
 
@@ -171,15 +152,10 @@ def _sqrt_ints(num: int, den: int):
     lb = isqrt(scaled // den)
     ub = isqrt(-(-scaled // den)) + 1
     if lb * lb * den > scaled:
-        raise ArithmeticError("sqrt_lb is above the square root")
+        raise ArithmeticError("the lower square-root bound is above the square root")
     if ub * ub * den < scaled:
-        raise ArithmeticError("sqrt_ub is below the square root")
+        raise ArithmeticError("the upper square-root bound is below the square root")
     return lb, ub
-
-
-def sqrt_ub(q: Fraction) -> Fraction:
-    """A rational upper bound for sqrt(q), q >= 0."""
-    return Fraction(_sqrt_ints(q.numerator, q.denominator)[1], _SQRT_DEN)
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +199,23 @@ def _dist2_num(a: int, b: int, den: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# candidate cusp translates: the sets E_j
+# candidate cusp translates: the sets E_j and T_jk
 # ---------------------------------------------------------------------------
 
-_MN_BOX = 5
+
+def _lattice_disk(p0: int, q0: int, step: int, nmax: int):
+    """The (m, n) with N(p + q tau) <= nmax for p = m step + p0, q = n step + q0.
+
+    4 N(p + q tau) = (2p + q)^2 + 7 q^2, so 7 q^2 <= 4 nmax gives the range
+    of n, and for each n, (2p + q)^2 <= 4 nmax - 7 q^2 gives the range of
+    m.  Both ranges are exact; nmax >= 0 and step >= 1.  Yields by n, then m.
+    """
+    qmax = isqrt(4 * nmax // 7)
+    for n in range(-((qmax + q0) // step), (qmax - q0) // step + 1):
+        q = n * step + q0
+        w = isqrt(4 * nmax - 7 * q * q)
+        for m in range(-((w + q + 2 * p0) // (2 * step)), (w - q - 2 * p0) // (2 * step) + 1):
+            yield m, n
 
 
 def enumerate_cone_translates(j: int):
@@ -237,11 +226,13 @@ def enumerate_cone_translates(j: int):
     of the translated sphere meets [0, 2 sqrt(7)].  Both run on ints.  With
     sigma = (-1)^eps and the center's z = (za + zb tau)/zd, the translated
     z is ((m zd + sigma za) + (n zd + sigma zb) tau)/zd, and (a) is
-    dist2^2 <= r^4 = 4/N(a31) with dist2 an int over 32 zd^2.  In (b), the
-    translated center's s is s_c + (m - mn) + sigma (n za - m zb)/zd, and
-    the window's half-width is bounded through square-root bounds over
-    2^16 that check themselves; l runs over the floor-division range.
-    The result is in tuple order (m, n, eps, l), the order of the loops.
+    dist2^2 <= r^4 = 4/N(a31) with dist2 an int over 32 zd^2.  As D lies in
+    N(z) <= 2, (a) implies N(z) <= (sqrt(2) + r)^2, and that disk gives the
+    window of (m, n).  In (b), the translated center's s is
+    s_c + (m - mn) + sigma (n za - m zb)/zd, and the window's half-width is
+    bounded through square-root bounds over 2^16 that check themselves; l
+    runs over the floor-division range.  The result is in tuple order
+    (m, n, eps, l).
     """
     sph = SPHERES[j]
     c = sph.center
@@ -255,35 +246,81 @@ def enumerate_cone_translates(j: int):
     r2 = _sqrt_ints(rn, rd)[1]
     r1 = _sqrt_ints(r2, _SQRT_DEN)[1]
     hd = _SQRT_DEN * _sqrt_ints(7, 1)[0]
+    # N(a + b tau) = zd^2 N(z) <= zd^2 (sqrt(2) + r)^2
+    nmax = (zd * (_sqrt_ints(2, 1)[1] + r1)) ** 2 // _SQRT_DEN**2
     # the translated center's s is sn2/sd2, and l is a quotient over lden
     sd2 = sd * zd
     lden = 2 * hd * sd2
     out = []
-    hit_box_edge = False
-    for m in range(-_MN_BOX, _MN_BOX + 1):
-        for n in range(-_MN_BOX, _MN_BOX + 1):
-            for eps in (0, 1):
-                sigma = -1 if eps else 1
-                a, b = m * zd + sigma * za, n * zd + sigma * zb
-                num = _dist2_num(a, b, zd)
-                if num * num * rd > disk:
-                    continue
-                if abs(m) == _MN_BOX or abs(n) == _MN_BOX:
-                    hit_box_edge = True
-                # |t - d'| <= r^2 + 2 r |z| with z over the disk; bound |z| by
-                # |c'| + r where c' is the translated center: the half-width
-                # in s is hn/hd
-                zub = _sqrt_ints(_norm_ints(a, b), zd * zd)[1]
-                hn = r2 * _SQRT_DEN + 2 * r1 * (zub + r1)
-                # d' = (s' + 2 l) sqrt(7) with s' = sn2/sd2: need s' + 2l in
-                # [-hn/hd, 2 + hn/hd]
-                sn2 = sn * zd + ((m - m * n) * zd + sigma * (n * za - m * zb)) * sd
-                lmin = -((hn * sd2 + sn2 * hd) // lden)
-                lmax = (2 * hd * sd2 + hn * sd2 - sn2 * hd) // lden
-                for l in range(lmin, lmax + 1):
-                    out.append(CuspElt(m, n, eps, l))
-    if hit_box_edge:
-        raise ArithmeticError("candidate box too small")
+    for eps in (0, 1):
+        sigma = -1 if eps else 1
+        for m, n in _lattice_disk(sigma * za, sigma * zb, zd, nmax):
+            a, b = m * zd + sigma * za, n * zd + sigma * zb
+            num = _dist2_num(a, b, zd)
+            if num * num * rd > disk:
+                continue
+            # |t - d'| <= r^2 + 2 r |z| with z over the disk; bound |z| by
+            # |c'| + r where c' is the translated center: the half-width
+            # in s is hn/hd
+            zub = _sqrt_ints(_norm_ints(a, b), zd * zd)[1]
+            hn = r2 * _SQRT_DEN + 2 * r1 * (zub + r1)
+            # d' = (s' + 2 l) sqrt(7) with s' = sn2/sd2: need s' + 2l in
+            # [-hn/hd, 2 + hn/hd]
+            sn2 = sn * zd + ((m - m * n) * zd + sigma * (n * za - m * zb)) * sd
+            lmin = -((hn * sd2 + sn2 * hd) // lden)
+            lmax = (2 * hd * sd2 + hn * sd2 - sn2 * hd) // lden
+            for l in range(lmin, lmax + 1):
+                out.append(CuspElt(m, n, eps, l))
+    out.sort()
+    return out
+
+
+def enumerate_tjk(j: int, k: int):
+    """Finite superset of {alpha cusp : alpha(I(A_j)) meets I(A_k)}, sorted.
+
+    Requires A_j A_k = +/-Id.  Uses the necessary condition that the Cygan
+    distance d between the two centers is at most r_j + r_k <= (U_j + U_k)/2^16,
+    from square-root bounds that check themselves.  Both centers lie on the
+    boundary, so d^4 = N(dz)^2 + T^2, with dz the difference of the z's and
+    T = t - t' + 2 Im(z conj(z')).  With D = zd_j zd_k, dz = (p + q tau)/D
+    for ints p = m D + p0 and q = n D + q0, and N(dz)^2 <= B/2^64,
+    B = (U_j + U_k)^4, is the lattice disk N(p + q tau)^2 2^64 <= B D^4.
+    T = sqrt(7) (X + 2 l E)/E for an int X and E = D S, S the product of
+    the denominators of the centers' s, so l runs over the exact range
+    |X + 2 l E| <= isqrt(R S^2 / (7 2^64 D^2)), R = B D^4 - 2^64 N(p + q tau)^2.
+    """
+    if INVERSE_PAIRS[j] != k:
+        raise ValueError("T_jk is only enumerated for inverse pairs")
+    cj, ck = SPHERES[j].center, SPHERES[k].center
+    aj, bj, dj = cj.z.na, cj.z.nb, cj.z.d
+    ak, bk, dk = ck.z.na, ck.z.nb, ck.z.d
+    # s = ti.nb/sd with sd = 2 ti.d for each center; s_j - s_k = ds/S
+    sdj, sdk = 2 * cj.ti.d, 2 * ck.ti.d
+    sden = sdj * sdk
+    ds = cj.ti.nb * sdk - ck.ti.nb * sdj
+    den = dj * dk
+    e = den * sden
+    # r <= U/2^16 for each sphere, and bound = B D^4
+    uj, uk = (_sqrt_ints(_sqrt_ints(sph.r4.numerator, sph.r4.denominator)[1], _SQRT_DEN)[1]
+              for sph in (SPHERES[j], SPHERES[k]))
+    bound = (uj + uk) ** 4 * den**4
+    nmax = isqrt(bound >> 64)
+    tden = 7 * 2**64 * den * den
+    out = []
+    for eps in (0, 1):
+        sigma = -1 if eps else 1
+        p0, q0 = sigma * aj * dk - ak * dj, sigma * bj * dk - bk * dj
+        for m, n in _lattice_disk(p0, q0, den, nmax):
+            nd = _norm_ints(m * den + p0, n * den + q0)
+            half = isqrt((bound - (nd * nd << 64)) * sden * sden // tden)
+            # T/sqrt(7) = s_j - s_k + s0 + 2 Im(w conj(sigma z_j) + (w + sigma z_j)
+            # conj(z_k))/sqrt(7) with w = m + n tau and s0 = m - mn + 2l, which
+            # is (x + 2 l e)/e
+            x = ds * den + sden * ((m - m * n) * den + sigma * (n * aj - m * bj) * dk
+                                   + (n * ak - m * bk) * dj + sigma * (bj * ak - aj * bk))
+            for l in range(-((half + x) // (2 * e)), (half - x) // (2 * e) + 1):
+                out.append(CuspElt(m, n, eps, l))
+    out.sort()
     return out
 
 

@@ -47,11 +47,9 @@ from .heisenberg import (
 from .ford import (
     GENERATORS,
     INVERSE_PAIRS,
-    SPHERES,
-    cygan_dist4,
+    enumerate_tjk,
     reduce_to_domain,
     spheres_containing,
-    sqrt_ub,
 )
 
 
@@ -120,43 +118,48 @@ def _repeated_eigenvalue(mat: Mat):
     return (9 * c - a * b) / (2 * gap)
 
 
+def _is_mirror(mat: Mat, lam) -> bool:
+    """Whether the lam-eigenspace of mat is a complex line that meets the ball:
+    a plane on which the form is indefinite."""
+    space = eigenspace_basis(mat, lam)
+    if len(space) != 2:
+        return False
+    e1, e2 = space
+    return (sq_norm(e1) * sq_norm(e2) - herm_inner(e1, e2).abs2()).real_sign() < 0
+
+
+def _simple_eigenpoint(mat: Mat, lam):
+    """(p, <p, p>) for the eigenline of the simple eigenvalue tr - 2 lam of mat,
+    whose repeated eigenvalue is lam."""
+    p = ProjPoint(eigenspace_basis(mat, mat.trace() - 2 * lam)[0])
+    return p, sq_norm(p.coords)
+
+
 def reflection_polar(g: GroupElt):
     """(polar ProjPoint, polar norm) if g is a complex reflection, else None."""
     mat = g.mat
     lam = _repeated_eigenvalue(mat)
-    if lam is None:
+    if lam is None or not _is_mirror(mat, lam):
         return None
-    space = eigenspace_basis(mat, lam)
-    if len(space) != 2:
-        return None
-    e1, e2 = space
-    gram_det = sq_norm(e1) * sq_norm(e2) - herm_inner(e1, e2).abs2()
-    if gram_det.real_sign() >= 0:
-        return None  # mirror candidate does not meet the ball
-    mu = -mat.charpoly()[0] / (lam * lam)  # det / lam^2
-    polar = ProjPoint(eigenspace_basis(mat, mu)[0])
-    norm = int(sq_norm(polar.coords).rat())
-    return polar, norm
+    polar, norm = _simple_eigenpoint(mat, lam)
+    return polar, int(norm.rat())
 
 
 def classify_elliptic(g: GroupElt, n: int):
     """("reflection", polar, <v,v>) or ("isolated", fixed point, <v,v> or None)."""
     if projective_order(g) != n:
         raise ValueError("stated order does not match the element")
-    refl = reflection_polar(g)
-    if refl is not None:
-        return ("reflection",) + refl
     mat = g.mat
     lam = _repeated_eigenvalue(mat)
     if lam is not None:
+        p, norm = _simple_eigenpoint(mat, lam)
+        if _is_mirror(mat, lam):
+            return "reflection", p, int(norm.rat())
         # repeated eigenspace is positive definite: the simple eigenvector
         # is the isolated fixed point
-        mu = -mat.charpoly()[0] / (lam * lam)
-        v = eigenspace_basis(mat, mu)[0]
-        if sq_norm(v).real_sign() >= 0:
+        if norm.real_sign() >= 0:
             raise ArithmeticError("simple eigenvector of an elliptic element is not negative")
-        p = ProjPoint(v)
-        return "isolated", p, int(sq_norm(p.coords).rat())
+        return "isolated", p, int(norm.rat())
     # squarefree characteristic polynomial; K contains only the roots of
     # unity +/-1, so any K-rational eigenvector belongs to one of those
     for lam in (ONE, -ONE):
@@ -165,13 +168,9 @@ def classify_elliptic(g: GroupElt, n: int):
                 pt = ProjPoint(v)
                 return "isolated", pt, int(sq_norm(pt.coords).rat())
     # fixed point outside K^3: eigenvalues are roots of unity of the
-    # matrix order, found in the relevant cyclotomic tower
-    m = n
-    q = g.mat
-    for _ in range(n - 1):
-        q = q * g.mat
-    if not q.is_identity():
-        m = 2 * n
+    # matrix order, found in the relevant cyclotomic tower.  g^n = e Id with
+    # e = +/-1 gives det(g)^n = e^3 = e, so det(g)^n is the sign of g^n
+    m = n if (mat.det() ** n).is_one() else 2 * n
     if m % 7 == 0:
         tw = zeta7_tower()
         z = AlgNum.gen(tw)
@@ -189,48 +188,6 @@ def classify_elliptic(g: GroupElt, n: int):
             if sq_norm(v).real_sign() < 0:
                 return "isolated", ProjPoint(v), None
     raise ValueError("no negative eigenvector found for an elliptic element")
-
-
-# ---------------------------------------------------------------------------
-# candidate sweeps: the sets T_jk
-# ---------------------------------------------------------------------------
-
-_TJK_M, _TJK_N, _TJK_L = 8, 5, 8
-
-
-def enumerate_tjk(j: int, k: int):
-    """Finite superset of {alpha cusp : alpha(I(A_j)) meets I(A_k)}.
-
-    Requires A_j A_k = +/-Id.  Uses the necessary condition that the Cygan
-    distance between the two centers is at most r_j + r_k, compared through
-    exact fourth powers against a rational upper bound.
-    """
-    if INVERSE_PAIRS[j] != k:
-        raise ValueError("T_jk is only enumerated for inverse pairs")
-    sj, sk = SPHERES[j], SPHERES[k]
-    rsum = sqrt_ub(sqrt_ub(sj.r4)) + sqrt_ub(sqrt_ub(sk.r4))
-    bound = rsum**4
-    ck = sk.center
-    out = []
-    hit_edge = False
-    for m in range(-_TJK_M, _TJK_M + 1):
-        for n in range(-_TJK_N, _TJK_N + 1):
-            for eps in (0, 1):
-                planar = CuspElt(m, n, eps, 0).act_horo(sj.center)
-                dz2 = (planar.z - ck.z).abs2().rat()
-                if dz2 * dz2 > bound:
-                    continue
-                for l in range(-_TJK_L, _TJK_L + 1):
-                    alpha = CuspElt(m, n, eps, l)
-                    d4 = cygan_dist4(alpha.act_horo(sj.center), ck)
-                    if d4.rat() > bound:
-                        continue
-                    if abs(m) == _TJK_M or abs(n) == _TJK_N or abs(l) == _TJK_L:
-                        hit_edge = True
-                    out.append(alpha)
-    if hit_edge:
-        raise ArithmeticError("T_jk candidate box too small")
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt, lcm
 
-from picard7.ford import _SQRT_DEN, cygan_dist4
-from picard7.heisenberg import Prism
+from picard7.ford import _SQRT_DEN, SPHERES
+from picard7.heisenberg import CuspElt, Prism
 from picard7.hermitian import HoroPoint, ProjPoint, herm_inner
 from picard7.ring import ISQRT7, TAU, KNum, _divmod_ints, knum_from_ints
 
@@ -51,6 +51,59 @@ def sqrt_lb(q: Fraction) -> Fraction:
     if lb * lb > q:
         raise ArithmeticError("sqrt_lb is above the square root")
     return lb
+
+
+def sqrt_ub(q: Fraction) -> Fraction:
+    """A rational upper bound for sqrt(q) over 2^16, q >= 0."""
+    q = Fraction(q)
+    if q < 0:
+        raise ArithmeticError("square root of a negative number")
+    ub = Fraction(isqrt((q * _SQRT_DEN * _SQRT_DEN).__ceil__()) + 1, _SQRT_DEN)
+    if ub * ub < q:
+        raise ArithmeticError("sqrt_ub is below the square root")
+    return ub
+
+
+def cygan_dist4(p: HoroPoint, q: HoroPoint):
+    """Fourth power of the extended Cygan distance, exact."""
+    dz = p.z - q.z
+    du = p.u - q.u
+    if du.real_sign() < 0:
+        du = -du
+    first = dz.abs2() + du
+    # i*(t - t' + 2 Im(z conj(z'))) = ti - ti' + z conj(z') - conj(z) z'
+    cross = p.z * q.z.conj()
+    qq = p.ti - q.ti + cross - cross.conj()
+    return first * first + qq.abs2()
+
+
+def tjk_in_box(j, k, mbox, nbox, lbox):
+    """T_jk by the Cygan-distance filter over |m| <= mbox, |n| <= nbox, |l| <= lbox.
+
+    The distance between the centers after alpha is compared, through exact
+    fourth powers, with the Fraction bound (sqrt_ub(sqrt_ub(r_j^4)) +
+    sqrt_ub(sqrt_ub(r_k^4)))^4.  A survivor on the box's edge means the box
+    may miss some, and is refused.
+    """
+    sj, sk = SPHERES[j], SPHERES[k]
+    bound = (sqrt_ub(sqrt_ub(sj.r4)) + sqrt_ub(sqrt_ub(sk.r4))) ** 4
+    ck = sk.center
+    out = []
+    for m in range(-mbox, mbox + 1):
+        for n in range(-nbox, nbox + 1):
+            for eps in (0, 1):
+                planar = CuspElt(m, n, eps, 0).act_horo(sj.center)
+                dz2 = (planar.z - ck.z).abs2().rat()
+                if dz2 * dz2 > bound:
+                    continue
+                for l in range(-lbox, lbox + 1):
+                    alpha = CuspElt(m, n, eps, l)
+                    if cygan_dist4(alpha.act_horo(sj.center), ck).rat() > bound:
+                        continue
+                    if abs(m) == mbox or abs(n) == nbox or abs(l) == lbox:
+                        raise ArithmeticError("the reference box is too small")
+                    out.append(alpha)
+    return sorted(out)
 
 
 def dist2_to_triangle(p: KNum) -> Fraction:

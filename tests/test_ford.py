@@ -33,19 +33,19 @@ from picard7.ford import (
     ReductionError,
     _SQRT_DEN,
     _dist2_num,
+    _lattice_disk,
     _sqrt_ints,
     _sweep_vector,
     candidate_spheres,
-    cygan_dist4,
     enumerate_cone_translates,
     in_omega,
     reduce_to_domain,
     spheres_containing,
-    sqrt_ub,
 )
 from picard7.presentation import abcd
 from picard7.torsion import classify_elliptic
 from reference import (
+    cygan_dist4,
     dist2_to_triangle,
     fixes_q_inf,
     ford_side,
@@ -53,6 +53,7 @@ from reference import (
     real_cmp,
     sphere_membership,
     sqrt_lb,
+    sqrt_ub,
 )
 
 V1 = (-TAU_BAR, KNum(0), KNum(1))
@@ -157,13 +158,32 @@ def test_dist2_to_triangle_matches_fraction_reference():
         assert _dist2_num(k * p.na, k * p.nb, k * p.d) == k * k * _dist2_num(p.na, p.nb, p.d)
 
 
+def test_lattice_disk_matches_brute_force():
+    rng = random.Random(2011)
+    cases = [(0, 0, 1, 0), (6, -3, 3, 0), (1, 0, 2, 0), (-7, 5, 4, 1)]
+    cases += [(rng.randint(-30, 30), rng.randint(-30, 30), rng.randint(1, 5), rng.randint(0, 60))
+              for _ in range(60)]
+    for p0, q0, step, nmax in cases:
+        # |m|, |n| <= 50 holds every solution: |p|, |q| < 16 and |p0|, |q0| <= 30
+        want = [(m, n) for n in range(-50, 51) for m in range(-50, 51)
+                if KNum(m * step + p0, n * step + q0).norm() <= nmax]
+        assert list(_lattice_disk(p0, q0, step, nmax)) == want, (p0, q0, step, nmax)
+    assert list(_lattice_disk(6, -3, 3, 0)) == [(-2, 1)]
+    assert list(_lattice_disk(1, 0, 2, 0)) == []
+
+
+# the box the cone-table references scan; the tables reach |m|, |n| <= 4,
+# and _ref_cone_translates checks that no survivor lies on the box's edge
+_CONE_BOX = 8
+
+
 def test_cone_translates_keep_every_survivor():
     # every (m, n, eps) in the box whose translated disk meets D is kept
     for j in GENERATORS:
         sph = SPHERES[j]
         want = set()
-        for m in range(-5, 6):
-            for n in range(-5, 6):
+        for m in range(-_CONE_BOX, _CONE_BOX + 1):
+            for n in range(-_CONE_BOX, _CONE_BOX + 1):
                 for eps in (0, 1):
                     z = CuspElt(m, n, eps, 0).act_horo(sph.center).z
                     if dist2_to_triangle(z) ** 2 <= sph.r4:
@@ -171,19 +191,20 @@ def test_cone_translates_keep_every_survivor():
         assert {(a.m, a.n, a.eps) for a in enumerate_cone_translates(j)} == want
 
 
+@functools.cache
 def _ref_cone_translates(j):
     """The translate superset of j with the full cusp action on every (m, n, eps)."""
     sph = SPHERES[j]
     r2_ub = sqrt_ub(sph.r4)
     r_ub = sqrt_ub(r2_ub)
     out = []
-    for m in range(-5, 6):
-        for n in range(-5, 6):
+    for m in range(-_CONE_BOX, _CONE_BOX + 1):
+        for n in range(-_CONE_BOX, _CONE_BOX + 1):
             for eps in (0, 1):
                 shifted = CuspElt(m, n, eps, 0).act_horo(sph.center)
                 if dist2_to_triangle(shifted.z) ** 2 > sph.r4:
                     continue
-                assert abs(m) < 5 and abs(n) < 5
+                assert abs(m) < _CONE_BOX and abs(n) < _CONE_BOX
                 zmax = sqrt_ub(Fraction(shifted.z.norm())) + r_ub
                 hw = (r2_ub + 2 * r_ub * zmax) / sqrt_lb(Fraction(7))
                 lmin = ((-hw - shifted.s) / 2).__ceil__()
@@ -213,17 +234,6 @@ def test_candidate_columns_match_matrix_reference():
         assert candidate_spheres(j) == want
         total += len(want)
     assert total == 548
-
-
-def test_cone_translates_refuse_a_too_small_box(monkeypatch):
-    # the box is the completeness argument of every sweep: a survivor on its
-    # edge means the box may miss translates, and enumeration must refuse
-    import picard7.ford as ford
-
-    monkeypatch.setattr(ford, "_MN_BOX", 1)
-    for j in GENERATORS:
-        with pytest.raises(ArithmeticError, match="^candidate box too small$"):
-            enumerate_cone_translates(j)
 
 
 def test_ford_side_examples():

@@ -15,11 +15,10 @@ from picard7.heisenberg import (
 from picard7.ford import (
     GENERATORS,
     SPHERES,
-    cygan_dist4,
     in_omega,
     reduce_to_domain,
 )
-from reference import ford_side, from_zsu, sphere_membership
+from reference import cygan_dist4, ford_side, from_zsu, sphere_membership
 
 
 def rand_knum(rng, span=6, den=3):

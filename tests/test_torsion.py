@@ -1,18 +1,15 @@
-from fractions import Fraction
-
 import pytest
 
 from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR
 from picard7.hermitian import GroupElt, Mat, ProjPoint, sq_norm
 from picard7.heisenberg import CuspElt, R, T1, TTAU, TV
-from picard7.ford import GENERATORS, INVERSE_PAIRS, SPHERES, cygan_dist4, sqrt_ub
+from picard7.ford import GENERATORS, INVERSE_PAIRS, enumerate_tjk
 from picard7.torsion import (
     ClosureError,
     FiniteGroup,
     build_cycle_graph,
     classify_elliptic,
     dedup_isolated,
-    enumerate_tjk,
     enumerate_torsion,
     make_reflection,
     orbit_walk,
@@ -25,6 +22,7 @@ from picard7.torsion import (
     _repeated_eigenvalue,
     _search_alphabet,
 )
+from reference import tjk_in_box
 
 V1 = ProjPoint((-TAU_BAR, KNum(0), KNum(1)))
 
@@ -109,33 +107,27 @@ def test_tjk_basics():
         enumerate_tjk(1, 2)
 
 
-def test_tjk_refuses_a_too_small_box(monkeypatch):
-    import picard7.torsion as torsion
-
-    monkeypatch.setattr(torsion, "_TJK_M", 2)
-    monkeypatch.setattr(torsion, "_TJK_N", 2)
-    monkeypatch.setattr(torsion, "_TJK_L", 2)
-    with pytest.raises(ArithmeticError, match="^T_jk candidate box too small$"):
-        enumerate_tjk(1, INVERSE_PAIRS[1])
-
-
-@pytest.mark.parametrize("j,k", [(1, 1), (9, 14)])
+@pytest.mark.parametrize("j,k", sorted(INVERSE_PAIRS.items()))
 def test_tjk_superset_against_larger_box(j, k):
-    # the distance filter over an enlarged box finds nothing new
-    sj, sk = SPHERES[j], SPHERES[k]
-    rsum = sqrt_ub(sqrt_ub(sj.r4)) + sqrt_ub(sqrt_ub(sk.r4))
-    bound = rsum**4
-    ck = sk.center
-    brute = set()
-    for m in range(-10, 11):
-        for n in range(-7, 8):
-            for eps in (0, 1):
-                for l in range(-10, 11):
-                    alpha = CuspElt(m, n, eps, l)
-                    d4 = cygan_dist4(alpha.act_horo(sj.center), ck)
-                    if d4.rat() <= bound:
-                        brute.add(alpha)
-    assert brute == set(enumerate_tjk(j, k))
+    # the Fraction distance filter over |m|, |l| <= 10 and |n| <= 7, which
+    # refuses a survivor on its box's edge, finds the same translates, in
+    # the same order
+    assert enumerate_tjk(j, k) == tjk_in_box(j, k, 10, 7, 10)
+
+
+def test_tjk_runs_no_cusp_action(monkeypatch):
+    # the windows and the distance test run on the centers' ints: no
+    # translated center is built
+    calls = []
+    act = CuspElt.act_horo
+
+    def counted(self, h):
+        calls.append(self)
+        return act(self, h)
+
+    monkeypatch.setattr(CuspElt, "act_horo", counted)
+    sizes = [len(enumerate_tjk(j, INVERSE_PAIRS[j])) for j in sorted(GENERATORS)]
+    assert all(sizes) and sum(sizes) == 396 and calls == []
 
 
 def test_orbit_walk_order_depth_and_cap():
