@@ -7,6 +7,10 @@ from picard7.heisenberg import R, T1, TV
 from picard7.torsion import enumerate_torsion, orbit_walk
 
 
+#: the identity matrix over a prime field
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 class ResidueMap:
     """Entry-wise reduction of integral matrices modulo a prime ideal.
 
@@ -33,14 +37,20 @@ class ResidueMap:
     def __call__(self, m: Mat):
         return tuple(tuple(self.scalar(x) for x in row) for row in m.rows)
 
-    def identity(self):
-        return ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
     def mul(self, x, y):
+        (x00, x01, x02), (x10, x11, x12), (x20, x21, x22) = x
+        (y00, y01, y02), (y10, y11, y12), (y20, y21, y22) = y
         p = self.p
-        return tuple(
-            tuple(sum(x[i][k] * y[k][j] for k in range(3)) % p for j in range(3))
-            for i in range(3)
+        return (
+            ((x00 * y00 + x01 * y10 + x02 * y20) % p,
+             (x00 * y01 + x01 * y11 + x02 * y21) % p,
+             (x00 * y02 + x01 * y12 + x02 * y22) % p),
+            ((x10 * y00 + x11 * y10 + x12 * y20) % p,
+             (x10 * y01 + x11 * y11 + x12 * y21) % p,
+             (x10 * y02 + x11 * y12 + x12 * y22) % p),
+            ((x20 * y00 + x21 * y10 + x22 * y20) % p,
+             (x20 * y01 + x21 * y11 + x22 * y21) % p,
+             (x20 * y02 + x21 * y12 + x22 * y22) % p),
         )
 
     def is_scalar(self, x) -> bool:
@@ -56,7 +66,7 @@ class FpMatGroup:
     def __init__(self, gens, rm: ResidueMap, cap: int = 100000):
         self.rm = rm
         self.gens = [rm(m) for m in gens]
-        walk = orbit_walk([rm.identity()], self.gens, rm.mul, cap=cap)
+        walk = orbit_walk([IDENTITY], self.gens, rm.mul, cap=cap)
         self.elements = frozenset(x for x, _, _ in walk)
         self.order = len(self.elements)
         self.scalars = sorted(x for x in self.elements if rm.is_scalar(x))
@@ -72,7 +82,7 @@ class FpMatGroup:
     def element_order(self, x) -> int:
         rm = self.rm
         y, k = x, 1
-        while y != rm.identity():
+        while y != IDENTITY:
             y = rm.mul(y, x)
             k += 1
         return k

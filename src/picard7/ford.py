@@ -76,13 +76,13 @@ def _build_generators():
     a12 = _g([[-4, 0, ISQRT7 * 3], [0, 1, 0], [ISQRT7, 0, 5]], "A12")
 
     def inv(g, name):
-        return GroupElt(g.inverse().mat, word=((name, 1),), check=False)
+        return GroupElt.from_ints(g.inverse().ints, ((name, 1),))
 
     table = {
         1: a1,
         2: a2,
         3: inv(a2, "A3"),
-        4: GroupElt((a2.inverse() * a2.inverse()).mat, word=(("A4", 1),), check=False),
+        4: GroupElt.from_ints((a2.inverse() * a2.inverse()).ints, (("A4", 1),)),
         6: a6,
         7: a7,
         8: a8,
@@ -124,10 +124,11 @@ class IsomSphere(namedtuple("IsomSphere", "center r4")):
     __slots__ = ()
 
     def __new__(cls, elt: GroupElt):
-        a31 = elt.mat.rows[2][0]
+        col = elt.first_column()
+        a31 = col[2]
         if a31.is_zero():
             raise ValueError("element stabilizes the point at infinity")
-        h = horo_coords(elt.first_column())
+        h = horo_coords(col)
         if not h.u.is_zero():
             raise ArithmeticError("isometric sphere center is not on the boundary")
         return tuple.__new__(cls, (h, Fraction(4, a31.norm())))
@@ -341,7 +342,8 @@ def candidate_spheres(j: int):
     c = (-N(w) + i sqrt(7) s0)/2 = (-N(w) - s0)/2 + s0 tau.  c is integral,
     as N(w) + s0 = m(m + 1) + 2(n^2 + l) is even.
     """
-    (p1, q1), (p2, q2), (p3, q3) = map(_int_pair, GENERATORS[j].first_column())
+    t = GENERATORS[j].ints
+    p1, q1, p2, q2, p3, q3 = t[0], t[1], t[6], t[7], t[12], t[13]
     out = []
     for alpha in enumerate_cone_translates(j):
         m, n, eps, l = alpha

@@ -26,17 +26,10 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 from itertools import combinations
+from math import lcm
 
 from .ring import ISQRT7, KNum, TAU
-from .hermitian import GroupElt, HoroPoint, Mat
-
-
-def translation_matrix(w, ti) -> Mat:
-    """The Heisenberg translation T(w, t) as a matrix (ti = i*t), for w, ti in K."""
-    return Mat([[1, -w.conj(), (-(w.abs2()) + ti) / 2], [0, 1, w], [0, 0, 1]])
-
-
-R_MAT = Mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+from .hermitian import GroupElt, HoroPoint
 
 
 class CuspElt(namedtuple("CuspElt", "m n eps l", defaults=(0, 0, 0, 0))):
@@ -66,10 +59,19 @@ class CuspElt(namedtuple("CuspElt", "m n eps l", defaults=(0, 0, 0, 0))):
         return self.m - self.m * self.n + 2 * self.l
 
     def to_matrix(self) -> GroupElt:
-        m = translation_matrix(self.w, ISQRT7 * self.s0)
-        if self.eps:
-            m = m * R_MAT
-        return GroupElt(m, word=self.word(), check=False)
+        """T(w, t0) R^eps in closed form, with sigma = (-1)^eps: its rows are
+        (1, -sigma conj(w), c), (0, sigma, w) and (0, 0, 1), where
+        conj(w) = (m + n) - n tau and c = (-N(w) + i t0)/2 = (-N(w) - s0)/2
+        + s0 tau.  c is integral, as N(w) + s0 = m(m + 1) + 2(n^2 + l)."""
+        m, n, eps, l = self
+        sigma = -1 if eps else 1
+        s0 = m - m * n + 2 * l
+        return GroupElt.from_ints(
+            (1, 0, -sigma * (m + n), sigma * n, -((m * m + m * n + 2 * n * n + s0) // 2), s0,
+             0, 0, sigma, 0, m, n,
+             0, 0, 0, 0, 1, 0),
+            self.word(),
+        )
 
     def word(self):
         out = []
@@ -278,6 +280,39 @@ def enumerate_cusp_overlaps():
                 lmax = (2 - min(shifts)) // 2
                 out.extend(CuspElt(m, n, eps, l) for l in range(lmin, lmax + 1))
     return tuple(out)
+
+
+def overlaps_keeping(h: HoroPoint):
+    """The cusp overlaps c other than the identity with c(h) in P, in
+    normal-form order; h is a point over P.
+
+    At a K-rational h the test runs on ints.  Write z = (za + zb tau)/den
+    and s = sn/den with den > 0.  For c = (m, n, eps, l), sigma = (-1)^eps
+    and s0 = m - mn + 2l, c(h) has z = (a + b tau)/den with a = m den
+    + sigma za and b = n den + sigma zb, and s = (sn + s0 den + sigma (n za
+    - m zb))/den.  So c(h) lies in P exactly when a, b >= 0, a + b <= den
+    and that numerator of s lies in [0, 2 den].  At a point with tower
+    coordinates, act_horo and Prism.contains decide.
+    """
+    z, ti = h.z, h.ti
+    kept = []
+    if type(z) is not KNum or type(ti) is not KNum:
+        for c in enumerate_cusp_overlaps():
+            hq = c.act_horo(h)
+            if c != IDENTITY and Prism.contains(hq.z, hq.ti):
+                kept.append(c)
+        return kept
+    # s = ti.nb / (2 ti.d), as ti = i t = s (2 tau - 1)
+    den = lcm(z.d, 2 * ti.d)
+    za, zb, sn = z.na * (den // z.d), z.nb * (den // z.d), ti.nb * (den // (2 * ti.d))
+    for c in enumerate_cusp_overlaps():
+        m, n, eps, l = c
+        x, y = (-za, -zb) if eps else (za, zb)
+        a, b = m * den + x, n * den + y
+        s = sn + (m - m * n + 2 * l) * den + n * x - m * y
+        if a >= 0 and b >= 0 and a + b <= den and 0 <= s <= 2 * den and c != IDENTITY:
+            kept.append(c)
+    return kept
 
 
 # ---------------------------------------------------------------------------

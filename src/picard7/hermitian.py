@@ -96,6 +96,8 @@ class Mat(namedtuple("Mat", "rows")):
     refuses anything else.  Products, and `apply` to a vector in K^3, run
     on the ints of the KNum triples (`_dot_k`); `apply` moves a vector with
     coordinates in K(zeta_3) or K(zeta_7) through the field's operators.
+    Elements of Gamma are GroupElts on 18 ints; a Mat serves the K
+    arithmetic of eigenspaces and characteristic polynomials, and JSON.
     """
 
     __slots__ = ()
@@ -110,10 +112,6 @@ class Mat(namedtuple("Mat", "rows")):
     def _of_k(rows) -> "Mat":
         """The matrix of a 3-tuple of 3-tuples of KNums, taken as they are."""
         return tuple.__new__(Mat, (rows,))
-
-    @staticmethod
-    def identity() -> "Mat":
-        return Mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def __repr__(self):
         return "Mat(" + ", ".join(str(list(map(str, r))) for r in self.rows) + ")"
@@ -133,9 +131,6 @@ class Mat(namedtuple("Mat", "rows")):
         if type(v1) is type(v2) is type(v3) is KNum:
             return tuple(_dot_k(*r, v1, v2, v3) for r in self.rows)
         return tuple(sum((x * y for x, y in zip(r, v)), start=ZERO) for r in self.rows)
-
-    def conj_transpose(self) -> "Mat":
-        return Mat._of_k(tuple(tuple(x.conj() for x in c) for c in zip(*self.rows)))
 
     def trace(self):
         return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
@@ -160,26 +155,97 @@ class Mat(namedtuple("Mat", "rows")):
         )
         return [-d, m2, -t, ONE]
 
-    def is_scalar(self) -> bool:
-        r = self.rows
-        off = all(r[i][j].is_zero() for i in range(3) for j in range(3) if i != j)
-        return off and (r[0][0] - r[1][1]).is_zero() and (r[0][0] - r[2][2]).is_zero()
 
-    def is_identity(self) -> bool:
-        return self.is_scalar() and self.rows[0][0].is_one()
+# ---------------------------------------------------------------------------
+# integral matrices as 18 ints
+# ---------------------------------------------------------------------------
+#
+# An integral matrix is the tuple of the 18 ints (a_ij, b_ij) of its entries
+# a_ij + b_ij tau, row by row: entry n = 3i + j sits at 2n and 2n + 1.
 
-    def is_pm_identity(self) -> bool:
-        return self.is_scalar() and (self.rows[0][0].is_one() or (-self.rows[0][0]).is_one())
+#: the 18 ints of the identity matrix
+ID_INTS = (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0)
 
 
-J = Mat([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+def _mat_ints(m: Mat):
+    """The 18 ints of an integral matrix; a non-integral entry raises ArithmeticError."""
+    out = []
+    for r in m.rows:
+        for x in r:
+            if x.d != 1:
+                raise ArithmeticError(f"matrix entry {x} is not integral")
+            out += (x.na, x.nb)
+    return tuple(out)
+
+
+def ints_product(x, y):
+    """The 18 ints of the product of two matrices given by their 18 ints.
+
+    Entry n = 3i + j is sum_k x_ik y_kj with (a + b tau)(c + e tau)
+    = (a c - 2 b e) + (a e + b c + b e) tau; q_n is the sum of its b e terms.
+    """
+    a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, a8, b8 = x
+    c0, e0, c1, e1, c2, e2, c3, e3, c4, e4, c5, e5, c6, e6, c7, e7, c8, e8 = y
+    q0 = b0 * e0 + b1 * e3 + b2 * e6
+    q1 = b0 * e1 + b1 * e4 + b2 * e7
+    q2 = b0 * e2 + b1 * e5 + b2 * e8
+    q3 = b3 * e0 + b4 * e3 + b5 * e6
+    q4 = b3 * e1 + b4 * e4 + b5 * e7
+    q5 = b3 * e2 + b4 * e5 + b5 * e8
+    q6 = b6 * e0 + b7 * e3 + b8 * e6
+    q7 = b6 * e1 + b7 * e4 + b8 * e7
+    q8 = b6 * e2 + b7 * e5 + b8 * e8
+    return (
+        a0 * c0 + a1 * c3 + a2 * c6 - 2 * q0,
+        a0 * e0 + a1 * e3 + a2 * e6 + b0 * c0 + b1 * c3 + b2 * c6 + q0,
+        a0 * c1 + a1 * c4 + a2 * c7 - 2 * q1,
+        a0 * e1 + a1 * e4 + a2 * e7 + b0 * c1 + b1 * c4 + b2 * c7 + q1,
+        a0 * c2 + a1 * c5 + a2 * c8 - 2 * q2,
+        a0 * e2 + a1 * e5 + a2 * e8 + b0 * c2 + b1 * c5 + b2 * c8 + q2,
+        a3 * c0 + a4 * c3 + a5 * c6 - 2 * q3,
+        a3 * e0 + a4 * e3 + a5 * e6 + b3 * c0 + b4 * c3 + b5 * c6 + q3,
+        a3 * c1 + a4 * c4 + a5 * c7 - 2 * q4,
+        a3 * e1 + a4 * e4 + a5 * e7 + b3 * c1 + b4 * c4 + b5 * c7 + q4,
+        a3 * c2 + a4 * c5 + a5 * c8 - 2 * q5,
+        a3 * e2 + a4 * e5 + a5 * e8 + b3 * c2 + b4 * c5 + b5 * c8 + q5,
+        a6 * c0 + a7 * c3 + a8 * c6 - 2 * q6,
+        a6 * e0 + a7 * e3 + a8 * e6 + b6 * c0 + b7 * c3 + b8 * c6 + q6,
+        a6 * c1 + a7 * c4 + a8 * c7 - 2 * q7,
+        a6 * e1 + a7 * e4 + a8 * e7 + b6 * c1 + b7 * c4 + b8 * c7 + q7,
+        a6 * c2 + a7 * c5 + a8 * c8 - 2 * q8,
+        a6 * e2 + a7 * e5 + a8 * e8 + b6 * c2 + b7 * c5 + b8 * c8 + q8,
+    )
+
+
+def ints_are_scalar(t) -> bool:
+    """Whether the matrix with 18 ints t is scalar."""
+    return t[2:8] == t[10:16] == (0,) * 6 and t[0:2] == t[8:10] == t[16:18]
+
+
+def _is_unitary_ints(t) -> bool:
+    """Whether M* J M = J for the matrix with 18 ints t.
+
+    Entry (i, j) of M* J M is <col_j, col_i> = sum_k conj(col_i[k]) col_j[2-k],
+    and conj(a + b tau)(c + e tau) = ((a + b) c + 2 b e) + (a e - b c) tau.
+    The product is Hermitian, so the entries with i <= j decide it.
+    """
+    cols = [[(t[6 * k + 2 * j], t[6 * k + 2 * j + 1]) for k in range(3)] for j in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            x = y = 0
+            for (a, b), (c, e) in zip(cols[i], reversed(cols[j])):
+                x += (a + b) * c + 2 * b * e
+                y += a * e - b * c
+            if x != int(i + j == 2) or y:
+                return False
+    return True
 
 
 def is_in_gamma(m: Mat) -> bool:
-    """Membership in U(J, O_7): M* J M = J with all entries integral."""
-    if not all(x.is_integral() for r in m.rows for x in r):
+    """Membership in U(J, O_7): all entries integral, then M* J M = J on their ints."""
+    if not all(x.d == 1 for r in m.rows for x in r):
         return False
-    return (m.conj_transpose() * J * m) == J
+    return _is_unitary_ints(_mat_ints(m))
 
 
 def _kernel_basis(rows):
@@ -271,8 +337,34 @@ class ProjPoint(namedtuple("ProjPoint", "coords rational")):
     def is_null(self) -> bool:
         return self.sq_norm_sign() == 0
 
-    def apply(self, m: Mat) -> "ProjPoint":
-        return ProjPoint(m.apply(self.coords))
+    def apply(self, g: "GroupElt") -> "ProjPoint":
+        """g(self).  g and g^-1 are integral, so g maps a primitive vector of
+        O_7^3 to a primitive vector: a rational point's image is the int
+        product with its sign normalized, and needs no gcd."""
+        if not self.rational:
+            return ProjPoint(g.mat.apply(self.coords))
+        v1, v2, v3 = self.coords
+        if v1.d != 1 or v2.d != 1 or v3.d != 1:
+            raise ArithmeticError("a rational point's coordinates are not integral")
+        a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, a8, b8 = g.ints
+        p0, r0, p1, r1, p2, r2 = v1.na, v1.nb, v2.na, v2.nb, v3.na, v3.nb
+        q0 = b0 * r0 + b1 * r1 + b2 * r2
+        q1 = b3 * r0 + b4 * r1 + b5 * r2
+        q2 = b6 * r0 + b7 * r1 + b8 * r2
+        w = (
+            a0 * p0 + a1 * p1 + a2 * p2 - 2 * q0,
+            a0 * r0 + a1 * r1 + a2 * r2 + b0 * p0 + b1 * p1 + b2 * p2 + q0,
+            a3 * p0 + a4 * p1 + a5 * p2 - 2 * q1,
+            a3 * r0 + a4 * r1 + a5 * r2 + b3 * p0 + b4 * p1 + b5 * p2 + q1,
+            a6 * p0 + a7 * p1 + a8 * p2 - 2 * q2,
+            a6 * r0 + a7 * r1 + a8 * r2 + b6 * p0 + b7 * p1 + b8 * p2 + q2,
+        )
+        # the first nonzero int is the a, or the b when a = 0, of the first
+        # nonzero entry: the sign rule of primitive_rep
+        if w < (0,) * 6:
+            w = tuple(-x for x in w)
+        coords = (knum_from_ints(w[0], w[1]), knum_from_ints(w[2], w[3]), knum_from_ints(w[4], w[5]))
+        return tuple.__new__(ProjPoint, (coords, True))
 
 
 def depth(p: ProjPoint) -> int:
@@ -374,36 +466,50 @@ def realizable_depths(max_depth: int):
 class GroupElt:
     """An element of PU(J, O_7): an integral matrix in U(J), sign-canonicalized.
 
-    Of the pair {M, -M} we keep the one whose first nonzero entry (row-major)
-    is positive in the lexicographic (a, b) ring order.  Equality and hashing
-    act on the canonical representative, implementing projectivization.
+    The matrix is kept as its 18 ints (see _mat_ints).  Of the pair {M, -M}
+    we keep the one whose first nonzero entry (row-major) is positive in the
+    lexicographic (a, b) ring order, which is the one whose first nonzero
+    int is positive.  Equality and hashing act on the canonical ints,
+    implementing projectivization; products, inverses and the action on
+    rational points run on the ints.  `mat` is a Mat view for K arithmetic,
+    built on each read.
     """
 
-    __slots__ = ("mat", "word")
+    __slots__ = ("ints", "word")
 
     def __init__(self, mat: Mat, word=None, check=True):
-        if check and not is_in_gamma(mat):
+        t = _mat_ints(mat)
+        if check and not _is_unitary_ints(t):
             raise ValueError("matrix is not in U(J, O_7)")
-        first = next(x for r in mat.rows for x in r if not x.is_zero())
-        if not first.is_sign_positive():
-            mat = -mat
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "word", word)
+        _init_elt(self, t, word)
+
+    @staticmethod
+    def from_ints(t, word=None) -> "GroupElt":
+        """The element with the 18 ints t (or -t), for t known to lie in U(J, O_7)."""
+        g = _new_elt(GroupElt)
+        _init_elt(g, t, word)
+        return g
 
     def __setattr__(self, *args):
         raise AttributeError("GroupElt is immutable")
 
     @staticmethod
     def identity() -> "GroupElt":
-        return GroupElt(Mat.identity(), word=(), check=False)
+        return GroupElt.from_ints(ID_INTS, ())
+
+    @property
+    def mat(self) -> Mat:
+        t = self.ints
+        e = tuple(map(knum_from_ints, t[0::2], t[1::2]))
+        return Mat._of_k((e[0:3], e[3:6], e[6:9]))
 
     def __eq__(self, other):
         if not isinstance(other, GroupElt):
             return NotImplemented
-        return self.mat == other.mat
+        return self.ints == other.ints
 
     def __hash__(self):
-        return hash(self.mat)
+        return hash(self.ints)
 
     def __repr__(self):
         w = f", word={self.word!r}" if self.word else ""
@@ -415,19 +521,24 @@ class GroupElt:
         word = None
         if self.word is not None and other.word is not None:
             word = tuple(self.word) + tuple(other.word)
-        return GroupElt(self.mat * other.mat, word=word, check=False)
+        return GroupElt.from_ints(ints_product(self.ints, other.ints), word)
 
     def inverse(self) -> "GroupElt":
         """The inverse J M* J: M lies in U(J), so M* J M = J and J^-1 = J.
 
-        Its (i, j) entry is conj(M[2-j][2-i]): no determinant, no division.
+        Its entry (i, j) is conj(M[2-j][2-i]), entry 8 - n for n = 3i + j,
+        with conj(a + b tau) = (a + b) - b tau: no determinant, no division.
         """
         word = None
         if self.word is not None:
             word = tuple(_invert_letter(x) for x in reversed(self.word))
-        r = self.mat.rows
-        mat = Mat._of_k(tuple(tuple(r[2 - j][2 - i].conj() for j in range(3)) for i in range(3)))
-        return GroupElt(mat, word=word, check=False)
+        a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, a8, b8 = self.ints
+        return GroupElt.from_ints(
+            (a8 + b8, -b8, a5 + b5, -b5, a2 + b2, -b2,
+             a7 + b7, -b7, a4 + b4, -b4, a1 + b1, -b1,
+             a6 + b6, -b6, a3 + b3, -b3, a0 + b0, -b0),
+            word,
+        )
 
     def __pow__(self, n: int):
         if n < 0:
@@ -442,13 +553,27 @@ class GroupElt:
         return out
 
     def first_column(self):
-        return tuple(self.mat.rows[i][0] for i in range(3))
+        t = self.ints
+        return knum_from_ints(t[0], t[1]), knum_from_ints(t[6], t[7]), knum_from_ints(t[12], t[13])
 
     def is_identity(self) -> bool:
-        return self.mat.is_pm_identity()
+        return self.ints == ID_INTS
 
     def apply(self, v):
         return self.mat.apply(v)
+
+
+# GroupElt.__setattr__ refuses every write, so new elements get their two
+# fields through the slot descriptors, bound once here
+_new_elt = object.__new__
+_set_ints = GroupElt.ints.__set__
+_set_word = GroupElt.word.__set__
+
+
+def _init_elt(g: GroupElt, t, word):
+    # t < 0 in tuple order exactly when its first nonzero int is negative
+    _set_ints(g, tuple(-x for x in t) if t < (0,) * 18 else t)
+    _set_word(g, word)
 
 
 def _invert_letter(x):

@@ -74,7 +74,7 @@ class MirrorContext:
 
 def preserves_mirror(g: GroupElt, ctx) -> bool:
     """True iff the polar vector is an eigenvector of g (so g maps L to L)."""
-    return ctx.polar.apply(g.mat) == ctx.polar
+    return ctx.polar.apply(g) == ctx.polar
 
 
 def restriction(g: GroupElt, ctx):
@@ -155,7 +155,7 @@ def verify_mirror_R() -> dict:
             "T1": preserves_mirror(T1.to_matrix(), ctx),
         },
         "mti_order": projective_order(mti),
-        "mti_cube_is_half_turn": (mti ** 3) == GroupElt(rho.mat, check=False),
+        "mti_cube_is_half_turn": (mti ** 3) == rho,
         "relators": {
             "iota^2": (iota ** 2).is_identity(),
             "mu^2": (mu ** 2).is_identity(),
@@ -169,7 +169,7 @@ def verify_mirror_R() -> dict:
     orbits = {}
     # common fixed point of iota and rho: perp of both polars
     p1 = ProjPoint((KNum(1), KNum(0), KNum(-1)))
-    ok1 = p1.apply(iota.mat) == p1 and p1.apply(rho.mat) == p1
+    ok1 = p1.apply(iota) == p1 and p1.apply(rho) == p1
     one, two = _point_stabilizer_lines(p1)
     orbits["common_point_of_iota_rho"] = {
         "fixed_by_both": ok1,
@@ -290,7 +290,7 @@ def cusp_orbit_search(target: ProjPoint, alphabet, max_len: int = 5):
     """A word over the alphabet mapping the cusp point q_inf to the target, or None."""
     start = ProjPoint((KNum(1), KNum(0), KNum(0)))
     tree = {}
-    for q, p, g in orbit_walk([start], alphabet, lambda p, g: p.apply(g.mat), max_len):
+    for q, p, g in orbit_walk([start], alphabet, ProjPoint.apply, max_len):
         tree[q] = (p, g)
         if q == target:
             return walk_element(tree, q)
@@ -341,7 +341,7 @@ def verify_mirror_L() -> dict:
     ]
     fixed = ProjPoint(S2_FIXED)
     report["s2_parabolic"] = {
-        "fixes_point": fixed.apply(S2_MAT) == fixed,
+        "fixes_point": fixed.apply(s2) == fixed,
         "point_is_null": sq_norm(S2_FIXED).is_zero(),
         "infinite_projective_order": projective_order(s2) is None,
     }

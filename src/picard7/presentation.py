@@ -198,7 +198,7 @@ def verify_table_rows() -> dict:
         if row["fixed"] is not None:
             v = row["fixed"]
             p = ProjPoint(v)
-            rec["fixed_ok"] = p.apply(g.mat) == p
+            rec["fixed_ok"] = p.apply(g) == p
             rec["norm_ok"] = sq_norm(v) == KNum(row["norm"])
         else:
             # the fixed point should not have coordinates in the base field

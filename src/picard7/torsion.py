@@ -23,25 +23,25 @@ from .ring import (
     zeta7_tower,
 )
 from .hermitian import (
+    ID_INTS,
     GroupElt,
     Mat,
     ProjPoint,
     eigenspace_basis,
     herm_inner,
     horo_coords,
-    lift,
+    ints_are_scalar,
+    ints_product,
     primitive_rep,
     sq_norm,
     word_str,
 )
 from .heisenberg import (
-    CuspElt,
-    Prism,
     R,
     T1,
     TTAU,
     cusp_torsion_classes,
-    enumerate_cusp_overlaps,
+    overlaps_keeping,
     reduce_to_prism,
 )
 from .ford import (
@@ -68,13 +68,9 @@ def projective_order(g: GroupElt):
     return None
 
 
-def _mat_key(m: Mat):
-    # the entries of a matrix in Gamma are integral, so (na, nb) orders them as (a, b)
-    return tuple((x.na, x.nb) for row in m.rows for x in row)
-
-
 def _elt_key(g: GroupElt):
-    return _mat_key(g.mat)
+    # the ints (a_ij, b_ij) order the entries as (a, b), row by row
+    return g.ints
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +265,7 @@ def _orbit_ball(start: ProjPoint, depth: int):
 
     Built once per (start, depth): callers only read it, and the torsion
     enumeration and the coverage report search from the same polars."""
-    walk = orbit_walk([start], _search_alphabet(), lambda p, g: p.apply(g.mat), depth)
+    walk = orbit_walk([start], _search_alphabet(), ProjPoint.apply, depth)
     return {q: (p, g) for q, p, g in walk}
 
 
@@ -328,10 +324,10 @@ class CycleGraph:
 
 
 def _shift_into_prism(p: ProjPoint):
-    """Cusp element c and c(p) with prism-reduced boundary coordinates."""
-    h = horo_coords(p.coords)
-    c, hr = reduce_to_prism(h)
-    return c, ProjPoint(lift(hr))
+    """The matrix of the cusp element c that reduces p's boundary coordinates
+    into the prism, and c(p)."""
+    c = reduce_to_prism(horo_coords(p.coords))[0].to_matrix()
+    return c, p.apply(c)
 
 
 def build_cycle_graph(points) -> CycleGraph:
@@ -345,8 +341,6 @@ def build_cycle_graph(points) -> CycleGraph:
     graph = CycleGraph()
     for p in points:
         graph.add_vertex(p)
-    overlaps = [c for c in enumerate_cusp_overlaps() if c != CuspElt()]
-    overlap_mats = {}  # CuspElt -> its GroupElt, built at the first vertex it keeps in P
     seen_edges = set()
     i = 0
     while i < len(graph.vertices):
@@ -356,19 +350,15 @@ def build_cycle_graph(points) -> CycleGraph:
             if flag != "boundary":
                 raise ArithmeticError("graph vertices must lie in Omega")
             g = (alpha.to_matrix() * GENERATORS[j]).inverse()
-            c, q = _shift_into_prism(p.apply(g.mat))
-            moves.append((c.to_matrix() * g, q))
-        h = horo_coords(p.coords)
-        for c in overlaps:
-            hq = c.act_horo(h)
-            if Prism.contains(hq.z, hq.ti):
-                if c not in overlap_mats:
-                    overlap_mats[c] = c.to_matrix()
-                moves.append((overlap_mats[c], ProjPoint(lift(hq))))
+            c, q = _shift_into_prism(p.apply(g))
+            moves.append((c * g, q))
+        for c in overlaps_keeping(horo_coords(p.coords)):
+            g = c.to_matrix()
+            moves.append((g, p.apply(g)))
         for g, q in moves:
             k = graph.add_vertex(q)
-            if (i, k, g.mat) not in seen_edges:
-                seen_edges.add((i, k, g.mat))
+            if (i, k, g) not in seen_edges:
+                seen_edges.add((i, k, g))
                 graph.edges.append(Edge(i, k, g))
         i += 1
     return graph
@@ -386,13 +376,14 @@ class FiniteGroup:
 
     def __init__(self, gens, cap: int = DEFAULT_CLOSURE_CAP):
         # the linear group is the preimage in U(J, O_7) of the projective
-        # stabilizer: the walk starts from both signs, so it is closed under sign
-        mats = sorted({g.mat for g in gens}, key=_mat_key)
-        walk = orbit_walk((Mat.identity(), -Mat.identity()), mats, Mat.__mul__, cap=cap)
-        self.matrices = frozenset(a for a, _, _ in walk)
-        self.linear_order = len(self.matrices)
-        self.scalar_order = sum(1 for m in self.matrices if m.is_scalar())
-        self.elements = frozenset(GroupElt(m, check=False) for m in self.matrices)
+        # stabilizer: the walk, on the 18 ints of the matrices, starts from
+        # both signs, so it is closed under sign
+        start = (ID_INTS, tuple(-x for x in ID_INTS))
+        walk = orbit_walk(start, sorted({g.ints for g in gens}), ints_product, cap=cap)
+        matrices = frozenset(a for a, _, _ in walk)
+        self.linear_order = len(matrices)
+        self.scalar_order = sum(1 for t in matrices if ints_are_scalar(t))
+        self.elements = frozenset(map(GroupElt.from_ints, matrices))
         self.projective_order = len(self.elements)
         if self.linear_order != self.projective_order * self.scalar_order:
             raise ArithmeticError("scalar matrices do not split the closure evenly")
@@ -421,7 +412,7 @@ class FiniteGroup:
             if p not in remaining:
                 continue
             # the elements form a group, so the orbit is one sweep over them
-            orbit = {p.apply(g.mat) for g in self.elements}
+            orbit = {p.apply(g) for g in self.elements}
             if not orbit <= remaining:
                 raise ArithmeticError("reflection polars are not closed under the group")
             sizes.append(len(orbit))

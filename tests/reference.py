@@ -11,8 +11,23 @@ from math import isqrt, lcm
 
 from picard7.ford import _SQRT_DEN, SPHERES
 from picard7.heisenberg import CuspElt, Prism
-from picard7.hermitian import HoroPoint, ProjPoint, herm_inner
+from picard7.hermitian import HoroPoint, Mat, ProjPoint, herm_inner
 from picard7.ring import ISQRT7, TAU, KNum, _divmod_ints, knum_from_ints
+
+
+def translation_matrix(w, ti) -> Mat:
+    """The Heisenberg translation T(w, t) as a matrix (ti = i*t), for w, ti in K."""
+    return Mat([[1, -w.conj(), (-(w.abs2()) + ti) / 2], [0, 1, w], [0, 0, 1]])
+
+
+#: the half-turn z -> -z
+R_MAT = Mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+
+
+def cusp_matrix(c) -> Mat:
+    """The matrix T(w, t0) R^eps of a cusp element, as a product over K."""
+    m = translation_matrix(c.w, ISQRT7 * c.s0)
+    return m * R_MAT if c.eps else m
 
 
 def real_cmp(x, y) -> int:

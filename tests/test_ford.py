@@ -452,7 +452,7 @@ def test_sweep_kernels_match_generic_path(field):
         w = GroupElt.identity()
         for _ in range(rng.randint(1, 3)):
             w = rng.choice(letters) * w
-        points.append(y0.apply(w.mat))
+        points.append(y0.apply(w))
     for x in points:
         vs, own, (_, _, sweep) = _sweep_vector(x.coords)
         got = [(j, alpha, sign) for sign, _, j, alpha in sweep(vs, own)]

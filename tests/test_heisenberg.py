@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from picard7.ring import AlgNum, ISQRT7, KNum, TAU, zeta3_tower, zeta7_tower
-from picard7.hermitian import HoroPoint, Mat, horo_coords, is_in_gamma, lift
+from picard7.hermitian import GroupElt, HoroPoint, Mat, horo_coords, is_in_gamma, lift
 from picard7.heisenberg import (
     CuspElt,
     IDENTITY,
@@ -19,15 +19,16 @@ from picard7.heisenberg import (
     reduce_to_prism,
     s_coordinate,
     tau_coordinates,
-    translation_matrix,
 )
 from reference import (
     _cross_coeffs,
     _overlap_constraints,
+    cusp_matrix,
     fixes_q_inf,
     from_zsu,
     overlap_witness,
     polygon_vertices,
+    translation_matrix,
 )
 
 
@@ -55,6 +56,20 @@ def test_generator_matrices():
     assert T1.to_matrix().mat == translation_matrix(KNum(1), ISQRT7)
     assert TTAU.to_matrix().mat == translation_matrix(TAU, KNum(0))
     assert TV.to_matrix().mat == translation_matrix(KNum(0), 2 * ISQRT7)
+
+
+def test_to_matrix_matches_the_matrix_product():
+    # the closed form against T(w, t0) R^eps multiplied out over K, on every
+    # cusp overlap and on the box |m|, |n|, |l| <= 3
+    overlaps = enumerate_cusp_overlaps()
+    assert len(overlaps) == 34
+    box = [CuspElt(m, n, eps, l)
+           for m in range(-3, 4) for n in range(-3, 4) for eps in (0, 1) for l in range(-3, 4)]
+    for c in list(overlaps) + box:
+        g = c.to_matrix()
+        assert g.mat == cusp_matrix(c) and g.word == c.word()
+        # the constructor's check: the matrix lies in U(J, O_7)
+        assert GroupElt(cusp_matrix(c)) == g
 
 
 def test_vertical_is_commutator():

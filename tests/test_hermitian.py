@@ -6,7 +6,6 @@ import pytest
 from picard7.ring import AlgNum, ISQRT7, KNum, TAU, TAU_BAR, ZERO, zeta3_tower
 from picard7.hermitian import (
     GroupElt,
-    J,
     Mat,
     ProjPoint,
     depth,
@@ -22,6 +21,7 @@ from picard7.hermitian import (
 )
 from reference import from_zsu
 
+ID = Mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 A1 = Mat([[0, 0, 1], [0, -1, 0], [1, 0, 0]])
 A2 = Mat(
     [
@@ -50,6 +50,8 @@ def test_gamma_membership():
     for m in (A1, A2, A6, A9):
         assert is_in_gamma(m)
     assert not is_in_gamma(Mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+    # M* J M differs from J in one entry, tau, whose 1-coordinate is 0
+    assert not is_in_gamma(Mat([[1, 0, -1], [0, 1, TAU], [0, 0, 1]]))
     # non-integral entries fail even if unitary
     assert not is_in_gamma(Mat([[KNum(Fraction(1, 2)), 0, 0], [0, 1, 0], [0, 0, 2]]))
 
@@ -63,7 +65,7 @@ def test_inner_product_invariance():
 
 
 def test_matrix_algebra():
-    assert (A1 * A1) == Mat.identity()
+    assert (A1 * A1) == ID
     c0, c1, c2, c3 = A1.charpoly()
     # A1 has eigenvalues 1, -1, -1: (x-1)(x+1)^2 = x^3 + x^2 - x - 1
     assert (c0, c1, c2, c3) == (KNum(-1), KNum(-1), KNum(1), KNum(1))
@@ -134,10 +136,75 @@ def test_group_inverse_is_j_conj_transpose_j():
     for g in letters + words:
         inv = g.inverse()
         # the inverse is unique, and GroupElt keeps one of +/- it
-        assert g.mat * inv.mat in (Mat.identity(), -Mat.identity())
-        assert (g * inv).mat == Mat.identity() and (inv * g).mat == Mat.identity()
+        assert g.mat * inv.mat in (ID, -ID)
+        assert (g * inv).mat == ID and (inv * g).mat == ID
         assert is_in_gamma(inv.mat)
         assert inv.word == tuple((name, -e) for name, e in reversed(g.word))
+
+
+def _random_words(seed, count):
+    """(g, m) for seeded random words in A_1..A_14 and the cusp letters: g
+    the GroupElt product, m the product of the letters' matrices over K.
+    Every other word is followed by its inverse, letter by letter, so it
+    multiplies out to +/- the identity."""
+    from picard7.ford import GENERATORS
+    from picard7.heisenberg import R, T1, TTAU, TV
+
+    cusp = [c.to_matrix() for c in (T1, TTAU, TV, R)]
+    letters = list(GENERATORS.values()) + cusp + [c.inverse() for c in cusp]
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        word = [rng.choice(letters) for _ in range(rng.randint(1, 6))]
+        if k % 2:
+            word += [x.inverse() for x in reversed(word)]
+        g, m = GroupElt.identity(), ID
+        for x in word:
+            g, m = g * x, m * x.mat
+        out.append((g, m))
+    return out
+
+
+def _leads_positive(m: Mat) -> bool:
+    return next(x for r in m.rows for x in r if not x.is_zero()).is_sign_positive()
+
+
+def test_int_products_match_mat_products():
+    # the product, inverse, sign rule and identity test on the 18 ints,
+    # against products of the letters' matrices over K
+    identities = 0
+    for g, m in _random_words(21, 200):
+        assert g.mat in (m, -m) and _leads_positive(g.mat)
+        assert GroupElt(m) == g and hash(GroupElt(m)) == hash(g)
+        inv = g.inverse()
+        assert inv.mat * m in (ID, -ID) and _leads_positive(inv.mat)
+        assert g.is_identity() == (m in (ID, -ID))
+        identities += g.is_identity()
+    assert 100 <= identities < 200
+
+
+def test_int_action_matches_mat_action():
+    # a rational point's image is the int product with its sign normalized
+    rng = random.Random(22)
+    words = _random_words(21, 200)
+    for g, m in words:
+        v = rand_vec(rng)
+        if all(x.is_zero() for x in v):
+            continue
+        p = ProjPoint(v)
+        assert p.apply(g) == ProjPoint(m.apply(p.coords))
+    # a point with tower coordinates takes the Mat path
+    z = AlgNum.gen(zeta3_tower())
+    t = ProjPoint((z, KNum(1), TAU))
+    for g, m in words[:10]:
+        assert t.apply(g) == ProjPoint(m.apply(t.coords))
+
+
+def test_group_elt_refuses_non_integral_matrices():
+    half = Mat([[KNum(Fraction(1, 2)), 0, 0], [0, 1, 0], [0, 0, 2]])
+    for check in (True, False):
+        with pytest.raises(ArithmeticError, match="not integral"):
+            GroupElt(half, check=check)
 
 
 def test_rank_and_kernel():

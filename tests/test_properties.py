@@ -106,12 +106,12 @@ def _reduce_round_trips():
         w = GroupElt.identity()
         for _ in range(rng.randint(1, 3)):
             w = rng.choice(alphabet) * w
-        x = x0.apply(w.mat)
+        x = x0.apply(w)
         g, y = reduce_to_domain(x)
         # the reducing element maps the input to the output exactly, the
         # output lies in Omega, and a generic interior point has a unique
         # Omega-representative in its orbit
-        assert x.apply(g.mat) == y
+        assert x.apply(g) == y
         assert in_omega(y)
         assert y == y0
 

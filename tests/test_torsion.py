@@ -1,8 +1,18 @@
 import pytest
 
 from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR
-from picard7.hermitian import GroupElt, Mat, ProjPoint, sq_norm
-from picard7.heisenberg import CuspElt, R, T1, TTAU, TV
+from picard7.hermitian import GroupElt, Mat, ProjPoint, horo_coords, sq_norm
+from picard7.heisenberg import (
+    IDENTITY,
+    CuspElt,
+    Prism,
+    R,
+    T1,
+    TTAU,
+    TV,
+    enumerate_cusp_overlaps,
+    overlaps_keeping,
+)
 from picard7.ford import GENERATORS, INVERSE_PAIRS, enumerate_tjk
 from picard7.torsion import (
     ClosureError,
@@ -87,7 +97,7 @@ def test_classify_isolated_rational():
     kind, pt, norm = classify_elliptic(g4, 4)
     assert (kind, pt, norm) == ("isolated", ProjPoint((KNum(-1), KNum(-1), KNum(1))), -1)
     # the stored point is fixed exactly
-    assert pt.apply(g4.mat) == pt
+    assert pt.apply(g4) == pt
 
 
 def test_classify_isolated_algebraic():
@@ -149,7 +159,7 @@ def _reference_ball(start, depth):
         new = []
         for p in frontier:
             for g in _search_alphabet():
-                q = p.apply(g.mat)
+                q = p.apply(g)
                 if q not in seen:
                     seen[q] = g * seen[p]
                     new.append(q)
@@ -164,7 +174,7 @@ def test_orbit_ball_rebuilds_the_stored_products():
     for q, g in ref.items():
         w = walk_element(ball, q)
         assert w.mat == g.mat and w.word == g.word
-        assert q.apply(w.inverse().mat) == start
+        assert q.apply(w.inverse()) == start
 
 
 def test_reflection_conjugacy_known_pairs():
@@ -302,11 +312,35 @@ def test_isolated_class_invariants():
     assert c4.two_line_orbits == [2, 2]
 
 
+def test_int_overlap_test_matches_the_cusp_action():
+    # on every vertex of the cycle graphs of the five K-rational isolated
+    # fixed points, against act_horo and Prism.contains; the kept overlaps
+    # tie on every facet of the prism, so each bound is tested at equality
+    fixed = list(dict.fromkeys(
+        c.fixed for c in enumerate_torsion() if c.kind == "isolated" and c.fixed.rational
+    ))
+    assert len(fixed) == 5
+    ties = set()
+    for f in fixed:
+        for v in build_cycle_graph([f]).vertices:
+            assert v.rational
+            h = horo_coords(v.coords)
+            want = []
+            for c in enumerate_cusp_overlaps():
+                hq = c.act_horo(h)
+                inside, facets = Prism.membership(hq.z, hq.ti)
+                if c != IDENTITY and inside != "outside":
+                    want.append(c)
+                    ties.update(facets)
+            assert overlaps_keeping(h) == want
+    assert ties == set(Prism.FACETS)
+
+
 def test_isolated_reps_fix_their_points():
     for c in _classes_by("isolated"):
         assert projective_order(c.rep) == c.proj_order
         if c.fixed.rational:
-            assert c.fixed.apply(c.rep.mat) == c.fixed
+            assert c.fixed.apply(c.rep) == c.fixed
         else:
             assert ProjPoint(c.rep.mat.apply(c.fixed.coords)) == c.fixed
 
