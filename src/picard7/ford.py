@@ -25,7 +25,6 @@ from .ring import (
     eta_sign,
     sqrt21_sign,
     zeta7_autocorr,
-    zeta7_ints,
 )
 from .hermitian import (
     GroupElt,
@@ -366,6 +365,12 @@ def _int_pair(c: KNum):
     return c.na, c.nb
 
 
+def _alg_ints(c: AlgNum):
+    if c.den != 1:
+        raise ArithmeticError("a Ford sweep coordinate is not integral")
+    return c.ints
+
+
 def _forms(v):
     """Two 6-tuples X, Y of ints with <v, col> = X.col + (Y.col) tau for v in O_7^3.
 
@@ -413,8 +418,7 @@ def _zeta3_quantity(x0, y0, x1, y1):
 
 
 def _zeta3_quantity_of(x: AlgNum):
-    c0, c1 = x.coeffs
-    return _zeta3_quantity(*_int_pair(c0), *_int_pair(c1))
+    return _zeta3_quantity(*_alg_ints(x))
 
 
 def _zeta3_cmp(p, q) -> int:
@@ -424,8 +428,9 @@ def _zeta3_cmp(p, q) -> int:
 def _zeta3_sweep(v, own):
     """v = v0 + v1 zeta_3 with v0, v1 in O_7^3: <v, col> = X0 + X1 zeta_3,
     and the quantity is the int pair (m, n) of 2|X0 + X1 zeta_3|^2."""
-    (x1, x2, x3, x4, x5, x6), (y1, y2, y3, y4, y5, y6) = _forms([_int_pair(c.coeffs[0]) for c in v])
-    (z1, z2, z3, z4, z5, z6), (w1, w2, w3, w4, w5, w6) = _forms([_int_pair(c.coeffs[1]) for c in v])
+    ints = [_alg_ints(c) for c in v]
+    (x1, x2, x3, x4, x5, x6), (y1, y2, y3, y4, y5, y6) = _forms([f[:2] for f in ints])
+    (z1, z2, z3, z4, z5, z6), (w1, w2, w3, w4, w5, w6) = _forms([f[2:] for f in ints])
     m0, n0 = own
     for j in sorted(GENERATORS):
         for alpha, (a1, b1, a2, b2, a3, b3) in candidate_spheres(j):
@@ -440,15 +445,8 @@ def _zeta3_sweep(v, own):
                 yield sign, (m, n), j, alpha
 
 
-def _zeta7_coords(x: AlgNum):
-    f, den = zeta7_ints(x)
-    if den != 1:
-        raise ArithmeticError("a Ford sweep coordinate is not integral")
-    return f
-
-
 def _zeta7_quantity_of(x: AlgNum):
-    return zeta7_autocorr(_zeta7_coords(x))
+    return zeta7_autocorr((0,) + _alg_ints(x))
 
 
 def _zeta7_cmp(p, q) -> int:
@@ -459,15 +457,17 @@ def _zeta7_cmp(p, q) -> int:
 
 
 def _zeta7_sweep(v, own):
-    """v in O_K(zeta_7)^3, each coordinate seven ints F: the quantity is the
-    autocorrelation (h_0, .., h_3) of <v, col>, |x|^2 = sum_m h_m zeta_7^m."""
+    """v in O_K(zeta_7)^3, each coordinate its ints F_1 .. F_6 and F_0 = 0: the
+    quantity is the autocorrelation (h_0, .., h_3) of <v, col>, |x|^2 =
+    sum_m h_m zeta_7^m."""
     # conj(a + b tau) F = a F + b G with G = conj(tau) F, and conj(tau) =
     # 1 + zeta^3 + zeta^5 + zeta^6; one row of ints (F_m, G_m of v3, v2,
     # v1) per power of zeta, as col_k pairs with v_(4-k)
+    coords = [(0,) + _alg_ints(c) for c in reversed(v)]
     rows = []
     for m in range(7):
         row = []
-        for f in map(_zeta7_coords, reversed(v)):
+        for f in coords:
             row += (f[m], f[m] + f[m - 3] + f[m - 5] + f[m - 6])
         rows.append(row)
     o0, o1, o2, o3 = own
@@ -494,9 +494,9 @@ def _sweep_vector(v):
 
     Each test of a sweep compares N(<v, col>) with N(v3), and both are
     homogeneous of degree 2 in v.  So v is scaled once by the positive int
-    lcm of the denominators of its K-coefficients: that changes no sign,
-    order or tie, and every quantity of the sweep is an int form of the
-    kernel of v's field.  own is the quantity of the scaled v3.
+    lcm of the denominators of its coordinates: that changes no sign, order
+    or tie, and every quantity of the sweep is an int form of the kernel of
+    v's field.  own is the quantity of the scaled v3.
     """
     n = 1
     for c in v:
@@ -508,7 +508,7 @@ def _sweep_vector(v):
         den = lcm(*(c.d for c in v))
     else:
         v = [c if isinstance(c, AlgNum) else AlgNum.lift(tower, c) for c in v]
-        den = lcm(*(k.d for c in v for k in c.coeffs))
+        den = lcm(*(c.den for c in v))
     if den != 1:
         v = [c * den for c in v]
     kernel = _KERNELS[n]

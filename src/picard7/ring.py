@@ -13,23 +13,23 @@ Fractions appear only at the edges: the constructor accepts them, `.a`,
 
 The eigenvalues of elliptic group elements and the coordinates of their
 fixed points lie in K, K(zeta_3) or K(zeta_7), zeta_n = exp(2*pi*i/n).
-An element of one of the two extension fields is an AlgNum: its K-coefficients
-in the power basis 1, zeta_n, ..., zeta_n^(d-1), d the degree of the
-minimal polynomial of zeta_n over K.  The two fields are two concrete
-classes, each with its own arithmetic on ints, and AlgNum hands every
-product, conjugate, |x|^2, inverse, sign and floor to its field:
+An element of one of these two fields is an AlgNum: ints over one
+denominator D > 0, in a normal form where equality is tuple equality.
+The two fields are two concrete classes that say what the ints are and
+give their products, automorphisms, signs and floors on ints; everything
+else is one int-vector code path for both:
 
-- K(zeta_3) = Q(sqrt(-7), sqrt(-3)) is biquadratic (Zeta3Tower).  Its
-  products, conjugates and inverses are closed formulas in the two
-  K-coefficients, and its real elements lie in Q(sqrt(21)), so their signs
-  and floors are decided exactly on the KNum ints.
-- K(zeta_7) = Q(zeta_7) (Zeta7Tower) computes on the seven int
-  coordinates of an element over Q in zeta_7^k, k mod 7: a product is a
-  cyclic convolution, conj and the other automorphisms permute the
-  coordinates.  Its real subfield is the cubic field Q(eta_1), eta_k =
-  zeta_7^k + zeta_7^-k, and a real element is an int combination of
-  eta_1, eta_2, eta_3 over one denominator, so its sign and floor are
-  decided on ints against a dyadic bracket of eta_1.
+- K(zeta_3) = Q(sqrt(-7), sqrt(-3)) is biquadratic (Zeta3Tower): x =
+  ((a0 + b0 tau) + (a1 + b1 tau) zeta_3)/D.  Its real elements lie in
+  Q(sqrt(21)), so their signs and floors are decided exactly on the ints.
+- K(zeta_7) = Q(zeta_7) (Zeta7Tower): x = sum f_k zeta_7^k / D, k = 1 .. 6.
+  A product is a cyclic convolution, and the automorphisms permute the
+  f_k.  A real element is an int combination of eta_k = zeta_7^k +
+  zeta_7^-k over D, so its sign and floor are decided on ints against a
+  dyadic bracket of eta_1.
+
+K-coefficients in the power basis 1, zeta_n, ..., zeta_n^(d-1) over K are
+an edge form, for construction, printing and `k_part`.
 
 No field uses floating point or interval libraries: every sign is exact.
 """
@@ -39,9 +39,8 @@ from __future__ import annotations
 import math
 import re as _re
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import gcd, isqrt, lcm
-from operator import mul
 
 
 class KNum:
@@ -461,26 +460,22 @@ def sqrt21_sign(m: int, n: int) -> int:
 
 
 class Zeta3Tower:
-    """K(zeta_3) = Q(sqrt(-7), sqrt(-3)), with closed-form arithmetic on the KNum ints.
+    """K(zeta_3) = Q(sqrt(-7), sqrt(-3)), with its arithmetic, signs and floors on four ints.
 
-    An element is c0 + c1*zeta, zeta = zeta_3, with K-coefficients c0, c1:
-    zeta has the minimal polynomial x^2 + x + 1 over K (`minpoly`, low
-    degree first).  zeta^2 = -1 - zeta and conj(zeta) = zeta^2, so for
-    x = c0 + c1*zeta and y = e0 + e1*zeta:
+    x = C0 + C1 zeta, zeta = zeta_3, with K-coefficients C_j = (a_j + b_j
+    tau)/D over one denominator, is the four ints f = (a0, b0, a1, b1)
+    over D.  zeta has the minimal polynomial x^2 + x + 1 over K (`minpoly`,
+    low degree first), zeta^2 = -1 - zeta and conj(zeta) = zeta^2, so for
+    integral X = C0 + C1 zeta and Y = E0 + E1 zeta:
 
-    - x*y = (c0 e0 - c1 e1) + (c0 e1 + c1 e0 - c1 e1) zeta;
-    - conj(x) = (conj(c0) - conj(c1)) - conj(c1) zeta;
-    - the Galois conjugate of x (zeta -> zeta^2) is (c0 - c1) - c1 zeta, and
-      x times it is the norm c0^2 - c0 c1 + c1^2, in K;
-    - |x|^2 = N(c0) + N(c1) - conj(w) + (w - conj(w)) zeta, w = conj(c0) c1.
+    - X*Y = (C0 E0 - C1 E1) + (C0 E1 + C1 E0 - C1 E1) zeta;
+    - conj(X) = (conj(C0) - conj(C1)) - conj(C1) zeta;
+    - the Galois conjugate of X over K (zeta -> zeta^2) is (C0 - C1) - C1 zeta.
 
-    The field is biquadratic, and its real elements form Q(sqrt(21)).  With
-    c_k = (a_k + b_k tau)/d_k, Re(x) = Re(c0) - Re(c1)/2 - sqrt(3)/2 Im(c1)
-    and Im(x) = Im(c0) - Im(c1)/2 + sqrt(3)/2 Re(c1), a rational multiple of
-    sqrt(7) plus one of sqrt(3).  So x is real iff Re(c1) = 0 and
-    Im(c0) = Im(c1)/2, that is 2 a1 + b1 = 0 and 2 b0 d1 = b1 d0.  A real x
-    is then P/(2 d0) + Q sqrt(21)/(4 d1) with P = 2 a0 + b0 and Q = -b1, so
-    its sign and floor are decided on ints, with no precision loop.
+    The field is biquadratic, and its real elements form Q(sqrt(21)): x is
+    real iff 2 a1 + b1 = 0 and 2 b0 = b1, and a real x is P/(2 D) +
+    Q sqrt(21)/(4 D) with P = 2 a0 + b0 and Q = -b1, so its sign and floor
+    are decided on ints, with no precision loop.
     """
 
     n = 3
@@ -488,14 +483,24 @@ class Zeta3Tower:
     key = ("zeta", 1, 3)
     # Phi_3 = x^2 + x + 1 is irreducible over K
     minpoly = (ONE, ONE, ONE)
+    zeta = (0, 0, 1, 0)
 
-    def mul(self, x: "AlgNum", y: "AlgNum") -> "AlgNum":
-        (c0, c1), (e0, e1) = x.coeffs, y.coeffs
-        a0, b0, d0 = c0.na, c0.nb, c0.d
-        a1, b1, d1 = c1.na, c1.nb, c1.d
-        g0, h0, f0 = e0.na, e0.nb, e0.d
-        g1, h1, f1 = e1.na, e1.nb, e1.d
-        # the four products c_i e_j as int pairs over d_i f_j, with tau^2 = tau - 2
+    def coeffs(self, f, den: int):
+        a0, b0, a1, b1 = f
+        return knum_from_ints(a0, b0, den), knum_from_ints(a1, b1, den)
+
+    def lift(self, a: int, b: int):
+        return a, b, 0, 0
+
+    def k_part(self, f, den: int):
+        a0, b0, a1, b1 = f
+        # gcd(a0, b0, den) = 1 when a1 = b1 = 0
+        return None if a1 or b1 else _knum(a0, b0, den)
+
+    def mul(self, f, g):
+        a0, b0, a1, b1 = f
+        g0, h0, g1, h1 = g
+        # the four products C_i E_j as int pairs, with tau^2 = tau - 2
         t = b0 * h0
         p00a, p00b = a0 * g0 - 2 * t, a0 * h0 + b0 * g0 + t
         t = b0 * h1
@@ -504,65 +509,30 @@ class Zeta3Tower:
         p10a, p10b = a1 * g0 - 2 * t, a1 * h0 + b1 * g0 + t
         t = b1 * h1
         p11a, p11b = a1 * g1 - 2 * t, a1 * h1 + b1 * g1 + t
-        # everything over den = d0 d1 f0 f1
-        s00, s01, s10, s11 = d1 * f1, d1 * f0, d0 * f1, d0 * f0
-        den = s00 * s11
-        return _alg(self, (
-            knum_from_ints(p00a * s00 - p11a * s11, p00b * s00 - p11b * s11, den),
-            knum_from_ints(p01a * s01 + p10a * s10 - p11a * s11,
-                           p01b * s01 + p10b * s10 - p11b * s11, den),
-        ))
+        return (p00a - p11a, p00b - p11b, p01a + p10a - p11a, p01b + p10b - p11b)
 
-    def conj(self, x: "AlgNum") -> "AlgNum":
-        c0, c1 = x.coeffs
-        c1bar = c1.conj()
-        return _alg(self, (c0.conj() - c1bar, -c1bar))
+    def conj(self, f):
+        # conj(a + b tau) = (a + b) - b tau
+        a0, b0, a1, b1 = f
+        return a0 + b0 - a1 - b1, b1 - b0, -a1 - b1, b1
 
-    def abs2(self, x: "AlgNum") -> "AlgNum":
-        # |c0 + c1 zeta|^2 = N(c0) + N(c1) + w zeta + conj(w) conj(zeta) with
-        # w = conj(c0) c1 = (p + q tau)/(d0 d1), and conj(zeta) = -1 - zeta,
-        # so it is N(c0) + N(c1) - conj(w) + (w - conj(w)) zeta, where
-        # w - conj(w) = q (2 tau - 1)/(d0 d1)
-        c0, c1 = x.coeffs
-        a0, b0, d0 = c0.na, c0.nb, c0.d
-        a1, b1, d1 = c1.na, c1.nb, c1.d
-        p, q = a0 * a1 + b0 * (a1 + 2 * b1), a0 * b1 - b0 * a1
-        n0, n1 = a0 * a0 + a0 * b0 + 2 * b0 * b0, a1 * a1 + a1 * b1 + 2 * b1 * b1
-        dd = d0 * d1
-        return _alg(self, (
-            knum_from_ints(n0 * d1 * d1 + n1 * d0 * d0 - (p + q) * dd, q * dd, dd * dd),
-            knum_from_ints(-q, 2 * q, dd),
-        ))
+    def images(self, f):
+        """The three images of f under the automorphisms of the field other than 1."""
+        a0, b0, a1, b1 = f
+        g = a0 - a1, b0 - b1, -a1, -b1
+        return self.conj(f), g, self.conj(g)
 
-    def inverse(self, x: "AlgNum") -> "AlgNum":
-        c0, c1 = x.coeffs
-        g = c0 - c1
-        norm = c0 * g + c1 * c1
-        return _alg(self, (g / norm, -c1 / norm))
+    def real_sign(self, f) -> int:
+        # 4 D x = 2 P + Q sqrt(21)
+        return sqrt21_sign(2 * (2 * f[0] + f[1]), -f[3])
 
-    def is_real(self, x: "AlgNum") -> bool:
-        c0, c1 = x.coeffs
-        return 2 * c1.na + c1.nb == 0 and 2 * c0.nb * c1.d == c1.nb * c0.d
-
-    def _sqrt21_parts(self, x: "AlgNum"):
-        """(P, Q, d0, d1) with x = P/(2 d0) + Q sqrt(21)/(4 d1); raises if x is not real."""
-        if not self.is_real(x):
-            raise ValueError(f"{x!r} is not real")
-        c0, c1 = x.coeffs
-        return 2 * c0.na + c0.nb, -c1.nb, c0.d, c1.d
-
-    def real_sign(self, x: "AlgNum") -> int:
-        p, q, d0, d1 = self._sqrt21_parts(x)
-        # 4 d0 d1 x = 2 d1 P + d0 Q sqrt(21)
-        return sqrt21_sign(2 * d1 * p, d0 * q)
-
-    def floor_real(self, x: "AlgNum") -> int:
-        p, q, d0, d1 = self._sqrt21_parts(x)
-        # 8 d0 d1 x = 4 d1 P + y with y = 2 d0 Q sqrt(21), and for an int N and
-        # M > 0, floor((N + y)/M) = floor((N + floor(y))/M).  y is irrational
-        # unless Q = 0, so floor(-sqrt(S)) = -isqrt(S) - 1 for Q < 0.
-        r = isqrt(21 * (2 * d0 * q) ** 2)
-        return (4 * d1 * p + (r if q >= 0 else -r - 1)) // (8 * d0 * d1)
+    def floor_real(self, f, den: int) -> int:
+        # 8 D x = 4 P + y with y = 2 Q sqrt(21), and for an int N and M > 0,
+        # floor((N + y)/M) = floor((N + floor(y))/M).  y is irrational unless
+        # Q = 0, so floor(-sqrt(S)) = -isqrt(S) - 1 for Q < 0.
+        p, q = 2 * f[0] + f[1], -f[3]
+        r = isqrt(84 * q * q)
+        return (4 * p + (r if q >= 0 else -r - 1)) // (8 * den)
 
 
 #: bits of the first dyadic bracket of eta_1 that eta_sign and Zeta7Tower.floor_real try
@@ -615,42 +585,6 @@ def eta_sign(e1: int, e2: int, e3: int) -> int:
         p *= 2
 
 
-def zeta7_ints(x: "AlgNum"):
-    """(f, D): seven ints f_k and an int D > 0 with D x = sum f_k zeta_7^k, k = 0 .. 6.
-
-    With the K-coefficients of x over their common denominator D, c_j =
-    (a_j + b_j tau)/D, and tau = 1 + zeta + zeta^2 + zeta^4, the term
-    c_j zeta^j spreads over zeta^j, zeta^(j+1), zeta^(j+2), zeta^(j+4).
-    """
-    c0, c1, c2 = x.coeffs
-    den = c0.d
-    if c1.d == den and c2.d == den:
-        a0, b0, a1, b1, a2, b2 = c0.na, c0.nb, c1.na, c1.nb, c2.na, c2.nb
-    else:
-        den = lcm(den, c1.d, c2.d)
-        s0, s1, s2 = den // c0.d, den // c1.d, den // c2.d
-        a0, b0, a1, b1 = c0.na * s0, c0.nb * s0, c1.na * s1, c1.nb * s1
-        a2, b2 = c2.na * s2, c2.nb * s2
-    return (a0 + b0, b0 + a1 + b1, b0 + b1 + a2 + b2, b1 + b2, b0 + b2, b1, b2), den
-
-
-def _zeta7_from_ints(tower: "Zeta7Tower", f, den: int) -> "AlgNum":
-    """The AlgNum (sum f_k zeta_7^k)/den for seven ints f_k and an int den > 0.
-
-    The f_k are zeta7_ints of some element plus c (1 + zeta + ... + zeta^6),
-    which is zero, and the three equations for f_3, f_5, f_6 give c first.
-    """
-    f0, f1, f2, f3, f4, f5, f6 = f
-    c = f5 + f6 - f3
-    b1, b2 = f5 - c, f6 - c
-    b0 = f4 - c - b2
-    a0 = f0 - c - b0
-    a1 = f1 - c - b0 - b1
-    a2 = f2 - c - b0 - b1 - b2
-    return _alg(tower, (knum_from_ints(a0, b0, den), knum_from_ints(a1, b1, den),
-                        knum_from_ints(a2, b2, den)))
-
-
 def zeta7_autocorr(f):
     """(h_0, h_1, h_2, h_3), h_m = sum_i f_i f_(i-m) (indices mod 7).
 
@@ -665,35 +599,25 @@ def zeta7_autocorr(f):
     )
 
 
-def _cyclic_mul(f, g):
-    """The ints h_k of (sum f_k zeta^k)(sum g_k zeta^k) = sum h_k zeta^k, as zeta^7 = 1."""
-    r = tuple(reversed(g)) * 2
-    return [sum(map(mul, f, r[6 - k:13 - k])) for k in range(7)]
-
-
 class Zeta7Tower:
-    """K(zeta_7) = Q(zeta_7), with its arithmetic and its signs and floors on ints.
+    """K(zeta_7) = Q(zeta_7), with its arithmetic, signs and floors on six ints.
 
-    An element is c0 + c1 zeta + c2 zeta^2, zeta = zeta_7, with
-    K-coefficients c_j; zeta has degree 3 over K (`minpoly`).  Every
-    operation rewrites x over Q first (`zeta7_ints`): D x = sum f_k zeta^k,
-    k mod 7, for ints f_k and D.  These f_k are unique up to adding one int
-    to all seven, as 1 + zeta + ... + zeta^6 = 0, and zeta, ..., zeta^6 is a
-    basis of Q(zeta) over Q (Washington, GTM 83, ch. 2).  Then
+    zeta, ..., zeta^6 is a basis of Q(zeta) over Q, zeta = zeta_7
+    (Washington, GTM 83, ch. 2), so x is six ints f = (f_1, .., f_6) over
+    one denominator D, x = sum f_k zeta^k / D.  Seven terms f_k zeta^k,
+    k mod 7, come back to this form less f_0 (1 + zeta + ... + zeta^6),
+    which is zero.  Then
 
     - a product is the cyclic convolution of the f_k mod 7;
-    - conj maps f_k to f_(-k), and x is real iff f_k = f_(7-k);
-    - |D x|^2 = sum h_m zeta^m with the autocorrelation h_m = sum_i f_i
-      f_(i-m) (zeta7_autocorr);
-    - the other automorphisms of Q(zeta) map f_k to f_(gk), g = 2 .. 6, and
-      the product adj of these five images of D x gives h = D x adj, the
-      norm of D x: a positive int n = h_0 - h_1 (h_k = h_1 for k > 0).
-      So 1/x = D adj/n.
+    - conj maps f_k to f_(7-k), and x is real iff f_k = f_(7-k);
+    - the other automorphisms of Q(zeta) map f_k to f_(gk), g = 2 .. 6;
+    - x lies in K iff f_1 = f_2 = f_4 and f_3 = f_5 = f_6, as tau = 1 +
+      zeta + zeta^2 + zeta^4, and then x = (-f_1 + (f_1 - f_3) tau)/D.
 
-    A real x has D x = e1 eta_1 + e2 eta_2 + e3 eta_3 with e_k = f_k - f_0
-    and eta_k = zeta^k + zeta^-k.  As the eta_k sum to -1, x is the
-    rational -e1/D if e1 = e2 = e3, and irrational otherwise: then a fine
-    enough bracket decides its sign and floor, and needs no cap.
+    A real x is (f_1 eta_1 + f_2 eta_2 + f_3 eta_3)/D with eta_k = zeta^k
+    + zeta^-k.  As the eta_k sum to -1, x is the rational -f_1/D if f_1 =
+    f_2 = f_3, and irrational otherwise: then a fine enough bracket decides
+    its sign and floor, and needs no cap.
     """
 
     n = 7
@@ -706,43 +630,56 @@ class Zeta7Tower:
     # zeta^3 + zeta^5 + zeta^6 = -tau, and zeta^7 = 1, which gives
     # x^3 + (1 - tau) x^2 - tau x - 1.
     minpoly = (-ONE, -TAU, ONE - TAU, ONE)
+    zeta = (1, 0, 0, 0, 0, 0)
 
-    def mul(self, x: "AlgNum", y: "AlgNum") -> "AlgNum":
-        f, d = zeta7_ints(x)
-        g, e = zeta7_ints(y)
-        return _zeta7_from_ints(self, _cyclic_mul(f, g), d * e)
+    def coeffs(self, f, den: int):
+        # with c_j = (a_j + b_j tau)/D, D x = (a0 + b0) + (b0 + a1 + b1) zeta
+        # + (b0 + b1 + a2 + b2) zeta^2 + (b1 + b2) zeta^3 + (b0 + b2) zeta^4
+        # + b1 zeta^5 + b2 zeta^6, and f_k is that coefficient less a0 + b0
+        # = -c; the equations for f_3, f_5 and f_6 give c first
+        f1, f2, f3, f4, f5, f6 = f
+        c = f5 + f6 - f3
+        b1, b2 = f5 - c, f6 - c
+        b0 = f4 - c - b2
+        return (knum_from_ints(-c - b0, b0, den), knum_from_ints(f1 - c - b0 - b1, b1, den),
+                knum_from_ints(f2 - c - b0 - b1 - b2, b2, den))
 
-    def conj(self, x: "AlgNum") -> "AlgNum":
-        (f0, f1, f2, f3, f4, f5, f6), d = zeta7_ints(x)
-        return _zeta7_from_ints(self, (f0, f6, f5, f4, f3, f2, f1), d)
+    def lift(self, a: int, b: int):
+        # a + b tau = (a + b) + b (zeta + zeta^2 + zeta^4)
+        return -a, -a, -a - b, -a, -a - b, -a - b
 
-    def abs2(self, x: "AlgNum") -> "AlgNum":
-        f, d = zeta7_ints(x)
-        h0, h1, h2, h3 = zeta7_autocorr(f)
-        return _zeta7_from_ints(self, (h0, h1, h2, h3, h3, h2, h1), d * d)
+    def k_part(self, f, den: int):
+        f1, f2, f3, f4, f5, f6 = f
+        # gcd(f1, f3, den) = 1
+        return _knum(-f1, f1 - f3, den) if f1 == f2 == f4 and f3 == f5 == f6 else None
 
-    def inverse(self, x: "AlgNum") -> "AlgNum":
-        f, d = zeta7_ints(x)
-        adj = [f[2 * k % 7] for k in range(7)]
-        for g in range(3, 7):
-            adj = _cyclic_mul(adj, [f[g * k % 7] for k in range(7)])
-        h = _cyclic_mul(f, adj)
-        return _zeta7_from_ints(self, [d * a for a in adj], h[0] - h[1])
+    def mul(self, f, g):
+        f1, f2, f3, f4, f5, f6 = f
+        g1, g2, g3, g4, g5, g6 = g
+        h0 = f1 * g6 + f2 * g5 + f3 * g4 + f4 * g3 + f5 * g2 + f6 * g1
+        return (
+            f2 * g6 + f3 * g5 + f4 * g4 + f5 * g3 + f6 * g2 - h0,
+            f1 * g1 + f3 * g6 + f4 * g5 + f5 * g4 + f6 * g3 - h0,
+            f1 * g2 + f2 * g1 + f4 * g6 + f5 * g5 + f6 * g4 - h0,
+            f1 * g3 + f2 * g2 + f3 * g1 + f5 * g6 + f6 * g5 - h0,
+            f1 * g4 + f2 * g3 + f3 * g2 + f4 * g1 + f6 * g6 - h0,
+            f1 * g5 + f2 * g4 + f3 * g3 + f4 * g2 + f5 * g1 - h0,
+        )
 
-    def is_real(self, x: "AlgNum") -> bool:
-        f, _ = zeta7_ints(x)
-        return f[1] == f[6] and f[2] == f[5] and f[3] == f[4]
+    def conj(self, f):
+        return f[::-1]
 
-    def _eta_coords(self, x: "AlgNum"):
-        """(e1, e2, e3, D) with x = (e1 eta_1 + e2 eta_2 + e3 eta_3)/D; raises if x is not real."""
-        f, den = zeta7_ints(x)
-        if f[1] != f[6] or f[2] != f[5] or f[3] != f[4]:
-            raise ValueError(f"{x!r} is not real")
-        return f[1] - f[0], f[2] - f[0], f[3] - f[0], den
+    def images(self, f):
+        """The five images of f under the automorphisms of the field other than 1."""
+        pad = (0,) + f
+        return [tuple(pad[g * k % 7] for k in range(1, 7)) for g in range(2, 7)]
 
-    def enclosure(self, x: "AlgNum", p: int):
+    def real_sign(self, f) -> int:
+        return eta_sign(f[0], f[1], f[2])
+
+    def enclosure(self, f, den: int, p: int):
         """Fractions lo <= x <= hi for a real x, about 2^-p apart; lo = hi = x for a rational x."""
-        e1, e2, e3, den = self._eta_coords(x)
+        e1, e2, e3 = f[:3]
         if e1 == e2 == e3:
             v = Fraction(-e1, den)
             return v, v
@@ -751,134 +688,149 @@ class Zeta7Tower:
             lo, hi = (lo + e * l, hi + e * h) if e >= 0 else (lo + e * h, hi + e * l)
         return Fraction(lo, den << p), Fraction(hi, den << p)
 
-    def real_sign(self, x: "AlgNum") -> int:
-        e1, e2, e3, _ = self._eta_coords(x)
-        return eta_sign(e1, e2, e3)
-
-    def floor_real(self, x: "AlgNum") -> int:
-        """The floor from x.enclosure(p) at p = 64, 128, 256, ... once both ends agree."""
+    def floor_real(self, f, den: int) -> int:
+        """The floor from the enclosure at p = 64, 128, 256, ... once both ends agree."""
         p = _ETA_START_BITS
-        lo, hi = x.enclosure(p)
+        lo, hi = self.enclosure(f, den, p)
         while math.floor(lo) != math.floor(hi):
             p *= 2
-            lo, hi = x.enclosure(p)
+            lo, hi = self.enclosure(f, den, p)
         return math.floor(lo)
 
 
 class AlgNum:
-    """An element of K(zeta), stored by its coefficients in the power basis of zeta.
+    """An element of K(zeta_3) or K(zeta_7): ints over one denominator.
 
-    Products, conjugates, |x|^2, inverses, realness, signs and floors are
-    the field's (see Zeta3Tower and Zeta7Tower).  Equality with zero is
-    exact (the representation is zero), and so is the sign of a real
-    element: an int test in Q(sqrt(21)) for K(zeta_3), and in K(zeta_7) an
-    int test against a dyadic bracket refined until it decides.
+    `ints` and `den` are in normal form, den > 0 and gcd(ints, den) = 1, so
+    two elements of one field are equal exactly when their ints and dens
+    are; the field (Zeta3Tower, Zeta7Tower) says what the ints are.  Sums,
+    products by rationals, conj, |x|^2 and inverses are the same int
+    operations in both fields, on the field's products and automorphisms.
+    The sign of a real element is exact: an int test in Q(sqrt(21)) for
+    K(zeta_3), and in K(zeta_7) one against a dyadic bracket refined until
+    it decides.  K-coefficients in the power basis 1, zeta, ..., zeta^(d-1)
+    are an edge form: AlgNum(tower, coeffs) takes them, `coeffs` gives them.
     """
 
-    __slots__ = ("tower", "coeffs")
+    __slots__ = ("tower", "ints", "den")
 
-    def __init__(self, tower: Zeta3Tower | Zeta7Tower, coeffs):
+    def __new__(cls, tower: Zeta3Tower | Zeta7Tower, coeffs):
         coeffs = list(coeffs)
         if len(coeffs) > tower.degree:
             raise ValueError(f"{len(coeffs)} coefficients for a field of degree {tower.degree}")
-        coeffs += [ZERO] * (tower.degree - len(coeffs))
-        _set_tower(self, tower)
-        _set_coeffs(self, tuple(coeffs))
+        x, z = AlgNum.lift(tower, ZERO), AlgNum.gen(tower)
+        for c in reversed(coeffs):
+            if type(c) is not KNum:
+                raise TypeError(f"an AlgNum coefficient must be a KNum, not {type(c).__name__}")
+            x = x * z + c
+        return x
 
     def __setattr__(self, *args):
         raise AttributeError("AlgNum is immutable")
 
     @staticmethod
     def gen(tower: Zeta3Tower | Zeta7Tower) -> "AlgNum":
-        return AlgNum(tower, [ZERO, ONE])
+        return _alg(tower, tower.zeta, 1)
 
     @staticmethod
     def lift(tower: Zeta3Tower | Zeta7Tower, x) -> "AlgNum":
-        return AlgNum(tower, [KNum.coerce(x)])
+        x = KNum.coerce(x)
+        return _alg(tower, tower.lift(x.na, x.nb), x.d)
 
-    # Each operation tests for AlgNum first and Fraction last: Fraction is an
-    # abstract base class, so an isinstance test against it is an ABCMeta call.
+    # An operand is tested for AlgNum before any isinstance test against
+    # Fraction, and a scalar by its exact type: Fraction is an abstract base
+    # class, so an isinstance test against it is an ABCMeta call.
 
-    def _match(self, other):
+    def _operand(self, other):
+        """(ints, den) of other in this field, or None for a type it does not take."""
         if isinstance(other, AlgNum):
             if other.tower is not self.tower:
                 raise ValueError("AlgNum tower mismatch")
-            return other
+            return other.ints, other.den
         if isinstance(other, (int, KNum, Fraction)):
-            return AlgNum.lift(self.tower, other)
+            x = KNum.coerce(other)
+            return self.tower.lift(x.na, x.nb), x.d
         return None
 
     # -- structure ----------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """The K-coefficients in the power basis of zeta, a tuple of KNums."""
+        return self.tower.coeffs(self.ints, self.den)
+
     def __eq__(self, other):
         if isinstance(other, AlgNum) and other.tower is not self.tower:
             # the two fields meet in K
-            return self.in_k() and other.in_k() and self.coeffs[0] == other.coeffs[0]
-        o = self._match(other)
+            k = self.tower.k_part(self.ints, self.den)
+            return k is not None and k == other.tower.k_part(other.ints, other.den)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.ints == o[0] and self.den == o[1]
 
     def __hash__(self):
         # an element of K equals its KNum, so it must hash like it
-        if self.in_k():
-            return hash(self.coeffs[0])
-        return hash((self.tower.key, self.coeffs))
+        k = self.tower.k_part(self.ints, self.den)
+        return hash((self.ints, self.den)) if k is None else hash(k)
 
     def __repr__(self):
         terms = ", ".join(str(c) for c in self.coeffs)
         return f"AlgNum[{self.tower.key}]({terms})"
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.ints)
 
     def k_part(self) -> KNum:
         """The element as a KNum; raises if it is not in K."""
-        if any(not c.is_zero() for c in self.coeffs[1:]):
+        k = self.tower.k_part(self.ints, self.den)
+        if k is None:
             raise ValueError(f"{self!r} is not in K")
-        return self.coeffs[0]
+        return k
 
     def in_k(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs[1:])
+        return self.tower.k_part(self.ints, self.den) is not None
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, AlgNum):
-            o = self._match(other).coeffs
-            return AlgNum(self.tower, [x + y for x, y in zip(self.coeffs, o)])
-        if isinstance(other, (int, KNum, Fraction)):
-            return AlgNum(self.tower, (self.coeffs[0] + other,) + self.coeffs[1:])
-        return NotImplemented
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        (f, d), (g, e) = (self.ints, self.den), o
+        if d == e:
+            return _alg(self.tower, tuple(a + b for a, b in zip(f, g)), d)
+        return _alg(self.tower, tuple(a * e + b * d for a, b in zip(f, g)), d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgNum(self.tower, [-x for x in self.coeffs])
+        return _alg(self.tower, tuple(-a for a in self.ints), self.den)
 
     def __sub__(self, other):
-        o = self._match(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        if isinstance(other, (AlgNum, int, KNum, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, AlgNum):
-            return self.tower.mul(self, self._match(other))
-        if isinstance(other, (int, KNum, Fraction)):
-            return AlgNum(self.tower, [c * other for c in self.coeffs])
-        return NotImplemented
+        if isinstance(other, int) or type(other) is Fraction:
+            p, q = other.numerator, other.denominator
+            return _alg(self.tower, tuple(p * a for a in self.ints), self.den * q)
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return _alg(self.tower, self.tower.mul(self.ints, o[0]), self.den * o[1])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, AlgNum):
-            return self * self._match(other).inverse()
+            return self * other.inverse()
         if isinstance(other, (int, KNum, Fraction)):
-            return AlgNum(self.tower, [c / other for c in self.coeffs])
+            return self * (Fraction(1) / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -897,44 +849,62 @@ class AlgNum:
         return out
 
     def inverse(self) -> "AlgNum":
+        """1/x = D adj/n: adj is the product of the other images of D x, and
+        the norm n = D x adj of the integral D x is a positive int."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in K(zeta)")
-        return self.tower.inverse(self)
+        tw, f = self.tower, self.ints
+        adj = reduce(tw.mul, tw.images(f))
+        n = tw.k_part(tw.mul(f, adj), 1).na
+        return _alg(tw, tuple(self.den * a for a in adj), n)
 
     def conj(self) -> "AlgNum":
-        return self.tower.conj(self)
+        return _alg(self.tower, self.tower.conj(self.ints), self.den)
 
     def abs2(self) -> "AlgNum":
-        return self.tower.abs2(self)
+        tw, f = self.tower, self.ints
+        return _alg(tw, tw.mul(f, tw.conj(f)), self.den * self.den)
 
     # -- signs and floors ---------------------------------------------
 
+    def _real_ints(self):
+        if not self.is_real():
+            raise ValueError(f"{self!r} is not real")
+        return self.ints
+
     def enclosure(self, prec: int):
         """Rational bracket (lo, hi) of a real element of K(zeta_7), about 2^-prec wide."""
-        return self.tower.enclosure(self, prec)
+        return self.tower.enclosure(self._real_ints(), self.den, prec)
 
     def is_real(self) -> bool:
-        return self.tower.is_real(self)
+        return self.tower.conj(self.ints) == self.ints
 
     def real_sign(self) -> int:
         """Exact sign of a real element (-1, 0, +1); raises ValueError if it is not real."""
-        return self.tower.real_sign(self)
+        return self.tower.real_sign(self._real_ints())
 
     def floor_real(self) -> int:
         """Floor of a real element; raises ValueError if it is not real."""
-        return self.tower.floor_real(self)
+        return self.tower.floor_real(self._real_ints(), self.den)
 
 
 # AlgNum.__setattr__ refuses every write, as KNum's does
 _set_tower = AlgNum.tower.__set__
-_set_coeffs = AlgNum.coeffs.__set__
+_set_ints = AlgNum.ints.__set__
+_set_den = AlgNum.den.__set__
 
 
-def _alg(tower: Zeta3Tower | Zeta7Tower, coeffs: tuple) -> AlgNum:
-    """The AlgNum with a full tuple of KNum coefficients, unchecked."""
+def _alg(tower: Zeta3Tower | Zeta7Tower, f: tuple, den: int) -> AlgNum:
+    """The AlgNum f/den of tower for a tuple of ints f and an int den > 0, brought to normal form."""
+    if den != 1:
+        g = gcd(den, *f)
+        if g != 1:
+            f = tuple(a // g for a in f)
+            den //= g
     x = object.__new__(AlgNum)
     _set_tower(x, tower)
-    _set_coeffs(x, coeffs)
+    _set_ints(x, f)
+    _set_den(x, den)
     return x
 
 

@@ -97,21 +97,29 @@ def make_reflection(v) -> GroupElt:
     return GroupElt(mat, word=(("R_" + "".join(str(x) for x in v), 1),))
 
 
-def _repeated_eigenvalue(mat: Mat):
-    """The repeated K-eigenvalue of mat, or None when the charpoly is squarefree.
+def _repeated_eigenvalue(charpoly):
+    """The repeated K-eigenvalue of a matrix with the characteristic polynomial
+    charpoly (`Mat.charpoly`), or None when it is squarefree.
 
     The monic cubic x^3 + a x^2 + b x + c has a repeated root iff its
     discriminant vanishes.  For (x - l)^2 (x - m), a^2 - 3b = (l - m)^2 and
     9c - ab = 2 l (l - m)^2, which gives the double root l; a^2 - 3b = 0
     means a triple root.
     """
-    c, b, a, _ = mat.charpoly()
+    c, b, a, _ = charpoly
     if not (18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c).is_zero():
         return None
     gap = a * a - 3 * b
     if gap.is_zero():
         raise ArithmeticError("triple eigenvalue: a finite-order element with one is scalar")
     return (9 * c - a * b) / (2 * gap)
+
+
+def _roots(charpoly, candidates):
+    """The candidates that are roots of the monic cubic charpoly (low degree
+    first): any other candidate has an empty eigenspace, and needs no elimination."""
+    c, b, a, _ = charpoly
+    return [lam for lam in candidates if (((lam + a) * lam + b) * lam + c).is_zero()]
 
 
 def _is_mirror(mat: Mat, lam) -> bool:
@@ -134,7 +142,7 @@ def _simple_eigenpoint(mat: Mat, lam):
 def reflection_polar(g: GroupElt):
     """(polar ProjPoint, polar norm) if g is a complex reflection, else None."""
     mat = g.mat
-    lam = _repeated_eigenvalue(mat)
+    lam = _repeated_eigenvalue(mat.charpoly())
     if lam is None or not _is_mirror(mat, lam):
         return None
     polar, norm = _simple_eigenpoint(mat, lam)
@@ -146,7 +154,8 @@ def classify_elliptic(g: GroupElt, n: int):
     if projective_order(g) != n:
         raise ValueError("stated order does not match the element")
     mat = g.mat
-    lam = _repeated_eigenvalue(mat)
+    charpoly = mat.charpoly()
+    lam = _repeated_eigenvalue(charpoly)
     if lam is not None:
         p, norm = _simple_eigenpoint(mat, lam)
         if _is_mirror(mat, lam):
@@ -158,7 +167,7 @@ def classify_elliptic(g: GroupElt, n: int):
         return "isolated", p, int(norm.rat())
     # squarefree characteristic polynomial; K contains only the roots of
     # unity +/-1, so any K-rational eigenvector belongs to one of those
-    for lam in (ONE, -ONE):
+    for lam in _roots(charpoly, (ONE, -ONE)):
         for v in eigenspace_basis(mat, lam):
             if sq_norm(v).real_sign() < 0:
                 pt = ProjPoint(v)
@@ -179,7 +188,7 @@ def classify_elliptic(g: GroupElt, n: int):
         units = [z6**k for k in range(6)]
     else:
         raise ValueError(f"unsupported eigenvalue field for matrix order {m}")
-    for lam in units:
+    for lam in _roots(charpoly, units):
         for v in eigenspace_basis(mat, lam):
             if sq_norm(v).real_sign() < 0:
                 return "isolated", ProjPoint(v), None

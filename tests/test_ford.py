@@ -480,7 +480,10 @@ def test_sign_helpers_match_mpmath():
     pairs += [(rng.randint(-10**6, 10**6), rng.randint(-10**5, 10**5)) for _ in range(500)]
     z = AlgNum.gen(zeta7_tower())
     tiny = (z ** 2 + z ** 5) ** 60
-    triples = [(0, 0, 0), (4, 4, 4), (-4, -4, -4), zeta7_tower()._eta_coords(tiny)[:3]]
+    # a real integral element of K(zeta_7) is e1 eta_1 + e2 eta_2 + e3 eta_3
+    # with (e1, e2, e3) its first three ints
+    assert tiny.is_real() and tiny.den == 1
+    triples = [(0, 0, 0), (4, 4, 4), (-4, -4, -4), tiny.ints[:3]]
     triples += [tuple(rng.randint(-10**4, 10**4) for _ in range(3)) for _ in range(500)]
     with mpmath.workdps(100):
         for m, n in pairs:

@@ -93,6 +93,12 @@ def coerce_callers(path: Path):
     return found
 
 
+def attribute_reads(path: Path, attr: str):
+    """Line numbers where a module reads an attribute named attr."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == attr)
+
+
 def benchmark_references():
     """(module, name) pairs that perfbench reaches in picard7.
 
@@ -213,6 +219,13 @@ def test_interior_takes_one_type():
     callers = {(p.stem, name) for p in MODULES if p.name != "ring.py" for name in coerce_callers(p)}
     assert callers <= {("hermitian", "Mat.__new__"), ("hermitian", "mat_from_json")}
     assert "scalar" not in bound_names(ast.parse((SRC / "ring.py").read_text()).body)
+
+
+def test_only_ring_reads_k_coefficients():
+    # an AlgNum is its ints; its K-coefficients are an edge view of ring.py,
+    # so no other module depends on how the two fields store an element
+    reads = [(p.name, line) for p in MODULES if p.name != "ring.py" for line in attribute_reads(p, "coeffs")]
+    assert reads == []
 
 
 def test_only_numbers_and_group_elements_hand_roll_immutability():

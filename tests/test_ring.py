@@ -1,3 +1,4 @@
+import functools
 import math
 import operator
 import random
@@ -252,6 +253,50 @@ def test_algnum_in_k_hashes_like_knum(tw):
             op(AlgNum.gen(tw), AlgNum.gen(other))
 
 
+def _check_normal_form(x: AlgNum):
+    """x is stored as ints over a positive denominator that share no factor."""
+    assert type(x.ints) is tuple and len(x.ints) == {3: 4, 7: 6}[x.tower.n]
+    assert all(type(a) is int for a in x.ints) and type(x.den) is int
+    assert x.den > 0 and math.gcd(x.den, *x.ints) == 1
+
+
+def test_algnum_constructor_takes_only_knums():
+    for tw in (zeta3_tower(), zeta7_tower()):
+        for coeffs in ([1, 2], [ONE, Fraction(1, 2)], [ONE, 0.5], [AlgNum.gen(tw)]):
+            with pytest.raises(TypeError, match="must be a KNum"):
+                AlgNum(tw, coeffs)
+        # lift coerces ints and Fractions
+        assert AlgNum.lift(tw, 2) == AlgNum(tw, [KNum(2)]) == 2
+        assert AlgNum.lift(tw, Fraction(-1, 3)) == AlgNum(tw, [KNum(Fraction(-1, 3))])
+
+
+@pytest.mark.parametrize("tw", [zeta3_tower(), zeta7_tower()], ids=["zeta3", "zeta7"])
+def test_one_stored_form_per_element(tw):
+    rng = random.Random(2200 + tw.n)
+    z = AlgNum.gen(tw)
+    for _ in range(60):
+        cs = [rand_knum(rng, rng.randint(1, 6)) for _ in range(tw.degree)]
+        x, y = AlgNum(tw, cs), rand_algnum(rng, tw)
+        by_ops = AlgNum.lift(tw, ZERO)
+        for k, c in enumerate(cs):
+            by_ops = by_ops + AlgNum.lift(tw, c) * z ** k
+        paths = [by_ops, x.conj().conj(), (x * 6) / 6, x - y + y, -(-x)]
+        if not y.is_zero():
+            paths.append(y * y.inverse() * x)
+        for p in [x] + paths:
+            _check_normal_form(p)
+            assert (p.ints, p.den) == (x.ints, x.den) and hash(p) == hash(x)
+        assert x.coeffs == tuple(cs)
+        # in_k and k_part round-trip a KNum, and an element of K hashes like it
+        k = rand_knum(rng, rng.randint(1, 9))
+        for a in (AlgNum.lift(tw, k), AlgNum(tw, [k]), k + z - z):
+            _check_normal_form(a)
+            assert a.in_k() and a.k_part() == k and a == k and hash(a) == hash(k)
+        assert not (k + z).in_k()
+        with pytest.raises(ValueError, match="not in K"):
+            (k + z).k_part()
+
+
 @pytest.mark.parametrize("tw", [zeta3_tower(), zeta7_tower()], ids=["zeta3", "zeta7"])
 def test_algnum_field_properties_random(tw):
     rng = random.Random(tw.n)
@@ -495,10 +540,11 @@ class Tower:
     """The field K(zeta), zeta = exp(2*pi*i/n), on a generic path: the reference.
 
     `minpoly` is the monic minimal polynomial of zeta over K (low degree
-    first), of degree d, and elements are AlgNums over the power basis
-    1, zeta, ..., zeta^(d-1).  One table, `powers[k]` = zeta^k in the basis
-    for k < n, folds every sum c_0 + c_1 zeta^g + c_2 zeta^(2g) + ... back
-    into the basis (`fold`), as zeta^n = 1:
+    first), of degree d, and an element is the tuple of its K-coefficients
+    in the power basis 1, zeta, ..., zeta^(d-1), as AlgNum.coeffs gives
+    them.  One table, `powers[k]` = zeta^k in the basis for k < n, folds
+    every sum c_0 + c_1 zeta^g + c_2 zeta^(2g) + ... back into the basis
+    (`fold`), as zeta^n = 1:
 
     - a product is the convolution of the two coefficient lists;
     - the complex conjugate of sum c_i zeta^i is sum conj(c_i) zeta^(-i);
@@ -512,7 +558,6 @@ class Tower:
         self.n = n
         self.minpoly = tuple(minpoly)
         self.degree = d = len(self.minpoly) - 1
-        self.key = ("generic", n)
         powers = [tuple(ONE if i == k else ZERO for i in range(d)) for k in range(d)]
         while len(powers) < n:
             # zeta * zeta^(k-1), with zeta^d = -(m_0 + m_1 zeta + ... + m_(d-1) zeta^(d-1))
@@ -520,32 +565,35 @@ class Tower:
             shifted = (ZERO,) + prev[:-1]
             powers.append(tuple(s - prev[-1] * m for s, m in zip(shifted, self.minpoly)))
         self.powers = tuple(powers)
-        self.galois = tuple(g for g in range(2, n) if self.fold(self.minpoly, g).is_zero())
+        self.galois = tuple(g for g in range(2, n) if self.fold(self.minpoly, g) == (ZERO,) * d)
 
-    def fold(self, coeffs, g: int = 1) -> AlgNum:
+    def fold(self, coeffs, g: int = 1) -> tuple:
         """The element sum_k coeffs[k] * zeta^(g*k), for K-coefficients coeffs[k]."""
         out = [ZERO] * self.degree
         for k, c in enumerate(coeffs):
             for i, p in enumerate(self.powers[g * k % self.n]):
                 out[i] = out[i] + c * p
-        return AlgNum(self, out)
+        return tuple(out)
 
-    def mul(self, x: AlgNum, y: AlgNum) -> AlgNum:
+    def mul(self, x: tuple, y: tuple) -> tuple:
         slots = [ZERO] * (2 * self.degree - 1)
-        for i, c in enumerate(x.coeffs):
-            for j, e in enumerate(y.coeffs):
+        for i, c in enumerate(x):
+            for j, e in enumerate(y):
                 slots[i + j] = slots[i + j] + c * e
         return self.fold(slots)
 
-    def conj(self, x: AlgNum) -> AlgNum:
-        return self.fold([c.conj() for c in x.coeffs], -1)
+    def conj(self, x: tuple) -> tuple:
+        return self.fold([c.conj() for c in x], -1)
 
-    def inverse(self, x: AlgNum) -> AlgNum:
-        adj = math.prod(self.fold(x.coeffs, g) for g in self.galois)
-        return adj / self.mul(x, adj).k_part()
+    def inverse(self, x: tuple) -> tuple:
+        adj = functools.reduce(self.mul, (self.fold(x, g) for g in self.galois))
+        norm, *rest = self.mul(x, adj)
+        assert rest == [ZERO] * (self.degree - 1), "the norm is not in K"
+        return tuple(c / norm for c in adj)
 
-    def is_real(self, x: AlgNum) -> bool:
-        return (x - self.conj(x)).is_zero()
+    def is_real(self, x: tuple) -> bool:
+        # KNums are in normal form, so equal elements have equal tuples
+        return x == self.conj(x)
 
 
 # each field on the generic path, by the test id of the field
@@ -579,25 +627,21 @@ def _check_sign_and_floor(x):
 @pytest.mark.parametrize("tw", [zeta3_tower(), zeta7_tower()], ids=["zeta3", "zeta7"])
 def test_closed_forms_match_generic_path(tw):
     ref = _GENERIC[f"zeta{tw.n}"]
-
-    def generic(x):
-        return AlgNum(ref, x.coeffs)
-
     rng = random.Random(2100 + tw.n)
     for _ in range(300):
-        x, y = (AlgNum(tw, [rand_knum(rng, rng.randint(2, 9)) for _ in range(tw.degree)])
-                for _ in range(2))
-        assert x.tower is tw and generic(x).tower is ref
-        assert (x * y).coeffs == (generic(x) * generic(y)).coeffs
-        assert x.conj().coeffs == generic(x).conj().coeffs
-        assert x.inverse().coeffs == generic(x).inverse().coeffs
+        cx, cy = ([rand_knum(rng, rng.randint(2, 9)) for _ in range(tw.degree)] for _ in range(2))
+        x, y = AlgNum(tw, cx), AlgNum(tw, cy)
+        assert x.tower is tw and x.coeffs == tuple(cx) and y.coeffs == tuple(cy)
+        assert (x * y).coeffs == ref.mul(x.coeffs, y.coeffs)
+        assert x.conj().coeffs == ref.conj(x.coeffs)
+        assert x.inverse().coeffs == ref.inverse(x.coeffs)
         for v in (x, x + x.conj(), x - x.conj(), x * x.conj()):
-            assert v.is_real() == generic(v).is_real()
+            assert v.is_real() == ref.is_real(v.coeffs)
     z = AlgNum.gen(tw)
     special = [z, z * z, 1 + z, ISQRT7 * z] + ([_SQRT21] if tw.n == 3 else [z + z.conj()])
     for x in special:
-        assert x.inverse().coeffs == generic(x).inverse().coeffs
-        assert x.conj().coeffs == generic(x).conj().coeffs
+        assert x.inverse().coeffs == ref.inverse(x.coeffs)
+        assert x.conj().coeffs == ref.conj(x.coeffs)
 
 
 def test_zeta3_signs_and_floors_are_exact():

@@ -1,7 +1,7 @@
 import pytest
 
 from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR
-from picard7.hermitian import GroupElt, Mat, ProjPoint, horo_coords, sq_norm
+from picard7.hermitian import GroupElt, Mat, ProjPoint, eigenspace_basis, horo_coords, sq_norm
 from picard7.heisenberg import (
     IDENTITY,
     CuspElt,
@@ -14,6 +14,8 @@ from picard7.heisenberg import (
     overlaps_keeping,
 )
 from picard7.ford import GENERATORS, INVERSE_PAIRS, enumerate_tjk
+from picard7.presentation import abcd
+from picard7 import torsion
 from picard7.torsion import (
     ClosureError,
     FiniteGroup,
@@ -58,13 +60,13 @@ def test_infinite_order_sweep():
 
 
 def test_repeated_eigenvalue():
-    assert _repeated_eigenvalue(R.to_matrix().mat) == 1
-    assert _repeated_eigenvalue(GENERATORS[1].mat) == -1
-    assert _repeated_eigenvalue(GENERATORS[4].mat) is None  # order 7
-    assert _repeated_eigenvalue(Mat([[2, 1, 0], [0, 2, 0], [5, 0, 3]])) == 2
-    assert _repeated_eigenvalue(Mat([[2, 0, 0], [1, 3, 0], [0, 4, 3]])) == 3
+    assert _repeated_eigenvalue(R.to_matrix().mat.charpoly()) == 1
+    assert _repeated_eigenvalue(GENERATORS[1].mat.charpoly()) == -1
+    assert _repeated_eigenvalue(GENERATORS[4].mat.charpoly()) is None  # order 7
+    assert _repeated_eigenvalue(Mat([[2, 1, 0], [0, 2, 0], [5, 0, 3]]).charpoly()) == 2
+    assert _repeated_eigenvalue(Mat([[2, 0, 0], [1, 3, 0], [0, 4, 3]]).charpoly()) == 3
     with pytest.raises(ArithmeticError):
-        _repeated_eigenvalue(GroupElt.identity().mat)
+        _repeated_eigenvalue(GroupElt.identity().mat.charpoly())
 
 
 def test_make_reflection():
@@ -107,6 +109,24 @@ def test_classify_isolated_algebraic():
     assert not pt.rational
     assert sq_norm(pt.coords).real_sign() < 0
     assert ProjPoint(g7.mat.apply(pt.coords)) == pt
+
+
+def test_classify_eliminates_only_at_eigenvalues(monkeypatch):
+    # every candidate root of unity is tested against the charpoly first, so
+    # each elimination classify_elliptic runs finds a nonzero eigenspace
+    spaces = []
+
+    def spy(mat, lam):
+        basis = eigenspace_basis(mat, lam)
+        spaces.append(len(basis))
+        return basis
+
+    monkeypatch.setattr(torsion, "eigenspace_basis", spy)
+    gens = abcd()
+    g7 = GENERATORS[1] * R.to_matrix() * T1.to_matrix()
+    for g, n in ((gens["a"], 7), (gens["c"], 6), (g7, 7), (GENERATORS[1] * R.to_matrix(), 2)):
+        assert classify_elliptic(g, n)[0] == "isolated"
+    assert spaces and 0 not in spaces
 
 
 def test_tjk_basics():
