@@ -1,9 +1,8 @@
 """Command-line front end for the verification and enumeration pipelines."""
 
-import argparse
 import json
 import sys
-from functools import cache
+from types import SimpleNamespace
 
 from picard7.hermitian import (
     GroupElt,
@@ -18,12 +17,7 @@ from picard7.ford import ReductionError, reduce_to_domain, spheres_containing
 from picard7.torsion import ClosureError, build_cycle_graph, enumerate_torsion, stabilizer
 
 class UsageError(Exception):
-    """A malformed command line (argparse's error, which would exit 2)."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
+    """A malformed command line."""
 
 
 def _point_json(p: ProjPoint):
@@ -185,8 +179,6 @@ def cmd_congruence_check(args):
 
 
 def cmd_report_all(args):
-    from types import SimpleNamespace
-
     return {
         "torsion": cmd_torsion_enumerate(args),
         "cusp": cmd_cusp_torsion(args),
@@ -198,64 +190,68 @@ def cmd_report_all(args):
     }
 
 
-def _command(name):
-    """The subcommand function `name`, looked up in this module when it runs.
+#: (group, command) -> (name of its cmd_* function, {option: default}); a
+#: default of None marks a required option
+COMMANDS = {
+    ("ford", "reduce"): ("cmd_ford_reduce", {"point": None}),
+    ("ford", "spheres"): ("cmd_ford_spheres", {"point": None}),
+    ("cusp", "overlaps"): ("cmd_cusp_overlaps", {}),
+    ("cusp", "torsion"): ("cmd_cusp_torsion", {}),
+    ("torsion", "enumerate"): ("cmd_torsion_enumerate", {}),
+    ("torsion", "stabilizer"): ("cmd_torsion_stabilizer", {"point": None}),
+    ("mirror", "verify"): ("cmd_mirror_verify", {"which": None}),
+    ("mirror", "search"): ("cmd_mirror_search", {"which": "L", "norm": None, "height": 20}),
+    ("presentation", "verify"): ("cmd_presentation_verify", {}),
+    ("congruence", "check"): ("cmd_congruence_check", {"ideal": None}),
+    ("report", "all"): ("cmd_report_all", {}),
+}
 
-    The parser is built once per process; the lookup at run time keeps a
-    cmd_* function that was replaced after that (a test double, a tracer)
-    in effect.
-    """
+#: option -> (type of its value, the values it accepts or None for any)
+OPTIONS = {
+    "point": (str, None),
+    "which": (str, ("R", "L")),
+    "norm": (int, (1, 2)),
+    "height": (int, None),
+    "ideal": (str, ("isqrt7", "tau")),
+}
 
-    def run(args):
-        return globals()[name](args)
 
-    return run
+def parse(argv):
+    """The cmd_* name and the options of `<group> <command> [--option value ...]`."""
+    if tuple(argv[:2]) not in COMMANDS:
+        raise UsageError("unknown command %r; see --help" % " ".join(argv[:2]))
+    if len(argv) % 2:
+        raise UsageError("expected --option value pairs after %r" % " ".join(argv[:2]))
+    name, defaults = COMMANDS[tuple(argv[:2])]
+    opts = dict(defaults)
+    for flag, text in zip(argv[2::2], argv[3::2]):
+        opt = flag[2:]
+        if not flag.startswith("--") or opt not in opts:
+            raise UsageError("unrecognized argument: %s" % flag)
+        kind, choices = OPTIONS[opt]
+        try:
+            opts[opt] = kind(text)
+        except ValueError:
+            raise UsageError("argument %s: invalid %s value: %r" % (flag, kind.__name__, text)) from None
+        if choices is not None and opts[opt] not in choices:
+            raise UsageError("argument %s: invalid choice: %r (choose from %s)"
+                             % (flag, text, ", ".join(map(str, choices))))
+    missing = ["--" + opt for opt, value in opts.items() if value is None]
+    if missing:
+        raise UsageError("the following arguments are required: " + ", ".join(missing))
+    return name, opts
 
 
-@cache
-def build_parser():
-    p = _Parser(prog="picard7", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    ford = sub.add_parser("ford").add_subparsers(dest="sub", required=True)
-    fr = ford.add_parser("reduce")
-    fr.add_argument("--point", required=True, help="JSON vector, e.g. '[\"-1\",\"0\",\"1\"]'")
-    fr.set_defaults(func=_command("cmd_ford_reduce"))
-    fs = ford.add_parser("spheres")
-    fs.add_argument("--point", required=True)
-    fs.set_defaults(func=_command("cmd_ford_spheres"))
-
-    cusp = sub.add_parser("cusp").add_subparsers(dest="sub", required=True)
-    cusp.add_parser("overlaps").set_defaults(func=_command("cmd_cusp_overlaps"))
-    cusp.add_parser("torsion").set_defaults(func=_command("cmd_cusp_torsion"))
-
-    tor = sub.add_parser("torsion").add_subparsers(dest="sub", required=True)
-    tor.add_parser("enumerate").set_defaults(func=_command("cmd_torsion_enumerate"))
-    ts = tor.add_parser("stabilizer")
-    ts.add_argument("--point", required=True)
-    ts.set_defaults(func=_command("cmd_torsion_stabilizer"))
-
-    mir = sub.add_parser("mirror").add_subparsers(dest="sub", required=True)
-    mv = mir.add_parser("verify")
-    mv.add_argument("--which", choices=("R", "L"), required=True)
-    mv.set_defaults(func=_command("cmd_mirror_verify"))
-    ms = mir.add_parser("search")
-    ms.add_argument("--which", choices=("R", "L"), default="L")
-    ms.add_argument("--norm", type=int, choices=(1, 2), required=True)
-    ms.add_argument("--height", type=int, default=20)
-    ms.set_defaults(func=_command("cmd_mirror_search"))
-
-    pres = sub.add_parser("presentation").add_subparsers(dest="sub", required=True)
-    pres.add_parser("verify").set_defaults(func=_command("cmd_presentation_verify"))
-
-    con = sub.add_parser("congruence").add_subparsers(dest="sub", required=True)
-    cc = con.add_parser("check")
-    cc.add_argument("--ideal", choices=("isqrt7", "tau"), required=True)
-    cc.set_defaults(func=_command("cmd_congruence_check"))
-
-    rep = sub.add_parser("report").add_subparsers(dest="sub", required=True)
-    rep.add_parser("all").set_defaults(func=_command("cmd_report_all"))
-    return p
+def usage() -> str:
+    lines = ["usage: picard7 <group> <command> [--option value ...]", "", __doc__, ""]
+    for (group, command), (_, defaults) in COMMANDS.items():
+        words = ["  picard7", group, command]
+        for opt, default in defaults.items():
+            choices = OPTIONS[opt][1]
+            arg = "--%s %s" % (opt, "|".join(map(str, choices)) if choices else opt.upper())
+            words.append(arg if default is None else "[%s]" % arg)
+        lines.append(" ".join(words))
+    return "\n".join(lines)
 
 
 def _error(name, e, code) -> int:
@@ -265,9 +261,15 @@ def _error(name, e, code) -> int:
 
 def main(argv=None) -> int:
     """Exit codes: 0 success, 1 bad input, 2 resource limit, 3 failed soundness check."""
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(usage())
+        return 0
     try:
-        args = build_parser().parse_args(argv)
-        out = args.func(args)
+        name, opts = parse(argv)
+        # looked up when it runs, so a cmd_* replaced after import (a test
+        # double, a tracer) takes effect
+        out = globals()[name](SimpleNamespace(**opts))
     except UsageError as e:
         return _error("UsageError", e, 1)
     except (ClosureError, ReductionError) as e:

@@ -228,7 +228,7 @@ def search_orthogonal_mirrors(ctx, norm: int, height: int):
     g11, g12, g22 = ctx.gram
     g11, g22 = int(g11.rat()), int(g22.rat())
     is_norm = {}
-    found = {}
+    found = set()
     rng = range(-height, height + 1)
     for a1 in rng:
         for c1 in rng:
@@ -247,9 +247,9 @@ def search_orthogonal_mirrors(ctx, norm: int, height: int):
                     v = tuple(al * b1[k] + be * b2[k] for k in range(3))
                     p = primitive_rep(v)
                     if sq_norm(p) == KNum(norm):
-                        found[p] = ProjPoint(p)
+                        found.add(p)
     # primitive reps are integral, so (na, nb) orders their entries as (a, b)
-    return sorted(found.values(), key=lambda q: tuple((x.na, x.nb) for x in q.coords))
+    return sorted(map(ProjPoint, found), key=lambda q: tuple((x.na, x.nb) for x in q.coords))
 
 
 # polar vectors of the four reflections pairing sides of the mirror-L domain

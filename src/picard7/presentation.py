@@ -245,15 +245,15 @@ def coverage_report() -> dict:
     g the table element and k coprime to the order.
     """
     classes = enumerate_torsion()
-    rows = torsion_word_rows()
+    # a row's classification serves every class of its order
+    rows = [(row, *classify_elliptic(row["elt"], row["order"])) for row in torsion_word_rows()]
     matches = {}
     graphs = {}
     for idx, cls in enumerate(classes):
-        for row in rows:
+        for row, kind, pt, norm in rows:
             g, n = row["elt"], row["order"]
             if n != cls.proj_order:
                 continue
-            kind, pt, norm = classify_elliptic(g, n)
             if cls.kind == "reflection":
                 if kind != "reflection" or norm != cls.polar_norm:
                     continue

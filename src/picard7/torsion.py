@@ -68,11 +68,6 @@ def projective_order(g: GroupElt):
     return None
 
 
-def _elt_key(g: GroupElt):
-    # the ints (a_ij, b_ij) order the entries as (a, b), row by row
-    return g.ints
-
-
 # ---------------------------------------------------------------------------
 # reflections and the reflection/isolated dichotomy
 # ---------------------------------------------------------------------------
@@ -449,7 +444,7 @@ def _spanning_transports(graph: CycleGraph, base: int):
     """BFS transports t[v] with t[v](base vertex) = vertex v."""
     order_edges = sorted(
         range(len(graph.edges)),
-        key=lambda i: (graph.edges[i].src, graph.edges[i].dst, _elt_key(graph.edges[i].label)),
+        key=lambda i: (graph.edges[i].src, graph.edges[i].dst, graph.edges[i].label.ints),
     )
     transports = {base: GroupElt.identity()}
     changed = True
@@ -617,7 +612,7 @@ def _power_conjugate_witness(rep: GroupElt, g: GroupElt, n: int, stab: FiniteGro
         if gcd(k, n) == 1:
             coprime.append((k, p))
         p = p * rep
-    for s in sorted(stab.elements, key=_elt_key):
+    for s in sorted(stab.elements, key=lambda s: s.ints):
         si = s.inverse()
         for k, p in coprime:
             if s * p * si == g:
@@ -635,7 +630,7 @@ def enumerate_torsion():
     cands = _torsion_candidates()
     reflections = []
     isolated = []
-    for g, n in sorted(cands.items(), key=lambda t: (len(t[0].word or ()), _elt_key(t[0]))):
+    for g, n in sorted(cands.items(), key=lambda t: (len(t[0].word or ()), t[0].ints)):
         kind, pt, norm = classify_elliptic(g, n)
         if kind == "reflection":
             reflections.append((g, n, pt, norm))

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from picard7.cli import build_parser, main
+import picard7.cli as cli
+from picard7.cli import COMMANDS, main, parse
 from picard7.ford import ReductionError
 from picard7.torsion import ClosureError
 
@@ -131,24 +134,15 @@ def test_congruence_check(capsys):
     assert data["torsion_free"] is False
 
 
-def test_parser_covers_all_subcommands():
-    p = build_parser()
-    for argv in (
-        ["cusp", "overlaps"],
-        ["cusp", "torsion"],
-        ["torsion", "enumerate"],
-        ["mirror", "verify", "--which", "L"],
-        ["presentation", "verify"],
-        ["report", "all"],
-    ):
-        args = p.parse_args(argv)
-        assert callable(args.func)
-
-
-def test_parser_has_no_global_options():
-    # the computation has no tunable input: the limits are fixed constants
-    top = [a.option_strings for a in build_parser()._actions if a.option_strings]
-    assert top == [["-h", "--help"]]
+def test_command_table_is_the_grammar():
+    # every entry names a cmd_* function of the module and every cmd_*
+    # function has an entry; the computation has no tunable input, so the
+    # five options are all there is and none is global
+    named = {name for name, _ in COMMANDS.values()}
+    defined = {name for name, f in vars(cli).items() if name.startswith("cmd_") and callable(f)}
+    assert len(COMMANDS) == 11 and named == defined
+    options = {opt for _, defaults in COMMANDS.values() for opt in defaults}
+    assert options == set(cli.OPTIONS) == {"point", "which", "norm", "height", "ideal"}
 
 
 @pytest.mark.parametrize(
@@ -159,19 +153,45 @@ def test_parser_has_no_global_options():
         ["mirror", "search", "--norm", "2", "--height", "x"],
         ["--closure-cap", "5", "cusp", "overlaps"],
         ["--max-reduce-iters", "5", "cusp", "overlaps"],
+        ["ford", "sideways"],
+        ["mirror", "search", "--norm", "3"],
+        ["cusp", "overlaps", "--closure-cap", "5"],
+        ["ford", "reduce", "--point"],
+        ["mirror", "verify", "--which", "X"],
+        ["ford", "reduce", '--point=["-1","0","1"]'],
+        ["ford", "reduce", "--poi", '["-1","0","1"]'],
     ],
-    ids=["no-command", "missing-point", "bad-int", "no-closure-cap", "no-max-reduce-iters"],
+    ids=["no-command", "missing-point", "bad-int", "no-closure-cap", "no-max-reduce-iters",
+         "unknown-command", "bad-norm", "unknown-option", "point-without-value", "bad-which",
+         "equals-form", "abbreviated-option"],
 )
 def test_usage_error_is_json_exit_1(capsys, argv):
-    # argparse would print plain text and exit 2, the resource-limit code
+    # a malformed command line is bad input (exit 1), not a resource limit (exit 2)
     code, out = run(capsys, argv)
     assert code == 1
     assert json.loads(out)["error"] == "UsageError"
 
 
-def test_failed_soundness_check_exits_3(capsys, monkeypatch):
-    import picard7.cli as cli
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["mirror", "search", "--help"]])
+def test_help_exits_0_and_lists_every_command(capsys, argv):
+    code, out = run(capsys, argv)
+    assert code == 0
+    listed = [line.split()[1:3] for line in out.splitlines() if line.startswith("  picard7 ")]
+    assert listed == [list(key) for key in COMMANDS]
 
+
+def test_readme_command_lines_parse():
+    # the README's examples are read by the CLI's own table, and cover all of it
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines()]
+    assert all(words[0] == "picard7" for words in lines)
+    for words in lines:
+        assert parse(words[1:])[0] == COMMANDS[tuple(words[1:3])][0]
+    assert {tuple(words[1:3]) for words in lines} == set(COMMANDS)
+
+
+def test_failed_soundness_check_exits_3(capsys, monkeypatch):
     def broken(args):
         raise ArithmeticError("the Ford quantity did not decrease")
 
@@ -183,8 +203,6 @@ def test_failed_soundness_check_exits_3(capsys, monkeypatch):
 
 @pytest.mark.parametrize("error", [ClosureError, ReductionError], ids=lambda e: e.__name__)
 def test_resource_limit_exits_2(capsys, monkeypatch, error):
-    import picard7.cli as cli
-
     def limited(args):
         raise error("limit reached")
 
@@ -292,14 +310,13 @@ def test_zeta3_points_never_use_intervals(capsys, monkeypatch):
 
 
 def test_stabilizer_output_does_not_depend_on_cache_state(capsys):
-    # the second call finds the cusp overlaps, the candidate tables and the
-    # parser already built, and must print the same bytes
+    # the second call finds the cusp overlaps and the candidate tables
+    # already built, and must print the same bytes
     argv, digest = STABILIZER_GOLDEN
     for _ in range(2):
         code, out = run(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert build_parser() is build_parser()
 
 
 def test_mixed_operations_pay_no_abc_checks(capsys, monkeypatch):

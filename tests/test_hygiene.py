@@ -250,3 +250,16 @@ def test_cli_import_loads_no_code_generators():
     )
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_command_loads_no_argparse():
+    # the CLI reads its command line from its own table; argparse, and the
+    # locale and gettext it loads for its messages, would cost a process that
+    # cannot cache bytecode tens of milliseconds of compiling at every start
+    code = (
+        "import sys; sys.path.insert(0, %r); import picard7.cli; "
+        "picard7.cli.main(['cusp', 'overlaps']); "
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))" % str(SRC.parent)
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
