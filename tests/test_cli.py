@@ -134,15 +134,31 @@ def test_congruence_check(capsys):
     assert data["torsion_free"] is False
 
 
-def test_command_table_is_the_grammar():
-    # every entry names a cmd_* function of the module and every cmd_*
-    # function has an entry; the computation has no tunable input, so the
-    # five options are all there is and none is global
+def test_parser_covers_all_subcommands():
+    # every table entry names a cmd_* function of the module and every cmd_*
+    # function has an entry
+    for argv in (
+        ["cusp", "overlaps"],
+        ["cusp", "torsion"],
+        ["torsion", "enumerate"],
+        ["mirror", "verify", "--which", "L"],
+        ["presentation", "verify"],
+        ["report", "all"],
+    ):
+        assert callable(getattr(cli, parse(argv)[0]))
     named = {name for name, _ in COMMANDS.values()}
     defined = {name for name, f in vars(cli).items() if name.startswith("cmd_") and callable(f)}
     assert len(COMMANDS) == 11 and named == defined
+
+
+def test_parser_has_no_global_options():
+    # the computation has no tunable input: the limits are fixed constants,
+    # and the five per-command options are all there is
     options = {opt for _, defaults in COMMANDS.values() for opt in defaults}
     assert options == set(cli.OPTIONS) == {"point", "which", "norm", "height", "ideal"}
+    for flag in ("--closure-cap", "--max-reduce-iters", "--point"):
+        with pytest.raises(cli.UsageError):
+            parse([flag, "5", "cusp", "overlaps"])
 
 
 @pytest.mark.parametrize(
