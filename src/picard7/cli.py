@@ -16,6 +16,7 @@ from picard7.heisenberg import cusp_torsion_classes, enumerate_cusp_overlaps
 from picard7.ford import ReductionError, reduce_to_domain, spheres_containing
 from picard7.torsion import ClosureError, build_cycle_graph, enumerate_torsion, stabilizer
 
+
 class UsageError(Exception):
     """A malformed command line."""
 

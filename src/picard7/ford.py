@@ -30,6 +30,7 @@ from .hermitian import (
     GroupElt,
     Mat,
     ProjPoint,
+    depth,
     herm_inner,
     horo_coords,
     lift,
@@ -109,8 +110,6 @@ INVERSE_PAIRS = {
 
 def generator_depths() -> dict:
     """Depth of each pairing matrix, read off its first column."""
-    from .hermitian import depth
-
     return {j: depth(ProjPoint(g.first_column())) for j, g in GENERATORS.items()}
 
 

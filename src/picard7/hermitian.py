@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .ring import (
     AlgNum,
@@ -308,22 +308,36 @@ def primitive_rep(v):
     return tuple(-x for x in w)
 
 
-class ProjPoint(namedtuple("ProjPoint", "coords rational")):
-    """A point of P^2(C): canonical primitive integral rep when K-rational,
-    else a normalized tuple of AlgNum coordinates."""
+class ProjPoint(namedtuple("ProjPoint", "rep rational")):
+    """A point of P^2(C), a named tuple: equality, hashing and order are the tuple's.
+
+    A K-rational point keeps the six ints (a1, b1, a2, b2, a3, b3) of its
+    canonical primitive representative (a_i + b_i tau), under the sign rule
+    of primitive_rep: its first nonzero int is positive.  Any other point
+    keeps its AlgNum coordinates divided by the first nonzero one.  `coords`
+    is the coordinate vector, built as KNums on each read of a rational point.
+    """
 
     __slots__ = ()
 
     def __new__(cls, v):
-        if all(isinstance(x, KNum) for x in v):
-            return tuple.__new__(cls, (primitive_rep(v), True))
-        tower = next(x.tower for x in v if isinstance(x, AlgNum))
-        v = tuple(x if isinstance(x, AlgNum) else AlgNum.lift(tower, x) for x in v)
-        if all(x.in_k() for x in v):
-            return tuple.__new__(cls, (primitive_rep(tuple(x.k_part() for x in v)), True))
-        lead = next(x for x in v if not x.is_zero())
-        inv = lead.inverse()
-        return tuple.__new__(cls, (tuple(x * inv for x in v), False))
+        if not all(isinstance(x, KNum) for x in v):
+            tower = next(x.tower for x in v if isinstance(x, AlgNum))
+            v = tuple(x if isinstance(x, AlgNum) else AlgNum.lift(tower, x) for x in v)
+            lead = next((x for x in v if not x.is_zero()), None)
+            if lead is not None:  # a zero vector goes on to primitive_rep's error
+                inv = lead.inverse()
+                v = tuple(x * inv for x in v)
+            if not all(x.in_k() for x in v):
+                return tuple.__new__(cls, (v, False))
+            v = tuple(x.k_part() for x in v)
+        w1, w2, w3 = primitive_rep(v)
+        return tuple.__new__(cls, ((w1.na, w1.nb, w2.na, w2.nb, w3.na, w3.nb), True))
+
+    @property
+    def coords(self):
+        t = self.rep
+        return tuple(map(knum_from_ints, t[0::2], t[1::2])) if self.rational else t
 
     def __repr__(self):
         return f"ProjPoint({', '.join(str(c) for c in self.coords)})"
@@ -342,12 +356,9 @@ class ProjPoint(namedtuple("ProjPoint", "coords rational")):
         O_7^3 to a primitive vector: a rational point's image is the int
         product with its sign normalized, and needs no gcd."""
         if not self.rational:
-            return ProjPoint(g.mat.apply(self.coords))
-        v1, v2, v3 = self.coords
-        if v1.d != 1 or v2.d != 1 or v3.d != 1:
-            raise ArithmeticError("a rational point's coordinates are not integral")
+            return ProjPoint(g.mat.apply(self.rep))
         a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, a8, b8 = g.ints
-        p0, r0, p1, r1, p2, r2 = v1.na, v1.nb, v2.na, v2.nb, v3.na, v3.nb
+        p0, r0, p1, r1, p2, r2 = self.rep
         q0 = b0 * r0 + b1 * r1 + b2 * r2
         q1 = b3 * r0 + b4 * r1 + b5 * r2
         q2 = b6 * r0 + b7 * r1 + b8 * r2
@@ -363,8 +374,7 @@ class ProjPoint(namedtuple("ProjPoint", "coords rational")):
         # nonzero entry: the sign rule of primitive_rep
         if w < (0,) * 6:
             w = tuple(-x for x in w)
-        coords = (knum_from_ints(w[0], w[1]), knum_from_ints(w[2], w[3]), knum_from_ints(w[4], w[5]))
-        return tuple.__new__(ProjPoint, (coords, True))
+        return tuple.__new__(ProjPoint, (w, True))
 
 
 def depth(p: ProjPoint) -> int:
@@ -381,8 +391,6 @@ def depth(p: ProjPoint) -> int:
 
 def elements_of_norm(n: int):
     """All integral field elements of norm n, in lexicographic order."""
-    from math import isqrt
-
     out = []
     # a^2 + ab + 2b^2 = n  <=>  (2a+b)^2 + 7b^2 = 4n
     bmax = isqrt(4 * n // 7)

@@ -84,9 +84,10 @@ def restriction(g: GroupElt, ctx):
     b1, b2 = ctx.basis
     i, j = ctx._solve_ij
     det = b1[i] * b2[j] - b1[j] * b2[i]
+    m = g.mat
     cols = []
     for b in ctx.basis:
-        w = g.mat.apply(b)
+        w = m.apply(b)
         x = (w[i] * b2[j] - w[j] * b2[i]) / det
         y = (b1[i] * w[j] - b1[j] * w[i]) / det
         for k in range(3):
@@ -248,8 +249,7 @@ def search_orthogonal_mirrors(ctx, norm: int, height: int):
                     p = primitive_rep(v)
                     if sq_norm(p) == KNum(norm):
                         found.add(p)
-    # primitive reps are integral, so (na, nb) orders their entries as (a, b)
-    return sorted(map(ProjPoint, found), key=lambda q: tuple((x.na, x.nb) for x in q.coords))
+    return sorted(map(ProjPoint, found))
 
 
 # polar vectors of the four reflections pairing sides of the mirror-L domain

@@ -293,7 +293,7 @@ def reflection_conjugacy(g1: GroupElt, g2: GroupElt):
     half = (CONJUGACY_SEARCH_LEN + 1) // 2
     fwd = _orbit_ball(r1[0], half)
     bwd = _orbit_ball(r2[0], CONJUGACY_SEARCH_LEN - half)
-    for p in sorted((p for p in fwd if p in bwd), key=_vec_key):
+    for p in sorted(p for p in fwd if p in bwd):
         delta = walk_element(bwd, p).inverse() * walk_element(fwd, p)
         if delta * g1 * delta.inverse() == g2:
             return delta
@@ -401,9 +401,7 @@ class FiniteGroup:
             refl = reflection_polar(g)
             if refl is not None:
                 polars[refl[0]] = refl[1]
-        self.reflections = sorted(
-            ((p, n) for p, n in polars.items()), key=lambda t: (t[1], _vec_key(t[0]))
-        )
+        self.reflections = sorted(polars.items(), key=lambda t: (t[1], t[0]))
         self.one_lines = sum(1 for _, n in polars.items() if n == 1)
         self.two_lines = sum(1 for _, n in polars.items() if n == 2)
         self.two_line_orbits = self._orbit_sizes([p for p, n in polars.items() if n == 2])
@@ -431,13 +429,6 @@ class FiniteGroup:
             f"FiniteGroup(linear={self.linear_order}, projective={self.projective_order}, "
             f"reflections={len(self.reflections)})"
         )
-
-
-def _vec_key(p: ProjPoint):
-    # a rational point's coordinates are its primitive integral rep
-    if p.rational:
-        return tuple((x.na, x.nb) for x in p.coords)
-    return ()
 
 
 def _spanning_transports(graph: CycleGraph, base: int):

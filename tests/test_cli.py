@@ -239,8 +239,9 @@ STABILIZER_GOLDEN = (
 # cache must leave every printed byte as it was.  The first six were taken
 # before KNum moved from pairs of Fractions to (a, b, d) ints, the next three
 # before the cusp overlaps were cached and matrix products moved to ints, the
-# next before the boundary-point types were merged, and the last before the
-# value records became named tuples.
+# next before the boundary-point types were merged, the next before the
+# value records became named tuples, and the two mirror-search pins after
+# them before a rational point became the six ints of its primitive rep.
 GOLDEN = [
     pytest.param(["cusp", "torsion"],
                  "93dc2f9b75a6832a23e1ef8d85ea4cfe840159e4c73d99c85d924c84c59a3f3c",
@@ -276,6 +277,13 @@ GOLDEN = [
     pytest.param(["report", "all"],
                  "7ac02892cc70fcd3196b7630f37bfe888d6d2365d20d34f4718f999a9c7de0cd",
                  id="report-all"),
+    # the order of the polars is the order of the points' int tuples
+    pytest.param(["mirror", "search", "--which", "L", "--norm", "2", "--height", "3"],
+                 "f8ebfa2ee371591c58058675700f3f89a7e441cddaaea6afe7b667a2ad185451",
+                 id="mirror-search-L-height-3"),
+    pytest.param(["mirror", "search", "--which", "R", "--norm", "1", "--height", "4"],
+                 "b5e1e36ca8774a854e38fd6f30f7b72678df58425127ec8ec2d44c8a00d78ff3",
+                 id="mirror-search-R-height-4"),
 ]
 
 

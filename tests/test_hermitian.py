@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from picard7.ring import AlgNum, ISQRT7, KNum, TAU, TAU_BAR, ZERO, zeta3_tower
+from picard7 import hermitian
+from picard7.ring import AlgNum, ISQRT7, KNum, TAU, TAU_BAR, ZERO, zeta3_tower, zeta7_tower
 from picard7.hermitian import (
     GroupElt,
     Mat,
@@ -294,6 +295,46 @@ def test_algebraic_projpoint():
     # an AlgNum vector that is secretly K-rational canonicalizes to KNum form
     r = ProjPoint((one * 2, one * 4, one * 6))
     assert r.rational and r.coords == (KNum(1), KNum(2), KNum(3))
+
+
+@pytest.mark.parametrize("tower", [zeta3_tower, zeta7_tower], ids=["zeta3", "zeta7"])
+def test_tower_vector_rational_up_to_scale_is_rational(tower):
+    # (zeta tau, 2 zeta, zeta) is projectively (tau, 2, 1): it is tested for
+    # K-rationality after its lead is divided out
+    z = AlgNum.gen(tower())
+    p = ProjPoint((z * TAU, z * 2, z))
+    q = ProjPoint((TAU, KNum(2), KNum(1)))
+    assert p.rational and p == q and hash(p) == hash(q)
+    assert p.rep == (0, 1, 2, 0, 1, 0)
+    with pytest.raises(ValueError, match="zero vector"):
+        ProjPoint((z * 0, z * 0, KNum(0)))
+
+
+def test_rational_point_is_its_six_ints(monkeypatch):
+    rng = random.Random(24)
+    words = _random_words(25, 40)
+    points, images = [], []
+    for _ in range(200):
+        v = tuple(KNum(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                       Fraction(rng.randint(-9, 9), rng.randint(1, 4))) for _ in range(3))
+        if all(x.is_zero() for x in v):
+            continue
+        p, w = ProjPoint(v), primitive_rep(v)
+        assert p.rational and p.rep == tuple(n for x in w for n in (x.na, x.nb))
+        assert p.coords == w
+        g, m = words[len(points) % len(words)]
+        points.append(p)
+        images.append((g, ProjPoint(m.apply(w))))
+
+    # the image of a rational point is formed on its ints: no KNum is built
+    def refused(*args):
+        raise RuntimeError("a KNum was built")
+
+    monkeypatch.setattr(hermitian, "knum_from_ints", refused)
+    assert [p.apply(g) for p, (g, _) in zip(points, images)] == [q for _, q in images]
+    monkeypatch.undo()
+    # the order of points is the order of their (a, b) pairs
+    assert sorted(points) == sorted(points, key=lambda q: tuple((x.na, x.nb) for x in q.coords))
 
 
 def test_mat_json_roundtrip():

@@ -228,6 +228,14 @@ def test_only_ring_reads_k_coefficients():
     assert reads == []
 
 
+def test_points_are_ordered_without_their_knum_ints():
+    # a rational point's format is decided in hermitian: torsion and mirror
+    # sort points by the point's own order and read no KNum ints
+    reads = [(name, attr, line) for name in ("torsion.py", "mirror.py")
+             for attr in ("na", "nb") for line in attribute_reads(SRC / name, attr)]
+    assert reads == []
+
+
 def test_only_numbers_and_group_elements_hand_roll_immutability():
     # a record whose equality is field equality is a named tuple; KNum,
     # AlgNum and GroupElt are not, because their equality is not the tuple's
