@@ -3,12 +3,11 @@
 from functools import cache
 from itertools import permutations
 
-from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR
+from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR, o_gcd, o_gcd_many
 from picard7.hermitian import (
     GroupElt,
     Mat,
     ProjPoint,
-    elements_of_norm,
     herm_inner,
     is_in_gamma,
     primitive_rep,
@@ -48,13 +47,13 @@ class MirrorContext:
             basis.append(primitive_rep(tuple(w)))
         self.basis = tuple(basis)
         b1, b2 = self.basis
-        # pair of coordinates where the basis 2x2 block is invertible
-        self._solve_ij = next(
-            (i, j)
-            for i in range(3)
-            for j in range(3)
-            if not (b1[i] * b2[j] - b1[j] * b2[i]).is_zero()
-        )
+        # The 2x2 minors of (b1, b2) have unit gcd exactly when the basis
+        # spans polar^perp meet O_7^3 (is saturated); the mirror search
+        # rests on that.  The first nonzero minor solves for coordinates.
+        minors = {(i, j): b1[i] * b2[j] - b1[j] * b2[i] for i, j in ((0, 1), (0, 2), (1, 2))}
+        if not o_gcd_many(minors.values()).is_one():
+            raise ArithmeticError("the mirror basis is not saturated")
+        self._solve = next((i, j, m) for (i, j), m in minors.items() if not m.is_zero())
         g11, g12, g22 = sq_norm(b1), herm_inner(b2, b1), sq_norm(b2)
         if (g11 * g22 - g12 * g12.conj()).real_sign() >= 0:
             raise ValueError("form does not restrict with signature (1,1)")
@@ -82,8 +81,7 @@ def restriction(g: GroupElt, ctx):
     if not preserves_mirror(g, ctx):
         raise ValueError("element does not preserve the mirror")
     b1, b2 = ctx.basis
-    i, j = ctx._solve_ij
-    det = b1[i] * b2[j] - b1[j] * b2[i]
+    i, j, det = ctx._solve
     m = g.mat
     cols = []
     for b in ctx.basis:
@@ -217,18 +215,18 @@ def search_orthogonal_mirrors(ctx, norm: int, height: int):
     """All primitive polar vectors of the given norm orthogonal to the mirror.
 
     Candidates are integral combinations v = al*b1 + be*b2 of the context
-    basis with tau-basis coefficients bounded by the height.  A candidate
-    reaches the gcd only if it passes a necessary condition: v = g*p with p
-    primitive and g in O_7 gives <v, v> = norm * N(g), and by the Gram form
-    <v, v> = N(al) g11 + N(be) g22 + Tr(be conj(al) g12).  The zero vector
-    has <v, v> = 0 and never passes.
+    basis with tau-basis coefficients bounded by the height.  MirrorContext
+    certifies that the basis is saturated, so the primitive part of v is
+    v/G with G = gcd(al, be), and <v, v> = N(G) <v/G, v/G>.  A candidate is
+    kept exactly when its Gram form <v, v> = N(al) g11 + N(be) g22 +
+    Tr(be conj(al) g12) equals norm * N(G).  The zero vector has <v, v> = 0
+    and is never kept.
     """
     if height < 1:
         raise ValueError("height must be at least 1")
     b1, b2 = ctx.basis
     g11, g12, g22 = ctx.gram
     g11, g22 = int(g11.rat()), int(g22.rat())
-    is_norm = {}
     found = set()
     rng = range(-height, height + 1)
     for a1 in rng:
@@ -239,17 +237,10 @@ def search_orthogonal_mirrors(ctx, norm: int, height: int):
                 for c2 in rng:
                     be = KNum(a2, c2)
                     q = q1 + be.norm() * g22 + (be * cross).trace()
-                    if q <= 0 or q % norm:
+                    if q <= 0 or q % norm or q != norm * o_gcd(al, be).norm():
                         continue
-                    if q not in is_norm:
-                        is_norm[q] = bool(elements_of_norm(q // norm))
-                    if not is_norm[q]:
-                        continue
-                    v = tuple(al * b1[k] + be * b2[k] for k in range(3))
-                    p = primitive_rep(v)
-                    if sq_norm(p) == KNum(norm):
-                        found.add(p)
-    return sorted(map(ProjPoint, found))
+                    found.add(ProjPoint(tuple(al * b1[k] + be * b2[k] for k in range(3))))
+    return sorted(found)
 
 
 # polar vectors of the four reflections pairing sides of the mirror-L domain

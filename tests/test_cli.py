@@ -240,8 +240,10 @@ STABILIZER_GOLDEN = (
 # before KNum moved from pairs of Fractions to (a, b, d) ints, the next three
 # before the cusp overlaps were cached and matrix products moved to ints, the
 # next before the boundary-point types were merged, the next before the
-# value records became named tuples, and the two mirror-search pins after
-# them before a rational point became the six ints of its primitive rep.
+# value records became named tuples, the two mirror-search pins after
+# them before a rational point became the six ints of its primitive rep,
+# and the last two before the mirror search kept a candidate by the one
+# equation <v, v> = norm * N(gcd(al, be)).
 GOLDEN = [
     pytest.param(["cusp", "torsion"],
                  "93dc2f9b75a6832a23e1ef8d85ea4cfe840159e4c73d99c85d924c84c59a3f3c",
@@ -284,6 +286,13 @@ GOLDEN = [
     pytest.param(["mirror", "search", "--which", "R", "--norm", "1", "--height", "4"],
                  "b5e1e36ca8774a854e38fd6f30f7b72678df58425127ec8ec2d44c8a00d78ff3",
                  id="mirror-search-R-height-4"),
+    # the other norm of each mirror; the first is verify_mirror_L's norm-1 search
+    pytest.param(["mirror", "search", "--which", "L", "--norm", "1", "--height", "5"],
+                 "63049711ad337878db994fa99862ccb61a89f9c159f1998e261d182047323bdc",
+                 id="mirror-search-L-norm-1"),
+    pytest.param(["mirror", "search", "--which", "R", "--norm", "2", "--height", "3"],
+                 "807605d50a9b387c93eef1068461cee887fc9afe3221b8ea67b7952b934160d8",
+                 id="mirror-search-R-norm-2"),
 ]
 
 

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR
+from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR, o_gcd_many
 from picard7.hermitian import GroupElt, ProjPoint, herm_inner, primitive_rep, sq_norm
 from picard7.heisenberg import R, T1, TTAU, TV
 from picard7.ford import GENERATORS
@@ -120,25 +120,38 @@ def _unfiltered_search(ctx, norm, height):
 
 
 @pytest.mark.parametrize("norm", [1, 2])
-@pytest.mark.parametrize("height", [1, 2])
+@pytest.mark.parametrize("height", [1, 2, 3])
 def test_search_prefilter_keeps_every_polar(monkeypatch, norm, height):
     for ctx in (CTX_L, CTX_R):
         reached = []
 
         def recording(v):
             reached.append(v)
-            return primitive_rep(v)
+            return ProjPoint(v)
 
-        monkeypatch.setattr(mirror, "primitive_rep", recording)
+        monkeypatch.setattr(mirror, "ProjPoint", recording)
         found = search_orthogonal_mirrors(ctx, norm, height)
         monkeypatch.undo()
         kept, polars = _unfiltered_search(ctx, norm, height)
         assert len(set(found)) == len(found) and set(found) == polars
-        # every candidate the norm test would accept reaches the gcd, and
-        # the filter skips the others before it
-        assert kept <= set(reached)
-        assert len(reached) < (2 * height + 1) ** 4 - 1
+        # the Gram-form test keeps exactly the candidates whose primitive
+        # representative has the norm, each once
+        assert len(reached) == len(kept) and set(reached) == kept
     assert search_orthogonal_mirrors(CTX_L, norm, height)
+
+
+def test_unsaturated_basis_is_refused():
+    def minors_gcd(ctx):
+        b1, b2 = ctx.basis
+        return o_gcd_many(b1[i] * b2[j] - b1[j] * b2[i] for i, j in ((0, 1), (0, 2), (1, 2)))
+
+    assert minors_gcd(CTX_R) == 1 and minors_gcd(CTX_L) == 1
+    # a norm-2 polar whose basis minors have gcd 1 - tau (norm 2): the
+    # Gram-form test of the mirror search would drop polars on it
+    polar = (TAU, -1 - 2 * TAU, -1 - 2 * TAU)
+    assert sq_norm(polar) == 2
+    with pytest.raises(ArithmeticError):
+        MirrorContext(polar)
 
 
 def test_mirror_l_generators():
