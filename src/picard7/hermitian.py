@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
-from math import isqrt, lcm
+from functools import cache
+from math import gcd, isqrt, lcm
 
 from .ring import (
     AlgNum,
@@ -418,6 +419,73 @@ def _ext_gcd(a: int, b: int):
     if old_r < 0:
         old_r, old_x, old_y = -old_r, -old_x, -old_y
     return old_r, old_x, old_y
+
+
+def _mul_ints(a: int, b: int, c: int, e: int):
+    """(a + b tau)(c + e tau) as an int pair."""
+    return a * c - 2 * b * e, a * e + b * c + b * e
+
+
+def _divisors(a: int, b: int, elements):
+    """(c, e, a', b') over the divisors c + e tau of a + b tau != 0, one of each
+    +/- pair, with quotient a' + b' tau; elements(m) lists norm m as int pairs."""
+    n = a * a + a * b + 2 * b * b
+    # a divisor's norm divides n: trial division up to sqrt(n)
+    for m in {d for i in range(1, isqrt(n) + 1) if not n % i for d in (i, n // i)}:
+        for c, e in elements(m):
+            # (a + b tau) conj(c + e tau) = s + t tau
+            s, t = a * c + a * e + 2 * b * e, b * c - a * e
+            if (c, e) > (0, 0) and not s % m and not t % m:
+                yield c, e, s // m, t // m
+
+
+def _box_range(p0, p1, height: int):
+    """The ints k with p0 + k p1 in the box |coefficient| <= height (p1 != 0)."""
+    lows, highs = [], []
+    for c0, c1 in zip(p0, p1):
+        if c1:
+            c0, c1 = (c0, c1) if c1 > 0 else (-c0, -c1)
+            lows.append(-((height + c0) // c1))
+            highs.append((height - c0) // c1)
+        elif abs(c0) > height:
+            return range(0)
+    return range(max(lows), min(highs) + 1)
+
+
+def norm_form_solutions(gram, norm: int, height: int):
+    """The coprime O_7 pairs (al, be), one of each +/- pair, with q(al, be) =
+    N(al) g11 + N(be) g22 + Tr(be conj(al) g12) = norm, (g11, g12, g22) = gram,
+    and a multiple G (al, be) in the box |tau-coefficient| <= height: each
+    al != 0 of the box is G al' over its divisors G, and the be' solve one of
+    two shapes of q(al', be') = norm.  Another Gram form raises ArithmeticError.
+    """
+    g11, g12, g22 = gram
+    if g11 != 0 or g22 not in (0, 1):
+        raise ArithmeticError("no norm-equation solver for the Gram form (%s, %s, %s)" % gram)
+    quadratic, p, r = g22 == 1, g12.na, g12.nb
+    elements = cache(lambda m: [(x.na, x.nb) for x in elements_of_norm(m)])
+    found = {(0, 0, 1, 0)} if g22 == norm else set()
+    for a in range(height + 1):
+        for b in range(-height if a else 1, height + 1):
+            for c, e, a1, b1 in _divisors(a, b, elements):
+                n1 = a1 * a1 + a1 * b1 + 2 * b1 * b1
+                if quadratic:  # (g11, g22) = (0, 1)
+                    # be' = x - al' conj(g12) = x - (s + t tau) with N(x) = norm + N(g12) N(al')
+                    s, t = a1 * p + a1 * r + 2 * b1 * r, b1 * p - a1 * r
+                    betas = [(u - s, v - t) for u, v in elements(norm + (p * p + p * r + 2 * r * r) * n1)]
+                else:  # g11 = g22 = 0: be' = u + v tau on a line, cut by the box to an interval
+                    # u A + v B = norm, with A and B the traces of conj(al') g12 and tau conj(al') g12
+                    A, B = a1 * (2 * p + r) + b1 * (p + 4 * r), a1 * (p - 3 * r) + b1 * (4 * p + 2 * r)
+                    g, x, y = _ext_gcd(A, B)
+                    u0, v0, du, dv = x * norm // g, y * norm // g, B // g, -A // g
+                    ks = () if norm % g else _box_range(_mul_ints(c, e, u0, v0), _mul_ints(c, e, du, dv), height)
+                    betas = [(u0 + k * du, v0 + k * dv) for k in ks]
+                # keep G be' in the box and be' prime to al': a prime above p divides both
+                # exactly when p divides N(al'), N(be') and al' conj(be') (p split, inert or ramified)
+                found.update(max((a1, b1, u, v), (-a1, -b1, -u, -v)) for u, v in betas
+                             if max(map(abs, _mul_ints(c, e, u, v))) <= height
+                             and gcd(n1, u * u + u * v + 2 * v * v, a1 * u + a1 * v + 2 * b1 * v, b1 * u - a1 * v) == 1)
+    return [(knum_from_ints(a, b), knum_from_ints(u, v)) for a, b, u, v in found]
 
 
 #: radius of the box of middle coordinates searched by depth_witness

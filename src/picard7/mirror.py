@@ -3,13 +3,14 @@
 from functools import cache
 from itertools import permutations
 
-from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR, o_gcd, o_gcd_many
+from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR, o_gcd_many
 from picard7.hermitian import (
     GroupElt,
     Mat,
     ProjPoint,
     herm_inner,
     is_in_gamma,
+    norm_form_solutions,
     primitive_rep,
     sq_norm,
 )
@@ -17,6 +18,7 @@ from picard7.heisenberg import R, T1, TTAU, TV
 from picard7.ford import GENERATORS, reduce_to_domain
 from picard7.congruence import FpMatGroup, ResidueMap
 from picard7.torsion import (
+    ClosureError,
     _search_alphabet,
     build_cycle_graph,
     classify_elliptic,
@@ -211,36 +213,25 @@ def verify_mirror_R() -> dict:
     return report
 
 
+#: largest height search_orthogonal_mirrors takes; a larger one raises ClosureError
+MAX_SEARCH_HEIGHT = 80
+
+
 def search_orthogonal_mirrors(ctx, norm: int, height: int):
     """All primitive polar vectors of the given norm orthogonal to the mirror.
 
-    Candidates are integral combinations v = al*b1 + be*b2 of the context
-    basis with tau-basis coefficients bounded by the height.  MirrorContext
-    certifies that the basis is saturated, so the primitive part of v is
-    v/G with G = gcd(al, be), and <v, v> = N(G) <v/G, v/G>.  A candidate is
-    kept exactly when its Gram form <v, v> = N(al) g11 + N(be) g22 +
-    Tr(be conj(al) g12) equals norm * N(G).  The zero vector has <v, v> = 0
-    and is never kept.
+    Candidates are v = al*b1 + be*b2 over the context basis with tau-basis
+    coefficients bounded by the height.  The basis is saturated, so v is G
+    times the primitive al'*b1 + be'*b2 for G = gcd(al, be), and v is kept
+    exactly when q(al', be') = norm: norm_form_solutions solves that equation.
     """
     if height < 1:
         raise ValueError("height must be at least 1")
+    if height > MAX_SEARCH_HEIGHT:
+        raise ClosureError("height %d exceeds the search cap %d" % (height, MAX_SEARCH_HEIGHT))
     b1, b2 = ctx.basis
-    g11, g12, g22 = ctx.gram
-    g11, g22 = int(g11.rat()), int(g22.rat())
-    found = set()
-    rng = range(-height, height + 1)
-    for a1 in rng:
-        for c1 in rng:
-            al = KNum(a1, c1)
-            q1, cross = al.norm() * g11, al.conj() * g12
-            for a2 in rng:
-                for c2 in rng:
-                    be = KNum(a2, c2)
-                    q = q1 + be.norm() * g22 + (be * cross).trace()
-                    if q <= 0 or q % norm or q != norm * o_gcd(al, be).norm():
-                        continue
-                    found.add(ProjPoint(tuple(al * b1[k] + be * b2[k] for k in range(3))))
-    return sorted(found)
+    pairs = norm_form_solutions(ctx.gram, norm, height)
+    return sorted(ProjPoint(tuple(al * b1[k] + be * b2[k] for k in range(3))) for al, be in pairs)
 
 
 # polar vectors of the four reflections pairing sides of the mirror-L domain

@@ -12,7 +12,7 @@ from math import isqrt, lcm
 from picard7.ford import _SQRT_DEN, SPHERES
 from picard7.heisenberg import CuspElt, Prism
 from picard7.hermitian import HoroPoint, Mat, ProjPoint, herm_inner
-from picard7.ring import ISQRT7, TAU, KNum, _divmod_ints, knum_from_ints
+from picard7.ring import ISQRT7, TAU, KNum, _divmod_ints, knum_from_ints, o_gcd
 
 
 def translation_matrix(w, ti) -> Mat:
@@ -220,3 +220,35 @@ def overlap_witness(c):
     if not (Prism.contains(p.z, p.ti) and Prism.contains(q.z, q.ti)):
         return None
     return p
+
+
+def search_orthogonal_mirrors(ctx, norm: int, height: int):
+    """All primitive polar vectors of the given norm orthogonal to the mirror.
+
+    Candidates are integral combinations v = al*b1 + be*b2 of the context
+    basis with tau-basis coefficients bounded by the height.  MirrorContext
+    certifies that the basis is saturated, so the primitive part of v is
+    v/G with G = gcd(al, be), and <v, v> = N(G) <v/G, v/G>.  A candidate is
+    kept exactly when its Gram form <v, v> = N(al) g11 + N(be) g22 +
+    Tr(be conj(al) g12) equals norm * N(G).  The zero vector has <v, v> = 0
+    and is never kept.
+    """
+    if height < 1:
+        raise ValueError("height must be at least 1")
+    b1, b2 = ctx.basis
+    g11, g12, g22 = ctx.gram
+    g11, g22 = int(g11.rat()), int(g22.rat())
+    found = set()
+    rng = range(-height, height + 1)
+    for a1 in rng:
+        for c1 in rng:
+            al = KNum(a1, c1)
+            q1, cross = al.norm() * g11, al.conj() * g12
+            for a2 in rng:
+                for c2 in rng:
+                    be = KNum(a2, c2)
+                    q = q1 + be.norm() * g22 + (be * cross).trace()
+                    if q <= 0 or q % norm or q != norm * o_gcd(al, be).norm():
+                        continue
+                    found.add(ProjPoint(tuple(al * b1[k] + be * b2[k] for k in range(3))))
+    return sorted(found)

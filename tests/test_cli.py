@@ -126,6 +126,18 @@ def test_mirror_search_bad_height(capsys, height):
     assert json.loads(out)["error"] == "ValueError"
 
 
+def test_mirror_search_height_cap(capsys):
+    # a height past the cap is a resource limit: exit 2 with a JSON error;
+    # the cap admits the default height
+    from picard7.mirror import MAX_SEARCH_HEIGHT
+
+    assert MAX_SEARCH_HEIGHT >= COMMANDS[("mirror", "search")][1]["height"]
+    code = main(["mirror", "search", "--norm", "2", "--height", str(MAX_SEARCH_HEIGHT + 1)])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"] == "ClosureError"
+
+
 def test_congruence_check(capsys):
     code, out = run(capsys, ["congruence", "check", "--ideal", "tau"])
     assert code == 0
@@ -242,8 +254,9 @@ STABILIZER_GOLDEN = (
 # next before the boundary-point types were merged, the next before the
 # value records became named tuples, the two mirror-search pins after
 # them before a rational point became the six ints of its primitive rep,
-# and the last two before the mirror search kept a candidate by the one
-# equation <v, v> = norm * N(gcd(al, be)).
+# the next two before the mirror search kept a candidate by the one
+# equation <v, v> = norm * N(gcd(al, be)), and the last, the search at its
+# default height 20, from the scan that solving the norm equation replaced.
 GOLDEN = [
     pytest.param(["cusp", "torsion"],
                  "93dc2f9b75a6832a23e1ef8d85ea4cfe840159e4c73d99c85d924c84c59a3f3c",
@@ -293,6 +306,9 @@ GOLDEN = [
     pytest.param(["mirror", "search", "--which", "R", "--norm", "2", "--height", "3"],
                  "807605d50a9b387c93eef1068461cee887fc9afe3221b8ea67b7952b934160d8",
                  id="mirror-search-R-norm-2"),
+    pytest.param(["mirror", "search", "--which", "L", "--norm", "2"],
+                 "7a6041de5a0b367bdcf0568dc806cb87002e374d8d8ae5d778e0724d2d6cc312",
+                 id="mirror-search-L-default-height"),
 ]
 
 

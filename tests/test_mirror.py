@@ -27,6 +27,8 @@ from picard7.mirror import (
     verify_mirror_R,
 )
 
+from reference import search_orthogonal_mirrors as scan_orthogonal_mirrors
+
 
 CTX_R = MirrorContext.mirror_of_half_turn()
 CTX_L = MirrorContext.mirror_of_shifted_half_turn()
@@ -134,10 +136,32 @@ def test_search_prefilter_keeps_every_polar(monkeypatch, norm, height):
         monkeypatch.undo()
         kept, polars = _unfiltered_search(ctx, norm, height)
         assert len(set(found)) == len(found) and set(found) == polars
-        # the Gram-form test keeps exactly the candidates whose primitive
-        # representative has the norm, each once
-        assert len(reached) == len(kept) and set(reached) == kept
+        # each polar is built once, from a primitive vector: the primitive
+        # members of kept up to sign.  A polar whose only members of kept are
+        # non-primitive multiples is built from its primitive part, which can
+        # lie outside the box.
+        assert len(set(reached)) == len(reached) == len(polars)
+        assert all(o_gcd_many(v).is_one() for v in reached)
+        signed = set(reached) | {tuple(-x for x in v) for v in reached}
+        assert {v for v in kept if o_gcd_many(v).is_one()} <= signed
     assert search_orthogonal_mirrors(CTX_L, norm, height)
+
+
+@pytest.mark.parametrize("norm", [1, 2])
+@pytest.mark.parametrize("height", range(1, 7))
+def test_search_matches_the_scan(norm, height):
+    for ctx in (CTX_L, CTX_R):
+        assert search_orthogonal_mirrors(ctx, norm, height) == scan_orthogonal_mirrors(ctx, norm, height)
+
+
+def test_search_refuses_other_gram_forms():
+    # polar (1, 0, 1): a saturated basis with Gram form (-2, 0, 1), on which
+    # the scan finds polars; the search solves neither of its two shapes
+    ctx = MirrorContext((KNum(1), KNum(0), KNum(1)))
+    assert ctx.gram == (-2, 0, 1)
+    assert scan_orthogonal_mirrors(ctx, 2, 2)
+    with pytest.raises(ArithmeticError):
+        search_orthogonal_mirrors(ctx, 2, 2)
 
 
 def test_unsaturated_basis_is_refused():
