@@ -1,6 +1,7 @@
 """Command-line front end for the verification and enumeration pipelines."""
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -255,32 +256,46 @@ def usage() -> str:
     return "\n".join(lines)
 
 
-def _error(name, e, code) -> int:
-    print(json.dumps({"error": name, "message": str(e)}, sort_keys=True))
-    return code
+#: stdout closed early: 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
+EXIT_CLOSED_PIPE = 141
 
 
-def main(argv=None) -> int:
-    """Exit codes: 0 success, 1 bad input, 2 resource limit, 3 failed soundness check."""
-    argv = sys.argv[1:] if argv is None else argv
-    if "-h" in argv or "--help" in argv:
-        print(usage())
-        return 0
+def _error(name, e):
+    return json.dumps({"error": name, "message": str(e)}, sort_keys=True)
+
+
+def _run(argv):
+    """(stdout text, exit code) of one command line."""
     try:
         name, opts = parse(argv)
         # looked up when it runs, so a cmd_* replaced after import (a test
         # double, a tracer) takes effect
         out = globals()[name](SimpleNamespace(**opts))
     except UsageError as e:
-        return _error("UsageError", e, 1)
+        return _error("UsageError", e), 1
     except (ClosureError, ReductionError) as e:
-        return _error(type(e).__name__, e, 2)
+        return _error(type(e).__name__, e), 2
     except ValueError as e:
-        return _error("ValueError", e, 1)
+        return _error("ValueError", e), 1
     except ArithmeticError as e:
-        return _error(type(e).__name__, e, 3)
-    print(json.dumps(out, sort_keys=True, indent=2))
-    return 0
+        return _error(type(e).__name__, e), 3
+    return json.dumps(out, sort_keys=True, indent=2), 0
+
+
+def main(argv=None) -> int:
+    """Exit codes: 0 success, 1 bad input, 2 resource limit, 3 failed soundness
+    check, 141 (EXIT_CLOSED_PIPE) stdout closed before the output was written."""
+    argv = sys.argv[1:] if argv is None else argv
+    text, code = (usage(), 0) if "-h" in argv or "--help" in argv else _run(argv)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at os.devnull, so that the flush
+        # at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 from functools import cache
 
-from picard7.hermitian import Mat
+from picard7.hermitian import mat_ints
 from picard7.heisenberg import R, T1, TV
 from picard7.torsion import enumerate_torsion, orbit_walk
 
@@ -12,7 +12,7 @@ IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 class ResidueMap:
-    """Entry-wise reduction of integral matrices modulo a prime ideal.
+    """Entry-wise reduction of integral matrices (their 18 ints) modulo a prime ideal.
 
     The quotient is F_7 for the ideal generated by i*sqrt(7) (tau maps to 4,
     the inverse of 2) and F_2 for the ideal generated by tau (tau maps to 0).
@@ -34,8 +34,10 @@ class ResidueMap:
             raise ValueError("entry is not integral")
         return (x.na + x.nb * self.tau) % self.p
 
-    def __call__(self, m: Mat):
-        return tuple(tuple(self.scalar(x) for x in row) for row in m.rows)
+    def __call__(self, t):
+        p, tau = self.p, self.tau
+        e = [(a + b * tau) % p for a, b in zip(t[0::2], t[1::2])]
+        return tuple(e[0:3]), tuple(e[3:6]), tuple(e[6:9])
 
     def mul(self, x, y):
         (x00, x01, x02), (x10, x11, x12), (x20, x21, x22) = x
@@ -61,7 +63,7 @@ class ResidueMap:
 
 
 class FpMatGroup:
-    """Closure of the reductions of a generating set of integral matrices over a prime field."""
+    """Closure of the reductions of integral matrices (18 ints each) over a prime field."""
 
     def __init__(self, gens, rm: ResidueMap, cap: int = 100000):
         self.rm = rm
@@ -106,7 +108,7 @@ def image_group(ideal: str) -> FpMatGroup:
     from picard7.presentation import A_MAT, B_MAT
 
     rm = ResidueMap(ideal)
-    return FpMatGroup([A_MAT, B_MAT], rm)
+    return FpMatGroup([mat_ints(A_MAT), mat_ints(B_MAT)], rm)
 
 
 def torsion_free_certificate(ideal: str, classes=None) -> dict:
@@ -122,8 +124,8 @@ def torsion_free_certificate(ideal: str, classes=None) -> dict:
         classes = enumerate_torsion()
     rows = []
     for cls in classes:
-        img = rm(cls.rep.mat)
-        neg = rm(-cls.rep.mat)
+        img = rm(cls.rep.ints)
+        neg = rm(tuple(-x for x in cls.rep.ints))
         row = {
             "word": cls.word,
             "order": cls.proj_order,
@@ -137,10 +139,10 @@ def torsion_free_certificate(ideal: str, classes=None) -> dict:
     tv = TV.to_matrix()
     # every vertical translation reduces trivially mod isqrt7, so the image
     # order of tv can be 1; the four products are still checked separately
-    cusp = {"tv_image_order": grp.element_order(rm(tv.mat)), "products_nontrivial": []}
+    cusp = {"tv_image_order": grp.element_order(rm(tv.ints)), "products_nontrivial": []}
     g = t1r
     for k in range(max(4, cusp["tv_image_order"])):
-        cusp["products_nontrivial"].append(not rm.is_scalar(rm(g.mat)))
+        cusp["products_nontrivial"].append(not rm.is_scalar(rm(g.ints)))
         g = g * tv
     report = {
         "ideal": ideal,

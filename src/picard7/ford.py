@@ -34,6 +34,8 @@ from .hermitian import (
     herm_inner,
     horo_coords,
     lift,
+    _mul_ints,
+    _norm_ints,
 )
 from .heisenberg import (
     CuspElt,
@@ -166,10 +168,6 @@ _D_EDGES = tuple(
     ((v0.na, v0.nb), (v1.na - v0.na, v1.nb - v0.nb), (v1 - v0).norm())
     for v0, v1 in ((ZERO, ONE), (ZERO, TAU), (ONE, TAU))
 )
-
-
-def _norm_ints(a: int, b: int) -> int:
-    return a * a + a * b + 2 * b * b
 
 
 def _dist2_num(a: int, b: int, den: int) -> int:
@@ -321,11 +319,6 @@ def enumerate_tjk(j: int, k: int):
                 out.append(CuspElt(m, n, eps, l))
     out.sort()
     return out
-
-
-def _mul_ints(a: int, b: int, c: int, e: int):
-    """(a + b tau)(c + e tau) as an int pair, with tau^2 = tau - 2."""
-    return a * c - 2 * b * e, a * e + b * c + b * e
 
 
 @cache

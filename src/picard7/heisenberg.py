@@ -188,22 +188,19 @@ def reduce_to_prism(h: HoroPoint):
     Ties at facets resolve toward the closed lower faces a, b, s >= 0.
     """
     total = IDENTITY
-    for _ in range(4):
+    a, b = tau_coordinates(h.z)
+    k, n = a.floor_real(), b.floor_real()
+    if k or n:
+        total = CuspElt(m=-k) * CuspElt(n=-n)
+        h = total.act_horo(h)
         a, b = tau_coordinates(h.z)
-        k, n = a.floor_real(), b.floor_real()
-        if k or n:
-            step = CuspElt(m=-k) * CuspElt(n=-n)
-            h = step.act_horo(h)
-            total = step * total
-            a, b = tau_coordinates(h.z)
-        if (1 - a - b).real_sign() < 0:
-            step = T1 * TTAU * R  # z -> 1 + tau - z
-            h = step.act_horo(h)
-            total = step * total
-            continue
-        break
-    else:
-        raise ArithmeticError("prism reduction did not stabilize")
+    # floor_real is exact, so a and b now lie in [0, 1).  If a + b > 1, both
+    # are positive, and z -> 1 + tau - z gives a' = 1 - a and b' = 1 - b in
+    # (0, 1) with a' + b' < 1: one flip lands z in D.
+    if (1 - a - b).real_sign() < 0:
+        step = T1 * TTAU * R  # z -> 1 + tau - z
+        h = step.act_horo(h)
+        total = step * total
     lshift = (s_coordinate(h.ti) / 2).floor_real()
     if lshift:
         step = CuspElt(l=-lshift)

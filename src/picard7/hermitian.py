@@ -1,4 +1,4 @@
-"""The Hermitian form J, matrices over K, projective points and horospherical coordinates.
+"""The Hermitian form J, elements of Gamma, projective points and horospherical coordinates.
 
 Conventions: <v,w> = w* J v with J the antidiagonal form
 [[0,0,1],[0,1,0],[1,0,0]].  The point at infinity is q_inf = (1,0,0);
@@ -8,6 +8,9 @@ boundary points (z,t) lift to ((-|z|^2+it)/2, z, 1), interior points
 The imaginary coordinate t is never stored as a real number: we carry
 ti = i*t, which lies in the coefficient field (for K-rational points
 ti = s*(2*tau-1) with t = s*sqrt(7), s rational).
+
+An element of Gamma is a GroupElt, which does Gamma's algebra on the 18
+ints of its matrix; a Mat, a matrix over K, serves literals and JSON.
 """
 
 from __future__ import annotations
@@ -59,28 +62,6 @@ def _herm_inner_k(v1, v2, v3, w1, w2, w3) -> KNum:
     return knum_from_ints(x1 * s1 + x2 * s2 + x3 * s3, y1 * s1 + y2 * s2 + y3 * s3, d)
 
 
-def _dot_k(x1, x2, x3, y1, y2, y3) -> KNum:
-    """x1 y1 + x2 y2 + x3 y3 for KNum entries, on the ints of their triples.
-
-    (a + b t)(c + e t) = (a c - 2 b e) + (a e + b c + b e) t, over the
-    product of the two denominators.
-    """
-    a, b, c, e = x1.na, x1.nb, y1.na, y1.nb
-    be = b * e
-    p1, q1, d1 = a * c - 2 * be, a * e + b * c + be, x1.d * y1.d
-    a, b, c, e = x2.na, x2.nb, y2.na, y2.nb
-    be = b * e
-    p2, q2, d2 = a * c - 2 * be, a * e + b * c + be, x2.d * y2.d
-    a, b, c, e = x3.na, x3.nb, y3.na, y3.nb
-    be = b * e
-    p3, q3, d3 = a * c - 2 * be, a * e + b * c + be, x3.d * y3.d
-    if d1 == d2 == d3:
-        return knum_from_ints(p1 + p2 + p3, q1 + q2 + q3, d1)
-    d = lcm(d1, d2, d3)
-    s1, s2, s3 = d // d1, d // d2, d // d3
-    return knum_from_ints(p1 * s1 + p2 * s2 + p3 * s3, q1 * s1 + q2 * s2 + q3 * s3, d)
-
-
 def sq_norm(v):
     """<v,v>, a real scalar."""
     return herm_inner(v, v)
@@ -94,11 +75,9 @@ class Mat(namedtuple("Mat", "rows")):
     equality and hashing are the tuple's.
 
     Every entry is a KNum: the constructor coerces ints and Fractions and
-    refuses anything else.  Products, and `apply` to a vector in K^3, run
-    on the ints of the KNum triples (`_dot_k`); `apply` moves a vector with
-    coordinates in K(zeta_3) or K(zeta_7) through the field's operators.
-    Elements of Gamma are GroupElts on 18 ints; a Mat serves the K
-    arithmetic of eigenspaces and characteristic polynomials, and JSON.
+    refuses anything else.  A Mat serves matrix literals, JSON and `g.mat`;
+    Gamma's algebra runs on GroupElts.  Its product is `ints_product`, each
+    factor scaled by the lcm of its denominators.
     """
 
     __slots__ = ()
@@ -118,65 +97,76 @@ class Mat(namedtuple("Mat", "rows")):
         return "Mat(" + ", ".join(str(list(map(str, r))) for r in self.rows) + ")"
 
     def __mul__(self, other):
-        if isinstance(other, Mat):
-            cols = tuple(zip(*other.rows))
-            return Mat._of_k(tuple(tuple(_dot_k(*r, *c) for c in cols) for r in self.rows))
-        return NotImplemented
-
-    def __neg__(self):
-        return Mat._of_k(tuple(tuple(-x for x in r) for r in self.rows))
-
-    def apply(self, v):
-        """Matrix times column vector."""
-        v1, v2, v3 = v
-        if type(v1) is type(v2) is type(v3) is KNum:
-            return tuple(_dot_k(*r, v1, v2, v3) for r in self.rows)
-        return tuple(sum((x * y for x, y in zip(r, v)), start=ZERO) for r in self.rows)
-
-    def trace(self):
-        return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
-
-    def det(self):
-        r = self.rows
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
-
-    def charpoly(self):
-        """Coefficients of det(x*I - M), low degree first: [c0, c1, c2, 1]."""
-        t = self.trace()
-        d = self.det()
-        r = self.rows
-        m2 = (
-            (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            + (r[0][0] * r[2][2] - r[0][2] * r[2][0])
-            + (r[0][0] * r[1][1] - r[0][1] * r[1][0])
-        )
-        return [-d, m2, -t, ONE]
+        if not isinstance(other, Mat):
+            return NotImplemented
+        (r0, r1, r2), (s0, s1, s2) = self.rows, other.rows
+        x, dx = _scaled_ints(r0 + r1 + r2)
+        y, dy = _scaled_ints(s0 + s1 + s2)
+        return Mat._of_k(_ints_rows(ints_product(x, y), dx * dy))
 
 
 # ---------------------------------------------------------------------------
-# integral matrices as 18 ints
+# matrices and vectors over K as ints
 # ---------------------------------------------------------------------------
 #
 # An integral matrix is the tuple of the 18 ints (a_ij, b_ij) of its entries
-# a_ij + b_ij tau, row by row: entry n = 3i + j sits at 2n and 2n + 1.
+# a_ij + b_ij tau, row by row: entry n = 3i + j sits at 2n and 2n + 1.  A
+# matrix or vector over K is d times its entries, as ints, over the lcm d
+# of their denominators.
 
 #: the 18 ints of the identity matrix
 ID_INTS = (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0)
 
 
-def _mat_ints(m: Mat):
+def _scaled_ints(xs):
+    """(t, d) for a tuple of KNums xs: d the lcm of their denominators and t
+    the list of the ints (a, b) of each d x, in order."""
+    d = lcm(*[x.d for x in xs])
+    if d == 1:
+        return [n for x in xs for n in (x.na, x.nb)], 1
+    return [n * (d // x.d) for x in xs for n in (x.na, x.nb)], d
+
+
+def _ints_rows(t, d=1):
+    """The rows of KNums of the matrix with 18 ints t over the denominator d."""
+    e = tuple(map(knum_from_ints, t[0::2], t[1::2], (d,) * 9))
+    return e[0:3], e[3:6], e[6:9]
+
+
+def mat_ints(m: Mat):
     """The 18 ints of an integral matrix; a non-integral entry raises ArithmeticError."""
-    out = []
-    for r in m.rows:
-        for x in r:
-            if x.d != 1:
-                raise ArithmeticError(f"matrix entry {x} is not integral")
-            out += (x.na, x.nb)
-    return tuple(out)
+    r0, r1, r2 = m.rows
+    t, d = _scaled_ints(r0 + r1 + r2)
+    if d != 1:
+        raise ArithmeticError(f"matrix {m!r} has an entry that is not integral")
+    return tuple(t)
+
+
+def _mul_ints(a: int, b: int, c: int, e: int):
+    """(a + b tau)(c + e tau) as an int pair, with tau^2 = tau - 2."""
+    return a * c - 2 * b * e, a * e + b * c + b * e
+
+
+def _norm_ints(a: int, b: int) -> int:
+    """N(a + b tau)."""
+    return a * a + a * b + 2 * b * b
+
+
+def _apply_ints(t, v):
+    """The six ints of M v, for M with 18 ints t and v with six ints (p_k, r_k)."""
+    a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, a8, b8 = t
+    p0, r0, p1, r1, p2, r2 = v
+    q0 = b0 * r0 + b1 * r1 + b2 * r2
+    q1 = b3 * r0 + b4 * r1 + b5 * r2
+    q2 = b6 * r0 + b7 * r1 + b8 * r2
+    return (
+        a0 * p0 + a1 * p1 + a2 * p2 - 2 * q0,
+        a0 * r0 + a1 * r1 + a2 * r2 + b0 * p0 + b1 * p1 + b2 * p2 + q0,
+        a3 * p0 + a4 * p1 + a5 * p2 - 2 * q1,
+        a3 * r0 + a4 * r1 + a5 * r2 + b3 * p0 + b4 * p1 + b5 * p2 + q1,
+        a6 * p0 + a7 * p1 + a8 * p2 - 2 * q2,
+        a6 * r0 + a7 * r1 + a8 * r2 + b6 * p0 + b7 * p1 + b8 * p2 + q2,
+    )
 
 
 def ints_product(x, y):
@@ -246,7 +236,7 @@ def is_in_gamma(m: Mat) -> bool:
     """Membership in U(J, O_7): all entries integral, then M* J M = J on their ints."""
     if not all(x.d == 1 for r in m.rows for x in r):
         return False
-    return _is_unitary_ints(_mat_ints(m))
+    return _is_unitary_ints(mat_ints(m))
 
 
 def _kernel_basis(rows):
@@ -279,10 +269,10 @@ def _kernel_basis(rows):
     return basis
 
 
-def eigenspace_basis(m: Mat, lam):
-    """Basis of ker(M - lam*I) (list of vectors, exact); lam is in K or in a cyclotomic field."""
+def eigenspace_basis(g: GroupElt, lam):
+    """Basis of ker(g - lam*I) (list of vectors, exact); lam is in K or in a cyclotomic field."""
     return _kernel_basis(
-        [[x - lam if i == j else x for j, x in enumerate(r)] for i, r in enumerate(m.rows)]
+        [[x - lam if i == j else x for j, x in enumerate(r)] for i, r in enumerate(g.entries())]
     )
 
 
@@ -357,20 +347,8 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
         O_7^3 to a primitive vector: a rational point's image is the int
         product with its sign normalized, and needs no gcd."""
         if not self.rational:
-            return ProjPoint(g.mat.apply(self.rep))
-        a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, a8, b8 = g.ints
-        p0, r0, p1, r1, p2, r2 = self.rep
-        q0 = b0 * r0 + b1 * r1 + b2 * r2
-        q1 = b3 * r0 + b4 * r1 + b5 * r2
-        q2 = b6 * r0 + b7 * r1 + b8 * r2
-        w = (
-            a0 * p0 + a1 * p1 + a2 * p2 - 2 * q0,
-            a0 * r0 + a1 * r1 + a2 * r2 + b0 * p0 + b1 * p1 + b2 * p2 + q0,
-            a3 * p0 + a4 * p1 + a5 * p2 - 2 * q1,
-            a3 * r0 + a4 * r1 + a5 * r2 + b3 * p0 + b4 * p1 + b5 * p2 + q1,
-            a6 * p0 + a7 * p1 + a8 * p2 - 2 * q2,
-            a6 * r0 + a7 * r1 + a8 * r2 + b6 * p0 + b7 * p1 + b8 * p2 + q2,
-        )
+            return ProjPoint(g.apply(self.rep))
+        w = _apply_ints(g.ints, self.rep)
         # the first nonzero int is the a, or the b when a = 0, of the first
         # nonzero entry: the sign rule of primitive_rep
         if w < (0,) * 6:
@@ -421,15 +399,10 @@ def _ext_gcd(a: int, b: int):
     return old_r, old_x, old_y
 
 
-def _mul_ints(a: int, b: int, c: int, e: int):
-    """(a + b tau)(c + e tau) as an int pair."""
-    return a * c - 2 * b * e, a * e + b * c + b * e
-
-
 def _divisors(a: int, b: int, elements):
     """(c, e, a', b') over the divisors c + e tau of a + b tau != 0, one of each
     +/- pair, with quotient a' + b' tau; elements(m) lists norm m as int pairs."""
-    n = a * a + a * b + 2 * b * b
+    n = _norm_ints(a, b)
     # a divisor's norm divides n: trial division up to sqrt(n)
     for m in {d for i in range(1, isqrt(n) + 1) if not n % i for d in (i, n // i)}:
         for c, e in elements(m):
@@ -468,11 +441,11 @@ def norm_form_solutions(gram, norm: int, height: int):
     for a in range(height + 1):
         for b in range(-height if a else 1, height + 1):
             for c, e, a1, b1 in _divisors(a, b, elements):
-                n1 = a1 * a1 + a1 * b1 + 2 * b1 * b1
+                n1 = _norm_ints(a1, b1)
                 if quadratic:  # (g11, g22) = (0, 1)
                     # be' = x - al' conj(g12) = x - (s + t tau) with N(x) = norm + N(g12) N(al')
                     s, t = a1 * p + a1 * r + 2 * b1 * r, b1 * p - a1 * r
-                    betas = [(u - s, v - t) for u, v in elements(norm + (p * p + p * r + 2 * r * r) * n1)]
+                    betas = [(u - s, v - t) for u, v in elements(norm + _norm_ints(p, r) * n1)]
                 else:  # g11 = g22 = 0: be' = u + v tau on a line, cut by the box to an interval
                     # u A + v B = norm, with A and B the traces of conj(al') g12 and tau conj(al') g12
                     A, B = a1 * (2 * p + r) + b1 * (p + 4 * r), a1 * (p - 3 * r) + b1 * (4 * p + 2 * r)
@@ -484,7 +457,7 @@ def norm_form_solutions(gram, norm: int, height: int):
                 # exactly when p divides N(al'), N(be') and al' conj(be') (p split, inert or ramified)
                 found.update(max((a1, b1, u, v), (-a1, -b1, -u, -v)) for u, v in betas
                              if max(map(abs, _mul_ints(c, e, u, v))) <= height
-                             and gcd(n1, u * u + u * v + 2 * v * v, a1 * u + a1 * v + 2 * b1 * v, b1 * u - a1 * v) == 1)
+                             and gcd(n1, _norm_ints(u, v), a1 * u + a1 * v + 2 * b1 * v, b1 * u - a1 * v) == 1)
     return [(knum_from_ints(a, b), knum_from_ints(u, v)) for a, b, u, v in found]
 
 
@@ -542,19 +515,20 @@ def realizable_depths(max_depth: int):
 class GroupElt:
     """An element of PU(J, O_7): an integral matrix in U(J), sign-canonicalized.
 
-    The matrix is kept as its 18 ints (see _mat_ints).  Of the pair {M, -M}
+    The matrix is kept as its 18 ints (see mat_ints).  Of the pair {M, -M}
     we keep the one whose first nonzero entry (row-major) is positive in the
     lexicographic (a, b) ring order, which is the one whose first nonzero
     int is positive.  Equality and hashing act on the canonical ints,
-    implementing projectivization; products, inverses and the action on
-    rational points run on the ints.  `mat` is a Mat view for K arithmetic,
-    built on each read.
+    implementing projectivization; products, inverses, the characteristic
+    polynomial and the action on K^3 run on the ints.  `entries()`, the rows
+    of KNums (for eigenspaces and tower vectors), and the Mat view `mat` (for
+    JSON) are built on each call.
     """
 
     __slots__ = ("ints", "word")
 
     def __init__(self, mat: Mat, word=None, check=True):
-        t = _mat_ints(mat)
+        t = mat_ints(mat)
         if check and not _is_unitary_ints(t):
             raise ValueError("matrix is not in U(J, O_7)")
         _init_elt(self, t, word)
@@ -573,11 +547,13 @@ class GroupElt:
     def identity() -> "GroupElt":
         return GroupElt.from_ints(ID_INTS, ())
 
+    def entries(self):
+        """The rows of KNums of the matrix."""
+        return _ints_rows(self.ints)
+
     @property
     def mat(self) -> Mat:
-        t = self.ints
-        e = tuple(map(knum_from_ints, t[0::2], t[1::2]))
-        return Mat._of_k((e[0:3], e[3:6], e[6:9]))
+        return Mat._of_k(self.entries())
 
     def __eq__(self, other):
         if not isinstance(other, GroupElt):
@@ -589,7 +565,7 @@ class GroupElt:
 
     def __repr__(self):
         w = f", word={self.word!r}" if self.word else ""
-        return f"GroupElt({self.mat!r}{w})"
+        return f"GroupElt({Mat._of_k(self.entries())!r}{w})"
 
     def __mul__(self, other):
         if not isinstance(other, GroupElt):
@@ -635,8 +611,33 @@ class GroupElt:
     def is_identity(self) -> bool:
         return self.ints == ID_INTS
 
+    def charpoly(self):
+        """Coefficients of det(x*I - M), low degree first: (c0, c1, c2, 1), on
+        the ints.  det M = -c0, tr M = -c2, and c1 is the sum of the
+        principal 2x2 minors."""
+        t = self.ints
+        e = tuple(zip(t[0::2], t[1::2]))
+
+        def minor(i, j, k, l):  # e_i e_j - e_k e_l
+            (p, q), (r, s) = _mul_ints(*e[i], *e[j]), _mul_ints(*e[k], *e[l])
+            return p - r, q - s
+
+        # the minors of row 0's cofactors; the first is also a principal minor
+        k0, k1, k2 = minor(4, 8, 5, 7), minor(3, 8, 5, 6), minor(3, 7, 4, 6)
+        det = [x - y + z for x, y, z in zip(_mul_ints(*e[0], *k0), _mul_ints(*e[1], *k1), _mul_ints(*e[2], *k2))]
+        c1 = [x + y + z for x, y, z in zip(k0, minor(0, 8, 2, 6), minor(0, 4, 1, 3))]
+        return (knum_from_ints(-det[0], -det[1]), knum_from_ints(*c1),
+                knum_from_ints(-t[0] - t[8] - t[16], -t[1] - t[9] - t[17]), ONE)
+
     def apply(self, v):
-        return self.mat.apply(v)
+        """M v, for v in K^3 (on the ints of d v, d the lcm of the
+        denominators) or with coordinates in K(zeta_3) or K(zeta_7)."""
+        v1, v2, v3 = v
+        if type(v1) is type(v2) is type(v3) is KNum:
+            w, d = _scaled_ints(v)
+            w = _apply_ints(self.ints, w)
+            return tuple(map(knum_from_ints, w[0::2], w[1::2], (d, d, d)))
+        return tuple(sum((x * y for x, y in zip(r, v)), start=ZERO) for r in self.entries())
 
 
 # GroupElt.__setattr__ refuses every write, so new elements get their two

@@ -84,10 +84,9 @@ def restriction(g: GroupElt, ctx):
         raise ValueError("element does not preserve the mirror")
     b1, b2 = ctx.basis
     i, j, det = ctx._solve
-    m = g.mat
     cols = []
     for b in ctx.basis:
-        w = m.apply(b)
+        w = g.apply(b)
         x = (w[i] * b2[j] - w[j] * b2[i]) / det
         y = (b1[i] * w[j] - b1[j] * w[i]) / det
         for k in range(3):
@@ -336,7 +335,7 @@ def verify_mirror_L() -> dict:
     # so lam = +/-1 and the equation survives reduction mod <tau>: the residue
     # of S2_FIXED would be the first column of an element of the image group.
     rm = ResidueMap("tau")
-    image = FpMatGroup([g.mat for g in gens.values()] + [(TTAU * R).to_matrix().mat], rm)
+    image = FpMatGroup([g.ints for g in gens.values()] + [(TTAU * R).to_matrix().ints], rm)
     cusp = tuple(rm.scalar(x) for x in S2_FIXED)
     report["cusps_stab_equivalent"] = any(tuple(r[0] for r in x) == cusp for x in image.elements)
     report["all_pass"] = (

@@ -17,7 +17,6 @@ from math import gcd
 
 from .ring import (
     AlgNum,
-    KNum,
     ONE,
     zeta3_tower,
     zeta7_tower,
@@ -79,22 +78,14 @@ def make_reflection(v) -> GroupElt:
     nv = sq_norm(v).rat()
     if nv not in (1, 2):
         raise ValueError("polar norm not integral for this form")
-    basis = (
-        (ONE, KNum(0), KNum(0)),
-        (KNum(0), ONE, KNum(0)),
-        (KNum(0), KNum(0), ONE),
-    )
-    cols = []
-    for j, e in enumerate(basis):
-        c = herm_inner(e, v) * 2 / nv
-        cols.append(tuple(e[i] - c * v[i] for i in range(3)))
-    mat = Mat([[cols[j][i] for j in range(3)] for i in range(3)])
+    # column j is e_j - c_j v with c_j = 2 <e_j, v>/<v, v> and <e_j, v> = conj(v[2 - j])
+    mat = Mat([[int(i == j) - v[2 - j].conj() * v[i] * 2 / nv for j in range(3)] for i in range(3)])
     return GroupElt(mat, word=(("R_" + "".join(str(x) for x in v), 1),))
 
 
 def _repeated_eigenvalue(charpoly):
     """The repeated K-eigenvalue of a matrix with the characteristic polynomial
-    charpoly (`Mat.charpoly`), or None when it is squarefree.
+    charpoly (`GroupElt.charpoly`), or None when it is squarefree.
 
     The monic cubic x^3 + a x^2 + b x + c has a repeated root iff its
     discriminant vanishes.  For (x - l)^2 (x - m), a^2 - 3b = (l - m)^2 and
@@ -117,30 +108,30 @@ def _roots(charpoly, candidates):
     return [lam for lam in candidates if (((lam + a) * lam + b) * lam + c).is_zero()]
 
 
-def _is_mirror(mat: Mat, lam) -> bool:
-    """Whether the lam-eigenspace of mat is a complex line that meets the ball:
+def _is_mirror(g: GroupElt, lam) -> bool:
+    """Whether the lam-eigenspace of g is a complex line that meets the ball:
     a plane on which the form is indefinite."""
-    space = eigenspace_basis(mat, lam)
+    space = eigenspace_basis(g, lam)
     if len(space) != 2:
         return False
     e1, e2 = space
     return (sq_norm(e1) * sq_norm(e2) - herm_inner(e1, e2).abs2()).real_sign() < 0
 
 
-def _simple_eigenpoint(mat: Mat, lam):
-    """(p, <p, p>) for the eigenline of the simple eigenvalue tr - 2 lam of mat,
-    whose repeated eigenvalue is lam."""
-    p = ProjPoint(eigenspace_basis(mat, mat.trace() - 2 * lam)[0])
+def _simple_eigenpoint(g: GroupElt, charpoly, lam):
+    """(p, <p, p>) for the eigenline of the simple eigenvalue tr - 2 lam of g,
+    whose repeated eigenvalue is lam; tr = -c2 of its charpoly."""
+    p = ProjPoint(eigenspace_basis(g, -charpoly[2] - 2 * lam)[0])
     return p, sq_norm(p.coords)
 
 
 def reflection_polar(g: GroupElt):
     """(polar ProjPoint, polar norm) if g is a complex reflection, else None."""
-    mat = g.mat
-    lam = _repeated_eigenvalue(mat.charpoly())
-    if lam is None or not _is_mirror(mat, lam):
+    charpoly = g.charpoly()
+    lam = _repeated_eigenvalue(charpoly)
+    if lam is None or not _is_mirror(g, lam):
         return None
-    polar, norm = _simple_eigenpoint(mat, lam)
+    polar, norm = _simple_eigenpoint(g, charpoly, lam)
     return polar, int(norm.rat())
 
 
@@ -148,12 +139,11 @@ def classify_elliptic(g: GroupElt, n: int):
     """("reflection", polar, <v,v>) or ("isolated", fixed point, <v,v> or None)."""
     if projective_order(g) != n:
         raise ValueError("stated order does not match the element")
-    mat = g.mat
-    charpoly = mat.charpoly()
+    charpoly = g.charpoly()
     lam = _repeated_eigenvalue(charpoly)
     if lam is not None:
-        p, norm = _simple_eigenpoint(mat, lam)
-        if _is_mirror(mat, lam):
+        p, norm = _simple_eigenpoint(g, charpoly, lam)
+        if _is_mirror(g, lam):
             return "reflection", p, int(norm.rat())
         # repeated eigenspace is positive definite: the simple eigenvector
         # is the isolated fixed point
@@ -163,14 +153,15 @@ def classify_elliptic(g: GroupElt, n: int):
     # squarefree characteristic polynomial; K contains only the roots of
     # unity +/-1, so any K-rational eigenvector belongs to one of those
     for lam in _roots(charpoly, (ONE, -ONE)):
-        for v in eigenspace_basis(mat, lam):
+        for v in eigenspace_basis(g, lam):
             if sq_norm(v).real_sign() < 0:
                 pt = ProjPoint(v)
                 return "isolated", pt, int(sq_norm(pt.coords).rat())
     # fixed point outside K^3: eigenvalues are roots of unity of the
     # matrix order, found in the relevant cyclotomic tower.  g^n = e Id with
-    # e = +/-1 gives det(g)^n = e^3 = e, so det(g)^n is the sign of g^n
-    m = n if (mat.det() ** n).is_one() else 2 * n
+    # e = +/-1 gives det(g)^n = e^3 = e, so det(g)^n is the sign of g^n,
+    # with det(g) = -c0
+    m = n if ((-charpoly[0]) ** n).is_one() else 2 * n
     if m % 7 == 0:
         tw = zeta7_tower()
         z = AlgNum.gen(tw)
@@ -184,7 +175,7 @@ def classify_elliptic(g: GroupElt, n: int):
     else:
         raise ValueError(f"unsupported eigenvalue field for matrix order {m}")
     for lam in _roots(charpoly, units):
-        for v in eigenspace_basis(mat, lam):
+        for v in eigenspace_basis(g, lam):
             if sq_norm(v).real_sign() < 0:
                 return "isolated", ProjPoint(v), None
     raise ValueError("no negative eigenvector found for an elliptic element")

@@ -12,7 +12,48 @@ from math import isqrt, lcm
 from picard7.ford import _SQRT_DEN, SPHERES
 from picard7.heisenberg import CuspElt, Prism
 from picard7.hermitian import HoroPoint, Mat, ProjPoint, herm_inner
-from picard7.ring import ISQRT7, TAU, KNum, _divmod_ints, knum_from_ints, o_gcd
+from picard7.ring import ISQRT7, ONE, TAU, KNum, _divmod_ints, knum_from_ints, o_gcd
+
+
+def mat_apply(m: Mat, v):
+    """M v, each coordinate the sum of its three entry products; v lies in
+    K^3 or has coordinates in K(zeta_3) or K(zeta_7)."""
+    return tuple(sum((x * y for x, y in zip(r, v)), start=KNum(0)) for r in m.rows)
+
+
+def mat_product(a: Mat, b: Mat):
+    """The rows of a * b, each entry the sum of its three KNum products."""
+    cols = tuple(zip(*b.rows))
+    return tuple(tuple(sum((x * y for x, y in zip(r, c)), start=KNum(0)) for c in cols) for r in a.rows)
+
+
+def mat_neg(m: Mat) -> Mat:
+    return Mat([[-x for x in r] for r in m.rows])
+
+
+def mat_trace(m: Mat) -> KNum:
+    return m.rows[0][0] + m.rows[1][1] + m.rows[2][2]
+
+
+def mat_det(m: Mat) -> KNum:
+    """The determinant by cofactors of the first row, in KNum arithmetic."""
+    r = m.rows
+    return (
+        r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+        - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+        + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
+    )
+
+
+def mat_charpoly(m: Mat):
+    """Coefficients of det(x*I - M), low degree first: (c0, c1, c2, 1)."""
+    r = m.rows
+    m2 = (
+        (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+        + (r[0][0] * r[2][2] - r[0][2] * r[2][0])
+        + (r[0][0] * r[1][1] - r[0][1] * r[1][0])
+    )
+    return (-mat_det(m), m2, -mat_trace(m), ONE)
 
 
 def translation_matrix(w, ti) -> Mat:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -217,6 +219,21 @@ def test_readme_command_lines_parse():
     for words in lines:
         assert parse(words[1:])[0] == COMMANDS[tuple(words[1:3])][0]
     assert {tuple(words[1:3]) for words in lines} == set(COMMANDS)
+
+
+def test_closed_pipe_exits_141_without_a_traceback():
+    # a reader that stops early, as in `picard7 ... | head -1`, closes stdout
+    # while the output (about 120 KB, more than a pipe holds) is being written
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["mirror", "search", "--which", "L", "--norm", "2", "--height", "40"]
+    code = "import sys; sys.path.insert(0, %r); from picard7.cli import main; sys.exit(main(%r))" % (str(src), argv)
+    proc = subprocess.Popen([sys.executable, "-I", "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
+    assert cli.EXIT_CLOSED_PIPE == 141
 
 
 def test_failed_soundness_check_exits_3(capsys, monkeypatch):

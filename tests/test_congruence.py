@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from picard7.ring import KNum, TAU
-from picard7.hermitian import GroupElt, Mat
+from picard7.hermitian import GroupElt, mat_ints
 from picard7.heisenberg import R, T1, TTAU, TV
 from picard7.ford import GENERATORS
 from picard7.torsion import ClosureError
@@ -30,9 +30,9 @@ def test_residue_map_laws():
 
 def test_reduce_examples():
     rm = ResidueMap("isqrt7")
-    assert rm(GroupElt.identity().mat) == IDENTITY
-    assert rm(A_MAT) == ((1, 0, 0), (6, 1, 0), (3, 1, 1))
-    assert rm(B_MAT) == ((1, 4, 6), (0, 6, 4), (0, 0, 1))
+    assert rm(GroupElt.identity().ints) == IDENTITY
+    assert rm(mat_ints(A_MAT)) == ((1, 0, 0), (6, 1, 0), (3, 1, 1))
+    assert rm(mat_ints(B_MAT)) == ((1, 4, 6), (0, 6, 4), (0, 0, 1))
     with pytest.raises(ValueError):
         rm.scalar(KNum(Fraction(1, 2)))
 
@@ -47,7 +47,7 @@ def test_homomorphism_random_products():
             # GroupElt product would spoil exact equality of residues
             m = rng.choice(letters).mat
             n = (rng.choice(letters).mat) * (rng.choice(letters).mat)
-            assert rm(m * n) == rm.mul(rm(m), rm(n))
+            assert rm(mat_ints(m * n)) == rm.mul(rm(mat_ints(m)), rm(mat_ints(n)))
 
 
 def test_image_group_orders():
@@ -66,15 +66,15 @@ def test_image_group_orders():
 def test_element_orders():
     g7 = image_group("isqrt7")
     rm = g7.rm
-    assert g7.element_order(rm(A_MAT)) == 7
-    assert g7.element_order(rm(B_MAT)) == 2
-    assert g7.projective_element_order(rm(-GroupElt.identity().mat)) == 1
+    assert g7.element_order(rm(mat_ints(A_MAT))) == 7
+    assert g7.element_order(rm(mat_ints(B_MAT))) == 2
+    assert g7.projective_element_order(rm(tuple(-x for x in GroupElt.identity().ints))) == 1
 
 
 def test_closure_cap():
     rm = ResidueMap("isqrt7")
     with pytest.raises(ClosureError):
-        FpMatGroup([A_MAT, B_MAT], rm, cap=10)
+        FpMatGroup([mat_ints(A_MAT), mat_ints(B_MAT)], rm, cap=10)
 
 
 def test_certificate_isqrt7():

@@ -65,7 +65,7 @@ def order6_fixture():
     t1, ttau, r = T1.to_matrix(), TTAU.to_matrix(), R.to_matrix()
     inner = (t1 * r) * (t1 * a1) ** 2 * t1.inverse() * r * t1 * a1 * t1.inverse()
     n = (ttau * r) * inner * (r * ttau.inverse())
-    fixed = ProjPoint(eigenspace_basis(n.mat, 1 + AlgNum.gen(zeta3_tower()))[0])
+    fixed = ProjPoint(eigenspace_basis(n, 1 + AlgNum.gen(zeta3_tower()))[0])
     return n, fixed
 
 
@@ -312,7 +312,7 @@ def test_order6_point_on_five_spheres():
     }
     # the conjugated element fixes the reduced point
     conj = g * GroupElt(n.mat, check=False) * g.inverse()
-    assert ProjPoint(conj.mat.apply(y.coords)) == y
+    assert ProjPoint(conj.apply(y.coords)) == y
 
 
 def test_sphere_inversion_identity():

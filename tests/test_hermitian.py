@@ -20,7 +20,7 @@ from picard7.hermitian import (
     primitive_rep,
     sq_norm,
 )
-from reference import from_zsu
+from reference import from_zsu, mat_apply, mat_charpoly, mat_det, mat_neg, mat_product, mat_trace
 
 ID = Mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 A1 = Mat([[0, 0, 1], [0, -1, 0], [1, 0, 0]])
@@ -60,24 +60,32 @@ def test_gamma_membership():
 def test_inner_product_invariance():
     rng = random.Random(2)
     for m in (A1, A2, A6):
+        g = GroupElt(m)
         for _ in range(20):
             v, w = rand_vec(rng), rand_vec(rng)
-            assert herm_inner(m.apply(v), m.apply(w)) == herm_inner(v, w)
+            assert herm_inner(g.apply(v), g.apply(w)) == herm_inner(v, w)
 
 
 def test_matrix_algebra():
     assert (A1 * A1) == ID
-    c0, c1, c2, c3 = A1.charpoly()
+    c0, c1, c2, c3 = GroupElt(A1).charpoly()
     # A1 has eigenvalues 1, -1, -1: (x-1)(x+1)^2 = x^3 + x^2 - x - 1
     assert (c0, c1, c2, c3) == (KNum(-1), KNum(-1), KNum(1), KNum(1))
 
 
-def _generic_product(a, b):
-    """Entries of a * b by the generic path: KNum products summed from 0."""
-    return [
-        [sum((a.rows[i][k] * b.rows[k][j] for k in range(3)), start=KNum(0)) for j in range(3)]
-        for i in range(3)
-    ]
+def test_charpoly_matches_the_k_reference():
+    # the charpoly on the 18 ints against the cofactor expansion over K, on
+    # the 14 side pairings, every torsion class representative and random words
+    from picard7.ford import GENERATORS
+    from picard7.torsion import enumerate_torsion
+
+    reps = [c.rep for c in enumerate_torsion()]
+    words = [g for g, _ in _random_words(31, 100)]
+    for g in list(GENERATORS.values()) + reps + words:
+        c = g.charpoly()
+        assert c == mat_charpoly(g.mat)
+        assert -c[0] == mat_det(g.mat) and -c[2] == mat_trace(g.mat)
+    assert len(GENERATORS) == 14 and len(reps) == 12
 
 
 def _rand_k(rng):
@@ -87,16 +95,18 @@ def _rand_k(rng):
 
 
 def test_int_matrix_kernel_matches_generic_path():
+    # Mat products over the common denominators against KNum sums, and
+    # GroupElt.apply on K^3 vectors against the same sums over g.mat
     rng = random.Random(11)
-    for _ in range(200):
+    words = _random_words(13, 200)
+    for g, _ in words:
         a = Mat([[_rand_k(rng) for _ in range(3)] for _ in range(3)])
         b = Mat([[_rand_k(rng) for _ in range(3)] for _ in range(3)])
         v = tuple(_rand_k(rng) for _ in range(3))
-        prod = a * b
-        assert [list(r) for r in prod.rows] == _generic_product(a, b)
-        assert a.apply(v) == tuple(
-            sum((a.rows[i][k] * v[k] for k in range(3)), start=KNum(0)) for i in range(3)
-        )
+        assert (a * b).rows == mat_product(a, b)
+        assert (a * g.mat).rows == mat_product(a, g.mat)
+        w = rand_vec(rng)
+        assert g.apply(v) == mat_apply(g.mat, v) and g.apply(w) == mat_apply(g.mat, w)
 
 
 def test_mat_refuses_algnum_entries():
@@ -114,12 +124,13 @@ def test_tower_vectors_take_the_generic_path(monkeypatch):
     def no_int_kernel(*args):
         raise AssertionError("the int kernel ran on a tower vector")
 
-    z = AlgNum.gen(zeta3_tower())
-    monkeypatch.setattr(hermitian, "_dot_k", no_int_kernel)
-    for v in ((z, KNum(1), TAU), (z * z, z + 1, KNum(Fraction(1, 2)))):
-        for m in (A2, A6):
-            assert m.apply(v) == tuple(sum((m.rows[i][k] * v[k] for k in range(3)), start=KNum(0))
-                                       for i in range(3))
+    monkeypatch.setattr(hermitian, "_apply_ints", no_int_kernel)
+    for tower in (zeta3_tower, zeta7_tower):
+        z = AlgNum.gen(tower())
+        for v in ((z, KNum(1), TAU), (z * z, z + 1, KNum(Fraction(1, 2))), (z, z * 3 - TAU, z * z * z)):
+            for m in (A2, A6):
+                g = GroupElt(m)
+                assert g.apply(v) == mat_apply(g.mat, v)
 
 
 def test_group_inverse_is_j_conj_transpose_j():
@@ -137,7 +148,7 @@ def test_group_inverse_is_j_conj_transpose_j():
     for g in letters + words:
         inv = g.inverse()
         # the inverse is unique, and GroupElt keeps one of +/- it
-        assert g.mat * inv.mat in (ID, -ID)
+        assert g.mat * inv.mat in (ID, mat_neg(ID))
         assert (g * inv).mat == ID and (inv * g).mat == ID
         assert is_in_gamma(inv.mat)
         assert inv.word == tuple((name, -e) for name, e in reversed(g.word))
@@ -175,11 +186,11 @@ def test_int_products_match_mat_products():
     # against products of the letters' matrices over K
     identities = 0
     for g, m in _random_words(21, 200):
-        assert g.mat in (m, -m) and _leads_positive(g.mat)
+        assert g.mat in (m, mat_neg(m)) and _leads_positive(g.mat)
         assert GroupElt(m) == g and hash(GroupElt(m)) == hash(g)
         inv = g.inverse()
-        assert inv.mat * m in (ID, -ID) and _leads_positive(inv.mat)
-        assert g.is_identity() == (m in (ID, -ID))
+        assert inv.mat * m in (ID, mat_neg(ID)) and _leads_positive(inv.mat)
+        assert g.is_identity() == (m in (ID, mat_neg(ID)))
         identities += g.is_identity()
     assert 100 <= identities < 200
 
@@ -193,12 +204,12 @@ def test_int_action_matches_mat_action():
         if all(x.is_zero() for x in v):
             continue
         p = ProjPoint(v)
-        assert p.apply(g) == ProjPoint(m.apply(p.coords))
-    # a point with tower coordinates takes the Mat path
+        assert p.apply(g) == ProjPoint(mat_apply(m, p.coords))
+    # a point with tower coordinates takes GroupElt.apply's tower path
     z = AlgNum.gen(zeta3_tower())
     t = ProjPoint((z, KNum(1), TAU))
     for g, m in words[:10]:
-        assert t.apply(g) == ProjPoint(m.apply(t.coords))
+        assert t.apply(g) == ProjPoint(mat_apply(m, t.coords))
 
 
 def test_group_elt_refuses_non_integral_matrices():
@@ -209,21 +220,23 @@ def test_group_elt_refuses_non_integral_matrices():
 
 
 def test_rank_and_kernel():
+    # the elimination under eigenspace_basis, on a matrix of rank 2 outside Gamma
     m = Mat([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
-    kernel = eigenspace_basis(m, ZERO)
+    kernel = hermitian._kernel_basis(m.rows)
     assert len(kernel) == 1  # rank 2
     v = kernel[0]
-    assert all(x.is_zero() for x in m.apply(v))
-    assert eigenspace_basis(A2, ZERO) == []  # rank 3
+    assert all(x.is_zero() for x in mat_apply(m, v))
+    assert eigenspace_basis(GroupElt(A2), ZERO) == []  # rank 3
 
 
 def test_eigenspaces():
-    assert len(eigenspace_basis(A1, KNum(1))) == 1
-    assert len(eigenspace_basis(A1, KNum(-1))) == 2
-    assert eigenspace_basis(A1, KNum(5)) == []
+    g = GroupElt(A1)
+    assert len(eigenspace_basis(g, KNum(1))) == 1
+    assert len(eigenspace_basis(g, KNum(-1))) == 2
+    assert eigenspace_basis(g, KNum(5)) == []
     for lam in (KNum(1), KNum(-1)):
-        for v in eigenspace_basis(A1, lam):
-            img = A1.apply(v)
+        for v in eigenspace_basis(g, lam):
+            img = mat_apply(A1, v)
             assert all((img[i] - lam * v[i]).is_zero() for i in range(3))
 
 
@@ -274,7 +287,7 @@ def test_horo_rejects_positive_points():
 
 def test_group_elt_projectivization():
     g = GroupElt(A2)
-    gneg = GroupElt(-A2)
+    gneg = GroupElt(mat_neg(A2))
     assert g == gneg and hash(g) == hash(gneg)
     assert (g * g.inverse()).is_identity()
     assert (GroupElt(A1) ** 2).is_identity()
@@ -324,7 +337,7 @@ def test_rational_point_is_its_six_ints(monkeypatch):
         assert p.coords == w
         g, m = words[len(points) % len(words)]
         points.append(p)
-        images.append((g, ProjPoint(m.apply(w))))
+        images.append((g, ProjPoint(mat_apply(m, w))))
 
     # the image of a rational point is formed on its ints: no KNum is built
     def refused(*args):

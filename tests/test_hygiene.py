@@ -271,3 +271,20 @@ def test_cli_command_loads_no_argparse():
     )
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_gamma_algebra_runs_on_group_elements():
+    # charpolys, eigenspaces, residues and the action on vectors run on a
+    # GroupElt's 18 ints; a Mat keeps its edge role: literals, JSON, products
+    bound = bound_names(ast.parse((SRC / "hermitian.py").read_text()).body)
+    gone = {"Mat.apply", "Mat.charpoly", "Mat.det", "Mat.trace", "Mat.__neg__", "_dot_k"}
+    assert {"Mat.__mul__", "GroupElt.charpoly", "GroupElt.apply"} <= bound and not bound & gone
+    # the `g.mat` view is read for JSON in cli, and for verify_mirror_L's
+    # in_gamma report field
+    reads = {p.name: attribute_reads(p, "mat") for p in MODULES}
+    assert sorted(name for name, lines in reads.items() if lines) == ["cli.py", "mirror.py"]
+    source = (SRC / "mirror.py").read_text()
+    fn = next(n for n in ast.parse(source).body if getattr(n, "name", None) == "verify_mirror_L")
+    lines = source.splitlines()
+    assert [line for line in reads["mirror.py"]
+            if not (fn.lineno <= line <= fn.end_lineno and '"in_gamma"' in lines[line - 1])] == []

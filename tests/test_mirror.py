@@ -186,7 +186,8 @@ def test_mirror_l_generators():
     assert projective_order(gens["s1"]) is None
     assert projective_order(gens["s2"]) is None
     # s2 fixes a null point, hence parabolic rather than loxodromic-with-axis in L
-    assert ProjPoint(S2_MAT.apply(S2_FIXED)) == ProjPoint(S2_FIXED)
+    assert gens["s2"] == GroupElt(S2_MAT)
+    assert ProjPoint(gens["s2"].apply(S2_FIXED)) == ProjPoint(S2_FIXED)
     assert sq_norm(S2_FIXED).is_zero()
 
 
@@ -235,8 +236,8 @@ def test_mirror_L_cusp_certificate():
     cusp = tuple(rm.scalar(x) for x in S2_FIXED)
     assert cusp == (1, 1, 1)
     stab = list(mirror_l_generators().values()) + [(TTAU * R).to_matrix()]
-    assert first_columns([g.mat for g in stab]) == {(1, 0, 0)}
-    assert cusp in first_columns([g.mat for g in _search_alphabet()])
+    assert first_columns([g.ints for g in stab]) == {(1, 0, 0)}
+    assert cusp in first_columns([g.ints for g in _search_alphabet()])
     rep = verify_mirror_L()
     assert rep["cusps_gamma_equivalent"] and not rep["cusps_stab_equivalent"]
 
@@ -244,6 +245,6 @@ def test_mirror_L_cusp_certificate():
 def test_cusp_orbit_search_identity():
     start = ProjPoint((KNum(1), KNum(0), KNum(0)))
     assert cusp_orbit_search(start, [], 0).is_identity()
-    tgt = ProjPoint(GENERATORS[1].mat.apply(start.coords))
+    tgt = ProjPoint(GENERATORS[1].apply(start.coords))
     w = cusp_orbit_search(tgt, [GENERATORS[1]], 2)
     assert w is not None and ProjPoint(w.apply(start.coords)) == tgt

@@ -34,7 +34,7 @@ from picard7.torsion import (
     _repeated_eigenvalue,
     _search_alphabet,
 )
-from reference import tjk_in_box
+from reference import mat_charpoly, tjk_in_box
 
 V1 = ProjPoint((-TAU_BAR, KNum(0), KNum(1)))
 
@@ -60,13 +60,14 @@ def test_infinite_order_sweep():
 
 
 def test_repeated_eigenvalue():
-    assert _repeated_eigenvalue(R.to_matrix().mat.charpoly()) == 1
-    assert _repeated_eigenvalue(GENERATORS[1].mat.charpoly()) == -1
-    assert _repeated_eigenvalue(GENERATORS[4].mat.charpoly()) is None  # order 7
-    assert _repeated_eigenvalue(Mat([[2, 1, 0], [0, 2, 0], [5, 0, 3]]).charpoly()) == 2
-    assert _repeated_eigenvalue(Mat([[2, 0, 0], [1, 3, 0], [0, 4, 3]]).charpoly()) == 3
+    assert _repeated_eigenvalue(R.to_matrix().charpoly()) == 1
+    assert _repeated_eigenvalue(GENERATORS[1].charpoly()) == -1
+    assert _repeated_eigenvalue(GENERATORS[4].charpoly()) is None  # order 7
+    # two matrices outside Gamma, through the reference charpoly over K
+    assert _repeated_eigenvalue(mat_charpoly(Mat([[2, 1, 0], [0, 2, 0], [5, 0, 3]]))) == 2
+    assert _repeated_eigenvalue(mat_charpoly(Mat([[2, 0, 0], [1, 3, 0], [0, 4, 3]]))) == 3
     with pytest.raises(ArithmeticError):
-        _repeated_eigenvalue(GroupElt.identity().mat.charpoly())
+        _repeated_eigenvalue(GroupElt.identity().charpoly())
 
 
 def test_make_reflection():
@@ -108,7 +109,7 @@ def test_classify_isolated_algebraic():
     assert kind == "isolated" and norm is None
     assert not pt.rational
     assert sq_norm(pt.coords).real_sign() < 0
-    assert ProjPoint(g7.mat.apply(pt.coords)) == pt
+    assert ProjPoint(g7.apply(pt.coords)) == pt
 
 
 def test_classify_eliminates_only_at_eigenvalues(monkeypatch):
@@ -362,7 +363,7 @@ def test_isolated_reps_fix_their_points():
         if c.fixed.rational:
             assert c.fixed.apply(c.rep) == c.fixed
         else:
-            assert ProjPoint(c.rep.mat.apply(c.fixed.coords)) == c.fixed
+            assert ProjPoint(c.rep.apply(c.fixed.coords)) == c.fixed
 
 
 def test_stabilizer_linear_orders():
