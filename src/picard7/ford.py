@@ -5,6 +5,10 @@ for every g not stabilizing q_inf; combined with the cone C_P over the
 prism this gives the fundamental domain Omega = F cap C_P.  Membership is
 always decided by that exact norm comparison; the Cygan-sphere radius
 r^4 = 4 / N(a31) is carried only for the candidate enumeration estimates.
+A point's place over the prism is read off its vector
+(`heisenberg.prism_coordinates`), and the cusp element that moves it into
+the prism acts on the vector by its matrix; a sphere's center is kept as
+the same int coordinates.
 """
 
 from __future__ import annotations
@@ -32,14 +36,15 @@ from .hermitian import (
     ProjPoint,
     depth,
     herm_inner,
-    horo_coords,
-    lift,
+    sq_norm,
     _mul_ints,
     _norm_ints,
 )
 from .heisenberg import (
     CuspElt,
-    Prism,
+    act_prism,
+    in_prism,
+    prism_coordinates,
     reduce_to_prism,
 )
 
@@ -118,7 +123,9 @@ def generator_depths() -> dict:
 class IsomSphere(namedtuple("IsomSphere", "center r4")):
     """The isometric sphere of g: Cygan sphere about g(inf) with r^4 = 4/N(a31).
 
-    The center g(inf) is a K-rational HoroPoint on the boundary (u = 0).
+    The center g(inf) is a K-rational boundary point, kept as the int prism
+    coordinates (a, b, s, den) of g's first column: z = (a + b tau)/den and
+    t = s sqrt(7)/den.
     """
 
     __slots__ = ()
@@ -128,10 +135,9 @@ class IsomSphere(namedtuple("IsomSphere", "center r4")):
         a31 = col[2]
         if a31.is_zero():
             raise ValueError("element stabilizes the point at infinity")
-        h = horo_coords(col)
-        if not h.u.is_zero():
+        if not sq_norm(col).is_zero():
             raise ArithmeticError("isometric sphere center is not on the boundary")
-        return tuple.__new__(cls, (h, Fraction(4, a31.norm())))
+        return tuple.__new__(cls, (prism_coordinates(col), Fraction(4, a31.norm())))
 
 
 #: the isometric sphere of each pairing matrix, built once (IsomSphere is immutable)
@@ -221,21 +227,18 @@ def enumerate_cone_translates(j: int):
     A translate alpha = (m, n, eps, l) survives when (a) the disk of radius
     r about the translated center meets the triangle D, and (b) the t-window
     of the translated sphere meets [0, 2 sqrt(7)].  Both run on ints.  With
-    sigma = (-1)^eps and the center's z = (za + zb tau)/zd, the translated
-    z is ((m zd + sigma za) + (n zd + sigma zb) tau)/zd, and (a) is
-    dist2^2 <= r^4 = 4/N(a31) with dist2 an int over 32 zd^2.  As D lies in
-    N(z) <= 2, (a) implies N(z) <= (sqrt(2) + r)^2, and that disk gives the
-    window of (m, n).  In (b), the translated center's s is
-    s_c + (m - mn) + sigma (n za - m zb)/zd, and the window's half-width is
-    bounded through square-root bounds over 2^16 that check themselves; l
-    runs over the floor-division range.  The result is in tuple order
-    (m, n, eps, l).
+    sigma = (-1)^eps and the center's prism coordinates (za, zb, sn, zd),
+    the translated z is ((m zd + sigma za) + (n zd + sigma zb) tau)/zd, and
+    (a) is dist2^2 <= r^4 = 4/N(a31) with dist2 an int over 32 zd^2.  As D
+    lies in N(z) <= 2, (a) implies N(z) <= (sqrt(2) + r)^2, and that disk
+    gives the window of (m, n).  In (b), the translated center's s is
+    (sn + (m - mn) zd + sigma (n za - m zb))/zd, and the window's
+    half-width is bounded through square-root bounds over 2^16 that check
+    themselves; l runs over the floor-division range.  The result is in
+    tuple order (m, n, eps, l).
     """
     sph = SPHERES[j]
-    c = sph.center
-    za, zb, zd = c.z.na, c.z.nb, c.z.d
-    # s_c = sn/sd, as ti = i t = s_c (2 tau - 1)
-    sn, sd = c.ti.nb, 2 * c.ti.d
+    za, zb, sn, zd = sph.center
     rn, rd = sph.r4.numerator, sph.r4.denominator
     # the disk test dist2^2 <= r^4 is num^2 rd <= disk with dist2 = num/(32 zd^2)
     disk = rn * (32 * zd * zd) ** 2
@@ -245,9 +248,8 @@ def enumerate_cone_translates(j: int):
     hd = _SQRT_DEN * _sqrt_ints(7, 1)[0]
     # N(a + b tau) = zd^2 N(z) <= zd^2 (sqrt(2) + r)^2
     nmax = (zd * (_sqrt_ints(2, 1)[1] + r1)) ** 2 // _SQRT_DEN**2
-    # the translated center's s is sn2/sd2, and l is a quotient over lden
-    sd2 = sd * zd
-    lden = 2 * hd * sd2
+    # the translated center's s is sn2/zd, and l is a quotient over lden
+    lden = 2 * hd * zd
     out = []
     for eps in (0, 1):
         sigma = -1 if eps else 1
@@ -261,11 +263,11 @@ def enumerate_cone_translates(j: int):
             # in s is hn/hd
             zub = _sqrt_ints(_norm_ints(a, b), zd * zd)[1]
             hn = r2 * _SQRT_DEN + 2 * r1 * (zub + r1)
-            # d' = (s' + 2 l) sqrt(7) with s' = sn2/sd2: need s' + 2l in
+            # d' = (s' + 2 l) sqrt(7) with s' = sn2/zd: need s' + 2l in
             # [-hn/hd, 2 + hn/hd]
-            sn2 = sn * zd + ((m - m * n) * zd + sigma * (n * za - m * zb)) * sd
-            lmin = -((hn * sd2 + sn2 * hd) // lden)
-            lmax = (2 * hd * sd2 + hn * sd2 - sn2 * hd) // lden
+            sn2 = sn + (m - m * n) * zd + sigma * (n * za - m * zb)
+            lmin = -((hn * zd + sn2 * hd) // lden)
+            lmax = (2 * hd * zd + hn * zd - sn2 * hd) // lden
             for l in range(lmin, lmax + 1):
                 out.append(CuspElt(m, n, eps, l))
     out.sort()
@@ -279,41 +281,37 @@ def enumerate_tjk(j: int, k: int):
     distance d between the two centers is at most r_j + r_k <= (U_j + U_k)/2^16,
     from square-root bounds that check themselves.  Both centers lie on the
     boundary, so d^4 = N(dz)^2 + T^2, with dz the difference of the z's and
-    T = t - t' + 2 Im(z conj(z')).  With D = zd_j zd_k, dz = (p + q tau)/D
-    for ints p = m D + p0 and q = n D + q0, and N(dz)^2 <= B/2^64,
-    B = (U_j + U_k)^4, is the lattice disk N(p + q tau)^2 2^64 <= B D^4.
-    T = sqrt(7) (X + 2 l E)/E for an int X and E = D S, S the product of
-    the denominators of the centers' s, so l runs over the exact range
-    |X + 2 l E| <= isqrt(R S^2 / (7 2^64 D^2)), R = B D^4 - 2^64 N(p + q tau)^2.
+    T = t - t' + 2 Im(z conj(z')).  Each center is its prism coordinates
+    (a, b, s, zd), and with D = zd_j zd_k, dz = (p + q tau)/D for ints
+    p = m D + p0 and q = n D + q0, and N(dz)^2 <= B/2^64, B = (U_j + U_k)^4,
+    is the lattice disk N(p + q tau)^2 2^64 <= B D^4.  T = sqrt(7)
+    (X + 2 l E)/E for an int X and E = D^2, so l runs over the exact range
+    |X + 2 l E| <= isqrt(R / (7 2^64)), R = B D^4 - 2^64 N(p + q tau)^2.
     """
     if INVERSE_PAIRS[j] != k:
         raise ValueError("T_jk is only enumerated for inverse pairs")
-    cj, ck = SPHERES[j].center, SPHERES[k].center
-    aj, bj, dj = cj.z.na, cj.z.nb, cj.z.d
-    ak, bk, dk = ck.z.na, ck.z.nb, ck.z.d
-    # s = ti.nb/sd with sd = 2 ti.d for each center; s_j - s_k = ds/S
-    sdj, sdk = 2 * cj.ti.d, 2 * ck.ti.d
-    sden = sdj * sdk
-    ds = cj.ti.nb * sdk - ck.ti.nb * sdj
+    aj, bj, sj, dj = SPHERES[j].center
+    ak, bk, sk, dk = SPHERES[k].center
     den = dj * dk
-    e = den * sden
+    # s_j - s_k = ds/D
+    ds = sj * dk - sk * dj
+    e = den * den
     # r <= U/2^16 for each sphere, and bound = B D^4
     uj, uk = (_sqrt_ints(_sqrt_ints(sph.r4.numerator, sph.r4.denominator)[1], _SQRT_DEN)[1]
               for sph in (SPHERES[j], SPHERES[k]))
     bound = (uj + uk) ** 4 * den**4
     nmax = isqrt(bound >> 64)
-    tden = 7 * 2**64 * den * den
     out = []
     for eps in (0, 1):
         sigma = -1 if eps else 1
         p0, q0 = sigma * aj * dk - ak * dj, sigma * bj * dk - bk * dj
         for m, n in _lattice_disk(p0, q0, den, nmax):
             nd = _norm_ints(m * den + p0, n * den + q0)
-            half = isqrt((bound - (nd * nd << 64)) * sden * sden // tden)
+            half = isqrt((bound - (nd * nd << 64)) // (7 << 64))
             # T/sqrt(7) = s_j - s_k + s0 + 2 Im(w conj(sigma z_j) + (w + sigma z_j)
             # conj(z_k))/sqrt(7) with w = m + n tau and s0 = m - mn + 2l, which
             # is (x + 2 l e)/e
-            x = ds * den + sden * ((m - m * n) * den + sigma * (n * aj - m * bj) * dk
+            x = ds * den + den * ((m - m * n) * den + sigma * (n * aj - m * bj) * dk
                                    + (n * ak - m * bk) * dj + sigma * (bj * ak - aj * bk))
             for l in range(-((half + x) // (2 * e)), (half - x) // (2 * e) + 1):
                 out.append(CuspElt(m, n, eps, l))
@@ -515,16 +513,17 @@ def spheres_containing(x: ProjPoint):
     ball), valid for x itself (the internal prism reduction is undone in the
     reported alpha).
     """
-    shift, h_red = reduce_to_prism(horo_coords(x.coords))
+    v = x.coords
+    shift = reduce_to_prism(prism_coordinates(v))
     shift_inv = shift.inverse()
-    vs, own, (_, _, sweep) = _sweep_vector(lift(h_red))
+    vs, own, (_, _, sweep) = _sweep_vector(shift.to_matrix().apply(v))
     # a translated sphere depends only on its center and radius (the coset
-    # of alpha*A_j modulo right cusp multiplication), so dedup on those,
-    # keeping the first (j, alpha) of the sweep
+    # of alpha*A_j modulo right cusp multiplication).  The prism coordinates
+    # (a, b, s, den) of its center alpha(A_j(inf)) give both, as r^4 = 4/den,
+    # so dedup on them, keeping the first (j, alpha) of the sweep
     found = {}
     for sign, _, j, alpha in sweep(vs, own):
-        sph = SPHERES[j]
-        found.setdefault((sph.r4, alpha.act_horo(sph.center)), (j, alpha, sign))
+        found.setdefault(act_prism(alpha, SPHERES[j].center), (j, alpha, sign))
     return [
         (shift_inv * alpha, j, "boundary" if sign == 0 else "interior")
         for j, alpha, sign in found.values()
@@ -555,10 +554,14 @@ def reduce_to_domain(x: ProjPoint, max_iters: int = DEFAULT_MAX_ITERS):
         raise ValueError("reduction needs an interior point")
     total = GroupElt.identity()
     for _ in range(max_iters):
-        h = horo_coords(v)
-        shift, h = reduce_to_prism(h)
-        v = lift(h)
-        total = shift.to_matrix() * total
+        shift = reduce_to_prism(prism_coordinates(v)).to_matrix()
+        v = shift.apply(v)
+        if isinstance(v[2], AlgNum):
+            # a tower vector has no content to divide out, so v3 = 1 keeps
+            # its ints from growing with the steps
+            inv = 1 / v[2]
+            v = tuple(c * inv for c in v)
+        total = shift * total
         vs, own, (quantity, cmp, sweep) = _sweep_vector(v)
         # the violation ratio own/other is largest when `other` is smallest
         # (own is fixed within this sweep); the sweep's order breaks ties
@@ -582,8 +585,7 @@ def reduce_to_domain(x: ProjPoint, max_iters: int = DEFAULT_MAX_ITERS):
 
 def in_omega(x: ProjPoint) -> bool:
     """Exact membership of a point in Omega (closed)."""
-    h = horo_coords(x.coords)
-    if not Prism.contains(h.z, h.ti):
+    if not in_prism(prism_coordinates(x.coords)):
         return False
     vs, own, (_, _, sweep) = _sweep_vector(x.coords)
     return all(sign == 0 for sign, _, _, _ in sweep(vs, own))

@@ -9,16 +9,16 @@ T_v = T(0, 2 sqrt(7)) = [Ttau, T_1].
 `CuspElt` is a named tuple of the four ints (m, n, eps, l) of the normal
 form.  Products and inverses are closed formulas on them, read off the
 Heisenberg group law (z, t)*(z', t') = (z + z', t + t' + 2 Im(z conj z')).
-The action on points is `CuspElt.act_horo` on horospherical coordinates; a
-boundary point is a `HoroPoint` with u = 0, so there is one point type.
-Matrices are only an output form (`CuspElt.to_matrix`).
+`CuspElt.to_matrix` writes its matrix in closed form, and points move by it.
 
 The prism P = D x [0, 2 sqrt(7)], D = hull{0, 1, tau}, is a fundamental
-domain for this action on the boundary minus q_inf.  Boundary coordinates
-are (z, t) with t = s*sqrt(7), s rational for K-rational points; as
-everywhere we carry ti = i*t instead of t.  Coordinates may be KNum or
-AlgNum: the two mix through Python's arithmetic operators, so every
-formula below serves both.
+domain for this action on the boundary minus q_inf.  A point enters by its
+prism coordinates (a, b, s, den), read off its vector (`prism_coordinates`):
+its projection to the boundary is z = (a + b tau)/den and t = s sqrt(7)/den.
+They are ints for a K-rational point and real AlgNums over den = 1 for a
+point over K(zeta_3) or K(zeta_7).  A cusp element acts on them affinely
+(`act_prism`), one formula for both kinds, and prism reduction is closed
+form on them.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 from itertools import combinations
-from math import lcm
 
 from .ring import ISQRT7, KNum, TAU
-from .hermitian import GroupElt, HoroPoint
+from .hermitian import GroupElt, _mul_ints, _norm_ints, _scaled_ints
 
 
 class CuspElt(namedtuple("CuspElt", "m n eps l", defaults=(0, 0, 0, 0))):
@@ -49,13 +48,8 @@ class CuspElt(namedtuple("CuspElt", "m n eps l", defaults=(0, 0, 0, 0))):
     # -- translation part ---------------------------------------------
 
     @property
-    def w(self) -> KNum:
-        """z-part of the underlying T(w, t0) R^eps."""
-        return KNum(self.m, self.n)
-
-    @property
     def s0(self) -> int:
-        """t0 as a multiple of sqrt(7)."""
+        """t0 as a multiple of sqrt(7); the z-part is w = m + n tau."""
         return self.m - self.m * self.n + 2 * self.l
 
     def to_matrix(self) -> GroupElt:
@@ -110,15 +104,6 @@ class CuspElt(namedtuple("CuspElt", "m n eps l", defaults=(0, 0, 0, 0))):
             self.m + m, self.n + n, self.s0 + other.s0 + self.n * m - self.m * n, self.eps ^ other.eps
         )
 
-    # -- boundary action ----------------------------------------------
-
-    def act_horo(self, h: HoroPoint) -> HoroPoint:
-        """(z, ti, u) -> (w + sigma z, ti + i t0 + w conj(sigma z) - conj(w) sigma z, u)."""
-        w = self.w
-        z = -h.z if self.eps else h.z
-        ti = h.ti + ISQRT7 * self.s0 + w * z.conj() - w.conj() * z
-        return HoroPoint(w + z, ti, h.u)
-
     def order(self):
         """Projective order: 1, 2, or None for infinite."""
         if self.eps == 0:
@@ -135,80 +120,89 @@ R = CuspElt(eps=1)
 
 
 # ---------------------------------------------------------------------------
-# prism coordinates and membership
+# prism coordinates
 # ---------------------------------------------------------------------------
 
 
-def tau_coordinates(z):
-    """Real scalars (a, b) with z = a + b*tau, exact: b = (z - conj z)/(i sqrt(7))."""
-    b = (z - z.conj()) / ISQRT7
-    return z - b * TAU, b
+def prism_coordinates(v):
+    """(a, b, s, den) of a vector v with <v, v> <= 0 and v3 != 0: the point's
+    boundary coordinates are z = (a + b tau)/den and t = s sqrt(7)/den.
 
-
-def s_coordinate(ti):
-    """The real scalar s with t = s*sqrt(7), from ti = i*t."""
-    return ti / ISQRT7
-
-
-class Prism:
-    """The region P = D x [0, 2 sqrt(7)], D the triangle with vertices 0, 1, tau.
-
-    membership() classifies a boundary point and lists the facets it lies on;
-    facet names: "b=0" ([0,1] side), "a=0" ([0,tau] side), "a+b=1" ([1,tau]
-    side), "s=0" (bottom), "s=2" (top).
+    z = v2/v3 and t = 2 Im(v1/v3), so s/den is the tau-coefficient of v1/v3.
+    For v in K^3, scaled to O_7^3, they are ints over den = N(v3) > 0:
+    a + b tau = v2 conj(v3) and s is the tau-coefficient of v1 conj(v3),
+    and <v, v> = 2 Re(v1 conj(v3)) + N(v2).  For a vector over K(zeta_3) or
+    K(zeta_7), a, b and s are real AlgNums and den = 1.
     """
+    v1, v2, v3 = v
+    if v3.is_zero():
+        # <v, v> = |v2|^2 here, so only v2 = 0 leaves a null point: q_inf
+        if v2.is_zero():
+            raise ValueError("point at infinity has no horospherical coordinates")
+        raise ValueError("vector has positive square norm")
+    if type(v1) is type(v2) is type(v3) is KNum:
+        (p1, q1, p2, q2, p3, q3), _ = _scaled_ints(v)
+        # conj(p3 + q3 tau) = (p3 + q3) - q3 tau
+        a, b = _mul_ints(p2, q2, p3 + q3, -q3)
+        r, s = _mul_ints(p1, q1, p3 + q3, -q3)
+        # 2 Re(r + s tau) = 2r + s
+        if 2 * r + s + _norm_ints(p2, q2) > 0:
+            raise ValueError("vector has positive square norm")
+        return a, b, s, _norm_ints(p3, q3)
+    inv = 1 / v3
+    z, y = v2 * inv, v1 * inv
+    b, s = (z - z.conj()) / ISQRT7, (y - y.conj()) / ISQRT7
+    if (y + y.conj() + z.abs2()).real_sign() > 0:
+        raise ValueError("vector has positive square norm")
+    return z - b * TAU, b, s, 1
 
-    FACETS = ("a=0", "b=0", "a+b=1", "s=0", "s=2")
 
-    @staticmethod
-    def membership(z, ti):
-        a, b = tau_coordinates(z)
-        s = s_coordinate(ti)
-        checks = {
-            "a=0": a.real_sign(),
-            "b=0": b.real_sign(),
-            "a+b=1": (1 - a - b).real_sign(),
-            "s=0": s.real_sign(),
-            "s=2": (2 - s).real_sign(),
-        }
-        if any(v < 0 for v in checks.values()):
-            return "outside", ()
-        facets = tuple(k for k, v in checks.items() if v == 0)
-        return ("boundary" if facets else "interior"), facets
-
-    @staticmethod
-    def contains(z, ti) -> bool:
-        return Prism.membership(z, ti)[0] != "outside"
+def act_prism(c: CuspElt, x):
+    """c(x) on prism coordinates x = (a, b, s, den), by the Heisenberg group
+    law: with sigma = (-1)^eps, z maps to w + sigma z and s to
+    s + s0 + sigma (n a - m b), as 2 Im(w conj z)/sqrt(7) = n a - m b."""
+    m, n, eps, l = c
+    a, b, s, den = x
+    if eps:
+        a, b = -a, -b
+    return m * den + a, n * den + b, s + (m - m * n + 2 * l) * den + n * a - m * b, den
 
 
-def reduce_to_prism(h: HoroPoint):
-    """Cusp element gamma and image with gamma(h)'s (z, t) in P.
+def in_prism(x) -> bool:
+    """Whether prism coordinates x lie in P = D x [0, 2 sqrt(7)], D the
+    triangle with vertices 0, 1, tau: a, b >= 0, a + b <= den and
+    0 <= s <= 2 den, on ints, or by real_sign on AlgNums."""
+    a, b, s, den = x
+    if type(a) is int:
+        return a >= 0 and b >= 0 and a + b <= den and 0 <= s <= 2 * den
+    return all(y.real_sign() >= 0 for y in (a, b, den - a - b, s, 2 * den - s))
 
-    h may have algebraic coordinates; returns (CuspElt, reduced HoroPoint).
-    Ties at facets resolve toward the closed lower faces a, b, s >= 0.
+
+def _floor(x, d: int) -> int:
+    """floor(x/d) for an int or a real AlgNum x and an int d > 0."""
+    return x // d if type(x) is int else (x / d).floor_real()
+
+
+def reduce_to_prism(x) -> CuspElt:
+    """The cusp element c with c(x) in P, for the prism coordinates x of a point.
+
+    Ties at facets resolve toward the closed lower faces a, b, s >= 0.  With
+    k = floor(a/den) and j = floor(b/den), T1^-k Ttau^-j moves a/den and
+    b/den into [0, 1).  If their sum then exceeds 1, both are positive, and
+    z -> 1 + tau - z gives 1 - a/den and 1 - b/den in (0, 1) with a sum
+    below 1: one flip lands z in D, so (m, n, eps) is (-k, -j, 0) or
+    (k + 1, j + 1, 1).  T_v^l adds 2l to s/den, so l is minus the floor of
+    s/(2 den) after (m, n, eps, 0), which lands s in [0, 2 den).
     """
-    total = IDENTITY
-    a, b = tau_coordinates(h.z)
-    k, n = a.floor_real(), b.floor_real()
-    if k or n:
-        total = CuspElt(m=-k) * CuspElt(n=-n)
-        h = total.act_horo(h)
-        a, b = tau_coordinates(h.z)
-    # floor_real is exact, so a and b now lie in [0, 1).  If a + b > 1, both
-    # are positive, and z -> 1 + tau - z gives a' = 1 - a and b' = 1 - b in
-    # (0, 1) with a' + b' < 1: one flip lands z in D.
-    if (1 - a - b).real_sign() < 0:
-        step = T1 * TTAU * R  # z -> 1 + tau - z
-        h = step.act_horo(h)
-        total = step * total
-    lshift = (s_coordinate(h.ti) / 2).floor_real()
-    if lshift:
-        step = CuspElt(l=-lshift)
-        h = step.act_horo(h)
-        total = step * total
-    if not Prism.contains(h.z, h.ti):
+    a, b, _, den = x
+    k, j = _floor(a, den), _floor(b, den)
+    y = a + b - (k + j + 1) * den
+    flip = y > 0 if type(y) is int else y.real_sign() > 0
+    m, n, eps = (k + 1, j + 1, 1) if flip else (-k, -j, 0)
+    c = CuspElt(m, n, eps, -_floor(act_prism(CuspElt(m, n, eps), x)[2], 2 * den))
+    if not in_prism(act_prism(c, x)):
         raise ArithmeticError("prism reduction left the prism")
-    return total, h
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -279,37 +273,10 @@ def enumerate_cusp_overlaps():
     return tuple(out)
 
 
-def overlaps_keeping(h: HoroPoint):
-    """The cusp overlaps c other than the identity with c(h) in P, in
-    normal-form order; h is a point over P.
-
-    At a K-rational h the test runs on ints.  Write z = (za + zb tau)/den
-    and s = sn/den with den > 0.  For c = (m, n, eps, l), sigma = (-1)^eps
-    and s0 = m - mn + 2l, c(h) has z = (a + b tau)/den with a = m den
-    + sigma za and b = n den + sigma zb, and s = (sn + s0 den + sigma (n za
-    - m zb))/den.  So c(h) lies in P exactly when a, b >= 0, a + b <= den
-    and that numerator of s lies in [0, 2 den].  At a point with tower
-    coordinates, act_horo and Prism.contains decide.
-    """
-    z, ti = h.z, h.ti
-    kept = []
-    if type(z) is not KNum or type(ti) is not KNum:
-        for c in enumerate_cusp_overlaps():
-            hq = c.act_horo(h)
-            if c != IDENTITY and Prism.contains(hq.z, hq.ti):
-                kept.append(c)
-        return kept
-    # s = ti.nb / (2 ti.d), as ti = i t = s (2 tau - 1)
-    den = lcm(z.d, 2 * ti.d)
-    za, zb, sn = z.na * (den // z.d), z.nb * (den // z.d), ti.nb * (den // (2 * ti.d))
-    for c in enumerate_cusp_overlaps():
-        m, n, eps, l = c
-        x, y = (-za, -zb) if eps else (za, zb)
-        a, b = m * den + x, n * den + y
-        s = sn + (m - m * n + 2 * l) * den + n * x - m * y
-        if a >= 0 and b >= 0 and a + b <= den and 0 <= s <= 2 * den and c != IDENTITY:
-            kept.append(c)
-    return kept
+def overlaps_keeping(x):
+    """The cusp overlaps c other than the identity with c(x) in P, in
+    normal-form order, for the prism coordinates x of a point over P."""
+    return [c for c in enumerate_cusp_overlaps() if c != IDENTITY and in_prism(act_prism(c, x))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,10 @@
-"""The Hermitian form J, elements of Gamma, projective points and horospherical coordinates.
+"""The Hermitian form J, elements of Gamma and projective points.
 
 Conventions: <v,w> = w* J v with J the antidiagonal form
 [[0,0,1],[0,1,0],[1,0,0]].  The point at infinity is q_inf = (1,0,0);
 boundary points (z,t) lift to ((-|z|^2+it)/2, z, 1), interior points
-(z,t,u) to ((-|z|^2+it-u)/2, z, 1).
-
-The imaginary coordinate t is never stored as a real number: we carry
-ti = i*t, which lies in the coefficient field (for K-rational points
-ti = s*(2*tau-1) with t = s*sqrt(7), s rational).
+(z,t,u) to ((-|z|^2+it-u)/2, z, 1).  The cusp group reads (z, t) off a
+vector in `heisenberg.prism_coordinates`.
 
 An element of Gamma is a GroupElt, which does Gamma's algebra on the 18
 ints of its matrix; a Mat, a matrix over K, serves literals and JSON.
@@ -17,7 +14,6 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm
 
@@ -675,57 +671,6 @@ def word_str(word) -> str:
     if not reduced:
         return "1"
     return "*".join(name if e == 1 else f"{name}^{e}" for name, e in reduced)
-
-
-# ---------------------------------------------------------------------------
-# horospherical coordinates
-# ---------------------------------------------------------------------------
-
-
-class HoroPoint(namedtuple("HoroPoint", "z ti u")):
-    """Horospherical coordinates (z, t, u) with ti = i*t stored exactly.
-
-    For K-rational points z and ti are KNum (ti = s*(2 tau - 1), t = s*sqrt(7))
-    and u is a KNum rational; otherwise they are AlgNum in a common tower.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, z, ti, u):
-        if not (ti + ti.conj()).is_zero():
-            raise ValueError("ti must be purely imaginary")
-        if not u.is_real():
-            raise ValueError("u must be real")
-        return tuple.__new__(cls, (z, ti, u))
-
-    @property
-    def s(self) -> Fraction:
-        """t as a multiple of sqrt(7) (K-rational points only)."""
-        return self.ti.b / 2
-
-
-def horo_coords(v) -> HoroPoint:
-    """Horospherical coordinates of a vector with <v,v> <= 0 and v3 != 0."""
-    v1, v2, v3 = v
-    if v3.is_zero():
-        # <v, v> = |v2|^2 here, so only v2 = 0 leaves a null point: q_inf
-        if v2.is_zero():
-            raise ValueError("point at infinity has no horospherical coordinates")
-        raise ValueError("vector has positive square norm")
-    z = v2 / v3
-    w = (v1 / v3) * 2 + z.abs2()
-    # w = it - u: ti is the anti-Hermitian part, u = -Re(w)
-    ti = (w - w.conj()) / 2
-    u = -(w + w.conj()) / 2
-    if u.real_sign() < 0:
-        raise ValueError("vector has positive square norm")
-    return HoroPoint(z, ti, u)
-
-
-def lift(h: HoroPoint):
-    """Homogeneous lift ((-|z|^2 + it - u)/2, z, 1)."""
-    z = h.z
-    return ((-(z.abs2()) + h.ti - h.u) / 2, z, ONE)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .hermitian import (
     ProjPoint,
     eigenspace_basis,
     herm_inner,
-    horo_coords,
     ints_are_scalar,
     ints_product,
     primitive_rep,
@@ -41,6 +40,7 @@ from .heisenberg import (
     TTAU,
     cusp_torsion_classes,
     overlaps_keeping,
+    prism_coordinates,
     reduce_to_prism,
 )
 from .ford import (
@@ -321,7 +321,7 @@ class CycleGraph:
 def _shift_into_prism(p: ProjPoint):
     """The matrix of the cusp element c that reduces p's boundary coordinates
     into the prism, and c(p)."""
-    c = reduce_to_prism(horo_coords(p.coords))[0].to_matrix()
+    c = reduce_to_prism(prism_coordinates(p.coords)).to_matrix()
     return c, p.apply(c)
 
 
@@ -347,7 +347,7 @@ def build_cycle_graph(points) -> CycleGraph:
             g = (alpha.to_matrix() * GENERATORS[j]).inverse()
             c, q = _shift_into_prism(p.apply(g))
             moves.append((c * g, q))
-        for c in overlaps_keeping(horo_coords(p.coords)):
+        for c in overlaps_keeping(prism_coordinates(p.coords)):
             g = c.to_matrix()
             moves.append((g, p.apply(g)))
         for g, q in moves:

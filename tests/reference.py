@@ -5,13 +5,15 @@ the versions here are the textbook ones, kept next to the tests that use
 them.  This module holds no tests.
 """
 
+import functools
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt, lcm
 
-from picard7.ford import _SQRT_DEN, SPHERES
-from picard7.heisenberg import CuspElt, Prism
-from picard7.hermitian import HoroPoint, Mat, ProjPoint, herm_inner
+from picard7.ford import _SQRT_DEN, GENERATORS, enumerate_cone_translates
+from picard7.heisenberg import IDENTITY, R, T1, TTAU, CuspElt
+from picard7.hermitian import GroupElt, Mat, ProjPoint, herm_inner
 from picard7.ring import ISQRT7, ONE, TAU, KNum, _divmod_ints, knum_from_ints, o_gcd
 
 
@@ -67,13 +69,148 @@ R_MAT = Mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
 
 def cusp_matrix(c) -> Mat:
     """The matrix T(w, t0) R^eps of a cusp element, as a product over K."""
-    m = translation_matrix(c.w, ISQRT7 * c.s0)
+    m = translation_matrix(KNum(c.m, c.n), ISQRT7 * c.s0)
     return m * R_MAT if c.eps else m
 
 
 def real_cmp(x, y) -> int:
     """Exact comparison of two real scalars (KNum or AlgNum, mixed allowed)."""
     return (x - y).real_sign()
+
+
+# ---------------------------------------------------------------------------
+# horospherical coordinates: the prism layer on (z, t, u)
+# ---------------------------------------------------------------------------
+
+
+class HoroPoint(namedtuple("HoroPoint", "z ti u")):
+    """Horospherical coordinates (z, t, u) with ti = i*t stored exactly.
+
+    For K-rational points z and ti are KNum (ti = s*(2 tau - 1), t = s*sqrt(7))
+    and u is a KNum rational; otherwise they are AlgNum in a common tower.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, z, ti, u):
+        if not (ti + ti.conj()).is_zero():
+            raise ValueError("ti must be purely imaginary")
+        if not u.is_real():
+            raise ValueError("u must be real")
+        return tuple.__new__(cls, (z, ti, u))
+
+    @property
+    def s(self) -> Fraction:
+        """t as a multiple of sqrt(7) (K-rational points only)."""
+        return self.ti.b / 2
+
+
+def horo_coords(v) -> HoroPoint:
+    """Horospherical coordinates of a vector with <v,v> <= 0 and v3 != 0."""
+    v1, v2, v3 = v
+    if v3.is_zero():
+        # <v, v> = |v2|^2 here, so only v2 = 0 leaves a null point: q_inf
+        if v2.is_zero():
+            raise ValueError("point at infinity has no horospherical coordinates")
+        raise ValueError("vector has positive square norm")
+    z = v2 / v3
+    w = (v1 / v3) * 2 + z.abs2()
+    # w = it - u: ti is the anti-Hermitian part, u = -Re(w)
+    ti = (w - w.conj()) / 2
+    u = -(w + w.conj()) / 2
+    if u.real_sign() < 0:
+        raise ValueError("vector has positive square norm")
+    return HoroPoint(z, ti, u)
+
+
+def lift(h: HoroPoint):
+    """Homogeneous lift ((-|z|^2 + it - u)/2, z, 1)."""
+    z = h.z
+    return ((-(z.abs2()) + h.ti - h.u) / 2, z, ONE)
+
+
+def act_horo(c: CuspElt, h: HoroPoint) -> HoroPoint:
+    """(z, ti, u) -> (w + sigma z, ti + i t0 + w conj(sigma z) - conj(w) sigma z, u)."""
+    w = KNum(c.m, c.n)
+    z = -h.z if c.eps else h.z
+    ti = h.ti + ISQRT7 * c.s0 + w * z.conj() - w.conj() * z
+    return HoroPoint(w + z, ti, h.u)
+
+
+def tau_coordinates(z):
+    """Real scalars (a, b) with z = a + b*tau, exact: b = (z - conj z)/(i sqrt(7))."""
+    b = (z - z.conj()) / ISQRT7
+    return z - b * TAU, b
+
+
+def s_coordinate(ti):
+    """The real scalar s with t = s*sqrt(7), from ti = i*t."""
+    return ti / ISQRT7
+
+
+class Prism:
+    """The region P = D x [0, 2 sqrt(7)], D the triangle with vertices 0, 1, tau.
+
+    membership() classifies a boundary point and lists the facets it lies on;
+    facet names: "b=0" ([0,1] side), "a=0" ([0,tau] side), "a+b=1" ([1,tau]
+    side), "s=0" (bottom), "s=2" (top).
+    """
+
+    FACETS = ("a=0", "b=0", "a+b=1", "s=0", "s=2")
+
+    @staticmethod
+    def membership(z, ti):
+        a, b = tau_coordinates(z)
+        s = s_coordinate(ti)
+        checks = {
+            "a=0": a.real_sign(),
+            "b=0": b.real_sign(),
+            "a+b=1": (1 - a - b).real_sign(),
+            "s=0": s.real_sign(),
+            "s=2": (2 - s).real_sign(),
+        }
+        if any(v < 0 for v in checks.values()):
+            return "outside", ()
+        facets = tuple(k for k, v in checks.items() if v == 0)
+        return ("boundary" if facets else "interior"), facets
+
+    @staticmethod
+    def contains(z, ti) -> bool:
+        return Prism.membership(z, ti)[0] != "outside"
+
+
+def horo_reduce_to_prism(h: HoroPoint):
+    """Cusp element gamma and image with gamma(h)'s (z, t) in P, step by step
+    on horospherical coordinates: a planar shift by the floors of a and b,
+    at most one flip z -> 1 + tau - z, then a vertical shift by the floor of
+    s/2.  Returns (CuspElt, reduced HoroPoint)."""
+    total = IDENTITY
+    a, b = tau_coordinates(h.z)
+    k, n = a.floor_real(), b.floor_real()
+    if k or n:
+        total = CuspElt(m=-k) * CuspElt(n=-n)
+        h = act_horo(total, h)
+        a, b = tau_coordinates(h.z)
+    if (1 - a - b).real_sign() < 0:
+        step = T1 * TTAU * R  # z -> 1 + tau - z
+        h = act_horo(step, h)
+        total = step * total
+    lshift = (s_coordinate(h.ti) / 2).floor_real()
+    if lshift:
+        step = CuspElt(l=-lshift)
+        h = act_horo(step, h)
+        total = step * total
+    if not Prism.contains(h.z, h.ti):
+        raise ArithmeticError("prism reduction left the prism")
+    return total, h
+
+
+@functools.cache
+def horo_sphere(j):
+    """(center, r^4) of the isometric sphere of A_j: the HoroPoint of its
+    first column and 4/N(a31)."""
+    col = GENERATORS[j].first_column()
+    return horo_coords(col), Fraction(4, col[2].norm())
 
 
 def from_zsu(z, s, u=0) -> HoroPoint:
@@ -141,20 +278,19 @@ def tjk_in_box(j, k, mbox, nbox, lbox):
     sqrt_ub(sqrt_ub(r_k^4)))^4.  A survivor on the box's edge means the box
     may miss some, and is refused.
     """
-    sj, sk = SPHERES[j], SPHERES[k]
-    bound = (sqrt_ub(sqrt_ub(sj.r4)) + sqrt_ub(sqrt_ub(sk.r4))) ** 4
-    ck = sk.center
+    (cj, rj), (ck, rk) = horo_sphere(j), horo_sphere(k)
+    bound = (sqrt_ub(sqrt_ub(rj)) + sqrt_ub(sqrt_ub(rk))) ** 4
     out = []
     for m in range(-mbox, mbox + 1):
         for n in range(-nbox, nbox + 1):
             for eps in (0, 1):
-                planar = CuspElt(m, n, eps, 0).act_horo(sj.center)
+                planar = act_horo(CuspElt(m, n, eps, 0), cj)
                 dz2 = (planar.z - ck.z).abs2().rat()
                 if dz2 * dz2 > bound:
                     continue
                 for l in range(-lbox, lbox + 1):
                     alpha = CuspElt(m, n, eps, l)
-                    if cygan_dist4(alpha.act_horo(sj.center), ck).rat() > bound:
+                    if cygan_dist4(act_horo(alpha, cj), ck).rat() > bound:
                         continue
                     if abs(m) == mbox or abs(n) == nbox or abs(l) == lbox:
                         raise ArithmeticError("the reference box is too small")
@@ -235,10 +371,11 @@ def ford_side(x, g) -> str:
     return _side_from_sign(real_cmp(other, own))
 
 
-def sphere_membership(h: HoroPoint, sph) -> str:
-    """Same trichotomy as ford_side, via horospherical coordinates:
+def sphere_membership(h: HoroPoint, j) -> str:
+    """Same trichotomy as ford_side for A_j, via horospherical coordinates:
     compares the extended Cygan distance to the center against the radius."""
-    return _side_from_sign(real_cmp(cygan_dist4(h, sph.center), sph.r4))
+    center, r4 = horo_sphere(j)
+    return _side_from_sign(real_cmp(cygan_dist4(h, center), r4))
 
 
 def overlap_witness(c):
@@ -249,7 +386,7 @@ def overlap_witness(c):
         return None
     ax = sum(v[0] for v in verts) / len(verts)
     bx = sum(v[1] for v in verts) / len(verts)
-    c0, ca, cb = _cross_coeffs(c.w)
+    c0, ca, cb = _cross_coeffs(KNum(c.m, c.n))
     shift = c.s0 + sign * (c0 + ca * ax + cb * bx)
     # pick s in [0,2] with s + shift in [0,2]
     lo = max(Fraction(0), -shift)
@@ -257,7 +394,7 @@ def overlap_witness(c):
     if lo > hi:
         return None
     p = from_zsu(KNum(ax, bx), (lo + hi) / 2)
-    q = c.act_horo(p)
+    q = act_horo(c, p)
     if not (Prism.contains(p.z, p.ti) and Prism.contains(q.z, q.ti)):
         return None
     return p
@@ -293,3 +430,58 @@ def search_orthogonal_mirrors(ctx, norm: int, height: int):
                         continue
                     found.add(ProjPoint(tuple(al * b1[k] + be * b2[k] for k in range(3))))
     return sorted(found)
+
+
+# ---------------------------------------------------------------------------
+# the Ford domain on the generic path: herm_inner, abs2 and the HoroPoint prism
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def ford_candidates():
+    """(j, alpha, alpha A_j) for every candidate column, in sweep order."""
+    return [(j, alpha, alpha.to_matrix() * GENERATORS[j])
+            for j in sorted(GENERATORS) for alpha in enumerate_cone_translates(j)]
+
+
+def ref_reduce(x):
+    """reduce_to_domain on the generic path: among the violated Ford
+    inequalities the smallest |<v, col>|^2 wins, the first in sweep order
+    on a tie."""
+    as_proj = isinstance(x, ProjPoint)
+    v = x.coords if as_proj else lift(x)
+    total = GroupElt.identity()
+    while True:
+        shift, h = horo_reduce_to_prism(horo_coords(v))
+        v = lift(h)
+        total = shift.to_matrix() * total
+        own = v[2].abs2()
+        best = None
+        for _, _, g in ford_candidates():
+            other = herm_inner(v, g.first_column()).abs2()
+            if real_cmp(other, own) < 0 and (best is None or real_cmp(other, best[0]) < 0):
+                best = (other, g)
+        if best is None:
+            return total, (ProjPoint(v) if as_proj else horo_coords(v))
+        gi = best[1].inverse()
+        v = gi.apply(v)
+        total = gi * total
+
+
+def ref_in_omega(x):
+    v = x.coords if isinstance(x, ProjPoint) else lift(x)
+    h = horo_coords(v)
+    return Prism.contains(h.z, h.ti) and all(ford_side(v, g) != "outside" for _, _, g in ford_candidates())
+
+
+def ref_spheres_containing(x):
+    shift, h = horo_reduce_to_prism(horo_coords(x.coords) if isinstance(x, ProjPoint) else x)
+    v = lift(h)
+    found = {}
+    for j, alpha, g in ford_candidates():
+        side = ford_side(v, g)
+        if side != "inside":
+            center, r4 = horo_sphere(j)
+            found.setdefault((r4, act_horo(alpha, center)), (j, alpha, side))
+    return [(shift.inverse() * alpha, j, "boundary" if side == "boundary" else "interior")
+            for j, alpha, side in found.values()]

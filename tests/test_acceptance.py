@@ -19,12 +19,20 @@ from picard7.hermitian import (
     depth,
     depth_witness,
     elements_of_norm,
-    horo_coords,
     is_in_gamma,
     realizable_depths,
     sq_norm,
 )
-from picard7.heisenberg import CuspElt, Prism, R, T1, TTAU, cusp_torsion_classes, enumerate_cusp_overlaps
+from picard7.heisenberg import (
+    CuspElt,
+    R,
+    T1,
+    TTAU,
+    cusp_torsion_classes,
+    enumerate_cusp_overlaps,
+    in_prism,
+    prism_coordinates,
+)
 from picard7.ford import GENERATORS, generator_depths, in_omega, reduce_to_domain, spheres_containing
 from picard7.torsion import (
     build_cycle_graph,
@@ -102,9 +110,10 @@ def test_criterion_03_isolated_classes():
 
 
 def test_criterion_04_worked_examples():
-    h = horo_coords(V1.coords)
-    where, facets = Prism.membership(h.z, h.ti)
-    ok = where == "boundary" and len(facets) == 2
+    # V1 lies over z = 0 at t = sqrt(7): on the edge a = b = 0 of P, at
+    # half its height
+    x = prism_coordinates(V1.coords)
+    ok = x == (0, 0, 1, 1) and in_prism(x)
     res = spheres_containing(V1)
     ok = ok and len(res) == 3 and all(f == "boundary" for _, _, f in res)
     st = stabilizer(V1, build_cycle_graph([V1]))

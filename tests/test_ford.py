@@ -19,12 +19,9 @@ from picard7.hermitian import (
     GroupElt,
     ProjPoint,
     eigenspace_basis,
-    herm_inner,
-    horo_coords,
     is_in_gamma,
-    lift,
 )
-from picard7.heisenberg import CuspElt, Prism, R, T1, TTAU, TV, reduce_to_prism
+from picard7.heisenberg import CuspElt, R, T1, TTAU, TV
 from picard7.ford import (
     GENERATORS,
     INVERSE_PAIRS,
@@ -45,12 +42,19 @@ from picard7.ford import (
 from picard7.presentation import abcd
 from picard7.torsion import classify_elliptic
 from reference import (
+    act_horo,
     cygan_dist4,
     dist2_to_triangle,
     fixes_q_inf,
+    ford_candidates,
     ford_side,
     from_zsu,
-    real_cmp,
+    horo_coords,
+    horo_sphere,
+    lift,
+    ref_in_omega,
+    ref_reduce,
+    ref_spheres_containing,
     sphere_membership,
     sqrt_lb,
     sqrt_ub,
@@ -89,9 +93,16 @@ def test_generator_table():
 def test_sphere_data():
     s6 = SPHERES[6]
     assert s6.r4 == 1
-    assert s6.center == from_zsu(0, 1)
+    # the center of I(A6) is z = 0, t = sqrt(7): s = 4/4 over den = N(2)
+    assert s6.center == (0, 0, 4, 4) and horo_sphere(6) == (from_zsu(0, 1), 1)
     s1 = SPHERES[1]
-    assert s1.r4 == 4 and s1.center == from_zsu(0, 0)
+    assert s1.r4 == 4 and s1.center == (0, 0, 0, 1) and horo_sphere(1) == (from_zsu(0, 0), 4)
+    # every center's ints are the prism coordinates of the reference center
+    for j, sph in SPHERES.items():
+        a, b, s, den = sph.center
+        center, r4 = horo_sphere(j)
+        assert sph.r4 == r4 and den * r4 == 4
+        assert (KNum(Fraction(a, den), Fraction(b, den)), Fraction(s, den)) == (center.z, center.s)
     with pytest.raises(ValueError):
         IsomSphere(T1.to_matrix())
 
@@ -118,7 +129,7 @@ def test_cygan_left_invariance():
         )
         d = cygan_dist4(p, q)
         for c in (T1, TTAU, TV, R, CuspElt(rng.randint(-2, 2), rng.randint(-2, 2), 1, 1)):
-            assert cygan_dist4(c.act_horo(p), c.act_horo(q)) == d
+            assert cygan_dist4(act_horo(c, p), act_horo(c, q)) == d
 
 
 def test_sqrt_bounds():
@@ -180,13 +191,13 @@ _CONE_BOX = 8
 def test_cone_translates_keep_every_survivor():
     # every (m, n, eps) in the box whose translated disk meets D is kept
     for j in GENERATORS:
-        sph = SPHERES[j]
+        center, r4 = horo_sphere(j)
         want = set()
         for m in range(-_CONE_BOX, _CONE_BOX + 1):
             for n in range(-_CONE_BOX, _CONE_BOX + 1):
                 for eps in (0, 1):
-                    z = CuspElt(m, n, eps, 0).act_horo(sph.center).z
-                    if dist2_to_triangle(z) ** 2 <= sph.r4:
+                    z = act_horo(CuspElt(m, n, eps, 0), center).z
+                    if dist2_to_triangle(z) ** 2 <= r4:
                         want.add((m, n, eps))
         assert {(a.m, a.n, a.eps) for a in enumerate_cone_translates(j)} == want
 
@@ -194,15 +205,15 @@ def test_cone_translates_keep_every_survivor():
 @functools.cache
 def _ref_cone_translates(j):
     """The translate superset of j with the full cusp action on every (m, n, eps)."""
-    sph = SPHERES[j]
-    r2_ub = sqrt_ub(sph.r4)
+    center, r4 = horo_sphere(j)
+    r2_ub = sqrt_ub(r4)
     r_ub = sqrt_ub(r2_ub)
     out = []
     for m in range(-_CONE_BOX, _CONE_BOX + 1):
         for n in range(-_CONE_BOX, _CONE_BOX + 1):
             for eps in (0, 1):
-                shifted = CuspElt(m, n, eps, 0).act_horo(sph.center)
-                if dist2_to_triangle(shifted.z) ** 2 > sph.r4:
+                shifted = act_horo(CuspElt(m, n, eps, 0), center)
+                if dist2_to_triangle(shifted.z) ** 2 > r4:
                     continue
                 assert abs(m) < _CONE_BOX and abs(n) < _CONE_BOX
                 zmax = sqrt_ub(Fraction(shifted.z.norm())) + r_ub
@@ -259,9 +270,9 @@ def test_ford_side_matches_sphere_membership():
         )
         v = lift(h)
         for j in (1, 2, 6, 9):
-            assert ford_side(v, GENERATORS[j]) == sphere_membership(h, SPHERES[j])
+            assert ford_side(v, GENERATORS[j]) == sphere_membership(h, j)
     h1 = horo_coords(V1)
-    assert sphere_membership(h1, SPHERES[6]) == "boundary"
+    assert sphere_membership(h1, 6) == "boundary"
 
 
 def test_cone_translates():
@@ -270,11 +281,11 @@ def test_cone_translates():
     for j in GENERATORS:
         ej = enumerate_cone_translates(j)
         assert ej
-        sph = SPHERES[j]
+        center, r4 = horo_sphere(j)
         for alpha in ej:
-            moved = alpha.act_horo(sph.center)
+            moved = act_horo(alpha, center)
             d2 = dist2_to_triangle(moved.z)
-            assert d2 * d2 <= sph.r4  # defining z-filter
+            assert d2 * d2 <= r4  # defining z-filter
 
 
 def test_spheres_containing_v1():
@@ -291,6 +302,27 @@ def test_spheres_containing_v1():
 
 def test_spheres_containing_far_point():
     assert spheres_containing(ProjPoint(lift(from_zsu(0, 0, 50)))) == []
+
+
+def _refused_points():
+    """(point, message) for q_inf and for positive points over K and K(zeta_3)."""
+    z = AlgNum.gen(zeta3_tower())
+    positive = "vector has positive square norm"
+    return [
+        (ProjPoint((KNum(1), KNum(0), KNum(0))), "point at infinity has no horospherical coordinates"),
+        (ProjPoint((KNum(1), KNum(0), KNum(1))), positive),  # <v, v> = 2
+        (ProjPoint((KNum(0), KNum(1), KNum(0))), positive),  # v3 = 0, <v, v> = 1
+        (ProjPoint((KNum(1), KNum(0), -z)), positive),  # <v, v> = -2 Re(zeta_3) = 1
+    ]
+
+
+def test_ford_entry_points_refuse_q_inf_and_positive_points():
+    # in_omega and spheres_containing read the point's prism coordinates
+    # first, and refuse these points with the messages the CLI prints
+    for x, message in _refused_points():
+        for f in (in_omega, spheres_containing):
+            with pytest.raises(ValueError, match=message):
+                f(x)
 
 
 def test_order6_point_on_five_spheres():
@@ -378,56 +410,6 @@ def test_generator_depths():
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _candidates():
-    """(j, alpha, alpha A_j) for every candidate column, in sweep order."""
-    return [(j, alpha, alpha.to_matrix() * GENERATORS[j])
-            for j in sorted(GENERATORS) for alpha in enumerate_cone_translates(j)]
-
-
-def _ref_reduce(x):
-    """reduce_to_domain on the generic path: among the violated Ford
-    inequalities the smallest |<v, col>|^2 wins, the first in sweep order
-    on a tie."""
-    as_proj = isinstance(x, ProjPoint)
-    v = x.coords if as_proj else lift(x)
-    total = GroupElt.identity()
-    while True:
-        shift, h = reduce_to_prism(horo_coords(v))
-        v = lift(h)
-        total = shift.to_matrix() * total
-        own = v[2].abs2()
-        best = None
-        for _, _, g in _candidates():
-            other = herm_inner(v, g.first_column()).abs2()
-            if real_cmp(other, own) < 0 and (best is None or real_cmp(other, best[0]) < 0):
-                best = (other, g)
-        if best is None:
-            return total, (ProjPoint(v) if as_proj else horo_coords(v))
-        gi = best[1].inverse()
-        v = gi.apply(v)
-        total = gi * total
-
-
-def _ref_in_omega(x):
-    v = x.coords if isinstance(x, ProjPoint) else lift(x)
-    h = horo_coords(v)
-    return Prism.contains(h.z, h.ti) and all(ford_side(v, g) != "outside" for _, _, g in _candidates())
-
-
-def _ref_spheres_containing(x):
-    shift, h = reduce_to_prism(horo_coords(x.coords) if isinstance(x, ProjPoint) else x)
-    v = lift(h)
-    found = {}
-    for j, alpha, g in _candidates():
-        side = ford_side(v, g)
-        if side != "inside":
-            sph = SPHERES[j]
-            found.setdefault((sph.r4, alpha.act_horo(sph.center)), (j, alpha, side))
-    return [(shift.inverse() * alpha, j, "boundary" if side == "boundary" else "interior")
-            for j, alpha, side in found.values()]
-
-
 def _field_points():
     """A fixed point in K (V1), in K(zeta_3) (of c = ab) and in K(zeta_7) (of a)."""
     gens = abcd()
@@ -457,14 +439,14 @@ def test_sweep_kernels_match_generic_path(field):
         vs, own, (_, _, sweep) = _sweep_vector(x.coords)
         got = [(j, alpha, sign) for sign, _, j, alpha in sweep(vs, own)]
         want = []
-        for j, alpha, g in _candidates():
+        for j, alpha, g in ford_candidates():
             side = ford_side(x, g)
             if side != "inside":
                 want.append((j, alpha, 0 if side == "boundary" else -1))
         assert got == want
-        assert reduce_to_domain(x) == _ref_reduce(x)
-        assert in_omega(x) == _ref_in_omega(x)
-        assert spheres_containing(x) == _ref_spheres_containing(x)
+        assert reduce_to_domain(x) == ref_reduce(x)
+        assert in_omega(x) == ref_in_omega(x)
+        assert spheres_containing(x) == ref_spheres_containing(x)
     assert in_omega(y0) and any(flag == "boundary" for _, _, flag in spheres_containing(y0))
 
 

@@ -4,30 +4,38 @@ from fractions import Fraction
 import pytest
 
 from picard7.ring import AlgNum, ISQRT7, KNum, TAU, zeta3_tower, zeta7_tower
-from picard7.hermitian import GroupElt, HoroPoint, Mat, horo_coords, is_in_gamma, lift
+from picard7.hermitian import GroupElt, Mat, is_in_gamma, sq_norm
 from picard7.heisenberg import (
     CuspElt,
     IDENTITY,
-    Prism,
     R,
     T1,
     TTAU,
     TV,
+    act_prism,
     cusp_torsion_classes,
     enumerate_cusp_overlaps,
     _overlap_vertices,
+    in_prism,
+    prism_coordinates,
     reduce_to_prism,
-    s_coordinate,
-    tau_coordinates,
 )
 from reference import (
+    HoroPoint,
+    Prism,
     _cross_coeffs,
     _overlap_constraints,
+    act_horo,
     cusp_matrix,
     fixes_q_inf,
     from_zsu,
+    horo_coords,
+    horo_reduce_to_prism,
+    lift,
     overlap_witness,
     polygon_vertices,
+    s_coordinate,
+    tau_coordinates,
     translation_matrix,
 )
 
@@ -78,9 +86,9 @@ def test_vertical_is_commutator():
 
 def test_heis_group_law():
     h = from_zsu(TAU, Fraction(1, 2))
-    assert IDENTITY.act_horo(h) == h
+    assert act_horo(IDENTITY, h) == h
     # (1, sqrt 7) * (1, sqrt 7) = (2, 2 sqrt 7): on points and on elements
-    assert T1.act_horo(from_zsu(1, 1)) == from_zsu(2, 2)
+    assert act_horo(T1, from_zsu(1, 1)) == from_zsu(2, 2)
     assert T1 * T1 == CuspElt(m=2)
     rng = random.Random(5)
     for _ in range(60):
@@ -90,13 +98,13 @@ def test_heis_group_law():
         # the action law on points off the lattice, on and above the boundary
         den = rng.choice((3, 4))
         for p in (rand_pt(rng, den), rand_pt(rng, den, rng.randint(1, 12))):
-            assert (a * b).act_horo(p) == a.act_horo(b.act_horo(p))
-            assert a.inverse().act_horo(a.act_horo(p)) == p
+            assert act_horo(a * b, p) == act_horo(a, act_horo(b, p))
+            assert act_horo(a.inverse(), act_horo(a, p)) == p
     # R conjugation flips the translation part, keeps the vertical part
     for _ in range(20):
         c = CuspElt(rng.randint(-3, 3), rng.randint(-3, 3), 0, rng.randint(-3, 3))
         conj = R * c * R
-        assert conj.w == -c.w
+        assert (conj.m, conj.n) == (-c.m, -c.n)
         assert conj.s0 == c.s0
         assert conj.eps == 0
 
@@ -141,7 +149,7 @@ def test_act_horo_matches_matrices(field):
     rng = random.Random(23)
     for _ in range(10):
         c, h = rand_cusp(rng, 2), _tower_point(rng, tw)
-        got = c.act_horo(h)
+        got = act_horo(c, h)
         want = horo_coords(c.to_matrix().apply(lift(h)))
         assert got == want
         assert [type(x) for x in (got.z, got.ti, got.u)] == [type(x) for x in (h.z, h.ti, h.u)]
@@ -164,7 +172,12 @@ def test_cusp_action_consistency():
         c = CuspElt(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(0, 1), rng.randint(-2, 2))
         p = rand_pt(rng)
         via_mat = horo_coords(c.to_matrix().apply(lift(p)))
-        assert c.act_horo(p) == via_mat
+        assert act_horo(c, p) == via_mat
+
+
+def _in_prism_at(z, ti):
+    """in_prism at the boundary point (z, t), through its lifted vector."""
+    return in_prism(prism_coordinates(lift(HoroPoint(z, ti, KNum(0)))))
 
 
 def test_prism_membership():
@@ -175,31 +188,61 @@ def test_prism_membership():
     assert Prism.membership(KNum(0), from_zsu(0, -1).ti)[0] == "outside"
     state, facets = Prism.membership(KNum(0), from_zsu(0, 2).ti)
     assert state == "boundary" and "s=2" in facets
+    # the int test on the vector agrees with the reference at each example
+    assert _in_prism_at(TAU / 2, KNum(0))
+    assert _in_prism_at(KNum(Fraction(1, 4), Fraction(1, 4)), from_zsu(0, 1).ti)
+    assert _in_prism_at(TAU, from_zsu(0, Fraction(9, 7)).ti)
+    assert not _in_prism_at(KNum(2), KNum(0))
+    assert not _in_prism_at(KNum(0), from_zsu(0, -1).ti)
+    assert _in_prism_at(KNum(0), from_zsu(0, 2).ti)
+
+
+def _prism_reals(x):
+    """The real coordinates (a, b, s) that prism coordinates x stand for."""
+    a, b, s, den = x
+    return tuple(Fraction(y, den) for y in (a, b, s)) if type(a) is int else (a, b, s)
+
+
+def _grid_points(r):
+    """HoroPoints with a, b and s/2 on and around integers and every facet
+    of P, r a small real step (a Fraction, or an irrational real AlgNum);
+    every other one lies above the boundary."""
+    coords = (-1, 0, Fraction(1, 2), 1, r, 1 - r, 1 + r, -r)
+    grid = [(a, b, s) for a in coords for b in coords for s in (-2, 0, 1, 2, 4, r, 2 - r, 2 + r)]
+    return [HoroPoint(a + b * TAU, ISQRT7 * s, KNum(Fraction(i % 2, 3))) for i, (a, b, s) in enumerate(grid)]
+
+
+def _check_against_reference(v, overlaps=()):
+    """The prism coordinates of v, the in-prism test, prism reduction and
+    the action of the given cusp elements against the HoroPoint reference;
+    returns the reducing element, after checking that a second pass keeps
+    the reduced point."""
+    h = horo_coords(v)
+    x = prism_coordinates(v)
+    a, b = tau_coordinates(h.z)
+    assert _prism_reals(x) == (a, b, s_coordinate(h.ti))
+    assert in_prism(x) == Prism.contains(h.z, h.ti)
+    ref, p = horo_reduce_to_prism(h)
+    c = reduce_to_prism(x)
+    assert c == ref
+    assert _prism_reals(act_prism(c, x)) == tau_coordinates(p.z) + (s_coordinate(p.ti),)
+    assert in_prism(act_prism(c, x)) and reduce_to_prism(act_prism(c, x)) == IDENTITY
+    for e in overlaps:
+        q = act_horo(e, h)
+        assert in_prism(act_prism(e, x)) == Prism.contains(q.z, q.ti)
+    return c
 
 
 def test_reduce_examples():
-    c, p = reduce_to_prism(from_zsu(KNum(2, 3), 5))
-    assert Prism.contains(p.z, p.ti)
-    assert c.act_horo(from_zsu(KNum(2, 3), 5)) == p
-
-    c, p = reduce_to_prism(from_zsu(TAU / 2, Fraction(1, 2)))
-    assert c == IDENTITY and p == from_zsu(TAU / 2, Fraction(1, 2))
-
-    c, p = reduce_to_prism(from_zsu(KNum(-1), -1))
-    assert Prism.contains(p.z, p.ti)
-    assert c.act_horo(from_zsu(KNum(-1), -1)) == p
+    _check_against_reference(lift(from_zsu(KNum(2, 3), 5)))
+    assert _check_against_reference(lift(from_zsu(TAU / 2, Fraction(1, 2)))) == IDENTITY
+    _check_against_reference(lift(from_zsu(KNum(-1), -1)))
 
 
 def test_reduce_random_roundtrip():
     rng = random.Random(21)
     for _ in range(60):
-        q = rand_pt(rng)
-        c, p = reduce_to_prism(q)
-        assert Prism.contains(p.z, p.ti)
-        assert c.act_horo(q) == p
-        # idempotence on the reduced representative
-        c2, p2 = reduce_to_prism(p)
-        assert p2 == p
+        _check_against_reference(lift(rand_pt(rng)))
 
 
 def test_reduce_algebraic_point():
@@ -209,12 +252,58 @@ def test_reduce_algebraic_point():
     hl = HoroPoint(
         AlgNum.lift(tw, h.z), AlgNum.lift(tw, h.ti), AlgNum.lift(tw, KNum(1))
     )
-    shifted = CuspElt(3, -2, 1, 1).act_horo(hl)
-    c, red = reduce_to_prism(shifted)
-    assert Prism.contains(red.z, red.ti)
-    assert c.act_horo(shifted) == red
-    # the reduced point is the original one (it was interior to P)
+    shifted = act_horo(CuspElt(3, -2, 1, 1), hl)
+    red = act_horo(_check_against_reference(lift(shifted)), shifted)
+    # the reduced point is the original one (it was in P)
     assert (red.z - hl.z).is_zero() and (red.ti - hl.ti).is_zero()
+
+
+@pytest.mark.parametrize("field", ["K", "zeta3", "zeta7"])
+def test_prism_coordinates_match_the_reference(field):
+    # the coordinates read off a vector, the cusp action on them, the
+    # in-prism test and prism reduction against horo_coords, act_horo,
+    # Prism.contains and the HoroPoint reduction: on points on and around
+    # every facet and integral a, b and s/2, where the floors tie, each
+    # lifted and scaled, and on random vectors; the cusp overlaps act on
+    # the points in P
+    overlaps = enumerate_cusp_overlaps()
+    if field == "K":
+        r, scales = Fraction(1, 8), [KNum(1), KNum(2, 1), KNum(Fraction(-3, 5), 1)]
+    else:
+        g = AlgNum.gen(zeta3_tower() if field == "zeta3" else zeta7_tower())
+        # (g - conj g) i sqrt(7) is real and irrational, near 4.5
+        r, scales = (g - g.conj()) * ISQRT7 / 16, [KNum(1), g, 2 - g * g]
+    points = _grid_points(r)
+    kinds, facets = zip(*(Prism.membership(h.z, h.ti) for h in points))
+    assert set(kinds) == {"interior", "boundary", "outside"}
+    assert set().union(*facets) == set(Prism.FACETS)
+    for i, (h, kind) in enumerate(zip(points, kinds)):
+        v = lift(h)
+        _check_against_reference(tuple(scales[i % 3] * y for y in v),
+                                 overlaps if kind != "outside" and i % 3 == 0 else ())
+    if field != "K":
+        return
+    rng = random.Random(61)
+    tried = 0
+    while tried < 300:
+        v = tuple(KNum(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(3))
+        if v[2].is_zero() or sq_norm(v).real_sign() > 0:
+            continue
+        tried += 1
+        _check_against_reference(v, overlaps[tried % 7::7])
+
+
+@pytest.mark.parametrize("field", ["K", "zeta3", "zeta7"])
+def test_prism_coordinates_refuse_q_inf_and_positive_vectors(field):
+    one = KNum(1) if field == "K" else AlgNum.lift(zeta3_tower() if field == "zeta3" else zeta7_tower(), 1)
+    zero = one - one
+    for v, message in (((one, zero, zero), "point at infinity has no horospherical coordinates"),
+                       ((one, one, zero), "vector has positive square norm"),
+                       ((one, zero, one), "vector has positive square norm")):
+        with pytest.raises(ValueError, match=message):
+            prism_coordinates(v)
+        with pytest.raises(ValueError, match=message):
+            horo_coords(v)
 
 
 def fm_feasible(constraints, nvars):

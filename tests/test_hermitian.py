@@ -12,15 +12,14 @@ from picard7.hermitian import (
     depth,
     eigenspace_basis,
     herm_inner,
-    horo_coords,
     is_in_gamma,
-    lift,
     mat_from_json,
     mat_to_json,
     primitive_rep,
     sq_norm,
 )
-from reference import from_zsu, mat_apply, mat_charpoly, mat_det, mat_neg, mat_product, mat_trace
+from picard7.heisenberg import prism_coordinates
+from reference import from_zsu, horo_coords, lift, mat_apply, mat_charpoly, mat_det, mat_neg, mat_product, mat_trace
 
 ID = Mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 A1 = Mat([[0, 0, 1], [0, -1, 0], [1, 0, 0]])
@@ -262,6 +261,8 @@ def test_horospherical_examples():
     h = horo_coords((-TAU_BAR, KNum(0), KNum(1)))
     assert h == from_zsu(0, 1, 1)
     assert h.s == 1 and h.u.rat() == 1
+    # its prism coordinates: z = 0 and t = sqrt(7), over den = N(1)
+    assert prism_coordinates((-TAU_BAR, KNum(0), KNum(1))) == (0, 0, 1, 1)
     # boundary point (0, sqrt(7)) lifts to a null vector
     b = from_zsu(0, 1, 0)
     assert ProjPoint(lift(b)).is_null()
@@ -276,13 +277,17 @@ def test_horo_roundtrip_random():
             Fraction(rng.randint(0, 9), 2),
         )
         assert horo_coords(lift(h)) == h
+        # the prism coordinates of the lift are h's z and s
+        a, b, s, den = prism_coordinates(lift(h))
+        assert (KNum(Fraction(a, den), Fraction(b, den)), Fraction(s, den)) == (h.z, h.s)
 
 
 def test_horo_rejects_positive_points():
-    with pytest.raises(ValueError):
-        horo_coords((KNum(1), KNum(0), KNum(1)))  # <v,v> = 2 > 0
-    with pytest.raises(ValueError):
-        horo_coords((KNum(1), KNum(0), KNum(0)))  # q_inf
+    for f in (horo_coords, prism_coordinates):
+        with pytest.raises(ValueError, match="positive square norm"):
+            f((KNum(1), KNum(0), KNum(1)))  # <v,v> = 2 > 0
+        with pytest.raises(ValueError, match="point at infinity"):
+            f((KNum(1), KNum(0), KNum(0)))  # q_inf
 
 
 def test_group_elt_projectivization():

@@ -1,17 +1,17 @@
+import ast
+
 import pytest
 
 from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR
-from picard7.hermitian import GroupElt, Mat, ProjPoint, eigenspace_basis, horo_coords, sq_norm
+from picard7.hermitian import GroupElt, Mat, ProjPoint, eigenspace_basis, sq_norm
 from picard7.heisenberg import (
     IDENTITY,
     CuspElt,
-    Prism,
     R,
     T1,
     TTAU,
     TV,
     enumerate_cusp_overlaps,
-    overlaps_keeping,
 )
 from picard7.ford import GENERATORS, INVERSE_PAIRS, enumerate_tjk
 from picard7.presentation import abcd
@@ -34,7 +34,8 @@ from picard7.torsion import (
     _repeated_eigenvalue,
     _search_alphabet,
 )
-from reference import mat_charpoly, tjk_in_box
+from reference import Prism, act_horo, fixes_q_inf, horo_coords, mat_charpoly, tjk_in_box
+from test_hygiene import MODULES, bound_names
 
 V1 = ProjPoint((-TAU_BAR, KNum(0), KNum(1)))
 
@@ -146,19 +147,16 @@ def test_tjk_superset_against_larger_box(j, k):
     assert enumerate_tjk(j, k) == tjk_in_box(j, k, 10, 7, 10)
 
 
-def test_tjk_runs_no_cusp_action(monkeypatch):
-    # the windows and the distance test run on the centers' ints: no
-    # translated center is built
-    calls = []
-    act = CuspElt.act_horo
-
-    def counted(self, h):
-        calls.append(self)
-        return act(self, h)
-
-    monkeypatch.setattr(CuspElt, "act_horo", counted)
+def test_tjk_runs_no_cusp_action():
+    # the windows and the distance test run on the centers' ints, and the
+    # package keeps no horospherical layer to build a translated center in:
+    # no module binds one of its names (the lift methods of the number
+    # classes, AlgNum.lift among them, are another thing)
     sizes = [len(enumerate_tjk(j, INVERSE_PAIRS[j])) for j in sorted(GENERATORS)]
-    assert all(sizes) and sum(sizes) == 396 and calls == []
+    assert all(sizes) and sum(sizes) == 396
+    gone = {"HoroPoint", "horo_coords", "lift", "act_horo", "tau_coordinates", "s_coordinate", "Prism"}
+    bound = sorted((path.name, name) for path in MODULES for name in bound_names(ast.parse(path.read_text()).body))
+    assert [(m, n) for m, n in bound if n in gone or n.rsplit(".", 1)[-1] in gone - {"lift"}] == []
 
 
 def test_orbit_walk_order_depth_and_cap():
@@ -333,28 +331,51 @@ def test_isolated_class_invariants():
     assert c4.two_line_orbits == [2, 2]
 
 
+def _overlap_moves_against_reference(graph, ties):
+    """Check the cusp-overlap edges of a cycle graph (those whose element
+    fixes q_inf) at each vertex against act_horo and Prism.membership: the
+    overlaps c != 1 that keep the vertex in P, in normal-form order.  Adds
+    the facets the kept images lie on to ties; returns the number of moves."""
+    found = 0
+    for i, v in enumerate(graph.vertices):
+        h = horo_coords(v.coords)
+        want = []
+        for c in enumerate_cusp_overlaps():
+            hq = act_horo(c, h)
+            inside, facets = Prism.membership(hq.z, hq.ti)
+            if c != IDENTITY and inside != "outside":
+                want.append(c.to_matrix())
+                ties.update(facets)
+        assert [e.label for e in graph.edges if e.src == i and fixes_q_inf(e.label)] == want
+        found += len(want)
+    return found
+
+
 def test_int_overlap_test_matches_the_cusp_action():
     # on every vertex of the cycle graphs of the five K-rational isolated
-    # fixed points, against act_horo and Prism.contains; the kept overlaps
-    # tie on every facet of the prism, so each bound is tested at equality
+    # fixed points; the kept overlaps tie on every facet of the prism, so
+    # each bound is tested at equality
     fixed = list(dict.fromkeys(
         c.fixed for c in enumerate_torsion() if c.kind == "isolated" and c.fixed.rational
     ))
     assert len(fixed) == 5
     ties = set()
     for f in fixed:
-        for v in build_cycle_graph([f]).vertices:
-            assert v.rational
-            h = horo_coords(v.coords)
-            want = []
-            for c in enumerate_cusp_overlaps():
-                hq = c.act_horo(h)
-                inside, facets = Prism.membership(hq.z, hq.ti)
-                if c != IDENTITY and inside != "outside":
-                    want.append(c)
-                    ties.update(facets)
-            assert overlaps_keeping(h) == want
+        graph = build_cycle_graph([f])
+        assert all(v.rational for v in graph.vertices)
+        _overlap_moves_against_reference(graph, ties)
     assert ties == set(Prism.FACETS)
+
+
+@pytest.mark.parametrize("name,order,moves", [("c", 6, 0), ("a", 7, 1)])
+def test_tower_overlap_moves_match_the_cusp_action(name, order, moves):
+    # the same on the cycle graphs of the zeta_3 fixed point of c (one
+    # vertex, no move) and of the zeta_7 fixed point of a (two vertices,
+    # one move), whose coordinates are tower elements
+    _, fixed, _ = classify_elliptic(abcd()[name], order)
+    graph = build_cycle_graph([fixed])
+    assert not any(v.rational for v in graph.vertices)
+    assert _overlap_moves_against_reference(graph, set()) == moves
 
 
 def test_isolated_reps_fix_their_points():
