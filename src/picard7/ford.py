@@ -4,7 +4,8 @@ The Ford domain F is the set of x with N(<x, q_inf>) <= N(<x, g q_inf>)
 for every g not stabilizing q_inf; combined with the cone C_P over the
 prism this gives the fundamental domain Omega = F cap C_P.  Membership is
 always decided by that exact norm comparison; the Cygan-sphere radius
-r^4 = 4 / N(a31) is carried only for the candidate enumeration estimates.
+r^4 = 4 / N(a31) only bounds which translates are compared: the candidate
+enumerations, and the lattice disk of the sweep in K.
 A point's place over the prism is read off its vector
 (`heisenberg.prism_coordinates`), and the cusp element that moves it into
 the prism acts on the vector by its matrix; a sphere's center is kept as
@@ -13,6 +14,7 @@ the same int coordinates.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
@@ -385,15 +387,84 @@ def _k_cmp(p, q) -> int:
 
 
 def _k_sweep(v, own):
-    """v in O_7^3: the quantity is the int N(<v, col>)."""
-    (x1, x2, x3, x4, x5, x6), (y1, y2, y3, y4, y5, y6) = _forms([_int_pair(c) for c in v])
+    """v in O_7^3: the quantity is the int N(<v, col>).
+
+    Only the translates alpha = (m, n, eps, l) whose closed Cygan ball can
+    hold v are evaluated.  With dv = N(v3), z = v2 conj(v3)/dv and
+    u' = -<v, v>/dv, Re<v/v3, col/col3> = -(u' + N(z - z0))/2 for the
+    column's center z0 = w + sigma z_j, whatever l is.  A hit has
+    |<v/v3, col/col3>| <= r^2/2, so u' + N(z - z0) <= r^2 <= r2/2^16, and
+    times S^2 for S = dv zd that is a lattice disk in (m, n).  Along l,
+    col1 grows by i sqrt(7) col3, so <v, col> = Z + l D, and N(Z + l D) is a
+    convex quadratic in l: its hits are the ints next to its vertex, found
+    by walking out from it.  A hit counts only if alpha is a candidate
+    translate of j, as every hit at a point over P is.
+    """
+    (v1a, v1b), (v2a, v2b), (v3a, v3b) = [_int_pair(c) for c in v]
+    dv = _norm_ints(v3a, v3b)
+    # S z = zd (za_v + zb_v tau), and <v, v> = 2 Re(v1 conj(v3)) + N(v2)
+    za_v, zb_v = _mul_ints(v2a, v2b, v3a + v3b, -v3b)
+    ra, rb = _mul_ints(v1a, v1b, v3a + v3b, -v3b)
+    vv = 2 * ra + rb + _norm_ints(v2a, v2b)
     for j in sorted(GENERATORS):
-        for alpha, (a1, b1, a2, b2, a3, b3) in candidate_spheres(j):
-            x = a1 * x1 + b1 * x2 + a2 * x3 + b2 * x4 + a3 * x5 + b3 * x6
-            y = a1 * y1 + b1 * y2 + a2 * y3 + b2 * y4 + a3 * y5 + b3 * y6
-            q = x * x + x * y + 2 * y * y
-            if q <= own:
-                yield (-1 if q < own else 0), q, j, alpha
+        sph = SPHERES[j]
+        za, zb, _, zd = sph.center
+        r2 = _sqrt_ints(sph.r4.numerator, sph.r4.denominator)[1]
+        # floor(S^2 (r2/2^16 - u')), as S^2/dv = dv zd^2
+        nmax = dv * zd * zd * (r2 * dv + vv * _SQRT_DEN) // _SQRT_DEN
+        if nmax < 0:
+            continue
+        # For alpha = (m, n, eps, 0), w = m + n tau and sigma = (-1)^eps,
+        # the column is (c1 - sigma conj(w) c2 + c c3, sigma c2 + w c3, c3)
+        # with (c1, c2, c3) the first column of A_j and conj(c) =
+        # (s0 - N(w))/2 - s0 tau, s0 = m - mn.  So <v, col> = B + sigma C
+        # - sigma w E + conj(w) H + conj(c) G, with B = conj(c1) v3 +
+        # conj(c3) v1, C = conj(c2) v2, E = conj(c2) v3, H = conj(c3) v2
+        # and G = conj(c3) v3; conj(a + b tau) = (a + b) - b tau.
+        t = GENERATORS[j].ints
+        c1a, c1b, c2a, c2b, c3a, c3b = t[0] + t[1], -t[1], t[6] + t[7], -t[7], t[12] + t[13], -t[13]
+        ba, bb = _mul_ints(c1a, c1b, v3a, v3b)
+        fa, fb = _mul_ints(c3a, c3b, v1a, v1b)
+        ca, cb = _mul_ints(c2a, c2b, v2a, v2b)
+        ea, eb = _mul_ints(c2a, c2b, v3a, v3b)
+        ha, hb = _mul_ints(c3a, c3b, v2a, v2b)
+        ga, gb = _mul_ints(c3a, c3b, v3a, v3b)
+        # D = conj(i sqrt(7)) G = (1 - 2 tau) G, and for Z = x + y tau,
+        # 2 Re(Z conj(D)) = ((2x + y)(2 dx + dy) + 7 y dy)/2
+        dx, dy = _mul_ints(1, -2, ga, gb)
+        nd = _norm_ints(dx, dy)
+        if nd == 0:
+            raise ArithmeticError("a Ford sweep's l-step vanishes")
+        d2, d7 = 2 * dx + dy, 7 * dy
+        hits = []
+        for eps in (0, 1):
+            sigma = -1 if eps else 1
+            pa, pb = ba + fa + sigma * ca, bb + fb + sigma * cb
+            qa, qb = -sigma * ea, -sigma * eb
+            # _lattice_disk yields (-m, -n) for S (z - z0) = p + q tau
+            p0, q0 = zd * za_v - sigma * dv * za, zd * zb_v - sigma * dv * zb
+            for mm, nn in _lattice_disk(p0, q0, dv * zd, nmax):
+                m, n = -mm, -nn
+                s0 = m - m * n
+                ka, kb = (s0 - m * m - m * n - 2 * n * n) // 2, -s0
+                # Z = P + w Q + conj(w) H + conj(c) G, conj(w) = (m + n) - n tau
+                x = pa + m * qa - 2 * n * qb + (m + n) * ha + 2 * n * hb + ka * ga - 2 * kb * gb
+                y = pb + m * qb + n * (qa + qb) + m * hb - n * ha + ka * gb + kb * (ga + gb)
+                # N(Z + l D) = N(Z) + l tr + l^2 N(D)
+                nz = x * x + x * y + 2 * y * y
+                tr = ((2 * x + y) * d2 + y * d7) // 2
+                top = -tr // (2 * nd)
+                for l, step in ((top, -1), (top + 1, 1)):
+                    while (q := nz + l * (tr + l * nd)) <= own:
+                        hits.append((CuspElt(m, n, eps, l), q))
+                        l += step
+        if hits:
+            table = candidate_spheres(j)
+            hits.sort()
+            for alpha, q in hits:
+                i = bisect_left(table, (alpha,))
+                if i < len(table) and table[i][0] == alpha:
+                    yield (-1 if q < own else 0), q, j, alpha
 
 
 def _zeta3_quantity(x0, y0, x1, y1):

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 
 from .ring import ISQRT7, KNum, TAU
 from .hermitian import GroupElt, _mul_ints, _norm_ints, _scaled_ints
@@ -168,14 +169,23 @@ def act_prism(c: CuspElt, x):
     return m * den + a, n * den + b, s + (m - m * n + 2 * l) * den + n * a - m * b, den
 
 
-def in_prism(x) -> bool:
-    """Whether prism coordinates x lie in P = D x [0, 2 sqrt(7)], D the
-    triangle with vertices 0, 1, tau: a, b >= 0, a + b <= den and
-    0 <= s <= 2 den, on ints, or by real_sign on AlgNums."""
-    a, b, s, den = x
+def _in_triangle(a, b, den) -> bool:
+    """Whether z = (a + b tau)/den lies in D, the triangle with vertices 0,
+    1, tau: a, b >= 0 and a + b <= den, on ints, or by real_sign on AlgNums."""
     if type(a) is int:
-        return a >= 0 and b >= 0 and a + b <= den and 0 <= s <= 2 * den
-    return all(y.real_sign() >= 0 for y in (a, b, den - a - b, s, 2 * den - s))
+        return a >= 0 and b >= 0 and a + b <= den
+    return all(y.real_sign() >= 0 for y in (a, b, den - a - b))
+
+
+def in_prism(x) -> bool:
+    """Whether prism coordinates x lie in P = D x [0, 2 sqrt(7)]: z in D
+    and 0 <= s <= 2 den."""
+    a, b, s, den = x
+    if not _in_triangle(a, b, den):
+        return False
+    if type(s) is int:
+        return 0 <= s <= 2 * den
+    return s.real_sign() >= 0 and (2 * den - s).real_sign() >= 0
 
 
 def _floor(x, d: int) -> int:
@@ -275,8 +285,24 @@ def enumerate_cusp_overlaps():
 
 def overlaps_keeping(x):
     """The cusp overlaps c other than the identity with c(x) in P, in
-    normal-form order, for the prism coordinates x of a point over P."""
-    return [c for c in enumerate_cusp_overlaps() if c != IDENTITY and in_prism(act_prism(c, x))]
+    normal-form order, for the prism coordinates x of a point over P.
+
+    The overlaps come in runs of one planar part (m, n, eps), whose image
+    z is tested against D once.  Along a run, s' = base + 2 l den, so with
+    k = floor(base/(2 den)), only l = -k keeps s' in [0, 2 den), and l = 1 - k
+    gives s' = 2 den exactly when base = 2 k den.
+    """
+    den = x[3]
+    out = []
+    for part, run in groupby(enumerate_cusp_overlaps(), key=itemgetter(0, 1, 2)):
+        # the image of x under (m, n, eps, 0), read off its four ints
+        pa, pb, base, _ = act_prism(part + (0,), x)
+        if not _in_triangle(pa, pb, den):
+            continue
+        k = _floor(base, 2 * den)
+        last = 1 - k if base == 2 * den * k else -k
+        out += [c for c in run if -k <= c.l <= last and c != IDENTITY]
+    return out
 
 
 # ---------------------------------------------------------------------------

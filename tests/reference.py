@@ -11,8 +11,24 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt, lcm
 
-from picard7.ford import _SQRT_DEN, GENERATORS, enumerate_cone_translates
-from picard7.heisenberg import IDENTITY, R, T1, TTAU, CuspElt
+from picard7.ford import (
+    _SQRT_DEN,
+    GENERATORS,
+    _forms,
+    _int_pair,
+    candidate_spheres,
+    enumerate_cone_translates,
+)
+from picard7.heisenberg import (
+    IDENTITY,
+    R,
+    T1,
+    TTAU,
+    CuspElt,
+    act_prism,
+    enumerate_cusp_overlaps,
+    in_prism,
+)
 from picard7.hermitian import GroupElt, Mat, ProjPoint, herm_inner
 from picard7.ring import ISQRT7, ONE, TAU, KNum, _divmod_ints, knum_from_ints, o_gcd
 
@@ -400,6 +416,11 @@ def overlap_witness(c):
     return p
 
 
+def ref_overlaps_keeping(x):
+    """overlaps_keeping as one prism test per overlap."""
+    return [c for c in enumerate_cusp_overlaps() if c != IDENTITY and in_prism(act_prism(c, x))]
+
+
 def search_orthogonal_mirrors(ctx, norm: int, height: int):
     """All primitive polar vectors of the given norm orthogonal to the mirror.
 
@@ -435,6 +456,19 @@ def search_orthogonal_mirrors(ctx, norm: int, height: int):
 # ---------------------------------------------------------------------------
 # the Ford domain on the generic path: herm_inner, abs2 and the HoroPoint prism
 # ---------------------------------------------------------------------------
+
+
+def ref_k_sweep(v, own):
+    """The K Ford sweep as a scan of every candidate column: (sign, N(<v, col>),
+    j, alpha) for each column with N(<v, col>) <= own, in (j, alpha) order."""
+    (x1, x2, x3, x4, x5, x6), (y1, y2, y3, y4, y5, y6) = _forms([_int_pair(c) for c in v])
+    for j in sorted(GENERATORS):
+        for alpha, (a1, b1, a2, b2, a3, b3) in candidate_spheres(j):
+            x = a1 * x1 + b1 * x2 + a2 * x3 + b2 * x4 + a3 * x5 + b3 * x6
+            y = a1 * y1 + b1 * y2 + a2 * y3 + b2 * y4 + a3 * y5 + b3 * y6
+            q = x * x + x * y + 2 * y * y
+            if q <= own:
+                yield (-1 if q < own else 0), q, j, alpha
 
 
 @functools.cache

@@ -9,8 +9,6 @@ has depth 8, and (5-10*tau, 0, 3) is a primitive null vector of depth 9);
 its printed note keeps that discrepancy on record.
 """
 
-from fractions import Fraction
-
 from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR, o_gcd_many
 from picard7.hermitian import (
     GroupElt,
@@ -24,7 +22,6 @@ from picard7.hermitian import (
     sq_norm,
 )
 from picard7.heisenberg import (
-    CuspElt,
     R,
     T1,
     TTAU,
@@ -33,11 +30,10 @@ from picard7.heisenberg import (
     in_prism,
     prism_coordinates,
 )
-from picard7.ford import GENERATORS, generator_depths, in_omega, reduce_to_domain, spheres_containing
+from picard7.ford import GENERATORS, generator_depths, reduce_to_domain, spheres_containing
 from picard7.torsion import (
     build_cycle_graph,
     enumerate_torsion,
-    projective_order,
     reflection_conjugacy,
     stabilizer,
 )

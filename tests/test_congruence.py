@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from picard7.ring import KNum, TAU
+from picard7.ring import KNum
 from picard7.hermitian import GroupElt, mat_ints
-from picard7.heisenberg import R, T1, TTAU, TV
+from picard7.heisenberg import R, T1, TTAU
 from picard7.ford import GENERATORS
 from picard7.torsion import ClosureError
 from picard7.presentation import A_MAT, B_MAT

@@ -21,7 +21,7 @@ from picard7.hermitian import (
     eigenspace_basis,
     is_in_gamma,
 )
-from picard7.heisenberg import CuspElt, R, T1, TTAU, TV
+from picard7.heisenberg import CuspElt, R, T1, TTAU, TV, in_prism, prism_coordinates, reduce_to_prism
 from picard7.ford import (
     GENERATORS,
     INVERSE_PAIRS,
@@ -53,6 +53,7 @@ from reference import (
     horo_sphere,
     lift,
     ref_in_omega,
+    ref_k_sweep,
     ref_reduce,
     ref_spheres_containing,
     sphere_membership,
@@ -448,6 +449,71 @@ def test_sweep_kernels_match_generic_path(field):
         assert in_omega(x) == ref_in_omega(x)
         assert spheres_containing(x) == ref_spheres_containing(x)
     assert in_omega(y0) and any(flag == "boundary" for _, _, flag in spheres_containing(y0))
+
+
+# the five K-rational isolated fixed points, up to the group
+K_FIXED_POINTS = [
+    (KNum(1, -1), KNum(0), KNum(-1)),
+    (TAU, KNum(1, -1), -TAU),
+    (KNum(1), KNum(0), KNum(-1)),
+    (KNum(1, 1), KNum(1, -1), -TAU),
+    (KNum(1, -1), KNum(-1), KNum(-1, 1)),
+]
+
+
+def test_k_sweep_matches_the_column_scan():
+    # the kernel, which evaluates only the translates whose Cygan ball can
+    # hold the point, yields what the scan of every candidate column does,
+    # tuple for tuple: on seeded orbit images shifted over P, as is and at
+    # their Omega representatives; on orbit images of the five K-rational
+    # fixed points, whose representatives tie with spheres; on points
+    # above the height every sphere reaches; and on orbit images that are
+    # not over P
+    rng = random.Random(67)
+    letters = [GENERATORS[j] for j in sorted(GENERATORS)]
+    letters += [c.to_matrix() for c in (T1, TTAU, TV, R)]
+
+    def orbit_image(x):
+        w = GroupElt.identity()
+        for _ in range(rng.randint(1, 4)):
+            w = rng.choice(letters) * w
+        return x.apply(w)
+
+    def over_p(x):
+        return ProjPoint(reduce_to_prism(prism_coordinates(x.coords)).to_matrix().apply(x.coords))
+
+    def sweeps(x):
+        vs, own, (_, _, sweep) = _sweep_vector(x.coords)
+        return list(sweep(vs, own)), list(ref_k_sweep(vs, own))
+
+    points = {"over P": [], "fixed": [], "high": [], "off P": []}
+    for _ in range(12):
+        x = over_p(orbit_image(ProjPoint(V1)))
+        points["over P"] += [x, reduce_to_domain(x)[1]]
+    for f in K_FIXED_POINTS:
+        x = over_p(orbit_image(ProjPoint(f)))
+        points["fixed"] += [x, reduce_to_domain(x)[1]]
+    for _ in range(12):
+        z = KNum(Fraction(rng.randint(0, 4), 4), Fraction(rng.randint(0, 4), 4))
+        points["high"].append(ProjPoint(lift(from_zsu(z, Fraction(rng.randint(0, 8), 4), rng.randint(3, 9)))))
+    for _ in range(12):
+        x = orbit_image(ProjPoint(V1))
+        if not in_prism(prism_coordinates(x.coords)):
+            points["off P"].append(x)
+    ties = 0
+    for kind, xs in points.items():
+        assert xs, kind
+        for x in xs:
+            got, want = sweeps(x)
+            assert got == want, (kind, x)
+            if kind == "high":
+                assert got == []
+            ties += sum(sign == 0 for sign, _, _, _ in got)
+    assert ties > 0
+    # with v3 = 0 the l-step D vanishes, and the kernel refuses the vector
+    vs, own, (_, _, sweep) = _sweep_vector((KNum(-1), KNum(1), KNum(0)))
+    with pytest.raises(ArithmeticError, match="l-step"):
+        list(sweep(vs, own))
 
 
 def test_sign_helpers_match_mpmath():

@@ -17,6 +17,7 @@ from picard7.heisenberg import (
     enumerate_cusp_overlaps,
     _overlap_vertices,
     in_prism,
+    overlaps_keeping,
     prism_coordinates,
     reduce_to_prism,
 )
@@ -34,6 +35,7 @@ from reference import (
     lift,
     overlap_witness,
     polygon_vertices,
+    ref_overlaps_keeping,
     s_coordinate,
     tau_coordinates,
     translation_matrix,
@@ -404,6 +406,19 @@ def test_cusp_overlaps_are_derived_once():
     assert enumerate_cusp_overlaps() is ov
     # the cached result is the exact derivation, run afresh
     assert ov == enumerate_cusp_overlaps.__wrapped__()
+
+
+def test_overlaps_keeping_on_seeded_int_coordinates():
+    # small denominators put many images on a facet of P, s' = 2 den too
+    rng = random.Random(61)
+    ties = 0
+    for _ in range(400):
+        den = rng.randint(1, 4)
+        x = tuple(rng.randint(-den, 2 * den) for _ in range(2)) + (rng.randint(-2 * den, 4 * den), den)
+        got = overlaps_keeping(x)
+        assert got == ref_overlaps_keeping(x)
+        ties += sum(act_prism(c, x)[2] == 2 * den for c in got)
+    assert ties > 0
 
 
 def test_cusp_overlaps_translate_range():

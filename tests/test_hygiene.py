@@ -1,5 +1,5 @@
-"""Static hygiene checks on the package source (stdlib `ast`; picard7 is imported
-only in a child interpreter)."""
+"""Static hygiene checks on the package source, and on the test modules'
+imports (stdlib `ast`; picard7 is imported only in a child interpreter)."""
 
 import ast
 import subprocess
@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "picard7"
 BENCH = ROOT / "perfbench"
 MODULES = sorted(SRC.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(path: Path):
@@ -162,7 +163,7 @@ def test_modules_found():
     assert {p.name for p in MODULES} >= {"ring.py", "hermitian.py", "heisenberg.py", "cli.py"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
 

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR, o_gcd_many
+from picard7.ring import KNum, TAU, o_gcd_many
 from picard7.hermitian import GroupElt, ProjPoint, herm_inner, primitive_rep, sq_norm
 from picard7.heisenberg import R, T1, TTAU, TV
 from picard7.ford import GENERATORS
@@ -12,7 +12,6 @@ from picard7 import mirror
 from picard7.mirror import (
     MIRROR_L_POLARS,
     MirrorContext,
-    S1_MAT,
     S2_FIXED,
     S2_MAT,
     acts_trivially_on_mirror,

@@ -1,7 +1,5 @@
-import pytest
-
-from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR
-from picard7.hermitian import GroupElt, Mat, ProjPoint, is_in_gamma, mat_from_json, sq_norm
+from picard7.ring import KNum, TAU
+from picard7.hermitian import GroupElt, ProjPoint, is_in_gamma, mat_from_json
 from picard7.heisenberg import R, T1, TTAU, TV
 from picard7.ford import GENERATORS
 from picard7.cli import _class_json, _elt_json

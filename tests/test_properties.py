@@ -2,7 +2,7 @@ import functools
 import random
 from fractions import Fraction
 
-from picard7.ring import KNum, TAU
+from picard7.ring import KNum
 from picard7.hermitian import GroupElt, ProjPoint
 from picard7.heisenberg import (
     CuspElt,

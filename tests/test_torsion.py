@@ -1,8 +1,9 @@
 import ast
+import random
 
 import pytest
 
-from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR
+from picard7.ring import ISQRT7, KNum, TAU_BAR
 from picard7.hermitian import GroupElt, Mat, ProjPoint, eigenspace_basis, sq_norm
 from picard7.heisenberg import (
     IDENTITY,
@@ -11,7 +12,10 @@ from picard7.heisenberg import (
     T1,
     TTAU,
     TV,
+    act_prism,
     enumerate_cusp_overlaps,
+    overlaps_keeping,
+    prism_coordinates,
 )
 from picard7.ford import GENERATORS, INVERSE_PAIRS, enumerate_tjk
 from picard7.presentation import abcd
@@ -34,7 +38,15 @@ from picard7.torsion import (
     _repeated_eigenvalue,
     _search_alphabet,
 )
-from reference import Prism, act_horo, fixes_q_inf, horo_coords, mat_charpoly, tjk_in_box
+from reference import (
+    Prism,
+    act_horo,
+    fixes_q_inf,
+    horo_coords,
+    mat_charpoly,
+    ref_overlaps_keeping,
+    tjk_in_box,
+)
 from test_hygiene import MODULES, bound_names
 
 V1 = ProjPoint((-TAU_BAR, KNum(0), KNum(1)))
@@ -376,6 +388,31 @@ def test_tower_overlap_moves_match_the_cusp_action(name, order, moves):
     graph = build_cycle_graph([fixed])
     assert not any(v.rational for v in graph.vertices)
     assert _overlap_moves_against_reference(graph, set()) == moves
+
+
+def test_overlaps_keeping_matches_one_prism_test_per_overlap():
+    # by planar part against the comprehension, on every cycle-graph vertex
+    # of the five K-rational isolated fixed points and of the tower fixed
+    # points of c and a, and on those vertices moved off P by seeded cusp
+    # elements
+    rng = random.Random(59)
+    fixed = list(dict.fromkeys(
+        c.fixed for c in enumerate_torsion() if c.kind == "isolated" and c.fixed.rational
+    ))
+    fixed += [classify_elliptic(abcd()[name], order)[1] for name, order in (("c", 6), ("a", 7))]
+    kept = {True: 0, False: 0}
+    for f in fixed:
+        for v in build_cycle_graph([f]).vertices:
+            x = prism_coordinates(v.coords)
+            got = overlaps_keeping(x)
+            assert got == ref_overlaps_keeping(x)
+            kept[v.rational] += len(got)
+            for _ in range(3):
+                c = CuspElt(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(0, 1), rng.randint(-2, 2))
+                y = act_prism(c, x)
+                assert overlaps_keeping(y) == ref_overlaps_keeping(y)
+    # both kinds of vertex keep some overlap, so both branches decide a move
+    assert kept[True] > 0 and kept[False] > 0
 
 
 def test_isolated_reps_fix_their_points():
