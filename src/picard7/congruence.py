@@ -10,6 +10,9 @@ from picard7.torsion import enumerate_torsion, orbit_walk
 #: the identity matrix over a prime field
 IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
+#: the most elements an FpMatGroup closure may reach
+CLOSURE_CAP = 100000
+
 
 class ResidueMap:
     """Entry-wise reduction of integral matrices (their 18 ints) modulo a prime ideal.
@@ -65,10 +68,10 @@ class ResidueMap:
 class FpMatGroup:
     """Closure of the reductions of integral matrices (18 ints each) over a prime field."""
 
-    def __init__(self, gens, rm: ResidueMap, cap: int = 100000):
+    def __init__(self, gens, rm: ResidueMap):
         self.rm = rm
         self.gens = [rm(m) for m in gens]
-        walk = orbit_walk([IDENTITY], self.gens, rm.mul, cap=cap)
+        walk = orbit_walk([IDENTITY], self.gens, rm.mul, cap=CLOSURE_CAP)
         self.elements = frozenset(x for x, _, _ in walk)
         self.order = len(self.elements)
         self.scalars = sorted(x for x in self.elements if rm.is_scalar(x))

@@ -610,10 +610,11 @@ class ReductionError(Exception):
     """Raised when domain reduction exceeds its iteration guard."""
 
 
-DEFAULT_MAX_ITERS = 1000
+#: the most reduction steps reduce_to_domain takes
+MAX_ITERS = 1000
 
 
-def reduce_to_domain(x: ProjPoint, max_iters: int = DEFAULT_MAX_ITERS):
+def reduce_to_domain(x: ProjPoint):
     """Group element g and point g(x) in Omega (Ford domain cap cone over P).
 
     x is a negative ProjPoint, and so is g(x).  Deterministic: among
@@ -624,7 +625,7 @@ def reduce_to_domain(x: ProjPoint, max_iters: int = DEFAULT_MAX_ITERS):
     if herm_inner(v, v).real_sign() >= 0:
         raise ValueError("reduction needs an interior point")
     total = GroupElt.identity()
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         shift = reduce_to_prism(prism_coordinates(v)).to_matrix()
         v = shift.apply(v)
         if isinstance(v[2], AlgNum):
@@ -651,7 +652,7 @@ def reduce_to_domain(x: ProjPoint, max_iters: int = DEFAULT_MAX_ITERS):
         if cmp(quantity(v[2]), own) >= 0:
             raise ArithmeticError("the Ford quantity did not decrease")
         total = gi * total
-    raise ReductionError(f"no Omega representative found in {max_iters} steps")
+    raise ReductionError(f"no Omega representative found in {MAX_ITERS} steps")
 
 
 def in_omega(x: ProjPoint) -> bool:

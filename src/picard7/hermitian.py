@@ -523,9 +523,9 @@ class GroupElt:
 
     __slots__ = ("ints", "word")
 
-    def __init__(self, mat: Mat, word=None, check=True):
+    def __init__(self, mat: Mat, word=None):
         t = mat_ints(mat)
-        if check and not _is_unitary_ints(t):
+        if not _is_unitary_ints(t):
             raise ValueError("matrix is not in U(J, O_7)")
         _init_elt(self, t, word)
 
@@ -695,7 +695,10 @@ def vec_to_json(v):
 def vec_from_json(data):
     """A K^3 vector from a JSON list of 3 entries, each a K-number literal or an int."""
     if isinstance(data, str):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except RecursionError:
+            raise ValueError("a point is a JSON list of 3 entries, not a deeply nested one") from None
     if not isinstance(data, list) or len(data) != 3:
         raise ValueError("a point is a JSON list of 3 entries")
     out = []

@@ -8,9 +8,6 @@ from picard7.heisenberg import CuspElt, R, T1, TTAU, TV
 from picard7.ford import GENERATORS, reduce_to_domain
 from picard7.torsion import (
     _power_conjugate_witness,
-    _spanning_transports,
-    _stabilizer_from,
-    build_cycle_graph,
     classify_elliptic,
     enumerate_torsion,
     projective_order,
@@ -210,30 +207,19 @@ def verify_table_rows() -> dict:
     return {"rows": out, "all_pass": all(r["row_ok"] for r in out)}
 
 
-def _component_witness(cls, g, n, pt, graphs):
-    """delta, k with delta g delta^-1 = cls.rep^k, via the shared cycle graph.
-
-    graphs holds the cycle graphs this coverage run has built, by
-    (class fixed point, reduced point).
-    """
+def _orbit_witness(cls, g, n, pt):
+    """delta, k with delta g delta^-1 = cls.rep^k, or None when the reduced
+    fixed point of g lies outside the orbit of cls.fixed."""
     shift, y = reduce_to_domain(pt)
-    moved = shift * g * shift.inverse()
-    key = (cls.fixed, y)
-    if key not in graphs:
-        graphs[key] = build_cycle_graph([cls.fixed, y])
-    graph = graphs[key]
-    # cls.fixed is vertex 0, so the transports carry it to every vertex
-    # of its component
-    transports = _spanning_transports(graph, 0)
-    tg = transports.get(graph.index_of(y))
-    if tg is None:
+    t = cls.transports.get(y)
+    if t is None:
         return None
-    stab = _stabilizer_from(graph, transports)
-    wit = _power_conjugate_witness(cls.rep, tg.inverse() * moved * tg, n, stab)
+    moved = shift * g * shift.inverse()
+    wit = _power_conjugate_witness(cls.rep, t.inverse() * moved * t, n, cls.stab)
     if wit is None:
         return None
     s, k = wit
-    delta = s.inverse() * tg.inverse() * shift
+    delta = s.inverse() * t.inverse() * shift
     return delta, k
 
 
@@ -248,7 +234,6 @@ def coverage_report() -> dict:
     # a row's classification serves every class of its order
     rows = [(row, *classify_elliptic(row["elt"], row["order"])) for row in torsion_word_rows()]
     matches = {}
-    graphs = {}
     for idx, cls in enumerate(classes):
         for row, kind, pt, norm in rows:
             g, n = row["elt"], row["order"]
@@ -264,7 +249,7 @@ def coverage_report() -> dict:
             else:
                 if kind != "isolated":
                     continue
-                wit = _component_witness(cls, g, n, pt, graphs)
+                wit = _orbit_witness(cls, g, n, pt)
                 if wit is not None:
                     delta, k = wit
                     matches[idx] = {"word": row["word"], "delta": delta, "power": k}

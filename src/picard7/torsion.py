@@ -5,8 +5,9 @@ recognized by a repeated eigenvalue with an indefinite 2-dimensional
 eigenspace) or has an isolated fixed point (the negative eigenvector).
 Candidates come from the sweeps gamma = alpha * A_j over the finite sets
 T_jk of cusp translates whose spheres can meet; isolated fixed points are
-moved into Omega and organized into a graph whose edges are side-pairing
-maps, so that conjugacy and stabilizers reduce to finite group computations.
+moved into Omega and walked into orbits by side-pairing maps and cusp
+overlaps, whose Schreier generators give the stabilizers, so that conjugacy
+and stabilizers reduce to finite group computations.
 """
 
 from __future__ import annotations
@@ -296,26 +297,10 @@ def reflection_conjugacy(g1: GroupElt, g2: GroupElt):
 # ---------------------------------------------------------------------------
 
 
-#: a side-pairing edge of the cycle graph: label maps vertex src to vertex dst
-Edge = namedtuple("Edge", "src dst label")
-
-
-class CycleGraph:
-    """Isolated fixed points in Omega, joined by side-pairing maps."""
-
-    def __init__(self):
-        self.vertices: list[ProjPoint] = []
-        self.edges: list[Edge] = []
-        self._index: dict[ProjPoint, int] = {}
-
-    def index_of(self, p: ProjPoint):
-        return self._index.get(p)
-
-    def add_vertex(self, p: ProjPoint) -> int:
-        if p not in self._index:
-            self._index[p] = len(self.vertices)
-            self.vertices.append(p)
-        return self._index[p]
+#: one orbit of a cycle graph, walked from its base: transports[q] carries
+#: the base to the vertex q, in the order the walk found them, and gens are
+#: the Schreier generators of the base's stabilizer
+Orbit = namedtuple("Orbit", "transports gens")
 
 
 def _shift_into_prism(p: ProjPoint):
@@ -325,37 +310,55 @@ def _shift_into_prism(p: ProjPoint):
     return c, p.apply(c)
 
 
-def build_cycle_graph(points) -> CycleGraph:
-    """Graph on the Omega-orbit closure of the given points.
+def _moves(p: ProjPoint):
+    """(g, g(p)) for the moves at a vertex p in Omega: for every Ford sphere
+    through p, the side-pairing map composed with the cusp shift bringing
+    the image back to the prism, then every cusp overlap keeping p inside
+    the prism."""
+    for alpha, j, flag in spheres_containing(p):
+        if flag != "boundary":
+            raise ArithmeticError("graph vertices must lie in Omega")
+        g = (alpha.to_matrix() * GENERATORS[j]).inverse()
+        c, q = _shift_into_prism(p.apply(g))
+        yield c * g, q
+    for c in overlaps_keeping(prism_coordinates(p.coords)):
+        g = c.to_matrix()
+        yield g, p.apply(g)
 
-    Edges: for every Ford sphere through a vertex, the side-pairing map
-    (composed with the cusp shift bringing the image back to the prism);
-    and every cusp overlap keeping the vertex inside the prism.  Vertices
-    are expanded in index order, which is the order they are found in.
+
+def build_cycle_graph(points):
+    """The Omega-orbits of the given points, as {base: Orbit}.
+
+    Each given point that no earlier walk reached is the base of a
+    breadth-first walk: vertices are expanded in the order they are found,
+    and each vertex's moves in `_moves` order.  A new vertex q found from p
+    gets the transport g t_p for the least (by ints) move g from p to q;
+    every move p -> q by g gives the Schreier generator t_q^-1 g t_p of the
+    base's stabilizer (Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, ch. 4), kept unless it is the identity.
     """
-    graph = CycleGraph()
-    for p in points:
-        graph.add_vertex(p)
-    seen_edges = set()
-    i = 0
-    while i < len(graph.vertices):
-        p = graph.vertices[i]
-        moves = []  # (element, image of p under it)
-        for alpha, j, flag in spheres_containing(p):
-            if flag != "boundary":
-                raise ArithmeticError("graph vertices must lie in Omega")
-            g = (alpha.to_matrix() * GENERATORS[j]).inverse()
-            c, q = _shift_into_prism(p.apply(g))
-            moves.append((c * g, q))
-        for c in overlaps_keeping(prism_coordinates(p.coords)):
-            g = c.to_matrix()
-            moves.append((g, p.apply(g)))
-        for g, q in moves:
-            k = graph.add_vertex(q)
-            if (i, k, g) not in seen_edges:
-                seen_edges.add((i, k, g))
-                graph.edges.append(Edge(i, k, g))
-        i += 1
+    graph = {}
+    for base in points:
+        if any(base in orbit.transports for orbit in graph.values()):
+            continue
+        transports = {base: GroupElt.identity()}
+        gens = []
+        found = [base]
+        for p in found:
+            moves = list(_moves(p))
+            least = {}
+            for g, q in moves:
+                if q not in transports and (q not in least or g.ints < least[q].ints):
+                    least[q] = g
+            tp = transports[p]
+            for q, g in least.items():
+                transports[q] = g * tp
+                found.append(q)
+            for g, q in moves:
+                s = transports[q].inverse() * g * tp
+                if not s.is_identity():
+                    gens.append(s)
+        graph[base] = Orbit(transports, gens)
     return graph
 
 
@@ -363,18 +366,19 @@ def build_cycle_graph(points) -> CycleGraph:
 # finite stabilizers
 # ---------------------------------------------------------------------------
 
-DEFAULT_CLOSURE_CAP = 10000
+#: the most matrices a FiniteGroup closure may reach
+CLOSURE_CAP = 10000
 
 
 class FiniteGroup:
     """Closure of a finite set of generators in U(J, O_7), with line data."""
 
-    def __init__(self, gens, cap: int = DEFAULT_CLOSURE_CAP):
+    def __init__(self, gens):
         # the linear group is the preimage in U(J, O_7) of the projective
         # stabilizer: the walk, on the 18 ints of the matrices, starts from
         # both signs, so it is closed under sign
         start = (ID_INTS, tuple(-x for x in ID_INTS))
-        walk = orbit_walk(start, sorted({g.ints for g in gens}), ints_product, cap=cap)
+        walk = orbit_walk(start, sorted({g.ints for g in gens}), ints_product, cap=CLOSURE_CAP)
         matrices = frozenset(a for a, _, _ in walk)
         self.linear_order = len(matrices)
         self.scalar_order = sum(1 for t in matrices if ints_are_scalar(t))
@@ -422,50 +426,11 @@ class FiniteGroup:
         )
 
 
-def _spanning_transports(graph: CycleGraph, base: int):
-    """BFS transports t[v] with t[v](base vertex) = vertex v."""
-    order_edges = sorted(
-        range(len(graph.edges)),
-        key=lambda i: (graph.edges[i].src, graph.edges[i].dst, graph.edges[i].label.ints),
-    )
-    transports = {base: GroupElt.identity()}
-    changed = True
-    while changed:
-        changed = False
-        for i in order_edges:
-            e = graph.edges[i]
-            if e.src in transports and e.dst not in transports:
-                transports[e.dst] = e.label * transports[e.src]
-                changed = True
-            if e.dst in transports and e.src not in transports:
-                transports[e.src] = e.label.inverse() * transports[e.dst]
-                changed = True
-    return transports
-
-
-def stabilizer(point: ProjPoint, graph: CycleGraph) -> FiniteGroup:
-    """Stabilizer of a graph vertex: image of the graph's fundamental group.
-
-    Generators: for every edge u -> w in the vertex's component, the composite
-    t_w^-1 * label * t_u, where t is a spanning-tree transport from the vertex.
-    """
-    base = graph.index_of(point)
-    if base is None:
-        raise ValueError("point is not a vertex of the graph")
-    return _stabilizer_from(graph, _spanning_transports(graph, base))
-
-
-def _stabilizer_from(graph: CycleGraph, transports) -> FiniteGroup:
-    """The stabilizer of the vertex the transports start from, for a caller
-    that holds them already (see stabilizer and _spanning_transports)."""
-    gens = []
-    for e in graph.edges:
-        if e.src not in transports:
-            continue
-        g = transports[e.dst].inverse() * e.label * transports[e.src]
-        if not g.is_identity():
-            gens.append(g)
-    return FiniteGroup(gens)
+def stabilizer(point: ProjPoint, graph) -> FiniteGroup:
+    """Stabilizer of a base of a cycle graph, closed from its Schreier generators."""
+    if point not in graph:
+        raise ValueError("point is not the base of an orbit of the graph")
+    return FiniteGroup(graph[point].gens)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +443,7 @@ class TorsionClass:
     classes up to powers, i.e. one class per fixed point orbit and order)."""
 
     def __init__(self, rep: GroupElt, proj_order: int, kind: str, polar=None, polar_norm=None,
-                 fixed=None, fp_norm=None, stab_order=None, stab_linear_order=None,
-                 one_lines=None, two_lines=None, two_line_orbits=None, members=None):
+                 fixed=None, fp_norm=None, members=None, stab=None, transports=None):
         self.rep = rep
         self.proj_order = proj_order
         self.kind = kind  # "reflection" | "isolated"
@@ -487,12 +451,16 @@ class TorsionClass:
         self.polar_norm = polar_norm
         self.fixed = fixed
         self.fp_norm = fp_norm
-        self.stab_order = stab_order
-        self.stab_linear_order = stab_linear_order
-        self.one_lines = one_lines
-        self.two_lines = two_lines
-        self.two_line_orbits = two_line_orbits
         self.members = [] if members is None else members
+        # an isolated class keeps the stabilizer of its fixed point and the
+        # transports of that point's orbit; a reflection class has neither
+        self.stab = stab
+        self.transports = transports
+        self.stab_order, self.stab_linear_order, self.one_lines, self.two_lines, self.two_line_orbits = (
+            (None,) * 5 if stab is None
+            else (stab.projective_order, stab.linear_order, stab.one_lines, stab.two_lines,
+                  stab.two_line_orbits)
+        )
 
     @property
     def word(self):
@@ -520,9 +488,10 @@ def dedup_isolated(cands):
     """Merge isolated candidates [(GroupElt, order, fixed point)] into classes.
 
     Builds the cycle graph on the reduced fixed points; candidates of equal
-    order whose points lie in one component merge only when an exact witness
+    order whose points lie in one orbit merge only when an exact witness
     conjugates one into a power of the other inside the common stabilizer.
-    Each component is based at its lowest vertex.
+    Each orbit is based at its first reduced point, and a candidate at
+    another of its points is carried there by that point's transport.
     """
     at_vertex = {}  # vertex ProjPoint -> list of (element fixing it, order)
     reduced = {}  # fixed point -> (shift, point in Omega); candidates share fixed points
@@ -536,18 +505,15 @@ def dedup_isolated(cands):
             elts.append((moved, n))
     graph = build_cycle_graph(list(at_vertex))
     classes = []
-    covered = set()
-    for base in range(len(graph.vertices)):
-        if base in covered:
-            continue
-        transports = _spanning_transports(graph, base)
-        covered.update(transports)
-        stab = _stabilizer_from(graph, transports)
-        # everything fixing a vertex of this component, moved to the base
+    for basept, orbit in graph.items():
+        stab = stabilizer(basept, graph)
+        # everything fixing a vertex of this orbit, moved to the base
         carried = []
-        for i in sorted(transports):
-            t = transports[i]
-            for g, n in at_vertex.get(graph.vertices[i], ()):
+        for y, elts in at_vertex.items():
+            t = orbit.transports.get(y)
+            if t is None:
+                continue
+            for g, n in elts:
                 moved = t.inverse() * g * t
                 if moved not in stab:
                     raise ArithmeticError("a candidate lies outside the stabilizer of its fixed point")
@@ -564,7 +530,6 @@ def dedup_isolated(cands):
                     break
             if not placed:
                 merged.append((g, n, [g]))
-        basept = graph.vertices[base]
         fp_norm = int(sq_norm(basept.coords).rat()) if basept.rational else None
         for rep, n, members in merged:
             classes.append(
@@ -574,12 +539,9 @@ def dedup_isolated(cands):
                     kind="isolated",
                     fixed=basept,
                     fp_norm=fp_norm,
-                    stab_order=stab.projective_order,
-                    stab_linear_order=stab.linear_order,
-                    one_lines=stab.one_lines,
-                    two_lines=stab.two_lines,
-                    two_line_orbits=stab.two_line_orbits,
                     members=members,
+                    stab=stab,
+                    transports=orbit.transports,
                 )
             )
     classes.sort(key=lambda c: (c.proj_order, c.fp_norm is None, -(c.fp_norm or 0)))

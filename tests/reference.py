@@ -31,6 +31,7 @@ from picard7.heisenberg import (
 )
 from picard7.hermitian import GroupElt, Mat, ProjPoint, herm_inner
 from picard7.ring import ISQRT7, ONE, TAU, KNum, _divmod_ints, knum_from_ints, o_gcd
+from picard7.torsion import _moves
 
 
 def mat_apply(m: Mat, v):
@@ -519,3 +520,60 @@ def ref_spheres_containing(x):
             found.setdefault((r4, act_horo(alpha, center)), (j, alpha, side))
     return [(shift.inverse() * alpha, j, "boundary" if side == "boundary" else "interior")
             for j, alpha, side in found.values()]
+
+
+# ---------------------------------------------------------------------------
+# the cycle graph as an edge list, with a fixpoint for its spanning transports
+# ---------------------------------------------------------------------------
+
+
+def ref_cycle_graph(points):
+    """(vertices, edges) of the graph on the Omega-orbit closure of points:
+    the given points first, then the vertices in the order their moves find
+    them, and the distinct edges (src, dst, label) between their indices."""
+    vertices = list(dict.fromkeys(points))
+    index = {p: i for i, p in enumerate(vertices)}
+    edges = []
+    seen = set()
+    i = 0
+    while i < len(vertices):
+        for g, q in _moves(vertices[i]):
+            if q not in index:
+                index[q] = len(vertices)
+                vertices.append(q)
+            edge = (i, index[q], g)
+            if edge not in seen:
+                seen.add(edge)
+                edges.append(edge)
+        i += 1
+    return vertices, edges
+
+
+def ref_spanning_transports(edges, base):
+    """Transports t[v] with t[v](vertex base) = vertex v, grown to a fixpoint
+    over the edges sorted by (src, dst, label ints), in both directions."""
+    order = sorted(edges, key=lambda e: (e[0], e[1], e[2].ints))
+    transports = {base: GroupElt.identity()}
+    changed = True
+    while changed:
+        changed = False
+        for src, dst, g in order:
+            if src in transports and dst not in transports:
+                transports[dst] = g * transports[src]
+                changed = True
+            if dst in transports and src not in transports:
+                transports[src] = g.inverse() * transports[dst]
+                changed = True
+    return transports
+
+
+def ref_stabilizer_gens(edges, transports):
+    """t_dst^-1 label t_src over the edges of the transports' component,
+    leaving out the identity."""
+    gens = []
+    for src, dst, g in edges:
+        if src in transports:
+            s = transports[dst].inverse() * g * transports[src]
+            if not s.is_identity():
+                gens.append(s)
+    return gens

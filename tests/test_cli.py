@@ -83,6 +83,15 @@ def test_ford_spheres_point_with_v3_zero(capsys, point, message):
     assert json.loads(out) == {"error": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize("command", [["ford", "reduce"], ["ford", "spheres"], ["torsion", "stabilizer"]])
+def test_deeply_nested_point_is_a_value_error(capsys, command):
+    # the JSON decoder recurses once per bracket; past the interpreter's
+    # limit it raises RecursionError, which must not escape as a traceback
+    code, out = run(capsys, command + ["--point", "[" * 2000 + "]" * 2000])
+    assert code == 1
+    assert json.loads(out)["error"] == "ValueError"
+
+
 def test_point_entries_may_be_json_ints(capsys):
     code, out = run(capsys, ["ford", "reduce", "--point", "[-1,0,1]"])
     assert code == 0

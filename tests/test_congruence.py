@@ -9,6 +9,7 @@ from picard7.heisenberg import R, T1, TTAU
 from picard7.ford import GENERATORS
 from picard7.torsion import ClosureError
 from picard7.presentation import A_MAT, B_MAT
+from picard7 import congruence
 from picard7.congruence import (
     IDENTITY,
     FpMatGroup,
@@ -71,10 +72,11 @@ def test_element_orders():
     assert g7.projective_element_order(rm(tuple(-x for x in GroupElt.identity().ints))) == 1
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
     rm = ResidueMap("isqrt7")
+    monkeypatch.setattr(congruence, "CLOSURE_CAP", 10)
     with pytest.raises(ClosureError):
-        FpMatGroup([mat_ints(A_MAT), mat_ints(B_MAT)], rm, cap=10)
+        FpMatGroup([mat_ints(A_MAT), mat_ints(B_MAT)], rm)
 
 
 def test_certificate_isqrt7():

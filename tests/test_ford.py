@@ -22,6 +22,7 @@ from picard7.hermitian import (
     is_in_gamma,
 )
 from picard7.heisenberg import CuspElt, R, T1, TTAU, TV, in_prism, prism_coordinates, reduce_to_prism
+from picard7 import ford
 from picard7.ford import (
     GENERATORS,
     INVERSE_PAIRS,
@@ -344,7 +345,7 @@ def test_order6_point_on_five_spheres():
         (6, CuspElt(n=1)),
     }
     # the conjugated element fixes the reduced point
-    conj = g * GroupElt(n.mat, check=False) * g.inverse()
+    conj = g * n * g.inverse()
     assert ProjPoint(conj.apply(y.coords)) == y
 
 
@@ -387,10 +388,11 @@ def test_reduce_random_roundtrip():
         assert ProjPoint(back.apply(moved)) == y
 
 
-def test_reduce_iteration_guard():
+def test_reduce_iteration_guard(monkeypatch):
     _, fixed = order6_fixture()
+    monkeypatch.setattr(ford, "MAX_ITERS", 1)
     with pytest.raises(ReductionError):
-        reduce_to_domain(fixed, max_iters=1)
+        reduce_to_domain(fixed)
 
 
 def test_generator_depths():

@@ -289,3 +289,36 @@ def test_gamma_algebra_runs_on_group_elements():
     lines = source.splitlines()
     assert [line for line in reads["mirror.py"]
             if not (fn.lineno <= line <= fn.end_lineno and '"in_gamma"' in lines[line - 1])] == []
+
+
+def test_cycle_graph_is_one_walk_per_orbit():
+    # build_cycle_graph records each orbit's transports and Schreier
+    # generators in one walk: the edge list and its fixpoint pass are gone
+    bound = bound_names(ast.parse((SRC / "torsion.py").read_text()).body)
+    gone = {"Edge", "CycleGraph", "_spanning_transports", "_stabilizer_from"}
+    assert {"build_cycle_graph", "stabilizer", "_moves"} <= bound and not bound & gone
+    assert [(p.name, attr) for p in MODULES for attr in ("edges", "index_of", "add_vertex")
+            if attribute_reads(p, attr)] == []
+    # the coverage report reads each class's orbit and stabilizer, and
+    # builds and closes nothing of its own
+    imported = bound_names(ast.parse((SRC / "presentation.py").read_text()).body)
+    assert not imported & ({"build_cycle_graph", "stabilizer", "FiniteGroup"} | gone)
+
+
+def parameters(path: Path, qualname: str):
+    """The parameter names of a module-level function or of a method."""
+    body = ast.parse(path.read_text()).body
+    *owner, name = qualname.split(".")
+    if owner:
+        body = next(n for n in body if isinstance(n, ast.ClassDef) and n.name == owner[0]).body
+    fn = next(n for n in body if isinstance(n, ast.FunctionDef) and n.name == name)
+    return [a.arg for a in fn.args.args + fn.args.kwonlyargs]
+
+
+def test_limits_are_module_constants():
+    # no caller sets the unitarity check, the reduction guard or a closure
+    # cap, so they are not parameters
+    assert parameters(SRC / "hermitian.py", "GroupElt.__init__") == ["self", "mat", "word"]
+    assert parameters(SRC / "ford.py", "reduce_to_domain") == ["x"]
+    assert parameters(SRC / "torsion.py", "FiniteGroup.__init__") == ["self", "gens"]
+    assert parameters(SRC / "congruence.py", "FpMatGroup.__init__") == ["self", "gens", "rm"]

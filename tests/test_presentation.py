@@ -123,4 +123,4 @@ def test_printed_words_evaluate_to_their_matrices():
         names = [token.partition("^")[0] for token in word.split("*")]
         assert all(a != b for a, b in zip(names, names[1:])), word
         # equality of group elements is up to sign
-        assert _evaluate(word) == GroupElt(mat_from_json(matrix), check=False), word
+        assert _evaluate(word) == GroupElt(mat_from_json(matrix)), word

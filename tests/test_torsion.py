@@ -17,7 +17,7 @@ from picard7.heisenberg import (
     overlaps_keeping,
     prism_coordinates,
 )
-from picard7.ford import GENERATORS, INVERSE_PAIRS, enumerate_tjk
+from picard7.ford import GENERATORS, INVERSE_PAIRS, enumerate_tjk, reduce_to_domain
 from picard7.presentation import abcd
 from picard7 import torsion
 from picard7.torsion import (
@@ -44,7 +44,10 @@ from reference import (
     fixes_q_inf,
     horo_coords,
     mat_charpoly,
+    ref_cycle_graph,
     ref_overlaps_keeping,
+    ref_spanning_transports,
+    ref_stabilizer_gens,
     tjk_in_box,
 )
 from test_hygiene import MODULES, bound_names
@@ -255,19 +258,25 @@ def test_reflection_conjugacy_builds_each_ball_once(monkeypatch):
     )
 
 
-def test_finite_group_closure():
+def test_finite_group_closure(monkeypatch):
     fg = FiniteGroup([R.to_matrix()])
     assert (fg.linear_order, fg.projective_order, fg.scalar_order) == (4, 2, 2)
+    monkeypatch.setattr(torsion, "CLOSURE_CAP", 50)
     with pytest.raises(ClosureError):
-        FiniteGroup([T1.to_matrix()], cap=50)
+        FiniteGroup([T1.to_matrix()])
+
+
+def _vertices(graph):
+    """The vertices of a cycle graph, orbit by orbit, in the order found."""
+    return [q for orbit in graph.values() for q in orbit.transports]
 
 
 def test_v1_cycle_graph_and_stabilizer():
     graph = build_cycle_graph([V1])
-    # the component is the triangle v1, v2 = TtauR(v1), v3 = T1R(v1); v3 lies
+    # the orbit is the triangle v1, v2 = TtauR(v1), v3 = T1R(v1); v3 lies
     # on the top face s = 2, so its Tv-translate on the bottom face shows up
     # as a fourth vertex of the closed prism
-    pts = set(graph.vertices)
+    pts = set(_vertices(graph))
     v2 = ProjPoint((TTAU * R).to_matrix().apply(V1.coords))
     v3 = ProjPoint((T1 * R).to_matrix().apply(V1.coords))
     v3b = ProjPoint(TV.inverse().to_matrix().apply(v3.coords))
@@ -277,7 +286,7 @@ def test_v1_cycle_graph_and_stabilizer():
     assert stab.projective_order == 8
     assert stab.scalar_order == 2
     assert sorted(n for _, n in stab.reflections) == [1, 1, 2, 2]
-    assert GroupElt(R.to_matrix().mat, check=False) in stab.elements
+    assert R.to_matrix() in stab.elements
     assert GENERATORS[6] in stab.elements
 
 
@@ -285,6 +294,7 @@ def test_second_cycle_graph_runs_no_feasibility_test(monkeypatch):
     import picard7.heisenberg as heisenberg
 
     first = build_cycle_graph([V1])
+    moves = [list(torsion._moves(v)) for v in _vertices(first)]
     calls = []
     exact = heisenberg._overlap_vertices
 
@@ -297,8 +307,72 @@ def test_second_cycle_graph_runs_no_feasibility_test(monkeypatch):
     assert calls
     calls.clear()
     second = build_cycle_graph([V1])
+    assert [list(torsion._moves(v)) for v in _vertices(second)] == moves
     assert calls == []
-    assert second.vertices == first.vertices and second.edges == first.edges
+    assert second == first
+
+
+def _one_point_graph_points():
+    """The five K-rational isolated fixed points, the tower fixed points of
+    c, a and (ba)^2, and seeded orbit images of them, all reduced into Omega."""
+    rng = random.Random(67)
+    g = abcd()
+    fixed = list(dict.fromkeys(
+        c.fixed for c in enumerate_torsion() if c.kind == "isolated" and c.fixed.rational
+    ))
+    fixed += [classify_elliptic(elt, order)[1] for elt, order in ((g["c"], 6), (g["a"], 7), (g["d"] ** 2, 3))]
+    letters = list(GENERATORS.values()) + [T1.to_matrix(), TTAU.to_matrix(), R.to_matrix()]
+    points = []
+    for f in fixed:
+        points.append(reduce_to_domain(f)[1])
+        for _ in range(2):
+            w = GroupElt.identity()
+            for _ in range(3):
+                w = rng.choice(letters) * w
+            points.append(reduce_to_domain(ProjPoint(w.apply(f.coords)))[1])
+    return points
+
+
+def test_walk_matches_the_edge_list_fixpoint():
+    # on one-point graphs the walk's transports are the spanning tree that
+    # the edge-list fixpoint grows, and its Schreier generators are the
+    # edge composites, so the stabilizers have the same elements
+    parallel = 0
+    for p in _one_point_graph_points():
+        graph = build_cycle_graph([p])
+        vertices, edges = ref_cycle_graph([p])
+        ref = ref_spanning_transports(edges, 0)
+        ref_gens = ref_stabilizer_gens(edges, ref)
+        assert list(graph[p].transports) == vertices
+        assert graph[p].transports == {vertices[i]: t for i, t in ref.items()}
+        assert {s.ints for s in graph[p].gens} == {s.ints for s in ref_gens}
+        assert stabilizer(p, graph).elements == FiniteGroup(ref_gens).elements
+        pairs = [(src, dst) for src, dst, _ in edges if src != dst]
+        parallel += len(pairs) - len(set(pairs))
+    # some vertex is found by two moves, so the least-move rule is tested
+    assert parallel > 0
+
+
+def test_walk_bases_each_orbit_once():
+    # a given point that an earlier walk reached is not a base, and the
+    # stabilizer is read at bases only
+    graph = build_cycle_graph([V1])
+    v2 = next(q for q in graph[V1].transports if q != V1)
+    both = build_cycle_graph([V1, v2])
+    assert list(both) == [V1] and both == graph
+    with pytest.raises(ValueError):
+        stabilizer(v2, both)
+    t = graph[V1].transports[v2]
+    assert V1.apply(t) == v2
+
+
+def test_isolated_classes_keep_their_own_orbit():
+    # the coverage report reads each class's transports: they are the walk
+    # from its fixed point, never another base's
+    for c in _classes_by("isolated"):
+        graph = build_cycle_graph([c.fixed])
+        assert c.transports == graph[c.fixed].transports
+        assert c.stab.elements == stabilizer(c.fixed, graph).elements
 
 
 def _classes_by(kind, order=None):
@@ -344,12 +418,12 @@ def test_isolated_class_invariants():
 
 
 def _overlap_moves_against_reference(graph, ties):
-    """Check the cusp-overlap edges of a cycle graph (those whose element
-    fixes q_inf) at each vertex against act_horo and Prism.membership: the
+    """Check the cusp-overlap moves (those whose element fixes q_inf) at
+    each vertex of a cycle graph against act_horo and Prism.membership: the
     overlaps c != 1 that keep the vertex in P, in normal-form order.  Adds
     the facets the kept images lie on to ties; returns the number of moves."""
     found = 0
-    for i, v in enumerate(graph.vertices):
+    for v in _vertices(graph):
         h = horo_coords(v.coords)
         want = []
         for c in enumerate_cusp_overlaps():
@@ -358,7 +432,7 @@ def _overlap_moves_against_reference(graph, ties):
             if c != IDENTITY and inside != "outside":
                 want.append(c.to_matrix())
                 ties.update(facets)
-        assert [e.label for e in graph.edges if e.src == i and fixes_q_inf(e.label)] == want
+        assert [g for g, _ in torsion._moves(v) if fixes_q_inf(g)] == want
         found += len(want)
     return found
 
@@ -374,7 +448,7 @@ def test_int_overlap_test_matches_the_cusp_action():
     ties = set()
     for f in fixed:
         graph = build_cycle_graph([f])
-        assert all(v.rational for v in graph.vertices)
+        assert all(v.rational for v in _vertices(graph))
         _overlap_moves_against_reference(graph, ties)
     assert ties == set(Prism.FACETS)
 
@@ -386,7 +460,7 @@ def test_tower_overlap_moves_match_the_cusp_action(name, order, moves):
     # one move), whose coordinates are tower elements
     _, fixed, _ = classify_elliptic(abcd()[name], order)
     graph = build_cycle_graph([fixed])
-    assert not any(v.rational for v in graph.vertices)
+    assert not any(v.rational for v in _vertices(graph))
     assert _overlap_moves_against_reference(graph, set()) == moves
 
 
@@ -402,7 +476,7 @@ def test_overlaps_keeping_matches_one_prism_test_per_overlap():
     fixed += [classify_elliptic(abcd()[name], order)[1] for name, order in (("c", 6), ("a", 7))]
     kept = {True: 0, False: 0}
     for f in fixed:
-        for v in build_cycle_graph([f]).vertices:
+        for v in _vertices(build_cycle_graph([f])):
             x = prism_coordinates(v.coords)
             got = overlaps_keeping(x)
             assert got == ref_overlaps_keeping(x)
@@ -434,12 +508,13 @@ def test_stabilizer_linear_orders():
 def test_order6_vertex_five_loops():
     c6 = _classes_by("isolated", 6)[0]
     graph = build_cycle_graph([c6.fixed])
-    assert len(graph.vertices) == 1
+    assert _vertices(graph) == [c6.fixed]
     # five Ford side-pairing loops; the element itself coincides with one of
     # the side-pairing composites
-    assert len(graph.edges) == 5
-    assert all(e.src == e.dst == 0 for e in graph.edges)
-    assert c6.rep in {e.label for e in graph.edges}
+    moves = list(torsion._moves(c6.fixed))
+    assert len(moves) == 5
+    assert all(q == c6.fixed for _, q in moves)
+    assert c6.rep in {g for g, _ in moves}
     stab = stabilizer(c6.fixed, graph)
     assert (stab.linear_order, stab.projective_order) == (12, 6)
     assert c6.rep in stab
