@@ -235,43 +235,6 @@ def is_in_gamma(m: Mat) -> bool:
     return _is_unitary_ints(mat_ints(m))
 
 
-def _kernel_basis(rows):
-    """Basis of the kernel of a 3x3 matrix given by its rows (exact Gauss-Jordan elimination).
-
-    The entries are KNums or AlgNums of one field, mixed.
-    """
-    rows = [list(r) for r in rows]
-    pivots = []
-    for col in range(3):
-        rk = len(pivots)
-        piv = next((i for i in range(rk, 3) if not rows[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        inv = ONE / rows[rk][col]
-        rows[rk] = [x * inv for x in rows[rk]]
-        for i in range(3):
-            if i != rk and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rk])]
-        pivots.append(col)
-    basis = []
-    for free in (c for c in range(3) if c not in pivots):
-        v = [ZERO] * 3
-        v[free] = ONE
-        for r, col in enumerate(pivots):
-            v[col] = -rows[r][free]
-        basis.append(tuple(v))
-    return basis
-
-
-def eigenspace_basis(g: GroupElt, lam):
-    """Basis of ker(g - lam*I) (list of vectors, exact); lam is in K or in a cyclotomic field."""
-    return _kernel_basis(
-        [[x - lam if i == j else x for j, x in enumerate(r)] for i, r in enumerate(g.entries())]
-    )
-
-
 # ---------------------------------------------------------------------------
 # projective points
 # ---------------------------------------------------------------------------
@@ -517,7 +480,7 @@ class GroupElt:
     int is positive.  Equality and hashing act on the canonical ints,
     implementing projectivization; products, inverses, the characteristic
     polynomial and the action on K^3 run on the ints.  `entries()`, the rows
-    of KNums (for eigenspaces and tower vectors), and the Mat view `mat` (for
+    of KNums (for eigenvectors and tower vectors), and the Mat view `mat` (for
     JSON) are built on each call.
     """
 

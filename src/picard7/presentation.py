@@ -207,10 +207,11 @@ def verify_table_rows() -> dict:
     return {"rows": out, "all_pass": all(r["row_ok"] for r in out)}
 
 
-def _orbit_witness(cls, g, n, pt):
-    """delta, k with delta g delta^-1 = cls.rep^k, or None when the reduced
-    fixed point of g lies outside the orbit of cls.fixed."""
-    shift, y = reduce_to_domain(pt)
+def _orbit_witness(cls, g, n, reduced):
+    """delta, k with delta g delta^-1 = cls.rep^k, or None when the fixed
+    point of g, reduced into Omega as reduced = (shift, y), lies outside the
+    orbit of cls.fixed."""
+    shift, y = reduced
     t = cls.transports.get(y)
     if t is None:
         return None
@@ -231,11 +232,15 @@ def coverage_report() -> dict:
     g the table element and k coprime to the order.
     """
     classes = enumerate_torsion()
-    # a row's classification serves every class of its order
-    rows = [(row, *classify_elliptic(row["elt"], row["order"])) for row in torsion_word_rows()]
+    # a row's classification, and an isolated row's reduced fixed point,
+    # serve every class of its order
+    rows = []
+    for row in torsion_word_rows():
+        kind, pt, norm = classify_elliptic(row["elt"], row["order"])
+        rows.append((row, kind, norm, reduce_to_domain(pt) if kind == "isolated" else None))
     matches = {}
     for idx, cls in enumerate(classes):
-        for row, kind, pt, norm in rows:
+        for row, kind, norm, reduced in rows:
             g, n = row["elt"], row["order"]
             if n != cls.proj_order:
                 continue
@@ -249,7 +254,7 @@ def coverage_report() -> dict:
             else:
                 if kind != "isolated":
                     continue
-                wit = _orbit_witness(cls, g, n, pt)
+                wit = _orbit_witness(cls, g, n, reduced)
                 if wit is not None:
                     delta, k = wit
                     matches[idx] = {"word": row["word"], "delta": delta, "power": k}

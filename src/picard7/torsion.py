@@ -1,8 +1,8 @@
 """Torsion in PU(2,1,O_7): conjugacy classes, cycle graphs and finite stabilizers.
 
 An elliptic element either fixes a complex line pointwise (a reflection,
-recognized by a repeated eigenvalue with an indefinite 2-dimensional
-eigenspace) or has an isolated fixed point (the negative eigenvector).
+recognized by a repeated eigenvalue whose simple eigenvector, the polar, is
+positive) or has an isolated fixed point (the negative eigenvector).
 Candidates come from the sweeps gamma = alpha * A_j over the finite sets
 T_jk of cusp translates whose spheres can meet; isolated fixed points are
 moved into Omega and walked into orbits by side-pairing maps and cusp
@@ -27,8 +27,6 @@ from .hermitian import (
     GroupElt,
     Mat,
     ProjPoint,
-    eigenspace_basis,
-    herm_inner,
     ints_are_scalar,
     ints_product,
     primitive_rep,
@@ -104,35 +102,56 @@ def _repeated_eigenvalue(charpoly):
 
 def _roots(charpoly, candidates):
     """The candidates that are roots of the monic cubic charpoly (low degree
-    first): any other candidate has an empty eigenspace, and needs no elimination."""
+    first): any other candidate has no eigenvector."""
     c, b, a, _ = charpoly
     return [lam for lam in candidates if (((lam + a) * lam + b) * lam + c).is_zero()]
 
 
-def _is_mirror(g: GroupElt, lam) -> bool:
-    """Whether the lam-eigenspace of g is a complex line that meets the ball:
-    a plane on which the form is indefinite."""
-    space = eigenspace_basis(g, lam)
-    if len(space) != 2:
-        return False
-    e1, e2 = space
-    return (sq_norm(e1) * sq_norm(e2) - herm_inner(e1, e2).abs2()).real_sign() < 0
+def _eigenvector(g: GroupElt, lam):
+    """A vector spanning ker(g - lam I); lam must be a simple root of g's
+    characteristic polynomial.
+
+    g - lam I then has rank 2, so its kernel is the bilinear cross product of
+    its first pair of independent rows: products only, with no pivot and no
+    division.
+    """
+    rows = [[x - lam if i == j else x for j, x in enumerate(r)] for i, r in enumerate(g.entries())]
+    for (a1, a2, a3), (b1, b2, b3) in ((rows[0], rows[1]), (rows[0], rows[2]), (rows[1], rows[2])):
+        v = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+        if not all(x.is_zero() for x in v):
+            break
+    return v
 
 
 def _simple_eigenpoint(g: GroupElt, charpoly, lam):
-    """(p, <p, p>) for the eigenline of the simple eigenvalue tr - 2 lam of g,
-    whose repeated eigenvalue is lam; tr = -c2 of its charpoly."""
-    p = ProjPoint(eigenspace_basis(g, -charpoly[2] - 2 * lam)[0])
-    return p, sq_norm(p.coords)
+    """(p, <p, p>) for the eigenline of the simple eigenvalue tr - 2 lam of a
+    finite-order g whose repeated eigenvalue is lam; tr = -c2 of its charpoly.
+
+    g is unitary with roots of unity as eigenvalues, so its lam-plane is
+    p^perp (Goldman, Complex Hyperbolic Geometry, 3.1): indefinite, a
+    mirror, when <p, p> > 0, and definite, around the isolated fixed point
+    p, when <p, p> < 0.  <p, p> = 0 would put p in its own lam-plane.
+    """
+    p = ProjPoint(_eigenvector(g, -charpoly[2] - 2 * lam))
+    norm = sq_norm(p.coords)
+    if norm.is_zero():
+        raise ArithmeticError("simple eigenvector of a finite-order element is null")
+    return p, norm
 
 
 def reflection_polar(g: GroupElt):
-    """(polar ProjPoint, polar norm) if g is a complex reflection, else None."""
+    """(polar ProjPoint, polar norm) if g is a complex reflection, else None.
+
+    g must have finite order (see _simple_eigenpoint); the elements of a
+    FiniteGroup, the enumeration's candidates and the word-table rows do.
+    """
     charpoly = g.charpoly()
     lam = _repeated_eigenvalue(charpoly)
-    if lam is None or not _is_mirror(g, lam):
+    if lam is None:
         return None
     polar, norm = _simple_eigenpoint(g, charpoly, lam)
+    if norm.real_sign() < 0:
+        return None
     return polar, int(norm.rat())
 
 
@@ -143,21 +162,17 @@ def classify_elliptic(g: GroupElt, n: int):
     charpoly = g.charpoly()
     lam = _repeated_eigenvalue(charpoly)
     if lam is not None:
+        # a positive simple eigenvector is the polar of the mirror, and a
+        # negative one the isolated fixed point
         p, norm = _simple_eigenpoint(g, charpoly, lam)
-        if _is_mirror(g, lam):
-            return "reflection", p, int(norm.rat())
-        # repeated eigenspace is positive definite: the simple eigenvector
-        # is the isolated fixed point
-        if norm.real_sign() >= 0:
-            raise ArithmeticError("simple eigenvector of an elliptic element is not negative")
-        return "isolated", p, int(norm.rat())
+        return "reflection" if norm.real_sign() > 0 else "isolated", p, int(norm.rat())
     # squarefree characteristic polynomial; K contains only the roots of
     # unity +/-1, so any K-rational eigenvector belongs to one of those
     for lam in _roots(charpoly, (ONE, -ONE)):
-        for v in eigenspace_basis(g, lam):
-            if sq_norm(v).real_sign() < 0:
-                pt = ProjPoint(v)
-                return "isolated", pt, int(sq_norm(pt.coords).rat())
+        v = _eigenvector(g, lam)
+        if sq_norm(v).real_sign() < 0:
+            pt = ProjPoint(v)
+            return "isolated", pt, int(sq_norm(pt.coords).rat())
     # fixed point outside K^3: eigenvalues are roots of unity of the
     # matrix order, found in the relevant cyclotomic tower.  g^n = e Id with
     # e = +/-1 gives det(g)^n = e^3 = e, so det(g)^n is the sign of g^n,
@@ -176,9 +191,9 @@ def classify_elliptic(g: GroupElt, n: int):
     else:
         raise ValueError(f"unsupported eigenvalue field for matrix order {m}")
     for lam in _roots(charpoly, units):
-        for v in eigenspace_basis(g, lam):
-            if sq_norm(v).real_sign() < 0:
-                return "isolated", ProjPoint(v), None
+        v = _eigenvector(g, lam)
+        if sq_norm(v).real_sign() < 0:
+            return "isolated", ProjPoint(v), None
     raise ValueError("no negative eigenvector found for an elliptic element")
 
 

@@ -29,8 +29,8 @@ from picard7.heisenberg import (
     enumerate_cusp_overlaps,
     in_prism,
 )
-from picard7.hermitian import GroupElt, Mat, ProjPoint, herm_inner
-from picard7.ring import ISQRT7, ONE, TAU, KNum, _divmod_ints, knum_from_ints, o_gcd
+from picard7.hermitian import GroupElt, Mat, ProjPoint, herm_inner, sq_norm
+from picard7.ring import ISQRT7, ONE, TAU, ZERO, KNum, _divmod_ints, knum_from_ints, o_gcd
 from picard7.torsion import _moves
 
 
@@ -73,6 +73,53 @@ def mat_charpoly(m: Mat):
         + (r[0][0] * r[1][1] - r[0][1] * r[1][0])
     )
     return (-mat_det(m), m2, -mat_trace(m), ONE)
+
+
+def _kernel_basis(rows):
+    """Basis of the kernel of a 3x3 matrix given by its rows (exact Gauss-Jordan elimination).
+
+    The entries are KNums or AlgNums of one field, mixed.
+    """
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(3):
+        rk = len(pivots)
+        piv = next((i for i in range(rk, 3) if not rows[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        rows[rk], rows[piv] = rows[piv], rows[rk]
+        inv = ONE / rows[rk][col]
+        rows[rk] = [x * inv for x in rows[rk]]
+        for i in range(3):
+            if i != rk and not rows[i][col].is_zero():
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rk])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(3) if c not in pivots):
+        v = [ZERO] * 3
+        v[free] = ONE
+        for r, col in enumerate(pivots):
+            v[col] = -rows[r][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def eigenspace_basis(g: GroupElt, lam):
+    """Basis of ker(g - lam*I) (list of vectors, exact); lam is in K or in a cyclotomic field."""
+    return _kernel_basis(
+        [[x - lam if i == j else x for j, x in enumerate(r)] for i, r in enumerate(g.entries())]
+    )
+
+
+def _is_mirror(g: GroupElt, lam) -> bool:
+    """Whether the lam-eigenspace of g is a complex line that meets the ball:
+    a plane on which the form is indefinite (negative Gram determinant)."""
+    space = eigenspace_basis(g, lam)
+    if len(space) != 2:
+        return False
+    e1, e2 = space
+    return (sq_norm(e1) * sq_norm(e2) - herm_inner(e1, e2).abs2()).real_sign() < 0
 
 
 def translation_matrix(w, ti) -> Mat:

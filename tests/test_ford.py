@@ -18,7 +18,6 @@ from picard7.ring import (
 from picard7.hermitian import (
     GroupElt,
     ProjPoint,
-    eigenspace_basis,
     is_in_gamma,
 )
 from picard7.heisenberg import CuspElt, R, T1, TTAU, TV, in_prism, prism_coordinates, reduce_to_prism
@@ -46,6 +45,7 @@ from reference import (
     act_horo,
     cygan_dist4,
     dist2_to_triangle,
+    eigenspace_basis,
     fixes_q_inf,
     ford_candidates,
     ford_side,

@@ -322,3 +322,13 @@ def test_limits_are_module_constants():
     assert parameters(SRC / "ford.py", "reduce_to_domain") == ["x"]
     assert parameters(SRC / "torsion.py", "FiniteGroup.__init__") == ["self", "gens"]
     assert parameters(SRC / "congruence.py", "FpMatGroup.__init__") == ["self", "gens", "rm"]
+
+
+def test_src_has_no_row_reduction():
+    # each eigenvector the classification reads is a cross product at a
+    # simple eigenvalue, and a mirror is the sign of its norm: the
+    # Gauss-Jordan elimination and the Gram test of a plane are references
+    gone = {"_kernel_basis", "eigenspace_basis", "_is_mirror"}
+    assert {p.name: sorted(bound_names(ast.parse(p.read_text()).body) & gone) for p in MODULES} == {
+        p.name: [] for p in MODULES
+    }

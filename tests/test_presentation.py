@@ -3,6 +3,7 @@ from picard7.hermitian import GroupElt, ProjPoint, is_in_gamma, mat_from_json
 from picard7.heisenberg import R, T1, TTAU, TV
 from picard7.ford import GENERATORS
 from picard7.cli import _class_json, _elt_json
+from picard7 import presentation
 from picard7.torsion import classify_elliptic, enumerate_torsion, projective_order
 from picard7.presentation import (
     A_MAT,
@@ -91,6 +92,24 @@ def test_coverage():
         delta, k = m["delta"], m["power"]
         assert delta * g * delta.inverse() == cls.rep ** k
         assert projective_order(g) == cls.proj_order
+
+
+def test_coverage_reduces_each_isolated_row_once(monkeypatch):
+    # a row's reduced fixed point serves every class of the row's order
+    reduce = presentation.reduce_to_domain
+    reduced = []
+
+    def counted(p):
+        reduced.append(p)
+        return reduce(p)
+
+    monkeypatch.setattr(presentation, "reduce_to_domain", counted)
+    coverage_report.cache_clear()
+    assert coverage_report()["all_covered"]
+    isolated = [
+        row for row in torsion_word_rows() if classify_elliptic(row["elt"], row["order"])[0] == "isolated"
+    ]
+    assert len(reduced) == len(isolated) == 10
 
 
 def test_coverage_powers_nontrivial():

@@ -1,10 +1,11 @@
 import ast
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from picard7.ring import ISQRT7, KNum, TAU_BAR
-from picard7.hermitian import GroupElt, Mat, ProjPoint, eigenspace_basis, sq_norm
+from picard7.hermitian import GroupElt, Mat, ProjPoint, sq_norm
 from picard7.heisenberg import (
     IDENTITY,
     CuspElt,
@@ -40,7 +41,9 @@ from picard7.torsion import (
 )
 from reference import (
     Prism,
+    _is_mirror,
     act_horo,
+    eigenspace_basis,
     fixes_q_inf,
     horo_coords,
     mat_charpoly,
@@ -128,22 +131,85 @@ def test_classify_isolated_algebraic():
     assert ProjPoint(g7.apply(pt.coords)) == pt
 
 
-def test_classify_eliminates_only_at_eigenvalues(monkeypatch):
+def test_classify_takes_kernels_only_at_eigenvalues(monkeypatch):
     # every candidate root of unity is tested against the charpoly first, so
-    # each elimination classify_elliptic runs finds a nonzero eigenspace
-    spaces = []
+    # each cross product classify_elliptic takes is a nonzero eigenvector
+    eigenvector = torsion._eigenvector
+    calls = []
 
-    def spy(mat, lam):
-        basis = eigenspace_basis(mat, lam)
-        spaces.append(len(basis))
-        return basis
+    def spy(g, lam):
+        v = eigenvector(g, lam)
+        calls.append((g, lam, v))
+        return v
 
-    monkeypatch.setattr(torsion, "eigenspace_basis", spy)
+    monkeypatch.setattr(torsion, "_eigenvector", spy)
     gens = abcd()
     g7 = GENERATORS[1] * R.to_matrix() * T1.to_matrix()
     for g, n in ((gens["a"], 7), (gens["c"], 6), (g7, 7), (GENERATORS[1] * R.to_matrix(), 2)):
         assert classify_elliptic(g, n)[0] == "isolated"
-    assert spaces and 0 not in spaces
+    assert calls
+    for g, lam, v in calls:
+        assert not all(x.is_zero() for x in v)
+        assert all((y - lam * x).is_zero() for x, y in zip(v, g.apply(v)))
+
+
+def test_eigenvector_matches_the_reference_kernel(monkeypatch):
+    # at every root classify_elliptic examines, on the enumeration's
+    # candidates and on seeded conjugates of them, the cross product spans
+    # the one-dimensional kernel of the reference elimination
+    eigenvector = torsion._eigenvector
+    calls = []
+
+    def spy(g, lam):
+        calls.append((g, lam))
+        return eigenvector(g, lam)
+
+    monkeypatch.setattr(torsion, "_eigenvector", spy)
+    cands = sorted(torsion._torsion_candidates().items(), key=lambda t: t[0].ints)
+    assert len(cands) == 65
+    rng = random.Random(37)
+    letters = _search_alphabet()
+    conjugates = []
+    for g, n in rng.sample(cands, 12):
+        h = rng.choice(letters) * rng.choice(letters) * rng.choice(letters)
+        conjugates.append((h * g * h.inverse(), n))
+    for g, n in cands + conjugates:
+        classify_elliptic(g, n)
+    assert len(calls) > len(cands)
+    for g, lam in calls:
+        (basis,) = eigenspace_basis(g, lam)
+        assert ProjPoint(eigenvector(g, lam)) == ProjPoint(basis)
+    # a rank-2 matrix outside Gamma, whose first two rows are dependent, at
+    # its three simple eigenvalues
+    m = Mat([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    rows = SimpleNamespace(entries=lambda: m.rows)
+    for lam in (KNum(0), KNum(1), KNum(5)):
+        (basis,) = eigenspace_basis(rows, lam)
+        assert ProjPoint(eigenvector(rows, lam)) == ProjPoint(basis)
+
+
+def test_mirror_is_a_positive_simple_eigenvector():
+    # a finite-order g with a repeated eigenvalue lam is a reflection exactly
+    # when the simple eigenvector p has <p, p> > 0, that is when the
+    # reference Gram determinant of the lam-plane is negative; checked on the
+    # repeated-eigenvalue candidates and on every element of the isolated
+    # classes' stabilizers
+    repeated = [g for g in torsion._torsion_candidates() if _repeated_eigenvalue(g.charpoly()) is not None]
+    assert len(repeated) == 11
+    stabs = {c.fixed: c.stab for c in enumerate_torsion() if c.kind == "isolated"}
+    elts = sorted((g for s in stabs.values() for g in s.elements if not g.is_identity()), key=lambda g: g.ints)
+    signs = []
+    for g in repeated + elts:
+        charpoly = g.charpoly()
+        lam = _repeated_eigenvalue(charpoly)
+        if lam is None:
+            continue
+        assert len(eigenspace_basis(g, lam)) == 2
+        sign = sq_norm(torsion._eigenvector(g, -charpoly[2] - 2 * lam)).real_sign()
+        assert sign != 0
+        assert (sign > 0) == _is_mirror(g, lam) == (reflection_polar(g) is not None)
+        signs.append(sign)
+    assert 1 in signs and -1 in signs
 
 
 def test_tjk_basics():
