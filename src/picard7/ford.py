@@ -5,7 +5,9 @@ for every g not stabilizing q_inf; combined with the cone C_P over the
 prism this gives the fundamental domain Omega = F cap C_P.  Membership is
 always decided by that exact norm comparison; the Cygan-sphere radius
 r^4 = 4 / N(a31) only bounds which translates are compared: the candidate
-enumerations, and the lattice disk of the sweep in K.
+enumerations, and the window of each field's sweep, a lattice disk of
+planar parts and a range of l, from the point's ints in K and from exact
+brackets of its coordinates in K(zeta_3) and K(zeta_7).
 A point's place over the prism is read off its vector
 (`heisenberg.prism_coordinates`), and the cusp element that moves it into
 the prism acts on the vector by its matrix; a sphere's center is kept as
@@ -14,7 +16,6 @@ the same int coordinates.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
@@ -165,6 +166,11 @@ def _sqrt_ints(num: int, den: int):
     if ub * ub * den < scaled:
         raise ArithmeticError("the upper square-root bound is below the square root")
     return lb, ub
+
+
+#: r2 with r^2 <= r2/2^16 for the sphere of each pairing matrix, where the
+#: windows of the sweeps start
+_R2 = {j: _sqrt_ints(sph.r4.numerator, sph.r4.denominator)[1] for j, sph in SPHERES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -322,33 +328,9 @@ def enumerate_tjk(j: int, k: int):
 
 
 @cache
-def candidate_spheres(j: int):
-    """Cached (alpha, col) pairs over the translate superset of j.
-
-    col is the column alpha(A_j(inf)) as six ints (a1, b1, a2, b2, a3, b3),
-    its entries col_k = a_k + b_k tau in O_7.  It is in closed form: for
-    alpha = T(w, t0) R^eps with w = m + n tau, sigma = (-1)^eps and
-    t0 = s0 sqrt(7), s0 = m - mn + 2l, and the first column (v1, v2, v3)
-    of A_j, col = (v1 - sigma conj(w) v2 + c v3, sigma v2 + w v3, v3) with
-    c = (-N(w) + i sqrt(7) s0)/2 = (-N(w) - s0)/2 + s0 tau.  c is integral,
-    as N(w) + s0 = m(m + 1) + 2(n^2 + l) is even.
-    """
-    t = GENERATORS[j].ints
-    p1, q1, p2, q2, p3, q3 = t[0], t[1], t[6], t[7], t[12], t[13]
-    out = []
-    for alpha in enumerate_cone_translates(j):
-        m, n, eps, l = alpha
-        s0 = m - m * n + 2 * l
-        nw_s0 = _norm_ints(m, n) + s0
-        if nw_s0 % 2:
-            raise ArithmeticError("a candidate column is not integral")
-        x2, y2 = (-p2, -q2) if eps else (p2, q2)
-        # conj(w) = (m + n) - n tau
-        ca, cb = _mul_ints(m + n, -n, x2, y2)
-        da, db = _mul_ints(-(nw_s0 // 2), s0, p3, q3)
-        wa, wb = _mul_ints(m, n, p3, q3)
-        out.append((alpha, (p1 - ca + da, q1 - cb + db, x2 + wa, y2 + wb, p3, q3)))
-    return out
+def candidate_spheres(j: int) -> frozenset:
+    """The candidate translates of j, as the set each sweep tests its hits against."""
+    return frozenset(enumerate_cone_translates(j))
 
 
 def _int_pair(c: KNum):
@@ -377,9 +359,11 @@ def _forms(v):
 # One sweep kernel per field: (quantity, cmp, sweep).  quantity(x) is |x|^2
 # of an integral coordinate x, up to one positive factor, in an exact int
 # form; cmp(p, q) is the exact sign of the difference of two quantities;
-# sweep(v, own) yields (sign, quantity, j, alpha) for each candidate column
-# of an integral v with |<v, col>|^2 <= own, in (j, alpha) order,
-# comparing on ints only.
+# sweep(v, own) yields (sign, quantity, j, alpha) for each candidate
+# translate alpha of j whose column col = alpha(A_j(inf)) has
+# |<v, col>|^2 <= own, for an integral v, in (j, alpha) order.  Each
+# kernel compares only the translates in a window derived from that
+# inequality, and decides each on ints.
 
 
 def _k_cmp(p, q) -> int:
@@ -407,9 +391,8 @@ def _k_sweep(v, own):
     ra, rb = _mul_ints(v1a, v1b, v3a + v3b, -v3b)
     vv = 2 * ra + rb + _norm_ints(v2a, v2b)
     for j in sorted(GENERATORS):
-        sph = SPHERES[j]
-        za, zb, _, zd = sph.center
-        r2 = _sqrt_ints(sph.r4.numerator, sph.r4.denominator)[1]
+        za, zb, _, zd = SPHERES[j].center
+        r2 = _R2[j]
         # floor(S^2 (r2/2^16 - u')), as S^2/dv = dv zd^2
         nmax = dv * zd * zd * (r2 * dv + vv * _SQRT_DEN) // _SQRT_DEN
         if nmax < 0:
@@ -462,8 +445,7 @@ def _k_sweep(v, own):
             table = candidate_spheres(j)
             hits.sort()
             for alpha, q in hits:
-                i = bisect_left(table, (alpha,))
-                if i < len(table) and table[i][0] == alpha:
+                if alpha in table:
                     yield (-1 if q < own else 0), q, j, alpha
 
 
@@ -490,20 +472,8 @@ def _zeta3_sweep(v, own):
     """v = v0 + v1 zeta_3 with v0, v1 in O_7^3: <v, col> = X0 + X1 zeta_3,
     and the quantity is the int pair (m, n) of 2|X0 + X1 zeta_3|^2."""
     ints = [_alg_ints(c) for c in v]
-    (x1, x2, x3, x4, x5, x6), (y1, y2, y3, y4, y5, y6) = _forms([f[:2] for f in ints])
-    (z1, z2, z3, z4, z5, z6), (w1, w2, w3, w4, w5, w6) = _forms([f[2:] for f in ints])
-    m0, n0 = own
-    for j in sorted(GENERATORS):
-        for alpha, (a1, b1, a2, b2, a3, b3) in candidate_spheres(j):
-            m, n = _zeta3_quantity(
-                a1 * x1 + b1 * x2 + a2 * x3 + b2 * x4 + a3 * x5 + b3 * x6,
-                a1 * y1 + b1 * y2 + a2 * y3 + b2 * y4 + a3 * y5 + b3 * y6,
-                a1 * z1 + b1 * z2 + a2 * z3 + b2 * z4 + a3 * z5 + b3 * z6,
-                a1 * w1 + b1 * w2 + a2 * w3 + b2 * w4 + a3 * w5 + b3 * w6,
-            )
-            sign = sqrt21_sign(m - m0, n - n0)
-            if sign <= 0:
-                yield sign, (m, n), j, alpha
+    rows = _forms([f[:2] for f in ints]) + _forms([f[2:] for f in ints])
+    yield from _tower_sweep(v, own, rows, lambda x: _zeta3_quantity(*x), _zeta3_cmp)
 
 
 def _zeta7_quantity_of(x: AlgNum):
@@ -531,15 +501,93 @@ def _zeta7_sweep(v, own):
         for f in coords:
             row += (f[m], f[m] + f[m - 3] + f[m - 5] + f[m - 6])
         rows.append(row)
-    o0, o1, o2, o3 = own
+    yield from _tower_sweep(v, own, rows, zeta7_autocorr, _zeta7_cmp)
+
+
+def _tower_sweep(v, own, rows, quantity, cmp):
+    """The sweep of v over K(zeta_3) or K(zeta_7), on a window like _k_sweep's.
+
+    The ints x of <v, col> in the field's basis are r.col for r in rows,
+    quantity(x) is the field's quantity of that <v, col>, and cmp compares
+    quantities exactly, as in _KERNELS.  The point's z = a + b tau, s and
+    u' = -<v, v>/|v3|^2 are real elements of the field; each lies in
+    [k, k + 1]/2^16 for its bracket k = floor(2^16 x), exact by floor_real
+    in both fields.  So u' >= ku/2^16, and zc = (ka + kb tau)/2^16 is within
+    |1 + tau|/2^16 = 2/2^16 of z.
+
+    For the center z0 = p + q tau of alpha(I(A_j)) and its s = sc at l = 0,
+    |<v/v3, col/col3>|^2 = ((u' + N(z - z0))^2 + 28 (l - l*)^2)/4 with
+    l* = (s - sc + b p - a q)/2, and a hit has it <= r^4/4.  So a hit has
+    u' + N(z - z0) <= r^2, a lattice disk about zc once widened by 2/2^16,
+    and 28 (l - l*)^2 <= r^4 - L^2 for a lower bound L of u' + N(z - z0);
+    with the brackets' interval for l*, that is a window of l.  Each l in
+    it whose alpha is a candidate translate of j is decided by cmp, on
+    <v, col> = Z + l D with D = <v, (i sqrt(7) c3, 0, 0)>.
+    """
+    a, b, s, _ = prism_coordinates(v)
+    ka, kb, ks, ku = ((x * _SQRT_DEN).floor_real() for x in (a, b, s, -sq_norm(v) / v[2].abs2()))
     for j in sorted(GENERATORS):
-        for alpha, (a1, b1, a2, b2, a3, b3) in candidate_spheres(j):
-            h = zeta7_autocorr([a1 * f3 + b1 * g3 + a2 * f2 + b2 * g2 + a3 * f1 + b3 * g1
-                                for f3, g3, f2, g2, f1, g1 in rows])
-            d0 = h[0] - o0
-            sign = eta_sign(h[1] - o1 - d0, h[2] - o2 - d0, h[3] - o3 - d0)
-            if sign <= 0:
-                yield sign, h, j, alpha
+        sph = SPHERES[j]
+        za, zb, sn, zd = sph.center
+        rn, rd = sph.r4.numerator, sph.r4.denominator
+        r2 = _R2[j]
+        if ku > r2:
+            continue
+        step = _SQRT_DEN * zd
+        # step^2 N(zc - z0) <= zd^2 (sqrt(2^16 (r2 - ku)) + 2)^2
+        nmax = (zd * (isqrt(_SQRT_DEN * (r2 - ku)) + 3)) ** 2
+        # step^2 u' >= uk; rn/rd = r^4
+        uk = max(ku, 0) * _SQRT_DEN * zd * zd
+        r4, wden, step2 = rn * step**4, 7 * rd * step * step, 2 * step
+        table = candidate_spheres(j)
+        t = GENERATORS[j].ints
+        p1, q1, p2, q2, p3, q3 = t[0], t[1], t[6], t[7], t[12], t[13]
+        da, db = _mul_ints(-1, 2, p3, q3)
+        dl = [r[0] * da + r[1] * db for r in rows]
+        hits = []
+        for eps in (0, 1):
+            sigma = -1 if eps else 1
+            x2, y2 = sigma * p2, sigma * q2
+            # step (zc - z0) = (mm step + p0) + (nn step + q0) tau for (m, n) = (-mm, -nn)
+            p0, q0 = zd * ka - sigma * _SQRT_DEN * za, zd * kb - sigma * _SQRT_DEN * zb
+            for mm, nn in _lattice_disk(p0, q0, step, nmax):
+                # step |z - z0| >= g and step^2 (u' + N(z - z0)) >= uk + g^2;
+                # then (2 step (l - l*))^2 <= (r4 - rd (uk + g^2)^2)/wden
+                x, y = mm * step + p0, nn * step + q0
+                g = isqrt(x * x + x * y + 2 * y * y) - 2 * zd
+                room = r4 - rd * (uk + g * g if g > 0 else uk) ** 2
+                if room < 0:
+                    continue
+                w = isqrt(room // wden) + 1
+                m, n = -mm, -nn
+                s0 = m - m * n
+                # with zd sc = sn + s0 zd + sigma (n za - m zb) and p, q here
+                # zd times those of z0, 2 step l* = zd (2^16 s) - 2^16 zd sc +
+                # (2^16 b) p - (2^16 a) q is lnum plus less than zd + |p| + |q|
+                p, q = m * zd + sigma * za, n * zd + sigma * zb
+                lnum = zd * ks - _SQRT_DEN * (sn + s0 * zd + sigma * (n * za - m * zb)) + kb * p - ka * q
+                lo = -((w - lnum - (p if p < 0 else 0) + (q if q > 0 else 0)) // step2)
+                hi = (lnum + zd + (p if p > 0 else 0) - (q if q < 0 else 0) + w) // step2
+                ls = [l for l in range(lo, hi + 1) if (m, n, eps, l) in table]
+                if not ls:
+                    continue
+                # the column of (m, n, eps, 0), in the closed form of the
+                # centers: (c1 - sigma conj(w) c2 + c c3, sigma c2 + w c3, c3)
+                # with c = (-N(w) - s0)/2 + s0 tau
+                ca, cb = _mul_ints(m + n, -n, x2, y2)
+                ea, eb = _mul_ints(-(_norm_ints(m, n) + s0) // 2, s0, p3, q3)
+                wa, wb = _mul_ints(m, n, p3, q3)
+                a1, b1, a2, b2 = p1 - ca + ea, q1 - cb + eb, x2 + wa, y2 + wb
+                z = [e1 * a1 + e2 * b1 + e3 * a2 + e4 * b2 + e5 * p3 + e6 * q3
+                     for e1, e2, e3, e4, e5, e6 in rows]
+                for l in ls:
+                    h = quantity([zk + l * dk for zk, dk in zip(z, dl)])
+                    sign = cmp(h, own)
+                    if sign <= 0:
+                        hits.append((CuspElt(m, n, eps, l), sign, h))
+        hits.sort()
+        for alpha, sign, h in hits:
+            yield sign, h, j, alpha
 
 
 #: the sweep kernel of each field, by n for K(zeta_n), 1 for K

@@ -125,6 +125,10 @@ R = CuspElt(eps=1)
 # ---------------------------------------------------------------------------
 
 
+# 1/(i sqrt(7)) = (1 - 2 tau)/7, so that a tower b and s cost one product each
+_ISQRT7_INV = 1 / ISQRT7
+
+
 def prism_coordinates(v):
     """(a, b, s, den) of a vector v with <v, v> <= 0 and v3 != 0: the point's
     boundary coordinates are z = (a + b tau)/den and t = s sqrt(7)/den.
@@ -152,7 +156,7 @@ def prism_coordinates(v):
         return a, b, s, _norm_ints(p3, q3)
     inv = 1 / v3
     z, y = v2 * inv, v1 * inv
-    b, s = (z - z.conj()) / ISQRT7, (y - y.conj()) / ISQRT7
+    b, s = (z - z.conj()) * _ISQRT7_INV, (y - y.conj()) * _ISQRT7_INV
     if (y + y.conj() + z.abs2()).real_sign() > 0:
         raise ValueError("vector has positive square norm")
     return z - b * TAU, b, s, 1

@@ -232,12 +232,15 @@ def coverage_report() -> dict:
     g the table element and k coprime to the order.
     """
     classes = enumerate_torsion()
-    # a row's classification, and an isolated row's reduced fixed point,
-    # serve every class of its order
+    # a row's classification serves every class of its order, and an
+    # isolated fixed point's reduction every row that fixes it
     rows = []
+    by_point = {}
     for row in torsion_word_rows():
         kind, pt, norm = classify_elliptic(row["elt"], row["order"])
-        rows.append((row, kind, norm, reduce_to_domain(pt) if kind == "isolated" else None))
+        if kind == "isolated" and pt not in by_point:
+            by_point[pt] = reduce_to_domain(pt)
+        rows.append((row, kind, norm, by_point[pt] if kind == "isolated" else None))
     matches = {}
     for idx, cls in enumerate(classes):
         for row, kind, norm, reduced in rows:

@@ -9,7 +9,8 @@ A KNum is three Python ints (a, b, d) for (a + b*tau)/d in normal form
 (d > 0, gcd(a, b, d) = 1), so O_7 is the set of elements with d = 1 and its
 arithmetic, the norm and Euclid's algorithm (o_gcd) run on ints alone.
 Fractions appear only at the edges: the constructor accepts them, `.a`,
-`.b` and `rat()` return them, and parsing and formatting go through them.
+`.b` and `rat()` return them, and formatting goes through them; parsing
+reads a literal's coefficients as ints.
 
 The eigenvalues of elliptic group elements and the coordinates of their
 fixed points lie in K, K(zeta_3) or K(zeta_7), zeta_n = exp(2*pi*i/n).
@@ -327,11 +328,11 @@ def parse_knum(s: str) -> KNum:
     """Parse "a+b*tau" (exact rationals; 'tau' may carry no coefficient).
 
     Every term after the first needs its sign, and '*' may only join a
-    coefficient to tau, so "1 2", "tau tau" and "1*" are refused.
+    coefficient to tau, so "1 2", "tau tau" and "1*" are refused.  The two
+    coordinates are summed as int numerator/denominator pairs.
     """
     pos = 0
-    a = Fraction(0)
-    b = Fraction(0)
+    an, ad, bn, bd = 0, 1, 0, 1
     s = s.strip()
     if not s:
         raise ValueError("empty K-number literal")
@@ -341,18 +342,18 @@ def parse_knum(s: str) -> KNum:
             raise ValueError(f"bad K-number literal {s!r} at position {pos}")
         sign = -1 if m.group("sign") == "-" else 1
         if m.group("tau2") is not None:
-            b += sign
+            bn += sign * bd
         else:
-            try:
-                coef = Fraction(m.group("coef"))
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in K-number literal {s!r}") from None
+            p, _, q = m.group("coef").partition("/")
+            p, q = sign * int(p), int(q or 1)
+            if q == 0:
+                raise ValueError(f"zero denominator in K-number literal {s!r}")
             if m.group("tau1"):
-                b += sign * coef
+                bn, bd = bn * q + p * bd, bd * q
             else:
-                a += sign * coef
+                an, ad = an * q + p * ad, ad * q
         pos = m.end()
-    return KNum(a, b)
+    return knum_from_ints(an * bd, bn * ad, ad * bd)
 
 
 def format_knum(x: KNum) -> str:

@@ -14,9 +14,10 @@ from math import isqrt, lcm
 from picard7.ford import (
     _SQRT_DEN,
     GENERATORS,
+    _alg_ints,
     _forms,
     _int_pair,
-    candidate_spheres,
+    _zeta3_quantity,
     enumerate_cone_translates,
 )
 from picard7.heisenberg import (
@@ -29,8 +30,21 @@ from picard7.heisenberg import (
     enumerate_cusp_overlaps,
     in_prism,
 )
-from picard7.hermitian import GroupElt, Mat, ProjPoint, herm_inner, sq_norm
-from picard7.ring import ISQRT7, ONE, TAU, ZERO, KNum, _divmod_ints, knum_from_ints, o_gcd
+from picard7.hermitian import GroupElt, Mat, ProjPoint, _mul_ints, _norm_ints, herm_inner, sq_norm
+from picard7.ring import (
+    ISQRT7,
+    ONE,
+    TAU,
+    ZERO,
+    KNum,
+    _TERM_RE,
+    _divmod_ints,
+    eta_sign,
+    knum_from_ints,
+    o_gcd,
+    sqrt21_sign,
+    zeta7_autocorr,
+)
 from picard7.torsion import _moves
 
 
@@ -120,6 +134,34 @@ def _is_mirror(g: GroupElt, lam) -> bool:
         return False
     e1, e2 = space
     return (sq_norm(e1) * sq_norm(e2) - herm_inner(e1, e2).abs2()).real_sign() < 0
+
+
+def ref_parse_knum(s: str) -> KNum:
+    """parse_knum summing Fractions: the same grammar and refusals."""
+    pos = 0
+    a = Fraction(0)
+    b = Fraction(0)
+    s = s.strip()
+    if not s:
+        raise ValueError("empty K-number literal")
+    while pos < len(s):
+        m = _TERM_RE.match(s, pos)
+        if not m or (pos and not m.group("sign")):
+            raise ValueError(f"bad K-number literal {s!r} at position {pos}")
+        sign = -1 if m.group("sign") == "-" else 1
+        if m.group("tau2") is not None:
+            b += sign
+        else:
+            try:
+                coef = Fraction(m.group("coef"))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in K-number literal {s!r}") from None
+            if m.group("tau1"):
+                b += sign * coef
+            else:
+                a += sign * coef
+        pos = m.end()
+    return KNum(a, b)
 
 
 def translation_matrix(w, ti) -> Mat:
@@ -506,17 +548,93 @@ def search_orthogonal_mirrors(ctx, norm: int, height: int):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def candidate_columns(j: int):
+    """(alpha, col) pairs over the translate superset of j, in (j, alpha) order.
+
+    col is the column alpha(A_j(inf)) as six ints (a1, b1, a2, b2, a3, b3),
+    its entries col_k = a_k + b_k tau in O_7.  It is in closed form: for
+    alpha = T(w, t0) R^eps with w = m + n tau, sigma = (-1)^eps and
+    t0 = s0 sqrt(7), s0 = m - mn + 2l, and the first column (v1, v2, v3)
+    of A_j, col = (v1 - sigma conj(w) v2 + c v3, sigma v2 + w v3, v3) with
+    c = (-N(w) + i sqrt(7) s0)/2 = (-N(w) - s0)/2 + s0 tau.  c is integral,
+    as N(w) + s0 = m(m + 1) + 2(n^2 + l) is even.
+    """
+    t = GENERATORS[j].ints
+    p1, q1, p2, q2, p3, q3 = t[0], t[1], t[6], t[7], t[12], t[13]
+    out = []
+    for alpha in enumerate_cone_translates(j):
+        m, n, eps, l = alpha
+        s0 = m - m * n + 2 * l
+        nw_s0 = _norm_ints(m, n) + s0
+        if nw_s0 % 2:
+            raise ArithmeticError("a candidate column is not integral")
+        x2, y2 = (-p2, -q2) if eps else (p2, q2)
+        # conj(w) = (m + n) - n tau
+        ca, cb = _mul_ints(m + n, -n, x2, y2)
+        da, db = _mul_ints(-(nw_s0 // 2), s0, p3, q3)
+        wa, wb = _mul_ints(m, n, p3, q3)
+        out.append((alpha, (p1 - ca + da, q1 - cb + db, x2 + wa, y2 + wb, p3, q3)))
+    return out
+
+
 def ref_k_sweep(v, own):
     """The K Ford sweep as a scan of every candidate column: (sign, N(<v, col>),
     j, alpha) for each column with N(<v, col>) <= own, in (j, alpha) order."""
     (x1, x2, x3, x4, x5, x6), (y1, y2, y3, y4, y5, y6) = _forms([_int_pair(c) for c in v])
     for j in sorted(GENERATORS):
-        for alpha, (a1, b1, a2, b2, a3, b3) in candidate_spheres(j):
+        for alpha, (a1, b1, a2, b2, a3, b3) in candidate_columns(j):
             x = a1 * x1 + b1 * x2 + a2 * x3 + b2 * x4 + a3 * x5 + b3 * x6
             y = a1 * y1 + b1 * y2 + a2 * y3 + b2 * y4 + a3 * y5 + b3 * y6
             q = x * x + x * y + 2 * y * y
             if q <= own:
                 yield (-1 if q < own else 0), q, j, alpha
+
+
+def ref_zeta3_sweep(v, own):
+    """The K(zeta_3) Ford sweep as a scan of every candidate column: v = v0 +
+    v1 zeta_3 with v0, v1 in O_7^3, <v, col> = X0 + X1 zeta_3, and the
+    quantity is the int pair (m, n) of 2|X0 + X1 zeta_3|^2."""
+    ints = [_alg_ints(c) for c in v]
+    (x1, x2, x3, x4, x5, x6), (y1, y2, y3, y4, y5, y6) = _forms([f[:2] for f in ints])
+    (z1, z2, z3, z4, z5, z6), (w1, w2, w3, w4, w5, w6) = _forms([f[2:] for f in ints])
+    m0, n0 = own
+    for j in sorted(GENERATORS):
+        for alpha, (a1, b1, a2, b2, a3, b3) in candidate_columns(j):
+            m, n = _zeta3_quantity(
+                a1 * x1 + b1 * x2 + a2 * x3 + b2 * x4 + a3 * x5 + b3 * x6,
+                a1 * y1 + b1 * y2 + a2 * y3 + b2 * y4 + a3 * y5 + b3 * y6,
+                a1 * z1 + b1 * z2 + a2 * z3 + b2 * z4 + a3 * z5 + b3 * z6,
+                a1 * w1 + b1 * w2 + a2 * w3 + b2 * w4 + a3 * w5 + b3 * w6,
+            )
+            sign = sqrt21_sign(m - m0, n - n0)
+            if sign <= 0:
+                yield sign, (m, n), j, alpha
+
+
+def ref_zeta7_sweep(v, own):
+    """The K(zeta_7) Ford sweep as a scan of every candidate column: v in
+    O_K(zeta_7)^3, each coordinate its ints F_1 .. F_6 and F_0 = 0, and the
+    quantity is the autocorrelation (h_0, .., h_3) of <v, col>."""
+    # conj(a + b tau) F = a F + b G with G = conj(tau) F, and conj(tau) =
+    # 1 + zeta^3 + zeta^5 + zeta^6; one row of ints (F_m, G_m of v3, v2,
+    # v1) per power of zeta, as col_k pairs with v_(4-k)
+    coords = [(0,) + _alg_ints(c) for c in reversed(v)]
+    rows = []
+    for m in range(7):
+        row = []
+        for f in coords:
+            row += (f[m], f[m] + f[m - 3] + f[m - 5] + f[m - 6])
+        rows.append(row)
+    o0, o1, o2, o3 = own
+    for j in sorted(GENERATORS):
+        for alpha, (a1, b1, a2, b2, a3, b3) in candidate_columns(j):
+            h = zeta7_autocorr([a1 * f3 + b1 * g3 + a2 * f2 + b2 * g2 + a3 * f1 + b3 * g1
+                                for f3, g3, f2, g2, f1, g1 in rows])
+            d0 = h[0] - o0
+            sign = eta_sign(h[1] - o1 - d0, h[2] - o2 - d0, h[3] - o3 - d0)
+            if sign <= 0:
+                yield sign, h, j, alpha
 
 
 @functools.cache

@@ -40,9 +40,10 @@ from picard7.ford import (
     spheres_containing,
 )
 from picard7.presentation import abcd
-from picard7.torsion import classify_elliptic
+from picard7.torsion import _torsion_candidates, classify_elliptic
 from reference import (
     act_horo,
+    candidate_columns,
     cygan_dist4,
     dist2_to_triangle,
     eigenspace_basis,
@@ -57,6 +58,8 @@ from reference import (
     ref_k_sweep,
     ref_reduce,
     ref_spheres_containing,
+    ref_zeta3_sweep,
+    ref_zeta7_sweep,
     sphere_membership,
     sqrt_lb,
     sqrt_ub,
@@ -244,7 +247,8 @@ def test_candidate_columns_match_matrix_reference():
             col = alpha.to_matrix().apply(first)
             assert all(c.d == 1 for c in col)
             want.append((alpha, tuple(x for c in col for x in (c.na, c.nb))))
-        assert candidate_spheres(j) == want
+        assert candidate_columns(j) == want
+        assert candidate_spheres(j) == {alpha for alpha, _ in want}
         total += len(want)
     assert total == 548
 
@@ -516,6 +520,85 @@ def test_k_sweep_matches_the_column_scan():
     vs, own, (_, _, sweep) = _sweep_vector((KNum(-1), KNum(1), KNum(0)))
     with pytest.raises(ArithmeticError, match="l-step"):
         list(sweep(vs, own))
+
+
+@functools.cache
+def tower_fixed_points():
+    """The isolated fixed points over K(zeta_3) and K(zeta_7) of the torsion
+    enumeration's candidates, each with its Omega representative."""
+    found = set()
+    for g, n in _torsion_candidates().items():
+        kind, pt, _ = classify_elliptic(g, n)
+        if kind == "isolated" and not pt.rational:
+            found.add(pt)
+    return [(x, reduce_to_domain(x)[1]) for x in sorted(found, key=lambda x: [c.ints for c in x.coords])]
+
+
+TOWER_SCANS = {3: ref_zeta3_sweep, 7: ref_zeta7_sweep}
+
+
+def tower_sweeps(x):
+    """The kernel's and the column scan's tuples at a tower point."""
+    vs, own, (_, _, sweep) = _sweep_vector(x.coords)
+    return list(sweep(vs, own)), list(TOWER_SCANS[vs[0].tower.n](vs, own))
+
+
+def test_tower_sweeps_match_the_column_scans():
+    # the K(zeta_3) and K(zeta_7) kernels, which evaluate only the
+    # translates in their certified window, yield what the scan of every
+    # candidate column does, tuple for tuple and in the same order: at the
+    # 20 tower fixed points of the enumeration and at their Omega
+    # representatives, which tie with spheres; at seeded orbit images of
+    # them; and above the height every sphere reaches, where neither yields
+    rng = random.Random(73)
+    letters = [GENERATORS[j] for j in sorted(GENERATORS)]
+    letters += [c.to_matrix() for c in (T1, TTAU, TV, R)]
+    pairs = tower_fixed_points()
+    assert sorted(x.coords[0].tower.n for x, _ in pairs) == [3] * 5 + [7] * 15
+    points = {"fixed": [], "reduced": [], "orbit": [], "high": []}
+    for x, y in pairs:
+        points["fixed"].append(x)
+        points["reduced"].append(y)
+        w = GroupElt.identity()
+        for _ in range(rng.randint(1, 3)):
+            w = rng.choice(letters) * w
+        points["orbit"].append(y.apply(w))
+        # v1 - 2 v3 raises u' = -<v, v>/|v3|^2 by 4, above every r^2 <= 2
+        v1, v2, v3 = y.coords
+        points["high"].append(ProjPoint((v1 - 2 * v3, v2, v3)))
+    ties = 0
+    for kind, xs in points.items():
+        for x in xs:
+            got, want = tower_sweeps(x)
+            assert got == want, (kind, x)
+            if kind == "high":
+                assert got == []
+            else:
+                assert got, (kind, x)
+            ties += sum(sign == 0 for sign, _, _, _ in got)
+    assert ties > 0
+
+
+def test_tower_sweeps_stay_in_their_window(monkeypatch):
+    # a scan makes one exact comparison per candidate column, 548 in all;
+    # the window makes fewer than 150 at each tower fixed point of the
+    # enumeration and at its Omega representative
+    calls = []
+
+    def counted(helper):
+        def sign(*args):
+            calls.append(args)
+            return helper(*args)
+        return sign
+
+    monkeypatch.setattr(ford, "sqrt21_sign", counted(sqrt21_sign))
+    monkeypatch.setattr(ford, "eta_sign", counted(eta_sign))
+    for pair in tower_fixed_points():
+        for x in pair:
+            vs, own, (_, _, sweep) = _sweep_vector(x.coords)
+            calls.clear()
+            list(sweep(vs, own))
+            assert 0 < len(calls) < 150, (x, len(calls))
 
 
 def test_sign_helpers_match_mpmath():

@@ -275,8 +275,9 @@ def test_cli_command_loads_no_argparse():
 
 
 def test_gamma_algebra_runs_on_group_elements():
-    # charpolys, eigenspaces, residues and the action on vectors run on a
-    # GroupElt's 18 ints; a Mat keeps its edge role: literals, JSON, products
+    # charpolys, residues and the action on vectors run on a GroupElt's 18
+    # ints, and eigenvectors (torsion._eigenvector) on the KNum rows of
+    # g.entries(); a Mat keeps its edge role: literals, JSON, products
     bound = bound_names(ast.parse((SRC / "hermitian.py").read_text()).body)
     gone = {"Mat.apply", "Mat.charpoly", "Mat.det", "Mat.trace", "Mat.__neg__", "_dot_k"}
     assert {"Mat.__mul__", "GroupElt.charpoly", "GroupElt.apply"} <= bound and not bound & gone

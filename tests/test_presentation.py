@@ -95,7 +95,9 @@ def test_coverage():
 
 
 def test_coverage_reduces_each_isolated_row_once(monkeypatch):
-    # a row's reduced fixed point serves every class of the row's order
+    # a row's reduced fixed point serves every class of the row's order,
+    # and each distinct isolated fixed point is reduced once: d^-2 c^2 and
+    # (d^-2 c^2)^2 share one, and so do ababa and (ad^2)^2
     reduce = presentation.reduce_to_domain
     reduced = []
 
@@ -107,9 +109,12 @@ def test_coverage_reduces_each_isolated_row_once(monkeypatch):
     coverage_report.cache_clear()
     assert coverage_report()["all_covered"]
     isolated = [
-        row for row in torsion_word_rows() if classify_elliptic(row["elt"], row["order"])[0] == "isolated"
+        pt for kind, pt, _ in (classify_elliptic(row["elt"], row["order"]) for row in torsion_word_rows())
+        if kind == "isolated"
     ]
-    assert len(reduced) == len(isolated) == 10
+    assert len(isolated) == 10
+    assert len(reduced) == len(set(reduced)) == len(set(isolated)) == 8
+    assert set(reduced) == set(isolated)
 
 
 def test_coverage_powers_nontrivial():

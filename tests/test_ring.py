@@ -22,7 +22,7 @@ from picard7.ring import (
     zeta3_tower,
     zeta7_tower,
 )
-from reference import o_divmod, real_cmp
+from reference import o_divmod, real_cmp, ref_parse_knum
 
 
 def rand_knum(rng, den=1):
@@ -104,6 +104,32 @@ def test_parse_refuses_juxtaposed_terms_and_dangling_star(text):
     # every term after the first needs its sign, and '*' only joins a coefficient to tau
     with pytest.raises(ValueError, match="bad K-number literal"):
         parse_knum(text)
+
+
+def test_parse_on_ints_matches_the_fraction_parser():
+    # the int parser reads the same values as the Fraction one, on seeded
+    # literals with p/q coefficients, bare tau, signs and whitespace, and
+    # refuses the same literals with the same messages
+    rng = random.Random(71)
+
+    def term(first):
+        sign = rng.choice(["", "+", "-"] if first else ["+", "-"])
+        coef = str(rng.randint(0, 40))
+        if rng.random() < 0.5:
+            coef += "/" + str(rng.randint(1, 12))
+        body = rng.choice([coef, coef + "*tau", coef + " * tau", coef + "tau", "tau"])
+        return rng.choice(["", " "]) + sign + rng.choice(["", " "]) + body
+
+    literals = ["0", "tau", "-tau", "+tau", " 1/2 + 3*tau ", "4/6-8/12*tau", "0/5+0*tau"]
+    literals += ["".join(term(i == 0) for i in range(rng.randint(1, 4))) for _ in range(300)]
+    for text in literals:
+        assert parse_knum(text) == ref_parse_knum(text), text
+    for text in ["", "2+x", "1/0+tau", "1 2", "tau tau", "1*", "1/0", "tau+0/0*tau"]:
+        with pytest.raises(ValueError) as got:
+            parse_knum(text)
+        with pytest.raises(ValueError) as want:
+            ref_parse_knum(text)
+        assert str(got.value) == str(want.value), text
 
 
 def test_euclidean_division():
