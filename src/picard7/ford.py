@@ -44,8 +44,10 @@ from .hermitian import (
     _norm_ints,
 )
 from .heisenberg import (
+    BRACKET,
     CuspElt,
     act_prism,
+    bracket,
     in_prism,
     prism_coordinates,
     reduce_to_prism,
@@ -151,7 +153,9 @@ SPHERES = {j: IsomSphere(g) for j, g in GENERATORS.items()}
 # conservative square-root bounds, as ints over 2^16
 # ---------------------------------------------------------------------------
 
-_SQRT_DEN = 2**16
+# the tower sweeps hold these bounds against the brackets of a point's
+# coordinates (`heisenberg.bracket`), so both are over 2^16
+_SQRT_DEN = BRACKET
 
 
 def _sqrt_ints(num: int, den: int):
@@ -511,9 +515,9 @@ def _tower_sweep(v, own, rows, quantity, cmp):
     quantity(x) is the field's quantity of that <v, col>, and cmp compares
     quantities exactly, as in _KERNELS.  The point's z = a + b tau, s and
     u' = -<v, v>/|v3|^2 are real elements of the field; each lies in
-    [k, k + 1]/2^16 for its bracket k = floor(2^16 x), exact by floor_real
-    in both fields.  So u' >= ku/2^16, and zc = (ka + kb tau)/2^16 is within
-    |1 + tau|/2^16 = 2/2^16 of z.
+    [k, k + 1]/2^16 for its bracket k = floor(2^16 x) (`bracket`), exact
+    by floor_real in both fields.  So u' >= ku/2^16, and zc = (ka + kb
+    tau)/2^16 is within |1 + tau|/2^16 = 2/2^16 of z.
 
     For the center z0 = p + q tau of alpha(I(A_j)) and its s = sc at l = 0,
     |<v/v3, col/col3>|^2 = ((u' + N(z - z0))^2 + 28 (l - l*)^2)/4 with
@@ -525,7 +529,7 @@ def _tower_sweep(v, own, rows, quantity, cmp):
     <v, col> = Z + l D with D = <v, (i sqrt(7) c3, 0, 0)>.
     """
     a, b, s, _ = prism_coordinates(v)
-    ka, kb, ks, ku = ((x * _SQRT_DEN).floor_real() for x in (a, b, s, -sq_norm(v) / v[2].abs2()))
+    ka, kb, ks, ku = map(bracket, (a, b, s, -sq_norm(v) / v[2].abs2()))
     for j in sorted(GENERATORS):
         sph = SPHERES[j]
         za, zb, sn, zd = sph.center

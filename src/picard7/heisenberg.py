@@ -17,8 +17,10 @@ prism coordinates (a, b, s, den), read off its vector (`prism_coordinates`):
 its projection to the boundary is z = (a + b tau)/den and t = s sqrt(7)/den.
 They are ints for a K-rational point and real AlgNums over den = 1 for a
 point over K(zeta_3) or K(zeta_7).  A cusp element acts on them affinely
-(`act_prism`), one formula for both kinds, and prism reduction is closed
-form on them.
+(`act_prism`), one formula for both kinds.  Prism reduction and the overlap
+test are closed form on ints: a K-rational point's own, and for a tower
+point the ints of its certified brackets floor(2^16 x) (`bracket`), with an
+exact AlgNum sign or floor only where a bracket's window straddles the bound.
 """
 
 from __future__ import annotations
@@ -173,28 +175,82 @@ def act_prism(c: CuspElt, x):
     return m * den + a, n * den + b, s + (m - m * n + 2 * l) * den + n * a - m * b, den
 
 
-def _in_triangle(a, b, den) -> bool:
-    """Whether z = (a + b tau)/den lies in D, the triangle with vertices 0,
-    1, tau: a, b >= 0 and a + b <= den, on ints, or by real_sign on AlgNums."""
+#: the scale of the brackets of tower coordinates
+BRACKET = 1 << 16
+
+
+def bracket(x) -> int:
+    """The bracket k = floor(2^16 x) of a real AlgNum x, exact by floor_real
+    in both towers: k <= 2^16 x < k + 1."""
+    return (x * BRACKET).floor_real()
+
+
+def _grid(x):
+    """(g, r): prism coordinates x on ints, and the radius of their windows.
+
+    Int coordinates are their own grid, with r = 0.  A tower a, b or s
+    (den = 1) has the grid value 2k + 1 over 2^17 for its bracket k, and
+    |2^17 y - (2k + 1)| <= 1: r = 1.  So den times an int combination of
+    a, b, s and den, with coefficients c_a, c_b, c_s of a, b and s, lies
+    within r (|c_a| + |c_b| + |c_s|) of the same combination of the grid
+    values.
+    """
+    a, b, s, den = x
     if type(a) is int:
+        return x, 0
+    return (2 * bracket(a) + 1, 2 * bracket(b) + 1, 2 * bracket(s) + 1, 2 * BRACKET), 1
+
+
+def _sign(t: int, r: int, exact) -> int:
+    """The sign of a real v with den v within r of its grid value t.
+
+    t decides it unless the window [t - r, t + r] holds 0.  Then r > 0, v
+    is a tower number, and exact() gives it for real_sign.
+    """
+    if t > r:
+        return 1
+    if t < -r:
+        return -1
+    return exact().real_sign() if r else 0
+
+
+def _floor(t: int, r: int, d: int, den: int, exact) -> int:
+    """floor(v/d) for an int d > 0 and v as in _sign: the floor of both
+    ends of the window over d den, unless they differ.  Then exact() gives
+    v, and floor(v/d) = floor(floor(v)/d)."""
+    k = (t - r) // (d * den)
+    if not r or k == (t + r) // (d * den):
+        return k
+    return exact().floor_real() // d
+
+
+def _in_triangle(a, b, den, r, exact) -> bool:
+    """Whether z = (a + b tau)/den lies in D, the triangle with vertices 0,
+    1, tau: a, b >= 0 and a + b <= den, for grid values a, b within r.
+    exact() gives the coordinates (a tower den is 1)."""
+    if not r:
         return a >= 0 and b >= 0 and a + b <= den
-    return all(y.real_sign() >= 0 for y in (a, b, den - a - b))
+    return (_sign(a, r, lambda: exact()[0]) >= 0
+            and _sign(b, r, lambda: exact()[1]) >= 0
+            and _sign(den - a - b, 2 * r, lambda: 1 - exact()[0] - exact()[1]) >= 0)
+
+
+def _in_prism(g, r, rs, exact) -> bool:
+    """in_prism on grid coordinates g whose a and b lie within r, and s
+    within rs, of their points'; exact() gives the point's coordinates."""
+    a, b, s, den = g
+    if not r:
+        return a >= 0 and b >= 0 and a + b <= den and 0 <= s <= 2 * den
+    return (_in_triangle(a, b, den, r, exact)
+            and _sign(s, rs, lambda: exact()[2]) >= 0
+            and _sign(2 * den - s, rs, lambda: 2 - exact()[2]) >= 0)
 
 
 def in_prism(x) -> bool:
     """Whether prism coordinates x lie in P = D x [0, 2 sqrt(7)]: z in D
     and 0 <= s <= 2 den."""
-    a, b, s, den = x
-    if not _in_triangle(a, b, den):
-        return False
-    if type(s) is int:
-        return 0 <= s <= 2 * den
-    return s.real_sign() >= 0 and (2 * den - s).real_sign() >= 0
-
-
-def _floor(x, d: int) -> int:
-    """floor(x/d) for an int or a real AlgNum x and an int d > 0."""
-    return x // d if type(x) is int else (x / d).floor_real()
+    g, r = _grid(x)
+    return _in_prism(g, r, r, lambda: x)
 
 
 def reduce_to_prism(x) -> CuspElt:
@@ -206,15 +262,21 @@ def reduce_to_prism(x) -> CuspElt:
     z -> 1 + tau - z gives 1 - a/den and 1 - b/den in (0, 1) with a sum
     below 1: one flip lands z in D, so (m, n, eps) is (-k, -j, 0) or
     (k + 1, j + 1, 1).  T_v^l adds 2l to s/den, so l is minus the floor of
-    s/(2 den) after (m, n, eps, 0), which lands s in [0, 2 den).
+    s/(2 den) after (m, n, eps, 0), which lands s in [0, 2 den).  Each sign
+    and floor is read off the grid of x (`_grid`), and decided exactly
+    only when its window straddles the threshold.
     """
-    a, b, _, den = x
-    k, j = _floor(a, den), _floor(b, den)
-    y = a + b - (k + j + 1) * den
-    flip = y > 0 if type(y) is int else y.real_sign() > 0
+    g, r = _grid(x)
+    a, b, _, den = g
+    k = _floor(a, r, 1, den, lambda: x[0])
+    j = _floor(b, r, 1, den, lambda: x[1])
+    flip = _sign(a + b - (k + j + 1) * den, 2 * r, lambda: x[0] + x[1] - (k + j + 1)) > 0
     m, n, eps = (k + 1, j + 1, 1) if flip else (-k, -j, 0)
-    c = CuspElt(m, n, eps, -_floor(act_prism(CuspElt(m, n, eps), x)[2], 2 * den))
-    if not in_prism(act_prism(c, x)):
+    part = CuspElt(m, n, eps)
+    # the image of s is s + s0 den + sigma (n a - m b)
+    rs = r * (1 + abs(m) + abs(n))
+    c = CuspElt(m, n, eps, -_floor(act_prism(part, g)[2], rs, 2, den, lambda: act_prism(part, x)[2]))
+    if not _in_prism(act_prism(c, g), r, rs, lambda: act_prism(c, x)):
         raise ArithmeticError("prism reduction left the prism")
     return c
 
@@ -294,17 +356,22 @@ def overlaps_keeping(x):
     The overlaps come in runs of one planar part (m, n, eps), whose image
     z is tested against D once.  Along a run, s' = base + 2 l den, so with
     k = floor(base/(2 den)), only l = -k keeps s' in [0, 2 den), and l = 1 - k
-    gives s' = 2 den exactly when base = 2 k den.
+    gives s' = 2 den exactly when base = 2 k den.  Each test is read off
+    the grid of x, as in reduce_to_prism.
     """
-    den = x[3]
+    g, r = _grid(x)
+    den = g[3]
     out = []
     for part, run in groupby(enumerate_cusp_overlaps(), key=itemgetter(0, 1, 2)):
         # the image of x under (m, n, eps, 0), read off its four ints
-        pa, pb, base, _ = act_prism(part + (0,), x)
-        if not _in_triangle(pa, pb, den):
+        planar = part + (0,)
+        pa, pb, base, _ = act_prism(planar, g)
+        if not _in_triangle(pa, pb, den, r, lambda: act_prism(planar, x)):
             continue
-        k = _floor(base, 2 * den)
-        last = 1 - k if base == 2 * den * k else -k
+        rs = r * (1 + abs(part[0]) + abs(part[1]))
+        k = _floor(base, rs, 2, den, lambda: act_prism(planar, x)[2])
+        tie = _sign(base - 2 * den * k, rs, lambda: act_prism(planar, x)[2] - 2 * k) == 0
+        last = 1 - k if tie else -k
         out += [c for c in run if -k <= c.l <= last and c != IDENTITY]
     return out
 

@@ -27,6 +27,7 @@ from .ring import (
     knum_from_ints,
     o_gcd_many,
     parse_knum,
+    _alg,
 )
 
 
@@ -202,6 +203,19 @@ def ints_product(x, y):
         a6 * c2 + a7 * c5 + a8 * c8 - 2 * q8,
         a6 * e2 + a7 * e5 + a8 * e8 + b6 * c2 + b7 * c5 + b8 * c8 + q8,
     )
+
+
+def ints_inverse(t):
+    """The 18 ints of M^-1 = J M* J, for M in U(J) with 18 ints t.
+
+    M lies in U(J), so M* J M = J and J^-1 = J.  Entry (i, j) of the
+    inverse is conj(M[2-j][2-i]), entry 8 - n for n = 3i + j, with
+    conj(a + b tau) = (a + b) - b tau: no determinant, no division.
+    """
+    a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, a8, b8 = t
+    return (a8 + b8, -b8, a5 + b5, -b5, a2 + b2, -b2,
+            a7 + b7, -b7, a4 + b4, -b4, a1 + b1, -b1,
+            a6 + b6, -b6, a3 + b3, -b3, a0 + b0, -b0)
 
 
 def ints_are_scalar(t) -> bool:
@@ -479,9 +493,9 @@ class GroupElt:
     lexicographic (a, b) ring order, which is the one whose first nonzero
     int is positive.  Equality and hashing act on the canonical ints,
     implementing projectivization; products, inverses, the characteristic
-    polynomial and the action on K^3 run on the ints.  `entries()`, the rows
-    of KNums (for eigenvectors and tower vectors), and the Mat view `mat` (for
-    JSON) are built on each call.
+    polynomial and the action on vectors run on the ints.  `entries()`, the
+    rows of KNums (for eigenvectors), and the Mat view `mat` (for JSON) are
+    built on each call.
     """
 
     __slots__ = ("ints", "word")
@@ -535,21 +549,11 @@ class GroupElt:
         return GroupElt.from_ints(ints_product(self.ints, other.ints), word)
 
     def inverse(self) -> "GroupElt":
-        """The inverse J M* J: M lies in U(J), so M* J M = J and J^-1 = J.
-
-        Its entry (i, j) is conj(M[2-j][2-i]), entry 8 - n for n = 3i + j,
-        with conj(a + b tau) = (a + b) - b tau: no determinant, no division.
-        """
+        """The inverse, on the ints (`ints_inverse`)."""
         word = None
         if self.word is not None:
             word = tuple(_invert_letter(x) for x in reversed(self.word))
-        a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, a8, b8 = self.ints
-        return GroupElt.from_ints(
-            (a8 + b8, -b8, a5 + b5, -b5, a2 + b2, -b2,
-             a7 + b7, -b7, a4 + b4, -b4, a1 + b1, -b1,
-             a6 + b6, -b6, a3 + b3, -b3, a0 + b0, -b0),
-            word,
-        )
+        return GroupElt.from_ints(ints_inverse(self.ints), word)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -589,14 +593,29 @@ class GroupElt:
                 knum_from_ints(-t[0] - t[8] - t[16], -t[1] - t[9] - t[17]), ONE)
 
     def apply(self, v):
-        """M v, for v in K^3 (on the ints of d v, d the lcm of the
-        denominators) or with coordinates in K(zeta_3) or K(zeta_7)."""
+        """M v, for v in K^3 or with coordinates in K(zeta_3) or K(zeta_7),
+        on ints over d, the lcm of the denominators.
+
+        A tower v is the ints F_k of each d v_k in its field, which make
+        (a + b tau) d v_k = a F_k + b (tau F_k): each coordinate of M v is
+        one int combination of the F_k and tau F_k, and one normal form."""
         v1, v2, v3 = v
         if type(v1) is type(v2) is type(v3) is KNum:
             w, d = _scaled_ints(v)
             w = _apply_ints(self.ints, w)
             return tuple(map(knum_from_ints, w[0::2], w[1::2], (d, d, d)))
-        return tuple(sum((x * y for x, y in zip(r, v)), start=ZERO) for r in self.entries())
+        tw = next(x.tower for x in v if isinstance(x, AlgNum))
+        v = [x if isinstance(x, AlgNum) else AlgNum.lift(tw, x) for x in v]
+        d = lcm(*(x.den for x in v))
+        fs = [x.ints if x.den == d else tuple(c * (d // x.den) for c in x.ints) for x in v]
+        tau = tw.lift(0, 1)
+        cols = list(zip(*(g for f in fs for g in (f, tw.mul(tau, f)))))
+        t = self.ints
+        return tuple(
+            _alg(tw, tuple(a1 * p1 + b1 * q1 + a2 * p2 + b2 * q2 + a3 * p3 + b3 * q3
+                           for p1, q1, p2, q2, p3, q3 in cols), d)
+            for a1, b1, a2, b2, a3, b3 in (t[0:6], t[6:12], t[12:18])
+        )
 
 
 # GroupElt.__setattr__ refuses every write, so new elements get their two

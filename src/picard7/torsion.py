@@ -19,6 +19,7 @@ from math import gcd
 from .ring import (
     AlgNum,
     ONE,
+    knum_from_ints,
     zeta3_tower,
     zeta7_tower,
 )
@@ -28,6 +29,7 @@ from .hermitian import (
     Mat,
     ProjPoint,
     ints_are_scalar,
+    ints_inverse,
     ints_product,
     primitive_rep,
     sq_norm,
@@ -142,17 +144,34 @@ def _simple_eigenpoint(g: GroupElt, charpoly, lam):
 def reflection_polar(g: GroupElt):
     """(polar ProjPoint, polar norm) if g is a complex reflection, else None.
 
-    g must have finite order (see _simple_eigenpoint); the elements of a
-    FiniteGroup, the enumeration's candidates and the word-table rows do.
+    A reflection of Gamma is an involution whose -1-eigenline, read off a
+    column of I - g, is positive: an int product and one norm.  Any element
+    of Gamma may be passed; one of infinite order fails g^2 = I.
     """
-    charpoly = g.charpoly()
-    lam = _repeated_eigenvalue(charpoly)
-    if lam is None:
+    t = g.ints
+    # A g other than 1 that fixes a complex line pointwise has a repeated
+    # eigenvalue lam there, and a double root of a cubic over K lies in K.
+    # g keeps the form on that line, which holds vectors of nonzero norm, so
+    # |lam| = 1: lam is an integral unit of K, lam = +-1.  det g = +-1 makes
+    # the simple eigenvalue +-1 as well, and not lam, or g would be scalar:
+    # g^2 = I.  (g^2 = -I would need the eigenvalues +-i, which are not in
+    # K.)  Conversely an involution g other than 1 has the eigenvalues lam,
+    # lam, -lam with lam = tr g, and g' = lam g has trace 1: I - g' is twice
+    # the projection onto its -1-eigenline p along the 1-eigenplane p^perp,
+    # so its nonzero columns span p, and p^perp is a complex line exactly
+    # when <p, p> > 0 (Goldman, Complex Hyperbolic Geometry, 3.1).
+    if t == ID_INTS or ints_product(t, t) != ID_INTS:
         return None
-    polar, norm = _simple_eigenpoint(g, charpoly, lam)
-    if norm.real_sign() < 0:
+    lam = t[0] + t[8] + t[16]
+    for j in range(3):
+        col = [knum_from_ints(int(i == j) - lam * t[6 * i + 2 * j], -lam * t[6 * i + 2 * j + 1])
+               for i in range(3)]
+        if not all(x.is_zero() for x in col):
+            break
+    if sq_norm(col).real_sign() <= 0:
         return None
-    return polar, int(norm.rat())
+    polar = ProjPoint(col)
+    return polar, int(polar.sq_norm().rat())
 
 
 def classify_elliptic(g: GroupElt, n: int):
@@ -288,14 +307,15 @@ def reflection_conjugacy(g1: GroupElt, g2: GroupElt):
     """An exact conjugator with delta g1 delta^-1 = g2, or None.
 
     Conjugating a reflection transports its polar vector, so the search is a
-    meet-in-the-middle orbit walk on the two polar points.  None is a proof
-    of non-conjugacy only when the order or polar-norm test rejects the pair;
-    a None from the bounded search proves nothing, so it only merges classes.
+    meet-in-the-middle orbit walk on the two polar points.  Every reflection
+    of Gamma is an involution (see reflection_polar), so None is a proof of
+    non-conjugacy only when the polar norms differ; a None from the bounded
+    search proves nothing, so it only merges classes.
     """
     r1, r2 = reflection_polar(g1), reflection_polar(g2)
     if r1 is None or r2 is None:
         raise ValueError("both elements must be complex reflections")
-    if projective_order(g1) != projective_order(g2) or r1[1] != r2[1]:
+    if r1[1] != r2[1]:
         return None
     half = (CONJUGACY_SEARCH_LEN + 1) // 2
     fwd = _orbit_ball(r1[0], half)
@@ -350,14 +370,18 @@ def build_cycle_graph(points):
     gets the transport g t_p for the least (by ints) move g from p to q;
     every move p -> q by g gives the Schreier generator t_q^-1 g t_p of the
     base's stabilizer (Holt, Eick and O'Brien, Handbook of Computational
-    Group Theory, ch. 4), kept unless it is the identity.
+    Group Theory, ch. 4).  The move that found q gives the identity and is
+    skipped; the others are int products, with t_q^-1 taken once per
+    vertex, and each distinct one other than the identity becomes a
+    GroupElt.
     """
     graph = {}
     for base in points:
         if any(base in orbit.transports for orbit in graph.values()):
             continue
         transports = {base: GroupElt.identity()}
-        gens = []
+        inverses = {base: ID_INTS}
+        gens = {}
         found = [base]
         for p in found:
             moves = list(_moves(p))
@@ -367,13 +391,15 @@ def build_cycle_graph(points):
                     least[q] = g
             tp = transports[p]
             for q, g in least.items():
-                transports[q] = g * tp
+                transports[q] = t = g * tp
+                inverses[q] = ints_inverse(t.ints)
                 found.append(q)
             for g, q in moves:
-                s = transports[q].inverse() * g * tp
-                if not s.is_identity():
-                    gens.append(s)
-        graph[base] = Orbit(transports, gens)
+                if least.get(q) is not g:
+                    s = ints_product(inverses[q], ints_product(g.ints, tp.ints))
+                    if not ints_are_scalar(s):
+                        gens[s] = None
+        graph[base] = Orbit(transports, list(dict.fromkeys(map(GroupElt.from_ints, gens))))
     return graph
 
 
@@ -406,8 +432,6 @@ class FiniteGroup:
     def _analyze_reflections(self):
         polars = {}
         for g in self.elements:
-            if g.is_identity():
-                continue
             refl = reflection_polar(g)
             if refl is not None:
                 polars[refl[0]] = refl[1]
@@ -415,7 +439,6 @@ class FiniteGroup:
         self.one_lines = sum(1 for _, n in polars.items() if n == 1)
         self.two_lines = sum(1 for _, n in polars.items() if n == 2)
         self.two_line_orbits = self._orbit_sizes([p for p, n in polars.items() if n == 2])
-        self.one_line_orbits = self._orbit_sizes([p for p, n in polars.items() if n == 1])
 
     def _orbit_sizes(self, points):
         remaining = set(points)

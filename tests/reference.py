@@ -8,7 +8,8 @@ them.  This module holds no tests.
 import functools
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 from math import isqrt, lcm
 
 from picard7.ford import (
@@ -45,7 +46,7 @@ from picard7.ring import (
     sqrt21_sign,
     zeta7_autocorr,
 )
-from picard7.torsion import _moves
+from picard7.torsion import _moves, _repeated_eigenvalue, _simple_eigenpoint
 
 
 def mat_apply(m: Mat, v):
@@ -742,3 +743,74 @@ def ref_stabilizer_gens(edges, transports):
             if not s.is_identity():
                 gens.append(s)
     return gens
+
+
+# ---------------------------------------------------------------------------
+# reflections by the repeated eigenvalue
+# ---------------------------------------------------------------------------
+
+
+def ref_reflection_polar(g: GroupElt):
+    """(polar ProjPoint, polar norm) if g is a complex reflection, else None.
+
+    g must have finite order (see _simple_eigenpoint); the elements of a
+    FiniteGroup, the enumeration's candidates and the word-table rows do.
+    """
+    charpoly = g.charpoly()
+    lam = _repeated_eigenvalue(charpoly)
+    if lam is None:
+        return None
+    polar, norm = _simple_eigenpoint(g, charpoly, lam)
+    if norm.real_sign() < 0:
+        return None
+    return polar, int(norm.rat())
+
+
+# ---------------------------------------------------------------------------
+# prism decisions with every sign and floor of a tower point an AlgNum test
+# ---------------------------------------------------------------------------
+
+
+def _algnum_in_triangle(a, b, den) -> bool:
+    if type(a) is int:
+        return a >= 0 and b >= 0 and a + b <= den
+    return all(y.real_sign() >= 0 for y in (a, b, den - a - b))
+
+
+def algnum_in_prism(x) -> bool:
+    a, b, s, den = x
+    if not _algnum_in_triangle(a, b, den):
+        return False
+    if type(s) is int:
+        return 0 <= s <= 2 * den
+    return s.real_sign() >= 0 and (2 * den - s).real_sign() >= 0
+
+
+def _algnum_floor(x, d: int) -> int:
+    """floor(x/d) for an int or a real AlgNum x and an int d > 0."""
+    return x // d if type(x) is int else (x / d).floor_real()
+
+
+def algnum_reduce_to_prism(x) -> CuspElt:
+    a, b, _, den = x
+    k, j = _algnum_floor(a, den), _algnum_floor(b, den)
+    y = a + b - (k + j + 1) * den
+    flip = y > 0 if type(y) is int else y.real_sign() > 0
+    m, n, eps = (k + 1, j + 1, 1) if flip else (-k, -j, 0)
+    c = CuspElt(m, n, eps, -_algnum_floor(act_prism(CuspElt(m, n, eps), x)[2], 2 * den))
+    if not algnum_in_prism(act_prism(c, x)):
+        raise ArithmeticError("prism reduction left the prism")
+    return c
+
+
+def algnum_overlaps_keeping(x):
+    den = x[3]
+    out = []
+    for part, run in groupby(enumerate_cusp_overlaps(), key=itemgetter(0, 1, 2)):
+        pa, pb, base, _ = act_prism(part + (0,), x)
+        if not _algnum_in_triangle(pa, pb, den):
+            continue
+        k = _algnum_floor(base, 2 * den)
+        last = 1 - k if base == 2 * den * k else -k
+        out += [c for c in run if -k <= c.l <= last and c != IDENTITY]
+    return out

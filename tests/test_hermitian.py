@@ -143,6 +143,25 @@ def test_tower_vectors_take_the_generic_path(monkeypatch):
                 assert g.apply(v) == mat_apply(g.mat, v)
 
 
+@pytest.mark.parametrize("tower", [zeta3_tower, zeta7_tower])
+def test_tower_apply_matches_the_entrywise_sum(tower):
+    # the int rows F_k, tau F_k of a tower vector over one denominator
+    # against the sum of the KNum entries' AlgNum products, on seeded words
+    # and vectors that mix KNum and AlgNum coordinates with denominators
+    rng = random.Random(83)
+    tw = tower()
+    z = AlgNum.gen(tw)
+    mixed = 0
+    for g, _ in _random_words(29, 60):
+        v = [_rand_k(rng) for _ in range(3)]
+        for i in rng.sample(range(3), rng.randint(1, 3)):
+            v[i] = sum((_rand_k(rng) * z ** k for k in range(tw.degree)), start=AlgNum.lift(tw, 0))
+        mixed += any(type(x) is KNum for x in v)
+        got = g.apply(v)
+        assert got == mat_apply(g.mat, v) and all(type(x) is AlgNum for x in got)
+    assert mixed > 0
+
+
 def test_group_inverse_is_j_conj_transpose_j():
     from picard7.ford import GENERATORS
     from picard7.heisenberg import R, T1, TTAU, TV

@@ -333,3 +333,15 @@ def test_src_has_no_row_reduction():
     assert {p.name: sorted(bound_names(ast.parse(p.read_text()).body) & gone) for p in MODULES} == {
         p.name: [] for p in MODULES
     }
+
+
+def test_reflection_count_reads_no_eigenvalues():
+    # a FiniteGroup counts its reflections with reflection_polar on every
+    # element: an involution test and one column of I - g, so none of the
+    # classification's K arithmetic runs there
+    source = ast.parse((SRC / "torsion.py").read_text())
+    fn = next(n for n in source.body if isinstance(n, ast.FunctionDef) and n.name == "reflection_polar")
+    names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+    assert "ints_product" in names
+    assert not names & {"charpoly", "_repeated_eigenvalue", "_eigenvector"}

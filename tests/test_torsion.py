@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from picard7.ring import ISQRT7, KNum, TAU_BAR
+from picard7.ring import ISQRT7, TAU, AlgNum, KNum, TAU_BAR, zeta3_tower, zeta7_tower
 from picard7.hermitian import GroupElt, Mat, ProjPoint, sq_norm
 from picard7.heisenberg import (
     IDENTITY,
@@ -15,12 +15,14 @@ from picard7.heisenberg import (
     TV,
     act_prism,
     enumerate_cusp_overlaps,
+    in_prism,
     overlaps_keeping,
     prism_coordinates,
+    reduce_to_prism,
 )
 from picard7.ford import GENERATORS, INVERSE_PAIRS, enumerate_tjk, reduce_to_domain
-from picard7.presentation import abcd
-from picard7 import torsion
+from picard7.presentation import abcd, torsion_word_rows
+from picard7 import heisenberg, torsion
 from picard7.torsion import (
     ClosureError,
     FiniteGroup,
@@ -40,19 +42,26 @@ from picard7.torsion import (
     _search_alphabet,
 )
 from reference import (
+    HoroPoint,
     Prism,
     _is_mirror,
     act_horo,
+    algnum_in_prism,
+    algnum_overlaps_keeping,
+    algnum_reduce_to_prism,
     eigenspace_basis,
     fixes_q_inf,
     horo_coords,
+    lift,
     mat_charpoly,
     ref_cycle_graph,
     ref_overlaps_keeping,
+    ref_reflection_polar,
     ref_spanning_transports,
     ref_stabilizer_gens,
     tjk_in_box,
 )
+from test_ford import tower_fixed_points
 from test_hygiene import MODULES, bound_names
 
 V1 = ProjPoint((-TAU_BAR, KNum(0), KNum(1)))
@@ -210,6 +219,64 @@ def test_mirror_is_a_positive_simple_eigenvector():
         assert (sign > 0) == _is_mirror(g, lam) == (reflection_polar(g) is not None)
         signs.append(sign)
     assert 1 in signs and -1 in signs
+
+
+def test_involution_test_matches_the_eigenvalue_reference():
+    # reflection_polar reads a reflection off g^2 = I and a column of I - g;
+    # on elements of finite order it agrees with the repeated-eigenvalue
+    # reference: every element other than 1 of every isolated class's
+    # stabilizer, the enumeration's candidates and the word-table rows.
+    # The identity is no reflection (the reference has no repeated
+    # eigenvalue to read there)
+    assert reflection_polar(GroupElt.identity()) is None
+    stabs = {c.fixed: c.stab for c in enumerate_torsion() if c.kind == "isolated"}
+    elts = [g for s in stabs.values() for g in s.elements if not g.is_identity()]
+    cands = list(torsion._torsion_candidates())
+    assert len(cands) == 65
+    rows = [g for row in torsion_word_rows()
+            for g in [row["elt"], row["other"][1]] + [alt for _, alt in row["alt"]]]
+    found = {True: 0, False: 0}
+    for g in elts + cands + rows:
+        got = reflection_polar(g)
+        assert got == ref_reflection_polar(g)
+        found[got is None] += 1
+    assert found[True] and found[False]
+
+
+def test_involution_test_refuses_infinite_order_words():
+    # seeded words in the side pairings and cusp letters: on those of finite
+    # order both paths agree, and those of infinite order fail g^2 = I.  The
+    # reference assumes finite order: it gives None on most of them too,
+    # but raises on a unipotent word (a triple eigenvalue)
+    rng = random.Random(71)
+    cusp = [c.to_matrix() for c in (T1, TTAU, TV, R)]
+    cusp += [c.inverse() for c in cusp]
+    pairs = list(GENERATORS.values())
+    seen = {"finite": 0, "none": 0, "raises": 0}
+    for _ in range(300):
+        w = rng.choice(pairs)
+        for _ in range(rng.randint(0, 3)):
+            w = rng.choice(pairs) * rng.choice(cusp) * w
+        got = reflection_polar(w)
+        if projective_order(w) is not None:
+            assert got == ref_reflection_polar(w)
+            seen["finite"] += 1
+            continue
+        assert got is None
+        try:
+            assert ref_reflection_polar(w) is None
+            seen["none"] += 1
+        except ArithmeticError as e:
+            assert "triple eigenvalue" in str(e)
+            seen["raises"] += 1
+    assert all(seen.values()), seen
+    # R Tv is ellipto-parabolic: its repeated eigenvalue 1 has one
+    # eigenvector, and the reference reads the positive eigenline of -1 as
+    # a polar; it is not an involution
+    w = R.to_matrix() * TV.to_matrix()
+    assert projective_order(w) is None and len(eigenspace_basis(w, KNum(1))) == 1
+    assert ref_reflection_polar(w) == (ProjPoint((KNum(0), KNum(1), KNum(0))), 1)
+    assert reflection_polar(w) is None
 
 
 def test_tjk_basics():
@@ -419,6 +486,19 @@ def test_walk_matches_the_edge_list_fixpoint():
     assert parallel > 0
 
 
+def test_schreier_generators_are_distinct_int_products():
+    # each orbit keeps each Schreier generator once and never the identity,
+    # where the edge composites repeat some
+    repeats = 0
+    for p in _one_point_graph_points():
+        gens = build_cycle_graph([p])[p].gens
+        assert len(set(gens)) == len(gens) and not any(g.is_identity() for g in gens)
+        _, edges = ref_cycle_graph([p])
+        ref_gens = ref_stabilizer_gens(edges, ref_spanning_transports(edges, 0))
+        repeats += len(ref_gens) - len(set(ref_gens))
+    assert repeats > 0
+
+
 def test_walk_bases_each_orbit_once():
     # a given point that an earlier walk reached is not a base, and the
     # stabilizer is read at bases only
@@ -553,6 +633,70 @@ def test_overlaps_keeping_matches_one_prism_test_per_overlap():
                 assert overlaps_keeping(y) == ref_overlaps_keeping(y)
     # both kinds of vertex keep some overlap, so both branches decide a move
     assert kept[True] > 0 and kept[False] > 0
+
+
+def _count_fallbacks(monkeypatch):
+    """The exact tests that heisenberg's grid decisions fall back to, as
+    they run: one entry per call of an `exact` argument."""
+    calls = []
+    sign, floor = heisenberg._sign, heisenberg._floor
+    monkeypatch.setattr(heisenberg, "_sign", lambda t, r, exact: sign(
+        t, r, lambda: calls.append("sign") or exact()))
+    monkeypatch.setattr(heisenberg, "_floor", lambda t, r, d, den, exact: floor(
+        t, r, d, den, lambda: calls.append("floor") or exact()))
+    return calls
+
+
+def _check_prism_decisions(x):
+    """reduce_to_prism, in_prism and overlaps_keeping at x and at its
+    reduced image against their all-AlgNum versions."""
+    c = reduce_to_prism(x)
+    assert c == algnum_reduce_to_prism(x)
+    assert in_prism(x) == algnum_in_prism(x)
+    assert overlaps_keeping(x) == algnum_overlaps_keeping(x)
+    y = act_prism(c, x)
+    assert in_prism(y) and algnum_in_prism(y)
+    assert overlaps_keeping(y) == algnum_overlaps_keeping(y) == ref_overlaps_keeping(y)
+
+
+def test_bracketed_prism_decisions_match_the_algnum_tests(monkeypatch):
+    # at the 20 tower fixed points, their Omega representatives, their
+    # cycle-graph vertices and seeded orbit images, every sign and floor
+    # read off the brackets agrees with the exact AlgNum test
+    rng = random.Random(79)
+    letters = list(GENERATORS.values()) + [T1.to_matrix(), TTAU.to_matrix(), R.to_matrix()]
+    assert len(tower_fixed_points()) == 20
+    calls = _count_fallbacks(monkeypatch)
+    for x, y in tower_fixed_points():
+        images = []
+        for _ in range(2):
+            w = GroupElt.identity()
+            for _ in range(3):
+                w = rng.choice(letters) * w
+            images.append(ProjPoint(w.apply(x.coords)))
+        for p in [x] + images:
+            _check_prism_decisions(prism_coordinates(p.coords))
+        # the Omega representatives and the vertices of their cycle graphs
+        # lie off the facets of P: the brackets decide every test there
+        calls.clear()
+        for p in [y] + _vertices(build_cycle_graph([y])):
+            assert not p.rational
+            _check_prism_decisions(prism_coordinates(p.coords))
+        assert calls == []
+    # a point placed exactly on a facet of P straddles it: the decision
+    # there falls back to the exact test, in both towers
+    for tw in (zeta3_tower(), zeta7_tower()):
+        g = AlgNum.gen(tw)
+        r = (g - g.conj()) * ISQRT7 / 16
+        if r.real_sign() < 0:
+            r = -r
+        assert r.floor_real() == 0 and not r.in_k()
+        for a, b, s in ((0, r, r), (r, 0, r), (r, 1 - r, r), (r, r, 0), (r, r, 2)):
+            calls.clear()
+            x = prism_coordinates(lift(HoroPoint(a + b * TAU, ISQRT7 * s, r * r)))
+            assert [y == e for y, e in zip(x, (a, b, s, 1))] == [True] * 4
+            _check_prism_decisions(x)
+            assert calls, (a, b, s)
 
 
 def test_isolated_reps_fix_their_points():
