@@ -34,16 +34,8 @@ def _elt_json(g: GroupElt):
     return {"matrix": mat_to_json(g.mat), "word": word_str(g.word) if g.word else None}
 
 
-def _interior_point(text) -> ProjPoint:
-    """The --point argument as a ProjPoint, which must be negative (inside the ball)."""
-    p = ProjPoint(vec_from_json(text))
-    if p.sq_norm_sign() >= 0:
-        raise ValueError("reduction needs an interior point (negative square norm)")
-    return p
-
-
 def cmd_ford_reduce(args):
-    g, y = reduce_to_domain(_interior_point(args.point))
+    g, y = reduce_to_domain(ProjPoint(vec_from_json(args.point)))
     return {
         "element": _elt_json(g),
         "point": _point_json(y),
@@ -117,7 +109,7 @@ def cmd_torsion_enumerate(args):
 
 
 def cmd_torsion_stabilizer(args):
-    _, y = reduce_to_domain(_interior_point(args.point))
+    _, y = reduce_to_domain(ProjPoint(vec_from_json(args.point)))
     graph = build_cycle_graph([y])
     st = stabilizer(y, graph)
     return {

@@ -255,7 +255,7 @@ def enumerate_cone_translates(j: int):
     # the disk test dist2^2 <= r^4 is num^2 rd <= disk with dist2 = num/(32 zd^2)
     disk = rn * (32 * zd * zd) ** 2
     # r^2 <= r2/2^16 and r <= r1/2^16; sqrt(7) >= hd/2^32
-    r2 = _sqrt_ints(rn, rd)[1]
+    r2 = _R2[j]
     r1 = _sqrt_ints(r2, _SQRT_DEN)[1]
     hd = _SQRT_DEN * _sqrt_ints(7, 1)[0]
     # N(a + b tau) = zd^2 N(z) <= zd^2 (sqrt(2) + r)^2
@@ -309,8 +309,7 @@ def enumerate_tjk(j: int, k: int):
     ds = sj * dk - sk * dj
     e = den * den
     # r <= U/2^16 for each sphere, and bound = B D^4
-    uj, uk = (_sqrt_ints(_sqrt_ints(sph.r4.numerator, sph.r4.denominator)[1], _SQRT_DEN)[1]
-              for sph in (SPHERES[j], SPHERES[k]))
+    uj, uk = (_sqrt_ints(_R2[i], _SQRT_DEN)[1] for i in (j, k))
     bound = (uj + uk) ** 4 * den**4
     nmax = isqrt(bound >> 64)
     out = []
@@ -675,7 +674,7 @@ def reduce_to_domain(x: ProjPoint):
     """
     v = x.coords
     if herm_inner(v, v).real_sign() >= 0:
-        raise ValueError("reduction needs an interior point")
+        raise ValueError("reduction needs an interior point (negative square norm)")
     total = GroupElt.identity()
     for _ in range(MAX_ITERS):
         shift = reduce_to_prism(prism_coordinates(v)).to_matrix()

@@ -1,8 +1,8 @@
 """Torsion in PU(2,1,O_7): conjugacy classes, cycle graphs and finite stabilizers.
 
-An elliptic element either fixes a complex line pointwise (a reflection,
-recognized by a repeated eigenvalue whose simple eigenvector, the polar, is
-positive) or has an isolated fixed point (the negative eigenvector).
+An elliptic element either fixes a complex line pointwise (a reflection:
+an involution whose axis, the simple eigenline read off I - tr(g) g, is
+positive) or has an isolated fixed point (a negative eigenvector).
 Candidates come from the sweeps gamma = alpha * A_j over the finite sets
 T_jk of cusp translates whose spheres can meet; isolated fixed points are
 moved into Omega and walked into orbits by side-pairing maps and cusp
@@ -84,24 +84,6 @@ def make_reflection(v) -> GroupElt:
     return GroupElt(mat, word=(("R_" + "".join(str(x) for x in v), 1),))
 
 
-def _repeated_eigenvalue(charpoly):
-    """The repeated K-eigenvalue of a matrix with the characteristic polynomial
-    charpoly (`GroupElt.charpoly`), or None when it is squarefree.
-
-    The monic cubic x^3 + a x^2 + b x + c has a repeated root iff its
-    discriminant vanishes.  For (x - l)^2 (x - m), a^2 - 3b = (l - m)^2 and
-    9c - ab = 2 l (l - m)^2, which gives the double root l; a^2 - 3b = 0
-    means a triple root.
-    """
-    c, b, a, _ = charpoly
-    if not (18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c).is_zero():
-        return None
-    gap = a * a - 3 * b
-    if gap.is_zero():
-        raise ArithmeticError("triple eigenvalue: a finite-order element with one is scalar")
-    return (9 * c - a * b) / (2 * gap)
-
-
 def _roots(charpoly, candidates):
     """The candidates that are roots of the monic cubic charpoly (low degree
     first): any other candidate has no eigenvector."""
@@ -125,41 +107,27 @@ def _eigenvector(g: GroupElt, lam):
     return v
 
 
-def _simple_eigenpoint(g: GroupElt, charpoly, lam):
-    """(p, <p, p>) for the eigenline of the simple eigenvalue tr - 2 lam of a
-    finite-order g whose repeated eigenvalue is lam; tr = -c2 of its charpoly.
+def _involution_axis(g: GroupElt):
+    """A nonzero column of I - tr(g) g if g^2 = I and g is not 1, else None.
 
-    g is unitary with roots of unity as eigenvalues, so its lam-plane is
-    p^perp (Goldman, Complex Hyperbolic Geometry, 3.1): indefinite, a
-    mirror, when <p, p> > 0, and definite, around the isolated fixed point
-    p, when <p, p> < 0.  <p, p> = 0 would put p in its own lam-plane.
-    """
-    p = ProjPoint(_eigenvector(g, -charpoly[2] - 2 * lam))
-    norm = sq_norm(p.coords)
-    if norm.is_zero():
-        raise ArithmeticError("simple eigenvector of a finite-order element is null")
-    return p, norm
-
-
-def reflection_polar(g: GroupElt):
-    """(polar ProjPoint, polar norm) if g is a complex reflection, else None.
-
-    A reflection of Gamma is an involution whose -1-eigenline, read off a
-    column of I - g, is positive: an int product and one norm.  Any element
-    of Gamma may be passed; one of infinite order fails g^2 = I.
+    That column spans the simple eigenline p of g, and g fixes the complex
+    line p^perp pointwise exactly when <p, p> > 0.  Any element of Gamma may
+    be passed; one of infinite order fails g^2 = I.
     """
     t = g.ints
-    # A g other than 1 that fixes a complex line pointwise has a repeated
-    # eigenvalue lam there, and a double root of a cubic over K lies in K.
-    # g keeps the form on that line, which holds vectors of nonzero norm, so
-    # |lam| = 1: lam is an integral unit of K, lam = +-1.  det g = +-1 makes
+    # A g other than 1 that has finite order, or fixes a complex line
+    # pointwise, and has a repeated eigenvalue lam is an involution.  A
+    # double root of a cubic over K lies in K, and |lam| = 1: lam is a root
+    # of unity, or g keeps the form on a line that holds vectors of nonzero
+    # norm.  So lam is an integral unit of K, lam = +-1.  det g = +-1 makes
     # the simple eigenvalue +-1 as well, and not lam, or g would be scalar:
-    # g^2 = I.  (g^2 = -I would need the eigenvalues +-i, which are not in
-    # K.)  Conversely an involution g other than 1 has the eigenvalues lam,
-    # lam, -lam with lam = tr g, and g' = lam g has trace 1: I - g' is twice
-    # the projection onto its -1-eigenline p along the 1-eigenplane p^perp,
-    # so its nonzero columns span p, and p^perp is a complex line exactly
-    # when <p, p> > 0 (Goldman, Complex Hyperbolic Geometry, 3.1).
+    # g^2 = I.  (g^2 = -I would need the eigenvalues +-i, not in K.)
+    # Conversely an involution g other than 1 has the eigenvalues lam, lam,
+    # -lam with lam = tr g, and g' = lam g has trace 1: I - g' is twice the
+    # projection onto its -1-eigenline p along the 1-eigenplane p^perp, so
+    # its nonzero columns span p.  p^perp is indefinite, a complex line,
+    # when <p, p> > 0, and definite, around the isolated fixed point p, when
+    # <p, p> < 0 (Goldman, Complex Hyperbolic Geometry, 3.1).
     if t == ID_INTS or ints_product(t, t) != ID_INTS:
         return None
     lam = t[0] + t[8] + t[16]
@@ -167,8 +135,17 @@ def reflection_polar(g: GroupElt):
         col = [knum_from_ints(int(i == j) - lam * t[6 * i + 2 * j], -lam * t[6 * i + 2 * j + 1])
                for i in range(3)]
         if not all(x.is_zero() for x in col):
-            break
-    if sq_norm(col).real_sign() <= 0:
+            return col
+
+
+def reflection_polar(g: GroupElt):
+    """(polar ProjPoint, polar norm) if g is a complex reflection, else None.
+
+    A reflection of Gamma is an involution whose axis (`_involution_axis`)
+    is positive: an int product and one norm.
+    """
+    col = _involution_axis(g)
+    if col is None or sq_norm(col).real_sign() <= 0:
         return None
     polar = ProjPoint(col)
     return polar, int(polar.sq_norm().rat())
@@ -178,15 +155,19 @@ def classify_elliptic(g: GroupElt, n: int):
     """("reflection", polar, <v,v>) or ("isolated", fixed point, <v,v> or None)."""
     if projective_order(g) != n:
         raise ValueError("stated order does not match the element")
-    charpoly = g.charpoly()
-    lam = _repeated_eigenvalue(charpoly)
-    if lam is not None:
-        # a positive simple eigenvector is the polar of the mirror, and a
-        # negative one the isolated fixed point
-        p, norm = _simple_eigenpoint(g, charpoly, lam)
+    col = _involution_axis(g)
+    if col is not None:
+        # a positive axis is the polar of the mirror, and a negative one the
+        # isolated fixed point; a null one would lie in its own eigenplane
+        p = ProjPoint(col)
+        norm = p.sq_norm()
+        if norm.is_zero():
+            raise ArithmeticError("simple eigenvector of a finite-order element is null")
         return "reflection" if norm.real_sign() > 0 else "isolated", p, int(norm.rat())
-    # squarefree characteristic polynomial; K contains only the roots of
-    # unity +/-1, so any K-rational eigenvector belongs to one of those
+    # of finite order and not an involution, so g has a squarefree
+    # characteristic polynomial; K contains only the roots of unity +/-1,
+    # so any K-rational eigenvector belongs to one of those
+    charpoly = g.charpoly()
     for lam in _roots(charpoly, (ONE, -ONE)):
         v = _eigenvector(g, lam)
         if sq_norm(v).real_sign() < 0:
@@ -308,7 +289,7 @@ def reflection_conjugacy(g1: GroupElt, g2: GroupElt):
 
     Conjugating a reflection transports its polar vector, so the search is a
     meet-in-the-middle orbit walk on the two polar points.  Every reflection
-    of Gamma is an involution (see reflection_polar), so None is a proof of
+    of Gamma is an involution (see _involution_axis), so None is a proof of
     non-conjugacy only when the polar norms differ; a None from the bounded
     search proves nothing, so it only merges classes.
     """

@@ -46,7 +46,7 @@ from picard7.ring import (
     sqrt21_sign,
     zeta7_autocorr,
 )
-from picard7.torsion import _moves, _repeated_eigenvalue, _simple_eigenpoint
+from picard7.torsion import _eigenvector, _moves
 
 
 def mat_apply(m: Mat, v):
@@ -748,6 +748,40 @@ def ref_stabilizer_gens(edges, transports):
 # ---------------------------------------------------------------------------
 # reflections by the repeated eigenvalue
 # ---------------------------------------------------------------------------
+
+
+def _repeated_eigenvalue(charpoly):
+    """The repeated K-eigenvalue of a matrix with the characteristic polynomial
+    charpoly (`GroupElt.charpoly`), or None when it is squarefree.
+
+    The monic cubic x^3 + a x^2 + b x + c has a repeated root iff its
+    discriminant vanishes.  For (x - l)^2 (x - m), a^2 - 3b = (l - m)^2 and
+    9c - ab = 2 l (l - m)^2, which gives the double root l; a^2 - 3b = 0
+    means a triple root.
+    """
+    c, b, a, _ = charpoly
+    if not (18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c).is_zero():
+        return None
+    gap = a * a - 3 * b
+    if gap.is_zero():
+        raise ArithmeticError("triple eigenvalue: a finite-order element with one is scalar")
+    return (9 * c - a * b) / (2 * gap)
+
+
+def _simple_eigenpoint(g: GroupElt, charpoly, lam):
+    """(p, <p, p>) for the eigenline of the simple eigenvalue tr - 2 lam of a
+    finite-order g whose repeated eigenvalue is lam; tr = -c2 of its charpoly.
+
+    g is unitary with roots of unity as eigenvalues, so its lam-plane is
+    p^perp (Goldman, Complex Hyperbolic Geometry, 3.1): indefinite, a
+    mirror, when <p, p> > 0, and definite, around the isolated fixed point
+    p, when <p, p> < 0.  <p, p> = 0 would put p in its own lam-plane.
+    """
+    p = ProjPoint(_eigenvector(g, -charpoly[2] - 2 * lam))
+    norm = sq_norm(p.coords)
+    if norm.is_zero():
+        raise ArithmeticError("simple eigenvector of a finite-order element is null")
+    return p, norm
 
 
 def ref_reflection_polar(g: GroupElt):

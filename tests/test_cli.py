@@ -68,6 +68,16 @@ def test_bad_point_is_a_value_error(capsys, command, point):
     assert json.loads(out)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("command", [["ford", "reduce"], ["torsion", "stabilizer"]])
+@pytest.mark.parametrize("point", ['["1","0","1"]', '["1","0","0"]'], ids=["positive", "null"])
+def test_point_outside_the_ball_is_refused_by_the_reduction(capsys, command, point):
+    # reduce_to_domain is the one interior-point check both commands pass through
+    assert run(capsys, command + ["--point", point]) == (
+        1,
+        '{"error": "ValueError", "message": "reduction needs an interior point (negative square norm)"}\n',
+    )
+
+
 @pytest.mark.parametrize(
     "point,message",
     [

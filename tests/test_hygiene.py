@@ -337,11 +337,24 @@ def test_src_has_no_row_reduction():
 
 def test_reflection_count_reads_no_eigenvalues():
     # a FiniteGroup counts its reflections with reflection_polar on every
-    # element: an involution test and one column of I - g, so none of the
-    # classification's K arithmetic runs there
+    # element, and classify_elliptic sorts the order-2 classes, through one
+    # involution test: g^2 = I on the ints and one column of I - tr(g) g,
+    # so none of the classification's K arithmetic runs there.  The
+    # repeated eigenvalue and its simple eigenvector are test references
     source = ast.parse((SRC / "torsion.py").read_text())
-    fn = next(n for n in source.body if isinstance(n, ast.FunctionDef) and n.name == "reflection_polar")
-    names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
-    names |= {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
-    assert "ints_product" in names
-    assert not names & {"charpoly", "_repeated_eigenvalue", "_eigenvector"}
+
+    def names_in(name):
+        fn = next(n for n in source.body if isinstance(n, ast.FunctionDef) and n.name == name)
+        return {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)} | {
+            n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)
+        }
+
+    axis = names_in("_involution_axis")
+    assert "ints_product" in axis
+    assert not axis & {"charpoly", "_repeated_eigenvalue", "_eigenvector"}
+    assert "_involution_axis" in names_in("reflection_polar") & names_in("classify_elliptic")
+    gone = {"_repeated_eigenvalue", "_simple_eigenpoint"}
+    assert not names_in("classify_elliptic") & gone
+    assert {p.name: sorted(bound_names(ast.parse(p.read_text()).body) & gone) for p in MODULES} == {
+        p.name: [] for p in MODULES
+    }

@@ -38,13 +38,14 @@ from picard7.torsion import (
     stabilizer,
     walk_element,
     _orbit_ball,
-    _repeated_eigenvalue,
     _search_alphabet,
 )
 from reference import (
     HoroPoint,
     Prism,
     _is_mirror,
+    _repeated_eigenvalue,
+    _simple_eigenpoint,
     act_horo,
     algnum_in_prism,
     algnum_overlaps_keeping,
@@ -222,10 +223,12 @@ def test_mirror_is_a_positive_simple_eigenvector():
 
 
 def test_involution_test_matches_the_eigenvalue_reference():
-    # reflection_polar reads a reflection off g^2 = I and a column of I - g;
-    # on elements of finite order it agrees with the repeated-eigenvalue
-    # reference: every element other than 1 of every isolated class's
-    # stabilizer, the enumeration's candidates and the word-table rows.
+    # reflection_polar and classify_elliptic read an involution off g^2 = I
+    # and a column of I - tr(g) g; on elements of finite order they agree
+    # with the repeated-eigenvalue reference: every element other than 1 of
+    # every isolated class's stabilizer, the enumeration's candidates and
+    # the word-table rows.  Every involution among them has the reference's
+    # (kind, point, norm), and no other element has a repeated eigenvalue.
     # The identity is no reflection (the reference has no repeated
     # eigenvalue to read there)
     assert reflection_polar(GroupElt.identity()) is None
@@ -236,11 +239,22 @@ def test_involution_test_matches_the_eigenvalue_reference():
     rows = [g for row in torsion_word_rows()
             for g in [row["elt"], row["other"][1]] + [alt for _, alt in row["alt"]]]
     found = {True: 0, False: 0}
+    kinds = {"reflection": 0, "isolated": 0, None: 0}
     for g in elts + cands + rows:
         got = reflection_polar(g)
         assert got == ref_reflection_polar(g)
         found[got is None] += 1
+        charpoly = g.charpoly()
+        if projective_order(g) != 2:
+            assert _repeated_eigenvalue(charpoly) is None
+            kinds[None] += 1
+            continue
+        p, norm = _simple_eigenpoint(g, charpoly, _repeated_eigenvalue(charpoly))
+        kind = "reflection" if norm.real_sign() > 0 else "isolated"
+        assert classify_elliptic(g, 2) == (kind, p, int(norm.rat()))
+        kinds[kind] += 1
     assert found[True] and found[False]
+    assert all(kinds.values()), kinds
 
 
 def test_involution_test_refuses_infinite_order_words():
