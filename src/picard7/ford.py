@@ -39,6 +39,7 @@ from .hermitian import (
     ProjPoint,
     depth,
     herm_inner,
+    ints_apply,
     sq_norm,
     _mul_ints,
     _norm_ints,
@@ -362,18 +363,20 @@ def _forms(v):
 # One sweep kernel per field: (quantity, cmp, sweep).  quantity(x) is |x|^2
 # of an integral coordinate x, up to one positive factor, in an exact int
 # form; cmp(p, q) is the exact sign of the difference of two quantities;
-# sweep(v, own) yields (sign, quantity, j, alpha) for each candidate
+# sweep(v, own, x) yields (sign, quantity, j, alpha) for each candidate
 # translate alpha of j whose column col = alpha(A_j(inf)) has
-# |<v, col>|^2 <= own, for an integral v, in (j, alpha) order.  Each
-# kernel compares only the translates in a window derived from that
-# inequality, and decides each on ints.
+# |<v, col>|^2 <= own, for an integral v whose point has the prism
+# coordinates x, in (j, alpha) order.  Each kernel compares only the
+# translates in a window derived from that inequality, and decides each
+# on ints; the K kernel reads its window off v's ints, and the tower
+# kernels off brackets of x.
 
 
 def _k_cmp(p, q) -> int:
     return (p > q) - (p < q)
 
 
-def _k_sweep(v, own):
+def _k_sweep(v, own, _x):
     """v in O_7^3: the quantity is the int N(<v, col>).
 
     Only the translates alpha = (m, n, eps, l) whose closed Cygan ball can
@@ -471,12 +474,12 @@ def _zeta3_cmp(p, q) -> int:
     return sqrt21_sign(p[0] - q[0], p[1] - q[1])
 
 
-def _zeta3_sweep(v, own):
+def _zeta3_sweep(v, own, x):
     """v = v0 + v1 zeta_3 with v0, v1 in O_7^3: <v, col> = X0 + X1 zeta_3,
     and the quantity is the int pair (m, n) of 2|X0 + X1 zeta_3|^2."""
     ints = [_alg_ints(c) for c in v]
     rows = _forms([f[:2] for f in ints]) + _forms([f[2:] for f in ints])
-    yield from _tower_sweep(v, own, rows, lambda x: _zeta3_quantity(*x), _zeta3_cmp)
+    yield from _tower_sweep(v, own, x, rows, lambda h: _zeta3_quantity(*h), _zeta3_cmp)
 
 
 def _zeta7_quantity_of(x: AlgNum):
@@ -490,7 +493,7 @@ def _zeta7_cmp(p, q) -> int:
     return eta_sign(p[1] - q[1] - d0, p[2] - q[2] - d0, p[3] - q[3] - d0)
 
 
-def _zeta7_sweep(v, own):
+def _zeta7_sweep(v, own, x):
     """v in O_K(zeta_7)^3, each coordinate its ints F_1 .. F_6 and F_0 = 0: the
     quantity is the autocorrelation (h_0, .., h_3) of <v, col>, |x|^2 =
     sum_m h_m zeta_7^m."""
@@ -504,19 +507,21 @@ def _zeta7_sweep(v, own):
         for f in coords:
             row += (f[m], f[m] + f[m - 3] + f[m - 5] + f[m - 6])
         rows.append(row)
-    yield from _tower_sweep(v, own, rows, zeta7_autocorr, _zeta7_cmp)
+    yield from _tower_sweep(v, own, x, rows, zeta7_autocorr, _zeta7_cmp)
 
 
-def _tower_sweep(v, own, rows, quantity, cmp):
+def _tower_sweep(v, own, x, rows, quantity, cmp):
     """The sweep of v over K(zeta_3) or K(zeta_7), on a window like _k_sweep's.
 
-    The ints x of <v, col> in the field's basis are r.col for r in rows,
-    quantity(x) is the field's quantity of that <v, col>, and cmp compares
-    quantities exactly, as in _KERNELS.  The point's z = a + b tau, s and
-    u' = -<v, v>/|v3|^2 are real elements of the field; each lies in
-    [k, k + 1]/2^16 for its bracket k = floor(2^16 x) (`bracket`), exact
-    by floor_real in both fields.  So u' >= ku/2^16, and zc = (ka + kb
-    tau)/2^16 is within |1 + tau|/2^16 = 2/2^16 of z.
+    The ints h of <v, col> in the field's basis are r.col for r in rows,
+    quantity(h) is the field's quantity of that <v, col>, and cmp compares
+    quantities exactly, as in _KERNELS.  v is a point's vector with v3 = 1
+    (its normal form) scaled by a positive int, and x = (a, b, s, 1) its
+    prism coordinates.  The point's z = a + b tau, s and u' = -<v, v>/|v3|^2
+    are real elements of the field; each lies in [k, k + 1]/2^16 for its
+    bracket k = floor(2^16 x) (`bracket`), exact by floor_real in both
+    fields.  So u' >= ku/2^16, and zc = (ka + kb tau)/2^16 is within
+    |1 + tau|/2^16 = 2/2^16 of z.
 
     For the center z0 = p + q tau of alpha(I(A_j)) and its s = sc at l = 0,
     |<v/v3, col/col3>|^2 = ((u' + N(z - z0))^2 + 28 (l - l*)^2)/4 with
@@ -527,8 +532,9 @@ def _tower_sweep(v, own, rows, quantity, cmp):
     it whose alpha is a candidate translate of j is decided by cmp, on
     <v, col> = Z + l D with D = <v, (i sqrt(7) c3, 0, 0)>.
     """
-    a, b, s, _ = prism_coordinates(v)
-    ka, kb, ks, ku = map(bracket, (a, b, s, -sq_norm(v) / v[2].abs2()))
+    a, b, s, _ = x
+    # |v3|^2 is the square of the scale, an int
+    ka, kb, ks, ku = map(bracket, (a, b, s, -sq_norm(v) / v[2].k_part().norm()))
     for j in sorted(GENERATORS):
         sph = SPHERES[j]
         za, zb, sn, zd = sph.center
@@ -635,16 +641,23 @@ def spheres_containing(x: ProjPoint):
     ball), valid for x itself (the internal prism reduction is undone in the
     reported alpha).
     """
-    v = x.coords
-    shift = reduce_to_prism(prism_coordinates(v))
+    return spheres_at(x.coords, prism_coordinates(x.coords))
+
+
+def spheres_at(v, x):
+    """spheres_containing for a ProjPoint's coordinates v and their prism
+    coordinates x, which a caller that carries them passes on: the prism
+    reduction and the sweep read x, and compute no coordinates of their own.
+    """
+    shift = reduce_to_prism(x)
     shift_inv = shift.inverse()
-    vs, own, (_, _, sweep) = _sweep_vector(shift.to_matrix().apply(v))
+    vs, own, (_, _, sweep) = _sweep_vector(ints_apply(shift.ints, v))
     # a translated sphere depends only on its center and radius (the coset
     # of alpha*A_j modulo right cusp multiplication).  The prism coordinates
     # (a, b, s, den) of its center alpha(A_j(inf)) give both, as r^4 = 4/den,
     # so dedup on them, keeping the first (j, alpha) of the sweep
     found = {}
-    for sign, _, j, alpha in sweep(vs, own):
+    for sign, _, j, alpha in sweep(vs, own, act_prism(shift, x)):
         found.setdefault(act_prism(alpha, SPHERES[j].center), (j, alpha, sign))
     return [
         (shift_inv * alpha, j, "boundary" if sign == 0 else "interior")
@@ -670,26 +683,26 @@ def reduce_to_domain(x: ProjPoint):
 
     x is a negative ProjPoint, and so is g(x).  Deterministic: among
     violated Ford inequalities, the one maximizing the exact violation ratio
-    wins, ties broken by (j, cusp normal form).
+    wins, ties broken by (j, cusp normal form).  A tower vector is kept
+    at v3 = 1, as in ProjPoint: it has no content to divide out, so that
+    keeps its ints from growing with the steps, its prism coordinates take
+    no inverse, and a cusp shift keeps the form.
     """
     v = x.coords
     if herm_inner(v, v).real_sign() >= 0:
         raise ValueError("reduction needs an interior point (negative square norm)")
     total = GroupElt.identity()
     for _ in range(MAX_ITERS):
-        shift = reduce_to_prism(prism_coordinates(v)).to_matrix()
+        xc = prism_coordinates(v)
+        c = reduce_to_prism(xc)
+        shift = c.to_matrix()
         v = shift.apply(v)
-        if isinstance(v[2], AlgNum):
-            # a tower vector has no content to divide out, so v3 = 1 keeps
-            # its ints from growing with the steps
-            inv = 1 / v[2]
-            v = tuple(c * inv for c in v)
         total = shift * total
         vs, own, (quantity, cmp, sweep) = _sweep_vector(v)
         # the violation ratio own/other is largest when `other` is smallest
         # (own is fixed within this sweep); the sweep's order breaks ties
         best = None
-        for sign, other, j, alpha in sweep(vs, own):
+        for sign, other, j, alpha in sweep(vs, own, act_prism(c, xc)):
             if sign < 0 and (best is None or cmp(other, best[0]) < 0):
                 best = (other, j, alpha)
         if best is None:
@@ -702,13 +715,17 @@ def reduce_to_domain(x: ProjPoint):
         # the Ford quantity strictly decreases at each step
         if cmp(quantity(v[2]), own) >= 0:
             raise ArithmeticError("the Ford quantity did not decrease")
+        if isinstance(v[2], AlgNum):
+            inv = 1 / v[2]
+            v = tuple(c * inv for c in v)
         total = gi * total
     raise ReductionError(f"no Omega representative found in {MAX_ITERS} steps")
 
 
 def in_omega(x: ProjPoint) -> bool:
     """Exact membership of a point in Omega (closed)."""
-    if not in_prism(prism_coordinates(x.coords)):
+    xc = prism_coordinates(x.coords)
+    if not in_prism(xc):
         return False
     vs, own, (_, _, sweep) = _sweep_vector(x.coords)
-    return all(sign == 0 for sign, _, _, _ in sweep(vs, own))
+    return all(sign == 0 for sign, _, _, _ in sweep(vs, own, xc))

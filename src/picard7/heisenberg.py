@@ -55,20 +55,23 @@ class CuspElt(namedtuple("CuspElt", "m n eps l", defaults=(0, 0, 0, 0))):
         """t0 as a multiple of sqrt(7); the z-part is w = m + n tau."""
         return self.m - self.m * self.n + 2 * self.l
 
-    def to_matrix(self) -> GroupElt:
-        """T(w, t0) R^eps in closed form, with sigma = (-1)^eps: its rows are
-        (1, -sigma conj(w), c), (0, sigma, w) and (0, 0, 1), where
-        conj(w) = (m + n) - n tau and c = (-N(w) + i t0)/2 = (-N(w) - s0)/2
-        + s0 tau.  c is integral, as N(w) + s0 = m(m + 1) + 2(n^2 + l)."""
+    @property
+    def ints(self):
+        """The 18 ints of T(w, t0) R^eps, in closed form, with sigma =
+        (-1)^eps: its rows are (1, -sigma conj(w), c), (0, sigma, w) and
+        (0, 0, 1), where conj(w) = (m + n) - n tau and c = (-N(w) + i t0)/2
+        = (-N(w) - s0)/2 + s0 tau.  c is integral, as N(w) + s0 = m(m + 1)
+        + 2(n^2 + l).  The first int is 1, so these are a GroupElt's ints."""
         m, n, eps, l = self
         sigma = -1 if eps else 1
         s0 = m - m * n + 2 * l
-        return GroupElt.from_ints(
-            (1, 0, -sigma * (m + n), sigma * n, -((m * m + m * n + 2 * n * n + s0) // 2), s0,
-             0, 0, sigma, 0, m, n,
-             0, 0, 0, 0, 1, 0),
-            self.word(),
-        )
+        return (1, 0, -sigma * (m + n), sigma * n, -((m * m + m * n + 2 * n * n + s0) // 2), s0,
+                0, 0, sigma, 0, m, n,
+                0, 0, 0, 0, 1, 0)
+
+    def to_matrix(self) -> GroupElt:
+        """T(w, t0) R^eps with its word."""
+        return GroupElt.from_ints(self.ints, self.word())
 
     def word(self):
         out = []
@@ -139,7 +142,9 @@ def prism_coordinates(v):
     For v in K^3, scaled to O_7^3, they are ints over den = N(v3) > 0:
     a + b tau = v2 conj(v3) and s is the tau-coefficient of v1 conj(v3),
     and <v, v> = 2 Re(v1 conj(v3)) + N(v2).  For a vector over K(zeta_3) or
-    K(zeta_7), a, b and s are real AlgNums and den = 1.
+    K(zeta_7), a, b and s are real AlgNums and den = 1; the coordinates of
+    a tower ProjPoint end in v3 = 1 (its normal form), and then they take
+    no inverse.
     """
     v1, v2, v3 = v
     if v3.is_zero():
@@ -156,8 +161,11 @@ def prism_coordinates(v):
         if 2 * r + s + _norm_ints(p2, q2) > 0:
             raise ValueError("vector has positive square norm")
         return a, b, s, _norm_ints(p3, q3)
-    inv = 1 / v3
-    z, y = v2 * inv, v1 * inv
+    if v3.is_one():
+        z, y = v2, v1
+    else:
+        inv = 1 / v3
+        z, y = v2 * inv, v1 * inv
     b, s = (z - z.conj()) * _ISQRT7_INV, (y - y.conj()) * _ISQRT7_INV
     if (y + y.conj() + z.abs2()).real_sign() > 0:
         raise ValueError("vector has positive square norm")

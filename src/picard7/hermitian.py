@@ -278,8 +278,11 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
     A K-rational point keeps the six ints (a1, b1, a2, b2, a3, b3) of its
     canonical primitive representative (a_i + b_i tau), under the sign rule
     of primitive_rep: its first nonzero int is positive.  Any other point
-    keeps its AlgNum coordinates divided by the first nonzero one.  `coords`
-    is the coordinate vector, built as KNums on each read of a rational point.
+    keeps its AlgNum coordinates divided by the last nonzero one.  A point
+    with <v, v> < 0 has v3 != 0, so its coordinates end in v3 = 1: its
+    prism coordinates need no inverse, and a cusp element, whose bottom row
+    is (0, 0, 1), keeps that form.  `coords` is the coordinate vector, built
+    as KNums on each read of a rational point.
     """
 
     __slots__ = ()
@@ -288,9 +291,10 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
         if not all(isinstance(x, KNum) for x in v):
             tower = next(x.tower for x in v if isinstance(x, AlgNum))
             v = tuple(x if isinstance(x, AlgNum) else AlgNum.lift(tower, x) for x in v)
-            lead = next((x for x in v if not x.is_zero()), None)
-            if lead is not None:  # a zero vector goes on to primitive_rep's error
-                inv = lead.inverse()
+            last = next((x for x in reversed(v) if not x.is_zero()), None)
+            # a zero vector goes on to primitive_rep's error
+            if last is not None and not last.is_one():
+                inv = last.inverse()
                 v = tuple(x * inv for x in v)
             if not all(x.in_k() for x in v):
                 return tuple.__new__(cls, (v, False))
@@ -316,12 +320,17 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
         return self.sq_norm_sign() == 0
 
     def apply(self, g: "GroupElt") -> "ProjPoint":
-        """g(self).  g and g^-1 are integral, so g maps a primitive vector of
-        O_7^3 to a primitive vector: a rational point's image is the int
-        product with its sign normalized, and needs no gcd."""
+        """g(self)."""
+        return self.moved(g.ints)
+
+    def moved(self, t) -> "ProjPoint":
+        """M(self), for a matrix M of U(J, O_7) with the 18 ints t.  M and
+        M^-1 are integral, so M maps a primitive vector of O_7^3 to a
+        primitive vector: a rational point's image is the int product with
+        its sign normalized, and needs no gcd."""
         if not self.rational:
-            return ProjPoint(g.apply(self.rep))
-        w = _apply_ints(g.ints, self.rep)
+            return ProjPoint(ints_apply(t, self.rep))
+        w = _apply_ints(t, self.rep)
         # the first nonzero int is the a, or the b when a = 0, of the first
         # nonzero entry: the sign rule of primitive_rep
         if w < (0,) * 6:
@@ -593,29 +602,8 @@ class GroupElt:
                 knum_from_ints(-t[0] - t[8] - t[16], -t[1] - t[9] - t[17]), ONE)
 
     def apply(self, v):
-        """M v, for v in K^3 or with coordinates in K(zeta_3) or K(zeta_7),
-        on ints over d, the lcm of the denominators.
-
-        A tower v is the ints F_k of each d v_k in its field, which make
-        (a + b tau) d v_k = a F_k + b (tau F_k): each coordinate of M v is
-        one int combination of the F_k and tau F_k, and one normal form."""
-        v1, v2, v3 = v
-        if type(v1) is type(v2) is type(v3) is KNum:
-            w, d = _scaled_ints(v)
-            w = _apply_ints(self.ints, w)
-            return tuple(map(knum_from_ints, w[0::2], w[1::2], (d, d, d)))
-        tw = next(x.tower for x in v if isinstance(x, AlgNum))
-        v = [x if isinstance(x, AlgNum) else AlgNum.lift(tw, x) for x in v]
-        d = lcm(*(x.den for x in v))
-        fs = [x.ints if x.den == d else tuple(c * (d // x.den) for c in x.ints) for x in v]
-        tau = tw.lift(0, 1)
-        cols = list(zip(*(g for f in fs for g in (f, tw.mul(tau, f)))))
-        t = self.ints
-        return tuple(
-            _alg(tw, tuple(a1 * p1 + b1 * q1 + a2 * p2 + b2 * q2 + a3 * p3 + b3 * q3
-                           for p1, q1, p2, q2, p3, q3 in cols), d)
-            for a1, b1, a2, b2, a3, b3 in (t[0:6], t[6:12], t[12:18])
-        )
+        """M v, for v in K^3 or with coordinates in K(zeta_3) or K(zeta_7)."""
+        return ints_apply(self.ints, v)
 
 
 # GroupElt.__setattr__ refuses every write, so new elements get their two
@@ -625,10 +613,41 @@ _set_ints = GroupElt.ints.__set__
 _set_word = GroupElt.word.__set__
 
 
-def _init_elt(g: GroupElt, t, word):
+def canonical_ints(t):
+    """t or -t, the one whose first nonzero int is positive: the ints a
+    GroupElt of the matrix with 18 ints t keeps."""
     # t < 0 in tuple order exactly when its first nonzero int is negative
-    _set_ints(g, tuple(-x for x in t) if t < (0,) * 18 else t)
+    return tuple(-x for x in t) if t < (0,) * 18 else t
+
+
+def _init_elt(g: GroupElt, t, word):
+    _set_ints(g, canonical_ints(t))
     _set_word(g, word)
+
+
+def ints_apply(t, v):
+    """M v, for M with 18 ints t and v in K^3 or with coordinates in
+    K(zeta_3) or K(zeta_7), on ints over d, the lcm of the denominators.
+
+    A tower v is the ints F_k of each d v_k in its field, which make
+    (a + b tau) d v_k = a F_k + b (tau F_k): each coordinate of M v is
+    one int combination of the F_k and tau F_k, and one normal form."""
+    v1, v2, v3 = v
+    if type(v1) is type(v2) is type(v3) is KNum:
+        w, d = _scaled_ints(v)
+        w = _apply_ints(t, w)
+        return tuple(map(knum_from_ints, w[0::2], w[1::2], (d, d, d)))
+    tw = next(x.tower for x in v if isinstance(x, AlgNum))
+    v = [x if isinstance(x, AlgNum) else AlgNum.lift(tw, x) for x in v]
+    d = lcm(*(x.den for x in v))
+    fs = [x.ints if x.den == d else tuple(c * (d // x.den) for c in x.ints) for x in v]
+    tau = tw.lift(0, 1)
+    cols = list(zip(*(g for f in fs for g in (f, tw.mul(tau, f)))))
+    return tuple(
+        _alg(tw, tuple(a1 * p1 + b1 * q1 + a2 * p2 + b2 * q2 + a3 * p3 + b3 * q3
+                       for p1, q1, p2, q2, p3, q3 in cols), d)
+        for a1, b1, a2, b2, a3, b3 in (t[0:6], t[6:12], t[12:18])
+    )
 
 
 def _invert_letter(x):

@@ -1,4 +1,14 @@
-"""Verification suites for the two reflection-mirror stabilizers."""
+"""Verification suites for the two reflection-mirror stabilizers.
+
+A mirror is the complex line polar^perp, with a primitive, saturated basis
+(b1, b2).  An element g of U(J, O_7) preserving it acts on it trivially,
+as a scalar lam, exactly when g b_i = lam b_i for both vectors.  Then
+lam b_i and lam^-1 b_i = g^-1 b_i are integral with b_i primitive, so lam
+and lam^-1 lie in O_7, whose only units are +1 and -1: the test is two
+int products against +b_i or -b_i, with one sign for both, and the
+restriction order tests the powers of g, formed as int products, the same
+way.
+"""
 
 from functools import cache
 from itertools import permutations
@@ -8,7 +18,9 @@ from picard7.hermitian import (
     GroupElt,
     Mat,
     ProjPoint,
+    _apply_ints,
     herm_inner,
+    ints_product,
     is_in_gamma,
     norm_form_solutions,
     primitive_rep,
@@ -51,11 +63,12 @@ class MirrorContext:
         b1, b2 = self.basis
         # The 2x2 minors of (b1, b2) have unit gcd exactly when the basis
         # spans polar^perp meet O_7^3 (is saturated); the mirror search
-        # rests on that.  The first nonzero minor solves for coordinates.
-        minors = {(i, j): b1[i] * b2[j] - b1[j] * b2[i] for i, j in ((0, 1), (0, 2), (1, 2))}
-        if not o_gcd_many(minors.values()).is_one():
+        # rests on that.
+        minors = [b1[i] * b2[j] - b1[j] * b2[i] for i, j in ((0, 1), (0, 2), (1, 2))]
+        if not o_gcd_many(minors).is_one():
             raise ArithmeticError("the mirror basis is not saturated")
-        self._solve = next((i, j, m) for (i, j), m in minors.items() if not m.is_zero())
+        # the basis as the six ints of each vector, for the tests on ints
+        self.basis_ints = tuple(ProjPoint(b).rep for b in self.basis)
         g11, g12, g22 = sq_norm(b1), herm_inner(b2, b1), sq_norm(b2)
         if (g11 * g22 - g12 * g12.conj()).real_sign() >= 0:
             raise ValueError("form does not restrict with signature (1,1)")
@@ -78,32 +91,24 @@ def preserves_mirror(g: GroupElt, ctx) -> bool:
     return ctx.polar.apply(g) == ctx.polar
 
 
-def restriction(g: GroupElt, ctx):
-    """The 2x2 matrix of g on the mirror, as columns in the context basis."""
-    if not preserves_mirror(g, ctx):
-        raise ValueError("element does not preserve the mirror")
-    b1, b2 = ctx.basis
-    i, j, det = ctx._solve
-    cols = []
-    for b in ctx.basis:
-        w = g.apply(b)
-        x = (w[i] * b2[j] - w[j] * b2[i]) / det
-        y = (b1[i] * w[j] - b1[j] * w[i]) / det
-        for k in range(3):
-            if not (w[k] - x * b1[k] - y * b2[k]).is_zero():
-                raise ArithmeticError("the matrix does not preserve the mirror")
-        cols.append((x, y))
-    return tuple(cols)
-
-
-def restriction_is_scalar(cols) -> bool:
-    (a, c), (b, d) = cols
-    return c.is_zero() and b.is_zero() and (a - d).is_zero()
+def _scalar_on_mirror(t, ctx) -> bool:
+    """Whether the matrix with 18 ints t, of an element preserving the
+    mirror, is +1 or -1 on it: t b = e b for both basis vectors b, one e."""
+    b1, b2 = ctx.basis_ints
+    w = _apply_ints(t, b1)
+    if w == b1:
+        return _apply_ints(t, b2) == b2
+    if w == tuple(-x for x in b1):
+        return _apply_ints(t, b2) == tuple(-x for x in b2)
+    return False
 
 
 def acts_trivially_on_mirror(g: GroupElt, ctx) -> bool:
-    """True iff g restricts to a scalar on the mirror."""
-    return restriction_is_scalar(restriction(g, ctx))
+    """True iff g restricts to a scalar on the mirror, which is then +1 or
+    -1 (see the module docstring); ValueError if g moves the mirror."""
+    if not preserves_mirror(g, ctx):
+        raise ValueError("element does not preserve the mirror")
+    return _scalar_on_mirror(g.ints, ctx)
 
 
 #: largest power tried by restriction_order
@@ -111,20 +116,16 @@ RESTRICTION_ORDER_CAP = 24
 
 
 def restriction_order(g: GroupElt, ctx):
-    """Smallest k >= 1 with g^k scalar on the mirror, or None up to the cap."""
-    base = restriction(g, ctx)
-    cur = base
+    """Smallest k >= 1 with g^k scalar on the mirror, or None up to the cap:
+    the powers are int products, each tested as in acts_trivially_on_mirror."""
+    if not preserves_mirror(g, ctx):
+        raise ValueError("element does not preserve the mirror")
+    t = p = g.ints
     for k in range(1, RESTRICTION_ORDER_CAP + 1):
-        if restriction_is_scalar(cur):
+        if _scalar_on_mirror(p, ctx):
             return k
-        cur = _rest_mul(cur, base)
+        p = ints_product(p, t)
     return None
-
-
-def _rest_mul(p, q):
-    (a1, c1), (b1, d1) = p
-    (a2, c2), (b2, d2) = q
-    return ((a1 * a2 + b1 * c2, c1 * a2 + d1 * c2), (a1 * b2 + b1 * d2, c1 * b2 + d1 * d2))
 
 
 def _point_stabilizer_lines(pt: ProjPoint):

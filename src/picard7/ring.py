@@ -782,6 +782,9 @@ class AlgNum:
     def is_zero(self) -> bool:
         return not any(self.ints)
 
+    def is_one(self) -> bool:
+        return self.den == 1 and self.ints == self.tower.lift(1, 0)
+
     def k_part(self) -> KNum:
         """The element as a KNum; raises if it is not in K."""
         k = self.tower.k_part(self.ints, self.den)

@@ -26,19 +26,21 @@ from .ring import (
 from .hermitian import (
     ID_INTS,
     GroupElt,
-    Mat,
     ProjPoint,
+    canonical_ints,
     ints_are_scalar,
     ints_inverse,
     ints_product,
-    primitive_rep,
     sq_norm,
     word_str,
+    _is_unitary_ints,
+    _mul_ints,
 )
 from .heisenberg import (
     R,
     T1,
     TTAU,
+    act_prism,
     cusp_torsion_classes,
     overlaps_keeping,
     prism_coordinates,
@@ -49,7 +51,7 @@ from .ford import (
     INVERSE_PAIRS,
     enumerate_tjk,
     reduce_to_domain,
-    spheres_containing,
+    spheres_at,
 )
 
 
@@ -68,20 +70,56 @@ def projective_order(g: GroupElt):
     return None
 
 
+def _ints_power(t, n: int):
+    """The 18 ints of M^n, n >= 1, for M with the 18 ints t, by squaring."""
+    out = None
+    while n:
+        if n & 1:
+            out = t if out is None else ints_product(out, t)
+        n >>= 1
+        if n:
+            t = ints_product(t, t)
+    return out
+
+
+def _has_projective_order(g: GroupElt, n: int) -> bool:
+    """Whether projective_order(g) = n: 1 <= n <= 18, g^n = +/-Id, and
+    g^(n/q) != +/-Id for each prime q dividing n, as every n' with
+    g^n' = +/-Id divides n, and one that is not n divides some n/q.  The
+    only scalars of U(J, O_7) are +/-Id."""
+    return (1 <= n <= MAX_PROJECTIVE_ORDER and ints_are_scalar(_ints_power(g.ints, n))
+            and not any(ints_are_scalar(_ints_power(g.ints, n // q))
+                        for q in (2, 3, 5, 7, 11, 13, 17) if n % q == 0))
+
+
 # ---------------------------------------------------------------------------
 # reflections and the reflection/isolated dichotomy
 # ---------------------------------------------------------------------------
 
 
 def make_reflection(v) -> GroupElt:
-    """The complex reflection R_v(x) = x - 2 <x,v>/<v,v> v, for v in K^3 with <v,v> in {1,2}."""
-    v = primitive_rep(v)
-    nv = sq_norm(v).rat()
+    """The complex reflection R_v(x) = x - 2 <x,v>/<v,v> v, for v in K^3 with <v,v> in {1,2}.
+
+    On the primitive representative v of the polar, with n = <v, v>, entry
+    (i, j) is delta_ij - (2/n) conj(v_(2-j)) v_i, as <e_j, v> = conj(v_(2-j)):
+    2/n is an int, so are the 18 ints, and they are written directly.
+    """
+    polar = ProjPoint(v)
+    nv = polar.sq_norm()
     if nv not in (1, 2):
         raise ValueError("polar norm not integral for this form")
-    # column j is e_j - c_j v with c_j = 2 <e_j, v>/<v, v> and <e_j, v> = conj(v[2 - j])
-    mat = Mat([[int(i == j) - v[2 - j].conj() * v[i] * 2 / nv for j in range(3)] for i in range(3)])
-    return GroupElt(mat, word=(("R_" + "".join(str(x) for x in v), 1),))
+    k = 2 if nv == 1 else 1
+    v = list(zip(polar.rep[0::2], polar.rep[1::2]))
+    t = []
+    for i in range(3):
+        for j in range(3):
+            # conj(c + e tau) = (c + e) - e tau
+            c, e = v[2 - j]
+            x, y = _mul_ints(c + e, -e, *v[i])
+            t += (int(i == j) - k * x, -k * y)
+    if not _is_unitary_ints(t):
+        raise ValueError("matrix is not in U(J, O_7)")
+    return GroupElt.from_ints(tuple(t), word=(("R_" + "".join(str(x) for x in polar.coords), 1),))
 
 
 def _roots(charpoly, candidates):
@@ -153,7 +191,7 @@ def reflection_polar(g: GroupElt):
 
 def classify_elliptic(g: GroupElt, n: int):
     """("reflection", polar, <v,v>) or ("isolated", fixed point, <v,v> or None)."""
-    if projective_order(g) != n:
+    if not _has_projective_order(g, n):
         raise ValueError("stated order does not match the element")
     col = _involution_axis(g)
     if col is not None:
@@ -319,27 +357,38 @@ def reflection_conjugacy(g1: GroupElt, g2: GroupElt):
 Orbit = namedtuple("Orbit", "transports gens")
 
 
-def _shift_into_prism(p: ProjPoint):
-    """The matrix of the cusp element c that reduces p's boundary coordinates
-    into the prism, and c(p)."""
-    c = reduce_to_prism(prism_coordinates(p.coords)).to_matrix()
-    return c, p.apply(c)
-
-
-def _moves(p: ProjPoint):
-    """(g, g(p)) for the moves at a vertex p in Omega: for every Ford sphere
-    through p, the side-pairing map composed with the cusp shift bringing
-    the image back to the prism, then every cusp overlap keeping p inside
-    the prism."""
-    for alpha, j, flag in spheres_containing(p):
+def _moves(p: ProjPoint, x):
+    """(t, q, c, side, xs) for the moves g at a vertex p in Omega with prism
+    coordinates x: t the canonical ints of g and q = g(p).  First, for every
+    Ford sphere alpha(I(A_j)) through p, side = (alpha, j) and g = c (alpha
+    A_j)^-1, with c the cusp shift bringing the image back to the prism, and
+    xs the image's prism coordinates; then, for every cusp overlap c keeping
+    p inside the prism, side = None, g = c and xs = x.  Each move is int
+    products, and each image takes its prism coordinates once: q's are
+    act_prism(c, xs), which the walk takes for a new vertex only, and
+    `_move_element` builds g with its word for a new vertex only.
+    """
+    for alpha, j, flag in spheres_at(p.coords, x):
         if flag != "boundary":
             raise ArithmeticError("graph vertices must lie in Omega")
-        g = (alpha.to_matrix() * GENERATORS[j]).inverse()
-        c, q = _shift_into_prism(p.apply(g))
-        yield c * g, q
-    for c in overlaps_keeping(prism_coordinates(p.coords)):
-        g = c.to_matrix()
-        yield g, p.apply(g)
+        # (alpha A_j)^-1 = A_j^-1 alpha^-1
+        g = ints_product(ints_inverse(GENERATORS[j].ints), alpha.inverse().ints)
+        image = p.moved(g)
+        xs = prism_coordinates(image.coords)
+        c = reduce_to_prism(xs)
+        yield canonical_ints(ints_product(c.ints, g)), image.moved(c.ints), c, (alpha, j), xs
+    for c in overlaps_keeping(x):
+        yield c.ints, p.moved(c.ints), c, None, x
+
+
+def _move_element(c, side) -> GroupElt:
+    """The move of `_moves` with the cusp shift c and side (alpha, j) or
+    None, as a GroupElt with its word."""
+    g = c.to_matrix()
+    if side is None:
+        return g
+    alpha, j = side
+    return g * (alpha.to_matrix() * GENERATORS[j]).inverse()
 
 
 def build_cycle_graph(points):
@@ -347,14 +396,16 @@ def build_cycle_graph(points):
 
     Each given point that no earlier walk reached is the base of a
     breadth-first walk: vertices are expanded in the order they are found,
-    and each vertex's moves in `_moves` order.  A new vertex q found from p
-    gets the transport g t_p for the least (by ints) move g from p to q;
-    every move p -> q by g gives the Schreier generator t_q^-1 g t_p of the
-    base's stabilizer (Holt, Eick and O'Brien, Handbook of Computational
-    Group Theory, ch. 4).  The move that found q gives the identity and is
-    skipped; the others are int products, with t_q^-1 taken once per
-    vertex, and each distinct one other than the identity becomes a
-    GroupElt.
+    and each vertex's moves in `_moves` order.  A vertex carries its prism
+    coordinates: a base reads them off its vector, and a new vertex takes
+    them from the move that found it.  A new vertex q found from p gets the
+    transport g t_p for the least (by canonical ints) move g from p to q,
+    the one move built as a GroupElt with its word; every move p -> q by g
+    gives the Schreier generator t_q^-1 g t_p of the base's stabilizer
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 4).
+    The move that found q gives the identity and is skipped; the others are
+    int products, with t_q^-1 taken once per vertex, and each distinct one
+    other than the identity becomes a GroupElt.
     """
     graph = {}
     for base in points:
@@ -363,21 +414,23 @@ def build_cycle_graph(points):
         transports = {base: GroupElt.identity()}
         inverses = {base: ID_INTS}
         gens = {}
-        found = [base]
-        for p in found:
-            moves = list(_moves(p))
+        found = [(base, prism_coordinates(base.coords))]
+        for p, x in found:
+            moves = list(_moves(p, x))
             least = {}
-            for g, q in moves:
-                if q not in transports and (q not in least or g.ints < least[q].ints):
-                    least[q] = g
+            for move in moves:
+                t, q = move[:2]
+                if q not in transports and (q not in least or t < least[q][0]):
+                    least[q] = move
             tp = transports[p]
-            for q, g in least.items():
-                transports[q] = t = g * tp
-                inverses[q] = ints_inverse(t.ints)
-                found.append(q)
-            for g, q in moves:
-                if least.get(q) is not g:
-                    s = ints_product(inverses[q], ints_product(g.ints, tp.ints))
+            for q, (_, _, c, side, xs) in least.items():
+                transports[q] = tq = _move_element(c, side) * tp
+                inverses[q] = ints_inverse(tq.ints)
+                found.append((q, act_prism(c, xs)))
+            for move in moves:
+                t, q = move[:2]
+                if least.get(q) is not move:
+                    s = ints_product(inverses[q], ints_product(t, tp.ints))
                     if not ints_are_scalar(s):
                         gens[s] = None
         graph[base] = Orbit(transports, list(dict.fromkeys(map(GroupElt.from_ints, gens))))

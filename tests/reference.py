@@ -30,8 +30,18 @@ from picard7.heisenberg import (
     act_prism,
     enumerate_cusp_overlaps,
     in_prism,
+    prism_coordinates,
 )
-from picard7.hermitian import GroupElt, Mat, ProjPoint, _mul_ints, _norm_ints, herm_inner, sq_norm
+from picard7.hermitian import (
+    GroupElt,
+    Mat,
+    ProjPoint,
+    _mul_ints,
+    _norm_ints,
+    herm_inner,
+    primitive_rep,
+    sq_norm,
+)
 from picard7.ring import (
     ISQRT7,
     ONE,
@@ -46,7 +56,7 @@ from picard7.ring import (
     sqrt21_sign,
     zeta7_autocorr,
 )
-from picard7.torsion import _eigenvector, _moves
+from picard7.torsion import _eigenvector, _move_element, _moves
 
 
 def mat_apply(m: Mat, v):
@@ -696,14 +706,17 @@ def ref_spheres_containing(x):
 def ref_cycle_graph(points):
     """(vertices, edges) of the graph on the Omega-orbit closure of points:
     the given points first, then the vertices in the order their moves find
-    them, and the distinct edges (src, dst, label) between their indices."""
+    them, and the distinct edges (src, dst, label) between their indices.
+    Each vertex's moves read its prism coordinates off its vector, and each
+    label is the move's GroupElt with its word."""
     vertices = list(dict.fromkeys(points))
     index = {p: i for i, p in enumerate(vertices)}
     edges = []
     seen = set()
     i = 0
     while i < len(vertices):
-        for g, q in _moves(vertices[i]):
+        for _, q, c, side, _ in _moves(vertices[i], prism_coordinates(vertices[i].coords)):
+            g = _move_element(c, side)
             if q not in index:
                 index[q] = len(vertices)
                 vertices.append(q)
@@ -848,3 +861,63 @@ def algnum_overlaps_keeping(x):
         last = 1 - k if base == 2 * den * k else -k
         out += [c for c in run if -k <= c.l <= last and c != IDENTITY]
     return out
+
+
+# ---------------------------------------------------------------------------
+# mirrors: the restriction to a mirror as a 2x2 matrix over K
+# ---------------------------------------------------------------------------
+
+
+def restriction(g: GroupElt, ctx):
+    """The 2x2 matrix of g on the mirror, as columns in the context basis:
+    each image g b solved for its coordinates with the first nonzero 2x2
+    minor of the basis, in KNum arithmetic."""
+    if ctx.polar.apply(g) != ctx.polar:
+        raise ValueError("element does not preserve the mirror")
+    b1, b2 = ctx.basis
+    minors = ((i, j, b1[i] * b2[j] - b1[j] * b2[i]) for i, j in ((0, 1), (0, 2), (1, 2)))
+    i, j, det = next(m for m in minors if not m[2].is_zero())
+    cols = []
+    for b in ctx.basis:
+        w = g.apply(b)
+        x = (w[i] * b2[j] - w[j] * b2[i]) / det
+        y = (b1[i] * w[j] - b1[j] * w[i]) / det
+        for k in range(3):
+            if not (w[k] - x * b1[k] - y * b2[k]).is_zero():
+                raise ArithmeticError("the matrix does not preserve the mirror")
+        cols.append((x, y))
+    return tuple(cols)
+
+
+def restriction_is_scalar(cols) -> bool:
+    (a, c), (b, d) = cols
+    return c.is_zero() and b.is_zero() and (a - d).is_zero()
+
+
+def _rest_mul(p, q):
+    (a1, c1), (b1, d1) = p
+    (a2, c2), (b2, d2) = q
+    return ((a1 * a2 + b1 * c2, c1 * a2 + d1 * c2), (a1 * b2 + b1 * d2, c1 * b2 + d1 * d2))
+
+
+def ref_restriction_order(g: GroupElt, ctx, cap: int):
+    """Smallest k <= cap with the k-th power of the restriction scalar, or None."""
+    base = restriction(g, ctx)
+    cur = base
+    for k in range(1, cap + 1):
+        if restriction_is_scalar(cur):
+            return k
+        cur = _rest_mul(cur, base)
+    return None
+
+
+def ref_make_reflection(v) -> GroupElt:
+    """The complex reflection of the polar v by its KNum formula: column j
+    is e_j - c_j v with c_j = 2 <e_j, v>/<v, v> and <e_j, v> = conj(v[2 - j]),
+    on the primitive representative."""
+    v = primitive_rep(v)
+    nv = sq_norm(v).rat()
+    if nv not in (1, 2):
+        raise ValueError("polar norm not integral for this form")
+    mat = Mat([[int(i == j) - v[2 - j].conj() * v[i] * 2 / nv for j in range(3)] for i in range(3)])
+    return GroupElt(mat, word=(("R_" + "".join(str(x) for x in v), 1),))

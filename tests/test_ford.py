@@ -444,7 +444,7 @@ def test_sweep_kernels_match_generic_path(field):
         points.append(y0.apply(w))
     for x in points:
         vs, own, (_, _, sweep) = _sweep_vector(x.coords)
-        got = [(j, alpha, sign) for sign, _, j, alpha in sweep(vs, own)]
+        got = [(j, alpha, sign) for sign, _, j, alpha in sweep(vs, own, prism_coordinates(x.coords))]
         want = []
         for j, alpha, g in ford_candidates():
             side = ford_side(x, g)
@@ -490,7 +490,7 @@ def test_k_sweep_matches_the_column_scan():
 
     def sweeps(x):
         vs, own, (_, _, sweep) = _sweep_vector(x.coords)
-        return list(sweep(vs, own)), list(ref_k_sweep(vs, own))
+        return list(sweep(vs, own, prism_coordinates(x.coords))), list(ref_k_sweep(vs, own))
 
     points = {"over P": [], "fixed": [], "high": [], "off P": []}
     for _ in range(12):
@@ -516,10 +516,11 @@ def test_k_sweep_matches_the_column_scan():
                 assert got == []
             ties += sum(sign == 0 for sign, _, _, _ in got)
     assert ties > 0
-    # with v3 = 0 the l-step D vanishes, and the kernel refuses the vector
+    # with v3 = 0 the l-step D vanishes, and the kernel refuses the vector;
+    # the point has no prism coordinates, which the K kernel does not read
     vs, own, (_, _, sweep) = _sweep_vector((KNum(-1), KNum(1), KNum(0)))
     with pytest.raises(ArithmeticError, match="l-step"):
-        list(sweep(vs, own))
+        list(sweep(vs, own, None))
 
 
 @functools.cache
@@ -540,7 +541,7 @@ TOWER_SCANS = {3: ref_zeta3_sweep, 7: ref_zeta7_sweep}
 def tower_sweeps(x):
     """The kernel's and the column scan's tuples at a tower point."""
     vs, own, (_, _, sweep) = _sweep_vector(x.coords)
-    return list(sweep(vs, own)), list(TOWER_SCANS[vs[0].tower.n](vs, own))
+    return list(sweep(vs, own, prism_coordinates(x.coords))), list(TOWER_SCANS[vs[0].tower.n](vs, own))
 
 
 def test_tower_sweeps_match_the_column_scans():
@@ -596,8 +597,9 @@ def test_tower_sweeps_stay_in_their_window(monkeypatch):
     for pair in tower_fixed_points():
         for x in pair:
             vs, own, (_, _, sweep) = _sweep_vector(x.coords)
+            xc = prism_coordinates(x.coords)
             calls.clear()
-            list(sweep(vs, own))
+            list(sweep(vs, own, xc))
             assert 0 < len(calls) < 150, (x, len(calls))
 
 

@@ -306,6 +306,35 @@ def test_cycle_graph_is_one_walk_per_orbit():
     assert not imported & ({"build_cycle_graph", "stabilizer", "FiniteGroup"} | gone)
 
 
+def test_mirror_tests_run_on_ints():
+    # "trivial on the mirror" and the restriction order are int products
+    # against the basis ints: an element of U(J, O_7) is a scalar on the
+    # primitive basis only as +1 or -1.  The 2x2 restriction over K is a
+    # test reference, and no module binds it or its helpers
+    source = ast.parse((SRC / "mirror.py").read_text())
+    functions = {n.name: n for n in source.body if isinstance(n, ast.FunctionDef)}
+
+    def names_in(name):
+        fn = functions[name]
+        return {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)} | {
+            n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)
+        }
+
+    def names_reached(name):
+        # the function's names and those of the module functions it names
+        own = names_in(name)
+        return own.union(*(names_in(n) for n in own & functions.keys() - {name}))
+
+    for name in ("acts_trivially_on_mirror", "restriction_order"):
+        reached = names_reached(name)
+        assert reached & {"_apply_ints", "ints_product"}, name
+        assert "restriction" not in reached, name
+    gone = {"restriction", "restriction_is_scalar", "_rest_mul"}
+    assert {p.name: sorted(bound_names(ast.parse(p.read_text()).body) & gone) for p in MODULES} == {
+        p.name: [] for p in MODULES
+    }
+
+
 def parameters(path: Path, qualname: str):
     """The parameter names of a module-level function or of a method."""
     body = ast.parse(path.read_text()).body

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -11,6 +11,7 @@ from picard7.congruence import FpMatGroup, ResidueMap
 from picard7 import mirror
 from picard7.mirror import (
     MIRROR_L_POLARS,
+    RESTRICTION_ORDER_CAP,
     MirrorContext,
     S2_FIXED,
     S2_MAT,
@@ -18,14 +19,13 @@ from picard7.mirror import (
     cusp_orbit_search,
     mirror_l_generators,
     preserves_mirror,
-    restriction,
-    restriction_is_scalar,
     restriction_order,
     search_orthogonal_mirrors,
     verify_mirror_L,
     verify_mirror_R,
 )
 
+from reference import ref_restriction_order, restriction, restriction_is_scalar
 from reference import search_orthogonal_mirrors as scan_orthogonal_mirrors
 
 
@@ -68,6 +68,66 @@ def test_restriction_orders():
     assert restriction_order(TV.to_matrix(), CTX_L) is None
     for k, v in MIRROR_L_POLARS.items():
         assert restriction_order(make_reflection(v), CTX_L) == 2
+
+
+def _against_the_restriction(g, ctx):
+    """acts_trivially_on_mirror and restriction_order on ints against the
+    2x2 restriction in KNum arithmetic; returns the int test's answer."""
+    trivial = acts_trivially_on_mirror(g, ctx)
+    assert trivial == restriction_is_scalar(restriction(g, ctx))
+    assert restriction_order(g, ctx) == ref_restriction_order(g, ctx, RESTRICTION_ORDER_CAP)
+    return trivial
+
+
+def _mirror_l_words():
+    """The seven generators of mirror L, the relator words of
+    verify_mirror_L with Ttau R, and the 24 long-relator triples."""
+    gens = mirror_l_generators()
+    r = {k: gens["r%d" % k] for k in (1, 2, 3, 4)}
+    s1, s2, tv = gens["s1"], gens["s2"], gens["tv"]
+    words = dict(gens)
+    words.update({
+        "r1^2": r[1] ** 2, "r2^3": r[2] ** 3, "r2^2": r[2] ** 2, "r3^2": r[3] ** 2, "r4^2": r[4] ** 2,
+        "(s2^-1 s1)^2": (s2.inverse() * s1) ** 2,
+        "s1^-1 r4 r1 r3 tv r2": s1.inverse() * r[4] * r[1] * r[3] * tv * r[2],
+        "s1^-1 r4 r1 r3 tv": s1.inverse() * r[4] * r[1] * r[3] * tv,
+        "Ttau R": (TTAU * R).to_matrix(),
+    })
+    triples = {t: s1.inverse() * r[t[0]] * r[t[1]] * r[t[2]] * tv for t in permutations((1, 2, 3, 4), 3)}
+    return words, triples
+
+
+def test_int_mirror_tests_match_the_restriction():
+    # the +/-1 test on the basis ints decides what the 2x2 restriction
+    # does: on mirror L's generators and relator words, where the relators
+    # of verify_mirror_L pass but r2^3 and the six-letter word, and on the
+    # 24 long-relator triples, of which only (4, 1, 3) passes
+    words, triples = _mirror_l_words()
+    trivial = {name: _against_the_restriction(g, CTX_L) for name, g in words.items()}
+    assert [name for name, t in trivial.items() if not t] == [
+        "r1", "r2", "r3", "r4", "s1", "s2", "tv", "r2^3", "s1^-1 r4 r1 r3 tv r2"]
+    assert [t for t, g in triples.items() if _against_the_restriction(g, CTX_L)] == [(4, 1, 3)]
+    # on mirror R: I swaps the basis directions, M and R
+    iota, mu, rho = GENERATORS[1], GENERATORS[6], R.to_matrix()
+    assert [_against_the_restriction(g, CTX_R) for g in (iota, mu, rho)] == [False, False, True]
+    assert [restriction_order(g, CTX_R) for g in (iota, mu, rho)] == [2, 2, 1]
+    # T1 moves mirror R, and every test refuses it
+    for f in (acts_trivially_on_mirror, restriction_order, restriction):
+        with pytest.raises(ValueError, match="does not preserve"):
+            f(T1.to_matrix(), CTX_R)
+
+
+def test_int_mirror_test_reads_one_sign_for_both_vectors():
+    # the mirror of polar (1, 0, 1) has the orthogonal basis b1 = (1, 0, -1),
+    # b2 = (0, 1, 0): R is +1 on b1 and -1 on b2, A1 is -1 on both, and
+    # A1 R is -1 on b1 and +1 on b2.  A test that took a sign per vector
+    # would call R and A1 R trivial.  (On mirrors L and R, <b2, b1> != 0,
+    # so no element of Gamma is +1 on one vector and -1 on the other.)
+    ctx = MirrorContext((KNum(1), KNum(0), KNum(1)))
+    assert herm_inner(ctx.basis[1], ctx.basis[0]).is_zero()
+    rho, a1 = R.to_matrix(), GENERATORS[1]
+    assert [_against_the_restriction(g, ctx) for g in (rho, a1, a1 * rho)] == [False, True, False]
+    assert [restriction_order(g, ctx) for g in (rho, a1, a1 * rho)] == [2, 1, 2]
 
 
 def test_verify_mirror_R():

@@ -20,9 +20,9 @@ from picard7.heisenberg import (
     prism_coordinates,
     reduce_to_prism,
 )
-from picard7.ford import GENERATORS, INVERSE_PAIRS, enumerate_tjk, reduce_to_domain
+from picard7.ford import GENERATORS, INVERSE_PAIRS, enumerate_tjk, reduce_to_domain, spheres_containing
 from picard7.presentation import abcd, torsion_word_rows
-from picard7 import heisenberg, torsion
+from picard7 import ford, heisenberg, torsion
 from picard7.torsion import (
     ClosureError,
     FiniteGroup,
@@ -62,7 +62,9 @@ from reference import (
     ref_stabilizer_gens,
     tjk_in_box,
 )
-from test_ford import tower_fixed_points
+from reference import ref_make_reflection, s_coordinate, tau_coordinates
+from test_ford import K_FIXED_POINTS, tower_fixed_points
+from test_heisenberg import _prism_reals
 from test_hygiene import MODULES, bound_names
 
 V1 = ProjPoint((-TAU_BAR, KNum(0), KNum(1)))
@@ -97,6 +99,46 @@ def test_repeated_eigenvalue():
     assert _repeated_eigenvalue(mat_charpoly(Mat([[2, 0, 0], [1, 3, 0], [0, 4, 3]]))) == 3
     with pytest.raises(ArithmeticError):
         _repeated_eigenvalue(GroupElt.identity().charpoly())
+
+
+def test_classify_elliptic_accepts_exactly_the_projective_order():
+    # classify_elliptic checks a stated n by powers (g^n = +/-Id by squaring,
+    # and g^(n/q) != +/-Id for each prime q dividing n): over the 65
+    # candidates of the enumeration and every word-table row, each n in
+    # 0..19 is accepted exactly when it is projective_order(g)
+    cands = list(torsion._torsion_candidates())
+    assert len(cands) == 65
+    for g in cands + [row["elt"] for row in torsion_word_rows()]:
+        order = projective_order(g)
+        assert order is not None
+        for n in range(torsion.MAX_PROJECTIVE_ORDER + 2):
+            if n == order:
+                assert classify_elliptic(g, n)[0] in ("reflection", "isolated")
+            else:
+                with pytest.raises(ValueError, match="stated order"):
+                    classify_elliptic(g, n)
+
+
+def test_make_reflection_matches_the_knum_formula():
+    # the 18 ints written directly against the KNum formula, matrix and
+    # word: on the four polars of mirror L, (0, 1, 0) and (1, 0, 1); a polar
+    # of norm 3 is refused by both
+    polars = [
+        (KNum(1), KNum(1), TAU_BAR),
+        (-ISQRT7, TAU, KNum(2)),
+        (ISQRT7, TAU, KNum(2)),
+        (KNum(0), KNum(1), TAU_BAR),
+        (KNum(0), KNum(1), KNum(0)),
+        (KNum(1), KNum(0), KNum(1)),
+    ]
+    for v in polars:
+        got, want = make_reflection(v), ref_make_reflection(v)
+        assert got.ints == want.ints and got.word == want.word
+    # a multiple of a polar gives the same reflection and word
+    assert make_reflection((KNum(2), KNum(2), 2 * TAU_BAR)).word == make_reflection(polars[0]).word
+    for f in (make_reflection, ref_make_reflection):
+        with pytest.raises(ValueError, match="polar norm"):
+            f((KNum(1), KNum(1), KNum(1)))
 
 
 def test_make_reflection():
@@ -437,11 +479,17 @@ def test_v1_cycle_graph_and_stabilizer():
     assert GENERATORS[6] in stab.elements
 
 
+def _moves_at(v):
+    """The moves at a cycle-graph vertex as (element, image) pairs, with
+    the vertex's prism coordinates read off its vector."""
+    return [(GroupElt.from_ints(t), q) for t, q, _, _, _ in torsion._moves(v, prism_coordinates(v.coords))]
+
+
 def test_second_cycle_graph_runs_no_feasibility_test(monkeypatch):
     import picard7.heisenberg as heisenberg
 
     first = build_cycle_graph([V1])
-    moves = [list(torsion._moves(v)) for v in _vertices(first)]
+    moves = [_moves_at(v) for v in _vertices(first)]
     calls = []
     exact = heisenberg._overlap_vertices
 
@@ -454,7 +502,7 @@ def test_second_cycle_graph_runs_no_feasibility_test(monkeypatch):
     assert calls
     calls.clear()
     second = build_cycle_graph([V1])
-    assert [list(torsion._moves(v)) for v in _vertices(second)] == moves
+    assert [_moves_at(v) for v in _vertices(second)] == moves
     assert calls == []
     assert second == first
 
@@ -592,7 +640,7 @@ def _overlap_moves_against_reference(graph, ties):
             if c != IDENTITY and inside != "outside":
                 want.append(c.to_matrix())
                 ties.update(facets)
-        assert [g for g, _ in torsion._moves(v) if fixes_q_inf(g)] == want
+        assert [g for g, _ in _moves_at(v) if fixes_q_inf(g)] == want
         found += len(want)
     return found
 
@@ -735,7 +783,7 @@ def test_order6_vertex_five_loops():
     assert _vertices(graph) == [c6.fixed]
     # five Ford side-pairing loops; the element itself coincides with one of
     # the side-pairing composites
-    moves = list(torsion._moves(c6.fixed))
+    moves = _moves_at(c6.fixed)
     assert len(moves) == 5
     assert all(q == c6.fixed for _, q in moves)
     assert c6.rep in {g for g, _ in moves}
@@ -790,3 +838,83 @@ def test_order3_norm3_classes_stay_distinct():
     pair = [c for c in _classes_by("isolated", 3) if c.fp_norm == -3]
     assert len(pair) == 2
     assert pair[0].fixed != pair[1].fixed
+
+
+def _paper_walk_bases():
+    """The Omega representatives of the five K-rational isolated fixed
+    points, of the zeta_3 fixed point of mu ups iota and of the zeta_7 fixed
+    point of a."""
+    mti = GENERATORS[6] * TV.to_matrix() * GENERATORS[1]
+    points = [ProjPoint(v) for v in K_FIXED_POINTS]
+    points += [classify_elliptic(mti, 6)[1], classify_elliptic(abcd()["a"], 7)[1]]
+    return [reduce_to_domain(p)[1] for p in points]
+
+
+def test_tower_points_are_normalized_at_their_last_coordinate():
+    # a tower ProjPoint is its vector divided by its last nonzero
+    # coordinate: at the 20 tower fixed points of the enumeration and at
+    # their Omega representatives that is v3 = 1, every nonzero multiple of
+    # the vector gives the same point, and the prism coordinates, read
+    # with no inverse, are those of the horospherical reference, which
+    # divides by v3
+    pairs = tower_fixed_points()
+    assert len(pairs) == 20
+    for pair in pairs:
+        for p in pair:
+            v = p.coords
+            assert not p.rational and v[2].is_one()
+            zeta = AlgNum.gen(v[2].tower)
+            for lam in (2, TAU, zeta):
+                assert ProjPoint(tuple(c * lam for c in v)) == p
+            h = horo_coords(v)
+            assert _prism_reals(prism_coordinates(v)) == tau_coordinates(h.z) + (s_coordinate(h.ti),)
+
+
+def test_walks_carry_each_vertex_coordinates(monkeypatch):
+    # the prism coordinates build_cycle_graph carries to each vertex it
+    # expands are those read off the vertex's vector, and so are those each
+    # move carries to its image (the cusp shift's action on the side
+    # image's own): on the walks from the five K-rational fixed points,
+    # the zeta_3 point of mu ups iota and the zeta_7 point of a
+    moves = torsion._moves
+    expanded = []
+
+    def checked(p, x):
+        assert _prism_reals(x) == _prism_reals(prism_coordinates(p.coords))
+        expanded.append(p)
+        for move in moves(p, x):
+            _, q, c, _, xs = move
+            assert _prism_reals(act_prism(c, xs)) == _prism_reals(prism_coordinates(q.coords))
+            yield move
+
+    monkeypatch.setattr(torsion, "_moves", checked)
+    for base in _paper_walk_bases():
+        expanded.clear()
+        assert list(build_cycle_graph([base])[base].transports) == expanded
+
+
+def test_tower_vertex_reads_its_coordinates_once(monkeypatch):
+    # at the zeta_3 vertex of mu ups iota, the walk takes prism coordinates
+    # once for the vertex and once for each side image, and one inverse at
+    # most per side image (its normal form); the vertex's own sweep, prism
+    # reduction and overlap test read its carried coordinates
+    base = _paper_walk_bases()[5]
+    assert not base.rational
+    graph = build_cycle_graph([base])
+    vertices = list(graph[base].transports)
+    sides = sum(len(spheres_containing(v)) for v in vertices)
+    assert (len(vertices), sides) == (1, 5)
+    calls = {"prism_coordinates": 0, "inverse": 0}
+
+    def counted(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    for module in (heisenberg, ford, torsion):
+        monkeypatch.setattr(module, "prism_coordinates", counted("prism_coordinates", prism_coordinates))
+    monkeypatch.setattr(AlgNum, "inverse", counted("inverse", AlgNum.inverse))
+    assert build_cycle_graph([base]) == graph
+    assert calls["prism_coordinates"] <= len(vertices) + sides
+    assert 0 < calls["inverse"] <= sides
