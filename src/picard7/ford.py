@@ -11,7 +11,12 @@ brackets of its coordinates in K(zeta_3) and K(zeta_7).
 A point's place over the prism is read off its vector
 (`heisenberg.prism_coordinates`), and the cusp element that moves it into
 the prism acts on the vector by its matrix; a sphere's center is kept as
-the same int coordinates.
+the same int coordinates.  A K-rational point stays the six ints of its
+ProjPoint's rep from input to answer: the K sweep reads them, and the
+reduction moves them by int products.  Gamma maps primitive vectors of
+O_7^3 to primitive vectors, so the reduced point takes the sign rule of
+its rep and no gcd.  A tower point keeps its AlgNum coordinates, at
+v3 = 1, in the same loop.
 """
 
 from __future__ import annotations
@@ -34,23 +39,29 @@ from .ring import (
     zeta7_autocorr,
 )
 from .hermitian import (
+    ID_INTS,
     GroupElt,
     Mat,
     ProjPoint,
     depth,
-    herm_inner,
     ints_apply,
+    ints_inverse,
+    ints_product,
     sq_norm,
+    sq_norm_ints,
+    _apply_ints,
     _mul_ints,
     _norm_ints,
 )
 from .heisenberg import (
     BRACKET,
+    IDENTITY,
     CuspElt,
     act_prism,
     bracket,
     in_prism,
     prism_coordinates,
+    prism_grid,
     reduce_to_prism,
 )
 
@@ -137,13 +148,13 @@ class IsomSphere(namedtuple("IsomSphere", "center r4")):
     __slots__ = ()
 
     def __new__(cls, elt: GroupElt):
-        col = elt.first_column()
-        a31 = col[2]
-        if a31.is_zero():
+        t = elt.ints
+        col = (t[0], t[1], t[6], t[7], t[12], t[13])
+        if not (t[12] or t[13]):
             raise ValueError("element stabilizes the point at infinity")
-        if not sq_norm(col).is_zero():
+        if sq_norm_ints(col):
             raise ArithmeticError("isometric sphere center is not on the boundary")
-        return tuple.__new__(cls, (prism_coordinates(col), Fraction(4, a31.norm())))
+        return tuple.__new__(cls, (prism_coordinates(col), Fraction(4, _norm_ints(t[12], t[13]))))
 
 
 #: the isometric sphere of each pairing matrix, built once (IsomSphere is immutable)
@@ -337,12 +348,6 @@ def candidate_spheres(j: int) -> frozenset:
     return frozenset(enumerate_cone_translates(j))
 
 
-def _int_pair(c: KNum):
-    if c.d != 1:
-        raise ArithmeticError("a Ford sweep coordinate is not integral")
-    return c.na, c.nb
-
-
 def _alg_ints(c: AlgNum):
     if c.den != 1:
         raise ArithmeticError("a Ford sweep coordinate is not integral")
@@ -360,99 +365,130 @@ def _forms(v):
             (e3, -c3, e2, -c2, e1, -c1))
 
 
-# One sweep kernel per field: (quantity, cmp, sweep).  quantity(x) is |x|^2
-# of an integral coordinate x, up to one positive factor, in an exact int
+# One sweep kernel per field: (quantity, cmp, sweep).  quantity(v) is
+# |v3|^2 of an integral vector v, up to one positive factor, in an exact int
 # form; cmp(p, q) is the exact sign of the difference of two quantities;
-# sweep(v, own, x) yields (sign, quantity, j, alpha) for each candidate
+# sweep(v, own, g) yields (sign, quantity, j, alpha) for each candidate
 # translate alpha of j whose column col = alpha(A_j(inf)) has
-# |<v, col>|^2 <= own, for an integral v whose point has the prism
-# coordinates x, in (j, alpha) order.  Each kernel compares only the
-# translates in a window derived from that inequality, and decides each
-# on ints; the K kernel reads its window off v's ints, and the tower
-# kernels off brackets of x.
+# |<v, col>|^2 <= own, for an integral v whose point's prism coordinates
+# have the grid g (`prism_grid`), in (j, alpha) order.  Each kernel
+# compares only the translates in a window derived from that inequality,
+# and decides each on ints; the K kernel reads its window off v's six
+# ints, and the tower kernels off the brackets in g.
 
 
 def _k_cmp(p, q) -> int:
     return (p > q) - (p < q)
 
 
-def _k_sweep(v, own, _x):
-    """v in O_7^3: the quantity is the int N(<v, col>).
+def _k_quantity(v) -> int:
+    return _norm_ints(v[4], v[5])
+
+
+@cache
+def _k_generators():
+    """The constants of the K kernel for each pairing matrix, in sweep
+    order: (j, za, zb, zd, r2, col, table) with (za, zb, zd) of its
+    sphere's center, r2 its r^2 bound, col the six ints of the conjugates
+    of A_j's first column and table its candidate translates.  Built at the
+    first sweep: the tables are not forced at import."""
+    out = []
+    for j in sorted(GENERATORS):
+        t = GENERATORS[j].ints
+        za, zb, _, zd = SPHERES[j].center
+        # conj(a + b tau) = (a + b) - b tau
+        col = (t[0] + t[1], -t[1], t[6] + t[7], -t[7], t[12] + t[13], -t[13])
+        out.append((j, za, zb, zd, _R2[j], col, candidate_spheres(j)))
+    return tuple(out)
+
+
+def _k_sweep(v, own, _g):
+    """v, the six ints of a vector in O_7^3: the quantity is the int N(<v, col>).
 
     Only the translates alpha = (m, n, eps, l) whose closed Cygan ball can
     hold v are evaluated.  With dv = N(v3), z = v2 conj(v3)/dv and
     u' = -<v, v>/dv, Re<v/v3, col/col3> = -(u' + N(z - z0))/2 for the
     column's center z0 = w + sigma z_j, whatever l is.  A hit has
     |<v/v3, col/col3>| <= r^2/2, so u' + N(z - z0) <= r^2 <= r2/2^16, and
-    times S^2 for S = dv zd that is a lattice disk in (m, n).  Along l,
-    col1 grows by i sqrt(7) col3, so <v, col> = Z + l D, and N(Z + l D) is a
-    convex quadratic in l: its hits are the ints next to its vertex, found
-    by walking out from it.  A hit counts only if alpha is a candidate
-    translate of j, as every hit at a point over P is.
+    times S^2 for S = dv zd that is a lattice disk in (m, n), walked as in
+    `_lattice_disk` for both eps on one bound of n; the products with v's
+    coordinates are formed at a generator's first point of the disk.  Along
+    l, col1 grows by i sqrt(7) col3, so <v, col> = Z + l D, and N(Z + l D)
+    is a convex quadratic in l: its hits are the ints next to its vertex,
+    found by walking out from it.  A hit counts only if alpha is a
+    candidate translate of j, as every hit at a point over P is; a hit is
+    the tuple (m, n, eps, l, quantity) until it is yielded.
     """
-    (v1a, v1b), (v2a, v2b), (v3a, v3b) = [_int_pair(c) for c in v]
+    v1a, v1b, v2a, v2b, v3a, v3b = v
     dv = _norm_ints(v3a, v3b)
+    if dv == 0:
+        # N(D) = 7 N(c3) dv below, and c3 != 0 for every A_j
+        raise ArithmeticError("a Ford sweep's l-step vanishes")
     # S z = zd (za_v + zb_v tau), and <v, v> = 2 Re(v1 conj(v3)) + N(v2)
     za_v, zb_v = _mul_ints(v2a, v2b, v3a + v3b, -v3b)
-    ra, rb = _mul_ints(v1a, v1b, v3a + v3b, -v3b)
-    vv = 2 * ra + rb + _norm_ints(v2a, v2b)
-    for j in sorted(GENERATORS):
-        za, zb, _, zd = SPHERES[j].center
-        r2 = _R2[j]
+    vv = sq_norm_ints(v)
+    for j, za, zb, zd, r2, (c1a, c1b, c2a, c2b, c3a, c3b), table in _k_generators():
         # floor(S^2 (r2/2^16 - u')), as S^2/dv = dv zd^2
         nmax = dv * zd * zd * (r2 * dv + vv * _SQRT_DEN) // _SQRT_DEN
         if nmax < 0:
             continue
-        # For alpha = (m, n, eps, 0), w = m + n tau and sigma = (-1)^eps,
-        # the column is (c1 - sigma conj(w) c2 + c c3, sigma c2 + w c3, c3)
-        # with (c1, c2, c3) the first column of A_j and conj(c) =
-        # (s0 - N(w))/2 - s0 tau, s0 = m - mn.  So <v, col> = B + sigma C
-        # - sigma w E + conj(w) H + conj(c) G, with B = conj(c1) v3 +
-        # conj(c3) v1, C = conj(c2) v2, E = conj(c2) v3, H = conj(c3) v2
-        # and G = conj(c3) v3; conj(a + b tau) = (a + b) - b tau.
-        t = GENERATORS[j].ints
-        c1a, c1b, c2a, c2b, c3a, c3b = t[0] + t[1], -t[1], t[6] + t[7], -t[7], t[12] + t[13], -t[13]
-        ba, bb = _mul_ints(c1a, c1b, v3a, v3b)
-        fa, fb = _mul_ints(c3a, c3b, v1a, v1b)
-        ca, cb = _mul_ints(c2a, c2b, v2a, v2b)
-        ea, eb = _mul_ints(c2a, c2b, v3a, v3b)
-        ha, hb = _mul_ints(c3a, c3b, v2a, v2b)
-        ga, gb = _mul_ints(c3a, c3b, v3a, v3b)
-        # D = conj(i sqrt(7)) G = (1 - 2 tau) G, and for Z = x + y tau,
-        # 2 Re(Z conj(D)) = ((2x + y)(2 dx + dy) + 7 y dy)/2
-        dx, dy = _mul_ints(1, -2, ga, gb)
-        nd = _norm_ints(dx, dy)
-        if nd == 0:
-            raise ArithmeticError("a Ford sweep's l-step vanishes")
-        d2, d7 = 2 * dx + dy, 7 * dy
-        hits = []
+        step, qmax = dv * zd, isqrt(4 * nmax // 7)
+        hits = None
         for eps in (0, 1):
-            sigma = -1 if eps else 1
-            pa, pb = ba + fa + sigma * ca, bb + fb + sigma * cb
-            qa, qb = -sigma * ea, -sigma * eb
-            # _lattice_disk yields (-m, -n) for S (z - z0) = p + q tau
+            sigma = 1 - 2 * eps
+            # the disk of S (z - z0) = p + q tau, in (-m, -n)
             p0, q0 = zd * za_v - sigma * dv * za, zd * zb_v - sigma * dv * zb
-            for mm, nn in _lattice_disk(p0, q0, dv * zd, nmax):
-                m, n = -mm, -nn
-                s0 = m - m * n
-                ka, kb = (s0 - m * m - m * n - 2 * n * n) // 2, -s0
-                # Z = P + w Q + conj(w) H + conj(c) G, conj(w) = (m + n) - n tau
-                x = pa + m * qa - 2 * n * qb + (m + n) * ha + 2 * n * hb + ka * ga - 2 * kb * gb
-                y = pb + m * qb + n * (qa + qb) + m * hb - n * ha + ka * gb + kb * (ga + gb)
-                # N(Z + l D) = N(Z) + l tr + l^2 N(D)
-                nz = x * x + x * y + 2 * y * y
-                tr = ((2 * x + y) * d2 + y * d7) // 2
-                top = -tr // (2 * nd)
-                for l, step in ((top, -1), (top + 1, 1)):
-                    while (q := nz + l * (tr + l * nd)) <= own:
-                        hits.append((CuspElt(m, n, eps, l), q))
-                        l += step
+            for nn in range(-((qmax + q0) // step), (qmax - q0) // step + 1):
+                q = nn * step + q0
+                w = isqrt(4 * nmax - 7 * q * q)
+                for mm in range(-((w + q + 2 * p0) // (2 * step)), (w - q - 2 * p0) // (2 * step) + 1):
+                    if hits is None:
+                        hits = []
+                        # For alpha = (m, n, eps, 0), w = m + n tau, the
+                        # column is (c1 - sigma conj(w) c2 + c c3, sigma c2
+                        # + w c3, c3) with (c1, c2, c3) the first column of
+                        # A_j and conj(c) = k - s0 tau, s0 = m - mn and
+                        # k = (s0 - N(w))/2.  So <v, col> = B + sigma C
+                        # - sigma w E + conj(w) H + conj(c) G, with B =
+                        # conj(c1) v3 + conj(c3) v1, C = conj(c2) v2, E =
+                        # conj(c2) v3, H = conj(c3) v2 and G = conj(c3) v3,
+                        # and conj(w) = (m + n) - n tau
+                        ba, bb = _mul_ints(c1a, c1b, v3a, v3b)
+                        fa, fb = _mul_ints(c3a, c3b, v1a, v1b)
+                        ca, cb = _mul_ints(c2a, c2b, v2a, v2b)
+                        ea, eb = _mul_ints(c2a, c2b, v3a, v3b)
+                        ha, hb = _mul_ints(c3a, c3b, v2a, v2b)
+                        ga, gb = _mul_ints(c3a, c3b, v3a, v3b)
+                        # by eps: B + sigma C, and the coefficients of m and
+                        # n in the two ints of Z = <v, col> - conj(c) G
+                        forms = ((ba + fa + ca, bb + fb + cb, ha - ea, ha + 2 * hb + 2 * eb, hb - eb, -ea - eb - ha),
+                                 (ba + fa - ca, bb + fb - cb, ha + ea, ha + 2 * hb - 2 * eb, hb + eb, ea + eb - ha))
+                        gs = ga + gb
+                        # D = conj(i sqrt(7)) G = (1 - 2 tau) G, and for
+                        # Z = x + y tau, 2 Re(Z conj(D)) = ((2x + y)(2 dx
+                        # + dy) + 7 y dy)/2
+                        dx, dy = _mul_ints(1, -2, ga, gb)
+                        nd = _norm_ints(dx, dy)
+                        d2, d7 = 2 * dx + dy, 7 * dy
+                    pa, pb, xm, xn, ym, yn = forms[eps]
+                    m, n = -mm, -nn
+                    s0 = m - m * n
+                    k = (s0 - m * m - m * n - 2 * n * n) // 2
+                    x = pa + m * xm + n * xn + k * ga + 2 * s0 * gb
+                    y = pb + m * ym + n * yn + k * gb - s0 * gs
+                    # N(Z + l D) = N(Z) + l tr + l^2 N(D)
+                    nz = x * x + x * y + 2 * y * y
+                    tr = ((2 * x + y) * d2 + y * d7) // 2
+                    top = -tr // (2 * nd)
+                    for l, dl in ((top, -1), (top + 1, 1)):
+                        while (h := nz + l * (tr + l * nd)) <= own:
+                            hits.append((m, n, eps, l, h))
+                            l += dl
         if hits:
-            table = candidate_spheres(j)
             hits.sort()
-            for alpha, q in hits:
-                if alpha in table:
-                    yield (-1 if q < own else 0), q, j, alpha
+            for m, n, eps, l, h in hits:
+                if (m, n, eps, l) in table:
+                    yield (-1 if h < own else 0), h, j, tuple.__new__(CuspElt, (m, n, eps, l))
 
 
 def _zeta3_quantity(x0, y0, x1, y1):
@@ -466,24 +502,24 @@ def _zeta3_quantity(x0, y0, x1, y1):
     return 2 * (x0 * x0 + x0 * y0 + 2 * y0 * y0 + x1 * x1 + x1 * y1 + 2 * y1 * y1) - 2 * p - q, -q
 
 
-def _zeta3_quantity_of(x: AlgNum):
-    return _zeta3_quantity(*_alg_ints(x))
+def _zeta3_quantity_of(v):
+    return _zeta3_quantity(*_alg_ints(v[2]))
 
 
 def _zeta3_cmp(p, q) -> int:
     return sqrt21_sign(p[0] - q[0], p[1] - q[1])
 
 
-def _zeta3_sweep(v, own, x):
+def _zeta3_sweep(v, own, g):
     """v = v0 + v1 zeta_3 with v0, v1 in O_7^3: <v, col> = X0 + X1 zeta_3,
     and the quantity is the int pair (m, n) of 2|X0 + X1 zeta_3|^2."""
     ints = [_alg_ints(c) for c in v]
     rows = _forms([f[:2] for f in ints]) + _forms([f[2:] for f in ints])
-    yield from _tower_sweep(v, own, x, rows, lambda h: _zeta3_quantity(*h), _zeta3_cmp)
+    yield from _tower_sweep(v, own, g, rows, lambda h: _zeta3_quantity(*h), _zeta3_cmp)
 
 
-def _zeta7_quantity_of(x: AlgNum):
-    return zeta7_autocorr((0,) + _alg_ints(x))
+def _zeta7_quantity_of(v):
+    return zeta7_autocorr((0,) + _alg_ints(v[2]))
 
 
 def _zeta7_cmp(p, q) -> int:
@@ -493,7 +529,7 @@ def _zeta7_cmp(p, q) -> int:
     return eta_sign(p[1] - q[1] - d0, p[2] - q[2] - d0, p[3] - q[3] - d0)
 
 
-def _zeta7_sweep(v, own, x):
+def _zeta7_sweep(v, own, g):
     """v in O_K(zeta_7)^3, each coordinate its ints F_1 .. F_6 and F_0 = 0: the
     quantity is the autocorrelation (h_0, .., h_3) of <v, col>, |x|^2 =
     sum_m h_m zeta_7^m."""
@@ -507,21 +543,22 @@ def _zeta7_sweep(v, own, x):
         for f in coords:
             row += (f[m], f[m] + f[m - 3] + f[m - 5] + f[m - 6])
         rows.append(row)
-    yield from _tower_sweep(v, own, x, rows, zeta7_autocorr, _zeta7_cmp)
+    yield from _tower_sweep(v, own, g, rows, zeta7_autocorr, _zeta7_cmp)
 
 
-def _tower_sweep(v, own, x, rows, quantity, cmp):
+def _tower_sweep(v, own, g, rows, quantity, cmp):
     """The sweep of v over K(zeta_3) or K(zeta_7), on a window like _k_sweep's.
 
     The ints h of <v, col> in the field's basis are r.col for r in rows,
     quantity(h) is the field's quantity of that <v, col>, and cmp compares
     quantities exactly, as in _KERNELS.  v is a point's vector with v3 = 1
-    (its normal form) scaled by a positive int, and x = (a, b, s, 1) its
-    prism coordinates.  The point's z = a + b tau, s and u' = -<v, v>/|v3|^2
-    are real elements of the field; each lies in [k, k + 1]/2^16 for its
-    bracket k = floor(2^16 x) (`bracket`), exact by floor_real in both
-    fields.  So u' >= ku/2^16, and zc = (ka + kb tau)/2^16 is within
-    |1 + tau|/2^16 = 2/2^16 of z.
+    (its normal form) scaled by a positive int, and g the grid of its prism
+    coordinates (a, b, s, 1), whose values 2k + 1 hold the brackets
+    k = floor(2^16 x) of a, b and s (`prism_grid`).  The point's
+    z = a + b tau, s and u' = -<v, v>/|v3|^2 are real elements of the field;
+    each lies in [k, k + 1]/2^16 for its bracket k (`bracket`), exact by
+    floor_real in both fields.  So u' >= ku/2^16, and zc = (ka + kb tau)/2^16
+    is within |1 + tau|/2^16 = 2/2^16 of z.
 
     For the center z0 = p + q tau of alpha(I(A_j)) and its s = sc at l = 0,
     |<v/v3, col/col3>|^2 = ((u' + N(z - z0))^2 + 28 (l - l*)^2)/4 with
@@ -532,9 +569,9 @@ def _tower_sweep(v, own, x, rows, quantity, cmp):
     it whose alpha is a candidate translate of j is decided by cmp, on
     <v, col> = Z + l D with D = <v, (i sqrt(7) c3, 0, 0)>.
     """
-    a, b, s, _ = x
+    ka, kb, ks = g[0] >> 1, g[1] >> 1, g[2] >> 1
     # |v3|^2 is the square of the scale, an int
-    ka, kb, ks, ku = map(bracket, (a, b, s, -sq_norm(v) / v[2].k_part().norm()))
+    ku = bracket(-sq_norm(v) / v[2].k_part().norm())
     for j in sorted(GENERATORS):
         sph = SPHERES[j]
         za, zb, sn, zd = sph.center
@@ -601,36 +638,32 @@ def _tower_sweep(v, own, x, rows, quantity, cmp):
 
 #: the sweep kernel of each field, by n for K(zeta_n), 1 for K
 _KERNELS = {
-    1: (KNum.norm, _k_cmp, _k_sweep),
+    1: (_k_quantity, _k_cmp, _k_sweep),
     3: (_zeta3_quantity_of, _zeta3_cmp, _zeta3_sweep),
     7: (_zeta7_quantity_of, _zeta7_cmp, _zeta7_sweep),
 }
 
 
 def _sweep_vector(v):
-    """(vs, own, kernel): v prepared for a Ford sweep.
+    """(vs, own, kernel): a point's vector prepared for a Ford sweep.
 
-    Each test of a sweep compares N(<v, col>) with N(v3), and both are
-    homogeneous of degree 2 in v.  So v is scaled once by the positive int
-    lcm of the denominators of its coordinates: that changes no sign, order
-    or tie, and every quantity of the sweep is an int form of the kernel of
-    v's field.  own is the quantity of the scaled v3.
+    A K-rational point's vector is the six ints of its rep, or of its image
+    under an element of Gamma, which the K kernel sweeps as they are.  A
+    tower vector has AlgNum coordinates.  Each test of a sweep compares
+    N(<v, col>) with N(v3), and both are homogeneous of degree 2 in v.  So
+    a tower v is scaled once by the positive int lcm of the denominators of
+    its coordinates: that changes no sign, order or tie, and every quantity
+    of the sweep is an int form of the kernel of v's field.  own is the
+    quantity of the (scaled) v3.
     """
-    n = 1
-    for c in v:
-        if isinstance(c, AlgNum):
-            if n != 1 and c.tower.n != n:
-                raise ValueError("a vector with coordinates in two fields")
-            tower, n = c.tower, c.tower.n
-    if n == 1:
-        den = lcm(*(c.d for c in v))
+    if type(v[0]) is int:
+        kernel = _KERNELS[1]
     else:
-        v = [c if isinstance(c, AlgNum) else AlgNum.lift(tower, c) for c in v]
         den = lcm(*(c.den for c in v))
-    if den != 1:
-        v = [c * den for c in v]
-    kernel = _KERNELS[n]
-    return v, kernel[0](v[2]), kernel
+        if den != 1:
+            v = [c * den for c in v]
+        kernel = _KERNELS[v[0].tower.n]
+    return v, kernel[0](v), kernel
 
 
 def spheres_containing(x: ProjPoint):
@@ -641,24 +674,29 @@ def spheres_containing(x: ProjPoint):
     ball), valid for x itself (the internal prism reduction is undone in the
     reported alpha).
     """
-    return spheres_at(x.coords, prism_coordinates(x.coords))
+    xc = prism_coordinates(x.rep)
+    return spheres_at(x, xc, prism_grid(xc))
 
 
-def spheres_at(v, x):
-    """spheres_containing for a ProjPoint's coordinates v and their prism
-    coordinates x, which a caller that carries them passes on: the prism
-    reduction and the sweep read x, and compute no coordinates of their own.
+def spheres_at(p: ProjPoint, x, grid):
+    """spheres_containing for a ProjPoint p with the prism coordinates x and
+    their grid (`prism_grid`), which a caller that carries them passes on:
+    the prism reduction and the sweep read the grid, and bracket no
+    coordinates of their own unless the reduction moves the point.
     """
-    shift = reduce_to_prism(x)
-    shift_inv = shift.inverse()
-    vs, own, (_, _, sweep) = _sweep_vector(ints_apply(shift.ints, v))
+    shift = reduce_to_prism(x, grid)
+    if shift != IDENTITY:
+        grid = prism_grid(act_prism(shift, x))
+        p = p.moved(shift.ints)
+    vs, own, (_, _, sweep) = _sweep_vector(p.rep)
     # a translated sphere depends only on its center and radius (the coset
     # of alpha*A_j modulo right cusp multiplication).  The prism coordinates
     # (a, b, s, den) of its center alpha(A_j(inf)) give both, as r^4 = 4/den,
     # so dedup on them, keeping the first (j, alpha) of the sweep
     found = {}
-    for sign, _, j, alpha in sweep(vs, own, act_prism(shift, x)):
+    for sign, _, j, alpha in sweep(vs, own, grid[0]):
         found.setdefault(act_prism(alpha, SPHERES[j].center), (j, alpha, sign))
+    shift_inv = shift.inverse()
     return [
         (shift_inv * alpha, j, "boundary" if sign == 0 else "interior")
         for j, alpha, sign in found.values()
@@ -683,49 +721,58 @@ def reduce_to_domain(x: ProjPoint):
 
     x is a negative ProjPoint, and so is g(x).  Deterministic: among
     violated Ford inequalities, the one maximizing the exact violation ratio
-    wins, ties broken by (j, cusp normal form).  A tower vector is kept
-    at v3 = 1, as in ProjPoint: it has no content to divide out, so that
-    keeps its ints from growing with the steps, its prism coordinates take
-    no inverse, and a cusp shift keeps the form.
+    wins, ties broken by (j, cusp normal form).  The point is carried as its
+    rep.  A K-rational point stays the six ints of a primitive vector of
+    O_7^3: Gamma maps primitive vectors to primitive vectors, so each move
+    is an int product and the answer needs the sign rule only, no gcd.  A
+    tower vector is kept at v3 = 1, as in ProjPoint: it has no content to
+    divide out, so that keeps its ints from growing with the steps, its
+    prism coordinates take no inverse, and a cusp shift keeps the form.  g
+    is composed as 18 ints and a list of word pieces, and built once.
     """
-    v = x.coords
-    if herm_inner(v, v).real_sign() >= 0:
+    if x.sq_norm_sign() >= 0:
         raise ValueError("reduction needs an interior point (negative square norm)")
-    total = GroupElt.identity()
+    rational = x.rational
+    move = _apply_ints if rational else ints_apply
+    v = x.rep
+    total, pieces = ID_INTS, []
     for _ in range(MAX_ITERS):
         xc = prism_coordinates(v)
         c = reduce_to_prism(xc)
-        shift = c.to_matrix()
-        v = shift.apply(v)
-        total = shift * total
+        t = c.ints
+        v = move(t, v)
+        total = ints_product(t, total)
+        pieces.append(c.word())
         vs, own, (quantity, cmp, sweep) = _sweep_vector(v)
         # the violation ratio own/other is largest when `other` is smallest
         # (own is fixed within this sweep); the sweep's order breaks ties
         best = None
-        for sign, other, j, alpha in sweep(vs, own, act_prism(c, xc)):
+        for sign, other, j, alpha in sweep(vs, own, prism_grid(act_prism(c, xc))[0]):
             if sign < 0 and (best is None or cmp(other, best[0]) < 0):
                 best = (other, j, alpha)
         if best is None:
-            return total, ProjPoint(v)
-        g = best[2].to_matrix() * GENERATORS[best[1]]
-        gi = g.inverse()
-        # gi maps the scaled vector to a multiple of the new point by the same
-        # factor, so its Ford quantity compares with `own`
-        v = gi.apply(vs)
+            word = tuple(letter for piece in reversed(pieces) for letter in piece)
+            return GroupElt.from_ints(total, word), ProjPoint.of_primitive(v) if rational else ProjPoint(v)
+        _, j, alpha = best
+        # (alpha A_j)^-1 maps the scaled vector to a multiple of the new
+        # point by the same factor, so its Ford quantity compares with `own`
+        gi = ints_inverse(ints_product(alpha.ints, GENERATORS[j].ints))
+        v = move(gi, vs)
         # the Ford quantity strictly decreases at each step
-        if cmp(quantity(v[2]), own) >= 0:
+        if cmp(quantity(v), own) >= 0:
             raise ArithmeticError("the Ford quantity did not decrease")
-        if isinstance(v[2], AlgNum):
+        if not rational:
             inv = 1 / v[2]
-            v = tuple(c * inv for c in v)
-        total = gi * total
+            v = tuple(y * inv for y in v)
+        total = ints_product(gi, total)
+        pieces.append(tuple((name, -e) for name, e in reversed(alpha.word() + GENERATORS[j].word)))
     raise ReductionError(f"no Omega representative found in {MAX_ITERS} steps")
 
 
 def in_omega(x: ProjPoint) -> bool:
     """Exact membership of a point in Omega (closed)."""
-    xc = prism_coordinates(x.coords)
+    xc = prism_coordinates(x.rep)
     if not in_prism(xc):
         return False
-    vs, own, (_, _, sweep) = _sweep_vector(x.coords)
-    return all(sign == 0 for sign, _, _, _ in sweep(vs, own, xc))
+    vs, own, (_, _, sweep) = _sweep_vector(x.rep)
+    return all(sign == 0 for sign, _, _, _ in sweep(vs, own, prism_grid(xc)[0]))

@@ -13,14 +13,16 @@ Heisenberg group law (z, t)*(z', t') = (z + z', t + t' + 2 Im(z conj z')).
 
 The prism P = D x [0, 2 sqrt(7)], D = hull{0, 1, tau}, is a fundamental
 domain for this action on the boundary minus q_inf.  A point enters by its
-prism coordinates (a, b, s, den), read off its vector (`prism_coordinates`):
-its projection to the boundary is z = (a + b tau)/den and t = s sqrt(7)/den.
+prism coordinates (a, b, s, den), read off its ProjPoint's rep
+(`prism_coordinates`): its projection to the boundary is z = (a + b tau)/den
+and t = s sqrt(7)/den.
 They are ints for a K-rational point and real AlgNums over den = 1 for a
 point over K(zeta_3) or K(zeta_7).  A cusp element acts on them affinely
 (`act_prism`), one formula for both kinds.  Prism reduction and the overlap
 test are closed form on ints: a K-rational point's own, and for a tower
 point the ints of its certified brackets floor(2^16 x) (`bracket`), with an
 exact AlgNum sign or floor only where a bracket's window straddles the bound.
+A caller that tests one point several times brackets it once (`prism_grid`).
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from functools import cache
 from itertools import combinations, groupby
 from operator import itemgetter
 
-from .ring import ISQRT7, KNum, TAU
-from .hermitian import GroupElt, _mul_ints, _norm_ints, _scaled_ints
+from .ring import ISQRT7, TAU
+from .hermitian import GroupElt, _mul_ints, _norm_ints, sq_norm_ints
 
 
 class CuspElt(namedtuple("CuspElt", "m n eps l", defaults=(0, 0, 0, 0))):
@@ -135,32 +137,35 @@ _ISQRT7_INV = 1 / ISQRT7
 
 
 def prism_coordinates(v):
-    """(a, b, s, den) of a vector v with <v, v> <= 0 and v3 != 0: the point's
-    boundary coordinates are z = (a + b tau)/den and t = s sqrt(7)/den.
+    """(a, b, s, den) of a point's vector v with <v, v> <= 0 and v3 != 0:
+    the point's boundary coordinates are z = (a + b tau)/den and
+    t = s sqrt(7)/den.
 
-    z = v2/v3 and t = 2 Im(v1/v3), so s/den is the tau-coefficient of v1/v3.
-    For v in K^3, scaled to O_7^3, they are ints over den = N(v3) > 0:
-    a + b tau = v2 conj(v3) and s is the tau-coefficient of v1 conj(v3),
-    and <v, v> = 2 Re(v1 conj(v3)) + N(v2).  For a vector over K(zeta_3) or
+    v is a ProjPoint's rep.  z = v2/v3 and t = 2 Im(v1/v3), so s/den is the
+    tau-coefficient of v1/v3.  For the six ints of a vector in O_7^3 they
+    are ints over den = N(v3) > 0: a + b tau = v2 conj(v3) and s is the
+    tau-coefficient of v1 conj(v3).  For a vector over K(zeta_3) or
     K(zeta_7), a, b and s are real AlgNums and den = 1; the coordinates of
     a tower ProjPoint end in v3 = 1 (its normal form), and then they take
     no inverse.
     """
+    if type(v[0]) is int:
+        p1, q1, p2, q2, p3, q3 = v
+        if not (p3 or q3):
+            # <v, v> = |v2|^2 here, so only v2 = 0 leaves a null point: q_inf
+            if not (p2 or q2):
+                raise ValueError("point at infinity has no horospherical coordinates")
+            raise ValueError("vector has positive square norm")
+        if sq_norm_ints(v) > 0:
+            raise ValueError("vector has positive square norm")
+        # conj(p3 + q3 tau) = (p3 + q3) - q3 tau
+        a, b = _mul_ints(p2, q2, p3 + q3, -q3)
+        return a, b, _mul_ints(p1, q1, p3 + q3, -q3)[1], _norm_ints(p3, q3)
     v1, v2, v3 = v
     if v3.is_zero():
-        # <v, v> = |v2|^2 here, so only v2 = 0 leaves a null point: q_inf
         if v2.is_zero():
             raise ValueError("point at infinity has no horospherical coordinates")
         raise ValueError("vector has positive square norm")
-    if type(v1) is type(v2) is type(v3) is KNum:
-        (p1, q1, p2, q2, p3, q3), _ = _scaled_ints(v)
-        # conj(p3 + q3 tau) = (p3 + q3) - q3 tau
-        a, b = _mul_ints(p2, q2, p3 + q3, -q3)
-        r, s = _mul_ints(p1, q1, p3 + q3, -q3)
-        # 2 Re(r + s tau) = 2r + s
-        if 2 * r + s + _norm_ints(p2, q2) > 0:
-            raise ValueError("vector has positive square norm")
-        return a, b, s, _norm_ints(p3, q3)
     if v3.is_one():
         z, y = v2, v1
     else:
@@ -193,7 +198,7 @@ def bracket(x) -> int:
     return (x * BRACKET).floor_real()
 
 
-def _grid(x):
+def prism_grid(x):
     """(g, r): prism coordinates x on ints, and the radius of their windows.
 
     Int coordinates are their own grid, with r = 0.  A tower a, b or s
@@ -201,7 +206,8 @@ def _grid(x):
     |2^17 y - (2k + 1)| <= 1: r = 1.  So den times an int combination of
     a, b, s and den, with coefficients c_a, c_b, c_s of a, b and s, lies
     within r (|c_a| + |c_b| + |c_s|) of the same combination of the grid
-    values.
+    values.  A caller that runs several of the tests below on one point
+    brackets it once and passes the grid on.
     """
     a, b, s, den = x
     if type(a) is int:
@@ -257,12 +263,14 @@ def _in_prism(g, r, rs, exact) -> bool:
 def in_prism(x) -> bool:
     """Whether prism coordinates x lie in P = D x [0, 2 sqrt(7)]: z in D
     and 0 <= s <= 2 den."""
-    g, r = _grid(x)
+    g, r = prism_grid(x)
     return _in_prism(g, r, r, lambda: x)
 
 
-def reduce_to_prism(x) -> CuspElt:
-    """The cusp element c with c(x) in P, for the prism coordinates x of a point.
+def reduce_to_prism(x, grid=None) -> CuspElt:
+    """The cusp element c with c(x) in P, for the prism coordinates x of a
+    point and their grid `prism_grid(x)`, which a caller that holds it
+    passes.
 
     Ties at facets resolve toward the closed lower faces a, b, s >= 0.  With
     k = floor(a/den) and j = floor(b/den), T1^-k Ttau^-j moves a/den and
@@ -271,10 +279,10 @@ def reduce_to_prism(x) -> CuspElt:
     below 1: one flip lands z in D, so (m, n, eps) is (-k, -j, 0) or
     (k + 1, j + 1, 1).  T_v^l adds 2l to s/den, so l is minus the floor of
     s/(2 den) after (m, n, eps, 0), which lands s in [0, 2 den).  Each sign
-    and floor is read off the grid of x (`_grid`), and decided exactly
-    only when its window straddles the threshold.
+    and floor is read off the grid of x, and decided exactly only when its
+    window straddles the threshold.
     """
-    g, r = _grid(x)
+    g, r = grid or prism_grid(x)
     a, b, _, den = g
     k = _floor(a, r, 1, den, lambda: x[0])
     j = _floor(b, r, 1, den, lambda: x[1])
@@ -357,17 +365,18 @@ def enumerate_cusp_overlaps():
     return tuple(out)
 
 
-def overlaps_keeping(x):
+def overlaps_keeping(x, grid=None):
     """The cusp overlaps c other than the identity with c(x) in P, in
-    normal-form order, for the prism coordinates x of a point over P.
+    normal-form order, for the prism coordinates x of a point over P and
+    their grid, as in reduce_to_prism.
 
     The overlaps come in runs of one planar part (m, n, eps), whose image
     z is tested against D once.  Along a run, s' = base + 2 l den, so with
     k = floor(base/(2 den)), only l = -k keeps s' in [0, 2 den), and l = 1 - k
     gives s' = 2 den exactly when base = 2 k den.  Each test is read off
-    the grid of x, as in reduce_to_prism.
+    the grid of x.
     """
-    g, r = _grid(x)
+    g, r = grid or prism_grid(x)
     den = g[3]
     out = []
     for part, run in groupby(enumerate_cusp_overlaps(), key=itemgetter(0, 1, 2)):

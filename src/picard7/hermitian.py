@@ -149,6 +149,14 @@ def _norm_ints(a: int, b: int) -> int:
     return a * a + a * b + 2 * b * b
 
 
+def sq_norm_ints(t) -> int:
+    """<v, v> = 2 Re(v1 conj(v3)) + N(v2) for v with the six ints t."""
+    p1, q1, p2, q2, p3, q3 = t
+    # conj(p3 + q3 tau) = (p3 + q3) - q3 tau, and 2 Re(r + s tau) = 2r + s
+    r, s = _mul_ints(p1, q1, p3 + q3, -q3)
+    return 2 * r + s + _norm_ints(p2, q2)
+
+
 def _apply_ints(t, v):
     """The six ints of M v, for M with 18 ints t and v with six ints (p_k, r_k)."""
     a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, a8, b8 = t
@@ -314,6 +322,9 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
         return sq_norm(self.coords)
 
     def sq_norm_sign(self) -> int:
+        if self.rational:
+            n = sq_norm_ints(self.rep)
+            return (n > 0) - (n < 0)
         return self.sq_norm().real_sign()
 
     def is_null(self) -> bool:
@@ -330,7 +341,12 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
         its sign normalized, and needs no gcd."""
         if not self.rational:
             return ProjPoint(ints_apply(t, self.rep))
-        w = _apply_ints(t, self.rep)
+        return ProjPoint.of_primitive(_apply_ints(t, self.rep))
+
+    @staticmethod
+    def of_primitive(w) -> "ProjPoint":
+        """The point of a primitive vector of O_7^3 with the six ints w: its
+        canonical representative is w or -w, by the sign rule alone."""
         # the first nonzero int is the a, or the b when a = 0, of the first
         # nonzero entry: the sign rule of primitive_rep
         if w < (0,) * 6:

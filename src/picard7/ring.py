@@ -748,6 +748,8 @@ class AlgNum:
             if other.tower is not self.tower:
                 raise ValueError("AlgNum tower mismatch")
             return other.ints, other.den
+        if type(other) is int:
+            return self.tower.lift(other, 0), 1
         if isinstance(other, (int, KNum, Fraction)):
             x = KNum.coerce(other)
             return self.tower.lift(x.na, x.nb), x.d

@@ -44,6 +44,7 @@ from .heisenberg import (
     cusp_torsion_classes,
     overlaps_keeping,
     prism_coordinates,
+    prism_grid,
     reduce_to_prism,
 )
 from .ford import (
@@ -366,18 +367,21 @@ def _moves(p: ProjPoint, x):
     p inside the prism, side = None, g = c and xs = x.  Each move is int
     products, and each image takes its prism coordinates once: q's are
     act_prism(c, xs), which the walk takes for a new vertex only, and
-    `_move_element` builds g with its word for a new vertex only.
+    `_move_element` builds g with its word for a new vertex only.  The
+    sweep, the prism reduction and the overlap test at p read one grid of
+    x, so a tower vertex brackets its a, b and s once.
     """
-    for alpha, j, flag in spheres_at(p.coords, x):
+    grid = prism_grid(x)
+    for alpha, j, flag in spheres_at(p, x, grid):
         if flag != "boundary":
             raise ArithmeticError("graph vertices must lie in Omega")
         # (alpha A_j)^-1 = A_j^-1 alpha^-1
         g = ints_product(ints_inverse(GENERATORS[j].ints), alpha.inverse().ints)
         image = p.moved(g)
-        xs = prism_coordinates(image.coords)
+        xs = prism_coordinates(image.rep)
         c = reduce_to_prism(xs)
         yield canonical_ints(ints_product(c.ints, g)), image.moved(c.ints), c, (alpha, j), xs
-    for c in overlaps_keeping(x):
+    for c in overlaps_keeping(x, grid):
         yield c.ints, p.moved(c.ints), c, None, x
 
 
@@ -414,7 +418,7 @@ def build_cycle_graph(points):
         transports = {base: GroupElt.identity()}
         inverses = {base: ID_INTS}
         gens = {}
-        found = [(base, prism_coordinates(base.coords))]
+        found = [(base, prism_coordinates(base.rep))]
         for p, x in found:
             moves = list(_moves(p, x))
             least = {}

@@ -17,7 +17,7 @@ from picard7.ford import (
     GENERATORS,
     _alg_ints,
     _forms,
-    _int_pair,
+    _sweep_vector,
     _zeta3_quantity,
     enumerate_cone_translates,
 )
@@ -31,6 +31,8 @@ from picard7.heisenberg import (
     enumerate_cusp_overlaps,
     in_prism,
     prism_coordinates,
+    prism_grid,
+    reduce_to_prism,
 )
 from picard7.hermitian import (
     GroupElt,
@@ -38,6 +40,7 @@ from picard7.hermitian import (
     ProjPoint,
     _mul_ints,
     _norm_ints,
+    _scaled_ints,
     herm_inner,
     primitive_rep,
     sq_norm,
@@ -589,10 +592,20 @@ def candidate_columns(j: int):
     return out
 
 
+def vector_rep(v):
+    """A vector as prism_coordinates takes it: a K^3 vector of KNums as the
+    six ints of its multiple by the lcm of its denominators, which keeps its
+    scale otherwise, and a tower vector as it is."""
+    if all(isinstance(c, KNum) for c in v):
+        return tuple(_scaled_ints(v)[0])
+    return v
+
+
 def ref_k_sweep(v, own):
-    """The K Ford sweep as a scan of every candidate column: (sign, N(<v, col>),
-    j, alpha) for each column with N(<v, col>) <= own, in (j, alpha) order."""
-    (x1, x2, x3, x4, x5, x6), (y1, y2, y3, y4, y5, y6) = _forms([_int_pair(c) for c in v])
+    """The K Ford sweep as a scan of every candidate column, for the six ints
+    v of a vector in O_7^3: (sign, N(<v, col>), j, alpha) for each column
+    with N(<v, col>) <= own, in (j, alpha) order."""
+    (x1, x2, x3, x4, x5, x6), (y1, y2, y3, y4, y5, y6) = _forms([v[0:2], v[2:4], v[4:6]])
     for j in sorted(GENERATORS):
         for alpha, (a1, b1, a2, b2, a3, b3) in candidate_columns(j):
             x = a1 * x1 + b1 * x2 + a2 * x3 + b2 * x4 + a3 * x5 + b3 * x6
@@ -679,6 +692,53 @@ def ref_reduce(x):
         total = gi * total
 
 
+def _ref_sweep_vector(v):
+    """(vs, own, (quantity, cmp, sweep)) for a vector of KNums or AlgNums: v
+    scaled by the lcm of its denominators, the quantity of its v3, and the
+    field's kernel, with quantity(c) of one coordinate and sweep(vs, own, x)
+    on the prism coordinates x.  A K vector is swept by the column scan."""
+    if all(isinstance(c, KNum) for c in v):
+        vs = [c * lcm(*(c.d for c in v)) for c in v]
+        return vs, vs[2].norm(), (KNum.norm, lambda p, q: (p > q) - (p < q),
+                                  lambda w, own, _x: ref_k_sweep(vector_rep(w), own))
+    vs, own, (quantity, cmp, sweep) = _sweep_vector(v)
+    return vs, own, (lambda c: quantity((None, None, c)), cmp,
+                     lambda w, own, x: sweep(w, own, prism_grid(x)[0]))
+
+
+def ref_reduce_to_domain(x: ProjPoint):
+    """reduce_to_domain as a loop on vectors of KNums or AlgNums with
+    word-carrying GroupElt products: each step reads the prism coordinates
+    off the vector, and the answer is ProjPoint(v), through primitive_rep
+    for a rational point.  The same soundness checks raise, and a tower
+    vector is normalized at v3 = 1 after each Ford step."""
+    v = x.coords
+    if herm_inner(v, v).real_sign() >= 0:
+        raise ValueError("reduction needs an interior point (negative square norm)")
+    total = GroupElt.identity()
+    while True:
+        xc = prism_coordinates(vector_rep(v))
+        c = reduce_to_prism(xc)
+        shift = c.to_matrix()
+        v = shift.apply(v)
+        total = shift * total
+        vs, own, (quantity, cmp, sweep) = _ref_sweep_vector(v)
+        best = None
+        for sign, other, j, alpha in sweep(vs, own, act_prism(c, xc)):
+            if sign < 0 and (best is None or cmp(other, best[0]) < 0):
+                best = (other, j, alpha)
+        if best is None:
+            return total, ProjPoint(v)
+        gi = (best[2].to_matrix() * GENERATORS[best[1]]).inverse()
+        v = gi.apply(vs)
+        if cmp(quantity(v[2]), own) >= 0:
+            raise ArithmeticError("the Ford quantity did not decrease")
+        if not isinstance(v[2], KNum):
+            inv = 1 / v[2]
+            v = tuple(y * inv for y in v)
+        total = gi * total
+
+
 def ref_in_omega(x):
     v = x.coords if isinstance(x, ProjPoint) else lift(x)
     h = horo_coords(v)
@@ -715,7 +775,7 @@ def ref_cycle_graph(points):
     seen = set()
     i = 0
     while i < len(vertices):
-        for _, q, c, side, _ in _moves(vertices[i], prism_coordinates(vertices[i].coords)):
+        for _, q, c, side, _ in _moves(vertices[i], prism_coordinates(vertices[i].rep)):
             g = _move_element(c, side)
             if q not in index:
                 index[q] = len(vertices)

@@ -108,7 +108,7 @@ def test_criterion_03_isolated_classes():
 def test_criterion_04_worked_examples():
     # V1 lies over z = 0 at t = sqrt(7): on the edge a = b = 0 of P, at
     # half its height
-    x = prism_coordinates(V1.coords)
+    x = prism_coordinates(V1.rep)
     ok = x == (0, 0, 1, 1) and in_prism(x)
     res = spheres_containing(V1)
     ok = ok and len(res) == 3 and all(f == "boundary" for _, _, f in res)

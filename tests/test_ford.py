@@ -19,8 +19,9 @@ from picard7.hermitian import (
     GroupElt,
     ProjPoint,
     is_in_gamma,
+    vec_from_json,
 )
-from picard7.heisenberg import CuspElt, R, T1, TTAU, TV, in_prism, prism_coordinates, reduce_to_prism
+from picard7.heisenberg import CuspElt, R, T1, TTAU, TV, in_prism, prism_coordinates, prism_grid, reduce_to_prism
 from picard7 import ford
 from picard7.ford import (
     GENERATORS,
@@ -57,6 +58,7 @@ from reference import (
     ref_in_omega,
     ref_k_sweep,
     ref_reduce,
+    ref_reduce_to_domain,
     ref_spheres_containing,
     ref_zeta3_sweep,
     ref_zeta7_sweep,
@@ -64,8 +66,17 @@ from reference import (
     sqrt_lb,
     sqrt_ub,
 )
+from test_cli import GOLDEN
+from test_properties import round_trip_orbit
 
 V1 = (-TAU_BAR, KNum(0), KNum(1))
+
+
+def sweep_at(x: ProjPoint):
+    """(vs, own, hits): the prepared vector of x and its kernel's sweep, on
+    the grid of its prism coordinates."""
+    vs, own, (_, _, sweep) = _sweep_vector(x.rep)
+    return vs, own, list(sweep(vs, own, prism_grid(prism_coordinates(x.rep))[0]))
 
 
 def order6_fixture():
@@ -399,6 +410,66 @@ def test_reduce_iteration_guard(monkeypatch):
         reduce_to_domain(fixed)
 
 
+def _seeded_images(points, seed, count):
+    """count images of each point under seeded words of 1 to 4 side
+    pairings and cusp letters."""
+    rng = random.Random(seed)
+    letters = [GENERATORS[j] for j in sorted(GENERATORS)]
+    letters += [c.to_matrix() for c in (T1, TTAU, TV, R)]
+    out = []
+    for x in points:
+        for _ in range(count):
+            w = GroupElt.identity()
+            for _ in range(rng.randint(1, 4)):
+                w = rng.choice(letters) * w
+            out.append(x.apply(w))
+    return out
+
+
+def test_reduction_matches_the_knum_loop():
+    # the loop on a point's ints against the loop on KNum vectors with
+    # word-carrying GroupElt products and primitive_rep
+    # (reference.ref_reduce_to_domain): the same canonical ints, word and
+    # ProjPoint on the 500 K orbit images of the round-trip property test,
+    # on the five K-rational fixed points under seeded words, whose Omega
+    # representatives tie with spheres, on the GOLDEN `ford reduce` inputs,
+    # and on the 20 tower fixed points, which both loops carry as AlgNums
+    x0, xs = round_trip_orbit()
+    golden = [ProjPoint(vec_from_json(p.values[0][3])) for p in GOLDEN if p.values[0][:2] == ["ford", "reduce"]]
+    assert len(golden) == 3
+    points = [x0] + xs + _seeded_images([ProjPoint(f) for f in K_FIXED_POINTS], 83, 4) + golden
+    points += [x for x, _ in tower_fixed_points()]
+    moved = 0
+    for x in points:
+        g, y = reduce_to_domain(x)
+        h, z = ref_reduce_to_domain(x)
+        assert (g.ints, g.word, y) == (h.ints, h.word, z), x
+        moved += not g.is_identity()
+    assert moved > len(points) // 2
+
+
+def test_reduction_keeps_its_soundness_checks(monkeypatch):
+    # each check that soundness rests on is an explicit raise with its
+    # message: a point that is not interior, and a Ford step that does not
+    # lower the Ford quantity.  A positive vector's prism coordinates and
+    # a sweep at v3 = 0 are refused in the entry-point and column-scan tests
+    z = AlgNum.gen(zeta3_tower())
+    for x in (ProjPoint(lift(from_zsu(0, 1, 0))), ProjPoint((KNum(1), KNum(0), KNum(1))),
+              ProjPoint((KNum(1), KNum(0), -z))):
+        for reduce in (reduce_to_domain, ref_reduce_to_domain):
+            with pytest.raises(ValueError, match="reduction needs an interior point"):
+                reduce(x)
+    # a sweep that reports the sphere of A1 as violated by a point high
+    # above it: the step raises the Ford quantity, in K and in K(zeta_3)
+    v1, v2, v3 = tower_fixed_points()[0][1].coords
+    for x in (ProjPoint(lift(from_zsu(TAU / 2, 1, 5))), ProjPoint((v1 - 2 * v3, v2, v3))):
+        n = 1 if x.rational else v3.tower.n
+        quantity, cmp, _ = ford._KERNELS[n]
+        monkeypatch.setitem(ford._KERNELS, n, (quantity, cmp, lambda v, own, g: iter([(-1, own, 1, CuspElt())])))
+        with pytest.raises(ArithmeticError, match="the Ford quantity did not decrease"):
+            reduce_to_domain(x)
+
+
 def test_generator_depths():
     from picard7.ford import generator_depths
     from picard7.hermitian import depth
@@ -443,8 +514,7 @@ def test_sweep_kernels_match_generic_path(field):
             w = rng.choice(letters) * w
         points.append(y0.apply(w))
     for x in points:
-        vs, own, (_, _, sweep) = _sweep_vector(x.coords)
-        got = [(j, alpha, sign) for sign, _, j, alpha in sweep(vs, own, prism_coordinates(x.coords))]
+        got = [(j, alpha, sign) for sign, _, j, alpha in sweep_at(x)[2]]
         want = []
         for j, alpha, g in ford_candidates():
             side = ford_side(x, g)
@@ -486,11 +556,11 @@ def test_k_sweep_matches_the_column_scan():
         return x.apply(w)
 
     def over_p(x):
-        return ProjPoint(reduce_to_prism(prism_coordinates(x.coords)).to_matrix().apply(x.coords))
+        return x.apply(reduce_to_prism(prism_coordinates(x.rep)).to_matrix())
 
     def sweeps(x):
-        vs, own, (_, _, sweep) = _sweep_vector(x.coords)
-        return list(sweep(vs, own, prism_coordinates(x.coords))), list(ref_k_sweep(vs, own))
+        vs, own, got = sweep_at(x)
+        return got, list(ref_k_sweep(vs, own))
 
     points = {"over P": [], "fixed": [], "high": [], "off P": []}
     for _ in range(12):
@@ -504,7 +574,7 @@ def test_k_sweep_matches_the_column_scan():
         points["high"].append(ProjPoint(lift(from_zsu(z, Fraction(rng.randint(0, 8), 4), rng.randint(3, 9)))))
     for _ in range(12):
         x = orbit_image(ProjPoint(V1))
-        if not in_prism(prism_coordinates(x.coords)):
+        if not in_prism(prism_coordinates(x.rep)):
             points["off P"].append(x)
     ties = 0
     for kind, xs in points.items():
@@ -518,7 +588,7 @@ def test_k_sweep_matches_the_column_scan():
     assert ties > 0
     # with v3 = 0 the l-step D vanishes, and the kernel refuses the vector;
     # the point has no prism coordinates, which the K kernel does not read
-    vs, own, (_, _, sweep) = _sweep_vector((KNum(-1), KNum(1), KNum(0)))
+    vs, own, (_, _, sweep) = _sweep_vector((-1, 0, 1, 0, 0, 0))
     with pytest.raises(ArithmeticError, match="l-step"):
         list(sweep(vs, own, None))
 
@@ -540,8 +610,8 @@ TOWER_SCANS = {3: ref_zeta3_sweep, 7: ref_zeta7_sweep}
 
 def tower_sweeps(x):
     """The kernel's and the column scan's tuples at a tower point."""
-    vs, own, (_, _, sweep) = _sweep_vector(x.coords)
-    return list(sweep(vs, own, prism_coordinates(x.coords))), list(TOWER_SCANS[vs[0].tower.n](vs, own))
+    vs, own, got = sweep_at(x)
+    return got, list(TOWER_SCANS[vs[0].tower.n](vs, own))
 
 
 def test_tower_sweeps_match_the_column_scans():
@@ -596,10 +666,10 @@ def test_tower_sweeps_stay_in_their_window(monkeypatch):
     monkeypatch.setattr(ford, "eta_sign", counted(eta_sign))
     for pair in tower_fixed_points():
         for x in pair:
-            vs, own, (_, _, sweep) = _sweep_vector(x.coords)
-            xc = prism_coordinates(x.coords)
+            vs, own, (_, _, sweep) = _sweep_vector(x.rep)
+            g = prism_grid(prism_coordinates(x.rep))[0]
             calls.clear()
-            list(sweep(vs, own, xc))
+            list(sweep(vs, own, g))
             assert 0 < len(calls) < 150, (x, len(calls))
 
 

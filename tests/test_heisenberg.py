@@ -39,6 +39,7 @@ from reference import (
     s_coordinate,
     tau_coordinates,
     translation_matrix,
+    vector_rep,
 )
 
 
@@ -179,7 +180,7 @@ def test_cusp_action_consistency():
 
 def _in_prism_at(z, ti):
     """in_prism at the boundary point (z, t), through its lifted vector."""
-    return in_prism(prism_coordinates(lift(HoroPoint(z, ti, KNum(0)))))
+    return in_prism(prism_coordinates(vector_rep(lift(HoroPoint(z, ti, KNum(0))))))
 
 
 def test_prism_membership():
@@ -220,7 +221,7 @@ def _check_against_reference(v, overlaps=()):
     returns the reducing element, after checking that a second pass keeps
     the reduced point."""
     h = horo_coords(v)
-    x = prism_coordinates(v)
+    x = prism_coordinates(vector_rep(v))
     a, b = tau_coordinates(h.z)
     assert _prism_reals(x) == (a, b, s_coordinate(h.ti))
     assert in_prism(x) == Prism.contains(h.z, h.ti)
@@ -303,7 +304,7 @@ def test_prism_coordinates_refuse_q_inf_and_positive_vectors(field):
                        ((one, one, zero), "vector has positive square norm"),
                        ((one, zero, one), "vector has positive square norm")):
         with pytest.raises(ValueError, match=message):
-            prism_coordinates(v)
+            prism_coordinates(vector_rep(v))
         with pytest.raises(ValueError, match=message):
             horo_coords(v)
 

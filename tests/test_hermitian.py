@@ -30,6 +30,7 @@ from reference import (
     mat_neg,
     mat_product,
     mat_trace,
+    vector_rep,
 )
 
 ID = Mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -291,7 +292,7 @@ def test_horospherical_examples():
     assert h == from_zsu(0, 1, 1)
     assert h.s == 1 and h.u.rat() == 1
     # its prism coordinates: z = 0 and t = sqrt(7), over den = N(1)
-    assert prism_coordinates((-TAU_BAR, KNum(0), KNum(1))) == (0, 0, 1, 1)
+    assert prism_coordinates(vector_rep((-TAU_BAR, KNum(0), KNum(1)))) == (0, 0, 1, 1)
     # boundary point (0, sqrt(7)) lifts to a null vector
     b = from_zsu(0, 1, 0)
     assert ProjPoint(lift(b)).is_null()
@@ -307,12 +308,12 @@ def test_horo_roundtrip_random():
         )
         assert horo_coords(lift(h)) == h
         # the prism coordinates of the lift are h's z and s
-        a, b, s, den = prism_coordinates(lift(h))
+        a, b, s, den = prism_coordinates(vector_rep(lift(h)))
         assert (KNum(Fraction(a, den), Fraction(b, den)), Fraction(s, den)) == (h.z, h.s)
 
 
 def test_horo_rejects_positive_points():
-    for f in (horo_coords, prism_coordinates):
+    for f in (horo_coords, lambda v: prism_coordinates(vector_rep(v))):
         with pytest.raises(ValueError, match="positive square norm"):
             f((KNum(1), KNum(0), KNum(1)))  # <v,v> = 2 > 0
         with pytest.raises(ValueError, match="point at infinity"):

@@ -274,6 +274,46 @@ def test_cli_command_loads_no_argparse():
     assert out.stdout.splitlines()[-1] == "[]"
 
 
+def test_k_rational_reduction_runs_on_ints():
+    # a K-rational `ford reduce` finds the primitive representative once,
+    # for its input: each move of the point is an int product, and the
+    # answer takes the sign rule only.  The reduction, and so the K sweep
+    # kernel, builds no KNum: the input's ProjPoint is its six ints
+    code = """
+import contextlib, io, sys
+sys.path.insert(0, %r)
+from picard7 import cli, ford, hermitian, ring
+from picard7.hermitian import ProjPoint, vec_from_json
+counts = {"primitive_rep": 0, "knum": 0}
+primitive_rep, knum, init = hermitian.primitive_rep, ring._knum, ring.KNum.__init__
+def counted_rep(v):
+    counts["primitive_rep"] += 1
+    return primitive_rep(v)
+def counted_knum(*args):
+    counts["knum"] += 1
+    return knum(*args)
+def counted_init(self, *args):
+    counts["knum"] += 1
+    init(self, *args)
+hermitian.primitive_rep = counted_rep
+for point in sys.argv[1:]:
+    counts["primitive_rep"] = 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["ford", "reduce", "--point", point]) == 0
+    reps = counts["primitive_rep"]
+    x = ProjPoint(vec_from_json(point))
+    ring._knum, ring.KNum.__init__ = counted_knum, counted_init
+    counts["knum"] = 0
+    g, y = ford.reduce_to_domain(x)
+    ring._knum, ring.KNum.__init__ = knum, init
+    print(reps, counts["knum"], int(g.is_identity()))
+""" % str(SRC.parent)
+    points = ['["42+12*tau", "27-19*tau", "10-25*tau"]', '["-7-2*tau", "-2-1*tau", "-11+16*tau"]',
+              '["346-118*tau", "60-267*tau", "-251-110*tau"]', '["-1+1*tau","0","1"]']
+    out = subprocess.run([sys.executable, "-I", "-c", code] + points, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["1", "0", "0"] * 3 + ["1", "0", "1"]
+
+
 def test_gamma_algebra_runs_on_group_elements():
     # charpolys, residues and the action on vectors run on a GroupElt's 18
     # ints, and eigenvectors (torsion._eigenvector) on the KNum rows of

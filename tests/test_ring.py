@@ -324,6 +324,26 @@ def test_one_stored_form_per_element(tw):
 
 
 @pytest.mark.parametrize("tw", [zeta3_tower(), zeta7_tower()], ids=["zeta3", "zeta7"])
+def test_int_operands_match_their_knums(tw):
+    # an int operand is lifted straight into the field: every operation
+    # that takes it, on either side, gives the element that the int's KNum
+    # gives, in the same stored form, and so does equality
+    rng = random.Random(2300 + tw.n)
+    xs = [AlgNum.gen(tw), AlgNum.lift(tw, ZERO)] + [rand_algnum(rng, tw) for _ in range(8)]
+    ops = (operator.add, operator.sub, operator.mul, lambda x, y: y + x, lambda x, y: y - x,
+           lambda x, y: y * x)
+    for x in xs:
+        for n in (-7, -1, 0, 1, 2, 5, 10**20):
+            k = KNum(n)
+            for op in ops:
+                a, b = op(x, n), op(x, k)
+                _check_normal_form(a)
+                assert type(a) is AlgNum and (a.ints, a.den) == (b.ints, b.den)
+            assert (x == n) == (x == k) and (x != n) == (x != k)
+    assert AlgNum.lift(tw, 3) == 3 and AlgNum.lift(tw, 3) != 4
+
+
+@pytest.mark.parametrize("tw", [zeta3_tower(), zeta7_tower()], ids=["zeta3", "zeta7"])
 def test_algnum_field_properties_random(tw):
     rng = random.Random(tw.n)
     for _ in range(40):

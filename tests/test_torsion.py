@@ -482,7 +482,7 @@ def test_v1_cycle_graph_and_stabilizer():
 def _moves_at(v):
     """The moves at a cycle-graph vertex as (element, image) pairs, with
     the vertex's prism coordinates read off its vector."""
-    return [(GroupElt.from_ints(t), q) for t, q, _, _, _ in torsion._moves(v, prism_coordinates(v.coords))]
+    return [(GroupElt.from_ints(t), q) for t, q, _, _, _ in torsion._moves(v, prism_coordinates(v.rep))]
 
 
 def test_second_cycle_graph_runs_no_feasibility_test(monkeypatch):
@@ -685,7 +685,7 @@ def test_overlaps_keeping_matches_one_prism_test_per_overlap():
     kept = {True: 0, False: 0}
     for f in fixed:
         for v in _vertices(build_cycle_graph([f])):
-            x = prism_coordinates(v.coords)
+            x = prism_coordinates(v.rep)
             got = overlaps_keeping(x)
             assert got == ref_overlaps_keeping(x)
             kept[v.rational] += len(got)
@@ -737,13 +737,13 @@ def test_bracketed_prism_decisions_match_the_algnum_tests(monkeypatch):
                 w = rng.choice(letters) * w
             images.append(ProjPoint(w.apply(x.coords)))
         for p in [x] + images:
-            _check_prism_decisions(prism_coordinates(p.coords))
+            _check_prism_decisions(prism_coordinates(p.rep))
         # the Omega representatives and the vertices of their cycle graphs
         # lie off the facets of P: the brackets decide every test there
         calls.clear()
         for p in [y] + _vertices(build_cycle_graph([y])):
             assert not p.rational
-            _check_prism_decisions(prism_coordinates(p.coords))
+            _check_prism_decisions(prism_coordinates(p.rep))
         assert calls == []
     # a point placed exactly on a facet of P straddles it: the decision
     # there falls back to the exact test, in both towers
@@ -880,11 +880,11 @@ def test_walks_carry_each_vertex_coordinates(monkeypatch):
     expanded = []
 
     def checked(p, x):
-        assert _prism_reals(x) == _prism_reals(prism_coordinates(p.coords))
+        assert _prism_reals(x) == _prism_reals(prism_coordinates(p.rep))
         expanded.append(p)
         for move in moves(p, x):
             _, q, c, _, xs = move
-            assert _prism_reals(act_prism(c, xs)) == _prism_reals(prism_coordinates(q.coords))
+            assert _prism_reals(act_prism(c, xs)) == _prism_reals(prism_coordinates(q.rep))
             yield move
 
     monkeypatch.setattr(torsion, "_moves", checked)
@@ -894,17 +894,14 @@ def test_walks_carry_each_vertex_coordinates(monkeypatch):
 
 
 def test_tower_vertex_reads_its_coordinates_once(monkeypatch):
-    # at the zeta_3 vertex of mu ups iota, the walk takes prism coordinates
-    # once for the vertex and once for each side image, and one inverse at
-    # most per side image (its normal form); the vertex's own sweep, prism
-    # reduction and overlap test read its carried coordinates
-    base = _paper_walk_bases()[5]
-    assert not base.rational
-    graph = build_cycle_graph([base])
-    vertices = list(graph[base].transports)
-    sides = sum(len(spheres_containing(v)) for v in vertices)
-    assert (len(vertices), sides) == (1, 5)
-    calls = {"prism_coordinates": 0, "inverse": 0}
+    # at the zeta_3 vertex of mu ups iota and the zeta_7 vertex of a, the
+    # walk takes prism coordinates once for the vertex and once for each
+    # side image, and one inverse at most per side image (its normal form);
+    # the vertex's own sweep, prism reduction and overlap test read its
+    # carried coordinates and one grid of them: a, b and s are bracketed
+    # once per vertex, u once by its sweep, and each side image's a, b and s
+    # once by its prism reduction
+    calls = {"prism_coordinates": 0, "inverse": 0, "bracket": 0}
 
     def counted(name, f):
         def wrapped(*args):
@@ -912,9 +909,22 @@ def test_tower_vertex_reads_its_coordinates_once(monkeypatch):
             return f(*args)
         return wrapped
 
-    for module in (heisenberg, ford, torsion):
-        monkeypatch.setattr(module, "prism_coordinates", counted("prism_coordinates", prism_coordinates))
-    monkeypatch.setattr(AlgNum, "inverse", counted("inverse", AlgNum.inverse))
-    assert build_cycle_graph([base]) == graph
-    assert calls["prism_coordinates"] <= len(vertices) + sides
-    assert 0 < calls["inverse"] <= sides
+    bases = _paper_walk_bases()
+    for base, shape in ((bases[5], (1, 5)), (bases[6], (1, 6))):
+        assert not base.rational
+        graph = build_cycle_graph([base])
+        vertices = list(graph[base].transports)
+        sides = sum(len(spheres_containing(v)) for v in vertices)
+        assert (len(vertices), sides) == shape
+        with monkeypatch.context() as patch:
+            for module in (heisenberg, ford, torsion):
+                patch.setattr(module, "prism_coordinates", counted("prism_coordinates", prism_coordinates))
+            bracket = counted("bracket", heisenberg.bracket)
+            for module in (heisenberg, ford):
+                patch.setattr(module, "bracket", bracket)
+            patch.setattr(AlgNum, "inverse", counted("inverse", AlgNum.inverse))
+            calls.update(dict.fromkeys(calls, 0))
+            assert build_cycle_graph([base]) == graph
+        assert calls["prism_coordinates"] <= len(vertices) + sides
+        assert 0 < calls["inverse"] <= sides
+        assert calls["bracket"] <= 4 * len(vertices) + 3 * sides
