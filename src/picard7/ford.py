@@ -772,7 +772,8 @@ def reduce_to_domain(x: ProjPoint):
 def in_omega(x: ProjPoint) -> bool:
     """Exact membership of a point in Omega (closed)."""
     xc = prism_coordinates(x.rep)
-    if not in_prism(xc):
+    grid = prism_grid(xc)
+    if not in_prism(xc, grid):
         return False
     vs, own, (_, _, sweep) = _sweep_vector(x.rep)
-    return all(sign == 0 for sign, _, _, _ in sweep(vs, own, prism_grid(xc)[0]))
+    return all(sign == 0 for sign, _, _, _ in sweep(vs, own, grid[0]))

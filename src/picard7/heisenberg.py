@@ -260,10 +260,11 @@ def _in_prism(g, r, rs, exact) -> bool:
             and _sign(2 * den - s, rs, lambda: 2 - exact()[2]) >= 0)
 
 
-def in_prism(x) -> bool:
+def in_prism(x, grid=None) -> bool:
     """Whether prism coordinates x lie in P = D x [0, 2 sqrt(7)]: z in D
-    and 0 <= s <= 2 den."""
-    g, r = prism_grid(x)
+    and 0 <= s <= 2 den.  grid is `prism_grid(x)`, which a caller that
+    holds it passes."""
+    g, r = grid or prism_grid(x)
     return _in_prism(g, r, r, lambda: x)
 
 

@@ -71,8 +71,8 @@ class Mat(namedtuple("Mat", "rows")):
     """A 3x3 matrix over K, a named tuple of its rows: immutability,
     equality and hashing are the tuple's.
 
-    Every entry is a KNum: the constructor coerces ints and Fractions and
-    refuses anything else.  A Mat serves matrix literals, JSON and `g.mat`;
+    Every entry is a KNum: the constructor coerces ints and refuses anything
+    else, a Fraction too.  A Mat serves matrix literals, JSON and `g.mat`;
     Gamma's algebra runs on GroupElts.  Its product is `ints_product`, each
     factor scaled by the lcm of its denominators.
     """
@@ -327,9 +327,6 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
             return (n > 0) - (n < 0)
         return self.sq_norm().real_sign()
 
-    def is_null(self) -> bool:
-        return self.sq_norm_sign() == 0
-
     def apply(self, g: "GroupElt") -> "ProjPoint":
         """g(self)."""
         return self.moved(g.ints)
@@ -358,7 +355,7 @@ def depth(p: ProjPoint) -> int:
     """Depth |v3|^2 of a K-rational null point (undefined at q_inf)."""
     if not p.rational:
         raise ValueError("depth is defined for K-rational points only")
-    if not p.is_null():
+    if p.sq_norm_sign() != 0:
         raise ValueError("depth is defined for null points only")
     v3 = p.coords[2]
     if v3.is_zero():
@@ -617,10 +614,6 @@ class GroupElt:
         return (knum_from_ints(-det[0], -det[1]), knum_from_ints(*c1),
                 knum_from_ints(-t[0] - t[8] - t[16], -t[1] - t[9] - t[17]), ONE)
 
-    def apply(self, v):
-        """M v, for v in K^3 or with coordinates in K(zeta_3) or K(zeta_7)."""
-        return ints_apply(self.ints, v)
-
 
 # GroupElt.__setattr__ refuses every write, so new elements get their two
 # fields through the slot descriptors, bound once here
@@ -642,17 +635,13 @@ def _init_elt(g: GroupElt, t, word):
 
 
 def ints_apply(t, v):
-    """M v, for M with 18 ints t and v in K^3 or with coordinates in
-    K(zeta_3) or K(zeta_7), on ints over d, the lcm of the denominators.
+    """M v, for M with 18 ints t and a tower vector v (coordinates in
+    K(zeta_3) or K(zeta_7), one at least an AlgNum), on ints over d, the
+    lcm of the denominators.
 
-    A tower v is the ints F_k of each d v_k in its field, which make
+    v is the ints F_k of each d v_k in its field, which make
     (a + b tau) d v_k = a F_k + b (tau F_k): each coordinate of M v is
     one int combination of the F_k and tau F_k, and one normal form."""
-    v1, v2, v3 = v
-    if type(v1) is type(v2) is type(v3) is KNum:
-        w, d = _scaled_ints(v)
-        w = _apply_ints(t, w)
-        return tuple(map(knum_from_ints, w[0::2], w[1::2], (d, d, d)))
     tw = next(x.tower for x in v if isinstance(x, AlgNum))
     v = [x if isinstance(x, AlgNum) else AlgNum.lift(tw, x) for x in v]
     d = lcm(*(x.den for x in v))

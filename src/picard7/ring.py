@@ -8,9 +8,9 @@ and i*sqrt(7) = 2*tau - 1.
 A KNum is three Python ints (a, b, d) for (a + b*tau)/d in normal form
 (d > 0, gcd(a, b, d) = 1), so O_7 is the set of elements with d = 1 and its
 arithmetic, the norm and Euclid's algorithm (o_gcd) run on ints alone.
-Fractions appear only at the edges: the constructor accepts them, `.a`,
-`.b` and `rat()` return them, and formatting goes through them; parsing
-reads a literal's coefficients as ints.
+Fractions appear only at the edges: KNum(a, b) accepts them, `.a`, `.b`,
+`rat()` and the norm of a non-integral element return them, formatting
+goes through them, and no operator takes one; parsing reads ints.
 
 The eigenvalues of elliptic group elements and the coordinates of their
 fixed points lie in K, K(zeta_3) or K(zeta_7), zeta_n = exp(2*pi*i/n).
@@ -49,13 +49,13 @@ class KNum:
 
     The stored triple is in normal form: d > 0 and gcd(a, b, d) = 1, so two
     elements are equal exactly when their triples are, and an element of
-    O_7 has d = 1.  Arithmetic works on the ints; a result with d = 1 skips
-    the gcd.  The constructor KNum(a, b) still takes ints or Fractions for
-    the two tau-coordinates, and `.a`, `.b` return them as Fractions: those
-    serve the edges (parsing, formatting, sort keys, JSON, residue maps).
-    Equality and repr agree with the pair (a/d, b/d) of Fractions, and so
-    does the hash, except that a rational hashes like its int or Fraction
-    value, which it equals.
+    O_7 has d = 1.  Arithmetic works on the ints, with a KNum or an int
+    operand; a result with d = 1 skips the gcd.  The constructor KNum(a, b)
+    takes ints or Fractions for the two tau-coordinates, and `.a`, `.b`
+    return them as Fractions: those serve the edges (parsing, formatting,
+    sort keys, JSON, residue maps).  Equality and repr agree with the pair
+    (a/d, b/d) of Fractions, and so does the hash, except that a rational
+    hashes like its Fraction value.  An integral rational equals its int.
     """
 
     __slots__ = ("na", "nb", "d")
@@ -83,7 +83,7 @@ class KNum:
     def coerce(x) -> "KNum":
         if isinstance(x, KNum):
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, int):
             return KNum(x, 0)
         raise TypeError(f"cannot coerce {x!r} to KNum")
 
@@ -104,14 +104,13 @@ class KNum:
             return self.na == other.na and self.nb == other.nb and self.d == other.d
         if isinstance(other, int):
             return self.nb == 0 and self.d == 1 and self.na == other
-        if type(other) is Fraction:
-            return self.nb == 0 and self.na == other.numerator and self.d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        # a rational equals its int or Fraction, so it hashes like it (an
-        # int hashes like the Fraction of the same value); otherwise
-        # hash((a, b)) of the two Fraction coordinates
+        # a rational hashes like its Fraction value, and so an integral one
+        # like its int, which it equals: {KNum(1), 1} has one element.  A
+        # Fraction does not compare equal to a KNum.  Otherwise hash((a, b))
+        # of the two Fraction coordinates
         if self.nb == 0:
             return hash(self.na) if self.d == 1 else hash(Fraction(self.na, self.d))
         if self.d == 1:
@@ -130,18 +129,10 @@ class KNum:
     def is_one(self) -> bool:
         return self.na == 1 and self.nb == 0 and self.d == 1
 
-    def is_real(self) -> bool:
-        # Im(a + b*tau) = b*sqrt(7)/2
-        return self.nb == 0
-
     def is_integral(self) -> bool:
         return self.d == 1
 
     # -- arithmetic ---------------------------------------------------
-
-    # A Fraction operand is tested by its exact type: Fraction is an abstract
-    # base class, so an isinstance test against it is an ABCMeta call, paid
-    # by every AlgNum operand on its way to NotImplemented.
 
     def __add__(self, other):
         if isinstance(other, KNum):
@@ -152,9 +143,6 @@ class KNum:
         if isinstance(other, int):
             # gcd(a + c*d, b, d) = gcd(a, b, d) = 1
             return _knum(self.na + other * self.d, self.nb, self.d)
-        if type(other) is Fraction:
-            p, q = other.numerator, other.denominator
-            return knum_from_ints(self.na * q + p * self.d, self.nb * q, self.d * q)
         return NotImplemented
 
     __radd__ = __add__
@@ -168,12 +156,12 @@ class KNum:
             if d == e:
                 return knum_from_ints(self.na - other.na, self.nb - other.nb, d)
             return knum_from_ints(self.na * e - other.na * d, self.nb * e - other.nb * d, d * e)
-        if isinstance(other, int) or type(other) is Fraction:
+        if isinstance(other, int):
             return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return -self + other
         return NotImplemented
 
@@ -185,9 +173,6 @@ class KNum:
             return knum_from_ints(a * c - 2 * be, a * e + b * c + be, self.d * other.d)
         if isinstance(other, int):
             return knum_from_ints(self.na * other, self.nb * other, self.d)
-        if type(other) is Fraction:
-            p = other.numerator
-            return knum_from_ints(self.na * p, self.nb * p, self.d * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -203,18 +188,17 @@ class KNum:
             p, q = c + e, -e  # conj(c + e t) = (c + e) - e t
             bq = b * q
             return knum_from_ints((a * p - 2 * bq) * f, (a * q + b * p + bq) * f, self.d * n)
-        if isinstance(other, int) or type(other) is Fraction:
+        if isinstance(other, int):
             if other == 0:
                 raise ZeroDivisionError("division by zero in K")
-            p, q = other.numerator, other.denominator
-            if p < 0:
-                p, q = -p, -q
-            return knum_from_ints(self.na * q, self.nb * q, self.d * p)
+            if other < 0:
+                return knum_from_ints(-self.na, -self.nb, -self.d * other)
+            return knum_from_ints(self.na, self.nb, self.d * other)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return KNum.coerce(other) / self
+        if isinstance(other, int):
+            return KNum(other) / self
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -245,12 +229,6 @@ class KNum:
         t = 2 * self.na + self.nb
         return t if self.d == 1 else Fraction(t, self.d)
 
-    def abs2(self) -> "KNum":
-        """|x|^2 as a KNum (real, rational)."""
-        a, b, d = self.na, self.nb, self.d
-        n = a * a + a * b + 2 * b * b
-        return knum_from_ints(n, 0, d * d)
-
     # -- real-element helpers (generic scalar protocol) ---------------
 
     def rat(self) -> Fraction:
@@ -263,11 +241,6 @@ class KNum:
             raise ValueError(f"{self} is not real")
         a = self.na
         return (a > 0) - (a < 0)
-
-    def floor_real(self) -> int:
-        if self.nb != 0:
-            raise ValueError(f"{self} is not real")
-        return self.na // self.d
 
     # -- canonical sign -----------------------------------------------
 
@@ -705,8 +678,9 @@ class AlgNum:
     `ints` and `den` are in normal form, den > 0 and gcd(ints, den) = 1, so
     two elements of one field are equal exactly when their ints and dens
     are; the field (Zeta3Tower, Zeta7Tower) says what the ints are.  Sums,
-    products by rationals, conj, |x|^2 and inverses are the same int
-    operations in both fields, on the field's products and automorphisms.
+    products, quotients by ints, conj, |x|^2 and inverses are the same int
+    operations in both fields, on the field's products and automorphisms;
+    an operand is an AlgNum of the field, a KNum or an int.
     The sign of a real element is exact: an int test in Q(sqrt(21)) for
     K(zeta_3), and in K(zeta_7) one against a dyadic bracket refined until
     it decides.  K-coefficients in the power basis 1, zeta, ..., zeta^(d-1)
@@ -738,21 +712,16 @@ class AlgNum:
         x = KNum.coerce(x)
         return _alg(tower, tower.lift(x.na, x.nb), x.d)
 
-    # An operand is tested for AlgNum before any isinstance test against
-    # Fraction, and a scalar by its exact type: Fraction is an abstract base
-    # class, so an isinstance test against it is an ABCMeta call.
-
     def _operand(self, other):
         """(ints, den) of other in this field, or None for a type it does not take."""
         if isinstance(other, AlgNum):
             if other.tower is not self.tower:
                 raise ValueError("AlgNum tower mismatch")
             return other.ints, other.den
-        if type(other) is int:
+        if isinstance(other, int):
             return self.tower.lift(other, 0), 1
-        if isinstance(other, (int, KNum, Fraction)):
-            x = KNum.coerce(other)
-            return self.tower.lift(x.na, x.nb), x.d
+        if isinstance(other, KNum):
+            return self.tower.lift(other.na, other.nb), other.d
         return None
 
     # -- structure ----------------------------------------------------
@@ -814,7 +783,7 @@ class AlgNum:
         return _alg(self.tower, tuple(-a for a in self.ints), self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (AlgNum, int, KNum, Fraction)):
+        if isinstance(other, (AlgNum, int, KNum)):
             return self + (-other)
         return NotImplemented
 
@@ -822,9 +791,8 @@ class AlgNum:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int) or type(other) is Fraction:
-            p, q = other.numerator, other.denominator
-            return _alg(self.tower, tuple(p * a for a in self.ints), self.den * q)
+        if isinstance(other, int):
+            return _alg(self.tower, tuple(other * a for a in self.ints), self.den)
         o = self._operand(other)
         if o is None:
             return NotImplemented
@@ -835,8 +803,13 @@ class AlgNum:
     def __truediv__(self, other):
         if isinstance(other, AlgNum):
             return self * other.inverse()
-        if isinstance(other, (int, KNum, Fraction)):
-            return self * (Fraction(1) / other)
+        if isinstance(other, int):
+            if other == 0:
+                raise ZeroDivisionError("division by zero in K(zeta)")
+            f = self.ints if other > 0 else tuple(-a for a in self.ints)
+            return _alg(self.tower, f, self.den * abs(other))
+        if isinstance(other, KNum):
+            return self * (1 / other)
         return NotImplemented
 
     def __rtruediv__(self, other):

@@ -10,7 +10,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, groupby
 from operator import itemgetter
-from math import isqrt, lcm
+from math import floor, isqrt, lcm
 
 from picard7.ford import (
     _SQRT_DEN,
@@ -50,6 +50,7 @@ from picard7.ring import (
     ONE,
     TAU,
     ZERO,
+    AlgNum,
     KNum,
     _TERM_RE,
     _divmod_ints,
@@ -147,7 +148,8 @@ def _is_mirror(g: GroupElt, lam) -> bool:
     if len(space) != 2:
         return False
     e1, e2 = space
-    return (sq_norm(e1) * sq_norm(e2) - herm_inner(e1, e2).abs2()).real_sign() < 0
+    g12 = herm_inner(e1, e2)
+    return (sq_norm(e1) * sq_norm(e2) - g12 * g12.conj()).real_sign() < 0
 
 
 def ref_parse_knum(s: str) -> KNum:
@@ -180,7 +182,7 @@ def ref_parse_knum(s: str) -> KNum:
 
 def translation_matrix(w, ti) -> Mat:
     """The Heisenberg translation T(w, t) as a matrix (ti = i*t), for w, ti in K."""
-    return Mat([[1, -w.conj(), (-(w.abs2()) + ti) / 2], [0, 1, w], [0, 0, 1]])
+    return Mat([[1, -w.conj(), (-(w * w.conj()) + ti) / 2], [0, 1, w], [0, 0, 1]])
 
 
 #: the half-turn z -> -z
@@ -215,7 +217,7 @@ class HoroPoint(namedtuple("HoroPoint", "z ti u")):
     def __new__(cls, z, ti, u):
         if not (ti + ti.conj()).is_zero():
             raise ValueError("ti must be purely imaginary")
-        if not u.is_real():
+        if u != u.conj():
             raise ValueError("u must be real")
         return tuple.__new__(cls, (z, ti, u))
 
@@ -234,7 +236,7 @@ def horo_coords(v) -> HoroPoint:
             raise ValueError("point at infinity has no horospherical coordinates")
         raise ValueError("vector has positive square norm")
     z = v2 / v3
-    w = (v1 / v3) * 2 + z.abs2()
+    w = (v1 / v3) * 2 + z * z.conj()
     # w = it - u: ti is the anti-Hermitian part, u = -Re(w)
     ti = (w - w.conj()) / 2
     u = -(w + w.conj()) / 2
@@ -246,7 +248,7 @@ def horo_coords(v) -> HoroPoint:
 def lift(h: HoroPoint):
     """Homogeneous lift ((-|z|^2 + it - u)/2, z, 1)."""
     z = h.z
-    return ((-(z.abs2()) + h.ti - h.u) / 2, z, ONE)
+    return ((-(z * z.conj()) + h.ti - h.u) / 2, z, ONE)
 
 
 def act_horo(c: CuspElt, h: HoroPoint) -> HoroPoint:
@@ -299,6 +301,11 @@ class Prism:
         return Prism.membership(z, ti)[0] != "outside"
 
 
+def _real_floor(x) -> int:
+    """The floor of a real scalar: a KNum's through its rational value."""
+    return floor(x.rat()) if isinstance(x, KNum) else x.floor_real()
+
+
 def horo_reduce_to_prism(h: HoroPoint):
     """Cusp element gamma and image with gamma(h)'s (z, t) in P, step by step
     on horospherical coordinates: a planar shift by the floors of a and b,
@@ -306,7 +313,7 @@ def horo_reduce_to_prism(h: HoroPoint):
     s/2.  Returns (CuspElt, reduced HoroPoint)."""
     total = IDENTITY
     a, b = tau_coordinates(h.z)
-    k, n = a.floor_real(), b.floor_real()
+    k, n = _real_floor(a), _real_floor(b)
     if k or n:
         total = CuspElt(m=-k) * CuspElt(n=-n)
         h = act_horo(total, h)
@@ -315,7 +322,7 @@ def horo_reduce_to_prism(h: HoroPoint):
         step = T1 * TTAU * R  # z -> 1 + tau - z
         h = act_horo(step, h)
         total = step * total
-    lshift = (s_coordinate(h.ti) / 2).floor_real()
+    lshift = _real_floor(s_coordinate(h.ti) / 2)
     if lshift:
         step = CuspElt(l=-lshift)
         h = act_horo(step, h)
@@ -335,7 +342,7 @@ def horo_sphere(j):
 
 def from_zsu(z, s, u=0) -> HoroPoint:
     """The K-rational HoroPoint with t = s*sqrt(7)."""
-    return HoroPoint(KNum.coerce(z), ISQRT7 * Fraction(s), KNum(Fraction(u)))
+    return HoroPoint(KNum.coerce(z), ISQRT7 * KNum(Fraction(s)), KNum(Fraction(u)))
 
 
 def fixes_q_inf(g) -> bool:
@@ -383,11 +390,11 @@ def cygan_dist4(p: HoroPoint, q: HoroPoint):
     du = p.u - q.u
     if du.real_sign() < 0:
         du = -du
-    first = dz.abs2() + du
+    first = dz * dz.conj() + du
     # i*(t - t' + 2 Im(z conj(z'))) = ti - ti' + z conj(z') - conj(z) z'
     cross = p.z * q.z.conj()
     qq = p.ti - q.ti + cross - cross.conj()
-    return first * first + qq.abs2()
+    return first * first + qq * qq.conj()
 
 
 def tjk_in_box(j, k, mbox, nbox, lbox):
@@ -405,7 +412,7 @@ def tjk_in_box(j, k, mbox, nbox, lbox):
         for n in range(-nbox, nbox + 1):
             for eps in (0, 1):
                 planar = act_horo(CuspElt(m, n, eps, 0), cj)
-                dz2 = (planar.z - ck.z).abs2().rat()
+                dz2 = (planar.z - ck.z).norm()
                 if dz2 * dz2 > bound:
                     continue
                 for l in range(-lbox, lbox + 1):
@@ -486,8 +493,9 @@ def ford_side(x, g) -> str:
     if fixes_q_inf(g):
         raise ValueError("Ford side undefined for cusp elements")
     v = x.coords if isinstance(x, ProjPoint) else x
-    own = v[2].abs2()
-    other = herm_inner(v, g.first_column()).abs2()
+    own = v[2] * v[2].conj()
+    other = herm_inner(v, g.first_column())
+    other = other * other.conj()
     return _side_from_sign(real_cmp(other, own))
 
 
@@ -495,7 +503,7 @@ def sphere_membership(h: HoroPoint, j) -> str:
     """Same trichotomy as ford_side for A_j, via horospherical coordinates:
     compares the extended Cygan distance to the center against the radius."""
     center, r4 = horo_sphere(j)
-    return _side_from_sign(real_cmp(cygan_dist4(h, center), r4))
+    return _side_from_sign(real_cmp(cygan_dist4(h, center), KNum(r4)))
 
 
 def overlap_witness(c):
@@ -595,10 +603,12 @@ def candidate_columns(j: int):
 def vector_rep(v):
     """A vector as prism_coordinates takes it: a K^3 vector of KNums as the
     six ints of its multiple by the lcm of its denominators, which keeps its
-    scale otherwise, and a tower vector as it is."""
+    scale otherwise, and a tower vector as AlgNums, its KNum coordinates
+    lifted into the field."""
     if all(isinstance(c, KNum) for c in v):
         return tuple(_scaled_ints(v)[0])
-    return v
+    tw = next(c.tower for c in v if isinstance(c, AlgNum))
+    return tuple(c if isinstance(c, AlgNum) else AlgNum.lift(tw, c) for c in v)
 
 
 def ref_k_sweep(v, own):
@@ -679,16 +689,17 @@ def ref_reduce(x):
         shift, h = horo_reduce_to_prism(horo_coords(v))
         v = lift(h)
         total = shift.to_matrix() * total
-        own = v[2].abs2()
+        own = v[2] * v[2].conj()
         best = None
         for _, _, g in ford_candidates():
-            other = herm_inner(v, g.first_column()).abs2()
+            other = herm_inner(v, g.first_column())
+            other = other * other.conj()
             if real_cmp(other, own) < 0 and (best is None or real_cmp(other, best[0]) < 0):
                 best = (other, g)
         if best is None:
             return total, (ProjPoint(v) if as_proj else horo_coords(v))
         gi = best[1].inverse()
-        v = gi.apply(v)
+        v = mat_apply(gi.mat, v)
         total = gi * total
 
 
@@ -720,7 +731,7 @@ def ref_reduce_to_domain(x: ProjPoint):
         xc = prism_coordinates(vector_rep(v))
         c = reduce_to_prism(xc)
         shift = c.to_matrix()
-        v = shift.apply(v)
+        v = mat_apply(shift.mat, v)
         total = shift * total
         vs, own, (quantity, cmp, sweep) = _ref_sweep_vector(v)
         best = None
@@ -730,7 +741,7 @@ def ref_reduce_to_domain(x: ProjPoint):
         if best is None:
             return total, ProjPoint(v)
         gi = (best[2].to_matrix() * GENERATORS[best[1]]).inverse()
-        v = gi.apply(vs)
+        v = mat_apply(gi.mat, vs)
         if cmp(quantity(v[2]), own) >= 0:
             raise ArithmeticError("the Ford quantity did not decrease")
         if not isinstance(v[2], KNum):
@@ -939,7 +950,7 @@ def restriction(g: GroupElt, ctx):
     i, j, det = next(m for m in minors if not m[2].is_zero())
     cols = []
     for b in ctx.basis:
-        w = g.apply(b)
+        w = mat_apply(g.mat, b)
         x = (w[i] * b2[j] - w[j] * b2[i]) / det
         y = (b1[i] * w[j] - b1[j] * w[i]) / det
         for k in range(3):
@@ -976,7 +987,7 @@ def ref_make_reflection(v) -> GroupElt:
     is e_j - c_j v with c_j = 2 <e_j, v>/<v, v> and <e_j, v> = conj(v[2 - j]),
     on the primitive representative."""
     v = primitive_rep(v)
-    nv = sq_norm(v).rat()
+    nv = sq_norm(v)
     if nv not in (1, 2):
         raise ValueError("polar norm not integral for this form")
     mat = Mat([[int(i == j) - v[2 - j].conj() * v[i] * 2 / nv for j in range(3)] for i in range(3)])

@@ -405,9 +405,9 @@ def test_stabilizer_output_does_not_depend_on_cache_state(capsys):
 
 
 def test_mixed_operations_pay_no_abc_checks(capsys, monkeypatch):
-    # KNum's operators test for a Fraction by exact type, so an AlgNum
-    # operand reaches NotImplemented without an ABCMeta.__instancecheck__
-    # call, and the Ford sweep kernels compare on ints; watched here through
+    # KNum's operators take KNums and ints only, so an AlgNum operand
+    # reaches NotImplemented without an ABCMeta.__instancecheck__ call, and
+    # the Ford sweep kernels compare on ints; watched here through
     # a K(zeta_7) comparison and two stabilizer queries, one on a K(zeta_7)
     # fixed point
     import sys

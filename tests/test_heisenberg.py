@@ -33,6 +33,7 @@ from reference import (
     horo_coords,
     horo_reduce_to_prism,
     lift,
+    mat_apply,
     overlap_witness,
     polygon_vertices,
     ref_overlaps_keeping,
@@ -153,7 +154,7 @@ def test_act_horo_matches_matrices(field):
     for _ in range(10):
         c, h = rand_cusp(rng, 2), _tower_point(rng, tw)
         got = act_horo(c, h)
-        want = horo_coords(c.to_matrix().apply(lift(h)))
+        want = horo_coords(mat_apply(c.to_matrix().mat, lift(h)))
         assert got == want
         assert [type(x) for x in (got.z, got.ti, got.u)] == [type(x) for x in (h.z, h.ti, h.u)]
 
@@ -174,7 +175,7 @@ def test_cusp_action_consistency():
     for _ in range(40):
         c = CuspElt(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(0, 1), rng.randint(-2, 2))
         p = rand_pt(rng)
-        via_mat = horo_coords(c.to_matrix().apply(lift(p)))
+        via_mat = horo_coords(mat_apply(c.to_matrix().mat, lift(p)))
         assert act_horo(c, p) == via_mat
 
 
@@ -203,14 +204,14 @@ def test_prism_membership():
 def _prism_reals(x):
     """The real coordinates (a, b, s) that prism coordinates x stand for."""
     a, b, s, den = x
-    return tuple(Fraction(y, den) for y in (a, b, s)) if type(a) is int else (a, b, s)
+    return tuple(KNum(Fraction(y, den)) for y in (a, b, s)) if type(a) is int else (a, b, s)
 
 
 def _grid_points(r):
     """HoroPoints with a, b and s/2 on and around integers and every facet
-    of P, r a small real step (a Fraction, or an irrational real AlgNum);
-    every other one lies above the boundary."""
-    coords = (-1, 0, Fraction(1, 2), 1, r, 1 - r, 1 + r, -r)
+    of P, r a small real step (a rational KNum, or an irrational real
+    AlgNum); every other one lies above the boundary."""
+    coords = (-1, 0, KNum(Fraction(1, 2)), 1, r, 1 - r, 1 + r, -r)
     grid = [(a, b, s) for a in coords for b in coords for s in (-2, 0, 1, 2, 4, r, 2 - r, 2 + r)]
     return [HoroPoint(a + b * TAU, ISQRT7 * s, KNum(Fraction(i % 2, 3))) for i, (a, b, s) in enumerate(grid)]
 
@@ -271,7 +272,7 @@ def test_prism_coordinates_match_the_reference(field):
     # the points in P
     overlaps = enumerate_cusp_overlaps()
     if field == "K":
-        r, scales = Fraction(1, 8), [KNum(1), KNum(2, 1), KNum(Fraction(-3, 5), 1)]
+        r, scales = KNum(Fraction(1, 8)), [KNum(1), KNum(2, 1), KNum(Fraction(-3, 5), 1)]
     else:
         g = AlgNum.gen(zeta3_tower() if field == "zeta3" else zeta7_tower())
         # (g - conj g) i sqrt(7) is real and irrational, near 4.5

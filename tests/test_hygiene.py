@@ -2,6 +2,7 @@
 imports (stdlib `ast`; picard7 is imported only in a child interpreter)."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -122,41 +123,98 @@ def benchmark_references():
     return refs
 
 
-def defined_functions(path: Path):
-    """(qualified name, line) of every non-dunder function and method a module defines."""
+def function_qualnames(path: Path):
+    """(co_qualname, line) of every function and method a module defines,
+    named as Python names their code objects."""
 
     def walk(body, prefix):
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    yield prefix + node.name, node.lineno
-                yield from walk(node.body, prefix + node.name + ".")
+                yield prefix + node.name, node.lineno
+                yield from walk(node.body, prefix + node.name + ".<locals>.")
             elif isinstance(node, ast.ClassDef):
                 yield from walk(node.body, prefix + node.name + ".")
 
     return list(walk(ast.parse(path.read_text(), filename=str(path)).body, ""))
 
 
-def referenced_names():
-    """Every name `src/` reads: ast.Name ids, attribute names and string constants.
-
-    The string constants cover lookups by name, such as the CLI's command table.
-    """
-    names = set()
-    for path in MODULES:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.add(node.value)
-    return names
+def golden_commands():
+    """The argv lists of test_cli's GOLDEN pins, read off its source."""
+    tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text())
+    assigned = {t.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    out = []
+    for param in assigned["GOLDEN"].elts:
+        argv = param.args[0]
+        if isinstance(argv, ast.Starred):
+            argv = assigned[argv.value.id].elts[0]
+        out.append(ast.literal_eval(argv))
+    return out
 
 
-#: functions that nothing in `src/` calls but that stay: acceptance criterion 11
-#: checks the proven depth spectrum against these two
-UNCALLED_ALLOWED = {("hermitian", "realizable_depths"), ("ford", "generator_depths")}
+#: the command lines the traced gate runs past the GOLDEN ones, with their
+#: exit codes: `-h` is the only caller of cli.usage, and the last two are
+#: bad input (1) and a resource limit (2), a height past the search cap,
+#: which the child interpreter reads from picard7.mirror
+TRACED_COMMANDS = [
+    (["mirror", "verify", "--which", "L"], 0),
+    (["congruence", "check", "--ideal", "isqrt7"], 0),
+    (["congruence", "check", "--ideal", "tau"], 0),
+    (["-h"], 0),
+    (["ford", "reduce", "--point", '["1", "0", "0"]'], 1),
+    (["mirror", "search", "--norm", "2", "--height", "MAX_SEARCH_HEIGHT + 1"], 2),
+]
+
+#: (module, co_qualname) of the functions no command enters that stay in
+#: `src/`, each with its reason
+UNENTERED_ALLOWED = {
+    # perfbench calls or names them
+    ("ford", "in_omega"): "named in perfbench's TARGETS",
+    ("heisenberg", "in_prism"): "the prism test of in_omega",
+    ("hermitian", "Mat.__mul__"): "perfbench's worker times it as hermitian.mat_mul_us",
+    ("hermitian", "mat_from_json"): "perfbench's input builder reads its matrices with it",
+    ("ring", "AlgNum.enclosure"): "named in perfbench's TARGETS",
+    # acceptance criterion 11 certifies the depth spectrum with this oracle
+    ("hermitian", "depth"): "criterion 11's depth oracle",
+    ("hermitian", "depth_witness"): "criterion 11's depth oracle",
+    ("hermitian", "realizable_depths"): "criterion 11's depth oracle",
+    ("ford", "generator_depths"): "criterion 11's depth oracle",
+    ("ring", "KNum.trace"): "criterion 11's depth oracle, through realizable_depths",
+    ("hermitian", "GroupElt.first_column"): "criterion 11's depth oracle, through generator_depths",
+    # an AlgNum's K-coefficients in the power basis of zeta: an edge form
+    ("ring", "AlgNum.__new__"): "builds an AlgNum from its K-coefficients",
+    ("ring", "AlgNum.coeffs"): "reads an AlgNum's K-coefficients",
+    ("ring", "Zeta3Tower.coeffs"): "reads an AlgNum's K-coefficients",
+    ("ring", "Zeta7Tower.coeffs"): "reads an AlgNum's K-coefficients",
+    ("ring", "KNum.b"): "the tau-coordinate as a Fraction, beside KNum.a",
+}
+
+#: methods allowed unentered by name, in every class
+UNENTERED_METHODS_ALLOWED = {
+    "__repr__": "a value's printed form serves every caller that debugs it",
+    "__setattr__": "the immutability guard of KNum, AlgNum and GroupElt refuses a write",
+}
+
+_TRACE = """
+import contextlib, io, json, sys
+sys.path.insert(0, %r)
+seen = set()
+
+def record(frame, event, arg):
+    if event == "call":
+        seen.add(frame.f_code)
+
+sys.setprofile(record)
+from picard7 import cli
+from picard7.mirror import MAX_SEARCH_HEIGHT
+codes = []
+for argv in json.loads(sys.argv[1]):
+    argv = [str(MAX_SEARCH_HEIGHT + 1) if a == "MAX_SEARCH_HEIGHT + 1" else a for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "entered": sorted({(c.co_filename, c.co_qualname) for c in seen})}))
+"""
 
 
 def test_modules_found():
@@ -202,24 +260,43 @@ def test_benchmark_names_resolve():
 
 
 def test_every_src_function_has_a_caller():
-    # code that only tests reach belongs with the tests, not in the package
-    used = referenced_names()
-    bench = set(benchmark_references())
-    uncalled = []
-    for path in MODULES:
-        for qualname, line in defined_functions(path):
-            key = (path.stem, qualname)
-            if qualname.rsplit(".", 1)[-1] not in used and key not in bench and key not in UNCALLED_ALLOWED:
-                uncalled.append((path.name, line, qualname))
-    assert uncalled == []
+    # code that only tests reach belongs with the tests, not in the package:
+    # every command line below runs once in a fresh interpreter, where no
+    # functools.cache memo hides a call, and each function and method of
+    # `src/` must be entered or stand on an allowlist with its reason
+    commands = [(argv, 0) for argv in golden_commands()] + TRACED_COMMANDS
+    out = subprocess.run([sys.executable, "-I", "-c", _TRACE % str(SRC.parent),
+                          json.dumps([argv for argv, _ in commands])],
+                         capture_output=True, text=True, check=True)
+    result = json.loads(out.stdout)
+    assert result["codes"] == [code for _, code in commands]
+    entered = {(Path(f).stem, q) for f, q in result["entered"] if Path(f).parent == SRC}
+    unentered = [(path.name, line, qualname) for path in MODULES
+                 for qualname, line in function_qualnames(path)
+                 if (path.stem, qualname) not in entered | UNENTERED_ALLOWED.keys()
+                 and qualname.rsplit(".", 1)[-1] not in UNENTERED_METHODS_ALLOWED]
+    assert unentered == []
+    # the allowlist names only functions that exist and that no command enters
+    defined = {(path.stem, q) for path in MODULES for q, _ in function_qualnames(path)}
+    assert UNENTERED_ALLOWED.keys() <= defined - entered
 
 
 def test_interior_takes_one_type():
-    # ints and Fractions become KNums at the edges only: the matrix
-    # constructor (which serves int literals) and the JSON reader
+    # ints become KNums at the edges only: the matrix constructor (which
+    # serves int literals) and the JSON reader.  A Fraction becomes one only
+    # through KNum(a, b): no operator of KNum or AlgNum, no KNum.coerce and
+    # no AlgNum._operand names Fraction
     callers = {(p.stem, name) for p in MODULES if p.name != "ring.py" for name in coerce_callers(p)}
     assert callers <= {("hermitian", "Mat.__new__"), ("hermitian", "mat_from_json")}
-    assert "scalar" not in bound_names(ast.parse((SRC / "ring.py").read_text()).body)
+    ring = ast.parse((SRC / "ring.py").read_text()).body
+    assert "scalar" not in bound_names(ring)
+    operators = {"__add__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__rtruediv__", "__eq__",
+                 "__neg__", "__pow__", "coerce", "_operand"}
+    methods = [(cls.name, fn) for cls in ring if isinstance(cls, ast.ClassDef) and cls.name in ("KNum", "AlgNum")
+               for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name in operators]
+    assert {(c, fn.name) for c, fn in methods} >= {("KNum", "coerce"), ("AlgNum", "_operand"), ("KNum", "__rsub__")}
+    assert [(c, fn.name) for c, fn in methods
+            if any(isinstance(n, ast.Name) and n.id == "Fraction" for n in ast.walk(fn))] == []
 
 
 def test_only_ring_reads_k_coefficients():
@@ -319,8 +396,8 @@ def test_gamma_algebra_runs_on_group_elements():
     # ints, and eigenvectors (torsion._eigenvector) on the KNum rows of
     # g.entries(); a Mat keeps its edge role: literals, JSON, products
     bound = bound_names(ast.parse((SRC / "hermitian.py").read_text()).body)
-    gone = {"Mat.apply", "Mat.charpoly", "Mat.det", "Mat.trace", "Mat.__neg__", "_dot_k"}
-    assert {"Mat.__mul__", "GroupElt.charpoly", "GroupElt.apply"} <= bound and not bound & gone
+    gone = {"Mat.apply", "Mat.charpoly", "Mat.det", "Mat.trace", "Mat.__neg__", "_dot_k", "GroupElt.apply"}
+    assert {"Mat.__mul__", "GroupElt.charpoly"} <= bound and not bound & gone
     # the `g.mat` view is read for JSON in cli, and for verify_mirror_L's
     # in_gamma report field
     reads = {p.name: attribute_reads(p, "mat") for p in MODULES}

@@ -17,7 +17,7 @@ from picard7.ford import (
     in_omega,
     reduce_to_domain,
 )
-from reference import act_horo, cygan_dist4, ford_side, from_zsu, lift, sphere_membership
+from reference import act_horo, cygan_dist4, ford_side, from_zsu, lift, mat_apply, sphere_membership
 
 
 def rand_knum(rng, span=6, den=3):
@@ -83,7 +83,7 @@ def test_sphere_inversion_side_flip():
         v = lift(rand_horo(rng))
         for g in elts:
             gi = g.inverse()
-            assert ford_side(gi.apply(v), gi) == flip[ford_side(v, g)]
+            assert ford_side(mat_apply(gi.mat, v), gi) == flip[ford_side(v, g)]
 
 
 BASE = from_zsu(KNum(Fraction(1, 5), Fraction(1, 7)), Fraction(1, 3), Fraction(5, 2))

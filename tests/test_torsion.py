@@ -54,6 +54,7 @@ from reference import (
     fixes_q_inf,
     horo_coords,
     lift,
+    mat_apply,
     mat_charpoly,
     ref_cycle_graph,
     ref_overlaps_keeping,
@@ -180,7 +181,7 @@ def test_classify_isolated_algebraic():
     assert kind == "isolated" and norm is None
     assert not pt.rational
     assert sq_norm(pt.coords).real_sign() < 0
-    assert ProjPoint(g7.apply(pt.coords)) == pt
+    assert ProjPoint(mat_apply(g7.mat, pt.coords)) == pt
 
 
 def test_classify_takes_kernels_only_at_eigenvalues(monkeypatch):
@@ -202,7 +203,7 @@ def test_classify_takes_kernels_only_at_eigenvalues(monkeypatch):
     assert calls
     for g, lam, v in calls:
         assert not all(x.is_zero() for x in v)
-        assert all((y - lam * x).is_zero() for x, y in zip(v, g.apply(v)))
+        assert all((y - lam * x).is_zero() for x, y in zip(v, mat_apply(g.mat, v)))
 
 
 def test_eigenvector_matches_the_reference_kernel(monkeypatch):
@@ -466,9 +467,9 @@ def test_v1_cycle_graph_and_stabilizer():
     # on the top face s = 2, so its Tv-translate on the bottom face shows up
     # as a fourth vertex of the closed prism
     pts = set(_vertices(graph))
-    v2 = ProjPoint((TTAU * R).to_matrix().apply(V1.coords))
-    v3 = ProjPoint((T1 * R).to_matrix().apply(V1.coords))
-    v3b = ProjPoint(TV.inverse().to_matrix().apply(v3.coords))
+    v2 = ProjPoint(mat_apply((TTAU * R).to_matrix().mat, V1.coords))
+    v3 = ProjPoint(mat_apply((T1 * R).to_matrix().mat, V1.coords))
+    v3b = ProjPoint(mat_apply(TV.inverse().to_matrix().mat, v3.coords))
     assert pts == {V1, v2, v3, v3b}
     stab = stabilizer(V1, graph)
     assert stab.linear_order == 16
@@ -524,7 +525,7 @@ def _one_point_graph_points():
             w = GroupElt.identity()
             for _ in range(3):
                 w = rng.choice(letters) * w
-            points.append(reduce_to_domain(ProjPoint(w.apply(f.coords)))[1])
+            points.append(reduce_to_domain(ProjPoint(mat_apply(w.mat, f.coords)))[1])
     return points
 
 
@@ -735,7 +736,7 @@ def test_bracketed_prism_decisions_match_the_algnum_tests(monkeypatch):
             w = GroupElt.identity()
             for _ in range(3):
                 w = rng.choice(letters) * w
-            images.append(ProjPoint(w.apply(x.coords)))
+            images.append(ProjPoint(mat_apply(w.mat, x.coords)))
         for p in [x] + images:
             _check_prism_decisions(prism_coordinates(p.rep))
         # the Omega representatives and the vertices of their cycle graphs
@@ -767,7 +768,7 @@ def test_isolated_reps_fix_their_points():
         if c.fixed.rational:
             assert c.fixed.apply(c.rep) == c.fixed
         else:
-            assert ProjPoint(c.rep.apply(c.fixed.coords)) == c.fixed
+            assert ProjPoint(mat_apply(c.rep.mat, c.fixed.coords)) == c.fixed
 
 
 def test_stabilizer_linear_orders():
@@ -808,7 +809,7 @@ def test_dedup_merges_conjugate_copies():
     assert kind == "isolated"
     delta = (T1 * TTAU).to_matrix() * GENERATORS[6]
     g2 = delta * g * delta.inverse()
-    fp2 = ProjPoint(delta.apply(fp.coords))
+    fp2 = ProjPoint(mat_apply(delta.mat, fp.coords))
     classes = dedup_isolated([(g, 2, fp), (g2, 2, fp2)])
     assert len(classes) == 1
 
@@ -928,3 +929,23 @@ def test_tower_vertex_reads_its_coordinates_once(monkeypatch):
         assert calls["prism_coordinates"] <= len(vertices) + sides
         assert 0 < calls["inverse"] <= sides
         assert calls["bracket"] <= 4 * len(vertices) + 3 * sides
+
+
+def test_in_omega_brackets_a_tower_point_once(monkeypatch):
+    # at the zeta_3 Omega representative of mu ups iota, in_omega takes one
+    # grid for its prism test and its sweep: a, b and s are bracketed once,
+    # and u' once by the sweep
+    mti = GENERATORS[6] * TV.to_matrix() * GENERATORS[1]
+    _, y = reduce_to_domain(classify_elliptic(mti, 6)[1])
+    assert not y.rational and y.coords[2].tower is zeta3_tower()
+    calls = []
+    bracket = heisenberg.bracket
+
+    def counted(x):
+        calls.append(x)
+        return bracket(x)
+
+    for module in (heisenberg, ford):
+        monkeypatch.setattr(module, "bracket", counted)
+    assert ford.in_omega(y)
+    assert len(calls) == 4
