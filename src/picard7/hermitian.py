@@ -514,10 +514,10 @@ class GroupElt:
     we keep the one whose first nonzero entry (row-major) is positive in the
     lexicographic (a, b) ring order, which is the one whose first nonzero
     int is positive.  Equality and hashing act on the canonical ints,
-    implementing projectivization; products, inverses, the characteristic
-    polynomial and the action on vectors run on the ints.  `entries()`, the
-    rows of KNums (for eigenvectors), and the Mat view `mat` (for JSON) are
-    built on each call.
+    implementing projectivization; products, inverses, powers and the
+    action on vectors run on the ints, and so does the trace that
+    torsion.projective_order reads.  `entries()`, the rows of KNums (for
+    eigenvectors), and the Mat view `mat` (for JSON) are built on each call.
     """
 
     __slots__ = ("ints", "word")
@@ -595,24 +595,6 @@ class GroupElt:
 
     def is_identity(self) -> bool:
         return self.ints == ID_INTS
-
-    def charpoly(self):
-        """Coefficients of det(x*I - M), low degree first: (c0, c1, c2, 1), on
-        the ints.  det M = -c0, tr M = -c2, and c1 is the sum of the
-        principal 2x2 minors."""
-        t = self.ints
-        e = tuple(zip(t[0::2], t[1::2]))
-
-        def minor(i, j, k, l):  # e_i e_j - e_k e_l
-            (p, q), (r, s) = _mul_ints(*e[i], *e[j]), _mul_ints(*e[k], *e[l])
-            return p - r, q - s
-
-        # the minors of row 0's cofactors; the first is also a principal minor
-        k0, k1, k2 = minor(4, 8, 5, 7), minor(3, 8, 5, 6), minor(3, 7, 4, 6)
-        det = [x - y + z for x, y, z in zip(_mul_ints(*e[0], *k0), _mul_ints(*e[1], *k1), _mul_ints(*e[2], *k2))]
-        c1 = [x + y + z for x, y, z in zip(k0, minor(0, 8, 2, 6), minor(0, 4, 1, 3))]
-        return (knum_from_ints(-det[0], -det[1]), knum_from_ints(*c1),
-                knum_from_ints(-t[0] - t[8] - t[16], -t[1] - t[9] - t[17]), ONE)
 
 
 # GroupElt.__setattr__ refuses every write, so new elements get their two

@@ -201,18 +201,6 @@ class KNum:
             return KNum(other) / self
         return NotImplemented
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return (KNum(1) / self) ** (-n)
-        out = KNum(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def conj(self) -> "KNum":
         """Complex conjugate: conj(a + b*tau) = (a+b) - b*tau."""
         return _knum(self.na + self.nb, -self.nb, self.d)
@@ -230,11 +218,6 @@ class KNum:
         return t if self.d == 1 else Fraction(t, self.d)
 
     # -- real-element helpers (generic scalar protocol) ---------------
-
-    def rat(self) -> Fraction:
-        if self.nb != 0:
-            raise ValueError(f"{self} is not rational")
-        return self.a
 
     def real_sign(self) -> int:
         if self.nb != 0:

@@ -1,8 +1,10 @@
 """Torsion in PU(2,1,O_7): conjugacy classes, cycle graphs and finite stabilizers.
 
-An elliptic element either fixes a complex line pointwise (a reflection:
-an involution whose axis, the simple eigenline read off I - tr(g) g, is
-positive) or has an isolated fixed point (a negative eigenvector).
+The trace names an element's possible finite orders, and powers on its 18
+ints confirm one.  An elliptic element either fixes a complex line
+pointwise (a reflection: an involution whose axis, the simple eigenline
+read off I - tr(g) g, is positive) or has an isolated fixed point (a
+negative eigenvector: a cross product of two rows of g - lam I).
 Candidates come from the sweeps gamma = alpha * A_j over the finite sets
 T_jk of cusp translates whose spheres can meet; isolated fixed points are
 moved into Omega and walked into orbits by side-pairing maps and cusp
@@ -32,6 +34,7 @@ from .hermitian import (
     ints_inverse,
     ints_product,
     sq_norm,
+    sq_norm_ints,
     word_str,
     _is_unitary_ints,
     _mul_ints,
@@ -56,19 +59,23 @@ from .ford import (
 )
 
 
-#: n with phi(n) <= 6; eigenvalues of a finite-order element have degree
-#: at most 6 over Q, so the projective order never exceeds 18
-MAX_PROJECTIVE_ORDER = 18
+#: the projective orders an element of finite order can have, by its trace
+#: a + b tau up to sign ((a, b) with its first nonzero int positive).  The
+#: eigenvalues of g are the roots of x^3 - t x^2 + d conj(t) x - d over K
+#: (t = tr g, d = det g = +/-1); for g of finite order they are, up to sign,
+#: (1, 1, 1), (1, 1, -1), (1, i, -i), (1, w, w^2) or (-1, w, w^2) for w^3 = 1,
+#: w != 1, or the three conjugates over K of a primitive seventh root of 1
+#: (Goldman, Complex Hyperbolic Geometry, ch. 6)
+_ORDERS_BY_TRACE = {(3, 0): (1,), (1, 0): (2, 4), (0, 0): (3,), (2, 0): (6,), (0, 1): (7,), (1, -1): (7,)}
 
 
 def projective_order(g: GroupElt):
-    """Smallest n >= 1 with g^n = +/-Id, or None if no n <= 18 works."""
-    p = g
-    for n in range(1, MAX_PROJECTIVE_ORDER + 1):
-        if p.is_identity():
-            return n
-        p = p * g
-    return None
+    """Smallest n >= 1 with g^n = +/-Id, or None if g has infinite order: a
+    candidate order of the trace (`_ORDERS_BY_TRACE`) that powers confirm."""
+    t = g.ints
+    a, b = t[0] + t[8] + t[16], t[1] + t[9] + t[17]
+    key = (a, b) if (a, b) >= (0, 0) else (-a, -b)
+    return next((n for n in _ORDERS_BY_TRACE.get(key, ()) if _has_projective_order(g, n)), None)
 
 
 def _ints_power(t, n: int):
@@ -84,13 +91,12 @@ def _ints_power(t, n: int):
 
 
 def _has_projective_order(g: GroupElt, n: int) -> bool:
-    """Whether projective_order(g) = n: 1 <= n <= 18, g^n = +/-Id, and
-    g^(n/q) != +/-Id for each prime q dividing n, as every n' with
-    g^n' = +/-Id divides n, and one that is not n divides some n/q.  The
-    only scalars of U(J, O_7) are +/-Id."""
-    return (1 <= n <= MAX_PROJECTIVE_ORDER and ints_are_scalar(_ints_power(g.ints, n))
-            and not any(ints_are_scalar(_ints_power(g.ints, n // q))
-                        for q in (2, 3, 5, 7, 11, 13, 17) if n % q == 0))
+    """Whether projective_order(g) = n, for an order n of the trace table:
+    g^n = +/-Id, and g^(n/q) != +/-Id for each prime q dividing n, as every
+    n' with g^n' = +/-Id divides n, and one that is not n divides some n/q.
+    The only scalars of U(J, O_7) are +/-Id."""
+    return (ints_are_scalar(_ints_power(g.ints, n))
+            and not any(ints_are_scalar(_ints_power(g.ints, n // q)) for q in (2, 3, 7) if n % q == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -123,31 +129,25 @@ def make_reflection(v) -> GroupElt:
     return GroupElt.from_ints(tuple(t), word=(("R_" + "".join(str(x) for x in polar.coords), 1),))
 
 
-def _roots(charpoly, candidates):
-    """The candidates that are roots of the monic cubic charpoly (low degree
-    first): any other candidate has no eigenvector."""
-    c, b, a, _ = charpoly
-    return [lam for lam in candidates if (((lam + a) * lam + b) * lam + c).is_zero()]
-
-
 def _eigenvector(g: GroupElt, lam):
-    """A vector spanning ker(g - lam I); lam must be a simple root of g's
-    characteristic polynomial.
+    """For g - lam I of rank 2 or 3, a vector spanning its kernel, or None
+    when lam is no eigenvalue of g.
 
-    g - lam I then has rank 2, so its kernel is the bilinear cross product of
-    its first pair of independent rows: products only, with no pivot and no
-    division.
+    Two independent rows of g - lam I kill their bilinear cross product, and
+    the third row does exactly when g - lam I is singular: products only,
+    with no pivot and no division.
     """
-    rows = [[x - lam if i == j else x for j, x in enumerate(r)] for i, r in enumerate(g.entries())]
-    for (a1, a2, a3), (b1, b2, b3) in ((rows[0], rows[1]), (rows[0], rows[2]), (rows[1], rows[2])):
+    r0, r1, r2 = [[x - lam if i == j else x for j, x in enumerate(r)] for i, r in enumerate(g.entries())]
+    for (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) in ((r0, r1, r2), (r0, r2, r1), (r1, r2, r0)):
         v = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
         if not all(x.is_zero() for x in v):
-            break
-    return v
+            return v if (c1 * v[0] + c2 * v[1] + c3 * v[2]).is_zero() else None
+    raise ArithmeticError("g - lam I has rank below 2")
 
 
 def _involution_axis(g: GroupElt):
-    """A nonzero column of I - tr(g) g if g^2 = I and g is not 1, else None.
+    """The six ints of a nonzero column of I - tr(g) g if g^2 = I and g is
+    not 1, else None.
 
     That column spans the simple eigenline p of g, and g fixes the complex
     line p^perp pointwise exactly when <p, p> > 0.  Any element of Gamma may
@@ -171,67 +171,67 @@ def _involution_axis(g: GroupElt):
         return None
     lam = t[0] + t[8] + t[16]
     for j in range(3):
-        col = [knum_from_ints(int(i == j) - lam * t[6 * i + 2 * j], -lam * t[6 * i + 2 * j + 1])
-               for i in range(3)]
-        if not all(x.is_zero() for x in col):
+        col = tuple(x for i in range(3)
+                    for x in (int(i == j) - lam * t[6 * i + 2 * j], -lam * t[6 * i + 2 * j + 1]))
+        if any(col):
             return col
+
+
+def _axis_point(col) -> ProjPoint:
+    """The point of the axis with the six ints col (through the O_7 gcd)."""
+    return ProjPoint(tuple(map(knum_from_ints, col[0::2], col[1::2])))
 
 
 def reflection_polar(g: GroupElt):
     """(polar ProjPoint, polar norm) if g is a complex reflection, else None.
 
     A reflection of Gamma is an involution whose axis (`_involution_axis`)
-    is positive: an int product and one norm.
+    is positive: an int product and one int norm.
     """
     col = _involution_axis(g)
-    if col is None or sq_norm(col).real_sign() <= 0:
+    if col is None or sq_norm_ints(col) <= 0:
         return None
-    polar = ProjPoint(col)
-    return polar, int(polar.sq_norm().rat())
+    polar = _axis_point(col)
+    return polar, sq_norm_ints(polar.rep)
 
 
 def classify_elliptic(g: GroupElt, n: int):
     """("reflection", polar, <v,v>) or ("isolated", fixed point, <v,v> or None)."""
-    if not _has_projective_order(g, n):
+    if projective_order(g) != n:
         raise ValueError("stated order does not match the element")
     col = _involution_axis(g)
     if col is not None:
         # a positive axis is the polar of the mirror, and a negative one the
         # isolated fixed point; a null one would lie in its own eigenplane
-        p = ProjPoint(col)
-        norm = p.sq_norm()
-        if norm.is_zero():
+        sign = sq_norm_ints(col)
+        if sign == 0:
             raise ArithmeticError("simple eigenvector of a finite-order element is null")
-        return "reflection" if norm.real_sign() > 0 else "isolated", p, int(norm.rat())
-    # of finite order and not an involution, so g has a squarefree
-    # characteristic polynomial; K contains only the roots of unity +/-1,
-    # so any K-rational eigenvector belongs to one of those
-    charpoly = g.charpoly()
-    for lam in _roots(charpoly, (ONE, -ONE)):
+        p = _axis_point(col)
+        return "reflection" if sign > 0 else "isolated", p, sq_norm_ints(p.rep)
+    # of finite order and not an involution, so g has three simple
+    # eigenvalues; K contains only the roots of unity +/-1, so any
+    # K-rational eigenvector belongs to one of those
+    for lam in (ONE, -ONE):
         v = _eigenvector(g, lam)
-        if sq_norm(v).real_sign() < 0:
+        if v is not None and sq_norm(v).real_sign() < 0:
             pt = ProjPoint(v)
-            return "isolated", pt, int(sq_norm(pt.coords).rat())
-    # fixed point outside K^3: eigenvalues are roots of unity of the
-    # matrix order, found in the relevant cyclotomic tower.  g^n = e Id with
-    # e = +/-1 gives det(g)^n = e^3 = e, so det(g)^n is the sign of g^n,
-    # with det(g) = -c0
-    m = n if ((-charpoly[0]) ** n).is_one() else 2 * n
-    if m % 7 == 0:
-        tw = zeta7_tower()
-        z = AlgNum.gen(tw)
-        units = [z**k for k in range(7)]
-        if m % 2 == 0:
-            units += [-u for u in units]
-    elif m % 3 == 0:
-        tw = zeta3_tower()
-        z6 = 1 + AlgNum.gen(tw)  # a primitive sixth root of unity
-        units = [z6**k for k in range(6)]
+            return "isolated", pt, sq_norm_ints(pt.rep)
+    # fixed point outside K^3, so n is 3, 6 or 7.  g^n = e Id makes each
+    # eigenvalue a root of x^n - e: e z^k for z a primitive n-th root of
+    # unity, where k = 0 gives e, in K.  For n = 6, e = 1: the factors of
+    # x^6 + 1 over K have degrees 2 and 4, which leaves no third eigenvalue
+    e = _ints_power(g.ints, n)[0]
+    if n == 7:
+        z = AlgNum.gen(zeta7_tower())
+    elif n == 3:
+        z = AlgNum.gen(zeta3_tower())
+    elif n == 6:
+        z = 1 + AlgNum.gen(zeta3_tower())  # a primitive sixth root of unity
     else:
-        raise ValueError(f"unsupported eigenvalue field for matrix order {m}")
-    for lam in _roots(charpoly, units):
-        v = _eigenvector(g, lam)
-        if sq_norm(v).real_sign() < 0:
+        raise ValueError(f"unsupported eigenvalue field for projective order {n}")
+    for k in range(1, n):
+        v = _eigenvector(g, e * z**k)
+        if v is not None and sq_norm(v).real_sign() < 0:
             return "isolated", ProjPoint(v), None
     raise ValueError("no negative eigenvector found for an elliptic element")
 
@@ -606,7 +606,7 @@ def dedup_isolated(cands):
                     break
             if not placed:
                 merged.append((g, n, [g]))
-        fp_norm = int(sq_norm(basept.coords).rat()) if basept.rational else None
+        fp_norm = sq_norm_ints(basept.rep) if basept.rational else None
         for rep, n, members in merged:
             classes.append(
                 TorsionClass(

@@ -63,6 +63,13 @@ from picard7.ring import (
 from picard7.torsion import _eigenvector, _move_element, _moves
 
 
+def rat(x: KNum) -> Fraction:
+    """The value of a KNum that lies in Q."""
+    if x.nb != 0:
+        raise ValueError(f"{x} is not rational")
+    return x.a
+
+
 def mat_apply(m: Mat, v):
     """M v, each coordinate the sum of its three entry products; v lies in
     K^3 or has coordinates in K(zeta_3) or K(zeta_7)."""
@@ -303,7 +310,7 @@ class Prism:
 
 def _real_floor(x) -> int:
     """The floor of a real scalar: a KNum's through its rational value."""
-    return floor(x.rat()) if isinstance(x, KNum) else x.floor_real()
+    return floor(rat(x)) if isinstance(x, KNum) else x.floor_real()
 
 
 def horo_reduce_to_prism(h: HoroPoint):
@@ -417,7 +424,7 @@ def tjk_in_box(j, k, mbox, nbox, lbox):
                     continue
                 for l in range(-lbox, lbox + 1):
                     alpha = CuspElt(m, n, eps, l)
-                    if cygan_dist4(act_horo(alpha, cj), ck).rat() > bound:
+                    if rat(cygan_dist4(act_horo(alpha, cj), ck)) > bound:
                         continue
                     if abs(m) == mbox or abs(n) == nbox or abs(l) == lbox:
                         raise ArithmeticError("the reference box is too small")
@@ -548,7 +555,7 @@ def search_orthogonal_mirrors(ctx, norm: int, height: int):
         raise ValueError("height must be at least 1")
     b1, b2 = ctx.basis
     g11, g12, g22 = ctx.gram
-    g11, g22 = int(g11.rat()), int(g22.rat())
+    g11, g22 = int(rat(g11)), int(rat(g22))
     found = set()
     rng = range(-height, height + 1)
     for a1 in rng:
@@ -830,13 +837,31 @@ def ref_stabilizer_gens(edges, transports):
 
 
 # ---------------------------------------------------------------------------
+# the projective order by repeated products
+# ---------------------------------------------------------------------------
+
+
+def ref_projective_order(g: GroupElt):
+    """Smallest n >= 1 with g^n = +/-Id, or None if no n <= 18 works: the
+    products g, g^2, ..., g^18, one at a time.  The eigenvalues of a
+    finite-order element have degree at most 6 over Q (phi(n) <= 6), so its
+    projective order never exceeds 18."""
+    p = g
+    for n in range(1, 19):
+        if p.is_identity():
+            return n
+        p = p * g
+    return None
+
+
+# ---------------------------------------------------------------------------
 # reflections by the repeated eigenvalue
 # ---------------------------------------------------------------------------
 
 
 def _repeated_eigenvalue(charpoly):
     """The repeated K-eigenvalue of a matrix with the characteristic polynomial
-    charpoly (`GroupElt.charpoly`), or None when it is squarefree.
+    charpoly (`mat_charpoly`), or None when it is squarefree.
 
     The monic cubic x^3 + a x^2 + b x + c has a repeated root iff its
     discriminant vanishes.  For (x - l)^2 (x - m), a^2 - 3b = (l - m)^2 and
@@ -844,7 +869,7 @@ def _repeated_eigenvalue(charpoly):
     means a triple root.
     """
     c, b, a, _ = charpoly
-    if not (18 * a * b * c - 4 * a**3 * c + a * a * b * b - 4 * b**3 - 27 * c * c).is_zero():
+    if not (18 * a * b * c - 4 * a * a * a * c + a * a * b * b - 4 * b * b * b - 27 * c * c).is_zero():
         return None
     gap = a * a - 3 * b
     if gap.is_zero():
@@ -874,14 +899,14 @@ def ref_reflection_polar(g: GroupElt):
     g must have finite order (see _simple_eigenpoint); the elements of a
     FiniteGroup, the enumeration's candidates and the word-table rows do.
     """
-    charpoly = g.charpoly()
+    charpoly = mat_charpoly(g.mat)
     lam = _repeated_eigenvalue(charpoly)
     if lam is None:
         return None
     polar, norm = _simple_eigenpoint(g, charpoly, lam)
     if norm.real_sign() < 0:
         return None
-    return polar, int(norm.rat())
+    return polar, int(rat(norm))
 
 
 # ---------------------------------------------------------------------------

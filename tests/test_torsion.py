@@ -9,6 +9,7 @@ from picard7.hermitian import GroupElt, Mat, ProjPoint, sq_norm
 from picard7.heisenberg import (
     IDENTITY,
     CuspElt,
+    cusp_torsion_classes,
     R,
     T1,
     TTAU,
@@ -21,6 +22,7 @@ from picard7.heisenberg import (
     reduce_to_prism,
 )
 from picard7.ford import GENERATORS, INVERSE_PAIRS, enumerate_tjk, reduce_to_domain, spheres_containing
+from picard7.mirror import mirror_l_generators
 from picard7.presentation import abcd, torsion_word_rows
 from picard7 import ford, heisenberg, torsion
 from picard7.torsion import (
@@ -56,6 +58,9 @@ from reference import (
     lift,
     mat_apply,
     mat_charpoly,
+    mat_product,
+    rat,
+    ref_projective_order,
     ref_cycle_graph,
     ref_overlaps_keeping,
     ref_reflection_polar,
@@ -82,7 +87,9 @@ def test_projective_order():
 
 
 def test_infinite_order_sweep():
-    # elements reported infinite stay away from +/-Id far past the bound 18
+    # elements reported infinite stay away from +/-Id for 126 products, far
+    # past 7, the largest order of the trace table; T1 and Tv have the trace
+    # 3 of the identity, and the power check refutes that order
     for g in (T1.to_matrix(), TV.to_matrix(), GENERATORS[2] * T1.to_matrix()):
         assert projective_order(g) is None
         p = g
@@ -91,28 +98,142 @@ def test_infinite_order_sweep():
             p = p * g
 
 
+def _poly_divmod(p, m):
+    """(q, r) with p = q m + r over K, deg r < deg m: lists of KNums, low
+    degree first, with no zero leading coefficient."""
+    r, q = list(p), [KNum(0)] * max(len(p) - len(m) + 1, 0)
+    while len(r) >= len(m):
+        f, shift = r[-1] / m[-1], len(r) - len(m)
+        q[shift] = f
+        r = [c - f * m[i - shift] if i >= shift else c for i, c in enumerate(r)][:-1]
+        while r and r[-1].is_zero():
+            r.pop()
+    return q, r
+
+
+def _radical(p):
+    """The squarefree part p / gcd(p, p') of a polynomial over K."""
+    a, b = p, [i * c for i, c in enumerate(p)][1:]
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return _poly_divmod(p, a)[0]
+
+
+def test_trace_table_is_derived_exactly():
+    # For g in U(J, O_7) with t = tr g and d = det g = +/-1, the
+    # characteristic polynomial is p = x^3 - t x^2 + d conj(t) x - d
+    # (test_charpoly_matches_the_k_reference).  A finite-order g is
+    # diagonalizable, so g^n = +/-Id exactly when rad(p) divides x^n -+ 1,
+    # and its eigenvalues have modulus 1, so |t|^2 <= 9.  Over every such t
+    # in O_7 and both d, the least n with rad(p) | x^n -+ 1 are the orders
+    # the table keeps for +/-t, and a t outside the table has no such n.
+    # n up to 14 suffices: a root of rad(p) | x^n -+ 1 is a root of unity
+    # of degree at most 3 over K = Q(sqrt(-7)).  Of order m, it has degree
+    # phi(m) over Q, halved over K when K lies in Q(zeta_m), that is when
+    # 7 | m: that leaves m in {1, 2, 3, 4, 6} (phi(m) <= 2) and m in {7, 14}
+    # (phi(m) = 6).  A root of order 7 or 14 brings its two conjugates over
+    # K, of its order, so rad(p) divides x^12 - 1 or x^14 - 1.
+    found = {}
+    ts = [(a, b) for a in range(-4, 5) for b in range(-2, 3) if a * a + a * b + 2 * b * b <= 9]
+    assert len(ts) == 25 and max(abs(a) for a, _ in ts) == 3 and max(abs(b) for _, b in ts) == 2
+    for a, b in ts:
+        t = KNum(a, b)
+        for d in (1, -1):
+            rad = _radical([KNum(-d), d * t.conj(), -t, KNum(1)])
+            power = [KNum(1)]  # x^n mod rad(p)
+            for n in range(1, 15):
+                power = _poly_divmod([KNum(0)] + power, rad)[1]
+                if power in ([KNum(1)], [KNum(-1)]):
+                    key = (a, b) if (a, b) >= (0, 0) else (-a, -b)
+                    found.setdefault(key, set()).add(n)
+                    break
+    assert found == {key: set(orders) for key, orders in torsion._ORDERS_BY_TRACE.items()}
+
+
+def test_projective_order_matches_the_product_loop():
+    # the trace table and the power check against g, g^2, ..., g^18 on the
+    # 396 translates alpha A_j, the cusp torsion, the word-table rows, every
+    # element of the isolated classes' stabilizers, the generators of
+    # mirror L's stabilizer, T1, Tv, the A_j and seeded random words
+    translates = [alpha.to_matrix() * GENERATORS[j] for j in sorted(GENERATORS)
+                  for alpha in enumerate_tjk(j, INVERSE_PAIRS[j])]
+    assert len(translates) == 396
+    rows = [g for row in torsion_word_rows()
+            for g in [row["elt"], row["other"][1]] + [alt for _, alt in row["alt"]]]
+    stabs = {c.fixed: c.stab for c in enumerate_torsion() if c.kind == "isolated"}
+    elts = sorted((g for st in stabs.values() for g in st.elements), key=lambda g: g.ints)
+    mirror = mirror_l_generators()
+    cusp = [c.to_matrix() for c in (T1, TTAU, TV, R)]
+    rng = random.Random(38)
+    words = []
+    for _ in range(200):
+        w = rng.choice(list(GENERATORS.values()))
+        for _ in range(rng.randint(0, 3)):
+            w = rng.choice(list(GENERATORS.values())) * rng.choice(cusp) * w
+        words.append(w)
+    seen = set()
+    for g in (translates + list(cusp_torsion_classes()) + rows + elts + [mirror["s1"], mirror["s2"]]
+              + [T1.to_matrix(), TV.to_matrix()] + list(GENERATORS.values()) + words):
+        n = projective_order(g)
+        assert n == ref_projective_order(g)
+        seen.add(n)
+    assert seen == {None, 1, 2, 3, 4, 6, 7}
+
+
+def test_tower_candidates_hold_the_fixed_point_eigenvalue(monkeypatch):
+    # a fixed point outside K^3 is the eigenvector of one of the tower
+    # candidates e z^k that classify_elliptic tries after +/-1: its
+    # eigenvalue lam has lam^n = e for g^n = e Id; on the enumeration's
+    # candidates and the word-table rows
+    eigenvector = torsion._eigenvector
+    tried = []
+
+    def spy(g, lam):
+        tried.append(lam)
+        return eigenvector(g, lam)
+
+    monkeypatch.setattr(torsion, "_eigenvector", spy)
+    elts = list(torsion._torsion_candidates().items()) + [(row["elt"], row["order"]) for row in torsion_word_rows()]
+    towers = 0
+    for g, n in elts:
+        tried.clear()
+        _, pt, _ = classify_elliptic(g, n)
+        if pt.rational:
+            continue
+        # a point outside K^3 ends in v3 = 1, so its eigenvalue is (g v)_3
+        image = mat_apply(g.mat, pt.coords)
+        assert ProjPoint(image) == pt and image[2] in tried[2:]
+        power = g.mat.rows  # g^n = e Id, on the matrix that g.mat shows
+        for _ in range(n - 1):
+            power = mat_product(Mat(power), g.mat)
+        assert power[0][0] in (1, -1) and image[2] ** n == power[0][0]
+        towers += 1
+    assert towers > 0
+
+
 def test_repeated_eigenvalue():
-    assert _repeated_eigenvalue(R.to_matrix().charpoly()) == 1
-    assert _repeated_eigenvalue(GENERATORS[1].charpoly()) == -1
-    assert _repeated_eigenvalue(GENERATORS[4].charpoly()) is None  # order 7
-    # two matrices outside Gamma, through the reference charpoly over K
+    assert _repeated_eigenvalue(mat_charpoly(R.to_matrix().mat)) == 1
+    assert _repeated_eigenvalue(mat_charpoly(GENERATORS[1].mat)) == -1
+    assert _repeated_eigenvalue(mat_charpoly(GENERATORS[4].mat)) is None  # order 7
+    # two matrices outside Gamma
     assert _repeated_eigenvalue(mat_charpoly(Mat([[2, 1, 0], [0, 2, 0], [5, 0, 3]]))) == 2
     assert _repeated_eigenvalue(mat_charpoly(Mat([[2, 0, 0], [1, 3, 0], [0, 4, 3]]))) == 3
     with pytest.raises(ArithmeticError):
-        _repeated_eigenvalue(GroupElt.identity().charpoly())
+        _repeated_eigenvalue(mat_charpoly(GroupElt.identity().mat))
 
 
 def test_classify_elliptic_accepts_exactly_the_projective_order():
-    # classify_elliptic checks a stated n by powers (g^n = +/-Id by squaring,
-    # and g^(n/q) != +/-Id for each prime q dividing n): over the 65
-    # candidates of the enumeration and every word-table row, each n in
-    # 0..19 is accepted exactly when it is projective_order(g)
+    # classify_elliptic checks a stated n as projective_order(g) == n (the
+    # trace table, then g^n = +/-Id by squaring and g^(n/q) != +/-Id for
+    # each prime q dividing n): over the 65 candidates of the enumeration
+    # and every word-table row, each n in 0..19 is accepted exactly when it
+    # is the order
     cands = list(torsion._torsion_candidates())
     assert len(cands) == 65
     for g in cands + [row["elt"] for row in torsion_word_rows()]:
         order = projective_order(g)
         assert order is not None
-        for n in range(torsion.MAX_PROJECTIVE_ORDER + 2):
+        for n in range(20):
             if n == order:
                 assert classify_elliptic(g, n)[0] in ("reflection", "isolated")
             else:
@@ -185,8 +306,8 @@ def test_classify_isolated_algebraic():
 
 
 def test_classify_takes_kernels_only_at_eigenvalues(monkeypatch):
-    # every candidate root of unity is tested against the charpoly first, so
-    # each cross product classify_elliptic takes is a nonzero eigenvector
+    # a candidate root of unity that is no eigenvalue gives None, so each
+    # cross product classify_elliptic keeps is a nonzero eigenvector
     eigenvector = torsion._eigenvector
     calls = []
 
@@ -200,16 +321,20 @@ def test_classify_takes_kernels_only_at_eigenvalues(monkeypatch):
     g7 = GENERATORS[1] * R.to_matrix() * T1.to_matrix()
     for g, n in ((gens["a"], 7), (gens["c"], 6), (g7, 7), (GENERATORS[1] * R.to_matrix(), 2)):
         assert classify_elliptic(g, n)[0] == "isolated"
-    assert calls
+    assert any(v is None for _, _, v in calls)
     for g, lam, v in calls:
+        if v is None:
+            continue
         assert not all(x.is_zero() for x in v)
         assert all((y - lam * x).is_zero() for x, y in zip(v, mat_apply(g.mat, v)))
 
 
 def test_eigenvector_matches_the_reference_kernel(monkeypatch):
-    # at every root classify_elliptic examines, on the enumeration's
-    # candidates and on seeded conjugates of them, the cross product spans
-    # the one-dimensional kernel of the reference elimination
+    # at every candidate classify_elliptic examines, on the enumeration's
+    # candidates, seeded conjugates of them and the word-table rows, the
+    # cross product spans the one-dimensional kernel of the reference
+    # elimination, or is None where that kernel is zero, which is exactly
+    # where the reference characteristic polynomial does not vanish
     eigenvector = torsion._eigenvector
     calls = []
 
@@ -226,19 +351,29 @@ def test_eigenvector_matches_the_reference_kernel(monkeypatch):
     for g, n in rng.sample(cands, 12):
         h = rng.choice(letters) * rng.choice(letters) * rng.choice(letters)
         conjugates.append((h * g * h.inverse(), n))
-    for g, n in cands + conjugates:
+    for g, n in cands + conjugates + [(row["elt"], row["order"]) for row in torsion_word_rows()]:
         classify_elliptic(g, n)
     assert len(calls) > len(cands)
+    misses = 0
     for g, lam in calls:
+        v = eigenvector(g, lam)
+        c0, c1, c2, _ = mat_charpoly(g.mat)
+        assert (v is None) == (not (((lam + c2) * lam + c1) * lam + c0).is_zero())
+        if v is None:
+            assert eigenspace_basis(g, lam) == []
+            misses += 1
+            continue
         (basis,) = eigenspace_basis(g, lam)
-        assert ProjPoint(eigenvector(g, lam)) == ProjPoint(basis)
+        assert ProjPoint(v) == ProjPoint(basis)
+    assert 0 < misses < len(calls)
     # a rank-2 matrix outside Gamma, whose first two rows are dependent, at
-    # its three simple eigenvalues
+    # its three simple eigenvalues, and at 2, which is none
     m = Mat([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     rows = SimpleNamespace(entries=lambda: m.rows)
     for lam in (KNum(0), KNum(1), KNum(5)):
         (basis,) = eigenspace_basis(rows, lam)
         assert ProjPoint(eigenvector(rows, lam)) == ProjPoint(basis)
+    assert eigenvector(rows, KNum(2)) is None
 
 
 def test_mirror_is_a_positive_simple_eigenvector():
@@ -247,13 +382,13 @@ def test_mirror_is_a_positive_simple_eigenvector():
     # reference Gram determinant of the lam-plane is negative; checked on the
     # repeated-eigenvalue candidates and on every element of the isolated
     # classes' stabilizers
-    repeated = [g for g in torsion._torsion_candidates() if _repeated_eigenvalue(g.charpoly()) is not None]
+    repeated = [g for g in torsion._torsion_candidates() if _repeated_eigenvalue(mat_charpoly(g.mat)) is not None]
     assert len(repeated) == 11
     stabs = {c.fixed: c.stab for c in enumerate_torsion() if c.kind == "isolated"}
     elts = sorted((g for s in stabs.values() for g in s.elements if not g.is_identity()), key=lambda g: g.ints)
     signs = []
     for g in repeated + elts:
-        charpoly = g.charpoly()
+        charpoly = mat_charpoly(g.mat)
         lam = _repeated_eigenvalue(charpoly)
         if lam is None:
             continue
@@ -287,14 +422,14 @@ def test_involution_test_matches_the_eigenvalue_reference():
         got = reflection_polar(g)
         assert got == ref_reflection_polar(g)
         found[got is None] += 1
-        charpoly = g.charpoly()
+        charpoly = mat_charpoly(g.mat)
         if projective_order(g) != 2:
             assert _repeated_eigenvalue(charpoly) is None
             kinds[None] += 1
             continue
         p, norm = _simple_eigenpoint(g, charpoly, _repeated_eigenvalue(charpoly))
         kind = "reflection" if norm.real_sign() > 0 else "isolated"
-        assert classify_elliptic(g, 2) == (kind, p, int(norm.rat()))
+        assert classify_elliptic(g, 2) == (kind, p, int(rat(norm)))
         kinds[kind] += 1
     assert found[True] and found[False]
     assert all(kinds.values()), kinds
