@@ -368,13 +368,17 @@ def _forms(v):
 # One sweep kernel per field: (quantity, cmp, sweep).  quantity(v) is
 # |v3|^2 of an integral vector v, up to one positive factor, in an exact int
 # form; cmp(p, q) is the exact sign of the difference of two quantities;
-# sweep(v, own, g) yields (sign, quantity, j, alpha) for each candidate
+# sweep(v, own, g, best) yields (sign, quantity, j, alpha) for each candidate
 # translate alpha of j whose column col = alpha(A_j(inf)) has
 # |<v, col>|^2 <= own, for an integral v whose point's prism coordinates
 # have the grid g (`prism_grid`), in (j, alpha) order.  Each kernel
 # compares only the translates in a window derived from that inequality,
 # and decides each on ints; the K kernel reads its window off v's six
-# ints, and the tower kernels off the brackets in g.
+# ints, and the tower kernels off the brackets in g.  With best set, a
+# kernel may yield only the hits whose quantity is below own and below
+# every quantity it yielded before: the last is still the first smallest
+# strict hit.  The K kernel does, and narrows its window to match; the
+# tower kernels ignore best.
 
 
 def _k_cmp(p, q) -> int:
@@ -402,7 +406,7 @@ def _k_generators():
     return tuple(out)
 
 
-def _k_sweep(v, own, _g):
+def _k_sweep(v, own, _g, best):
     """v, the six ints of a vector in O_7^3: the quantity is the int N(<v, col>).
 
     Only the translates alpha = (m, n, eps, l) whose closed Cygan ball can
@@ -418,6 +422,15 @@ def _k_sweep(v, own, _g):
     found by walking out from it.  A hit counts only if alpha is a
     candidate translate of j, as every hit at a point over P is; a hit is
     the tuple (m, n, eps, l, quantity) until it is yielded.
+
+    Every hit has a quantity h <= limit, for limit = own in full mode.  In
+    best mode limit starts at own - 1 and drops to h - 1 at each yield, so
+    the yields strictly decrease and the last is the first smallest strict
+    hit in (j, alpha) order, the one `reduce_to_domain` takes.  A hit with
+    h <= limit has |<v/v3, col/col3>|^2 <= (r^4/4)(limit/own), so u' +
+    N(z - z0) <= r^2 sqrt(limit/own) <= r2 qb/2^32 for qb/2^16 an upper
+    square-root bound: the disk of each later generator shrinks with
+    limit, and the l-walk stops above it.  Full mode keeps qb = 2^16.
     """
     v1a, v1b, v2a, v2b, v3a, v3b = v
     dv = _norm_ints(v3a, v3b)
@@ -426,10 +439,11 @@ def _k_sweep(v, own, _g):
         raise ArithmeticError("a Ford sweep's l-step vanishes")
     # S z = zd (za_v + zb_v tau), and <v, v> = 2 Re(v1 conj(v3)) + N(v2)
     za_v, zb_v = _mul_ints(v2a, v2b, v3a + v3b, -v3b)
-    vv = sq_norm_ints(v)
+    vv = sq_norm_ints(v) << 32
+    limit, qb = (own - 1, _sqrt_ints(own - 1, own)[1]) if best else (own, _SQRT_DEN)
     for j, za, zb, zd, r2, (c1a, c1b, c2a, c2b, c3a, c3b), table in _k_generators():
-        # floor(S^2 (r2/2^16 - u')), as S^2/dv = dv zd^2
-        nmax = dv * zd * zd * (r2 * dv + vv * _SQRT_DEN) // _SQRT_DEN
+        # floor(S^2 (r2 qb/2^32 - u')), as S^2/dv = dv zd^2
+        nmax = dv * zd * zd * (r2 * qb * dv + vv) >> 32
         if nmax < 0:
             continue
         step, qmax = dv * zd, isqrt(4 * nmax // 7)
@@ -481,14 +495,16 @@ def _k_sweep(v, own, _g):
                     tr = ((2 * x + y) * d2 + y * d7) // 2
                     top = -tr // (2 * nd)
                     for l, dl in ((top, -1), (top + 1, 1)):
-                        while (h := nz + l * (tr + l * nd)) <= own:
+                        while (h := nz + l * (tr + l * nd)) <= limit:
                             hits.append((m, n, eps, l, h))
                             l += dl
         if hits:
             hits.sort()
             for m, n, eps, l, h in hits:
-                if (m, n, eps, l) in table:
+                if h <= limit and (m, n, eps, l) in table:
                     yield (-1 if h < own else 0), h, j, tuple.__new__(CuspElt, (m, n, eps, l))
+                    if best:
+                        limit, qb = h - 1, _sqrt_ints(h - 1, own)[1]
 
 
 def _zeta3_quantity(x0, y0, x1, y1):
@@ -510,7 +526,7 @@ def _zeta3_cmp(p, q) -> int:
     return sqrt21_sign(p[0] - q[0], p[1] - q[1])
 
 
-def _zeta3_sweep(v, own, g):
+def _zeta3_sweep(v, own, g, _best):
     """v = v0 + v1 zeta_3 with v0, v1 in O_7^3: <v, col> = X0 + X1 zeta_3,
     and the quantity is the int pair (m, n) of 2|X0 + X1 zeta_3|^2."""
     ints = [_alg_ints(c) for c in v]
@@ -529,7 +545,7 @@ def _zeta7_cmp(p, q) -> int:
     return eta_sign(p[1] - q[1] - d0, p[2] - q[2] - d0, p[3] - q[3] - d0)
 
 
-def _zeta7_sweep(v, own, g):
+def _zeta7_sweep(v, own, g, _best):
     """v in O_K(zeta_7)^3, each coordinate its ints F_1 .. F_6 and F_0 = 0: the
     quantity is the autocorrelation (h_0, .., h_3) of <v, col>, |x|^2 =
     sum_m h_m zeta_7^m."""
@@ -694,7 +710,7 @@ def spheres_at(p: ProjPoint, x, grid):
     # (a, b, s, den) of its center alpha(A_j(inf)) give both, as r^4 = 4/den,
     # so dedup on them, keeping the first (j, alpha) of the sweep
     found = {}
-    for sign, _, j, alpha in sweep(vs, own, grid[0]):
+    for sign, _, j, alpha in sweep(vs, own, grid[0], False):
         found.setdefault(act_prism(alpha, SPHERES[j].center), (j, alpha, sign))
     shift_inv = shift.inverse()
     return [
@@ -721,14 +737,18 @@ def reduce_to_domain(x: ProjPoint):
 
     x is a negative ProjPoint, and so is g(x).  Deterministic: among
     violated Ford inequalities, the one maximizing the exact violation ratio
-    wins, ties broken by (j, cusp normal form).  The point is carried as its
-    rep.  A K-rational point stays the six ints of a primitive vector of
-    O_7^3: Gamma maps primitive vectors to primitive vectors, so each move
-    is an int product and the answer needs the sign rule only, no gcd.  A
-    tower vector is kept at v3 = 1, as in ProjPoint: it has no content to
-    divide out, so that keeps its ints from growing with the steps, its
-    prism coordinates take no inverse, and a cusp shift keeps the form.  g
-    is composed as 18 ints and a list of word pieces, and built once.
+    wins, ties broken by (j, cusp normal form): the first strict minimum of
+    the sweep's quantities.  The sweep runs in best mode: the K kernel
+    yields only the hits that improve on the last it yielded, and narrows
+    its window to them, so the first of a tie is its last yield.  The
+    point is carried as its rep.  A K-rational point stays the six ints of
+    a primitive vector of O_7^3: Gamma maps primitive vectors to primitive
+    vectors, so each move is an int product and the answer needs the sign
+    rule only, no gcd.  A tower vector is kept at v3 = 1, as in ProjPoint:
+    it has no content to divide out, so that keeps its ints from growing
+    with the steps, its prism coordinates take no inverse, and a cusp shift
+    keeps the form.  g is composed as 18 ints and a list of word pieces,
+    and built once.
     """
     if x.sq_norm_sign() >= 0:
         raise ValueError("reduction needs an interior point (negative square norm)")
@@ -747,7 +767,7 @@ def reduce_to_domain(x: ProjPoint):
         # the violation ratio own/other is largest when `other` is smallest
         # (own is fixed within this sweep); the sweep's order breaks ties
         best = None
-        for sign, other, j, alpha in sweep(vs, own, prism_grid(act_prism(c, xc))[0]):
+        for sign, other, j, alpha in sweep(vs, own, prism_grid(act_prism(c, xc))[0], True):
             if sign < 0 and (best is None or cmp(other, best[0]) < 0):
                 best = (other, j, alpha)
         if best is None:
@@ -776,4 +796,4 @@ def in_omega(x: ProjPoint) -> bool:
     if not in_prism(xc, grid):
         return False
     vs, own, (_, _, sweep) = _sweep_vector(x.rep)
-    return all(sign == 0 for sign, _, _, _ in sweep(vs, own, grid[0]))
+    return all(sign == 0 for sign, _, _, _ in sweep(vs, own, grid[0], False))

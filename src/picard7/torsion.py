@@ -20,7 +20,6 @@ from math import gcd
 
 from .ring import (
     AlgNum,
-    ONE,
     knum_from_ints,
     zeta3_tower,
     zeta7_tower,
@@ -70,12 +69,16 @@ _ORDERS_BY_TRACE = {(3, 0): (1,), (1, 0): (2, 4), (0, 0): (3,), (2, 0): (6,), (0
 
 
 def projective_order(g: GroupElt):
-    """Smallest n >= 1 with g^n = +/-Id, or None if g has infinite order: a
+    """Smallest n >= 1 with g^n = +/-Id, or None if g has infinite order."""
+    return _ints_order(g.ints)
+
+
+def _ints_order(t):
+    """projective_order of the matrix with the 18 ints t (either sign): a
     candidate order of the trace (`_ORDERS_BY_TRACE`) that powers confirm."""
-    t = g.ints
     a, b = t[0] + t[8] + t[16], t[1] + t[9] + t[17]
     key = (a, b) if (a, b) >= (0, 0) else (-a, -b)
-    return next((n for n in _ORDERS_BY_TRACE.get(key, ()) if _has_projective_order(g, n)), None)
+    return next((n for n in _ORDERS_BY_TRACE.get(key, ()) if _has_projective_order(t, n)), None)
 
 
 def _ints_power(t, n: int):
@@ -90,13 +93,14 @@ def _ints_power(t, n: int):
     return out
 
 
-def _has_projective_order(g: GroupElt, n: int) -> bool:
-    """Whether projective_order(g) = n, for an order n of the trace table:
-    g^n = +/-Id, and g^(n/q) != +/-Id for each prime q dividing n, as every
-    n' with g^n' = +/-Id divides n, and one that is not n divides some n/q.
-    The only scalars of U(J, O_7) are +/-Id."""
-    return (ints_are_scalar(_ints_power(g.ints, n))
-            and not any(ints_are_scalar(_ints_power(g.ints, n // q)) for q in (2, 3, 7) if n % q == 0))
+def _has_projective_order(t, n: int) -> bool:
+    """Whether the matrix g with the 18 ints t has projective order n, for
+    an order n of the trace table: g^n = +/-Id, and g^(n/q) != +/-Id for
+    each prime q dividing n, as every n' with g^n' = +/-Id divides n, and
+    one that is not n divides some n/q.  The only scalars of U(J, O_7) are
+    +/-Id."""
+    return (ints_are_scalar(_ints_power(t, n))
+            and not any(ints_are_scalar(_ints_power(t, n // q)) for q in (2, 3, 7) if n % q == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +149,25 @@ def _eigenvector(g: GroupElt, lam):
     raise ArithmeticError("g - lam I has rank below 2")
 
 
+def _k_eigenvector(t, lam: int):
+    """`_eigenvector` on ints, for the 18 ints t of g and lam = +/-1: the six
+    ints of a vector spanning the kernel of g - lam I, or None."""
+    r = [[(t[6 * i + 2 * j] - lam * (i == j), t[6 * i + 2 * j + 1]) for j in range(3)] for i in range(3)]
+    for a, b, c in ((r[0], r[1], r[2]), (r[0], r[2], r[1]), (r[1], r[2], r[0])):
+        v = ()
+        for i, k in ((1, 2), (2, 0), (0, 1)):
+            x, y = _mul_ints(*a[i], *b[k])
+            z, w = _mul_ints(*a[k], *b[i])
+            v += (x - z, y - w)
+        if any(v):
+            x = y = 0
+            for i in range(3):
+                p, q = _mul_ints(*c[i], v[2 * i], v[2 * i + 1])
+                x, y = x + p, y + q
+            return v if x == y == 0 else None
+    raise ArithmeticError("g - lam I has rank below 2")
+
+
 def _involution_axis(g: GroupElt):
     """The six ints of a nonzero column of I - tr(g) g if g^2 = I and g is
     not 1, else None.
@@ -178,7 +201,8 @@ def _involution_axis(g: GroupElt):
 
 
 def _axis_point(col) -> ProjPoint:
-    """The point of the axis with the six ints col (through the O_7 gcd)."""
+    """The point with the six ints col, an axis or a K-rational eigenvector
+    (through the O_7 gcd)."""
     return ProjPoint(tuple(map(knum_from_ints, col[0::2], col[1::2])))
 
 
@@ -211,10 +235,10 @@ def classify_elliptic(g: GroupElt, n: int):
     # of finite order and not an involution, so g has three simple
     # eigenvalues; K contains only the roots of unity +/-1, so any
     # K-rational eigenvector belongs to one of those
-    for lam in (ONE, -ONE):
-        v = _eigenvector(g, lam)
-        if v is not None and sq_norm(v).real_sign() < 0:
-            pt = ProjPoint(v)
+    for lam in (1, -1):
+        v = _k_eigenvector(g.ints, lam)
+        if v is not None and sq_norm_ints(v) < 0:
+            pt = _axis_point(v)
             return "isolated", pt, sq_norm_ints(pt.rep)
     # fixed point outside K^3, so n is 3, 6 or 7.  g^n = e Id makes each
     # eigenvalue a root of x^n - e: e z^k for z a primitive n-th root of
@@ -549,14 +573,14 @@ def _torsion_candidates():
     for g in cusp_torsion_classes():
         found[g] = projective_order(g)
     for j in sorted(GENERATORS):
-        k = INVERSE_PAIRS[j]
-        for alpha in enumerate_tjk(j, k):
-            g = alpha.to_matrix() * GENERATORS[j]
-            if g in found:
-                continue
-            n = projective_order(g)
+        a = GENERATORS[j]
+        for alpha in enumerate_tjk(j, INVERSE_PAIRS[j]):
+            # the order is read off the 18 ints of alpha A_j, and the
+            # word-carrying element is built for a hit only
+            t = ints_product(alpha.ints, a.ints)
+            n = _ints_order(t)
             if n is not None and n >= 2:
-                found[g] = n
+                found.setdefault(GroupElt.from_ints(t, alpha.word() + a.word), n)
     return found
 
 

@@ -721,7 +721,7 @@ def _ref_sweep_vector(v):
                                   lambda w, own, _x: ref_k_sweep(vector_rep(w), own))
     vs, own, (quantity, cmp, sweep) = _sweep_vector(v)
     return vs, own, (lambda c: quantity((None, None, c)), cmp,
-                     lambda w, own, x: sweep(w, own, prism_grid(x)[0]))
+                     lambda w, own, x: sweep(w, own, prism_grid(x)[0], False))
 
 
 def ref_reduce_to_domain(x: ProjPoint):

@@ -19,9 +19,22 @@ from picard7.hermitian import (
     GroupElt,
     ProjPoint,
     is_in_gamma,
+    sq_norm_ints,
     vec_from_json,
+    _norm_ints,
 )
-from picard7.heisenberg import CuspElt, R, T1, TTAU, TV, in_prism, prism_coordinates, prism_grid, reduce_to_prism
+from picard7.heisenberg import (
+    CuspElt,
+    R,
+    T1,
+    TTAU,
+    TV,
+    act_prism,
+    in_prism,
+    prism_coordinates,
+    prism_grid,
+    reduce_to_prism,
+)
 from picard7 import ford
 from picard7.ford import (
     GENERATORS,
@@ -77,7 +90,7 @@ def sweep_at(x: ProjPoint):
     """(vs, own, hits): the prepared vector of x and its kernel's sweep, on
     the grid of its prism coordinates."""
     vs, own, (_, _, sweep) = _sweep_vector(x.rep)
-    return vs, own, list(sweep(vs, own, prism_grid(prism_coordinates(x.rep))[0]))
+    return vs, own, list(sweep(vs, own, prism_grid(prism_coordinates(x.rep))[0], False))
 
 
 def order6_fixture():
@@ -466,7 +479,7 @@ def test_reduction_keeps_its_soundness_checks(monkeypatch):
     for x in (ProjPoint(lift(from_zsu(TAU / 2, 1, 5))), ProjPoint((v1 - 2 * v3, v2, v3))):
         n = 1 if x.rational else v3.tower.n
         quantity, cmp, _ = ford._KERNELS[n]
-        monkeypatch.setitem(ford._KERNELS, n, (quantity, cmp, lambda v, own, g: iter([(-1, own, 1, CuspElt())])))
+        monkeypatch.setitem(ford._KERNELS, n, (quantity, cmp, lambda v, own, g, best: iter([(-1, own, 1, CuspElt())])))
         with pytest.raises(ArithmeticError, match="the Ford quantity did not decrease"):
             reduce_to_domain(x)
 
@@ -591,7 +604,47 @@ def test_k_sweep_matches_the_column_scan():
     # the point has no prism coordinates, which the K kernel does not read
     vs, own, (_, _, sweep) = _sweep_vector((-1, 0, 1, 0, 0, 0))
     with pytest.raises(ArithmeticError, match="l-step"):
-        list(sweep(vs, own, None))
+        list(sweep(vs, own, None, False))
+
+
+def test_best_first_k_sweep_keeps_the_reduction_step():
+    # in best mode the K kernel yields strictly decreasing quantities below
+    # own, and its last hit is the first smallest strict hit of the full
+    # sweep in (j, alpha) order, the one the reduction step takes, ties
+    # with that minimum included; every full-mode hit with a quantity h < B
+    # lies in the window the kernel derives from B (own at the start, then
+    # each yielded quantity): u' + N(z - z0) <= r^2 sqrt((B - 1)/own) <=
+    # r2 qb/2^32.  On the 500 orbit images of the round-trip test, moved
+    # over P as a reduction step sees them
+    x0, xs = round_trip_orbit()
+    stepped = ties = 0
+    for x in [x0] + xs:
+        x = x.apply(reduce_to_prism(prism_coordinates(x.rep)).to_matrix())
+        vs, own, (_, _, sweep) = _sweep_vector(x.rep)
+        strict = [(h, j, alpha) for sign, h, j, alpha in sweep(vs, own, None, False) if sign < 0]
+        best = list(sweep(vs, own, None, True))
+        assert all(sign == -1 for sign, _, _, _ in best)
+        bounds = [own] + [h for _, h, _, _ in best]
+        assert all(b > h for b, h in zip(bounds, bounds[1:]))
+        if not strict:
+            assert best == []
+            continue
+        low = min(h for h, _, _ in strict)
+        assert best[-1][1:] == next(hit for hit in strict if hit[0] == low)
+        stepped += 1
+        ties += sum(h == low for h, _, _ in strict) > 1
+        a, b, _, den = prism_coordinates(vs)
+        u = Fraction(-sq_norm_ints(vs), own)
+        for bound in bounds:
+            qb = _sqrt_ints(bound - 1, own)[1]
+            for h, j, alpha in strict:
+                if h >= bound:
+                    continue
+                za, zb, _, zd = act_prism(alpha, SPHERES[j].center)
+                gap = u + Fraction(_norm_ints(a * zd - za * den, b * zd - zb * den), (den * zd) ** 2)
+                assert gap <= 0 or gap * gap * own <= SPHERES[j].r4 * (bound - 1)
+                assert gap <= Fraction(ford._R2[j] * qb, 2**32)
+    assert stepped > 300 and ties > 200
 
 
 @functools.cache
@@ -670,7 +723,7 @@ def test_tower_sweeps_stay_in_their_window(monkeypatch):
             vs, own, (_, _, sweep) = _sweep_vector(x.rep)
             g = prism_grid(prism_coordinates(x.rep))[0]
             calls.clear()
-            list(sweep(vs, own, g))
+            list(sweep(vs, own, g, False))
             assert 0 < len(calls) < 150, (x, len(calls))
 
 

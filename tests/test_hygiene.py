@@ -392,9 +392,10 @@ for point in sys.argv[1:]:
 
 
 def test_gamma_algebra_runs_on_group_elements():
-    # orders, residues and the action on vectors run on a GroupElt's 18
-    # ints, and eigenvectors (torsion._eigenvector) on the KNum rows of
-    # g.entries(); a Mat keeps its edge role: literals, JSON, products
+    # orders, residues, the action on vectors and the eigenvectors at +/-1
+    # (torsion._k_eigenvector) run on a GroupElt's 18 ints, and the tower
+    # eigenvectors (torsion._eigenvector) on the KNum rows of g.entries();
+    # a Mat keeps its edge role: literals, JSON, products
     bound = bound_names(ast.parse((SRC / "hermitian.py").read_text()).body)
     gone = {"Mat.apply", "Mat.charpoly", "Mat.det", "Mat.trace", "Mat.__neg__", "_dot_k", "GroupElt.apply"}
     assert "Mat.__mul__" in bound and not bound & gone

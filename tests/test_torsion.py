@@ -182,9 +182,9 @@ def test_projective_order_matches_the_product_loop():
 
 def test_tower_candidates_hold_the_fixed_point_eigenvalue(monkeypatch):
     # a fixed point outside K^3 is the eigenvector of one of the tower
-    # candidates e z^k that classify_elliptic tries after +/-1: its
-    # eigenvalue lam has lam^n = e for g^n = e Id; on the enumeration's
-    # candidates and the word-table rows
+    # candidates e z^k that classify_elliptic tries after +/-1, which take
+    # the int path (_k_eigenvector): its eigenvalue lam has lam^n = e for
+    # g^n = e Id; on the enumeration's candidates and the word-table rows
     eigenvector = torsion._eigenvector
     tried = []
 
@@ -202,7 +202,8 @@ def test_tower_candidates_hold_the_fixed_point_eigenvalue(monkeypatch):
             continue
         # a point outside K^3 ends in v3 = 1, so its eigenvalue is (g v)_3
         image = mat_apply(g.mat, pt.coords)
-        assert ProjPoint(image) == pt and image[2] in tried[2:]
+        assert ProjPoint(image) == pt and image[2] in tried
+        assert all(isinstance(lam, AlgNum) for lam in tried)
         power = g.mat.rows  # g^n = e Id, on the matrix that g.mat shows
         for _ in range(n - 1):
             power = mat_product(Mat(power), g.mat)
@@ -334,15 +335,22 @@ def test_eigenvector_matches_the_reference_kernel(monkeypatch):
     # candidates, seeded conjugates of them and the word-table rows, the
     # cross product spans the one-dimensional kernel of the reference
     # elimination, or is None where that kernel is zero, which is exactly
-    # where the reference characteristic polynomial does not vanish
-    eigenvector = torsion._eigenvector
-    calls = []
+    # where the reference characteristic polynomial does not vanish.  The
+    # candidates +/-1 take the int path (_k_eigenvector), whose six ints are
+    # the same cross product
+    eigenvector, k_eigenvector = torsion._eigenvector, torsion._k_eigenvector
+    calls, k_calls = [], []
 
     def spy(g, lam):
         calls.append((g, lam))
         return eigenvector(g, lam)
 
+    def k_spy(t, lam):
+        k_calls.append((t, lam))
+        return k_eigenvector(t, lam)
+
     monkeypatch.setattr(torsion, "_eigenvector", spy)
+    monkeypatch.setattr(torsion, "_k_eigenvector", k_spy)
     cands = sorted(torsion._torsion_candidates().items(), key=lambda t: t[0].ints)
     assert len(cands) == 65
     rng = random.Random(37)
@@ -366,6 +374,19 @@ def test_eigenvector_matches_the_reference_kernel(monkeypatch):
         (basis,) = eigenspace_basis(g, lam)
         assert ProjPoint(v) == ProjPoint(basis)
     assert 0 < misses < len(calls)
+    k_misses = 0
+    for t, lam in k_calls:
+        assert lam in (1, -1)
+        g = GroupElt.from_ints(t)
+        v, want = k_eigenvector(t, lam), eigenvector(g, KNum(lam))
+        if v is None:
+            assert want is None and eigenspace_basis(g, KNum(lam)) == []
+            k_misses += 1
+            continue
+        assert all(x.d == 1 for x in want) and v == tuple(i for x in want for i in (x.na, x.nb))
+        (basis,) = eigenspace_basis(g, KNum(lam))
+        assert ProjPoint(tuple(KNum(*v[i:i + 2]) for i in (0, 2, 4))) == ProjPoint(basis)
+    assert 0 < k_misses < len(k_calls)
     # a rank-2 matrix outside Gamma, whose first two rows are dependent, at
     # its three simple eigenvalues, and at 2, which is none
     m = Mat([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
