@@ -32,7 +32,7 @@ from functools import cache
 from itertools import combinations, groupby
 from operator import itemgetter
 
-from .ring import ISQRT7, TAU
+from .ring import ISQRT7, TAU, AlgNum
 from .hermitian import GroupElt, _mul_ints, _norm_ints, sq_norm_ints
 
 
@@ -141,13 +141,14 @@ def prism_coordinates(v):
     the point's boundary coordinates are z = (a + b tau)/den and
     t = s sqrt(7)/den.
 
-    v is a ProjPoint's rep.  z = v2/v3 and t = 2 Im(v1/v3), so s/den is the
-    tau-coefficient of v1/v3.  For the six ints of a vector in O_7^3 they
-    are ints over den = N(v3) > 0: a + b tau = v2 conj(v3) and s is the
-    tau-coefficient of v1 conj(v3).  For a vector over K(zeta_3) or
-    K(zeta_7), a, b and s are real AlgNums and den = 1; the coordinates of
-    a tower ProjPoint end in v3 = 1 (its normal form), and then they take
-    no inverse.
+    v is a ProjPoint's rep, six ints or three AlgNums; a vector with a
+    KNum or other coordinate raises TypeError.  z = v2/v3 and
+    t = 2 Im(v1/v3), so s/den is the tau-coefficient of v1/v3.  For the
+    six ints of a vector in O_7^3 they are ints over den = N(v3) > 0:
+    a + b tau = v2 conj(v3) and s is the tau-coefficient of v1 conj(v3).
+    For a vector over K(zeta_3) or K(zeta_7), a, b and s are real AlgNums
+    and den = 1; the coordinates of a tower ProjPoint end in v3 = 1 (its
+    normal form), and then they take no inverse.
     """
     if type(v[0]) is int:
         p1, q1, p2, q2, p3, q3 = v
@@ -161,6 +162,8 @@ def prism_coordinates(v):
         # conj(p3 + q3 tau) = (p3 + q3) - q3 tau
         a, b = _mul_ints(p2, q2, p3 + q3, -q3)
         return a, b, _mul_ints(p1, q1, p3 + q3, -q3)[1], _norm_ints(p3, q3)
+    if not all(isinstance(c, AlgNum) for c in v):
+        raise TypeError("prism coordinates take six ints or three AlgNums, a ProjPoint's rep")
     v1, v2, v3 = v
     if v3.is_zero():
         if v2.is_zero():

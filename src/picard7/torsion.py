@@ -39,6 +39,7 @@ from .hermitian import (
     _mul_ints,
 )
 from .heisenberg import (
+    IDENTITY,
     R,
     T1,
     TTAU,
@@ -382,31 +383,68 @@ def reflection_conjugacy(g1: GroupElt, g2: GroupElt):
 Orbit = namedtuple("Orbit", "transports gens")
 
 
-def _moves(p: ProjPoint, x):
+def _image_moves(image: ProjPoint, x, grid):
+    """(sides, overlaps), what `_moves` reads off a prism image: a point in
+    Omega, with prism coordinates x and their grid, that `reduce_to_prism`
+    leaves where it is.  sides holds (g, q, c, alpha, j, xs) for each Ford
+    sphere alpha(I(A_j)) through the image: g the ints of c (alpha A_j)^-1,
+    with c the cusp shift that brings (alpha A_j)^-1(image) back to the
+    prism, xs the prism coordinates of that point and q = g(image).
+    overlaps holds (o, o(image)) for the identity and each cusp overlap o
+    that keeps the image in P.
+    """
+    sides = []
+    for alpha, j, flag in spheres_at(image, x, grid):
+        if flag != "boundary":
+            raise ArithmeticError("graph vertices must lie in Omega")
+        # (alpha A_j)^-1 = A_j^-1 alpha^-1
+        g = ints_product(ints_inverse(GENERATORS[j].ints), alpha.inverse().ints)
+        q = image.moved(g)
+        xs = prism_coordinates(q.rep)
+        c = reduce_to_prism(xs)
+        sides.append((ints_product(c.ints, g), q.moved(c.ints), c, alpha, j, xs))
+    overlaps = [(IDENTITY, image)] + [(o, image.moved(o.ints)) for o in overlaps_keeping(x, grid)]
+    return sides, overlaps
+
+
+def _moves(p: ProjPoint, x, images):
     """(t, q, c, side, xs) for the moves g at a vertex p in Omega with prism
     coordinates x: t the canonical ints of g and q = g(p).  First, for every
     Ford sphere alpha(I(A_j)) through p, side = (alpha, j) and g = c (alpha
     A_j)^-1, with c the cusp shift bringing the image back to the prism, and
     xs the image's prism coordinates; then, for every cusp overlap c keeping
-    p inside the prism, side = None, g = c and xs = x.  Each move is int
-    products, and each image takes its prism coordinates once: q's are
+    p inside the prism, side = None, g = c and xs = x.  q's coordinates are
     act_prism(c, xs), which the walk takes for a new vertex only, and
-    `_move_element` builds g with its word for a new vertex only.  The
-    sweep, the prism reduction and the overlap test at p read one grid of
-    x, so a tower vertex brackets its a, b and s once.
+    `_move_element` builds g with its word for a new vertex only.
+
+    The moves are read off p's prism image p^ = s(p), s = reduce_to_prism(x):
+    images maps each prism image the walk has met to its `_image_moves`,
+    derived at the first vertex that reached it, so a vertex that a cusp
+    overlap relates to an earlier one takes no sweep, side reduction or
+    overlap test of its own.  The spheres through p are s^-1 alpha^ for
+    those through p^, and (s^-1 alpha^ A_j)^-1 = (alpha^ A_j)^-1 s, so a
+    side move at p is g^ s for the side move g^ at p^, with the same image
+    q.  The overlaps c != 1 with c(p) in P are the o s for o = 1 or an
+    overlap keeping p^ in P, in normal-form order, and c(p) = o(p^).  The
+    grid of x is taken once, and when s = 1 the sweep and the overlap test
+    read it too, so a tower vertex brackets its a, b and s once.
     """
     grid = prism_grid(x)
-    for alpha, j, flag in spheres_at(p, x, grid):
-        if flag != "boundary":
-            raise ArithmeticError("graph vertices must lie in Omega")
-        # (alpha A_j)^-1 = A_j^-1 alpha^-1
-        g = ints_product(ints_inverse(GENERATORS[j].ints), alpha.inverse().ints)
-        image = p.moved(g)
-        xs = prism_coordinates(image.rep)
-        c = reduce_to_prism(xs)
-        yield canonical_ints(ints_product(c.ints, g)), image.moved(c.ints), c, (alpha, j), xs
-    for c in overlaps_keeping(x, grid):
-        yield c.ints, p.moved(c.ints), c, None, x
+    s = reduce_to_prism(x, grid)
+    image = p if s == IDENTITY else p.moved(s.ints)
+    if image not in images:
+        if s == IDENTITY:
+            images[image] = _image_moves(image, x, grid)
+        else:
+            xi = act_prism(s, x)
+            images[image] = _image_moves(image, xi, prism_grid(xi))
+    sides, overlaps = images[image]
+    s_inv = s.inverse()
+    for g, q, c, alpha, j, xs in sides:
+        yield canonical_ints(ints_product(g, s.ints)), q, c, (s_inv * alpha, j), xs
+    for c, q in sorted((o * s, q) for o, q in overlaps):
+        if c != IDENTITY:
+            yield c.ints, q, c, None, x
 
 
 def _move_element(c, side) -> GroupElt:
@@ -426,16 +464,27 @@ def build_cycle_graph(points):
     breadth-first walk: vertices are expanded in the order they are found,
     and each vertex's moves in `_moves` order.  A vertex carries its prism
     coordinates: a base reads them off its vector, and a new vertex takes
-    them from the move that found it.  A new vertex q found from p gets the
-    transport g t_p for the least (by canonical ints) move g from p to q,
-    the one move built as a GroupElt with its word; every move p -> q by g
-    gives the Schreier generator t_q^-1 g t_p of the base's stabilizer
-    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 4).
+    them from the move that found it.  The moves of each prism image are
+    derived once per call, in a dict that `_moves` fills and that is gone
+    when the call returns.  A new vertex q found from p gets the transport
+    g t_p for the least (by canonical ints) move g from p to q, the one
+    move built as a GroupElt with its word.  A move p -> q by g gives the
+    Schreier generator sigma(p, g) = t_q^-1 g t_p of the base's stabilizer
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 4),
+    and those of all moves generate it.  They are formed only at the
+    vertices p^ that are the prism image s(p), s = reduce_to_prism, of some
+    vertex p, which are the dict's keys: `reduce_to_prism` leaves its
+    images where they are, so these are the vertices with s = 1.  At a
+    vertex p with s != 1, s is an overlap move, so p^ is a vertex, and s^-1
+    is an overlap move at p^: sigma(p, s) = sigma(p^, s^-1)^-1.  A side move
+    g^ s at p gives sigma(p^, g^) sigma(p, s), and an overlap move o s gives
+    sigma(p^, o) sigma(p, s), so the vertices with s != 1 add no generator.
     The move that found q gives the identity and is skipped; the others are
     int products, with t_q^-1 taken once per vertex, and each distinct one
     other than the identity becomes a GroupElt.
     """
     graph = {}
+    images = {}
     for base in points:
         if any(base in orbit.transports for orbit in graph.values()):
             continue
@@ -444,7 +493,7 @@ def build_cycle_graph(points):
         gens = {}
         found = [(base, prism_coordinates(base.rep))]
         for p, x in found:
-            moves = list(_moves(p, x))
+            moves = list(_moves(p, x, images))
             least = {}
             for move in moves:
                 t, q = move[:2]
@@ -455,6 +504,8 @@ def build_cycle_graph(points):
                 transports[q] = tq = _move_element(c, side) * tp
                 inverses[q] = ints_inverse(tq.ints)
                 found.append((q, act_prism(c, xs)))
+            if p not in images:
+                continue
             for move in moves:
                 t, q = move[:2]
                 if least.get(q) is not move:
@@ -592,12 +643,24 @@ def dedup_isolated(cands):
     conjugates one into a power of the other inside the common stabilizer.
     Each orbit is based at its first reduced point, and a candidate at
     another of its points is carried there by that point's transport.
+
+    `reduce_to_domain` starts with the prism shift c = reduce_to_prism, and
+    each later step reads only the shifted point c(x), which the shift of
+    its own first step leaves where it is.  So each prism image is reduced
+    once, and a fixed point's element is that reduction's times its own c,
+    with the same ints and word.
     """
     at_vertex = {}  # vertex ProjPoint -> list of (element fixing it, order)
     reduced = {}  # fixed point -> (shift, point in Omega); candidates share fixed points
+    from_prism = {}  # prism image -> reduce_to_domain of it; fixed points share images
     for g, n, fixed in cands:
         if fixed not in reduced:
-            reduced[fixed] = reduce_to_domain(fixed)
+            c = reduce_to_prism(prism_coordinates(fixed.rep))
+            image = fixed.moved(c.ints)
+            if image not in from_prism:
+                from_prism[image] = reduce_to_domain(image)
+            shift, y = from_prism[image]
+            reduced[fixed] = shift * c.to_matrix(), y
         shift, y = reduced[fixed]
         moved = shift * g * shift.inverse()
         elts = at_vertex.setdefault(y, [])

@@ -20,6 +20,7 @@ from picard7.ford import (
     _sweep_vector,
     _zeta3_quantity,
     enumerate_cone_translates,
+    spheres_at,
 )
 from picard7.heisenberg import (
     IDENTITY,
@@ -30,6 +31,7 @@ from picard7.heisenberg import (
     act_prism,
     enumerate_cusp_overlaps,
     in_prism,
+    overlaps_keeping,
     prism_coordinates,
     prism_grid,
     reduce_to_prism,
@@ -41,7 +43,10 @@ from picard7.hermitian import (
     _mul_ints,
     _norm_ints,
     _scaled_ints,
+    canonical_ints,
     herm_inner,
+    ints_inverse,
+    ints_product,
     primitive_rep,
     sq_norm,
 )
@@ -60,7 +65,7 @@ from picard7.ring import (
     sqrt21_sign,
     zeta7_autocorr,
 )
-from picard7.torsion import _eigenvector, _move_element, _moves
+from picard7.torsion import _eigenvector, _move_element
 
 
 def rat(x: KNum) -> Fraction:
@@ -781,6 +786,25 @@ def ref_spheres_containing(x):
 # ---------------------------------------------------------------------------
 
 
+def ref_moves(p, x):
+    """The moves (t, q, c, side, xs) of `torsion._moves` at a vertex p in
+    Omega with prism coordinates x, derived at p itself: its own sphere
+    sweep, with each side image's prism reduction, then the cusp overlaps
+    that keep p in P."""
+    grid = prism_grid(x)
+    for alpha, j, flag in spheres_at(p, x, grid):
+        if flag != "boundary":
+            raise ArithmeticError("graph vertices must lie in Omega")
+        # (alpha A_j)^-1 = A_j^-1 alpha^-1
+        g = ints_product(ints_inverse(GENERATORS[j].ints), alpha.inverse().ints)
+        image = p.moved(g)
+        xs = prism_coordinates(image.rep)
+        c = reduce_to_prism(xs)
+        yield canonical_ints(ints_product(c.ints, g)), image.moved(c.ints), c, (alpha, j), xs
+    for c in overlaps_keeping(x, grid):
+        yield c.ints, p.moved(c.ints), c, None, x
+
+
 def ref_cycle_graph(points):
     """(vertices, edges) of the graph on the Omega-orbit closure of points:
     the given points first, then the vertices in the order their moves find
@@ -793,7 +817,7 @@ def ref_cycle_graph(points):
     seen = set()
     i = 0
     while i < len(vertices):
-        for _, q, c, side, _ in _moves(vertices[i], prism_coordinates(vertices[i].rep)):
+        for _, q, c, side, _ in ref_moves(vertices[i], prism_coordinates(vertices[i].rep)):
             g = _move_element(c, side)
             if q not in index:
                 index[q] = len(vertices)

@@ -310,6 +310,23 @@ def test_prism_coordinates_refuse_q_inf_and_positive_vectors(field):
             horo_coords(v)
 
 
+@pytest.mark.parametrize("field", ["zeta3", "zeta7"])
+def test_prism_coordinates_refuse_knum_coordinates(field):
+    # a tower vector takes AlgNum coordinates only: a KNum beside them,
+    # in any place, or a vector of KNums, raises TypeError at entry, where
+    # the same vector with its KNums lifted into the field has coordinates
+    tw = zeta3_tower() if field == "zeta3" else zeta7_tower()
+    g = AlgNum.gen(tw)
+    v = vector_rep((-(g * g.conj()) / 2 - 3, g, KNum(1)))
+    assert prism_coordinates(v)[3] == 1
+    for i in range(3):
+        mixed = v[:i] + (KNum(1),) + v[i + 1:]
+        with pytest.raises(TypeError, match="six ints or three AlgNums"):
+            prism_coordinates(mixed)
+    with pytest.raises(TypeError, match="six ints or three AlgNums"):
+        prism_coordinates((KNum(-2), KNum(0), KNum(1)))
+
+
 def fm_feasible(constraints, nvars):
     """Feasibility of {sum c_i x_i <= d}: exact Fourier-Motzkin elimination."""
     cons = [([Fraction(c) for c in cs], Fraction(d)) for cs, d in constraints]

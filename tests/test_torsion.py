@@ -62,11 +62,13 @@ from reference import (
     rat,
     ref_projective_order,
     ref_cycle_graph,
+    ref_moves,
     ref_overlaps_keeping,
     ref_reflection_polar,
     ref_spanning_transports,
     ref_stabilizer_gens,
     tjk_in_box,
+    vector_rep,
 )
 from reference import ref_make_reflection, s_coordinate, tau_coordinates
 from test_ford import K_FIXED_POINTS, tower_fixed_points
@@ -639,7 +641,7 @@ def test_v1_cycle_graph_and_stabilizer():
 def _moves_at(v):
     """The moves at a cycle-graph vertex as (element, image) pairs, with
     the vertex's prism coordinates read off its vector."""
-    return [(GroupElt.from_ints(t), q) for t, q, _, _, _ in torsion._moves(v, prism_coordinates(v.rep))]
+    return [(GroupElt.from_ints(t), q) for t, q, _, _, _ in torsion._moves(v, prism_coordinates(v.rep), {})]
 
 
 def test_second_cycle_graph_runs_no_feasibility_test(monkeypatch):
@@ -688,7 +690,8 @@ def _one_point_graph_points():
 def test_walk_matches_the_edge_list_fixpoint():
     # on one-point graphs the walk's transports are the spanning tree that
     # the edge-list fixpoint grows, and its Schreier generators are the
-    # edge composites, so the stabilizers have the same elements
+    # edge composites at the vertices that are prism images, which generate
+    # the same stabilizer
     parallel = 0
     for p in _one_point_graph_points():
         graph = build_cycle_graph([p])
@@ -697,7 +700,7 @@ def test_walk_matches_the_edge_list_fixpoint():
         ref_gens = ref_stabilizer_gens(edges, ref)
         assert list(graph[p].transports) == vertices
         assert graph[p].transports == {vertices[i]: t for i, t in ref.items()}
-        assert {s.ints for s in graph[p].gens} == {s.ints for s in ref_gens}
+        assert {s.ints for s in graph[p].gens} <= {s.ints for s in ref_gens}
         assert stabilizer(p, graph).elements == FiniteGroup(ref_gens).elements
         pairs = [(src, dst) for src, dst, _ in edges if src != dst]
         parallel += len(pairs) - len(set(pairs))
@@ -912,7 +915,7 @@ def test_bracketed_prism_decisions_match_the_algnum_tests(monkeypatch):
         assert r.floor_real() == 0 and not r.in_k()
         for a, b, s in ((0, r, r), (r, 0, r), (r, 1 - r, r), (r, r, 0), (r, r, 2)):
             calls.clear()
-            x = prism_coordinates(lift(HoroPoint(a + b * TAU, ISQRT7 * s, r * r)))
+            x = prism_coordinates(vector_rep(lift(HoroPoint(a + b * TAU, ISQRT7 * s, r * r))))
             assert [y == e for y, e in zip(x, (a, b, s, 1))] == [True] * 4
             _check_prism_decisions(x)
             assert calls, (a, b, s)
@@ -991,6 +994,33 @@ def test_dedup_refuses_a_candidate_that_does_not_fix_its_point():
         dedup_isolated([(g, 2, fp)])
 
 
+def test_dedup_reduces_each_prism_image_once(monkeypatch):
+    # the 45 fixed points of the isolated candidates have 19 prism images;
+    # a point's reduction into Omega is its image's times its own prism
+    # shift, with the same ints and word, so dedup_isolated reduces each
+    # image once, and its classes are the enumeration's
+    cands = []
+    for g, n in sorted(torsion._torsion_candidates().items(), key=lambda t: (len(t[0].word), t[0].ints)):
+        kind, pt, _ = classify_elliptic(g, n)
+        if kind == "isolated":
+            cands.append((g, n, pt))
+    fixed = list(dict.fromkeys(pt for _, _, pt in cands))
+    assert len(fixed) == 45
+    for f in fixed:
+        c = reduce_to_prism(prism_coordinates(f.rep))
+        shift, y = reduce_to_domain(f.moved(c.ints))
+        want, want_y = reduce_to_domain(f)
+        composed = shift * c.to_matrix()
+        assert (composed.ints, composed.word, y) == (want.ints, want.word, want_y)
+    calls = []
+    monkeypatch.setattr(torsion, "reduce_to_domain", lambda x: calls.append(x) or reduce_to_domain(x))
+    classes = dedup_isolated(cands)
+    assert len(calls) == len(set(calls)) == 19
+    assert [(c.rep.ints, c.word, c.fixed) for c in classes] == [
+        (c.rep.ints, c.word, c.fixed) for c in _classes_by("isolated")
+    ]
+
+
 def test_order3_norm3_classes_stay_distinct():
     pair = [c for c in _classes_by("isolated", 3) if c.fp_norm == -3]
     assert len(pair) == 2
@@ -1036,10 +1066,10 @@ def test_walks_carry_each_vertex_coordinates(monkeypatch):
     moves = torsion._moves
     expanded = []
 
-    def checked(p, x):
+    def checked(p, x, images):
         assert _prism_reals(x) == _prism_reals(prism_coordinates(p.rep))
         expanded.append(p)
-        for move in moves(p, x):
+        for move in moves(p, x, images):
             _, q, c, _, xs = move
             assert _prism_reals(act_prism(c, xs)) == _prism_reals(prism_coordinates(q.rep))
             yield move
@@ -1048,6 +1078,49 @@ def test_walks_carry_each_vertex_coordinates(monkeypatch):
     for base in _paper_walk_bases():
         expanded.clear()
         assert list(build_cycle_graph([base])[base].transports) == expanded
+
+
+def _prism_image(v):
+    """The point reduce_to_prism moves the vertex v to."""
+    return v.moved(reduce_to_prism(prism_coordinates(v.rep)).ints)
+
+
+def test_moves_match_the_per_vertex_reference():
+    # at every vertex of the walks from the one-point graph points and the
+    # paper's walk bases, the moves read off the vertex's prism image are
+    # the moves derived at the vertex itself, tuple for tuple; some
+    # vertices are not their own prism image, so derived moves are checked
+    derived = 0
+    for base in dict.fromkeys(_one_point_graph_points() + _paper_walk_bases()):
+        images = {}
+        for v in build_cycle_graph([base])[base].transports:
+            x = prism_coordinates(v.rep)
+            assert list(torsion._moves(v, x, images)) == list(ref_moves(v, x))
+            derived += _prism_image(v) != v
+    assert derived > 0
+
+
+def test_cycle_graph_sweeps_each_prism_image_once(monkeypatch):
+    # one full K sweep per distinct prism image of the vertices, where a
+    # sweep per vertex repeats the vector of each vertex that a cusp
+    # overlap relates to another
+    quantity, cmp, sweep = ford._KERNELS[1]
+    full = []
+
+    def counted(v, own, g, best):
+        if not best:
+            full.append(v)
+        return sweep(v, own, g, best)
+
+    monkeypatch.setitem(ford._KERNELS, 1, (quantity, cmp, counted))
+    repeats = 0
+    for base in _paper_walk_bases()[:5]:
+        full.clear()
+        vertices = list(build_cycle_graph([base])[base].transports)
+        images = {_prism_image(v) for v in vertices}
+        assert len(full) == len(images)
+        repeats += len(vertices) - len(images)
+    assert repeats > 0
 
 
 def test_tower_vertex_reads_its_coordinates_once(monkeypatch):
