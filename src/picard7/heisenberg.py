@@ -249,7 +249,7 @@ def _in_triangle(a, b, den, r, exact) -> bool:
         return a >= 0 and b >= 0 and a + b <= den
     return (_sign(a, r, lambda: exact()[0]) >= 0
             and _sign(b, r, lambda: exact()[1]) >= 0
-            and _sign(den - a - b, 2 * r, lambda: 1 - exact()[0] - exact()[1]) >= 0)
+            and _sign(den - a - b, 2 * r, lambda: -exact()[0] - exact()[1] + 1) >= 0)
 
 
 def _in_prism(g, r, rs, exact) -> bool:
@@ -260,7 +260,7 @@ def _in_prism(g, r, rs, exact) -> bool:
         return a >= 0 and b >= 0 and a + b <= den and 0 <= s <= 2 * den
     return (_in_triangle(a, b, den, r, exact)
             and _sign(s, rs, lambda: exact()[2]) >= 0
-            and _sign(2 * den - s, rs, lambda: 2 - exact()[2]) >= 0)
+            and _sign(2 * den - s, rs, lambda: -exact()[2] + 2) >= 0)
 
 
 def in_prism(x, grid=None) -> bool:

@@ -285,20 +285,20 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
 
     A K-rational point keeps the six ints (a1, b1, a2, b2, a3, b3) of its
     canonical primitive representative (a_i + b_i tau), under the sign rule
-    of primitive_rep: its first nonzero int is positive.  Any other point
-    keeps its AlgNum coordinates divided by the last nonzero one.  A point
-    with <v, v> < 0 has v3 != 0, so its coordinates end in v3 = 1: its
-    prism coordinates need no inverse, and a cusp element, whose bottom row
-    is (0, 0, 1), keeps that form.  `coords` is the coordinate vector, built
-    as KNums on each read of a rational point.
+    of primitive_rep: its first nonzero int is positive.  Any other point,
+    given as three AlgNums of one field, keeps them divided by the last
+    nonzero one.  A point with <v, v> < 0 has v3 != 0, so its coordinates
+    end in v3 = 1: its prism coordinates need no inverse, and a cusp
+    element, whose bottom row is (0, 0, 1), keeps that form.  `coords` is
+    the coordinate vector, built as KNums on each read of a rational point.
     """
 
     __slots__ = ()
 
     def __new__(cls, v):
         if not all(isinstance(x, KNum) for x in v):
-            tower = next(x.tower for x in v if isinstance(x, AlgNum))
-            v = tuple(x if isinstance(x, AlgNum) else AlgNum.lift(tower, x) for x in v)
+            if not all(isinstance(x, AlgNum) for x in v):
+                raise TypeError("a point's coordinates are three KNums or three AlgNums")
             last = next((x for x in reversed(v) if not x.is_zero()), None)
             # a zero vector goes on to primitive_rep's error
             if last is not None and not last.is_one():
@@ -515,9 +515,10 @@ class GroupElt:
     lexicographic (a, b) ring order, which is the one whose first nonzero
     int is positive.  Equality and hashing act on the canonical ints,
     implementing projectivization; products, inverses, powers and the
-    action on vectors run on the ints, and so does the trace that
-    torsion.projective_order reads.  `entries()`, the rows of KNums (for
-    eigenvectors), and the Mat view `mat` (for JSON) are built on each call.
+    action on vectors run on the ints, and so do the trace that
+    torsion.projective_order reads and the eigenvectors of
+    torsion.classify_elliptic.  The Mat view `mat`, for JSON and the
+    printed form, is built on each read.
     """
 
     __slots__ = ("ints", "word")
@@ -542,13 +543,9 @@ class GroupElt:
     def identity() -> "GroupElt":
         return GroupElt.from_ints(ID_INTS, ())
 
-    def entries(self):
-        """The rows of KNums of the matrix."""
-        return _ints_rows(self.ints)
-
     @property
     def mat(self) -> Mat:
-        return Mat._of_k(self.entries())
+        return Mat._of_k(_ints_rows(self.ints))
 
     def __eq__(self, other):
         if not isinstance(other, GroupElt):
@@ -560,7 +557,7 @@ class GroupElt:
 
     def __repr__(self):
         w = f", word={self.word!r}" if self.word else ""
-        return f"GroupElt({Mat._of_k(self.entries())!r}{w})"
+        return f"GroupElt({self.mat!r}{w})"
 
     def __mul__(self, other):
         if not isinstance(other, GroupElt):
@@ -617,15 +614,13 @@ def _init_elt(g: GroupElt, t, word):
 
 
 def ints_apply(t, v):
-    """M v, for M with 18 ints t and a tower vector v (coordinates in
-    K(zeta_3) or K(zeta_7), one at least an AlgNum), on ints over d, the
-    lcm of the denominators.
+    """M v, for M with 18 ints t and a tower vector v (three AlgNums of
+    K(zeta_3) or K(zeta_7)), on ints over d, the lcm of the denominators.
 
     v is the ints F_k of each d v_k in its field, which make
     (a + b tau) d v_k = a F_k + b (tau F_k): each coordinate of M v is
     one int combination of the F_k and tau F_k, and one normal form."""
-    tw = next(x.tower for x in v if isinstance(x, AlgNum))
-    v = [x if isinstance(x, AlgNum) else AlgNum.lift(tw, x) for x in v]
+    tw = v[0].tower
     d = lcm(*(x.den for x in v))
     fs = [x.ints if x.den == d else tuple(c * (d // x.den) for c in x.ints) for x in v]
     tau = tw.lift(0, 1)

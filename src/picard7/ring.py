@@ -676,7 +676,7 @@ class AlgNum:
         coeffs = list(coeffs)
         if len(coeffs) > tower.degree:
             raise ValueError(f"{len(coeffs)} coefficients for a field of degree {tower.degree}")
-        x, z = AlgNum.lift(tower, ZERO), AlgNum.gen(tower)
+        x, z = _alg(tower, tower.lift(0, 0), 1), _alg(tower, tower.zeta, 1)
         for c in reversed(coeffs):
             if type(c) is not KNum:
                 raise TypeError(f"an AlgNum coefficient must be a KNum, not {type(c).__name__}")
@@ -685,15 +685,6 @@ class AlgNum:
 
     def __setattr__(self, *args):
         raise AttributeError("AlgNum is immutable")
-
-    @staticmethod
-    def gen(tower: Zeta3Tower | Zeta7Tower) -> "AlgNum":
-        return _alg(tower, tower.zeta, 1)
-
-    @staticmethod
-    def lift(tower: Zeta3Tower | Zeta7Tower, x) -> "AlgNum":
-        x = KNum.coerce(x)
-        return _alg(tower, tower.lift(x.na, x.nb), x.d)
 
     def _operand(self, other):
         """(ints, den) of other in this field, or None for a type it does not take."""
@@ -770,9 +761,6 @@ class AlgNum:
             return self + (-other)
         return NotImplemented
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             return _alg(self.tower, tuple(other * a for a in self.ints), self.den)
@@ -797,18 +785,6 @@ class AlgNum:
 
     def __rtruediv__(self, other):
         return self.inverse() * other
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = AlgNum.lift(self.tower, ONE)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def inverse(self) -> "AlgNum":
         """1/x = D adj/n: adj is the product of the other images of D x, and

@@ -4,7 +4,8 @@ The trace names an element's possible finite orders, and powers on its 18
 ints confirm one.  An elliptic element either fixes a complex line
 pointwise (a reflection: an involution whose axis, the simple eigenline
 read off I - tr(g) g, is positive) or has an isolated fixed point (a
-negative eigenvector: a cross product of two rows of g - lam I).
+negative eigenvector: a cross product of two rows of g - lam I, formed on
+the 18 ints of g and the ints of lam in K, K(zeta_3) or K(zeta_7) alike).
 Candidates come from the sweeps gamma = alpha * A_j over the finite sets
 T_jk of cusp translates whose spheres can meet; isolated fixed points are
 moved into Omega and walked into orbits by side-pairing maps and cusp
@@ -17,9 +18,10 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 from math import gcd
+from operator import add, sub
 
 from .ring import (
-    AlgNum,
+    _alg,
     knum_from_ints,
     zeta3_tower,
     zeta7_tower,
@@ -134,39 +136,49 @@ def make_reflection(v) -> GroupElt:
     return GroupElt.from_ints(tuple(t), word=(("R_" + "".join(str(x) for x in polar.coords), 1),))
 
 
-def _eigenvector(g: GroupElt, lam):
-    """For g - lam I of rank 2 or 3, a vector spanning its kernel, or None
-    when lam is no eigenvalue of g.
+def _eigenvector(t, lam, lift, mul):
+    """A vector spanning the kernel of g - lam I when it has rank 2, for g
+    with the 18 ints t, or None when lam is no eigenvalue of g.
 
-    Two independent rows of g - lam I kill their bilinear cross product, and
-    the third row does exactly when g - lam I is singular: products only,
-    with no pivot and no division.
+    lam lies in a field F that contains K (K, K(zeta_3) or K(zeta_7)) and
+    is given by its ints in F; lift takes a + b tau to F's ints, and mul
+    multiplies them.  The vector is three tuples of F's ints.
+
+    For a cyclic (i, j, k), the bilinear cross product of rows i and j of
+    g - lam I is v = g_i x g_j + lam (g_ik e_i + g_jk e_j - (g_ii + g_jj) e_k)
+    + lam^2 e_k, a column of adj(g - lam I) whose coefficients are int
+    pairs (Goldman, Complex Hyperbolic Geometry, ch. 6).  Two independent
+    rows kill v, and row k does exactly when g - lam I is singular:
+    products only, with no pivot and no division.
     """
-    r0, r1, r2 = [[x - lam if i == j else x for j, x in enumerate(r)] for i, r in enumerate(g.entries())]
-    for (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) in ((r0, r1, r2), (r0, r2, r1), (r1, r2, r0)):
-        v = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-        if not all(x.is_zero() for x in v):
-            return v if (c1 * v[0] + c2 * v[1] + c3 * v[2]).is_zero() else None
+    rows = [[t[6 * r + 2 * c:6 * r + 2 * c + 2] for c in range(3)] for r in range(3)]
+    lam2 = mul(lam, lam)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        gi, gj = rows[i], rows[j]
+        (p, q), (r, s) = gi[i], gj[j]
+        v = [None] * 3
+        # v_m = (g_i x g_j)_m + lam c, with (g_i x g_j)_m = g_ia g_jb - g_ib g_ja
+        for m, a, b, c in ((i, j, k, gi[k]), (j, k, i, gj[k]), (k, i, j, (-p - r, -q - s))):
+            x, y = _mul_ints(*gi[a], *gj[b])
+            z, w = _mul_ints(*gi[b], *gj[a])
+            v[m] = tuple(map(add, lift(x - z, y - w), mul(lam, lift(*c))))
+        v[k] = tuple(map(add, v[k], lam2))
+        if any(map(any, v)):
+            u = mul(lam, v[k])  # row k of g - lam I, applied to v
+            for c, x in zip(rows[k], v):
+                u = tuple(map(sub, u, mul(lift(*c), x)))
+            return None if any(u) else tuple(v)
     raise ArithmeticError("g - lam I has rank below 2")
 
 
-def _k_eigenvector(t, lam: int):
-    """`_eigenvector` on ints, for the 18 ints t of g and lam = +/-1: the six
-    ints of a vector spanning the kernel of g - lam I, or None."""
-    r = [[(t[6 * i + 2 * j] - lam * (i == j), t[6 * i + 2 * j + 1]) for j in range(3)] for i in range(3)]
-    for a, b, c in ((r[0], r[1], r[2]), (r[0], r[2], r[1]), (r[1], r[2], r[0])):
-        v = ()
-        for i, k in ((1, 2), (2, 0), (0, 1)):
-            x, y = _mul_ints(*a[i], *b[k])
-            z, w = _mul_ints(*a[k], *b[i])
-            v += (x - z, y - w)
-        if any(v):
-            x = y = 0
-            for i in range(3):
-                p, q = _mul_ints(*c[i], v[2 * i], v[2 * i + 1])
-                x, y = x + p, y + q
-            return v if x == y == 0 else None
-    raise ArithmeticError("g - lam I has rank below 2")
+def _k_lift(a: int, b: int):
+    """K's lift for `_eigenvector`: a + b tau is its own int pair."""
+    return a, b
+
+
+def _k_mul(f, g):
+    """K's mul for `_eigenvector`, on int pairs."""
+    return _mul_ints(*f, *g)
 
 
 def _involution_axis(g: GroupElt):
@@ -237,27 +249,34 @@ def classify_elliptic(g: GroupElt, n: int):
     # eigenvalues; K contains only the roots of unity +/-1, so any
     # K-rational eigenvector belongs to one of those
     for lam in (1, -1):
-        v = _k_eigenvector(g.ints, lam)
-        if v is not None and sq_norm_ints(v) < 0:
-            pt = _axis_point(v)
-            return "isolated", pt, sq_norm_ints(pt.rep)
+        v = _eigenvector(g.ints, (lam, 0), _k_lift, _k_mul)
+        if v is not None:
+            v = v[0] + v[1] + v[2]
+            if sq_norm_ints(v) < 0:
+                pt = _axis_point(v)
+                return "isolated", pt, sq_norm_ints(pt.rep)
     # fixed point outside K^3, so n is 3, 6 or 7.  g^n = e Id makes each
     # eigenvalue a root of x^n - e: e z^k for z a primitive n-th root of
     # unity, where k = 0 gives e, in K.  For n = 6, e = 1: the factors of
     # x^6 + 1 over K have degrees 2 and 4, which leaves no third eigenvalue
     e = _ints_power(g.ints, n)[0]
     if n == 7:
-        z = AlgNum.gen(zeta7_tower())
-    elif n == 3:
-        z = AlgNum.gen(zeta3_tower())
-    elif n == 6:
-        z = 1 + AlgNum.gen(zeta3_tower())  # a primitive sixth root of unity
+        tw = zeta7_tower()
+        z = tw.zeta
+    elif n in (3, 6):
+        tw = zeta3_tower()
+        # zeta_3, or 1 + zeta_3, a primitive sixth root of unity
+        z = tw.zeta if n == 3 else tuple(map(add, tw.lift(1, 0), tw.zeta))
     else:
         raise ValueError(f"unsupported eigenvalue field for projective order {n}")
-    for k in range(1, n):
-        v = _eigenvector(g, e * z**k)
-        if v is not None and sq_norm(v).real_sign() < 0:
-            return "isolated", ProjPoint(v), None
+    lam = tw.lift(e, 0)
+    for _ in range(1, n):
+        lam = tw.mul(lam, z)
+        v = _eigenvector(g.ints, lam, tw.lift, tw.mul)
+        if v is not None:
+            v = tuple(_alg(tw, f, 1) for f in v)
+            if sq_norm(v).real_sign() < 0:
+                return "isolated", ProjPoint(v), None
     raise ValueError("no negative eigenvector found for an elliptic element")
 
 

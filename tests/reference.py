@@ -65,7 +65,7 @@ from picard7.ring import (
     sqrt21_sign,
     zeta7_autocorr,
 )
-from picard7.torsion import _eigenvector, _move_element
+from picard7.torsion import _move_element
 
 
 def rat(x: KNum) -> Fraction:
@@ -73,6 +73,24 @@ def rat(x: KNum) -> Fraction:
     if x.nb != 0:
         raise ValueError(f"{x} is not rational")
     return x.a
+
+
+def zeta_of(tw) -> AlgNum:
+    """zeta, the generator of the field tw (Zeta3Tower or Zeta7Tower), as an AlgNum."""
+    return AlgNum(tw, [ZERO, ONE])
+
+
+def alg_lift(tw, x) -> AlgNum:
+    """The int or KNum x as an AlgNum of the field tw."""
+    return AlgNum(tw, [KNum.coerce(x)])
+
+
+def alg_pow(x: AlgNum, n: int) -> AlgNum:
+    """x^n for an int n >= 0, by n products."""
+    out = alg_lift(x.tower, 1)
+    for _ in range(n):
+        out = out * x
+    return out
 
 
 def mat_apply(m: Mat, v):
@@ -116,10 +134,11 @@ def mat_charpoly(m: Mat):
     return (-mat_det(m), m2, -mat_trace(m), ONE)
 
 
-def _kernel_basis(rows):
+def _kernel_basis(rows, one=ONE):
     """Basis of the kernel of a 3x3 matrix given by its rows (exact Gauss-Jordan elimination).
 
-    The entries are KNums or AlgNums of one field, mixed.
+    The entries are KNums, with one = ONE, or AlgNums of one field, with
+    one its 1.
     """
     rows = [list(r) for r in rows]
     pivots = []
@@ -129,7 +148,7 @@ def _kernel_basis(rows):
         if piv is None:
             continue
         rows[rk], rows[piv] = rows[piv], rows[rk]
-        inv = ONE / rows[rk][col]
+        inv = one / rows[rk][col]
         rows[rk] = [x * inv for x in rows[rk]]
         for i in range(3):
             if i != rk and not rows[i][col].is_zero():
@@ -138,19 +157,44 @@ def _kernel_basis(rows):
         pivots.append(col)
     basis = []
     for free in (c for c in range(3) if c not in pivots):
-        v = [ZERO] * 3
-        v[free] = ONE
+        v = [one - one] * 3
+        v[free] = one
         for r, col in enumerate(pivots):
             v[col] = -rows[r][free]
         basis.append(tuple(v))
     return basis
 
 
+def _shifted_rows(rows, lam):
+    """The rows of M - lam I for the KNum rows of M, lifted into lam's field
+    when lam is an AlgNum."""
+    if isinstance(lam, AlgNum):
+        rows = [[alg_lift(lam.tower, x) for x in r] for r in rows]
+    return [[x - lam if i == j else x for j, x in enumerate(r)] for i, r in enumerate(rows)]
+
+
 def eigenspace_basis(g: GroupElt, lam):
-    """Basis of ker(g - lam*I) (list of vectors, exact); lam is in K or in a cyclotomic field."""
-    return _kernel_basis(
-        [[x - lam if i == j else x for j, x in enumerate(r)] for i, r in enumerate(g.entries())]
-    )
+    """Basis of ker(g - lam*I) (list of vectors, exact); lam is in K or in a
+    cyclotomic field, and then the vectors are AlgNums of that field."""
+    one = alg_lift(lam.tower, 1) if isinstance(lam, AlgNum) else ONE
+    return _kernel_basis(_shifted_rows(g.mat.rows, lam), one)
+
+
+def ref_eigenvector(rows, lam):
+    """The bilinear cross product of the first independent pair of rows of
+    M - lam I, for the KNum rows of M, in KNum or AlgNum arithmetic: a
+    vector spanning its kernel when it has rank 2, or None when lam is no
+    eigenvalue of M.
+
+    Two independent rows kill their cross product, and the third row does
+    exactly when M - lam I is singular.
+    """
+    r0, r1, r2 = _shifted_rows(rows, lam)
+    for (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) in ((r0, r1, r2), (r0, r2, r1), (r1, r2, r0)):
+        v = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+        if not all(x.is_zero() for x in v):
+            return v if (c1 * v[0] + c2 * v[1] + c3 * v[2]).is_zero() else None
+    raise ArithmeticError("M - lam I has rank below 2")
 
 
 def _is_mirror(g: GroupElt, lam) -> bool:
@@ -209,7 +253,7 @@ def cusp_matrix(c) -> Mat:
 
 def real_cmp(x, y) -> int:
     """Exact comparison of two real scalars (KNum or AlgNum, mixed allowed)."""
-    return (x - y).real_sign()
+    return (-y + x).real_sign()
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +311,7 @@ def act_horo(c: CuspElt, h: HoroPoint) -> HoroPoint:
     """(z, ti, u) -> (w + sigma z, ti + i t0 + w conj(sigma z) - conj(w) sigma z, u)."""
     w = KNum(c.m, c.n)
     z = -h.z if c.eps else h.z
-    ti = h.ti + ISQRT7 * c.s0 + w * z.conj() - w.conj() * z
+    ti = h.ti + ISQRT7 * c.s0 + w * z.conj() + (-w.conj()) * z
     return HoroPoint(w + z, ti, h.u)
 
 
@@ -299,9 +343,9 @@ class Prism:
         checks = {
             "a=0": a.real_sign(),
             "b=0": b.real_sign(),
-            "a+b=1": (1 - a - b).real_sign(),
+            "a+b=1": (-a - b + 1).real_sign(),
             "s=0": s.real_sign(),
-            "s=2": (2 - s).real_sign(),
+            "s=2": (-s + 2).real_sign(),
         }
         if any(v < 0 for v in checks.values()):
             return "outside", ()
@@ -330,7 +374,7 @@ def horo_reduce_to_prism(h: HoroPoint):
         total = CuspElt(m=-k) * CuspElt(n=-n)
         h = act_horo(total, h)
         a, b = tau_coordinates(h.z)
-    if (1 - a - b).real_sign() < 0:
+    if (-a - b + 1).real_sign() < 0:
         step = T1 * TTAU * R  # z -> 1 + tau - z
         h = act_horo(step, h)
         total = step * total
@@ -612,15 +656,22 @@ def candidate_columns(j: int):
     return out
 
 
+def lifted(v):
+    """A vector as ProjPoint takes it: three KNums, or a tower vector as
+    three AlgNums, its KNum coordinates lifted into the field."""
+    if all(isinstance(c, KNum) for c in v):
+        return tuple(v)
+    tw = next(c.tower for c in v if isinstance(c, AlgNum))
+    return tuple(c if isinstance(c, AlgNum) else alg_lift(tw, c) for c in v)
+
+
 def vector_rep(v):
     """A vector as prism_coordinates takes it: a K^3 vector of KNums as the
     six ints of its multiple by the lcm of its denominators, which keeps its
-    scale otherwise, and a tower vector as AlgNums, its KNum coordinates
-    lifted into the field."""
+    scale otherwise, and a tower vector as `lifted` gives it."""
     if all(isinstance(c, KNum) for c in v):
         return tuple(_scaled_ints(v)[0])
-    tw = next(c.tower for c in v if isinstance(c, AlgNum))
-    return tuple(c if isinstance(c, AlgNum) else AlgNum.lift(tw, c) for c in v)
+    return lifted(v)
 
 
 def ref_k_sweep(v, own):
@@ -709,7 +760,7 @@ def ref_reduce(x):
             if real_cmp(other, own) < 0 and (best is None or real_cmp(other, best[0]) < 0):
                 best = (other, g)
         if best is None:
-            return total, (ProjPoint(v) if as_proj else horo_coords(v))
+            return total, (ProjPoint(lifted(v)) if as_proj else horo_coords(v))
         gi = best[1].inverse()
         v = mat_apply(gi.mat, v)
         total = gi * total
@@ -910,7 +961,7 @@ def _simple_eigenpoint(g: GroupElt, charpoly, lam):
     mirror, when <p, p> > 0, and definite, around the isolated fixed point
     p, when <p, p> < 0.  <p, p> = 0 would put p in its own lam-plane.
     """
-    p = ProjPoint(_eigenvector(g, -charpoly[2] - 2 * lam))
+    p = ProjPoint(ref_eigenvector(g.mat.rows, -charpoly[2] - 2 * lam))
     norm = sq_norm(p.coords)
     if norm.is_zero():
         raise ArithmeticError("simple eigenvector of a finite-order element is null")
@@ -941,7 +992,7 @@ def ref_reflection_polar(g: GroupElt):
 def _algnum_in_triangle(a, b, den) -> bool:
     if type(a) is int:
         return a >= 0 and b >= 0 and a + b <= den
-    return all(y.real_sign() >= 0 for y in (a, b, den - a - b))
+    return all(y.real_sign() >= 0 for y in (a, b, -a - b + den))
 
 
 def algnum_in_prism(x) -> bool:
@@ -950,7 +1001,7 @@ def algnum_in_prism(x) -> bool:
         return False
     if type(s) is int:
         return 0 <= s <= 2 * den
-    return s.real_sign() >= 0 and (2 * den - s).real_sign() >= 0
+    return s.real_sign() >= 0 and (-s + 2 * den).real_sign() >= 0
 
 
 def _algnum_floor(x, d: int) -> int:

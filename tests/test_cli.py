@@ -255,6 +255,36 @@ def test_closed_pipe_exits_141_without_a_traceback():
     assert cli.EXIT_CLOSED_PIPE == 141
 
 
+#: bad command lines and their exit codes: positive, null, zero and
+#: malformed points, a missing option, a height past the search cap (2, a
+#: resource limit; the child reads the cap from picard7.mirror) and an
+#: unknown command
+BAD_COMMAND_LINES = [
+    (["ford", command, "--point", point], 1)
+    for command in ("reduce", "spheres")
+    for point in ('["1", "0", "1"]', '["1", "0", "0"]', '["0", "0", "0"]', '["1", "0"', '["x", "0", "1"]')
+] + [
+    (["mirror", "search", "--which", "L"], 1),
+    (["mirror", "search", "--norm", "2", "--height", "MAX_SEARCH_HEIGHT + 1"], 2),
+    (["frobnicate", "now"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code", BAD_COMMAND_LINES, ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_bad_command_line_is_one_json_line_under_python_o(argv, exit_code):
+    # the exit-code contract holds with asserts stripped: in a fresh
+    # `python -O -I`, a bad command line exits 1, or 2 for a resource
+    # limit, prints one JSON error line on stdout, and writes no stderr
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, %r); from picard7.cli import main; from picard7.mirror import "
+            "MAX_SEARCH_HEIGHT; argv = [str(MAX_SEARCH_HEIGHT + 1) if a == 'MAX_SEARCH_HEIGHT + 1' else a "
+            "for a in %r]; sys.exit(main(argv))") % (str(src), argv)
+    out = subprocess.run([sys.executable, "-O", "-I", "-c", code], capture_output=True, text=True)
+    lines = out.stdout.splitlines()
+    assert (out.returncode, out.stderr, len(lines)) == (exit_code, "", 1)
+    assert set(json.loads(lines[0])) == {"error", "message"}
+
+
 def test_failed_soundness_check_exits_3(capsys, monkeypatch):
     def broken(args):
         raise ArithmeticError("the Ford quantity did not decrease")
@@ -419,7 +449,7 @@ def test_mixed_operations_pay_no_abc_checks(capsys, monkeypatch):
     from picard7.heisenberg import R, T1
     from picard7.ring import AlgNum, KNum, zeta7_tower
     from picard7.torsion import build_cycle_graph, classify_elliptic, stabilizer
-    from reference import real_cmp
+    from reference import real_cmp, zeta_of
 
     watched = {f.__code__ for f in (KNum.__add__, KNum.__sub__, KNum.__mul__, KNum.__truediv__,
                                     ford._k_cmp, ford._zeta3_cmp, ford._zeta7_cmp)}
@@ -431,7 +461,7 @@ def test_mixed_operations_pay_no_abc_checks(capsys, monkeypatch):
         return instancecheck(cls, instance)
 
     monkeypatch.setattr(ABCMeta, "__instancecheck__", recorded)
-    z = AlgNum.gen(zeta7_tower())
+    z = zeta_of(zeta7_tower())
     eta = z + z.conj()  # 2 cos(2 pi/7) ~ 1.247
     # the wrapper sees the calls it should
     assert not isinstance(eta, Fraction)

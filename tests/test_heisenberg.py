@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from picard7.ring import AlgNum, ISQRT7, KNum, TAU, zeta3_tower, zeta7_tower
+from picard7.ring import ISQRT7, KNum, TAU, zeta3_tower, zeta7_tower
 from picard7.hermitian import GroupElt, Mat, is_in_gamma, sq_norm
 from picard7.heisenberg import (
     CuspElt,
@@ -27,6 +27,7 @@ from reference import (
     _cross_coeffs,
     _overlap_constraints,
     act_horo,
+    alg_lift,
     cusp_matrix,
     fixes_q_inf,
     from_zsu,
@@ -41,6 +42,7 @@ from reference import (
     tau_coordinates,
     translation_matrix,
     vector_rep,
+    zeta_of,
 )
 
 
@@ -141,7 +143,7 @@ def _tower_point(rng, tw):
     )
     if tw is None:
         return h
-    g = AlgNum.gen(tw)
+    g = zeta_of(tw)
     # shift by a real, an imaginary and a positive real element of the field
     real = g + g.conj()
     return HoroPoint(h.z + real, h.ti + g - g.conj(), h.u + real * real)
@@ -211,8 +213,8 @@ def _grid_points(r):
     """HoroPoints with a, b and s/2 on and around integers and every facet
     of P, r a small real step (a rational KNum, or an irrational real
     AlgNum); every other one lies above the boundary."""
-    coords = (-1, 0, KNum(Fraction(1, 2)), 1, r, 1 - r, 1 + r, -r)
-    grid = [(a, b, s) for a in coords for b in coords for s in (-2, 0, 1, 2, 4, r, 2 - r, 2 + r)]
+    coords = (-1, 0, KNum(Fraction(1, 2)), 1, r, -r + 1, 1 + r, -r)
+    grid = [(a, b, s) for a in coords for b in coords for s in (-2, 0, 1, 2, 4, r, -r + 2, 2 + r)]
     return [HoroPoint(a + b * TAU, ISQRT7 * s, KNum(Fraction(i % 2, 3))) for i, (a, b, s) in enumerate(grid)]
 
 
@@ -254,7 +256,7 @@ def test_reduce_algebraic_point():
     tw = zeta3_tower()
     h = from_zsu(TAU / 2, Fraction(1, 2), 1)
     hl = HoroPoint(
-        AlgNum.lift(tw, h.z), AlgNum.lift(tw, h.ti), AlgNum.lift(tw, KNum(1))
+        alg_lift(tw, h.z), alg_lift(tw, h.ti), alg_lift(tw, KNum(1))
     )
     shifted = act_horo(CuspElt(3, -2, 1, 1), hl)
     red = act_horo(_check_against_reference(lift(shifted)), shifted)
@@ -274,9 +276,9 @@ def test_prism_coordinates_match_the_reference(field):
     if field == "K":
         r, scales = KNum(Fraction(1, 8)), [KNum(1), KNum(2, 1), KNum(Fraction(-3, 5), 1)]
     else:
-        g = AlgNum.gen(zeta3_tower() if field == "zeta3" else zeta7_tower())
+        g = zeta_of(zeta3_tower() if field == "zeta3" else zeta7_tower())
         # (g - conj g) i sqrt(7) is real and irrational, near 4.5
-        r, scales = (g - g.conj()) * ISQRT7 / 16, [KNum(1), g, 2 - g * g]
+        r, scales = (g - g.conj()) * ISQRT7 / 16, [KNum(1), g, -(g * g) + 2]
     points = _grid_points(r)
     kinds, facets = zip(*(Prism.membership(h.z, h.ti) for h in points))
     assert set(kinds) == {"interior", "boundary", "outside"}
@@ -299,7 +301,7 @@ def test_prism_coordinates_match_the_reference(field):
 
 @pytest.mark.parametrize("field", ["K", "zeta3", "zeta7"])
 def test_prism_coordinates_refuse_q_inf_and_positive_vectors(field):
-    one = KNum(1) if field == "K" else AlgNum.lift(zeta3_tower() if field == "zeta3" else zeta7_tower(), 1)
+    one = KNum(1) if field == "K" else alg_lift(zeta3_tower() if field == "zeta3" else zeta7_tower(), 1)
     zero = one - one
     for v, message in (((one, zero, zero), "point at infinity has no horospherical coordinates"),
                        ((one, one, zero), "vector has positive square norm"),
@@ -316,7 +318,7 @@ def test_prism_coordinates_refuse_knum_coordinates(field):
     # in any place, or a vector of KNums, raises TypeError at entry, where
     # the same vector with its KNums lifted into the field has coordinates
     tw = zeta3_tower() if field == "zeta3" else zeta7_tower()
-    g = AlgNum.gen(tw)
+    g = zeta_of(tw)
     v = vector_rep((-(g * g.conj()) / 2 - 3, g, KNum(1)))
     assert prism_coordinates(v)[3] == 1
     for i in range(3):

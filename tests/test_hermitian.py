@@ -22,10 +22,13 @@ from picard7.hermitian import (
 from picard7.heisenberg import prism_coordinates
 from reference import (
     _kernel_basis,
+    alg_lift,
+    alg_pow,
     eigenspace_basis,
     from_zsu,
     horo_coords,
     lift,
+    lifted,
     mat_apply,
     mat_charpoly,
     mat_det,
@@ -33,6 +36,7 @@ from reference import (
     mat_product,
     mat_trace,
     vector_rep,
+    zeta_of,
 )
 
 ID = Mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -129,12 +133,12 @@ def test_int_matrix_kernel_matches_generic_path():
 
 
 def test_mat_refuses_algnum_entries():
-    z = AlgNum.gen(zeta3_tower())
+    z = zeta_of(zeta3_tower())
     with pytest.raises(TypeError, match="cannot coerce"):
         Mat([[z, 1, 0], [0, z * z, TAU], [KNum(Fraction(1, 2)), 0, z + 1]])
     # an AlgNum that lies in K is refused too: a matrix holds KNums only
     with pytest.raises(TypeError, match="cannot coerce"):
-        Mat([[AlgNum.lift(zeta3_tower(), 2), 0, 0], [0, 1, 0], [0, 0, 1]])
+        Mat([[alg_lift(zeta3_tower(), 2), 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_tower_vectors_take_the_generic_path(monkeypatch):
@@ -145,8 +149,9 @@ def test_tower_vectors_take_the_generic_path(monkeypatch):
 
     monkeypatch.setattr(hermitian, "_apply_ints", no_int_kernel)
     for tower in (zeta3_tower, zeta7_tower):
-        z = AlgNum.gen(tower())
+        z = zeta_of(tower())
         for v in ((z, KNum(1), TAU), (z * z, z + 1, KNum(Fraction(1, 2))), (z, z * 3 - TAU, z * z * z)):
+            v = lifted(v)
             for m in (A2, A6):
                 g = GroupElt(m)
                 assert ints_apply(g.ints, v) == mat_apply(g.mat, v)
@@ -156,16 +161,17 @@ def test_tower_vectors_take_the_generic_path(monkeypatch):
 def test_tower_apply_matches_the_entrywise_sum(tower):
     # the int rows F_k, tau F_k of a tower vector over one denominator
     # against the sum of the KNum entries' AlgNum products, on seeded words
-    # and vectors that mix KNum and AlgNum coordinates with denominators
+    # and vectors with denominators, some of whose coordinates lie in K
     rng = random.Random(83)
     tw = tower()
-    z = AlgNum.gen(tw)
+    z = zeta_of(tw)
     mixed = 0
     for g, _ in _random_words(29, 60):
         v = [_rand_k(rng) for _ in range(3)]
         for i in rng.sample(range(3), rng.randint(1, 3)):
-            v[i] = sum((_rand_k(rng) * z ** k for k in range(tw.degree)), start=AlgNum.lift(tw, 0))
-        mixed += any(type(x) is KNum for x in v)
+            v[i] = sum((_rand_k(rng) * alg_pow(z, k) for k in range(tw.degree)), start=alg_lift(tw, 0))
+        v = lifted(v)
+        mixed += any(x.in_k() for x in v)
         got = ints_apply(g.ints, v)
         assert got == mat_apply(g.mat, v) and all(type(x) is AlgNum for x in got)
     assert mixed > 0
@@ -244,8 +250,8 @@ def test_int_action_matches_mat_action():
         p = ProjPoint(v)
         assert p.apply(g) == ProjPoint(mat_apply(m, p.coords))
     # a point with tower coordinates takes ints_apply's tower path
-    z = AlgNum.gen(zeta3_tower())
-    t = ProjPoint((z, KNum(1), TAU))
+    z = zeta_of(zeta3_tower())
+    t = ProjPoint(lifted((z, KNum(1), TAU)))
     for g, m in words[:10]:
         assert t.apply(g) == ProjPoint(mat_apply(m, t.coords))
 
@@ -343,8 +349,8 @@ def test_group_elt_projectivization():
 
 def test_algebraic_projpoint():
     tw = zeta3_tower()
-    z = AlgNum.gen(tw)
-    one = AlgNum.lift(tw, KNum(1))
+    z = zeta_of(tw)
+    one = alg_lift(tw, KNum(1))
     p = ProjPoint((z, one, one))
     q = ProjPoint((z * 2, one * 2, one * 2))
     assert p == q
@@ -357,13 +363,29 @@ def test_algebraic_projpoint():
 def test_tower_vector_rational_up_to_scale_is_rational(tower):
     # (zeta tau, 2 zeta, zeta) is projectively (tau, 2, 1): it is tested for
     # K-rationality after its lead is divided out
-    z = AlgNum.gen(tower())
+    z = zeta_of(tower())
     p = ProjPoint((z * TAU, z * 2, z))
     q = ProjPoint((TAU, KNum(2), KNum(1)))
     assert p.rational and p == q and hash(p) == hash(q)
     assert p.rep == (0, 1, 2, 0, 1, 0)
     with pytest.raises(ValueError, match="zero vector"):
-        ProjPoint((z * 0, z * 0, KNum(0)))
+        ProjPoint((z * 0, z * 0, z * 0))
+
+
+@pytest.mark.parametrize("tower", [zeta3_tower, zeta7_tower], ids=["zeta3", "zeta7"])
+def test_projpoint_refuses_a_mixed_vector(tower):
+    # a tower point's coordinates are three AlgNums: a KNum beside them, in
+    # any place, raises TypeError, where the vector with its KNums lifted
+    # into the field is a point
+    z = zeta_of(tower())
+    one = alg_lift(z.tower, 1)
+    v = (z * TAU, z + 1, z)
+    for i in range(3):
+        mixed = v[:i] + (KNum(1),) + v[i + 1:]
+        with pytest.raises(TypeError, match="three KNums or three AlgNums"):
+            ProjPoint(mixed)
+        assert not ProjPoint(lifted(mixed)).rational
+        assert ProjPoint(lifted(mixed)) == ProjPoint(v[:i] + (one,) + v[i + 1:])
 
 
 def test_rational_point_is_its_six_ints(monkeypatch):

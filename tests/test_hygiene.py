@@ -392,29 +392,39 @@ for point in sys.argv[1:]:
 
 
 def test_gamma_algebra_runs_on_group_elements():
-    # orders, residues, the action on vectors and the eigenvectors at +/-1
-    # (torsion._k_eigenvector) run on a GroupElt's 18 ints, and the tower
-    # eigenvectors (torsion._eigenvector) on the KNum rows of g.entries();
-    # a Mat keeps its edge role: literals, JSON, products
+    # orders, residues, the action on vectors and the eigenvectors, at +/-1
+    # and at the tower roots of unity alike (torsion._eigenvector), run on a
+    # GroupElt's 18 ints; a Mat keeps its edge role: literals, JSON, products
     bound = bound_names(ast.parse((SRC / "hermitian.py").read_text()).body)
-    gone = {"Mat.apply", "Mat.charpoly", "Mat.det", "Mat.trace", "Mat.__neg__", "_dot_k", "GroupElt.apply"}
+    gone = {"Mat.apply", "Mat.charpoly", "Mat.det", "Mat.trace", "Mat.__neg__", "_dot_k", "GroupElt.apply",
+            "GroupElt.entries"}
     assert "Mat.__mul__" in bound and not bound & gone
     # src/ has no characteristic polynomial: an order is read off the trace
     # and confirmed by powers, an eigenvalue candidate is kept when its cross
-    # product is a kernel vector, and a norm is an int
-    gone = {"GroupElt.charpoly", "_roots", "KNum.__pow__", "KNum.rat", "MAX_PROJECTIVE_ORDER"}
+    # product is a kernel vector, and a norm is an int; one eigenvector
+    # routine serves every eigenvalue, and no AlgNum is raised to a power
+    gone = {"GroupElt.charpoly", "_roots", "KNum.__pow__", "KNum.rat", "MAX_PROJECTIVE_ORDER", "_k_eigenvector",
+            "AlgNum.__pow__"}
     assert {p.name: sorted(bound_names(ast.parse(p.read_text()).body) & gone) for p in MODULES} == {
         p.name: [] for p in MODULES
     }
-    # the `g.mat` view is read for JSON in cli, and for verify_mirror_L's
-    # in_gamma report field
+    # classify_elliptic and its eigenvector routine read no KNum rows
+    torsion = {n.name: n for n in ast.parse((SRC / "torsion.py").read_text()).body
+               if isinstance(n, ast.FunctionDef)}
+    for name in ("classify_elliptic", "_eigenvector"):
+        assert not [n for n in ast.walk(torsion[name]) if getattr(n, "attr", getattr(n, "id", None)) == "entries"]
+    # the `g.mat` view is read for JSON in cli, for verify_mirror_L's
+    # in_gamma report field, and for a GroupElt's printed form
     reads = {p.name: attribute_reads(p, "mat") for p in MODULES}
-    assert sorted(name for name, lines in reads.items() if lines) == ["cli.py", "mirror.py"]
+    assert sorted(name for name, lines in reads.items() if lines) == ["cli.py", "hermitian.py", "mirror.py"]
     source = (SRC / "mirror.py").read_text()
     fn = next(n for n in ast.parse(source).body if getattr(n, "name", None) == "verify_mirror_L")
     lines = source.splitlines()
     assert [line for line in reads["mirror.py"]
             if not (fn.lineno <= line <= fn.end_lineno and '"in_gamma"' in lines[line - 1])] == []
+    elt = next(n for n in ast.parse((SRC / "hermitian.py").read_text()).body if getattr(n, "name", None) == "GroupElt")
+    fn = next(n for n in elt.body if getattr(n, "name", None) == "__repr__")
+    assert [line for line in reads["hermitian.py"] if not fn.lineno <= line <= fn.end_lineno] == []
 
 
 def test_cycle_graph_is_one_walk_per_orbit():

@@ -4,8 +4,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from picard7.ring import ISQRT7, TAU, AlgNum, KNum, TAU_BAR, zeta3_tower, zeta7_tower
-from picard7.hermitian import GroupElt, Mat, ProjPoint, sq_norm
+from picard7.ring import ISQRT7, TAU, AlgNum, KNum, TAU_BAR, _alg, knum_from_ints, zeta3_tower, zeta7_tower
+from picard7.hermitian import GroupElt, Mat, ProjPoint, mat_ints, sq_norm, sq_norm_ints
 from picard7.heisenberg import (
     IDENTITY,
     CuspElt,
@@ -49,6 +49,7 @@ from reference import (
     _repeated_eigenvalue,
     _simple_eigenpoint,
     act_horo,
+    alg_pow,
     algnum_in_prism,
     algnum_overlaps_keeping,
     algnum_reduce_to_prism,
@@ -62,6 +63,7 @@ from reference import (
     rat,
     ref_projective_order,
     ref_cycle_graph,
+    ref_eigenvector,
     ref_moves,
     ref_overlaps_keeping,
     ref_reflection_polar,
@@ -69,6 +71,7 @@ from reference import (
     ref_stabilizer_gens,
     tjk_in_box,
     vector_rep,
+    zeta_of,
 )
 from reference import ref_make_reflection, s_coordinate, tau_coordinates
 from test_ford import K_FIXED_POINTS, tower_fixed_points
@@ -182,34 +185,50 @@ def test_projective_order_matches_the_product_loop():
     assert seen == {None, 1, 2, 3, 4, 6, 7}
 
 
-def test_tower_candidates_hold_the_fixed_point_eigenvalue(monkeypatch):
-    # a fixed point outside K^3 is the eigenvector of one of the tower
-    # candidates e z^k that classify_elliptic tries after +/-1, which take
-    # the int path (_k_eigenvector): its eigenvalue lam has lam^n = e for
-    # g^n = e Id; on the enumeration's candidates and the word-table rows
+def _eigenvector_calls(monkeypatch):
+    """The calls classify_elliptic makes to torsion._eigenvector, recorded
+    as (g's ints, lam, field, answer), field None for K and else the tower."""
     eigenvector = torsion._eigenvector
-    tried = []
+    calls = []
 
-    def spy(g, lam):
-        tried.append(lam)
-        return eigenvector(g, lam)
+    def spy(t, lam, lift, mul):
+        v = eigenvector(t, lam, lift, mul)
+        calls.append((t, lam, None if lift is torsion._k_lift else lift.__self__, v))
+        return v
 
     monkeypatch.setattr(torsion, "_eigenvector", spy)
+    return calls
+
+
+def _number(field, f):
+    """The ints f of a number of field (None for K, or a tower) as a KNum or an AlgNum."""
+    return knum_from_ints(*f) if field is None else _alg(field, f, 1)
+
+
+def test_tower_candidates_hold_the_fixed_point_eigenvalue(monkeypatch):
+    # a fixed point outside K^3 is the eigenvector of one of the tower
+    # candidates e z^k that classify_elliptic tries, on the tower's ints,
+    # after +/-1, on int pairs: its eigenvalue lam has lam^n = e for
+    # g^n = e Id; on the enumeration's candidates and the word-table rows
+    calls = _eigenvector_calls(monkeypatch)
     elts = list(torsion._torsion_candidates().items()) + [(row["elt"], row["order"]) for row in torsion_word_rows()]
     towers = 0
     for g, n in elts:
-        tried.clear()
+        calls.clear()
         _, pt, _ = classify_elliptic(g, n)
         if pt.rational:
             continue
+        assert [lam for _, lam, field, _ in calls[:2]] == [(1, 0), (-1, 0)]
+        assert all(field is None for _, _, field, _ in calls[:2])
+        tried = [_number(field, lam) for _, lam, field, _ in calls[2:]]
+        assert all(len(lam) == 2 * field.degree for _, lam, field, _ in calls[2:])
         # a point outside K^3 ends in v3 = 1, so its eigenvalue is (g v)_3
         image = mat_apply(g.mat, pt.coords)
         assert ProjPoint(image) == pt and image[2] in tried
-        assert all(isinstance(lam, AlgNum) for lam in tried)
         power = g.mat.rows  # g^n = e Id, on the matrix that g.mat shows
         for _ in range(n - 1):
             power = mat_product(Mat(power), g.mat)
-        assert power[0][0] in (1, -1) and image[2] ** n == power[0][0]
+        assert power[0][0] in (1, -1) and alg_pow(image[2], n) == power[0][0]
         towers += 1
     assert towers > 0
 
@@ -311,48 +330,47 @@ def test_classify_isolated_algebraic():
 def test_classify_takes_kernels_only_at_eigenvalues(monkeypatch):
     # a candidate root of unity that is no eigenvalue gives None, so each
     # cross product classify_elliptic keeps is a nonzero eigenvector
-    eigenvector = torsion._eigenvector
-    calls = []
-
-    def spy(g, lam):
-        v = eigenvector(g, lam)
-        calls.append((g, lam, v))
-        return v
-
-    monkeypatch.setattr(torsion, "_eigenvector", spy)
+    calls = _eigenvector_calls(monkeypatch)
     gens = abcd()
     g7 = GENERATORS[1] * R.to_matrix() * T1.to_matrix()
     for g, n in ((gens["a"], 7), (gens["c"], 6), (g7, 7), (GENERATORS[1] * R.to_matrix(), 2)):
         assert classify_elliptic(g, n)[0] == "isolated"
-    assert any(v is None for _, _, v in calls)
-    for g, lam, v in calls:
+    assert any(v is None for *_, v in calls)
+    assert {field is None for *_, field, v in calls if v is not None} == {True, False}
+    for t, lam, field, v in calls:
         if v is None:
             continue
+        lam, v = _number(field, lam), tuple(_number(field, f) for f in v)
         assert not all(x.is_zero() for x in v)
-        assert all((y - lam * x).is_zero() for x, y in zip(v, mat_apply(g.mat, v)))
+        assert all((y - lam * x).is_zero() for x, y in zip(v, mat_apply(GroupElt.from_ints(t).mat, v)))
+
+
+def _matches_the_reference(m: Mat, lam, field, v) -> bool:
+    """Whether v, torsion._eigenvector's answer for the matrix m at lam,
+    spans a kernel: it is None exactly where the KNum-row reference cross
+    product is, where the reference elimination finds no kernel and the
+    reference characteristic polynomial does not vanish, and otherwise
+    spans the same line as both."""
+    lam = _number(field, lam)
+    want = ref_eigenvector(m.rows, lam)
+    c0, c1, c2, _ = mat_charpoly(m)
+    assert (v is None) == (want is None) == (not (((lam + c2) * lam + c1) * lam + c0).is_zero())
+    kernel = eigenspace_basis(SimpleNamespace(mat=m), lam)
+    if v is None:
+        assert kernel == []
+        return False
+    (basis,) = kernel
+    assert ProjPoint(tuple(_number(field, f) for f in v)) == ProjPoint(want) == ProjPoint(basis)
+    return True
 
 
 def test_eigenvector_matches_the_reference_kernel(monkeypatch):
-    # at every candidate classify_elliptic examines, on the enumeration's
-    # candidates, seeded conjugates of them and the word-table rows, the
-    # cross product spans the one-dimensional kernel of the reference
-    # elimination, or is None where that kernel is zero, which is exactly
-    # where the reference characteristic polynomial does not vanish.  The
-    # candidates +/-1 take the int path (_k_eigenvector), whose six ints are
-    # the same cross product
-    eigenvector, k_eigenvector = torsion._eigenvector, torsion._k_eigenvector
-    calls, k_calls = [], []
-
-    def spy(g, lam):
-        calls.append((g, lam))
-        return eigenvector(g, lam)
-
-    def k_spy(t, lam):
-        k_calls.append((t, lam))
-        return k_eigenvector(t, lam)
-
-    monkeypatch.setattr(torsion, "_eigenvector", spy)
-    monkeypatch.setattr(torsion, "_k_eigenvector", k_spy)
+    # at every eigenvalue candidate classify_elliptic tries, +/-1 and the
+    # tower roots of unity alike, on the enumeration's candidates, seeded
+    # conjugates of them, the word-table rows and the presentation's a and
+    # c, the int cross product agrees with the reference kernel, and so it
+    # does on a rank-2 matrix outside Gamma
+    calls = _eigenvector_calls(monkeypatch)
     cands = sorted(torsion._torsion_candidates().items(), key=lambda t: t[0].ints)
     assert len(cands) == 65
     rng = random.Random(37)
@@ -361,42 +379,25 @@ def test_eigenvector_matches_the_reference_kernel(monkeypatch):
     for g, n in rng.sample(cands, 12):
         h = rng.choice(letters) * rng.choice(letters) * rng.choice(letters)
         conjugates.append((h * g * h.inverse(), n))
-    for g, n in cands + conjugates + [(row["elt"], row["order"]) for row in torsion_word_rows()]:
+    gens = abcd()
+    for g, n in (cands + conjugates + [(row["elt"], row["order"]) for row in torsion_word_rows()]
+                 + [(gens["a"], 7), (gens["c"], 6)]):
         classify_elliptic(g, n)
     assert len(calls) > len(cands)
-    misses = 0
-    for g, lam in calls:
-        v = eigenvector(g, lam)
-        c0, c1, c2, _ = mat_charpoly(g.mat)
-        assert (v is None) == (not (((lam + c2) * lam + c1) * lam + c0).is_zero())
-        if v is None:
-            assert eigenspace_basis(g, lam) == []
-            misses += 1
-            continue
-        (basis,) = eigenspace_basis(g, lam)
-        assert ProjPoint(v) == ProjPoint(basis)
-    assert 0 < misses < len(calls)
-    k_misses = 0
-    for t, lam in k_calls:
-        assert lam in (1, -1)
-        g = GroupElt.from_ints(t)
-        v, want = k_eigenvector(t, lam), eigenvector(g, KNum(lam))
-        if v is None:
-            assert want is None and eigenspace_basis(g, KNum(lam)) == []
-            k_misses += 1
-            continue
-        assert all(x.d == 1 for x in want) and v == tuple(i for x in want for i in (x.na, x.nb))
-        (basis,) = eigenspace_basis(g, KNum(lam))
-        assert ProjPoint(tuple(KNum(*v[i:i + 2]) for i in (0, 2, 4))) == ProjPoint(basis)
-    assert 0 < k_misses < len(k_calls)
+    hits = {True: [], False: []}
+    for t, lam, field, v in calls:
+        hits[field is None].append(_matches_the_reference(GroupElt.from_ints(t).mat, lam, field, v))
+    for found in hits.values():
+        assert 0 < sum(found) < len(found)
     # a rank-2 matrix outside Gamma, whose first two rows are dependent, at
-    # its three simple eigenvalues, and at 2, which is none
+    # its three simple eigenvalues, and at 2 and zeta_3, which are none
     m = Mat([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
-    rows = SimpleNamespace(entries=lambda: m.rows)
-    for lam in (KNum(0), KNum(1), KNum(5)):
-        (basis,) = eigenspace_basis(rows, lam)
-        assert ProjPoint(eigenvector(rows, lam)) == ProjPoint(basis)
-    assert eigenvector(rows, KNum(2)) is None
+    for lam in (0, 1, 5, 2):
+        v = torsion._eigenvector(mat_ints(m), (lam, 0), torsion._k_lift, torsion._k_mul)
+        assert _matches_the_reference(m, (lam, 0), None, v) == (lam != 2)
+    tw = zeta3_tower()
+    v = torsion._eigenvector(mat_ints(m), tw.zeta, tw.lift, tw.mul)
+    assert not _matches_the_reference(m, tw.zeta, tw, v)
 
 
 def test_mirror_is_a_positive_simple_eigenvector():
@@ -416,8 +417,11 @@ def test_mirror_is_a_positive_simple_eigenvector():
         if lam is None:
             continue
         assert len(eigenspace_basis(g, lam)) == 2
-        sign = sq_norm(torsion._eigenvector(g, -charpoly[2] - 2 * lam)).real_sign()
-        assert sign != 0
+        simple = -charpoly[2] - 2 * lam  # +/-1
+        v = torsion._eigenvector(g.ints, (simple.na, simple.nb), torsion._k_lift, torsion._k_mul)
+        norm = sq_norm_ints(v[0] + v[1] + v[2])
+        assert norm != 0
+        sign = 1 if norm > 0 else -1
         assert (sign > 0) == _is_mirror(g, lam) == (reflection_polar(g) is not None)
         signs.append(sign)
     assert 1 in signs and -1 in signs
@@ -513,8 +517,8 @@ def test_tjk_superset_against_larger_box(j, k):
 def test_tjk_runs_no_cusp_action():
     # the windows and the distance test run on the centers' ints, and the
     # package keeps no horospherical layer to build a translated center in:
-    # no module binds one of its names (the lift methods of the number
-    # classes, AlgNum.lift among them, are another thing)
+    # no module binds one of its names (the towers' lift methods, which
+    # take an element of K into the field, are another thing)
     sizes = [len(enumerate_tjk(j, INVERSE_PAIRS[j])) for j in sorted(GENERATORS)]
     assert all(sizes) and sum(sizes) == 396
     gone = {"HoroPoint", "horo_coords", "lift", "act_horo", "tau_coordinates", "s_coordinate", "Prism"}
@@ -908,12 +912,12 @@ def test_bracketed_prism_decisions_match_the_algnum_tests(monkeypatch):
     # a point placed exactly on a facet of P straddles it: the decision
     # there falls back to the exact test, in both towers
     for tw in (zeta3_tower(), zeta7_tower()):
-        g = AlgNum.gen(tw)
+        g = zeta_of(tw)
         r = (g - g.conj()) * ISQRT7 / 16
         if r.real_sign() < 0:
             r = -r
         assert r.floor_real() == 0 and not r.in_k()
-        for a, b, s in ((0, r, r), (r, 0, r), (r, 1 - r, r), (r, r, 0), (r, r, 2)):
+        for a, b, s in ((0, r, r), (r, 0, r), (r, -r + 1, r), (r, r, 0), (r, r, 2)):
             calls.clear()
             x = prism_coordinates(vector_rep(lift(HoroPoint(a + b * TAU, ISQRT7 * s, r * r))))
             assert [y == e for y, e in zip(x, (a, b, s, 1))] == [True] * 4
@@ -1050,7 +1054,7 @@ def test_tower_points_are_normalized_at_their_last_coordinate():
         for p in pair:
             v = p.coords
             assert not p.rational and v[2].is_one()
-            zeta = AlgNum.gen(v[2].tower)
+            zeta = zeta_of(v[2].tower)
             for lam in (2, TAU, zeta):
                 assert ProjPoint(tuple(c * lam for c in v)) == p
             h = horo_coords(v)
