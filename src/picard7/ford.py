@@ -19,8 +19,6 @@ its rep and no gcd.  A tower point keeps its AlgNum coordinates, at
 v3 = 1, in the same loop.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
@@ -246,20 +244,23 @@ def _lattice_disk(p0: int, q0: int, step: int, nmax: int):
 
 
 def enumerate_cone_translates(j: int):
-    """Finite superset of {alpha in the cusp group : alpha(I(A_j)) meets C_P}.
+    """Finite superset of {alpha in the cusp group : alpha(I(A_j)) meets C_P},
+    as l-windows: {(m, n, eps): (lmin, lmax)}, and alpha = (m, n, eps, l) is
+    in the superset exactly when lmin <= l <= lmax.
 
-    A translate alpha = (m, n, eps, l) survives when (a) the disk of radius
-    r about the translated center meets the triangle D, and (b) the t-window
-    of the translated sphere meets [0, 2 sqrt(7)].  Both run on ints.  With
-    sigma = (-1)^eps and the center's prism coordinates (za, zb, sn, zd),
-    the translated z is ((m zd + sigma za) + (n zd + sigma zb) tau)/zd, and
-    (a) is dist2^2 <= r^4 = 4/N(a31) with dist2 an int over 32 zd^2.  As D
-    lies in N(z) <= 2, (a) implies N(z) <= (sqrt(2) + r)^2, and that disk
-    gives the window of (m, n).  In (b), the translated center's s is
-    (sn + (m - mn) zd + sigma (n za - m zb))/zd, and the window's
+    A translate survives when (a) the disk of radius r about the translated
+    center meets the triangle D, and (b) the t-window of the translated
+    sphere meets [0, 2 sqrt(7)].  Both run on ints.  With sigma = (-1)^eps
+    and the center's prism coordinates (za, zb, sn, zd), the translated z
+    is ((m zd + sigma za) + (n zd + sigma zb) tau)/zd, and (a) is dist2^2
+    <= r^4 = 4/N(a31) with dist2 an int over 32 zd^2.  D lies in the disk
+    N(z - c) <= 4/7 about its circumcenter c = (2 + 3 tau)/7, so (a)
+    implies N(7 zd (z - c)) <= (zd (2 sqrt(7) + 7 r))^2, and that disk
+    gives the (m, n) that (a) decides.  In (b), the translated center's s
+    is (sn + (m - mn) zd + sigma (n za - m zb))/zd, and the window's
     half-width is bounded through square-root bounds over 2^16 that check
-    themselves; l runs over the floor-division range.  The result is in
-    tuple order (m, n, eps, l).
+    themselves; l runs over the floor-division range of an interval of
+    length at least 1, so no window is empty.
     """
     sph = SPHERES[j]
     za, zb, sn, zd = sph.center
@@ -270,14 +271,14 @@ def enumerate_cone_translates(j: int):
     r2 = _R2[j]
     r1 = _sqrt_ints(r2, _SQRT_DEN)[1]
     hd = _SQRT_DEN * _sqrt_ints(7, 1)[0]
-    # N(a + b tau) = zd^2 N(z) <= zd^2 (sqrt(2) + r)^2
-    nmax = (zd * (_sqrt_ints(2, 1)[1] + r1)) ** 2 // _SQRT_DEN**2
+    # N(7 zd (z - c)) = N((7 a - 2 zd) + (7 b - 3 zd) tau) <= (zd (2 sqrt(7) + 7 r))^2
+    nmax = (zd * (_sqrt_ints(28, 1)[1] + 7 * r1)) ** 2 // _SQRT_DEN**2
     # the translated center's s is sn2/zd, and l is a quotient over lden
     lden = 2 * hd * zd
-    out = []
+    out = {}
     for eps in (0, 1):
         sigma = -1 if eps else 1
-        for m, n in _lattice_disk(sigma * za, sigma * zb, zd, nmax):
+        for m, n in _lattice_disk(7 * sigma * za - 2 * zd, 7 * sigma * zb - 3 * zd, 7 * zd, nmax):
             a, b = m * zd + sigma * za, n * zd + sigma * zb
             num = _dist2_num(a, b, zd)
             if num * num * rd > disk:
@@ -290,11 +291,7 @@ def enumerate_cone_translates(j: int):
             # d' = (s' + 2 l) sqrt(7) with s' = sn2/zd: need s' + 2l in
             # [-hn/hd, 2 + hn/hd]
             sn2 = sn + (m - m * n) * zd + sigma * (n * za - m * zb)
-            lmin = -((hn * zd + sn2 * hd) // lden)
-            lmax = (2 * hd * zd + hn * zd - sn2 * hd) // lden
-            for l in range(lmin, lmax + 1):
-                out.append(CuspElt(m, n, eps, l))
-    out.sort()
+            out[m, n, eps] = -((hn * zd + sn2 * hd) // lden), (2 * hd * zd + hn * zd - sn2 * hd) // lden
     return out
 
 
@@ -343,9 +340,10 @@ def enumerate_tjk(j: int, k: int):
 
 
 @cache
-def candidate_spheres(j: int) -> frozenset:
-    """The candidate translates of j, as the set each sweep tests its hits against."""
-    return frozenset(enumerate_cone_translates(j))
+def candidate_spheres(j: int) -> dict:
+    """The candidate translates of j as l-windows (`enumerate_cone_translates`),
+    which each sweep tests its hits against."""
+    return enumerate_cone_translates(j)
 
 
 def _alg_ints(c: AlgNum):
@@ -394,7 +392,7 @@ def _k_generators():
     """The constants of the K kernel for each pairing matrix, in sweep
     order: (j, za, zb, zd, r2, col, table) with (za, zb, zd) of its
     sphere's center, r2 its r^2 bound, col the six ints of the conjugates
-    of A_j's first column and table its candidate translates.  Built at the
+    of A_j's first column and table its candidate l-windows.  Built at the
     first sweep: the tables are not forced at import."""
     out = []
     for j in sorted(GENERATORS):
@@ -420,8 +418,9 @@ def _k_sweep(v, own, _g, best):
     l, col1 grows by i sqrt(7) col3, so <v, col> = Z + l D, and N(Z + l D)
     is a convex quadratic in l: its hits are the ints next to its vertex,
     found by walking out from it.  A hit counts only if alpha is a
-    candidate translate of j, as every hit at a point over P is; a hit is
-    the tuple (m, n, eps, l, quantity) until it is yielded.
+    candidate translate of j (l lies in the window of (m, n, eps)), as
+    every hit at a point over P is; a hit is the tuple (m, n, eps, l,
+    quantity) until it is yielded.
 
     Every hit has a quantity h <= limit, for limit = own in full mode.  In
     best mode limit starts at own - 1 and drops to h - 1 at each yield, so
@@ -501,7 +500,7 @@ def _k_sweep(v, own, _g, best):
         if hits:
             hits.sort()
             for m, n, eps, l, h in hits:
-                if h <= limit and (m, n, eps, l) in table:
+                if h <= limit and (win := table.get((m, n, eps))) and win[0] <= l <= win[1]:
                     yield (-1 if h < own else 0), h, j, tuple.__new__(CuspElt, (m, n, eps, l))
                     if best:
                         limit, qb = h - 1, _sqrt_ints(h - 1, own)[1]
@@ -582,8 +581,8 @@ def _tower_sweep(v, own, g, rows, quantity, cmp):
     u' + N(z - z0) <= r^2, a lattice disk about zc once widened by 2/2^16,
     and 28 (l - l*)^2 <= r^4 - L^2 for a lower bound L of u' + N(z - z0);
     with the brackets' interval for l*, that is a window of l.  Each l in
-    it whose alpha is a candidate translate of j is decided by cmp, on
-    <v, col> = Z + l D with D = <v, (i sqrt(7) c3, 0, 0)>.
+    it and in the candidate window of (m, n, eps) for j is decided by cmp,
+    on <v, col> = Z + l D with D = <v, (i sqrt(7) c3, 0, 0)>.
     """
     ka, kb, ks = g[0] >> 1, g[1] >> 1, g[2] >> 1
     # |v3|^2 is the square of the scale, an int
@@ -613,6 +612,10 @@ def _tower_sweep(v, own, g, rows, quantity, cmp):
             # step (zc - z0) = (mm step + p0) + (nn step + q0) tau for (m, n) = (-mm, -nn)
             p0, q0 = zd * ka - sigma * _SQRT_DEN * za, zd * kb - sigma * _SQRT_DEN * zb
             for mm, nn in _lattice_disk(p0, q0, step, nmax):
+                m, n = -mm, -nn
+                window = table.get((m, n, eps))
+                if window is None:
+                    continue
                 # step |z - z0| >= g and step^2 (u' + N(z - z0)) >= uk + g^2;
                 # then (2 step (l - l*))^2 <= (r4 - rd (uk + g^2)^2)/wden
                 x, y = mm * step + p0, nn * step + q0
@@ -621,7 +624,6 @@ def _tower_sweep(v, own, g, rows, quantity, cmp):
                 if room < 0:
                     continue
                 w = isqrt(room // wden) + 1
-                m, n = -mm, -nn
                 s0 = m - m * n
                 # with zd sc = sn + s0 zd + sigma (n za - m zb) and p, q here
                 # zd times those of z0, 2 step l* = zd (2^16 s) - 2^16 zd sc +
@@ -630,7 +632,7 @@ def _tower_sweep(v, own, g, rows, quantity, cmp):
                 lnum = zd * ks - _SQRT_DEN * (sn + s0 * zd + sigma * (n * za - m * zb)) + kb * p - ka * q
                 lo = -((w - lnum - (p if p < 0 else 0) + (q if q > 0 else 0)) // step2)
                 hi = (lnum + zd + (p if p > 0 else 0) - (q if q < 0 else 0) + w) // step2
-                ls = [l for l in range(lo, hi + 1) if (m, n, eps, l) in table]
+                ls = range(max(lo, window[0]), min(hi, window[1]) + 1)
                 if not ls:
                     continue
                 # the column of (m, n, eps, 0), in the closed form of the

@@ -25,8 +25,6 @@ exact AlgNum sign or floor only where a bracket's window straddles the bound.
 A caller that tests one point several times brackets it once (`prism_grid`).
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import cache
 from itertools import combinations, groupby

@@ -10,8 +10,6 @@ An element of Gamma is a GroupElt, which does Gamma's algebra on the 18
 ints of its matrix; a Mat, a matrix over K, serves literals and JSON.
 """
 
-from __future__ import annotations
-
 import json
 from collections import namedtuple
 from functools import cache

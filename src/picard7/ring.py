@@ -35,8 +35,6 @@ an edge form, for construction, printing and `k_part`.
 No field uses floating point or interval libraries: every sign is exact.
 """
 
-from __future__ import annotations
-
 import math
 import re as _re
 from fractions import Fraction

@@ -13,10 +13,9 @@ overlaps, whose Schreier generators give the stabilizers, so that conjugacy
 and stabilizers reduce to finite group computations.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import cache
+from itertools import accumulate, repeat
 from math import gcd
 from operator import add, sub
 
@@ -136,48 +135,59 @@ def make_reflection(v) -> GroupElt:
     return GroupElt.from_ints(tuple(t), word=(("R_" + "".join(str(x) for x in polar.coords), 1),))
 
 
-def _eigenvector(t, lam, lift, mul):
-    """A vector spanning the kernel of g - lam I when it has rank 2, for g
-    with the 18 ints t, or None when lam is no eigenvalue of g.
+def _eigenvectors(t, lams, lift, mul):
+    """For each lam of lams in turn, a vector spanning the kernel of
+    g - lam I when it has rank 2, for g with the 18 ints t, or None when
+    lam is no eigenvalue of g.
 
-    lam lies in a field F that contains K (K, K(zeta_3) or K(zeta_7)) and
-    is given by its ints in F; lift takes a + b tau to F's ints, and mul
-    multiplies them.  The vector is three tuples of F's ints.
+    Each lam lies in a field F that contains K (K, K(zeta_3) or K(zeta_7))
+    and is given by its ints in F; lift takes a + b tau to F's ints, and
+    mul multiplies them.  Each vector is three tuples of F's ints.
 
     For a cyclic (i, j, k), the bilinear cross product of rows i and j of
     g - lam I is v = g_i x g_j + lam (g_ik e_i + g_jk e_j - (g_ii + g_jj) e_k)
     + lam^2 e_k, a column of adj(g - lam I) whose coefficients are int
     pairs (Goldman, Complex Hyperbolic Geometry, ch. 6).  Two independent
     rows kill v, and row k does exactly when g - lam I is singular:
-    products only, with no pivot and no division.
+    products only, with no pivot and no division.  The coefficients of v
+    and row k, lifted to F, do not depend on lam: each triple's are formed
+    once, at the first lam that reaches it, and evaluated at every lam.
     """
     rows = [[t[6 * r + 2 * c:6 * r + 2 * c + 2] for c in range(3)] for r in range(3)]
-    lam2 = mul(lam, lam)
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        gi, gj = rows[i], rows[j]
-        (p, q), (r, s) = gi[i], gj[j]
-        v = [None] * 3
-        # v_m = (g_i x g_j)_m + lam c, with (g_i x g_j)_m = g_ia g_jb - g_ib g_ja
-        for m, a, b, c in ((i, j, k, gi[k]), (j, k, i, gj[k]), (k, i, j, (-p - r, -q - s))):
-            x, y = _mul_ints(*gi[a], *gj[b])
-            z, w = _mul_ints(*gi[b], *gj[a])
-            v[m] = tuple(map(add, lift(x - z, y - w), mul(lam, lift(*c))))
-        v[k] = tuple(map(add, v[k], lam2))
-        if any(map(any, v)):
-            u = mul(lam, v[k])  # row k of g - lam I, applied to v
-            for c, x in zip(rows[k], v):
-                u = tuple(map(sub, u, mul(lift(*c), x)))
-            return None if any(u) else tuple(v)
-    raise ArithmeticError("g - lam I has rank below 2")
+    forms = {}
+    for lam in lams:
+        lam2 = mul(lam, lam)
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            if k not in forms:
+                gi, gj = rows[i], rows[j]
+                (p, q), (r, s) = gi[i], gj[j]
+                coeffs = [None] * 3
+                # v_m = (g_i x g_j)_m + lam c, with (g_i x g_j)_m = g_ia g_jb - g_ib g_ja
+                for m, a, b, c in ((i, j, k, gi[k]), (j, k, i, gj[k]), (k, i, j, (-p - r, -q - s))):
+                    x, y = _mul_ints(*gi[a], *gj[b])
+                    z, w = _mul_ints(*gi[b], *gj[a])
+                    coeffs[m] = lift(x - z, y - w), lift(*c)
+                forms[k] = coeffs, [lift(*c) for c in rows[k]]
+            coeffs, row = forms[k]
+            v = [tuple(map(add, x, mul(lam, c))) for x, c in coeffs]
+            v[k] = tuple(map(add, v[k], lam2))
+            if any(map(any, v)):
+                u = mul(lam, v[k])  # row k of g - lam I, applied to v
+                for c, x in zip(row, v):
+                    u = tuple(map(sub, u, mul(c, x)))
+                yield None if any(u) else tuple(v)
+                break
+        else:
+            raise ArithmeticError("g - lam I has rank below 2")
 
 
 def _k_lift(a: int, b: int):
-    """K's lift for `_eigenvector`: a + b tau is its own int pair."""
+    """K's lift for `_eigenvectors`: a + b tau is its own int pair."""
     return a, b
 
 
 def _k_mul(f, g):
-    """K's mul for `_eigenvector`, on int pairs."""
+    """K's mul for `_eigenvectors`, on int pairs."""
     return _mul_ints(*f, *g)
 
 
@@ -248,8 +258,7 @@ def classify_elliptic(g: GroupElt, n: int):
     # of finite order and not an involution, so g has three simple
     # eigenvalues; K contains only the roots of unity +/-1, so any
     # K-rational eigenvector belongs to one of those
-    for lam in (1, -1):
-        v = _eigenvector(g.ints, (lam, 0), _k_lift, _k_mul)
+    for v in _eigenvectors(g.ints, ((1, 0), (-1, 0)), _k_lift, _k_mul):
         if v is not None:
             v = v[0] + v[1] + v[2]
             if sq_norm_ints(v) < 0:
@@ -269,10 +278,9 @@ def classify_elliptic(g: GroupElt, n: int):
         z = tw.zeta if n == 3 else tuple(map(add, tw.lift(1, 0), tw.zeta))
     else:
         raise ValueError(f"unsupported eigenvalue field for projective order {n}")
-    lam = tw.lift(e, 0)
-    for _ in range(1, n):
-        lam = tw.mul(lam, z)
-        v = _eigenvector(g.ints, lam, tw.lift, tw.mul)
+    # the candidates e z, e z^2, .., e z^(n - 1), as running products
+    lams = accumulate(repeat(z, n - 2), tw.mul, initial=tw.mul(tw.lift(e, 0), z))
+    for v in _eigenvectors(g.ints, lams, tw.lift, tw.mul):
         if v is not None:
             v = tuple(_alg(tw, f, 1) for f in v)
             if sq_norm(v).real_sign() < 0:

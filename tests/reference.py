@@ -626,6 +626,13 @@ def search_orthogonal_mirrors(ctx, norm: int, height: int):
 # ---------------------------------------------------------------------------
 
 
+def cone_translates(j: int):
+    """The translates alpha = (m, n, eps, l) of j's l-windows
+    (`enumerate_cone_translates`), in tuple order."""
+    return sorted(CuspElt(m, n, eps, l) for (m, n, eps), (lmin, lmax) in enumerate_cone_translates(j).items()
+                  for l in range(lmin, lmax + 1))
+
+
 @functools.cache
 def candidate_columns(j: int):
     """(alpha, col) pairs over the translate superset of j, in (j, alpha) order.
@@ -641,7 +648,7 @@ def candidate_columns(j: int):
     t = GENERATORS[j].ints
     p1, q1, p2, q2, p3, q3 = t[0], t[1], t[6], t[7], t[12], t[13]
     out = []
-    for alpha in enumerate_cone_translates(j):
+    for alpha in cone_translates(j):
         m, n, eps, l = alpha
         s0 = m - m * n + 2 * l
         nw_s0 = _norm_ints(m, n) + s0
@@ -738,7 +745,7 @@ def ref_zeta7_sweep(v, own):
 def ford_candidates():
     """(j, alpha, alpha A_j) for every candidate column, in sweep order."""
     return [(j, alpha, alpha.to_matrix() * GENERATORS[j])
-            for j in sorted(GENERATORS) for alpha in enumerate_cone_translates(j)]
+            for j in sorted(GENERATORS) for alpha in cone_translates(j)]
 
 
 def ref_reduce(x):

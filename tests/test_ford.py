@@ -58,6 +58,7 @@ from reference import (
     act_horo,
     alg_pow,
     candidate_columns,
+    cone_translates,
     cygan_dist4,
     dist2_to_triangle,
     eigenspace_basis,
@@ -215,13 +216,21 @@ def test_lattice_disk_matches_brute_force():
     assert list(_lattice_disk(1, 0, 2, 0)) == []
 
 
+def test_triangle_lies_on_its_circumcircle():
+    # the cone tables walk a disk about D's circumcenter c = (2 + 3 tau)/7:
+    # N(7 v - (2 + 3 tau)) = 28, that is N(v - c) = 4/7, at each vertex v of D
+    for va, vb in ((0, 0), (1, 0), (0, 1)):
+        assert _norm_ints(7 * va - 2, 7 * vb - 3) == 28
+
+
 # the box the cone-table references scan; the tables reach |m|, |n| <= 4,
 # and _ref_cone_translates checks that no survivor lies on the box's edge
 _CONE_BOX = 8
 
 
 def test_cone_translates_keep_every_survivor():
-    # every (m, n, eps) in the box whose translated disk meets D is kept
+    # every (m, n, eps) in the box whose translated disk meets D is kept,
+    # with a window that holds at least one l
     for j in GENERATORS:
         center, r4 = horo_sphere(j)
         want = set()
@@ -231,7 +240,7 @@ def test_cone_translates_keep_every_survivor():
                     z = act_horo(CuspElt(m, n, eps, 0), center).z
                     if dist2_to_triangle(z) ** 2 <= r4:
                         want.add((m, n, eps))
-        assert {(a.m, a.n, a.eps) for a in enumerate_cone_translates(j)} == want
+        assert set(enumerate_cone_translates(j)) == {(a.m, a.n, a.eps) for a in cone_translates(j)} == want
 
 
 @functools.cache
@@ -258,9 +267,10 @@ def _ref_cone_translates(j):
 
 def test_cone_translates_match_full_action_reference():
     # filtering on the translated z before the full cusp action keeps the
-    # same survivors, in the same order, in all 14 tables
+    # same survivors in all 14 tables, and each l-window holds exactly the
+    # l the reference's per-l loop takes
     for j in GENERATORS:
-        assert enumerate_cone_translates(j) == _ref_cone_translates(j)
+        assert cone_translates(j) == _ref_cone_translates(j)
 
 
 def test_candidate_columns_match_matrix_reference():
@@ -275,7 +285,7 @@ def test_candidate_columns_match_matrix_reference():
             assert all(c.d == 1 for c in col)
             want.append((alpha, tuple(x for c in col for x in (c.na, c.nb))))
         assert candidate_columns(j) == want
-        assert candidate_spheres(j) == {alpha for alpha, _ in want}
+        assert candidate_spheres(j) == enumerate_cone_translates(j)
         total += len(want)
     assert total == 548
 
@@ -309,10 +319,10 @@ def test_ford_side_matches_sphere_membership():
 
 
 def test_cone_translates():
-    e1 = enumerate_cone_translates(1)
+    e1 = cone_translates(1)
     assert CuspElt() in e1
     for j in GENERATORS:
-        ej = enumerate_cone_translates(j)
+        ej = cone_translates(j)
         assert ej
         center, r4 = horo_sphere(j)
         for alpha in ej:

@@ -329,10 +329,11 @@ def test_only_numbers_and_group_elements_hand_roll_immutability():
 
 def test_cli_import_loads_no_code_generators():
     # dataclasses pulls in inspect, ast, dis and tokenize, which a process
-    # that cannot cache bytecode compiles from source at every start
+    # that cannot cache bytecode compiles from source at every start; so is
+    # __future__, which no module needs on the supported Pythons
     code = (
         "import sys; sys.path.insert(0, %r); import picard7.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))" % str(SRC.parent)
+        "print(sorted({'dataclasses', 'inspect', 'ast', '__future__'} & set(sys.modules)))" % str(SRC.parent)
     )
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
@@ -393,7 +394,7 @@ for point in sys.argv[1:]:
 
 def test_gamma_algebra_runs_on_group_elements():
     # orders, residues, the action on vectors and the eigenvectors, at +/-1
-    # and at the tower roots of unity alike (torsion._eigenvector), run on a
+    # and at the tower roots of unity alike (torsion._eigenvectors), run on a
     # GroupElt's 18 ints; a Mat keeps its edge role: literals, JSON, products
     bound = bound_names(ast.parse((SRC / "hermitian.py").read_text()).body)
     gone = {"Mat.apply", "Mat.charpoly", "Mat.det", "Mat.trace", "Mat.__neg__", "_dot_k", "GroupElt.apply",
@@ -411,7 +412,7 @@ def test_gamma_algebra_runs_on_group_elements():
     # classify_elliptic and its eigenvector routine read no KNum rows
     torsion = {n.name: n for n in ast.parse((SRC / "torsion.py").read_text()).body
                if isinstance(n, ast.FunctionDef)}
-    for name in ("classify_elliptic", "_eigenvector"):
+    for name in ("classify_elliptic", "_eigenvectors"):
         assert not [n for n in ast.walk(torsion[name]) if getattr(n, "attr", getattr(n, "id", None)) == "entries"]
     # the `g.mat` view is read for JSON in cli, for verify_mirror_L's
     # in_gamma report field, and for a GroupElt's printed form
@@ -515,7 +516,7 @@ def test_reflection_count_reads_no_eigenvalues():
 
     axis = names_in("_involution_axis")
     assert "ints_product" in axis
-    assert not axis & {"charpoly", "_repeated_eigenvalue", "_eigenvector"}
+    assert not axis & {"charpoly", "_repeated_eigenvalue", "_eigenvectors"}
     assert "_involution_axis" in names_in("reflection_polar") & names_in("classify_elliptic")
     gone = {"_repeated_eigenvalue", "_simple_eigenpoint"}
     assert not names_in("classify_elliptic") & gone

@@ -186,18 +186,27 @@ def test_projective_order_matches_the_product_loop():
 
 
 def _eigenvector_calls(monkeypatch):
-    """The calls classify_elliptic makes to torsion._eigenvector, recorded
-    as (g's ints, lam, field, answer), field None for K and else the tower."""
-    eigenvector = torsion._eigenvector
+    """The candidates classify_elliptic tries through torsion._eigenvectors,
+    recorded as (g's ints, lam, field, answer) as each answer is taken,
+    field None for K and else the tower."""
+    eigenvectors = torsion._eigenvectors
     calls = []
 
-    def spy(t, lam, lift, mul):
-        v = eigenvector(t, lam, lift, mul)
-        calls.append((t, lam, None if lift is torsion._k_lift else lift.__self__, v))
-        return v
+    def spy(t, lams, lift, mul):
+        lams = list(lams)
+        field = None if lift is torsion._k_lift else lift.__self__
+        for lam, v in zip(lams, eigenvectors(t, lams, lift, mul)):
+            calls.append((t, lam, field, v))
+            yield v
 
-    monkeypatch.setattr(torsion, "_eigenvector", spy)
+    monkeypatch.setattr(torsion, "_eigenvectors", spy)
     return calls
+
+
+def _eigenvector(t, lam, lift, mul):
+    """torsion._eigenvectors at the one candidate lam."""
+    (v,) = torsion._eigenvectors(t, [lam], lift, mul)
+    return v
 
 
 def _number(field, f):
@@ -346,7 +355,7 @@ def test_classify_takes_kernels_only_at_eigenvalues(monkeypatch):
 
 
 def _matches_the_reference(m: Mat, lam, field, v) -> bool:
-    """Whether v, torsion._eigenvector's answer for the matrix m at lam,
+    """Whether v, torsion._eigenvectors' answer for the matrix m at lam,
     spans a kernel: it is None exactly where the KNum-row reference cross
     product is, where the reference elimination finds no kernel and the
     reference characteristic polynomial does not vanish, and otherwise
@@ -393,10 +402,10 @@ def test_eigenvector_matches_the_reference_kernel(monkeypatch):
     # its three simple eigenvalues, and at 2 and zeta_3, which are none
     m = Mat([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     for lam in (0, 1, 5, 2):
-        v = torsion._eigenvector(mat_ints(m), (lam, 0), torsion._k_lift, torsion._k_mul)
+        v = _eigenvector(mat_ints(m), (lam, 0), torsion._k_lift, torsion._k_mul)
         assert _matches_the_reference(m, (lam, 0), None, v) == (lam != 2)
     tw = zeta3_tower()
-    v = torsion._eigenvector(mat_ints(m), tw.zeta, tw.lift, tw.mul)
+    v = _eigenvector(mat_ints(m), tw.zeta, tw.lift, tw.mul)
     assert not _matches_the_reference(m, tw.zeta, tw, v)
 
 
@@ -418,7 +427,7 @@ def test_mirror_is_a_positive_simple_eigenvector():
             continue
         assert len(eigenspace_basis(g, lam)) == 2
         simple = -charpoly[2] - 2 * lam  # +/-1
-        v = torsion._eigenvector(g.ints, (simple.na, simple.nb), torsion._k_lift, torsion._k_mul)
+        v = _eigenvector(g.ints, (simple.na, simple.nb), torsion._k_lift, torsion._k_mul)
         norm = sq_norm_ints(v[0] + v[1] + v[2])
         assert norm != 0
         sign = 1 if norm > 0 else -1
