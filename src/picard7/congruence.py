@@ -7,8 +7,8 @@ from picard7.heisenberg import R, T1, TV
 from picard7.torsion import enumerate_torsion, orbit_walk
 
 
-#: the identity matrix over a prime field
-IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+#: the identity matrix over a prime field, as its nine entries row by row
+IDENTITY = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
 #: the most elements an FpMatGroup closure may reach
 CLOSURE_CAP = 100000
@@ -19,6 +19,8 @@ class ResidueMap:
 
     The quotient is F_7 for the ideal generated by i*sqrt(7) (tau maps to 4,
     the inverse of 2) and F_2 for the ideal generated by tau (tau maps to 0).
+    A matrix over the quotient is one flat tuple of its nine entries, row
+    by row: a closure holds one tuple per element.
     """
 
     def __init__(self, ideal: str):
@@ -39,30 +41,26 @@ class ResidueMap:
 
     def __call__(self, t):
         p, tau = self.p, self.tau
-        e = [(a + b * tau) % p for a, b in zip(t[0::2], t[1::2])]
-        return tuple(e[0:3]), tuple(e[3:6]), tuple(e[6:9])
+        return tuple((a + b * tau) % p for a, b in zip(t[0::2], t[1::2]))
 
     def mul(self, x, y):
-        (x00, x01, x02), (x10, x11, x12), (x20, x21, x22) = x
-        (y00, y01, y02), (y10, y11, y12), (y20, y21, y22) = y
+        x00, x01, x02, x10, x11, x12, x20, x21, x22 = x
+        y00, y01, y02, y10, y11, y12, y20, y21, y22 = y
         p = self.p
         return (
-            ((x00 * y00 + x01 * y10 + x02 * y20) % p,
-             (x00 * y01 + x01 * y11 + x02 * y21) % p,
-             (x00 * y02 + x01 * y12 + x02 * y22) % p),
-            ((x10 * y00 + x11 * y10 + x12 * y20) % p,
-             (x10 * y01 + x11 * y11 + x12 * y21) % p,
-             (x10 * y02 + x11 * y12 + x12 * y22) % p),
-            ((x20 * y00 + x21 * y10 + x22 * y20) % p,
-             (x20 * y01 + x21 * y11 + x22 * y21) % p,
-             (x20 * y02 + x21 * y12 + x22 * y22) % p),
+            (x00 * y00 + x01 * y10 + x02 * y20) % p,
+            (x00 * y01 + x01 * y11 + x02 * y21) % p,
+            (x00 * y02 + x01 * y12 + x02 * y22) % p,
+            (x10 * y00 + x11 * y10 + x12 * y20) % p,
+            (x10 * y01 + x11 * y11 + x12 * y21) % p,
+            (x10 * y02 + x11 * y12 + x12 * y22) % p,
+            (x20 * y00 + x21 * y10 + x22 * y20) % p,
+            (x20 * y01 + x21 * y11 + x22 * y21) % p,
+            (x20 * y02 + x21 * y12 + x22 * y22) % p,
         )
 
     def is_scalar(self, x) -> bool:
-        return (
-            x[0][1] == x[0][2] == x[1][0] == x[1][2] == x[2][0] == x[2][1] == 0
-            and x[0][0] == x[1][1] == x[2][2]
-        )
+        return x[1] == x[2] == x[3] == x[5] == x[6] == x[7] == 0 and x[0] == x[4] == x[8]
 
 
 class FpMatGroup:

@@ -16,7 +16,9 @@ ProjPoint's rep from input to answer: the K sweep reads them, and the
 reduction moves them by int products.  Gamma maps primitive vectors of
 O_7^3 to primitive vectors, so the reduced point takes the sign rule of
 its rep and no gcd.  A tower point keeps its AlgNum coordinates, at
-v3 = 1, in the same loop.
+v3 = 1, in the same loop.  Its sweep does not depend on the mode of the
+caller, so the hits of each tower sweep are memoized: the cycle graph at a
+reduced tower point reads the reduction's last sweep.
 """
 
 from collections import namedtuple
@@ -376,7 +378,8 @@ def _forms(v):
 # kernel may yield only the hits whose quantity is below own and below
 # every quantity it yielded before: the last is still the first smallest
 # strict hit.  The K kernel does, and narrows its window to match; the
-# tower kernels ignore best.
+# tower kernels ignore best, and return the memoized tuple of their hits
+# (`_tower_hits`).
 
 
 def _k_cmp(p, q) -> int:
@@ -525,7 +528,7 @@ def _zeta3_cmp(p, q) -> int:
     return sqrt21_sign(p[0] - q[0], p[1] - q[1])
 
 
-def _zeta3_sweep(v, own, g, _best):
+def _zeta3_sweep(v, own, g):
     """v = v0 + v1 zeta_3 with v0, v1 in O_7^3: <v, col> = X0 + X1 zeta_3,
     and the quantity is the int pair (m, n) of 2|X0 + X1 zeta_3|^2."""
     ints = [_alg_ints(c) for c in v]
@@ -544,7 +547,7 @@ def _zeta7_cmp(p, q) -> int:
     return eta_sign(p[1] - q[1] - d0, p[2] - q[2] - d0, p[3] - q[3] - d0)
 
 
-def _zeta7_sweep(v, own, g, _best):
+def _zeta7_sweep(v, own, g):
     """v in O_K(zeta_7)^3, each coordinate its ints F_1 .. F_6 and F_0 = 0: the
     quantity is the autocorrelation (h_0, .., h_3) of <v, col>, |x|^2 =
     sum_m h_m zeta_7^m."""
@@ -654,11 +657,31 @@ def _tower_sweep(v, own, g, rows, quantity, cmp):
             yield sign, h, j, alpha
 
 
+#: the sweep of each tower, by n for K(zeta_n)
+_TOWER_SWEEPS = {3: _zeta3_sweep, 7: _zeta7_sweep}
+
+
+@cache
+def _tower_hits(v, own, g, n):
+    """The hits of the sweep of v over K(zeta_n), as a tuple, memoized.
+
+    A tower sweep ignores best, so `reduce_to_domain`'s last sweep, which
+    certifies that its answer y lies in Omega, and the `spheres_at` sweep
+    of a cycle graph at y are one call, with the same vector, own and
+    grid: the second reads the first's hits.
+    """
+    return tuple(_TOWER_SWEEPS[n](v, own, g))
+
+
+def _tower_kernel(v, own, g, _best):
+    return _tower_hits(tuple(v), own, g, v[0].tower.n)
+
+
 #: the sweep kernel of each field, by n for K(zeta_n), 1 for K
 _KERNELS = {
     1: (_k_quantity, _k_cmp, _k_sweep),
-    3: (_zeta3_quantity_of, _zeta3_cmp, _zeta3_sweep),
-    7: (_zeta7_quantity_of, _zeta7_cmp, _zeta7_sweep),
+    3: (_zeta3_quantity_of, _zeta3_cmp, _tower_kernel),
+    7: (_zeta7_quantity_of, _zeta7_cmp, _tower_kernel),
 }
 
 

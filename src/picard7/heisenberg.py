@@ -23,12 +23,15 @@ test are closed form on ints: a K-rational point's own, and for a tower
 point the ints of its certified brackets floor(2^16 x) (`bracket`), with an
 exact AlgNum sign or floor only where a bracket's window straddles the bound.
 A caller that tests one point several times brackets it once (`prism_grid`).
+The overlaps that keep a point of P in P are read off the 13 planar parts
+of the cusp overlaps (`overlaps_keeping`), with no table: the 34 overlaps
+themselves (`enumerate_cusp_overlaps`) are derived only for the commands
+that print them.
 """
 
 from collections import namedtuple
 from functools import cache
-from itertools import combinations, groupby
-from operator import itemgetter
+from itertools import combinations
 
 from .ring import ISQRT7, TAU, AlgNum
 from .hermitian import GroupElt, _mul_ints, _norm_ints, sq_norm_ints
@@ -329,69 +332,80 @@ def _overlap_vertices(m: int, n: int, sign: int):
     return verts
 
 
+#: the 13 planar parts (m, n, eps) of the cusp overlaps, in normal-form
+#: order: D meets w + sigma D, w = m + n tau, iff w lies in D - sigma D, the
+#: hexagon for a translation and 2D for a half-turn
+_PARTS = tuple(
+    (m, n, eps)
+    for m in range(-1, 3)
+    for n in range(-1, 3)
+    for eps in (0, 1)
+    if (m >= 0 and n >= 0 and m + n <= 2 if eps else max(abs(m), abs(n), abs(m + n)) <= 1)
+)
+
+
 @cache
 def enumerate_cusp_overlaps():
     """All cusp elements gamma with gamma(P) meeting P, in closed form.
 
     D is the base triangle of P, sigma = (-1)^eps the sign of z in the
-    cusp map and w = m + n*tau its planar part.  The t-shift is affine on the
-    overlap polygon, so its range lies between its values at the polygon's
-    vertices, which gives the exact vertical range of each planar part.
-    The result never changes, so it is derived once per process and shared
-    as a tuple, in normal-form order.
+    cusp map and w = m + n*tau its planar part, one of `_PARTS`.  The
+    t-shift is affine on the overlap polygon, so its range lies between its
+    values at the polygon's vertices, which gives the exact vertical range
+    of each planar part.  The result never changes, so it is derived once
+    per process and shared as a tuple, in normal-form order.
     """
     out = []
-    for m in range(-2, 3):
-        for n in range(-2, 3):
-            for eps in (0, 1):
-                # D meets w + sigma D iff w lies in D - sigma D: the hexagon
-                # for a translation, 2D for a half-turn
-                if eps:
-                    meets = m >= 0 and n >= 0 and m + n <= 2
-                else:
-                    meets = max(abs(m), abs(n), abs(m + n)) <= 1
-                if not meets:
-                    continue
-                sign = -1 if eps else 1
-                verts = _overlap_vertices(m, n, sign)
-                if not verts:
-                    raise ArithmeticError("overlap polygon of a meeting translate has no vertices")
-                # s' = s + (m - mn) + 2l + sign * 2 Im(w conj z)/sqrt(7), and
-                # 2 Im(w conj z)/sqrt(7) = n a - m b at z = a + b*tau
-                shifts = [m - m * n + sign * (n * x - m * y) for x, y in verts]
-                # s and s' both lie in [0, 2] for some s iff shift + 2l lies in
-                # [-2, 2], and over the polygon the shift spans [min, max]
-                lmin = -((2 + max(shifts)) // 2)
-                lmax = (2 - min(shifts)) // 2
-                out.extend(CuspElt(m, n, eps, l) for l in range(lmin, lmax + 1))
+    for m, n, eps in _PARTS:
+        sign = -1 if eps else 1
+        verts = _overlap_vertices(m, n, sign)
+        if not verts:
+            raise ArithmeticError("overlap polygon of a meeting translate has no vertices")
+        # s' = s + (m - mn) + 2l + sign * 2 Im(w conj z)/sqrt(7), and
+        # 2 Im(w conj z)/sqrt(7) = n a - m b at z = a + b*tau
+        shifts = [m - m * n + sign * (n * x - m * y) for x, y in verts]
+        # s and s' both lie in [0, 2] for some s iff shift + 2l lies in
+        # [-2, 2], and over the polygon the shift spans [min, max]
+        lmin = -((2 + max(shifts)) // 2)
+        lmax = (2 - min(shifts)) // 2
+        out.extend(CuspElt(m, n, eps, l) for l in range(lmin, lmax + 1))
     return tuple(out)
 
 
 def overlaps_keeping(x, grid=None):
     """The cusp overlaps c other than the identity with c(x) in P, in
-    normal-form order, for the prism coordinates x of a point over P and
-    their grid, as in reduce_to_prism.
+    normal-form order, for the prism coordinates x of a point in P and
+    their grid, as in reduce_to_prism.  A point outside P raises
+    ValueError.
 
-    The overlaps come in runs of one planar part (m, n, eps), whose image
-    z is tested against D once.  Along a run, s' = base + 2 l den, so with
-    k = floor(base/(2 den)), only l = -k keeps s' in [0, 2 den), and l = 1 - k
-    gives s' = 2 den exactly when base = 2 k den.  Each test is read off
-    the grid of x.
+    The moves are read off the 13 planar parts (m, n, eps) of `_PARTS`,
+    with no table of overlaps: as x lies in P, c(x) in P means that c(P)
+    meets P, so every such c is an overlap.  Each part's image z is tested
+    against D once.  Then s' = base + 2 l den, so with k = floor(base/(2
+    den)), only l = -k keeps s' in [0, 2 den), and l = 1 - k gives s' =
+    2 den exactly when base = 2 k den.  The identity's part tests x
+    itself: l = 0 is among its l exactly when x lies in P.  Each test is
+    read off the grid of x.
     """
     g, r = grid or prism_grid(x)
     den = g[3]
     out = []
-    for part, run in groupby(enumerate_cusp_overlaps(), key=itemgetter(0, 1, 2)):
+    for part in _PARTS:
         # the image of x under (m, n, eps, 0), read off its four ints
         planar = part + (0,)
         pa, pb, base, _ = act_prism(planar, g)
-        if not _in_triangle(pa, pb, den, r, lambda: act_prism(planar, x)):
-            continue
-        rs = r * (1 + abs(part[0]) + abs(part[1]))
-        k = _floor(base, rs, 2, den, lambda: act_prism(planar, x)[2])
-        tie = _sign(base - 2 * den * k, rs, lambda: act_prism(planar, x)[2] - 2 * k) == 0
-        last = 1 - k if tie else -k
-        out += [c for c in run if -k <= c.l <= last and c != IDENTITY]
+        ls = ()
+        if _in_triangle(pa, pb, den, r, lambda: act_prism(planar, x)):
+            rs = r * (1 + abs(part[0]) + abs(part[1]))
+            k = _floor(base, rs, 2, den, lambda: act_prism(planar, x)[2])
+            tie = _sign(base - 2 * den * k, rs, lambda: act_prism(planar, x)[2] - 2 * k) == 0
+            ls = (-k, 1 - k) if tie else (-k,)
+        if part == (0, 0, 0):
+            # the identity keeps x in P exactly when x lies in P
+            if 0 not in ls:
+                raise ValueError("overlaps_keeping needs a point in the prism P")
+            ls = [l for l in ls if l]
+        out += [CuspElt(*part, l) for l in ls]
     return out
 
 

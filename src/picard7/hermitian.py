@@ -424,6 +424,7 @@ def norm_form_solutions(gram, norm: int, height: int):
     and a multiple G (al, be) in the box |tau-coefficient| <= height: each
     al != 0 of the box is G al' over its divisors G, and the be' solve one of
     two shapes of q(al', be') = norm.  Another Gram form raises ArithmeticError.
+    Each pair is the four ints (a, b, u, v) of al = a + b tau, be = u + v tau.
     """
     g11, g12, g22 = gram
     if g11 != 0 or g22 not in (0, 1):
@@ -451,7 +452,7 @@ def norm_form_solutions(gram, norm: int, height: int):
                 found.update(max((a1, b1, u, v), (-a1, -b1, -u, -v)) for u, v in betas
                              if max(map(abs, _mul_ints(c, e, u, v))) <= height
                              and gcd(n1, _norm_ints(u, v), a1 * u + a1 * v + 2 * b1 * v, b1 * u - a1 * v) == 1)
-    return [(knum_from_ints(a, b), knum_from_ints(u, v)) for a, b, u, v in found]
+    return list(found)
 
 
 #: radius of the box of middle coordinates searched by depth_witness

@@ -28,7 +28,6 @@ from picard7.hermitian import (
 )
 from picard7.heisenberg import R, T1, TTAU, TV
 from picard7.ford import GENERATORS, reduce_to_domain
-from picard7.congruence import FpMatGroup, ResidueMap
 from picard7.torsion import (
     ClosureError,
     _search_alphabet,
@@ -67,7 +66,8 @@ class MirrorContext:
         minors = [b1[i] * b2[j] - b1[j] * b2[i] for i, j in ((0, 1), (0, 2), (1, 2))]
         if not o_gcd_many(minors).is_one():
             raise ArithmeticError("the mirror basis is not saturated")
-        # the basis as the six ints of each vector, for the tests on ints
+        # the basis as the six ints of each vector, for the tests on ints:
+        # each b is primitive under the sign rule, so its point's rep is b
         self.basis_ints = tuple(ProjPoint(b).rep for b in self.basis)
         g11, g12, g22 = sq_norm(b1), herm_inner(b2, b1), sq_norm(b2)
         if (g11 * g22 - g12 * g12.conj()).real_sign() >= 0:
@@ -224,14 +224,19 @@ def search_orthogonal_mirrors(ctx, norm: int, height: int):
     coefficients bounded by the height.  The basis is saturated, so v is G
     times the primitive al'*b1 + be'*b2 for G = gcd(al, be), and v is kept
     exactly when q(al', be') = norm: norm_form_solutions solves that equation.
+    So each polar is al'*b1 + be'*b2 for a coprime pair, a primitive vector
+    formed on ints, whose point takes the sign rule and no O_7 gcd.
     """
     if height < 1:
         raise ValueError("height must be at least 1")
     if height > MAX_SEARCH_HEIGHT:
         raise ClosureError("height %d exceeds the search cap %d" % (height, MAX_SEARCH_HEIGHT))
-    b1, b2 = ctx.basis
+    (p1, q1, p2, q2, p3, q3), (r1, s1, r2, s2, r3, s3) = ctx.basis_ints
+    # the 18 ints of the matrix with columns b1, b2 and 0, which maps
+    # (al, be, 0) to al*b1 + be*b2
+    t = (p1, q1, r1, s1, 0, 0, p2, q2, r2, s2, 0, 0, p3, q3, r3, s3, 0, 0)
     pairs = norm_form_solutions(ctx.gram, norm, height)
-    return sorted(ProjPoint(tuple(al * b1[k] + be * b2[k] for k in range(3))) for al, be in pairs)
+    return sorted(ProjPoint.of_primitive(_apply_ints(t, (a, b, u, v, 0, 0))) for a, b, u, v in pairs)
 
 
 # polar vectors of the four reflections pairing sides of the mirror-L domain
@@ -335,10 +340,15 @@ def verify_mirror_L() -> dict:
     # lam S2_FIXED for such a g, both vectors are primitive and O_7 is a PID,
     # so lam = +/-1 and the equation survives reduction mod <tau>: the residue
     # of S2_FIXED would be the first column of an element of the image group.
+    # The residue maps load here, so that the other mirror commands do not
+    # import them.
+    from picard7.congruence import FpMatGroup, ResidueMap
+
     rm = ResidueMap("tau")
     image = FpMatGroup([g.ints for g in gens.values()] + [(TTAU * R).to_matrix().ints], rm)
     cusp = tuple(rm.scalar(x) for x in S2_FIXED)
-    report["cusps_stab_equivalent"] = any(tuple(r[0] for r in x) == cusp for x in image.elements)
+    # an element is its nine residues row by row: its first column is x[0::3]
+    report["cusps_stab_equivalent"] = any(x[0::3] == cusp for x in image.elements)
     report["all_pass"] = (
         all(d["orthogonal"] for d in report["vectors"].values())
         and [report["vectors"]["v%d" % k]["norm"] for k in (1, 2, 3, 4)] == [2, 2, 2, 1]

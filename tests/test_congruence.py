@@ -32,8 +32,12 @@ def test_residue_map_laws():
 def test_reduce_examples():
     rm = ResidueMap("isqrt7")
     assert rm(GroupElt.identity().ints) == IDENTITY
-    assert rm(mat_ints(A_MAT)) == ((1, 0, 0), (6, 1, 0), (3, 1, 1))
-    assert rm(mat_ints(B_MAT)) == ((1, 4, 6), (0, 6, 4), (0, 0, 1))
+    # a residue matrix is its nine entries, row by row
+    assert rm(mat_ints(A_MAT)) == (1, 0, 0, 6, 1, 0, 3, 1, 1)
+    assert rm(mat_ints(B_MAT)) == (1, 4, 6, 0, 6, 4, 0, 0, 1)
+    assert rm.is_scalar(IDENTITY) and rm.is_scalar((3, 0, 0, 0, 3, 0, 0, 0, 3))
+    for x in ((3, 0, 0, 0, 3, 0, 0, 0, 1), (1, 0, 0, 0, 1, 0, 0, 1, 1), rm(mat_ints(A_MAT))):
+        assert not rm.is_scalar(x)
     with pytest.raises(ValueError):
         rm.scalar(KNum(Fraction(1, 2)))
 

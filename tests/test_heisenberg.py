@@ -430,16 +430,23 @@ def test_cusp_overlaps_are_derived_once():
 
 
 def test_overlaps_keeping_on_seeded_int_coordinates():
-    # small denominators put many images on a facet of P, s' = 2 den too
+    # small denominators put many images on a facet of P, s' = 2 den too;
+    # a draw outside P is refused
     rng = random.Random(61)
     ties = 0
+    inside = 0
     for _ in range(400):
         den = rng.randint(1, 4)
         x = tuple(rng.randint(-den, 2 * den) for _ in range(2)) + (rng.randint(-2 * den, 4 * den), den)
+        if not in_prism(x):
+            with pytest.raises(ValueError, match="needs a point in the prism"):
+                overlaps_keeping(x)
+            continue
+        inside += 1
         got = overlaps_keeping(x)
         assert got == ref_overlaps_keeping(x)
         ties += sum(act_prism(c, x)[2] == 2 * den for c in got)
-    assert ties > 0
+    assert ties > 0 and 0 < inside < 400
 
 
 def test_cusp_overlaps_translate_range():

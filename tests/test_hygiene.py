@@ -352,6 +352,44 @@ def test_cli_command_loads_no_argparse():
     assert out.stdout.splitlines()[-1] == "[]"
 
 
+def test_mirror_import_loads_no_residue_maps():
+    # only mirror L's cusp certificate reduces matrices modulo an ideal, so
+    # `mirror search` and `mirror verify --which R` do not import congruence
+    code = (
+        "import sys; sys.path.insert(0, %r); import picard7.mirror; "
+        "print('picard7.congruence' in sys.modules)" % str(SRC.parent)
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv,zeta3_sweeps", [
+    (["torsion", "stabilizer", "--point", '["-1+1*tau","0","1"]'], 0),
+    (["mirror", "verify", "--which", "R"], 2),
+], ids=["torsion-stabilizer", "mirror-verify-R"])
+def test_point_stabilizers_derive_only_what_they_read(argv, zeta3_sweeps):
+    # in a fresh process, a point stabilizer reads its cusp overlaps off the
+    # 13 planar parts and leaves the 34-element table underived; mirror R's
+    # zeta_3 point is swept once per reduction step, and its cycle graph
+    # reads the last sweep of the reduction from the memo of tower hits
+    code = """
+import contextlib, io, sys
+sys.path.insert(0, %r)
+from picard7 import cli, ford, heisenberg
+sweeps = []
+sweep = ford._TOWER_SWEEPS[3]
+def counted(*args):
+    sweeps.append(args)
+    return sweep(*args)
+ford._TOWER_SWEEPS[3] = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0
+print(heisenberg.enumerate_cusp_overlaps.cache_info().currsize, len(sweeps))
+""" % str(SRC.parent)
+    out = subprocess.run([sys.executable, "-I", "-c", code] + argv, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", str(zeta3_sweeps)]
+
+
 def test_k_rational_reduction_runs_on_ints():
     # a K-rational `ford reduce` finds the primitive representative once,
     # for its input: each move of the point is an int product, and the

@@ -2,8 +2,8 @@ from itertools import permutations, product
 
 import pytest
 
-from picard7.ring import KNum, TAU, o_gcd_many
-from picard7.hermitian import GroupElt, ProjPoint, herm_inner, primitive_rep, sq_norm
+from picard7.ring import KNum, TAU, knum_from_ints, o_gcd_many
+from picard7.hermitian import GroupElt, ProjPoint, herm_inner, norm_form_solutions, primitive_rep, sq_norm
 from picard7.heisenberg import R, T1, TTAU, TV
 from picard7.ford import GENERATORS
 from picard7.torsion import _search_alphabet, make_reflection, projective_order
@@ -183,14 +183,16 @@ def _unfiltered_search(ctx, norm, height):
 @pytest.mark.parametrize("norm", [1, 2])
 @pytest.mark.parametrize("height", [1, 2, 3])
 def test_search_prefilter_keeps_every_polar(monkeypatch, norm, height):
+    of_primitive = ProjPoint.of_primitive
     for ctx in (CTX_L, CTX_R):
         reached = []
 
-        def recording(v):
-            reached.append(v)
-            return ProjPoint(v)
+        def recording(w):
+            # the six ints of each polar's vector, as KNums
+            reached.append(tuple(map(knum_from_ints, w[0::2], w[1::2])))
+            return of_primitive(w)
 
-        monkeypatch.setattr(mirror, "ProjPoint", recording)
+        monkeypatch.setattr(ProjPoint, "of_primitive", staticmethod(recording))
         found = search_orthogonal_mirrors(ctx, norm, height)
         monkeypatch.undo()
         kept, polars = _unfiltered_search(ctx, norm, height)
@@ -204,6 +206,32 @@ def test_search_prefilter_keeps_every_polar(monkeypatch, norm, height):
         signed = set(reached) | {tuple(-x for x in v) for v in reached}
         assert {v for v in kept if o_gcd_many(v).is_one()} <= signed
     assert search_orthogonal_mirrors(CTX_L, norm, height)
+
+
+@pytest.mark.parametrize("norm", [1, 2])
+def test_search_polars_match_the_gcd_path(monkeypatch, norm):
+    # each polar is formed on ints from a coprime pair over the saturated
+    # basis and takes the sign rule only; the same pairs through the KNum
+    # vector and ProjPoint, which divides out the O_7 gcd, give the same
+    # points, so every such vector is primitive
+    solved = []
+
+    def recorded(*args):
+        solved.append(norm_form_solutions(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(mirror, "norm_form_solutions", recorded)
+    for ctx in (CTX_L, CTX_R):
+        b1, b2 = ctx.basis
+        for height in range(1, 21):
+            found = search_orthogonal_mirrors(ctx, norm, height)
+            pairs = solved.pop()
+            want = []
+            for a, b, u, v in pairs:
+                al, be = knum_from_ints(a, b), knum_from_ints(u, v)
+                want.append(ProjPoint(tuple(al * b1[k] + be * b2[k] for k in range(3))))
+            assert found == sorted(want), (norm, height)
+            assert len(set(want)) == len(want) > 0
 
 
 @pytest.mark.parametrize("norm", [1, 2])
@@ -290,7 +318,8 @@ def test_mirror_L_cusp_certificate():
     rm = ResidueMap("tau")
 
     def first_columns(gens):
-        return {tuple(row[0] for row in x) for x in FpMatGroup(gens, rm).elements}
+        # an element is its nine residues row by row
+        return {x[0::3] for x in FpMatGroup(gens, rm).elements}
 
     cusp = tuple(rm.scalar(x) for x in S2_FIXED)
     assert cusp == (1, 1, 1)

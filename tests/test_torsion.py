@@ -24,7 +24,7 @@ from picard7.heisenberg import (
 from picard7.ford import GENERATORS, INVERSE_PAIRS, enumerate_tjk, reduce_to_domain, spheres_containing
 from picard7.mirror import mirror_l_generators
 from picard7.presentation import abcd, torsion_word_rows
-from picard7 import ford, heisenberg, torsion
+from picard7 import ford, heisenberg, mirror, torsion
 from picard7.torsion import (
     ClosureError,
     FiniteGroup,
@@ -848,26 +848,90 @@ def test_tower_overlap_moves_match_the_cusp_action(name, order, moves):
 def test_overlaps_keeping_matches_one_prism_test_per_overlap():
     # by planar part against the comprehension, on every cycle-graph vertex
     # of the five K-rational isolated fixed points and of the tower fixed
-    # points of c and a, and on those vertices moved off P by seeded cusp
-    # elements
+    # points of c and a, and on those vertices moved by seeded cusp
+    # elements: a point in P gives the comprehension's moves, and one
+    # outside P (such as the unreduced tower fixed points) is refused
     rng = random.Random(59)
     fixed = list(dict.fromkeys(
         c.fixed for c in enumerate_torsion() if c.kind == "isolated" and c.fixed.rational
     ))
     fixed += [classify_elliptic(abcd()[name], order)[1] for name, order in (("c", 6), ("a", 7))]
     kept = {True: 0, False: 0}
+    placed = {True: 0, False: 0}
+
+    def check(x, rational):
+        inside = in_prism(x)
+        placed[inside] += 1
+        if not inside:
+            with pytest.raises(ValueError, match="needs a point in the prism"):
+                overlaps_keeping(x)
+            return
+        got = overlaps_keeping(x)
+        assert got == ref_overlaps_keeping(x)
+        kept[rational] += len(got)
+
     for f in fixed:
         for v in _vertices(build_cycle_graph([f])):
             x = prism_coordinates(v.rep)
-            got = overlaps_keeping(x)
-            assert got == ref_overlaps_keeping(x)
-            kept[v.rational] += len(got)
+            check(x, v.rational)
             for _ in range(3):
                 c = CuspElt(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(0, 1), rng.randint(-2, 2))
-                y = act_prism(c, x)
-                assert overlaps_keeping(y) == ref_overlaps_keeping(y)
-    # both kinds of vertex keep some overlap, so both branches decide a move
+                check(act_prism(c, x), v.rational)
+    # a tower point in P keeps an overlap only on a facet of P, and the
+    # tower vertices lie inside: the facet points of both towers stand in
+    assert kept[False] == 0
+    for x in _tower_facet_points():
+        check(x, False)
+    # both kinds of point keep some overlap, so both branches decide a move
     assert kept[True] > 0 and kept[False] > 0
+    assert placed[True] > 0 and placed[False] > 0
+
+
+def _tower_facet_points():
+    """Prism coordinates of tower points placed exactly on the facets of P,
+    five in each tower, at a distance r in (0, 1) of the facets they miss."""
+    points = []
+    for tw in (zeta3_tower(), zeta7_tower()):
+        g = zeta_of(tw)
+        r = (g - g.conj()) * ISQRT7 / 16
+        if r.real_sign() < 0:
+            r = -r
+        assert r.floor_real() == 0 and not r.in_k()
+        for a, b, s in ((0, r, r), (r, 0, r), (r, -r + 1, r), (r, r, 0), (r, r, 2)):
+            x = prism_coordinates(vector_rep(lift(HoroPoint(a + b * TAU, ISQRT7 * s, r * r))))
+            assert [y == e for y, e in zip(x, (a, b, s, 1))] == [True] * 4
+            points.append(x)
+    return points
+
+
+def test_overlaps_keeping_matches_the_table_on_paper_graphs(monkeypatch):
+    # at every vertex of the cycle graph of the torsion enumeration and of
+    # the three cycle graphs of mirror R's point stabilizers, the moves read
+    # off the 13 planar parts are the table's overlaps that keep the vertex
+    # in P.  Vertices in K keep some; the tower vertices (in K(zeta_3) and
+    # K(zeta_7)) lie inside P and keep none
+    vertices = [v for c in enumerate_torsion() if c.kind == "isolated" for v in c.transports]
+    graphs = []
+
+    def recorded(points):
+        graphs.append(build_cycle_graph(points))
+        return graphs[-1]
+
+    monkeypatch.setattr(mirror, "build_cycle_graph", recorded)
+    mirror.verify_mirror_R.__wrapped__()
+    assert len(graphs) == 3
+    vertices += [v for graph in graphs for v in _vertices(graph)]
+    kept = tower = 0
+    for v in dict.fromkeys(vertices):
+        x = prism_coordinates(v.rep)
+        got = overlaps_keeping(x)
+        assert got == ref_overlaps_keeping(x), v
+        if v.rational:
+            kept += len(got)
+        else:
+            assert got == []
+            tower += 1
+    assert kept > 0 and tower > 0
 
 
 def _count_fallbacks(monkeypatch):
@@ -884,11 +948,16 @@ def _count_fallbacks(monkeypatch):
 
 def _check_prism_decisions(x):
     """reduce_to_prism, in_prism and overlaps_keeping at x and at its
-    reduced image against their all-AlgNum versions."""
+    reduced image against their all-AlgNum versions; overlaps_keeping
+    refuses an x outside P."""
     c = reduce_to_prism(x)
     assert c == algnum_reduce_to_prism(x)
     assert in_prism(x) == algnum_in_prism(x)
-    assert overlaps_keeping(x) == algnum_overlaps_keeping(x)
+    if algnum_in_prism(x):
+        assert overlaps_keeping(x) == algnum_overlaps_keeping(x)
+    else:
+        with pytest.raises(ValueError, match="needs a point in the prism"):
+            overlaps_keeping(x)
     y = act_prism(c, x)
     assert in_prism(y) and algnum_in_prism(y)
     assert overlaps_keeping(y) == algnum_overlaps_keeping(y) == ref_overlaps_keeping(y)
@@ -920,18 +989,10 @@ def test_bracketed_prism_decisions_match_the_algnum_tests(monkeypatch):
         assert calls == []
     # a point placed exactly on a facet of P straddles it: the decision
     # there falls back to the exact test, in both towers
-    for tw in (zeta3_tower(), zeta7_tower()):
-        g = zeta_of(tw)
-        r = (g - g.conj()) * ISQRT7 / 16
-        if r.real_sign() < 0:
-            r = -r
-        assert r.floor_real() == 0 and not r.in_k()
-        for a, b, s in ((0, r, r), (r, 0, r), (r, -r + 1, r), (r, r, 0), (r, r, 2)):
-            calls.clear()
-            x = prism_coordinates(vector_rep(lift(HoroPoint(a + b * TAU, ISQRT7 * s, r * r))))
-            assert [y == e for y, e in zip(x, (a, b, s, 1))] == [True] * 4
-            _check_prism_decisions(x)
-            assert calls, (a, b, s)
+    for x in _tower_facet_points():
+        calls.clear()
+        _check_prism_decisions(x)
+        assert calls, x
 
 
 def test_isolated_reps_fix_their_points():
@@ -1176,7 +1237,8 @@ def test_tower_vertex_reads_its_coordinates_once(monkeypatch):
 def test_in_omega_brackets_a_tower_point_once(monkeypatch):
     # at the zeta_3 Omega representative of mu ups iota, in_omega takes one
     # grid for its prism test and its sweep: a, b and s are bracketed once,
-    # and u' once by the sweep
+    # and u' once by the sweep.  The reduction's last sweep is that sweep,
+    # so the memo of tower hits is cleared first, and the kernel runs
     mti = GENERATORS[6] * TV.to_matrix() * GENERATORS[1]
     _, y = reduce_to_domain(classify_elliptic(mti, 6)[1])
     assert not y.rational and y.coords[2].tower is zeta3_tower()
@@ -1189,5 +1251,6 @@ def test_in_omega_brackets_a_tower_point_once(monkeypatch):
 
     for module in (heisenberg, ford):
         monkeypatch.setattr(module, "bracket", counted)
+    ford._tower_hits.cache_clear()
     assert ford.in_omega(y)
     assert len(calls) == 4
