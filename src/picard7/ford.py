@@ -47,8 +47,11 @@ from .hermitian import (
     ints_apply,
     ints_inverse,
     ints_product,
-    sq_norm,
     sq_norm_ints,
+    tower_chart,
+    tower_ints,
+    tower_point,
+    tower_sq_norm,
     _apply_ints,
     _mul_ints,
     _norm_ints,
@@ -203,16 +206,24 @@ _D_EDGES = tuple(
 def _dist2_num(a: int, b: int, den: int) -> int:
     """32 den^2 times the squared distance from (a + b tau)/den to D = hull{0, 1, tau}.
 
-    For an edge v0 + t*e, 0 <= t <= 1, and W = a + b tau - den*v0, the foot
-    of the perpendicular is at t = q / (4 den N(e)) with q = 4 Re(W conj(e))
-    an int, and den^2 times the squared distance is N(W) for t <= 0,
+    It is 0 inside D.  Outside, the nearest point of D lies on an edge
+    whose side constraint (b >= 0, a >= 0, a + b <= den, in the order of
+    _D_EDGES) the point breaks: a nearest point inside an edge that the
+    point keeps would make the outward normal of that edge point from D
+    toward it.  So only those one or two edges are measured.  For an edge
+    v0 + t*e, 0 <= t <= 1, and W = a + b tau - den*v0, the foot of the
+    perpendicular is at t = q / (4 den N(e)) with q = 4 Re(W conj(e)) an
+    int, and den^2 times the squared distance is N(W) for t <= 0,
     N(W - den*e) for t >= 1, and N(W) - q^2/(16 N(e)) between.  As N(e)
-    divides 2, every case is an int over 32.  It is 0 inside D.
+    divides 2, every case is an int over 32.
     """
-    if a >= 0 and b >= 0 and a + b <= den:
+    broken = (b < 0, a < 0, a + b > den)
+    if not any(broken):
         return 0
     nums = []
-    for (x0, y0), (ea, eb), ne in _D_EDGES:
+    for ((x0, y0), (ea, eb), ne), out in zip(_D_EDGES, broken):
+        if not out:
+            continue
         wa, wb = a - den * x0, b - den * y0
         # 4 Re(u conj(v)) = (2x + y)(2s + t) + 7 y t for u = x + y tau, v = s + t tau
         q = (2 * wa + wb) * (2 * ea + eb) + 7 * wb * eb
@@ -564,6 +575,15 @@ def _zeta7_sweep(v, own, g):
     yield from _tower_sweep(v, own, g, rows, zeta7_autocorr, _zeta7_cmp)
 
 
+def _height_bracket(v) -> int:
+    """The bracket floor(2^16 u') of u' = -<v, v>/|v3|^2, for a tower vector
+    v scaled to ints over den 1 whose v3 is a positive int S: u' =
+    -<v/S, v/S>, as real ints over S^2 (`tower_sq_norm`)."""
+    tw, (f1, f2, _), _ = tower_ints(v)
+    scale = v[2].k_part().na
+    return bracket([-y for y in tower_sq_norm(tw, f1, f2, scale)], scale * scale)
+
+
 def _tower_sweep(v, own, g, rows, quantity, cmp):
     """The sweep of v over K(zeta_3) or K(zeta_7), on a window like _k_sweep's.
 
@@ -571,12 +591,12 @@ def _tower_sweep(v, own, g, rows, quantity, cmp):
     quantity(h) is the field's quantity of that <v, col>, and cmp compares
     quantities exactly, as in _KERNELS.  v is a point's vector with v3 = 1
     (its normal form) scaled by a positive int, and g the grid of its prism
-    coordinates (a, b, s, 1), whose values 2k + 1 hold the brackets
-    k = floor(2^16 x) of a, b and s (`prism_grid`).  The point's
-    z = a + b tau, s and u' = -<v, v>/|v3|^2 are real elements of the field;
-    each lies in [k, k + 1]/2^16 for its bracket k (`bracket`), exact by
-    floor_real in both fields.  So u' >= ku/2^16, and zc = (ka + kb tau)/2^16
-    is within |1 + tau|/2^16 = 2/2^16 of z.
+    coordinates, whose values 2k + 1 hold the brackets k = floor(2^16 x) of
+    a, b and s (`prism_grid`).  The point's z = a + b tau, s and u' =
+    -<v, v>/|v3|^2 are real elements of the field; each lies in [k, k +
+    1]/2^16 for its bracket k (`bracket`, and `_height_bracket` for u'),
+    exact by the field's floor_real on its real ints.  So u' >= ku/2^16,
+    and zc = (ka + kb tau)/2^16 is within |1 + tau|/2^16 = 2/2^16 of z.
 
     For the center z0 = p + q tau of alpha(I(A_j)) and its s = sc at l = 0,
     |<v/v3, col/col3>|^2 = ((u' + N(z - z0))^2 + 28 (l - l*)^2)/4 with
@@ -588,8 +608,7 @@ def _tower_sweep(v, own, g, rows, quantity, cmp):
     on <v, col> = Z + l D with D = <v, (i sqrt(7) c3, 0, 0)>.
     """
     ka, kb, ks = g[0] >> 1, g[1] >> 1, g[2] >> 1
-    # |v3|^2 is the square of the scale, an int
-    ku = bracket(-sq_norm(v) / v[2].k_part().norm())
+    ku = _height_bracket(v)
     for j in sorted(GENERATORS):
         sph = SPHERES[j]
         za, zb, sn, zd = sph.center
@@ -807,8 +826,8 @@ def reduce_to_domain(x: ProjPoint):
         if cmp(quantity(v), own) >= 0:
             raise ArithmeticError("the Ford quantity did not decrease")
         if not rational:
-            inv = 1 / v[2]
-            v = tuple(y * inv for y in v)
+            tw, fs, d = tower_ints(v)
+            v = tower_point(tw, *tower_chart(tw, fs, d))
         total = ints_product(gi, total)
         pieces.append(tuple((name, -e) for name, e in reversed(alpha.word() + GENERATORS[j].word)))
     raise ReductionError(f"no Omega representative found in {MAX_ITERS} steps")

@@ -33,8 +33,8 @@ from collections import namedtuple
 from functools import cache
 from itertools import combinations
 
-from .ring import ISQRT7, TAU, AlgNum
-from .hermitian import GroupElt, _mul_ints, _norm_ints, sq_norm_ints
+from .ring import AlgNum, real_field
+from .hermitian import GroupElt, _mul_ints, _norm_ints, sq_norm_ints, tower_chart, tower_ints, tower_sq_norm
 
 
 class CuspElt(namedtuple("CuspElt", "m n eps l", defaults=(0, 0, 0, 0))):
@@ -133,10 +133,6 @@ R = CuspElt(eps=1)
 # ---------------------------------------------------------------------------
 
 
-# 1/(i sqrt(7)) = (1 - 2 tau)/7, so that a tower b and s cost one product each
-_ISQRT7_INV = 1 / ISQRT7
-
-
 def prism_coordinates(v):
     """(a, b, s, den) of a point's vector v with <v, v> <= 0 and v3 != 0:
     the point's boundary coordinates are z = (a + b tau)/den and
@@ -147,9 +143,13 @@ def prism_coordinates(v):
     t = 2 Im(v1/v3), so s/den is the tau-coefficient of v1/v3.  For the
     six ints of a vector in O_7^3 they are ints over den = N(v3) > 0:
     a + b tau = v2 conj(v3) and s is the tau-coefficient of v1 conj(v3).
-    For a vector over K(zeta_3) or K(zeta_7), a, b and s are real AlgNums
-    and den = 1; the coordinates of a tower ProjPoint end in v3 = 1 (its
-    normal form), and then they take no inverse.
+    For a vector over K(zeta_3) or K(zeta_7), a, b and s are real ints
+    of the field (`ring.real_field`) over one int den, read off the
+    field ints of v1/v3 and v2/v3 over d (`hermitian.tower_chart`): with
+    w = x + y tau for x, y real, y = (w - conj(w))/sqrt(-7), int-linear
+    in w's ints (`real_split`), so den = 7 d.  The coordinates of a tower
+    ProjPoint end in v3 = 1 (its normal form), and then they take no
+    inverse.  <v, v> <= 0 is an exact sign on the same ints.
     """
     if type(v[0]) is int:
         p1, q1, p2, q2, p3, q3 = v
@@ -165,92 +165,115 @@ def prism_coordinates(v):
         return a, b, _mul_ints(p1, q1, p3 + q3, -q3)[1], _norm_ints(p3, q3)
     if not all(isinstance(c, AlgNum) for c in v):
         raise TypeError("prism coordinates take six ints or three AlgNums, a ProjPoint's rep")
-    v1, v2, v3 = v
-    if v3.is_zero():
-        if v2.is_zero():
+    tw, fs, d = tower_ints(v)
+    if not any(fs[2]):
+        if not any(fs[1]):
             raise ValueError("point at infinity has no horospherical coordinates")
         raise ValueError("vector has positive square norm")
-    if v3.is_one():
-        z, y = v2, v1
-    else:
-        inv = 1 / v3
-        z, y = v2 * inv, v1 * inv
-    b, s = (z - z.conj()) * _ISQRT7_INV, (y - y.conj()) * _ISQRT7_INV
-    if (y + y.conj() + z.abs2()).real_sign() > 0:
+    f1, f2, d = tower_chart(tw, fs, d)
+    if tw.real_sign(tower_sq_norm(tw, f1, f2, d)) > 0:
         raise ValueError("vector has positive square norm")
-    return z - b * TAU, b, s, 1
+    a, b = tw.real_split(f2)
+    return a, b, tw.real_split(f1)[1], 7 * d
 
 
 def act_prism(c: CuspElt, x):
     """c(x) on prism coordinates x = (a, b, s, den), by the Heisenberg group
     law: with sigma = (-1)^eps, z maps to w + sigma z and s to
-    s + s0 + sigma (n a - m b), as 2 Im(w conj z)/sqrt(7) = n a - m b."""
+    s + s0 + sigma (n a - m b), as 2 Im(w conj z)/sqrt(7) = n a - m b.
+    A tower point's a, b and s are real ints whose first is the int part,
+    so each coordinate is the same int formula on each of its ints, and
+    the int terms m, n and s0 go to the first."""
     m, n, eps, l = c
     a, b, s, den = x
-    if eps:
-        a, b = -a, -b
-    return m * den + a, n * den + b, s + (m - m * n + 2 * l) * den + n * a - m * b, den
+    s0 = (m - m * n + 2 * l) * den
+    if type(a) is int:
+        if eps:
+            a, b = -a, -b
+        return m * den + a, n * den + b, s + s0 + n * a - m * b, den
+    sigma = -1 if eps else 1
+    a, b = [sigma * y for y in a], [sigma * y for y in b]
+    s = [y + n * p - m * q for y, p, q in zip(s, a, b)]
+    a[0] += m * den
+    b[0] += n * den
+    s[0] += s0
+    return tuple(a), tuple(b), tuple(s), den
 
 
 #: the scale of the brackets of tower coordinates
 BRACKET = 1 << 16
 
 
-def bracket(x) -> int:
-    """The bracket k = floor(2^16 x) of a real AlgNum x, exact by floor_real
-    in both towers: k <= 2^16 x < k + 1."""
-    return (x * BRACKET).floor_real()
+def bracket(r, den: int) -> int:
+    """The bracket k = floor(2^16 x) of the real element x with the real
+    ints r over den, exact by floor_real in both towers: k <= 2^16 x < k + 1."""
+    return real_field(r).floor_real([BRACKET * y for y in r], den)
 
 
 def prism_grid(x):
     """(g, r): prism coordinates x on ints, and the radius of their windows.
 
-    Int coordinates are their own grid, with r = 0.  A tower a, b or s
-    (den = 1) has the grid value 2k + 1 over 2^17 for its bracket k, and
-    |2^17 y - (2k + 1)| <= 1: r = 1.  So den times an int combination of
-    a, b, s and den, with coefficients c_a, c_b, c_s of a, b and s, lies
-    within r (|c_a| + |c_b| + |c_s|) of the same combination of the grid
-    values.  A caller that runs several of the tests below on one point
-    brackets it once and passes the grid on.
+    K coordinates are their own grid, with r = 0.  A tower a, b or s has
+    the grid value 2k + 1 over 2^17 for its bracket k, and |2^17 y - (2k +
+    1)| <= 1: r = 1.  So the grid den times an int combination of a, b, s
+    and 1, with coefficients c_a, c_b, c_s of a, b and s, lies within r
+    (|c_a| + |c_b| + |c_s|) of the same combination of the grid values.
+    A caller that runs several of the tests below on one point brackets it
+    once and passes the grid on.
     """
     a, b, s, den = x
     if type(a) is int:
         return x, 0
-    return (2 * bracket(a) + 1, 2 * bracket(b) + 1, 2 * bracket(s) + 1, 2 * BRACKET), 1
+    return (2 * bracket(a, den) + 1, 2 * bracket(b, den) + 1, 2 * bracket(s, den) + 1, 2 * BRACKET), 1
+
+
+def _exact(x, ca: int, cb: int, cs: int, c: int):
+    """(y, den): the combination ca a + cb b + cs s + c of the coordinates of
+    a tower point's prism coordinates x = (a, b, s, den), as real ints y
+    over den."""
+    a, b, s, den = x
+    y = [ca * p + cb * q + cs * u for p, q, u in zip(a, b, s)]
+    y[0] += c * den
+    return y, den
 
 
 def _sign(t: int, r: int, exact) -> int:
     """The sign of a real v with den v within r of its grid value t.
 
     t decides it unless the window [t - r, t + r] holds 0.  Then r > 0, v
-    is a tower number, and exact() gives it for real_sign.
+    is a tower number, and exact() gives it as (real ints, den) for the
+    field's real_sign.
     """
     if t > r:
         return 1
     if t < -r:
         return -1
-    return exact().real_sign() if r else 0
+    if not r:
+        return 0
+    y, _ = exact()
+    return real_field(y).real_sign(y)
 
 
 def _floor(t: int, r: int, d: int, den: int, exact) -> int:
     """floor(v/d) for an int d > 0 and v as in _sign: the floor of both
     ends of the window over d den, unless they differ.  Then exact() gives
-    v, and floor(v/d) = floor(floor(v)/d)."""
+    v as (real ints, den), and the field's floor_real takes it over d den."""
     k = (t - r) // (d * den)
     if not r or k == (t + r) // (d * den):
         return k
-    return exact().floor_real() // d
+    y, e = exact()
+    return real_field(y).floor_real(y, d * e)
 
 
 def _in_triangle(a, b, den, r, exact) -> bool:
     """Whether z = (a + b tau)/den lies in D, the triangle with vertices 0,
     1, tau: a, b >= 0 and a + b <= den, for grid values a, b within r.
-    exact() gives the coordinates (a tower den is 1)."""
+    exact() gives the point's prism coordinates."""
     if not r:
         return a >= 0 and b >= 0 and a + b <= den
-    return (_sign(a, r, lambda: exact()[0]) >= 0
-            and _sign(b, r, lambda: exact()[1]) >= 0
-            and _sign(den - a - b, 2 * r, lambda: -exact()[0] - exact()[1] + 1) >= 0)
+    return (_sign(a, r, lambda: _exact(exact(), 1, 0, 0, 0)) >= 0
+            and _sign(b, r, lambda: _exact(exact(), 0, 1, 0, 0)) >= 0
+            and _sign(den - a - b, 2 * r, lambda: _exact(exact(), -1, -1, 0, 1)) >= 0)
 
 
 def _in_prism(g, r, rs, exact) -> bool:
@@ -260,8 +283,8 @@ def _in_prism(g, r, rs, exact) -> bool:
     if not r:
         return a >= 0 and b >= 0 and a + b <= den and 0 <= s <= 2 * den
     return (_in_triangle(a, b, den, r, exact)
-            and _sign(s, rs, lambda: exact()[2]) >= 0
-            and _sign(2 * den - s, rs, lambda: -exact()[2] + 2) >= 0)
+            and _sign(s, rs, lambda: _exact(exact(), 0, 0, 1, 0)) >= 0
+            and _sign(2 * den - s, rs, lambda: _exact(exact(), 0, 0, -1, 2)) >= 0)
 
 
 def in_prism(x, grid=None) -> bool:
@@ -284,19 +307,20 @@ def reduce_to_prism(x, grid=None) -> CuspElt:
     below 1: one flip lands z in D, so (m, n, eps) is (-k, -j, 0) or
     (k + 1, j + 1, 1).  T_v^l adds 2l to s/den, so l is minus the floor of
     s/(2 den) after (m, n, eps, 0), which lands s in [0, 2 den).  Each sign
-    and floor is read off the grid of x, and decided exactly only when its
-    window straddles the threshold.
+    and floor is read off the grid of x, and decided exactly on the real
+    ints of x only when its window straddles the threshold.
     """
     g, r = grid or prism_grid(x)
     a, b, _, den = g
-    k = _floor(a, r, 1, den, lambda: x[0])
-    j = _floor(b, r, 1, den, lambda: x[1])
-    flip = _sign(a + b - (k + j + 1) * den, 2 * r, lambda: x[0] + x[1] - (k + j + 1)) > 0
+    k = _floor(a, r, 1, den, lambda: _exact(x, 1, 0, 0, 0))
+    j = _floor(b, r, 1, den, lambda: _exact(x, 0, 1, 0, 0))
+    flip = _sign(a + b - (k + j + 1) * den, 2 * r, lambda: _exact(x, 1, 1, 0, -(k + j + 1))) > 0
     m, n, eps = (k + 1, j + 1, 1) if flip else (-k, -j, 0)
     part = CuspElt(m, n, eps)
     # the image of s is s + s0 den + sigma (n a - m b)
     rs = r * (1 + abs(m) + abs(n))
-    c = CuspElt(m, n, eps, -_floor(act_prism(part, g)[2], rs, 2, den, lambda: act_prism(part, x)[2]))
+    c = CuspElt(m, n, eps, -_floor(act_prism(part, g)[2], rs, 2, den,
+                                   lambda: _exact(act_prism(part, x), 0, 0, 1, 0)))
     if not _in_prism(act_prism(c, g), r, rs, lambda: act_prism(c, x)):
         raise ArithmeticError("prism reduction left the prism")
     return c
@@ -397,8 +421,8 @@ def overlaps_keeping(x, grid=None):
         ls = ()
         if _in_triangle(pa, pb, den, r, lambda: act_prism(planar, x)):
             rs = r * (1 + abs(part[0]) + abs(part[1]))
-            k = _floor(base, rs, 2, den, lambda: act_prism(planar, x)[2])
-            tie = _sign(base - 2 * den * k, rs, lambda: act_prism(planar, x)[2] - 2 * k) == 0
+            k = _floor(base, rs, 2, den, lambda: _exact(act_prism(planar, x), 0, 0, 1, 0))
+            tie = _sign(base - 2 * den * k, rs, lambda: _exact(act_prism(planar, x), 0, 0, 1, -2 * k)) == 0
             ls = (-k, 1 - k) if tie else (-k,)
         if part == (0, 0, 0):
             # the identity keeps x in P exactly when x lies in P

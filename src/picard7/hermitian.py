@@ -12,7 +12,7 @@ ints of its matrix; a Mat, a matrix over K, serves literals and JSON.
 
 import json
 from collections import namedtuple
-from functools import cache
+from functools import cache, reduce
 from math import gcd, isqrt, lcm
 
 from .ring import (
@@ -333,9 +333,13 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
         """M(self), for a matrix M of U(J, O_7) with the 18 ints t.  M and
         M^-1 are integral, so M maps a primitive vector of O_7^3 to a
         primitive vector: a rational point's image is the int product with
-        its sign normalized, and needs no gcd."""
+        its sign normalized, and needs no gcd.  M and M^-1 map K^3 to
+        itself, so a tower point's image is a tower point, taken to its
+        normal form on the field's ints (`tower_chart`): a cusp element,
+        whose bottom row is (0, 0, 1), keeps v3 = 1 and takes no inverse."""
         if not self.rational:
-            return ProjPoint(ints_apply(t, self.rep))
+            tw, fs, d = tower_ints(self.rep)
+            return tuple.__new__(ProjPoint, (tower_point(tw, *tower_chart(tw, _tower_apply(t, tw, fs), d)), False))
         return ProjPoint.of_primitive(_apply_ints(t, self.rep))
 
     @staticmethod
@@ -612,23 +616,65 @@ def _init_elt(g: GroupElt, t, word):
     _set_word(g, word)
 
 
-def ints_apply(t, v):
-    """M v, for M with 18 ints t and a tower vector v (three AlgNums of
-    K(zeta_3) or K(zeta_7)), on ints over d, the lcm of the denominators.
+# A tower vector, three AlgNums of K(zeta_3) or K(zeta_7), is also three
+# tuples of the field's ints over one int den: the ints F_k of d v_k for d
+# the lcm of the denominators (`tower_ints`).  A matrix of Gamma moves it,
+# and its point's normal form v / v3 is read off it, on those ints.
 
-    v is the ints F_k of each d v_k in its field, which make
-    (a + b tau) d v_k = a F_k + b (tau F_k): each coordinate of M v is
-    one int combination of the F_k and tau F_k, and one normal form."""
-    tw = v[0].tower
+
+def tower_ints(v):
+    """(tw, fs, d): the field tw of a tower vector v, the field ints fs of
+    d v_1, d v_2, d v_3, and d, the lcm of their denominators."""
     d = lcm(*(x.den for x in v))
-    fs = [x.ints if x.den == d else tuple(c * (d // x.den) for c in x.ints) for x in v]
-    tau = tw.lift(0, 1)
-    cols = list(zip(*(g for f in fs for g in (f, tw.mul(tau, f)))))
-    return tuple(
-        _alg(tw, tuple(a1 * p1 + b1 * q1 + a2 * p2 + b2 * q2 + a3 * p3 + b3 * q3
-                       for p1, q1, p2, q2, p3, q3 in cols), d)
-        for a1, b1, a2, b2, a3, b3 in (t[0:6], t[6:12], t[12:18])
-    )
+    return v[0].tower, [x.ints if x.den == d else tuple(c * (d // x.den) for c in x.ints) for x in v], d
+
+
+def _tower_apply(t, tw, fs):
+    """The field ints of M f, for M with 18 ints t and three field int
+    tuples f_k.  M is a matrix over K, so it acts on the vector of each
+    power zeta^j's K-coefficients (`k_ints`) alone, by `_apply_ints`."""
+    c1, c2, c3 = map(tw.k_ints, fs)
+    out = ([], [], [])
+    for i in range(0, len(c1), 2):
+        w = _apply_ints(t, (c1[i], c1[i + 1], c2[i], c2[i + 1], c3[i], c3[i + 1]))
+        out[0].extend(w[0:2])
+        out[1].extend(w[2:4])
+        out[2].extend(w[4:6])
+    return [tw.from_k_ints(tuple(c)) for c in out]
+
+
+def ints_apply(t, v):
+    """M v, for M with 18 ints t and a tower vector v, on ints over d, the
+    lcm of the denominators: three normal forms."""
+    tw, fs, d = tower_ints(v)
+    return tuple(_alg(tw, f, d) for f in _tower_apply(t, tw, fs))
+
+
+def tower_chart(tw, fs, d):
+    """(f1, f2, e): the field ints of e v1/v3 and e v2/v3 over an int e > 0,
+    for a tower vector with the field ints fs over d and v3 != 0.
+
+    With v3 = 1, f3 is d itself and e = d.  Otherwise v_k/v3 = f_k adj/n:
+    adj is the product of the other images of f3 and n = f3 adj its norm,
+    a positive int, as in AlgNum.inverse."""
+    f1, f2, f3 = fs
+    if f3 == tw.lift(d, 0):
+        return f1, f2, d
+    adj = reduce(tw.mul, tw.images(f3))
+    return tw.mul(f1, adj), tw.mul(f2, adj), tw.k_part(tw.mul(f3, adj), 1).na
+
+
+def tower_point(tw, f1, f2, d):
+    """The rep (v1, v2, 1) of a tower ProjPoint, for the field ints f1, f2
+    of d v1 and d v2 over d."""
+    return _alg(tw, f1, d), _alg(tw, f2, d), _alg(tw, tw.lift(1, 0), 1)
+
+
+def tower_sq_norm(tw, f1, f2, d):
+    """The real ints of d^2 <v, v> = d (f1 + conj f1) + f2 conj(f2) for the
+    tower vector v = (f1/d, f2/d, 1)."""
+    n = tw.mul(f2, tw.conj(f2))
+    return tw.real_part([x + d * (y + z) for x, y, z in zip(n, f1, tw.conj(f1))])
 
 
 def _invert_letter(x):

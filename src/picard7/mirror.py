@@ -75,15 +75,17 @@ class MirrorContext:
         # the Gram form of the basis: <b1, b1>, <b2, b1>, <b2, b2>
         self.gram = (g11, g12, g22)
 
-    @classmethod
-    def mirror_of_half_turn(cls):
-        """The mirror z = 0 of the cusp half-turn."""
-        return cls((KNum(0), KNum(1), KNum(0)))
+    @staticmethod
+    @cache
+    def mirror_of_half_turn() -> "MirrorContext":
+        """The mirror z = 0 of the cusp half-turn, built once per process."""
+        return MirrorContext((KNum(0), KNum(1), KNum(0)))
 
-    @classmethod
-    def mirror_of_shifted_half_turn(cls):
-        """The mirror L of Ttau R, polar (1, -tau, 0)."""
-        return cls((KNum(1), -TAU, KNum(0)))
+    @staticmethod
+    @cache
+    def mirror_of_shifted_half_turn() -> "MirrorContext":
+        """The mirror L of Ttau R, polar (1, -tau, 0), built once per process."""
+        return MirrorContext((KNum(1), -TAU, KNum(0)))
 
 
 def preserves_mirror(g: GroupElt, ctx) -> bool:

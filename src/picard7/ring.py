@@ -29,13 +29,19 @@ else is one int-vector code path for both:
   zeta_7^-k over D, so its sign and floor are decided on ints against a
   dyadic bracket of eta_1.
 
+A real element of either field is also its real ints over D: its ints in
+a basis of the real subfield whose first element is 1, two for K(zeta_3)
+and three for K(zeta_7) (`real_part`, `real_field`).  Each field splits
+x = a + b tau into real a and b on ints (`real_split`), and decides the
+sign and floor of a real element on its real ints.
+
 K-coefficients in the power basis 1, zeta_n, ..., zeta_n^(d-1) over K are
-an edge form, for construction, printing and `k_part`.
+an edge form, for construction, printing and `k_part`, and the int pairs
+a matrix over K acts on (`k_ints`).
 
 No field uses floating point or interval libraries: every sign is exact.
 """
 
-import math
 import re as _re
 from fractions import Fraction
 from functools import cache, reduce
@@ -192,11 +198,6 @@ class KNum:
             if other < 0:
                 return knum_from_ints(-self.na, -self.nb, -self.d * other)
             return knum_from_ints(self.na, self.nb, self.d * other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, int):
-            return KNum(other) / self
         return NotImplemented
 
     def conj(self) -> "KNum":
@@ -428,9 +429,10 @@ class Zeta3Tower:
     - the Galois conjugate of X over K (zeta -> zeta^2) is (C0 - C1) - C1 zeta.
 
     The field is biquadratic, and its real elements form Q(sqrt(21)): x is
-    real iff 2 a1 + b1 = 0 and 2 b0 = b1, and a real x is P/(2 D) +
-    Q sqrt(21)/(4 D) with P = 2 a0 + b0 and Q = -b1, so its sign and floor
-    are decided on ints, with no precision loop.
+    real iff 2 a1 + b1 = 0 and 2 b0 = b1, and then x = (a0 + b0 w)/D with
+    w = tau - zeta + 2 tau zeta = (1 - sqrt(21))/2.  Its real ints are
+    (p, q) = (a0, b0), and 2 D x = (2 p + q) - q sqrt(21), so its sign and
+    floor are decided on ints, with no precision loop.
     """
 
     n = 3
@@ -440,12 +442,16 @@ class Zeta3Tower:
     minpoly = (ONE, ONE, ONE)
     zeta = (0, 0, 1, 0)
 
-    def coeffs(self, f, den: int):
-        a0, b0, a1, b1 = f
-        return knum_from_ints(a0, b0, den), knum_from_ints(a1, b1, den)
-
     def lift(self, a: int, b: int):
         return a, b, 0, 0
+
+    def k_ints(self, f):
+        """The int pairs (a0, b0, a1, b1) of the K-coefficients of f: f itself."""
+        return f
+
+    def from_k_ints(self, c):
+        """The ints of the element with the K-coefficient int pairs c."""
+        return c
 
     def k_part(self, f, den: int):
         a0, b0, a1, b1 = f
@@ -477,17 +483,29 @@ class Zeta3Tower:
         g = a0 - a1, b0 - b1, -a1, -b1
         return self.conj(f), g, self.conj(g)
 
-    def real_sign(self, f) -> int:
-        # 4 D x = 2 P + Q sqrt(21)
-        return sqrt21_sign(2 * (2 * f[0] + f[1]), -f[3])
+    def real_part(self, f):
+        """The real ints (p, q) of a real element with the ints f."""
+        return f[:2]
 
-    def floor_real(self, f, den: int) -> int:
-        # 8 D x = 4 P + y with y = 2 Q sqrt(21), and for an int N and M > 0,
-        # floor((N + y)/M) = floor((N + floor(y))/M).  y is irrational unless
-        # Q = 0, so floor(-sqrt(S)) = -isqrt(S) - 1 for Q < 0.
-        p, q = 2 * f[0] + f[1], -f[3]
-        r = isqrt(84 * q * q)
-        return (4 * p + (r if q >= 0 else -r - 1)) // (8 * den)
+    def real_split(self, f):
+        """The real ints of 7 a and 7 b for x = a + b tau with the ints f,
+        a and b real: b = (x - conj(x))/sqrt(-7), and a = x - b tau."""
+        a0, b0, a1, b1 = f
+        return (7 * a0 - 4 * a1 - 2 * b1, a1 + 4 * b1), (7 * b0 + a1 - 3 * b1, -2 * a1 - b1)
+
+    def real_sign(self, r) -> int:
+        """Exact sign of the real element with the real ints r."""
+        p, q = r
+        return sqrt21_sign(2 * p + q, -q)
+
+    def floor_real(self, r, den: int) -> int:
+        """Floor of the real element with the real ints r over den > 0."""
+        # 2 den x = P + y with y = -q sqrt(21), and for an int P and M > 0,
+        # floor((P + y)/M) = floor((P + floor(y))/M).  y is irrational unless
+        # q = 0, so floor(-sqrt(S)) = -isqrt(S) - 1 for q > 0
+        p, q = r
+        y = isqrt(21 * q * q)
+        return (2 * p + q + (y if q <= 0 else -y - 1)) // (2 * den)
 
 
 #: bits of the first dyadic bracket of eta_1 that eta_sign and Zeta7Tower.floor_real try
@@ -570,9 +588,10 @@ class Zeta7Tower:
       zeta + zeta^2 + zeta^4, and then x = (-f_1 + (f_1 - f_3) tau)/D.
 
     A real x is (f_1 eta_1 + f_2 eta_2 + f_3 eta_3)/D with eta_k = zeta^k
-    + zeta^-k.  As the eta_k sum to -1, x is the rational -f_1/D if f_1 =
-    f_2 = f_3, and irrational otherwise: then a fine enough bracket decides
-    its sign and floor, and needs no cap.
+    + zeta^-k.  As the eta_k sum to -1, its real ints in the basis 1,
+    eta_1, eta_2 are (-f_3, f_1 - f_3, f_2 - f_3), x is the rational -f_1/D
+    if f_1 = f_2 = f_3, and irrational otherwise: then a fine enough
+    bracket decides its sign and floor, and needs no cap.
     """
 
     n = 7
@@ -587,17 +606,24 @@ class Zeta7Tower:
     minpoly = (-ONE, -TAU, ONE - TAU, ONE)
     zeta = (1, 0, 0, 0, 0, 0)
 
-    def coeffs(self, f, den: int):
-        # with c_j = (a_j + b_j tau)/D, D x = (a0 + b0) + (b0 + a1 + b1) zeta
-        # + (b0 + b1 + a2 + b2) zeta^2 + (b1 + b2) zeta^3 + (b0 + b2) zeta^4
-        # + b1 zeta^5 + b2 zeta^6, and f_k is that coefficient less a0 + b0
-        # = -c; the equations for f_3, f_5 and f_6 give c first
+    def k_ints(self, f):
+        """The int pairs (a0, b0, a1, b1, a2, b2) of the K-coefficients c_j =
+        a_j + b_j tau of f = c_0 + c_1 zeta + c_2 zeta^2 (`from_k_ints`):
+        the equations for f_3, f_5 and f_6 give c = -(a0 + b0) first."""
         f1, f2, f3, f4, f5, f6 = f
         c = f5 + f6 - f3
         b1, b2 = f5 - c, f6 - c
         b0 = f4 - c - b2
-        return (knum_from_ints(-c - b0, b0, den), knum_from_ints(f1 - c - b0 - b1, b1, den),
-                knum_from_ints(f2 - c - b0 - b1 - b2, b2, den))
+        return -c - b0, b0, f1 - c - b0 - b1, b1, f2 - c - b0 - b1 - b2, b2
+
+    def from_k_ints(self, c):
+        """The ints of the element with the K-coefficient int pairs c: with
+        c_j = a_j + b_j tau, x = (a0 + b0) + (b0 + a1 + b1) zeta + (b0 + b1
+        + a2 + b2) zeta^2 + (b1 + b2) zeta^3 + (b0 + b2) zeta^4 + b1 zeta^5
+        + b2 zeta^6, and f_k is that coefficient less a0 + b0."""
+        a0, b0, a1, b1, a2, b2 = c
+        e = a0 + b0
+        return b0 + a1 + b1 - e, b0 + b1 + a2 + b2 - e, b1 + b2 - e, b0 + b2 - e, b1 - e, b2 - e
 
     def lift(self, a: int, b: int):
         # a + b tau = (a + b) + b (zeta + zeta^2 + zeta^4)
@@ -629,28 +655,50 @@ class Zeta7Tower:
         pad = (0,) + f
         return [tuple(pad[g * k % 7] for k in range(1, 7)) for g in range(2, 7)]
 
-    def real_sign(self, f) -> int:
-        return eta_sign(f[0], f[1], f[2])
+    def real_part(self, f):
+        """The real ints (c0, c1, c2) of a real element with the ints f:
+        c0 + c1 eta_1 + c2 eta_2."""
+        return -f[2], f[0] - f[2], f[1] - f[2]
 
-    def enclosure(self, f, den: int, p: int):
-        """Fractions lo <= x <= hi for a real x, about 2^-p apart; lo = hi = x for a rational x."""
-        e1, e2, e3 = f[:3]
-        if e1 == e2 == e3:
-            v = Fraction(-e1, den)
-            return v, v
+    def real_split(self, f):
+        """The real ints of 7 a and 7 b for x = a + b tau with the ints f,
+        a and b real.  With d_k = f_k - f_(7-k), -7 b = (x - conj(x))
+        sqrt(-7), for the Gauss sum sqrt(-7) = zeta + zeta^2 + zeta^4 -
+        zeta^3 - zeta^5 - zeta^6, and 2 a = x + conj(x) - b."""
+        f1, f2, f3, f4, f5, f6 = f
+        d1, d2, d3 = f1 - f6, f2 - f5, f3 - f4
+        s3 = f3 + f4
+        b = (2 * d1 + 4 * d2 - d3, d1 + 2 * d2 + 3 * d3, 3 * d2 + d3 - 2 * d1)
+        return ((-7 * s3 - b[0]) // 2, (7 * (f1 + f6 - s3) - b[1]) // 2, (7 * (f2 + f5 - s3) - b[2]) // 2), b
+
+    def real_sign(self, r) -> int:
+        """Exact sign of the real element with the real ints r."""
+        c0, c1, c2 = r
+        return eta_sign(c1 - c0, c2 - c0, -c0)
+
+    def dyadic_bracket(self, r, p: int):
+        """Ints lo <= 2^p x <= hi for the real element x with the real ints
+        r, a few units apart; lo = hi = 2^p x for a rational x."""
+        c0, c1, c2 = r
+        e = (c1 - c0, c2 - c0, -c0)
+        if not (c1 or c2):
+            return c0 << p, c0 << p
         lo = hi = 0
-        for e, (l, h) in zip((e1, e2, e3), _eta_brackets(p)):
-            lo, hi = (lo + e * l, hi + e * h) if e >= 0 else (lo + e * h, hi + e * l)
-        return Fraction(lo, den << p), Fraction(hi, den << p)
+        for k, (l, h) in zip(e, _eta_brackets(p)):
+            lo, hi = (lo + k * l, hi + k * h) if k >= 0 else (lo + k * h, hi + k * l)
+        return lo, hi
 
-    def floor_real(self, f, den: int) -> int:
-        """The floor from the enclosure at p = 64, 128, 256, ... once both ends agree."""
+    def floor_real(self, r, den: int) -> int:
+        """Floor of the real element with the real ints r over den > 0:
+        the floor of both ends of its bracket at p = 64, 128, 256, ...
+        once they agree."""
         p = _ETA_START_BITS
-        lo, hi = self.enclosure(f, den, p)
-        while math.floor(lo) != math.floor(hi):
+        while True:
+            lo, hi = self.dyadic_bracket(r, p)
+            k = lo // (den << p)
+            if k == hi // (den << p):
+                return k
             p *= 2
-            lo, hi = self.enclosure(f, den, p)
-        return math.floor(lo)
 
 
 class AlgNum:
@@ -659,9 +707,10 @@ class AlgNum:
     `ints` and `den` are in normal form, den > 0 and gcd(ints, den) = 1, so
     two elements of one field are equal exactly when their ints and dens
     are; the field (Zeta3Tower, Zeta7Tower) says what the ints are.  Sums,
-    products, quotients by ints, conj, |x|^2 and inverses are the same int
-    operations in both fields, on the field's products and automorphisms;
-    an operand is an AlgNum of the field, a KNum or an int.
+    products, conj, |x|^2 and inverses are the same int operations in both
+    fields, on the field's products and automorphisms; an operand is an
+    AlgNum of the field, a KNum or an int.  The package's hot paths take
+    the ints themselves, so the class has no subtraction or quotient.
     The sign of a real element is exact: an int test in Q(sqrt(21)) for
     K(zeta_3), and in K(zeta_7) one against a dyadic bracket refined until
     it decides.  K-coefficients in the power basis 1, zeta, ..., zeta^(d-1)
@@ -701,7 +750,8 @@ class AlgNum:
     @property
     def coeffs(self) -> tuple:
         """The K-coefficients in the power basis of zeta, a tuple of KNums."""
-        return self.tower.coeffs(self.ints, self.den)
+        c = self.tower.k_ints(self.ints)
+        return tuple(knum_from_ints(c[i], c[i + 1], self.den) for i in range(0, len(c), 2))
 
     def __eq__(self, other):
         if isinstance(other, AlgNum) and other.tower is not self.tower:
@@ -751,14 +801,6 @@ class AlgNum:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _alg(self.tower, tuple(-a for a in self.ints), self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, (AlgNum, int, KNum)):
-            return self + (-other)
-        return NotImplemented
-
     def __mul__(self, other):
         if isinstance(other, int):
             return _alg(self.tower, tuple(other * a for a in self.ints), self.den)
@@ -768,21 +810,6 @@ class AlgNum:
         return _alg(self.tower, self.tower.mul(self.ints, o[0]), self.den * o[1])
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, AlgNum):
-            return self * other.inverse()
-        if isinstance(other, int):
-            if other == 0:
-                raise ZeroDivisionError("division by zero in K(zeta)")
-            f = self.ints if other > 0 else tuple(-a for a in self.ints)
-            return _alg(self.tower, f, self.den * abs(other))
-        if isinstance(other, KNum):
-            return self * (1 / other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def inverse(self) -> "AlgNum":
         """1/x = D adj/n: adj is the product of the other images of D x, and
@@ -806,11 +833,13 @@ class AlgNum:
     def _real_ints(self):
         if not self.is_real():
             raise ValueError(f"{self!r} is not real")
-        return self.ints
+        return self.tower.real_part(self.ints)
 
     def enclosure(self, prec: int):
-        """Rational bracket (lo, hi) of a real element of K(zeta_7), about 2^-prec wide."""
-        return self.tower.enclosure(self._real_ints(), self.den, prec)
+        """Rational bracket (lo, hi) of a real element of K(zeta_7), about
+        2^-prec wide; lo = hi for a rational element."""
+        lo, hi = self.tower.dyadic_bracket(self._real_ints(), prec)
+        return Fraction(lo, self.den << prec), Fraction(hi, self.den << prec)
 
     def is_real(self) -> bool:
         return self.tower.conj(self.ints) == self.ints
@@ -819,9 +848,6 @@ class AlgNum:
         """Exact sign of a real element (-1, 0, +1); raises ValueError if it is not real."""
         return self.tower.real_sign(self._real_ints())
 
-    def floor_real(self) -> int:
-        """Floor of a real element; raises ValueError if it is not real."""
-        return self.tower.floor_real(self._real_ints(), self.den)
 
 
 # AlgNum.__setattr__ refuses every write, as KNum's does
@@ -846,6 +872,11 @@ def _alg(tower: Zeta3Tower | Zeta7Tower, f: tuple, den: int) -> AlgNum:
 
 _ZETA3 = Zeta3Tower()
 _ZETA7 = Zeta7Tower()
+
+
+def real_field(r) -> Zeta3Tower | Zeta7Tower:
+    """The field of the real ints r: two for K(zeta_3), three for K(zeta_7)."""
+    return _ZETA3 if len(r) == 2 else _ZETA7
 
 
 def zeta3_tower() -> Zeta3Tower:

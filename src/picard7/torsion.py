@@ -135,7 +135,7 @@ def make_reflection(v) -> GroupElt:
     return GroupElt.from_ints(tuple(t), word=(("R_" + "".join(str(x) for x in polar.coords), 1),))
 
 
-def _eigenvectors(t, lams, lift, mul):
+def _eigenvectors(t, cross, lams, lift, mul):
     """For each lam of lams in turn, a vector spanning the kernel of
     g - lam I when it has rank 2, for g with the 18 ints t, or None when
     lam is no eigenvalue of g.
@@ -150,25 +150,30 @@ def _eigenvectors(t, lams, lift, mul):
     pairs (Goldman, Complex Hyperbolic Geometry, ch. 6).  Two independent
     rows kill v, and row k does exactly when g - lam I is singular:
     products only, with no pivot and no division.  The coefficients of v
-    and row k, lifted to F, do not depend on lam: each triple's are formed
-    once, at the first lam that reaches it, and evaluated at every lam.
+    and row k do not depend on lam or on F: cross keeps each triple's int
+    pairs, formed at the first lam of any field that reaches it, and a
+    caller that passes one dict for g to several fields forms them once.
+    Each field lifts them once, and evaluates them at each candidate.
     """
-    rows = [[t[6 * r + 2 * c:6 * r + 2 * c + 2] for c in range(3)] for r in range(3)]
-    forms = {}
+    lifted = {}
     for lam in lams:
         lam2 = mul(lam, lam)
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            if k not in forms:
-                gi, gj = rows[i], rows[j]
-                (p, q), (r, s) = gi[i], gj[j]
-                coeffs = [None] * 3
-                # v_m = (g_i x g_j)_m + lam c, with (g_i x g_j)_m = g_ia g_jb - g_ib g_ja
-                for m, a, b, c in ((i, j, k, gi[k]), (j, k, i, gj[k]), (k, i, j, (-p - r, -q - s))):
-                    x, y = _mul_ints(*gi[a], *gj[b])
-                    z, w = _mul_ints(*gi[b], *gj[a])
-                    coeffs[m] = lift(x - z, y - w), lift(*c)
-                forms[k] = coeffs, [lift(*c) for c in rows[k]]
-            coeffs, row = forms[k]
+            if k not in lifted:
+                if k not in cross:
+                    rows = [[t[6 * r + 2 * c:6 * r + 2 * c + 2] for c in range(3)] for r in range(3)]
+                    gi, gj = rows[i], rows[j]
+                    (p, q), (r, s) = gi[i], gj[j]
+                    pairs = [None] * 3
+                    # v_m = (g_i x g_j)_m + lam c, with (g_i x g_j)_m = g_ia g_jb - g_ib g_ja
+                    for m, a, b, c in ((i, j, k, gi[k]), (j, k, i, gj[k]), (k, i, j, (-p - r, -q - s))):
+                        x, y = _mul_ints(*gi[a], *gj[b])
+                        z, w = _mul_ints(*gi[b], *gj[a])
+                        pairs[m] = (x - z, y - w), c
+                    cross[k] = pairs, rows[k]
+                pairs, row = cross[k]
+                lifted[k] = [(lift(*x), lift(*c)) for x, c in pairs], [lift(*c) for c in row]
+            coeffs, row = lifted[k]
             v = [tuple(map(add, x, mul(lam, c))) for x, c in coeffs]
             v[k] = tuple(map(add, v[k], lam2))
             if any(map(any, v)):
@@ -258,7 +263,9 @@ def classify_elliptic(g: GroupElt, n: int):
     # of finite order and not an involution, so g has three simple
     # eigenvalues; K contains only the roots of unity +/-1, so any
     # K-rational eigenvector belongs to one of those
-    for v in _eigenvectors(g.ints, ((1, 0), (-1, 0)), _k_lift, _k_mul):
+    # the cross products of g's rows, as int pairs, for both fields
+    cross = {}
+    for v in _eigenvectors(g.ints, cross, ((1, 0), (-1, 0)), _k_lift, _k_mul):
         if v is not None:
             v = v[0] + v[1] + v[2]
             if sq_norm_ints(v) < 0:
@@ -280,7 +287,7 @@ def classify_elliptic(g: GroupElt, n: int):
         raise ValueError(f"unsupported eigenvalue field for projective order {n}")
     # the candidates e z, e z^2, .., e z^(n - 1), as running products
     lams = accumulate(repeat(z, n - 2), tw.mul, initial=tw.mul(tw.lift(e, 0), z))
-    for v in _eigenvectors(g.ints, lams, tw.lift, tw.mul):
+    for v in _eigenvectors(g.ints, cross, lams, tw.lift, tw.mul):
         if v is not None:
             v = tuple(_alg(tw, f, 1) for f in v)
             if sq_norm(v).real_sign() < 0:

@@ -23,6 +23,7 @@ from picard7.ford import (
     spheres_at,
 )
 from picard7.heisenberg import (
+    BRACKET,
     IDENTITY,
     R,
     T1,
@@ -62,6 +63,7 @@ from picard7.ring import (
     eta_sign,
     knum_from_ints,
     o_gcd,
+    real_field,
     sqrt21_sign,
     zeta7_autocorr,
 )
@@ -83,6 +85,34 @@ def zeta_of(tw) -> AlgNum:
 def alg_lift(tw, x) -> AlgNum:
     """The int or KNum x as an AlgNum of the field tw."""
     return AlgNum(tw, [KNum.coerce(x)])
+
+
+def neg(x):
+    """-x for a KNum or an AlgNum, as its multiple by the int -1: an AlgNum
+    has no negation of its own."""
+    return x * -1
+
+
+def sub(x, y):
+    """x - y for ints, KNums and AlgNums of one field, as x + (-1) y."""
+    return x + y * -1
+
+
+def div(x, y):
+    """x / y for ints, KNums and AlgNums of one field: an AlgNum divisor by
+    its inverse, and an AlgNum by a KNum or an int by K's 1/y."""
+    if isinstance(y, AlgNum):
+        return y.inverse() * x
+    if isinstance(x, AlgNum):
+        return x * (ONE / y)
+    return x / y
+
+
+def alg_floor(x: AlgNum) -> int:
+    """The floor of a real AlgNum, by its field's floor_real on its real ints."""
+    if not x.is_real():
+        raise ValueError(f"{x!r} is not real")
+    return x.tower.floor_real(x.tower.real_part(x.ints), x.den)
 
 
 def alg_pow(x: AlgNum, n: int) -> AlgNum:
@@ -148,19 +178,19 @@ def _kernel_basis(rows, one=ONE):
         if piv is None:
             continue
         rows[rk], rows[piv] = rows[piv], rows[rk]
-        inv = one / rows[rk][col]
+        inv = div(one, rows[rk][col])
         rows[rk] = [x * inv for x in rows[rk]]
         for i in range(3):
             if i != rk and not rows[i][col].is_zero():
                 f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rk])]
+                rows[i] = [sub(x, f * y) for x, y in zip(rows[i], rows[rk])]
         pivots.append(col)
     basis = []
     for free in (c for c in range(3) if c not in pivots):
-        v = [one - one] * 3
+        v = [one * 0] * 3
         v[free] = one
         for r, col in enumerate(pivots):
-            v[col] = -rows[r][free]
+            v[col] = neg(rows[r][free])
         basis.append(tuple(v))
     return basis
 
@@ -170,7 +200,7 @@ def _shifted_rows(rows, lam):
     when lam is an AlgNum."""
     if isinstance(lam, AlgNum):
         rows = [[alg_lift(lam.tower, x) for x in r] for r in rows]
-    return [[x - lam if i == j else x for j, x in enumerate(r)] for i, r in enumerate(rows)]
+    return [[sub(x, lam) if i == j else x for j, x in enumerate(r)] for i, r in enumerate(rows)]
 
 
 def eigenspace_basis(g: GroupElt, lam):
@@ -191,7 +221,7 @@ def ref_eigenvector(rows, lam):
     """
     r0, r1, r2 = _shifted_rows(rows, lam)
     for (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) in ((r0, r1, r2), (r0, r2, r1), (r1, r2, r0)):
-        v = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+        v = (sub(a2 * b3, a3 * b2), sub(a3 * b1, a1 * b3), sub(a1 * b2, a2 * b1))
         if not all(x.is_zero() for x in v):
             return v if (c1 * v[0] + c2 * v[1] + c3 * v[2]).is_zero() else None
     raise ArithmeticError("M - lam I has rank below 2")
@@ -253,7 +283,7 @@ def cusp_matrix(c) -> Mat:
 
 def real_cmp(x, y) -> int:
     """Exact comparison of two real scalars (KNum or AlgNum, mixed allowed)."""
-    return (-y + x).real_sign()
+    return sub(x, y).real_sign()
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +321,11 @@ def horo_coords(v) -> HoroPoint:
         if v2.is_zero():
             raise ValueError("point at infinity has no horospherical coordinates")
         raise ValueError("vector has positive square norm")
-    z = v2 / v3
-    w = (v1 / v3) * 2 + z * z.conj()
+    z = div(v2, v3)
+    w = div(v1, v3) * 2 + z * z.conj()
     # w = it - u: ti is the anti-Hermitian part, u = -Re(w)
-    ti = (w - w.conj()) / 2
-    u = -(w + w.conj()) / 2
+    ti = div(sub(w, w.conj()), 2)
+    u = div(w + w.conj(), -2)
     if u.real_sign() < 0:
         raise ValueError("vector has positive square norm")
     return HoroPoint(z, ti, u)
@@ -304,26 +334,26 @@ def horo_coords(v) -> HoroPoint:
 def lift(h: HoroPoint):
     """Homogeneous lift ((-|z|^2 + it - u)/2, z, 1)."""
     z = h.z
-    return ((-(z * z.conj()) + h.ti - h.u) / 2, z, ONE)
+    return (div(sub(h.ti, z * z.conj() + h.u), 2), z, ONE)
 
 
 def act_horo(c: CuspElt, h: HoroPoint) -> HoroPoint:
     """(z, ti, u) -> (w + sigma z, ti + i t0 + w conj(sigma z) - conj(w) sigma z, u)."""
     w = KNum(c.m, c.n)
-    z = -h.z if c.eps else h.z
-    ti = h.ti + ISQRT7 * c.s0 + w * z.conj() + (-w.conj()) * z
+    z = neg(h.z) if c.eps else h.z
+    ti = sub(h.ti + ISQRT7 * c.s0 + w * z.conj(), w.conj() * z)
     return HoroPoint(w + z, ti, h.u)
 
 
 def tau_coordinates(z):
     """Real scalars (a, b) with z = a + b*tau, exact: b = (z - conj z)/(i sqrt(7))."""
-    b = (z - z.conj()) / ISQRT7
-    return z - b * TAU, b
+    b = div(sub(z, z.conj()), ISQRT7)
+    return sub(z, b * TAU), b
 
 
 def s_coordinate(ti):
     """The real scalar s with t = s*sqrt(7), from ti = i*t."""
-    return ti / ISQRT7
+    return div(ti, ISQRT7)
 
 
 class Prism:
@@ -343,9 +373,9 @@ class Prism:
         checks = {
             "a=0": a.real_sign(),
             "b=0": b.real_sign(),
-            "a+b=1": (-a - b + 1).real_sign(),
+            "a+b=1": sub(1, a + b).real_sign(),
             "s=0": s.real_sign(),
-            "s=2": (-s + 2).real_sign(),
+            "s=2": sub(2, s).real_sign(),
         }
         if any(v < 0 for v in checks.values()):
             return "outside", ()
@@ -359,7 +389,7 @@ class Prism:
 
 def _real_floor(x) -> int:
     """The floor of a real scalar: a KNum's through its rational value."""
-    return floor(rat(x)) if isinstance(x, KNum) else x.floor_real()
+    return floor(rat(x)) if isinstance(x, KNum) else alg_floor(x)
 
 
 def horo_reduce_to_prism(h: HoroPoint):
@@ -374,11 +404,11 @@ def horo_reduce_to_prism(h: HoroPoint):
         total = CuspElt(m=-k) * CuspElt(n=-n)
         h = act_horo(total, h)
         a, b = tau_coordinates(h.z)
-    if (-a - b + 1).real_sign() < 0:
+    if sub(1, a + b).real_sign() < 0:
         step = T1 * TTAU * R  # z -> 1 + tau - z
         h = act_horo(step, h)
         total = step * total
-    lshift = _real_floor(s_coordinate(h.ti) / 2)
+    lshift = _real_floor(div(s_coordinate(h.ti), 2))
     if lshift:
         step = CuspElt(l=-lshift)
         h = act_horo(step, h)
@@ -815,7 +845,7 @@ def ref_reduce_to_domain(x: ProjPoint):
         if cmp(quantity(v[2]), own) >= 0:
             raise ArithmeticError("the Ford quantity did not decrease")
         if not isinstance(v[2], KNum):
-            inv = 1 / v[2]
+            inv = v[2].inverse()
             v = tuple(y * inv for y in v)
         total = gi * total
 
@@ -992,14 +1022,58 @@ def ref_reflection_polar(g: GroupElt):
 
 
 # ---------------------------------------------------------------------------
-# prism decisions with every sign and floor of a tower point an AlgNum test
+# prism coordinates and decisions with every step of a tower point in AlgNum
+# arithmetic
 # ---------------------------------------------------------------------------
+
+
+def alg_of_real(r, den: int) -> AlgNum:
+    """The real element with the real ints r over den (`ring.real_field`)
+    as an AlgNum: p + q w with w = (1 - sqrt(21))/2 = tau - zeta + 2 tau
+    zeta in K(zeta_3), c0 + c1 eta_1 + c2 eta_2 in K(zeta_7)."""
+    tw = real_field(r)
+    if len(r) == 2:
+        p, q = r
+        return div(AlgNum(tw, [KNum(p) + q * TAU, KNum(-q) + 2 * q * TAU]), den)
+    c0, c1, c2 = r
+    z = zeta_of(tw)
+    eta1, eta2 = z + alg_pow(z, 6), alg_pow(z, 2) + alg_pow(z, 5)
+    return div(eta1 * c1 + eta2 * c2 + c0, den)
+
+
+def alg_prism(x):
+    """Prism coordinates x as AlgNum ones: a tower point's real ints over
+    den as real AlgNums over den = 1; K coordinates as they are."""
+    a, b, s, den = x
+    if type(a) is int:
+        return x
+    return alg_of_real(a, den), alg_of_real(b, den), alg_of_real(s, den), 1
+
+
+def ref_prism_coordinates(v):
+    """The prism coordinates (a, b, s, 1) of a tower vector v with <v, v> <=
+    0 and v3 != 0 in AlgNum arithmetic: z = v2/v3 = a + b tau and v1/v3 =
+    c + s tau for real a, b, c and s, with b = (z - conj z)/(i sqrt 7)."""
+    z, y = div(v[1], v[2]), div(v[0], v[2])
+    if (y + y.conj() + z * z.conj()).real_sign() > 0:
+        raise ValueError("vector has positive square norm")
+    a, b = tau_coordinates(z)
+    return a, b, tau_coordinates(y)[1], 1
+
+
+def algnum_act_prism(c: CuspElt, x):
+    """act_prism's Heisenberg law on AlgNum or int prism coordinates x."""
+    m, n, eps, l = c
+    a, b, s, den = x
+    if eps:
+        a, b = neg(a), neg(b)
+    return m * den + a, n * den + b, s + (m - m * n + 2 * l) * den + sub(n * a, m * b), den
 
 
 def _algnum_in_triangle(a, b, den) -> bool:
     if type(a) is int:
         return a >= 0 and b >= 0 and a + b <= den
-    return all(y.real_sign() >= 0 for y in (a, b, -a - b + den))
+    return all(y.real_sign() >= 0 for y in (a, b, sub(den, a + b)))
 
 
 def algnum_in_prism(x) -> bool:
@@ -1008,22 +1082,22 @@ def algnum_in_prism(x) -> bool:
         return False
     if type(s) is int:
         return 0 <= s <= 2 * den
-    return s.real_sign() >= 0 and (-s + 2 * den).real_sign() >= 0
+    return s.real_sign() >= 0 and sub(2 * den, s).real_sign() >= 0
 
 
 def _algnum_floor(x, d: int) -> int:
     """floor(x/d) for an int or a real AlgNum x and an int d > 0."""
-    return x // d if type(x) is int else (x / d).floor_real()
+    return x // d if type(x) is int else alg_floor(div(x, d))
 
 
 def algnum_reduce_to_prism(x) -> CuspElt:
     a, b, _, den = x
     k, j = _algnum_floor(a, den), _algnum_floor(b, den)
-    y = a + b - (k + j + 1) * den
+    y = sub(a + b, (k + j + 1) * den)
     flip = y > 0 if type(y) is int else y.real_sign() > 0
     m, n, eps = (k + 1, j + 1, 1) if flip else (-k, -j, 0)
-    c = CuspElt(m, n, eps, -_algnum_floor(act_prism(CuspElt(m, n, eps), x)[2], 2 * den))
-    if not algnum_in_prism(act_prism(c, x)):
+    c = CuspElt(m, n, eps, -_algnum_floor(algnum_act_prism(CuspElt(m, n, eps), x)[2], 2 * den))
+    if not algnum_in_prism(algnum_act_prism(c, x)):
         raise ArithmeticError("prism reduction left the prism")
     return c
 
@@ -1032,13 +1106,18 @@ def algnum_overlaps_keeping(x):
     den = x[3]
     out = []
     for part, run in groupby(enumerate_cusp_overlaps(), key=itemgetter(0, 1, 2)):
-        pa, pb, base, _ = act_prism(part + (0,), x)
+        pa, pb, base, _ = algnum_act_prism(part + (0,), x)
         if not _algnum_in_triangle(pa, pb, den):
             continue
         k = _algnum_floor(base, 2 * den)
         last = 1 - k if base == 2 * den * k else -k
         out += [c for c in run if -k <= c.l <= last and c != IDENTITY]
     return out
+
+
+def algnum_bracket(x) -> int:
+    """floor(2^16 x) for a real AlgNum x."""
+    return alg_floor(x * BRACKET)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,8 @@ from picard7.presentation import abcd
 from picard7.torsion import _torsion_candidates, classify_elliptic
 from reference import (
     act_horo,
+    neg,
+    sub,
     alg_pow,
     candidate_columns,
     cone_translates,
@@ -355,7 +357,7 @@ def _refused_points():
         (ProjPoint((KNum(1), KNum(0), KNum(0))), "point at infinity has no horospherical coordinates"),
         (ProjPoint((KNum(1), KNum(0), KNum(1))), positive),  # <v, v> = 2
         (ProjPoint((KNum(0), KNum(1), KNum(0))), positive),  # v3 = 0, <v, v> = 1
-        (ProjPoint(lifted((KNum(1), KNum(0), -z))), positive),  # <v, v> = -2 Re(zeta_3) = 1
+        (ProjPoint(lifted((KNum(1), KNum(0), neg(z)))), positive),  # <v, v> = -2 Re(zeta_3) = 1
     ]
 
 
@@ -481,14 +483,14 @@ def test_reduction_keeps_its_soundness_checks(monkeypatch):
     # a sweep at v3 = 0 are refused in the entry-point and column-scan tests
     z = zeta_of(zeta3_tower())
     for x in (ProjPoint(lift(from_zsu(0, 1, 0))), ProjPoint((KNum(1), KNum(0), KNum(1))),
-              ProjPoint(lifted((KNum(1), KNum(0), -z)))):
+              ProjPoint(lifted((KNum(1), KNum(0), neg(z))))):
         for reduce in (reduce_to_domain, ref_reduce_to_domain):
             with pytest.raises(ValueError, match="reduction needs an interior point"):
                 reduce(x)
     # a sweep that reports the sphere of A1 as violated by a point high
     # above it: the step raises the Ford quantity, in K and in K(zeta_3)
     v1, v2, v3 = tower_fixed_points()[0][1].coords
-    for x in (ProjPoint(lift(from_zsu(TAU / 2, 1, 5))), ProjPoint((v1 - 2 * v3, v2, v3))):
+    for x in (ProjPoint(lift(from_zsu(TAU / 2, 1, 5))), ProjPoint((sub(v1, 2 * v3), v2, v3))):
         n = 1 if x.rational else v3.tower.n
         quantity, cmp, _ = ford._KERNELS[n]
         monkeypatch.setitem(ford._KERNELS, n, (quantity, cmp, lambda v, own, g, best: iter([(-1, own, 1, CuspElt())])))
@@ -702,7 +704,7 @@ def test_tower_sweeps_match_the_column_scans():
         points["orbit"].append(y.apply(w))
         # v1 - 2 v3 raises u' = -<v, v>/|v3|^2 by 4, above every r^2 <= 2
         v1, v2, v3 = y.coords
-        points["high"].append(ProjPoint((v1 - 2 * v3, v2, v3)))
+        points["high"].append(ProjPoint((sub(v1, 2 * v3), v2, v3)))
     ties = 0
     for kind, xs in points.items():
         for x in xs:

@@ -22,6 +22,7 @@ from picard7.hermitian import (
 from picard7.heisenberg import prism_coordinates
 from reference import (
     _kernel_basis,
+    sub,
     alg_lift,
     alg_pow,
     eigenspace_basis,
@@ -141,20 +142,25 @@ def test_mat_refuses_algnum_entries():
         Mat([[alg_lift(zeta3_tower(), 2), 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
-def test_tower_vectors_take_the_generic_path(monkeypatch):
+def test_tower_vectors_move_by_the_k_kernel_per_power(monkeypatch):
+    # a matrix over K moves the K-coefficients of each power of zeta on its
+    # own: the int kernel runs once per power, and a tower point moves to
+    # the point of the entrywise product
     import picard7.hermitian as hermitian
 
-    def no_int_kernel(*args):
-        raise AssertionError("the int kernel ran on a tower vector")
-
-    monkeypatch.setattr(hermitian, "_apply_ints", no_int_kernel)
+    calls = []
+    kernel = hermitian._apply_ints
+    monkeypatch.setattr(hermitian, "_apply_ints", lambda t, v: calls.append(v) or kernel(t, v))
     for tower in (zeta3_tower, zeta7_tower):
         z = zeta_of(tower())
-        for v in ((z, KNum(1), TAU), (z * z, z + 1, KNum(Fraction(1, 2))), (z, z * 3 - TAU, z * z * z)):
+        for v in ((z, KNum(1), TAU), (z * z, z + 1, KNum(Fraction(1, 2))), (z, sub(z * 3, TAU), z * z * z)):
             v = lifted(v)
             for m in (A2, A6):
                 g = GroupElt(m)
+                calls.clear()
                 assert ints_apply(g.ints, v) == mat_apply(g.mat, v)
+                assert len(calls) == tower().degree
+                assert ProjPoint(v).moved(g.ints) == ProjPoint(mat_apply(g.mat, v))
 
 
 @pytest.mark.parametrize("tower", [zeta3_tower, zeta7_tower])

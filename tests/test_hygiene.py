@@ -174,6 +174,7 @@ UNENTERED_ALLOWED = {
     ("hermitian", "Mat.__mul__"): "perfbench's worker times it as hermitian.mat_mul_us",
     ("hermitian", "mat_from_json"): "perfbench's input builder reads its matrices with it",
     ("ring", "AlgNum.enclosure"): "named in perfbench's TARGETS",
+    ("ring", "AlgNum.abs2"): "perfbench's worker forms the real operands of ring.algnum_real_sign_us with it",
     # acceptance criterion 11 certifies the depth spectrum with this oracle
     ("hermitian", "depth"): "criterion 11's depth oracle",
     ("hermitian", "depth_witness"): "criterion 11's depth oracle",
@@ -184,8 +185,6 @@ UNENTERED_ALLOWED = {
     # an AlgNum's K-coefficients in the power basis of zeta: an edge form
     ("ring", "AlgNum.__new__"): "builds an AlgNum from its K-coefficients",
     ("ring", "AlgNum.coeffs"): "reads an AlgNum's K-coefficients",
-    ("ring", "Zeta3Tower.coeffs"): "reads an AlgNum's K-coefficients",
-    ("ring", "Zeta7Tower.coeffs"): "reads an AlgNum's K-coefficients",
     ("ring", "KNum.b"): "the tau-coordinate as a Fraction, beside KNum.a",
 }
 
@@ -388,6 +387,66 @@ print(heisenberg.enumerate_cusp_overlaps.cache_info().currsize, len(sweeps))
 """ % str(SRC.parent)
     out = subprocess.run([sys.executable, "-I", "-c", code] + argv, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["0", str(zeta3_sweeps)]
+
+
+def test_tower_prism_steps_enter_no_algnum_method():
+    # in a fresh `mirror verify --which R`, whose zeta_3 vertex of mu ups
+    # iota is reduced, walked and moved, the prism functions, a point's
+    # moves and the sweeps' u' bracket run on the field's ints: below them
+    # no AlgNum method is entered but the read of an int scale's KNum
+    # (k_part), while the zeta_3 field's real ints are
+    code = """
+import contextlib, io, sys
+sys.path.insert(0, %r)
+from picard7 import cli, ford, heisenberg, hermitian
+watched = {f.__code__ for f in (heisenberg.prism_coordinates, heisenberg.act_prism, heisenberg.bracket,
+                                heisenberg.prism_grid, heisenberg.in_prism, heisenberg.reduce_to_prism,
+                                heisenberg.overlaps_keeping, hermitian.ProjPoint.moved, ford._height_bracket)}
+depth, below = [0], set()
+def record(frame, event, arg):
+    code = frame.f_code
+    if event == "call":
+        if code in watched:
+            depth[0] += 1
+        elif depth[0] and code.co_filename.endswith("ring.py"):
+            below.add(code.co_qualname)
+    elif event == "return" and code in watched:
+        depth[0] -= 1
+sys.setprofile(record)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["mirror", "verify", "--which", "R"])
+sys.setprofile(None)
+print(code, sorted(q for q in below if q.startswith("AlgNum") and q != "AlgNum.k_part"), "Zeta3Tower.real_split" in below,
+      "Zeta3Tower.floor_real" in below)
+""" % str(SRC.parent)
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "[]", "True", "True"]
+
+
+def test_mirror_contexts_are_built_once_per_process():
+    # each mirror's context is a zero-argument memo: in a fresh process the
+    # two searches on mirror L and the verify of mirror R build two
+    # contexts, and a second call returns the same object
+    code = """
+import contextlib, io, sys
+sys.path.insert(0, %r)
+from picard7 import cli, mirror
+built = []
+init = mirror.MirrorContext.__init__
+def counted(self, polar):
+    built.append(polar)
+    init(self, polar)
+mirror.MirrorContext.__init__ = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    for norm in ("2", "1"):
+        assert cli.main(["mirror", "search", "--which", "L", "--norm", norm, "--height", "2"]) == 0
+    assert cli.main(["mirror", "verify", "--which", "R"]) == 0
+same = (mirror.MirrorContext.mirror_of_half_turn() is mirror.MirrorContext.mirror_of_half_turn()
+        and mirror.MirrorContext.mirror_of_shifted_half_turn() is mirror.MirrorContext.mirror_of_shifted_half_turn())
+print(len(built), same)
+""" % str(SRC.parent)
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["2", "True"]
 
 
 def test_k_rational_reduction_runs_on_ints():

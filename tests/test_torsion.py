@@ -1,12 +1,14 @@
 import ast
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
 
-from picard7.ring import ISQRT7, TAU, AlgNum, KNum, TAU_BAR, _alg, knum_from_ints, zeta3_tower, zeta7_tower
-from picard7.hermitian import GroupElt, Mat, ProjPoint, mat_ints, sq_norm, sq_norm_ints
+from picard7.ring import ISQRT7, TAU, AlgNum, KNum, TAU_BAR, _alg, knum_from_ints, real_field, zeta3_tower, zeta7_tower
+from picard7.hermitian import GroupElt, Mat, ProjPoint, ints_inverse, ints_product, mat_ints, sq_norm, sq_norm_ints
 from picard7.heisenberg import (
+    BRACKET,
     IDENTITY,
     CuspElt,
     cusp_torsion_classes,
@@ -19,12 +21,13 @@ from picard7.heisenberg import (
     in_prism,
     overlaps_keeping,
     prism_coordinates,
+    prism_grid,
     reduce_to_prism,
 )
 from picard7.ford import GENERATORS, INVERSE_PAIRS, enumerate_tjk, reduce_to_domain, spheres_containing
 from picard7.mirror import mirror_l_generators
 from picard7.presentation import abcd, torsion_word_rows
-from picard7 import ford, heisenberg, mirror, torsion
+from picard7 import ford, heisenberg, hermitian, mirror, torsion
 from picard7.torsion import (
     ClosureError,
     FiniteGroup,
@@ -43,6 +46,15 @@ from picard7.torsion import (
     _search_alphabet,
 )
 from reference import (
+    algnum_bracket,
+    ref_prism_coordinates,
+    alg_of_real,
+    alg_prism,
+    algnum_act_prism,
+    alg_floor,
+    div,
+    neg,
+    sub,
     HoroPoint,
     Prism,
     _is_mirror,
@@ -192,10 +204,10 @@ def _eigenvector_calls(monkeypatch):
     eigenvectors = torsion._eigenvectors
     calls = []
 
-    def spy(t, lams, lift, mul):
+    def spy(t, cross, lams, lift, mul):
         lams = list(lams)
         field = None if lift is torsion._k_lift else lift.__self__
-        for lam, v in zip(lams, eigenvectors(t, lams, lift, mul)):
+        for lam, v in zip(lams, eigenvectors(t, cross, lams, lift, mul)):
             calls.append((t, lam, field, v))
             yield v
 
@@ -205,7 +217,7 @@ def _eigenvector_calls(monkeypatch):
 
 def _eigenvector(t, lam, lift, mul):
     """torsion._eigenvectors at the one candidate lam."""
-    (v,) = torsion._eigenvectors(t, [lam], lift, mul)
+    (v,) = torsion._eigenvectors(t, {}, [lam], lift, mul)
     return v
 
 
@@ -351,7 +363,37 @@ def test_classify_takes_kernels_only_at_eigenvalues(monkeypatch):
             continue
         lam, v = _number(field, lam), tuple(_number(field, f) for f in v)
         assert not all(x.is_zero() for x in v)
-        assert all((y - lam * x).is_zero() for x, y in zip(v, mat_apply(GroupElt.from_ints(t).mat, v)))
+        assert all(sub(y, lam * x).is_zero() for x, y in zip(v, mat_apply(GroupElt.from_ints(t).mat, v)))
+
+
+def test_classify_forms_the_cross_products_once_per_element(monkeypatch):
+    # an element whose fixed point lies outside K^3 tries +/-1 in K, then
+    # the tower candidates: both passes read one dict of g's int-pair cross
+    # products, so each row triple's pairs are formed once (six int
+    # products), and only the lifts into each field repeat
+    eigenvectors, mul_ints = torsion._eigenvectors, torsion._mul_ints
+    dicts, formed = [], []
+
+    def spy(t, cross, lams, lift, mul):
+        dicts.append(cross)
+        return eigenvectors(t, cross, lams, lift, mul)
+
+    def counted(*args):
+        if sys._getframe(1).f_code.co_name == "_eigenvectors":
+            formed.append(args)
+        return mul_ints(*args)
+
+    monkeypatch.setattr(torsion, "_eigenvectors", spy)
+    monkeypatch.setattr(torsion, "_mul_ints", counted)
+    gens = abcd()
+    mti = GENERATORS[6] * TV.to_matrix() * GENERATORS[1]
+    for g, n in ((gens["a"], 7), (gens["c"], 6), (gens["b"] * gens["a"] * gens["b"] * gens["a"], 3), (mti, 6)):
+        dicts.clear()
+        formed.clear()
+        _, pt, _ = classify_elliptic(g, n)
+        assert not pt.rational
+        assert len(dicts) == 2 and dicts[0] is dicts[1]
+        assert len(formed) == 6 * len(dicts[0]) > 0
 
 
 def _matches_the_reference(m: Mat, lam, field, v) -> bool:
@@ -889,19 +931,124 @@ def test_overlaps_keeping_matches_one_prism_test_per_overlap():
 
 def _tower_facet_points():
     """Prism coordinates of tower points placed exactly on the facets of P,
-    five in each tower, at a distance r in (0, 1) of the facets they miss."""
+    five in each tower, at a distance r in (0, 1) of the facets they miss,
+    and two more, just below the lines a = 1 and s = 2, by e = r/2^17 <
+    2^-16, where the brackets straddle a floor."""
     points = []
     for tw in (zeta3_tower(), zeta7_tower()):
         g = zeta_of(tw)
-        r = (g - g.conj()) * ISQRT7 / 16
+        r = div(sub(g, g.conj()) * ISQRT7, 16)
         if r.real_sign() < 0:
-            r = -r
-        assert r.floor_real() == 0 and not r.in_k()
-        for a, b, s in ((0, r, r), (r, 0, r), (r, -r + 1, r), (r, r, 0), (r, r, 2)):
+            r = neg(r)
+        assert alg_floor(r) == 0 and not r.in_k()
+        e = div(r, 1 << 17)
+        for a, b, s in ((0, r, r), (r, 0, r), (r, sub(1, r), r), (r, r, 0), (r, r, 2), (sub(1, e), e, r),
+                        (r, r, sub(2, e))):
             x = prism_coordinates(vector_rep(lift(HoroPoint(a + b * TAU, ISQRT7 * s, r * r))))
-            assert [y == e for y, e in zip(x, (a, b, s, 1))] == [True] * 4
+            assert [y == e for y, e in zip(alg_prism(x), (a, b, s, 1))] == [True] * 4
             points.append(x)
     return points
+
+
+def _check_tower_int_path(p: ProjPoint):
+    """The int path of a tower point p against its AlgNum reference: the
+    prism coordinates, their grid, the cusp action, prism reduction, the
+    prism and overlap tests, the u' bracket of its sweep, and its moves by
+    the reducing cusp element and by a side pairing."""
+    x, xa = prism_coordinates(p.rep), ref_prism_coordinates(p.rep)
+    assert alg_prism(x) == xa
+    assert prism_grid(x) == (tuple(2 * algnum_bracket(y) + 1 for y in xa[:3]) + (2 * BRACKET,), 1)
+    c = reduce_to_prism(x)
+    assert c == algnum_reduce_to_prism(xa)
+    y = act_prism(c, x)
+    assert alg_prism(y) == algnum_act_prism(c, xa)
+    assert in_prism(x) == algnum_in_prism(xa) and in_prism(y)
+    assert overlaps_keeping(y) == algnum_overlaps_keeping(alg_prism(y))
+    vs = ford._sweep_vector(p.rep)[0]
+    scale = vs[2].k_part()
+    assert ford._height_bracket(vs) == algnum_bracket(div(neg(sq_norm(vs)), scale * scale))
+    for t in (c.ints, GENERATORS[2].ints):
+        q = p.moved(t)
+        assert q == ProjPoint(mat_apply(GroupElt.from_ints(t).mat, p.coords)) and q.rep[2].is_one()
+
+
+def test_tower_int_path_matches_the_algnum_reference(monkeypatch):
+    # at every tower vertex and side image of the torsion enumeration's
+    # cycle graph and of mirror R's three graphs, and at every step of the
+    # reductions of the tower fixed points of c, (ba)^2 and a and of the
+    # enumeration's 20, both towers
+    points = [v for cls in enumerate_torsion() if cls.kind == "isolated" for v in cls.transports]
+    graphs = []
+
+    def recorded(vertices):
+        graphs.append(build_cycle_graph(vertices))
+        return graphs[-1]
+
+    monkeypatch.setattr(mirror, "build_cycle_graph", recorded)
+    mirror.verify_mirror_R.__wrapped__()
+    assert len(graphs) == 3
+    points += [v for graph in graphs for v in _vertices(graph)]
+    vertices = [v for v in dict.fromkeys(points) if not v.rational]
+    sides = [v.moved(ints_inverse(ints_product(alpha.ints, GENERATORS[j].ints)))
+             for v in vertices for alpha, j, _ in spheres_containing(v)]
+    steps = []
+    monkeypatch.setattr(ford, "prism_coordinates", lambda v: steps.append(v) or prism_coordinates(v))
+    gens = abcd()
+    for g, n in ((gens["c"], 6), (gens["b"] * gens["a"] * gens["b"] * gens["a"], 3), (gens["a"], 7)):
+        reduce_to_domain(classify_elliptic(g, n)[1])
+    for x, _ in tower_fixed_points():
+        reduce_to_domain(x)
+    steps = [ProjPoint(v) for v in steps]
+    assert {p.rep[0].tower.n for p in vertices} == {p.rep[0].tower.n for p in steps} == {3, 7}
+    assert len(sides) >= len(vertices) and steps
+    for p in dict.fromkeys(vertices + sides + steps):
+        assert not p.rational
+        _check_tower_int_path(p)
+
+
+def test_exact_prism_fallbacks_run_on_ints_at_the_facet_points(monkeypatch):
+    # on the facet points of both towers, every exact fallback of the prism
+    # decisions runs: the sign and floor of reduce_to_prism and of
+    # overlaps_keeping, and the sign of in_prism.  Each decides on the real
+    # ints it is given as the AlgNum of those ints does, and each function
+    # answers as its all-AlgNum reference
+    entered = []
+    sign, floor = heisenberg._sign, heisenberg._floor
+
+    def checked_sign(t, r, exact):
+        def run():
+            y, den = exact()
+            assert type(y[0]) is int
+            got = real_field(y).real_sign(y)
+            assert got == alg_of_real(y, den).real_sign()
+            entered.append("sign")
+            return y, den
+        return sign(t, r, run)
+
+    def checked_floor(t, r, d, den, exact):
+        def run():
+            y, e = exact()
+            assert type(y[0]) is int
+            assert real_field(y).floor_real(y, d * e) == alg_floor(div(alg_of_real(y, e), d))
+            entered.append("floor")
+            return y, e
+        return floor(t, r, d, den, run)
+
+    monkeypatch.setattr(heisenberg, "_sign", checked_sign)
+    monkeypatch.setattr(heisenberg, "_floor", checked_floor)
+    seen = {}
+    for x in _tower_facet_points():
+        xa = alg_prism(x)
+        for name, f, ref in (("reduce_to_prism", reduce_to_prism, algnum_reduce_to_prism),
+                             ("in_prism", in_prism, algnum_in_prism),
+                             ("overlaps_keeping", overlaps_keeping, algnum_overlaps_keeping)):
+            entered.clear()
+            if name == "overlaps_keeping" and not algnum_in_prism(xa):
+                continue
+            assert f(x) == ref(xa), (name, x)
+            seen.setdefault((len(x[0]), name), set()).update(entered)
+    want = {"reduce_to_prism": {"sign", "floor"}, "in_prism": {"sign"}, "overlaps_keeping": {"sign", "floor"}}
+    assert seen == {(n, name): kinds for n in (2, 3) for name, kinds in want.items()}
 
 
 def test_overlaps_keeping_matches_the_table_on_paper_graphs(monkeypatch):
@@ -951,16 +1098,18 @@ def _check_prism_decisions(x):
     reduced image against their all-AlgNum versions; overlaps_keeping
     refuses an x outside P."""
     c = reduce_to_prism(x)
-    assert c == algnum_reduce_to_prism(x)
-    assert in_prism(x) == algnum_in_prism(x)
-    if algnum_in_prism(x):
-        assert overlaps_keeping(x) == algnum_overlaps_keeping(x)
+    xa = alg_prism(x)
+    assert c == algnum_reduce_to_prism(xa)
+    assert in_prism(x) == algnum_in_prism(xa)
+    if algnum_in_prism(xa):
+        assert overlaps_keeping(x) == algnum_overlaps_keeping(xa)
     else:
         with pytest.raises(ValueError, match="needs a point in the prism"):
             overlaps_keeping(x)
     y = act_prism(c, x)
-    assert in_prism(y) and algnum_in_prism(y)
-    assert overlaps_keeping(y) == algnum_overlaps_keeping(y) == ref_overlaps_keeping(y)
+    assert alg_prism(y) == algnum_act_prism(c, xa)
+    assert in_prism(y) and algnum_in_prism(alg_prism(y))
+    assert overlaps_keeping(y) == algnum_overlaps_keeping(alg_prism(y)) == ref_overlaps_keeping(y)
 
 
 def test_bracketed_prism_decisions_match_the_algnum_tests(monkeypatch):
@@ -1200,12 +1349,17 @@ def test_cycle_graph_sweeps_each_prism_image_once(monkeypatch):
 def test_tower_vertex_reads_its_coordinates_once(monkeypatch):
     # at the zeta_3 vertex of mu ups iota and the zeta_7 vertex of a, the
     # walk takes prism coordinates once for the vertex and once for each
-    # side image, and one inverse at most per side image (its normal form);
-    # the vertex's own sweep, prism reduction and overlap test read its
-    # carried coordinates and one grid of them: a, b and s are bracketed
-    # once per vertex, u once by its sweep, and each side image's a, b and s
-    # once by its prism reduction
-    calls = {"prism_coordinates": 0, "inverse": 0, "bracket": 0}
+    # side image, and one inverse at most per side image (its normal form,
+    # on the field's ints: no AlgNum inverse); the vertex's own sweep, prism
+    # reduction and overlap test read its carried coordinates and one grid
+    # of them: a, b and s are bracketed once per vertex, u once by its
+    # sweep, and each side image's a, b and s once by its prism reduction
+    calls = {"prism_coordinates": 0, "inverse": 0, "bracket": 0, "AlgNum.inverse": 0}
+    chart = hermitian.tower_chart
+
+    def counted_chart(tw, fs, d):
+        calls["inverse"] += fs[2] != tw.lift(d, 0)
+        return chart(tw, fs, d)
 
     def counted(name, f):
         def wrapped(*args):
@@ -1226,11 +1380,13 @@ def test_tower_vertex_reads_its_coordinates_once(monkeypatch):
             bracket = counted("bracket", heisenberg.bracket)
             for module in (heisenberg, ford):
                 patch.setattr(module, "bracket", bracket)
-            patch.setattr(AlgNum, "inverse", counted("inverse", AlgNum.inverse))
+            for module in (hermitian, heisenberg, ford):
+                patch.setattr(module, "tower_chart", counted_chart)
+            patch.setattr(AlgNum, "inverse", counted("AlgNum.inverse", AlgNum.inverse))
             calls.update(dict.fromkeys(calls, 0))
             assert build_cycle_graph([base]) == graph
         assert calls["prism_coordinates"] <= len(vertices) + sides
-        assert 0 < calls["inverse"] <= sides
+        assert 0 < calls["inverse"] <= sides and calls["AlgNum.inverse"] == 0
         assert calls["bracket"] <= 4 * len(vertices) + 3 * sides
 
 
@@ -1245,9 +1401,9 @@ def test_in_omega_brackets_a_tower_point_once(monkeypatch):
     calls = []
     bracket = heisenberg.bracket
 
-    def counted(x):
-        calls.append(x)
-        return bracket(x)
+    def counted(*args):
+        calls.append(args)
+        return bracket(*args)
 
     for module in (heisenberg, ford):
         monkeypatch.setattr(module, "bracket", counted)
