@@ -16,9 +16,12 @@ ProjPoint's rep from input to answer: the K sweep reads them, and the
 reduction moves them by int products.  Gamma maps primitive vectors of
 O_7^3 to primitive vectors, so the reduced point takes the sign rule of
 its rep and no gcd.  A tower point keeps its AlgNum coordinates, at
-v3 = 1, in the same loop.  Its sweep does not depend on the mode of the
-caller, so the hits of each tower sweep are memoized: the cycle graph at a
-reduced tower point reads the reduction's last sweep.
+v3 = 1, in the same loop, and each step reads its prism coordinates, its
+moves, its normal form and its sweep's bracket of u' off the field's ints
+(`hermitian.tower_ints`), with no AlgNum arithmetic.  Its sweep does not
+depend on the mode of the caller, so the hits of each tower sweep are
+memoized: the cycle graph at a reduced tower point reads the reduction's
+last sweep.
 """
 
 from collections import namedtuple

@@ -16,13 +16,16 @@ domain for this action on the boundary minus q_inf.  A point enters by its
 prism coordinates (a, b, s, den), read off its ProjPoint's rep
 (`prism_coordinates`): its projection to the boundary is z = (a + b tau)/den
 and t = s sqrt(7)/den.
-They are ints for a K-rational point and real AlgNums over den = 1 for a
-point over K(zeta_3) or K(zeta_7).  A cusp element acts on them affinely
-(`act_prism`), one formula for both kinds.  Prism reduction and the overlap
-test are closed form on ints: a K-rational point's own, and for a tower
-point the ints of its certified brackets floor(2^16 x) (`bracket`), with an
-exact AlgNum sign or floor only where a bracket's window straddles the bound.
-A caller that tests one point several times brackets it once (`prism_grid`).
+They are ints for a K-rational point.  For a point over K(zeta_3) or
+K(zeta_7), a, b and s are the field's real ints (`ring.real_field`: two or
+three ints, the int part first) over one int den, read off the field ints
+of its ProjPoint's rep at v3 = 1, with no AlgNum arithmetic.  A cusp
+element acts on them affinely (`act_prism`), one formula for both kinds.
+Prism reduction and the overlap test are closed form on ints: a K-rational
+point's own, and for a tower point the ints of its certified brackets
+floor(2^16 x) (`bracket`), with the field's exact sign or floor on the
+real ints only where a bracket's window straddles the bound.  A caller
+that tests one point several times brackets it once (`prism_grid`).
 The overlaps that keep a point of P in P are read off the 13 planar parts
 of the cusp overlaps (`overlaps_keeping`), with no table: the 34 overlaps
 themselves (`enumerate_cusp_overlaps`) are derived only for the commands

@@ -287,7 +287,8 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
     given as three AlgNums of one field, keeps them divided by the last
     nonzero one.  A point with <v, v> < 0 has v3 != 0, so its coordinates
     end in v3 = 1: its prism coordinates need no inverse, and a cusp
-    element, whose bottom row is (0, 0, 1), keeps that form.  `coords` is
+    element, whose bottom row is (0, 0, 1), keeps that form; both, and its
+    moves, run on the field's ints (`tower_ints`).  `coords` is
     the coordinate vector, built as KNums on each read of a rational point.
     """
 
