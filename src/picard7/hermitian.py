@@ -12,7 +12,7 @@ ints of its matrix; a Mat, a matrix over K, serves literals and JSON.
 
 import json
 from collections import namedtuple
-from functools import cache, reduce
+from functools import cache
 from math import gcd, isqrt, lcm
 
 from .ring import (
@@ -21,6 +21,7 @@ from .ring import (
     ONE,
     ZERO,
     TAU,
+    adjugate,
     format_knum,
     knum_from_ints,
     o_gcd_many,
@@ -655,14 +656,13 @@ def tower_chart(tw, fs, d):
     """(f1, f2, e): the field ints of e v1/v3 and e v2/v3 over an int e > 0,
     for a tower vector with the field ints fs over d and v3 != 0.
 
-    With v3 = 1, f3 is d itself and e = d.  Otherwise v_k/v3 = f_k adj/n:
-    adj is the product of the other images of f3 and n = f3 adj its norm,
-    a positive int, as in AlgNum.inverse."""
+    With v3 = 1, f3 is d itself and e = d.  Otherwise v_k/v3 = f_k adj/n
+    for the adjugate adj of f3 and its int norm n (`ring.adjugate`)."""
     f1, f2, f3 = fs
     if f3 == tw.lift(d, 0):
         return f1, f2, d
-    adj = reduce(tw.mul, tw.images(f3))
-    return tw.mul(f1, adj), tw.mul(f2, adj), tw.k_part(tw.mul(f3, adj), 1).na
+    adj, n = adjugate(tw, f3)
+    return tw.mul(f1, adj), tw.mul(f2, adj), n
 
 
 def tower_point(tw, f1, f2, d):

@@ -816,10 +816,8 @@ class AlgNum:
         the norm n = D x adj of the integral D x is a positive int."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in K(zeta)")
-        tw, f = self.tower, self.ints
-        adj = reduce(tw.mul, tw.images(f))
-        n = tw.k_part(tw.mul(f, adj), 1).na
-        return _alg(tw, tuple(self.den * a for a in adj), n)
+        adj, n = adjugate(self.tower, self.ints)
+        return _alg(self.tower, tuple(self.den * a for a in adj), n)
 
     def conj(self) -> "AlgNum":
         return _alg(self.tower, self.tower.conj(self.ints), self.den)
@@ -872,6 +870,14 @@ def _alg(tower: Zeta3Tower | Zeta7Tower, f: tuple, den: int) -> AlgNum:
 
 _ZETA3 = Zeta3Tower()
 _ZETA7 = Zeta7Tower()
+
+
+def adjugate(tw: Zeta3Tower | Zeta7Tower, f):
+    """(adj, n) for nonzero ints f of the field tw: adj the product of the
+    other images of f, and n = f adj its norm over Q, a positive int (the
+    field is totally imaginary), so that 1/f = adj/n."""
+    adj = reduce(tw.mul, tw.images(f))
+    return adj, tw.k_part(tw.mul(f, adj), 1).na
 
 
 def real_field(r) -> Zeta3Tower | Zeta7Tower:
