@@ -341,7 +341,8 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
         whose bottom row is (0, 0, 1), keeps v3 = 1 and takes no inverse."""
         if not self.rational:
             tw, fs, d = tower_ints(self.rep)
-            return tuple.__new__(ProjPoint, (tower_point(tw, *tower_chart(tw, _tower_apply(t, tw, fs), d)), False))
+            v = tower_point(tw, *tower_chart(tw, _tower_apply(t, tw, fs), d))
+            return tuple.__new__(ProjPoint, (v, False))
         return ProjPoint.of_primitive(_apply_ints(t, self.rep))
 
     @staticmethod
