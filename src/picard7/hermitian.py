@@ -338,11 +338,15 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
         its sign normalized, and needs no gcd.  M and M^-1 map K^3 to
         itself, so a tower point's image is a tower point, taken to its
         normal form on the field's ints (`tower_chart`): a cusp element,
-        whose bottom row is (0, 0, 1), keeps v3 = 1 and takes no inverse."""
+        whose bottom row is (0, 0, 1), keeps v3 = 1 and takes no inverse.
+        An image with v3 = 0, which no negative point has, takes the
+        constructor's normal form."""
         if not self.rational:
             tw, fs, d = tower_ints(self.rep)
-            v = tower_point(tw, *tower_chart(tw, _tower_apply(t, tw, fs), d))
-            return tuple.__new__(ProjPoint, (v, False))
+            fs = _tower_apply(t, tw, fs)
+            if not any(fs[2]):
+                return ProjPoint(tuple(_alg(tw, f, d) for f in fs))
+            return tuple.__new__(ProjPoint, (tower_point(tw, *tower_chart(tw, fs, d)), False))
         return ProjPoint.of_primitive(_apply_ints(t, self.rep))
 
     @staticmethod

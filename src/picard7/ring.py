@@ -680,11 +680,10 @@ class Zeta7Tower:
         """Ints lo <= 2^p x <= hi for the real element x with the real ints
         r, a few units apart; lo = hi = 2^p x for a rational x."""
         c0, c1, c2 = r
-        e = (c1 - c0, c2 - c0, -c0)
         if not (c1 or c2):
             return c0 << p, c0 << p
         lo = hi = 0
-        for k, (l, h) in zip(e, _eta_brackets(p)):
+        for k, (l, h) in zip((c1 - c0, c2 - c0, -c0), _eta_brackets(p)):
             lo, hi = (lo + k * l, hi + k * h) if k >= 0 else (lo + k * h, hi + k * l)
         return lo, hi
 

@@ -161,6 +161,11 @@ def test_tower_vectors_move_by_the_k_kernel_per_power(monkeypatch):
                 assert ints_apply(g.ints, v) == mat_apply(g.mat, v)
                 assert len(calls) == tower().degree
                 assert ProjPoint(v).moved(g.ints) == ProjPoint(mat_apply(g.mat, v))
+        # a point off the ball may have v3 = 0 before or after the move
+        for v in ((z, KNum(1), KNum(0)), (KNum(0), z, KNum(1))):
+            p = ProjPoint(lifted(v))
+            for t in (GroupElt(Mat([[0, 0, 1], [0, -1, 0], [1, 0, 0]])).ints, hermitian.ID_INTS):
+                assert p.moved(t) == ProjPoint(mat_apply(GroupElt.from_ints(t).mat, p.coords))
 
 
 @pytest.mark.parametrize("tower", [zeta3_tower, zeta7_tower])
