@@ -1,4 +1,10 @@
-"""Reduction maps to matrix groups over prime fields and torsion certificates."""
+"""Reduction maps to matrix groups over prime fields and torsion certificates.
+
+The image of Gamma modulo a prime ideal is closed once, as flat tuples of
+nine residues.  A class's certificate row reads the order of its image x,
+of -x and of x up to scalars off one list of the powers of x, and the
+center decides one entry of x g and g x before it forms the products.
+"""
 
 from functools import cache
 
@@ -76,27 +82,36 @@ class FpMatGroup:
         self.projective_order = self.order // len(self.scalars)
 
     def center(self):
-        gens = self.gens
-        rm = self.rm
-        return sorted(
-            x for x in self.elements if all(rm.mul(x, g) == rm.mul(g, x) for g in gens)
-        )
+        """The elements that commute with both generators.  Entry (0, 0) of
+        x g and g x is decided first, and only an x that passes it for g
+        takes the two full products."""
+        mul, p = self.rm.mul, self.rm.p
+        out = []
+        for x in self.elements:
+            for g in self.gens:
+                # (x g)_00 - (g x)_00: the x_00 g_00 terms cancel
+                if (x[1] * g[3] + x[2] * g[6] - g[1] * x[3] - g[2] * x[6]) % p or mul(x, g) != mul(g, x):
+                    break
+            else:
+                out.append(x)
+        return sorted(out)
 
-    def element_order(self, x) -> int:
+    def element_orders(self, x):
+        """(ord x, ord -x, the projective order of x), read off one list of
+        the powers x^0, .., x^(n - 1), n = ord x.  (-x)^k = (-1)^k x^k, so
+        ord -x is the least k <= 2n with x^(k mod n) = (-1)^k Id, and the
+        projective order is the least k >= 1 with x^k scalar, or n."""
         rm = self.rm
-        y, k = x, 1
+        powers = [IDENTITY]
+        y = x
         while y != IDENTITY:
+            powers.append(y)
             y = rm.mul(y, x)
-            k += 1
-        return k
-
-    def projective_element_order(self, x) -> int:
-        rm = self.rm
-        y, k = x, 1
-        while not rm.is_scalar(y):
-            y = rm.mul(y, x)
-            k += 1
-        return k
+        n = len(powers)
+        signs = (IDENTITY, tuple(-v % rm.p for v in IDENTITY))
+        neg = next(k for k in range(1, 2 * n + 1) if powers[k % n] == signs[k % 2])
+        proj = next((k for k in range(1, n) if rm.is_scalar(powers[k])), n)
+        return n, neg, proj
 
 
 @cache
@@ -125,14 +140,13 @@ def torsion_free_certificate(ideal: str, classes=None) -> dict:
         classes = enumerate_torsion()
     rows = []
     for cls in classes:
-        img = rm(cls.rep.ints)
-        neg = rm(tuple(-x for x in cls.rep.ints))
+        n, neg, proj = grp.element_orders(rm(cls.rep.ints))
         row = {
             "word": cls.word,
             "order": cls.proj_order,
-            "image_order": grp.element_order(img),
-            "neg_image_order": grp.element_order(neg),
-            "projective_image_order": grp.projective_element_order(img),
+            "image_order": n,
+            "neg_image_order": neg,
+            "projective_image_order": proj,
         }
         row["ok"] = row["projective_image_order"] == cls.proj_order
         rows.append(row)
@@ -140,7 +154,7 @@ def torsion_free_certificate(ideal: str, classes=None) -> dict:
     tv = TV.to_matrix()
     # every vertical translation reduces trivially mod isqrt7, so the image
     # order of tv can be 1; the four products are still checked separately
-    cusp = {"tv_image_order": grp.element_order(rm(tv.ints)), "products_nontrivial": []}
+    cusp = {"tv_image_order": grp.element_orders(rm(tv.ints))[0], "products_nontrivial": []}
     g = t1r
     for k in range(max(4, cusp["tv_image_order"])):
         cusp["products_nontrivial"].append(not rm.is_scalar(rm(g.ints)))

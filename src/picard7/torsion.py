@@ -10,7 +10,11 @@ Candidates come from the sweeps gamma = alpha * A_j over the finite sets
 T_jk of cusp translates whose spheres can meet; isolated fixed points are
 moved into Omega and walked into orbits by side-pairing maps and cusp
 overlaps, whose Schreier generators give the stabilizers, so that conjugacy
-and stabilizers reduce to finite group computations.
+and stabilizers reduce to finite group computations.  A stabilizer is
+closed once, on the canonical ints of its projective elements: the only
+scalars of U(J, O_7) are +/-Id, so its linear group has twice as many
+matrices.  Its reflections are read off each element's trace first, and a
+polar is divided by the O_7 gcd of its entries on int pairs.
 """
 
 from collections import namedtuple
@@ -21,7 +25,7 @@ from operator import add, sub
 
 from .ring import (
     _alg,
-    knum_from_ints,
+    _gcd_ints,
     zeta3_tower,
     zeta7_tower,
 )
@@ -38,6 +42,7 @@ from .hermitian import (
     word_str,
     _is_unitary_ints,
     _mul_ints,
+    _norm_ints,
 )
 from .heisenberg import (
     IDENTITY,
@@ -203,8 +208,15 @@ def _involution_axis(g: GroupElt):
     That column spans the simple eigenline p of g, and g fixes the complex
     line p^perp pointwise exactly when <p, p> > 0.  Any element of Gamma may
     be passed; one of infinite order fails g^2 = I.
+
+    The trace is read first.  An involution g other than +/-Id has the
+    eigenvalues lam, lam, -lam with lam = +/-1, so its trace is lam: only a
+    trace a + b tau with b = 0 and a = +/-1 takes the product g^2.
     """
     t = g.ints
+    a, b = t[0] + t[8] + t[16], t[1] + t[9] + t[17]
+    if b or a not in (1, -1):
+        return None
     # A g other than 1 that has finite order, or fixes a complex line
     # pointwise, and has a repeated eigenvalue lam is an involution.  A
     # double root of a cubic over K lies in K, and |lam| = 1: lam is a root
@@ -218,20 +230,37 @@ def _involution_axis(g: GroupElt):
     # its nonzero columns span p.  p^perp is indefinite, a complex line,
     # when <p, p> > 0, and definite, around the isolated fixed point p, when
     # <p, p> < 0 (Goldman, Complex Hyperbolic Geometry, 3.1).
-    if t == ID_INTS or ints_product(t, t) != ID_INTS:
+    if ints_product(t, t) != ID_INTS:
         return None
-    lam = t[0] + t[8] + t[16]
     for j in range(3):
         col = tuple(x for i in range(3)
-                    for x in (int(i == j) - lam * t[6 * i + 2 * j], -lam * t[6 * i + 2 * j + 1]))
+                    for x in (int(i == j) - a * t[6 * i + 2 * j], -a * t[6 * i + 2 * j + 1]))
         if any(col):
             return col
 
 
 def _axis_point(col) -> ProjPoint:
-    """The point with the six ints col, an axis or a K-rational eigenvector
-    (through the O_7 gcd)."""
-    return ProjPoint(tuple(map(knum_from_ints, col[0::2], col[1::2])))
+    """The point with the six ints col, an axis or a K-rational eigenvector:
+    col over the O_7 gcd of its three entries, taken and divided on int
+    pairs, under the sign rule of `ProjPoint.of_primitive`.  A zero col
+    raises ValueError, and an inexact division ArithmeticError."""
+    entries = [(x, y) for x, y in zip(col[0::2], col[1::2]) if x or y]
+    if not entries:
+        raise ValueError("zero vector has no projective class")
+    g = entries[0]
+    for x in entries[1:]:
+        g = _gcd_ints(*g, *x)
+    if g in ((1, 0), (-1, 0)):
+        return ProjPoint.of_primitive(col)
+    # x / g = x conj(g) / N(g), with conj(c + e tau) = (c + e) - e tau
+    n, c, e = _norm_ints(*g), g[0] + g[1], -g[1]
+    w = []
+    for x, y in zip(col[0::2], col[1::2]):
+        p, q = _mul_ints(x, y, c, e)
+        if p % n or q % n:
+            raise ArithmeticError("dividing by the O_7 gcd left a non-integral entry")
+        w += (p // n, q // n)
+    return ProjPoint.of_primitive(tuple(w))
 
 
 def reflection_polar(g: GroupElt):
@@ -558,22 +587,31 @@ def build_cycle_graph(points):
 CLOSURE_CAP = 10000
 
 
+def _projective_product(x, y):
+    """The canonical ints (`canonical_ints`) of the product of two matrices
+    given by their 18 ints: one product in PU(J, O_7)."""
+    return canonical_ints(ints_product(x, y))
+
+
 class FiniteGroup:
-    """Closure of a finite set of generators in U(J, O_7), with line data."""
+    """Closure of a finite set of generators in U(J, O_7), with line data.
+
+    The walk closes the projective group, on the canonical ints of its
+    elements.  The linear group is its preimage in U(J, O_7), whose only
+    scalars are +/-Id: it has the two matrices +/-M for each element, so
+    the walk stops at half the cap of matrices.
+    """
 
     def __init__(self, gens):
-        # the linear group is the preimage in U(J, O_7) of the projective
-        # stabilizer: the walk, on the 18 ints of the matrices, starts from
-        # both signs, so it is closed under sign
-        start = (ID_INTS, tuple(-x for x in ID_INTS))
-        walk = orbit_walk(start, sorted({g.ints for g in gens}), ints_product, cap=CLOSURE_CAP)
-        matrices = frozenset(a for a, _, _ in walk)
-        self.linear_order = len(matrices)
-        self.scalar_order = sum(1 for t in matrices if ints_are_scalar(t))
+        walk = orbit_walk([ID_INTS], sorted({g.ints for g in gens}), _projective_product,
+                          cap=CLOSURE_CAP // 2)
+        matrices = [a for a, _, _ in walk]
+        if sum(1 for t in matrices if ints_are_scalar(t)) != 1:
+            raise ArithmeticError("the closure holds a scalar other than +/-Id")
+        self.scalar_order = 2
         self.elements = frozenset(map(GroupElt.from_ints, matrices))
         self.projective_order = len(self.elements)
-        if self.linear_order != self.projective_order * self.scalar_order:
-            raise ArithmeticError("scalar matrices do not split the closure evenly")
+        self.linear_order = 2 * self.projective_order
         self._analyze_reflections()
 
     def _analyze_reflections(self):

@@ -38,6 +38,7 @@ from picard7.heisenberg import (
     reduce_to_prism,
 )
 from picard7.hermitian import (
+    ID_INTS,
     GroupElt,
     Mat,
     ProjPoint,
@@ -46,6 +47,7 @@ from picard7.hermitian import (
     _scaled_ints,
     canonical_ints,
     herm_inner,
+    ints_are_scalar,
     ints_inverse,
     ints_product,
     primitive_rep,
@@ -67,7 +69,7 @@ from picard7.ring import (
     sqrt21_sign,
     zeta7_autocorr,
 )
-from picard7.torsion import _move_element
+from picard7.torsion import _move_element, orbit_walk
 
 
 def rat(x: KNum) -> Fraction:
@@ -1019,6 +1021,98 @@ def ref_reflection_polar(g: GroupElt):
     if norm.real_sign() < 0:
         return None
     return polar, int(rat(norm))
+
+
+def ref_involution_axis(g: GroupElt):
+    """The six ints of a nonzero column of I - tr(g) g if g^2 = I and g is
+    not 1, else None: g^2 taken for every g, with no look at the trace."""
+    t = g.ints
+    if t == ID_INTS or ints_product(t, t) != ID_INTS:
+        return None
+    lam = t[0] + t[8] + t[16]
+    for j in range(3):
+        col = tuple(x for i in range(3)
+                    for x in (int(i == j) - lam * t[6 * i + 2 * j], -lam * t[6 * i + 2 * j + 1]))
+        if any(col):
+            return col
+
+
+# ---------------------------------------------------------------------------
+# a finite stabilizer closed on the linear group
+# ---------------------------------------------------------------------------
+
+
+class RefFiniteGroup:
+    """The closure of gens in U(J, O_7) with its line data, on the linear
+    group: the walk on the 18 ints of the matrices starts from both signs
+    of Id, so it is closed under sign, and its scalars are counted.  Each
+    element other than 1 is tested by the repeated-eigenvalue reference,
+    and each orbit of 2-lines is swept over the elements."""
+
+    def __init__(self, gens):
+        start = (ID_INTS, tuple(-x for x in ID_INTS))
+        matrices = frozenset(a for a, _, _ in orbit_walk(start, sorted({g.ints for g in gens}), ints_product))
+        self.linear_order = len(matrices)
+        self.scalar_order = sum(1 for t in matrices if ints_are_scalar(t))
+        self.elements = frozenset(map(GroupElt.from_ints, matrices))
+        self.projective_order = len(self.elements)
+        if self.linear_order != self.projective_order * self.scalar_order:
+            raise ArithmeticError("scalar matrices do not split the closure evenly")
+        polars = dict(filter(None, (ref_reflection_polar(g) for g in self.elements if not g.is_identity())))
+        self.reflections = sorted(polars.items(), key=lambda t: (t[1], t[0]))
+        self.one_lines = sum(1 for n in polars.values() if n == 1)
+        self.two_lines = sum(1 for n in polars.values() if n == 2)
+        rest, sizes = {p for p, n in polars.items() if n == 2}, []
+        while rest:
+            orbit = {min(rest).apply(g) for g in self.elements}
+            sizes.append(len(orbit))
+            rest -= orbit
+        self.two_line_orbits = sorted(sizes)
+
+
+# ---------------------------------------------------------------------------
+# element orders and centers over a prime field, one product at a time
+# ---------------------------------------------------------------------------
+
+
+def ref_element_order(rm, x) -> int:
+    """The least k >= 1 with x^k = Id over the field of the ResidueMap rm."""
+    y, k = x, 1
+    while y != (1, 0, 0, 0, 1, 0, 0, 0, 1):
+        y = rm.mul(y, x)
+        k += 1
+    return k
+
+
+def ref_projective_element_order(rm, x) -> int:
+    """The least k >= 1 with x^k scalar over the field of rm."""
+    y, k = x, 1
+    while not rm.is_scalar(y):
+        y = rm.mul(y, x)
+        k += 1
+    return k
+
+
+def ref_certificate_row(rm, cls) -> dict:
+    """A torsion_free_certificate row by the three order loops: x, -x and
+    x up to scalars, for x the image of the class's representative."""
+    img = rm(cls.rep.ints)
+    row = {
+        "word": cls.word,
+        "order": cls.proj_order,
+        "image_order": ref_element_order(rm, img),
+        "neg_image_order": ref_element_order(rm, rm(tuple(-x for x in cls.rep.ints))),
+        "projective_image_order": ref_projective_element_order(rm, img),
+    }
+    row["ok"] = row["projective_image_order"] == cls.proj_order
+    return row
+
+
+def ref_center(grp):
+    """The elements of an FpMatGroup that commute with each generator, by
+    the two full products for every element."""
+    mul = grp.rm.mul
+    return sorted(x for x in grp.elements if all(mul(x, g) == mul(g, x) for g in grp.gens))
 
 
 # ---------------------------------------------------------------------------

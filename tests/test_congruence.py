@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from picard7.ring import KNum
 from picard7.hermitian import GroupElt, mat_ints
-from picard7.heisenberg import R, T1, TTAU
+from picard7.heisenberg import R, T1, TTAU, TV
 from picard7.ford import GENERATORS
-from picard7.torsion import ClosureError
-from picard7.presentation import A_MAT, B_MAT
+from picard7.torsion import ClosureError, enumerate_torsion
+from picard7.presentation import A_MAT, B_MAT, torsion_word_rows
 from picard7 import congruence
 from picard7.congruence import (
     IDENTITY,
@@ -17,6 +18,7 @@ from picard7.congruence import (
     image_group,
     torsion_free_certificate,
 )
+from reference import ref_center, ref_certificate_row, ref_element_order, ref_projective_element_order
 
 
 def test_residue_map_laws():
@@ -69,11 +71,63 @@ def test_image_group_orders():
 
 
 def test_element_orders():
+    # (ord x, ord -x, projective order of x): a of order 7 has -a of order
+    # 14 mod isqrt7, b of order 2 has -b of order 2, and -Id is a scalar
+    # of order 2; mod tau, -x = x
     g7 = image_group("isqrt7")
     rm = g7.rm
-    assert g7.element_order(rm(mat_ints(A_MAT))) == 7
-    assert g7.element_order(rm(mat_ints(B_MAT))) == 2
-    assert g7.projective_element_order(rm(tuple(-x for x in GroupElt.identity().ints))) == 1
+    assert g7.element_orders(rm(mat_ints(A_MAT))) == (7, 14, 7)
+    assert g7.element_orders(rm(mat_ints(B_MAT))) == (2, 2, 2)
+    assert g7.element_orders(rm(tuple(-x for x in GroupElt.identity().ints))) == (2, 1, 1)
+    assert g7.element_orders(IDENTITY) == (1, 2, 1)
+    g2 = image_group("tau")
+    assert g2.element_orders(g2.rm(mat_ints(A_MAT))) == (7, 7, 7)
+
+
+def _certified_classes():
+    """The classes of the enumeration, then the 12 word-table rows as
+    classes of their elements."""
+    rows = [SimpleNamespace(rep=row["elt"], proj_order=row["order"], word=row["word"])
+            for row in torsion_word_rows()]
+    assert len(rows) == 12
+    return list(enumerate_torsion()) + rows
+
+
+@pytest.mark.parametrize("ideal", ["isqrt7", "tau"])
+def test_certificate_rows_match_the_order_loops(ideal):
+    # one list of powers gives the three orders that the loops over x, -x
+    # and x up to scalars give, for every class the command certifies and
+    # every word-table row
+    classes = _certified_classes()
+    rm = ResidueMap(ideal)
+    rep = torsion_free_certificate(ideal, classes)
+    assert rep["classes"] == [ref_certificate_row(rm, cls) for cls in classes]
+    t = TV.to_matrix().ints
+    assert rep["cusp"]["tv_image_order"] == ref_element_order(rm, rm(t))
+    assert image_group(ideal).element_orders(rm(t)) == (
+        ref_element_order(rm, rm(t)), ref_element_order(rm, rm(tuple(-x for x in t))),
+        ref_projective_element_order(rm, rm(t)))
+    # the sign matters: some image has ord -x != ord x
+    if ideal == "isqrt7":
+        assert any(r["neg_image_order"] != r["image_order"] for r in rep["classes"])
+
+
+@pytest.mark.parametrize("ideal", ["isqrt7", "tau"])
+def test_center_matches_the_full_scan(ideal):
+    # the (0, 0) entry decides most elements; the image group, whose center
+    # is 1, and the cyclic and two-generator groups of the class images,
+    # whose centers hold non-scalar elements, give the full scan's center
+    rm = ResidueMap(ideal)
+    grp = image_group(ideal)
+    assert grp.center() == ref_center(grp) == [IDENTITY]
+    reps = [cls.rep.ints for cls in _certified_classes()]
+    big = 0
+    for i, t in enumerate(reps):
+        for gens in ([t], [t, reps[(5 * i + 3) % len(reps)]]):
+            sub = FpMatGroup(gens, rm)
+            assert sub.center() == ref_center(sub)
+            big += len(sub.center()) > 1
+    assert big > len(reps)
 
 
 def test_closure_cap(monkeypatch):

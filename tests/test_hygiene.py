@@ -615,6 +615,9 @@ def test_reflection_count_reads_no_eigenvalues():
     assert "ints_product" in axis
     assert not axis & {"charpoly", "_repeated_eigenvalue", "_eigenvectors"}
     assert "_involution_axis" in names_in("reflection_polar") & names_in("classify_elliptic")
+    # an axis point divides by the O_7 gcd on int pairs, with no KNum
+    point = names_in("_axis_point")
+    assert {"_gcd_ints", "of_primitive"} <= point and not point & {"knum_from_ints", "primitive_rep"}
     gone = {"_repeated_eigenvalue", "_simple_eigenpoint"}
     assert not names_in("classify_elliptic") & gone
     assert {p.name: sorted(bound_names(ast.parse(p.read_text()).body) & gone) for p in MODULES} == {

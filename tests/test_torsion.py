@@ -78,6 +78,7 @@ from reference import (
     ref_eigenvector,
     ref_moves,
     ref_overlaps_keeping,
+    ref_involution_axis,
     ref_reflection_polar,
     ref_spanning_transports,
     ref_stabilizer_gens,
@@ -85,7 +86,7 @@ from reference import (
     vector_rep,
     zeta_of,
 )
-from reference import ref_make_reflection, s_coordinate, tau_coordinates
+from reference import RefFiniteGroup, ref_make_reflection, s_coordinate, tau_coordinates
 from test_ford import K_FIXED_POINTS, tower_fixed_points
 from test_heisenberg import _prism_reals
 from test_hygiene import MODULES, bound_names
@@ -664,9 +665,110 @@ def test_reflection_conjugacy_builds_each_ball_once(monkeypatch):
 def test_finite_group_closure(monkeypatch):
     fg = FiniteGroup([R.to_matrix()])
     assert (fg.linear_order, fg.projective_order, fg.scalar_order) == (4, 2, 2)
+    # the walk holds one element per pair +/-M, so it stops at half the cap
+    walks = []
+    monkeypatch.setattr(torsion, "orbit_walk", lambda *args, **kw: walks.append(kw["cap"]) or orbit_walk(*args, **kw))
     monkeypatch.setattr(torsion, "CLOSURE_CAP", 50)
     with pytest.raises(ClosureError):
         FiniteGroup([T1.to_matrix()])
+    assert walks == [25]
+    # exactly one walked element, 1, is scalar
+    monkeypatch.setattr(torsion, "ints_are_scalar", lambda t: True)
+    with pytest.raises(ArithmeticError, match="scalar other than"):
+        FiniteGroup([R.to_matrix()])
+
+
+def _command_stabilizers(monkeypatch):
+    """(group, generators) of every stabilizer the commands close: the 7 of
+    `enumerate_torsion`, the 3 of `verify_mirror_R`, and those of the five
+    K-rational fixed points moved by seeded words and reduced into Omega."""
+    built = []
+
+    class Recorded(FiniteGroup):
+        def __init__(self, gens):
+            super().__init__(gens)
+            built.append((self, list(gens)))
+
+    monkeypatch.setattr(torsion, "FiniteGroup", Recorded)
+    torsion.enumerate_torsion.__wrapped__()
+    mirror.verify_mirror_R.__wrapped__()
+    assert len(built) == 10
+    rng = random.Random(89)
+    letters = list(GENERATORS.values()) + [T1.to_matrix(), TTAU.to_matrix(), R.to_matrix()]
+    for f in K_FIXED_POINTS:
+        w = GroupElt.identity()
+        for _ in range(3):
+            w = rng.choice(letters) * w
+        _, y = reduce_to_domain(ProjPoint(mat_apply(w.mat, f)))
+        stabilizer(y, build_cycle_graph([y]))
+    assert len(built) == 15
+    return built
+
+
+def test_stabilizers_match_the_linear_closure(monkeypatch):
+    # the projective walk gives what the walk of the linear group from
+    # +/-Id gives, with the reflections of the repeated-eigenvalue
+    # reference, for every stabilizer the commands close
+    orders = set()
+    for st, gens in _command_stabilizers(monkeypatch):
+        ref = RefFiniteGroup(gens)
+        for name in ("linear_order", "scalar_order", "projective_order", "elements", "reflections",
+                     "one_lines", "two_lines", "two_line_orbits"):
+            assert getattr(st, name) == getattr(ref, name), name
+        orders.add(st.projective_order)
+    assert len(orders) > 3
+
+
+def test_trace_first_involution_test_matches_the_square_only_reference(monkeypatch):
+    # an involution other than +/-Id has the trace +/-1, so reading the
+    # trace first drops no axis: every element of every stabilizer the
+    # commands close, and every alpha A_j the candidate sweeps form
+    elts = {g for st, _ in _command_stabilizers(monkeypatch) for g in st.elements}
+    for j in sorted(GENERATORS):
+        a = GENERATORS[j]
+        elts |= {GroupElt.from_ints(ints_product(alpha.ints, a.ints)) for alpha in enumerate_tjk(j, INVERSE_PAIRS[j])}
+    squares = []
+    exact = torsion.ints_product
+    monkeypatch.setattr(torsion, "ints_product", lambda x, y: squares.append(x) or exact(x, y))
+    seen = {"axis": 0, "square refused": 0, "trace refused": 0}
+    for g in elts:
+        squares.clear()
+        got = torsion._involution_axis(g)
+        assert got == ref_involution_axis(g)
+        seen["axis" if got is not None else "square refused" if squares else "trace refused"] += 1
+    assert all(seen.values()), seen
+    assert seen["trace refused"] > seen["axis"] + seen["square refused"]
+
+
+def test_axis_points_match_the_gcd_path(monkeypatch):
+    # the axis point divides by the O_7 gcd on int pairs and takes the sign
+    # rule: the same point as ProjPoint on the KNum vector, for every column
+    # the commands' classifications and stabilizers pass, and for seeded
+    # vectors scaled by elements of O_7 of norm above 1
+    cols = []
+    exact = torsion._axis_point
+    monkeypatch.setattr(torsion, "_axis_point", lambda col: cols.append(col) or exact(col))
+    _command_stabilizers(monkeypatch)
+    assert cols
+    rng = random.Random(97)
+    for _ in range(300):
+        v = [(rng.randint(-9, 9), rng.randint(-9, 9)) if rng.random() < 0.8 else (0, 0) for _ in range(3)]
+        c = (rng.randint(-4, 4), rng.randint(-4, 4))
+        cols.append(tuple(x for p in v for x in hermitian._mul_ints(*p, *c)))
+    unit = 0
+    for col in cols:
+        if not any(col):
+            continue
+        got = exact(col)
+        assert got == ProjPoint(tuple(map(knum_from_ints, col[0::2], col[1::2])))
+        unit += got.rep == col or got.rep == tuple(-x for x in col)
+    assert 0 < unit < len(cols)
+    with pytest.raises(ValueError, match="zero vector"):
+        exact((0,) * 6)
+    # a wrong gcd leaves an inexact division, which raises
+    monkeypatch.setattr(torsion, "_gcd_ints", lambda a, b, c, e: (2, 0))
+    with pytest.raises(ArithmeticError, match="non-integral"):
+        exact((1, 0, 0, 1, 2, 0))
 
 
 def _vertices(graph):
