@@ -65,6 +65,11 @@ class ResidueMap:
             (x20 * y02 + x21 * y12 + x22 * y22) % p,
         )
 
+    def commutes_at_00(self, x, g) -> bool:
+        """Whether entry (0, 0) of x g and g x agree: the x_00 g_00 terms
+        cancel, so it reads four products of residues."""
+        return not (x[1] * g[3] + x[2] * g[6] - g[1] * x[3] - g[2] * x[6]) % self.p
+
     def is_scalar(self, x) -> bool:
         return x[1] == x[2] == x[3] == x[5] == x[6] == x[7] == 0 and x[0] == x[4] == x[8]
 
@@ -82,15 +87,14 @@ class FpMatGroup:
         self.projective_order = self.order // len(self.scalars)
 
     def center(self):
-        """The elements that commute with both generators.  Entry (0, 0) of
+        """The elements that commute with each generator.  Entry (0, 0) of
         x g and g x is decided first, and only an x that passes it for g
         takes the two full products."""
-        mul, p = self.rm.mul, self.rm.p
+        mul, at_00 = self.rm.mul, self.rm.commutes_at_00
         out = []
         for x in self.elements:
             for g in self.gens:
-                # (x g)_00 - (g x)_00: the x_00 g_00 terms cancel
-                if (x[1] * g[3] + x[2] * g[6] - g[1] * x[3] - g[2] * x[6]) % p or mul(x, g) != mul(g, x):
+                if not at_00(x, g) or mul(x, g) != mul(g, x):
                     break
             else:
                 out.append(x)

@@ -27,6 +27,7 @@ from .ring import (
     o_gcd_many,
     parse_knum,
     _alg,
+    _gcd_ints,
 )
 
 
@@ -262,21 +263,10 @@ def is_in_gamma(m: Mat) -> bool:
 
 
 def primitive_rep(v):
-    """Canonical primitive O_7^3 representative of a K-rational projective point (KNum entries)."""
-    if all(x.is_zero() for x in v):
-        raise ValueError("zero vector has no projective class")
-    # the common denominator of (a + b tau)/d entries in normal form is lcm(d)
-    den = lcm(*(x.d for x in v))
-    w = tuple(x * den for x in v)
-    g = o_gcd_many(w)
-    if not g.is_one():
-        w = tuple(x / g for x in w)
-        if not all(x.is_integral() for x in w):
-            raise ArithmeticError("dividing by the O_7 gcd left a non-integral entry")
-    lead = next(x for x in w if not x.is_zero())
-    if lead.is_sign_positive():
-        return w
-    return tuple(-x for x in w)
+    """Canonical primitive O_7^3 representative of a K-rational projective
+    point (KNum entries): the coordinates of `ProjPoint.of_ints` on v
+    scaled to O_7^3 by the lcm of its denominators."""
+    return ProjPoint.of_ints(_scaled_ints(v)[0]).coords
 
 
 class ProjPoint(namedtuple("ProjPoint", "rep rational")):
@@ -284,7 +274,7 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
 
     A K-rational point keeps the six ints (a1, b1, a2, b2, a3, b3) of its
     canonical primitive representative (a_i + b_i tau), under the sign rule
-    of primitive_rep: its first nonzero int is positive.  Any other point,
+    of `of_primitive`: its first nonzero int is positive.  Any other point,
     given as three AlgNums of one field, keeps them divided by the last
     nonzero one.  A point with <v, v> < 0 has v3 != 0, so its coordinates
     end in v3 = 1: its prism coordinates need no inverse, and a cusp
@@ -300,15 +290,14 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
             if not all(isinstance(x, AlgNum) for x in v):
                 raise TypeError("a point's coordinates are three KNums or three AlgNums")
             last = next((x for x in reversed(v) if not x.is_zero()), None)
-            # a zero vector goes on to primitive_rep's error
+            # a zero vector goes on to the error of of_ints
             if last is not None and not last.is_one():
                 inv = last.inverse()
                 v = tuple(x * inv for x in v)
             if not all(x.in_k() for x in v):
                 return tuple.__new__(cls, (v, False))
             v = tuple(x.k_part() for x in v)
-        w1, w2, w3 = primitive_rep(v)
-        return tuple.__new__(cls, ((w1.na, w1.nb, w2.na, w2.nb, w3.na, w3.nb), True))
+        return ProjPoint.of_ints(_scaled_ints(v)[0])
 
     @property
     def coords(self):
@@ -354,10 +343,36 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
         """The point of a primitive vector of O_7^3 with the six ints w: its
         canonical representative is w or -w, by the sign rule alone."""
         # the first nonzero int is the a, or the b when a = 0, of the first
-        # nonzero entry: the sign rule of primitive_rep
+        # nonzero entry
         if w < (0,) * 6:
             w = tuple(-x for x in w)
         return tuple.__new__(ProjPoint, (w, True))
+
+    @staticmethod
+    def of_ints(t) -> "ProjPoint":
+        """The point of the nonzero vector of O_7^3 with the six ints t: t
+        over the O_7 gcd of its three entries, taken and divided on int
+        pairs, under the sign rule.  A zero vector raises ValueError, and
+        an inexact division ArithmeticError."""
+        entries = [(x, y) for x, y in zip(t[0::2], t[1::2]) if x or y]
+        if not entries:
+            raise ValueError("zero vector has no projective class")
+        g = entries[0]
+        for x in entries[1:]:
+            if g in ((1, 0), (-1, 0)):
+                break  # the unit ideal
+            g = _gcd_ints(*g, *x)
+        if g in ((1, 0), (-1, 0)):
+            return ProjPoint.of_primitive(tuple(t))
+        # x / g = x conj(g) / N(g), with conj(c + e tau) = (c + e) - e tau
+        n, c, e = _norm_ints(*g), g[0] + g[1], -g[1]
+        w = []
+        for x, y in zip(t[0::2], t[1::2]):
+            p, q = _mul_ints(x, y, c, e)
+            if p % n or q % n:
+                raise ArithmeticError("dividing by the O_7 gcd left a non-integral entry")
+            w += (p // n, q // n)
+        return ProjPoint.of_primitive(tuple(w))
 
 
 def depth(p: ProjPoint) -> int:

@@ -224,13 +224,6 @@ class KNum:
         a = self.na
         return (a > 0) - (a < 0)
 
-    # -- canonical sign -----------------------------------------------
-
-    def is_sign_positive(self) -> bool:
-        """True if self > 0 in the lexicographic (a, b) order (self must be nonzero)."""
-        # d > 0, so (a/d, b/d) and (a, b) have the same signs
-        return self.na > 0 or (self.na == 0 and self.nb > 0)
-
 
 # KNum.__setattr__ refuses every write, so new triples go in through the
 # slot descriptors, bound once here
@@ -381,19 +374,13 @@ def o_gcd(x: KNum, y: KNum) -> KNum:
 
 def o_gcd_many(xs) -> KNum:
     """gcd of an iterable of O_7 elements (not all zero), sign-normalized."""
-    acc = None
+    acc = ZERO
     for x in xs:
-        if x.is_zero():
-            continue
-        if acc is None:
-            if not x.is_integral():
-                raise ValueError("o_gcd requires integral arguments")
-            acc = _sign_normalized(x.na, x.nb)
-        else:
+        if not x.is_zero():
             acc = o_gcd(acc, x)
-        if acc.is_one():
-            break  # the unit ideal
-    if acc is None:
+            if acc.is_one():
+                break  # the unit ideal
+    if acc.is_zero():
         raise ValueError("gcd undefined for all-zero input")
     return acc
 

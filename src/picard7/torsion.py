@@ -25,7 +25,6 @@ from operator import add, sub
 
 from .ring import (
     _alg,
-    _gcd_ints,
     zeta3_tower,
     zeta7_tower,
 )
@@ -42,7 +41,6 @@ from .hermitian import (
     word_str,
     _is_unitary_ints,
     _mul_ints,
-    _norm_ints,
 )
 from .heisenberg import (
     IDENTITY,
@@ -239,30 +237,6 @@ def _involution_axis(g: GroupElt):
             return col
 
 
-def _axis_point(col) -> ProjPoint:
-    """The point with the six ints col, an axis or a K-rational eigenvector:
-    col over the O_7 gcd of its three entries, taken and divided on int
-    pairs, under the sign rule of `ProjPoint.of_primitive`.  A zero col
-    raises ValueError, and an inexact division ArithmeticError."""
-    entries = [(x, y) for x, y in zip(col[0::2], col[1::2]) if x or y]
-    if not entries:
-        raise ValueError("zero vector has no projective class")
-    g = entries[0]
-    for x in entries[1:]:
-        g = _gcd_ints(*g, *x)
-    if g in ((1, 0), (-1, 0)):
-        return ProjPoint.of_primitive(col)
-    # x / g = x conj(g) / N(g), with conj(c + e tau) = (c + e) - e tau
-    n, c, e = _norm_ints(*g), g[0] + g[1], -g[1]
-    w = []
-    for x, y in zip(col[0::2], col[1::2]):
-        p, q = _mul_ints(x, y, c, e)
-        if p % n or q % n:
-            raise ArithmeticError("dividing by the O_7 gcd left a non-integral entry")
-        w += (p // n, q // n)
-    return ProjPoint.of_primitive(tuple(w))
-
-
 def reflection_polar(g: GroupElt):
     """(polar ProjPoint, polar norm) if g is a complex reflection, else None.
 
@@ -272,7 +246,7 @@ def reflection_polar(g: GroupElt):
     col = _involution_axis(g)
     if col is None or sq_norm_ints(col) <= 0:
         return None
-    polar = _axis_point(col)
+    polar = ProjPoint.of_ints(col)
     return polar, sq_norm_ints(polar.rep)
 
 
@@ -287,7 +261,7 @@ def classify_elliptic(g: GroupElt, n: int):
         sign = sq_norm_ints(col)
         if sign == 0:
             raise ArithmeticError("simple eigenvector of a finite-order element is null")
-        p = _axis_point(col)
+        p = ProjPoint.of_ints(col)
         return "reflection" if sign > 0 else "isolated", p, sq_norm_ints(p.rep)
     # of finite order and not an involution, so g has three simple
     # eigenvalues; K contains only the roots of unity +/-1, so any
@@ -298,7 +272,7 @@ def classify_elliptic(g: GroupElt, n: int):
         if v is not None:
             v = v[0] + v[1] + v[2]
             if sq_norm_ints(v) < 0:
-                pt = _axis_point(v)
+                pt = ProjPoint.of_ints(v)
                 return "isolated", pt, sq_norm_ints(pt.rep)
     # fixed point outside K^3, so n is 3, 6 or 7.  g^n = e Id makes each
     # eigenvalue a root of x^n - e: e z^k for z a primitive n-th root of

@@ -65,6 +65,7 @@ from picard7.ring import (
     eta_sign,
     knum_from_ints,
     o_gcd,
+    o_gcd_many,
     real_field,
     sqrt21_sign,
     zeta7_autocorr,
@@ -822,7 +823,7 @@ def _ref_sweep_vector(v):
 def ref_reduce_to_domain(x: ProjPoint):
     """reduce_to_domain as a loop on vectors of KNums or AlgNums with
     word-carrying GroupElt products: each step reads the prism coordinates
-    off the vector, and the answer is ProjPoint(v), through primitive_rep
+    off the vector, and the answer is ProjPoint(v), through the O_7 gcd
     for a rational point.  The same soundness checks raise, and a tower
     vector is normalized at v3 = 1 after each Ford step."""
     v = x.coords
@@ -1260,6 +1261,21 @@ def ref_restriction_order(g: GroupElt, ctx, cap: int):
             return k
         cur = _rest_mul(cur, base)
     return None
+
+
+def ref_primitive_rep(v):
+    """The canonical primitive representative of a K-rational point on
+    KNums: v scaled by the lcm of its denominators, divided by the O_7 gcd
+    of its entries, and negated unless its first nonzero entry is positive
+    in the (a, b) order."""
+    den = lcm(*(x.d for x in v))
+    w = tuple(x * den for x in v)
+    g = o_gcd_many(w)
+    w = tuple(x / g for x in w)
+    if not all(x.is_integral() for x in w):
+        raise ArithmeticError("dividing by the O_7 gcd left a non-integral entry")
+    lead = next(x for x in w if not x.is_zero())
+    return w if (lead.na, lead.nb) > (0, 0) else tuple(-x for x in w)
 
 
 def ref_make_reflection(v) -> GroupElt:

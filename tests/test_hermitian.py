@@ -36,6 +36,7 @@ from reference import (
     mat_neg,
     mat_product,
     mat_trace,
+    ref_primitive_rep,
     vector_rep,
     zeta_of,
 )
@@ -233,7 +234,8 @@ def _random_words(seed, count):
 
 
 def _leads_positive(m: Mat) -> bool:
-    return next(x for r in m.rows for x in r if not x.is_zero()).is_sign_positive()
+    lead = next(x for r in m.rows for x in r if not x.is_zero())
+    return (lead.na, lead.nb) > (0, 0)
 
 
 def test_int_products_match_mat_products():
@@ -409,6 +411,7 @@ def test_rational_point_is_its_six_ints(monkeypatch):
         if all(x.is_zero() for x in v):
             continue
         p, w = ProjPoint(v), primitive_rep(v)
+        assert w == ref_primitive_rep(v)
         assert p.rational and p.rep == tuple(n for x in w for n in (x.na, x.nb))
         assert p.coords == w
         g, m = words[len(points) % len(words)]

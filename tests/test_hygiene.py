@@ -450,8 +450,8 @@ print(len(built), same)
 
 
 def test_k_rational_reduction_runs_on_ints():
-    # a K-rational `ford reduce` finds the primitive representative once,
-    # for its input: each move of the point is an int product, and the
+    # a K-rational `ford reduce` finds the primitive representative once
+    # (`ProjPoint.of_ints`), for its input: each move of the point is an int product, and the
     # answer takes the sign rule only.  The reduction, and so the K sweep
     # kernel, builds no KNum: the input's ProjPoint is its six ints
     code = """
@@ -459,23 +459,23 @@ import contextlib, io, sys
 sys.path.insert(0, %r)
 from picard7 import cli, ford, hermitian, ring
 from picard7.hermitian import ProjPoint, vec_from_json
-counts = {"primitive_rep": 0, "knum": 0}
-primitive_rep, knum, init = hermitian.primitive_rep, ring._knum, ring.KNum.__init__
-def counted_rep(v):
-    counts["primitive_rep"] += 1
-    return primitive_rep(v)
+counts = {"of_ints": 0, "knum": 0}
+of_ints, knum, init = ProjPoint.of_ints, ring._knum, ring.KNum.__init__
+def counted_rep(t):
+    counts["of_ints"] += 1
+    return of_ints(t)
 def counted_knum(*args):
     counts["knum"] += 1
     return knum(*args)
 def counted_init(self, *args):
     counts["knum"] += 1
     init(self, *args)
-hermitian.primitive_rep = counted_rep
+ProjPoint.of_ints = staticmethod(counted_rep)
 for point in sys.argv[1:]:
-    counts["primitive_rep"] = 0
+    counts["of_ints"] = 0
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["ford", "reduce", "--point", point]) == 0
-    reps = counts["primitive_rep"]
+    reps = counts["of_ints"]
     x = ProjPoint(vec_from_json(point))
     ring._knum, ring.KNum.__init__ = counted_knum, counted_init
     counts["knum"] = 0
@@ -615,9 +615,11 @@ def test_reflection_count_reads_no_eigenvalues():
     assert "ints_product" in axis
     assert not axis & {"charpoly", "_repeated_eigenvalue", "_eigenvectors"}
     assert "_involution_axis" in names_in("reflection_polar") & names_in("classify_elliptic")
-    # an axis point divides by the O_7 gcd on int pairs, with no KNum
-    point = names_in("_axis_point")
-    assert {"_gcd_ints", "of_primitive"} <= point and not point & {"knum_from_ints", "primitive_rep"}
+    # an axis point is ProjPoint.of_ints, the one int-pair O_7 gcd of a
+    # vector, which primitive_rep shares: the primitive normal form is
+    # written in hermitian alone
+    assert "of_ints" in names_in("reflection_polar") & names_in("classify_elliptic")
+    assert {p.name for p in MODULES if "_gcd_ints" in p.read_text()} == {"hermitian.py", "ring.py"}
     gone = {"_repeated_eigenvalue", "_simple_eigenpoint"}
     assert not names_in("classify_elliptic") & gone
     assert {p.name: sorted(bound_names(ast.parse(p.read_text()).body) & gone) for p in MODULES} == {

@@ -86,7 +86,7 @@ from reference import (
     vector_rep,
     zeta_of,
 )
-from reference import RefFiniteGroup, ref_make_reflection, s_coordinate, tau_coordinates
+from reference import RefFiniteGroup, ref_make_reflection, ref_primitive_rep, s_coordinate, tau_coordinates
 from test_ford import K_FIXED_POINTS, tower_fixed_points
 from test_heisenberg import _prism_reals
 from test_hygiene import MODULES, bound_names
@@ -741,13 +741,14 @@ def test_trace_first_involution_test_matches_the_square_only_reference(monkeypat
 
 
 def test_axis_points_match_the_gcd_path(monkeypatch):
-    # the axis point divides by the O_7 gcd on int pairs and takes the sign
-    # rule: the same point as ProjPoint on the KNum vector, for every column
-    # the commands' classifications and stabilizers pass, and for seeded
-    # vectors scaled by elements of O_7 of norm above 1
+    # an axis point divides by the O_7 gcd on int pairs and takes the sign
+    # rule (ProjPoint.of_ints): the primitive representative of the KNum
+    # reference, for every vector the commands' classifications,
+    # stabilizers and points pass, and for seeded vectors scaled by
+    # elements of O_7 of norm above 1
     cols = []
-    exact = torsion._axis_point
-    monkeypatch.setattr(torsion, "_axis_point", lambda col: cols.append(col) or exact(col))
+    exact = ProjPoint.of_ints
+    monkeypatch.setattr(ProjPoint, "of_ints", staticmethod(lambda t: cols.append(tuple(t)) or exact(t)))
     _command_stabilizers(monkeypatch)
     assert cols
     rng = random.Random(97)
@@ -760,15 +761,16 @@ def test_axis_points_match_the_gcd_path(monkeypatch):
         if not any(col):
             continue
         got = exact(col)
-        assert got == ProjPoint(tuple(map(knum_from_ints, col[0::2], col[1::2])))
+        ref = ref_primitive_rep(tuple(map(knum_from_ints, col[0::2], col[1::2])))
+        assert got.rep == tuple(n for x in ref for n in (x.na, x.nb))
         unit += got.rep == col or got.rep == tuple(-x for x in col)
     assert 0 < unit < len(cols)
     with pytest.raises(ValueError, match="zero vector"):
         exact((0,) * 6)
     # a wrong gcd leaves an inexact division, which raises
-    monkeypatch.setattr(torsion, "_gcd_ints", lambda a, b, c, e: (2, 0))
+    monkeypatch.setattr(hermitian, "_gcd_ints", lambda a, b, c, e: (2, 0))
     with pytest.raises(ArithmeticError, match="non-integral"):
-        exact((1, 0, 0, 1, 2, 0))
+        exact((2, 0, 0, 1, 0, 0))
 
 
 def _vertices(graph):
