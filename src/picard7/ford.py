@@ -15,29 +15,30 @@ the same int coordinates.  A K-rational point stays the six ints of its
 ProjPoint's rep from input to answer: the K sweep reads them, and the
 reduction moves them by int products.  Gamma maps primitive vectors of
 O_7^3 to primitive vectors, so the reduced point takes the sign rule of
-its rep and no gcd.  A tower point keeps its AlgNum coordinates, at
-v3 = 1, in the same loop, and each step reads its prism coordinates, its
-moves, its normal form and its sweep's bracket of u' off the field's ints
-(`hermitian.tower_ints`), with no AlgNum arithmetic.  Its sweep does not
-depend on the mode of the caller, so the hits of each tower sweep are
-memoized: the cycle graph at a reduced tower point reads the reduction's
-last sweep.
+its rep and no gcd.  A tower point is ints in the same way, its
+ProjPoint's rep (f1, f2, den): the field ints of v1 and v2 at v3 = 1 over
+one den.  Each step reads its prism coordinates off the rep, sweeps the
+vector (f1, f2, den), and moves it on the field's ints, which
+`ProjPoint.of_tower` takes to the next rep.  A tower sweep does not
+depend on the mode of the caller, so the hits of each are memoized on the
+vector's ints: the cycle graph at a reduced tower point reads the
+reduction's last sweep.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from math import isqrt, lcm
+from math import isqrt
 
 from .ring import (
     ISQRT7,
-    AlgNum,
     KNum,
     ONE,
     TAU,
     TAU_BAR,
     ZERO,
     eta_sign,
+    field_of,
     sqrt21_sign,
     zeta7_autocorr,
 )
@@ -46,18 +47,14 @@ from .hermitian import (
     GroupElt,
     Mat,
     ProjPoint,
-    depth,
-    ints_apply,
     ints_inverse,
     ints_product,
     sq_norm_ints,
-    tower_chart,
-    tower_ints,
-    tower_point,
     tower_sq_norm,
     _apply_ints,
     _mul_ints,
     _norm_ints,
+    _tower_apply,
 )
 from .heisenberg import (
     BRACKET,
@@ -136,11 +133,6 @@ INVERSE_PAIRS = {
     j: next(k for k, h in GENERATORS.items() if h == gi)
     for j, gi in ((j, g.inverse()) for j, g in GENERATORS.items())
 }
-
-
-def generator_depths() -> dict:
-    """Depth of each pairing matrix, read off its first column."""
-    return {j: depth(ProjPoint(g.first_column())) for j, g in GENERATORS.items()}
 
 
 class IsomSphere(namedtuple("IsomSphere", "center r4")):
@@ -362,12 +354,6 @@ def candidate_spheres(j: int) -> dict:
     return enumerate_cone_translates(j)
 
 
-def _alg_ints(c: AlgNum):
-    if c.den != 1:
-        raise ArithmeticError("a Ford sweep coordinate is not integral")
-    return c.ints
-
-
 def _forms(v):
     """Two 6-tuples X, Y of ints with <v, col> = X.col + (Y.col) tau for v in O_7^3.
 
@@ -385,7 +371,8 @@ def _forms(v):
 # sweep(v, own, g, best) yields (sign, quantity, j, alpha) for each candidate
 # translate alpha of j whose column col = alpha(A_j(inf)) has
 # |<v, col>|^2 <= own, for an integral v whose point's prism coordinates
-# have the grid g (`prism_grid`), in (j, alpha) order.  Each kernel
+# have the grid g (`prism_grid`), in (j, alpha) order.  v is six ints for
+# K, and three tuples of the field's ints for a tower.  Each kernel
 # compares only the translates in a window derived from that inequality,
 # and decides each on ints; the K kernel reads its window off v's six
 # ints, and the tower kernels off the brackets in g.  With best set, a
@@ -535,7 +522,7 @@ def _zeta3_quantity(x0, y0, x1, y1):
 
 
 def _zeta3_quantity_of(v):
-    return _zeta3_quantity(*_alg_ints(v[2]))
+    return _zeta3_quantity(*v[2])
 
 
 def _zeta3_cmp(p, q) -> int:
@@ -545,13 +532,12 @@ def _zeta3_cmp(p, q) -> int:
 def _zeta3_sweep(v, own, g):
     """v = v0 + v1 zeta_3 with v0, v1 in O_7^3: <v, col> = X0 + X1 zeta_3,
     and the quantity is the int pair (m, n) of 2|X0 + X1 zeta_3|^2."""
-    ints = [_alg_ints(c) for c in v]
-    rows = _forms([f[:2] for f in ints]) + _forms([f[2:] for f in ints])
+    rows = _forms([f[:2] for f in v]) + _forms([f[2:] for f in v])
     yield from _tower_sweep(v, own, g, rows, lambda h: _zeta3_quantity(*h), _zeta3_cmp)
 
 
 def _zeta7_quantity_of(v):
-    return zeta7_autocorr((0,) + _alg_ints(v[2]))
+    return zeta7_autocorr((0,) + v[2])
 
 
 def _zeta7_cmp(p, q) -> int:
@@ -568,7 +554,7 @@ def _zeta7_sweep(v, own, g):
     # conj(a + b tau) F = a F + b G with G = conj(tau) F, and conj(tau) =
     # 1 + zeta^3 + zeta^5 + zeta^6; one row of ints (F_m, G_m of v3, v2,
     # v1) per power of zeta, as col_k pairs with v_(4-k)
-    coords = [(0,) + _alg_ints(c) for c in reversed(v)]
+    coords = [(0,) + f for f in reversed(v)]
     rows = []
     for m in range(7):
         row = []
@@ -580,10 +566,11 @@ def _zeta7_sweep(v, own, g):
 
 def _height_bracket(v) -> int:
     """The bracket floor(2^16 u') of u' = -<v, v>/|v3|^2, for a tower vector
-    v scaled to ints over den 1 whose v3 is a positive int S: u' =
-    -<v/S, v/S>, as real ints over S^2 (`tower_sq_norm`)."""
-    tw, (f1, f2, _), _ = tower_ints(v)
-    scale = v[2].k_part().na
+    with the field ints v whose v3 is a positive int S: u' = -<v/S, v/S>,
+    as real ints over S^2 (`tower_sq_norm`)."""
+    f1, f2, f3 = v
+    tw = field_of(f1)
+    scale = tw.as_int(f3)
     return bracket([-y for y in tower_sq_norm(tw, f1, f2, scale)], scale * scale)
 
 
@@ -592,10 +579,10 @@ def _tower_sweep(v, own, g, rows, quantity, cmp):
 
     The ints h of <v, col> in the field's basis are r.col for r in rows,
     quantity(h) is the field's quantity of that <v, col>, and cmp compares
-    quantities exactly, as in _KERNELS.  v is a point's vector with v3 = 1
-    (its normal form) scaled by a positive int, and g the grid of its prism
-    coordinates, whose values 2k + 1 hold the brackets k = floor(2^16 x) of
-    a, b and s (`prism_grid`).  The point's z = a + b tau, s and u' =
+    quantities exactly, as in _KERNELS.  v is the vector (f1, f2, den) of
+    a tower ProjPoint's rep (its normal form at v3 = 1, times den), and g
+    the grid of its prism coordinates, whose values 2k + 1 hold the
+    brackets k = floor(2^16 x) of a, b and s (`prism_grid`).  The point's z = a + b tau, s and u' =
     -<v, v>/|v3|^2 are real elements of the field; each lies in [k, k +
     1]/2^16 for its bracket k (`bracket`, and `_height_bracket` for u'),
     exact by the field's floor_real on its real ints.  So u' >= ku/2^16,
@@ -685,7 +672,8 @@ _TOWER_SWEEPS = {3: _zeta3_sweep, 7: _zeta7_sweep}
 
 @cache
 def _tower_hits(v, own, g, n):
-    """The hits of the sweep of v over K(zeta_n), as a tuple, memoized.
+    """The hits of the sweep of v over K(zeta_n), as a tuple, memoized on
+    the vector's ints.
 
     A tower sweep ignores best, so `reduce_to_domain`'s last sweep, which
     certifies that its answer y lies in Omega, and the `spheres_at` sweep
@@ -695,38 +683,34 @@ def _tower_hits(v, own, g, n):
     return tuple(_TOWER_SWEEPS[n](v, own, g))
 
 
-def _tower_kernel(v, own, g, _best):
-    return _tower_hits(tuple(v), own, g, v[0].tower.n)
-
-
-#: the sweep kernel of each field, by n for K(zeta_n), 1 for K
+#: the sweep kernel of each field, by n for K(zeta_n), 1 for K; a tower
+#: kernel ignores best and returns the memoized hits of its field's sweep
 _KERNELS = {
     1: (_k_quantity, _k_cmp, _k_sweep),
-    3: (_zeta3_quantity_of, _zeta3_cmp, _tower_kernel),
-    7: (_zeta7_quantity_of, _zeta7_cmp, _tower_kernel),
+    3: (_zeta3_quantity_of, _zeta3_cmp, lambda v, own, g, _best: _tower_hits(v, own, g, 3)),
+    7: (_zeta7_quantity_of, _zeta7_cmp, lambda v, own, g, _best: _tower_hits(v, own, g, 7)),
 }
 
 
-def _sweep_vector(v):
-    """(vs, own, kernel): a point's vector prepared for a Ford sweep.
+def _sweep_vector(rep):
+    """(vs, own, kernel): a ProjPoint's rep prepared for a Ford sweep.
 
-    A K-rational point's vector is the six ints of its rep, or of its image
-    under an element of Gamma, which the K kernel sweeps as they are.  A
-    tower vector has AlgNum coordinates.  Each test of a sweep compares
-    N(<v, col>) with N(v3), and both are homogeneous of degree 2 in v.  So
-    a tower v is scaled once by the positive int lcm of the denominators of
-    its coordinates: that changes no sign, order or tie, and every quantity
-    of the sweep is an int form of the kernel of v's field.  own is the
-    quantity of the (scaled) v3.
+    A K-rational point's vector is the six ints of its rep, which the K
+    kernel sweeps as they are.  A tower rep (f1, f2, den) is the point's
+    vector at v3 = 1 as field ints over den, and the kernel sweeps den
+    times it, the integral vector (f1, f2, den).  Each test of a sweep
+    compares N(<v, col>) with N(v3), and both are homogeneous of degree 2
+    in v, so the scale changes no sign, order or tie, and every quantity of
+    the sweep is an int form of the kernel of v's field.  own is the
+    quantity of its v3.
     """
-    if type(v[0]) is int:
-        kernel = _KERNELS[1]
+    if type(rep[0]) is int:
+        vs, kernel = rep, _KERNELS[1]
     else:
-        den = lcm(*(c.den for c in v))
-        if den != 1:
-            v = [c * den for c in v]
-        kernel = _KERNELS[v[0].tower.n]
-    return v, kernel[0](v), kernel
+        f1, f2, d = rep
+        tw = field_of(f1)
+        vs, kernel = (f1, f2, tw.lift(d, 0)), _KERNELS[tw.n]
+    return vs, kernel[0](vs), kernel
 
 
 def spheres_containing(x: ProjPoint):
@@ -788,29 +772,27 @@ def reduce_to_domain(x: ProjPoint):
     the sweep's quantities.  The sweep runs in best mode: the K kernel
     yields only the hits that improve on the last it yielded, and narrows
     its window to them, so the first of a tie is its last yield.  The
-    point is carried as its rep.  A K-rational point stays the six ints of
-    a primitive vector of O_7^3: Gamma maps primitive vectors to primitive
-    vectors, so each move is an int product and the answer needs the sign
-    rule only, no gcd.  A tower vector is kept at v3 = 1, as in ProjPoint:
-    it has no content to divide out, so that keeps its ints from growing
-    with the steps, its prism coordinates take no inverse, and a cusp shift
-    keeps the form.  g is composed as 18 ints and a list of word pieces,
-    and built once.
+    point is carried as its ProjPoint, whose rep is ints.  A K-rational
+    point is the six ints of a primitive vector of O_7^3: Gamma maps
+    primitive vectors to primitive vectors, so each move is an int product
+    and its point takes the sign rule only, no gcd.  A tower point is kept
+    at v3 = 1 (`ProjPoint.of_tower`): it has no content to divide out, so
+    that keeps its ints from growing with the steps, its prism coordinates
+    take no inverse, and a cusp shift keeps the form.  g is composed as 18
+    ints and a list of word pieces, and built once.
     """
     if x.sq_norm_sign() >= 0:
         raise ValueError("reduction needs an interior point (negative square norm)")
-    rational = x.rational
-    move = _apply_ints if rational else ints_apply
-    v = x.rep
+    move, point = (_apply_ints, ProjPoint.of_primitive) if x.rational else (_tower_apply, ProjPoint.of_tower)
     total, pieces = ID_INTS, []
     for _ in range(MAX_ITERS):
-        xc = prism_coordinates(v)
+        xc = prism_coordinates(x.rep)
         c = reduce_to_prism(xc)
         t = c.ints
-        v = move(t, v)
+        x = x.moved(t)
         total = ints_product(t, total)
         pieces.append(c.word())
-        vs, own, (quantity, cmp, sweep) = _sweep_vector(v)
+        vs, own, (quantity, cmp, sweep) = _sweep_vector(x.rep)
         # the violation ratio own/other is largest when `other` is smallest
         # (own is fixed within this sweep); the sweep's order breaks ties
         best = None
@@ -819,18 +801,16 @@ def reduce_to_domain(x: ProjPoint):
                 best = (other, j, alpha)
         if best is None:
             word = tuple(letter for piece in reversed(pieces) for letter in piece)
-            return GroupElt.from_ints(total, word), ProjPoint.of_primitive(v) if rational else ProjPoint(v)
+            return GroupElt.from_ints(total, word), x
         _, j, alpha = best
-        # (alpha A_j)^-1 maps the scaled vector to a multiple of the new
+        # (alpha A_j)^-1 maps the swept vector to a multiple of the new
         # point by the same factor, so its Ford quantity compares with `own`
         gi = ints_inverse(ints_product(alpha.ints, GENERATORS[j].ints))
         v = move(gi, vs)
         # the Ford quantity strictly decreases at each step
         if cmp(quantity(v), own) >= 0:
             raise ArithmeticError("the Ford quantity did not decrease")
-        if not rational:
-            tw, fs, d = tower_ints(v)
-            v = tower_point(tw, *tower_chart(tw, fs, d))
+        x = point(v)
         total = ints_product(gi, total)
         pieces.append(tuple((name, -e) for name, e in reversed(alpha.word() + GENERATORS[j].word)))
     raise ReductionError(f"no Omega representative found in {MAX_ITERS} steps")

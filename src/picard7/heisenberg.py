@@ -18,8 +18,8 @@ prism coordinates (a, b, s, den), read off its ProjPoint's rep
 and t = s sqrt(7)/den.
 They are ints for a K-rational point.  For a point over K(zeta_3) or
 K(zeta_7), a, b and s are the field's real ints (`ring.real_field`: two or
-three ints, the int part first) over one int den, read off the field ints
-of its ProjPoint's rep at v3 = 1, with no AlgNum arithmetic.  A cusp
+three ints, the int part first) over one int den, read off its
+ProjPoint's rep, the field ints of v1 and v2 at v3 = 1.  A cusp
 element acts on them affinely (`act_prism`), one formula for both kinds.
 Prism reduction and the overlap test are closed form on ints: a K-rational
 point's own, and for a tower point the ints of its certified brackets
@@ -36,8 +36,8 @@ from collections import namedtuple
 from functools import cache
 from itertools import combinations
 
-from .ring import AlgNum, real_field
-from .hermitian import GroupElt, _mul_ints, _norm_ints, sq_norm_ints, tower_chart, tower_ints, tower_sq_norm
+from .ring import field_of, real_field
+from .hermitian import GroupElt, _mul_ints, _norm_ints, sq_norm_ints, tower_sq_norm
 
 
 class CuspElt(namedtuple("CuspElt", "m n eps l", defaults=(0, 0, 0, 0))):
@@ -141,18 +141,16 @@ def prism_coordinates(v):
     the point's boundary coordinates are z = (a + b tau)/den and
     t = s sqrt(7)/den.
 
-    v is a ProjPoint's rep, six ints or three AlgNums; a vector with a
-    KNum or other coordinate raises TypeError.  z = v2/v3 and
-    t = 2 Im(v1/v3), so s/den is the tau-coefficient of v1/v3.  For the
-    six ints of a vector in O_7^3 they are ints over den = N(v3) > 0:
-    a + b tau = v2 conj(v3) and s is the tau-coefficient of v1 conj(v3).
-    For a vector over K(zeta_3) or K(zeta_7), a, b and s are real ints
-    of the field (`ring.real_field`) over one int den, read off the
-    field ints of v1/v3 and v2/v3 over d (`hermitian.tower_chart`): with
-    w = x + y tau for x, y real, y = (w - conj(w))/sqrt(-7), int-linear
-    in w's ints (`real_split`), so den = 7 d.  The coordinates of a tower
-    ProjPoint end in v3 = 1 (its normal form), and then they take no
-    inverse.  <v, v> <= 0 is an exact sign on the same ints.
+    v is a ProjPoint's rep: six ints, or a tower point's (f1, f2, d).
+    z = v2/v3 and t = 2 Im(v1/v3), so s/den is the tau-coefficient of
+    v1/v3.  For the six ints of a vector in O_7^3 they are ints over den =
+    N(v3) > 0: a + b tau = v2 conj(v3) and s is the tau-coefficient of v1
+    conj(v3).  A tower rep is the field ints f1, f2 of d v1 and d v2 at v3
+    = 1, so a, b and s are real ints of the field (`ring.real_field`) over
+    one int den, with no inverse: with w = x + y tau for x, y real, y = (w
+    - conj(w))/sqrt(-7), int-linear in w's ints (`real_split`), so den =
+    7 d.  <v, v> <= 0 is an exact sign on the same ints.  Any other v
+    raises TypeError.
     """
     if type(v[0]) is int:
         p1, q1, p2, q2, p3, q3 = v
@@ -166,14 +164,10 @@ def prism_coordinates(v):
         # conj(p3 + q3 tau) = (p3 + q3) - q3 tau
         a, b = _mul_ints(p2, q2, p3 + q3, -q3)
         return a, b, _mul_ints(p1, q1, p3 + q3, -q3)[1], _norm_ints(p3, q3)
-    if not all(isinstance(c, AlgNum) for c in v):
-        raise TypeError("prism coordinates take six ints or three AlgNums, a ProjPoint's rep")
-    tw, fs, d = tower_ints(v)
-    if not any(fs[2]):
-        if not any(fs[1]):
-            raise ValueError("point at infinity has no horospherical coordinates")
-        raise ValueError("vector has positive square norm")
-    f1, f2, d = tower_chart(tw, fs, d)
+    if len(v) != 3 or type(v[0]) is not tuple:
+        raise TypeError("prism coordinates take a ProjPoint's rep: six ints, or a tower point's (f1, f2, den)")
+    f1, f2, d = v
+    tw = field_of(f1)
     if tw.real_sign(tower_sq_norm(tw, f1, f2, d)) > 0:
         raise ValueError("vector has positive square norm")
     a, b = tw.real_split(f2)

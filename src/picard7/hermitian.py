@@ -16,16 +16,15 @@ from functools import cache
 from math import gcd, isqrt, lcm
 
 from .ring import (
-    AlgNum,
     KNum,
     ONE,
     ZERO,
-    TAU,
     adjugate,
+    field_of,
     format_knum,
     knum_from_ints,
-    o_gcd_many,
     parse_knum,
+    zeta7_tower,
     _alg,
     _gcd_ints,
 )
@@ -274,35 +273,32 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
 
     A K-rational point keeps the six ints (a1, b1, a2, b2, a3, b3) of its
     canonical primitive representative (a_i + b_i tau), under the sign rule
-    of `of_primitive`: its first nonzero int is positive.  Any other point,
-    given as three AlgNums of one field, keeps them divided by the last
-    nonzero one.  A point with <v, v> < 0 has v3 != 0, so its coordinates
-    end in v3 = 1: its prism coordinates need no inverse, and a cusp
-    element, whose bottom row is (0, 0, 1), keeps that form; both, and its
-    moves, run on the field's ints (`tower_ints`).  `coords` is
-    the coordinate vector, built as KNums on each read of a rational point.
+    of `of_primitive`: its first nonzero int is positive.  A point over
+    K(zeta_3) or K(zeta_7) has v3 != 0 (every such point here is negative)
+    and keeps (f1, f2, den): the field ints of den v1/v3 and den v2/v3 for
+    one int den > 0, with no factor common to all of them (`of_tower`).
+    Both reps are ints only.  At v3 = 1 its prism coordinates need no
+    inverse, and a cusp element, whose bottom row is (0, 0, 1), keeps that
+    form; both, its moves and its sweeps read the rep's ints.  `coords` is
+    the coordinate vector, built on each read: KNums for a rational point,
+    and AlgNums (v1, v2, 1) for a tower point.
     """
 
     __slots__ = ()
 
     def __new__(cls, v):
         if not all(isinstance(x, KNum) for x in v):
-            if not all(isinstance(x, AlgNum) for x in v):
-                raise TypeError("a point's coordinates are three KNums or three AlgNums")
-            last = next((x for x in reversed(v) if not x.is_zero()), None)
-            # a zero vector goes on to the error of of_ints
-            if last is not None and not last.is_one():
-                inv = last.inverse()
-                v = tuple(x * inv for x in v)
-            if not all(x.in_k() for x in v):
-                return tuple.__new__(cls, (v, False))
-            v = tuple(x.k_part() for x in v)
+            raise TypeError("a point's coordinates are three KNums; a tower point is built by of_tower")
         return ProjPoint.of_ints(_scaled_ints(v)[0])
 
     @property
     def coords(self):
         t = self.rep
-        return tuple(map(knum_from_ints, t[0::2], t[1::2])) if self.rational else t
+        if self.rational:
+            return tuple(map(knum_from_ints, t[0::2], t[1::2]))
+        f1, f2, d = t
+        tw = field_of(f1)
+        return _alg(tw, f1, d), _alg(tw, f2, d), _alg(tw, tw.lift(1, 0), 1)
 
     def __repr__(self):
         return f"ProjPoint({', '.join(str(c) for c in self.coords)})"
@@ -314,7 +310,9 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
         if self.rational:
             n = sq_norm_ints(self.rep)
             return (n > 0) - (n < 0)
-        return self.sq_norm().real_sign()
+        f1, f2, d = self.rep
+        tw = field_of(f1)
+        return tw.real_sign(tower_sq_norm(tw, f1, f2, d))
 
     def apply(self, g: "GroupElt") -> "ProjPoint":
         """g(self)."""
@@ -325,18 +323,13 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
         M^-1 are integral, so M maps a primitive vector of O_7^3 to a
         primitive vector: a rational point's image is the int product with
         its sign normalized, and needs no gcd.  M and M^-1 map K^3 to
-        itself, so a tower point's image is a tower point, taken to its
-        normal form on the field's ints (`tower_chart`): a cusp element,
-        whose bottom row is (0, 0, 1), keeps v3 = 1 and takes no inverse.
-        An image with v3 = 0, which no negative point has, takes the
-        constructor's normal form."""
-        if not self.rational:
-            tw, fs, d = tower_ints(self.rep)
-            fs = _tower_apply(t, tw, fs)
-            if not any(fs[2]):
-                return ProjPoint(tuple(_alg(tw, f, d) for f in fs))
-            return tuple.__new__(ProjPoint, (tower_point(tw, *tower_chart(tw, fs, d)), False))
-        return ProjPoint.of_primitive(_apply_ints(t, self.rep))
+        itself, so a tower point's image is a tower point: M moves the
+        vector (f1, f2, den) with den at v3, and `of_tower` takes it to its
+        normal form (a cusp element keeps v3 = den, and takes no inverse)."""
+        if self.rational:
+            return ProjPoint.of_primitive(_apply_ints(t, self.rep))
+        f1, f2, d = self.rep
+        return ProjPoint.of_tower(_tower_apply(t, (f1, f2, field_of(f1).lift(d, 0))))
 
     @staticmethod
     def of_primitive(w) -> "ProjPoint":
@@ -374,17 +367,28 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
             w += (p // n, q // n)
         return ProjPoint.of_primitive(tuple(w))
 
-
-def depth(p: ProjPoint) -> int:
-    """Depth |v3|^2 of a K-rational null point (undefined at q_inf)."""
-    if not p.rational:
-        raise ValueError("depth is defined for K-rational points only")
-    if p.sq_norm_sign() != 0:
-        raise ValueError("depth is defined for null points only")
-    v3 = p.coords[2]
-    if v3.is_zero():
-        raise ValueError("depth undefined at the point at infinity")
-    return v3.norm()
+    @staticmethod
+    def of_tower(fs) -> "ProjPoint":
+        """The point of the vector over K(zeta_3) or K(zeta_7) with the
+        field ints fs = (f1, f2, f3), f3 != 0 (a zero f3 raises
+        ValueError): (f1, f2) over f3, as the rep (e1, e2, den) with den > 0
+        and no factor common to all of them.  When f3 is an int c, den is
+        |c|; otherwise v_k/v3 = f_k adj/n for the adjugate adj of f3 and its
+        int norm n (`ring.adjugate`), and den is n."""
+        f1, f2, f3 = fs
+        if not any(f3):
+            raise ValueError("a tower point needs v3 != 0")
+        tw = field_of(f1)
+        d = tw.as_int(f3)
+        if d is None:
+            adj, d = adjugate(tw, f3)
+            f1, f2 = tw.mul(f1, adj), tw.mul(f2, adj)
+        elif d < 0:
+            f1, f2, d = tuple(-x for x in f1), tuple(-x for x in f2), -d
+        g = gcd(d, *f1, *f2)
+        if g != 1:
+            f1, f2, d = tuple(x // g for x in f1), tuple(x // g for x in f2), d // g
+        return tuple.__new__(ProjPoint, ((f1, f2, d), False))
 
 
 def elements_of_norm(n: int):
@@ -481,52 +485,6 @@ def norm_form_solutions(gram, norm: int, height: int):
     return list(found)
 
 
-#: radius of the box of middle coordinates searched by depth_witness
-DEPTH_WITNESS_BOX = 6
-
-
-def depth_witness(d: int):
-    """A primitive integral null vector whose third coordinate has norm d.
-
-    For a fixed third coordinate the trace pairing with integral first
-    coordinates realizes exactly the multiples of g = gcd(tr v3, tr tau*v3),
-    so a middle coordinate v2 completes to a null vector iff g divides N(v2);
-    the first coordinate then comes from the extended Euclidean algorithm.
-    Middle coordinates run over a box of radius DEPTH_WITNESS_BOX.  A
-    returned point is an exact certificate that depth d occurs; None means
-    no certificate was found within the box.
-    """
-    box = DEPTH_WITNESS_BOX
-    mids = sorted(
-        (KNum(a, b) for a in range(-box, box + 1) for b in range(-box, box + 1)),
-        key=lambda x: (x.norm(), x.a, x.b),
-    )
-    for v3 in elements_of_norm(d):
-        t0, t1 = v3.trace(), (TAU * v3).trace()
-        g, x, y = _ext_gcd(t0, t1)
-        for v2 in mids:
-            n2 = v2.norm()
-            if n2 % g:
-                continue
-            q = -n2 // g
-            # the solutions form a coset of the rank-1 kernel of the trace form
-            for k in range(-box, box + 1):
-                v1 = KNum(x * q + k * t1 // g, y * q - k * t0 // g).conj()
-                v = (v1, v2, v3)
-                if o_gcd_many(v).norm() != 1:
-                    continue
-                p = ProjPoint(v)
-                if p.sq_norm_sign() != 0 or depth(p) != d:
-                    raise ArithmeticError(f"depth {d} witness {p!r} failed its certificate check")
-                return p
-    return None
-
-
-def realizable_depths(max_depth: int):
-    """Depths up to max_depth certified by a primitive-null-vector witness."""
-    return [d for d in range(1, max_depth + 1) if depth_witness(d) is not None]
-
-
 # ---------------------------------------------------------------------------
 # group elements
 # ---------------------------------------------------------------------------
@@ -611,10 +569,6 @@ class GroupElt:
             n >>= 1
         return out
 
-    def first_column(self):
-        t = self.ints
-        return knum_from_ints(t[0], t[1]), knum_from_ints(t[6], t[7]), knum_from_ints(t[12], t[13])
-
     def is_identity(self) -> bool:
         return self.ints == ID_INTS
 
@@ -638,57 +592,27 @@ def _init_elt(g: GroupElt, t, word):
     _set_word(g, word)
 
 
-# A tower vector, three AlgNums of K(zeta_3) or K(zeta_7), is also three
-# tuples of the field's ints over one int den: the ints F_k of d v_k for d
-# the lcm of the denominators (`tower_ints`).  A matrix of Gamma moves it,
-# and its point's normal form v / v3 is read off it, on those ints.
+# A tower vector is three tuples of the field ints of its coordinates, over
+# K(zeta_3) or K(zeta_7) (`ring.field_of`).  A matrix of Gamma moves it, and
+# its point's normal form is read off it (`ProjPoint.of_tower`), on those
+# ints.
 
 
-def tower_ints(v):
-    """(tw, fs, d): the field tw of a tower vector v, the field ints fs of
-    d v_1, d v_2, d v_3, and d, the lcm of their denominators."""
-    d = lcm(*(x.den for x in v))
-    return v[0].tower, [x.ints if x.den == d else tuple(c * (d // x.den) for c in x.ints) for x in v], d
-
-
-def _tower_apply(t, tw, fs):
-    """The field ints of M f, for M with 18 ints t and three field int
-    tuples f_k.  M is a matrix over K, so it acts on the vector of each
-    power zeta^j's K-coefficients (`k_ints`) alone, by `_apply_ints`."""
-    c1, c2, c3 = map(tw.k_ints, fs)
-    out = ([], [], [])
-    for i in range(0, len(c1), 2):
-        w = _apply_ints(t, (c1[i], c1[i + 1], c2[i], c2[i + 1], c3[i], c3[i + 1]))
-        out[0].extend(w[0:2])
-        out[1].extend(w[2:4])
-        out[2].extend(w[4:6])
-    return [tw.from_k_ints(tuple(c)) for c in out]
-
-
-def ints_apply(t, v):
-    """M v, for M with 18 ints t and a tower vector v, on ints over d, the
-    lcm of the denominators: three normal forms."""
-    tw, fs, d = tower_ints(v)
-    return tuple(_alg(tw, f, d) for f in _tower_apply(t, tw, fs))
-
-
-def tower_chart(tw, fs, d):
-    """(f1, f2, e): the field ints of e v1/v3 and e v2/v3 over an int e > 0,
-    for a tower vector with the field ints fs over d and v3 != 0.
-
-    With v3 = 1, f3 is d itself and e = d.  Otherwise v_k/v3 = f_k adj/n
-    for the adjugate adj of f3 and its int norm n (`ring.adjugate`)."""
+def _tower_apply(t, fs):
+    """The field ints of M v, for M with 18 ints t and the tower vector v
+    with the field ints fs.  M is a matrix over K, so it acts on the vector
+    of each power zeta^j's K-coefficients alone, by `_apply_ints`.  The
+    ints (a0, b0, a1, b1) of K(zeta_3) are those coefficients' int pairs;
+    K(zeta_7)'s are converted to them and back (`k_ints`)."""
     f1, f2, f3 = fs
-    if f3 == tw.lift(d, 0):
-        return f1, f2, d
-    adj, n = adjugate(tw, f3)
-    return tw.mul(f1, adj), tw.mul(f2, adj), n
-
-
-def tower_point(tw, f1, f2, d):
-    """The rep (v1, v2, 1) of a tower ProjPoint, for the field ints f1, f2
-    of d v1 and d v2 over d."""
-    return _alg(tw, f1, d), _alg(tw, f2, d), _alg(tw, tw.lift(1, 0), 1)
+    if len(f1) == 4:
+        p = _apply_ints(t, f1[:2] + f2[:2] + f3[:2])
+        q = _apply_ints(t, f1[2:] + f2[2:] + f3[2:])
+        return p[0:2] + q[0:2], p[2:4] + q[2:4], p[4:6] + q[4:6]
+    tw = zeta7_tower()
+    c1, c2, c3 = tw.k_ints(f1), tw.k_ints(f2), tw.k_ints(f3)
+    p, q, r = (_apply_ints(t, c1[i:i + 2] + c2[i:i + 2] + c3[i:i + 2]) for i in (0, 2, 4))
+    return tuple(tw.from_k_ints(p[i:i + 2] + q[i:i + 2] + r[i:i + 2]) for i in (0, 2, 4))
 
 
 def tower_sq_norm(tw, f1, f2, d):

@@ -13,12 +13,13 @@ way.
 from functools import cache
 from itertools import permutations
 
-from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR, o_gcd_many
+from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR, field_of, o_gcd_many
 from picard7.hermitian import (
     GroupElt,
     Mat,
     ProjPoint,
     _apply_ints,
+    _mul_ints,
     herm_inner,
     ints_product,
     is_in_gamma,
@@ -139,7 +140,20 @@ def _point_stabilizer_lines(pt: ProjPoint):
 
 
 def _on_mirror(pt: ProjPoint, ctx) -> bool:
-    return herm_inner(pt.coords, ctx.polar.coords).is_zero()
+    """Whether <v, p> = conj(p1) v3 + conj(p2) v2 + conj(p3) v1 is 0, for
+    the polar p and a vector v of pt, on the ints of both reps: a tower
+    point's v is its rep's (f1, f2, den), with den at v3."""
+    p = ctx.polar.rep
+    # conj(a + b tau) = (a + b) - b tau
+    c1, c2, c3 = ((p[k] + p[k + 1], -p[k + 1]) for k in (0, 2, 4))
+    if pt.rational:
+        v = pt.rep
+        terms = _mul_ints(*c3, *v[0:2]), _mul_ints(*c2, *v[2:4]), _mul_ints(*c1, *v[4:6])
+    else:
+        f1, f2, d = pt.rep
+        tw = field_of(f1)
+        terms = tw.mul(tw.lift(*c3), f1), tw.mul(tw.lift(*c2), f2), tw.lift(c1[0] * d, c1[1] * d)
+    return not any(map(sum, zip(*terms)))
 
 
 @cache

@@ -35,9 +35,10 @@ and three for K(zeta_7) (`real_part`, `real_field`).  Each field splits
 x = a + b tau into real a and b on ints (`real_split`), and decides the
 sign and floor of a real element on its real ints.
 
-K-coefficients in the power basis 1, zeta_n, ..., zeta_n^(d-1) over K are
-an edge form, for construction, printing and `k_part`, and the int pairs
-a matrix over K acts on (`k_ints`).
+A vector over either field is three tuples of its ints (`field_of` tells
+the field by their number).  K(zeta_7)'s ints convert to the int pairs of
+their K-coefficients in the power basis 1, zeta_7, zeta_7^2 (`k_ints`),
+which a matrix over K acts on; K(zeta_3)'s ints are those pairs already.
 
 No field uses floating point or interval libraries: every sign is exact.
 """
@@ -211,11 +212,6 @@ class KNum:
         n = a * a + a * b + 2 * b * b
         return n if d == 1 else Fraction(n, d * d)
 
-    def trace(self):
-        """x + conj(x) = 2a + b, a rational (an int when x is integral)."""
-        t = 2 * self.na + self.nb
-        return t if self.d == 1 else Fraction(t, self.d)
-
     # -- real-element helpers (generic scalar protocol) ---------------
 
     def real_sign(self) -> int:
@@ -268,7 +264,7 @@ _TERM_RE = _re.compile(
           (?P<coef>\d+(?:/\d+)?)(?:\s*\*?\s*(?P<tau1>tau))?
           | (?P<tau2>tau)
         )\s*""",
-    _re.VERBOSE,
+    _re.VERBOSE | _re.ASCII,
 )
 
 
@@ -276,8 +272,9 @@ def parse_knum(s: str) -> KNum:
     """Parse "a+b*tau" (exact rationals; 'tau' may carry no coefficient).
 
     Every term after the first needs its sign, and '*' may only join a
-    coefficient to tau, so "1 2", "tau tau" and "1*" are refused.  The two
-    coordinates are summed as int numerator/denominator pairs.
+    coefficient to tau, so "1 2", "tau tau" and "1*" are refused, and so
+    is a digit or a space outside ASCII.  The two coordinates are summed
+    as int numerator/denominator pairs.
     """
     pos = 0
     an, ad, bn, bd = 0, 1, 0, 1
@@ -432,18 +429,9 @@ class Zeta3Tower:
     def lift(self, a: int, b: int):
         return a, b, 0, 0
 
-    def k_ints(self, f):
-        """The int pairs (a0, b0, a1, b1) of the K-coefficients of f: f itself."""
-        return f
-
-    def from_k_ints(self, c):
-        """The ints of the element with the K-coefficient int pairs c."""
-        return c
-
-    def k_part(self, f, den: int):
-        a0, b0, a1, b1 = f
-        # gcd(a0, b0, den) = 1 when a1 = b1 = 0
-        return None if a1 or b1 else _knum(a0, b0, den)
+    def as_int(self, f):
+        """The int c with f = lift(c, 0), or None when there is none."""
+        return None if f[1] or f[2] or f[3] else f[0]
 
     def mul(self, f, g):
         a0, b0, a1, b1 = f
@@ -616,10 +604,9 @@ class Zeta7Tower:
         # a + b tau = (a + b) + b (zeta + zeta^2 + zeta^4)
         return -a, -a, -a - b, -a, -a - b, -a - b
 
-    def k_part(self, f, den: int):
-        f1, f2, f3, f4, f5, f6 = f
-        # gcd(f1, f3, den) = 1
-        return _knum(-f1, f1 - f3, den) if f1 == f2 == f4 and f3 == f5 == f6 else None
+    def as_int(self, f):
+        """The int c with f = lift(c, 0), or None when there is none."""
+        return -f[0] if f[0] == f[1] == f[2] == f[3] == f[4] == f[5] else None
 
     def mul(self, f, g):
         f1, f2, f3, f4, f5, f6 = f
@@ -690,31 +677,21 @@ class Zeta7Tower:
 class AlgNum:
     """An element of K(zeta_3) or K(zeta_7): ints over one denominator.
 
-    `ints` and `den` are in normal form, den > 0 and gcd(ints, den) = 1, so
-    two elements of one field are equal exactly when their ints and dens
-    are; the field (Zeta3Tower, Zeta7Tower) says what the ints are.  Sums,
-    products, conj, |x|^2 and inverses are the same int operations in both
-    fields, on the field's products and automorphisms; an operand is an
-    AlgNum of the field, a KNum or an int.  The package's hot paths take
-    the ints themselves, so the class has no subtraction or quotient.
-    The sign of a real element is exact: an int test in Q(sqrt(21)) for
-    K(zeta_3), and in K(zeta_7) one against a dyadic bracket refined until
-    it decides.  K-coefficients in the power basis 1, zeta, ..., zeta^(d-1)
-    are an edge form: AlgNum(tower, coeffs) takes them, `coeffs` gives them.
+    `ints` and `den` are in normal form, den > 0 and gcd(ints, den) = 1; the
+    field (Zeta3Tower, Zeta7Tower) says what the ints are.  Sums, products,
+    conj and |x|^2 are the same int operations in both fields, on the
+    field's products and automorphisms; an operand is an AlgNum of the
+    field, a KNum or an int.  The sign of a real element is exact: an int
+    test in Q(sqrt(21)) for K(zeta_3), and in K(zeta_7) one against a dyadic
+    bracket refined until it decides.
+
+    No command builds one: the package's paths take a tower vector's ints
+    themselves, and a tower ProjPoint builds AlgNums only when its `coords`
+    are read.  The class is that view, with the operations the benchmark
+    times on it.
     """
 
     __slots__ = ("tower", "ints", "den")
-
-    def __new__(cls, tower: Zeta3Tower | Zeta7Tower, coeffs):
-        coeffs = list(coeffs)
-        if len(coeffs) > tower.degree:
-            raise ValueError(f"{len(coeffs)} coefficients for a field of degree {tower.degree}")
-        x, z = _alg(tower, tower.lift(0, 0), 1), _alg(tower, tower.zeta, 1)
-        for c in reversed(coeffs):
-            if type(c) is not KNum:
-                raise TypeError(f"an AlgNum coefficient must be a KNum, not {type(c).__name__}")
-            x = x * z + c
-        return x
 
     def __setattr__(self, *args):
         raise AttributeError("AlgNum is immutable")
@@ -731,48 +708,11 @@ class AlgNum:
             return self.tower.lift(other.na, other.nb), other.d
         return None
 
-    # -- structure ----------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple:
-        """The K-coefficients in the power basis of zeta, a tuple of KNums."""
-        c = self.tower.k_ints(self.ints)
-        return tuple(knum_from_ints(c[i], c[i + 1], self.den) for i in range(0, len(c), 2))
-
-    def __eq__(self, other):
-        if isinstance(other, AlgNum) and other.tower is not self.tower:
-            # the two fields meet in K
-            k = self.tower.k_part(self.ints, self.den)
-            return k is not None and k == other.tower.k_part(other.ints, other.den)
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return self.ints == o[0] and self.den == o[1]
-
-    def __hash__(self):
-        # an element of K equals its KNum, so it must hash like it
-        k = self.tower.k_part(self.ints, self.den)
-        return hash((self.ints, self.den)) if k is None else hash(k)
-
     def __repr__(self):
-        terms = ", ".join(str(c) for c in self.coeffs)
-        return f"AlgNum[{self.tower.key}]({terms})"
+        return f"AlgNum[{self.tower.key}]({self.ints}/{self.den})"
 
     def is_zero(self) -> bool:
         return not any(self.ints)
-
-    def is_one(self) -> bool:
-        return self.den == 1 and self.ints == self.tower.lift(1, 0)
-
-    def k_part(self) -> KNum:
-        """The element as a KNum; raises if it is not in K."""
-        k = self.tower.k_part(self.ints, self.den)
-        if k is None:
-            raise ValueError(f"{self!r} is not in K")
-        return k
-
-    def in_k(self) -> bool:
-        return self.tower.k_part(self.ints, self.den) is not None
 
     # -- arithmetic ---------------------------------------------------
 
@@ -797,14 +737,6 @@ class AlgNum:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "AlgNum":
-        """1/x = D adj/n: adj is the product of the other images of D x, and
-        the norm n = D x adj of the integral D x is a positive int."""
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero in K(zeta)")
-        adj, n = adjugate(self.tower, self.ints)
-        return _alg(self.tower, tuple(self.den * a for a in adj), n)
-
     def conj(self) -> "AlgNum":
         return _alg(self.tower, self.tower.conj(self.ints), self.den)
 
@@ -812,7 +744,7 @@ class AlgNum:
         tw, f = self.tower, self.ints
         return _alg(tw, tw.mul(f, tw.conj(f)), self.den * self.den)
 
-    # -- signs and floors ---------------------------------------------
+    # -- signs ----------------------------------------------------------
 
     def _real_ints(self):
         if not self.is_real():
@@ -831,7 +763,6 @@ class AlgNum:
     def real_sign(self) -> int:
         """Exact sign of a real element (-1, 0, +1); raises ValueError if it is not real."""
         return self.tower.real_sign(self._real_ints())
-
 
 
 # AlgNum.__setattr__ refuses every write, as KNum's does
@@ -863,7 +794,12 @@ def adjugate(tw: Zeta3Tower | Zeta7Tower, f):
     other images of f, and n = f adj its norm over Q, a positive int (the
     field is totally imaginary), so that 1/f = adj/n."""
     adj = reduce(tw.mul, tw.images(f))
-    return adj, tw.k_part(tw.mul(f, adj), 1).na
+    return adj, tw.as_int(tw.mul(f, adj))
+
+
+def field_of(f) -> Zeta3Tower | Zeta7Tower:
+    """The field of the ints f of an element: four for K(zeta_3), six for K(zeta_7)."""
+    return _ZETA3 if len(f) == 4 else _ZETA7
 
 
 def real_field(r) -> Zeta3Tower | Zeta7Tower:

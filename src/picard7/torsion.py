@@ -23,11 +23,7 @@ from itertools import accumulate, repeat
 from math import gcd
 from operator import add, sub
 
-from .ring import (
-    _alg,
-    zeta3_tower,
-    zeta7_tower,
-)
+from .ring import zeta3_tower, zeta7_tower
 from .hermitian import (
     ID_INTS,
     GroupElt,
@@ -36,7 +32,6 @@ from .hermitian import (
     ints_are_scalar,
     ints_inverse,
     ints_product,
-    sq_norm,
     sq_norm_ints,
     word_str,
     _is_unitary_ints,
@@ -291,10 +286,12 @@ def classify_elliptic(g: GroupElt, n: int):
     # the candidates e z, e z^2, .., e z^(n - 1), as running products
     lams = accumulate(repeat(z, n - 2), tw.mul, initial=tw.mul(tw.lift(e, 0), z))
     for v in _eigenvectors(g.ints, cross, lams, tw.lift, tw.mul):
-        if v is not None:
-            v = tuple(_alg(tw, f, 1) for f in v)
-            if sq_norm(v).real_sign() < 0:
-                return "isolated", ProjPoint(v), None
+        # a vector with v3 = 0 has <v, v> = |v2|^2 >= 0; any other is a
+        # tower point, whose sign is read off its rep's ints
+        if v is not None and any(v[2]):
+            p = ProjPoint.of_tower(v)
+            if p.sq_norm_sign() < 0:
+                return "isolated", p, None
     raise ValueError("no negative eigenvector found for an elliptic element")
 
 

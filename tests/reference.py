@@ -15,10 +15,7 @@ from math import floor, isqrt, lcm
 from picard7.ford import (
     _SQRT_DEN,
     GENERATORS,
-    _alg_ints,
     _forms,
-    _sweep_vector,
-    _zeta3_quantity,
     enumerate_cone_translates,
     spheres_at,
 )
@@ -42,10 +39,12 @@ from picard7.hermitian import (
     GroupElt,
     Mat,
     ProjPoint,
+    _ext_gcd,
     _mul_ints,
     _norm_ints,
     _scaled_ints,
     canonical_ints,
+    elements_of_norm,
     herm_inner,
     ints_are_scalar,
     ints_inverse,
@@ -61,13 +60,16 @@ from picard7.ring import (
     AlgNum,
     KNum,
     _TERM_RE,
+    _alg,
     _divmod_ints,
+    adjugate,
     eta_sign,
     knum_from_ints,
     o_gcd,
     o_gcd_many,
     real_field,
     sqrt21_sign,
+    zeta3_tower,
     zeta7_autocorr,
 )
 from picard7.torsion import _move_element, orbit_walk
@@ -80,14 +82,83 @@ def rat(x: KNum) -> Fraction:
     return x.a
 
 
+# ---------------------------------------------------------------------------
+# AlgNum's edge forms and the operations only tests use: its K-coefficients,
+# its inverse, and its equality as a value
+# ---------------------------------------------------------------------------
+
+
+def alg_num(tw, coeffs) -> AlgNum:
+    """The element sum c_j zeta^j of the field tw (Zeta3Tower or Zeta7Tower)
+    for its K-coefficients c_j, KNums in the power basis of zeta, by Horner
+    over the field operations; any other coefficient raises TypeError."""
+    coeffs = list(coeffs)
+    if len(coeffs) > tw.degree:
+        raise ValueError(f"{len(coeffs)} coefficients for a field of degree {tw.degree}")
+    x, z = _alg(tw, tw.lift(0, 0), 1), _alg(tw, tw.zeta, 1)
+    for c in reversed(coeffs):
+        if type(c) is not KNum:
+            raise TypeError(f"an AlgNum coefficient must be a KNum, not {type(c).__name__}")
+        x = x * z + c
+    return x
+
+
+def alg_coeffs(x: AlgNum) -> tuple:
+    """The K-coefficients of x in the power basis of zeta, a tuple of KNums:
+    K(zeta_3)'s ints (a0, b0, a1, b1) are their int pairs, and K(zeta_7)'s
+    convert to them (`k_ints`)."""
+    c = x.ints if x.tower is zeta3_tower() else x.tower.k_ints(x.ints)
+    return tuple(knum_from_ints(c[i], c[i + 1], x.den) for i in range(0, len(c), 2))
+
+
+def alg_in_k(x: AlgNum) -> bool:
+    return all(c.is_zero() for c in alg_coeffs(x)[1:])
+
+
+def alg_k_part(x: AlgNum) -> KNum:
+    """x as a KNum; raises ValueError if it is not in K."""
+    if not alg_in_k(x):
+        raise ValueError(f"{x!r} is not in K")
+    return alg_coeffs(x)[0]
+
+
+def alg_inverse(x: AlgNum) -> AlgNum:
+    """1/x = D adj/n: adj is the product of the other images of D x, and
+    the norm n = D x adj of the integral D x is a positive int."""
+    if x.is_zero():
+        raise ZeroDivisionError("division by zero in K(zeta)")
+    adj, n = adjugate(x.tower, x.ints)
+    return _alg(x.tower, tuple(x.den * a for a in adj), n)
+
+
+def alg_key(x):
+    """The value of an AlgNum, a KNum or an int as a key that compares and
+    hashes equal exactly when the values are equal: an element of K is its
+    KNum, which equals its int when it is one, and any other AlgNum is its
+    field's n with its ints and den, the normal form."""
+    if not isinstance(x, AlgNum):
+        return x
+    return alg_k_part(x) if alg_in_k(x) else (x.tower.n, x.ints, x.den)
+
+
+def alg_eq(x, y) -> bool:
+    """x == y for AlgNums, KNums and ints, by value (`alg_key`)."""
+    return alg_key(x) == alg_key(y)
+
+
+def vec_key(v):
+    """The keys (`alg_key`) of a vector's coordinates, a tuple."""
+    return tuple(map(alg_key, v))
+
+
 def zeta_of(tw) -> AlgNum:
     """zeta, the generator of the field tw (Zeta3Tower or Zeta7Tower), as an AlgNum."""
-    return AlgNum(tw, [ZERO, ONE])
+    return alg_num(tw, [ZERO, ONE])
 
 
 def alg_lift(tw, x) -> AlgNum:
     """The int or KNum x as an AlgNum of the field tw."""
-    return AlgNum(tw, [KNum.coerce(x)])
+    return alg_num(tw, [KNum.coerce(x)])
 
 
 def neg(x):
@@ -105,7 +176,7 @@ def div(x, y):
     """x / y for ints, KNums and AlgNums of one field: an AlgNum divisor by
     its inverse, and an AlgNum by a KNum or an int by K's 1/y."""
     if isinstance(y, AlgNum):
-        return y.inverse() * x
+        return alg_inverse(y) * x
     if isinstance(x, AlgNum):
         return x * (ONE / y)
     return x / y
@@ -306,7 +377,7 @@ class HoroPoint(namedtuple("HoroPoint", "z ti u")):
     def __new__(cls, z, ti, u):
         if not (ti + ti.conj()).is_zero():
             raise ValueError("ti must be purely imaginary")
-        if u != u.conj():
+        if not alg_eq(u, u.conj()):
             raise ValueError("u must be real")
         return tuple.__new__(cls, (z, ti, u))
 
@@ -425,7 +496,7 @@ def horo_reduce_to_prism(h: HoroPoint):
 def horo_sphere(j):
     """(center, r^4) of the isometric sphere of A_j: the HoroPoint of its
     first column and 4/N(a31)."""
-    col = GENERATORS[j].first_column()
+    col = first_column(GENERATORS[j])
     return horo_coords(col), Fraction(4, col[2].norm())
 
 
@@ -583,7 +654,7 @@ def ford_side(x, g) -> str:
         raise ValueError("Ford side undefined for cusp elements")
     v = x.coords if isinstance(x, ProjPoint) else x
     own = v[2] * v[2].conj()
-    other = herm_inner(v, g.first_column())
+    other = herm_inner(v, first_column(g))
     other = other * other.conj()
     return _side_from_sign(real_cmp(other, own))
 
@@ -647,7 +718,7 @@ def search_orthogonal_mirrors(ctx, norm: int, height: int):
             for a2 in rng:
                 for c2 in rng:
                     be = KNum(a2, c2)
-                    q = q1 + be.norm() * g22 + (be * cross).trace()
+                    q = q1 + be.norm() * g22 + knum_trace(be * cross)
                     if q <= 0 or q % norm or q != norm * o_gcd(al, be).norm():
                         continue
                     found.add(ProjPoint(tuple(al * b1[k] + be * b2[k] for k in range(3))))
@@ -697,21 +768,53 @@ def candidate_columns(j: int):
 
 
 def lifted(v):
-    """A vector as ProjPoint takes it: three KNums, or a tower vector as
-    three AlgNums, its KNum coordinates lifted into the field."""
+    """Three KNums as they are, or a tower vector as three AlgNums, its KNum
+    coordinates lifted into the field."""
     if all(isinstance(c, KNum) for c in v):
         return tuple(v)
     tw = next(c.tower for c in v if isinstance(c, AlgNum))
     return tuple(c if isinstance(c, AlgNum) else alg_lift(tw, c) for c in v)
 
 
+def scaled_alg(v):
+    """A tower vector of AlgNums times the lcm of their denominators, so
+    that every coordinate is integral."""
+    d = lcm(*(c.den for c in v))
+    return tuple(c * d for c in v)
+
+
+def alg_ints(c: AlgNum):
+    """The ints of an integral AlgNum."""
+    if c.den != 1:
+        raise ArithmeticError("a Ford sweep coordinate is not integral")
+    return c.ints
+
+
+def point_of(v) -> ProjPoint:
+    """The point of a vector of KNums, or of AlgNums of one field with KNums
+    lifted into it: the vector divided by its last nonzero coordinate, a K
+    point when that lies in K^3, else the tower point of its ints scaled to
+    one den (`ProjPoint.of_tower`)."""
+    v = lifted(v)
+    if all(isinstance(c, KNum) for c in v):
+        return ProjPoint(v)
+    last = next((c for c in reversed(v) if not c.is_zero()), None)
+    if last is None:
+        raise ValueError("zero vector has no projective class")
+    inv = alg_inverse(last)
+    v = tuple(c * inv for c in v)
+    if all(map(alg_in_k, v)):
+        return ProjPoint(tuple(map(alg_k_part, v)))
+    return ProjPoint.of_tower(tuple(map(alg_ints, scaled_alg(v))))
+
+
 def vector_rep(v):
     """A vector as prism_coordinates takes it: a K^3 vector of KNums as the
     six ints of its multiple by the lcm of its denominators, which keeps its
-    scale otherwise, and a tower vector as `lifted` gives it."""
+    scale otherwise, and a tower vector as its point's rep."""
     if all(isinstance(c, KNum) for c in v):
         return tuple(_scaled_ints(v)[0])
-    return lifted(v)
+    return point_of(v).rep
 
 
 def ref_k_sweep(v, own):
@@ -728,48 +831,61 @@ def ref_k_sweep(v, own):
                 yield (-1 if q < own else 0), q, j, alpha
 
 
+def ref_zeta3_quantity(x: AlgNum):
+    """(m, n) with 2|x|^2 = m + n sqrt(21), for an integral AlgNum x of
+    K(zeta_3): |x|^2 = p + q w for its real ints (p, q), w = (1 -
+    sqrt(21))/2, so 2|x|^2 = (2p + q) - q sqrt(21)."""
+    p, q = x.tower.real_part(alg_ints(x.abs2()))
+    return 2 * p + q, -q
+
+
+def ref_zeta3_cmp(p, q) -> int:
+    return sqrt21_sign(p[0] - q[0], p[1] - q[1])
+
+
 def ref_zeta3_sweep(v, own):
-    """The K(zeta_3) Ford sweep as a scan of every candidate column: v = v0 +
-    v1 zeta_3 with v0, v1 in O_7^3, <v, col> = X0 + X1 zeta_3, and the
-    quantity is the int pair (m, n) of 2|X0 + X1 zeta_3|^2."""
-    ints = [_alg_ints(c) for c in v]
-    (x1, x2, x3, x4, x5, x6), (y1, y2, y3, y4, y5, y6) = _forms([f[:2] for f in ints])
-    (z1, z2, z3, z4, z5, z6), (w1, w2, w3, w4, w5, w6) = _forms([f[2:] for f in ints])
-    m0, n0 = own
+    """The K(zeta_3) Ford sweep as a scan of every candidate column, for an
+    integral vector v of AlgNums: <v, col> in AlgNum arithmetic, and the
+    quantity the int pair (m, n) of 2|<v, col>|^2 (`ref_zeta3_quantity`)."""
     for j in sorted(GENERATORS):
-        for alpha, (a1, b1, a2, b2, a3, b3) in candidate_columns(j):
-            m, n = _zeta3_quantity(
-                a1 * x1 + b1 * x2 + a2 * x3 + b2 * x4 + a3 * x5 + b3 * x6,
-                a1 * y1 + b1 * y2 + a2 * y3 + b2 * y4 + a3 * y5 + b3 * y6,
-                a1 * z1 + b1 * z2 + a2 * z3 + b2 * z4 + a3 * z5 + b3 * z6,
-                a1 * w1 + b1 * w2 + a2 * w3 + b2 * w4 + a3 * w5 + b3 * w6,
-            )
-            sign = sqrt21_sign(m - m0, n - n0)
+        for alpha, col in candidate_columns(j):
+            q = ref_zeta3_quantity(herm_inner(v, tuple(map(knum_from_ints, col[0::2], col[1::2]))))
+            sign = ref_zeta3_cmp(q, own)
             if sign <= 0:
-                yield sign, (m, n), j, alpha
+                yield sign, q, j, alpha
+
+
+def ref_zeta7_quantity(x: AlgNum):
+    """The autocorrelation (h_0, .., h_3) of the ints of an integral AlgNum
+    x of K(zeta_7), with F_0 = 0: |x|^2 = sum_m h_m zeta_7^m."""
+    return zeta7_autocorr((0,) + alg_ints(x))
+
+
+def ref_zeta7_cmp(p, q) -> int:
+    d0 = p[0] - q[0]
+    return eta_sign(p[1] - q[1] - d0, p[2] - q[2] - d0, p[3] - q[3] - d0)
 
 
 def ref_zeta7_sweep(v, own):
     """The K(zeta_7) Ford sweep as a scan of every candidate column: v in
-    O_K(zeta_7)^3, each coordinate its ints F_1 .. F_6 and F_0 = 0, and the
-    quantity is the autocorrelation (h_0, .., h_3) of <v, col>."""
+    O_K(zeta_7)^3, integral AlgNums, each coordinate its ints F_1 .. F_6 and
+    F_0 = 0, and the quantity is the autocorrelation (h_0, .., h_3) of
+    <v, col>."""
     # conj(a + b tau) F = a F + b G with G = conj(tau) F, and conj(tau) =
     # 1 + zeta^3 + zeta^5 + zeta^6; one row of ints (F_m, G_m of v3, v2,
     # v1) per power of zeta, as col_k pairs with v_(4-k)
-    coords = [(0,) + _alg_ints(c) for c in reversed(v)]
+    coords = [(0,) + alg_ints(c) for c in reversed(v)]
     rows = []
     for m in range(7):
         row = []
         for f in coords:
             row += (f[m], f[m] + f[m - 3] + f[m - 5] + f[m - 6])
         rows.append(row)
-    o0, o1, o2, o3 = own
     for j in sorted(GENERATORS):
         for alpha, (a1, b1, a2, b2, a3, b3) in candidate_columns(j):
             h = zeta7_autocorr([a1 * f3 + b1 * g3 + a2 * f2 + b2 * g2 + a3 * f1 + b3 * g1
                                 for f3, g3, f2, g2, f1, g1 in rows])
-            d0 = h[0] - o0
-            sign = eta_sign(h[1] - o1 - d0, h[2] - o2 - d0, h[3] - o3 - d0)
+            sign = ref_zeta7_cmp(h, own)
             if sign <= 0:
                 yield sign, h, j, alpha
 
@@ -795,60 +911,73 @@ def ref_reduce(x):
         own = v[2] * v[2].conj()
         best = None
         for _, _, g in ford_candidates():
-            other = herm_inner(v, g.first_column())
+            other = herm_inner(v, first_column(g))
             other = other * other.conj()
             if real_cmp(other, own) < 0 and (best is None or real_cmp(other, best[0]) < 0):
                 best = (other, g)
         if best is None:
-            return total, (ProjPoint(lifted(v)) if as_proj else horo_coords(v))
+            return total, (point_of(v) if as_proj else horo_coords(v))
         gi = best[1].inverse()
         v = mat_apply(gi.mat, v)
         total = gi * total
 
 
 def _ref_sweep_vector(v):
-    """(vs, own, (quantity, cmp, sweep)) for a vector of KNums or AlgNums: v
+    """(vs, own, (quantity, cmp, scan)) for a vector of KNums or AlgNums: v
     scaled by the lcm of its denominators, the quantity of its v3, and the
-    field's kernel, with quantity(c) of one coordinate and sweep(vs, own, x)
-    on the prism coordinates x.  A K vector is swept by the column scan."""
+    column scan of its field, with quantity(c) of one coordinate and
+    scan(vs, own)."""
     if all(isinstance(c, KNum) for c in v):
         vs = [c * lcm(*(c.d for c in v)) for c in v]
         return vs, vs[2].norm(), (KNum.norm, lambda p, q: (p > q) - (p < q),
-                                  lambda w, own, _x: ref_k_sweep(vector_rep(w), own))
-    vs, own, (quantity, cmp, sweep) = _sweep_vector(v)
-    return vs, own, (lambda c: quantity((None, None, c)), cmp,
-                     lambda w, own, x: sweep(w, own, prism_grid(x)[0], False))
+                                  lambda w, own: ref_k_sweep(vector_rep(w), own))
+    vs = scaled_alg(v)
+    if vs[0].tower is zeta3_tower():
+        kernel = ref_zeta3_quantity, ref_zeta3_cmp, ref_zeta3_sweep
+    else:
+        kernel = ref_zeta7_quantity, ref_zeta7_cmp, ref_zeta7_sweep
+    return vs, kernel[0](vs[2]), kernel
+
+
+def _ref_prism_shift(v) -> CuspElt:
+    """The cusp element that reduce_to_prism gives the point of v: on the
+    six ints of a K vector, and on the AlgNum prism coordinates of a tower
+    vector (`ref_prism_coordinates`, `algnum_reduce_to_prism`)."""
+    if all(isinstance(c, KNum) for c in v):
+        return reduce_to_prism(prism_coordinates(vector_rep(v)))
+    return algnum_reduce_to_prism(ref_prism_coordinates(v))
 
 
 def ref_reduce_to_domain(x: ProjPoint):
     """reduce_to_domain as a loop on vectors of KNums or AlgNums with
-    word-carrying GroupElt products: each step reads the prism coordinates
-    off the vector, and the answer is ProjPoint(v), through the O_7 gcd
-    for a rational point.  The same soundness checks raise, and a tower
-    vector is normalized at v3 = 1 after each Ford step."""
+    word-carrying GroupElt products: each step reduces the vector into the
+    prism (`_ref_prism_shift`) and scans every candidate column of its
+    field, and the answer is the point of v (`point_of`), through the O_7
+    gcd for a rational point.  A tower vector shares no step with the
+    package's tower path: its prism coordinates and its Ford quantities are
+    taken in AlgNum arithmetic.  The same soundness checks raise, and a
+    tower vector is divided by v3 after each Ford step."""
     v = x.coords
     if herm_inner(v, v).real_sign() >= 0:
         raise ValueError("reduction needs an interior point (negative square norm)")
     total = GroupElt.identity()
     while True:
-        xc = prism_coordinates(vector_rep(v))
-        c = reduce_to_prism(xc)
-        shift = c.to_matrix()
+        shift = _ref_prism_shift(v).to_matrix()
         v = mat_apply(shift.mat, v)
         total = shift * total
-        vs, own, (quantity, cmp, sweep) = _ref_sweep_vector(v)
+        vs, own, (quantity, cmp, scan) = _ref_sweep_vector(v)
         best = None
-        for sign, other, j, alpha in sweep(vs, own, act_prism(c, xc)):
+        for sign, other, j, alpha in scan(vs, own):
             if sign < 0 and (best is None or cmp(other, best[0]) < 0):
                 best = (other, j, alpha)
         if best is None:
-            return total, ProjPoint(v)
+            return total, point_of(v)
         gi = (best[2].to_matrix() * GENERATORS[best[1]]).inverse()
         v = mat_apply(gi.mat, vs)
         if cmp(quantity(v[2]), own) >= 0:
             raise ArithmeticError("the Ford quantity did not decrease")
         if not isinstance(v[2], KNum):
-            inv = v[2].inverse()
+            inv = alg_inverse(v[2])
             v = tuple(y * inv for y in v)
         total = gi * total
 
@@ -1129,7 +1258,7 @@ def alg_of_real(r, den: int) -> AlgNum:
     tw = real_field(r)
     if len(r) == 2:
         p, q = r
-        return div(AlgNum(tw, [KNum(p) + q * TAU, KNum(-q) + 2 * q * TAU]), den)
+        return div(alg_num(tw, [KNum(p) + q * TAU, KNum(-q) + 2 * q * TAU]), den)
     c0, c1, c2 = r
     z = zeta_of(tw)
     eta1, eta2 = z + alg_pow(z, 6), alg_pow(z, 2) + alg_pow(z, 5)
@@ -1205,7 +1334,7 @@ def algnum_overlaps_keeping(x):
         if not _algnum_in_triangle(pa, pb, den):
             continue
         k = _algnum_floor(base, 2 * den)
-        last = 1 - k if base == 2 * den * k else -k
+        last = 1 - k if alg_eq(base, 2 * den * k) else -k
         out += [c for c in run if -k <= c.l <= last and c != IDENTITY]
     return out
 
@@ -1288,3 +1417,83 @@ def ref_make_reflection(v) -> GroupElt:
         raise ValueError("polar norm not integral for this form")
     mat = Mat([[int(i == j) - v[2 - j].conj() * v[i] * 2 / nv for j in range(3)] for i in range(3)])
     return GroupElt(mat, word=(("R_" + "".join(str(x) for x in v), 1),))
+
+
+# ---------------------------------------------------------------------------
+# criterion 11's depth oracle
+# ---------------------------------------------------------------------------
+
+
+def knum_trace(x: KNum):
+    """x + conj(x) = 2a + b, a rational (an int when x is integral)."""
+    t = 2 * x.na + x.nb
+    return t if x.d == 1 else Fraction(t, x.d)
+
+
+def first_column(g: GroupElt):
+    """The first column of g's matrix, three KNums."""
+    t = g.ints
+    return knum_from_ints(t[0], t[1]), knum_from_ints(t[6], t[7]), knum_from_ints(t[12], t[13])
+
+
+def depth(p: ProjPoint) -> int:
+    """Depth |v3|^2 of a K-rational null point (undefined at q_inf)."""
+    if not p.rational:
+        raise ValueError("depth is defined for K-rational points only")
+    if p.sq_norm_sign() != 0:
+        raise ValueError("depth is defined for null points only")
+    v3 = p.coords[2]
+    if v3.is_zero():
+        raise ValueError("depth undefined at the point at infinity")
+    return v3.norm()
+
+
+def generator_depths() -> dict:
+    """Depth of each pairing matrix, read off its first column."""
+    return {j: depth(ProjPoint(first_column(g))) for j, g in GENERATORS.items()}
+
+
+#: radius of the box of middle coordinates searched by depth_witness
+DEPTH_WITNESS_BOX = 6
+
+
+def depth_witness(d: int):
+    """A primitive integral null vector whose third coordinate has norm d.
+
+    For a fixed third coordinate the trace pairing with integral first
+    coordinates realizes exactly the multiples of g = gcd(tr v3, tr tau*v3),
+    so a middle coordinate v2 completes to a null vector iff g divides N(v2);
+    the first coordinate then comes from the extended Euclidean algorithm.
+    Middle coordinates run over a box of radius DEPTH_WITNESS_BOX.  A
+    returned point is an exact certificate that depth d occurs; None means
+    no certificate was found within the box.
+    """
+    box = DEPTH_WITNESS_BOX
+    mids = sorted(
+        (KNum(a, b) for a in range(-box, box + 1) for b in range(-box, box + 1)),
+        key=lambda x: (x.norm(), x.a, x.b),
+    )
+    for v3 in elements_of_norm(d):
+        t0, t1 = knum_trace(v3), knum_trace(TAU * v3)
+        g, x, y = _ext_gcd(t0, t1)
+        for v2 in mids:
+            n2 = v2.norm()
+            if n2 % g:
+                continue
+            q = -n2 // g
+            # the solutions form a coset of the rank-1 kernel of the trace form
+            for k in range(-box, box + 1):
+                v1 = KNum(x * q + k * t1 // g, y * q - k * t0 // g).conj()
+                v = (v1, v2, v3)
+                if o_gcd_many(v).norm() != 1:
+                    continue
+                p = ProjPoint(v)
+                if p.sq_norm_sign() != 0 or depth(p) != d:
+                    raise ArithmeticError(f"depth {d} witness {p!r} failed its certificate check")
+                return p
+    return None
+
+
+def realizable_depths(max_depth: int):
+    """Depths up to max_depth certified by a primitive-null-vector witness."""
+    return [d for d in range(1, max_depth + 1) if depth_witness(d) is not None]

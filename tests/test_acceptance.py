@@ -14,11 +14,8 @@ from picard7.hermitian import (
     GroupElt,
     Mat,
     ProjPoint,
-    depth,
-    depth_witness,
     elements_of_norm,
     is_in_gamma,
-    realizable_depths,
     sq_norm,
 )
 from picard7.heisenberg import (
@@ -30,7 +27,7 @@ from picard7.heisenberg import (
     in_prism,
     prism_coordinates,
 )
-from picard7.ford import GENERATORS, generator_depths, reduce_to_domain, spheres_containing
+from picard7.ford import GENERATORS, reduce_to_domain, spheres_containing
 from picard7.torsion import (
     build_cycle_graph,
     enumerate_torsion,
@@ -38,6 +35,7 @@ from picard7.torsion import (
     stabilizer,
 )
 from picard7 import congruence, mirror, presentation
+from reference import depth, depth_witness, first_column, generator_depths, realizable_depths
 
 V1 = ProjPoint((-TAU_BAR, KNum(0), KNum(1)))
 
@@ -207,7 +205,7 @@ def test_criterion_11_depth_spectrum():
     # oracle-free certificates for the two depths that the claim omits:
     # the first column of A1*A3 in Gamma, and (-5*i*sqrt7, 0, 3) = (5-10*tau, 0, 3)
     a13 = GENERATORS[1] * GENERATORS[3]
-    col8 = a13.first_column()
+    col8 = first_column(a13)
     ok = ok and is_in_gamma(a13.mat) and col8 == (1 - TAU, KNum(-1), 2 + TAU)
     col9 = (-5 * ISQRT7, KNum(0), KNum(3))
     for v, d in ((col8, 8), (col9, 9)):

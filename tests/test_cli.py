@@ -108,8 +108,9 @@ def test_point_entries_may_be_json_ints(capsys):
     assert out == run(capsys, ["ford", "reduce", "--point", '["-1","0","1"]'])[1]
 
 
-@pytest.mark.parametrize("literal", ["1 2", "tau tau", "1*"])
+@pytest.mark.parametrize("literal", ["1 2", "tau tau", "1*", "\u0661"])
 def test_malformed_literal_is_a_value_error(capsys, literal):
+    # a digit outside ASCII, such as the Arabic-Indic one, is refused too
     code, out = run(capsys, ["ford", "reduce", "--point", json.dumps([literal, "0", "1"])])
     assert code == 1
     err = json.loads(out)

@@ -62,17 +62,20 @@ from reference import (
     candidate_columns,
     cone_translates,
     cygan_dist4,
+    depth,
     dist2_to_triangle,
     eigenspace_basis,
+    first_column,
     fixes_q_inf,
     ford_candidates,
     ford_side,
     from_zsu,
+    generator_depths,
     horo_coords,
     horo_sphere,
     lift,
-    lifted,
     mat_apply,
+    point_of,
     ref_in_omega,
     ref_k_sweep,
     ref_reduce,
@@ -80,6 +83,7 @@ from reference import (
     ref_spheres_containing,
     ref_zeta3_sweep,
     ref_zeta7_sweep,
+    scaled_alg,
     sphere_membership,
     sqrt_lb,
     sqrt_ub,
@@ -104,7 +108,7 @@ def order6_fixture():
     t1, ttau, r = T1.to_matrix(), TTAU.to_matrix(), R.to_matrix()
     inner = (t1 * r) * (t1 * a1) ** 2 * t1.inverse() * r * t1 * a1 * t1.inverse()
     n = (ttau * r) * inner * (r * ttau.inverse())
-    fixed = ProjPoint(eigenspace_basis(n, 1 + zeta_of(zeta3_tower()))[0])
+    fixed = point_of(eigenspace_basis(n, 1 + zeta_of(zeta3_tower()))[0])
     return n, fixed
 
 
@@ -280,7 +284,7 @@ def test_candidate_columns_match_matrix_reference():
     # the reference translates, in the same (j, alpha) order
     total = 0
     for j in sorted(GENERATORS):
-        first = GENERATORS[j].first_column()
+        first = first_column(GENERATORS[j])
         want = []
         for alpha in _ref_cone_translates(j):
             col = mat_apply(alpha.to_matrix().mat, first)
@@ -357,7 +361,7 @@ def _refused_points():
         (ProjPoint((KNum(1), KNum(0), KNum(0))), "point at infinity has no horospherical coordinates"),
         (ProjPoint((KNum(1), KNum(0), KNum(1))), positive),  # <v, v> = 2
         (ProjPoint((KNum(0), KNum(1), KNum(0))), positive),  # v3 = 0, <v, v> = 1
-        (ProjPoint(lifted((KNum(1), KNum(0), neg(z)))), positive),  # <v, v> = -2 Re(zeta_3) = 1
+        (point_of((KNum(1), KNum(0), neg(z))), positive),  # <v, v> = -2 Re(zeta_3) = 1
     ]
 
 
@@ -389,7 +393,7 @@ def test_order6_point_on_five_spheres():
     }
     # the conjugated element fixes the reduced point
     conj = g * n * g.inverse()
-    assert ProjPoint(mat_apply(conj.mat, y.coords)) == y
+    assert point_of(mat_apply(conj.mat, y.coords)) == y
 
 
 def test_sphere_inversion_identity():
@@ -483,14 +487,14 @@ def test_reduction_keeps_its_soundness_checks(monkeypatch):
     # a sweep at v3 = 0 are refused in the entry-point and column-scan tests
     z = zeta_of(zeta3_tower())
     for x in (ProjPoint(lift(from_zsu(0, 1, 0))), ProjPoint((KNum(1), KNum(0), KNum(1))),
-              ProjPoint(lifted((KNum(1), KNum(0), neg(z))))):
+              point_of((KNum(1), KNum(0), neg(z)))):
         for reduce in (reduce_to_domain, ref_reduce_to_domain):
             with pytest.raises(ValueError, match="reduction needs an interior point"):
                 reduce(x)
     # a sweep that reports the sphere of A1 as violated by a point high
     # above it: the step raises the Ford quantity, in K and in K(zeta_3)
     v1, v2, v3 = tower_fixed_points()[0][1].coords
-    for x in (ProjPoint(lift(from_zsu(TAU / 2, 1, 5))), ProjPoint((sub(v1, 2 * v3), v2, v3))):
+    for x in (ProjPoint(lift(from_zsu(TAU / 2, 1, 5))), point_of((sub(v1, 2 * v3), v2, v3))):
         n = 1 if x.rational else v3.tower.n
         quantity, cmp, _ = ford._KERNELS[n]
         monkeypatch.setitem(ford._KERNELS, n, (quantity, cmp, lambda v, own, g, best: iter([(-1, own, 1, CuspElt())])))
@@ -499,15 +503,12 @@ def test_reduction_keeps_its_soundness_checks(monkeypatch):
 
 
 def test_generator_depths():
-    from picard7.ford import generator_depths
-    from picard7.hermitian import depth
-
     depths = generator_depths()
     assert set(depths) == set(range(1, 15))
     assert set(depths.values()) == {1, 2, 4, 7}
     # a product of two pairing matrices already leaves that depth range
     g = GENERATORS[1] * GENERATORS[3]
-    col = ProjPoint(g.first_column())
+    col = ProjPoint(first_column(g))
     assert col.sq_norm_sign() == 0 and depth(col) == 8
 
 
@@ -677,9 +678,12 @@ TOWER_SCANS = {3: ref_zeta3_sweep, 7: ref_zeta7_sweep}
 
 
 def tower_sweeps(x):
-    """The kernel's and the column scan's tuples at a tower point."""
-    vs, own, got = sweep_at(x)
-    return got, list(TOWER_SCANS[vs[0].tower.n](vs, own))
+    """The kernel's and the column scan's tuples at a tower point: the
+    scan reads the point's AlgNum coordinates, scaled to be integral as
+    the kernel's vector is."""
+    _, own, got = sweep_at(x)
+    v = scaled_alg(x.coords)
+    return got, list(TOWER_SCANS[v[0].tower.n](v, own))
 
 
 def test_tower_sweeps_match_the_column_scans():
@@ -704,7 +708,7 @@ def test_tower_sweeps_match_the_column_scans():
         points["orbit"].append(y.apply(w))
         # v1 - 2 v3 raises u' = -<v, v>/|v3|^2 by 4, above every r^2 <= 2
         v1, v2, v3 = y.coords
-        points["high"].append(ProjPoint((sub(v1, 2 * v3), v2, v3)))
+        points["high"].append(point_of((sub(v1, 2 * v3), v2, v3)))
     ties = 0
     for kind, xs in points.items():
         for x in xs:

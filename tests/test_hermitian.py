@@ -4,15 +4,14 @@ from fractions import Fraction
 import pytest
 
 from picard7 import hermitian
-from picard7.ring import AlgNum, ISQRT7, KNum, TAU, TAU_BAR, ZERO, zeta3_tower, zeta7_tower
+from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR, ZERO, zeta3_tower, zeta7_tower
 from picard7.hermitian import (
     GroupElt,
     Mat,
     ProjPoint,
     _apply_ints,
-    depth,
+    _tower_apply,
     herm_inner,
-    ints_apply,
     is_in_gamma,
     mat_from_json,
     mat_to_json,
@@ -23,9 +22,14 @@ from picard7.heisenberg import prism_coordinates
 from reference import (
     _kernel_basis,
     sub,
+    alg_in_k,
+    alg_ints,
     alg_lift,
     alg_pow,
+    depth,
+    depth_witness,
     eigenspace_basis,
+    first_column,
     from_zsu,
     horo_coords,
     lift,
@@ -36,7 +40,11 @@ from reference import (
     mat_neg,
     mat_product,
     mat_trace,
+    point_of,
+    realizable_depths,
     ref_primitive_rep,
+    scaled_alg,
+    vec_key,
     vector_rep,
     zeta_of,
 )
@@ -155,18 +163,21 @@ def test_tower_vectors_move_by_the_k_kernel_per_power(monkeypatch):
     for tower in (zeta3_tower, zeta7_tower):
         z = zeta_of(tower())
         for v in ((z, KNum(1), TAU), (z * z, z + 1, KNum(Fraction(1, 2))), (z, sub(z * 3, TAU), z * z * z)):
-            v = lifted(v)
+            v = scaled_alg(lifted(v))
             for m in (A2, A6):
                 g = GroupElt(m)
                 calls.clear()
-                assert ints_apply(g.ints, v) == mat_apply(g.mat, v)
+                assert _tower_apply(g.ints, tuple(map(alg_ints, v))) == tuple(map(alg_ints, mat_apply(g.mat, v)))
                 assert len(calls) == tower().degree
-                assert ProjPoint(v).moved(g.ints) == ProjPoint(mat_apply(g.mat, v))
-        # a point off the ball may have v3 = 0 before or after the move
-        for v in ((z, KNum(1), KNum(0)), (KNum(0), z, KNum(1))):
-            p = ProjPoint(lifted(v))
-            for t in (GroupElt(Mat([[0, 0, 1], [0, -1, 0], [1, 0, 0]])).ints, hermitian.ID_INTS):
-                assert p.moved(t) == ProjPoint(mat_apply(GroupElt.from_ints(t).mat, p.coords))
+                assert point_of(v).moved(g.ints) == point_of(mat_apply(g.mat, v))
+        # a tower point has v3 != 0: a vector with v3 = 0 is refused, and so
+        # is a move that takes v3 to 0
+        with pytest.raises(ValueError, match="v3 != 0"):
+            point_of((z, KNum(1), KNum(0)))
+        p = point_of((KNum(0), z, KNum(1)))
+        with pytest.raises(ValueError, match="v3 != 0"):
+            p.moved(GroupElt(A1).ints)
+        assert p.moved(hermitian.ID_INTS) == p
 
 
 @pytest.mark.parametrize("tower", [zeta3_tower, zeta7_tower])
@@ -182,10 +193,9 @@ def test_tower_apply_matches_the_entrywise_sum(tower):
         v = [_rand_k(rng) for _ in range(3)]
         for i in rng.sample(range(3), rng.randint(1, 3)):
             v[i] = sum((_rand_k(rng) * alg_pow(z, k) for k in range(tw.degree)), start=alg_lift(tw, 0))
-        v = lifted(v)
-        mixed += any(x.in_k() for x in v)
-        got = ints_apply(g.ints, v)
-        assert got == mat_apply(g.mat, v) and all(type(x) is AlgNum for x in got)
+        v = scaled_alg(lifted(v))
+        mixed += any(alg_in_k(x) for x in v)
+        assert _tower_apply(g.ints, tuple(map(alg_ints, v))) == tuple(map(alg_ints, mat_apply(g.mat, v)))
     assert mixed > 0
 
 
@@ -262,11 +272,11 @@ def test_int_action_matches_mat_action():
             continue
         p = ProjPoint(v)
         assert p.apply(g) == ProjPoint(mat_apply(m, p.coords))
-    # a point with tower coordinates takes ints_apply's tower path
+    # a point with tower coordinates takes the tower path on its ints
     z = zeta_of(zeta3_tower())
-    t = ProjPoint(lifted((z, KNum(1), TAU)))
+    t = point_of((z, KNum(1), TAU))
     for g, m in words[:10]:
-        assert t.apply(g) == ProjPoint(mat_apply(m, t.coords))
+        assert t.apply(g) == point_of(mat_apply(m, t.coords))
 
 
 def test_group_elt_refuses_non_integral_matrices():
@@ -355,20 +365,26 @@ def test_group_elt_projectivization():
     assert (GroupElt(A1) ** 2).is_identity()
     # A6's first entry is i*sqrt(7) = -1 + 2*tau, negative in the ring order,
     # so the canonical representative is -A6
-    assert GroupElt(A6).first_column() == (-ISQRT7, KNum(0), KNum(-2))
+    assert first_column(GroupElt(A6)) == (-ISQRT7, KNum(0), KNum(-2))
     with pytest.raises(ValueError):
         GroupElt(Mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
 
 
 def test_algebraic_projpoint():
+    # ProjPoint takes KNums only; a vector of AlgNums is a point through its
+    # ints (`point_of` scales them to one den for ProjPoint.of_tower)
     tw = zeta3_tower()
     z = zeta_of(tw)
     one = alg_lift(tw, KNum(1))
-    p = ProjPoint((z, one, one))
-    q = ProjPoint((z * 2, one * 2, one * 2))
-    assert p == q
+    with pytest.raises(TypeError, match="three KNums"):
+        ProjPoint((z, one, one))
+    p = point_of((z, one, one))
+    q = point_of((z * 2, one * 2, one * 2))
+    assert p == q and not p.rational
+    assert p.rep == ((0, 0, 1, 0), (1, 0, 0, 0), 1)
+    assert vec_key(p.coords) == vec_key((z, one, one))
     # an AlgNum vector that is secretly K-rational canonicalizes to KNum form
-    r = ProjPoint((one * 2, one * 4, one * 6))
+    r = point_of((one * 2, one * 4, one * 6))
     assert r.rational and r.coords == (KNum(1), KNum(2), KNum(3))
 
 
@@ -377,28 +393,36 @@ def test_tower_vector_rational_up_to_scale_is_rational(tower):
     # (zeta tau, 2 zeta, zeta) is projectively (tau, 2, 1): it is tested for
     # K-rationality after its lead is divided out
     z = zeta_of(tower())
-    p = ProjPoint((z * TAU, z * 2, z))
+    p = point_of((z * TAU, z * 2, z))
     q = ProjPoint((TAU, KNum(2), KNum(1)))
     assert p.rational and p == q and hash(p) == hash(q)
     assert p.rep == (0, 1, 2, 0, 1, 0)
     with pytest.raises(ValueError, match="zero vector"):
-        ProjPoint((z * 0, z * 0, z * 0))
+        point_of((z * 0, z * 0, z * 0))
 
 
 @pytest.mark.parametrize("tower", [zeta3_tower, zeta7_tower], ids=["zeta3", "zeta7"])
 def test_projpoint_refuses_a_mixed_vector(tower):
-    # a tower point's coordinates are three AlgNums: a KNum beside them, in
+    # a ProjPoint's coordinates are three KNums: an AlgNum among them, in
     # any place, raises TypeError, where the vector with its KNums lifted
-    # into the field is a point
+    # into the field is a tower point, built on its ints
     z = zeta_of(tower())
     one = alg_lift(z.tower, 1)
     v = (z * TAU, z + 1, z)
     for i in range(3):
         mixed = v[:i] + (KNum(1),) + v[i + 1:]
-        with pytest.raises(TypeError, match="three KNums or three AlgNums"):
+        with pytest.raises(TypeError, match="three KNums"):
             ProjPoint(mixed)
-        assert not ProjPoint(lifted(mixed)).rational
-        assert ProjPoint(lifted(mixed)) == ProjPoint(v[:i] + (one,) + v[i + 1:])
+        assert not point_of(mixed).rational
+        assert point_of(mixed) == point_of(v[:i] + (one,) + v[i + 1:])
+    # the int constructor refuses v3 = 0, and its rep has one positive den
+    # that shares no factor with the ints
+    f = tuple(map(alg_ints, scaled_alg(v)))
+    with pytest.raises(ValueError, match="v3 != 0"):
+        ProjPoint.of_tower((f[0], f[1], (0,) * len(f[0])))
+    for lam in (-1, 2, -6):
+        p = ProjPoint.of_tower(tuple(tuple(lam * x for x in c) for c in f))
+        assert p == point_of(v) and p.rep[2] > 0
 
 
 def test_rational_point_is_its_six_ints(monkeypatch):
@@ -444,7 +468,7 @@ def test_elements_of_norm():
 
 
 def test_depth_witnesses():
-    from picard7.hermitian import depth_witness, elements_of_norm, realizable_depths
+    from picard7.hermitian import elements_of_norm
 
     # every certified depth is a norm of the ring of integers, and the small
     # non-norms admit no certificate at all

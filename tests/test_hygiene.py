@@ -2,6 +2,7 @@
 imports (stdlib `ast`; picard7 is imported only in a child interpreter)."""
 
 import ast
+import functools
 import json
 import subprocess
 import sys
@@ -168,23 +169,29 @@ TRACED_COMMANDS = [
 #: (module, co_qualname) of the functions no command enters that stay in
 #: `src/`, each with its reason
 UNENTERED_ALLOWED = {
-    # perfbench calls or names them
+    # perfbench calls or names them.  No command builds an AlgNum: the
+    # worker times AlgNum products, conj and real_sign on the coordinates
+    # of the fixed point of a (ProjPoint.coords), and forms its real
+    # operands with abs2 and sq_norm
     ("ford", "in_omega"): "named in perfbench's TARGETS",
     ("heisenberg", "in_prism"): "the prism test of in_omega",
     ("hermitian", "Mat.__mul__"): "perfbench's worker times it as hermitian.mat_mul_us",
     ("hermitian", "mat_from_json"): "perfbench's input builder reads its matrices with it",
+    ("ring", "_alg"): "perfbench's worker builds its AlgNums through ProjPoint.coords and AlgNum operations",
+    ("ring", "AlgNum.__mul__"): "named in perfbench's TARGETS; its worker times it as ring.algnum_mul_us",
+    ("ring", "AlgNum.conj"): "named in perfbench's TARGETS; its worker times it as ring.algnum_conj_us",
+    ("ring", "AlgNum.real_sign"): "named in perfbench's TARGETS; its worker times it as ring.algnum_real_sign_us",
     ("ring", "AlgNum.enclosure"): "named in perfbench's TARGETS",
+    ("ring", "AlgNum._operand"): "perfbench's worker reaches it through AlgNum.__mul__ and __add__",
+    ("ring", "AlgNum.__add__"): "perfbench's worker reaches it through sq_norm of its tower point's coordinates",
+    ("ring", "AlgNum.is_zero"): "perfbench's worker picks its nonzero tower operands with it",
     ("ring", "AlgNum.abs2"): "perfbench's worker forms the real operands of ring.algnum_real_sign_us with it",
-    # acceptance criterion 11 certifies the depth spectrum with this oracle
-    ("hermitian", "depth"): "criterion 11's depth oracle",
-    ("hermitian", "depth_witness"): "criterion 11's depth oracle",
-    ("hermitian", "realizable_depths"): "criterion 11's depth oracle",
-    ("ford", "generator_depths"): "criterion 11's depth oracle",
-    ("ring", "KNum.trace"): "criterion 11's depth oracle, through realizable_depths",
-    ("hermitian", "GroupElt.first_column"): "criterion 11's depth oracle, through generator_depths",
-    # an AlgNum's K-coefficients in the power basis of zeta: an edge form
-    ("ring", "AlgNum.__new__"): "builds an AlgNum from its K-coefficients",
-    ("ring", "AlgNum.coeffs"): "reads an AlgNum's K-coefficients",
+    ("ring", "AlgNum._real_ints"): "perfbench's worker reaches it through AlgNum.real_sign",
+    ("ring", "AlgNum.is_real"): "perfbench's worker reaches it through AlgNum.real_sign",
+    # KNum defines __eq__, so it is hashable only with its own __hash__;
+    # no command keys anything by a KNum since a tower point is ints
+    ("ring", "KNum.__hash__"): "KNum's equality makes it unhashable without it",
+    # an edge form that only tests use
     ("ring", "KNum.b"): "the tau-coordinate as a Fraction, beside KNum.a",
 }
 
@@ -258,18 +265,26 @@ def test_benchmark_names_resolve():
     assert missing == []
 
 
-def test_every_src_function_has_a_caller():
-    # code that only tests reach belongs with the tests, not in the package:
-    # every command line below runs once in a fresh interpreter, where no
-    # functools.cache memo hides a call, and each function and method of
-    # `src/` must be entered or stand on an allowlist with its reason
+@functools.cache
+def traced_commands():
+    """The `src/` functions, as (module, co_qualname), that the GOLDEN and
+    TRACED_COMMANDS command lines enter, run once in a fresh interpreter,
+    where no functools.cache memo hides a call; each command's exit code
+    is checked."""
     commands = [(argv, 0) for argv in golden_commands()] + TRACED_COMMANDS
     out = subprocess.run([sys.executable, "-I", "-c", _TRACE % str(SRC.parent),
                           json.dumps([argv for argv, _ in commands])],
                          capture_output=True, text=True, check=True)
     result = json.loads(out.stdout)
     assert result["codes"] == [code for _, code in commands]
-    entered = {(Path(f).stem, q) for f, q in result["entered"] if Path(f).parent == SRC}
+    return {(Path(f).stem, q) for f, q in result["entered"] if Path(f).parent == SRC}
+
+
+def test_every_src_function_has_a_caller():
+    # code that only tests reach belongs with the tests, not in the package:
+    # each function and method of `src/` must be entered by a command line
+    # or stand on an allowlist with its reason
+    entered = traced_commands()
     unentered = [(path.name, line, qualname) for path in MODULES
                  for qualname, line in function_qualnames(path)
                  if (path.stem, qualname) not in entered | UNENTERED_ALLOWED.keys()
@@ -278,6 +293,16 @@ def test_every_src_function_has_a_caller():
     # the allowlist names only functions that exist and that no command enters
     defined = {(path.stem, q) for path in MODULES for q, _ in function_qualnames(path)}
     assert UNENTERED_ALLOWED.keys() <= defined - entered
+
+
+def test_no_command_builds_an_algnum():
+    # a tower point is its field ints from eigenvector to Omega, so no
+    # command line enters an AlgNum method or ring._alg, the one builder of
+    # an AlgNum: AlgNum is the view that ProjPoint.coords gives the tests
+    # and the benchmark.  The class body itself runs at import
+    entered = traced_commands()
+    assert sorted(q for m, q in entered if m == "ring" and (q.startswith("AlgNum.") or q == "_alg")) == []
+    assert ("ring", "AlgNum") in entered and ("hermitian", "ProjPoint.of_tower") in entered
 
 
 def test_interior_takes_one_type():
@@ -393,8 +418,7 @@ def test_tower_prism_steps_enter_no_algnum_method():
     # in a fresh `mirror verify --which R`, whose zeta_3 vertex of mu ups
     # iota is reduced, walked and moved, the prism functions, a point's
     # moves and the sweeps' u' bracket run on the field's ints: below them
-    # no AlgNum method is entered but the read of an int scale's KNum
-    # (k_part), while the zeta_3 field's real ints are
+    # no AlgNum method is entered, while the zeta_3 field's real ints are
     code = """
 import contextlib, io, sys
 sys.path.insert(0, %r)
@@ -416,7 +440,7 @@ sys.setprofile(record)
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["mirror", "verify", "--which", "R"])
 sys.setprofile(None)
-print(code, sorted(q for q in below if q.startswith("AlgNum") and q != "AlgNum.k_part"), "Zeta3Tower.real_split" in below,
+print(code, sorted(q for q in below if q.startswith("AlgNum")), "Zeta3Tower.real_split" in below,
       "Zeta3Tower.floor_real" in below)
 """ % str(SRC.parent)
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)

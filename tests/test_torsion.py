@@ -1,11 +1,12 @@
 import ast
 import random
+from math import gcd
 import sys
 from types import SimpleNamespace
 
 import pytest
 
-from picard7.ring import ISQRT7, TAU, AlgNum, KNum, TAU_BAR, _alg, knum_from_ints, real_field, zeta3_tower, zeta7_tower
+from picard7.ring import ISQRT7, TAU, KNum, TAU_BAR, _alg, knum_from_ints, real_field, zeta3_tower, zeta7_tower
 from picard7.hermitian import GroupElt, Mat, ProjPoint, ints_inverse, ints_product, mat_ints, sq_norm, sq_norm_ints
 from picard7.heisenberg import (
     BRACKET,
@@ -27,7 +28,7 @@ from picard7.heisenberg import (
 from picard7.ford import GENERATORS, INVERSE_PAIRS, enumerate_tjk, reduce_to_domain, spheres_containing
 from picard7.mirror import mirror_l_generators
 from picard7.presentation import abcd, torsion_word_rows
-from picard7 import ford, heisenberg, hermitian, mirror, torsion
+from picard7 import ford, heisenberg, hermitian, mirror, ring, torsion
 from picard7.torsion import (
     ClosureError,
     FiniteGroup,
@@ -46,6 +47,11 @@ from picard7.torsion import (
     _search_alphabet,
 )
 from reference import (
+    alg_eq,
+    alg_in_k,
+    alg_ints,
+    alg_k_part,
+    alg_key,
     algnum_bracket,
     ref_prism_coordinates,
     alg_of_real,
@@ -82,7 +88,10 @@ from reference import (
     ref_reflection_polar,
     ref_spanning_transports,
     ref_stabilizer_gens,
+    point_of,
+    scaled_alg,
     tjk_in_box,
+    vec_key,
     vector_rep,
     zeta_of,
 )
@@ -246,11 +255,11 @@ def test_tower_candidates_hold_the_fixed_point_eigenvalue(monkeypatch):
         assert all(len(lam) == 2 * field.degree for _, lam, field, _ in calls[2:])
         # a point outside K^3 ends in v3 = 1, so its eigenvalue is (g v)_3
         image = mat_apply(g.mat, pt.coords)
-        assert ProjPoint(image) == pt and image[2] in tried
+        assert point_of(image) == pt and alg_key(image[2]) in map(alg_key, tried)
         power = g.mat.rows  # g^n = e Id, on the matrix that g.mat shows
         for _ in range(n - 1):
             power = mat_product(Mat(power), g.mat)
-        assert power[0][0] in (1, -1) and alg_pow(image[2], n) == power[0][0]
+        assert power[0][0] in (1, -1) and alg_eq(alg_pow(image[2], n), power[0][0])
         towers += 1
     assert towers > 0
 
@@ -346,7 +355,7 @@ def test_classify_isolated_algebraic():
     assert kind == "isolated" and norm is None
     assert not pt.rational
     assert sq_norm(pt.coords).real_sign() < 0
-    assert ProjPoint(mat_apply(g7.mat, pt.coords)) == pt
+    assert point_of(mat_apply(g7.mat, pt.coords)) == pt
 
 
 def test_classify_takes_kernels_only_at_eigenvalues(monkeypatch):
@@ -412,7 +421,7 @@ def _matches_the_reference(m: Mat, lam, field, v) -> bool:
         assert kernel == []
         return False
     (basis,) = kernel
-    assert ProjPoint(tuple(_number(field, f) for f in v)) == ProjPoint(want) == ProjPoint(basis)
+    assert point_of(tuple(_number(field, f) for f in v)) == point_of(want) == point_of(basis)
     return True
 
 
@@ -699,7 +708,7 @@ def _command_stabilizers(monkeypatch):
         w = GroupElt.identity()
         for _ in range(3):
             w = rng.choice(letters) * w
-        _, y = reduce_to_domain(ProjPoint(mat_apply(w.mat, f)))
+        _, y = reduce_to_domain(point_of(mat_apply(w.mat, f)))
         stabilizer(y, build_cycle_graph([y]))
     assert len(built) == 15
     return built
@@ -784,9 +793,9 @@ def test_v1_cycle_graph_and_stabilizer():
     # on the top face s = 2, so its Tv-translate on the bottom face shows up
     # as a fourth vertex of the closed prism
     pts = set(_vertices(graph))
-    v2 = ProjPoint(mat_apply((TTAU * R).to_matrix().mat, V1.coords))
-    v3 = ProjPoint(mat_apply((T1 * R).to_matrix().mat, V1.coords))
-    v3b = ProjPoint(mat_apply(TV.inverse().to_matrix().mat, v3.coords))
+    v2 = point_of(mat_apply((TTAU * R).to_matrix().mat, V1.coords))
+    v3 = point_of(mat_apply((T1 * R).to_matrix().mat, V1.coords))
+    v3b = point_of(mat_apply(TV.inverse().to_matrix().mat, v3.coords))
     assert pts == {V1, v2, v3, v3b}
     stab = stabilizer(V1, graph)
     assert stab.linear_order == 16
@@ -842,7 +851,7 @@ def _one_point_graph_points():
             w = GroupElt.identity()
             for _ in range(3):
                 w = rng.choice(letters) * w
-            points.append(reduce_to_domain(ProjPoint(mat_apply(w.mat, f.coords)))[1])
+            points.append(reduce_to_domain(point_of(mat_apply(w.mat, f.coords)))[1])
     return points
 
 
@@ -1044,12 +1053,12 @@ def _tower_facet_points():
         r = div(sub(g, g.conj()) * ISQRT7, 16)
         if r.real_sign() < 0:
             r = neg(r)
-        assert alg_floor(r) == 0 and not r.in_k()
+        assert alg_floor(r) == 0 and not alg_in_k(r)
         e = div(r, 1 << 17)
         for a, b, s in ((0, r, r), (r, 0, r), (r, sub(1, r), r), (r, r, 0), (r, r, 2), (sub(1, e), e, r),
                         (r, r, sub(2, e))):
             x = prism_coordinates(vector_rep(lift(HoroPoint(a + b * TAU, ISQRT7 * s, r * r))))
-            assert [y == e for y, e in zip(alg_prism(x), (a, b, s, 1))] == [True] * 4
+            assert vec_key(alg_prism(x)) == vec_key((a, b, s, 1))
             points.append(x)
     return points
 
@@ -1059,21 +1068,24 @@ def _check_tower_int_path(p: ProjPoint):
     prism coordinates, their grid, the cusp action, prism reduction, the
     prism and overlap tests, the u' bracket of its sweep, and its moves by
     the reducing cusp element and by a side pairing."""
-    x, xa = prism_coordinates(p.rep), ref_prism_coordinates(p.rep)
-    assert alg_prism(x) == xa
+    x, xa = prism_coordinates(p.rep), ref_prism_coordinates(p.coords)
+    assert vec_key(alg_prism(x)) == vec_key(xa)
     assert prism_grid(x) == (tuple(2 * algnum_bracket(y) + 1 for y in xa[:3]) + (2 * BRACKET,), 1)
     c = reduce_to_prism(x)
     assert c == algnum_reduce_to_prism(xa)
     y = act_prism(c, x)
-    assert alg_prism(y) == algnum_act_prism(c, xa)
+    assert vec_key(alg_prism(y)) == vec_key(algnum_act_prism(c, xa))
     assert in_prism(x) == algnum_in_prism(xa) and in_prism(y)
     assert overlaps_keeping(y) == algnum_overlaps_keeping(alg_prism(y))
-    vs = ford._sweep_vector(p.rep)[0]
-    scale = vs[2].k_part()
-    assert ford._height_bracket(vs) == algnum_bracket(div(neg(sq_norm(vs)), scale * scale))
+    # the swept vector is the point's coordinates times den, on ints
+    vs, v = ford._sweep_vector(p.rep)[0], scaled_alg(p.coords)
+    assert vs == tuple(map(alg_ints, v))
+    scale = alg_k_part(v[2])
+    assert ford._height_bracket(vs) == algnum_bracket(div(neg(sq_norm(v)), scale * scale))
     for t in (c.ints, GENERATORS[2].ints):
         q = p.moved(t)
-        assert q == ProjPoint(mat_apply(GroupElt.from_ints(t).mat, p.coords)) and q.rep[2].is_one()
+        assert q == point_of(mat_apply(GroupElt.from_ints(t).mat, p.coords))
+        assert q.rep[2] > 0 and gcd(q.rep[2], *q.rep[0], *q.rep[1]) == 1
 
 
 def test_tower_int_path_matches_the_algnum_reference(monkeypatch):
@@ -1102,8 +1114,9 @@ def test_tower_int_path_matches_the_algnum_reference(monkeypatch):
         reduce_to_domain(classify_elliptic(g, n)[1])
     for x, _ in tower_fixed_points():
         reduce_to_domain(x)
-    steps = [ProjPoint(v) for v in steps]
-    assert {p.rep[0].tower.n for p in vertices} == {p.rep[0].tower.n for p in steps} == {3, 7}
+    # each recorded rep is a tower ProjPoint's, taken as it is
+    steps = [ProjPoint._make((v, False)) for v in steps]
+    assert {len(p.rep[0]) for p in vertices} == {len(p.rep[0]) for p in steps} == {4, 6}
     assert len(sides) >= len(vertices) and steps
     for p in dict.fromkeys(vertices + sides + steps):
         assert not p.rational
@@ -1211,7 +1224,7 @@ def _check_prism_decisions(x):
         with pytest.raises(ValueError, match="needs a point in the prism"):
             overlaps_keeping(x)
     y = act_prism(c, x)
-    assert alg_prism(y) == algnum_act_prism(c, xa)
+    assert vec_key(alg_prism(y)) == vec_key(algnum_act_prism(c, xa))
     assert in_prism(y) and algnum_in_prism(alg_prism(y))
     assert overlaps_keeping(y) == algnum_overlaps_keeping(alg_prism(y)) == ref_overlaps_keeping(y)
 
@@ -1230,7 +1243,7 @@ def test_bracketed_prism_decisions_match_the_algnum_tests(monkeypatch):
             w = GroupElt.identity()
             for _ in range(3):
                 w = rng.choice(letters) * w
-            images.append(ProjPoint(mat_apply(w.mat, x.coords)))
+            images.append(point_of(mat_apply(w.mat, x.coords)))
         for p in [x] + images:
             _check_prism_decisions(prism_coordinates(p.rep))
         # the Omega representatives and the vertices of their cycle graphs
@@ -1254,7 +1267,7 @@ def test_isolated_reps_fix_their_points():
         if c.fixed.rational:
             assert c.fixed.apply(c.rep) == c.fixed
         else:
-            assert ProjPoint(mat_apply(c.rep.mat, c.fixed.coords)) == c.fixed
+            assert point_of(mat_apply(c.rep.mat, c.fixed.coords)) == c.fixed
 
 
 def test_stabilizer_linear_orders():
@@ -1295,7 +1308,7 @@ def test_dedup_merges_conjugate_copies():
     assert kind == "isolated"
     delta = (T1 * TTAU).to_matrix() * GENERATORS[6]
     g2 = delta * g * delta.inverse()
-    fp2 = ProjPoint(mat_apply(delta.mat, fp.coords))
+    fp2 = point_of(mat_apply(delta.mat, fp.coords))
     classes = dedup_isolated([(g, 2, fp), (g2, 2, fp2)])
     assert len(classes) == 1
 
@@ -1365,23 +1378,28 @@ def _paper_walk_bases():
 
 
 def test_tower_points_are_normalized_at_their_last_coordinate():
-    # a tower ProjPoint is its vector divided by its last nonzero
-    # coordinate: at the 20 tower fixed points of the enumeration and at
-    # their Omega representatives that is v3 = 1, every nonzero multiple of
-    # the vector gives the same point, and the prism coordinates, read
-    # with no inverse, are those of the horospherical reference, which
-    # divides by v3
+    # a tower ProjPoint is its vector divided by v3, kept as the field ints
+    # of v1 and v2 over one den with no common factor: at the 20 tower
+    # fixed points of the enumeration and at their Omega representatives
+    # its coordinates are the reference's v/v3 of any vector of the point,
+    # every nonzero multiple of the vector gives the same point, and the
+    # prism coordinates, read with no inverse, are those of the
+    # horospherical reference, which divides by v3
     pairs = tower_fixed_points()
     assert len(pairs) == 20
     for pair in pairs:
         for p in pair:
+            f1, f2, den = p.rep
+            assert not p.rational and den > 0 and gcd(den, *f1, *f2) == 1
             v = p.coords
-            assert not p.rational and v[2].is_one()
             zeta = zeta_of(v[2].tower)
             for lam in (2, TAU, zeta):
-                assert ProjPoint(tuple(c * lam for c in v)) == p
+                w = tuple(c * lam for c in v)
+                assert vec_key(p.coords) == vec_key(tuple(div(c, w[2]) for c in w))
+                assert ProjPoint.of_tower(tuple(map(alg_ints, scaled_alg(w)))) == p
             h = horo_coords(v)
-            assert _prism_reals(prism_coordinates(v)) == tau_coordinates(h.z) + (s_coordinate(h.ti),)
+            assert vec_key(_prism_reals(prism_coordinates(p.rep))) == vec_key(
+                tau_coordinates(h.z) + (s_coordinate(h.ti),))
 
 
 def test_walks_carry_each_vertex_coordinates(monkeypatch):
@@ -1394,11 +1412,11 @@ def test_walks_carry_each_vertex_coordinates(monkeypatch):
     expanded = []
 
     def checked(p, x, images):
-        assert _prism_reals(x) == _prism_reals(prism_coordinates(p.rep))
+        assert vec_key(_prism_reals(x)) == vec_key(_prism_reals(prism_coordinates(p.rep)))
         expanded.append(p)
         for move in moves(p, x, images):
             _, q, c, _, xs = move
-            assert _prism_reals(act_prism(c, xs)) == _prism_reals(prism_coordinates(q.rep))
+            assert vec_key(_prism_reals(act_prism(c, xs))) == vec_key(_prism_reals(prism_coordinates(q.rep)))
             yield move
 
     monkeypatch.setattr(torsion, "_moves", checked)
@@ -1453,17 +1471,13 @@ def test_cycle_graph_sweeps_each_prism_image_once(monkeypatch):
 def test_tower_vertex_reads_its_coordinates_once(monkeypatch):
     # at the zeta_3 vertex of mu ups iota and the zeta_7 vertex of a, the
     # walk takes prism coordinates once for the vertex and once for each
-    # side image, and one inverse at most per side image (its normal form,
-    # on the field's ints: no AlgNum inverse); the vertex's own sweep, prism
-    # reduction and overlap test read its carried coordinates and one grid
-    # of them: a, b and s are bracketed once per vertex, u once by its
-    # sweep, and each side image's a, b and s once by its prism reduction
-    calls = {"prism_coordinates": 0, "inverse": 0, "bracket": 0, "AlgNum.inverse": 0}
-    chart = hermitian.tower_chart
-
-    def counted_chart(tw, fs, d):
-        calls["inverse"] += fs[2] != tw.lift(d, 0)
-        return chart(tw, fs, d)
+    # side image, and one inverse at most per side image (the adjugate of
+    # its normal form, on the field's ints: no AlgNum is built); the
+    # vertex's own sweep, prism reduction and overlap test read its carried
+    # coordinates and one grid of them: a, b and s are bracketed once per
+    # vertex, u once by its sweep, and each side image's a, b and s once by
+    # its prism reduction
+    calls = {"prism_coordinates": 0, "adjugate": 0, "bracket": 0, "_alg": 0}
 
     def counted(name, f):
         def wrapped(*args):
@@ -1484,13 +1498,13 @@ def test_tower_vertex_reads_its_coordinates_once(monkeypatch):
             bracket = counted("bracket", heisenberg.bracket)
             for module in (heisenberg, ford):
                 patch.setattr(module, "bracket", bracket)
-            for module in (hermitian, heisenberg, ford):
-                patch.setattr(module, "tower_chart", counted_chart)
-            patch.setattr(AlgNum, "inverse", counted("AlgNum.inverse", AlgNum.inverse))
+            patch.setattr(hermitian, "adjugate", counted("adjugate", hermitian.adjugate))
+            for module in (ring, hermitian):
+                patch.setattr(module, "_alg", counted("_alg", ring._alg))
             calls.update(dict.fromkeys(calls, 0))
             assert build_cycle_graph([base]) == graph
         assert calls["prism_coordinates"] <= len(vertices) + sides
-        assert 0 < calls["inverse"] <= sides and calls["AlgNum.inverse"] == 0
+        assert 0 < calls["adjugate"] <= sides and calls["_alg"] == 0
         assert calls["bracket"] <= 4 * len(vertices) + 3 * sides
 
 
