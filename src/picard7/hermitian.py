@@ -622,6 +622,16 @@ def tower_sq_norm(tw, f1, f2, d):
     return tw.real_part([x + d * (y + z) for x, y, z in zip(n, f1, tw.conj(f1))])
 
 
+def tower_inner(tw, f1, f2, d, w):
+    """The field ints of d <v, w> = conj(w1) d + conj(w2) f2 + conj(w3) f1
+    for the tower vector v = (f1/d, f2/d, 1) and w in O_7^3 with the six
+    ints w."""
+    # conj(a + b tau) = (a + b) - b tau
+    c1, c2, c3 = ((w[k] + w[k + 1], -w[k + 1]) for k in (0, 2, 4))
+    terms = tw.lift(c1[0] * d, c1[1] * d), tw.mul(tw.lift(*c2), f2), tw.mul(tw.lift(*c3), f1)
+    return tuple(map(sum, zip(*terms)))
+
+
 def _invert_letter(x):
     name, e = x
     return (name, -e)

@@ -19,13 +19,13 @@ from picard7.hermitian import (
     Mat,
     ProjPoint,
     _apply_ints,
-    _mul_ints,
     herm_inner,
     ints_product,
     is_in_gamma,
     norm_form_solutions,
     primitive_rep,
     sq_norm,
+    tower_inner,
 )
 from picard7.heisenberg import R, T1, TTAU, TV
 from picard7.ford import GENERATORS, reduce_to_domain
@@ -140,20 +140,12 @@ def _point_stabilizer_lines(pt: ProjPoint):
 
 
 def _on_mirror(pt: ProjPoint, ctx) -> bool:
-    """Whether <v, p> = conj(p1) v3 + conj(p2) v2 + conj(p3) v1 is 0, for
-    the polar p and a vector v of pt, on the ints of both reps: a tower
-    point's v is its rep's (f1, f2, den), with den at v3."""
-    p = ctx.polar.rep
-    # conj(a + b tau) = (a + b) - b tau
-    c1, c2, c3 = ((p[k] + p[k + 1], -p[k + 1]) for k in (0, 2, 4))
+    """Whether <v, p> = 0 for the polar p and a vector v of pt; for a tower
+    point on its rep's field ints (`tower_inner`)."""
     if pt.rational:
-        v = pt.rep
-        terms = _mul_ints(*c3, *v[0:2]), _mul_ints(*c2, *v[2:4]), _mul_ints(*c1, *v[4:6])
-    else:
-        f1, f2, d = pt.rep
-        tw = field_of(f1)
-        terms = tw.mul(tw.lift(*c3), f1), tw.mul(tw.lift(*c2), f2), tw.lift(c1[0] * d, c1[1] * d)
-    return not any(map(sum, zip(*terms)))
+        return herm_inner(pt.coords, ctx.polar.coords).is_zero()
+    f1, f2, d = pt.rep
+    return not any(tower_inner(field_of(f1), f1, f2, d, ctx.polar.rep))
 
 
 @cache

@@ -693,6 +693,10 @@ class AlgNum:
 
     __slots__ = ("tower", "ints", "den")
 
+    # == raises TypeError rather than compare by identity, and the class is
+    # unhashable: compare (ints, den) instead
+    __eq__ = None
+
     def __setattr__(self, *args):
         raise AttributeError("AlgNum is immutable")
 

@@ -317,6 +317,26 @@ def test_prism_coordinates_refuse_q_inf_and_positive_vectors(field):
             prism_coordinates(vector_rep(v))
         with pytest.raises(ValueError, match=message):
             horo_coords(v)
+    if field == "K":
+        return
+    # the vectors above are K-rational, so their reps are six ints; (1, 0,
+    # +-zeta) with <v, v> = +-2 Re(zeta) > 0 is a tower point, refused on
+    # its field ints
+    z = zeta_of(zeta3_tower() if field == "zeta3" else zeta7_tower())
+    v = (one, zero, neg(z) if field == "zeta3" else z)
+    rep = vector_rep(v)
+    assert type(rep[0]) is tuple
+    with pytest.raises(ValueError, match="vector has positive square norm"):
+        prism_coordinates(rep)
+    with pytest.raises(ValueError, match="vector has positive square norm"):
+        horo_coords(v)
+    # a tower vector with v3 = 0 has no tower rep: every such point but
+    # q_inf is positive, and q_inf is K-rational
+    v = (one, z, zero)
+    with pytest.raises(ValueError, match="a tower point needs v3 != 0"):
+        vector_rep(v)
+    with pytest.raises(ValueError, match="vector has positive square norm"):
+        horo_coords(v)
 
 
 @pytest.mark.parametrize("field", ["zeta3", "zeta7"])

@@ -189,7 +189,8 @@ UNENTERED_ALLOWED = {
     ("ring", "AlgNum._real_ints"): "perfbench's worker reaches it through AlgNum.real_sign",
     ("ring", "AlgNum.is_real"): "perfbench's worker reaches it through AlgNum.real_sign",
     # KNum defines __eq__, so it is hashable only with its own __hash__;
-    # no command keys anything by a KNum since a tower point is ints
+    # no command keys anything by a KNum since a tower point is ints.  It
+    # leaves with KNum's arithmetic (ROADMAP item 7)
     ("ring", "KNum.__hash__"): "KNum's equality makes it unhashable without it",
     # an edge form that only tests use
     ("ring", "KNum.b"): "the tau-coordinate as a Fraction, beside KNum.a",
