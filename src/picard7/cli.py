@@ -15,7 +15,7 @@ from picard7.hermitian import (
 )
 from picard7.heisenberg import cusp_torsion_classes, enumerate_cusp_overlaps
 from picard7.ford import ReductionError, reduce_to_domain, spheres_containing
-from picard7.torsion import ClosureError, build_cycle_graph, enumerate_torsion, stabilizer
+from picard7.torsion import ClosureError, enumerate_torsion, point_stabilizer
 
 
 class UsageError(Exception):
@@ -109,9 +109,7 @@ def cmd_torsion_enumerate(args):
 
 
 def cmd_torsion_stabilizer(args):
-    _, y = reduce_to_domain(ProjPoint(vec_from_json(args.point)))
-    graph = build_cycle_graph([y])
-    st = stabilizer(y, graph)
+    y, st = point_stabilizer(ProjPoint(vec_from_json(args.point)))
     return {
         "point": _point_json(y),
         "linear_order": st.linear_order,

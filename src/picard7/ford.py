@@ -26,9 +26,8 @@ reduction's last sweep.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cache
-from math import isqrt
+from math import gcd, isqrt
 
 from .ring import (
     ISQRT7,
@@ -140,7 +139,8 @@ class IsomSphere(namedtuple("IsomSphere", "center r4")):
 
     The center g(inf) is a K-rational boundary point, kept as the int prism
     coordinates (a, b, s, den) of g's first column: z = (a + b tau)/den and
-    t = s sqrt(7)/den.
+    t = s sqrt(7)/den.  r4 is the int pair (num, den) of 4/N(a31) in
+    lowest terms.
     """
 
     __slots__ = ()
@@ -152,7 +152,9 @@ class IsomSphere(namedtuple("IsomSphere", "center r4")):
             raise ValueError("element stabilizes the point at infinity")
         if sq_norm_ints(col):
             raise ArithmeticError("isometric sphere center is not on the boundary")
-        return tuple.__new__(cls, (prism_coordinates(col), Fraction(4, _norm_ints(t[12], t[13]))))
+        n = _norm_ints(t[12], t[13])
+        g = gcd(4, n)
+        return tuple.__new__(cls, (prism_coordinates(col), (4 // g, n // g)))
 
 
 #: the isometric sphere of each pairing matrix, built once (IsomSphere is immutable)
@@ -184,7 +186,7 @@ def _sqrt_ints(num: int, den: int):
 
 #: r2 with r^2 <= r2/2^16 for the sphere of each pairing matrix, where the
 #: windows of the sweeps start
-_R2 = {j: _sqrt_ints(sph.r4.numerator, sph.r4.denominator)[1] for j, sph in SPHERES.items()}
+_R2 = {j: _sqrt_ints(*sph.r4)[1] for j, sph in SPHERES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +274,7 @@ def enumerate_cone_translates(j: int):
     """
     sph = SPHERES[j]
     za, zb, sn, zd = sph.center
-    rn, rd = sph.r4.numerator, sph.r4.denominator
+    rn, rd = sph.r4
     # the disk test dist2^2 <= r^4 is num^2 rd <= disk with dist2 = num/(32 zd^2)
     disk = rn * (32 * zd * zd) ** 2
     # r^2 <= r2/2^16 and r <= r1/2^16; sqrt(7) >= hd/2^32
@@ -602,7 +604,7 @@ def _tower_sweep(v, own, g, rows, quantity, cmp):
     for j in sorted(GENERATORS):
         sph = SPHERES[j]
         za, zb, sn, zd = sph.center
-        rn, rd = sph.r4.numerator, sph.r4.denominator
+        rn, rd = sph.r4
         r2 = _R2[j]
         if ku > r2:
             continue

@@ -138,6 +138,15 @@ def mat_ints(m: Mat):
     return tuple(t)
 
 
+def canonical_ints(t):
+    """t or -t, the one whose first nonzero int is positive: the sign rule,
+    for the 18 ints of a matrix (the ints a GroupElt keeps) and the six of
+    a primitive vector (the rep of its ProjPoint) alike."""
+    # a tuple of at most 18 ints is below the zero tuple exactly when its
+    # first nonzero int is negative (a zero tuple is its own negative)
+    return tuple(-x for x in t) if t < (0,) * 18 else t
+
+
 def _mul_ints(a: int, b: int, c: int, e: int):
     """(a + b tau)(c + e tau) as an int pair, with tau^2 = tau - 2."""
     return a * c - 2 * b * e, a * e + b * c + b * e
@@ -273,7 +282,7 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
 
     A K-rational point keeps the six ints (a1, b1, a2, b2, a3, b3) of its
     canonical primitive representative (a_i + b_i tau), under the sign rule
-    of `of_primitive`: its first nonzero int is positive.  A point over
+    (`canonical_ints`): its first nonzero int is positive.  A point over
     K(zeta_3) or K(zeta_7) has v3 != 0 (every such point here is negative)
     and keeps (f1, f2, den): the field ints of den v1/v3 and den v2/v3 for
     one int den > 0, with no factor common to all of them (`of_tower`).
@@ -314,10 +323,6 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
         tw = field_of(f1)
         return tw.real_sign(tower_sq_norm(tw, f1, f2, d))
 
-    def apply(self, g: "GroupElt") -> "ProjPoint":
-        """g(self)."""
-        return self.moved(g.ints)
-
     def moved(self, t) -> "ProjPoint":
         """M(self), for a matrix M of U(J, O_7) with the 18 ints t.  M and
         M^-1 are integral, so M maps a primitive vector of O_7^3 to a
@@ -334,12 +339,9 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
     @staticmethod
     def of_primitive(w) -> "ProjPoint":
         """The point of a primitive vector of O_7^3 with the six ints w: its
-        canonical representative is w or -w, by the sign rule alone."""
-        # the first nonzero int is the a, or the b when a = 0, of the first
-        # nonzero entry
-        if w < (0,) * 6:
-            w = tuple(-x for x in w)
-        return tuple.__new__(ProjPoint, (w, True))
+        canonical representative is w or -w, by the sign rule alone
+        (`canonical_ints`)."""
+        return tuple.__new__(ProjPoint, (canonical_ints(w), True))
 
     @staticmethod
     def of_ints(t) -> "ProjPoint":
@@ -578,13 +580,6 @@ class GroupElt:
 _new_elt = object.__new__
 _set_ints = GroupElt.ints.__set__
 _set_word = GroupElt.word.__set__
-
-
-def canonical_ints(t):
-    """t or -t, the one whose first nonzero int is positive: the ints a
-    GroupElt of the matrix with 18 ints t keeps."""
-    # t < 0 in tuple order exactly when its first nonzero int is negative
-    return tuple(-x for x in t) if t < (0,) * 18 else t
 
 
 def _init_elt(g: GroupElt, t, word):

@@ -28,16 +28,16 @@ from picard7.hermitian import (
     tower_inner,
 )
 from picard7.heisenberg import R, T1, TTAU, TV
-from picard7.ford import GENERATORS, reduce_to_domain
+from picard7.ford import GENERATORS
 from picard7.torsion import (
     ClosureError,
     _search_alphabet,
-    build_cycle_graph,
     classify_elliptic,
     make_reflection,
+    moved_rep,
     orbit_walk,
+    point_stabilizer,
     projective_order,
-    stabilizer,
     walk_element,
 )
 
@@ -91,7 +91,7 @@ class MirrorContext:
 
 def preserves_mirror(g: GroupElt, ctx) -> bool:
     """True iff the polar vector is an eigenvector of g (so g maps L to L)."""
-    return ctx.polar.apply(g) == ctx.polar
+    return ctx.polar.moved(g.ints) == ctx.polar
 
 
 def _scalar_on_mirror(t, ctx) -> bool:
@@ -131,14 +131,6 @@ def restriction_order(g: GroupElt, ctx):
     return None
 
 
-def _point_stabilizer_lines(pt: ProjPoint):
-    """(one_lines, two_lines) of the Gamma-stabilizer of an interior point."""
-    _, y = reduce_to_domain(pt)
-    graph = build_cycle_graph([y])
-    st = stabilizer(y, graph)
-    return st.one_lines, st.two_lines
-
-
 def _on_mirror(pt: ProjPoint, ctx) -> bool:
     """Whether <v, p> = 0 for the polar p and a vector v of pt; for a tower
     point on its rep's field ints (`tower_inner`)."""
@@ -175,36 +167,23 @@ def verify_mirror_R() -> dict:
             "[rho, ups]": (rho * ups * rho.inverse() * ups.inverse()).is_identity(),
         },
     }
-    orbits = {}
+
+    def orbit(key, value, pt):
+        st = point_stabilizer(pt)[1]
+        return {key: value, "on_mirror": _on_mirror(pt, ctx), "one_lines": st.one_lines, "two_lines": st.two_lines}
+
     # common fixed point of iota and rho: perp of both polars
     p1 = ProjPoint((KNum(1), KNum(0), KNum(-1)))
-    ok1 = p1.apply(iota) == p1 and p1.apply(rho) == p1
-    one, two = _point_stabilizer_lines(p1)
-    orbits["common_point_of_iota_rho"] = {
-        "fixed_by_both": ok1,
-        "on_mirror": _on_mirror(p1, ctx),
-        "one_lines": one,
-        "two_lines": two,
-    }
+    ok1 = p1.moved(iota.ints) == p1 and p1.moved(rho.ints) == p1
     t1 = T1.to_matrix()
     g2 = (rho * t1 * iota * t1.inverse()) ** 2
     kind2, p2, _ = classify_elliptic(g2, projective_order(g2))
-    one, two = _point_stabilizer_lines(p2)
-    orbits["rho_t1_iota_square"] = {
-        "kind": kind2,
-        "on_mirror": _on_mirror(p2, ctx),
-        "one_lines": one,
-        "two_lines": two,
-    }
     kind3, p3, _ = classify_elliptic(mti, 6)
-    one, two = _point_stabilizer_lines(p3)
-    orbits["mti_point"] = {
-        "kind": kind3,
-        "on_mirror": _on_mirror(p3, ctx),
-        "one_lines": one,
-        "two_lines": two,
+    report["orbits"] = orbits = {
+        "common_point_of_iota_rho": orbit("fixed_by_both", ok1, p1),
+        "rho_t1_iota_square": orbit("kind", kind2, p2),
+        "mti_point": orbit("kind", kind3, p3),
     }
-    report["orbits"] = orbits
     report["all_pass"] = (
         report["preserves"] == {"I": True, "M": True, "T1": False}
         and report["mti_order"] == 6
@@ -212,11 +191,7 @@ def verify_mirror_R() -> dict:
         and all(report["relators"].values())
         and orbits["common_point_of_iota_rho"]["fixed_by_both"]
         and all(o["on_mirror"] for o in orbits.values())
-        and (orbits["common_point_of_iota_rho"]["one_lines"],
-             orbits["common_point_of_iota_rho"]["two_lines"]) == (1, 1)
-        and (orbits["rho_t1_iota_square"]["one_lines"],
-             orbits["rho_t1_iota_square"]["two_lines"]) == (2, 2)
-        and (orbits["mti_point"]["one_lines"], orbits["mti_point"]["two_lines"]) == (1, 0)
+        and [(o["one_lines"], o["two_lines"]) for o in orbits.values()] == [(1, 1), (2, 2), (1, 0)]
     )
     return report
 
@@ -282,12 +257,12 @@ def mirror_l_generators():
 
 
 def cusp_orbit_search(target: ProjPoint, alphabet, max_len: int = 5):
-    """A word over the alphabet mapping the cusp point q_inf to the target, or None."""
-    start = ProjPoint((KNum(1), KNum(0), KNum(0)))
+    """A word over the alphabet mapping the cusp point q_inf to the target, or
+    None: a Schreier tree keyed on the six ints of each rep (`moved_rep`)."""
     tree = {}
-    for q, p, g in orbit_walk([start], alphabet, ProjPoint.apply, max_len):
+    for q, p, g in orbit_walk([(1, 0, 0, 0, 0, 0)], alphabet, moved_rep, max_len):
         tree[q] = (p, g)
-        if q == target:
+        if q == target.rep:
             return walk_element(tree, q)
     return None
 
@@ -336,7 +311,7 @@ def verify_mirror_L() -> dict:
     ]
     fixed = ProjPoint(S2_FIXED)
     report["s2_parabolic"] = {
-        "fixes_point": fixed.apply(s2) == fixed,
+        "fixes_point": fixed.moved(s2.ints) == fixed,
         "point_is_null": sq_norm(S2_FIXED).is_zero(),
         "infinite_projective_order": projective_order(s2) is None,
     }

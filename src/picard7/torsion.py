@@ -14,7 +14,10 @@ and stabilizers reduce to finite group computations.  A stabilizer is
 closed once, on the canonical ints of its projective elements: the only
 scalars of U(J, O_7) are +/-Id, so its linear group has twice as many
 matrices.  Its reflections are read off each element's trace first, and a
-polar is divided by the O_7 gcd of its entries on int pairs.
+polar is divided by the O_7 gcd of its entries on int pairs.  Inside a
+walk or a finite group an element is its canonical 18 ints and a rational
+point the six of its rep, and a step is an int product under the sign rule
+(`canonical_ints`); a GroupElt, with its word, is built only to be printed.
 """
 
 from collections import namedtuple
@@ -28,6 +31,7 @@ from .hermitian import (
     ID_INTS,
     GroupElt,
     ProjPoint,
+    _apply_ints,
     canonical_ints,
     ints_are_scalar,
     ints_inverse,
@@ -194,9 +198,9 @@ def _k_mul(f, g):
     return _mul_ints(*f, *g)
 
 
-def _involution_axis(g: GroupElt):
+def _involution_axis(t):
     """The six ints of a nonzero column of I - tr(g) g if g^2 = I and g is
-    not 1, else None.
+    not 1, else None, for g with the 18 ints t (either sign).
 
     That column spans the simple eigenline p of g, and g fixes the complex
     line p^perp pointwise exactly when <p, p> > 0.  Any element of Gamma may
@@ -206,7 +210,6 @@ def _involution_axis(g: GroupElt):
     eigenvalues lam, lam, -lam with lam = +/-1, so its trace is lam: only a
     trace a + b tau with b = 0 and a = +/-1 takes the product g^2.
     """
-    t = g.ints
     a, b = t[0] + t[8] + t[16], t[1] + t[9] + t[17]
     if b or a not in (1, -1):
         return None
@@ -232,13 +235,14 @@ def _involution_axis(g: GroupElt):
             return col
 
 
-def reflection_polar(g: GroupElt):
-    """(polar ProjPoint, polar norm) if g is a complex reflection, else None.
+def reflection_polar(t):
+    """(polar ProjPoint, polar norm) if the matrix g with the 18 ints t is a
+    complex reflection, else None.
 
     A reflection of Gamma is an involution whose axis (`_involution_axis`)
     is positive: an int product and one int norm.
     """
-    col = _involution_axis(g)
+    col = _involution_axis(t)
     if col is None or sq_norm_ints(col) <= 0:
         return None
     polar = ProjPoint.of_ints(col)
@@ -249,7 +253,7 @@ def classify_elliptic(g: GroupElt, n: int):
     """("reflection", polar, <v,v>) or ("isolated", fixed point, <v,v> or None)."""
     if projective_order(g) != n:
         raise ValueError("stated order does not match the element")
-    col = _involution_axis(g)
+    col = _involution_axis(g.ints)
     if col is not None:
         # a positive axis is the polar of the mirror, and a negative one the
         # isolated fixed point; a null one would lie in its own eigenplane
@@ -368,13 +372,20 @@ def _search_alphabet():
     )
 
 
+def moved_rep(v, g: GroupElt):
+    """The six ints of g(p)'s rep for the six ints v of a rational point p's
+    rep: one int product under the sign rule (see `ProjPoint.moved`)."""
+    return canonical_ints(_apply_ints(g.ints, v))
+
+
 @cache
-def _orbit_ball(start: ProjPoint, depth: int):
-    """Schreier tree {point: (parent, letter)} of the words of length <= depth.
+def _orbit_ball(start, depth: int):
+    """Schreier tree {rep: (parent, letter)} of the words of length <= depth,
+    keyed on the six ints of each point's rep, with GroupElt letters.
 
     Built once per (start, depth): callers only read it, and the torsion
     enumeration and the coverage report search from the same polars."""
-    walk = orbit_walk([start], _search_alphabet(), ProjPoint.apply, depth)
+    walk = orbit_walk([start], _search_alphabet(), moved_rep, depth)
     return {q: (p, g) for q, p, g in walk}
 
 
@@ -389,16 +400,17 @@ def reflection_conjugacy(g1: GroupElt, g2: GroupElt):
     meet-in-the-middle orbit walk on the two polar points.  Every reflection
     of Gamma is an involution (see _involution_axis), so None is a proof of
     non-conjugacy only when the polar norms differ; a None from the bounded
-    search proves nothing, so it only merges classes.
+    search proves nothing, so it only merges classes.  A rep's ints sort as
+    its ProjPoint does, so the least common point is the same either way.
     """
-    r1, r2 = reflection_polar(g1), reflection_polar(g2)
+    r1, r2 = reflection_polar(g1.ints), reflection_polar(g2.ints)
     if r1 is None or r2 is None:
         raise ValueError("both elements must be complex reflections")
     if r1[1] != r2[1]:
         return None
     half = (CONJUGACY_SEARCH_LEN + 1) // 2
-    fwd = _orbit_ball(r1[0], half)
-    bwd = _orbit_ball(r2[0], CONJUGACY_SEARCH_LEN - half)
+    fwd = _orbit_ball(r1[0].rep, half)
+    bwd = _orbit_ball(r2[0].rep, CONJUGACY_SEARCH_LEN - half)
     for p in sorted(p for p in fwd if p in bwd):
         delta = walk_element(bwd, p).inverse() * walk_element(fwd, p)
         if delta * g1 * delta.inverse() == g2:
@@ -411,9 +423,10 @@ def reflection_conjugacy(g1: GroupElt, g2: GroupElt):
 # ---------------------------------------------------------------------------
 
 
-#: one orbit of a cycle graph, walked from its base: transports[q] carries
-#: the base to the vertex q, in the order the walk found them, and gens are
-#: the Schreier generators of the base's stabilizer
+#: one orbit of a cycle graph, walked from its base: transports[q], a
+#: GroupElt with its word, carries the base to the vertex q, in the order
+#: the walk found them, and gens are the Schreier generators of the base's
+#: stabilizer, each distinct one once as its canonical ints
 Orbit = namedtuple("Orbit", "transports gens")
 
 
@@ -515,7 +528,8 @@ def build_cycle_graph(points):
     sigma(p^, o) sigma(p, s), so the vertices with s != 1 add no generator.
     The move that found q gives the identity and is skipped; the others are
     int products, with t_q^-1 taken once per vertex, and each distinct one
-    other than the identity becomes a GroupElt.
+    other than the identity is kept once, as its canonical ints, so that s
+    and -s are one generator.
     """
     graph = {}
     images = {}
@@ -545,8 +559,8 @@ def build_cycle_graph(points):
                 if least.get(q) is not move:
                     s = ints_product(inverses[q], ints_product(t, tp.ints))
                     if not ints_are_scalar(s):
-                        gens[s] = None
-        graph[base] = Orbit(transports, list(dict.fromkeys(map(GroupElt.from_ints, gens))))
+                        gens[canonical_ints(s)] = None
+        graph[base] = Orbit(transports, list(gens))
     return graph
 
 
@@ -567,28 +581,28 @@ def _projective_product(x, y):
 class FiniteGroup:
     """Closure of a finite set of generators in U(J, O_7), with line data.
 
-    The walk closes the projective group, on the canonical ints of its
-    elements.  The linear group is its preimage in U(J, O_7), whose only
-    scalars are +/-Id: it has the two matrices +/-M for each element, so
-    the walk stops at half the cap of matrices.
+    The generators and the elements are canonical 18-int tuples
+    (`canonical_ints`): the walk closes the projective group on them, and
+    `elements` is the frozenset it yields.  The linear group is its
+    preimage in U(J, O_7), whose only scalars are +/-Id: it has the two
+    matrices +/-M for each element, so the walk stops at half the cap of
+    matrices.  A GroupElt is in the group when its ints are.
     """
 
     def __init__(self, gens):
-        walk = orbit_walk([ID_INTS], sorted({g.ints for g in gens}), _projective_product,
-                          cap=CLOSURE_CAP // 2)
-        matrices = [a for a, _, _ in walk]
-        if sum(1 for t in matrices if ints_are_scalar(t)) != 1:
+        walk = orbit_walk([ID_INTS], sorted(set(gens)), _projective_product, cap=CLOSURE_CAP // 2)
+        self.elements = frozenset(a for a, _, _ in walk)
+        if sum(1 for t in self.elements if ints_are_scalar(t)) != 1:
             raise ArithmeticError("the closure holds a scalar other than +/-Id")
         self.scalar_order = 2
-        self.elements = frozenset(map(GroupElt.from_ints, matrices))
         self.projective_order = len(self.elements)
         self.linear_order = 2 * self.projective_order
         self._analyze_reflections()
 
     def _analyze_reflections(self):
         polars = {}
-        for g in self.elements:
-            refl = reflection_polar(g)
+        for t in self.elements:
+            refl = reflection_polar(t)
             if refl is not None:
                 polars[refl[0]] = refl[1]
         self.reflections = sorted(polars.items(), key=lambda t: (t[1], t[0]))
@@ -603,7 +617,7 @@ class FiniteGroup:
             if p not in remaining:
                 continue
             # the elements form a group, so the orbit is one sweep over them
-            orbit = {p.apply(g) for g in self.elements}
+            orbit = {p.moved(t) for t in self.elements}
             if not orbit <= remaining:
                 raise ArithmeticError("reflection polars are not closed under the group")
             sizes.append(len(orbit))
@@ -611,7 +625,7 @@ class FiniteGroup:
         return sorted(sizes)
 
     def __contains__(self, g: GroupElt):
-        return g in self.elements
+        return g.ints in self.elements
 
     def __repr__(self):
         return (
@@ -625,6 +639,13 @@ def stabilizer(point: ProjPoint, graph) -> FiniteGroup:
     if point not in graph:
         raise ValueError("point is not the base of an orbit of the graph")
     return FiniteGroup(graph[point].gens)
+
+
+def point_stabilizer(x: ProjPoint):
+    """(y, its stabilizer) for the point y of Omega that `reduce_to_domain`
+    takes x to: the stabilizer closed from y's one-point cycle graph."""
+    _, y = reduce_to_domain(x)
+    return y, stabilizer(y, build_cycle_graph([y]))
 
 
 # ---------------------------------------------------------------------------
@@ -755,18 +776,20 @@ def dedup_isolated(cands):
 
 
 def _power_conjugate_witness(rep: GroupElt, g: GroupElt, n: int, stab: FiniteGroup):
-    """s, k with s rep^k s^-1 = g (k coprime to n, s in the stabilizer), or None."""
+    """s, k with s rep^k s^-1 = g (k coprime to n, s in the stabilizer), or None.
+    The powers and conjugates are int products; only s becomes a GroupElt."""
+    r, want = rep.ints, g.ints
     coprime = []
-    p = rep
+    p = r
     for k in range(1, n + 1):
         if gcd(k, n) == 1:
             coprime.append((k, p))
-        p = p * rep
-    for s in sorted(stab.elements, key=lambda s: s.ints):
-        si = s.inverse()
+        p = ints_product(p, r)
+    for s in sorted(stab.elements):
+        si = ints_inverse(s)
         for k, p in coprime:
-            if s * p * si == g:
-                return s, k
+            if canonical_ints(ints_product(ints_product(s, p), si)) == want:
+                return GroupElt.from_ints(s), k
     return None
 
 

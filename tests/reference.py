@@ -1173,15 +1173,16 @@ def ref_involution_axis(g: GroupElt):
 
 
 class RefFiniteGroup:
-    """The closure of gens in U(J, O_7) with its line data, on the linear
-    group: the walk on the 18 ints of the matrices starts from both signs
-    of Id, so it is closed under sign, and its scalars are counted.  Each
-    element other than 1 is tested by the repeated-eigenvalue reference,
-    and each orbit of 2-lines is swept over the elements."""
+    """The closure of gens, 18-int tuples, in U(J, O_7) with its line data,
+    on the linear group: the walk on the 18 ints of the matrices starts
+    from both signs of Id, so it is closed under sign, and its scalars are
+    counted.  Its elements are GroupElts.  Each element other than 1 is
+    tested by the repeated-eigenvalue reference, and each orbit of 2-lines
+    is swept over the elements."""
 
     def __init__(self, gens):
         start = (ID_INTS, tuple(-x for x in ID_INTS))
-        matrices = frozenset(a for a, _, _ in orbit_walk(start, sorted({g.ints for g in gens}), ints_product))
+        matrices = frozenset(a for a, _, _ in orbit_walk(start, sorted(set(gens)), ints_product))
         self.linear_order = len(matrices)
         self.scalar_order = sum(1 for t in matrices if ints_are_scalar(t))
         self.elements = frozenset(map(GroupElt.from_ints, matrices))
@@ -1194,7 +1195,7 @@ class RefFiniteGroup:
         self.two_lines = sum(1 for n in polars.values() if n == 2)
         rest, sizes = {p for p, n in polars.items() if n == 2}, []
         while rest:
-            orbit = {min(rest).apply(g) for g in self.elements}
+            orbit = {min(rest).moved(g.ints) for g in self.elements}
             sizes.append(len(orbit))
             rest -= orbit
         self.two_line_orbits = sorted(sizes)
@@ -1353,7 +1354,7 @@ def restriction(g: GroupElt, ctx):
     """The 2x2 matrix of g on the mirror, as columns in the context basis:
     each image g b solved for its coordinates with the first nonzero 2x2
     minor of the basis, in KNum arithmetic."""
-    if ctx.polar.apply(g) != ctx.polar:
+    if ctx.polar.moved(g.ints) != ctx.polar:
         raise ValueError("element does not preserve the mirror")
     b1, b2 = ctx.basis
     minors = ((i, j, b1[i] * b2[j] - b1[j] * b2[i]) for i, j in ((0, 1), (0, 2), (1, 2)))

@@ -1,6 +1,7 @@
 import functools
 import random
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
@@ -126,21 +127,23 @@ def test_generator_table():
     # table closed under inversion
     for j, k in INVERSE_PAIRS.items():
         assert (GENERATORS[j] * GENERATORS[k]).is_identity()
-    assert sorted({4 / IsomSphere(g).r4 for g in GENERATORS.values()}) == [1, 2, 4, 7]
+    # r^4 = 4/N(a31) is an int pair in lowest terms
+    assert sorted({4 / Fraction(*IsomSphere(g).r4) for g in GENERATORS.values()}) == [1, 2, 4, 7]
+    assert all(type(x) is int and x > 0 and gcd(*r4) == 1 for r4 in (SPHERES[j].r4 for j in GENERATORS) for x in r4)
 
 
 def test_sphere_data():
     s6 = SPHERES[6]
-    assert s6.r4 == 1
+    assert s6.r4 == (1, 1)
     # the center of I(A6) is z = 0, t = sqrt(7): s = 4/4 over den = N(2)
     assert s6.center == (0, 0, 4, 4) and horo_sphere(6) == (from_zsu(0, 1), 1)
     s1 = SPHERES[1]
-    assert s1.r4 == 4 and s1.center == (0, 0, 0, 1) and horo_sphere(1) == (from_zsu(0, 0), 4)
+    assert s1.r4 == (4, 1) and s1.center == (0, 0, 0, 1) and horo_sphere(1) == (from_zsu(0, 0), 4)
     # every center's ints are the prism coordinates of the reference center
     for j, sph in SPHERES.items():
         a, b, s, den = sph.center
         center, r4 = horo_sphere(j)
-        assert sph.r4 == r4 and den * r4 == 4
+        assert Fraction(*sph.r4) == r4 and den * r4 == 4
         assert (KNum(Fraction(a, den), Fraction(b, den)), Fraction(s, den)) == (center.z, center.s)
     with pytest.raises(ValueError):
         IsomSphere(T1.to_matrix())
@@ -454,7 +457,7 @@ def _seeded_images(points, seed, count):
             w = GroupElt.identity()
             for _ in range(rng.randint(1, 4)):
                 w = rng.choice(letters) * w
-            out.append(x.apply(w))
+            out.append(x.moved(w.ints))
     return out
 
 
@@ -541,7 +544,7 @@ def test_sweep_kernels_match_generic_path(field):
         w = GroupElt.identity()
         for _ in range(rng.randint(1, 3)):
             w = rng.choice(letters) * w
-        points.append(y0.apply(w))
+        points.append(y0.moved(w.ints))
     for x in points:
         got = [(j, alpha, sign) for sign, _, j, alpha in sweep_at(x)[2]]
         want = []
@@ -582,10 +585,10 @@ def test_k_sweep_matches_the_column_scan():
         w = GroupElt.identity()
         for _ in range(rng.randint(1, 4)):
             w = rng.choice(letters) * w
-        return x.apply(w)
+        return x.moved(w.ints)
 
     def over_p(x):
-        return x.apply(reduce_to_prism(prism_coordinates(x.rep)).to_matrix())
+        return x.moved(reduce_to_prism(prism_coordinates(x.rep)).ints)
 
     def sweeps(x):
         vs, own, got = sweep_at(x)
@@ -634,7 +637,7 @@ def test_best_first_k_sweep_keeps_the_reduction_step():
     x0, xs = round_trip_orbit()
     stepped = ties = 0
     for x in [x0] + xs:
-        x = x.apply(reduce_to_prism(prism_coordinates(x.rep)).to_matrix())
+        x = x.moved(reduce_to_prism(prism_coordinates(x.rep)).ints)
         vs, own, (_, _, sweep) = _sweep_vector(x.rep)
         strict = [(h, j, alpha) for sign, h, j, alpha in sweep(vs, own, None, False) if sign < 0]
         best = list(sweep(vs, own, None, True))
@@ -657,7 +660,7 @@ def test_best_first_k_sweep_keeps_the_reduction_step():
                     continue
                 za, zb, _, zd = act_prism(alpha, SPHERES[j].center)
                 gap = u + Fraction(_norm_ints(a * zd - za * den, b * zd - zb * den), (den * zd) ** 2)
-                assert gap <= 0 or gap * gap * own <= SPHERES[j].r4 * (bound - 1)
+                assert gap <= 0 or gap * gap * own <= Fraction(*SPHERES[j].r4) * (bound - 1)
                 assert gap <= Fraction(ford._R2[j] * qb, 2**32)
     assert stepped > 300 and ties > 200
 
@@ -705,7 +708,7 @@ def test_tower_sweeps_match_the_column_scans():
         w = GroupElt.identity()
         for _ in range(rng.randint(1, 3)):
             w = rng.choice(letters) * w
-        points["orbit"].append(y.apply(w))
+        points["orbit"].append(y.moved(w.ints))
         # v1 - 2 v3 raises u' = -<v, v>/|v3|^2 by 4, above every r^2 <= 2
         v1, v2, v3 = y.coords
         points["high"].append(point_of((sub(v1, 2 * v3), v2, v3)))

@@ -271,12 +271,12 @@ def test_int_action_matches_mat_action():
         if all(x.is_zero() for x in v):
             continue
         p = ProjPoint(v)
-        assert p.apply(g) == ProjPoint(mat_apply(m, p.coords))
+        assert p.moved(g.ints) == ProjPoint(mat_apply(m, p.coords))
     # a point with tower coordinates takes the tower path on its ints
     z = zeta_of(zeta3_tower())
     t = point_of((z, KNum(1), TAU))
     for g, m in words[:10]:
-        assert t.apply(g) == point_of(mat_apply(m, t.coords))
+        assert t.moved(g.ints) == point_of(mat_apply(m, t.coords))
 
 
 def test_group_elt_refuses_non_integral_matrices():
@@ -447,7 +447,7 @@ def test_rational_point_is_its_six_ints(monkeypatch):
         raise RuntimeError("a KNum was built")
 
     monkeypatch.setattr(hermitian, "knum_from_ints", refused)
-    assert [p.apply(g) for p, (g, _) in zip(points, images)] == [q for _, q in images]
+    assert [p.moved(g.ints) for p, (g, _) in zip(points, images)] == [q for _, q in images]
     monkeypatch.undo()
     # the order of points is the order of their (a, b) pairs
     assert sorted(points) == sorted(points, key=lambda q: tuple((x.na, x.nb) for x in q.coords))

@@ -324,6 +324,32 @@ def test_interior_takes_one_type():
             if any(isinstance(n, ast.Name) and n.id == "Fraction" for n in ast.walk(fn))] == []
 
 
+def test_only_ring_imports_fractions():
+    # rationals stay at the edges, in ring's KNum forms: a Ford sphere's
+    # r^4 = 4/N(a31) is an int pair
+    assert [p.name for p in MODULES if "fractions" in imported_packages(p)] == ["ring.py"]
+
+
+def test_one_sign_rule_and_no_point_apply():
+    # a point moves by p.moved(g.ints), and the sign rule, the comparison
+    # of an int tuple with the zero tuple, is written once: canonical_ints
+    # serves the 18 ints of a matrix and the six of a point's rep, and
+    # ProjPoint.of_primitive calls it
+    body = ast.parse((SRC / "hermitian.py").read_text()).body
+    point = next(n for n in body if isinstance(n, ast.ClassDef) and n.name == "ProjPoint")
+    methods = {n.name: n for n in point.body if isinstance(n, ast.FunctionDef)}
+    assert "apply" not in methods
+    assert "canonical_ints" in {n.id for n in ast.walk(methods["of_primitive"]) if isinstance(n, ast.Name)}
+    rules = []
+    for path in MODULES:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                rules += [(path.name, fn.name) for n in ast.walk(fn) if isinstance(n, ast.Compare)
+                          and any(isinstance(op, (ast.Lt, ast.Gt)) for op in n.ops)
+                          and any(isinstance(c, ast.BinOp) and isinstance(c.left, ast.Tuple) for c in n.comparators)]
+    assert rules == [("hermitian.py", "canonical_ints")]
+
+
 def test_only_ring_reads_k_coefficients():
     # an AlgNum is its ints; its K-coefficients are an edge view of ring.py,
     # so no other module depends on how the two fields store an element

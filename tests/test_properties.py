@@ -103,7 +103,7 @@ def round_trip_orbit():
         w = GroupElt.identity()
         for _ in range(rng.randint(1, 3)):
             w = rng.choice(alphabet) * w
-        xs.append(x0.apply(w))
+        xs.append(x0.moved(w.ints))
     return x0, xs
 
 
@@ -120,7 +120,7 @@ def _reduce_round_trips():
         # the reducing element maps the input to the output exactly, the
         # output lies in Omega, and a generic interior point has a unique
         # Omega-representative in its orbit
-        assert x.apply(g) == y
+        assert x.moved(g.ints) == y
         assert in_omega(y)
         assert y == y0
 

@@ -177,6 +177,12 @@ def test_trace_table_is_derived_exactly():
     assert found == {key: set(orders) for key, orders in torsion._ORDERS_BY_TRACE.items()}
 
 
+def _stabilizer_elements(stabs):
+    """The elements of the stabilizers stabs, a dict of FiniteGroups, as
+    GroupElts in the order of their ints."""
+    return [GroupElt.from_ints(t) for t in sorted(t for st in stabs.values() for t in st.elements)]
+
+
 def test_projective_order_matches_the_product_loop():
     # the trace table and the power check against g, g^2, ..., g^18 on the
     # 396 translates alpha A_j, the cusp torsion, the word-table rows, every
@@ -188,7 +194,7 @@ def test_projective_order_matches_the_product_loop():
     rows = [g for row in torsion_word_rows()
             for g in [row["elt"], row["other"][1]] + [alt for _, alt in row["alt"]]]
     stabs = {c.fixed: c.stab for c in enumerate_torsion() if c.kind == "isolated"}
-    elts = sorted((g for st in stabs.values() for g in st.elements), key=lambda g: g.ints)
+    elts = _stabilizer_elements(stabs)
     mirror = mirror_l_generators()
     cusp = [c.to_matrix() for c in (T1, TTAU, TV, R)]
     rng = random.Random(38)
@@ -321,7 +327,7 @@ def test_make_reflection():
     assert make_reflection((KNum(1), KNum(0), KNum(1))) == GENERATORS[1]
     r1 = make_reflection((KNum(1), KNum(1), TAU_BAR))
     assert projective_order(r1) == 2
-    polar, norm = reflection_polar(r1)
+    polar, norm = reflection_polar(r1.ints)
     assert polar == ProjPoint((KNum(1), KNum(1), TAU_BAR)) and norm == 2
     with pytest.raises(ValueError):
         make_reflection((KNum(1), KNum(1), KNum(1)))  # <v,v> = 3
@@ -346,7 +352,7 @@ def test_classify_isolated_rational():
     kind, pt, norm = classify_elliptic(g4, 4)
     assert (kind, pt, norm) == ("isolated", ProjPoint((KNum(-1), KNum(-1), KNum(1))), -1)
     # the stored point is fixed exactly
-    assert pt.apply(g4) == pt
+    assert pt.moved(g4.ints) == pt
 
 
 def test_classify_isolated_algebraic():
@@ -470,7 +476,7 @@ def test_mirror_is_a_positive_simple_eigenvector():
     repeated = [g for g in torsion._torsion_candidates() if _repeated_eigenvalue(mat_charpoly(g.mat)) is not None]
     assert len(repeated) == 11
     stabs = {c.fixed: c.stab for c in enumerate_torsion() if c.kind == "isolated"}
-    elts = sorted((g for s in stabs.values() for g in s.elements if not g.is_identity()), key=lambda g: g.ints)
+    elts = [g for g in _stabilizer_elements(stabs) if not g.is_identity()]
     signs = []
     for g in repeated + elts:
         charpoly = mat_charpoly(g.mat)
@@ -483,7 +489,7 @@ def test_mirror_is_a_positive_simple_eigenvector():
         norm = sq_norm_ints(v[0] + v[1] + v[2])
         assert norm != 0
         sign = 1 if norm > 0 else -1
-        assert (sign > 0) == _is_mirror(g, lam) == (reflection_polar(g) is not None)
+        assert (sign > 0) == _is_mirror(g, lam) == (reflection_polar(g.ints) is not None)
         signs.append(sign)
     assert 1 in signs and -1 in signs
 
@@ -497,9 +503,9 @@ def test_involution_test_matches_the_eigenvalue_reference():
     # (kind, point, norm), and no other element has a repeated eigenvalue.
     # The identity is no reflection (the reference has no repeated
     # eigenvalue to read there)
-    assert reflection_polar(GroupElt.identity()) is None
+    assert reflection_polar(hermitian.ID_INTS) is None
     stabs = {c.fixed: c.stab for c in enumerate_torsion() if c.kind == "isolated"}
-    elts = [g for s in stabs.values() for g in s.elements if not g.is_identity()]
+    elts = [g for g in _stabilizer_elements(stabs) if not g.is_identity()]
     cands = list(torsion._torsion_candidates())
     assert len(cands) == 65
     rows = [g for row in torsion_word_rows()
@@ -507,7 +513,7 @@ def test_involution_test_matches_the_eigenvalue_reference():
     found = {True: 0, False: 0}
     kinds = {"reflection": 0, "isolated": 0, None: 0}
     for g in elts + cands + rows:
-        got = reflection_polar(g)
+        got = reflection_polar(g.ints)
         assert got == ref_reflection_polar(g)
         found[got is None] += 1
         charpoly = mat_charpoly(g.mat)
@@ -537,7 +543,7 @@ def test_involution_test_refuses_infinite_order_words():
         w = rng.choice(pairs)
         for _ in range(rng.randint(0, 3)):
             w = rng.choice(pairs) * rng.choice(cusp) * w
-        got = reflection_polar(w)
+        got = reflection_polar(w.ints)
         if projective_order(w) is not None:
             assert got == ref_reflection_polar(w)
             seen["finite"] += 1
@@ -556,7 +562,7 @@ def test_involution_test_refuses_infinite_order_words():
     w = R.to_matrix() * TV.to_matrix()
     assert projective_order(w) is None and len(eigenspace_basis(w, KNum(1))) == 1
     assert ref_reflection_polar(w) == (ProjPoint((KNum(0), KNum(1), KNum(0))), 1)
-    assert reflection_polar(w) is None
+    assert reflection_polar(w.ints) is None
 
 
 def test_tjk_basics():
@@ -598,30 +604,63 @@ def test_orbit_walk_order_depth_and_cap():
         list(orbit_walk([0], [1], step, cap=5))
 
 
-def _reference_ball(start, depth):
-    """The ball as it was built before the Schreier tree: one product per point."""
-    seen = {start: GroupElt.identity()}
+def _reference_ball(start, depth, alphabet, target=None):
+    """The ball as it was built before its Schreier tree was keyed on ints:
+    {ProjPoint: (parent, letter, product)} in breadth-first order, with one
+    `ProjPoint.moved` and one product per point, stopping at target."""
+    tree = {start: (None, None, GroupElt.identity())}
     frontier = [start]
     for _ in range(depth):
         new = []
         for p in frontier:
-            for g in _search_alphabet():
-                q = p.apply(g)
-                if q not in seen:
-                    seen[q] = g * seen[p]
+            for g in alphabet:
+                q = p.moved(g.ints)
+                if q not in tree:
+                    tree[q] = (p, g, g * tree[p][2])
+                    if q == target:
+                        return tree
                     new.append(q)
         frontier = new
-    return seen
+    return tree
 
 
-def test_orbit_ball_rebuilds_the_stored_products():
-    start = reflection_polar(GENERATORS[1])[0]
-    ball, ref = _orbit_ball(start, 2), _reference_ball(start, 2)
-    assert list(ball) == list(ref)
-    for q, g in ref.items():
-        w = walk_element(ball, q)
-        assert w.mat == g.mat and w.word == g.word
-        assert q.apply(w.inverse()) == start
+def _check_int_tree(tree, ref):
+    """A Schreier tree keyed on the six ints of each point's rep against
+    the ProjPoint-keyed reference: the same reps in the same insertion
+    order, the same parent and letter at every node, and the stored
+    product rebuilt by walk_element, with its word."""
+    assert list(tree) == [p.rep for p in ref]
+    for q, (p, (rp, letter, product)) in zip(tree, ref.items()):
+        parent, got = tree[q]
+        assert parent == (None if rp is None else rp.rep)
+        assert got is letter is None or (got == letter and got.word == letter.word)
+        w = walk_element(tree, q)
+        assert w.ints == product.ints and w.word == product.word
+        assert ProjPoint.of_primitive(q).moved(w.inverse().ints).rep == next(iter(tree))
+
+
+def test_orbit_ball_rebuilds_the_stored_products(monkeypatch):
+    # the 7 distinct depth-4 balls of the enumeration's reflection merges,
+    # and the cusp-orbit search of mirror L up to its target
+    starts = []
+    exact = _orbit_ball
+    monkeypatch.setattr(torsion, "_orbit_ball", lambda v, depth: starts.append((v, depth)) or exact(v, depth))
+    torsion.enumerate_torsion.__wrapped__()
+    balls = list(dict.fromkeys(starts))
+    assert len(starts) == 10 and len(balls) == 7 and {d for _, d in balls} == {4}
+    for v, depth in balls:
+        tree = exact(v, depth)
+        assert all(type(q) is tuple and len(q) == 6 for q in tree)
+        _check_int_tree(tree, _reference_ball(ProjPoint.of_primitive(v), depth, _search_alphabet()))
+    searched = []
+    monkeypatch.setattr(mirror, "walk_element", lambda tree, q: searched.append(dict(tree)) or walk_element(tree, q))
+    mirror.verify_mirror_L.__wrapped__()
+    (tree,) = searched
+    q_inf = ProjPoint((KNum(1), KNum(0), KNum(0)))
+    target = ProjPoint(mirror.S2_FIXED)
+    ref = _reference_ball(q_inf, 5, _search_alphabet(), target)
+    assert list(ref)[-1] == target
+    _check_int_tree(tree, ref)
 
 
 def test_reflection_conjugacy_known_pairs():
@@ -666,25 +705,23 @@ def test_reflection_conjugacy_builds_each_ball_once(monkeypatch):
     first = reflection_conjugacy(a, b)
     assert first is not None and reflection_conjugacy(a, b) == first
     # one walk from each polar; the second call reads the same two balls
-    assert sorted(walks, key=repr) == sorted(
-        [(reflection_polar(a)[0],), (reflection_polar(b)[0],)], key=repr
-    )
+    assert sorted(walks) == sorted([(reflection_polar(a.ints)[0].rep,), (reflection_polar(b.ints)[0].rep,)])
 
 
 def test_finite_group_closure(monkeypatch):
-    fg = FiniteGroup([R.to_matrix()])
+    fg = FiniteGroup([R.to_matrix().ints])
     assert (fg.linear_order, fg.projective_order, fg.scalar_order) == (4, 2, 2)
     # the walk holds one element per pair +/-M, so it stops at half the cap
     walks = []
     monkeypatch.setattr(torsion, "orbit_walk", lambda *args, **kw: walks.append(kw["cap"]) or orbit_walk(*args, **kw))
     monkeypatch.setattr(torsion, "CLOSURE_CAP", 50)
     with pytest.raises(ClosureError):
-        FiniteGroup([T1.to_matrix()])
+        FiniteGroup([T1.to_matrix().ints])
     assert walks == [25]
     # exactly one walked element, 1, is scalar
     monkeypatch.setattr(torsion, "ints_are_scalar", lambda t: True)
     with pytest.raises(ArithmeticError, match="scalar other than"):
-        FiniteGroup([R.to_matrix()])
+        FiniteGroup([R.to_matrix().ints])
 
 
 def _command_stabilizers(monkeypatch):
@@ -717,13 +754,15 @@ def _command_stabilizers(monkeypatch):
 def test_stabilizers_match_the_linear_closure(monkeypatch):
     # the projective walk gives what the walk of the linear group from
     # +/-Id gives, with the reflections of the repeated-eigenvalue
-    # reference, for every stabilizer the commands close
+    # reference, for every stabilizer the commands close.  The closure's
+    # elements are the canonical ints of the reference's GroupElts
     orders = set()
     for st, gens in _command_stabilizers(monkeypatch):
         ref = RefFiniteGroup(gens)
-        for name in ("linear_order", "scalar_order", "projective_order", "elements", "reflections",
+        for name in ("linear_order", "scalar_order", "projective_order", "reflections",
                      "one_lines", "two_lines", "two_line_orbits"):
             assert getattr(st, name) == getattr(ref, name), name
+        assert st.elements == {g.ints for g in ref.elements}
         orders.add(st.projective_order)
     assert len(orders) > 3
 
@@ -732,18 +771,18 @@ def test_trace_first_involution_test_matches_the_square_only_reference(monkeypat
     # an involution other than +/-Id has the trace +/-1, so reading the
     # trace first drops no axis: every element of every stabilizer the
     # commands close, and every alpha A_j the candidate sweeps form
-    elts = {g for st, _ in _command_stabilizers(monkeypatch) for g in st.elements}
+    elts = {t for st, _ in _command_stabilizers(monkeypatch) for t in st.elements}
     for j in sorted(GENERATORS):
         a = GENERATORS[j]
-        elts |= {GroupElt.from_ints(ints_product(alpha.ints, a.ints)) for alpha in enumerate_tjk(j, INVERSE_PAIRS[j])}
+        elts |= {hermitian.canonical_ints(ints_product(alpha.ints, a.ints)) for alpha in enumerate_tjk(j, INVERSE_PAIRS[j])}
     squares = []
     exact = torsion.ints_product
     monkeypatch.setattr(torsion, "ints_product", lambda x, y: squares.append(x) or exact(x, y))
     seen = {"axis": 0, "square refused": 0, "trace refused": 0}
-    for g in elts:
+    for t in elts:
         squares.clear()
-        got = torsion._involution_axis(g)
-        assert got == ref_involution_axis(g)
+        got = torsion._involution_axis(t)
+        assert got == ref_involution_axis(GroupElt.from_ints(t))
         seen["axis" if got is not None else "square refused" if squares else "trace refused"] += 1
     assert all(seen.values()), seen
     assert seen["trace refused"] > seen["axis"] + seen["square refused"]
@@ -802,8 +841,8 @@ def test_v1_cycle_graph_and_stabilizer():
     assert stab.projective_order == 8
     assert stab.scalar_order == 2
     assert sorted(n for _, n in stab.reflections) == [1, 1, 2, 2]
-    assert R.to_matrix() in stab.elements
-    assert GENERATORS[6] in stab.elements
+    assert R.to_matrix() in stab and R.to_matrix().ints in stab.elements
+    assert GENERATORS[6] in stab
 
 
 def _moves_at(v):
@@ -868,8 +907,8 @@ def test_walk_matches_the_edge_list_fixpoint():
         ref_gens = ref_stabilizer_gens(edges, ref)
         assert list(graph[p].transports) == vertices
         assert graph[p].transports == {vertices[i]: t for i, t in ref.items()}
-        assert {s.ints for s in graph[p].gens} <= {s.ints for s in ref_gens}
-        assert stabilizer(p, graph).elements == FiniteGroup(ref_gens).elements
+        assert set(graph[p].gens) <= {s.ints for s in ref_gens}
+        assert stabilizer(p, graph).elements == FiniteGroup([s.ints for s in ref_gens]).elements
         pairs = [(src, dst) for src, dst, _ in edges if src != dst]
         parallel += len(pairs) - len(set(pairs))
     # some vertex is found by two moves, so the least-move rule is tested
@@ -877,12 +916,17 @@ def test_walk_matches_the_edge_list_fixpoint():
 
 
 def test_schreier_generators_are_distinct_int_products():
-    # each orbit keeps each Schreier generator once and never the identity,
-    # where the edge composites repeat some
+    # each orbit keeps each Schreier generator once, as its canonical 18
+    # ints, and never the identity, where the edge composites repeat some;
+    # its stabilizer's elements are canonical 18-int tuples too
     repeats = 0
     for p in _one_point_graph_points():
-        gens = build_cycle_graph([p])[p].gens
-        assert len(set(gens)) == len(gens) and not any(g.is_identity() for g in gens)
+        graph = build_cycle_graph([p])
+        gens = graph[p].gens
+        for t in gens + list(stabilizer(p, graph).elements):
+            assert type(t) is tuple and len(t) == 18 and all(type(x) is int for x in t)
+            assert t == hermitian.canonical_ints(t)
+        assert len(set(gens)) == len(gens) and hermitian.ID_INTS not in gens
         _, edges = ref_cycle_graph([p])
         ref_gens = ref_stabilizer_gens(edges, ref_spanning_transports(edges, 0))
         repeats += len(ref_gens) - len(set(ref_gens))
@@ -899,7 +943,7 @@ def test_walk_bases_each_orbit_once():
     with pytest.raises(ValueError):
         stabilizer(v2, both)
     t = graph[V1].transports[v2]
-    assert V1.apply(t) == v2
+    assert V1.moved(t.ints) == v2
 
 
 def test_isolated_classes_keep_their_own_orbit():
@@ -924,7 +968,7 @@ def test_reflection_classes():
     assert sorted(c.polar_norm for c in refl) == [1, 2]
     for c in refl:
         assert c.proj_order == 2
-        assert reflection_polar(c.rep)[0] == c.polar
+        assert reflection_polar(c.rep.ints)[0] == c.polar
 
 
 def test_isolated_class_counts():
@@ -1100,7 +1144,7 @@ def test_tower_int_path_matches_the_algnum_reference(monkeypatch):
         graphs.append(build_cycle_graph(vertices))
         return graphs[-1]
 
-    monkeypatch.setattr(mirror, "build_cycle_graph", recorded)
+    monkeypatch.setattr(torsion, "build_cycle_graph", recorded)
     mirror.verify_mirror_R.__wrapped__()
     assert len(graphs) == 3
     points += [v for graph in graphs for v in _vertices(graph)]
@@ -1181,7 +1225,7 @@ def test_overlaps_keeping_matches_the_table_on_paper_graphs(monkeypatch):
         graphs.append(build_cycle_graph(points))
         return graphs[-1]
 
-    monkeypatch.setattr(mirror, "build_cycle_graph", recorded)
+    monkeypatch.setattr(torsion, "build_cycle_graph", recorded)
     mirror.verify_mirror_R.__wrapped__()
     assert len(graphs) == 3
     vertices += [v for graph in graphs for v in _vertices(graph)]
@@ -1265,7 +1309,7 @@ def test_isolated_reps_fix_their_points():
     for c in _classes_by("isolated"):
         assert projective_order(c.rep) == c.proj_order
         if c.fixed.rational:
-            assert c.fixed.apply(c.rep) == c.fixed
+            assert c.fixed.moved(c.rep.ints) == c.fixed
         else:
             assert point_of(mat_apply(c.rep.mat, c.fixed.coords)) == c.fixed
 
