@@ -5,9 +5,12 @@ for every g not stabilizing q_inf; combined with the cone C_P over the
 prism this gives the fundamental domain Omega = F cap C_P.  Membership is
 always decided by that exact norm comparison; the Cygan-sphere radius
 r^4 = 4 / N(a31) only bounds which translates are compared: the candidate
-enumerations, and the window of each field's sweep, a lattice disk of
-planar parts and a range of l, from the point's ints in K and from exact
-brackets of its coordinates in K(zeta_3) and K(zeta_7).
+enumerations, and the window of each sweep, a lattice disk of planar
+parts and a range of l, from the point's ints in K and from exact
+brackets of its coordinates in K(zeta_3) and K(zeta_7).  There are two
+sweeps: the K kernel, on a rational point's six ints, and one tower
+sweep that serves both fields through ring's K-coefficient vectors, real
+ints and signs, with no branch on the field.
 A point's place over the prism is read off its vector
 (`heisenberg.prism_coordinates`), and the cusp element that moves it into
 the prism acts on the vector by its matrix; a sphere's center is kept as
@@ -18,8 +21,9 @@ O_7^3 to primitive vectors, so the reduced point takes the sign rule of
 its rep and no gcd.  A tower point is ints in the same way, its
 ProjPoint's rep (f1, f2, den): the field ints of v1 and v2 at v3 = 1 over
 one den.  Each step reads its prism coordinates off the rep, sweeps the
-vector (f1, f2, den), and moves it on the field's ints, which
-`ProjPoint.of_tower` takes to the next rep.  A tower sweep does not
+vector (f1, f2, den), and moves it on its K-coefficient vectors
+(`hermitian._tower_apply`), which `ProjPoint.of_tower` takes to the next
+rep.  A tower sweep does not
 depend on the mode of the caller, so the hits of each are memoized on the
 vector's ints: the cycle graph at a reduced tower point reads the
 reduction's last sweep.
@@ -28,6 +32,7 @@ reduction's last sweep.
 from collections import namedtuple
 from functools import cache
 from math import gcd, isqrt
+from operator import sub
 
 from .ring import (
     ISQRT7,
@@ -36,10 +41,8 @@ from .ring import (
     TAU,
     TAU_BAR,
     ZERO,
-    eta_sign,
     field_of,
-    sqrt21_sign,
-    zeta7_autocorr,
+    real_field,
 )
 from .hermitian import (
     ID_INTS,
@@ -357,32 +360,36 @@ def candidate_spheres(j: int) -> dict:
 
 
 def _forms(v):
-    """Two 6-tuples X, Y of ints with <v, col> = X.col + (Y.col) tau for v in O_7^3.
+    """Two 6-tuples X, Y of ints with <v, col> = X.col + (Y.col) tau for v
+    in O_7^3 with the six ints v.
 
     <v, col> = sum_k conj(col_k) v_(4-k), and conj(a + b tau)(c + e tau)
     = a c + b (c + 2 e) + (a e - b c) tau.
     """
-    (c1, e1), (c2, e2), (c3, e3) = v
+    c1, e1, c2, e2, c3, e3 = v
     return ((c3, c3 + 2 * e3, c2, c2 + 2 * e2, c1, c1 + 2 * e1),
             (e3, -c3, e2, -c2, e1, -c1))
 
 
-# One sweep kernel per field: (quantity, cmp, sweep).  quantity(v) is
-# |v3|^2 of an integral vector v, up to one positive factor, in an exact int
-# form; cmp(p, q) is the exact sign of the difference of two quantities;
-# sweep(v, own, g, best) yields (sign, quantity, j, alpha) for each candidate
-# translate alpha of j whose column col = alpha(A_j(inf)) has
-# |<v, col>|^2 <= own, for an integral v whose point's prism coordinates
-# have the grid g (`prism_grid`), in (j, alpha) order.  v is six ints for
-# K, and three tuples of the field's ints for a tower.  Each kernel
-# compares only the translates in a window derived from that inequality,
-# and decides each on ints; the K kernel reads its window off v's six
-# ints, and the tower kernels off the brackets in g.  With best set, a
-# kernel may yield only the hits whose quantity is below own and below
-# every quantity it yielded before: the last is still the first smallest
-# strict hit.  The K kernel does, and narrows its window to match; the
-# tower kernels ignore best, and return the memoized tuple of their hits
-# (`_tower_hits`).
+# A sweep kernel is (quantity, cmp, sweep): one for K and one for both
+# towers.  quantity(v) is |v3|^2 of an integral vector v in an exact int
+# form: the int N(v3) in K, and the real ints of v3 conj(v3) in a tower
+# (`ring.real_field` tells the field by their number).  cmp(p, q) is the
+# exact sign of the difference of two quantities, on the field's
+# real_sign in a tower.  sweep(v, own, g, best) yields (sign, quantity, j,
+# alpha) for each candidate translate alpha of j whose column col =
+# alpha(A_j(inf)) has |<v, col>|^2 <= own, for an integral v whose point's
+# prism coordinates have the grid g (`prism_grid`), in (j, alpha) order.
+# v is six ints for K, and three tuples of the field's ints for a tower.
+# Each kernel compares only the translates in a window derived from that
+# inequality, and decides each on ints; the K kernel reads its window off
+# v's six ints, and the tower kernel off the brackets in g.  With best
+# set, a kernel may yield only the hits whose quantity is below own and
+# below every quantity it yielded before: the last is still the first
+# smallest strict hit.  The K kernel does, and narrows its window to
+# match; the tower kernel ignores best, and returns the memoized tuple of
+# its hits (`_tower_hits`).  The K kernel stays apart from the tower one:
+# it is the path of every K-rational query, written out on the six ints.
 
 
 def _k_cmp(p, q) -> int:
@@ -512,58 +519,16 @@ def _k_sweep(v, own, _g, best):
                         limit, qb = h - 1, _sqrt_ints(h - 1, own)[1]
 
 
-def _zeta3_quantity(x0, y0, x1, y1):
-    """(m, n) with 2|X0 + X1 zeta_3|^2 = m + n sqrt(21), X_i = x_i + y_i tau.
-
-    With conj(X0) X1 = p + q tau, 2|X0 + X1 zeta_3|^2 = 2 N(X0) + 2 N(X1)
-    - (2 p + q) - q sqrt(21).
-    """
-    p = x0 * x1 + y0 * (x1 + 2 * y1)
-    q = x0 * y1 - y0 * x1
-    return 2 * (x0 * x0 + x0 * y0 + 2 * y0 * y0 + x1 * x1 + x1 * y1 + 2 * y1 * y1) - 2 * p - q, -q
+def _tower_quantity(v):
+    """The real ints of |v3|^2 = v3 conj(v3) for a tower vector v."""
+    f = v[2]
+    tw = field_of(f)
+    return tw.real_part(tw.mul(f, tw.conj(f)))
 
 
-def _zeta3_quantity_of(v):
-    return _zeta3_quantity(*v[2])
-
-
-def _zeta3_cmp(p, q) -> int:
-    return sqrt21_sign(p[0] - q[0], p[1] - q[1])
-
-
-def _zeta3_sweep(v, own, g):
-    """v = v0 + v1 zeta_3 with v0, v1 in O_7^3: <v, col> = X0 + X1 zeta_3,
-    and the quantity is the int pair (m, n) of 2|X0 + X1 zeta_3|^2."""
-    rows = _forms([f[:2] for f in v]) + _forms([f[2:] for f in v])
-    yield from _tower_sweep(v, own, g, rows, lambda h: _zeta3_quantity(*h), _zeta3_cmp)
-
-
-def _zeta7_quantity_of(v):
-    return zeta7_autocorr((0,) + v[2])
-
-
-def _zeta7_cmp(p, q) -> int:
-    # sum_m d_m zeta^m = d_0 + sum_k d_k eta_k = sum_k (d_k - d_0) eta_k,
-    # as the eta_k sum to -1
-    d0 = p[0] - q[0]
-    return eta_sign(p[1] - q[1] - d0, p[2] - q[2] - d0, p[3] - q[3] - d0)
-
-
-def _zeta7_sweep(v, own, g):
-    """v in O_K(zeta_7)^3, each coordinate its ints F_1 .. F_6 and F_0 = 0: the
-    quantity is the autocorrelation (h_0, .., h_3) of <v, col>, |x|^2 =
-    sum_m h_m zeta_7^m."""
-    # conj(a + b tau) F = a F + b G with G = conj(tau) F, and conj(tau) =
-    # 1 + zeta^3 + zeta^5 + zeta^6; one row of ints (F_m, G_m of v3, v2,
-    # v1) per power of zeta, as col_k pairs with v_(4-k)
-    coords = [(0,) + f for f in reversed(v)]
-    rows = []
-    for m in range(7):
-        row = []
-        for f in coords:
-            row += (f[m], f[m] + f[m - 3] + f[m - 5] + f[m - 6])
-        rows.append(row)
-    yield from _tower_sweep(v, own, g, rows, zeta7_autocorr, _zeta7_cmp)
+def _tower_cmp(p, q) -> int:
+    """The exact sign of p - q for the real ints p and q of one field."""
+    return real_field(p).real_sign(tuple(map(sub, p, q)))
 
 
 def _height_bracket(v) -> int:
@@ -576,19 +541,26 @@ def _height_bracket(v) -> int:
     return bracket([-y for y in tower_sq_norm(tw, f1, f2, scale)], scale * scale)
 
 
-def _tower_sweep(v, own, g, rows, quantity, cmp):
+def _tower_sweep(v, own, g):
     """The sweep of v over K(zeta_3) or K(zeta_7), on a window like _k_sweep's.
 
-    The ints h of <v, col> in the field's basis are r.col for r in rows,
-    quantity(h) is the field's quantity of that <v, col>, and cmp compares
-    quantities exactly, as in _KERNELS.  v is the vector (f1, f2, den) of
-    a tower ProjPoint's rep (its normal form at v3 = 1, times den), and g
-    the grid of its prism coordinates, whose values 2k + 1 hold the
-    brackets k = floor(2^16 x) of a, b and s (`prism_grid`).  The point's z = a + b tau, s and u' =
-    -<v, v>/|v3|^2 are real elements of the field; each lies in [k, k +
-    1]/2^16 for its bracket k (`bracket`, and `_height_bracket` for u'),
-    exact by the field's floor_real on its real ints.  So u' >= ku/2^16,
-    and zc = (ka + kb tau)/2^16 is within |1 + tau|/2^16 = 2/2^16 of z.
+    <v, col> = sum_j <p_j, col> zeta^j over the K-coefficient vectors p_j
+    of v (`k_vectors`), and `_forms` of p_j gives the int pairs of
+    <p_j, col>, each a dot product with col.  The field's from_k_ints is
+    linear, so mapping those forms column by column gives rows whose dot
+    products with col are the field ints h of <v, col>: four rows for
+    K(zeta_3), six for K(zeta_7).  The quantity of h is the real ints of
+    h conj(h), and the field's real_sign decides its difference with own,
+    as in `_tower_quantity` and `_tower_cmp`.
+
+    v is the vector (f1, f2, den) of a tower ProjPoint's rep (its normal
+    form at v3 = 1, times den), and g the grid of its prism coordinates,
+    whose values 2k + 1 hold the brackets k = floor(2^16 x) of a, b and s
+    (`prism_grid`).  The point's z = a + b tau, s and u' = -<v, v>/|v3|^2
+    are real elements of the field; each lies in [k, k + 1]/2^16 for its
+    bracket k (`bracket`, and `_height_bracket` for u'), exact by the
+    field's floor_real on its real ints.  So u' >= ku/2^16, and zc = (ka +
+    kb tau)/2^16 is within |1 + tau|/2^16 = 2/2^16 of z.
 
     For the center z0 = p + q tau of alpha(I(A_j)) and its s = sc at l = 0,
     |<v/v3, col/col3>|^2 = ((u' + N(z - z0))^2 + 28 (l - l*)^2)/4 with
@@ -596,9 +568,13 @@ def _tower_sweep(v, own, g, rows, quantity, cmp):
     u' + N(z - z0) <= r^2, a lattice disk about zc once widened by 2/2^16,
     and 28 (l - l*)^2 <= r^4 - L^2 for a lower bound L of u' + N(z - z0);
     with the brackets' interval for l*, that is a window of l.  Each l in
-    it and in the candidate window of (m, n, eps) for j is decided by cmp,
-    on <v, col> = Z + l D with D = <v, (i sqrt(7) c3, 0, 0)>.
+    it and in the candidate window of (m, n, eps) for j is decided on
+    <v, col> = Z + l D with D = <v, (i sqrt(7) c3, 0, 0)>.
     """
+    tw = field_of(v[0])
+    mul, conj, real_part, real_sign = tw.mul, tw.conj, tw.real_part, tw.real_sign
+    forms = [r for p in tw.k_vectors(v) for r in _forms(p)]
+    rows = list(zip(*map(tw.from_k_ints, zip(*forms))))
     ka, kb, ks = g[0] >> 1, g[1] >> 1, g[2] >> 1
     ku = _height_bracket(v)
     for j in sorted(GENERATORS):
@@ -659,8 +635,9 @@ def _tower_sweep(v, own, g, rows, quantity, cmp):
                 z = [e1 * a1 + e2 * b1 + e3 * a2 + e4 * b2 + e5 * p3 + e6 * q3
                      for e1, e2, e3, e4, e5, e6 in rows]
                 for l in ls:
-                    h = quantity([zk + l * dk for zk, dk in zip(z, dl)])
-                    sign = cmp(h, own)
+                    h = [zk + l * dk for zk, dk in zip(z, dl)]
+                    h = real_part(mul(h, conj(h)))
+                    sign = real_sign(tuple(map(sub, h, own)))
                     if sign <= 0:
                         hits.append((CuspElt(m, n, eps, l), sign, h))
         hits.sort()
@@ -668,50 +645,42 @@ def _tower_sweep(v, own, g, rows, quantity, cmp):
             yield sign, h, j, alpha
 
 
-#: the sweep of each tower, by n for K(zeta_n)
-_TOWER_SWEEPS = {3: _zeta3_sweep, 7: _zeta7_sweep}
-
-
 @cache
-def _tower_hits(v, own, g, n):
-    """The hits of the sweep of v over K(zeta_n), as a tuple, memoized on
-    the vector's ints.
+def _tower_hits(v, own, g):
+    """The hits of the tower sweep of v, as a tuple, memoized on the
+    vector's ints.
 
     A tower sweep ignores best, so `reduce_to_domain`'s last sweep, which
     certifies that its answer y lies in Omega, and the `spheres_at` sweep
     of a cycle graph at y are one call, with the same vector, own and
     grid: the second reads the first's hits.
     """
-    return tuple(_TOWER_SWEEPS[n](v, own, g))
+    return tuple(_tower_sweep(v, own, g))
 
 
-#: the sweep kernel of each field, by n for K(zeta_n), 1 for K; a tower
-#: kernel ignores best and returns the memoized hits of its field's sweep
-_KERNELS = {
-    1: (_k_quantity, _k_cmp, _k_sweep),
-    3: (_zeta3_quantity_of, _zeta3_cmp, lambda v, own, g, _best: _tower_hits(v, own, g, 3)),
-    7: (_zeta7_quantity_of, _zeta7_cmp, lambda v, own, g, _best: _tower_hits(v, own, g, 7)),
-}
+#: the K kernel, and the kernel of both towers, which ignores best and
+#: returns the memoized hits of the tower sweep
+_K_KERNEL = (_k_quantity, _k_cmp, _k_sweep)
+_TOWER_KERNEL = (_tower_quantity, _tower_cmp, lambda v, own, g, _best: _tower_hits(v, own, g))
 
 
 def _sweep_vector(rep):
-    """(vs, own, kernel): a ProjPoint's rep prepared for a Ford sweep.
+    """(vs, own, kernel): a ProjPoint's rep prepared for a Ford sweep, with
+    the K kernel or the tower kernel.
 
     A K-rational point's vector is the six ints of its rep, which the K
     kernel sweeps as they are.  A tower rep (f1, f2, den) is the point's
-    vector at v3 = 1 as field ints over den, and the kernel sweeps den
-    times it, the integral vector (f1, f2, den).  Each test of a sweep
-    compares N(<v, col>) with N(v3), and both are homogeneous of degree 2
-    in v, so the scale changes no sign, order or tie, and every quantity of
-    the sweep is an int form of the kernel of v's field.  own is the
-    quantity of its v3.
+    vector at v3 = 1 as field ints over den, and the tower kernel sweeps
+    den times it, the integral vector (f1, f2, den), in either field.  Each
+    test of a sweep compares N(<v, col>) with N(v3), and both are
+    homogeneous of degree 2 in v, so the scale changes no sign, order or
+    tie.  own is the quantity of its v3.
     """
     if type(rep[0]) is int:
-        vs, kernel = rep, _KERNELS[1]
+        vs, kernel = rep, _K_KERNEL
     else:
         f1, f2, d = rep
-        tw = field_of(f1)
-        vs, kernel = (f1, f2, tw.lift(d, 0)), _KERNELS[tw.n]
+        vs, kernel = (f1, f2, field_of(f1).lift(d, 0)), _TOWER_KERNEL
     return vs, kernel[0](vs), kernel
 
 

@@ -17,14 +17,11 @@ from math import gcd, isqrt, lcm
 
 from .ring import (
     KNum,
-    ONE,
-    ZERO,
     adjugate,
     field_of,
     format_knum,
     knum_from_ints,
     parse_knum,
-    zeta7_tower,
     _alg,
     _gcd_ints,
 )
@@ -61,9 +58,6 @@ def _herm_inner_k(v1, v2, v3, w1, w2, w3) -> KNum:
 def sq_norm(v):
     """<v,v>, a real scalar."""
     return herm_inner(v, v)
-
-
-Q_INF = (ONE, ZERO, ZERO)
 
 
 class Mat(namedtuple("Mat", "rows")):
@@ -311,9 +305,6 @@ class ProjPoint(namedtuple("ProjPoint", "rep rational")):
 
     def __repr__(self):
         return f"ProjPoint({', '.join(str(c) for c in self.coords)})"
-
-    def sq_norm(self):
-        return sq_norm(self.coords)
 
     def sq_norm_sign(self) -> int:
         if self.rational:
@@ -595,19 +586,11 @@ def _init_elt(g: GroupElt, t, word):
 
 def _tower_apply(t, fs):
     """The field ints of M v, for M with 18 ints t and the tower vector v
-    with the field ints fs.  M is a matrix over K, so it acts on the vector
-    of each power zeta^j's K-coefficients alone, by `_apply_ints`.  The
-    ints (a0, b0, a1, b1) of K(zeta_3) are those coefficients' int pairs;
-    K(zeta_7)'s are converted to them and back (`k_ints`)."""
-    f1, f2, f3 = fs
-    if len(f1) == 4:
-        p = _apply_ints(t, f1[:2] + f2[:2] + f3[:2])
-        q = _apply_ints(t, f1[2:] + f2[2:] + f3[2:])
-        return p[0:2] + q[0:2], p[2:4] + q[2:4], p[4:6] + q[4:6]
-    tw = zeta7_tower()
-    c1, c2, c3 = tw.k_ints(f1), tw.k_ints(f2), tw.k_ints(f3)
-    p, q, r = (_apply_ints(t, c1[i:i + 2] + c2[i:i + 2] + c3[i:i + 2]) for i in (0, 2, 4))
-    return tuple(tw.from_k_ints(p[i:i + 2] + q[i:i + 2] + r[i:i + 2]) for i in (0, 2, 4))
+    with the field ints fs.  M is a matrix over K, so it acts on the
+    K-coefficient vector of each power zeta^j alone, by `_apply_ints`, and
+    the field takes the images back (`k_vectors`, `from_k_vectors`)."""
+    tw = field_of(fs[0])
+    return tw.from_k_vectors([_apply_ints(t, p) for p in tw.k_vectors(fs)])
 
 
 def tower_sq_norm(tw, f1, f2, d):

@@ -36,9 +36,16 @@ x = a + b tau into real a and b on ints (`real_split`), and decides the
 sign and floor of a real element on its real ints.
 
 A vector over either field is three tuples of its ints (`field_of` tells
-the field by their number).  K(zeta_7)'s ints convert to the int pairs of
-their K-coefficients in the power basis 1, zeta_7, zeta_7^2 (`k_ints`),
-which a matrix over K acts on; K(zeta_3)'s ints are those pairs already.
+the field by their number).  Its K-coefficient vectors, one for each power
+zeta^j of the power basis, are the six ints of the int pairs of its three
+coordinates' K-coefficients at zeta^j, which a matrix over K or a column of
+O_7^3 acts on; each field gives them and takes them back (`k_vectors`,
+`from_k_vectors`), and takes the K-coefficient int pairs of one element to
+its ints (`from_k_ints`).  K(zeta_3)'s ints are those pairs, so its
+K-coefficient vectors regroup them as they are; K(zeta_7)'s convert to
+them and back (`k_ints`).
+The root of unity an eigenvalue needs is named by its order alone
+(`root_of_unity`): no other module names a field.
 
 No field uses floating point or interval libraries: every sign is exact.
 """
@@ -404,9 +411,9 @@ class Zeta3Tower:
 
     x = C0 + C1 zeta, zeta = zeta_3, with K-coefficients C_j = (a_j + b_j
     tau)/D over one denominator, is the four ints f = (a0, b0, a1, b1)
-    over D.  zeta has the minimal polynomial x^2 + x + 1 over K (`minpoly`,
-    low degree first), zeta^2 = -1 - zeta and conj(zeta) = zeta^2, so for
-    integral X = C0 + C1 zeta and Y = E0 + E1 zeta:
+    over D.  zeta has the minimal polynomial x^2 + x + 1 over K,
+    zeta^2 = -1 - zeta and conj(zeta) = zeta^2, so for integral X = C0 +
+    C1 zeta and Y = E0 + E1 zeta:
 
     - X*Y = (C0 E0 - C1 E1) + (C0 E1 + C1 E0 - C1 E1) zeta;
     - conj(X) = (conj(C0) - conj(C1)) - conj(C1) zeta;
@@ -422,12 +429,26 @@ class Zeta3Tower:
     n = 3
     degree = 2
     key = ("zeta", 1, 3)
-    # Phi_3 = x^2 + x + 1 is irreducible over K
-    minpoly = (ONE, ONE, ONE)
     zeta = (0, 0, 1, 0)
 
     def lift(self, a: int, b: int):
         return a, b, 0, 0
+
+    def from_k_ints(self, c):
+        """The ints of the element with the K-coefficient int pairs c: those pairs."""
+        return c
+
+    def k_vectors(self, fs):
+        """The K-coefficient vectors of the vector with the field ints fs, at
+        1 and at zeta: coordinate k is (a_k, b_k, c_k, e_k), with the
+        K-coefficients a_k + b_k tau and c_k + e_k tau."""
+        (a1, b1, c1, e1), (a2, b2, c2, e2), (a3, b3, c3, e3) = fs
+        return (a1, b1, a2, b2, a3, b3), (c1, e1, c2, e2, c3, e3)
+
+    def from_k_vectors(self, ps):
+        """The field ints of the vector with the K-coefficient vectors ps."""
+        (a1, b1, a2, b2, a3, b3), (c1, e1, c2, e2, c3, e3) = ps
+        return (a1, b1, c1, e1), (a2, b2, c2, e2), (a3, b3, c3, e3)
 
     def as_int(self, f):
         """The int c with f = lift(c, 0), or None when there is none."""
@@ -533,20 +554,6 @@ def eta_sign(e1: int, e2: int, e3: int) -> int:
         p *= 2
 
 
-def zeta7_autocorr(f):
-    """(h_0, h_1, h_2, h_3), h_m = sum_i f_i f_(i-m) (indices mod 7).
-
-    |sum f_k zeta^k|^2 = sum h_m zeta^m for ints f_k, and h_(7-m) = h_m.
-    """
-    f0, f1, f2, f3, f4, f5, f6 = f
-    return (
-        f0 * f0 + f1 * f1 + f2 * f2 + f3 * f3 + f4 * f4 + f5 * f5 + f6 * f6,
-        f0 * f6 + f1 * f0 + f2 * f1 + f3 * f2 + f4 * f3 + f5 * f4 + f6 * f5,
-        f0 * f5 + f1 * f6 + f2 * f0 + f3 * f1 + f4 * f2 + f5 * f3 + f6 * f4,
-        f0 * f4 + f1 * f5 + f2 * f6 + f3 * f0 + f4 * f1 + f5 * f2 + f6 * f3,
-    )
-
-
 class Zeta7Tower:
     """K(zeta_7) = Q(zeta_7), with its arithmetic, signs and floors on six ints.
 
@@ -572,13 +579,6 @@ class Zeta7Tower:
     n = 7
     degree = 3
     key = ("zeta", 1, 7)
-    # Phi_7 splits over K into two conjugate cubics; the one kept has the
-    # roots zeta, zeta^2, zeta^4 of zeta = exp(2*pi*i/7).  Their
-    # elementary symmetric functions are the quadratic Gauss sum
-    # zeta + zeta^2 + zeta^4 = tau - 1, its conjugate
-    # zeta^3 + zeta^5 + zeta^6 = -tau, and zeta^7 = 1, which gives
-    # x^3 + (1 - tau) x^2 - tau x - 1.
-    minpoly = (-ONE, -TAU, ONE - TAU, ONE)
     zeta = (1, 0, 0, 0, 0, 0)
 
     def k_ints(self, f):
@@ -599,6 +599,21 @@ class Zeta7Tower:
         a0, b0, a1, b1, a2, b2 = c
         e = a0 + b0
         return b0 + a1 + b1 - e, b0 + b1 + a2 + b2 - e, b1 + b2 - e, b0 + b2 - e, b1 - e, b2 - e
+
+    def k_vectors(self, fs):
+        """The K-coefficient vectors of the vector with the field ints fs, at
+        1, zeta and zeta^2: coordinate k's `k_ints` are (a_k, b_k, c_k, e_k,
+        g_k, h_k), with the K-coefficients a_k + b_k tau, c_k + e_k tau and
+        g_k + h_k tau."""
+        (a1, b1, c1, e1, g1, h1), (a2, b2, c2, e2, g2, h2), (a3, b3, c3, e3, g3, h3) = map(self.k_ints, fs)
+        return (a1, b1, a2, b2, a3, b3), (c1, e1, c2, e2, c3, e3), (g1, h1, g2, h2, g3, h3)
+
+    def from_k_vectors(self, ps):
+        """The field ints of the vector with the K-coefficient vectors ps,
+        each coordinate's by `from_k_ints`."""
+        (a1, b1, a2, b2, a3, b3), (c1, e1, c2, e2, c3, e3), (g1, h1, g2, h2, g3, h3) = ps
+        from_k = self.from_k_ints
+        return from_k((a1, b1, c1, e1, g1, h1)), from_k((a2, b2, c2, e2, g2, h2)), from_k((a3, b3, c3, e3, g3, h3))
 
     def lift(self, a: int, b: int):
         # a + b tau = (a + b) + b (zeta + zeta^2 + zeta^4)
@@ -789,8 +804,11 @@ def _alg(tower: Zeta3Tower | Zeta7Tower, f: tuple, den: int) -> AlgNum:
     return x
 
 
-_ZETA3 = Zeta3Tower()
-_ZETA7 = Zeta7Tower()
+#: the two fields; only the tests name them, and the package reaches them
+#: through an element's ints (`field_of`, `real_field`) or the order of a
+#: root of unity (`root_of_unity`)
+ZETA3 = Zeta3Tower()
+ZETA7 = Zeta7Tower()
 
 
 def adjugate(tw: Zeta3Tower | Zeta7Tower, f):
@@ -803,17 +821,22 @@ def adjugate(tw: Zeta3Tower | Zeta7Tower, f):
 
 def field_of(f) -> Zeta3Tower | Zeta7Tower:
     """The field of the ints f of an element: four for K(zeta_3), six for K(zeta_7)."""
-    return _ZETA3 if len(f) == 4 else _ZETA7
+    return ZETA3 if len(f) == 4 else ZETA7
 
 
 def real_field(r) -> Zeta3Tower | Zeta7Tower:
     """The field of the real ints r: two for K(zeta_3), three for K(zeta_7)."""
-    return _ZETA3 if len(r) == 2 else _ZETA7
+    return ZETA3 if len(r) == 2 else ZETA7
 
 
-def zeta3_tower() -> Zeta3Tower:
-    return _ZETA3
-
-
-def zeta7_tower() -> Zeta7Tower:
-    return _ZETA7
+def root_of_unity(n: int):
+    """(tw, z): the field tw and the ints z of a primitive n-th root of
+    unity, for n = 3, 6 or 7.  1 + zeta_3 = -zeta_3^2 is a primitive sixth
+    root; K(zeta_3) holds it.  Any other n raises ValueError."""
+    if n == 7:
+        return ZETA7, ZETA7.zeta
+    if n == 3:
+        return ZETA3, ZETA3.zeta
+    if n == 6:
+        return ZETA3, (1, 0, 1, 0)
+    raise ValueError(f"unsupported eigenvalue field for projective order {n}")

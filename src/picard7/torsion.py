@@ -26,7 +26,7 @@ from itertools import accumulate, repeat
 from math import gcd
 from operator import add, sub
 
-from .ring import zeta3_tower, zeta7_tower
+from .ring import root_of_unity
 from .hermitian import (
     ID_INTS,
     GroupElt,
@@ -120,7 +120,7 @@ def make_reflection(v) -> GroupElt:
     2/n is an int, so are the 18 ints, and they are written directly.
     """
     polar = ProjPoint(v)
-    nv = polar.sq_norm()
+    nv = sq_norm_ints(polar.rep)
     if nv not in (1, 2):
         raise ValueError("polar norm not integral for this form")
     k = 2 if nv == 1 else 1
@@ -278,15 +278,7 @@ def classify_elliptic(g: GroupElt, n: int):
     # unity, where k = 0 gives e, in K.  For n = 6, e = 1: the factors of
     # x^6 + 1 over K have degrees 2 and 4, which leaves no third eigenvalue
     e = _ints_power(g.ints, n)[0]
-    if n == 7:
-        tw = zeta7_tower()
-        z = tw.zeta
-    elif n in (3, 6):
-        tw = zeta3_tower()
-        # zeta_3, or 1 + zeta_3, a primitive sixth root of unity
-        z = tw.zeta if n == 3 else tuple(map(add, tw.lift(1, 0), tw.zeta))
-    else:
-        raise ValueError(f"unsupported eigenvalue field for projective order {n}")
+    tw, z = root_of_unity(n)
     # the candidates e z, e z^2, .., e z^(n - 1), as running products
     lams = accumulate(repeat(z, n - 2), tw.mul, initial=tw.mul(tw.lift(e, 0), z))
     for v in _eigenvectors(g.ints, cross, lams, tw.lift, tw.mul):

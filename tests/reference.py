@@ -57,6 +57,7 @@ from picard7.ring import (
     ONE,
     TAU,
     ZERO,
+    ZETA3,
     AlgNum,
     KNum,
     _TERM_RE,
@@ -69,8 +70,6 @@ from picard7.ring import (
     o_gcd_many,
     real_field,
     sqrt21_sign,
-    zeta3_tower,
-    zeta7_autocorr,
 )
 from picard7.torsion import _move_element, orbit_walk
 
@@ -107,7 +106,7 @@ def alg_coeffs(x: AlgNum) -> tuple:
     """The K-coefficients of x in the power basis of zeta, a tuple of KNums:
     K(zeta_3)'s ints (a0, b0, a1, b1) are their int pairs, and K(zeta_7)'s
     convert to them (`k_ints`)."""
-    c = x.ints if x.tower is zeta3_tower() else x.tower.k_ints(x.ints)
+    c = x.ints if x.tower is ZETA3 else x.tower.k_ints(x.ints)
     return tuple(knum_from_ints(c[i], c[i + 1], x.den) for i in range(0, len(c), 2))
 
 
@@ -821,7 +820,7 @@ def ref_k_sweep(v, own):
     """The K Ford sweep as a scan of every candidate column, for the six ints
     v of a vector in O_7^3: (sign, N(<v, col>), j, alpha) for each column
     with N(<v, col>) <= own, in (j, alpha) order."""
-    (x1, x2, x3, x4, x5, x6), (y1, y2, y3, y4, y5, y6) = _forms([v[0:2], v[2:4], v[4:6]])
+    (x1, x2, x3, x4, x5, x6), (y1, y2, y3, y4, y5, y6) = _forms(v)
     for j in sorted(GENERATORS):
         for alpha, (a1, b1, a2, b2, a3, b3) in candidate_columns(j):
             x = a1 * x1 + b1 * x2 + a2 * x3 + b2 * x4 + a3 * x5 + b3 * x6
@@ -853,6 +852,20 @@ def ref_zeta3_sweep(v, own):
             sign = ref_zeta3_cmp(q, own)
             if sign <= 0:
                 yield sign, q, j, alpha
+
+
+def zeta7_autocorr(f):
+    """(h_0, h_1, h_2, h_3), h_m = sum_i f_i f_(i-m) (indices mod 7).
+
+    |sum f_k zeta^k|^2 = sum h_m zeta^m for ints f_k, and h_(7-m) = h_m.
+    """
+    f0, f1, f2, f3, f4, f5, f6 = f
+    return (
+        f0 * f0 + f1 * f1 + f2 * f2 + f3 * f3 + f4 * f4 + f5 * f5 + f6 * f6,
+        f0 * f6 + f1 * f0 + f2 * f1 + f3 * f2 + f4 * f3 + f5 * f4 + f6 * f5,
+        f0 * f5 + f1 * f6 + f2 * f0 + f3 * f1 + f4 * f2 + f5 * f3 + f6 * f4,
+        f0 * f4 + f1 * f5 + f2 * f6 + f3 * f0 + f4 * f1 + f5 * f2 + f6 * f3,
+    )
 
 
 def ref_zeta7_quantity(x: AlgNum):
@@ -932,7 +945,7 @@ def _ref_sweep_vector(v):
         return vs, vs[2].norm(), (KNum.norm, lambda p, q: (p > q) - (p < q),
                                   lambda w, own: ref_k_sweep(vector_rep(w), own))
     vs = scaled_alg(v)
-    if vs[0].tower is zeta3_tower():
+    if vs[0].tower is ZETA3:
         kernel = ref_zeta3_quantity, ref_zeta3_cmp, ref_zeta3_sweep
     else:
         kernel = ref_zeta7_quantity, ref_zeta7_cmp, ref_zeta7_sweep

@@ -10,10 +10,10 @@ from picard7.ring import (
     KNum,
     TAU,
     TAU_BAR,
+    ZETA3,
+    ZETA7,
     eta_sign,
     sqrt21_sign,
-    zeta3_tower,
-    zeta7_tower,
 )
 from picard7.hermitian import (
     GroupElt,
@@ -35,7 +35,7 @@ from picard7.heisenberg import (
     prism_grid,
     reduce_to_prism,
 )
-from picard7 import ford
+from picard7 import ford, ring
 from picard7.ford import (
     GENERATORS,
     INVERSE_PAIRS,
@@ -82,7 +82,9 @@ from reference import (
     ref_reduce,
     ref_reduce_to_domain,
     ref_spheres_containing,
+    ref_zeta3_quantity,
     ref_zeta3_sweep,
+    ref_zeta7_quantity,
     ref_zeta7_sweep,
     scaled_alg,
     sphere_membership,
@@ -109,7 +111,7 @@ def order6_fixture():
     t1, ttau, r = T1.to_matrix(), TTAU.to_matrix(), R.to_matrix()
     inner = (t1 * r) * (t1 * a1) ** 2 * t1.inverse() * r * t1 * a1 * t1.inverse()
     n = (ttau * r) * inner * (r * ttau.inverse())
-    fixed = point_of(eigenspace_basis(n, 1 + zeta_of(zeta3_tower()))[0])
+    fixed = point_of(eigenspace_basis(n, 1 + zeta_of(ZETA3))[0])
     return n, fixed
 
 
@@ -358,7 +360,7 @@ def test_spheres_containing_far_point():
 
 def _refused_points():
     """(point, message) for q_inf and for positive points over K and K(zeta_3)."""
-    z = zeta_of(zeta3_tower())
+    z = zeta_of(ZETA3)
     positive = "vector has positive square norm"
     return [
         (ProjPoint((KNum(1), KNum(0), KNum(0))), "point at infinity has no horospherical coordinates"),
@@ -488,7 +490,7 @@ def test_reduction_keeps_its_soundness_checks(monkeypatch):
     # message: a point that is not interior, and a Ford step that does not
     # lower the Ford quantity.  A positive vector's prism coordinates and
     # a sweep at v3 = 0 are refused in the entry-point and column-scan tests
-    z = zeta_of(zeta3_tower())
+    z = zeta_of(ZETA3)
     for x in (ProjPoint(lift(from_zsu(0, 1, 0))), ProjPoint((KNum(1), KNum(0), KNum(1))),
               point_of((KNum(1), KNum(0), neg(z)))):
         for reduce in (reduce_to_domain, ref_reduce_to_domain):
@@ -498,9 +500,9 @@ def test_reduction_keeps_its_soundness_checks(monkeypatch):
     # above it: the step raises the Ford quantity, in K and in K(zeta_3)
     v1, v2, v3 = tower_fixed_points()[0][1].coords
     for x in (ProjPoint(lift(from_zsu(TAU / 2, 1, 5))), point_of((sub(v1, 2 * v3), v2, v3))):
-        n = 1 if x.rational else v3.tower.n
-        quantity, cmp, _ = ford._KERNELS[n]
-        monkeypatch.setitem(ford._KERNELS, n, (quantity, cmp, lambda v, own, g, best: iter([(-1, own, 1, CuspElt())])))
+        name = "_K_KERNEL" if x.rational else "_TOWER_KERNEL"
+        quantity, cmp, _ = getattr(ford, name)
+        monkeypatch.setattr(ford, name, (quantity, cmp, lambda v, own, g, best: iter([(-1, own, 1, CuspElt())])))
         with pytest.raises(ArithmeticError, match="the Ford quantity did not decrease"):
             reduce_to_domain(x)
 
@@ -677,16 +679,36 @@ def tower_fixed_points():
     return [(x, reduce_to_domain(x)[1]) for x in sorted(found, key=lambda x: [c.ints for c in x.coords])]
 
 
-TOWER_SCANS = {3: ref_zeta3_sweep, 7: ref_zeta7_sweep}
+#: the column scan of each field, with the quantity it compares
+TOWER_SCANS = {3: (ref_zeta3_quantity, ref_zeta3_sweep), 7: (ref_zeta7_quantity, ref_zeta7_sweep)}
+
+
+def scan_real_ints(n: int, h):
+    """The real ints (`ring.real_field`) of |x|^2 for the quantity h that
+    the column scan of K(zeta_n) gives x: in K(zeta_3), 2|x|^2 = m + k
+    sqrt(21) and |x|^2 = p + q (1 - sqrt(21))/2, so q = -k and 2p = m + k;
+    in K(zeta_7), |x|^2 = sum_m h_m zeta^m = (h_0 - h_3) + (h_1 - h_3) eta_1
+    + (h_2 - h_3) eta_2, as the eta_k sum to -1."""
+    if n == 3:
+        m, k = h
+        assert (m + k) % 2 == 0, h
+        return (m + k) // 2, -k
+    h0, h1, h2, h3 = h
+    return h0 - h3, h1 - h3, h2 - h3
 
 
 def tower_sweeps(x):
     """The kernel's and the column scan's tuples at a tower point: the
     scan reads the point's AlgNum coordinates, scaled to be integral as
-    the kernel's vector is."""
+    the kernel's vector is, and each of its quantities is taken to the
+    real ints of the same value, which the kernel's quantities are."""
     _, own, got = sweep_at(x)
     v = scaled_alg(x.coords)
-    return got, list(TOWER_SCANS[v[0].tower.n](v, own))
+    n = v[0].tower.n
+    quantity, scan = TOWER_SCANS[n]
+    ref_own = quantity(v[2])
+    assert scan_real_ints(n, ref_own) == own
+    return got, [(sign, scan_real_ints(n, h), j, alpha) for sign, h, j, alpha in scan(v, ref_own)]
 
 
 def test_tower_sweeps_match_the_column_scans():
@@ -728,8 +750,9 @@ def test_tower_sweeps_match_the_column_scans():
 def test_tower_sweeps_stay_in_their_window(monkeypatch):
     # a scan makes one exact comparison per candidate column, 548 in all;
     # the window makes fewer than 150 at each tower fixed point of the
-    # enumeration and at its Omega representative.  The memo of tower hits
-    # is cleared before each sweep, so that the kernel runs
+    # enumeration and at its Omega representative, counted as ring's sign
+    # tests of the two fields.  The memo of tower hits is cleared before
+    # each sweep, so that the kernel runs
     calls = []
 
     def counted(helper):
@@ -738,8 +761,8 @@ def test_tower_sweeps_stay_in_their_window(monkeypatch):
             return helper(*args)
         return sign
 
-    monkeypatch.setattr(ford, "sqrt21_sign", counted(sqrt21_sign))
-    monkeypatch.setattr(ford, "eta_sign", counted(eta_sign))
+    monkeypatch.setattr(ring, "sqrt21_sign", counted(sqrt21_sign))
+    monkeypatch.setattr(ring, "eta_sign", counted(eta_sign))
     for pair in tower_fixed_points():
         for x in pair:
             vs, own, (_, _, sweep) = _sweep_vector(x.rep)
@@ -760,7 +783,7 @@ def test_sign_helpers_match_mpmath():
     rng = random.Random(53)
     pairs = [(0, 0), (5, 0), (-5, 0), (0, 3), (0, -3), (458, -100), (-459, 100)]
     pairs += [(rng.randint(-10**6, 10**6), rng.randint(-10**5, 10**5)) for _ in range(500)]
-    z = zeta_of(zeta7_tower())
+    z = zeta_of(ZETA7)
     tiny = alg_pow(alg_pow(z, 2) + alg_pow(z, 5), 60)
     # a real integral element of K(zeta_7) is e1 eta_1 + e2 eta_2 + e3 eta_3
     # with (e1, e2, e3) its first three ints

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from picard7.ring import ISQRT7, KNum, TAU, zeta3_tower, zeta7_tower
+from picard7.ring import ISQRT7, KNum, TAU, ZETA3, ZETA7
 from picard7.hermitian import GroupElt, Mat, is_in_gamma, sq_norm
 from picard7.heisenberg import (
     CuspElt,
@@ -157,7 +157,7 @@ def _tower_point(rng, tw):
 
 @pytest.mark.parametrize("field", ["K", "zeta3", "zeta7"])
 def test_act_horo_matches_matrices(field):
-    tw = {"K": None, "zeta3": zeta3_tower(), "zeta7": zeta7_tower()}[field]
+    tw = {"K": None, "zeta3": ZETA3, "zeta7": ZETA7}[field]
     rng = random.Random(23)
     for _ in range(10):
         c, h = rand_cusp(rng, 2), _tower_point(rng, tw)
@@ -260,7 +260,7 @@ def test_reduce_random_roundtrip():
 
 def test_reduce_algebraic_point():
     # interior point with coordinates in K(zeta3), shifted out of the prism
-    tw = zeta3_tower()
+    tw = ZETA3
     h = from_zsu(TAU / 2, Fraction(1, 2), 1)
     hl = HoroPoint(
         alg_lift(tw, h.z), alg_lift(tw, h.ti), alg_lift(tw, KNum(1))
@@ -283,7 +283,7 @@ def test_prism_coordinates_match_the_reference(field):
     if field == "K":
         r, scales = KNum(Fraction(1, 8)), [KNum(1), KNum(2, 1), KNum(Fraction(-3, 5), 1)]
     else:
-        g = zeta_of(zeta3_tower() if field == "zeta3" else zeta7_tower())
+        g = zeta_of(ZETA3 if field == "zeta3" else ZETA7)
         # (g - conj g) i sqrt(7) is real and irrational, near 4.5
         r, scales = div(sub(g, g.conj()) * ISQRT7, 16), [KNum(1), g, sub(2, g * g)]
     points = _grid_points(r)
@@ -308,7 +308,7 @@ def test_prism_coordinates_match_the_reference(field):
 
 @pytest.mark.parametrize("field", ["K", "zeta3", "zeta7"])
 def test_prism_coordinates_refuse_q_inf_and_positive_vectors(field):
-    one = KNum(1) if field == "K" else alg_lift(zeta3_tower() if field == "zeta3" else zeta7_tower(), 1)
+    one = KNum(1) if field == "K" else alg_lift(ZETA3 if field == "zeta3" else ZETA7, 1)
     zero = one * 0
     for v, message in (((one, zero, zero), "point at infinity has no horospherical coordinates"),
                        ((one, one, zero), "vector has positive square norm"),
@@ -322,7 +322,7 @@ def test_prism_coordinates_refuse_q_inf_and_positive_vectors(field):
     # the vectors above are K-rational, so their reps are six ints; (1, 0,
     # +-zeta) with <v, v> = +-2 Re(zeta) > 0 is a tower point, refused on
     # its field ints
-    z = zeta_of(zeta3_tower() if field == "zeta3" else zeta7_tower())
+    z = zeta_of(ZETA3 if field == "zeta3" else ZETA7)
     v = (one, zero, neg(z) if field == "zeta3" else z)
     rep = vector_rep(v)
     assert type(rep[0]) is tuple
@@ -345,7 +345,7 @@ def test_prism_coordinates_refuse_knum_coordinates(field):
     # point's field ints (f1, f2, den).  A vector of AlgNums, with a KNum
     # beside them in any place or not, or a vector of KNums, raises
     # TypeError at entry
-    tw = zeta3_tower() if field == "zeta3" else zeta7_tower()
+    tw = ZETA3 if field == "zeta3" else ZETA7
     g = zeta_of(tw)
     v = (sub(div(g * g.conj(), -2), 3), g, alg_lift(tw, 1))
     assert vec_key(alg_prism(prism_coordinates(vector_rep(v)))) == vec_key(ref_prism_coordinates(v))

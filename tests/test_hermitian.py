@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from picard7 import hermitian
-from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR, ZERO, zeta3_tower, zeta7_tower
+from picard7.ring import ISQRT7, KNum, TAU, TAU_BAR, ZERO, ZETA3, ZETA7
 from picard7.hermitian import (
     GroupElt,
     Mat,
@@ -143,12 +143,12 @@ def test_int_matrix_kernel_matches_generic_path():
 
 
 def test_mat_refuses_algnum_entries():
-    z = zeta_of(zeta3_tower())
+    z = zeta_of(ZETA3)
     with pytest.raises(TypeError, match="cannot coerce"):
         Mat([[z, 1, 0], [0, z * z, TAU], [KNum(Fraction(1, 2)), 0, z + 1]])
     # an AlgNum that lies in K is refused too: a matrix holds KNums only
     with pytest.raises(TypeError, match="cannot coerce"):
-        Mat([[alg_lift(zeta3_tower(), 2), 0, 0], [0, 1, 0], [0, 0, 1]])
+        Mat([[alg_lift(ZETA3, 2), 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_tower_vectors_move_by_the_k_kernel_per_power(monkeypatch):
@@ -160,15 +160,15 @@ def test_tower_vectors_move_by_the_k_kernel_per_power(monkeypatch):
     calls = []
     kernel = hermitian._apply_ints
     monkeypatch.setattr(hermitian, "_apply_ints", lambda t, v: calls.append(v) or kernel(t, v))
-    for tower in (zeta3_tower, zeta7_tower):
-        z = zeta_of(tower())
+    for tw in (ZETA3, ZETA7):
+        z = zeta_of(tw)
         for v in ((z, KNum(1), TAU), (z * z, z + 1, KNum(Fraction(1, 2))), (z, sub(z * 3, TAU), z * z * z)):
             v = scaled_alg(lifted(v))
             for m in (A2, A6):
                 g = GroupElt(m)
                 calls.clear()
                 assert _tower_apply(g.ints, tuple(map(alg_ints, v))) == tuple(map(alg_ints, mat_apply(g.mat, v)))
-                assert len(calls) == tower().degree
+                assert len(calls) == tw.degree
                 assert point_of(v).moved(g.ints) == point_of(mat_apply(g.mat, v))
         # a tower point has v3 != 0: a vector with v3 = 0 is refused, and so
         # is a move that takes v3 to 0
@@ -180,13 +180,12 @@ def test_tower_vectors_move_by_the_k_kernel_per_power(monkeypatch):
         assert p.moved(hermitian.ID_INTS) == p
 
 
-@pytest.mark.parametrize("tower", [zeta3_tower, zeta7_tower])
-def test_tower_apply_matches_the_entrywise_sum(tower):
+@pytest.mark.parametrize("tw", [ZETA3, ZETA7], ids=["zeta3_tower", "zeta7_tower"])
+def test_tower_apply_matches_the_entrywise_sum(tw):
     # the int rows F_k, tau F_k of a tower vector over one denominator
     # against the sum of the KNum entries' AlgNum products, on seeded words
     # and vectors with denominators, some of whose coordinates lie in K
     rng = random.Random(83)
-    tw = tower()
     z = zeta_of(tw)
     mixed = 0
     for g, _ in _random_words(29, 60):
@@ -273,7 +272,7 @@ def test_int_action_matches_mat_action():
         p = ProjPoint(v)
         assert p.moved(g.ints) == ProjPoint(mat_apply(m, p.coords))
     # a point with tower coordinates takes the tower path on its ints
-    z = zeta_of(zeta3_tower())
+    z = zeta_of(ZETA3)
     t = point_of((z, KNum(1), TAU))
     for g, m in words[:10]:
         assert t.moved(g.ints) == point_of(mat_apply(m, t.coords))
@@ -373,7 +372,7 @@ def test_group_elt_projectivization():
 def test_algebraic_projpoint():
     # ProjPoint takes KNums only; a vector of AlgNums is a point through its
     # ints (`point_of` scales them to one den for ProjPoint.of_tower)
-    tw = zeta3_tower()
+    tw = ZETA3
     z = zeta_of(tw)
     one = alg_lift(tw, KNum(1))
     with pytest.raises(TypeError, match="three KNums"):
@@ -388,11 +387,11 @@ def test_algebraic_projpoint():
     assert r.rational and r.coords == (KNum(1), KNum(2), KNum(3))
 
 
-@pytest.mark.parametrize("tower", [zeta3_tower, zeta7_tower], ids=["zeta3", "zeta7"])
-def test_tower_vector_rational_up_to_scale_is_rational(tower):
+@pytest.mark.parametrize("tw", [ZETA3, ZETA7], ids=["zeta3", "zeta7"])
+def test_tower_vector_rational_up_to_scale_is_rational(tw):
     # (zeta tau, 2 zeta, zeta) is projectively (tau, 2, 1): it is tested for
     # K-rationality after its lead is divided out
-    z = zeta_of(tower())
+    z = zeta_of(tw)
     p = point_of((z * TAU, z * 2, z))
     q = ProjPoint((TAU, KNum(2), KNum(1)))
     assert p.rational and p == q and hash(p) == hash(q)
@@ -401,12 +400,12 @@ def test_tower_vector_rational_up_to_scale_is_rational(tower):
         point_of((z * 0, z * 0, z * 0))
 
 
-@pytest.mark.parametrize("tower", [zeta3_tower, zeta7_tower], ids=["zeta3", "zeta7"])
-def test_projpoint_refuses_a_mixed_vector(tower):
+@pytest.mark.parametrize("tw", [ZETA3, ZETA7], ids=["zeta3", "zeta7"])
+def test_projpoint_refuses_a_mixed_vector(tw):
     # a ProjPoint's coordinates are three KNums: an AlgNum among them, in
     # any place, raises TypeError, where the vector with its KNums lifted
     # into the field is a tower point, built on its ints
-    z = zeta_of(tower())
+    z = zeta_of(tw)
     one = alg_lift(z.tower, 1)
     v = (z * TAU, z + 1, z)
     for i in range(3):

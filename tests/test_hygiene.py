@@ -357,6 +357,23 @@ def test_only_ring_reads_k_coefficients():
     assert reads == []
 
 
+#: the names by which ring.py says which field an element lies in, or how
+#: one field decides a sign
+FIELD_NAMES = {"ZETA3", "ZETA7", "zeta3_tower", "zeta7_tower", "Zeta3Tower", "Zeta7Tower",
+               "sqrt21_sign", "eta_sign", "zeta7_autocorr"}
+
+
+def test_only_ring_names_a_field():
+    # every other module reaches the field of a tower vector through its
+    # ints (`field_of`, `real_field`) or the order of a root of unity
+    # (`root_of_unity`), so one code path serves K(zeta_3) and K(zeta_7)
+    named = [(p.name, node.lineno, alias.name) for p in MODULES if p.name != "ring.py"
+             for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names if alias.name.rsplit(".", 1)[-1] in FIELD_NAMES]
+    assert named == []
+
+
 def test_points_are_ordered_without_their_knum_ints():
     # a rational point's format is decided in hermitian: torsion and mirror
     # sort points by the point's own order and read no KNum ints
@@ -414,31 +431,32 @@ def test_mirror_import_loads_no_residue_maps():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("argv,zeta3_sweeps", [
+@pytest.mark.parametrize("argv,tower_sweeps", [
     (["torsion", "stabilizer", "--point", '["-1+1*tau","0","1"]'], 0),
     (["mirror", "verify", "--which", "R"], 2),
 ], ids=["torsion-stabilizer", "mirror-verify-R"])
-def test_point_stabilizers_derive_only_what_they_read(argv, zeta3_sweeps):
+def test_point_stabilizers_derive_only_what_they_read(argv, tower_sweeps):
     # in a fresh process, a point stabilizer reads its cusp overlaps off the
     # 13 planar parts and leaves the 34-element table underived; mirror R's
-    # zeta_3 point is swept once per reduction step, and its cycle graph
-    # reads the last sweep of the reduction from the memo of tower hits
+    # zeta_3 point is swept once per reduction step by the one tower sweep,
+    # and its cycle graph reads the last sweep of the reduction from the
+    # memo of tower hits
     code = """
 import contextlib, io, sys
 sys.path.insert(0, %r)
 from picard7 import cli, ford, heisenberg
 sweeps = []
-sweep = ford._TOWER_SWEEPS[3]
+sweep = ford._tower_sweep
 def counted(*args):
     sweeps.append(args)
     return sweep(*args)
-ford._TOWER_SWEEPS[3] = counted
+ford._tower_sweep = counted
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(sys.argv[1:]) == 0
 print(heisenberg.enumerate_cusp_overlaps.cache_info().currsize, len(sweeps))
 """ % str(SRC.parent)
     out = subprocess.run([sys.executable, "-I", "-c", code] + argv, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", str(zeta3_sweeps)]
+    assert out.stdout.split() == ["0", str(tower_sweeps)]
 
 
 def test_tower_prism_steps_enter_no_algnum_method():

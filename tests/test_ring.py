@@ -15,12 +15,12 @@ from picard7.ring import (
     TAU,
     TAU_BAR,
     ZERO,
+    ZETA3,
+    ZETA7,
     format_knum,
     o_gcd,
     o_gcd_many,
     parse_knum,
-    zeta3_tower,
-    zeta7_tower,
 )
 from reference import (
     alg_coeffs,
@@ -239,8 +239,19 @@ def _strictly_between(lo: Fraction, re, hi: Fraction, prec=4096) -> bool:
         mpmath.iv.prec = old
 
 
+# the monic minimal polynomials of zeta_3 and zeta_7 over K, low degree
+# first.  Phi_3 = x^2 + x + 1 is irreducible over K.  Phi_7 splits over K
+# into two conjugate cubics; the one kept has the roots zeta, zeta^2,
+# zeta^4 of zeta = exp(2*pi*i/7).  Their elementary symmetric functions are
+# the quadratic Gauss sum zeta + zeta^2 + zeta^4 = tau - 1, its conjugate
+# zeta^3 + zeta^5 + zeta^6 = -tau, and zeta^7 = 1, which gives
+# x^3 + (1 - tau) x^2 - tau x - 1
+ZETA3_MINPOLY = (ONE, ONE, ONE)
+ZETA7_MINPOLY = (-ONE, -TAU, ONE - TAU, ONE)
+
+
 def test_zeta7_minpoly():
-    m = list(zeta7_tower().minpoly)
+    m = list(ZETA7_MINPOLY)
     assert m == [KNum(-1), -TAU, 1 - TAU, ONE]
     mbar = [c.conj() for c in m]
     # m * conj(m) is the 7th cyclotomic polynomial
@@ -254,13 +265,13 @@ def test_zeta7_minpoly():
     assert 0 in re and 0 in im
     re, im = _iv_at_zeta(mbar, 7, 128)
     assert 0 not in re or 0 not in im
-    assert list(zeta3_tower().minpoly) == [ONE] * 3
+    assert list(ZETA3_MINPOLY) == [ONE] * 3
     # the other roots of the minimal polynomials: zeta^2 and zeta^4
     assert _GENERIC["zeta3"].galois == (2,) and _GENERIC["zeta7"].galois == (2, 4)
 
 
 def test_zeta3_arithmetic():
-    tw = zeta3_tower()
+    tw = ZETA3
     z = zeta_of(tw)
     assert (z * z + z + 1).is_zero()
     assert alg_eq(alg_pow(z, 3), 1)
@@ -274,12 +285,12 @@ def test_zeta3_arithmetic():
 
 
 def test_zeta7_arithmetic():
-    tw = zeta7_tower()
+    tw = ZETA7
     assert tw.degree == 3
     z = zeta_of(tw)
     assert alg_eq(alg_pow(z, 7), 1)
     assert not alg_eq(alg_pow(z, 3), 1)
-    assert sum(c * alg_pow(z, i) for i, c in enumerate(tw.minpoly)).is_zero()
+    assert sum(c * alg_pow(z, i) for i, c in enumerate(ZETA7_MINPOLY)).is_zero()
     assert alg_eq(z.conj() * z, 1)
     inv = alg_inverse(z)
     assert alg_eq(inv * z, 1)
@@ -289,7 +300,7 @@ def rand_algnum(rng, tw):
     return alg_num(tw, [rand_knum(rng, rng.randint(1, 4)) for _ in range(tw.degree)])
 
 
-@pytest.mark.parametrize("tw", [zeta3_tower(), zeta7_tower()], ids=["zeta3", "zeta7"])
+@pytest.mark.parametrize("tw", [ZETA3, ZETA7], ids=["zeta3", "zeta7"])
 def test_algnum_in_k_hashes_like_knum(tw):
     # an AlgNum's value key (the tests' equality, `alg_key`) is its KNum
     # when it lies in K, so it equals and hashes like that KNum
@@ -298,7 +309,7 @@ def test_algnum_in_k_hashes_like_knum(tw):
         assert len({alg_key(alg_lift(tw, x)), x}) == 1
     assert len({alg_key(zeta_of(tw)), alg_key(zeta_of(tw) * 1), ONE}) == 2
     # the other field: equal exactly in K, and never an error
-    other = zeta7_tower() if tw is zeta3_tower() else zeta3_tower()
+    other = ZETA7 if tw is ZETA3 else ZETA3
     assert len({alg_key(alg_lift(tw, TAU)), alg_key(alg_lift(other, TAU))}) == 1
     assert not alg_eq(zeta_of(tw), zeta_of(other))
     # arithmetic across the two fields is refused
@@ -315,7 +326,7 @@ def _check_normal_form(x: AlgNum):
 
 
 def test_algnum_constructor_takes_only_knums():
-    for tw in (zeta3_tower(), zeta7_tower()):
+    for tw in (ZETA3, ZETA7):
         for coeffs in ([1, 2], [ONE, Fraction(1, 2)], [ONE, 0.5], [zeta_of(tw)]):
             with pytest.raises(TypeError, match="must be a KNum"):
                 alg_num(tw, coeffs)
@@ -324,7 +335,7 @@ def test_algnum_constructor_takes_only_knums():
         assert alg_eq(alg_num(tw, [KNum(Fraction(-1, 3))]), KNum(Fraction(-1, 3)))
 
 
-@pytest.mark.parametrize("tw", [zeta3_tower(), zeta7_tower()], ids=["zeta3", "zeta7"])
+@pytest.mark.parametrize("tw", [ZETA3, ZETA7], ids=["zeta3", "zeta7"])
 def test_one_stored_form_per_element(tw):
     rng = random.Random(2200 + tw.n)
     z = zeta_of(tw)
@@ -351,7 +362,7 @@ def test_one_stored_form_per_element(tw):
             alg_k_part(k + z)
 
 
-@pytest.mark.parametrize("tw", [zeta3_tower(), zeta7_tower()], ids=["zeta3", "zeta7"])
+@pytest.mark.parametrize("tw", [ZETA3, ZETA7], ids=["zeta3", "zeta7"])
 def test_int_operands_match_their_knums(tw):
     # an int operand is lifted straight into the field: every operation
     # that takes it, on either side, gives the element that the int's KNum
@@ -374,7 +385,7 @@ def test_int_operands_match_their_knums(tw):
     assert alg_eq(alg_lift(tw, 3), 3) and not alg_eq(alg_lift(tw, 3), 4)
 
 
-@pytest.mark.parametrize("tw", [zeta3_tower(), zeta7_tower()], ids=["zeta3", "zeta7"])
+@pytest.mark.parametrize("tw", [ZETA3, ZETA7], ids=["zeta3", "zeta7"])
 def test_int_scalars_match_products_with_the_lifted_int(tw):
     # x * n is written on the ints, and x times the KNum 1/n (the tests'
     # quotient `div`) on the ints over n: the same stored form as the
@@ -392,7 +403,7 @@ def test_int_scalars_match_products_with_the_lifted_int(tw):
             div(x, 0)
 
 
-@pytest.mark.parametrize("tw", [zeta3_tower(), zeta7_tower()], ids=["zeta3", "zeta7"])
+@pytest.mark.parametrize("tw", [ZETA3, ZETA7], ids=["zeta3", "zeta7"])
 def test_algnum_field_properties_random(tw):
     rng = random.Random(tw.n)
     for _ in range(40):
@@ -416,7 +427,7 @@ def test_algnum_field_properties_random(tw):
 
 
 def test_real_sign_and_floor():
-    tw = zeta7_tower()
+    tw = ZETA7
     z = zeta_of(tw)
     c = z + z.conj()  # 2 cos(2 pi / 7) ~ 1.2469
     assert c.is_real()
@@ -445,12 +456,12 @@ def test_real_sign_and_floor():
 
 def test_generic_tower_sqrt7():
     # sqrt(-7) of K is the quadratic Gauss sum of zeta_7
-    w = zeta_of(zeta7_tower())
+    w = zeta_of(ZETA7)
     g = sub(w + alg_pow(w, 2) + alg_pow(w, 4), alg_pow(w, 3) + alg_pow(w, 5) + alg_pow(w, 6))
     assert sub(g, ISQRT7).is_zero()
     assert (g * g + 7).is_zero()
     # sqrt(7) * sqrt(3) = -sqrt(-7) * sqrt(-3) is real in K(zeta_3)
-    z = zeta_of(zeta3_tower())
+    z = zeta_of(ZETA3)
     s = neg(ISQRT7 * (2 * z + 1))  # sqrt(21) ~ 4.583
     assert s.is_real()
     assert sub(s * s, 21).is_zero()
@@ -546,7 +557,7 @@ def test_rational_knum_hashes_like_its_value():
     assert hash(KNum(Fraction(-5, 6))) == hash(Fraction(-5, 6))
     assert KNum(Fraction(1, 2)) != Fraction(1, 2) and KNum(1) != Fraction(1)
     assert {KNum(2): "two"}[2] == "two"
-    assert len({alg_key(alg_lift(zeta3_tower(), KNum(Fraction(1, 2)))), KNum(Fraction(1, 2))}) == 1
+    assert len({alg_key(alg_lift(ZETA3, KNum(Fraction(1, 2)))), KNum(Fraction(1, 2))}) == 1
     # the rest keep the hash of the pair of coordinates
     assert hash(KNum(Fraction(1, 2), 3)) == hash((Fraction(1, 2), Fraction(3)))
     assert len({TAU, KNum(0, 1), 1}) == 2
@@ -679,15 +690,15 @@ class Tower:
 
 # each field on the generic path, by the test id of the field
 _GENERIC = {
-    "zeta3": Tower(3, zeta3_tower().minpoly),
-    "zeta7": Tower(7, zeta7_tower().minpoly),
+    "zeta3": Tower(3, ZETA3_MINPOLY),
+    "zeta7": Tower(7, ZETA7_MINPOLY),
 }
 # sqrt(21) = -sqrt(-7) sqrt(-3), with sqrt(-3) = 2 zeta_3 + 1
-_SQRT21 = neg(ISQRT7 * (2 * zeta_of(zeta3_tower()) + 1))
+_SQRT21 = neg(ISQRT7 * (2 * zeta_of(ZETA3) + 1))
 
 
 def _rand_zeta3(rng):
-    return alg_num(zeta3_tower(), [rand_knum(rng, rng.randint(2, 9)) for _ in range(2)])
+    return alg_num(ZETA3, [rand_knum(rng, rng.randint(2, 9)) for _ in range(2)])
 
 
 def _check_sign_and_floor(x):
@@ -705,7 +716,7 @@ def _check_sign_and_floor(x):
         assert _strictly_between(Fraction(floor), re, Fraction(floor + 1))
 
 
-@pytest.mark.parametrize("tw", [zeta3_tower(), zeta7_tower()], ids=["zeta3", "zeta7"])
+@pytest.mark.parametrize("tw", [ZETA3, ZETA7], ids=["zeta3", "zeta7"])
 def test_closed_forms_match_generic_path(tw):
     ref = _GENERIC[f"zeta{tw.n}"]
     rng = random.Random(2100 + tw.n)
@@ -749,7 +760,7 @@ def test_zeta3_signs_and_floors_are_exact():
         for k in (0, 1, -1, 7):
             for scale in (1, KNum(Fraction(1, 3)), KNum(Fraction(7, 5))):
                 reals += [k + e * scale, sub(k, e * scale)]
-    reals += [alg_lift(zeta3_tower(), ZERO), alg_lift(zeta3_tower(), KNum(Fraction(-7, 3)))]
+    reals += [alg_lift(ZETA3, ZERO), alg_lift(ZETA3, KNum(Fraction(-7, 3)))]
     for x in reals:
         assert x.is_real()
         _check_sign_and_floor(x)
@@ -758,8 +769,8 @@ def test_zeta3_signs_and_floors_are_exact():
     assert [alg_floor(e) for e in small] == [0, 0]
     assert [alg_floor(neg(e)) for e in small] == [-1, -1]
     assert alg_floor(sub(1, small[1])) == 0 and alg_floor(1 + small[1]) == 1
-    assert alg_lift(zeta3_tower(), ZERO).real_sign() == 0
-    for x in (zeta_of(zeta3_tower()), alg_lift(zeta3_tower(), ISQRT7)):
+    assert alg_lift(ZETA3, ZERO).real_sign() == 0
+    for x in (zeta_of(ZETA3), alg_lift(ZETA3, ISQRT7)):
         with pytest.raises(ValueError):
             x.real_sign()
         with pytest.raises(ValueError):
@@ -772,7 +783,7 @@ def test_zeta3_signs_and_floors_are_exact():
 
 
 def _etas():
-    z = zeta_of(zeta7_tower())
+    z = zeta_of(ZETA7)
     return [alg_pow(z, k) + alg_pow(z.conj(), k) for k in (1, 2, 3)]
 
 
@@ -791,7 +802,7 @@ def test_zeta7_floor_of_large_unit_power():
 
 
 def test_zeta7_signs_and_floors_are_exact():
-    tw = zeta7_tower()
+    tw = ZETA7
     rng = random.Random(2107)
     eta1, eta2, eta3 = _etas()
     assert (eta1 + eta2 + eta3 + 1).is_zero()

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from picard7.ring import ISQRT7, TAU, KNum, TAU_BAR, _alg, knum_from_ints, real_field, zeta3_tower, zeta7_tower
+from picard7.ring import ISQRT7, TAU, KNum, TAU_BAR, ZETA3, ZETA7, _alg, knum_from_ints, real_field
 from picard7.hermitian import GroupElt, Mat, ProjPoint, ints_inverse, ints_product, mat_ints, sq_norm, sq_norm_ints
 from picard7.heisenberg import (
     BRACKET,
@@ -462,7 +462,7 @@ def test_eigenvector_matches_the_reference_kernel(monkeypatch):
     for lam in (0, 1, 5, 2):
         v = _eigenvector(mat_ints(m), (lam, 0), torsion._k_lift, torsion._k_mul)
         assert _matches_the_reference(m, (lam, 0), None, v) == (lam != 2)
-    tw = zeta3_tower()
+    tw = ZETA3
     v = _eigenvector(mat_ints(m), tw.zeta, tw.lift, tw.mul)
     assert not _matches_the_reference(m, tw.zeta, tw, v)
 
@@ -1092,7 +1092,7 @@ def _tower_facet_points():
     and two more, just below the lines a = 1 and s = 2, by e = r/2^17 <
     2^-16, where the brackets straddle a floor."""
     points = []
-    for tw in (zeta3_tower(), zeta7_tower()):
+    for tw in (ZETA3, ZETA7):
         g = zeta_of(tw)
         r = div(sub(g, g.conj()) * ISQRT7, 16)
         if r.real_sign() < 0:
@@ -1493,7 +1493,7 @@ def test_cycle_graph_sweeps_each_prism_image_once(monkeypatch):
     # one full K sweep per distinct prism image of the vertices, where a
     # sweep per vertex repeats the vector of each vertex that a cusp
     # overlap relates to another
-    quantity, cmp, sweep = ford._KERNELS[1]
+    quantity, cmp, sweep = ford._K_KERNEL
     full = []
 
     def counted(v, own, g, best):
@@ -1501,7 +1501,7 @@ def test_cycle_graph_sweeps_each_prism_image_once(monkeypatch):
             full.append(v)
         return sweep(v, own, g, best)
 
-    monkeypatch.setitem(ford._KERNELS, 1, (quantity, cmp, counted))
+    monkeypatch.setattr(ford, "_K_KERNEL", (quantity, cmp, counted))
     repeats = 0
     for base in _paper_walk_bases()[:5]:
         full.clear()
@@ -1559,7 +1559,7 @@ def test_in_omega_brackets_a_tower_point_once(monkeypatch):
     # so the memo of tower hits is cleared first, and the kernel runs
     mti = GENERATORS[6] * TV.to_matrix() * GENERATORS[1]
     _, y = reduce_to_domain(classify_elliptic(mti, 6)[1])
-    assert not y.rational and y.coords[2].tower is zeta3_tower()
+    assert not y.rational and y.coords[2].tower is ZETA3
     calls = []
     bracket = heisenberg.bracket
 
